@@ -3,7 +3,7 @@
 GO ?= go
 BIN ?= bin
 
-.PHONY: all build test race fuzz chaos-smoke cover-transport cover-plan bench-smoke bench-kernels bench-kernels-check bench-kernels-update bench-batch bench-sessions launch-smoke serve-smoke trace-smoke batch-smoke session-smoke plan-smoke vet clean
+.PHONY: all build test race fuzz chaos-smoke cover-transport cover-plan bench-smoke bench-stack bench-stack-check bench-kernels bench-kernels-check bench-kernels-update bench-batch bench-sessions launch-smoke serve-smoke trace-smoke batch-smoke session-smoke plan-smoke vet clean
 
 all: build
 
@@ -24,9 +24,10 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Brief fuzz of the wire decoders (must never panic; regression corpora
-# under internal/transport/testdata, internal/batch/testdata and
-# internal/session/testdata).
+# Brief fuzz of the wire decoders and the job spec (must never panic;
+# regression corpora under internal/transport/testdata,
+# internal/batch/testdata, internal/session/testdata and
+# internal/service/testdata).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/transport
@@ -35,6 +36,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointReader -fuzztime 10s ./internal/session
 	$(GO) test -run '^$$' -fuzz FuzzAppendReader -fuzztime 10s ./internal/session
 	$(GO) test -run '^$$' -fuzz FuzzMachineModel -fuzztime 10s ./internal/simulate
+	$(GO) test -run '^$$' -fuzz FuzzJobSpec -fuzztime 10s ./internal/service
 
 # Deterministic fault-injection proof: a factorization over real TCP
 # with seeded chaos (drops, delays, a mid-run link sever, a rank kill)
@@ -73,6 +75,19 @@ bench-smoke: build
 	$(GO) test -run '^$$' -bench BenchmarkRealTreeComparison -benchtime 1x .
 	$(BIN)/qrfactor -launch 2 -m 1024 -n 128 -nb 32 -ib 8 -check
 	$(BIN)/qrbench -batch -batch-count 512
+
+# The stack benchmark (bench/README.md): six end-to-end workloads from
+# pulsarqr.Factor to a 2-rank fleet, three untraced runs and one traced run
+# each, written to bench/out/results.json (~8 min).
+bench-stack:
+	$(GO) run ./bench
+
+# Compare the last bench-stack run with the committed baseline; exits
+# non-zero when any workload × end-to-end metric reads `regressed`. The
+# baseline's host is recorded in it — on another host read the verdicts as
+# a guide, not a gate.
+bench-stack-check:
+	$(GO) run ./bench -compare bench/BASELINE.json bench/out/results.json
 
 # Full batch throughput comparison, regenerating the committed baseline:
 #   make bench-batch && git diff BENCH_batch.json

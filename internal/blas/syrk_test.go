@@ -76,3 +76,55 @@ func TestDsyrkDegenerate(t *testing.T) {
 		t.Fatalf("degenerate syrk wrong: %v", c)
 	}
 }
+
+// The blocked path against the scalar oracle, the way the blocked Dgemm is
+// held to dgemmScalar: shapes straddling the block width (96) and the
+// micro-kernel tiles, both triangles, both transpositions, padded leading
+// dimensions. Only the selected triangle may change.
+func TestDsyrkBlockedMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, n := range []int{5, 31, 64, 95, 96, 97, 130, 200} {
+		for _, k := range []int{8, 33, 64, 257} {
+			for _, upper := range []bool{false, true} {
+				for _, trans := range []bool{false, true} {
+					for _, beta := range []float64{0, 1, -0.5} {
+						ar, ac := n, k
+						if trans {
+							ar, ac = k, n
+						}
+						lda, ldc := ar+3, n+1
+						a := colMajor(rng, ar, ac, lda)
+						c := colMajor(rng, n, n, ldc)
+						orig := append([]float64(nil), c...)
+						want := append([]float64(nil), c...)
+						dsyrkScalar(upper, trans, n, k, -1.5, a, lda, beta, want, ldc)
+						if useBlocked(n, n, k) {
+							Dsyrk(upper, trans, n, k, -1.5, a, lda, beta, c, ldc)
+						} else {
+							// Too small to be routed here; the blocked path
+							// must be right for every shape all the same.
+							scaleTriangle(upper, n, beta, c, ldc)
+							dsyrkBlocked(upper, trans, n, k, -1.5, a, lda, c, ldc)
+						}
+						tol := 1e-14 * float64(k)
+						for j := 0; j < n; j++ {
+							for i := 0; i < n; i++ {
+								inTri := (upper && i <= j) || (!upper && i >= j)
+								got := c[i+j*ldc]
+								if inTri && math.Abs(got-want[i+j*ldc]) > tol {
+									t.Fatalf("n=%d k=%d upper=%v trans=%v beta=%v: (%d,%d) = %v, scalar oracle %v",
+										n, k, upper, trans, beta, i, j, got, want[i+j*ldc])
+								}
+								if !inTri && got != orig[i+j*ldc] {
+									t.Fatalf("n=%d k=%d upper=%v trans=%v: touched the opposite triangle at (%d,%d)",
+										n, k, upper, trans, i, j)
+								}
+							}
+						}
+						checkPadding(t, c, n, n, ldc, "C")
+					}
+				}
+			}
+		}
+	}
+}

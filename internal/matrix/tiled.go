@@ -18,6 +18,22 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // NewTiled returns a zero Tiled matrix of global size m×n with tile size nb.
 func NewTiled(m, n, nb int) *Tiled {
+	t := NewTiledShell(m, n, nb)
+	for i := 0; i < t.MT; i++ {
+		for j := 0; j < t.NT; j++ {
+			t.Tiles[i][j] = New(t.TileRows(i), t.TileCols(j))
+		}
+	}
+	return t
+}
+
+// NewTiledShell returns the m×n layout with tile size nb and no tile
+// allocated: every Tile(i, j) is nil until SetTile places one. It is the
+// container for a matrix whose tiles already exist somewhere (a result being
+// assembled from collected tiles) or exist only in part (the tile rows one
+// rank of a fleet owns); the whole-matrix methods — ToDense, Clone — need
+// every tile present.
+func NewTiledShell(m, n, nb int) *Tiled {
 	if m < 0 || n < 0 || nb <= 0 {
 		panic(fmt.Sprintf("matrix: bad tiled dimensions m=%d n=%d nb=%d", m, n, nb))
 	}
@@ -30,11 +46,8 @@ func NewTiled(m, n, nb int) *Tiled {
 	}
 	t := &Tiled{M: m, N: n, NB: nb, MT: mt, NT: nt}
 	t.Tiles = make([][]*Mat, mt)
-	for i := 0; i < mt; i++ {
+	for i := range t.Tiles {
 		t.Tiles[i] = make([]*Mat, nt)
-		for j := 0; j < nt; j++ {
-			t.Tiles[i][j] = New(t.TileRows(i), t.TileCols(j))
-		}
 	}
 	return t
 }

@@ -94,6 +94,14 @@ func (s *VSA) Run() error {
 	s.alive.Store(int64(alive))
 	s.running.Store(true)
 	defer s.running.Store(false)
+	// An Abort that landed during the set-up above passed the check at the
+	// top and found nothing running to stop: stop the workers for it. (Abort
+	// stores aborted before it loads running, Run the other way round, so
+	// one of the two always sees the other.) Pooled workers read aborted
+	// themselves.
+	if !pooled && s.aborted.Load() {
+		s.stopAll()
+	}
 
 	// When the communicator can report peer deaths, a dead peer aborts the
 	// run immediately — the deterministic alternative to waiting out the

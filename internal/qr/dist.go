@@ -10,11 +10,12 @@ import (
 	"pulsarqr/internal/transport"
 )
 
-// gatherTagBase keys the post-run result gather: collector endpoint i uses
-// tag gatherTagBase+i. The runtime's channel tags are small consecutive
-// integers, so this range can never collide with in-run traffic (and the
-// proxies are gone by gather time anyway — Run ends with a barrier).
-const gatherTagBase = 1 << 24
+// GatherTagBase keys the post-run result gather: collector endpoint i uses
+// tag GatherTagBase+i, and a rank's input Gram the tag after the last
+// collector. The runtime's channel tags are small consecutive integers, so
+// this range can never collide with in-run traffic (and the proxies are gone
+// by gather time anyway — Run ends with a barrier).
+const GatherTagBase = 1 << 24
 
 func init() {
 	// Inter-process codec for collectMsg packets, used by the result
@@ -73,7 +74,7 @@ func init() {
 // (nil, nil). The call is collective and ends with a barrier, so when it
 // returns on any rank the whole mesh has finished.
 func FactorizeVSADist(a *matrix.Tiled, b *matrix.Tiled, opts Options, rc RunConfig, ep transport.Endpoint) (*Factorization, error) {
-	return factorizeDist(context.Background(), a, b, opts, rc, ep, nil)
+	return factorizeDist(context.Background(), a, b, nil, opts, rc, ep, nil)
 }
 
 // factorizeDist is the collective implementation behind FactorizeVSADist,
@@ -81,8 +82,13 @@ func FactorizeVSADist(a *matrix.Tiled, b *matrix.Tiled, opts Options, rc RunConf
 // rank's share of a mesh-wide run, optionally on a persistent worker pool,
 // aborted when ctx fires. Thread counts are local to each rank (placement
 // depends only on the node count), so ranks may run pools of different
-// sizes.
-func factorizeDist(ctx context.Context, a *matrix.Tiled, b *matrix.Tiled, opts Options, rc RunConfig, ep transport.Endpoint, pool *pulsar.Pool) (*Factorization, error) {
+// sizes. A rank injects — and so needs — only the tiles of the rows it owns.
+//
+// part selects what rank 0 gathers. Nil (FactorizeVSADist{,Ctx}) gathers
+// the full transformation log. Non-nil (FactorizeVSAServe) gathers R and
+// QᵀB only, and sums every rank's part — the Gram of its owned rows — into
+// the returned factorization's Input.
+func factorizeDist(ctx context.Context, a *matrix.Tiled, b *matrix.Tiled, part *Gram, opts Options, rc RunConfig, ep transport.Endpoint, pool *pulsar.Pool) (*Factorization, error) {
 	opts = opts.normalize()
 	rc = rc.normalize()
 	rc.Nodes = ep.Size()
@@ -93,7 +99,7 @@ func factorizeDist(ctx context.Context, a *matrix.Tiled, b *matrix.Tiled, opts O
 		return nil, err
 	}
 
-	bd := &builder{a: a, b: b, opts: opts, rc: rc}
+	bd := &builder{a: a, b: b, opts: opts, rc: rc, rOnly: part != nil}
 	if b != nil {
 		bd.bnt = b.NT
 	}
@@ -118,7 +124,7 @@ func factorizeDist(ctx context.Context, a *matrix.Tiled, b *matrix.Tiled, opts O
 	if err := runCtx(ctx, bd.s); err != nil {
 		return nil, err
 	}
-	if err := bd.gather(ctx, ep); err != nil {
+	if err := bd.gather(ctx, ep, part); err != nil {
 		return nil, err
 	}
 	defer ep.Barrier()
@@ -129,6 +135,7 @@ func factorizeDist(ctx context.Context, a *matrix.Tiled, b *matrix.Tiled, opts O
 	if err != nil {
 		return nil, err
 	}
+	f.Input = part
 	msgs, bytes := bd.s.NetworkStats()
 	f.Stats = RunStats{
 		Firings: bd.s.Fired(), Messages: msgs, Bytes: bytes,
@@ -154,22 +161,24 @@ func (bd *builder) injectLocal(rank int) {
 	}
 }
 
-// collectorEndpoints enumerates every external output channel in the exact
-// order assemble visits them. The enumeration is a pure function of the
-// (identical) array structure, so all ranks agree on the index — and
-// therefore the gather tag — of each endpoint.
+// collectorEndpoints enumerates every external output channel assemble
+// reads, in the exact order it visits them. The enumeration is a pure
+// function of the (identical) array structure, so all ranks agree on the
+// index — and therefore the gather tag — of each endpoint.
 func (bd *builder) collectorEndpoints() []endpoint {
 	var eps []endpoint
 	for _, plan := range bd.plans {
 		j := plan.J
-		for _, d := range plan.Domains {
-			rows := append([]int{d.Top}, d.Rows...)
-			for _, i := range rows {
-				eps = append(eps, endpoint{panelTup(j, i), 2})
+		if !bd.rOnly {
+			for _, d := range plan.Domains {
+				rows := append([]int{d.Top}, d.Rows...)
+				for _, i := range rows {
+					eps = append(eps, endpoint{panelTup(j, i), 2})
+				}
 			}
-		}
-		for _, m := range plan.Merges {
-			eps = append(eps, endpoint{mergeTup(j, m.Surv, m.K), 2})
+			for _, m := range plan.Merges {
+				eps = append(eps, endpoint{mergeTup(j, m.Surv, m.K), 2})
+			}
 		}
 		eps = append(eps, bd.rStreamEnd(plan))
 		for _, l := range bd.cols(j) {
@@ -194,43 +203,62 @@ func (bd *builder) collectorEndpoints() []endpoint {
 	return eps
 }
 
-// gather moves every collector packet to rank 0. Each endpoint holds
-// exactly one packet on the rank that ran its producing VDP; the owner
-// sends it with a tag derived from the endpoint's enumeration index, and
-// rank 0 posts the matching specific receives — no wildcard, so nothing
-// can be misattributed.
-func (bd *builder) gather(ctx context.Context, ep transport.Endpoint) error {
+// gather moves every collector packet assemble will read to rank 0. Each
+// endpoint holds exactly one packet on the rank that ran its producing VDP;
+// the owner sends it with a tag derived from the endpoint's enumeration
+// index, and rank 0 posts the matching specific receives — no wildcard, so
+// nothing can be misattributed. A non-nil part rides the same collective:
+// every other rank sends its own, and rank 0 adds them into part in rank
+// order.
+func (bd *builder) gather(ctx context.Context, ep transport.Endpoint, part *Gram) error {
 	rank := ep.Rank()
 	mp := bd.mapping()
+	eps := bd.collectorEndpoints()
+	gramTag := GatherTagBase + len(eps)
 	if rank != 0 {
-		for idx, e := range bd.collectorEndpoints() {
+		for idx, e := range eps {
 			owner, _ := mp(e.tup)
 			if owner != rank {
 				continue
 			}
-			ps := bd.s.Collected(e.tup, e.slot)
-			if len(ps) != 1 {
-				return fmt.Errorf("qr: rank %d collector %v[%d] holds %d packets, want 1", rank, e.tup, e.slot, len(ps))
+			p, err := bd.collectedOne(e.tup, e.slot)
+			if err != nil {
+				return fmt.Errorf("qr: rank %d: %w", rank, err)
 			}
-			buf, err := pulsar.MarshalPacket(ps[0])
+			buf, err := pulsar.MarshalPacket(p)
 			if err != nil {
 				return fmt.Errorf("qr: collector %v[%d]: %w", e.tup, e.slot, err)
 			}
-			ep.Isend(buf, 0, gatherTagBase+idx)
+			ep.Isend(buf, 0, GatherTagBase+idx)
+		}
+		if part != nil {
+			ep.Isend(part.encode(), 0, gramTag)
 		}
 		return nil
 	}
 	type pending struct {
-		e   endpoint
-		req transport.Request
+		e    endpoint // the collector awaited, or
+		from int      // the rank whose Gram is (0: a collector)
+		req  transport.Request
+	}
+	what := func(p pending) string {
+		if p.from > 0 {
+			return fmt.Sprintf("rank %d's input Gram", p.from)
+		}
+		return fmt.Sprintf("collector %v[%d]", p.e.tup, p.e.slot)
 	}
 	var reqs []pending
-	for idx, e := range bd.collectorEndpoints() {
+	for idx, e := range eps {
 		owner, _ := mp(e.tup)
 		if owner == 0 {
 			continue // already in the local collected map
 		}
-		reqs = append(reqs, pending{e, ep.Irecv(owner, gatherTagBase+idx)})
+		reqs = append(reqs, pending{e: e, req: ep.Irecv(owner, GatherTagBase+idx)})
+	}
+	if part != nil {
+		for r := 1; r < ep.Size(); r++ {
+			reqs = append(reqs, pending{from: r, req: ep.Irecv(r, gramTag)})
+		}
 	}
 	for _, p := range reqs {
 		waitCtx(ctx, p.req)
@@ -243,14 +271,22 @@ func (bd *builder) gather(ctx context.Context, ep transport.Endpoint) error {
 			// generic verdict.
 			if fo, ok := ep.(transport.FailureObserver); ok {
 				if pe := fo.PeerFailure(); pe != nil {
-					return fmt.Errorf("qr: gather of collector %v[%d]: %w", p.e.tup, p.e.slot, pe)
+					return fmt.Errorf("qr: gather of %s: %w", what(p), pe)
 				}
 			}
-			return fmt.Errorf("qr: gather of collector %v[%d] canceled: peer gone", p.e.tup, p.e.slot)
+			return fmt.Errorf("qr: gather of %s canceled: peer gone", what(p))
+		}
+		if p.from > 0 {
+			g, err := decodeGram(p.req.Data(), bd.a.N)
+			if err != nil {
+				return fmt.Errorf("qr: gather of %s: %w", what(p), err)
+			}
+			part.add(g)
+			continue
 		}
 		pkt, err := pulsar.UnmarshalPacket(p.req.Data())
 		if err != nil {
-			return fmt.Errorf("qr: gather of collector %v[%d]: %w", p.e.tup, p.e.slot, err)
+			return fmt.Errorf("qr: gather of %s: %w", what(p), err)
 		}
 		bd.s.AddCollected(p.e.tup, p.e.slot, pkt)
 	}

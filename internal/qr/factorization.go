@@ -61,6 +61,14 @@ type Factorization struct {
 	QTB *matrix.Tiled
 	// Stats describes the runtime execution (systolic engines only).
 	Stats RunStats
+	// ROnly marks a factorization gathered by FactorizeVSAServe: A holds the
+	// tiles of R and nothing else, Ops is empty. R, QTB and SolveFromQTB
+	// work; everything that needs the reflectors panics.
+	ROnly bool
+	// Input is the Gram of the input matrix, summed over the ranks'
+	// shares (FactorizeVSAServe only): Input.Residual(f.R()) is the check
+	// Residual would make on the dense input, which no rank holds.
+	Input *Gram
 }
 
 // RunStats summarizes a systolic execution.
@@ -86,6 +94,9 @@ func (f *Factorization) ApplyQT(b *matrix.Tiled) { f.apply(b, true) }
 func (f *Factorization) ApplyQ(b *matrix.Tiled) { f.apply(b, false) }
 
 func (f *Factorization) apply(b *matrix.Tiled, trans bool) {
+	if f.ROnly {
+		panic("qr: factorization was gathered R-only (FactorizeVSAServe): the reflectors Q is made of were not collected")
+	}
 	if b.M != f.M || b.NB != f.Opts.NB {
 		panic(fmt.Sprintf("qr: apply shape mismatch: b is %d rows tile %d, A is %d rows tile %d",
 			b.M, b.NB, f.M, f.Opts.NB))
@@ -141,8 +152,5 @@ func (f *Factorization) SolveFromQTB() *matrix.Mat {
 // Residual returns ‖AᵀA − RᵀR‖_F / ‖AᵀA‖_F for the original dense matrix
 // a, a cheap factorization-quality check that does not require forming Q.
 func (f *Factorization) Residual(a *matrix.Mat) float64 {
-	r := f.R()
-	ata := a.Transpose().Mul(a)
-	rtr := r.Transpose().Mul(r)
-	return ata.Sub(rtr).FrobNorm() / ata.FrobNorm()
+	return GramOfDense(a).Residual(f.R())
 }

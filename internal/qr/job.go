@@ -20,16 +20,27 @@ import (
 // local pool alone. ctx cancels the job: the run aborts promptly on every
 // rank that observes the cancellation, and the error wraps context.Cause.
 //
-// Like FactorizeVSADist, the distributed form is collective: every rank
-// calls it with identical (a, b, opts) and rank 0 returns the assembled
-// factorization. Cancellation must also be collective (the service
-// broadcasts it); a rank that finishes normally while another aborts can
-// otherwise wait in the final barrier until its job endpoint is closed.
-func FactorizeVSAServe(ctx context.Context, a *matrix.Tiled, b *matrix.Tiled, opts Options, rc RunConfig, ep transport.Endpoint, pool *pulsar.Pool) (*Factorization, error) {
-	if ep == nil || ep.Size() == 1 {
-		return factorizeLocal(ctx, a, b, opts, rc, pool)
+// The distributed form is collective: every rank calls it with the same
+// (opts, shapes), a and b holding at least the tile rows the rank owns
+// (OwnedTileRows; the other rows' tiles may be nil), and part the Gram of
+// those owned rows of a — taken by the caller beforehand, because the run
+// consumes the tiles. Rank 0 returns what a service serves: an R-only
+// factorization (R, plus QᵀB when b != nil; the reflectors stay where they
+// were produced and never cross the network) whose Input is the sum of the
+// parts, so Input.Residual(f.R()) checks the result against an input no
+// rank holds whole. The other ranks return (nil, nil).
+//
+// Cancellation must also be collective (the service broadcasts it); a rank
+// that finishes normally while another aborts can otherwise wait in the
+// final barrier until its job endpoint is closed.
+func FactorizeVSAServe(ctx context.Context, a *matrix.Tiled, b *matrix.Tiled, part *Gram, opts Options, rc RunConfig, ep transport.Endpoint, pool *pulsar.Pool) (*Factorization, error) {
+	if part == nil {
+		return nil, errors.New("qr: FactorizeVSAServe needs the Gram of the owned rows")
 	}
-	return factorizeDist(ctx, a, b, opts, rc, ep, pool)
+	if ep == nil || ep.Size() == 1 {
+		return factorizeLocal(ctx, a, b, part, opts, rc, pool)
+	}
+	return factorizeDist(ctx, a, b, part, opts, rc, ep, pool)
 }
 
 // FactorizeVSADistCtx is FactorizeVSADist with job-scoped cancellation:
@@ -38,12 +49,14 @@ func FactorizeVSAServe(ctx context.Context, a *matrix.Tiled, b *matrix.Tiled, op
 // per-process — to cancel a mesh-wide run, cancel on every rank (the
 // launcher's signal handling does this by signalling the process group).
 func FactorizeVSADistCtx(ctx context.Context, a *matrix.Tiled, b *matrix.Tiled, opts Options, rc RunConfig, ep transport.Endpoint) (*Factorization, error) {
-	return factorizeDist(ctx, a, b, opts, rc, ep, nil)
+	return factorizeDist(ctx, a, b, nil, opts, rc, ep, nil)
 }
 
-// factorizeLocal runs a single-process job, on a persistent pool when one
-// is provided, with fresh per-run workers otherwise.
-func factorizeLocal(ctx context.Context, a *matrix.Tiled, b *matrix.Tiled, opts Options, rc RunConfig, pool *pulsar.Pool) (*Factorization, error) {
+// factorizeLocal runs a single-process serve job, on a persistent pool when
+// one is provided, with fresh per-run workers otherwise. The result has the
+// distributed form's shape — R-only, Input set — so a caller sees one
+// contract whatever the fleet size.
+func factorizeLocal(ctx context.Context, a *matrix.Tiled, b *matrix.Tiled, part *Gram, opts Options, rc RunConfig, pool *pulsar.Pool) (*Factorization, error) {
 	opts = opts.normalize()
 	rc = rc.normalize()
 	rc.Nodes = 1
@@ -54,7 +67,7 @@ func factorizeLocal(ctx context.Context, a *matrix.Tiled, b *matrix.Tiled, opts 
 		return nil, err
 	}
 
-	bd := &builder{a: a, b: b, opts: opts, rc: rc}
+	bd := &builder{a: a, b: b, opts: opts, rc: rc, rOnly: true}
 	if b != nil {
 		bd.bnt = b.NT
 	}
@@ -85,6 +98,7 @@ func factorizeLocal(ctx context.Context, a *matrix.Tiled, b *matrix.Tiled, opts 
 	if err != nil {
 		return nil, err
 	}
+	f.Input = part
 	msgs, bytes := bd.s.NetworkStats()
 	f.Stats = RunStats{
 		Firings: bd.s.Fired(), Messages: msgs, Bytes: bytes,

@@ -20,8 +20,20 @@ func randTiled(t *testing.T, m, n, nb int, seed int64) (*matrix.Tiled, *matrix.M
 	return matrix.FromDense(d, nb), d
 }
 
+// serve runs FactorizeVSAServe the way a service rank does: the Gram of the
+// rows the rank owns is taken first, then the run consumes the tiles.
+func serve(ctx context.Context, a *matrix.Tiled, opts Options, rc RunConfig, ep transport.Endpoint, pool *pulsar.Pool) (*Factorization, error) {
+	lo, hi := 0, a.MT
+	if ep != nil {
+		lo, hi = OwnedTileRows(a.MT, ep.Size(), ep.Rank())
+	}
+	return FactorizeVSAServe(ctx, a, nil, GramOfTileRows(a, lo, hi), opts, rc, ep, pool)
+}
+
 // checkAgainstOracle factors the same dense input sequentially and compares
-// R factors, then checks the residual and Q's orthogonality directly.
+// R factors, then checks the residual — from the dense input and, for a
+// served (R-only) result, from the reduced Gram too — and, when the
+// reflectors were gathered, Q's orthogonality directly.
 func checkAgainstOracle(t *testing.T, f *Factorization, d *matrix.Mat, opts Options) {
 	t.Helper()
 	want, err := Factorize(matrix.FromDense(d, opts.NB), nil, opts)
@@ -33,6 +45,12 @@ func checkAgainstOracle(t *testing.T, f *Factorization, d *matrix.Mat, opts Opti
 	}
 	if res := f.Residual(d); res > 1e-12 {
 		t.Errorf("residual %g", res)
+	}
+	if f.ROnly {
+		if res := f.Input.Residual(f.R()); res > 1e-12 {
+			t.Errorf("residual against the reduced Gram %g", res)
+		}
+		return
 	}
 	q := f.Q()
 	n := q.Cols
@@ -58,7 +76,7 @@ func TestServeLocalPooled(t *testing.T) {
 	defer pool.Close()
 	opts := Options{NB: 32, IB: 8, Tree: HierarchicalTree, H: 2}
 	a, d := randTiled(t, 160, 96, 32, 1)
-	f, err := FactorizeVSAServe(context.Background(), a, nil, opts, RunConfig{}, nil, pool)
+	f, err := serve(context.Background(), a, opts, RunConfig{}, nil, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +110,7 @@ func TestServeConcurrentJobsOracle(t *testing.T) {
 			defer wg.Done()
 			opts := Options{NB: j.nb, IB: 8, Tree: j.tree, H: 2}
 			a, d := randTiled(t, j.m, j.n, j.nb, int64(100+i))
-			f, err := FactorizeVSAServe(context.Background(), a, nil, opts, RunConfig{}, nil, pool)
+			f, err := serve(context.Background(), a, opts, RunConfig{}, nil, pool)
 			if err != nil {
 				t.Errorf("job %d: %v", i, err)
 				return
@@ -111,7 +129,7 @@ func TestServeCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := FactorizeVSAServe(ctx, a, nil, opts, RunConfig{DeadlockTimeout: -1}, nil, pool)
+		_, err := serve(ctx, a, opts, RunConfig{DeadlockTimeout: -1}, nil, pool)
 		errc <- err
 	}()
 	cancel()
@@ -127,7 +145,7 @@ func TestServeCancel(t *testing.T) {
 	}
 	// The pool still serves jobs after the cancellation.
 	a2, d2 := randTiled(t, 96, 64, 32, 4)
-	f, err := FactorizeVSAServe(context.Background(), a2, nil, opts, RunConfig{}, nil, pool)
+	f, err := serve(context.Background(), a2, opts, RunConfig{}, nil, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +159,7 @@ func TestServeCancelBeforeStart(t *testing.T) {
 	a, _ := randTiled(t, 128, 64, 32, 5)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := FactorizeVSAServe(ctx, a, nil, opts, RunConfig{}, nil, pool); !errors.Is(err, context.Canceled) {
+	if _, err := serve(ctx, a, opts, RunConfig{}, nil, pool); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled run returned %v, want context.Canceled", err)
 	}
 }
@@ -185,7 +203,7 @@ func TestServeDistMuxConcurrent(t *testing.T) {
 				defer ep.Close()
 				opts := Options{NB: 32, IB: 8, Tree: sp.tree, H: 2}
 				a, d := randTiled(t, sp.m, sp.n, 32, int64(sp.job))
-				f, err := FactorizeVSAServe(context.Background(), a, nil, opts, RunConfig{}, ep, pools[rank])
+				f, err := serve(context.Background(), a, opts, RunConfig{}, ep, pools[rank])
 				if err != nil {
 					t.Errorf("job %d rank %d: %v", sp.job, rank, err)
 					return

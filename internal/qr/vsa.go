@@ -137,6 +137,9 @@ type builder struct {
 	s     *pulsar.VSA
 	plans []PanelPlan
 	bnt   int // rhs tile columns
+	// rOnly gathers and assembles what a service serves — R and QᵀB — and
+	// leaves the per-transformation log on the ranks that produced it.
+	rOnly bool
 }
 
 // endpoint identifies a producer (VDP tuple + output slot) while wiring.
@@ -241,20 +244,35 @@ func (bd *builder) colTile(i, l int) *matrix.Mat {
 	return bd.b.Tile(i, l-bd.a.NT)
 }
 
+// Row ownership. The VDP→node map (paper §V-C) hands tile rows to nodes in
+// contiguous blocks of ⌈mt/nodes⌉, so flat-tree domains stay node-local.
+// Every VDP of tile row i — and so every kernel that ever touches a tile of
+// that row — lives on TileRowOwner(i): a rank needs the input tiles of the
+// rows it owns and no others. mapping(), the service's input builder and the
+// distributed check all take ownership from these two functions.
+
+// TileRowOwner returns the node that owns tile row `row` of mt.
+func TileRowOwner(mt, nodes, row int) int { return row / rowsPerNode(mt, nodes) }
+
+// OwnedTileRows returns the half-open range [lo, hi) of the mt tile rows
+// that node owns; the trailing nodes own nothing when mt is short.
+func OwnedTileRows(mt, nodes, node int) (lo, hi int) {
+	per := rowsPerNode(mt, nodes)
+	lo = min(node*per, mt)
+	return lo, min(lo+per, mt)
+}
+
+func rowsPerNode(mt, nodes int) int { return (mt + nodes - 1) / nodes }
+
 // mapping places VDPs: tile rows are distributed to nodes in contiguous
-// blocks (domains stay node-local for flat-trees), threads are assigned
-// cyclically by (row, column), and — following the paper — a binary-tree
-// parent is placed with its first (surviving) child.
+// blocks (TileRowOwner; domains stay node-local for flat-trees), threads are
+// assigned cyclically by (row, column), and — following the paper — a
+// binary-tree parent is placed with its first (surviving) child.
 func (bd *builder) mapping() pulsar.Mapping {
 	mt := bd.a.MT
 	nodes, threads := bd.rc.Nodes, bd.rc.Threads
-	rowsPerNode := (mt + nodes - 1) / nodes
 	place := func(row, col int) (int, int) {
-		n := row / rowsPerNode
-		if n >= nodes {
-			n = nodes - 1
-		}
-		return n, (row + col) % threads
+		return TileRowOwner(mt, nodes, row), (row + col) % threads
 	}
 	return func(t tuple.Tuple) (int, int) {
 		switch t.At(0) {
@@ -580,56 +598,29 @@ func (bd *builder) inject() {
 	}
 }
 
-// assemble gathers the collector outputs into a Factorization.
+// assemble gathers the collector outputs into a Factorization. Every tile of
+// the result is one a VDP handed over, so the containers start as shells.
 func (bd *builder) assemble() (*Factorization, error) {
 	a := bd.a
-	out := matrix.NewTiled(a.M, a.N, a.NB)
+	out := matrix.NewTiledShell(a.M, a.N, a.NB)
 	var qtb *matrix.Tiled
 	if bd.b != nil {
-		qtb = matrix.NewTiled(bd.b.M, bd.b.N, bd.b.NB)
+		qtb = matrix.NewTiledShell(bd.b.M, bd.b.N, bd.b.NB)
 	}
-	f := &Factorization{M: a.M, N: a.N, Opts: bd.opts, A: out, QTB: qtb}
-
-	one := func(tup tuple.Tuple, slot int) (*pulsar.Packet, error) {
-		ps := bd.s.Collected(tup, slot)
-		if len(ps) != 1 {
-			return nil, fmt.Errorf("qr: collector %v[%d] holds %d packets, want 1", tup, slot, len(ps))
-		}
-		return ps[0], nil
-	}
+	f := &Factorization{M: a.M, N: a.N, Opts: bd.opts, A: out, QTB: qtb, ROnly: bd.rOnly}
+	one := bd.collectedOne
 
 	for _, plan := range bd.plans {
 		j := plan.J
-		// Transformation log in plan order, and the panel-column V tiles.
-		for _, d := range plan.Domains {
-			rows := append([]int{d.Top}, d.Rows...)
-			for _, i := range rows {
-				p, err := one(panelTup(j, i), 2)
-				if err != nil {
-					return nil, err
-				}
-				cm := p.Data.(*collectMsg)
-				op := Op{Kind: cm.Kind, J: j, T: cm.T}
-				if cm.Kind == OpGeqrt {
-					op.I, op.K = i, -1
-				} else {
-					op.I, op.K = d.Top, i
-				}
-				out.SetTile(i, j, cm.Tile)
-				f.Ops = append(f.Ops, op)
-			}
-		}
-		for _, m := range plan.Merges {
-			p, err := one(mergeTup(j, m.Surv, m.K), 2)
-			if err != nil {
-				return nil, err
-			}
-			cm := p.Data.(*collectMsg)
-			f.Ops = append(f.Ops, Op{Kind: OpTtqrt, J: j, I: m.Surv, K: m.K, T: cm.T, V2: cm.Tile})
+		if bd.rOnly {
+			// No reflector tile to write R over: the diagonal tile is new.
+			out.SetTile(j, j, matrix.New(a.TileRows(j), a.TileCols(j)))
+		} else if err := bd.assembleLog(f, plan); err != nil {
+			return nil, err
 		}
 
 		// Final R of the panel: write into the upper triangle of the
-		// diagonal tile (over the reflectors collected above).
+		// diagonal tile (over the reflectors, when they were collected).
 		rEnd := bd.rStreamEnd(plan)
 		p, err := one(rEnd.tup, rEnd.slot)
 		if err != nil {
@@ -681,6 +672,49 @@ func (bd *builder) assemble() (*Factorization, error) {
 		}
 	}
 	return f, nil
+}
+
+// collectedOne returns the single packet a collector endpoint must hold.
+func (bd *builder) collectedOne(tup tuple.Tuple, slot int) (*pulsar.Packet, error) {
+	ps := bd.s.Collected(tup, slot)
+	if len(ps) != 1 {
+		return nil, fmt.Errorf("qr: collector %v[%d] holds %d packets, want 1", tup, slot, len(ps))
+	}
+	return ps[0], nil
+}
+
+// assembleLog appends panel plan's transformations to f.Ops in plan order
+// and places the panel column's reflector tiles.
+func (bd *builder) assembleLog(f *Factorization, plan PanelPlan) error {
+	j := plan.J
+	one := bd.collectedOne
+	for _, d := range plan.Domains {
+		rows := append([]int{d.Top}, d.Rows...)
+		for _, i := range rows {
+			p, err := one(panelTup(j, i), 2)
+			if err != nil {
+				return err
+			}
+			cm := p.Data.(*collectMsg)
+			op := Op{Kind: cm.Kind, J: j, T: cm.T}
+			if cm.Kind == OpGeqrt {
+				op.I, op.K = i, -1
+			} else {
+				op.I, op.K = d.Top, i
+			}
+			f.A.SetTile(i, j, cm.Tile)
+			f.Ops = append(f.Ops, op)
+		}
+	}
+	for _, m := range plan.Merges {
+		p, err := one(mergeTup(j, m.Surv, m.K), 2)
+		if err != nil {
+			return err
+		}
+		cm := p.Data.(*collectMsg)
+		f.Ops = append(f.Ops, Op{Kind: OpTtqrt, J: j, I: m.Surv, K: m.K, T: cm.T, V2: cm.Tile})
+	}
+	return nil
 }
 
 // placeFinal stores a finished tile of the surviving row j.

@@ -214,12 +214,12 @@ func (ag *Agent) runJob(ctx context.Context, id, session uint32, ranks []int, sp
 	// it return (otherwise ag.wg never drains and Run/Close hang).
 	stop := context.AfterFunc(ctx, func() { jep.Close() })
 	defer stop()
-	a, _, err := spec.BuildInputs()
+	opts, err := spec.Options()
 	if err != nil {
 		ag.logf("agent: job %d: %v", id, err)
 		return
 	}
-	opts, err := spec.Options()
+	a, part, err := spec.ownedInputs(opts, jep.Size(), jep.Rank())
 	if err != nil {
 		ag.logf("agent: job %d: %v", id, err)
 		return
@@ -231,7 +231,7 @@ func (ag *Agent) runJob(ctx context.Context, id, session uint32, ranks []int, sp
 		rc.FireHook = rec.Hook()
 		rc.CommHook = rec.CommHook()
 	}
-	if _, err := qr.FactorizeVSAServe(ctx, a, nil, opts, rc, jep, ag.pool); err != nil {
+	if _, err := qr.FactorizeVSAServe(ctx, a, nil, part, opts, rc, jep, ag.pool); err != nil {
 		ag.logf("agent: job %d: %v", id, err)
 		return
 	}

@@ -1,0 +1,319 @@
+package service
+
+// Owned-rows job execution: what each rank builds, what the distributed
+// check accepts and refuses, and what happens when a rank dies between its
+// run and the check reduce.
+
+import (
+	"context"
+	"encoding/json"
+	"math"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"pulsarqr/internal/matrix"
+	"pulsarqr/internal/qr"
+	"pulsarqr/internal/transport"
+)
+
+// What a seed denotes does not depend on the tile size or the fleet: for
+// every nb and rank count each rank's owned tiles are exactly the matching
+// blocks of BuildInputs' dense matrix, the tiles it does not own are never
+// allocated, and the ranks' Grams sum to the Gram of the whole. An uploaded
+// matrix is sliced the same way.
+func TestOwnedInputsMatchBuildInputs(t *testing.T) {
+	const m, n = 200, 70 // ragged for every nb below
+	upload := matrix.NewSeeded(m, n, 99).Data
+	for _, base := range []JobSpec{{M: m, N: n, Seed: 42}, {M: m, N: n, Data: upload}} {
+		var ref *matrix.Mat
+		for _, nb := range []int{32, 64, 96} {
+			spec := base
+			spec.NB = nb
+			_, dense, err := spec.BuildInputs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = dense
+			} else if matrix.MaxAbsDiff(ref, dense) != 0 {
+				t.Fatalf("nb=%d: BuildInputs' matrix depends on the tile size", nb)
+			}
+			opts, err := spec.Options()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ranks := 1; ranks <= 3; ranks++ {
+				var sum float64
+				for rank := 0; rank < ranks; rank++ {
+					a, part, err := spec.ownedInputs(opts, ranks, rank)
+					if err != nil {
+						t.Fatal(err)
+					}
+					lo, hi := qr.OwnedTileRows(a.MT, ranks, rank)
+					for i := 0; i < a.MT; i++ {
+						for j := 0; j < a.NT; j++ {
+							tile := a.Tile(i, j)
+							if i < lo || i >= hi {
+								if tile != nil {
+									t.Fatalf("nb=%d ranks=%d: rank %d allocated tile (%d,%d) of a row it does not own", nb, ranks, rank, i, j)
+								}
+								continue
+							}
+							if d := matrix.MaxAbsDiff(tile, dense.View(i*nb, j*nb, a.TileRows(i), a.TileCols(j))); d != 0 {
+								t.Fatalf("nb=%d ranks=%d rank %d: tile (%d,%d) differs from BuildInputs' dense by %g", nb, ranks, rank, i, j, d)
+							}
+						}
+					}
+					sum += part.AtA.At(0, n-1) // one entry of the partial Grams is enough to see they add up
+				}
+				if want := qr.GramOfDense(dense).AtA.At(0, n-1); math.Abs(sum-want) > 1e-12*math.Abs(want)+1e-12 {
+					t.Errorf("nb=%d ranks=%d: partial Grams sum to %g at (0,%d), whole Gram has %g", nb, ranks, sum, n-1, want)
+				}
+			}
+		}
+		if len(base.Data) == 0 {
+			for _, v := range ref.Data {
+				if !(v > -1 && v < 1) {
+					t.Fatalf("seeded entry %v outside (−1, 1)", v)
+				}
+			}
+		}
+	}
+}
+
+// The acceptance rule keeps its strength: the R a job computed passes, and
+// the same R with one entry nudged does not.
+func TestAcceptRefusesPerturbedR(t *testing.T) {
+	spec := JobSpec{M: 160, N: 64, NB: 32, IB: 8, Seed: 5}
+	opts, err := spec.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, part, err := spec.ownedInputs(opts, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := qr.FactorizeVSAServe(context.Background(), a, nil, part, opts, qr.RunConfig{Threads: 2}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := f.R()
+	if res, ok := accept(f.Input, r); !ok {
+		t.Fatalf("correct R refused: residual %g", res)
+	}
+	r.Set(3, 40, r.At(3, 40)+1e-6)
+	if res, ok := accept(f.Input, r); ok {
+		t.Fatalf("R with one entry off by 1e-6 accepted: residual %g", res)
+	}
+}
+
+// corruptingAgent plays rank 1 of a 2-rank fleet for one job the way
+// Agent.runJob does, except that it changes one entry of a tile it owns
+// after the tile's Gram was taken — a fault between the check's input and
+// the run's.
+func corruptingAgent(t *testing.T, ep transport.Endpoint) {
+	mux := transport.NewMux(ep)
+	defer mux.Close()
+	ctl, err := mux.Open(ctlJob)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	defer ctl.Close()
+	req := ctl.Irecv(0, ctlTag)
+	req.Wait()
+	var msg ctlMsg
+	if err := json.Unmarshal(req.Data(), &msg); err != nil || msg.Op != "open" {
+		t.Errorf("corrupting agent: first control message %q, err %v", req.Data(), err)
+		return
+	}
+	jep, err := mux.OpenOn(msg.Session, msg.Ranks)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	defer jep.Close()
+	opts, err := msg.Spec.Options()
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	a, part, err := msg.Spec.ownedInputs(opts, jep.Size(), jep.Rank())
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	lo, _ := qr.OwnedTileRows(a.MT, jep.Size(), jep.Rank())
+	a.Tile(lo, 0).Add(5, 7, 0.125)
+	if _, err := qr.FactorizeVSAServe(context.Background(), a, nil, part, opts, qr.RunConfig{}, jep, nil); err != nil {
+		t.Errorf("corrupting agent: %v", err)
+	}
+}
+
+// A job whose input changed on a non-zero rank after that rank's Gram was
+// taken completes, and reports ok=false.
+func TestFleetJobRefusesTileCorruptedAfterGram(t *testing.T) {
+	l := transport.NewLocal(2)
+	agentDone := make(chan struct{})
+	go func() {
+		defer close(agentDone)
+		corruptingAgent(t, l.Endpoint(1))
+	}()
+	s, err := NewServer(Config{Threads: 2, Ep: l.Endpoint(0), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	j, err := s.Submit(JobSpec{M: 256, N: 64, NB: 32, IB: 8, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	if res := j.Result(); res.OK || !(res.Residual > residualTol) {
+		t.Fatalf("job over a corrupted tile reported ok=%v residual %g", res.OK, res.Residual)
+	}
+	<-agentDone
+}
+
+// A NaN in the input makes the check's quantity NaN: a lone server finishes
+// the job and reports ok=false. On a fleet the spec has no JSON form to
+// broadcast, so the job fails at once instead of running a share no agent
+// will ever join. Either way it ends, and never reads ok.
+func TestNaNInputIsNotOK(t *testing.T) {
+	data := matrix.NewSeeded(192, 64, 23).Data
+	data[150+3*192] = math.NaN() // in rank 1's rows on the fleet
+	spec := JobSpec{M: 192, N: 64, NB: 32, IB: 8, Data: data}
+
+	alone, err := NewServer(Config{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer alone.Close()
+
+	l := transport.NewLocal(2)
+	agent, err := NewAgent(l.Endpoint(1), 2, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agentDone := make(chan error, 1)
+	go func() { agentDone <- agent.Run(context.Background()) }()
+	fleet, err := NewServer(Config{Threads: 2, Ep: l.Endpoint(0), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		fleet.Close() // broadcasts shutdown, which ends the agent's Run
+		<-agentDone
+		agent.Close()
+	}()
+
+	for name, s := range map[string]*Server{"alone": alone, "fleet": fleet} {
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		select {
+		case <-j.Done():
+		case <-time.After(60 * time.Second):
+			t.Fatalf("%s: job over a NaN input hung", name)
+		}
+		state, msg := j.State()
+		res := j.Result()
+		switch {
+		case res != nil && res.OK:
+			t.Errorf("%s: job over a NaN input reported ok (residual %g)", name, res.Residual)
+		case name == "alone" && (state != StateDone || res == nil || !math.IsNaN(res.Residual)):
+			t.Errorf("alone: state %s (%s), result %+v; want done with a NaN residual", state, msg, res)
+		case name == "fleet" && state != StateFailed:
+			t.Errorf("fleet: state %s (%s), want failed", state, msg)
+		}
+	}
+}
+
+// dieAtGather is an agent's endpoint that crashes its rank — abruptly, as
+// kill -9 would — the first time the rank sends anything of the post-run
+// gather: after the run's closing barrier, before its Gram reaches rank 0.
+type dieAtGather struct {
+	transport.Endpoint
+	died *atomic.Bool
+}
+
+func (d dieAtGather) Isend(data []byte, dest, tag int) transport.Request {
+	if tag >= qr.GatherTagBase && d.died.CompareAndSwap(false, true) {
+		d.Endpoint.(transport.Crasher).Crash()
+	}
+	return d.Endpoint.Isend(data, dest, tag)
+}
+
+// A rank that dies between its run and the check reduce leaves rank 0
+// waiting in the gather for a Gram that will never come. That wait must end
+// with the transport's verdict, and the job must be requeued onto the
+// survivors and finish there — verified — not wedge its dispatcher.
+func TestFleetRequeuesWhenPeerDiesBeforeCheckReduce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet chaos test skipped in -short mode")
+	}
+	eps := resilientTCPMesh(t, 3)
+	var died atomic.Bool
+	agentEps := []transport.Endpoint{eps[1], dieAtGather{eps[2], &died}}
+	agents := make([]*Agent, 2)
+	agentDone := make([]chan error, 2)
+	for i := range agents {
+		ag, err := NewAgent(agentEps[i], 2, t.Logf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agents[i] = ag
+		agentDone[i] = make(chan error, 1)
+		go func(i int) { agentDone[i] <- agents[i].Run(context.Background()) }(i)
+	}
+	s, err := NewServer(Config{Threads: 2, Ep: eps[0], Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	spec := JobSpec{M: 768, N: 128, NB: 32, IB: 8, Seed: 67, MaxRetries: 2, RetryBackoffMS: 5}
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(120 * time.Second):
+		t.Fatal("job wedged after a rank died between run and check reduce")
+	}
+	if !died.Load() {
+		t.Fatal("rank 2 never reached the gather; the test exercised nothing")
+	}
+	if state, msg := j.State(); state != StateDone {
+		t.Fatalf("job state = %s (%s), want done on the surviving ranks", state, msg)
+	}
+	if !j.Result().OK {
+		t.Errorf("requeued job residual %g", j.Result().Residual)
+	}
+	checkResultR(t, "survivors", j.Result().R, oracleR(t, spec))
+	if j.Attempts() < 1 {
+		t.Error("job completed without a requeue")
+	}
+	if got := s.Metrics().Requeued.Load(); got < 1 {
+		t.Errorf("requeued = %d, want >= 1", got)
+	}
+	if got := s.AgentsLive(); got != 2 {
+		t.Errorf("AgentsLive = %d, want 2 (server + surviving agent)", got)
+	}
+
+	s.Close()
+	select {
+	case err := <-agentDone[0]:
+		if err != nil {
+			t.Errorf("surviving agent exited with %v", err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("surviving agent did not exit after shutdown broadcast")
+	}
+	agents[0].Close()
+	for _, ep := range eps {
+		ep.Close()
+	}
+}

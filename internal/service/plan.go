@@ -154,7 +154,12 @@ func (s *Server) machineModel() (mach simulate.Machine, measured bool) {
 	if est := s.obs.Estimator(); est != nil {
 		if a, b, ok := est.Aggregate(); ok {
 			mach.AlphaInter = a
-			mach.BetaInter = b
+			if b > 0 {
+				// β = 0 is the estimator's "the byte spread carried no
+				// bandwidth signal" fallback, not a measured infinite
+				// bandwidth: keep the baseline's.
+				mach.BetaInter = b
+			}
 			measured = true
 		}
 	}

@@ -8,20 +8,34 @@ package service
 
 import (
 	"fmt"
-	"math/rand"
 
 	"pulsarqr/internal/matrix"
 	"pulsarqr/internal/qr"
 )
 
-// maxDim bounds accepted problem sizes: admission control should reject an
-// absurd request at the door, not after it has been allocated.
-const maxDim = 1 << 20
+// Size limits: admission control should reject an absurd request at the
+// door, not after it has been allocated. maxDim bounds each dimension; the
+// element bounds cap what a job makes the fleet hold, since two admissible
+// dimensions can still multiply to terabytes.
+const (
+	maxDim = 1 << 20
+	// maxSeededElems bounds M·N of a seeded job: 2 GiB of float64 input,
+	// spread over the ranks by row ownership.
+	maxSeededElems = 1 << 28
+	// maxUploadElems bounds M·N of an uploaded job: 32 MiB of float64, which
+	// arrives as JSON text and rides the open broadcast to every rank.
+	maxUploadElems = 1 << 22
+	// maxSubmitBytes bounds the POST /v1/factorize body: the largest
+	// admissible upload at 25 bytes per JSON number (17 significant digits,
+	// sign, point, exponent, comma) plus the rest of the spec.
+	maxSubmitBytes = 25*maxUploadElems + 1<<20
+)
 
 // JobSpec is the wire description of one factorization request. The matrix
 // is either uploaded (Data, column-major, len M*N) or generated server-side
-// from Seed — the latter is what a fleet uses for benchmarking, and it lets
-// every rank derive an identical input without shipping the matrix.
+// from Seed: element (i, j) is a pure function of (Seed, i, j) —
+// matrix.FillSeeded — so every rank derives the tiles it owns, and only
+// those, without the matrix being shipped or built whole anywhere.
 type JobSpec struct {
 	// Tenant attributes the job for per-tenant accounting: shed events,
 	// the /v1/status tenant table. Empty is the anonymous tenant.
@@ -84,6 +98,13 @@ func (sp *JobSpec) Validate() error {
 	if sp.M > maxDim || sp.N > maxDim {
 		return fmt.Errorf("service: shape %dx%d exceeds limit %d", sp.M, sp.N, maxDim)
 	}
+	limit, kind := maxSeededElems, "seeded"
+	if len(sp.Data) != 0 {
+		limit, kind = maxUploadElems, "uploaded"
+	}
+	if sp.M > limit/sp.N { // M·N > limit, without forming a product that can overflow
+		return fmt.Errorf("service: shape %dx%d exceeds the %d-element limit for %s input", sp.M, sp.N, limit, kind)
+	}
 	if len(sp.Data) != 0 && len(sp.Data) != sp.M*sp.N {
 		return fmt.Errorf("service: data holds %d entries, want %d (column-major m*n)", len(sp.Data), sp.M*sp.N)
 	}
@@ -127,9 +148,10 @@ func (sp *JobSpec) Options() (qr.Options, error) {
 	return opts, nil
 }
 
-// BuildInputs materializes the input matrix: the dense form (for the
-// residual check) and its tiling. Deterministic in the spec, so every rank
-// of a fleet constructs the same matrix from the same ctlOpen message.
+// BuildInputs materializes the whole input matrix: the dense form and its
+// tiling. It is the reference form of what a job factors — ownedInputs
+// produces tile rows of exactly this matrix — for oracles and tools; the
+// service itself never builds a matrix whole.
 func (sp *JobSpec) BuildInputs() (*matrix.Tiled, *matrix.Mat, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, nil, err
@@ -143,9 +165,38 @@ func (sp *JobSpec) BuildInputs() (*matrix.Tiled, *matrix.Mat, error) {
 		d = matrix.New(sp.M, sp.N)
 		copy(d.Data, sp.Data)
 	} else {
-		d = matrix.NewRand(sp.M, sp.N, rand.New(rand.NewSource(sp.Seed)))
+		d = matrix.NewSeeded(sp.M, sp.N, sp.Seed)
 	}
 	return matrix.FromDense(d, opts.NB), d, nil
+}
+
+// ownedInputs materializes what rank `rank` of a `ranks`-rank job session
+// needs of the input: the tiles of the tile rows it owns (every other tile
+// of the returned matrix is nil) and their Gram, taken here because the run
+// consumes the tiles. Seeded tiles are generated in place; uploaded ones are
+// copied straight out of Data.
+func (sp *JobSpec) ownedInputs(opts qr.Options, ranks, rank int) (*matrix.Tiled, *qr.Gram, error) {
+	if err := sp.Validate(); err != nil {
+		return nil, nil, err
+	}
+	a := matrix.NewTiledShell(sp.M, sp.N, opts.NB)
+	var data *matrix.Mat
+	if len(sp.Data) > 0 {
+		data = matrix.FromColMajor(sp.M, sp.N, sp.M, sp.Data)
+	}
+	lo, hi := qr.OwnedTileRows(a.MT, ranks, rank)
+	for i := lo; i < hi; i++ {
+		for j := 0; j < a.NT; j++ {
+			tile := matrix.New(a.TileRows(i), a.TileCols(j))
+			if data != nil {
+				tile.CopyFrom(data.View(i*a.NB, j*a.NB, tile.Rows, tile.Cols))
+			} else {
+				matrix.FillSeeded(tile, sp.Seed, i*a.NB, j*a.NB)
+			}
+			a.SetTile(i, j, tile)
+		}
+	}
+	return a, qr.GramOfTileRows(a, lo, hi), nil
 }
 
 // Control-plane messages, exchanged as JSON on the reserved mux job 0

@@ -25,8 +25,9 @@ import (
 	"pulsarqr/internal/transport"
 )
 
-// residualTol is the acceptance threshold on the relative backward error
-// ||QR - A|| / ||A||: anything above it marks the result not-OK.
+// residualTol is the acceptance threshold on the job's backward error
+// ‖AᵀA − RᵀR‖_F / ‖AᵀA‖_F / max|A|: anything above it marks the result
+// not-OK.
 const residualTol = 1e-10
 
 // flightTailLen is how many flight-recorder events attach to a job that ends
@@ -446,7 +447,13 @@ func (s *Server) runJob(j *Job) {
 					}
 				}()
 			}
-			s.broadcast(ctlMsg{Op: "open", Job: j.ID, Session: sid, Ranks: members, Spec: &spec})
+			if err := s.broadcast(ctlMsg{Op: "open", Job: j.ID, Session: sid, Ranks: members, Spec: &spec}); err != nil {
+				// The spec cannot be put on the wire (a NaN or Inf in an
+				// uploaded matrix has no JSON form): no agent will ever join
+				// the session, so running this rank's share would only hang.
+				s.fail(j, fmt.Sprintf("open broadcast: %v", err))
+				return
+			}
 			// Cancellation must be collective: relay it to the agents AND fail
 			// this rank's job session. Closing jep fails its barrier state, so
 			// a rank whose local share finished before the cancel — already
@@ -466,11 +473,6 @@ func (s *Server) runJob(j *Job) {
 		}
 	}
 
-	a, dense, err := spec.BuildInputs()
-	if err != nil {
-		s.fail(j, err.Error())
-		return
-	}
 	opts, err := spec.Options()
 	if err != nil {
 		s.fail(j, err.Error())
@@ -507,12 +509,25 @@ func (s *Server) runJob(j *Job) {
 			}
 		}
 	}
+	// The run span opens here: building this rank's tile rows and taking
+	// their Gram is work done for the job, not time spent dispatching it.
 	j.life.Mark(obs.PhaseRunning)
 	s.obs.Emit(obs.Event{Kind: obs.EvRunning, Class: "job", Job: j.ID,
 		Tenant: j.Spec.Tenant, Attempt: j.Attempts()})
+	ranks := 1
+	if ep != nil {
+		ranks = ep.Size()
+	}
+	a, part, err := spec.ownedInputs(opts, ranks, 0) // the server is rank 0 of every session
+	if err != nil {
+		s.fail(j, err.Error())
+		return
+	}
+	// Elapsed (and Gflops, and the planner's cost samples) time the
+	// factorization alone, as they always have: array build, run, gather.
 	start := time.Now()
 	wait0 := s.metrics.WaitSeconds()
-	f, err := qr.FactorizeVSAServe(j.ctx, a, nil, opts, rc, ep, s.pool)
+	f, err := qr.FactorizeVSAServe(j.ctx, a, nil, part, opts, rc, ep, s.pool)
 	elapsed := time.Since(start)
 	waitSec := s.metrics.WaitSeconds() - wait0
 	if err != nil {
@@ -560,13 +575,9 @@ func (s *Server) runJob(j *Job) {
 	if sec := elapsed.Seconds(); sec > 0 {
 		res.Gflops = flops / sec / 1e9
 	}
-	norm := dense.MaxAbs()
-	if norm == 0 {
-		norm = 1
-	}
-	res.Residual = f.Residual(dense) / norm
-	res.OK = res.Residual <= residualTol
-	res.R = rRows(f.R())
+	r := f.R()
+	res.Residual, res.OK = accept(f.Input, r)
+	res.R = rRows(r)
 	if rec != nil {
 		// The gather must precede stopRelay: the job session is still live
 		// and agents are blocked sending their shards toward rank 0.
@@ -582,6 +593,19 @@ func (s *Server) runJob(j *Job) {
 		s.recordPlanOutcome(j, elapsed)
 		s.cfg.Logf("job %d done in %v: %.2f Gflop/s, residual %.2e", j.ID, elapsed, res.Gflops, res.Residual)
 	}
+}
+
+// accept is the check every job gets: R against the Gram of the input, which
+// each rank took of its own rows before the run and the gather summed. It
+// returns ‖AᵀA − RᵀR‖_F / ‖AᵀA‖_F / max|A| and whether that is within
+// residualTol (a NaN is not).
+func accept(input *qr.Gram, r *matrix.Mat) (residual float64, ok bool) {
+	norm := input.MaxAbs
+	if norm == 0 {
+		norm = 1
+	}
+	residual = input.Residual(r) / norm
+	return residual, residual <= residualTol
 }
 
 // storeTrace gathers the fleet's per-rank trace shards onto the job. On the
@@ -646,16 +670,18 @@ func (s *Server) resident() int {
 	return len(s.jobs)
 }
 
-// broadcast sends a control message to every agent rank.
-func (s *Server) broadcast(msg ctlMsg) {
+// broadcast sends a control message to every agent rank. The only error is
+// a message that cannot be encoded, which only an open's spec can cause.
+func (s *Server) broadcast(msg ctlMsg) error {
 	b, err := json.Marshal(msg)
 	if err != nil {
 		s.cfg.Logf("broadcast %s: %v", msg.Op, err)
-		return
+		return err
 	}
 	for r := 1; r < s.cfg.Ep.Size(); r++ {
 		s.ctl.Isend(b, r, ctlTag)
 	}
+	return nil
 }
 
 // writeTransportProm renders the transport-layer telemetry — per-link wire

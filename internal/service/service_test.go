@@ -22,14 +22,11 @@ func oracleR(t *testing.T, spec JobSpec) *matrix.Mat {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var d *matrix.Mat
-	if len(spec.Data) > 0 {
-		d = matrix.New(spec.M, spec.N)
-		copy(d.Data, spec.Data)
-	} else {
-		d = matrix.NewRand(spec.M, spec.N, rand.New(rand.NewSource(spec.Seed)))
+	a, _, err := spec.BuildInputs()
+	if err != nil {
+		t.Fatal(err)
 	}
-	f, err := qr.Factorize(matrix.FromDense(d, opts.NB), nil, opts)
+	f, err := qr.Factorize(a, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +356,9 @@ func TestServerFleetCancelReleasesWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < workers; i++ {
-		j, err := s.Submit(JobSpec{M: 1024, N: 512, NB: 32, IB: 8, Seed: int64(70 + i)})
+		// Big enough (~0.8 s across this fleet) that the cancels below always
+		// find the job running: a 1024-row job can finish inside 150 ms.
+		j, err := s.Submit(JobSpec{M: 4096, N: 512, NB: 32, IB: 8, Seed: int64(70 + i)})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
