@@ -22,8 +22,8 @@ func planMain(m, n int, machSpec string, targetMS float64, sweep bool) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("Machine: %d nodes x %d cores, %.3g Gflop/s/core, alpha=%.3gs beta=%.3gs/B\n",
-		mach.Nodes, mach.CoresPerNode, mach.CoreGflops, mach.AlphaInter, mach.BetaInter)
+	fmt.Printf("Machine: %d nodes x %d cores, %.3g Gflop/s/core, alpha=%.3gs beta=%.3gs/B, measured kernel rates for %d tile shapes\n",
+		mach.Nodes, mach.CoresPerNode, mach.CoreGflops, mach.AlphaInter, mach.BetaInter, len(mach.Rates))
 
 	d, err := plan.Decide(plan.Spec{M: m, N: n, TargetMS: targetMS}, mach, plan.Config{})
 	if err != nil {

@@ -3,7 +3,7 @@
 //
 // Example:
 //
-//	qrfactor -m 4096 -n 512 -nb 64 -ib 16 -tree hierarchical -h 4 \
+//	qrfactor -m 4096 -n 512 -nb 192 -ib 24 -tree hierarchical -h 4 \
 //	         -engine systolic -nodes 2 -threads 4
 //
 // With -launch N the nodes become real OS processes: qrfactor reserves N
@@ -37,13 +37,14 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("qrfactor: ")
+	def := qr.DefaultOptions()
 	var (
 		m       = flag.Int("m", 4096, "rows")
 		n       = flag.Int("n", 256, "columns")
-		nb      = flag.Int("nb", 64, "tile size")
-		ib      = flag.Int("ib", 16, "inner block size")
+		nb      = flag.Int("nb", def.NB, "tile size")
+		ib      = flag.Int("ib", def.IB, "inner block size")
 		tree    = flag.String("tree", "hierarchical", "reduction tree: hierarchical|flat|binary")
-		h       = flag.Int("h", 4, "tiles per flat-tree domain (hierarchical)")
+		h       = flag.Int("h", def.H, "tiles per flat-tree domain (hierarchical)")
 		fixed   = flag.Bool("fixed", false, "use fixed domain boundaries instead of shifted")
 		engine  = flag.String("engine", "systolic", "engine: systolic|quark|sequential")
 		nodes   = flag.Int("nodes", 1, "simulated distributed-memory nodes")

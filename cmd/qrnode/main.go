@@ -41,16 +41,17 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("qrnode: ")
+	def := qr.DefaultOptions()
 	var (
 		rank    = flag.Int("rank", -1, "this process's rank (env QRNODE_RANK)")
 		peers   = flag.String("peers", "", "comma-separated host:port of every rank, own rank included (env QRNODE_PEERS)")
 		nodes   = flag.Int("nodes", 0, "expected world size; 0 = len(peers) (env QRNODE_NODES)")
 		m       = flag.Int("m", 4096, "rows")
 		n       = flag.Int("n", 256, "columns")
-		nb      = flag.Int("nb", 64, "tile size")
-		ib      = flag.Int("ib", 16, "inner block size")
+		nb      = flag.Int("nb", def.NB, "tile size")
+		ib      = flag.Int("ib", def.IB, "inner block size")
 		tree    = flag.String("tree", "hierarchical", "reduction tree: hierarchical|flat|binary")
-		h       = flag.Int("h", 4, "tiles per flat-tree domain (hierarchical)")
+		h       = flag.Int("h", def.H, "tiles per flat-tree domain (hierarchical)")
 		threads = flag.Int("threads", 4, "worker threads on this rank")
 		lazy    = flag.Bool("lazy", true, "lazy VDP scheduling (false = aggressive)")
 		seed    = flag.Int64("seed", 42, "matrix seed (identical on every rank)")

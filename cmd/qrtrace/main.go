@@ -32,12 +32,13 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("qrtrace: ")
+	def := qr.DefaultOptions()
 	var (
 		m         = flag.Int("m", 4096, "rows")
 		n         = flag.Int("n", 256, "columns")
-		nb        = flag.Int("nb", 64, "tile size")
-		ib        = flag.Int("ib", 16, "inner block size")
-		h         = flag.Int("h", 4, "tiles per domain")
+		nb        = flag.Int("nb", def.NB, "tile size")
+		ib        = flag.Int("ib", def.IB, "inner block size")
+		h         = flag.Int("h", def.H, "tiles per domain")
 		threads   = flag.Int("threads", 4, "worker threads")
 		width     = flag.Int("width", 100, "ASCII timeline width")
 		svgOut    = flag.String("svg", "", "write SVG traces to <prefix>-{fixed,shifted}.svg (with -merge: the SVG path itself)")

@@ -10,7 +10,9 @@ import (
 )
 
 func main() {
-	// A 2048×192 tall-skinny matrix: 32×3 tiles at the default nb=64.
+	// A 2048×192 tall-skinny matrix: 11×1 tiles at the default nb=192 (the
+	// last tile row ragged), so the whole factorization is one panel reduced
+	// by the tree.
 	a := pulsarqr.RandomMatrix(2048, 192, 1)
 
 	opts := pulsarqr.DefaultOptions() // hierarchical tree, systolic engine

@@ -11,11 +11,27 @@ package blas
 
 import "math"
 
+// Level-1 dispatch. Contiguous vectors — the only kind the tile kernels
+// pass — take the assembly bodies of micro_amd64.s whenever the active
+// micro-kernel level has them (every level but the portable one, so
+// forceKernel and PULSARQR_MICROKERNEL switch them together with Dgemm).
+// The *Scalar functions are the portable path: what `noasm` and non-amd64
+// builds run, what strided calls run, and the oracle the differential tests
+// hold the vector bodies to — the role dgemmScalar plays for Dgemm.
+func vectorLevel1() bool { return kp.level != levelGeneric }
+
 // Ddot returns xᵀy over n elements with increments incX, incY.
 func Ddot(n int, x []float64, incX int, y []float64, incY int) float64 {
 	if n <= 0 {
 		return 0
 	}
+	if incX == 1 && incY == 1 && vectorLevel1() {
+		return dotFast(x[:n], y[:n])
+	}
+	return ddotScalar(n, x, incX, y, incY)
+}
+
+func ddotScalar(n int, x []float64, incX int, y []float64, incY int) float64 {
 	var s float64
 	if incX == 1 && incY == 1 {
 		x, y = x[:n], y[:n]
@@ -33,11 +49,32 @@ func Ddot(n int, x []float64, incX int, y []float64, incY int) float64 {
 	return s
 }
 
-// Dnrm2 returns the Euclidean norm of x with overflow-safe scaling.
+// A sum of squares inside (nrm2SafeMin, nrm2SafeMax) neither overflowed nor
+// lost a significant term to underflow: every term that matters at 1e-200
+// is a normal number, and terms whose squares underflow are below 1e-100 of
+// the result.
+const (
+	nrm2SafeMin = 1e-200
+	nrm2SafeMax = 1e200
+)
+
+// Dnrm2 returns the Euclidean norm of x, safe against overflow and
+// underflow of the squares.
 func Dnrm2(n int, x []float64, incX int) float64 {
 	if n <= 0 {
 		return 0
 	}
+	if incX == 1 && vectorLevel1() {
+		// One vector pass; the scaled loop below only runs for the inputs
+		// that need it (huge, tiny, zero, NaN or Inf entries).
+		if ssq := dotFast(x[:n], x[:n]); ssq > nrm2SafeMin && ssq < nrm2SafeMax {
+			return math.Sqrt(ssq)
+		}
+	}
+	return dnrm2Scalar(n, x, incX)
+}
+
+func dnrm2Scalar(n int, x []float64, incX int) float64 {
 	scale, ssq := 0.0, 1.0
 	ix := 0
 	for i := 0; i < n; i++ {
@@ -63,6 +100,14 @@ func Daxpy(n int, alpha float64, x []float64, incX int, y []float64, incY int) {
 	if n <= 0 || alpha == 0 {
 		return
 	}
+	if incX == 1 && incY == 1 && vectorLevel1() {
+		axpyFast(alpha, x[:n], y[:n])
+		return
+	}
+	daxpyScalar(n, alpha, x, incX, y, incY)
+}
+
+func daxpyScalar(n int, alpha float64, x []float64, incX int, y []float64, incY int) {
 	if incX == 1 && incY == 1 {
 		x, y = x[:n], y[:n]
 		for i, v := range x {
@@ -83,6 +128,14 @@ func Dscal(n int, alpha float64, x []float64, incX int) {
 	if n <= 0 {
 		return
 	}
+	if incX == 1 && vectorLevel1() {
+		scalFast(alpha, x[:n])
+		return
+	}
+	dscalScalar(n, alpha, x, incX)
+}
+
+func dscalScalar(n int, alpha float64, x []float64, incX int) {
 	if incX == 1 {
 		x = x[:n]
 		for i := range x {

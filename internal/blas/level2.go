@@ -1,5 +1,8 @@
 package blas
 
+// Dgemv and Dger are column sweeps of Ddot and Daxpy, so they take the
+// level-1 vector bodies (and the portable ones under `noasm`) with them.
+
 // Dgemv computes y := alpha*op(A)*x + beta*y where op is the identity when
 // trans is false and transposition when trans is true. A is m×n column-major
 // with leading dimension lda.
@@ -32,42 +35,14 @@ func Dgemv(trans bool, m, n int, alpha float64, a []float64, lda int,
 		for j := 0; j < n; j++ {
 			t := alpha * x[ix]
 			ix += incX
-			if t != 0 {
-				col := a[j*lda : j*lda+m]
-				if incY == 1 {
-					yv := y[:m]
-					for i, v := range col {
-						yv[i] += t * v
-					}
-				} else {
-					iy := 0
-					for i := 0; i < m; i++ {
-						y[iy] += t * col[i]
-						iy += incY
-					}
-				}
-			}
+			Daxpy(m, t, a[j*lda:j*lda+m], 1, y, incY)
 		}
 		return
 	}
 	// y += alpha * Aᵀ * x, dot products per column.
 	iy := 0
 	for j := 0; j < n; j++ {
-		col := a[j*lda : j*lda+m]
-		var s float64
-		if incX == 1 {
-			xv := x[:m]
-			for i, v := range col {
-				s += v * xv[i]
-			}
-		} else {
-			ix := 0
-			for i := 0; i < m; i++ {
-				s += col[i] * x[ix]
-				ix += incX
-			}
-		}
-		y[iy] += alpha * s
+		y[iy] += alpha * Ddot(m, a[j*lda:j*lda+m], 1, x, incX)
 		iy += incY
 	}
 }
@@ -80,24 +55,8 @@ func Dger(m, n int, alpha float64, x []float64, incX int,
 	}
 	iy := 0
 	for j := 0; j < n; j++ {
-		t := alpha * y[iy]
+		Daxpy(m, alpha*y[iy], x, incX, a[j*lda:j*lda+m], 1)
 		iy += incY
-		if t == 0 {
-			continue
-		}
-		col := a[j*lda : j*lda+m]
-		if incX == 1 {
-			xv := x[:m]
-			for i, v := range xv {
-				col[i] += t * v
-			}
-		} else {
-			ix := 0
-			for i := 0; i < m; i++ {
-				col[i] += t * x[ix]
-				ix += incX
-			}
-		}
 	}
 }
 

@@ -20,6 +20,54 @@ func dgemmKernel8x6(kc int, a, b, c *float64, ldc int)
 //go:noescape
 func dgemmKernel12x8(kc int, a, b, c *float64, ldc int)
 
+// Level-1 vector bodies, one set per assembly level. n ≥ 1.
+//
+//go:noescape
+func ddotAVX2(n int, x, y *float64) float64
+
+//go:noescape
+func daxpyAVX2(n int, alpha float64, x, y *float64)
+
+//go:noescape
+func dscalAVX2(n int, alpha float64, x *float64)
+
+//go:noescape
+func ddotAVX512(n int, x, y *float64) float64
+
+//go:noescape
+func daxpyAVX512(n int, alpha float64, x, y *float64)
+
+//go:noescape
+func dscalAVX512(n int, alpha float64, x *float64)
+
+// dotFast, axpyFast and scalFast run the active level's vector bodies over
+// non-empty slices; y must be at least as long as x (re-sliced here so a
+// short y panics in Go rather than reading past it in assembly).
+func dotFast(x, y []float64) float64 {
+	y = y[:len(x)]
+	if kp.level == levelAVX512 {
+		return ddotAVX512(len(x), &x[0], &y[0])
+	}
+	return ddotAVX2(len(x), &x[0], &y[0])
+}
+
+func axpyFast(alpha float64, x, y []float64) {
+	y = y[:len(x)]
+	if kp.level == levelAVX512 {
+		daxpyAVX512(len(x), alpha, &x[0], &y[0])
+		return
+	}
+	daxpyAVX2(len(x), alpha, &x[0], &y[0])
+}
+
+func scalFast(alpha float64, x []float64) {
+	if kp.level == levelAVX512 {
+		dscalAVX512(len(x), alpha, &x[0])
+		return
+	}
+	dscalAVX2(len(x), alpha, &x[0])
+}
+
 // cpuidx executes CPUID with the given leaf/subleaf.
 //
 //go:noescape

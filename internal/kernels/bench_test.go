@@ -1,19 +1,23 @@
-package kernels
+package kernels_test
 
 import (
 	"math/rand"
 	"testing"
 
+	. "pulsarqr/internal/kernels"
 	"pulsarqr/internal/matrix"
+	"pulsarqr/internal/qr"
 )
 
-// Steady-state kernel benchmarks at the qrbench real-run tile shape
-// (nb=128, ib=32). Each holds one Workspace across iterations, the way a
-// runtime worker does, and reports allocations: the zero-alloc contract of
-// the workspace plumbing is locked in by TestKernelSteadyStateAllocs below,
-// and visible here as 0 allocs/op.
+// Steady-state kernel benchmarks at the tile shape the library runs by
+// default — read from qr.DefaultOptions, which is why this file is an
+// external test package (kernels itself cannot import qr) — so
+// BENCH_kernels.json gates the shape that runs. Each holds one Workspace
+// across iterations, the way a runtime worker does, and reports
+// allocations: the zero-alloc contract of the workspace plumbing is locked
+// in by TestKernelSteadyStateAllocs below, and visible here as 0 allocs/op.
 
-const benchNB, benchIB = 128, 32
+var benchNB, benchIB = qr.DefaultOptions().NB, qr.DefaultOptions().IB
 
 func benchWorkspaceSetup() (ws *Workspace, a1u, a2, t *matrix.Mat) {
 	rng := rand.New(rand.NewSource(1))

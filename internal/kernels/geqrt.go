@@ -78,20 +78,14 @@ func DormqrWS(ws *Workspace, trans bool, ib int, v, t, c *matrix.Mat) {
 	}
 	apply := func(j int) {
 		sb := min(ib, k-j)
-		// The diagonal block V1 (unit lower triangular) and op(T) are
-		// dense-expanded and packed once per sweep via the panel cache, so
-		// the whole reflector chain runs on the packed micro-kernel; the
-		// sub-diagonal block V2 packs like the TS kernels' dense block.
-		pv1t, pv1 := ws.packedV1Panels(v, j, sb)
+		// The reflector panel (unit-lower diagonal block dense-expanded)
+		// and op(T) come packed from the panel cache, so the whole chain
+		// runs on the packed micro-kernel and only the first apply of a
+		// row sweep packs.
+		rows := m - j
+		pvt, pv := ws.packedVPanels(v, j, sb, rows)
 		pt := ws.packedTPanel(t, j, sb, trans)
-		rows := m - j - sb
-		var pv2t, pv2 []float64
-		if rows > 0 {
-			pv2t, pv2 = ws.packedV2Panels(v, j+sb, j, sb, rows, false)
-		}
-		applyFused(ws, pv1t, pv1, pv2t, pv2, pt, sb, rows,
-			c.ViewInto(&ws.c1View, j, 0, sb, n),
-			c.ViewInto(&ws.c2View, j+sb, 0, rows, n))
+		applyFused(ws, pvt, pv, pt, sb, rows, nil, c.ViewInto(&ws.c2View, j, 0, rows, n))
 	}
 	// Column blocks forward for Qᵀ, backward for Q.
 	if trans {

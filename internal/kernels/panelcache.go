@@ -27,23 +27,27 @@ import (
 // a fresh pack — cached and uncached firings produce bitwise-identical
 // results.
 
-// panelCacheSize is the per-workspace entry count. A sweep holds one (V,T)
-// pair live: k/ib column blocks × up to 6 variants — 32 covers an
-// nb=192/ib=32 sweep in both Q and Qᵀ directions with room to spare.
+// panelCacheSize is the per-workspace entry count. One apply sweep holds
+// one (V, T) pair live, k/ib column blocks × 3 packings each (Vᵀ, V,
+// op(T)): 24 at the default 192/24, so 32 covers a sweep with room to
+// spare — an LRU smaller than the sweep it serves hits nothing, because
+// the sweep is cyclic. It is not larger because every entry owns a buffer
+// and pulsarqr.Factor builds fresh workspaces per call: entries are
+// per-call allocation.
 const panelCacheSize = 32
 
 // Packing variants. V2 is the dense reflector block of the TS/TT kernels
-// (or the sub-diagonal block of an ormqr V panel); T is the dense-expanded
-// upper-triangular block factor; V1 the dense-expanded unit-lower diagonal
-// block of an ormqr V panel. Transposed variants are distinct packings, not
-// flags, because PackLHS absorbs the transposition into the layout.
+// (identity top implicit); V the full reflector panel of an ormqr apply with
+// its unit-lower diagonal block dense-expanded; T the dense-expanded
+// upper-triangular block factor. Transposed variants are distinct packings,
+// not flags, because PackLHS absorbs the transposition into the layout.
 const (
 	panelV2T uint8 = iota
 	panelV2
 	panelT
 	panelTT
-	panelV1T
-	panelV1
+	panelVT
+	panelV
 )
 
 // panelKey identifies one packed panel: source identity, micro-kernel
@@ -115,18 +119,18 @@ func (ws *Workspace) panelSlot(src *matrix.Mat, variant uint8, i, j, rows, cols,
 }
 
 // packedV2Panels returns the cached packed forms of V2ᵀ and V2 for the
-// rows×sb reflector block whose first column is column j of v2, starting
-// at row i0. In the triangular case the stored column heights vary and the
+// rows×sb reflector block of a TS/TT kernel whose first column is column j
+// of v2. In the triangular case the stored column heights vary and the
 // entries below them may hold unrelated data, so the pack reads a
 // zero-padded copy (v2Block) — the packed panel depends only on stored
 // reflector data either way.
-func (ws *Workspace) packedV2Panels(v2 *matrix.Mat, i0, j, sb, rows int, tri bool) (pv2t, pv2 []float64) {
-	bt, okt := ws.panelSlot(v2, panelV2T, i0, j, rows, sb, blas.PackedLHSLen(sb, rows))
-	bn, okn := ws.panelSlot(v2, panelV2, i0, j, rows, sb, blas.PackedLHSLen(rows, sb))
+func (ws *Workspace) packedV2Panels(v2 *matrix.Mat, j, sb, rows int, tri bool) (pv2t, pv2 []float64) {
+	bt, okt := ws.panelSlot(v2, panelV2T, 0, j, rows, sb, blas.PackedLHSLen(sb, rows))
+	bn, okn := ws.panelSlot(v2, panelV2, 0, j, rows, sb, blas.PackedLHSLen(rows, sb))
 	if okt && okn {
 		return bt, bn
 	}
-	src, lda := v2.Data[i0+j*v2.LD:], v2.LD
+	src, lda := v2.Data[j*v2.LD:], v2.LD
 	if tri {
 		c := v2Block(ws, v2, j, sb, rows, tri)
 		src, lda = c.Data, c.LD
@@ -168,33 +172,34 @@ func (ws *Workspace) packedTPanel(t *matrix.Mat, j, sb int, trans bool) []float6
 	return buf
 }
 
-// packedV1Panels returns the cached packed forms of V1ᵀ and V1 for the
-// sb×sb unit-lower-triangular diagonal block of an ormqr reflector panel at
-// (j, j) of v, dense-expanded (explicit unit diagonal, zeros above).
-func (ws *Workspace) packedV1Panels(v *matrix.Mat, j, sb int) (pv1t, pv1 []float64) {
-	n := blas.PackedLHSLen(sb, sb)
-	bt, okt := ws.panelSlot(v, panelV1T, j, j, sb, sb, n)
-	bn, okn := ws.panelSlot(v, panelV1, j, j, sb, sb, n)
+// packedVPanels returns the cached packed forms of Vᵀ and V for the rows×sb
+// reflector panel of an ormqr apply whose diagonal block sits at (j, j) of
+// v: the unit-lower diagonal block dense-expanded (explicit unit diagonal,
+// zeros above — the stored upper triangle is R, not reflector data) on top
+// of the sub-diagonal block, as one operand. One panel instead of a
+// diagonal block and a sub-diagonal block halves the GEMM calls of the
+// apply and keeps a sweep at three cache entries per column block.
+func (ws *Workspace) packedVPanels(v *matrix.Mat, j, sb, rows int) (pvt, pv []float64) {
+	bt, okt := ws.panelSlot(v, panelVT, j, j, rows, sb, blas.PackedLHSLen(sb, rows))
+	bn, okn := ws.panelSlot(v, panelV, j, j, rows, sb, blas.PackedLHSLen(rows, sb))
 	if okt && okn {
 		return bt, bn
 	}
-	d := grow(&ws.pdense, sb*sb)
+	d := grow(&ws.pdense, rows*sb)
 	for l := 0; l < sb; l++ {
-		col := d[l*sb : l*sb+sb]
-		src := v.Data[(j+l)+(j+l)*v.LD:]
+		col := d[l*rows : (l+1)*rows]
+		src := v.Data[j+(j+l)*v.LD:]
 		for i := 0; i < l; i++ {
 			col[i] = 0
 		}
 		col[l] = 1
-		for i := l + 1; i < sb; i++ {
-			col[i] = src[i-l]
-		}
+		copy(col[l+1:], src[l+1:rows])
 	}
 	if !okt {
-		blas.PackLHS(true, sb, sb, d, sb, bt)
+		blas.PackLHS(true, sb, rows, d, rows, bt)
 	}
 	if !okn {
-		blas.PackLHS(false, sb, sb, d, sb, bn)
+		blas.PackLHS(false, rows, sb, d, rows, bn)
 	}
 	return bt, bn
 }

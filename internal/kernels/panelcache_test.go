@@ -116,6 +116,40 @@ func TestPanelCacheBitwiseTransparent(t *testing.T) {
 	}
 }
 
+// A cyclic sweep over an LRU smaller than the sweep hits nothing. At the
+// default tile (192/24) one apply sweep is 8 column blocks × 3 packings —
+// Dormqr's reflector panel is one operand, not a diagonal and a sub-diagonal
+// block — so a second apply of the same (V, T) must find every panel cached,
+// for both apply kernels and both directions.
+func TestPanelCacheHoldsASweepAtDefaultTile(t *testing.T) {
+	const nb, ib = 192, 24
+	if sweep := nb / ib * 3; sweep > panelCacheSize {
+		t.Fatalf("a %d/%d sweep needs %d entries, the cache has %d", nb, ib, sweep, panelCacheSize)
+	}
+	rng := rand.New(rand.NewSource(24))
+	for _, trans := range []bool{true, false} {
+		v := matrix.NewRand(nb, nb, rng)
+		tg := matrix.New(ib, nb)
+		ws := NewWorkspace()
+		DgeqrtWS(ws, ib, v, tg)
+		c := matrix.NewRand(nb, nb, rng)
+		DormqrWS(ws, trans, ib, v, tg, c)
+		h0, m0 := ws.PanelCacheStats()
+		DormqrWS(ws, trans, ib, v, tg, c)
+		if h1, m1 := ws.PanelCacheStats(); m1 != m0 || h1-h0 != nb/ib*3 {
+			t.Errorf("Dormqr trans=%v: second apply missed %d panels and hit %d, want 0 and %d", trans, m1-m0, h1-h0, nb/ib*3)
+		}
+
+		ws, v2, tt, b1, b2 := cacheSetup(nb, ib)
+		DtsmqrWS(ws, trans, ib, v2, tt, b1, b2)
+		h0, m0 = ws.PanelCacheStats()
+		DtsmqrWS(ws, trans, ib, v2, tt, b1, b2)
+		if h1, m1 := ws.PanelCacheStats(); m1 != m0 || h1-h0 != nb/ib*3 {
+			t.Errorf("Dtsmqr trans=%v: second apply missed %d panels and hit %d, want 0 and %d", trans, m1-m0, h1-h0, nb/ib*3)
+		}
+	}
+}
+
 // TestPanelCacheStatsStartZero guards the diagnostics contract.
 func TestPanelCacheStatsStartZero(t *testing.T) {
 	if h, m := NewWorkspace().PanelCacheStats(); h != 0 || m != 0 {

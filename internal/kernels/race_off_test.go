@@ -1,5 +1,5 @@
 //go:build !race
 
-package kernels
+package kernels_test
 
 const raceEnabled = false

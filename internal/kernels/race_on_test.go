@@ -1,6 +1,6 @@
 //go:build race
 
-package kernels
+package kernels_test
 
 // raceEnabled reports whether the race detector is active; sync.Pool
 // deliberately drops items under it, so alloc-count assertions are skipped.

@@ -239,9 +239,9 @@ func tsmqrGeneric(ws *Workspace, trans bool, ib int, v2, t, b1, b2 *matrix.Mat, 
 		// V2ᵀ, V2 and op(T) come pre-packed from the workspace panel
 		// cache: across a trailing-update row sweep the same (V, T) pair
 		// is applied to every tile, and only the first firing packs.
-		pv2t, pv2 := ws.packedV2Panels(v2, 0, j, sb, rows, tri)
+		pv2t, pv2 := ws.packedV2Panels(v2, j, sb, rows, tri)
 		pt := ws.packedTPanel(t, j, sb, trans)
-		applyFused(ws, nil, nil, pv2t, pv2, pt, sb, rows,
+		applyFused(ws, pv2t, pv2, pt, sb, rows,
 			b1.ViewInto(&ws.c1View, j, 0, sb, nc),
 			b2.ViewInto(&ws.c2View, 0, 0, rows, nc))
 	}

@@ -27,7 +27,7 @@ type Workspace struct {
 	wbuf   []float64 // applyTS/dlarfb/applyFused W panel storage
 	w2buf  []float64 // applyFused op(T)·W panel storage
 	v2b    []float64 // v2Block zero-padded triangular copy storage
-	pdense []float64 // panel-cache dense-expansion scratch (T, V1)
+	pdense []float64 // panel-cache dense-expansion scratch (T, ormqr V panel)
 
 	vView, tView, c1View, c2View matrix.Mat // per-block operand view headers
 	wMat, w2Mat, v2Mat           matrix.Mat // W/W2 panels and V2 copy headers

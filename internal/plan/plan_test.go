@@ -23,6 +23,18 @@ func randMachine(rng *rand.Rand) simulate.Machine {
 	m.BetaInter = logU(1e-11, 1e-7)
 	m.HopIntra = logU(1e-8, 1e-5)
 	m.TaskOverhead = logU(1e-7, 1e-4)
+	if rng.Intn(2) == 0 {
+		// Half the machines carry a measured rate table, the way a live
+		// qrserve's model does: every planner shape, rates rising with nb
+		// and scattered per kernel, so the tile-size curve is in play.
+		for _, sh := range (Config{}).TileShapes() {
+			r := simulate.TileRate{NB: sh.NB, IB: sh.IB}
+			for k := range r.Gflops {
+				r.Gflops[k] = m.CoreGflops * logU(0.05, 1) * float64(sh.NB) / 256
+			}
+			m.Rates = append(m.Rates, r)
+		}
+	}
 	if err := m.Validate(); err != nil {
 		panic(err)
 	}
@@ -64,6 +76,69 @@ func TestDecideNeverSlowerThanDefaultAndDeterministic(t *testing.T) {
 		}
 		if d1.SpeedupVsDefault < 1-1e-9 {
 			t.Fatalf("iter %d: speedup %g < 1 without a completion target", i, d1.SpeedupVsDefault)
+		}
+		// The margin: the default is displaced only by a predicted MinGain.
+		if d1.Choice != d1.Default && d1.SpeedupVsDefault < MinGain {
+			t.Fatalf("iter %d: chose %s over the default on a predicted %.3fx, under the %.2fx margin",
+				i, d1.Choice.Describe(), d1.SpeedupVsDefault, MinGain)
+		}
+		if fastest := d1.Ranked[0]; d1.Choice == d1.Default && fastest.PredictedMS*MinGain <= d1.Default.PredictedMS {
+			t.Fatalf("iter %d: kept the default although %s is predicted %.3fx faster",
+				i, fastest.Describe(), d1.Default.PredictedMS/fastest.PredictedMS)
+		}
+	}
+}
+
+// A rate table is what lets the planner tell tile sizes apart: on a machine
+// whose small tiles are measured slow, the sweep must stop chasing the
+// parallelism of nb=32 that a single seconds-per-flop rewards.
+func TestRateTableSteersTileSize(t *testing.T) {
+	spec := Spec{M: 8192, N: 256}
+	bare := simulate.LocalHost(2, 3)
+	d, err := Decide(spec, bare, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Choice.NB != 32 {
+		t.Fatalf("table-less localhost picks nb=%d; this test assumes the known nb=32 bias", d.Choice.NB)
+	}
+	measured := bare
+	for _, sh := range (Config{}).TileShapes() {
+		r := simulate.TileRate{NB: sh.NB, IB: sh.IB}
+		for k := range r.Gflops {
+			// Packing-bound kernels: the rate grows linearly with the tile.
+			r.Gflops[k] = bare.CoreGflops * bare.Eff[k] * float64(sh.NB) / 32
+		}
+		measured.Rates = append(measured.Rates, r)
+	}
+	d, err = Decide(spec, measured, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Choice.NB < 128 {
+		t.Fatalf("with small tiles measured slow the planner still picks %s", d.Choice.Describe())
+	}
+}
+
+func TestTileShapes(t *testing.T) {
+	shapes := Config{}.TileShapes()
+	def := defaultCandidate(1)
+	if shapes[0] != (TileShape{def.NB, def.IB}) {
+		t.Fatalf("first shape %+v is not the default %d/%d", shapes[0], def.NB, def.IB)
+	}
+	seen := map[TileShape]bool{}
+	for _, sh := range shapes {
+		if seen[sh] {
+			t.Errorf("shape %+v listed twice", sh)
+		}
+		seen[sh] = true
+		if sh.IB < 1 || sh.IB > sh.NB {
+			t.Errorf("shape %+v has ib outside [1, nb]", sh)
+		}
+	}
+	for _, nb := range DefaultNBGrid {
+		if !seen[TileShape{nb, max(nb/4, 4)}] {
+			t.Errorf("nb=%d missing at ib=nb/4", nb)
 		}
 	}
 }

@@ -120,22 +120,30 @@ type Options struct {
 	Inter InterTree
 }
 
-// DefaultOptions mirrors the paper's best-performing configuration scaled
-// to laptop-sized tiles.
+// DefaultOptions is the one definition of the default configuration: every
+// path that fills an unset field — normalize below, pulsarqr, the service's
+// JobSpec, the planner's baseline candidate, the CLI flag defaults — reads
+// it from here. The tile is the paper's nb=192 (a multiple of both
+// dimensions of the 12×8 micro-kernel); ib=24 is what the sweep in
+// docs/KERNELS.md measures fastest for these kernels. It is a constant, not
+// a shape rule: the sweep found no shape on which it loses to the old 64/16,
+// and hosts where another tile wins have the planner (qrserve -autotune).
 func DefaultOptions() Options {
-	return Options{NB: 64, IB: 16, Tree: HierarchicalTree, H: 4, Boundary: ShiftedBoundary}
+	return Options{NB: 192, IB: 24, Tree: HierarchicalTree, H: 4, Boundary: ShiftedBoundary}
 }
 
-// normalize validates and fills defaults.
+// normalize fills unset fields from DefaultOptions. An unset (or oversized)
+// IB takes the default's, clamped to the tile.
 func (o Options) normalize() Options {
+	def := DefaultOptions()
 	if o.NB <= 0 {
-		o.NB = 64
+		o.NB = def.NB
 	}
 	if o.IB <= 0 || o.IB > o.NB {
-		o.IB = min(16, o.NB)
+		o.IB = min(def.IB, o.NB)
 	}
 	if o.H <= 0 {
-		o.H = 4
+		o.H = def.H
 	}
 	return o
 }

@@ -268,13 +268,6 @@ func (m *Metrics) ObserveWait(ev pulsar.WaitEvent) {
 	m.wait.observe(ev.End.Sub(ev.Start).Seconds())
 }
 
-// WaitSeconds returns the cumulative pool-worker park time. The server
-// snapshots it around a job's run to estimate the busy fraction that feeds
-// the cost model.
-func (m *Metrics) WaitSeconds() float64 {
-	return math.Float64frombits(m.wait.sumBits.Load())
-}
-
 // FireHook counts VDP firings by trace class; the server installs it as the
 // runtime's FireHook for every job.
 func (m *Metrics) FireHook(ev pulsar.FireEvent) {

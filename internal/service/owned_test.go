@@ -7,7 +7,9 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -315,5 +317,109 @@ func TestFleetRequeuesWhenPeerDiesBeforeCheckReduce(t *testing.T) {
 	agents[0].Close()
 	for _, ep := range eps {
 		ep.Close()
+	}
+}
+
+// Rank 0 resolves the configuration once and the open broadcast carries it
+// whole: a job submitted with nb, ib, h and tree all omitted reaches the
+// fleet with the four values set, so ranks whose builds disagreed on a
+// default would still tile one matrix one way. And an agent takes them from
+// the message: one stamped 64/16 builds a 64-tiled array, whatever this
+// build's own default is. Rank 1 is played by hand, the way Agent.runJob
+// runs it, so the test sees the message itself.
+func TestOpenBroadcastCarriesEffectiveConfig(t *testing.T) {
+	def := qr.DefaultOptions()
+	specs := []JobSpec{
+		{M: 3 * def.NB, N: 64, Seed: 29},          // everything omitted
+		{M: 512, N: 64, NB: 64, IB: 16, Seed: 31}, // what a 64/16-default server would stamp
+	}
+	type seen struct {
+		raw  string
+		spec JobSpec
+		opts qr.Options
+		nb   int // tile size of the array rank 1 built
+	}
+	got := make(chan seen, len(specs))
+
+	l := transport.NewLocal(2)
+	agentDone := make(chan struct{})
+	go func() {
+		defer close(agentDone)
+		mux := transport.NewMux(l.Endpoint(1))
+		defer mux.Close()
+		ctl, err := mux.Open(ctlJob)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer ctl.Close()
+		for range specs {
+			req := ctl.Irecv(0, ctlTag)
+			req.Wait()
+			var msg ctlMsg
+			if err := json.Unmarshal(req.Data(), &msg); err != nil || msg.Op != "open" || msg.Spec == nil {
+				t.Errorf("control message %q, err %v; want an open with a spec", req.Data(), err)
+				return
+			}
+			jep, err := mux.OpenOn(msg.Session, msg.Ranks)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			opts, err := msg.Spec.Options()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			a, part, err := msg.Spec.ownedInputs(opts, jep.Size(), jep.Rank())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got <- seen{string(req.Data()), *msg.Spec, opts, a.NB}
+			if _, err := qr.FactorizeVSAServe(context.Background(), a, nil, part, opts, qr.RunConfig{}, jep, nil); err != nil {
+				t.Errorf("rank 1: %v", err)
+			}
+			jep.Close()
+		}
+	}()
+
+	var admitted []string
+	s, err := NewServer(Config{Threads: 2, Ep: l.Endpoint(0), Logf: func(format string, args ...any) {
+		if strings.Contains(format, "admitted") {
+			admitted = append(admitted, fmt.Sprintf(format, args...))
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i, spec := range specs {
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, j)
+		if res := j.Result(); res == nil || !res.OK {
+			t.Fatalf("job %d: %+v", i, res)
+		}
+	}
+	<-agentDone
+
+	first := <-got
+	if first.spec.NB != def.NB || first.spec.IB != def.IB || first.spec.H != def.H || first.spec.Tree != def.Tree.String() {
+		t.Errorf("open for a spec with the configuration omitted carries nb=%d ib=%d h=%d tree=%q, want %d/%d/%d/%q\n%s",
+			first.spec.NB, first.spec.IB, first.spec.H, first.spec.Tree, def.NB, def.IB, def.H, def.Tree, first.raw)
+	}
+	if first.nb != def.NB {
+		t.Errorf("rank 1 tiled at nb=%d, want %d", first.nb, def.NB)
+	}
+	second := <-got
+	want := qr.Options{NB: 64, IB: 16, H: def.H, Tree: def.Tree, Boundary: def.Boundary, Inter: def.Inter}
+	if second.opts != want || second.nb != 64 {
+		t.Errorf("a spec stamped 64/16 resolved to %v on the agent (array nb=%d), want %v", second.opts, second.nb, want)
+	}
+	if len(admitted) == 0 || !strings.Contains(admitted[0], fmt.Sprintf("nb=%d ib=%d", def.NB, def.IB)) {
+		t.Errorf("admission log does not print the effective tile: %q", admitted)
 	}
 }

@@ -2,47 +2,93 @@ package service
 
 import (
 	"encoding/json"
-	"math"
 	"net/http"
+	"runtime"
+	"slices"
 	"sync"
 	"time"
 
-	"pulsarqr/internal/kernels"
 	"pulsarqr/internal/obs"
 	"pulsarqr/internal/plan"
+	"pulsarqr/internal/qr"
 	"pulsarqr/internal/simulate"
 )
 
-// costModel fits the runtime's real cost structure online: every completed
-// job contributes one sample (useful flops f, VDP firings t, core-seconds b),
-// and the model solves the ridge-regularized least squares for
-//
-//	b ≈ secondsPerFlop·f + secondsPerTask·t
-//
-// Separating the two terms is what makes predictions transfer across tile
-// sizes: a single achieved-rate anchor folds per-task overhead into the
-// flop rate at whatever nb the measured jobs happened to use, which makes
-// the simulator systematically over-reward small tiles (4x the tasks, same
-// flops). The split is identifiable only when the samples vary in their
-// flops-per-task ratio — jobs at different nb — so until the workload mix
-// excites that dimension, the ridge anchor keeps the solution at the priors.
-type costModel struct {
-	mu                      sync.Mutex
-	sff, sft, stt, sfb, stb float64 // normal-equation accumulators
-	n                       int64
+// rateTable holds this host's measured kernel rates per tile shape
+// (simulate.MeasureTileRate), each shape timed once, on first need. Only the
+// planner's own shapes are ever timed, so a client cannot grow the table —
+// or buy kernel time — by submitting jobs at odd tiles.
+type rateTable struct {
+	shapes []plan.TileShape // what may be measured: the planner's grid
+
+	mu    sync.Mutex
+	rates []simulate.TileRate // measured so far
 }
 
-func (cm *costModel) add(flops, tasks, coreSeconds float64) {
-	if !(flops > 0) || !(tasks > 0) || !(coreSeconds > 0) {
+// rate returns the measured rates at (nb, ib), timing the kernels if this
+// is the first request for a planner shape; ok is false for any other shape.
+func (rt *rateTable) rate(nb, ib int) (simulate.TileRate, bool) {
+	if !slices.Contains(rt.shapes, plan.TileShape{NB: nb, IB: ib}) {
+		return simulate.TileRate{}, false
+	}
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if r, ok := (simulate.Machine{Rates: rt.rates}).Rate(nb, ib); ok {
+		return r, true
+	}
+	r := simulate.MeasureTileRate(nb, ib)
+	rt.rates = append(rt.rates, r)
+	return r, true
+}
+
+// measured returns the shapes timed so far, timing nothing.
+func (rt *rateTable) measured() []simulate.TileRate {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return append([]simulate.TileRate(nil), rt.rates...)
+}
+
+// costModel learns from completed jobs the two costs a kernel probe cannot
+// see, one by measurement and one by fit:
+//
+//   - the in-job slowdown: the kernel seconds rank 0's workers really spent
+//     (the sum of its firing intervals) over what the same share of the task
+//     graph takes at the probe's rates for the job's tile shape — sibling
+//     threads on shared execution ports, tiles arriving cold, the packet
+//     handling around each kernel. A ratio of two sums, nothing regressed;
+//
+//   - the per-task cost: with the kernel term pinned by that ratio, the
+//     least-squares secondsPerTask in
+//
+//     b ≈ slowdown·p + secondsPerTask·t
+//
+//     over jobs with p probe seconds, t tasks and b core-seconds. It soaks up
+//     everything else that grows with the task count — wake-ups between
+//     workers, marshalling between ranks — so a plan that cuts the tiles
+//     four times finer pays for its sixteen times more hand-offs.
+//
+// The tile-size curve itself is in neither: the probe times it per shape.
+// An earlier version fitted seconds-per-flop and seconds-per-task together
+// from the same samples; five small warm-up jobs could put the core rate
+// anywhere between 1.5 and 160 Gflop/s.
+type costModel struct {
+	mu         sync.Mutex
+	busy0, p0  float64 // rank 0: measured kernel seconds, probe seconds
+	bt, pt, tt float64 // Σ b·t, Σ p·t, Σ t² over jobs
+	n          int64
+}
+
+func (cm *costModel) add(busy0, probe0, probeSeconds, tasks, coreSeconds float64) {
+	if !(busy0 > 0) || !(probe0 > 0) || !(probeSeconds > 0) || !(tasks > 0) || !(coreSeconds > 0) {
 		return
 	}
 	cm.mu.Lock()
 	defer cm.mu.Unlock()
-	cm.sff += flops * flops
-	cm.sft += flops * tasks
-	cm.stt += tasks * tasks
-	cm.sfb += flops * coreSeconds
-	cm.stb += tasks * coreSeconds
+	cm.busy0 += busy0
+	cm.p0 += probe0
+	cm.bt += coreSeconds * tasks
+	cm.pt += probeSeconds * tasks
+	cm.tt += tasks * tasks
 	cm.n++
 }
 
@@ -52,104 +98,89 @@ func (cm *costModel) samples() int64 {
 	return cm.n
 }
 
-// solve returns the fitted (secondsPerFlop, secondsPerTask). The ridge terms
-// are scaled to the diagonal so they are unit-free: with collinear samples
-// (every job at one nb) the fit degrades gracefully toward the priors
-// instead of exploding along the unidentifiable direction.
-func (cm *costModel) solve(priorSPF, priorSPT float64) (spf, spt float64, ok bool) {
+// solve returns the in-job slowdown and the per-task cost; ok is false until
+// a job has been measured.
+func (cm *costModel) solve() (slowdown, secondsPerTask float64, ok bool) {
 	cm.mu.Lock()
 	defer cm.mu.Unlock()
-	if cm.n < 2 {
-		return 0, 0, false
+	if cm.n == 0 {
+		return 1, 0, false
 	}
-	l1 := 1e-3 * cm.sff
-	l2 := 1e-3 * cm.stt
-	a11 := cm.sff + l1
-	a22 := cm.stt + l2
-	b1 := cm.sfb + l1*priorSPF
-	b2 := cm.stb + l2*priorSPT
-	det := a11*a22 - cm.sft*cm.sft
-	if !(det > 0) {
-		return 0, 0, false
-	}
-	spf = (b1*a22 - b2*cm.sft) / det
-	spt = (a11*b2 - cm.sft*b1) / det
-	if !(spf > 0) || math.IsNaN(spt) || spt < 0 {
-		return 0, 0, false
-	}
-	return spf, spt, true
+	slowdown = cm.busy0 / cm.p0
+	return slowdown, max(0, (cm.bt-slowdown*cm.pt)/cm.tt), true
 }
 
-// recordCostSample feeds one completed job into the online cost model.
+// recordCostSample feeds one completed job into the cost model, if it ran at
+// a tile shape the rate table covers and its graph is small enough to rebuild
+// per completion.
 //
-// The fit wants the core-seconds the simulator would book for this
-// configuration — not wall core-seconds (the DES models idle time itself;
-// charging real idleness as work double-counts it and turns every prediction
-// pessimistic), and not the pool's measured busy time either (the real
-// runtime also idles on synchronization the DES does not model, which would
-// leave that idleness uncharged and turn predictions optimistic). The
+// The core-seconds the fit wants are the ones the simulator would book for
+// this configuration — not wall core-seconds (the DES models idle time
+// itself; charging real idleness as work double-counts it and turns every
+// prediction pessimistic), and not the pool's measured busy time either (the
+// real runtime also idles on synchronization the DES does not model, which
+// would leave that idleness uncharged and turn predictions optimistic). The
 // self-consistent deflator is the simulator's own predicted utilization for
 // the exact configuration the job ran: prediction later inflates work by
 // 1/utilization again, so a calibrated model reproduces measured wall time
 // by construction and the calibration harness can hold it to a tolerance.
-func (s *Server) recordCostSample(spec JobSpec, res *Result, elapsed time.Duration, waitSec float64) {
-	flops := kernels.FlopsQR(spec.M, spec.N)
-	workers := float64(s.cfg.Threads * s.AgentsLive())
-	if workers < 1 {
-		workers = 1
+//
+// elapsed is the factorization's wall time on ranks ranks, busy the part of it
+// rank 0's workers spent firing.
+func (s *Server) recordCostSample(m, n int, opts qr.Options, ranks int, elapsed, busy time.Duration) {
+	if plan.EstTasks(m, n, opts.NB) > 1<<20 {
+		return
 	}
+	rate, ok := s.rates.rate(opts.NB, opts.IB)
+	if !ok {
+		return
+	}
+	mach, _ := s.machineModel()
+	mach.Nodes = ranks
+	r := simulate.Run(simulate.Workload{M: m, N: n, Opts: opts}, mach, simulate.SystolicProfile)
 	u := 1.0
-	opts, optErr := spec.Options()
-	if optErr == nil && res.Stats.Firings > 0 && res.Stats.Firings < 1<<20 {
-		mach, _ := s.machineModel()
-		mach.Nodes = s.AgentsLive()
-		r := simulate.Run(simulate.Workload{M: spec.M, N: spec.N, Opts: opts},
-			mach, simulate.SystolicProfile)
-		if r.Utilization > 0.02 {
-			u = r.Utilization
-		}
-	} else if tsec := elapsed.Seconds() * float64(s.cfg.Threads); tsec > 0 && waitSec > 0 {
-		// A graph too large to re-simulate per completion: fall back to the
-		// local pool's measured busy fraction.
-		u = 1 - waitSec/tsec
-		if u < 0.05 {
-			u = 0.05
+	if r.Utilization > 0.02 {
+		u = r.Utilization
+	}
+	var probe0, probeSeconds float64
+	for node, flops := range r.NodeFlops {
+		for k, f := range flops {
+			sec := f / (rate.Gflops[k] * 1e9)
+			probeSeconds += sec
+			if node == 0 {
+				probe0 += sec
+			}
 		}
 	}
-	s.costs.add(flops, float64(res.Stats.Firings), elapsed.Seconds()*workers*u)
+	workers := float64(ranks * mach.Workers())
+	s.costs.add(busy.Seconds(), probe0, probeSeconds, float64(r.Tasks), elapsed.Seconds()*workers*u)
 }
 
 // machineModel assembles the server's current best machine model: the
-// LocalHost baseline overridden by whatever this process has measured —
-// per-flop and per-task costs from the online cost model, (α, β) from the
-// link estimator. measured reports whether anything beyond the defaults went
-// in. This is the single source both GET /v1/machine-model and the planner
-// use, so what the endpoint publishes is exactly what dispatch plans with.
+// LocalHost baseline overridden by whatever this process has measured — the
+// kernel rates of every tile shape timed so far, divided by the in-job
+// slowdown the cost model measured, its per-task cost, and (α, β) from the
+// link estimator. measured reports whether anything a job taught it went in.
+// This is the single source of GET /v1/machine-model and the planner, which
+// both call plannerModel to have the rest of the planner's grid timed first.
 func (s *Server) machineModel() (mach simulate.Machine, measured bool) {
-	mach = simulate.LocalHost(s.Ranks(), s.cfg.Threads+1)
-	// Priors for the cost fit: the static baseline's rate anchored to the
-	// trailing-update kernel's efficiency — the simulator multiplies
-	// CoreGflops by the per-kernel Eff factors, and tsmqr dominates a tile
-	// QR's flops, so anchoring there keeps measurement and simulation from
-	// counting the kernel efficiency twice.
-	priorSPF := 1 / (mach.CoreGflops * 1e9 * mach.Eff[simulate.Tsmqr])
-	if spf, spt, ok := s.costs.solve(priorSPF, mach.TaskOverhead); ok {
-		mach.CoreGflops = 1 / (spf * 1e9 * mach.Eff[simulate.Tsmqr])
-		if spt <= simulate.MaxCostSeconds {
-			mach.TaskOverhead = spt
+	mach = s.baselineModel()
+	slowdown, secondsPerTask, measured := s.costs.solve()
+	if measured {
+		mach.TaskOverhead = secondsPerTask
+	}
+	mach.Rates = s.rates.measured()
+	for i := range mach.Rates {
+		for k := range mach.Rates[i].Gflops {
+			mach.Rates[i].Gflops[k] /= slowdown
 		}
-		measured = true
-	} else if flops, busy := math.Float64frombits(s.metrics.flopBits.Load()),
-		math.Float64frombits(s.metrics.busyBits.Load()); busy > 0 && flops > 0 {
-		// Fewer than two samples: fall back to the single achieved-rate
-		// anchor over every completed job, spread across the fleet's workers.
-		workers := float64(s.cfg.Threads * s.AgentsLive())
-		if workers < 1 {
-			workers = 1
-		}
-		achieved := flops / busy / 1e9 / workers
-		mach.CoreGflops = achieved / mach.Eff[simulate.Tsmqr]
-		measured = true
+	}
+	def := qr.DefaultOptions()
+	if r, ok := mach.Rate(def.NB, def.IB); ok {
+		// Shapes the table does not list fall back to CoreGflops·Eff: anchor
+		// that to the default tile's trailing-update kernel, which dominates
+		// a tile QR's flops, so the fallback is this host's rate too.
+		mach.CoreGflops = r.Gflops[simulate.Tsmqr] / mach.Eff[simulate.Tsmqr]
 	}
 	if est := s.obs.Estimator(); est != nil {
 		if a, b, ok := est.Aggregate(); ok {
@@ -164,12 +195,33 @@ func (s *Server) machineModel() (mach simulate.Machine, measured bool) {
 		}
 	}
 	if mach.Validate() != nil {
-		// A degenerate measurement (e.g. an absurd achieved rate from a
-		// single tiny job) must never poison planning: fall back to the
+		// A degenerate measurement (a slowdown or a probe reading off by
+		// orders of magnitude) must never poison planning: fall back to the
 		// static baseline.
-		return simulate.LocalHost(s.Ranks(), s.cfg.Threads+1), false
+		return s.baselineModel(), false
 	}
 	return mach, measured
+}
+
+// baselineModel is the static model under the measurements: LocalHost with
+// one node per rank, each a proxy core plus one core per worker thread — but
+// never more cores than this process can run in parallel. A pool of more
+// threads than CPUs time-slices them, and a model that counts every thread
+// as a core predicts a parallelism the host cannot deliver: on the 2-vCPU
+// test host it ran the calibration's actual/predicted at a median of 1.3–1.5
+// instead of 1.2 (docs/PLANNER.md has the paired runs).
+func (s *Server) baselineModel() simulate.Machine {
+	return simulate.LocalHost(s.Ranks(), min(s.cfg.Threads+1, max(2, runtime.GOMAXPROCS(0))))
+}
+
+// plannerModel is machineModel with the rate table complete: a plan compares
+// tile shapes, so every shape it may pick has to be priced from the same
+// kind of evidence. The first call pays for timing the grid (~0.1 s).
+func (s *Server) plannerModel() (simulate.Machine, bool) {
+	for _, sh := range s.rates.shapes {
+		s.rates.rate(sh.NB, sh.IB)
+	}
+	return s.machineModel()
 }
 
 // modelEpoch quantizes the machine model's evidence into a cache epoch: it
@@ -185,23 +237,35 @@ func (s *Server) modelEpoch() uint64 {
 	return uint64(adds/128)*1000003 + uint64(s.costs.samples()/2)*31 + uint64(completed/8)
 }
 
-// planJob returns the spec the job should actually run: j.Spec itself
-// unless autotuning is on for it, in which case the planner's chosen
-// configuration overrides NB/IB/H/Tree (shape, data and policy fields ride
-// through untouched). Planning failures degrade to the literal spec — the
-// autotuner must never turn a runnable job into a failed one.
+// planJob returns the spec the job actually runs, with NB, IB, H and Tree
+// all set: the planner's choice when autotuning is on for the job, else
+// j.Spec's own values with every omitted one resolved against this rank's
+// defaults. The resolved spec is what the open broadcast carries, so the
+// fleet tiles one matrix one way even if its ranks' builds disagree on a
+// default — an agent never fills one in itself. Shape, data and policy
+// fields ride through untouched. Planning failures degrade to the literal
+// spec — the autotuner must never turn a runnable job into a failed one.
 func (s *Server) planJob(j *Job) JobSpec {
 	spec := j.Spec
-	if !spec.Autotune && !s.cfg.Autotune {
-		return spec
+	if spec.Autotune || s.cfg.Autotune {
+		s.autotune(j, &spec)
 	}
-	mach, _ := s.machineModel()
+	if opts, err := spec.Options(); err == nil { // an error here fails the job in runJob
+		spec.NB, spec.IB, spec.H, spec.Tree = opts.NB, opts.IB, opts.H, opts.Tree.String()
+	}
+	return spec
+}
+
+// autotune overwrites spec's algorithm configuration with the planner's pick
+// for its shape on the live machine model, and records the decision on j.
+func (s *Server) autotune(j *Job, spec *JobSpec) {
+	mach, _ := s.plannerModel()
 	mach.Nodes = s.AgentsLive()
 	start := time.Now()
 	d, err := s.planner.Plan(plan.Spec{M: spec.M, N: spec.N}, mach, s.modelEpoch())
 	if err != nil {
 		s.cfg.Logf("job %d: plan failed (%v); running literal spec", j.ID, err)
-		return spec
+		return
 	}
 	planMS := float64(time.Since(start)) / 1e6
 	if d.FromCache {
@@ -215,7 +279,6 @@ func (s *Server) planJob(j *Job) JobSpec {
 	spec.NB, spec.IB, spec.H, spec.Tree = c.NB, c.IB, c.H, c.Tree
 	s.cfg.Logf("job %d planned: %s (predicted %.3gms, %.2fx vs default, cache=%v, %.3gms to plan)",
 		j.ID, c.Describe(), c.PredictedMS, d.SpeedupVsDefault, d.FromCache, d.PlanMS)
-	return spec
 }
 
 // recordPlanOutcome closes the loop on a planned job that completed: the
@@ -293,7 +356,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
 		return
 	}
-	mach, measured := s.machineModel()
+	mach, measured := s.plannerModel()
 	mach.Nodes = s.AgentsLive()
 	epoch := s.modelEpoch()
 	var target float64

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"pulsarqr/internal/matrix"
+	"pulsarqr/internal/plan"
 	"pulsarqr/internal/qr"
 )
 
@@ -44,7 +45,9 @@ type JobSpec struct {
 	M int `json:"m"`
 	N int `json:"n"`
 	// NB, IB, H and Tree select the algorithm configuration; zero values
-	// take the library defaults (NB=64, IB=16, hierarchical, H=4).
+	// take the library defaults (qr.DefaultOptions: NB=192, IB=24 — or NB
+	// when that is smaller — hierarchical, H=4), resolved once by the
+	// server: the spec its agents receive has all four set.
 	NB   int    `json:"nb,omitempty"`
 	IB   int    `json:"ib,omitempty"`
 	H    int    `json:"h,omitempty"`
@@ -108,8 +111,21 @@ func (sp *JobSpec) Validate() error {
 	if len(sp.Data) != 0 && len(sp.Data) != sp.M*sp.N {
 		return fmt.Errorf("service: data holds %d entries, want %d (column-major m*n)", len(sp.Data), sp.M*sp.N)
 	}
-	if _, err := sp.tree(); err != nil {
+	opts, err := sp.Options()
+	if err != nil {
 		return err
+	}
+	if opts.NB > maxDim {
+		return fmt.Errorf("service: nb=%d exceeds limit %d", opts.NB, maxDim)
+	}
+	if opts.IB > opts.NB {
+		return fmt.Errorf("service: ib=%d exceeds nb=%d", opts.IB, opts.NB)
+	}
+	// The element bound does not bound the work's granularity: nb=1 on an
+	// admissible shape asks for a tile, a VDP and a packet per element.
+	if tasks := plan.EstTasks(sp.M, sp.N, opts.NB); tasks > plan.MaxTasks {
+		return fmt.Errorf("service: %dx%d at nb=%d is a task graph of %d kernels; the limit is %d (raise nb)",
+			sp.M, sp.N, opts.NB, tasks, plan.MaxTasks)
 	}
 	if sp.MaxRetries < 0 || sp.MaxRetries > 8 {
 		return fmt.Errorf("service: max_retries %d out of range [0,8]", sp.MaxRetries)
@@ -128,7 +144,8 @@ func (sp *JobSpec) tree() (qr.TreeKind, error) {
 	return t, nil
 }
 
-// Options maps the spec to the qr layer's algorithm configuration.
+// Options maps the spec to the qr layer's algorithm configuration, omitted
+// values resolved: what it returns is what runs.
 func (sp *JobSpec) Options() (qr.Options, error) {
 	tree, err := sp.tree()
 	if err != nil {
@@ -138,6 +155,7 @@ func (sp *JobSpec) Options() (qr.Options, error) {
 	if sp.NB > 0 {
 		opts.NB = sp.NB
 	}
+	opts.IB = min(opts.IB, opts.NB)
 	if sp.IB > 0 {
 		opts.IB = sp.IB
 	}

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"pulsarqr/internal/plan"
 )
 
 // Two admissible dimensions can multiply to terabytes: the element bound,
@@ -33,6 +35,44 @@ func TestValidateBoundsElements(t *testing.T) {
 		if err != nil && tc.spec.M <= maxDim && !strings.Contains(err.Error(), "element limit") {
 			t.Errorf("%s: error %q does not name the element limit", tc.name, err)
 		}
+	}
+}
+
+// The element bound does not bound the granularity: a one-element tile on an
+// admissible shape is a tile, a VDP and a packet per element. The task graph
+// is bounded too, and an inner block wider than the tile is refused, not
+// clamped.
+func TestValidateBoundsTasksAndInnerBlock(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+		want string // substring of the error; "" means accepted
+	}{
+		{"nb=1 on 2^28 elements", JobSpec{M: 1 << 14, N: 1 << 14, NB: 1, Seed: 1}, "task graph"},
+		{"nb=1 on a tall 2^28", JobSpec{M: 1 << 20, N: 1 << 8, NB: 1, Seed: 1}, "task graph"},
+		{"nb=32 on 2^14 square", JobSpec{M: 1 << 14, N: 1 << 14, NB: 32, Seed: 1}, "task graph"},
+		{"default tile on 2^14 square", JobSpec{M: 1 << 14, N: 1 << 14, Seed: 1}, ""},
+		{"default tile on the tallest seeded", JobSpec{M: 1 << 20, N: 1 << 8, Seed: 1}, ""},
+		{"nb=1 on 64x64", JobSpec{M: 64, N: 64, NB: 1, Seed: 1}, ""},
+		{"ib above nb", JobSpec{M: 512, N: 64, NB: 32, IB: 33, Seed: 1}, "ib=33 exceeds nb=32"},
+		{"ib above the default nb", JobSpec{M: 512, N: 64, IB: 4096, Seed: 1}, "exceeds nb="},
+		{"ib equal to nb", JobSpec{M: 512, N: 64, NB: 32, IB: 32, Seed: 1}, ""},
+		{"nb past every dimension", JobSpec{M: 512, N: 64, NB: 1 << 62, Seed: 1}, "nb="},
+		{"nb at MaxInt", JobSpec{M: 512, N: 64, NB: 1<<63 - 1, Seed: 1}, "nb="},
+		{"small nb, ib omitted", JobSpec{M: 96, N: 48, NB: 16, Seed: 1}, ""},
+	} {
+		err := tc.spec.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: Validate = %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+	// An omitted ib follows a small nb down instead of tripping the check.
+	sp := JobSpec{M: 96, N: 48, NB: 16}
+	if opts, err := sp.Options(); err != nil || opts.IB != 16 {
+		t.Errorf("nb=16 with ib omitted resolves to ib=%d (%v), want 16", opts.IB, err)
 	}
 }
 
@@ -73,6 +113,12 @@ func TestSubmitBodyBounded(t *testing.T) {
 	}
 	if code, _ := post(strings.NewReader(`{"m":64,"n":`)); code != http.StatusBadRequest {
 		t.Errorf("truncated body: status %d, want 400", code)
+	}
+	if code, msg := post(strings.NewReader(`{"m":16384,"n":16384,"nb":1,"seed":1}`)); code != http.StatusBadRequest || !strings.Contains(msg, "task graph") {
+		t.Errorf("one-element tiles: status %d (%s), want 400 naming the task graph", code, msg)
+	}
+	if code, msg := post(strings.NewReader(`{"m":512,"n":64,"nb":32,"ib":33,"seed":1}`)); code != http.StatusBadRequest || !strings.Contains(msg, "exceeds nb") {
+		t.Errorf("ib above nb: status %d (%s), want 400", code, msg)
 	}
 	if got := s.Metrics().Accepted.Load(); got != 0 {
 		t.Errorf("%d jobs admitted from refused requests", got)
@@ -138,6 +184,18 @@ func FuzzJobSpec(f *testing.F) {
 		opts, err := sp.Options()
 		if err != nil {
 			t.Fatalf("admitted spec has no options: %v", err)
+		}
+		if opts.NB < 1 || opts.NB > maxDim || opts.IB < 1 || opts.IB > opts.NB || opts.H < 1 {
+			t.Fatalf("admitted spec resolves to %v", opts)
+		}
+		// Every tile is at least one task, so the tile count — formed in
+		// arbitrary precision — cannot exceed the task limit.
+		nb := big.NewInt(int64(opts.NB))
+		ceil := func(x int) *big.Int {
+			return new(big.Int).Div(new(big.Int).Add(big.NewInt(int64(x)), new(big.Int).Sub(nb, big.NewInt(1))), nb)
+		}
+		if tiles := new(big.Int).Mul(ceil(sp.M), ceil(sp.N)); tiles.Cmp(big.NewInt(plan.MaxTasks)) > 0 {
+			t.Fatalf("admitted %dx%d at nb=%d: %s tiles, task limit %d", sp.M, sp.N, opts.NB, tiles, plan.MaxTasks)
 		}
 		if _, err := json.Marshal(ctlMsg{Op: "open", Spec: &sp}); err != nil {
 			t.Fatalf("admitted spec cannot be broadcast: %v", err)

@@ -70,6 +70,15 @@ func resilientTCPMesh(t *testing.T, n int) []transport.Endpoint {
 			t.Fatalf("rank %d: %v", i, err)
 		}
 	}
+	// An endpoint left open pins its unacked-frame window, and through its
+	// goroutines everything the test's server and agent retained; under
+	// -count=N that is hundreds of megabytes of live heap by the tenth run,
+	// and the later runs time GC assists instead of jobs.
+	t.Cleanup(func() {
+		for _, ep := range eps {
+			ep.Close()
+		}
+	})
 	return eps
 }
 

@@ -132,7 +132,8 @@ type Server struct {
 	nextID atomic.Uint32
 
 	planner *plan.Planner // always non-nil; consulted when autotuning is on
-	costs   costModel     // online per-flop/per-task cost fit from completed jobs
+	rates   rateTable     // this host's kernel rates per planner tile shape, timed on first need
+	costs   costModel     // in-job slowdown and per-task cost, learned from completed jobs
 
 	mu        sync.Mutex
 	jobs      map[uint32]*Job
@@ -183,6 +184,7 @@ func NewServer(cfg Config) (*Server, error) {
 		jobs:      map[uint32]*Job{},
 		deadRanks: map[int]bool{},
 		planner:   plan.NewPlanner(plan.Config{}, plan.DefaultCacheCap),
+		rates:     rateTable{shapes: plan.Config{}.TileShapes()},
 	}
 	s.baseCtx, s.stop = context.WithCancel(context.Background())
 	if cfg.Ep != nil && cfg.Ep.Size() > 1 {
@@ -386,7 +388,8 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		cancel(nil)
 		return nil, err
 	}
-	s.cfg.Logf("job %d admitted: %dx%d nb=%d tree=%s prio=%d", j.ID, spec.M, spec.N, spec.NB, spec.Tree, spec.Priority)
+	opts, _ := spec.Options() // Validate passed, so this cannot fail
+	s.cfg.Logf("job %d admitted: %dx%d nb=%d ib=%d tree=%v prio=%d", j.ID, spec.M, spec.N, opts.NB, opts.IB, opts.Tree, spec.Priority)
 	return j, nil
 }
 
@@ -478,16 +481,20 @@ func (s *Server) runJob(j *Job) {
 		s.fail(j, err.Error())
 		return
 	}
-	rc := qr.RunConfig{
-		FireHook:        s.metrics.FireHook,
-		DeadlockTimeout: s.cfg.DeadlockTimeout,
+	// Every firing is counted by class and its interval added up: the job's
+	// kernel time on this rank is the cost model's measurement.
+	var busy atomic.Int64
+	fire := func(ev pulsar.FireEvent) {
+		s.metrics.FireHook(ev)
+		busy.Add(int64(ev.End.Sub(ev.Start)))
 	}
+	rc := qr.RunConfig{FireHook: fire, DeadlockTimeout: s.cfg.DeadlockTimeout}
 	var rec *trace.Recorder
 	if spec.Trace {
 		rec = trace.NewRecorderCap(s.cfg.TraceCap)
 		hook := rec.Hook()
 		rc.FireHook = func(ev pulsar.FireEvent) {
-			s.metrics.FireHook(ev)
+			fire(ev)
 			hook(ev)
 		}
 		rc.CommHook = rec.CommHook()
@@ -526,10 +533,8 @@ func (s *Server) runJob(j *Job) {
 	// Elapsed (and Gflops, and the planner's cost samples) time the
 	// factorization alone, as they always have: array build, run, gather.
 	start := time.Now()
-	wait0 := s.metrics.WaitSeconds()
 	f, err := qr.FactorizeVSAServe(j.ctx, a, nil, part, opts, rc, ep, s.pool)
 	elapsed := time.Since(start)
-	waitSec := s.metrics.WaitSeconds() - wait0
 	if err != nil {
 		switch {
 		case j.ctx.Err() != nil:
@@ -589,7 +594,7 @@ func (s *Server) runJob(j *Job) {
 	if j.finish(StateDone, "", res) {
 		s.metrics.Completed.Add(1)
 		s.metrics.ObserveJob(time.Since(j.enqueued).Seconds(), elapsed.Seconds(), flops)
-		s.recordCostSample(spec, res, elapsed, waitSec)
+		s.recordCostSample(spec.M, spec.N, opts, ranks, elapsed, time.Duration(busy.Load()))
 		s.recordPlanOutcome(j, elapsed)
 		s.cfg.Logf("job %d done in %v: %.2f Gflop/s, residual %.2e", j.ID, elapsed, res.Gflops, res.Residual)
 	}

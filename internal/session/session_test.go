@@ -301,6 +301,86 @@ func TestDurableRestart(t *testing.T) {
 	}
 }
 
+// A checkpoint carries the blocking its session was opened with, and a
+// restore runs at that blocking, not at whatever this build defaults to:
+// every session checkpointed before the default tile changed stored nb=64,
+// ib=16, and must continue bitwise-equal to an uninterrupted stream at 64/16
+// under a build whose default is something else.
+func TestRestoreKeepsCheckpointedBlockingAcrossDefaultChange(t *testing.T) {
+	old := qr.Options{NB: 64, IB: 16}
+	if def := qr.DefaultOptions(); def.NB == old.NB && def.IB == old.IB {
+		t.Fatalf("the default tile is %d/%d again; pick another pre-upgrade blocking for this test", def.NB, def.IB)
+	}
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(37))
+	const n, cut = 64, 3
+	var blocks []*matrix.Mat
+	for _, rows := range []int{64, 150, 64, 70, 64, 200} { // more than one 64-row chunk in some
+		blocks = append(blocks, matrix.NewRand(rows, n, rng))
+	}
+	discard := func(int64, int64, *qr.StreamNode) error { return nil }
+
+	// The oracle: a local stream at 64/16 that never stops.
+	str, err := qr.NewStreamer(n, 0, old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range cloneAll(blocks) {
+		nd, err := str.LeafReduce(nil, b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		str.Commit(nil, nd)
+	}
+	oracle := str.Current(nil, nil)
+
+	tbl1, err := NewTable(Config{Dir: dir, IdleTimeout: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, err := tbl1.Open("t", n, 0, old, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := s1.ID
+	if _, err := s1.AppendStream(context.Background(), feedBlocks(cloneAll(blocks[:cut]), nil), discard); err != nil {
+		t.Fatal(err)
+	}
+	tbl1.Close()
+
+	tbl2, err := NewTable(Config{Dir: dir, IdleTimeout: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tbl2.Close()
+	s2, err := tbl2.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.Opts.NB != old.NB || s2.Opts.IB != old.IB {
+		t.Fatalf("restored session runs at nb=%d ib=%d, want the checkpointed %d/%d", s2.Opts.NB, s2.Opts.IB, old.NB, old.IB)
+	}
+	if _, err := s2.AppendStream(context.Background(), feedBlocks(cloneAll(blocks[cut:]), nil), discard); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s2.Current()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := matrix.MaxAbsDiff(got.R, oracle.R); d != 0 {
+		t.Fatalf("restored stream differs from an uninterrupted one at %d/%d by %g (want bitwise equality)", old.NB, old.IB, d)
+	}
+
+	// A session opened now, with nothing specified, takes the new default.
+	s3, err := tbl2.Open("t", n, 0, qr.Options{}, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def := qr.DefaultOptions(); s3.Opts.NB != def.NB || s3.Opts.IB != min(def.IB, def.NB) {
+		t.Errorf("a new session runs at nb=%d ib=%d, want the default %d/%d", s3.Opts.NB, s3.Opts.IB, def.NB, def.IB)
+	}
+}
+
 // TestIdleUnloadAndEvict drives the sweep directly: durable sessions unload
 // (and survive), memory-only sessions are deleted.
 func TestIdleUnloadAndEvict(t *testing.T) {

@@ -41,6 +41,11 @@ type Result struct {
 	Utilization float64
 	// KernelSeconds is total busy time per kernel.
 	KernelSeconds [numKernels]float64
+	// NodeFlops is the work the task graph places on each node, by kernel:
+	// a property of the workload and the node count, not of the machine's
+	// speeds — what a rank's share of a job is, for comparing the kernel
+	// time it measured against what the kernels take alone.
+	NodeFlops [][numKernels]float64
 	// CriticalPath is the longest dependency chain duration ignoring
 	// resource limits (an unreachable lower bound on the makespan).
 	CriticalPath float64
@@ -251,6 +256,7 @@ func (g *graph) execute(critFirst bool, w Workload) Result {
 		Messages:      g.msgs,
 		BytesInt:      g.bytes,
 		KernelSeconds: kernelBusy,
+		NodeFlops:     g.nodeFlops,
 		CriticalPath:  g.criticalPath(),
 	}
 	if makespan > 0 {

@@ -3,6 +3,8 @@ package simulate
 import (
 	"math"
 	"testing"
+
+	"pulsarqr/internal/kernels"
 )
 
 // FuzzMachineModel fuzzes both wire readers — MachineFromJSON (bare machine
@@ -51,10 +53,19 @@ func FuzzMachineModel(f *testing.F) {
 			}
 			// Every accepted machine must yield finite, non-negative costs —
 			// the DES trusts these without further checks.
-			for k := Kernel(0); k < numKernels; k++ {
-				tt := m.taskTime(k, kernelFlops(k, 64, 64))
-				if math.IsNaN(tt) || math.IsInf(tt, 0) || tt < 0 {
-					t.Fatalf("kernel %s time %g from accepted machine %+v", k, tt, m)
+			// ... at a shape the rate table lists (if any) and at one it
+			// cannot (ib > nb never validates), i.e. on both rate sources.
+			shapes := [][2]int{{64, 65}}
+			for _, r := range m.Rates {
+				shapes = append(shapes, [2]int{r.NB, r.IB})
+			}
+			for _, sh := range shapes {
+				rate := m.kernelGflops(sh[0], sh[1])
+				for k := Kernel(0); k < numKernels; k++ {
+					tt := m.taskTime(rate[k], kernels.FlopsTsmqr(64, 64, 64))
+					if math.IsNaN(tt) || math.IsInf(tt, 0) || tt < 0 {
+						t.Fatalf("kernel %s time %g at nb=%d ib=%d from accepted machine %+v", k, tt, sh[0], sh[1], m)
+					}
 				}
 			}
 			for _, sameNode := range []bool{true, false} {

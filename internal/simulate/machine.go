@@ -16,8 +16,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-
-	"pulsarqr/internal/kernels"
 )
 
 // Kernel enumerates the task kinds of the tile algorithm.
@@ -35,6 +33,15 @@ const (
 
 func (k Kernel) String() string {
 	return [...]string{"geqrt", "tsqrt", "ttqrt", "ormqr", "tsmqr", "ttmqr"}[k]
+}
+
+// TileRate is the measured rate of the six tile kernels at one tile shape.
+type TileRate struct {
+	NB int `json:"nb"`
+	IB int `json:"ib"`
+	// Gflops is what each kernel sustains on full nb×nb tiles with inner
+	// block ib, in kernel order: geqrt, tsqrt, ttqrt, ormqr, tsmqr, ttmqr.
+	Gflops [numKernels]float64 `json:"gflops"`
 }
 
 // Machine models the hardware. The JSON shape is the service's machine
@@ -60,6 +67,14 @@ type Machine struct {
 	HopIntra float64 `json:"hop_intra_seconds"`
 	// TaskOverhead is the runtime's per-task scheduling cost in seconds.
 	TaskOverhead float64 `json:"task_overhead_seconds"`
+	// Rates, where it lists a workload's tile shape, replaces CoreGflops·Eff
+	// for that workload: one rate for every tile size is wrong by more than
+	// 2× between nb=64 and nb=192 on hosts whose kernels are packing-bound
+	// on small tiles, which is the difference a tile-size planner has to
+	// see. qrserve fills it by timing the kernels (MeasureTileRate); a
+	// model without it — Kraken, a machine_model.json written before it
+	// existed — simulates exactly as it always did.
+	Rates []TileRate `json:"rates,omitempty"`
 }
 
 // Bounds on machines Validate will accept. A machine model arrives over
@@ -80,6 +95,10 @@ const (
 	MaxCostSeconds = 3600
 	// MaxBetaSecondsPerByte caps inverse bandwidth at one second per byte.
 	MaxBetaSecondsPerByte = 1
+	// MaxTileRates caps the rate table (the planner's grid has 8 shapes).
+	MaxTileRates = 64
+	// MaxTileSize caps a rate entry's nb.
+	MaxTileSize = 1 << 16
 )
 
 // finiteCost reports v being a usable non-negative cost below the cap.
@@ -119,6 +138,20 @@ func (m Machine) Validate() error {
 	}
 	if !finiteCost(m.TaskOverhead, MaxCostSeconds) {
 		return fmt.Errorf("simulate: task overhead %g outside [0, %ds]", m.TaskOverhead, MaxCostSeconds)
+	}
+	if len(m.Rates) > MaxTileRates {
+		return fmt.Errorf("simulate: %d tile rates (want at most %d)", len(m.Rates), MaxTileRates)
+	}
+	for _, r := range m.Rates {
+		if r.NB < 1 || r.NB > MaxTileSize || r.IB < 1 || r.IB > r.NB {
+			return fmt.Errorf("simulate: tile rate for nb=%d ib=%d (want 1 <= ib <= nb <= %d)", r.NB, r.IB, MaxTileSize)
+		}
+		for k := Kernel(0); k < numKernels; k++ {
+			if !(r.Gflops[k] > 0) || r.Gflops[k] > MaxCoreGflops {
+				return fmt.Errorf("simulate: kernel %s rate %g Gflop/s at nb=%d ib=%d outside (0, %g]",
+					k, r.Gflops[k], r.NB, r.IB, float64(MaxCoreGflops))
+			}
+		}
 	}
 	return nil
 }
@@ -210,10 +243,34 @@ func LocalHost(nodes, coresPerNode int) Machine {
 	return m
 }
 
-// taskTime returns the execution time of one kernel invocation, including
-// the runtime's per-task overhead.
-func (m Machine) taskTime(k Kernel, flops float64) float64 {
-	return flops/(m.CoreGflops*1e9*m.Eff[k]) + m.TaskOverhead
+// Rate returns the measured entry for tile shape (nb, ib), if the model
+// carries one (the first, should a hand-written file list a shape twice).
+func (m Machine) Rate(nb, ib int) (TileRate, bool) {
+	for _, r := range m.Rates {
+		if r.NB == nb && r.IB == ib {
+			return r, true
+		}
+	}
+	return TileRate{}, false
+}
+
+// kernelGflops returns the rate every kernel runs at on (nb, ib) tiles: the
+// measured entry for exactly that shape, else peak times efficiency.
+func (m Machine) kernelGflops(nb, ib int) [numKernels]float64 {
+	if r, ok := m.Rate(nb, ib); ok {
+		return r.Gflops
+	}
+	var g [numKernels]float64
+	for k := range g {
+		g[k] = m.CoreGflops * m.Eff[k]
+	}
+	return g
+}
+
+// taskTime returns the execution time of one kernel invocation running at
+// the given rate, including the runtime's per-task overhead.
+func (m Machine) taskTime(gflops, flops float64) float64 {
+	return flops/(gflops*1e9) + m.TaskOverhead
 }
 
 // transfer returns the delivery delay for a message of the given size
@@ -223,24 +280,4 @@ func (m Machine) transfer(sameNode bool, bytes int) float64 {
 		return m.HopIntra
 	}
 	return m.AlphaInter + float64(bytes)*m.BetaInter
-}
-
-// kernelFlops returns the operation count of each kernel at tile size nb.
-func kernelFlops(k Kernel, nb, cols int) float64 {
-	switch k {
-	case Geqrt:
-		return kernels.FlopsGeqrt(nb, nb)
-	case Tsqrt:
-		return kernels.FlopsTsqrt(nb, nb)
-	case Ttqrt:
-		return kernels.FlopsTtqrt(nb)
-	case Ormqr:
-		return kernels.FlopsOrmqr(nb, cols, nb)
-	case Tsmqr:
-		return kernels.FlopsTsmqr(nb, nb, cols)
-	case Ttmqr:
-		return kernels.FlopsTtmqr(nb, cols)
-	default:
-		panic(fmt.Sprintf("simulate: kernel %d", k))
-	}
 }

@@ -175,7 +175,7 @@ func TestMachineHelpers(t *testing.T) {
 	if m.transfer(true, 1<<20) >= m.transfer(false, 1<<20) {
 		t.Fatal("intra-node transfer should be cheaper")
 	}
-	if m.taskTime(Tsmqr, 1e9) <= 0 {
+	if m.taskTime(m.kernelGflops(192, 24)[Tsmqr], 1e9) <= 0 {
 		t.Fatal("task time must be positive")
 	}
 	l := LocalHost(1, 4)

@@ -3,6 +3,7 @@ package simulate
 import (
 	"fmt"
 
+	"pulsarqr/internal/kernels"
 	"pulsarqr/internal/qr"
 )
 
@@ -37,11 +38,12 @@ type task struct {
 
 // graph is the complete DAG of one workload on one machine.
 type graph struct {
-	m       Machine
-	tasks   []task
-	msgs    int64
-	bytes   int64
-	flopSum float64
+	m     Machine
+	tasks []task
+	msgs  int64
+	bytes int64
+	// nodeFlops is the flops the DAG places on each node, by kernel.
+	nodeFlops [][numKernels]float64
 	// onExec, when set, observes every task execution (trace generation).
 	onExec func(t *task, worker int32, start, finish float64)
 }
@@ -71,17 +73,23 @@ func buildGraph(w Workload, m Machine) *graph {
 		return nodeOf(i)*int32(workers) + int32((i+c)%workers)
 	}
 
-	g := &graph{m: m}
+	g := &graph{m: m, nodeFlops: make([][numKernels]float64, m.Nodes)}
+	rate := m.kernelGflops(nb, ib)
 	nbBytes := 8 * nb * nb
 	vtBytes := 8 * (nb*nb + ib*nb)
 
+	// Edge tiles are as ragged as the matrix: at nb=192 a 640-column matrix
+	// ends in a 64-wide tile, and costing it as a full one would overstate
+	// the whole factorization by half.
+	rows := func(i int) int { return min(nb, w.M-i*nb) }
+	cols := func(j int) int { return min(nb, w.N-j*nb) }
+
 	curPanel := 0
-	newTask := func(k Kernel, row, col int, cols int, crit bool) int32 {
+	newTask := func(k Kernel, row, col int, fl float64, crit bool) int32 {
 		id := int32(len(g.tasks))
-		fl := kernelFlops(k, nb, cols)
-		g.flopSum += fl
+		g.nodeFlops[nodeOf(row)][k] += fl
 		g.tasks = append(g.tasks, task{
-			dur:    m.taskTime(k, fl),
+			dur:    m.taskTime(rate[k], fl),
 			worker: workerOf(row, col),
 			kind:   k,
 			crit:   crit,
@@ -122,12 +130,12 @@ func buildGraph(w Workload, m Machine) *graph {
 		panelTask := map[int]int32{}
 		streamEnd := map[int]int32{}
 		for _, d := range plan.Domains {
-			tg := newTask(Geqrt, d.Top, j, 0, true)
+			tg := newTask(Geqrt, d.Top, j, kernels.FlopsGeqrt(rows(d.Top), cols(j)), true)
 			dep(lt(d.Top, j), tg, nbBytes, 0)
 			panelTask[d.Top] = tg
 			prev := tg
 			for _, k := range d.Rows {
-				ts := newTask(Tsqrt, k, j, 0, true)
+				ts := newTask(Tsqrt, k, j, kernels.FlopsTsqrt(rows(k), cols(j)), true)
 				dep(prev, ts, nbBytes, 0)
 				dep(lt(k, j), ts, nbBytes, 0)
 				panelTask[k] = ts
@@ -137,7 +145,7 @@ func buildGraph(w Workload, m Machine) *graph {
 		}
 		mergeTask := make([]int32, len(plan.Merges))
 		for mi, mg := range plan.Merges {
-			t := newTask(Ttqrt, mg.Surv, j, 0, true)
+			t := newTask(Ttqrt, mg.Surv, j, kernels.FlopsTtqrt(cols(j)), true)
 			dep(streamEnd[mg.Surv], t, nbBytes, 0)
 			dep(streamEnd[mg.K], t, nbBytes, 0)
 			streamEnd[mg.Surv] = t
@@ -149,12 +157,12 @@ func buildGraph(w Workload, m Machine) *graph {
 			hop := float64(l-j-1) * m.HopIntra // by-pass pipeline depth
 			updEnd := map[int]int32{}
 			for _, d := range plan.Domains {
-				u := newTask(Ormqr, d.Top, l, nb, false)
+				u := newTask(Ormqr, d.Top, l, kernels.FlopsOrmqr(rows(d.Top), cols(l), min(rows(d.Top), cols(j))), false)
 				dep(panelTask[d.Top], u, vtBytes, hop)
 				dep(lt(d.Top, l), u, nbBytes, 0)
 				prev := u
 				for _, k := range d.Rows {
-					ut := newTask(Tsmqr, k, l, nb, false)
+					ut := newTask(Tsmqr, k, l, kernels.FlopsTsmqr(rows(k), cols(j), cols(l)), false)
 					dep(panelTask[k], ut, vtBytes, hop)
 					dep(prev, ut, nbBytes, 0)
 					dep(lt(k, l), ut, nbBytes, 0)
@@ -164,7 +172,7 @@ func buildGraph(w Workload, m Machine) *graph {
 				updEnd[d.Top] = prev
 			}
 			for mi, mg := range plan.Merges {
-				mu := newTask(Ttmqr, mg.Surv, l, nb, false)
+				mu := newTask(Ttmqr, mg.Surv, l, kernels.FlopsTtmqr(cols(j), cols(l)), false)
 				dep(mergeTask[mi], mu, vtBytes, hop)
 				dep(updEnd[mg.Surv], mu, nbBytes, 0)
 				dep(updEnd[mg.K], mu, nbBytes, 0)

@@ -197,6 +197,62 @@ func TestChaosTCPFactorizationMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestChaosTCPDefaultTileMatchesOracle is the default-path run of
+// `make chaos-smoke`: nothing about the tile is specified, both the oracle
+// and the ranks take qr.DefaultOptions, and the frames that cross the
+// chaotic link — dropped, delayed, the link severed once — are whole default
+// tiles (hundreds of KB each, not the 8×8 tiles of the tests above).
+func TestChaosTCPDefaultTileMatchesOracle(t *testing.T) {
+	nb := qr.DefaultOptions().NB
+	rng := rand.New(rand.NewSource(43))
+	d := matrix.NewRand(4*nb+40, nb+30, rng)
+	seq, err := qr.Factorize(matrix.FromDense(d, nb), nil, qr.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps := chaosTCPMesh(t, 2, func(cfg *transport.TCPConfig) {
+		cfg.Reconnect = 2 * time.Second
+		cfg.ReconnectBackoff = 2 * time.Millisecond
+	})
+	sch := transport.Schedule{
+		Seed:               0xDEFA017,
+		Drop:               0.01,
+		DelayP50:           200 * time.Microsecond,
+		DelayP95:           5 * time.Millisecond,
+		RetransmitInterval: 5 * time.Millisecond,
+	}
+	chaos := make([]transport.Endpoint, 2)
+	for r := range chaos {
+		rsch := sch
+		if r == 0 {
+			rsch.Sever = []transport.SeverEvent{{Peer: 1, AtFrame: 4}}
+		}
+		chaos[r] = transport.NewChaos(eps[r], rsch)
+	}
+	results := make([]*qr.Factorization, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for r := range chaos {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			results[r], errs[r] = qr.FactorizeVSADist(matrix.FromDense(d, nb), nil,
+				qr.Options{}, qr.RunConfig{Threads: 2}, chaos[r])
+		}(r)
+	}
+	wg.Wait()
+	for r := range chaos {
+		chaos[r].Close()
+		eps[r].Close()
+	}
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	assertMatchesOracle(t, seq, results[0])
+}
+
 // TestChaosTCPKillRankYieldsPeerDeath: a chaos-scheduled rank kill at frame
 // N crashes the real TCP endpoint, and the surviving rank's failure
 // observer renders a PeerDeathError naming the dead rank.

@@ -123,6 +123,7 @@ const (
 // Options configures a factorization.
 type Options struct {
 	// NB is the tile size; IB the kernels' inner blocking (paper: 192/48).
+	// Zero takes the default's (DefaultOptions).
 	NB, IB int
 	// Tree selects the reduction tree; H sizes the flat-tree domains of
 	// the hierarchical tree (paper: 6 or 12).
@@ -144,11 +145,21 @@ type Options struct {
 	Scheduling Scheduling
 }
 
-// DefaultOptions returns the paper's preferred configuration at
-// laptop-friendly tile sizes: hierarchical tree, shifted boundaries,
-// systolic engine.
+// DefaultOptions returns the paper's preferred configuration — hierarchical
+// tree, shifted boundaries, systolic engine — at the library's default tile
+// (qr.DefaultOptions is the one definition of NB, IB and H).
 func DefaultOptions() Options {
-	return Options{NB: 64, IB: 16, Tree: Hierarchical, H: 4, Engine: Systolic, Nodes: 1, Threads: 4}
+	d := qr.DefaultOptions()
+	return Options{NB: d.NB, IB: d.IB, Tree: d.Tree, H: d.H, Boundary: d.Boundary,
+		Engine: Systolic, Nodes: 1, Threads: 4}
+}
+
+// tileSize is the NB the inputs are tiled with: the caller's, or the default.
+func (o Options) tileSize() int {
+	if o.NB > 0 {
+		return o.NB
+	}
+	return qr.DefaultOptions().NB
 }
 
 func (o Options) internal() qr.Options {
@@ -185,9 +196,7 @@ func FactorWithRHS(a, b *Matrix, opts Options) (*Factorization, error) {
 }
 
 func factor(a, b *Matrix, opts Options) (*Factorization, error) {
-	if opts.NB <= 0 {
-		opts.NB = 64
-	}
+	opts.NB = opts.tileSize()
 	ta := matrix.FromDense(a, opts.NB)
 	var tb *matrix.Tiled
 	if b != nil {
@@ -231,9 +240,7 @@ type CholeskyFactorization = chol.Factorization
 // claims. Only the lower triangle of a is referenced; the input is not
 // modified. Engines Systolic (default) and Sequential are supported.
 func Cholesky(a *Matrix, opts Options) (*CholeskyFactorization, error) {
-	if opts.NB <= 0 {
-		opts.NB = 64
-	}
+	opts.NB = opts.tileSize()
 	ta := matrix.FromDense(a, opts.NB)
 	co := chol.Options{NB: opts.NB}
 	if opts.Engine == Sequential {

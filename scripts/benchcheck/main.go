@@ -221,7 +221,7 @@ func writeBaseline(path string, samples map[string]*sample, order []string) erro
 	var b strings.Builder
 	b.WriteString("{\n")
 	fmt.Fprintf(&b, "  %q: %q,\n", "description",
-		"Kernel/BLAS benchmark baseline for `make bench-kernels` (medians of 5 runs, -benchtime 200ms).")
+		"Kernel/BLAS benchmark baseline for `make bench-kernels` (median of every run in the recorded output, -benchtime 200ms; on a host that drifts between phases, concatenate several `make bench-kernels` outputs before -update); the tile kernels run at the library's default tile, qr.DefaultOptions.")
 	fmt.Fprintf(&b, "  %q: {\n", "host")
 	fmt.Fprintf(&b, "    %q: %q,\n", "cpu", cpu)
 	fmt.Fprintf(&b, "    %q: %q,\n", "goos", runtime.GOOS)

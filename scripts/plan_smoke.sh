@@ -65,6 +65,15 @@ grep -q '"from_cache":true' "$WORK/plan1" && {
 }
 echo "plan-smoke: /v1/plan dry-run returns a scored decision"
 
+# The machine the decision was made on is echoed back, and it prices tile
+# shapes from kernel rates timed on this host, the default tile's included.
+grep -q '"rates":\[{"nb":' "$WORK/plan1" || {
+    echo "plan-smoke: the planner's machine model carries no measured kernel rates:" >&2
+    cat "$WORK/plan1" >&2
+    exit 1
+}
+echo "plan-smoke: machine model carries measured per-tile kernel rates"
+
 # Same shape again must be served from the epoch-keyed plan cache.
 curl -sf "http://$ADDR/v1/plan" -d '{"m":4096,"n":256}' >"$WORK/plan2"
 grep -q '"from_cache":true' "$WORK/plan2" || {
@@ -123,7 +132,7 @@ grep -q 'chosen' "$WORK/offline" && grep -q 'default' "$WORK/offline" || {
 }
 "$BIN/qrbench" -plan -plan-m 2048 -plan-n 256 \
     -plan-machine "http://$ADDR" >"$WORK/live"
-grep -q 'chosen' "$WORK/live" || {
+grep -q 'chosen' "$WORK/live" && grep -q 'measured kernel rates for [1-9]' "$WORK/live" || {
     echo "plan-smoke: qrbench -plan against the live model failed:" >&2
     cat "$WORK/live" >&2
     exit 1
