@@ -3,7 +3,7 @@
 GO ?= go
 BIN ?= bin
 
-.PHONY: all build test race fuzz chaos-smoke cover-transport cover-plan bench-smoke bench-stack bench-stack-check bench-kernels bench-kernels-check bench-kernels-update bench-batch bench-sessions launch-smoke serve-smoke trace-smoke batch-smoke session-smoke plan-smoke vet clean
+.PHONY: all build test race fuzz chaos-smoke cover-transport cover-plan bench-smoke bench-stack bench-stack-check bench-kernels bench-kernels-check bench-kernels-update launch-smoke serve-smoke trace-smoke batch-smoke session-smoke plan-smoke vet clean
 
 all: build
 
@@ -45,8 +45,9 @@ chaos-smoke:
 	$(GO) test -run 'TestChaosTCP' -count=1 -v ./internal/transport
 
 # Coverage gate for the resilience-critical transport package: fails if
-# line coverage drops below the recorded floor.
-COVER_FLOOR_TRANSPORT = 89.3
+# line coverage drops below the recorded floor (nine runs read 91.1-91.4;
+# which fault paths a run takes moves it by a few tenths).
+COVER_FLOOR_TRANSPORT = 90.8
 cover-transport:
 	@cov=$$($(GO) test -count=1 -cover ./internal/transport | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
 	echo "internal/transport coverage: $$cov% (floor $(COVER_FLOOR_TRANSPORT)%)"; \
@@ -68,13 +69,11 @@ cover-plan:
 	awk -v c="$$cov" -v f="$(COVER_FLOOR_SIMULATE)" 'BEGIN { exit !(c+0 >= f+0) }' || \
 	{ echo "coverage regression: $$cov% < $(COVER_FLOOR_SIMULATE)%"; exit 1; }
 
-# Quick benchmark pass: the real-hardware tree comparison, one
-# distributed run over local TCP processes, and a shrunk batch-vs-jobs
-# comparison (BENCH_batch.json holds the full 10k-matrix baseline).
+# Quick benchmark pass: the real-hardware tree comparison and one
+# distributed run over local TCP processes.
 bench-smoke: build
 	$(GO) test -run '^$$' -bench BenchmarkRealTreeComparison -benchtime 1x .
 	$(BIN)/qrfactor -launch 2 -m 1024 -n 128 -nb 32 -ib 8 -check
-	$(BIN)/qrbench -batch -batch-count 512
 
 # The stack benchmark (bench/README.md): six end-to-end workloads from
 # pulsarqr.Factor to a 2-rank fleet, three untraced runs and one traced run
@@ -88,17 +87,6 @@ bench-stack:
 # a guide, not a gate.
 bench-stack-check:
 	$(GO) run ./bench -compare bench/BASELINE.json bench/out/results.json
-
-# Full batch throughput comparison, regenerating the committed baseline:
-#   make bench-batch && git diff BENCH_batch.json
-bench-batch: build
-	$(BIN)/qrbench -batch -batch-out BENCH_batch.json
-
-# Streaming-session append throughput vs full refactorization,
-# regenerating the committed baseline:
-#   make bench-sessions && git diff BENCH_sessions.json
-bench-sessions: build
-	$(BIN)/qrbench -session -session-out BENCH_sessions.json
 
 # Kernel/BLAS throughput benchmarks, benchstat-friendly (fixed count and
 # pinned benchtime so runs are comparable):

@@ -1,10 +1,6 @@
 package pulsarqr
 
-import (
-	"time"
-
-	"pulsarqr/internal/tuple"
-)
+import "time"
 
 // Small helpers shared by the benchmark harness.
 
@@ -14,8 +10,6 @@ import (
 // on hosts with few cores — workers are goroutines and timeslice on
 // whatever cores exist.
 func benchWorkers() int { return 4 }
-
-func tupleOf(parts ...int) tuple.Tuple { return tuple.New(parts...) }
 
 func testingClock() time.Time { return time.Now() }
 

@@ -286,115 +286,3 @@ func BenchmarkEngines(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkKernels measures the six tile kernels at the paper-shaped
-// blocking (scaled to nb=128, ib=32).
-func BenchmarkKernels(b *testing.B) {
-	nb, ib := 128, 32
-	mk := func() (*matrix.Mat, *matrix.Mat, *matrix.Mat) {
-		a1 := RandomMatrix(nb, nb, 1)
-		a2 := RandomMatrix(nb, nb, 2)
-		t := matrix.New(ib, nb)
-		return a1, a2, t
-	}
-	b.Run("dgeqrt", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			a, _, t := mk()
-			b.StartTimer()
-			kernels.Dgeqrt(ib, a, t)
-		}
-		b.ReportMetric(kernels.FlopsGeqrt(nb, nb)/1e9, "Gflop/op")
-	})
-	b.Run("dtsqrt", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			a1, a2, t := mk()
-			a1u := a1.UpperTriangle()
-			b.StartTimer()
-			kernels.Dtsqrt(ib, a1u, a2, t)
-		}
-		b.ReportMetric(kernels.FlopsTsqrt(nb, nb)/1e9, "Gflop/op")
-	})
-	b.Run("dttqrt", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			a1, a2, t := mk()
-			a1u, a2u := a1.UpperTriangle(), a2.UpperTriangle()
-			b.StartTimer()
-			kernels.Dttqrt(ib, a1u, a2u, t)
-		}
-		b.ReportMetric(kernels.FlopsTtqrt(nb)/1e9, "Gflop/op")
-	})
-	b.Run("dormqr", func(b *testing.B) {
-		v, _, t := mk()
-		kernels.Dgeqrt(ib, v, t)
-		c := RandomMatrix(nb, nb, 3)
-		kernels.Dormqr(true, ib, v, t, c) // warm the pooled workspace
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			kernels.Dormqr(true, ib, v, t, c)
-		}
-		b.ReportMetric(kernels.FlopsOrmqr(nb, nb, nb)/1e9, "Gflop/op")
-	})
-	b.Run("dtsmqr", func(b *testing.B) {
-		a1, a2, t := mk()
-		a1u := a1.UpperTriangle()
-		kernels.Dtsqrt(ib, a1u, a2, t)
-		c1, c2 := RandomMatrix(nb, nb, 4), RandomMatrix(nb, nb, 5)
-		kernels.Dtsmqr(true, ib, a2, t, c1, c2) // warm the pooled workspace
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			kernels.Dtsmqr(true, ib, a2, t, c1, c2)
-		}
-		b.ReportMetric(kernels.FlopsTsmqr(nb, nb, nb)/1e9, "Gflop/op")
-	})
-	b.Run("dttmqr", func(b *testing.B) {
-		a1, a2, t := mk()
-		a1u, a2u := a1.UpperTriangle(), a2.UpperTriangle()
-		kernels.Dttqrt(ib, a1u, a2u, t)
-		c1, c2 := RandomMatrix(nb, nb, 6), RandomMatrix(nb, nb, 7)
-		kernels.Dttmqr(true, ib, a2u, t, c1, c2) // warm the pooled workspace
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			kernels.Dttmqr(true, ib, a2u, t, c1, c2)
-		}
-		b.ReportMetric(kernels.FlopsTtmqr(nb, nb)/1e9, "Gflop/op")
-	})
-}
-
-// BenchmarkRuntimeFiringOverhead measures the PULSAR runtime's per-firing
-// cost with empty VDP bodies — the overhead the paper's light-weight
-// design minimizes.
-func BenchmarkRuntimeFiringOverhead(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		const chainLen, packets = 64, 32
-		s := pulsar.New(pulsar.Config{Nodes: 1, ThreadsPerNode: 4})
-		buildOverheadChain(s, chainLen, packets)
-		b.StartTimer()
-		if err := s.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func buildOverheadChain(s *pulsar.VSA, chainLen, packets int) {
-	for c := 0; c < chainLen; c++ {
-		s.NewVDP(tupleOf(c), packets, func(v *pulsar.VDP) {
-			v.Push(0, v.Pop(0))
-		}, "", 1, 1)
-	}
-	for c := 0; c+1 < chainLen; c++ {
-		s.Connect(tupleOf(c), 0, tupleOf(c+1), 0, 8, false)
-	}
-	s.Input(tupleOf(0), 0, 8)
-	s.Output(tupleOf(chainLen-1), 0, 8)
-	for p := 0; p < packets; p++ {
-		s.Inject(tupleOf(0), 0, pulsar.NewPacket([]int{p}))
-	}
-}

@@ -1,100 +1,32 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"log"
 	"math/rand"
-	"net"
-	"net/http"
-	"os"
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pulsarqr/internal/batch"
-	"pulsarqr/internal/kernels"
 	"pulsarqr/internal/matrix"
-	"pulsarqr/internal/pulsar"
 	"pulsarqr/internal/service"
 )
 
-// batchResult is one side of the comparison in the machine-readable output.
-type batchResult struct {
-	Seconds        float64 `json:"seconds"`
-	MatricesPerSec float64 `json:"matrices_per_sec"`
-	P50us          float64 `json:"p50_us"`
-	P99us          float64 `json:"p99_us"`
-}
-
-// batchReport is the BENCH_batch.json shape: enough to reproduce the run and
-// compare a fresh host against the committed baseline.
-type batchReport struct {
-	Description string `json:"description"`
-	Host        struct {
-		Goos   string `json:"goos"`
-		Goarch string `json:"goarch"`
-		Cores  int    `json:"cores"`
-	} `json:"host"`
-	Config struct {
-		Count     int `json:"count"`
-		Dim       int `json:"dim"`
-		Threads   int `json:"threads"`
-		Chunk     int `json:"chunk"`
-		Crossover int `json:"crossover"`
-	} `json:"config"`
-	Batch     batchResult `json:"batch_api"`
-	Jobs      batchResult `json:"individual_jobs"`
-	Scheduler batchResult `json:"scheduler_direct"`
-	Speedup   float64     `json:"speedup"`
-}
-
-// percentiles reports p50/p99 of a latency sample, in microseconds.
-func percentiles(us []float64) (p50, p99 float64) {
-	if len(us) == 0 {
-		return 0, 0
-	}
-	sort.Float64s(us)
-	p50 = us[len(us)/2]
-	i99 := len(us) * 99 / 100
-	if i99 >= len(us) {
-		i99 = len(us) - 1
-	}
-	return p50, us[i99]
-}
-
-// genMats builds the workload: count random dim×dim matrices, deterministic
-// so every side of the comparison sees identical inputs.
-func genMats(count, dim int) []*matrix.Mat {
+// batchServe drives one batch of count random dim×dim matrices against a
+// live qrserve at base (the batch-smoke script's client — curl cannot speak
+// the packed binary protocol). The client verifies the trailer checksum
+// against every received byte, so success here certifies count and integrity
+// both. The rate it prints is one run's, for the eye; the benchmark of this
+// path is `go run ./bench -workload batch_small`.
+func batchServe(base string, count, dim int) {
+	cli := &service.Client{Base: base}
 	rng := rand.New(rand.NewSource(42))
 	mats := make([]*matrix.Mat, count)
 	for i := range mats {
 		mats[i] = matrix.NewRand(dim, dim, rng)
 	}
-	return mats
-}
-
-func row(name string, r batchResult) {
-	fmt.Printf("  %-16s %8.3fs  %10.0f mat/s  p50 %8.0fµs  p99 %8.0fµs\n",
-		name, r.Seconds, r.MatricesPerSec, r.P50us, r.P99us)
-}
-
-// batchServe drives one batch of count dim×dim matrices against a live
-// qrserve at base (the batch-smoke script's client — curl cannot speak the
-// packed binary protocol). The client verifies the trailer checksum against
-// every received byte, so success here certifies count and integrity both.
-func batchServe(base string, count, dim int) {
-	cli := &service.Client{Base: base}
-	mats := genMats(count, dim)
 	start := time.Now()
 	recv := 0
-	lat := make([]float64, 0, count)
-	tr, err := cli.Batch(mats, func(res batch.Result) error {
-		lat = append(lat, float64(time.Since(start).Microseconds()))
+	tr, err := cli.Batch(mats, func(batch.Result) error {
 		recv++
 		return nil
 	})
@@ -105,162 +37,6 @@ func batchServe(base string, count, dim int) {
 	if tr.Done != count || tr.Shed != 0 || recv != count {
 		log.Fatalf("batch accounting: done=%d shed=%d recv=%d want %d/0/%d", tr.Done, tr.Shed, recv, count, count)
 	}
-	p50, p99 := percentiles(lat)
-	row("batch-api", batchResult{sec, float64(count) / sec, p50, p99})
+	fmt.Printf("  batch-api %8.3fs  %10.0f mat/s\n", sec, float64(count)/sec)
 	fmt.Printf("batch ok: %d matrices, trailer checksum verified\n", count)
-}
-
-// batchBench answers the question the batch subsystem exists for: how much
-// throughput does packing thousands of small factorizations into one request
-// buy over dispatching each as its own VSA job? Both sides run against the
-// same in-process qrserve over real HTTP on a loopback listener and both
-// deliver R to the client, so the only variable is the dispatch path: one
-// streamed POST /v1/batch versus count individual POST /v1/factorize + R
-// fetches. A third, wire-free row runs the chunk scheduler directly on a warm
-// pool — the kernel-bound ceiling the serving path approaches.
-//
-// Latency semantics differ by design and the report keeps both honest: an
-// individual job's latency is submit→R in hand; a batched matrix's latency is
-// batch submit→that matrix's result frame, so deep in a stream it includes
-// time spent behind earlier matrices. Batch trades per-matrix latency for
-// throughput; the table shows both sides of that trade.
-func batchBench(count, dim int, out string) {
-	threads := runtime.GOMAXPROCS(0)
-	fmt.Printf("Batched small-matrix QR vs individual VSA jobs: %d matrices of %dx%d, %d threads\n",
-		count, dim, dim, threads)
-
-	srv, err := service.NewServer(service.Config{
-		Threads:       threads,
-		QueueCap:      64,
-		MaxConcurrent: 4,
-		ResultCap:     64,
-		Logf:          func(string, ...any) {},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer srv.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	defer hs.Close()
-	cli := &service.Client{Base: "http://" + ln.Addr().String()}
-
-	mats := genMats(count, dim)
-
-	// --- one batch request: count matrices down a single stream ---
-	start := time.Now()
-	recv := 0
-	blat := make([]float64, 0, count)
-	tr, err := cli.Batch(mats, func(res batch.Result) error {
-		blat = append(blat, float64(time.Since(start).Microseconds()))
-		recv++
-		return nil
-	})
-	bsec := time.Since(start).Seconds()
-	if err != nil {
-		log.Fatalf("batch: %v", err)
-	}
-	if tr.Done != count || tr.Shed != 0 || recv != count {
-		log.Fatalf("batch accounting: done=%d shed=%d recv=%d want %d/0/%d", tr.Done, tr.Shed, recv, count, count)
-	}
-	b50, b99 := percentiles(blat)
-	batchAPI := batchResult{bsec, float64(count) / bsec, b50, b99}
-	row("batch-api", batchAPI)
-
-	// --- the same matrices as individual jobs, a few streams wide so the
-	// baseline is not throttled by round-trip serialization ---
-	var next atomic.Int64
-	jlat := make([]float64, count)
-	var wg sync.WaitGroup
-	start = time.Now()
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= count {
-					return
-				}
-				t0 := time.Now()
-				j, _, err := cli.Submit(service.JobSpec{M: dim, N: dim, Data: mats[i].Data}, true)
-				if err != nil {
-					log.Fatalf("job %d: %v", i, err)
-				}
-				if _, err := cli.Job(j.ID, true); err != nil {
-					log.Fatalf("job %d result: %v", i, err)
-				}
-				jlat[i] = float64(time.Since(t0).Microseconds())
-			}
-		}()
-	}
-	wg.Wait()
-	jsec := time.Since(start).Seconds()
-	j50, j99 := percentiles(jlat)
-	jobs := batchResult{jsec, float64(count) / jsec, j50, j99}
-	row("individual-jobs", jobs)
-
-	// --- scheduler straight onto a warm pool: the no-wire ceiling ---
-	mats = genMats(count, dim) // the batch stream left client copies intact, but keep runs independent
-	pool := pulsar.NewPool(threads, func(int) any { return kernels.NewWorkspace() })
-	defer pool.Close()
-	sched := batch.NewScheduler(batch.SchedConfig{Pool: pool})
-	handed := make([]time.Time, count)
-	slat := make([]float64, 0, count)
-	idx := 0
-	start = time.Now()
-	done, serr := sched.Stream(context.Background(),
-		func() (*matrix.Mat, error) {
-			if idx >= len(mats) {
-				return nil, io.EOF
-			}
-			handed[idx] = time.Now()
-			m := mats[idx]
-			idx++
-			return m, nil
-		},
-		func(index int, r *matrix.Mat) error {
-			slat = append(slat, float64(time.Since(handed[index]).Microseconds()))
-			return nil
-		})
-	ssec := time.Since(start).Seconds()
-	if serr != nil || done != count {
-		log.Fatalf("scheduler stream: done=%d err=%v", done, serr)
-	}
-	s50, s99 := percentiles(slat)
-	direct := batchResult{ssec, float64(count) / ssec, s50, s99}
-	row("scheduler-direct", direct)
-
-	speedup := batchAPI.MatricesPerSec / jobs.MatricesPerSec
-	fmt.Printf("  speedup: %.1fx matrices/sec (batch-api vs individual-jobs)\n", speedup)
-
-	if out == "" {
-		return
-	}
-	var rep batchReport
-	rep.Description = "Batched small-matrix QR throughput vs individual VSA jobs over the same in-process qrserve (`qrbench -batch`); baseline for the >=10x acceptance bar."
-	rep.Host.Goos = runtime.GOOS
-	rep.Host.Goarch = runtime.GOARCH
-	rep.Host.Cores = runtime.NumCPU()
-	rep.Config.Count = count
-	rep.Config.Dim = dim
-	rep.Config.Threads = threads
-	rep.Config.Chunk = 64 // scheduler default
-	rep.Config.Crossover = batch.DefaultCrossover
-	rep.Batch = batchAPI
-	rep.Jobs = jobs
-	rep.Scheduler = direct
-	rep.Speedup = speedup
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("  wrote %s\n", out)
 }

@@ -8,11 +8,10 @@
 //	qrbench -fig baselines  # ScaLAPACK model + generic-runtime profile
 //	qrbench -fig ablation   # nb / h / scheduling sweeps
 //	qrbench -fig real       # real multicore runs on this host
-//	qrbench -batch          # batched small-matrix QR vs individual VSA jobs
 //
-// The -batch comparison writes BENCH_batch.json via -batch-out; the
-// committed copy is the recorded baseline for the batch subsystem's
-// throughput claim (see docs/BATCH.md).
+// -batch -batch-url and -session -session-url are the smoke scripts' clients
+// for the two binary protocols of a running qrserve; the benchmarks of those
+// paths are `go run ./bench -workload batch_small|session_append`.
 package main
 
 import (
@@ -40,17 +39,15 @@ func main() {
 	scale := flag.Float64("scale", 1, "shrink factor for quicker runs (divides m and cores)")
 	nodes := flag.Int("nodes", 1, "runtime nodes for -fig real (inter-node traffic is reported per run)")
 	trFile := flag.String("trace", "", "with -fig real: record each run's execution trace to <file>-<tree>.jsonl")
-	batchRun := flag.Bool("batch", false, "benchmark the batched small-matrix path against individual VSA jobs (ignores -fig)")
-	batchCount := flag.Int("batch-count", 10000, "with -batch: matrices per side")
+	batchRun := flag.Bool("batch", false, "with -batch-url: stream one verified batch through a running qrserve's POST /v1/batch (ignores -fig)")
+	batchCount := flag.Int("batch-count", 10000, "with -batch: matrices in the batch")
 	batchDim := flag.Int("batch-dim", 32, "with -batch: matrix dimension (dim x dim)")
-	batchOut := flag.String("batch-out", "", "with -batch: write machine-readable results JSON to this file (e.g. BENCH_batch.json)")
-	batchURL := flag.String("batch-url", "", "with -batch: drive one batch against a running qrserve at this base URL instead of the in-process comparison")
-	sessRun := flag.Bool("session", false, "benchmark streaming TSQR session appends against full refactorization (ignores -fig)")
+	batchURL := flag.String("batch-url", "", "with -batch: base URL of the running qrserve")
+	sessRun := flag.Bool("session", false, "with -session-url: run a streaming-session smoke action against a running qrserve (ignores -fig)")
 	sessCount := flag.Int("session-count", 64, "with -session: appended row blocks")
 	sessN := flag.Int("session-n", 64, "with -session: session column count")
 	sessBlock := flag.Int("session-block", 64, "with -session: rows per appended block")
-	sessOut := flag.String("session-out", "", "with -session: write machine-readable results JSON to this file (e.g. BENCH_sessions.json)")
-	sessURL := flag.String("session-url", "", "with -session: run the seed/verify smoke action against a running qrserve at this base URL instead of the in-process comparison")
+	sessURL := flag.String("session-url", "", "with -session: base URL of the running qrserve")
 	sessAct := flag.String("session-act", "seed", "with -session-url: seed (open a durable session and stream blocks) or verify (check the restored session's R bitwise)")
 	sessID := flag.String("session-id", "", "with -session-act verify: the session id printed by seed")
 	planRun := flag.Bool("plan", false, "run the trace-driven planner offline: plan a job shape against a machine model and print the decision vs the hand-default (ignores -fig)")
@@ -77,16 +74,15 @@ func main() {
 		case *sessURL != "":
 			log.Fatalf("unknown -session-act %q", *sessAct)
 		default:
-			sessionBench(*sessCount, *sessN, *sessBlock, *sessOut)
+			log.Fatal("-session needs -session-url; the session benchmark is: go run ./bench -workload session_append")
 		}
 		return
 	}
 	if *batchRun {
-		if *batchURL != "" {
-			batchServe(*batchURL, *batchCount, *batchDim)
-		} else {
-			batchBench(*batchCount, *batchDim, *batchOut)
+		if *batchURL == "" {
+			log.Fatal("-batch needs -batch-url; the batch benchmark is: go run ./bench -workload batch_small")
 		}
+		batchServe(*batchURL, *batchCount, *batchDim)
 		return
 	}
 	switch *fig {

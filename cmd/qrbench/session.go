@@ -1,49 +1,19 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
 	"math/rand"
-	"net"
-	"net/http"
-	"os"
-	"runtime"
-	"time"
 
 	"pulsarqr/internal/kernels"
 	"pulsarqr/internal/matrix"
 	"pulsarqr/internal/qr"
 	"pulsarqr/internal/service"
-	"pulsarqr/internal/session"
 )
 
-// sessionReport is the BENCH_sessions.json shape: the streaming-session
-// claim in numbers — appending a block to a live session costs O(log P) tile
-// kernels, refactorizing from scratch costs O(P).
-type sessionReport struct {
-	Description string `json:"description"`
-	Host        struct {
-		Goos   string `json:"goos"`
-		Goarch string `json:"goarch"`
-		Cores  int    `json:"cores"`
-	} `json:"host"`
-	Config struct {
-		Appends   int `json:"appends"`
-		N         int `json:"n"`
-		BlockRows int `json:"block_rows"`
-		Threads   int `json:"threads"`
-	} `json:"config"`
-	Streaming     batchResult `json:"streaming_api"`
-	EngineDirect  batchResult `json:"engine_direct"`
-	Refactorize   batchResult `json:"full_refactorize"`
-	Speedup       float64     `json:"speedup"`
-	FinalRowCount int         `json:"final_rows"`
-}
-
-// sessionWorkload builds the deterministic append stream shared by every
-// side of the comparison (and by the seed/verify smoke actions, so a
-// restarted server can be checked bitwise against a local replay).
+// sessionWorkload builds the deterministic append stream the seed and
+// verify smoke actions share, so a restarted server can be checked bitwise
+// against a local replay.
 func sessionWorkload(count, n, blockRows int) []*matrix.Mat {
 	rng := rand.New(rand.NewSource(4242))
 	blocks := make([]*matrix.Mat, count)
@@ -116,134 +86,4 @@ func sessionVerify(base, id string, count, n, blockRows int) {
 		log.Fatalf("restored R differs from local replay by %g (want bitwise equality)", d)
 	}
 	fmt.Printf("session verify ok: %d appends restored, R bitwise equal\n", count)
-}
-
-// sessionBench answers the question streaming sessions exist for: what does
-// keeping the reduction spine warm buy over refactorizing from scratch on
-// every new block of rows? Three rows:
-//
-//   - streaming-api: appends over one full-duplex POST /v1/sessions/{id}/append
-//     against an in-process qrserve on a loopback listener, an updated R back
-//     per block. Latency is per committed update (inter-arrival on the reply
-//     stream), so it includes wire, pipelining and flush costs.
-//   - engine-direct: the same appends straight into a Streamer on this
-//     goroutine — the no-wire ceiling, O(log P) tile kernels per append.
-//   - full-refactorize: the alternative the session replaces — after every
-//     block, factorize all rows received so far from scratch (O(P) kernels
-//     per append, quadratic total work).
-func sessionBench(count, n, blockRows int, out string) {
-	threads := runtime.GOMAXPROCS(0)
-	fmt.Printf("Streaming TSQR sessions vs full refactorization: %d appends of %dx%d, %d threads\n",
-		count, blockRows, n, threads)
-
-	blocks := sessionWorkload(count, n, blockRows)
-
-	// --- streaming over HTTP: one session, one append stream ---
-	srv, err := service.NewServer(service.Config{Threads: threads, Logf: func(string, ...any) {}})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer srv.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	defer hs.Close()
-	cli := &service.Client{Base: "http://" + ln.Addr().String()}
-	info, err := cli.OpenSession(service.SessionSpec{N: n})
-	if err != nil {
-		log.Fatal(err)
-	}
-	lat := make([]float64, 0, count)
-	last := time.Now()
-	start := last
-	tr, err := cli.SessionAppend(info.ID, n, blocks, nil, func(u session.Update) error {
-		now := time.Now()
-		lat = append(lat, float64(now.Sub(last).Microseconds()))
-		last = now
-		return nil
-	})
-	ssec := time.Since(start).Seconds()
-	if err != nil {
-		log.Fatalf("session append: %v", err)
-	}
-	if tr.Done != count || tr.Shed != 0 {
-		log.Fatalf("append accounting: done=%d shed=%d, want %d/0", tr.Done, tr.Shed, count)
-	}
-	s50, s99 := percentiles(lat)
-	streaming := batchResult{ssec, float64(count) / ssec, s50, s99}
-	row("streaming-api", streaming)
-
-	// --- engine direct: the no-wire ceiling ---
-	str, err := qr.NewStreamer(n, 0, qr.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	ws := kernels.NewWorkspace()
-	elat := make([]float64, 0, count)
-	var cur *qr.StreamNode
-	start = time.Now()
-	for _, b := range sessionWorkload(count, n, blockRows) {
-		t0 := time.Now()
-		nd, err := str.LeafReduce(ws, b, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		str.Commit(ws, nd)
-		cur = str.Current(ws, cur)
-		elat = append(elat, float64(time.Since(t0).Microseconds()))
-	}
-	esec := time.Since(start).Seconds()
-	e50, e99 := percentiles(elat)
-	engine := batchResult{esec, float64(count) / esec, e50, e99}
-	row("engine-direct", engine)
-
-	// --- the naive alternative: refactorize everything per append ---
-	stacked := matrix.New(count*blockRows, n)
-	rlat := make([]float64, 0, count)
-	start = time.Now()
-	for i, b := range sessionWorkload(count, n, blockRows) {
-		stacked.View(i*blockRows, 0, blockRows, n).CopyFrom(b)
-		t0 := time.Now()
-		a := stacked.View(0, 0, (i+1)*blockRows, n).Clone()
-		if _, err := qr.Factorize(matrix.FromDense(a, 64), nil, qr.Options{}); err != nil {
-			log.Fatal(err)
-		}
-		rlat = append(rlat, float64(time.Since(t0).Microseconds()))
-	}
-	rsec := time.Since(start).Seconds()
-	r50, r99 := percentiles(rlat)
-	refact := batchResult{rsec, float64(count) / rsec, r50, r99}
-	row("full-refactorize", refact)
-
-	speedup := streaming.MatricesPerSec / refact.MatricesPerSec
-	fmt.Printf("  speedup: %.1fx appends/sec (streaming-api vs full-refactorize)\n", speedup)
-
-	if out == "" {
-		return
-	}
-	var rep sessionReport
-	rep.Description = "Streaming TSQR session appends vs from-scratch refactorization per block (`qrbench -session`); per-append latency p50/p99 in microseconds."
-	rep.Host.Goos = runtime.GOOS
-	rep.Host.Goarch = runtime.GOARCH
-	rep.Host.Cores = runtime.NumCPU()
-	rep.Config.Appends = count
-	rep.Config.N = n
-	rep.Config.BlockRows = blockRows
-	rep.Config.Threads = threads
-	rep.Streaming = streaming
-	rep.EngineDirect = engine
-	rep.Refactorize = refact
-	rep.Speedup = speedup
-	rep.FinalRowCount = count * blockRows
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("  wrote %s\n", out)
 }

@@ -150,7 +150,7 @@ func main() {
 	defer stopSig()
 
 	start := time.Now()
-	f, err := qr.FactorizeVSADistCtx(ctx, ta, tb, opts, rc, ep)
+	f, err := qr.FactorizeVSAIn(ctx, ta, tb, opts, rc, qr.Env{Endpoint: ep})
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			log.Print(err)

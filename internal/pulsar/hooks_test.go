@@ -8,13 +8,14 @@ import (
 	"pulsarqr/internal/tuple"
 )
 
-// WaitHook must see every worker's park intervals: each idle worker parks
-// at least once at end of run, and the intervals must be well-formed.
+// WaitHook must see every worker's park intervals, on every in-process node
+// and labelled with it: each worker parks at least once — at the latest when
+// the run drains — and the intervals must be well-formed.
 func TestWaitHookEvents(t *testing.T) {
 	var mu sync.Mutex
 	var waits []WaitEvent
 	s := buildChain(Config{
-		Nodes: 1, ThreadsPerNode: 2,
+		Nodes: 2, ThreadsPerNode: 2,
 		WaitHook: func(e WaitEvent) {
 			mu.Lock()
 			waits = append(waits, e)
@@ -30,19 +31,18 @@ func TestWaitHookEvents(t *testing.T) {
 	if len(waits) == 0 {
 		t.Fatal("no wait events recorded")
 	}
-	seen := map[int]bool{}
+	seen := map[[2]int]bool{}
 	for _, e := range waits {
-		if e.Node != 0 || e.Thread < 0 || e.Thread >= 2 {
+		if e.Node < 0 || e.Node >= 2 || e.Thread < 0 || e.Thread >= 2 {
 			t.Fatalf("bad lane: %+v", e)
 		}
 		if e.End.Before(e.Start) {
 			t.Fatalf("negative interval: %+v", e)
 		}
-		seen[e.Thread] = true
+		seen[[2]int{e.Node, e.Thread}] = true
 	}
-	// Both workers park at least once (at the latest when the run drains).
-	if len(seen) != 2 {
-		t.Fatalf("wait events from threads %v, want both", seen)
+	if len(seen) != 4 {
+		t.Fatalf("wait events from (node, thread) lanes %v, want all four", seen)
 	}
 }
 
@@ -133,8 +133,8 @@ func TestCommHookEvents(t *testing.T) {
 	}
 }
 
-// Pool.OnWait delivers pooled workers' park intervals (Config.WaitHook is
-// documented to be ignored for pooled runs).
+// Pool.OnWait delivers a caller-owned pool's park intervals (Config.WaitHook
+// is documented to be ignored on one).
 func TestPoolOnWait(t *testing.T) {
 	p := NewPool(2, nil)
 	defer p.Close()

@@ -8,18 +8,19 @@ import (
 	"pulsarqr/internal/numa"
 )
 
-// Pool is a persistent set of worker threads that outlives any single VSA
-// run. Where a plain Run spawns its workers at start and joins them at the
-// end, a Pool's workers are created once and host the VDPs of every VSA
-// attached to them — concurrently, when several Runs overlap. This is the
-// execution substrate of a long-running factorization service: per-worker
-// state (kernel workspaces) stays warm across jobs, and many small arrays
-// share one set of OS threads instead of each paying goroutine churn.
+// Pool is the set of worker threads every Run executes on. Its workers host
+// the VDPs of every VSA attached to them — concurrently, when several Runs
+// overlap. A Run without Config.Pool starts one pool per local node and
+// closes it on return (a run-owned pool); a pool the caller builds with
+// NewPool outlives any single run and is the execution substrate of a
+// long-running factorization service: per-worker state (kernel workspaces)
+// stays warm across jobs, and many small arrays share one set of OS threads
+// instead of each paying goroutine churn.
 //
-// A Pool serves one process — in distributed mode, one rank. Attach a VSA
-// by setting Config.Pool; Run then places only the local rank's VDPs onto
-// the pool's workers and returns when they have all been destroyed (or the
-// run is aborted), leaving the workers running for the next job.
+// A caller-owned Pool serves one process — in distributed mode, one rank.
+// Attach a VSA by setting Config.Pool; Run then places only the local rank's
+// VDPs onto the pool's workers and returns when they have all been destroyed
+// (or the run is aborted), leaving the workers running for the next job.
 type Pool struct {
 	threads int
 	workers []*worker
@@ -37,8 +38,8 @@ type PoolOptions struct {
 	// Threads is the worker count; values ≤ 0 mean 1.
 	Threads int
 	// State, when non-nil, is called once per worker to create its private
-	// state (e.g. a reusable kernel workspace) — the pooled equivalent of
-	// Config.WorkerState, which is ignored for pooled runs.
+	// state (e.g. a reusable kernel workspace) — what Config.WorkerState
+	// supplies for a run-owned pool.
 	State func(thread int) any
 	// PinNUMA pins each worker thread to a NUMA node (workers interleaved
 	// round-robin across nodes) and creates its State on the pinned thread,
@@ -60,7 +61,22 @@ func NewPool(threads int, state func(thread int) any) *Pool {
 // NewPoolOpts starts a pool as described by opts. It returns after every
 // worker has finished its placement (pinning and state creation), so
 // WorkerNode reports final values immediately.
-func NewPoolOpts(opts PoolOptions) *Pool {
+func NewPoolOpts(opts PoolOptions) *Pool { return newPool(opts, 0, nil) }
+
+// newRunPool starts the pool that executes node n of s for one Run: the
+// configuration's thread count, worker state and wait hook, with the workers
+// reporting n as their node.
+func (s *VSA) newRunPool(n int) *Pool {
+	opts := PoolOptions{Threads: s.cfg.ThreadsPerNode}
+	if ws := s.cfg.WorkerState; ws != nil {
+		opts.State = func(t int) any { return ws(n, t) }
+	}
+	return newPool(opts, n, s.cfg.WaitHook)
+}
+
+// newPool starts a pool whose workers report node in their wait events,
+// with onWait installed before the first of them can park.
+func newPool(opts PoolOptions, node int, onWait func(WaitEvent)) *Pool {
 	threads := opts.Threads
 	if threads <= 0 {
 		threads = 1
@@ -74,7 +90,7 @@ func NewPoolOpts(opts PoolOptions) *Pool {
 		}
 	}
 	for t := 0; t < threads; t++ {
-		w := &worker{id: t, pooled: true}
+		w := &worker{node: node, id: t, waitHook: onWait}
 		w.cond = sync.NewCond(&w.mu)
 		p.nodeOf[t] = -1
 		if !opts.PinNUMA && opts.State != nil {
@@ -106,7 +122,7 @@ func NewPoolOpts(opts PoolOptions) *Pool {
 				}
 			}
 			placed.Done()
-			w.runPool(p)
+			w.run(p)
 		}(t, w)
 	}
 	placed.Wait()
@@ -126,9 +142,9 @@ func (p *Pool) WorkerNode(t int) int {
 	return p.nodeOf[t]
 }
 
-// OnWait installs a hook observing every interval a pooled worker spends
-// parked with nothing ready to fire. Pass nil to remove it. The hook sees
-// wait intervals across all VSAs sharing the pool — it measures the pool's
+// OnWait installs a hook observing every interval a worker spends parked
+// with nothing ready to fire. Pass nil to remove it. The hook sees wait
+// intervals across all VSAs sharing the pool — it measures the pool's
 // idleness, not any one job's.
 func (p *Pool) OnWait(fn func(WaitEvent)) {
 	for _, w := range p.workers {
@@ -253,12 +269,12 @@ func (p *Pool) detach(s *VSA) {
 	}
 }
 
-// runPool is the scheduling loop of a pooled worker: the same ready-sweep
-// as the per-run loop, but over VDPs of any number of VSAs and without a
-// termination condition — the worker parks when nothing is ready and lives
-// until the pool closes. Between VDP sweeps the worker drains its Exec task
-// queue, and before parking it tries to steal a queued task from a sibling.
-func (w *worker) runPool(p *Pool) {
+// run is the worker's scheduling loop: a sweep over the VDPs of however many
+// VSAs are attached, firing the ready ones, with no termination condition of
+// its own — the worker parks when nothing is ready and lives until the pool
+// closes. Between VDP sweeps the worker drains its Exec task queue, and
+// before parking it tries to steal a queued task from a sibling.
+func (w *worker) run(p *Pool) {
 	for {
 		w.mu.Lock()
 		vdps := w.vdps
@@ -275,26 +291,46 @@ func (w *worker) runPool(p *Pool) {
 				return
 			}
 		}
+		// busy brackets the aborted checks and the firings so that an aborting
+		// Run can wait for in-flight kernels to drain before it inspects VDP
+		// state (see Run's shutdown path). One hold spans a stretch of VDPs of
+		// the same VSA — attach appends each VSA's share contiguously — and
+		// since neither a dead VDP nor an aborted VSA fires, the stretch left
+		// to scan once a Run is draining costs no kernel.
+		var held *VSA
 		for _, v := range vdps {
 			s := v.vsa
-			// busy brackets the aborted check and the firings so that an
-			// aborting Run can wait for in-flight kernels to drain before it
-			// inspects VDP state (see Run's pooled shutdown path).
-			s.busy.Add(1)
-			if !v.dead && !s.aborted.Load() {
-				aggressive := s.cfg.Scheduling == Aggressive
-				for v.ready() {
-					w.fire(v)
-					progress = true
-					if v.dead || !aggressive {
-						break
-					}
+			if s != held {
+				if held != nil {
+					held.release()
+				}
+				s.busy.Add(1)
+				held = s
+			}
+			if v.dead || s.aborted.Load() {
+				continue
+			}
+			fired := false
+			aggressive := s.cfg.Scheduling == Aggressive
+			for v.ready() {
+				v.fire()
+				fired = true
+				if v.dead || !aggressive {
+					break
 				}
 			}
-			s.busy.Add(-1)
-			if w.isStopped() {
-				return
+			// A firing is the only thing in the sweep that takes time, so it
+			// is the only place a Close needs to be noticed mid-sweep.
+			if fired {
+				progress = true
+				if w.isStopped() {
+					held.release()
+					return
+				}
 			}
+		}
+		if held != nil {
+			held.release()
 		}
 		if !progress {
 			if t := p.stealTask(w); t != nil {
@@ -319,6 +355,19 @@ func (w *worker) runPool(p *Pool) {
 			if stopped {
 				return
 			}
+		}
+	}
+}
+
+// release ends one hold on s.busy — a worker's, around a stretch of its
+// sweep, or Run's own for the span in which VDPs are alive. Run keeps its
+// hold until the VSA is done, so busy reaches zero only while Run is
+// draining, and the holder that takes it there wakes Run.
+func (s *VSA) release() {
+	if s.busy.Add(-1) == 0 {
+		select {
+		case s.drained <- struct{}{}:
+		default: // a wake-up is already pending
 		}
 	}
 }

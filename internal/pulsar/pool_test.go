@@ -2,6 +2,7 @@ package pulsar
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -87,6 +88,52 @@ func TestPoolSequentialRunsReuseWorkers(t *testing.T) {
 	}
 }
 
+// A run without a Pool builds its workers' state from Config.WorkerState,
+// once per (node, thread), and every firing sees the state of the worker it
+// was mapped to.
+func TestRunOwnedWorkerState(t *testing.T) {
+	type lane struct{ node, thread int }
+	var mu sync.Mutex
+	created := map[lane]int{}
+	var wrong []string
+	s := New(Config{
+		Nodes: 2, ThreadsPerNode: 2,
+		WorkerState: func(node, thread int) any {
+			mu.Lock()
+			created[lane{node, thread}]++
+			mu.Unlock()
+			return &lane{node, thread}
+		},
+	})
+	const n = 8 // cyclic placement puts two VDPs on each of the four workers
+	for i := 0; i < n; i++ {
+		s.NewVDP(tuple.New(i), 1, func(v *VDP) {
+			v.Pop(0)
+			if ws, _ := v.WorkerState().(*lane); ws == nil || *ws != (lane{v.Node(), v.Thread()}) {
+				mu.Lock()
+				wrong = append(wrong, fmt.Sprintf("VDP %v on (%d,%d) saw state %v", v.Tuple(), v.Node(), v.Thread(), ws))
+				mu.Unlock()
+			}
+		}, "", 1, 0)
+		s.Input(tuple.New(i), 0, 64)
+		s.Inject(tuple.New(i), 0, NewPacket([]int{i}))
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(wrong) > 0 {
+		t.Fatal(wrong)
+	}
+	if len(created) != 4 {
+		t.Fatalf("state created for lanes %v, want all four", created)
+	}
+	for l, c := range created {
+		if c != 1 {
+			t.Fatalf("state factory ran %d times for lane %v, want once", c, l)
+		}
+	}
+}
+
 func TestPoolWorkerStateVisible(t *testing.T) {
 	type ws struct{ hits int }
 	p := NewPool(1, func(thread int) any { return &ws{} })
@@ -108,41 +155,37 @@ func TestPoolWorkerStateVisible(t *testing.T) {
 	}
 }
 
-func TestAbortPooled(t *testing.T) {
-	p := NewPool(2, nil)
-	defer p.Close()
-	// A VDP whose input never arrives: without Abort the run would sit
-	// until the deadlock watchdog; Abort must return promptly.
-	s := buildChain(Config{Nodes: 1, Pool: p, DeadlockTimeout: -1}, 3, 1)
-	errc := make(chan error, 1)
-	go func() { errc <- s.Run() }()
-	time.Sleep(20 * time.Millisecond)
-	s.Abort()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, ErrAborted) {
-			t.Fatalf("Run returned %v, want ErrAborted", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("aborted pooled run did not return")
-	}
-	// The pool must still serve new work after an aborted job.
-	runChainOnPool(t, p, 4, 2, 500)
-}
-
-func TestAbortClassic(t *testing.T) {
-	s := buildChain(Config{Nodes: 1, ThreadsPerNode: 2, DeadlockTimeout: -1}, 3, 1)
-	errc := make(chan error, 1)
-	go func() { errc <- s.Run() }()
-	time.Sleep(20 * time.Millisecond)
-	s.Abort()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, ErrAborted) {
-			t.Fatalf("Run returned %v, want ErrAborted", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("aborted run did not return")
+// A VDP whose input never arrives: without Abort the run would sit until the
+// deadlock watchdog; Abort must return promptly, whoever owns the workers —
+// and a caller's pool must still serve new work afterwards.
+func TestAbort(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		callerOwned bool
+	}{{"run-owned pool", false}, {"caller-owned pool", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Nodes: 1, ThreadsPerNode: 2, DeadlockTimeout: -1}
+			if tc.callerOwned {
+				cfg.Pool = NewPool(2, nil)
+				defer cfg.Pool.Close()
+			}
+			s := buildChain(cfg, 3, 1)
+			errc := make(chan error, 1)
+			go func() { errc <- s.Run() }()
+			time.Sleep(20 * time.Millisecond)
+			s.Abort()
+			select {
+			case err := <-errc:
+				if !errors.Is(err, ErrAborted) {
+					t.Fatalf("Run returned %v, want ErrAborted", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("aborted run did not return")
+			}
+			if tc.callerOwned {
+				runChainOnPool(t, cfg.Pool, 4, 2, 500)
+			}
+		})
 	}
 }
 

@@ -101,10 +101,12 @@ func TestPoolExecAlongsideVSA(t *testing.T) {
 	defer p.Close()
 
 	stop := make(chan struct{})
-	var tasks atomic.Int64
 	var twg sync.WaitGroup
 	feeder := make(chan struct{}, 1)
+	flowing, fed := make(chan struct{}), make(chan struct{})
+	var first sync.Once
 	go func() {
+		defer close(fed)
 		for {
 			select {
 			case <-stop:
@@ -112,7 +114,7 @@ func TestPoolExecAlongsideVSA(t *testing.T) {
 			default:
 			}
 			twg.Add(1)
-			if !p.Exec(func(any) { tasks.Add(1); twg.Done() }) {
+			if !p.Exec(func(any) { first.Do(func() { close(flowing) }); twg.Done() }) {
 				twg.Done()
 				return
 			}
@@ -123,6 +125,9 @@ func TestPoolExecAlongsideVSA(t *testing.T) {
 		}
 	}()
 
+	// The array attaches to a pool that is already executing tasks: a run
+	// this small is otherwise over before the feeder is first scheduled.
+	<-flowing
 	s := New(Config{Nodes: 1, Pool: p})
 	var fired atomic.Int64
 	for i := 0; i < 16; i++ {
@@ -135,8 +140,6 @@ func TestPoolExecAlongsideVSA(t *testing.T) {
 		t.Fatalf("VSA fired %d times, want 64", fired.Load())
 	}
 	close(stop)
+	<-fed // no Add may race the Wait
 	twg.Wait()
-	if tasks.Load() == 0 {
-		t.Fatal("no Exec tasks ran alongside the VSA")
-	}
 }

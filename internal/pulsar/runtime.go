@@ -10,10 +10,17 @@ import (
 	"pulsarqr/internal/transport"
 )
 
-// Run maps the array onto nodes and threads, launches the workers and
-// proxies, propagates data until every VDP has been destroyed, and returns.
-// A non-nil error reports a deadlock (no progress for DeadlockTimeout while
-// VDPs remain alive), including a description of the stuck VDPs.
+// Run maps the array onto nodes and threads, attaches the VDPs to worker
+// pools and starts the proxies, propagates data until every VDP has been
+// destroyed, and returns. A non-nil error reports a deadlock (no progress for
+// DeadlockTimeout while VDPs remain alive), including a description of the
+// stuck VDPs.
+//
+// Every run executes on a Pool. With Config.Pool nil, Run starts one pool per
+// local node for the duration of the run — ThreadsPerNode workers, state from
+// Config.WorkerState, Config.WaitHook observing their parks — and closes it
+// before returning; a caller-owned Config.Pool outlives the run and may be
+// shared with other runs.
 //
 // When Config.Comm is nil every node runs in this process over the
 // in-process substrate. When Comm is set, only the VDPs mapped to node
@@ -32,7 +39,6 @@ func (s *VSA) Run() error {
 		return nil
 	}
 	dist := s.cfg.Comm != nil
-	pooled := s.cfg.Pool != nil
 	local := -1
 	var msgs0, bytes0 int64
 	if dist {
@@ -41,8 +47,8 @@ func (s *VSA) Run() error {
 		}
 		local = s.cfg.Comm.Rank()
 		msgs0, bytes0 = s.cfg.Comm.Stats() // endpoint is caller-owned: report deltas
-	} else if pooled && s.cfg.Nodes != 1 {
-		return fmt.Errorf("pulsar: a pooled run without Comm must have Nodes=1, got %d", s.cfg.Nodes)
+	} else if s.cfg.Pool != nil && s.cfg.Nodes != 1 {
+		return fmt.Errorf("pulsar: a run on a caller-owned pool without Comm must have Nodes=1, got %d", s.cfg.Nodes)
 	}
 	s.place()
 
@@ -52,23 +58,18 @@ func (s *VSA) Run() error {
 	}
 	s.workers = make([][]*worker, s.cfg.Nodes)
 	s.proxies = make([]*proxy, s.cfg.Nodes)
+	pools := make([]*Pool, s.cfg.Nodes)     // per local node
+	attach := make([][][]*VDP, s.cfg.Nodes) // [local node][thread]
 	for n := 0; n < s.cfg.Nodes; n++ {
 		if dist && n != local {
 			continue
 		}
-		if pooled {
-			s.workers[n] = s.cfg.Pool.workers
-		} else {
-			s.workers[n] = make([]*worker, s.cfg.ThreadsPerNode)
-			for t := 0; t < s.cfg.ThreadsPerNode; t++ {
-				w := &worker{vsa: s, node: n, id: t, waitHook: s.cfg.WaitHook}
-				w.cond = sync.NewCond(&w.mu)
-				if s.cfg.WorkerState != nil {
-					w.state = s.cfg.WorkerState(n, t)
-				}
-				s.workers[n][t] = w
-			}
+		pools[n] = s.cfg.Pool
+		if pools[n] == nil {
+			pools[n] = s.newRunPool(n)
 		}
+		s.workers[n] = pools[n].workers
+		attach[n] = make([][]*VDP, s.cfg.ThreadsPerNode)
 		ep := s.cfg.Comm
 		if !dist {
 			ep = lw.Endpoint(n)
@@ -77,31 +78,17 @@ func (s *VSA) Run() error {
 	}
 	s.resolveChannels()
 	alive := 0
-	attach := make([][]*VDP, s.cfg.ThreadsPerNode)
 	for _, v := range s.order {
 		if dist && v.node != local {
 			continue
 		}
-		if pooled {
-			attach[v.thread] = append(attach[v.thread], v)
-		} else {
-			w := s.workers[v.node][v.thread]
-			w.vdps = append(w.vdps, v)
-			w.aliveLocal++
-		}
+		attach[v.node][v.thread] = append(attach[v.node][v.thread], v)
 		alive++
 	}
 	s.alive.Store(int64(alive))
+	s.busy.Store(1) // Run's own hold, released when the drain below begins
 	s.running.Store(true)
 	defer s.running.Store(false)
-	// An Abort that landed during the set-up above passed the check at the
-	// top and found nothing running to stop: stop the workers for it. (Abort
-	// stores aborted before it loads running, Run the other way round, so
-	// one of the two always sees the other.) Pooled workers read aborted
-	// themselves.
-	if !pooled && s.aborted.Load() {
-		s.stopAll()
-	}
 
 	// When the communicator can report peer deaths, a dead peer aborts the
 	// run immediately — the deterministic alternative to waiting out the
@@ -122,22 +109,13 @@ func (s *VSA) Run() error {
 		}
 	}
 
-	var wg sync.WaitGroup
-	if pooled {
-		s.cfg.Pool.attach(attach)
-		if alive == 0 {
-			s.markDone()
+	for n, p := range pools {
+		if p != nil {
+			p.attach(attach[n])
 		}
-	} else {
-		for _, row := range s.workers {
-			for _, w := range row {
-				wg.Add(1)
-				go func(w *worker) {
-					defer wg.Done()
-					w.run()
-				}(w)
-			}
-		}
+	}
+	if alive == 0 {
+		s.markDone()
 	}
 	var pwg sync.WaitGroup
 	for _, p := range s.proxies {
@@ -151,9 +129,9 @@ func (s *VSA) Run() error {
 		}(p)
 	}
 
-	// Deadlock watchdog: if progress stalls while VDPs remain, stop the
-	// workers; the error is composed after they have all exited, so VDP
-	// state is read race-free. Progress is firings plus delivered
+	// Deadlock watchdog: if progress stalls while VDPs remain, abort the
+	// run; the error is composed after in-flight firings have drained, so
+	// VDP state is read race-free. Progress is firings plus delivered
 	// inter-node packets: a distributed rank may go long stretches without
 	// firing while remote ranks feed it.
 	var deadlocked bool
@@ -176,7 +154,7 @@ func (s *VSA) Run() error {
 				cur := s.fired.Load() + s.delivered.Load()
 				if cur == last && s.alive.Load() > 0 {
 					deadlocked = true
-					s.stopRun(pooled)
+					s.Abort()
 					return
 				}
 				last = cur
@@ -184,17 +162,24 @@ func (s *VSA) Run() error {
 		}
 	}()
 
-	if pooled {
-		<-s.done
-		// Drain in-flight firings so the shutdown path below (and a
-		// deadlock error's VDP inspection) reads settled state, then free
-		// the shared workers for the next job.
-		for s.busy.Load() != 0 {
-			time.Sleep(50 * time.Microsecond)
+	<-s.done
+	// Drain in-flight firings so the shutdown path below (and a deadlock
+	// error's VDP inspection) reads settled state: whoever takes busy to zero
+	// once Run's hold is gone — this release, or else a worker's — ends the
+	// wait. Then take the VDPs off the workers, which frees a caller-owned
+	// pool for the next job; a run-owned pool has had its only one.
+	s.release()
+	for s.busy.Load() != 0 {
+		<-s.drained
+	}
+	for _, p := range pools {
+		if p == nil {
+			continue
 		}
-		s.cfg.Pool.detach(s)
-	} else {
-		wg.Wait()
+		p.detach(s)
+		if p != s.cfg.Pool {
+			p.Close()
+		}
 	}
 	close(finished)
 	<-watchdogDone
@@ -251,18 +236,6 @@ func (s *VSA) Run() error {
 	return nil
 }
 
-// stopRun halts this VSA's execution for the deadlock watchdog: a pooled
-// run marks itself aborted (the shared workers skip its VDPs and must keep
-// serving other VSAs), a classic run stops its private workers.
-func (s *VSA) stopRun(pooled bool) {
-	if pooled {
-		s.aborted.Store(true)
-		s.markDone()
-	} else {
-		s.stopAll()
-	}
-}
-
 // place assigns every VDP to a (node, thread) pair using the configured
 // mapping, or cyclically in insertion order when no mapping is given.
 func (s *VSA) place() {
@@ -307,14 +280,6 @@ func (s *VSA) resolveChannels() {
 	for _, px := range s.proxies {
 		if px != nil {
 			px.index(s.channels)
-		}
-	}
-}
-
-func (s *VSA) stopAll() {
-	for _, row := range s.workers {
-		for _, w := range row {
-			w.stop()
 		}
 	}
 }
@@ -366,31 +331,26 @@ func (s *VSA) deadlockError(dist bool, local int) error {
 }
 
 // worker sweeps its list of VDPs for ready ones and fires them, mirroring
-// the per-thread scheduling loop of the PULSAR runtime. A worker is either
-// private to one Run (vsa set, run loop) or part of a persistent Pool
-// (pooled set, runPool loop, VDPs possibly from several VSAs — then vdps is
-// guarded by mu because attach/detach happen from other goroutines).
+// the per-thread scheduling loop of the PULSAR runtime. It belongs to a Pool
+// and may host VDPs of several VSAs at once, so vdps is guarded by mu:
+// attach and detach happen from the goroutines of the Runs it serves.
 type worker struct {
-	vsa      *VSA // owning VSA for private workers; nil when pooled
 	node, id int
-	pooled   bool
-	state    any // per-worker private state (Config.WorkerState or pool factory)
+	state    any // per-worker private state, from the pool's State factory
 
 	mu      sync.Mutex
 	cond    *sync.Cond
 	kick    bool
 	stopped bool
 
-	vdps       []*VDP
-	aliveLocal int
+	vdps []*VDP
 
-	// tasks is the worker's queue of Pool.Exec batch tasks (pooled workers
-	// only, guarded by mu). FIFO for the owner; siblings steal from the tail.
+	// tasks is the worker's queue of Pool.Exec batch tasks (guarded by mu).
+	// FIFO for the owner; siblings steal from the tail.
 	tasks []func(state any)
 
-	// waitHook, when set, observes each parked interval. Private workers get
-	// it from Config.WaitHook before their goroutine starts; pooled workers
-	// get it from Pool.OnWait under mu (runPool reads it under mu too).
+	// waitHook, when set, observes each parked interval. It is installed
+	// through Pool.OnWait under mu, and read under mu at every park entry.
 	waitHook func(WaitEvent)
 }
 
@@ -409,58 +369,14 @@ func (w *worker) stop() {
 	w.cond.Signal()
 }
 
-func (w *worker) run() {
-	aggressive := w.vsa.cfg.Scheduling == Aggressive
-	for {
-		progress := false
-		for _, v := range w.vdps {
-			if v.dead {
-				continue
-			}
-			for v.ready() {
-				w.fire(v)
-				progress = true
-				if v.dead || !aggressive {
-					break
-				}
-			}
-			if w.isStopped() {
-				return
-			}
-		}
-		if w.aliveLocal == 0 {
-			return
-		}
-		if !progress {
-			hook := w.waitHook
-			var t0 time.Time
-			if hook != nil {
-				t0 = time.Now()
-			}
-			w.mu.Lock()
-			for !w.kick {
-				w.cond.Wait()
-			}
-			w.kick = false
-			stopped := w.stopped
-			w.mu.Unlock()
-			if hook != nil {
-				hook(WaitEvent{Node: w.node, Thread: w.id, Start: t0, End: time.Now()})
-			}
-			if stopped {
-				return
-			}
-		}
-	}
-}
-
 func (w *worker) isStopped() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.stopped
 }
 
-func (w *worker) fire(v *VDP) {
+// fire runs one firing of v on the calling worker's goroutine.
+func (v *VDP) fire() {
 	s := v.vsa
 	hook := s.cfg.FireHook
 	var start time.Time
@@ -472,7 +388,6 @@ func (w *worker) fire(v *VDP) {
 	seq := s.fired.Add(1)
 	if v.counter <= 0 {
 		v.dead = true
-		w.aliveLocal--
 		if s.alive.Add(-1) == 0 {
 			s.markDone()
 		}

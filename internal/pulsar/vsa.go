@@ -101,9 +101,10 @@ type Config struct {
 	// called concurrently from different workers and must be safe for that.
 	FireHook func(FireEvent)
 	// WaitHook, when non-nil, observes every interval a worker spends
-	// parked with nothing ready to fire — channel-wait time. For pooled
-	// runs it is ignored; install Pool.OnWait instead. Same concurrency
-	// contract as FireHook.
+	// parked with nothing ready to fire — channel-wait time, and the tail of
+	// the run in which the worker has no live VDP left. It is ignored when
+	// Pool is set (a caller-owned pool's idleness belongs to no single run);
+	// install Pool.OnWait instead. Same concurrency contract as FireHook.
 	WaitHook func(WaitEvent)
 	// CommHook, when non-nil, observes the proxy's inter-node sends and
 	// deliveries and the closing barrier of a distributed run. Same
@@ -127,12 +128,12 @@ type Config struct {
 	// When nil, all nodes run in this process over the in-process
 	// substrate, preserving the original single-process behavior.
 	Comm transport.Endpoint
-	// Pool, when non-nil, executes this process's VDPs on a persistent
-	// worker pool shared with other concurrently running VSAs, instead of
-	// spawning per-run worker goroutines. ThreadsPerNode is forced to the
-	// pool's thread count and WorkerState is ignored (pooled workers carry
-	// their own state). Without Comm, Nodes must be 1: a pool serves one
-	// process, and one process in pooled mode is one node.
+	// Pool, when non-nil, executes this process's VDPs on a caller-owned
+	// worker pool, shared with other concurrently running VSAs and left
+	// running afterwards, instead of on a pool Run starts and closes itself.
+	// ThreadsPerNode is forced to the pool's thread count and WorkerState is
+	// ignored (the pool's workers carry their own state). Without Comm,
+	// Nodes must be 1: a caller-owned pool serves one process as one node.
 	Pool *Pool
 }
 
@@ -154,7 +155,8 @@ type VSA struct {
 	delivered atomic.Int64
 	alive     atomic.Int64
 	aborted   atomic.Bool
-	busy      atomic.Int64 // pooled workers currently firing this VSA's VDPs
+	busy      atomic.Int64  // workers sweeping this VSA's VDPs, +1 until Run starts draining
+	drained   chan struct{} // wakes Run's drain when busy reaches zero (see release)
 	done      chan struct{}
 	doneOnce  sync.Once
 	workers   [][]*worker // [node][thread]; only the local row in distributed mode
@@ -184,6 +186,7 @@ func New(cfg Config) *VSA {
 		vdps:      map[string]*VDP{},
 		collected: map[string][]*Packet{},
 		done:      make(chan struct{}),
+		drained:   make(chan struct{}, 1),
 	}
 }
 
@@ -193,9 +196,6 @@ func New(cfg Config) *VSA {
 // behind per-job cancellation in a long-running service.
 func (s *VSA) Abort() {
 	s.aborted.Store(true)
-	if s.running.Load() && s.cfg.Pool == nil {
-		s.stopAll()
-	}
 	s.markDone()
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"pulsarqr/internal/matrix"
 	"pulsarqr/internal/pulsar"
 	"pulsarqr/internal/transport"
 )
@@ -64,101 +63,6 @@ func init() {
 			}, nil
 		},
 	})
-}
-
-// FactorizeVSADist runs the 3D virtual systolic array across the real
-// process mesh behind ep: every rank must call it with identical inputs
-// (a, b, opts, rc), each builds the same array, and each executes only the
-// VDPs its rank owns. Collector output is gathered to rank 0, which
-// assembles and returns the factorization; the other ranks return
-// (nil, nil). The call is collective and ends with a barrier, so when it
-// returns on any rank the whole mesh has finished.
-func FactorizeVSADist(a *matrix.Tiled, b *matrix.Tiled, opts Options, rc RunConfig, ep transport.Endpoint) (*Factorization, error) {
-	return factorizeDist(context.Background(), a, b, nil, opts, rc, ep, nil)
-}
-
-// factorizeDist is the collective implementation behind FactorizeVSADist,
-// FactorizeVSADistCtx and the distributed arm of FactorizeVSAServe: one
-// rank's share of a mesh-wide run, optionally on a persistent worker pool,
-// aborted when ctx fires. Thread counts are local to each rank (placement
-// depends only on the node count), so ranks may run pools of different
-// sizes. A rank injects — and so needs — only the tiles of the rows it owns.
-//
-// part selects what rank 0 gathers. Nil (FactorizeVSADist{,Ctx}) gathers
-// the full transformation log. Non-nil (FactorizeVSAServe) gathers R and
-// QᵀB only, and sums every rank's part — the Gram of its owned rows — into
-// the returned factorization's Input.
-func factorizeDist(ctx context.Context, a *matrix.Tiled, b *matrix.Tiled, part *Gram, opts Options, rc RunConfig, ep transport.Endpoint, pool *pulsar.Pool) (*Factorization, error) {
-	opts = opts.normalize()
-	rc = rc.normalize()
-	rc.Nodes = ep.Size()
-	if pool != nil {
-		rc.Threads = pool.Threads()
-	}
-	if err := checkShapes(a, b, opts); err != nil {
-		return nil, err
-	}
-
-	bd := &builder{a: a, b: b, opts: opts, rc: rc, rOnly: part != nil}
-	if b != nil {
-		bd.bnt = b.NT
-	}
-	for j := 0; j < a.NT && j < a.MT; j++ {
-		bd.plans = append(bd.plans, planPanel(j, a.MT, opts))
-	}
-	cfg := pulsar.Config{
-		Nodes:           rc.Nodes,
-		ThreadsPerNode:  rc.Threads,
-		Scheduling:      rc.Scheduling,
-		Map:             bd.mapping(),
-		FireHook:        rc.FireHook,
-		WaitHook:        rc.WaitHook,
-		CommHook:        rc.CommHook,
-		DeadlockTimeout: rc.DeadlockTimeout,
-		Comm:            ep,
-		Pool:            pool,
-	}
-	bd.s = pulsar.New(cfg)
-	bd.build()
-	bd.injectLocal(ep.Rank())
-	if err := runCtx(ctx, bd.s); err != nil {
-		return nil, err
-	}
-	if err := bd.gather(ctx, ep, part); err != nil {
-		return nil, err
-	}
-	defer ep.Barrier()
-	if ep.Rank() != 0 {
-		return nil, nil
-	}
-	f, err := bd.assemble()
-	if err != nil {
-		return nil, err
-	}
-	f.Input = part
-	msgs, bytes := bd.s.NetworkStats()
-	f.Stats = RunStats{
-		Firings: bd.s.Fired(), Messages: msgs, Bytes: bytes,
-		VDPs: bd.s.VDPCount(), Channels: bd.s.ChannelCount(),
-	}
-	return f, nil
-}
-
-// injectLocal seeds the array with the tiles whose consuming VDP lives on
-// this rank; the other ranks inject their own shares, so every tile enters
-// the array exactly once across the mesh.
-func (bd *builder) injectLocal(rank int) {
-	mp := bd.mapping()
-	for i := 0; i < bd.a.MT; i++ {
-		if n, _ := mp(panelTup(0, i)); n == rank {
-			bd.s.Inject(panelTup(0, i), 0, pulsar.NewPacket(bd.a.Tile(i, 0)))
-		}
-		for _, l := range bd.cols(0) {
-			if n, _ := mp(updateTup(0, i, l)); n == rank {
-				bd.s.Inject(updateTup(0, i, l), 0, pulsar.NewPacket(bd.colTile(i, l)))
-			}
-		}
-	}
 }
 
 // collectorEndpoints enumerates every external output channel assemble

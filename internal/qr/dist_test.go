@@ -1,11 +1,12 @@
 package qr
 
-// Distributed factorization tests. The first drives FactorizeVSADist over
+// Distributed factorization tests. The first drives FactorizeVSAIn over
 // the in-process transport (three ranks as goroutines); the second spawns
 // real OS processes joined by a TCP mesh — the test binary re-executes
 // itself in a worker role, so no auxiliary binary is built.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net"
@@ -61,9 +62,9 @@ func TestFactorizeVSADistMatchesSequential(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			results[r], errs[r] = FactorizeVSADist(
+			results[r], errs[r] = FactorizeVSAIn(context.Background(),
 				matrix.FromDense(d, o.NB), matrix.FromDense(b, o.NB),
-				o, RunConfig{Threads: 2}, lw.Endpoint(r))
+				o, RunConfig{Threads: 2}, Env{Endpoint: lw.Endpoint(r)})
 		}(r)
 	}
 	wg.Wait()
@@ -110,9 +111,9 @@ func runDistWorker() int {
 	defer ep.Close()
 
 	d, b, o := distInputs()
-	f, err := FactorizeVSADist(
+	f, err := FactorizeVSAIn(context.Background(),
 		matrix.FromDense(d, o.NB), matrix.FromDense(b, o.NB),
-		o, RunConfig{Threads: 2}, ep)
+		o, RunConfig{Threads: 2}, Env{Endpoint: ep})
 	if err != nil {
 		return fail("factorize: %v", err)
 	}

@@ -61,12 +61,12 @@ type Factorization struct {
 	QTB *matrix.Tiled
 	// Stats describes the runtime execution (systolic engines only).
 	Stats RunStats
-	// ROnly marks a factorization gathered by FactorizeVSAServe: A holds the
+	// ROnly marks a factorization run with an Env.Part: A holds the
 	// tiles of R and nothing else, Ops is empty. R, QTB and SolveFromQTB
 	// work; everything that needs the reflectors panics.
 	ROnly bool
 	// Input is the Gram of the input matrix, summed over the ranks'
-	// shares (FactorizeVSAServe only): Input.Residual(f.R()) is the check
+	// shares (runs with an Env.Part only): Input.Residual(f.R()) is the check
 	// Residual would make on the dense input, which no rank holds.
 	Input *Gram
 }
@@ -95,7 +95,7 @@ func (f *Factorization) ApplyQ(b *matrix.Tiled) { f.apply(b, false) }
 
 func (f *Factorization) apply(b *matrix.Tiled, trans bool) {
 	if f.ROnly {
-		panic("qr: factorization was gathered R-only (FactorizeVSAServe): the reflectors Q is made of were not collected")
+		panic("qr: factorization was gathered R-only (FactorizeVSAIn with a Part): the reflectors Q is made of were not collected")
 	}
 	if b.M != f.M || b.NB != f.Opts.NB {
 		panic(fmt.Sprintf("qr: apply shape mismatch: b is %d rows tile %d, A is %d rows tile %d",

@@ -1,11 +1,12 @@
 package qr
 
-// Fault propagation: when a peer dies mid-factorization, FactorizeVSADist
+// Fault propagation: when a peer dies mid-factorization, FactorizeVSAIn
 // must surface the transport's dead-peer verdict as the cause — long before
 // the deadlock watchdog would fire, and identifiable with errors.As so the
 // service layer can decide to requeue.
 
 import (
+	"context"
 	"errors"
 	"net"
 	"sync"
@@ -63,9 +64,9 @@ func TestFactorizeVSADistSurfacesPeerDeath(t *testing.T) {
 	// test would hang for two minutes instead of returning promptly.
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := FactorizeVSADist(
+		_, err := FactorizeVSAIn(context.Background(),
 			matrix.FromDense(d, o.NB), matrix.FromDense(b, o.NB),
-			o, RunConfig{Threads: 2, DeadlockTimeout: 2 * time.Minute}, eps[0])
+			o, RunConfig{Threads: 2, DeadlockTimeout: 2 * time.Minute}, Env{Endpoint: eps[0]})
 		errCh <- err
 	}()
 

@@ -45,7 +45,7 @@ func ownedOnly(a *matrix.Tiled, lo, hi int) *matrix.Tiled {
 	return out
 }
 
-// serveFleet runs FactorizeVSAServe as `ranks` in-process ranks, each
+// serveFleet runs FactorizeVSAIn as `ranks` in-process service ranks, each
 // holding only its owned tile rows of d, and returns rank 0's result.
 // wrap, when non-nil, interposes on each rank's endpoint; mutate, when
 // non-nil, edits a rank's owned tiles after their Gram was taken.
@@ -71,7 +71,7 @@ func serveFleet(t *testing.T, d *matrix.Mat, o Options, ranks int,
 			if wrap != nil {
 				ep = wrap(ep)
 			}
-			results[r], errs[r] = FactorizeVSAServe(context.Background(), a, nil, part, o, RunConfig{Threads: 2}, ep, nil)
+			results[r], errs[r] = FactorizeVSAIn(context.Background(), a, nil, o, RunConfig{Threads: 2}, Env{Endpoint: ep, Part: part})
 		}(r)
 	}
 	wg.Wait()
@@ -229,7 +229,7 @@ func TestServeGathersROnly(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			ep := gatherMeter{lw.Endpoint(r), &logSent[r]}
-			if _, err := FactorizeVSADist(matrix.FromDense(d, o.NB), nil, o, RunConfig{Threads: 2}, ep); err != nil {
+			if _, err := FactorizeVSAIn(context.Background(), matrix.FromDense(d, o.NB), nil, o, RunConfig{Threads: 2}, Env{Endpoint: ep}); err != nil {
 				t.Errorf("full-log rank %d: %v", r, err)
 			}
 		}(r)
@@ -261,8 +261,8 @@ func TestServeGathersQTB(t *testing.T) {
 			a, bt := matrix.FromDense(d, o.NB), matrix.FromDense(b, o.NB)
 			lo, hi := OwnedTileRows(a.MT, ranks, r)
 			var err error
-			results[r], err = FactorizeVSAServe(context.Background(), ownedOnly(a, lo, hi), ownedOnly(bt, lo, hi),
-				GramOfTileRows(a, lo, hi), o, RunConfig{Threads: 2}, lw.Endpoint(r), nil)
+			results[r], err = FactorizeVSAIn(context.Background(), ownedOnly(a, lo, hi), ownedOnly(bt, lo, hi), o, RunConfig{Threads: 2},
+				Env{Endpoint: lw.Endpoint(r), Part: GramOfTileRows(a, lo, hi)})
 			if err != nil {
 				t.Errorf("rank %d: %v", r, err)
 			}
@@ -307,13 +307,5 @@ func TestAssembleFillsEveryTile(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestServeRequiresGram(t *testing.T) {
-	o := Options{NB: 8, IB: 4}
-	a := matrix.FromDense(matrix.NewSeeded(16, 8, 1), o.NB)
-	if _, err := FactorizeVSAServe(context.Background(), a, nil, nil, o, RunConfig{}, nil, nil); err == nil {
-		t.Fatal("FactorizeVSAServe ran without the Gram of its input")
 	}
 }

@@ -20,14 +20,14 @@ func randTiled(t *testing.T, m, n, nb int, seed int64) (*matrix.Tiled, *matrix.M
 	return matrix.FromDense(d, nb), d
 }
 
-// serve runs FactorizeVSAServe the way a service rank does: the Gram of the
+// serve runs FactorizeVSAIn the way a service rank does: the Gram of the
 // rows the rank owns is taken first, then the run consumes the tiles.
 func serve(ctx context.Context, a *matrix.Tiled, opts Options, rc RunConfig, ep transport.Endpoint, pool *pulsar.Pool) (*Factorization, error) {
 	lo, hi := 0, a.MT
 	if ep != nil {
 		lo, hi = OwnedTileRows(a.MT, ep.Size(), ep.Rank())
 	}
-	return FactorizeVSAServe(ctx, a, nil, GramOfTileRows(a, lo, hi), opts, rc, ep, pool)
+	return FactorizeVSAIn(ctx, a, nil, opts, rc, Env{Endpoint: ep, Pool: pool, Part: GramOfTileRows(a, lo, hi)})
 }
 
 // checkAgainstOracle factors the same dense input sequentially and compares
@@ -219,7 +219,7 @@ func TestServeDistMuxConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// FactorizeVSADistCtx cancellation: cancel on both ranks (as the launcher's
+// Full-log mesh cancellation: cancel on both ranks (as the launcher's
 // process-group signal would) and expect prompt unwinding.
 func TestDistCtxCancel(t *testing.T) {
 	l := transport.NewLocal(2)
@@ -229,7 +229,7 @@ func TestDistCtxCancel(t *testing.T) {
 	for rank := 0; rank < 2; rank++ {
 		go func(rank int) {
 			a, _ := randTiled(t, 512, 256, 32, 9)
-			_, err := FactorizeVSADistCtx(ctx, a, nil, opts, RunConfig{Threads: 1, DeadlockTimeout: -1}, l.Endpoint(rank))
+			_, err := FactorizeVSAIn(ctx, a, nil, opts, RunConfig{Threads: 1, DeadlockTimeout: -1}, Env{Endpoint: l.Endpoint(rank)})
 			errc <- err
 		}(rank)
 	}
@@ -244,5 +244,79 @@ func TestDistCtxCancel(t *testing.T) {
 		case <-time.After(30 * time.Second):
 			t.Fatal("canceled distributed run did not return")
 		}
+	}
+}
+
+// One engine body runs in every environment, so the environment cannot show
+// in the result: for each tree, FactorizeVSA on workers of its own, the same
+// call on a caller's pool, on a mesh of one and on a 2-rank mesh return the
+// same bits — tiles, transformation log and QᵀB — and the service's R-only
+// form of the pool run carries that same R.
+func TestEnvironmentsAgreeBitwise(t *testing.T) {
+	pool := pulsar.NewPool(2, func(int) any { return kernels.NewWorkspace() })
+	defer pool.Close()
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(19))
+	for _, o := range allTreeOpts() {
+		d, b := matrix.NewRand(61, 17, rng), matrix.NewRand(61, 3, rng)
+		tiled := func() (*matrix.Tiled, *matrix.Tiled) { return matrix.FromDense(d, o.NB), matrix.FromDense(b, o.NB) }
+
+		ta, tb := tiled()
+		own, err := FactorizeVSA(ta, tb, o, RunConfig{Threads: 2})
+		if err != nil {
+			t.Fatalf("%v: %v", o, err)
+		}
+
+		ta, tb = tiled()
+		onPool, err := FactorizeVSAIn(ctx, ta, tb, o, RunConfig{}, Env{Pool: pool})
+		if err != nil {
+			t.Fatalf("%v on a pool: %v", o, err)
+		}
+		assertFactorizationsEqual(t, own, onPool)
+
+		// A mesh of one is no mesh: the run is local, and no barrier is held.
+		ta, tb = tiled()
+		alone := transport.NewLocal(1).Endpoint(0)
+		single, err := FactorizeVSAIn(ctx, ta, tb, o, RunConfig{}, Env{Endpoint: alone, Pool: pool})
+		if err != nil {
+			t.Fatalf("%v on a mesh of one: %v", o, err)
+		}
+		assertFactorizationsEqual(t, own, single)
+		if bs := alone.(transport.BarrierReporter).BarrierStats(); bs.Count != 0 {
+			t.Errorf("%v: a mesh of one ran %d barriers", o, bs.Count)
+		}
+
+		ta, tb = tiled()
+		served, err := FactorizeVSAIn(ctx, ta, tb, o, RunConfig{}, Env{Pool: pool, Part: GramOfTileRows(ta, 0, ta.MT)})
+		if err != nil {
+			t.Fatalf("%v served: %v", o, err)
+		}
+		if !served.ROnly || served.Input == nil || len(served.Ops) != 0 {
+			t.Fatalf("%v: a Part must select the R-only result (ROnly %v, Input %v, %d ops)", o, served.ROnly, served.Input, len(served.Ops))
+		}
+		if diff := matrix.MaxAbsDiff(served.R(), own.R()); diff != 0 {
+			t.Errorf("%v: served R differs by %g", o, diff)
+		}
+
+		l := transport.NewLocal(2)
+		var mesh [2]*Factorization
+		var errs [2]error
+		var wg sync.WaitGroup
+		for r := range mesh {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ta, tb := tiled()
+				mesh[r], errs[r] = FactorizeVSAIn(ctx, ta, tb, o, RunConfig{Threads: 2}, Env{Endpoint: l.Endpoint(r)})
+			}()
+		}
+		wg.Wait()
+		if errs[0] != nil || errs[1] != nil {
+			t.Fatalf("%v on a mesh: %v, %v", o, errs[0], errs[1])
+		}
+		if mesh[1] != nil {
+			t.Fatalf("%v: rank 1 returned a factorization; only rank 0 assembles", o)
+		}
+		assertFactorizationsEqual(t, own, mesh[0])
 	}
 }

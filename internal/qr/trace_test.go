@@ -1,7 +1,7 @@
 package qr
 
 // End-to-end tracing over the distributed path: every rank records its own
-// shard during FactorizeVSADist, the shards are gathered at rank 0 over the
+// shard during FactorizeVSAIn, the shards are gathered at rank 0 over the
 // same endpoint, and the merged timeline must carry aligned barriers, all
 // four event classes, and a non-trivial critical path.
 
@@ -37,9 +37,9 @@ func TestDistTraceGather(t *testing.T) {
 				WaitHook: rec.WaitHook(),
 				CommHook: rec.CommHook(),
 			}
-			if _, errs[r] = FactorizeVSADist(
+			if _, errs[r] = FactorizeVSAIn(context.Background(),
 				matrix.FromDense(d, o.NB), matrix.FromDense(b, o.NB),
-				o, rc, ep); errs[r] != nil {
+				o, rc, Env{Endpoint: ep}); errs[r] != nil {
 				return
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -1,6 +1,7 @@
 package qr
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"pulsarqr/internal/kernels"
 	"pulsarqr/internal/matrix"
 	"pulsarqr/internal/pulsar"
+	"pulsarqr/internal/transport"
 	"pulsarqr/internal/tuple"
 )
 
@@ -49,16 +51,18 @@ const (
 
 // RunConfig parameterizes the runtime execution of the array.
 type RunConfig struct {
-	// Nodes is the number of simulated distributed-memory nodes.
+	// Nodes is the number of simulated distributed-memory nodes; a mesh
+	// (Env.Endpoint) overrides it with its size.
 	Nodes int
-	// Threads is the number of worker threads per node.
+	// Threads is the number of worker threads per node; a caller's pool
+	// (Env.Pool) overrides it with its size.
 	Threads int
 	// Scheduling selects the lazy or aggressive worker scheme.
 	Scheduling pulsar.Scheduling
 	// FireHook receives one event per VDP firing (tracing); may be nil.
 	FireHook func(pulsar.FireEvent)
 	// WaitHook receives worker channel-wait intervals (tracing); may be
-	// nil. Ignored for pooled runs — install Pool.OnWait instead.
+	// nil. Ignored on a caller's pool (Env.Pool) — install Pool.OnWait there.
 	WaitHook func(pulsar.WaitEvent)
 	// CommHook receives proxy send/recv and barrier events (tracing); may
 	// be nil.
@@ -169,18 +173,77 @@ type mergeLocal struct {
 }
 
 // FactorizeVSA computes the same factorization as Factorize by building
-// and running the 3D virtual systolic array on the PULSAR runtime. The
-// tiles of a (and b) are consumed: they are injected into the array,
-// transformed in place where locality permits, and reassembled into the
-// returned factorization.
+// and running the 3D virtual systolic array on the PULSAR runtime, every one
+// of rc.Nodes nodes inside this process. The tiles of a (and b) are
+// consumed: they are injected into the array, transformed in place where
+// locality permits, and reassembled into the returned factorization.
 func FactorizeVSA(a *matrix.Tiled, b *matrix.Tiled, opts Options, rc RunConfig) (*Factorization, error) {
+	return FactorizeVSAIn(context.Background(), a, b, opts, rc, Env{})
+}
+
+// Env is what a factorization finds in place and leaves behind: the mesh it
+// is one rank of, the worker threads it borrows, and the rank's share of the
+// input check. The zero Env is FactorizeVSA — all nodes in this process, on
+// workers the call starts and joins itself, returning the full
+// transformation log.
+type Env struct {
+	// Endpoint is this rank's attachment to the process mesh — a TCP
+	// endpoint, or a transport.JobEndpoint multiplexed over a fleet's
+	// persistent connections. It fixes the node count at its size; nil, or a
+	// mesh of one, runs the whole array here with nothing exchanged.
+	Endpoint transport.Endpoint
+	// Pool, when non-nil, is the caller's persistent worker pool (with its
+	// warm kernel workspaces); the rank then runs as many threads as the pool
+	// has. Placement depends only on the node count, so the ranks of a mesh
+	// may run pools of different sizes.
+	Pool *pulsar.Pool
+	// Part selects what the caller gets back. Nil: the full transformation
+	// log. Non-nil: what a service serves — an R-only factorization (R, plus
+	// QᵀB when b != nil; the reflectors stay where they were produced and
+	// never cross the network). Part must then be the Gram of the tile rows
+	// of a this rank owns, taken by the caller beforehand because the run
+	// consumes the tiles; the gather sums every rank's into the result's
+	// Input, so Input.Residual(f.R()) checks R against an input no rank
+	// holds whole.
+	Part *Gram
+}
+
+// FactorizeVSAIn runs one factorization inside an existing runtime
+// environment. ctx cancels it: the run aborts promptly, in-flight kernels
+// drain, and the error wraps context.Cause.
+//
+// Across a mesh the call is collective: every rank calls it with the same
+// (opts, shapes), a and b holding at least the tile rows the rank owns
+// (OwnedTileRows; the other rows' tiles may be nil). Each rank builds the
+// same array and executes only the VDPs it owns; collector output is
+// gathered to rank 0, which assembles and returns the factorization, and the
+// other ranks return (nil, nil). A closing barrier means that when the call
+// returns on any rank the whole mesh has finished.
+//
+// Cancellation must be collective too (a service broadcasts it, a launcher
+// signals the process group): a rank that finishes normally while another
+// aborts can otherwise wait in the final barrier until its endpoint is
+// closed.
+func FactorizeVSAIn(ctx context.Context, a *matrix.Tiled, b *matrix.Tiled, opts Options, rc RunConfig, env Env) (*Factorization, error) {
 	opts = opts.normalize()
 	rc = rc.normalize()
+	ep, local := env.Endpoint, -1 // local: the one node that runs here, or -1 for all of them
+	if ep != nil {
+		rc.Nodes = ep.Size()
+		if rc.Nodes == 1 {
+			ep = nil
+		} else {
+			local = ep.Rank()
+		}
+	}
+	if env.Pool != nil {
+		rc.Threads = env.Pool.Threads()
+	}
 	if err := checkShapes(a, b, opts); err != nil {
 		return nil, err
 	}
 
-	bd := &builder{a: a, b: b, opts: opts, rc: rc}
+	bd := &builder{a: a, b: b, opts: opts, rc: rc, rOnly: env.Part != nil}
 	if b != nil {
 		bd.bnt = b.NT
 	}
@@ -196,19 +259,32 @@ func FactorizeVSA(a *matrix.Tiled, b *matrix.Tiled, opts Options, rc RunConfig) 
 		WaitHook:        rc.WaitHook,
 		CommHook:        rc.CommHook,
 		DeadlockTimeout: rc.DeadlockTimeout,
+		Comm:            ep,
+		Pool:            env.Pool,
 		// One kernel workspace per worker thread: every VDP that fires on a
 		// thread reuses that thread's scratch instead of allocating per fire.
+		// (A caller's pool brings its own.)
 		WorkerState: func(node, thread int) any { return kernels.NewWorkspace() },
 	})
 	bd.build()
-	bd.inject()
-	if err := bd.s.Run(); err != nil {
+	bd.inject(local)
+	if err := runCtx(ctx, bd.s); err != nil {
 		return nil, err
+	}
+	if ep != nil {
+		if err := bd.gather(ctx, ep, env.Part); err != nil {
+			return nil, err
+		}
+		defer ep.Barrier()
+		if local != 0 {
+			return nil, nil
+		}
 	}
 	f, err := bd.assemble()
 	if err != nil {
 		return nil, err
 	}
+	f.Input = env.Part
 	msgs, bytes := bd.s.NetworkStats()
 	f.Stats = RunStats{
 		Firings: bd.s.Fired(), Messages: msgs, Bytes: bytes,
@@ -587,10 +663,16 @@ func mergeUpdFn(v *pulsar.VDP) {
 
 // --- injection and assembly ---------------------------------------------
 
-// inject seeds the array with the matrix (and rhs) tiles: column 0 tiles
-// enter their panel VDPs, every other tile enters its panel-0 update VDP.
-func (bd *builder) inject() {
+// inject seeds the array with the matrix (and rhs) tiles of the rows node
+// local owns — of every row when local is negative, the whole array running
+// here. Column 0 tiles enter their panel VDPs, every other tile enters its
+// panel-0 update VDP; across a mesh the other ranks inject their own shares,
+// so every tile enters the array exactly once.
+func (bd *builder) inject(local int) {
 	for i := 0; i < bd.a.MT; i++ {
+		if local >= 0 && TileRowOwner(bd.a.MT, bd.rc.Nodes, i) != local {
+			continue
+		}
 		bd.s.Inject(panelTup(0, i), 0, pulsar.NewPacket(bd.a.Tile(i, 0)))
 		for _, l := range bd.cols(0) {
 			bd.s.Inject(updateTup(0, i, l), 0, pulsar.NewPacket(bd.colTile(i, l)))

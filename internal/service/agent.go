@@ -231,7 +231,7 @@ func (ag *Agent) runJob(ctx context.Context, id, session uint32, ranks []int, sp
 		rc.FireHook = rec.Hook()
 		rc.CommHook = rec.CommHook()
 	}
-	if _, err := qr.FactorizeVSAServe(ctx, a, nil, part, opts, rc, jep, ag.pool); err != nil {
+	if _, err := qr.FactorizeVSAIn(ctx, a, nil, opts, rc, qr.Env{Endpoint: jep, Pool: ag.pool, Part: part}); err != nil {
 		ag.logf("agent: job %d: %v", id, err)
 		return
 	}

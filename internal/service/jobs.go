@@ -60,8 +60,13 @@ type Job struct {
 	// on every GET /v1/jobs/{id}.
 	life obs.Lifecycle
 
+	// metrics is set at admission. The job settles its own share of it —
+	// the running gauge, the terminal counter — inside the state transition
+	// that changes the share, so no observer of Done can read a stale one.
+	metrics *Metrics
+
 	mu      sync.Mutex
-	state   State
+	state   State // written through setStateLocked
 	errMsg  string
 	result  *Result
 	attempt int            // completed dispatch attempts beyond the first
@@ -150,10 +155,22 @@ func (j *Job) requeue() bool {
 	if j.state.Terminal() {
 		return false
 	}
-	j.state = StatePending
+	j.setStateLocked(StatePending)
 	j.attempt++
 	j.life.Mark(obs.PhaseQueued) // retry wait accrues to queue time
 	return true
+}
+
+// setStateLocked moves the job to state s, keeping the running gauge equal
+// to the number of jobs in StateRunning. Callers hold j.mu.
+func (j *Job) setStateLocked(s State) {
+	if j.state == StateRunning {
+		j.metrics.Running.Add(-1)
+	}
+	if s == StateRunning {
+		j.metrics.Running.Add(1)
+	}
+	j.state = s
 }
 
 // Done closes when the job reaches a terminal state.
@@ -170,11 +187,12 @@ func (j *Job) finish(s State, errMsg string, r *Result) bool {
 		j.mu.Unlock()
 		return false
 	}
-	j.state = s
+	j.setStateLocked(s)
 	j.errMsg = errMsg
 	j.result = r
 	j.mu.Unlock()
 	j.life.Mark(obs.PhaseTerminal)
+	j.metrics.terminal(s).Add(1)
 	if j.onTerminal != nil {
 		j.onTerminal()
 	}
@@ -211,7 +229,7 @@ type Manager struct {
 
 // NewManager starts workers dispatcher goroutines in front of a queue
 // bounded at capacity. run is called once per dispatched job and must drive
-// it to a terminal state.
+// it to a terminal state, or requeue it.
 func NewManager(capacity, workers int, metrics *Metrics, run func(*Job)) *Manager {
 	if capacity <= 0 {
 		capacity = 1
@@ -250,6 +268,7 @@ func (m *Manager) Submit(j *Job) error {
 	}
 	j.seq = m.nextSeq
 	m.nextSeq++
+	j.metrics = m.metrics
 	heap.Push(&m.queue, j)
 	// The queued mark must land before the push is signaled: a dispatcher
 	// could pop the job immediately, and a late mark would drag the phase
@@ -280,9 +299,7 @@ func (m *Manager) Close() {
 	m.mu.Unlock()
 	m.cond.Broadcast()
 	for _, j := range rest {
-		if j.finish(StateCanceled, "service shutting down", nil) {
-			m.metrics.Canceled.Add(1)
-		}
+		j.finish(StateCanceled, "service shutting down", nil)
 	}
 	m.wg.Wait()
 }
@@ -305,26 +322,20 @@ func (m *Manager) dispatch() {
 		m.mu.Unlock()
 
 		if !j.deadline.IsZero() && time.Now().After(j.deadline) {
-			if j.finish(StateExpired, "deadline passed before dispatch", nil) {
-				m.metrics.Expired.Add(1)
-			}
+			j.finish(StateExpired, "deadline passed before dispatch", nil)
 			continue
 		}
 		if j.ctx.Err() != nil {
-			if j.finish(StateCanceled, "", nil) {
-				m.metrics.Canceled.Add(1)
-			}
+			j.finish(StateCanceled, "", nil)
 			continue
 		}
 		j.mu.Lock()
-		j.state = StateRunning
+		j.setStateLocked(StateRunning)
 		j.mu.Unlock()
 		j.life.Mark(obs.PhaseDispatched)
 		m.obs.Emit(obs.Event{Kind: obs.EvDispatched, Class: "job", Job: j.ID,
 			Tenant: j.Spec.Tenant, Attempt: j.Attempts()})
-		m.metrics.Running.Add(1)
 		m.run(j)
-		m.metrics.Running.Add(-1)
 	}
 }
 

@@ -185,6 +185,20 @@ func addFloat(bits *atomic.Uint64, v float64) {
 	}
 }
 
+// terminal returns the counter of jobs that ended in state s.
+func (m *Metrics) terminal(s State) *atomic.Int64 {
+	switch s {
+	case StateDone:
+		return &m.Completed
+	case StateFailed:
+		return &m.Failed
+	case StateCanceled:
+		return &m.Canceled
+	default:
+		return &m.Expired
+	}
+}
+
 func NewMetrics() *Metrics {
 	return &Metrics{
 		firings:    map[string]*atomic.Int64{},

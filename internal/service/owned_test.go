@@ -96,7 +96,7 @@ func TestAcceptRefusesPerturbedR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := qr.FactorizeVSAServe(context.Background(), a, nil, part, opts, qr.RunConfig{Threads: 2}, nil, nil)
+	f, err := qr.FactorizeVSAIn(context.Background(), a, nil, opts, qr.RunConfig{Threads: 2}, qr.Env{Part: part})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func corruptingAgent(t *testing.T, ep transport.Endpoint) {
 	}
 	lo, _ := qr.OwnedTileRows(a.MT, jep.Size(), jep.Rank())
 	a.Tile(lo, 0).Add(5, 7, 0.125)
-	if _, err := qr.FactorizeVSAServe(context.Background(), a, nil, part, opts, qr.RunConfig{}, jep, nil); err != nil {
+	if _, err := qr.FactorizeVSAIn(context.Background(), a, nil, opts, qr.RunConfig{}, qr.Env{Endpoint: jep, Part: part}); err != nil {
 		t.Errorf("corrupting agent: %v", err)
 	}
 }
@@ -377,7 +377,7 @@ func TestOpenBroadcastCarriesEffectiveConfig(t *testing.T) {
 				return
 			}
 			got <- seen{string(req.Data()), *msg.Spec, opts, a.NB}
-			if _, err := qr.FactorizeVSAServe(context.Background(), a, nil, part, opts, qr.RunConfig{}, jep, nil); err != nil {
+			if _, err := qr.FactorizeVSAIn(context.Background(), a, nil, opts, qr.RunConfig{}, qr.Env{Endpoint: jep, Part: part}); err != nil {
 				t.Errorf("rank 1: %v", err)
 			}
 			jep.Close()

@@ -127,6 +127,13 @@ func (cm *costModel) solve() (slowdown, secondsPerTask float64, ok bool) {
 //
 // elapsed is the factorization's wall time on ranks ranks, busy the part of it
 // rank 0's workers spent firing.
+//
+// The sample is taken in two steps because they want opposite things. The
+// kernel probe a tile shape's first job triggers must have the cores to
+// itself, so it runs here, on the dispatcher that has just finished the job
+// and not yet taken another. The simulator replay needs no such care and can
+// take as long as the job did, so it runs on a goroutine of its own: the
+// dispatcher has a queue to get back to.
 func (s *Server) recordCostSample(m, n int, opts qr.Options, ranks int, elapsed, busy time.Duration) {
 	if plan.EstTasks(m, n, opts.NB) > 1<<20 {
 		return
@@ -135,25 +142,29 @@ func (s *Server) recordCostSample(m, n int, opts qr.Options, ranks int, elapsed,
 	if !ok {
 		return
 	}
-	mach, _ := s.machineModel()
-	mach.Nodes = ranks
-	r := simulate.Run(simulate.Workload{M: m, N: n, Opts: opts}, mach, simulate.SystolicProfile)
-	u := 1.0
-	if r.Utilization > 0.02 {
-		u = r.Utilization
-	}
-	var probe0, probeSeconds float64
-	for node, flops := range r.NodeFlops {
-		for k, f := range flops {
-			sec := f / (rate.Gflops[k] * 1e9)
-			probeSeconds += sec
-			if node == 0 {
-				probe0 += sec
+	s.bg.Add(1)
+	go func() {
+		defer s.bg.Done()
+		mach, _ := s.machineModel()
+		mach.Nodes = ranks
+		r := simulate.Run(simulate.Workload{M: m, N: n, Opts: opts}, mach, simulate.SystolicProfile)
+		u := 1.0
+		if r.Utilization > 0.02 {
+			u = r.Utilization
+		}
+		var probe0, probeSeconds float64
+		for node, flops := range r.NodeFlops {
+			for k, f := range flops {
+				sec := f / (rate.Gflops[k] * 1e9)
+				probeSeconds += sec
+				if node == 0 {
+					probe0 += sec
+				}
 			}
 		}
-	}
-	workers := float64(ranks * mach.Workers())
-	s.costs.add(busy.Seconds(), probe0, probeSeconds, float64(r.Tasks), elapsed.Seconds()*workers*u)
+		workers := float64(ranks * mach.Workers())
+		s.costs.add(busy.Seconds(), probe0, probeSeconds, float64(r.Tasks), elapsed.Seconds()*workers*u)
+	}()
 }
 
 // machineModel assembles the server's current best machine model: the

@@ -141,6 +141,7 @@ type Server struct {
 	deadRanks map[int]bool // fleet ranks evicted after a peer-death verdict
 	lastPlan  lastPlanInfo // most recent planned job, for /v1/status
 
+	bg        sync.WaitGroup // cost samples still replaying completed jobs on the simulator
 	closeOnce sync.Once
 }
 
@@ -533,13 +534,12 @@ func (s *Server) runJob(j *Job) {
 	// Elapsed (and Gflops, and the planner's cost samples) time the
 	// factorization alone, as they always have: array build, run, gather.
 	start := time.Now()
-	f, err := qr.FactorizeVSAServe(j.ctx, a, nil, part, opts, rc, ep, s.pool)
+	f, err := qr.FactorizeVSAIn(j.ctx, a, nil, opts, rc, qr.Env{Endpoint: ep, Pool: s.pool, Part: part})
 	elapsed := time.Since(start)
 	if err != nil {
 		switch {
 		case j.ctx.Err() != nil:
 			if j.finish(StateCanceled, "", nil) {
-				s.metrics.Canceled.Add(1)
 				s.cfg.Logf("job %d canceled after %v", j.ID, elapsed)
 			}
 		case peerDeath(err, ep) && j.Attempts() < j.Spec.MaxRetries && j.requeue():
@@ -592,11 +592,10 @@ func (s *Server) runJob(j *Job) {
 	}
 	stopRelay() // a completed job must not broadcast a cancel from finish's cancel(nil)
 	if j.finish(StateDone, "", res) {
-		s.metrics.Completed.Add(1)
 		s.metrics.ObserveJob(time.Since(j.enqueued).Seconds(), elapsed.Seconds(), flops)
-		s.recordCostSample(spec.M, spec.N, opts, ranks, elapsed, time.Duration(busy.Load()))
 		s.recordPlanOutcome(j, elapsed)
 		s.cfg.Logf("job %d done in %v: %.2f Gflop/s, residual %.2e", j.ID, elapsed, res.Gflops, res.Residual)
+		s.recordCostSample(spec.M, spec.N, opts, ranks, elapsed, time.Duration(busy.Load()))
 	}
 }
 
@@ -650,7 +649,6 @@ func peerDeath(err error, ep transport.Endpoint) bool {
 
 func (s *Server) fail(j *Job, msg string) {
 	if j.finish(StateFailed, msg, nil) {
-		s.metrics.Failed.Add(1)
 		s.cfg.Logf("job %d failed: %s", j.ID, msg)
 	}
 }
@@ -749,6 +747,7 @@ func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.stop() // cancels every job context derived from baseCtx
 		s.mgr.Close()
+		s.bg.Wait()
 		// Flush dirty session spines to their checkpoints while the pool is
 		// still alive: append streams unwind on the canceled baseCtx first.
 		if err := s.sessions.Close(); err != nil {

@@ -397,6 +397,11 @@ func (c *Chaos) pump() {
 		c.pendMu.Lock()
 		c.pending = req
 		c.pendMu.Unlock()
+		if c.closed.Load() || c.killed.Load() {
+			// The stop landed between the check above and the registration:
+			// its cancelPending saw the previous receive, not this one.
+			req.Cancel()
+		}
 		req.Wait()
 		if req.Canceled() {
 			return

@@ -7,6 +7,7 @@ package transport_test
 // test package so it can import internal/qr without a cycle.
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"net"
@@ -60,7 +61,7 @@ func assertMatchesOracle(t *testing.T, seq, got *qr.Factorization) {
 	}
 }
 
-// runChaosFactorization runs FactorizeVSADist on every endpoint concurrently
+// runChaosFactorization runs FactorizeVSAIn on every endpoint concurrently
 // and returns rank 0's result; any rank's error fails the test.
 func runChaosFactorization(t *testing.T, eps []transport.Endpoint) *qr.Factorization {
 	t.Helper()
@@ -72,9 +73,9 @@ func runChaosFactorization(t *testing.T, eps []transport.Endpoint) *qr.Factoriza
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			results[r], errs[r] = qr.FactorizeVSADist(
+			results[r], errs[r] = qr.FactorizeVSAIn(context.Background(),
 				matrix.FromDense(d, o.NB), matrix.FromDense(b, o.NB),
-				o, qr.RunConfig{Threads: 2}, eps[r])
+				o, qr.RunConfig{Threads: 2}, qr.Env{Endpoint: eps[r]})
 		}(r)
 	}
 	wg.Wait()
@@ -236,8 +237,8 @@ func TestChaosTCPDefaultTileMatchesOracle(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			results[r], errs[r] = qr.FactorizeVSADist(matrix.FromDense(d, nb), nil,
-				qr.Options{}, qr.RunConfig{Threads: 2}, chaos[r])
+			results[r], errs[r] = qr.FactorizeVSAIn(context.Background(), matrix.FromDense(d, nb), nil,
+				qr.Options{}, qr.RunConfig{Threads: 2}, qr.Env{Endpoint: chaos[r]})
 		}(r)
 	}
 	wg.Wait()

@@ -2,11 +2,11 @@ package transport
 
 import "sync"
 
-// mailbox implements MPI receive matching for the TCP endpoint: arrived,
-// unmatched messages wait in an inbox; posted, unmatched receives wait in a
-// queue; both are FIFO, so messages between a given pair of ranks are
-// non-overtaking with respect to matching receives — the same rules
-// internal/mpi enforces for the in-process substrate.
+// mailbox implements MPI receive matching for every endpoint — in-process,
+// TCP, mux job session, chaos wrapper: arrived, unmatched messages wait in an
+// inbox; posted, unmatched receives wait in a queue; both are FIFO, so
+// messages between a given pair of ranks are non-overtaking with respect to
+// matching receives.
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -142,7 +142,7 @@ func (mb *mailbox) cancelLocked(sel func(*netRequest) bool) {
 	}
 }
 
-// netRequest is the TCP transport's Request implementation. Sends complete
+// netRequest is the Request implementation of every endpoint. Sends complete
 // eagerly; receives complete when the mailbox matches them.
 type netRequest struct {
 	mu       sync.Mutex

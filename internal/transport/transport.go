@@ -3,8 +3,9 @@
 // relies on — Isend, Irecv, Test, Get_count, Barrier and Cancel — behind an
 // Endpoint interface with two implementations:
 //
-//   - Local: the zero-copy in-process substrate (backed by internal/mpi),
-//     where every rank is a set of goroutines in one OS process; and
+//   - Local: the in-process substrate, where every rank is a set of
+//     goroutines in one OS process and a send is a copy into the
+//     destination's mailbox; and
 //   - TCP: a real network transport where every rank is its own OS process
 //     and messages travel through length-prefixed frames over a full mesh
 //     of TCP connections (see wire.go and docs/TRANSPORT.md).
@@ -16,7 +17,7 @@ package transport
 import "fmt"
 
 // Any is the wildcard for Irecv's source or tag (MPI_ANY_SOURCE /
-// MPI_ANY_TAG). It equals mpi.Any.
+// MPI_ANY_TAG).
 const Any = -1
 
 // PeerDeathError reports that one peer rank of the communicator is gone —
@@ -92,12 +93,13 @@ type Request interface {
 // Endpoint is one rank's attachment to the communicator: the six-call
 // surface the runtime's proxy drives, plus lifecycle and accounting.
 //
-// Semantics (identical across implementations, matching internal/mpi):
-// sends are eager — the payload is copied (or serialized) before Isend
-// returns, so the caller may reuse its buffer immediately, and the returned
-// request tests complete at once. Receives match on a (source, tag) pair,
-// either of which may be Any; messages between a given pair of ranks are
-// non-overtaking with respect to matching receives.
+// Semantics (identical across implementations — one mailbox matches the
+// receives of all of them): sends are eager — the payload is copied (or
+// serialized) before Isend returns, so the caller may reuse its buffer
+// immediately, and the returned request tests complete at once. Receives
+// match on a (source, tag) pair, either of which may be Any; messages
+// between a given pair of ranks are non-overtaking with respect to matching
+// receives.
 type Endpoint interface {
 	// Rank returns this endpoint's rank in [0, Size).
 	Rank() int

@@ -76,7 +76,7 @@ func validFrameType(t byte) bool {
 
 // AppendFrame appends the encoding of f to dst and returns the extended
 // slice. It panics on out-of-range rank/tag or oversized payloads — those
-// are programming errors on the sending side, mirroring mpi.Isend.
+// are programming errors on the sending side, mirroring Isend.
 func AppendFrame(dst []byte, f Frame) []byte {
 	if !validFrameType(f.Type) {
 		panic(fmt.Sprintf("transport: encode frame type %d", f.Type))
