@@ -26,9 +26,10 @@ vet:
 
 # Brief fuzz of the wire decoders and the job spec (must never panic;
 # regression corpora under internal/transport/testdata,
-# internal/batch/testdata, internal/session/testdata and
-# internal/service/testdata).
+# internal/wire/testdata, internal/batch/testdata,
+# internal/session/testdata and internal/service/testdata).
 fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzConsumeDimMat -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzRequestReader -fuzztime 10s ./internal/batch
@@ -45,9 +46,10 @@ chaos-smoke:
 	$(GO) test -run 'TestChaosTCP' -count=1 -v ./internal/transport
 
 # Coverage gate for the resilience-critical transport package: fails if
-# line coverage drops below the recorded floor (nine runs read 91.1-91.4;
-# which fault paths a run takes moves it by a few tenths).
-COVER_FLOOR_TRANSPORT = 90.8
+# line coverage drops below the recorded floor (nine runs read 93.5-93.8
+# since TCP and mux run one barrier body and TestBarrierProtocol walks its
+# abort arms; which fault paths a run takes moves it by a few tenths).
+COVER_FLOOR_TRANSPORT = 93.2
 cover-transport:
 	@cov=$$($(GO) test -count=1 -cover ./internal/transport | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
 	echo "internal/transport coverage: $$cov% (floor $(COVER_FLOOR_TRANSPORT)%)"; \

@@ -2,12 +2,11 @@ package batch
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"pulsarqr/internal/matrix"
+	"pulsarqr/internal/wire"
 )
 
 // Wire format of POST /v1/batch. The request body is one stream:
@@ -33,7 +32,8 @@ import (
 // Decoders defend against hostile prefixes the same way transport.ReadFrame
 // does: every count and dimension is validated against a hard bound before
 // any memory is committed, so a 12-byte garbage request cannot force a
-// large allocation.
+// large allocation. The bounds live here; the payload loop, the stream
+// header and the trailer are internal/wire's.
 
 // Request and response stream magics.
 var (
@@ -48,18 +48,14 @@ const MaxCount = 1 << 20
 const trailerIndex = 0xFFFFFFFF
 
 // ErrBadMagic reports a stream that does not start with the expected magic.
-var ErrBadMagic = errors.New("batch: bad stream magic")
+var ErrBadMagic = wire.ErrBadMagic
 
 // WriteRequestHeader writes the request magic and matrix count.
 func WriteRequestHeader(w io.Writer, count int) error {
 	if count < 0 || count > MaxCount {
 		return fmt.Errorf("batch: request count %d out of range [0,%d]", count, MaxCount)
 	}
-	var hdr [8]byte
-	copy(hdr[:4], reqMagic[:])
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(count))
-	_, err := w.Write(hdr[:])
-	return err
+	return wire.WriteHeader(w, reqMagic, count)
 }
 
 // AppendMatrix appends the request encoding of a to dst: dimensions then the
@@ -70,16 +66,9 @@ func AppendMatrix(dst []byte, a *matrix.Mat) []byte {
 	if n < 1 || m < n || m > MaxDim {
 		panic(fmt.Sprintf("batch: encode %dx%d matrix", m, n))
 	}
-	var dims [4]byte
-	binary.LittleEndian.PutUint16(dims[0:], uint16(m))
-	binary.LittleEndian.PutUint16(dims[2:], uint16(n))
-	dst = append(dst, dims[:]...)
-	for j := 0; j < n; j++ {
-		col := a.Data[j*a.LD : j*a.LD+m]
-		for _, v := range col {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-		}
-	}
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(m))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(n))
+	dst, _ = wire.AppendMat(dst, a)
 	return dst
 }
 
@@ -88,27 +77,22 @@ func AppendMatrix(dst []byte, a *matrix.Mat) []byte {
 // returned by Next are freshly allocated and owned by the caller; the
 // reader's internal byte scratch is reused across calls.
 type RequestReader struct {
-	r     io.Reader
+	r     wire.Reader
 	count int
 	read  int
-	buf   []byte
 }
 
 // NewRequestReader validates the stream header and returns a reader over
 // its matrices.
 func NewRequestReader(r io.Reader) (*RequestReader, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	count, err := wire.ReadHeader(r, reqMagic)
+	if err != nil {
 		return nil, fmt.Errorf("batch: request header: %w", err)
 	}
-	if [4]byte(hdr[:4]) != reqMagic {
-		return nil, ErrBadMagic
-	}
-	count := binary.LittleEndian.Uint32(hdr[4:])
 	if count > MaxCount {
 		return nil, fmt.Errorf("batch: request declares %d matrices, limit %d", count, MaxCount)
 	}
-	return &RequestReader{r: r, count: int(count)}, nil
+	return &RequestReader{r: wire.Reader{R: r}, count: count}, nil
 }
 
 // Count returns the matrix count the stream header declared.
@@ -123,37 +107,20 @@ func (rr *RequestReader) Next() (*matrix.Mat, error) {
 		return nil, io.EOF
 	}
 	var dims [4]byte
-	if _, err := io.ReadFull(rr.r, dims[:]); err != nil {
-		return nil, fmt.Errorf("batch: matrix %d header: %w", rr.read, noEOF(err))
+	if _, err := io.ReadFull(rr.r.R, dims[:]); err != nil {
+		return nil, fmt.Errorf("batch: matrix %d header: %w", rr.read, wire.NoEOF(err))
 	}
 	m := int(binary.LittleEndian.Uint16(dims[0:]))
 	n := int(binary.LittleEndian.Uint16(dims[2:]))
 	if n < 1 || m < n || m > MaxDim {
 		return nil, fmt.Errorf("batch: matrix %d is %dx%d; need %d >= m >= n >= 1", rr.read, m, n, MaxDim)
 	}
-	need := m * n * 8
-	if cap(rr.buf) < need {
-		rr.buf = make([]byte, need)
-	}
-	buf := rr.buf[:need]
-	if _, err := io.ReadFull(rr.r, buf); err != nil {
-		return nil, fmt.Errorf("batch: matrix %d payload: %w", rr.read, noEOF(err))
-	}
-	a := matrix.New(m, n)
-	for i := range a.Data {
-		a.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+	a, _, err := rr.r.ReadMat(m, n)
+	if err != nil {
+		return nil, fmt.Errorf("batch: matrix %d payload: %w", rr.read, err)
 	}
 	rr.read++
 	return a, nil
-}
-
-// noEOF turns a bare io.EOF into io.ErrUnexpectedEOF: inside a declared
-// stream, running out of bytes is always a truncation.
-func noEOF(err error) error {
-	if errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-		return io.ErrUnexpectedEOF
-	}
-	return err
 }
 
 // ResultWriter encodes the response stream, tracking the running checksum
@@ -163,7 +130,7 @@ type ResultWriter struct {
 	w    io.Writer
 	buf  []byte
 	sum  uint64
-	done uint32
+	done int
 }
 
 // NewResultWriter writes the response magic and returns the writer.
@@ -185,14 +152,9 @@ func (rw *ResultWriter) WriteResult(index int, r *matrix.Mat) error {
 	rw.buf = binary.LittleEndian.AppendUint32(rw.buf, uint32(index))
 	rw.buf = binary.LittleEndian.AppendUint16(rw.buf, uint16(k))
 	rw.buf = binary.LittleEndian.AppendUint16(rw.buf, uint16(n))
-	for j := 0; j < n; j++ {
-		col := r.Data[j*r.LD : j*r.LD+k]
-		for _, v := range col {
-			bits := math.Float64bits(v)
-			rw.sum ^= bits
-			rw.buf = binary.LittleEndian.AppendUint64(rw.buf, bits)
-		}
-	}
+	var sum uint64
+	rw.buf, sum = wire.AppendMat(rw.buf, r)
+	rw.sum ^= sum
 	if _, err := rw.w.Write(rw.buf); err != nil {
 		return err
 	}
@@ -201,26 +163,19 @@ func (rw *ResultWriter) WriteResult(index int, r *matrix.Mat) error {
 }
 
 // Done returns the number of result frames written so far.
-func (rw *ResultWriter) Done() int { return int(rw.done) }
+func (rw *ResultWriter) Done() int { return rw.done }
 
 // WriteTrailer ends the stream, reporting shed matrices (those the server
 // never factorized) and the checksum of everything emitted.
 func (rw *ResultWriter) WriteTrailer(shed int) error {
-	rw.buf = rw.buf[:0]
-	rw.buf = binary.LittleEndian.AppendUint32(rw.buf, trailerIndex)
-	rw.buf = binary.LittleEndian.AppendUint32(rw.buf, rw.done)
-	rw.buf = binary.LittleEndian.AppendUint32(rw.buf, uint32(shed))
-	rw.buf = binary.LittleEndian.AppendUint64(rw.buf, rw.sum)
-	_, err := rw.w.Write(rw.buf)
+	rw.buf = binary.LittleEndian.AppendUint32(rw.buf[:0], trailerIndex)
+	_, err := rw.w.Write(wire.AppendTrailer(rw.buf, rw.done, shed, rw.sum))
 	return err
 }
 
-// Trailer is the decoded end-of-stream summary of a batch response.
-type Trailer struct {
-	Done int    // result frames the server emitted
-	Shed int    // matrices the server dropped (cancellation, shutdown)
-	Sum  uint64 // server-side checksum of every emitted element
-}
+// Trailer is the decoded end-of-stream summary of a batch response: result
+// frames emitted, matrices dropped (cancellation, shutdown), checksum.
+type Trailer = wire.Trailer
 
 // Result is one decoded response frame.
 type Result struct {
@@ -231,22 +186,17 @@ type Result struct {
 // ResultReader decodes a batch response stream, verifying the trailer
 // checksum against what was actually received.
 type ResultReader struct {
-	r    io.Reader
-	buf  []byte
+	r    wire.Reader
 	sum  uint64
 	done int
 }
 
 // NewResultReader validates the response magic and returns a reader.
 func NewResultReader(r io.Reader) (*ResultReader, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
+	if err := wire.ReadMagic(r, respMagic); err != nil {
 		return nil, fmt.Errorf("batch: response header: %w", err)
 	}
-	if magic != respMagic {
-		return nil, ErrBadMagic
-	}
-	return &ResultReader{r: r}, nil
+	return &ResultReader{r: wire.Reader{R: r}}, nil
 }
 
 // Next decodes the next result frame. At the end of the stream it returns
@@ -254,25 +204,14 @@ func NewResultReader(r io.Reader) (*ResultReader, error) {
 // that, (result, nil, nil).
 func (rr *ResultReader) Next() (*Result, *Trailer, error) {
 	var idx [4]byte
-	if _, err := io.ReadFull(rr.r, idx[:]); err != nil {
-		return nil, nil, fmt.Errorf("batch: result frame: %w", noEOF(err))
+	if _, err := io.ReadFull(rr.r.R, idx[:]); err != nil {
+		return nil, nil, fmt.Errorf("batch: result frame: %w", wire.NoEOF(err))
 	}
 	index := binary.LittleEndian.Uint32(idx[:])
 	if index == trailerIndex {
-		var tb [16]byte
-		if _, err := io.ReadFull(rr.r, tb[:]); err != nil {
-			return nil, nil, fmt.Errorf("batch: trailer: %w", noEOF(err))
-		}
-		t := &Trailer{
-			Done: int(binary.LittleEndian.Uint32(tb[0:])),
-			Shed: int(binary.LittleEndian.Uint32(tb[4:])),
-			Sum:  binary.LittleEndian.Uint64(tb[8:]),
-		}
-		if t.Done != rr.done {
-			return nil, nil, fmt.Errorf("batch: trailer declares %d results, stream carried %d", t.Done, rr.done)
-		}
-		if t.Sum != rr.sum {
-			return nil, nil, fmt.Errorf("batch: checksum mismatch: server %016x, received %016x", t.Sum, rr.sum)
+		t, err := wire.ReadTrailer(rr.r.R, rr.done, rr.sum)
+		if err != nil {
+			return nil, nil, fmt.Errorf("batch: trailer: %w", err)
 		}
 		return nil, t, nil
 	}
@@ -280,28 +219,19 @@ func (rr *ResultReader) Next() (*Result, *Trailer, error) {
 		return nil, nil, fmt.Errorf("batch: result index %d out of range", index)
 	}
 	var dims [4]byte
-	if _, err := io.ReadFull(rr.r, dims[:]); err != nil {
-		return nil, nil, fmt.Errorf("batch: result %d header: %w", index, noEOF(err))
+	if _, err := io.ReadFull(rr.r.R, dims[:]); err != nil {
+		return nil, nil, fmt.Errorf("batch: result %d header: %w", index, wire.NoEOF(err))
 	}
 	k := int(binary.LittleEndian.Uint16(dims[0:]))
 	n := int(binary.LittleEndian.Uint16(dims[2:]))
 	if n < 1 || k < 1 || k > MaxDim || n > MaxDim {
 		return nil, nil, fmt.Errorf("batch: result %d is %dx%d", index, k, n)
 	}
-	need := k * n * 8
-	if cap(rr.buf) < need {
-		rr.buf = make([]byte, need)
+	r, sum, err := rr.r.ReadMat(k, n)
+	if err != nil {
+		return nil, nil, fmt.Errorf("batch: result %d payload: %w", index, err)
 	}
-	buf := rr.buf[:need]
-	if _, err := io.ReadFull(rr.r, buf); err != nil {
-		return nil, nil, fmt.Errorf("batch: result %d payload: %w", index, noEOF(err))
-	}
-	r := matrix.New(k, n)
-	for i := range r.Data {
-		bits := binary.LittleEndian.Uint64(buf[i*8:])
-		rr.sum ^= bits
-		r.Data[i] = math.Float64frombits(bits)
-	}
+	rr.sum ^= sum
 	rr.done++
 	return &Result{Index: int(index), R: r}, nil, nil
 }

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"sort"
-	"sync"
-	"sync/atomic"
-)
+import "sort"
 
 // DefaultFlightCap is the default flight-recorder bound in events. At ~150
 // bytes per event the default ring tops out around 150 KiB — small enough
@@ -14,24 +10,12 @@ const DefaultFlightCap = 1024
 
 // flightStripes is the ring's stripe count; events hash to a stripe by
 // their job/session identity so concurrent emitters rarely contend on one
-// mutex. Same design as trace.Recorder, sized down for the much lower
-// service event rate.
+// mutex. Far fewer than trace.Recorder's: the service event rate is low.
 const flightStripes = 8
 
-// Ring is the flight recorder: a bounded, striped ring of recent events.
-// When a stripe fills, its oldest event is overwritten and the drop counter
-// is bumped — pushing never blocks and never grows the ring.
-type Ring struct {
-	perStripe int
-	drops     atomic.Int64
-	stripes   [flightStripes]flightStripe
-}
-
-type flightStripe struct {
-	mu sync.Mutex
-	ev []Event
-	n  int // total events ever pushed to this stripe
-}
+// Ring is the flight recorder: a StripedRing of recent events keyed by
+// identity, read back as a time-ordered tail.
+type Ring struct{ *StripedRing[Event] }
 
 // NewRing builds a ring bounded at capacity events (rounded up to a
 // multiple of the stripe count); capacity <= 0 takes DefaultFlightCap.
@@ -39,52 +23,16 @@ func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		capacity = DefaultFlightCap
 	}
-	per := (capacity + flightStripes - 1) / flightStripes
-	if per < 1 {
-		per = 1
-	}
-	return &Ring{perStripe: per}
+	return &Ring{NewStripedRing[Event](capacity, flightStripes)}
 }
 
-// Cap returns the ring's event bound.
-func (r *Ring) Cap() int { return r.perStripe * flightStripes }
-
-func stripeOf(e Event) int {
+// Push records one event, overwriting its stripe's oldest when full.
+func (r *Ring) Push(e Event) {
 	h := uint32(e.Job)*2654435761 + uint32(e.Rank+1)*40503
 	for i := 0; i < len(e.Session); i++ {
 		h = h*31 + uint32(e.Session[i])
 	}
-	return int(h % flightStripes)
-}
-
-// Push records one event, overwriting the stripe's oldest when full.
-func (r *Ring) Push(e Event) {
-	st := &r.stripes[stripeOf(e)]
-	st.mu.Lock()
-	if len(st.ev) < r.perStripe {
-		st.ev = append(st.ev, e)
-	} else {
-		st.ev[st.n%r.perStripe] = e
-		r.drops.Add(1)
-	}
-	st.n++
-	st.mu.Unlock()
-}
-
-// Drops returns how many events were overwritten — the ring's honesty
-// counter, exported so a tail with loss is never presented as complete.
-func (r *Ring) Drops() int64 { return r.drops.Load() }
-
-// Len returns the number of events currently held.
-func (r *Ring) Len() int {
-	n := 0
-	for i := range r.stripes {
-		st := &r.stripes[i]
-		st.mu.Lock()
-		n += len(st.ev)
-		st.mu.Unlock()
-	}
-	return n
+	r.StripedRing.Push(uint(h), e)
 }
 
 // Tail returns the most recent n events in time order (oldest of the tail
@@ -96,17 +44,7 @@ func (r *Ring) Tail(n int) []Event {
 // TailMatch returns the most recent n events satisfying keep (nil keeps
 // all), in time order.
 func (r *Ring) TailMatch(n int, keep func(Event) bool) []Event {
-	var all []Event
-	for i := range r.stripes {
-		st := &r.stripes[i]
-		st.mu.Lock()
-		for _, e := range st.ev {
-			if keep == nil || keep(e) {
-				all = append(all, e)
-			}
-		}
-		st.mu.Unlock()
-	}
+	all := r.Snapshot(keep)
 	sort.Slice(all, func(a, b int) bool { return all[a].At.Before(all[b].At) })
 	if n > 0 && len(all) > n {
 		all = all[len(all)-n:]

@@ -16,12 +16,14 @@
 package pulsar
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
+	"slices"
 	"sync"
 
 	"pulsarqr/internal/matrix"
+	"pulsarqr/internal/wire"
 )
 
 // Packet is the unit of data flowing through channels. Within a node the
@@ -44,19 +46,18 @@ func (p *Packet) Tile() *matrix.Mat {
 	return t
 }
 
-// Codec (un)marshals one payload type for inter-node transport. Encode
-// must report false when the value is not of its type so the registry can
-// try the next codec.
+// Codec (un)marshals one payload type for inter-node transport. A codec
+// supplies EncodeAppend, Encode, or both; either must report false when the
+// value is not of its type so the registry can try the next codec.
 type Codec struct {
 	ID     byte
 	Encode func(v any) ([]byte, bool)
 	Decode func(b []byte) (any, error)
-	// EncodeAppend, when non-nil, appends the payload encoding to dst and
-	// returns the extended slice instead of allocating a fresh one. The
-	// runtime's inter-node send path prefers it so marshal buffers can be
-	// pooled across packets. On a type mismatch it must report false
-	// without having grown dst's contents meaningfully (the caller
-	// discards the returned slice in that case).
+	// EncodeAppend appends the payload encoding to dst and returns the
+	// extended slice instead of allocating a fresh one. The runtime prefers
+	// it, so marshal buffers can be pooled across packets. On a type
+	// mismatch it must report false without having grown dst's contents
+	// meaningfully (the caller discards the returned slice in that case).
 	EncodeAppend func(dst []byte, v any) ([]byte, bool)
 }
 
@@ -81,13 +82,6 @@ func RegisterCodec(c Codec) {
 func init() {
 	RegisterCodec(Codec{
 		ID: 1,
-		Encode: func(v any) ([]byte, bool) {
-			m, ok := v.(*matrix.Mat)
-			if !ok {
-				return nil, false
-			}
-			return EncodeMat(m), true
-		},
 		EncodeAppend: func(dst []byte, v any) ([]byte, bool) {
 			m, ok := v.(*matrix.Mat)
 			if !ok {
@@ -99,40 +93,32 @@ func init() {
 	})
 	RegisterCodec(Codec{
 		ID: 2,
-		Encode: func(v any) ([]byte, bool) {
+		EncodeAppend: func(dst []byte, v any) ([]byte, bool) {
 			f, ok := v.([]float64)
 			if !ok {
-				return nil, false
+				return dst, false
 			}
-			out := make([]byte, 8*len(f))
-			for i, x := range f {
-				binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(x))
-			}
-			return out, true
+			dst, _ = wire.AppendFloats(dst, f)
+			return dst, true
 		},
 		Decode: func(b []byte) (any, error) {
 			if len(b)%8 != 0 {
 				return nil, fmt.Errorf("pulsar: float64 payload length %d", len(b))
 			}
 			f := make([]float64, len(b)/8)
-			for i := range f {
-				f[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-			}
+			wire.Floats(f, b)
 			return f, nil
 		},
 	})
 	RegisterCodec(Codec{
 		ID: 3,
-		Encode: func(v any) ([]byte, bool) {
+		EncodeAppend: func(dst []byte, v any) ([]byte, bool) {
 			s, ok := v.([]int)
-			if !ok {
-				return nil, false
+			dst = slices.Grow(dst, 8*len(s))
+			for _, x := range s {
+				dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(x)))
 			}
-			out := make([]byte, 8*len(s))
-			for i, x := range s {
-				binary.LittleEndian.PutUint64(out[8*i:], uint64(int64(x)))
-			}
-			return out, true
+			return dst, ok
 		},
 		Decode: func(b []byte) (any, error) {
 			if len(b)%8 != 0 {
@@ -147,75 +133,32 @@ func init() {
 	})
 	RegisterCodec(Codec{
 		ID: 4,
-		Encode: func(v any) ([]byte, bool) {
+		EncodeAppend: func(dst []byte, v any) ([]byte, bool) {
 			b, ok := v.([]byte)
-			if !ok {
-				return nil, false
-			}
-			out := make([]byte, len(b))
-			copy(out, b)
-			return out, true
+			return append(dst, b...), ok
 		},
-		Decode: func(b []byte) (any, error) {
-			out := make([]byte, len(b))
-			copy(out, b)
-			return out, nil
-		},
+		Decode: func(b []byte) (any, error) { return bytes.Clone(b), nil },
 	})
 }
 
 // EncodeMat serializes a matrix compactly (rows, cols, column-major data).
-func EncodeMat(m *matrix.Mat) []byte {
-	return AppendMat(make([]byte, 0, 8+8*m.Rows*m.Cols), m)
-}
+func EncodeMat(m *matrix.Mat) []byte { return AppendMat(nil, m) }
 
 // AppendMat appends EncodeMat's serialization of m to dst and returns the
 // extended slice, allocating only when dst lacks capacity.
 func AppendMat(dst []byte, m *matrix.Mat) []byte {
-	n := len(dst)
-	dst = growBytes(dst, 8+8*m.Rows*m.Cols)
-	out := dst[n:]
-	binary.LittleEndian.PutUint32(out[0:], uint32(m.Rows))
-	binary.LittleEndian.PutUint32(out[4:], uint32(m.Cols))
-	o := 8
-	for j := 0; j < m.Cols; j++ {
-		for i := 0; i < m.Rows; i++ {
-			binary.LittleEndian.PutUint64(out[o:], math.Float64bits(m.At(i, j)))
-			o += 8
-		}
-	}
+	dst, _ = wire.AppendDimMat(dst, m)
 	return dst
 }
 
-// growBytes extends b by n bytes (contents unspecified), reallocating only
-// when capacity is insufficient.
-func growBytes(b []byte, n int) []byte {
-	if cap(b)-len(b) >= n {
-		return b[:len(b)+n]
-	}
-	nb := make([]byte, len(b)+n)
-	copy(nb, b)
-	return nb
-}
-
-// DecodeMat reverses EncodeMat.
+// DecodeMat reverses EncodeMat; b must hold exactly one matrix.
 func DecodeMat(b []byte) (*matrix.Mat, error) {
-	if len(b) < 8 {
-		return nil, fmt.Errorf("pulsar: matrix payload too short (%d bytes)", len(b))
+	m, rest, err := wire.ConsumeDimMat(b)
+	if err != nil {
+		return nil, err
 	}
-	rows := int(binary.LittleEndian.Uint32(b[0:]))
-	cols := int(binary.LittleEndian.Uint32(b[4:]))
-	const maxDim = 1 << 28 // defends the decoder against hostile headers
-	if rows < 0 || cols < 0 || rows > maxDim || cols > maxDim || len(b) != 8+8*rows*cols {
-		return nil, fmt.Errorf("pulsar: matrix payload %d bytes for %dx%d", len(b), rows, cols)
-	}
-	m := matrix.New(rows, cols)
-	o := 8
-	for j := 0; j < cols; j++ {
-		for i := 0; i < rows; i++ {
-			m.Set(i, j, math.Float64frombits(binary.LittleEndian.Uint64(b[o:])))
-			o += 8
-		}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("pulsar: %d bytes after a %dx%d matrix payload", len(rest), m.Rows, m.Cols)
 	}
 	return m, nil
 }
@@ -234,15 +177,18 @@ func MarshalPacket(p *Packet) ([]byte, error) {
 func appendPacket(dst []byte, p *Packet) ([]byte, error) {
 	codecMu.RLock()
 	defer codecMu.RUnlock()
+	id := len(dst)
+	dst = append(dst, 0)
 	for _, c := range codecSeq {
+		dst[id] = c.ID
 		if c.EncodeAppend != nil {
-			if out, ok := c.EncodeAppend(append(dst, c.ID), p.Data); ok {
+			if out, ok := c.EncodeAppend(dst, p.Data); ok {
 				return out, nil
 			}
 			continue // mismatch left dst's length unchanged; try the next codec
 		}
 		if b, ok := c.Encode(p.Data); ok {
-			return append(append(dst, c.ID), b...), nil
+			return append(dst, b...), nil
 		}
 	}
 	return nil, fmt.Errorf("pulsar: no codec for payload type %T", p.Data)

@@ -21,38 +21,24 @@ func init() {
 	// gather: [kind u8][J i32][I i32][K i32][lenTile u32][tile][T].
 	pulsar.RegisterCodec(pulsar.Codec{
 		ID: 17,
-		Encode: func(v any) ([]byte, bool) {
+		EncodeAppend: func(dst []byte, v any) ([]byte, bool) {
 			m, ok := v.(*collectMsg)
 			if !ok {
-				return nil, false
+				return dst, false
 			}
-			bt := pulsar.EncodeMat(m.Tile)
-			bf := pulsar.EncodeMat(m.T)
-			out := make([]byte, 17+len(bt)+len(bf))
-			out[0] = byte(m.Kind)
-			binary.LittleEndian.PutUint32(out[1:], uint32(int32(m.J)))
-			binary.LittleEndian.PutUint32(out[5:], uint32(int32(m.I)))
-			binary.LittleEndian.PutUint32(out[9:], uint32(int32(m.K)))
-			binary.LittleEndian.PutUint32(out[13:], uint32(len(bt)))
-			copy(out[17:], bt)
-			copy(out[17+len(bt):], bf)
-			return out, true
+			hdr := [13]byte{byte(m.Kind)}
+			binary.LittleEndian.PutUint32(hdr[1:], uint32(int32(m.J)))
+			binary.LittleEndian.PutUint32(hdr[5:], uint32(int32(m.I)))
+			binary.LittleEndian.PutUint32(hdr[9:], uint32(int32(m.K)))
+			return appendTwoMats(dst, hdr[:], m.Tile, m.T), true
 		},
 		Decode: func(b []byte) (any, error) {
-			if len(b) < 17 {
+			if len(b) < 13 {
 				return nil, fmt.Errorf("qr: short collect packet")
 			}
-			lt := int(binary.LittleEndian.Uint32(b[13:]))
-			if lt < 0 || 17+lt > len(b) {
-				return nil, fmt.Errorf("qr: corrupt collect packet")
-			}
-			tile, err := pulsar.DecodeMat(b[17 : 17+lt])
+			tile, tf, err := consumeTwoMats(b[13:])
 			if err != nil {
-				return nil, err
-			}
-			tf, err := pulsar.DecodeMat(b[17+lt:])
-			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("qr: collect packet: %w", err)
 			}
 			return &collectMsg{
 				Kind: OpKind(b[0]),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"pulsarqr/internal/kernels"
@@ -11,6 +12,7 @@ import (
 	"pulsarqr/internal/pulsar"
 	"pulsarqr/internal/transport"
 	"pulsarqr/internal/tuple"
+	"pulsarqr/internal/wire"
 )
 
 // The 3D Virtual Systolic Array (paper §V-C, Fig. 8). One VDP exists per
@@ -99,38 +101,49 @@ func init() {
 	// Inter-node codec for vtMsg packets: [lenV u32][V][T].
 	pulsar.RegisterCodec(pulsar.Codec{
 		ID: 16,
-		Encode: func(v any) ([]byte, bool) {
+		EncodeAppend: func(dst []byte, v any) ([]byte, bool) {
 			m, ok := v.(*vtMsg)
 			if !ok {
-				return nil, false
+				return dst, false
 			}
-			bv := pulsar.EncodeMat(m.V)
-			bt := pulsar.EncodeMat(m.T)
-			out := make([]byte, 4+len(bv)+len(bt))
-			binary.LittleEndian.PutUint32(out, uint32(len(bv)))
-			copy(out[4:], bv)
-			copy(out[4+len(bv):], bt)
-			return out, true
+			return appendTwoMats(dst, nil, m.V, m.T), true
 		},
 		Decode: func(b []byte) (any, error) {
-			if len(b) < 4 {
-				return nil, fmt.Errorf("qr: short vt packet")
-			}
-			lv := int(binary.LittleEndian.Uint32(b))
-			if 4+lv > len(b) {
-				return nil, fmt.Errorf("qr: corrupt vt packet")
-			}
-			v, err := pulsar.DecodeMat(b[4 : 4+lv])
+			v, t, err := consumeTwoMats(b)
 			if err != nil {
-				return nil, err
-			}
-			t, err := pulsar.DecodeMat(b[4+lv:])
-			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("qr: vt packet: %w", err)
 			}
 			return &vtMsg{V: v, T: t}, nil
 		},
 	})
+}
+
+// appendTwoMats appends hdr and then [len(a) u32][a][b], the tail vtMsg and
+// collectMsg packets share, each matrix in wire's dims-prefixed form. dst
+// grows once, to the exact size: a packet costs its destination buffer and
+// nothing else.
+func appendTwoMats(dst, hdr []byte, a, b *matrix.Mat) []byte {
+	la := 8 + 8*a.Rows*a.Cols
+	dst = append(slices.Grow(dst, len(hdr)+4+la+8+8*b.Rows*b.Cols), hdr...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(la))
+	return pulsar.AppendMat(pulsar.AppendMat(dst, a), b)
+}
+
+// consumeTwoMats decodes what appendTwoMats wrote after hdr: two matrices
+// that fill p exactly, the first as long as its length prefix declares.
+func consumeTwoMats(p []byte) (a, b *matrix.Mat, err error) {
+	if len(p) < 4 {
+		return nil, nil, fmt.Errorf("%d bytes where two matrices belong", len(p))
+	}
+	a, rest, err := wire.ConsumeDimMat(p[4:])
+	if err != nil {
+		return nil, nil, err
+	}
+	if la, want := len(p)-4-len(rest), int(binary.LittleEndian.Uint32(p)); la != want {
+		return nil, nil, fmt.Errorf("first matrix is %d bytes, its prefix declares %d", la, want)
+	}
+	b, err = pulsar.DecodeMat(rest)
+	return a, b, err
 }
 
 // builder accumulates the array for one factorization.

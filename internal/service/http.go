@@ -3,7 +3,6 @@ package service
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -246,7 +245,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.WriteProm(w, s.mgr.Depth(), s.resident())
 	// Process-level goroutine count: the smoke tests diff it across a batch
 	// stream to prove the scheduler leaks nothing.
-	fmt.Fprintf(w, "# HELP qrserve_goroutines Goroutines live in the server process.\n# TYPE qrserve_goroutines gauge\nqrserve_goroutines %d\n", runtime.NumGoroutine())
+	promWriter{w}.gauge("qrserve_goroutines", "Goroutines live in the server process.", runtime.NumGoroutine())
 	s.writeSessionProm(w)
 	s.writeTransportProm(w)
 	s.writeObsProm(w)

@@ -3,8 +3,10 @@ package service
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,8 +16,8 @@ import (
 )
 
 // Metrics aggregates service counters and exposes them in the Prometheus
-// text format. Everything is hand-rolled on sync/atomic — the service takes
-// no dependencies beyond the standard library.
+// text format (promWriter). Everything is hand-rolled on sync/atomic — the
+// service takes no dependencies beyond the standard library.
 type Metrics struct {
 	Accepted     atomic.Int64 // jobs admitted to the queue
 	RejectedFull atomic.Int64 // jobs refused with ErrQueueFull
@@ -116,6 +118,7 @@ var spanBuckets = []float64{
 // histogram is a fixed-bucket Prometheus-style histogram on atomics; the
 // final counts entry is the +Inf bucket.
 type histogram struct {
+	labels  string // the series' labels within its family; "" for a family of one
 	buckets []float64
 	counts  []atomic.Int64
 	sumBits atomic.Uint64
@@ -152,26 +155,32 @@ func (c *classHist) observe(class string, v float64) {
 	h := c.by[class]
 	if h == nil {
 		h = newHistogram(c.buckets)
+		h.labels = fmt.Sprintf("class=%q", class)
 		c.by[class] = h
 	}
 	c.mu.Unlock()
 	h.observe(v)
 }
 
-// snapshot returns the class names sorted and their histograms in that order.
-func (c *classHist) snapshot() ([]string, []*histogram) {
+// snapshot returns the histograms in the order of their sorted class names.
+func (c *classHist) snapshot() []*histogram {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	classes := make([]string, 0, len(c.by))
-	for cl := range c.by {
-		classes = append(classes, cl)
+	var out []*histogram
+	for _, class := range sortedKeys(c.by) {
+		out = append(out, c.by[class])
 	}
-	sort.Strings(classes)
-	hs := make([]*histogram, len(classes))
-	for i, cl := range classes {
-		hs[i] = c.by[cl]
+	return out
+}
+
+// sortedKeys returns m's keys in the stable order /metrics lists labels in.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	return classes, hs
+	sort.Strings(keys)
+	return keys
 }
 
 // addFloat accumulates a float64 into an atomic bit pattern (CAS loop).
@@ -295,117 +304,121 @@ func (m *Metrics) FireHook(ev pulsar.FireEvent) {
 	c.Add(1)
 }
 
+// promWriter spells the Prometheus text exposition format for every writer
+// behind /metrics: a family's HELP and TYPE once, then its samples.
+type promWriter struct{ w io.Writer }
+
+func (p promWriter) family(name, help, typ string) {
+	fmt.Fprintf(p.w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
+// sample writes one sample; labels is the text between its braces, "" for none.
+func (p promWriter) sample(name, labels string, v any) {
+	if labels != "" {
+		labels = "{" + labels + "}"
+	}
+	fmt.Fprintf(p.w, "%s%s %v\n", name, labels, v)
+}
+
+// counter and gauge write a family of one unlabelled sample.
+func (p promWriter) counter(name, help string, v any) {
+	p.family(name, help, "counter")
+	p.sample(name, "", v)
+}
+
+func (p promWriter) gauge(name, help string, v any) {
+	p.family(name, help, "gauge")
+	p.sample(name, "", v)
+}
+
+// hist writes a histogram family: cumulative buckets, sum and count per
+// series. A family with no series yet is not announced.
+func (p promWriter) hist(name, help string, hs ...*histogram) {
+	if len(hs) == 0 {
+		return
+	}
+	p.family(name, help, "histogram")
+	for _, h := range hs {
+		le := strings.TrimPrefix(h.labels+",", ",") // what precedes le= in a bucket's labels
+		var cum int64
+		for i, ub := range h.buckets {
+			cum += h.counts[i].Load()
+			p.sample(name+"_bucket", fmt.Sprintf("%sle=\"%g\"", le, ub), cum)
+		}
+		cum += h.counts[len(h.buckets)].Load()
+		p.sample(name+"_bucket", le+`le="+Inf"`, cum)
+		p.sample(name+"_sum", h.labels, math.Float64frombits(h.sumBits.Load()))
+		p.sample(name+"_count", h.labels, h.n.Load())
+	}
+}
+
 // WriteProm renders the metrics in the Prometheus text exposition format.
 // queueDepth and resident are sampled gauges supplied by the caller.
 func (m *Metrics) WriteProm(w io.Writer, queueDepth, resident int) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("qrserve_jobs_accepted_total", "Jobs admitted to the queue.", m.Accepted.Load())
-	fmt.Fprintf(w, "# HELP qrserve_jobs_rejected_total Jobs refused at admission.\n# TYPE qrserve_jobs_rejected_total counter\n")
-	fmt.Fprintf(w, "qrserve_jobs_rejected_total{reason=\"queue_full\"} %d\n", m.RejectedFull.Load())
-	fmt.Fprintf(w, "qrserve_jobs_rejected_total{reason=\"invalid\"} %d\n", m.RejectedBad.Load())
-	counter("qrserve_jobs_completed_total", "Jobs that finished successfully.", m.Completed.Load())
-	counter("qrserve_jobs_failed_total", "Jobs whose factorization errored.", m.Failed.Load())
-	counter("qrserve_jobs_canceled_total", "Jobs canceled by the client.", m.Canceled.Load())
-	counter("qrserve_jobs_expired_total", "Jobs dropped before dispatch: deadline passed.", m.Expired.Load())
-	counter("qrserve_agent_evictions_total", "Fleet agent ranks declared dead and evicted.", m.Evicted.Load())
-	counter("qrserve_jobs_requeued_total", "Job attempts requeued onto the surviving fleet after a peer death.", m.Requeued.Load())
-	gauge("qrserve_queue_depth", "Jobs waiting in the admission queue.", int64(queueDepth))
-	gauge("qrserve_jobs_running", "Jobs currently executing.", m.Running.Load())
-	gauge("qrserve_jobs_resident", "Jobs resident in memory (queued, running or retained).", int64(resident))
+	p := promWriter{w}
+	p.counter("qrserve_jobs_accepted_total", "Jobs admitted to the queue.", m.Accepted.Load())
+	p.family("qrserve_jobs_rejected_total", "Jobs refused at admission.", "counter")
+	p.sample("qrserve_jobs_rejected_total", `reason="queue_full"`, m.RejectedFull.Load())
+	p.sample("qrserve_jobs_rejected_total", `reason="invalid"`, m.RejectedBad.Load())
+	p.counter("qrserve_jobs_completed_total", "Jobs that finished successfully.", m.Completed.Load())
+	p.counter("qrserve_jobs_failed_total", "Jobs whose factorization errored.", m.Failed.Load())
+	p.counter("qrserve_jobs_canceled_total", "Jobs canceled by the client.", m.Canceled.Load())
+	p.counter("qrserve_jobs_expired_total", "Jobs dropped before dispatch: deadline passed.", m.Expired.Load())
+	p.counter("qrserve_agent_evictions_total", "Fleet agent ranks declared dead and evicted.", m.Evicted.Load())
+	p.counter("qrserve_jobs_requeued_total", "Job attempts requeued onto the surviving fleet after a peer death.", m.Requeued.Load())
+	p.gauge("qrserve_queue_depth", "Jobs waiting in the admission queue.", queueDepth)
+	p.gauge("qrserve_jobs_running", "Jobs currently executing.", m.Running.Load())
+	p.gauge("qrserve_jobs_resident", "Jobs resident in memory (queued, running or retained).", resident)
 
-	fmt.Fprintf(w, "# HELP qrserve_vdp_firings_total VDP firings by trace class.\n# TYPE qrserve_vdp_firings_total counter\n")
+	p.family("qrserve_vdp_firings_total", "VDP firings by trace class.", "counter")
 	m.mu.Lock()
-	classes := make([]string, 0, len(m.firings))
-	for c := range m.firings {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
-	counts := make([]int64, len(classes))
-	for i, c := range classes {
-		counts[i] = m.firings[c].Load()
-	}
+	firings := maps.Clone(m.firings)
 	m.mu.Unlock()
-	for i, c := range classes {
-		fmt.Fprintf(w, "qrserve_vdp_firings_total{class=%q} %d\n", c, counts[i])
+	for _, c := range sortedKeys(firings) {
+		p.sample("qrserve_vdp_firings_total", fmt.Sprintf("class=%q", c), firings[c].Load())
 	}
 
 	flops := math.Float64frombits(m.flopBits.Load())
 	busy := math.Float64frombits(m.busyBits.Load())
-	fmt.Fprintf(w, "# HELP qrserve_flops_total Useful floating point operations factorized.\n# TYPE qrserve_flops_total counter\nqrserve_flops_total %g\n", flops)
-	fmt.Fprintf(w, "# HELP qrserve_busy_seconds_total Seconds spent factorizing.\n# TYPE qrserve_busy_seconds_total counter\nqrserve_busy_seconds_total %g\n", busy)
+	p.counter("qrserve_flops_total", "Useful floating point operations factorized.", flops)
+	p.counter("qrserve_busy_seconds_total", "Seconds spent factorizing.", busy)
 	gflops := 0.0
 	if busy > 0 {
 		gflops = flops / busy / 1e9
 	}
-	fmt.Fprintf(w, "# HELP qrserve_gflops Achieved Gflop/s over all completed jobs.\n# TYPE qrserve_gflops gauge\nqrserve_gflops %g\n", gflops)
+	p.gauge("qrserve_gflops", "Achieved Gflop/s over all completed jobs.", gflops)
 
-	hist := func(name, help string, h *histogram) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-		var cum int64
-		for i, ub := range h.buckets {
-			cum += h.counts[i].Load()
-			fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, ub, cum)
-		}
-		cum += h.counts[len(h.buckets)].Load()
-		fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-		fmt.Fprintf(w, "%s_sum %g\n", name, math.Float64frombits(h.sumBits.Load()))
-		fmt.Fprintf(w, "%s_count %d\n", name, h.n.Load())
-	}
-	hist("qrserve_job_latency_seconds", "End-to-end job latency, admission to completion.", m.latency)
-	hist("qrserve_worker_wait_seconds", "Pool worker park intervals (time spent idle between tasks).", m.wait)
+	p.hist("qrserve_job_latency_seconds", "End-to-end job latency, admission to completion.", m.latency)
+	p.hist("qrserve_worker_wait_seconds", "Pool worker park intervals (time spent idle between tasks).", m.wait)
 
-	chist := func(name, help string, c *classHist) {
-		classes, hs := c.snapshot()
-		if len(classes) == 0 {
-			return
-		}
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-		for ci, class := range classes {
-			h := hs[ci]
-			var cum int64
-			for i, ub := range h.buckets {
-				cum += h.counts[i].Load()
-				fmt.Fprintf(w, "%s_bucket{class=%q,le=\"%g\"} %d\n", name, class, ub, cum)
-			}
-			cum += h.counts[len(h.buckets)].Load()
-			fmt.Fprintf(w, "%s_bucket{class=%q,le=\"+Inf\"} %d\n", name, class, cum)
-			fmt.Fprintf(w, "%s_sum{class=%q} %g\n", name, class, math.Float64frombits(h.sumBits.Load()))
-			fmt.Fprintf(w, "%s_count{class=%q} %d\n", name, class, h.n.Load())
-		}
-	}
-	chist("qrserve_queue_wait_seconds", "Lifecycle span: admission to dispatch, by class.", m.queueWaitH)
-	chist("qrserve_dispatch_seconds", "Lifecycle span: dispatch to execution start, by class.", m.dispatchH)
-	chist("qrserve_run_seconds", "Lifecycle span: execution (run plus trace gather), by class.", m.runH)
+	p.hist("qrserve_queue_wait_seconds", "Lifecycle span: admission to dispatch, by class.", m.queueWaitH.snapshot()...)
+	p.hist("qrserve_dispatch_seconds", "Lifecycle span: dispatch to execution start, by class.", m.dispatchH.snapshot()...)
+	p.hist("qrserve_run_seconds", "Lifecycle span: execution (run plus trace gather), by class.", m.runH.snapshot()...)
 
-	counter("qrserve_batch_requests_total", "Batch streams admitted.", m.BatchRequests.Load())
-	counter("qrserve_batch_rejected_total", "Batch streams shed at admission.", m.BatchRejected.Load())
-	counter("qrserve_batch_matrices_total", "Matrices factorized and emitted by batch streams.", m.BatchMatrices.Load())
-	counter("qrserve_batch_shed_total", "Matrices declared by batch requests but never emitted.", m.BatchShed.Load())
-	gauge("qrserve_batch_active", "Batch streams currently executing.", m.BatchActive.Load())
-	hist("qrserve_batch_chunk_seconds", "Batch chunk latency, dispatch to completion.", m.chunk)
+	p.counter("qrserve_batch_requests_total", "Batch streams admitted.", m.BatchRequests.Load())
+	p.counter("qrserve_batch_rejected_total", "Batch streams shed at admission.", m.BatchRejected.Load())
+	p.counter("qrserve_batch_matrices_total", "Matrices factorized and emitted by batch streams.", m.BatchMatrices.Load())
+	p.counter("qrserve_batch_shed_total", "Matrices declared by batch requests but never emitted.", m.BatchShed.Load())
+	p.gauge("qrserve_batch_active", "Batch streams currently executing.", m.BatchActive.Load())
+	p.hist("qrserve_batch_chunk_seconds", "Batch chunk latency, dispatch to completion.", m.chunk)
 
-	counter("qrserve_sessions_opened_total", "Streaming sessions created.", m.SessionsOpened.Load())
-	counter("qrserve_sessions_rejected_total", "Session opens refused (table or tenant full).", m.SessionsRejected.Load())
-	counter("qrserve_sessions_restored_total", "Session spines reloaded from checkpoints.", m.SessionsRestored.Load())
-	counter("qrserve_sessions_evicted_total", "Sessions unloaded or evicted by the idle janitor.", m.SessionsEvicted.Load())
-	counter("qrserve_session_appends_total", "Row blocks appended across all streaming sessions.", m.SessionAppends.Load())
-	counter("qrserve_session_append_rejected_total", "Append streams shed at admission.", m.AppendRejected.Load())
-	gauge("qrserve_session_appends_active", "Append streams currently executing.", m.AppendActive.Load())
-	counter("qrserve_checkpoint_writes_total", "QSC1 checkpoint files written.", m.CheckpointWrites.Load())
-	counter("qrserve_checkpoint_bytes_total", "Total bytes written to checkpoint files.", m.CheckpointBytes.Load())
-	hist("qrserve_session_append_seconds", "Session append latency, receipt to committed R.", m.appendH)
+	p.counter("qrserve_sessions_opened_total", "Streaming sessions created.", m.SessionsOpened.Load())
+	p.counter("qrserve_sessions_rejected_total", "Session opens refused (table or tenant full).", m.SessionsRejected.Load())
+	p.counter("qrserve_sessions_restored_total", "Session spines reloaded from checkpoints.", m.SessionsRestored.Load())
+	p.counter("qrserve_sessions_evicted_total", "Sessions unloaded or evicted by the idle janitor.", m.SessionsEvicted.Load())
+	p.counter("qrserve_session_appends_total", "Row blocks appended across all streaming sessions.", m.SessionAppends.Load())
+	p.counter("qrserve_session_append_rejected_total", "Append streams shed at admission.", m.AppendRejected.Load())
+	p.gauge("qrserve_session_appends_active", "Append streams currently executing.", m.AppendActive.Load())
+	p.counter("qrserve_checkpoint_writes_total", "QSC1 checkpoint files written.", m.CheckpointWrites.Load())
+	p.counter("qrserve_checkpoint_bytes_total", "Total bytes written to checkpoint files.", m.CheckpointBytes.Load())
+	p.hist("qrserve_session_append_seconds", "Session append latency, receipt to committed R.", m.appendH)
 
-	counter("qrserve_trace_events_total", "Events in gathered trace shards.", m.TraceEvents.Load())
-	counter("qrserve_trace_dropped_total", "Trace events lost to recorder capacity bounds.", m.TraceDrops.Load())
+	p.counter("qrserve_trace_events_total", "Events in gathered trace shards.", m.TraceEvents.Load())
+	p.counter("qrserve_trace_dropped_total", "Trace events lost to recorder capacity bounds.", m.TraceDrops.Load())
 
-	fmt.Fprintf(w, "# HELP qrserve_plan_total Planner decisions by source.\n# TYPE qrserve_plan_total counter\n")
-	fmt.Fprintf(w, "qrserve_plan_total{source=\"computed\"} %d\n", m.PlansComputed.Load())
-	fmt.Fprintf(w, "qrserve_plan_total{source=\"cache\"} %d\n", m.PlanCacheHits.Load())
-	hist("qrserve_plan_seconds", "Planning latency per decision (cache hits and DES sweeps).", m.planH)
-	hist("qrserve_plan_actual_over_predicted", "Actual over predicted run time of planned jobs (1 = perfect model).", m.planRatioH)
+	p.family("qrserve_plan_total", "Planner decisions by source.", "counter")
+	p.sample("qrserve_plan_total", `source="computed"`, m.PlansComputed.Load())
+	p.sample("qrserve_plan_total", `source="cache"`, m.PlanCacheHits.Load())
+	p.hist("qrserve_plan_seconds", "Planning latency per decision (cache hits and DES sweeps).", m.planH)
+	p.hist("qrserve_plan_actual_over_predicted", "Actual over predicted run time of planned jobs (1 = perfect model).", m.planRatioH)
 }

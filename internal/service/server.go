@@ -691,28 +691,20 @@ func (s *Server) broadcast(msg ctlMsg) error {
 // counters, barrier timing, mux channel occupancy — after the job metrics on
 // the /metrics page. Standalone servers (no fleet endpoint) emit nothing.
 func (s *Server) writeTransportProm(w io.Writer) {
+	p := promWriter{w}
 	if lr, ok := s.cfg.Ep.(transport.LinkReporter); ok {
-		fmt.Fprintf(w, "# HELP qrserve_link_sent_bytes_total Bytes sent to each peer rank.\n# TYPE qrserve_link_sent_bytes_total counter\n")
 		links := lr.Links()
-		for _, l := range links {
-			fmt.Fprintf(w, "qrserve_link_sent_bytes_total{peer=\"%d\"} %d\n", l.Peer, l.SentBytes)
+		link := func(name, help, typ string, of func(transport.LinkStats) int64) {
+			p.family(name, help, typ)
+			for _, l := range links {
+				p.sample(name, fmt.Sprintf("peer=\"%d\"", l.Peer), of(l))
+			}
 		}
-		fmt.Fprintf(w, "# HELP qrserve_link_sent_frames_total Frames sent to each peer rank.\n# TYPE qrserve_link_sent_frames_total counter\n")
-		for _, l := range links {
-			fmt.Fprintf(w, "qrserve_link_sent_frames_total{peer=\"%d\"} %d\n", l.Peer, l.SentFrames)
-		}
-		fmt.Fprintf(w, "# HELP qrserve_link_recv_bytes_total Bytes received from each peer rank.\n# TYPE qrserve_link_recv_bytes_total counter\n")
-		for _, l := range links {
-			fmt.Fprintf(w, "qrserve_link_recv_bytes_total{peer=\"%d\"} %d\n", l.Peer, l.RecvBytes)
-		}
-		fmt.Fprintf(w, "# HELP qrserve_link_recv_frames_total Frames received from each peer rank.\n# TYPE qrserve_link_recv_frames_total counter\n")
-		for _, l := range links {
-			fmt.Fprintf(w, "qrserve_link_recv_frames_total{peer=\"%d\"} %d\n", l.Peer, l.RecvFrames)
-		}
-		fmt.Fprintf(w, "# HELP qrserve_link_queue_depth Outbound frames queued toward each peer rank.\n# TYPE qrserve_link_queue_depth gauge\n")
-		for _, l := range links {
-			fmt.Fprintf(w, "qrserve_link_queue_depth{peer=\"%d\"} %d\n", l.Peer, l.QueueDepth)
-		}
+		link("qrserve_link_sent_bytes_total", "Bytes sent to each peer rank.", "counter", func(l transport.LinkStats) int64 { return l.SentBytes })
+		link("qrserve_link_sent_frames_total", "Frames sent to each peer rank.", "counter", func(l transport.LinkStats) int64 { return l.SentFrames })
+		link("qrserve_link_recv_bytes_total", "Bytes received from each peer rank.", "counter", func(l transport.LinkStats) int64 { return l.RecvBytes })
+		link("qrserve_link_recv_frames_total", "Frames received from each peer rank.", "counter", func(l transport.LinkStats) int64 { return l.RecvFrames })
+		link("qrserve_link_queue_depth", "Outbound frames queued toward each peer rank.", "gauge", func(l transport.LinkStats) int64 { return int64(l.QueueDepth) })
 	}
 	if br, ok := s.cfg.Ep.(transport.BarrierReporter); ok {
 		// These count barriers run on the ROOT endpoint itself, outside any
@@ -720,23 +712,23 @@ func (s *Server) writeTransportProm(w io.Writer) {
 		// sessions instead, so these staying near zero is expected, not a
 		// bug. Per-session barriers are qrserve_mux_barriers_total below.
 		bs := br.BarrierStats()
-		fmt.Fprintf(w, "# HELP qrserve_transport_barriers_total Barriers run directly on the root fleet endpoint (not mux job sessions; see qrserve_mux_barriers_total).\n# TYPE qrserve_transport_barriers_total counter\nqrserve_transport_barriers_total %d\n", bs.Count)
-		fmt.Fprintf(w, "# HELP qrserve_transport_barrier_wait_seconds_total Seconds spent waiting in root-endpoint barriers.\n# TYPE qrserve_transport_barrier_wait_seconds_total counter\nqrserve_transport_barrier_wait_seconds_total %g\n", bs.Wait.Seconds())
+		p.counter("qrserve_transport_barriers_total", "Barriers run directly on the root fleet endpoint (not mux job sessions; see qrserve_mux_barriers_total).", bs.Count)
+		p.counter("qrserve_transport_barrier_wait_seconds_total", "Seconds spent waiting in root-endpoint barriers.", bs.Wait.Seconds())
 	}
 	if s.mux != nil {
 		degraded := 0
 		if s.Degraded() {
 			degraded = 1
 		}
-		fmt.Fprintf(w, "# HELP qrserve_fleet_ranks_live Fleet ranks still alive (server included).\n# TYPE qrserve_fleet_ranks_live gauge\nqrserve_fleet_ranks_live %d\n", s.AgentsLive())
-		fmt.Fprintf(w, "# HELP qrserve_fleet_degraded Whether any fleet agent has been evicted (0/1).\n# TYPE qrserve_fleet_degraded gauge\nqrserve_fleet_degraded %d\n", degraded)
+		p.gauge("qrserve_fleet_ranks_live", "Fleet ranks still alive (server included).", s.AgentsLive())
+		p.gauge("qrserve_fleet_degraded", "Whether any fleet agent has been evicted (0/1).", degraded)
 		mbs := s.mux.BarrierTotals()
-		fmt.Fprintf(w, "# HELP qrserve_mux_barriers_total Collective barriers completed across all mux job sessions, surviving their close.\n# TYPE qrserve_mux_barriers_total counter\nqrserve_mux_barriers_total %d\n", mbs.Count)
-		fmt.Fprintf(w, "# HELP qrserve_mux_barrier_wait_seconds_total Seconds spent waiting in mux job-session barriers.\n# TYPE qrserve_mux_barrier_wait_seconds_total counter\nqrserve_mux_barrier_wait_seconds_total %g\n", mbs.Wait.Seconds())
+		p.counter("qrserve_mux_barriers_total", "Collective barriers completed across all mux job sessions, surviving their close.", mbs.Count)
+		p.counter("qrserve_mux_barrier_wait_seconds_total", "Seconds spent waiting in mux job-session barriers.", mbs.Wait.Seconds())
 		open, pending, backlog := s.mux.Depths()
-		fmt.Fprintf(w, "# HELP qrserve_mux_jobs_open Mux job channels currently open.\n# TYPE qrserve_mux_jobs_open gauge\nqrserve_mux_jobs_open %d\n", open)
-		fmt.Fprintf(w, "# HELP qrserve_mux_pending_messages Messages parked for not-yet-open mux channels.\n# TYPE qrserve_mux_pending_messages gauge\nqrserve_mux_pending_messages %d\n", pending)
-		fmt.Fprintf(w, "# HELP qrserve_mux_backlog_messages Messages buffered in open job mailboxes awaiting receivers.\n# TYPE qrserve_mux_backlog_messages gauge\nqrserve_mux_backlog_messages %d\n", backlog)
+		p.gauge("qrserve_mux_jobs_open", "Mux job channels currently open.", open)
+		p.gauge("qrserve_mux_pending_messages", "Messages parked for not-yet-open mux channels.", pending)
+		p.gauge("qrserve_mux_backlog_messages", "Messages buffered in open job mailboxes awaiting receivers.", backlog)
 	}
 }
 

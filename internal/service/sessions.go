@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"time"
 
 	"pulsarqr/internal/matrix"
@@ -249,20 +248,16 @@ func (s *Server) handleSessionAppend(w http.ResponseWriter, r *http.Request) {
 // freshness — the dashboard's view of how much streamed state would survive
 // a crash right now.
 func (s *Server) writeSessionProm(w io.Writer) {
+	p := promWriter{w}
 	st := s.sessions.Stats()
-	fmt.Fprintf(w, "# HELP qrserve_sessions_active Streaming sessions registered (loaded or parked).\n# TYPE qrserve_sessions_active gauge\nqrserve_sessions_active %d\n", st.Sessions)
-	fmt.Fprintf(w, "# HELP qrserve_sessions_loaded Sessions with a live in-memory spine.\n# TYPE qrserve_sessions_loaded gauge\nqrserve_sessions_loaded %d\n", st.Loaded)
-	fmt.Fprintf(w, "# HELP qrserve_tenant_sessions Sessions registered per tenant.\n# TYPE qrserve_tenant_sessions gauge\n")
-	tenants := make([]string, 0, len(st.PerTenant))
-	for tn := range st.PerTenant {
-		tenants = append(tenants, tn)
+	p.gauge("qrserve_sessions_active", "Streaming sessions registered (loaded or parked).", st.Sessions)
+	p.gauge("qrserve_sessions_loaded", "Sessions with a live in-memory spine.", st.Loaded)
+	p.family("qrserve_tenant_sessions", "Sessions registered per tenant.", "gauge")
+	for _, tn := range sortedKeys(st.PerTenant) {
+		p.sample("qrserve_tenant_sessions", fmt.Sprintf("tenant=%q", tn), st.PerTenant[tn])
 	}
-	sort.Strings(tenants)
-	for _, tn := range tenants {
-		fmt.Fprintf(w, "qrserve_tenant_sessions{tenant=%q} %d\n", tn, st.PerTenant[tn])
-	}
-	fmt.Fprintf(w, "# HELP qrserve_checkpoint_resident_bytes Bytes held by the latest checkpoint of every session.\n# TYPE qrserve_checkpoint_resident_bytes gauge\nqrserve_checkpoint_resident_bytes %d\n", st.CheckpointBytes)
+	p.gauge("qrserve_checkpoint_resident_bytes", "Bytes held by the latest checkpoint of every session.", st.CheckpointBytes)
 	if !st.LastCheckpoint.IsZero() {
-		fmt.Fprintf(w, "# HELP qrserve_checkpoint_age_seconds Seconds since the most recent durable checkpoint write.\n# TYPE qrserve_checkpoint_age_seconds gauge\nqrserve_checkpoint_age_seconds %g\n", time.Since(st.LastCheckpoint).Seconds())
+		p.gauge("qrserve_checkpoint_age_seconds", "Seconds since the most recent durable checkpoint write.", time.Since(st.LastCheckpoint).Seconds())
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -485,5 +486,31 @@ func TestShedAllClassesEmitRetryAfter(t *testing.T) {
 	expect429("session table overflow", resp, err)
 	if s.metrics.SessionsRejected.Load() != 1 {
 		t.Errorf("sessions rejected counter = %d, want 1", s.metrics.SessionsRejected.Load())
+	}
+}
+
+// A blocking no checkpoint can carry is a 400 at open — before a session id
+// exists, before anything is acknowledged, before a file is written — not a
+// durable session the next boot skips.
+func TestSessionOpenRefusesUncheckpointableBlocking(t *testing.T) {
+	dir := t.TempDir()
+	_, ts, c := newBatchTestServer(t, Config{Threads: 2, CheckpointDir: dir})
+	resp, err := ts.Client().Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(`{"n":8,"nb":2000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "nb=2000") {
+		t.Fatalf("open with nb=2000: %d %s, want 400 naming the blocking", resp.StatusCode, body)
+	}
+	if list, err := c.Sessions(); err != nil || len(list) != 0 {
+		t.Fatalf("sessions after the refusal: %v (err %v)", list, err)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Fatalf("the refused open left %d files in the checkpoint directory", len(ents))
+	}
+	if _, err := c.OpenSession(SessionSpec{N: 8, NB: session.MaxN}); err != nil {
+		t.Fatalf("nb on the bound refused: %v", err)
 	}
 }

@@ -205,25 +205,26 @@ func (s *Server) handleMachineModel(w http.ResponseWriter, r *http.Request) {
 // transport block on /metrics: build identity, event-log volume and loss,
 // and the live per-link α–β gauges.
 func (s *Server) writeObsProm(w io.Writer) {
+	p := promWriter{w}
 	bi := buildInfo(s.cfg.Threads)
-	fmt.Fprintf(w, "# HELP qrserve_build_info Build and compute-path identity (value is always 1).\n# TYPE qrserve_build_info gauge\n")
-	fmt.Fprintf(w, "qrserve_build_info{version=%q,kernel=%q,goversion=%q} 1\n", bi.Version, bi.Kernel, bi.GoVersion)
+	p.family("qrserve_build_info", "Build and compute-path identity (value is always 1).", "gauge")
+	p.sample("qrserve_build_info", fmt.Sprintf("version=%q,kernel=%q,goversion=%q", bi.Version, bi.Kernel, bi.GoVersion), 1)
 	if !s.obs.Enabled() {
 		return
 	}
 	events, drops := s.obs.Stats()
-	fmt.Fprintf(w, "# HELP qrserve_obs_events_total Structured events emitted.\n# TYPE qrserve_obs_events_total counter\nqrserve_obs_events_total %d\n", events)
-	fmt.Fprintf(w, "# HELP qrserve_obs_event_drops_total Flight-recorder ring overwrites (oldest events lost).\n# TYPE qrserve_obs_event_drops_total counter\nqrserve_obs_event_drops_total %d\n", drops)
+	p.counter("qrserve_obs_events_total", "Structured events emitted.", events)
+	p.counter("qrserve_obs_event_drops_total", "Flight-recorder ring overwrites (oldest events lost).", drops)
 	links := s.obs.Links()
 	if len(links) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "# HELP qrserve_link_alpha_seconds Estimated per-message latency toward each peer rank.\n# TYPE qrserve_link_alpha_seconds gauge\n")
+	p.family("qrserve_link_alpha_seconds", "Estimated per-message latency toward each peer rank.", "gauge")
 	for _, l := range links {
-		fmt.Fprintf(w, "qrserve_link_alpha_seconds{peer=\"%d\"} %g\n", l.Peer, l.Alpha)
+		p.sample("qrserve_link_alpha_seconds", fmt.Sprintf("peer=\"%d\"", l.Peer), l.Alpha)
 	}
-	fmt.Fprintf(w, "# HELP qrserve_link_beta_seconds_per_byte Estimated per-byte transfer cost toward each peer rank.\n# TYPE qrserve_link_beta_seconds_per_byte gauge\n")
+	p.family("qrserve_link_beta_seconds_per_byte", "Estimated per-byte transfer cost toward each peer rank.", "gauge")
 	for _, l := range links {
-		fmt.Fprintf(w, "qrserve_link_beta_seconds_per_byte{peer=\"%d\"} %g\n", l.Peer, l.Beta)
+		p.sample("qrserve_link_beta_seconds_per_byte", fmt.Sprintf("peer=\"%d\"", l.Peer), l.Beta)
 	}
 }

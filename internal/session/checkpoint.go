@@ -12,14 +12,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
 
-	"pulsarqr/internal/matrix"
-	"pulsarqr/internal/pulsar"
 	"pulsarqr/internal/qr"
+	"pulsarqr/internal/wire"
 )
 
 // QSC1 is the durable checkpoint format. One file per session:
@@ -30,7 +28,7 @@ import (
 //	spineLen × ( [u64 blocks] [u64 rows] R-mat [QTB-mat when nrhs>0] )
 //	[u64 checksum]
 //
-// Matrices use the pulsar.AppendMat encoding (u32 rows, u32 cols, then
+// Matrices use wire.AppendDimMat's encoding (u32 rows, u32 cols, then
 // column-major IEEE-754 bit patterns), all little-endian. The checksum is
 // the XOR of the Float64bits of every spine element written — exact and
 // order-independent, the same trailer idiom the batch wire format uses.
@@ -75,6 +73,26 @@ type Checkpoint struct {
 	Spine  []*qr.StreamNode
 }
 
+// check reports the first header field outside what a checkpoint of the
+// given spine depth may carry. Open, the writer and the reader all apply it,
+// so a session is refused at open rather than acknowledged into a file the
+// next boot would skip.
+func (cp *Checkpoint) check(spine int) error {
+	switch {
+	case cp.N < 1 || cp.N > MaxN || cp.NRHS < 0 || cp.NRHS > MaxNRHS:
+		return fmt.Errorf("dims n=%d nrhs=%d outside n in [1,%d], nrhs in [0,%d]", cp.N, cp.NRHS, MaxN, MaxNRHS)
+	case cp.Opts.NB < 1 || cp.Opts.NB > MaxN || cp.Opts.IB < 1 || cp.Opts.IB > cp.Opts.NB:
+		return fmt.Errorf("blocking nb=%d ib=%d outside 1 <= ib <= nb <= %d", cp.Opts.NB, cp.Opts.IB, MaxN)
+	case cp.Every < 0 || cp.Every > 1<<20:
+		return fmt.Errorf("checkpoint cadence %d out of range", cp.Every)
+	case cp.Blocks < 0 || cp.Rows < 0:
+		return fmt.Errorf("counters blocks=%d rows=%d", cp.Blocks, cp.Rows)
+	case spine > MaxSpine:
+		return fmt.Errorf("spine depth %d exceeds %d", spine, MaxSpine)
+	}
+	return nil
+}
+
 // validIDByte reports whether c may appear in a session id or tenant name
 // destined for a checkpoint filename.
 func validIDByte(c byte) bool {
@@ -105,8 +123,8 @@ func WriteCheckpoint(w io.Writer, cp *Checkpoint) (int64, error) {
 	if !validName(cp.Tenant) {
 		return 0, fmt.Errorf("session: checkpoint tenant %q not encodable", cp.Tenant)
 	}
-	if cp.N < 1 || cp.N > MaxN || cp.NRHS < 0 || cp.NRHS > MaxNRHS || len(cp.Spine) > MaxSpine {
-		return 0, fmt.Errorf("session: checkpoint dims n=%d nrhs=%d spine=%d out of range", cp.N, cp.NRHS, len(cp.Spine))
+	if err := cp.check(len(cp.Spine)); err != nil {
+		return 0, fmt.Errorf("session: checkpoint not encodable: %w", err)
 	}
 	buf := make([]byte, 0, 4+4+len(cp.ID)+len(cp.Tenant)+6*4+2*8+4)
 	buf = append(buf, ckptMagic[:]...)
@@ -124,7 +142,7 @@ func WriteCheckpoint(w io.Writer, cp *Checkpoint) (int64, error) {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(cp.Blocks))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(cp.Rows))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(cp.Spine)))
-	var sum uint64
+	var sum, s uint64
 	total := int64(0)
 	flush := func() error {
 		n, err := w.Write(buf)
@@ -135,11 +153,11 @@ func WriteCheckpoint(w io.Writer, cp *Checkpoint) (int64, error) {
 	for _, nd := range cp.Spine {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(nd.Blocks))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(nd.Rows))
-		buf = pulsar.AppendMat(buf, nd.R)
-		sum ^= xorMat(nd.R)
+		buf, s = wire.AppendDimMat(buf, nd.R)
+		sum ^= s
 		if cp.NRHS > 0 {
-			buf = pulsar.AppendMat(buf, nd.QTB)
-			sum ^= xorMat(nd.QTB)
+			buf, s = wire.AppendDimMat(buf, nd.QTB)
+			sum ^= s
 		}
 		if err := flush(); err != nil {
 			return total, err
@@ -148,17 +166,6 @@ func WriteCheckpoint(w io.Writer, cp *Checkpoint) (int64, error) {
 	buf = binary.LittleEndian.AppendUint64(buf, sum)
 	err := flush()
 	return total, err
-}
-
-// xorMat folds every element's bit pattern into one word.
-func xorMat(m *matrix.Mat) uint64 {
-	var sum uint64
-	for j := 0; j < m.Cols; j++ {
-		for i := 0; i < m.Rows; i++ {
-			sum ^= math.Float64bits(m.At(i, j))
-		}
-	}
-	return sum
 }
 
 // ReadCheckpoint decodes a full checkpoint, verifying structure and
@@ -196,7 +203,7 @@ func readCheckpoint(r io.Reader, full bool) (*Checkpoint, error) {
 	}
 	var fixed [6*4 + 2*8 + 4]byte
 	if _, err := io.ReadFull(r, fixed[:]); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrBadCheckpoint, noEOF(err))
+		return nil, fmt.Errorf("%w: header: %v", ErrBadCheckpoint, wire.NoEOF(err))
 	}
 	cp := &Checkpoint{
 		ID:     id,
@@ -213,28 +220,20 @@ func readCheckpoint(r io.Reader, full bool) (*Checkpoint, error) {
 	}
 	flags := binary.LittleEndian.Uint32(fixed[20:])
 	cp.Ack = flags&flagAckOnly != 0
-	spineLen := binary.LittleEndian.Uint32(fixed[40:])
-	if cp.N < 1 || cp.N > MaxN || cp.NRHS < 0 || cp.NRHS > MaxNRHS {
-		return nil, fmt.Errorf("%w: dims n=%d nrhs=%d", ErrBadCheckpoint, cp.N, cp.NRHS)
-	}
-	if cp.Opts.NB < 1 || cp.Opts.NB > MaxN || cp.Opts.IB < 1 || cp.Opts.IB > cp.Opts.NB {
-		return nil, fmt.Errorf("%w: blocking nb=%d ib=%d", ErrBadCheckpoint, cp.Opts.NB, cp.Opts.IB)
-	}
-	if cp.Every < 0 || cp.Every > 1<<20 || cp.Blocks < 0 || cp.Rows < 0 {
-		return nil, fmt.Errorf("%w: counters", ErrBadCheckpoint)
-	}
-	if spineLen > MaxSpine {
-		return nil, fmt.Errorf("%w: spine depth %d exceeds %d", ErrBadCheckpoint, spineLen, MaxSpine)
+	spineLen := int(binary.LittleEndian.Uint32(fixed[40:]))
+	if err := cp.check(spineLen); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
 	if !full {
 		return cp, nil
 	}
-	var sum uint64
+	mats := wire.Reader{R: r}
+	var sum, s uint64
 	var blocks, rows int64
-	for i := 0; i < int(spineLen); i++ {
+	for i := 0; i < spineLen; i++ {
 		var hdr [16]byte
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return nil, fmt.Errorf("%w: spine node %d: %v", ErrBadCheckpoint, i, noEOF(err))
+			return nil, fmt.Errorf("%w: spine node %d: %v", ErrBadCheckpoint, i, wire.NoEOF(err))
 		}
 		nd := &qr.StreamNode{
 			Blocks: int64(binary.LittleEndian.Uint64(hdr[0:])),
@@ -243,15 +242,15 @@ func readCheckpoint(r io.Reader, full bool) (*Checkpoint, error) {
 		if nd.Blocks < 1 || nd.Rows < 1 {
 			return nil, fmt.Errorf("%w: spine node %d counts", ErrBadCheckpoint, i)
 		}
-		if nd.R, err = readMat(r, cp.N, cp.N); err != nil {
+		if nd.R, s, err = mats.ReadDimMat(cp.N, cp.N); err != nil {
 			return nil, fmt.Errorf("%w: spine node %d R: %v", ErrBadCheckpoint, i, err)
 		}
-		sum ^= xorMat(nd.R)
+		sum ^= s
 		if cp.NRHS > 0 {
-			if nd.QTB, err = readMat(r, cp.N, cp.NRHS); err != nil {
+			if nd.QTB, s, err = mats.ReadDimMat(cp.N, cp.NRHS); err != nil {
 				return nil, fmt.Errorf("%w: spine node %d QTB: %v", ErrBadCheckpoint, i, err)
 			}
-			sum ^= xorMat(nd.QTB)
+			sum ^= s
 		}
 		blocks += nd.Blocks
 		rows += nd.Rows
@@ -263,7 +262,7 @@ func readCheckpoint(r io.Reader, full bool) (*Checkpoint, error) {
 	}
 	var trailer [8]byte
 	if _, err := io.ReadFull(r, trailer[:]); err != nil {
-		return nil, fmt.Errorf("%w: trailer: %v", ErrBadCheckpoint, noEOF(err))
+		return nil, fmt.Errorf("%w: trailer: %v", ErrBadCheckpoint, wire.NoEOF(err))
 	}
 	if got := binary.LittleEndian.Uint64(trailer[:]); got != sum {
 		return nil, fmt.Errorf("%w: checksum %#x, recomputed %#x", ErrBadCheckpoint, got, sum)
@@ -275,7 +274,7 @@ func readCheckpoint(r io.Reader, full bool) (*Checkpoint, error) {
 func readName(r io.Reader, what string) (string, error) {
 	var ln [2]byte
 	if _, err := io.ReadFull(r, ln[:]); err != nil {
-		return "", fmt.Errorf("%w: %s length: %v", ErrBadCheckpoint, what, noEOF(err))
+		return "", fmt.Errorf("%w: %s length: %v", ErrBadCheckpoint, what, wire.NoEOF(err))
 	}
 	n := int(binary.LittleEndian.Uint16(ln[:]))
 	if n > MaxName {
@@ -283,48 +282,13 @@ func readName(r io.Reader, what string) (string, error) {
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", fmt.Errorf("%w: %s: %v", ErrBadCheckpoint, what, noEOF(err))
+		return "", fmt.Errorf("%w: %s: %v", ErrBadCheckpoint, what, wire.NoEOF(err))
 	}
 	s := string(buf)
 	if n > 0 && !validName(s) {
 		return "", fmt.Errorf("%w: %s %q not a valid name", ErrBadCheckpoint, what, s)
 	}
 	return s, nil
-}
-
-// readMat decodes one pulsar.AppendMat-encoded matrix whose dimensions must
-// equal rows×cols exactly; the shape is known from the validated session
-// header, so a hostile inner header cannot inflate the allocation.
-func readMat(r io.Reader, rows, cols int) (*matrix.Mat, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, noEOF(err)
-	}
-	gr := int(binary.LittleEndian.Uint32(hdr[0:]))
-	gc := int(binary.LittleEndian.Uint32(hdr[4:]))
-	if gr != rows || gc != cols {
-		return nil, fmt.Errorf("matrix is %dx%d, want %dx%d", gr, gc, rows, cols)
-	}
-	m := matrix.New(rows, cols)
-	buf := make([]byte, 8*rows)
-	for j := 0; j < cols; j++ {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, noEOF(err)
-		}
-		for i := 0; i < rows; i++ {
-			m.Set(i, j, math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:])))
-		}
-	}
-	return m, nil
-}
-
-// noEOF turns a bare io.EOF into io.ErrUnexpectedEOF: inside a declared
-// stream, running out of bytes is always a truncation.
-func noEOF(err error) error {
-	if errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-		return io.ErrUnexpectedEOF
-	}
-	return err
 }
 
 // CheckpointPath returns the file a session's checkpoint lives at.

@@ -202,3 +202,104 @@ func TestCheckpointFileAtomicity(t *testing.T) {
 		}
 	}
 }
+
+// The writer admits only what the reader accepts: for random identities,
+// dimensions, blockings and cadences — in range, on each bound, one past it
+// — either WriteCheckpoint refuses, or ReadCheckpoint hands the same header
+// back. (It used to write nb=2000 for the boot scan to skip.)
+func TestCheckpointWriterAdmitsOnlyWhatReaderAccepts(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	around := func(bounds ...int) int { // a bound, or next to one, or anywhere
+		b := bounds[rng.Intn(len(bounds))]
+		return b + []int{-1, 0, 0, 1, rng.Intn(64)}[rng.Intn(5)]
+	}
+	name := func() string {
+		const bytes = "abcXYZ019-_./ \x00é"
+		b := make([]byte, []int{0, 1, 16, MaxName, MaxName + 1}[rng.Intn(5)])
+		for i := range b {
+			b[i] = bytes[rng.Intn(rng.Intn(len(bytes))+1)] // mostly valid
+		}
+		return string(b)
+	}
+	wrote := 0
+	for trial := 0; trial < 2000; trial++ {
+		cp := randCheckpoint(rng)
+		switch trial % 4 { // perturb one group at a time, so most trials get past the others
+		case 0:
+			cp.ID, cp.Tenant = name(), name()
+		case 1:
+			cp.N, cp.NRHS, cp.Spine, cp.Blocks, cp.Rows = around(1, MaxN), around(0, MaxNRHS), nil, 0, 0
+		case 2:
+			cp.Opts.NB = around(1, MaxN, 2000)
+			cp.Opts.IB = around(1, cp.Opts.NB)
+		case 3:
+			cp.Every = around(0, 1<<20)
+		}
+		var buf bytes.Buffer
+		if _, err := WriteCheckpoint(&buf, cp); err != nil {
+			continue
+		}
+		wrote++
+		for _, read := range []func(io.Reader) (*Checkpoint, error){ReadCheckpoint, ReadCheckpointInfo} {
+			got, err := read(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatalf("trial %d: wrote %+v, reader refuses it: %v", trial, cp, err)
+			}
+			if got.ID != cp.ID || got.Tenant != cp.Tenant || got.N != cp.N || got.NRHS != cp.NRHS ||
+				got.Opts != cp.Opts || got.Every != cp.Every || got.Ack != cp.Ack ||
+				got.Blocks != cp.Blocks || got.Rows != cp.Rows {
+				t.Fatalf("trial %d: wrote %+v, read back %+v", trial, cp, got)
+			}
+		}
+	}
+	if wrote < 200 || wrote > 1800 {
+		t.Fatalf("%d of 2000 trials were written: the generator no longer straddles the bounds", wrote)
+	}
+}
+
+// The hole as it was found: a session opened with nb=2000 was acknowledged,
+// checkpointed, and then skipped by the next boot scan. It is refused at
+// open now, on durable and memory-only tables alike, before anything exists.
+func TestOpenRefusesWhatACheckpointCannotCarry(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		tbl, err := NewTable(Config{Dir: dir, IdleTimeout: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			n, nrhs, every int
+			opts           qr.Options
+		}{
+			{n: 8, opts: qr.Options{NB: 2000}},
+			{n: 8, opts: qr.Options{NB: MaxN + 1, IB: 8}},
+			{n: MaxN + 1}, {n: 0}, {n: 8, nrhs: MaxNRHS + 1}, {n: 8, nrhs: -1},
+			{n: 8, every: -1}, {n: 8, every: 1<<20 + 1},
+		} {
+			if s, err := tbl.Open("acme", tc.n, tc.nrhs, tc.opts, tc.every, false); err == nil {
+				t.Errorf("dir %q: Open(%+v) admitted session %s", dir, tc, s.ID)
+			}
+		}
+		if st := tbl.Stats(); st.Sessions != 0 {
+			t.Errorf("dir %q: %d sessions registered by refused opens", dir, st.Sessions)
+		}
+		// On the bound is inside it, and what was admitted survives a restart.
+		s, err := tbl.Open("acme", 8, 0, qr.Options{NB: MaxN}, 1<<20, false)
+		if err != nil {
+			t.Fatalf("dir %q: nb=%d refused: %v", dir, MaxN, err)
+		}
+		tbl.Close()
+		if dir == "" {
+			continue
+		}
+		if tbl, err = NewTable(Config{Dir: dir, IdleTimeout: -1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tbl.Get(s.ID); err != nil {
+			t.Errorf("session opened with nb=%d did not come back from its checkpoint: %v", MaxN, err)
+		}
+		tbl.Close()
+		if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+			t.Errorf("checkpoint dir holds %d entries, want the one admitted session", len(ents))
+		}
+	}
+}

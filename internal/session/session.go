@@ -284,21 +284,17 @@ func (t *Table) Open(tenant string, n, nrhs int, opts qr.Options, every int, ack
 	if tenant != "" && !validName(tenant) {
 		return nil, fmt.Errorf("session: tenant %q not a valid name", tenant)
 	}
-	if n < 1 || n > MaxN {
-		return nil, fmt.Errorf("session: n=%d out of range [1,%d]", n, MaxN)
-	}
-	if nrhs < 0 || nrhs > MaxNRHS {
-		return nil, fmt.Errorf("session: nrhs=%d out of range [0,%d]", nrhs, MaxNRHS)
-	}
-	if every < 0 || every > 1<<20 {
-		return nil, fmt.Errorf("session: checkpoint cadence %d out of range", every)
-	}
 	if every == 0 {
 		every = t.cfg.Every
 	}
 	str, err := qr.NewStreamer(n, nrhs, opts)
 	if err != nil {
 		return nil, err
+	}
+	// What a session may be is what its checkpoint may carry, memory-only
+	// tables included: one rule, whatever the server's durability.
+	if err := (&Checkpoint{N: n, NRHS: nrhs, Opts: str.Opts(), Every: every}).check(0); err != nil {
+		return nil, fmt.Errorf("session: %w", err)
 	}
 	s := &Session{
 		ID: newID(), Tenant: tenant, N: n, NRHS: nrhs,

@@ -2,12 +2,12 @@ package session
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 
 	"pulsarqr/internal/matrix"
+	"pulsarqr/internal/wire"
 )
 
 // Wire format of POST /v1/sessions/{id}/append. The request body is one
@@ -29,7 +29,8 @@ import (
 // bit patterns, column-major. The checksum is the XOR of the Float64bits of
 // every R element emitted. Frame row counts are bounds-checked before any
 // allocation — the hostile-prefix defense shared with the batch and
-// checkpoint decoders.
+// checkpoint decoders; the payload loop, the stream header and the trailer
+// themselves are internal/wire's.
 
 var (
 	appendMagic = [4]byte{'Q', 'S', 'A', '1'}
@@ -44,23 +45,19 @@ const MaxAppends = 1 << 20
 // decoder's scratch at a few tens of MB even under a hostile prefix.
 const MaxBlockRows = 1 << 12
 
-// appendTrailer marks the response trailer frame (in the blocks position's
-// low word it can never collide: a trailer's first u32 is all-ones padding).
-const appendTrailer = 0xFFFFFFFF
+// appendTrailer marks the response trailer frame: eight bytes of ones where
+// a frame's cumulative block count would be, which no count can reach.
+const appendTrailer = math.MaxUint64
 
 // ErrBadMagic reports a session stream that does not start with its magic.
-var ErrBadMagic = errors.New("session: bad stream magic")
+var ErrBadMagic = wire.ErrBadMagic
 
 // WriteAppendHeader writes the append-request magic and declared block count.
 func WriteAppendHeader(w io.Writer, count int) error {
 	if count < 0 || count > MaxAppends {
 		return fmt.Errorf("session: append count %d out of range [0,%d]", count, MaxAppends)
 	}
-	var hdr [8]byte
-	copy(hdr[:4], appendMagic[:])
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(count))
-	_, err := w.Write(hdr[:])
-	return err
+	return wire.WriteHeader(w, appendMagic, count)
 }
 
 // AppendBlock appends the request encoding of one row block (and its
@@ -70,22 +67,12 @@ func AppendBlock(dst []byte, block, rhs *matrix.Mat) []byte {
 		panic(fmt.Sprintf("session: encode %d-row block", block.Rows))
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(block.Rows))
-	dst = appendCols(dst, block)
+	dst, _ = wire.AppendMat(dst, block)
 	if rhs != nil {
 		if rhs.Rows != block.Rows {
 			panic(fmt.Sprintf("session: rhs has %d rows, block %d", rhs.Rows, block.Rows))
 		}
-		dst = appendCols(dst, rhs)
-	}
-	return dst
-}
-
-func appendCols(dst []byte, m *matrix.Mat) []byte {
-	for j := 0; j < m.Cols; j++ {
-		col := m.Data[j*m.LD : j*m.LD+m.Rows]
-		for _, v := range col {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-		}
+		dst, _ = wire.AppendMat(dst, rhs)
 	}
 	return dst
 }
@@ -95,11 +82,10 @@ func appendCols(dst []byte, m *matrix.Mat) []byte {
 // Blocks returned by Next are freshly allocated and owned by the caller
 // (the reduction consumes them); the byte scratch is reused.
 type AppendReader struct {
-	r       io.Reader
+	r       wire.Reader
 	n, nrhs int
 	count   int
 	read    int
-	buf     []byte
 }
 
 // NewAppendReader validates the stream header against the session's fixed
@@ -108,18 +94,14 @@ func NewAppendReader(r io.Reader, n, nrhs int) (*AppendReader, error) {
 	if n < 1 || n > MaxN || nrhs < 0 || nrhs > MaxNRHS {
 		return nil, fmt.Errorf("session: append reader dims n=%d nrhs=%d", n, nrhs)
 	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	count, err := wire.ReadHeader(r, appendMagic)
+	if err != nil {
 		return nil, fmt.Errorf("session: append header: %w", err)
 	}
-	if [4]byte(hdr[:4]) != appendMagic {
-		return nil, ErrBadMagic
-	}
-	count := binary.LittleEndian.Uint32(hdr[4:])
 	if count > MaxAppends {
 		return nil, fmt.Errorf("session: append declares %d blocks, limit %d", count, MaxAppends)
 	}
-	return &AppendReader{r: r, n: n, nrhs: nrhs, count: int(count)}, nil
+	return &AppendReader{r: wire.Reader{R: r}, n: n, nrhs: nrhs, count: count}, nil
 }
 
 // Count returns the block count the stream header declared.
@@ -134,35 +116,21 @@ func (ar *AppendReader) Next() (block, rhs *matrix.Mat, err error) {
 		return nil, nil, io.EOF
 	}
 	var hdr [4]byte
-	if _, err := io.ReadFull(ar.r, hdr[:]); err != nil {
-		return nil, nil, fmt.Errorf("session: block %d header: %w", ar.read, noEOF(err))
+	if _, err := io.ReadFull(ar.r.R, hdr[:]); err != nil {
+		return nil, nil, fmt.Errorf("session: block %d header: %w", ar.read, wire.NoEOF(err))
 	}
 	m := int(binary.LittleEndian.Uint32(hdr[:]))
 	if m < 1 || m > MaxBlockRows {
 		return nil, nil, fmt.Errorf("session: block %d declares %d rows; need 1..%d", ar.read, m, MaxBlockRows)
 	}
-	need := 8 * m * (ar.n + ar.nrhs)
-	if cap(ar.buf) < need {
-		ar.buf = make([]byte, need)
+	if block, _, err = ar.r.ReadMat(m, ar.n); err == nil && ar.nrhs > 0 {
+		rhs, _, err = ar.r.ReadMat(m, ar.nrhs)
 	}
-	buf := ar.buf[:need]
-	if _, err := io.ReadFull(ar.r, buf); err != nil {
-		return nil, nil, fmt.Errorf("session: block %d payload: %w", ar.read, noEOF(err))
-	}
-	block = matrix.New(m, ar.n)
-	fillBits(block, buf[:8*m*ar.n])
-	if ar.nrhs > 0 {
-		rhs = matrix.New(m, ar.nrhs)
-		fillBits(rhs, buf[8*m*ar.n:])
+	if err != nil {
+		return nil, nil, fmt.Errorf("session: block %d payload: %w", ar.read, err)
 	}
 	ar.read++
 	return block, rhs, nil
-}
-
-func fillBits(m *matrix.Mat, b []byte) {
-	for i := range m.Data {
-		m.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
 }
 
 // ReplyWriter encodes the append-response stream, tracking the running
@@ -172,7 +140,7 @@ type ReplyWriter struct {
 	w    io.Writer
 	buf  []byte
 	sum  uint64
-	done uint32
+	done int
 }
 
 // NewReplyWriter writes the response magic and returns the writer.
@@ -193,14 +161,9 @@ func (rw *ReplyWriter) WriteUpdate(blocks, rows int64, r *matrix.Mat) error {
 		rw.buf = binary.LittleEndian.AppendUint32(rw.buf, 0)
 	} else {
 		rw.buf = binary.LittleEndian.AppendUint32(rw.buf, uint32(r.Rows))
-		for j := 0; j < r.Cols; j++ {
-			col := r.Data[j*r.LD : j*r.LD+r.Rows]
-			for _, v := range col {
-				bits := math.Float64bits(v)
-				rw.sum ^= bits
-				rw.buf = binary.LittleEndian.AppendUint64(rw.buf, bits)
-			}
-		}
+		var sum uint64
+		rw.buf, sum = wire.AppendMat(rw.buf, r)
+		rw.sum ^= sum
 	}
 	if _, err := rw.w.Write(rw.buf); err != nil {
 		return err
@@ -210,18 +173,13 @@ func (rw *ReplyWriter) WriteUpdate(blocks, rows int64, r *matrix.Mat) error {
 }
 
 // Done returns the commit frames written so far.
-func (rw *ReplyWriter) Done() int { return int(rw.done) }
+func (rw *ReplyWriter) Done() int { return rw.done }
 
 // WriteTrailer ends the stream, reporting blocks the server never committed
 // (shed) and the checksum of everything emitted.
 func (rw *ReplyWriter) WriteTrailer(shed int) error {
-	rw.buf = rw.buf[:0]
-	rw.buf = binary.LittleEndian.AppendUint32(rw.buf, appendTrailer)
-	rw.buf = binary.LittleEndian.AppendUint32(rw.buf, appendTrailer)
-	rw.buf = binary.LittleEndian.AppendUint32(rw.buf, rw.done)
-	rw.buf = binary.LittleEndian.AppendUint32(rw.buf, uint32(shed))
-	rw.buf = binary.LittleEndian.AppendUint64(rw.buf, rw.sum)
-	_, err := rw.w.Write(rw.buf)
+	rw.buf = binary.LittleEndian.AppendUint64(rw.buf[:0], appendTrailer)
+	_, err := rw.w.Write(wire.AppendTrailer(rw.buf, rw.done, shed, rw.sum))
 	return err
 }
 
@@ -232,19 +190,15 @@ type Update struct {
 	R      *matrix.Mat // folded global R; nil on ack-only streams
 }
 
-// Trailer is the decoded end-of-stream summary of an append response.
-type Trailer struct {
-	Done int    // commit frames the server emitted
-	Shed int    // appended blocks the server dropped (cancel, shutdown)
-	Sum  uint64 // server-side checksum of every emitted element
-}
+// Trailer is the decoded end-of-stream summary of an append response: commit
+// frames emitted, appended blocks dropped (cancel, shutdown), checksum.
+type Trailer = wire.Trailer
 
 // ReplyReader decodes an append response, verifying the trailer checksum
 // against what was actually received.
 type ReplyReader struct {
-	r    io.Reader
+	r    wire.Reader
 	n    int
-	buf  []byte
 	sum  uint64
 	done int
 }
@@ -255,14 +209,10 @@ func NewReplyReader(r io.Reader, n int) (*ReplyReader, error) {
 	if n < 1 || n > MaxN {
 		return nil, fmt.Errorf("session: reply reader n=%d", n)
 	}
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
+	if err := wire.ReadMagic(r, replyMagic); err != nil {
 		return nil, fmt.Errorf("session: response header: %w", err)
 	}
-	if magic != replyMagic {
-		return nil, ErrBadMagic
-	}
-	return &ReplyReader{r: r, n: n}, nil
+	return &ReplyReader{r: wire.Reader{R: r}, n: n}, nil
 }
 
 // Next decodes the next frame. At the end of the stream it returns
@@ -271,30 +221,19 @@ func NewReplyReader(r io.Reader, n int) (*ReplyReader, error) {
 // being all ones — a cumulative block count can never reach 2⁶⁴−1.
 func (rr *ReplyReader) Next() (*Update, *Trailer, error) {
 	var hdr [8]byte
-	if _, err := io.ReadFull(rr.r, hdr[:]); err != nil {
-		return nil, nil, fmt.Errorf("session: response frame: %w", noEOF(err))
+	if _, err := io.ReadFull(rr.r.R, hdr[:]); err != nil {
+		return nil, nil, fmt.Errorf("session: response frame: %w", wire.NoEOF(err))
 	}
-	if binary.LittleEndian.Uint64(hdr[:]) == math.MaxUint64 {
-		var rest [16]byte
-		if _, err := io.ReadFull(rr.r, rest[:]); err != nil {
-			return nil, nil, fmt.Errorf("session: response trailer: %w", noEOF(err))
-		}
-		tr := &Trailer{
-			Done: int(binary.LittleEndian.Uint32(rest[0:])),
-			Shed: int(binary.LittleEndian.Uint32(rest[4:])),
-			Sum:  binary.LittleEndian.Uint64(rest[8:]),
-		}
-		if tr.Done != rr.done {
-			return nil, nil, fmt.Errorf("session: trailer claims %d frames, read %d", tr.Done, rr.done)
-		}
-		if tr.Sum != rr.sum {
-			return nil, nil, fmt.Errorf("session: response checksum %#x, received %#x", tr.Sum, rr.sum)
+	if binary.LittleEndian.Uint64(hdr[:]) == appendTrailer {
+		tr, err := wire.ReadTrailer(rr.r.R, rr.done, rr.sum)
+		if err != nil {
+			return nil, nil, fmt.Errorf("session: response trailer: %w", err)
 		}
 		return nil, tr, nil
 	}
 	var rest [12]byte
-	if _, err := io.ReadFull(rr.r, rest[:]); err != nil {
-		return nil, nil, fmt.Errorf("session: response frame: %w", noEOF(err))
+	if _, err := io.ReadFull(rr.r.R, rest[:]); err != nil {
+		return nil, nil, fmt.Errorf("session: response frame: %w", wire.NoEOF(err))
 	}
 	up := &Update{
 		Blocks: int64(binary.LittleEndian.Uint64(hdr[:])),
@@ -305,20 +244,12 @@ func (rr *ReplyReader) Next() (*Update, *Trailer, error) {
 		return nil, nil, fmt.Errorf("session: response frame k=%d, session n=%d", k, rr.n)
 	}
 	if k > 0 {
-		need := 8 * k * rr.n
-		if cap(rr.buf) < need {
-			rr.buf = make([]byte, need)
+		var sum uint64
+		var err error
+		if up.R, sum, err = rr.r.ReadMat(k, rr.n); err != nil {
+			return nil, nil, fmt.Errorf("session: response R payload: %w", err)
 		}
-		buf := rr.buf[:need]
-		if _, err := io.ReadFull(rr.r, buf); err != nil {
-			return nil, nil, fmt.Errorf("session: response R payload: %w", noEOF(err))
-		}
-		up.R = matrix.New(k, rr.n)
-		for i := range up.R.Data {
-			bits := binary.LittleEndian.Uint64(buf[i*8:])
-			rr.sum ^= bits
-			up.R.Data[i] = math.Float64frombits(bits)
-		}
+		rr.sum ^= sum
 	}
 	rr.done++
 	return up, nil, nil

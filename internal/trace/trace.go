@@ -16,10 +16,10 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"pulsarqr/internal/obs"
 	"pulsarqr/internal/pulsar"
 )
 
@@ -83,20 +83,13 @@ const DefaultCapacity = 1 << 18
 // events over to keep workers from serializing on one lock.
 const recShards = 16
 
-// Recorder collects runtime events into a bounded, sharded ring buffer. It
-// is safe for concurrent use by multiple workers; when the buffer is full
-// the oldest events are overwritten and counted as drops.
+// Recorder collects runtime events into a bounded ring striped by worker
+// lane (obs.StripedRing). It is safe for concurrent use by multiple workers;
+// when the buffer is full the oldest events are overwritten and counted as
+// drops.
 type Recorder struct {
-	capPerShard int
-	t0ns        atomic.Int64 // UnixNano of the first recorded start (the epoch)
-	drops       atomic.Int64
-	shards      [recShards]recShard
-}
-
-type recShard struct {
-	mu   sync.Mutex
-	ev   []Event
-	next int // overwrite cursor once len(ev) == capPerShard
+	t0ns atomic.Int64 // UnixNano of the first recorded start (the epoch)
+	ring *obs.StripedRing[Event]
 }
 
 // NewRecorder returns an empty recorder bounded at DefaultCapacity.
@@ -110,11 +103,7 @@ func NewRecorderCap(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	cps := (capacity + recShards - 1) / recShards
-	if cps < 1 {
-		cps = 1
-	}
-	return &Recorder{capPerShard: cps}
+	return &Recorder{ring: obs.NewStripedRing[Event](capacity, recShards)}
 }
 
 // Epoch returns the wall-clock origin (UnixNano) event times are relative
@@ -122,19 +111,10 @@ func NewRecorderCap(capacity int) *Recorder {
 func (r *Recorder) Epoch() int64 { return r.t0ns.Load() }
 
 // Drops returns the number of events lost to the capacity bound.
-func (r *Recorder) Drops() int64 { return r.drops.Load() }
+func (r *Recorder) Drops() int64 { return r.ring.Drops() }
 
 // Len returns the number of events currently held.
-func (r *Recorder) Len() int {
-	n := 0
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		n += len(s.ev)
-		s.mu.Unlock()
-	}
-	return n
-}
+func (r *Recorder) Len() int { return r.ring.Len() }
 
 // epoch pins the recorder's time origin to the first observed start and
 // returns it.
@@ -147,23 +127,9 @@ func (r *Recorder) epoch(start time.Time) int64 {
 	return t0
 }
 
-func (r *Recorder) record(lane int, e Event) {
-	s := &r.shards[uint(lane)%recShards]
-	s.mu.Lock()
-	if len(s.ev) < r.capPerShard {
-		s.ev = append(s.ev, e)
-		s.mu.Unlock()
-		return
-	}
-	s.ev[s.next] = e
-	s.next = (s.next + 1) % r.capPerShard
-	s.mu.Unlock()
-	r.drops.Add(1)
-}
-
 // lane stripes (node, thread) pairs over the ring buffers; +2 keeps the
 // proxy lane (thread -1) non-negative.
-func lane(node, thread int) int { return node*31 + thread + 2 }
+func lane(node, thread int) uint { return uint(node*31 + thread + 2) }
 
 // Hook adapts the recorder to the runtime's FireHook.
 func (r *Recorder) Hook() func(pulsar.FireEvent) {
@@ -173,7 +139,7 @@ func (r *Recorder) Hook() func(pulsar.FireEvent) {
 		if e.Tuple.Len() > 1 {
 			panel = e.Tuple.At(1)
 		}
-		r.record(lane(e.Node, e.Thread), Event{
+		r.ring.Push(lane(e.Node, e.Thread), Event{
 			Kind: KindFire, Class: e.Class, Panel: panel,
 			Node: e.Node, Thread: e.Thread,
 			Start: time.Duration(e.Start.UnixNano() - t0),
@@ -186,7 +152,7 @@ func (r *Recorder) Hook() func(pulsar.FireEvent) {
 func (r *Recorder) WaitHook() func(pulsar.WaitEvent) {
 	return func(e pulsar.WaitEvent) {
 		t0 := r.epoch(e.Start)
-		r.record(lane(e.Node, e.Thread), Event{
+		r.ring.Push(lane(e.Node, e.Thread), Event{
 			Kind: KindWait, Class: ClassWait, Panel: -1,
 			Node: e.Node, Thread: e.Thread, Peer: -1,
 			Start: time.Duration(e.Start.UnixNano() - t0),
@@ -206,7 +172,7 @@ func (r *Recorder) CommHook() func(pulsar.CommEvent) {
 		case pulsar.CommBarrier:
 			kind, class = KindBarrier, ClassBarrier
 		}
-		r.record(lane(e.Node, ProxyThread), Event{
+		r.ring.Push(lane(e.Node, ProxyThread), Event{
 			Kind: kind, Class: class, Panel: -1,
 			Node: e.Node, Thread: ProxyThread,
 			Peer: e.Peer, Bytes: int64(e.Bytes),
@@ -219,13 +185,7 @@ func (r *Recorder) CommHook() func(pulsar.CommEvent) {
 // Events returns the recorded events, normalized so the earliest start is
 // zero and sorted by start time.
 func (r *Recorder) Events() []Event {
-	var out []Event
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		out = append(out, s.ev...)
-		s.mu.Unlock()
-	}
+	out := r.ring.Snapshot(nil)
 	// The epoch is the first start the racing CAS happened to pin, so a few
 	// events may sit slightly before it; renormalize.
 	var minStart time.Duration

@@ -100,8 +100,7 @@ type Chaos struct {
 	pendMu  sync.Mutex
 	pending Request // the pump's outstanding wildcard receive
 
-	failMu  sync.Mutex
-	failFns []func(rank int, err error)
+	failureLog // the underlying endpoint's deaths, as seen through the wrapper
 
 	closed    atomic.Bool
 	closeOnce sync.Once
@@ -175,10 +174,8 @@ func NewChaos(ep Endpoint, sch Schedule) *Chaos {
 	}
 	if fo, ok := ep.(FailureObserver); ok {
 		fo.OnPeerFailure(func(rank int, err error) {
+			fns, _ := c.recordDeath(rank, err)
 			c.mb.depart(rank)
-			c.failMu.Lock()
-			fns := append([]func(rank int, err error){}, c.failFns...)
-			c.failMu.Unlock()
 			for _, fn := range fns {
 				fn(rank, err)
 			}
@@ -204,25 +201,6 @@ func (c *Chaos) Stats() (messages, bytes int64) {
 // plane, not subject to injected faults (MPI semantics make no delivery
 // promise at a barrier either way).
 func (c *Chaos) Barrier() error { return c.ep.Barrier() }
-
-// OnPeerFailure and PeerFailure forward the underlying endpoint's failure
-// surface (if any) through the wrapper, plus deaths Chaos itself injected.
-func (c *Chaos) OnPeerFailure(fn func(rank int, err error)) {
-	c.failMu.Lock()
-	if fn == nil {
-		c.failFns = nil
-	} else {
-		c.failFns = append(c.failFns, fn)
-	}
-	c.failMu.Unlock()
-}
-
-func (c *Chaos) PeerFailure() error {
-	if fo, ok := c.ep.(FailureObserver); ok {
-		return fo.PeerFailure()
-	}
-	return nil
-}
 
 // Isend sends data to dest with the given tag, subjecting the message's
 // first transmission to the schedule's fault draws. The payload is copied

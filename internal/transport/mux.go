@@ -20,8 +20,8 @@ import (
 // persistent connections without dial-per-job cost or tag collisions.
 //
 // The muxed header is [u32 job id][u8 kind]; kind separates data from the
-// per-job barrier protocol (which mirrors the TCP transport's centralized
-// barrier, rank 0 coordinating). Messages that arrive for a job not yet
+// per-job barrier protocol (barrierState.wait, the body the TCP transport
+// runs, rank 0 coordinating). Messages that arrive for a job not yet
 // opened are buffered and flushed at Open — the natural race when one rank
 // starts a job before its peers heard about it. Messages for a closed job
 // are dropped (the dead letters of a canceled run).
@@ -44,27 +44,26 @@ type Mux struct {
 	// is the series a long-lived server exports (qrserve_mux_barriers_total).
 	barTotal barrierCtrs
 
-	mu        sync.Mutex
-	jobs      map[uint32]*JobEndpoint
-	pending   map[uint32][]muxMsg
-	closedJ   map[uint32]bool // closed ids at/above closedLo, compacted as the watermark advances
-	closedLo  uint32          // every id below it is closed or currently open (in jobs)
-	closed    bool
-	cur       Request       // outstanding pump receive, canceled on Close
-	deadPeers map[int]error // real ranks reported dead by the underlying endpoint
-	failFns   []func(rank int, err error)
+	mu       sync.Mutex
+	jobs     map[uint32]*JobEndpoint
+	pending  map[uint32][]muxMsg
+	closedJ  map[uint32]bool // closed ids at/above closedLo, compacted as the watermark advances
+	closedLo uint32          // every id below it is closed or currently open (in jobs)
+	closed   bool
+	cur      Request // outstanding pump receive, canceled on Close
+
+	failureLog // real ranks the underlying endpoint reported dead; the fleet manager observes
 
 	wg sync.WaitGroup
 }
 
 const muxHeaderLen = 5
 
-// Muxed message kinds (the byte after the job id).
+// Muxed message kinds (the byte after the job id): data, or muxBarrier plus
+// the barrier phase — enter 1, release 2, abort 3.
 const (
-	muxData           byte = 0
-	muxBarrierEnter   byte = 1
-	muxBarrierRelease byte = 2
-	muxBarrierAbort   byte = 3
+	muxData    byte = 0
+	muxBarrier byte = 1
 )
 
 type muxMsg struct {
@@ -81,11 +80,10 @@ var errJobClosed = errors.New("transport: job endpoint closed")
 // open job; the underlying endpoint remains the caller's to close.
 func NewMux(ep Endpoint) *Mux {
 	m := &Mux{
-		ep:        ep,
-		jobs:      map[uint32]*JobEndpoint{},
-		pending:   map[uint32][]muxMsg{},
-		closedJ:   map[uint32]bool{},
-		deadPeers: map[int]error{},
+		ep:      ep,
+		jobs:    map[uint32]*JobEndpoint{},
+		pending: map[uint32][]muxMsg{},
+		closedJ: map[uint32]bool{},
 	}
 	if fo, ok := ep.(FailureObserver); ok {
 		fo.OnPeerFailure(m.peerFailed)
@@ -100,17 +98,17 @@ func NewMux(ep Endpoint) *Mux {
 // session, and notify the Mux's own observers (the service's fleet
 // manager).
 func (m *Mux) peerFailed(rank int, err error) {
-	m.mu.Lock()
-	if _, seen := m.deadPeers[rank]; seen {
-		m.mu.Unlock()
+	fns, first := m.recordDeath(rank, err)
+	if !first {
 		return
 	}
-	m.deadPeers[rank] = err
+	// Snapshot the sessions after recording: one opened in between reads the
+	// record itself (OpenOn), and a session told twice ignores the second.
+	m.mu.Lock()
 	jobs := make([]*JobEndpoint, 0, len(m.jobs))
 	for _, e := range m.jobs {
 		jobs = append(jobs, e)
 	}
-	fns := append([]func(rank int, err error){}, m.failFns...)
 	m.mu.Unlock()
 	for _, e := range jobs {
 		e.peerFailed(rank, err)
@@ -120,36 +118,12 @@ func (m *Mux) peerFailed(rank int, err error) {
 	}
 }
 
-// OnPeerFailure registers a fleet-level observer for peer deaths reported
-// by the underlying endpoint; nil unregisters all.
-func (m *Mux) OnPeerFailure(fn func(rank int, err error)) {
-	m.mu.Lock()
-	if fn == nil {
-		m.failFns = nil
-	} else {
-		m.failFns = append(m.failFns, fn)
-	}
-	m.mu.Unlock()
-}
-
-// PeerFailure returns the first fleet-level peer death observed, or nil.
-func (m *Mux) PeerFailure() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, err := range m.deadPeers {
-		return err
-	}
-	return nil
-}
-
 // DeadPeers returns the real ranks the underlying endpoint has reported
 // dead, in ascending order.
 func (m *Mux) DeadPeers() []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]int, 0, len(m.deadPeers))
-	for r := range m.deadPeers {
-		out = append(out, r)
+	var out []int
+	for _, d := range m.deaths() {
+		out = append(out, d.rank)
 	}
 	sort.Ints(out)
 	return out
@@ -215,17 +189,12 @@ func (m *Mux) OpenOn(job uint32, ranks []int) (*JobEndpoint, error) {
 		members: members,
 		vrank:   vrank,
 		self:    self,
-		dead:    map[int]error{},
 		mb:      newMailbox(len(members)),
-		bar:     newBarrierState(len(members)),
+		bar:     newBarrierState(self, len(members)),
 	}
 	m.jobs[job] = e
 	buffered := m.pending[job]
 	delete(m.pending, job)
-	deadNow := make(map[int]error, len(m.deadPeers))
-	for r, err := range m.deadPeers {
-		deadNow[r] = err
-	}
 	m.mu.Unlock()
 
 	for _, msg := range buffered {
@@ -233,8 +202,8 @@ func (m *Mux) OpenOn(job uint32, ranks []int) (*JobEndpoint, error) {
 	}
 	// A session opened on an already-degraded fleet starts with the dead
 	// members departed, exactly as if they died a moment later.
-	for r, err := range deadNow {
-		e.peerFailed(r, err)
+	for _, d := range m.deaths() {
+		e.peerFailed(d.rank, d.cause)
 	}
 	return e, nil
 }
@@ -383,10 +352,7 @@ type JobEndpoint struct {
 	mb  *mailbox
 	bar *barrierState
 
-	failMu    sync.Mutex
-	dead      map[int]error // virtual rank → death cause
-	firstFail error
-	failFns   []func(rank int, err error)
+	failureLog // member deaths, in virtual ranks
 
 	closed    atomic.Bool
 	msgs      atomic.Int64
@@ -406,12 +372,8 @@ func (e *JobEndpoint) dispatch(msg muxMsg) {
 		e.recvMsgs.Add(1)
 		e.recvBytes.Add(int64(len(msg.data)))
 		e.mb.push(envelope{source: src, tag: msg.tag, data: msg.data})
-	case muxBarrierEnter:
-		e.bar.handle(src, msg.tag, BarrierEnter)
-	case muxBarrierRelease:
-		e.bar.handle(src, msg.tag, BarrierRelease)
-	case muxBarrierAbort:
-		e.bar.handle(src, msg.tag, BarrierAbort)
+	default:
+		e.bar.handle(src, msg.tag, msg.kind-muxBarrier)
 	}
 }
 
@@ -426,42 +388,15 @@ func (e *JobEndpoint) peerFailed(real int, err error) {
 	if v < 0 || e.closed.Load() {
 		return
 	}
-	e.failMu.Lock()
-	if _, seen := e.dead[v]; seen {
-		e.failMu.Unlock()
+	fns, first := e.recordDeath(v, err)
+	if !first {
 		return
 	}
-	e.dead[v] = err
-	if e.firstFail == nil {
-		e.firstFail = err
-	}
-	fns := append([]func(rank int, err error){}, e.failFns...)
-	e.failMu.Unlock()
 	e.bar.depart(v, fmt.Errorf("transport: job %d member %d (rank %d) is gone: %w", e.job, v, real, err))
 	e.mb.depart(v)
 	for _, fn := range fns {
 		fn(v, err)
 	}
-}
-
-// OnPeerFailure registers a callback for member deaths within this
-// session (virtual ranks); nil unregisters all. Part of FailureObserver.
-func (e *JobEndpoint) OnPeerFailure(fn func(rank int, err error)) {
-	e.failMu.Lock()
-	if fn == nil {
-		e.failFns = nil
-	} else {
-		e.failFns = append(e.failFns, fn)
-	}
-	e.failMu.Unlock()
-}
-
-// PeerFailure returns the first member death observed in this session, or
-// nil while every member is healthy.
-func (e *JobEndpoint) PeerFailure() error {
-	e.failMu.Lock()
-	defer e.failMu.Unlock()
-	return e.firstFail
 }
 
 func (e *JobEndpoint) fail() {
@@ -533,90 +468,16 @@ func (e *JobEndpoint) Irecv(source, tag int) Request {
 	return req
 }
 
-// Barrier blocks until every rank has entered this job's barrier, using the
-// same centralized generation protocol as the TCP transport but carried in
-// muxed control messages: every rank reports to rank 0, which releases all.
-// The per-job generation counters line up because Barrier is collective
-// within the job. Like the TCP barrier it is departure-aware: a member
-// reported dead fails the barriers it never entered, with the death as the
-// cause, instead of hanging until a timeout.
+// Barrier blocks until every member has entered this job's barrier:
+// barrierState.wait's protocol over the session's virtual ranks, each phase
+// byte carried in a muxed control message. Like the TCP barrier it is
+// departure-aware: a member reported dead fails the barriers it never
+// entered, with the death as the cause, instead of hanging until a timeout.
 func (e *JobEndpoint) Barrier() error {
 	start := time.Now()
-	err := e.barrier()
+	err := e.bar.wait(func(to, gen int, phase byte) { e.send(muxBarrier+phase, nil, to, gen) })
 	e.barT.observe(start)
 	e.mux.barTotal.observe(start)
-	return err
-}
-
-func (e *JobEndpoint) barrier() error {
-	b := e.bar
-	b.mu.Lock()
-	if b.err != nil {
-		defer b.mu.Unlock()
-		return b.err
-	}
-	gen := b.gen
-	b.gen++
-	b.mu.Unlock()
-	size := e.Size()
-	if size == 1 {
-		return nil
-	}
-
-	if e.self == 0 {
-		b.mu.Lock()
-		for len(b.entered[gen]) < size-1 && b.err == nil && b.missingLocked(gen) < 0 {
-			b.cond.Wait()
-		}
-		// A completed generation wins over a concurrent failure or
-		// departure (a member may have entered just before dying).
-		var err error
-		if len(b.entered[gen]) < size-1 {
-			if b.err != nil {
-				err = b.err
-			} else if j := b.missingLocked(gen); j >= 0 {
-				err = fmt.Errorf("transport: barrier cannot complete: %w", b.departErr[j])
-			}
-		}
-		delete(b.entered, gen)
-		b.mu.Unlock()
-		if err != nil {
-			// The generation can never complete; tell the members already
-			// waiting in it so they fail alongside rank 0 instead of
-			// holding out for a release that will not come.
-			for j := 1; j < size; j++ {
-				e.send(muxBarrierAbort, nil, j, gen)
-			}
-			return err
-		}
-		for j := 1; j < size; j++ {
-			e.send(muxBarrierRelease, nil, j, gen)
-		}
-		return nil
-	}
-
-	e.send(muxBarrierEnter, nil, 0, gen)
-	b.mu.Lock()
-	for !b.released[gen] && !b.aborted[gen] && b.err == nil && !b.departed[0] {
-		b.cond.Wait()
-	}
-	// A release already received wins over a concurrent failure or abort.
-	var err error
-	if !b.released[gen] {
-		switch {
-		case b.err != nil:
-			err = b.err
-		case b.departed[0]:
-			err = fmt.Errorf("transport: barrier cannot complete: %w", b.departErr[0])
-		case b.departedLocked() >= 0:
-			err = fmt.Errorf("transport: barrier cannot complete: %w", b.departErr[b.departedLocked()])
-		default:
-			err = fmt.Errorf("transport: barrier aborted by rank 0: a member departed before entering")
-		}
-	}
-	delete(b.released, gen)
-	delete(b.aborted, gen)
-	b.mu.Unlock()
 	return err
 }
 

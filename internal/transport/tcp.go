@@ -140,14 +140,13 @@ func DialTCP(cfg TCPConfig) (Endpoint, error) {
 		window:       cfg.UnackedWindow,
 		logf:         cfg.Logf,
 		mb:           newMailbox(size),
-		bar:          newBarrierState(size),
+		bar:          newBarrierState(cfg.Rank, size),
 		peers:        make([]*peerLink, size),
 		links:        make([]linkCtrs, size),
 		rxCnt:        make([]atomic.Int64, size),
 		lastRecv:     make([]atomic.Int64, size),
 		helloSeen:    make([]bool, size),
 		sawBye:       make([]atomic.Bool, size),
-		deadPeer:     make([]bool, size),
 		inStates:     make([]*inConnState, size),
 		deadTimers:   make(map[int]*time.Timer),
 		stopHB:       make(chan struct{}),
@@ -301,10 +300,7 @@ type tcpEndpoint struct {
 	inStates     []*inConnState      // per-src inbound connection ownership
 	deadTimers   map[int]*time.Timer // pending dead-peer verdicts awaiting a re-hello
 
-	failMu    sync.Mutex
-	failFns   []func(rank int, err error)
-	firstFail error
-	deadPeer  []bool
+	failureLog // peer departures: a clean shutdown, a crash, a budget exhausted
 
 	sawBye []atomic.Bool // peers that announced a clean shutdown
 
@@ -339,31 +335,6 @@ func (ep *tcpEndpoint) OnArrival(fn func()) { ep.mb.setNotify(fn) }
 
 func (ep *tcpEndpoint) Stats() (messages, bytes int64) {
 	return ep.msgs.Load(), ep.bytes.Load()
-}
-
-// OnPeerFailure registers a callback invoked when a peer rank departs; nil
-// unregisters all callbacks. Part of the FailureObserver surface.
-func (ep *tcpEndpoint) OnPeerFailure(fn func(rank int, err error)) {
-	ep.failMu.Lock()
-	if fn == nil {
-		ep.failFns = nil
-	} else {
-		ep.failFns = append(ep.failFns, fn)
-	}
-	ep.failMu.Unlock()
-}
-
-// PeerFailure returns the first peer departure observed, or nil.
-func (ep *tcpEndpoint) PeerFailure() error {
-	ep.failMu.Lock()
-	defer ep.failMu.Unlock()
-	return ep.firstFail
-}
-
-func (ep *tcpEndpoint) peerDead(j int) bool {
-	ep.failMu.Lock()
-	defer ep.failMu.Unlock()
-	return ep.deadPeer[j]
 }
 
 // Isend sends data to dest with the given tag. The payload is serialized
@@ -430,18 +401,10 @@ func (ep *tcpEndpoint) peerLost(src int, err error) {
 	if !errors.As(err, &pde) {
 		pde = &PeerDeathError{Rank: src, Err: err}
 	}
-	ep.failMu.Lock()
-	if ep.deadPeer[src] {
-		ep.failMu.Unlock()
+	fns, first := ep.recordDeath(src, pde)
+	if !first {
 		return
 	}
-	ep.deadPeer[src] = true
-	if ep.firstFail == nil {
-		ep.firstFail = pde
-	}
-	fns := append([]func(rank int, err error){}, ep.failFns...)
-	ep.failMu.Unlock()
-
 	ep.logf("transport: rank %d lost peer %d: %v", ep.rank, src, err)
 	ep.bar.depart(src, fmt.Errorf("transport: rank %d is gone: %w", src, err))
 	ep.mb.depart(src)
@@ -702,7 +665,7 @@ func (ep *tcpEndpoint) redial(dst int, p *peerLink, old net.Conn) (net.Conn, boo
 	const maxBackoff = time.Second
 	rng := rand.New(rand.NewSource(int64(ep.rank)<<20 ^ int64(dst) ^ time.Now().UnixNano()))
 	for attempt := 1; ; attempt++ {
-		if ep.closed.Load() || p.isStopped() || ep.peerDead(dst) {
+		if ep.closed.Load() || p.isStopped() || ep.isDead(dst) {
 			return nil, false
 		}
 		remaining := time.Until(deadline)
@@ -790,7 +753,7 @@ func (ep *tcpEndpoint) heartbeatLoop() {
 		}
 		now := time.Now()
 		for j := 0; j < ep.size; j++ {
-			if j == ep.rank || ep.peerDead(j) || ep.sawBye[j].Load() {
+			if j == ep.rank || ep.isDead(j) || ep.sawBye[j].Load() {
 				continue
 			}
 			if p := ep.peers[j]; p != nil && now.Sub(p.lastWrite()) >= ep.hbInterval {
@@ -808,98 +771,16 @@ func (ep *tcpEndpoint) heartbeatLoop() {
 	}
 }
 
-// Barrier blocks until every rank has entered it, using a centralized
-// protocol over reserved barrier frames: every rank reports to rank 0,
-// which releases everyone once all have arrived. Generations keep distinct
-// barrier episodes apart; the collective-call contract (every rank calls
-// Barrier the same number of times, in the same order relative to its own
-// sends) makes the generation counters line up across ranks.
+// Barrier blocks until every rank has entered it: barrierState.wait's
+// protocol, each phase byte carried in a reserved FrameBarrier frame.
 func (ep *tcpEndpoint) Barrier() error {
 	start := time.Now()
-	err := ep.barrier()
+	err := ep.bar.wait(func(to, gen int, phase byte) {
+		ep.links[to].sentFrames.Add(1)
+		ep.links[to].sentBytes.Add(1)
+		ep.peers[to].enqueue(EncodeFrame(Frame{Type: FrameBarrier, Rank: ep.rank, Tag: gen, Payload: []byte{phase}}), nil)
+	})
 	ep.barT.observe(start)
-	return err
-}
-
-func (ep *tcpEndpoint) barrier() error {
-	b := ep.bar
-	b.mu.Lock()
-	if b.err != nil {
-		defer b.mu.Unlock()
-		return b.err
-	}
-	gen := b.gen
-	b.gen++
-	b.mu.Unlock()
-	if ep.size == 1 {
-		return nil
-	}
-
-	if ep.rank == 0 {
-		b.mu.Lock()
-		for len(b.entered[gen]) < ep.size-1 && b.err == nil && b.missingLocked(gen) < 0 {
-			b.cond.Wait()
-		}
-		// A completed generation wins over a concurrent failure or
-		// departure (a peer may exit cleanly right after its own Barrier
-		// returned, its enter frame for this generation already received).
-		var err error
-		if len(b.entered[gen]) < ep.size-1 {
-			if b.err != nil {
-				err = b.err
-			} else if j := b.missingLocked(gen); j >= 0 {
-				err = fmt.Errorf("transport: barrier cannot complete: %w", b.departErr[j])
-			}
-		}
-		delete(b.entered, gen)
-		b.mu.Unlock()
-		if err != nil {
-			// The generation can never complete. Tell the ranks already
-			// waiting in it, or they hold out forever for a release that
-			// will not come: a non-root rank cannot distinguish a slow
-			// collective from a doomed one on its own.
-			abort := EncodeFrame(Frame{Type: FrameBarrier, Rank: ep.rank, Tag: gen, Payload: []byte{BarrierAbort}})
-			for j := 1; j < ep.size; j++ {
-				ep.links[j].sentFrames.Add(1)
-				ep.links[j].sentBytes.Add(1)
-				ep.peers[j].enqueue(abort, nil)
-			}
-			return err
-		}
-		release := EncodeFrame(Frame{Type: FrameBarrier, Rank: ep.rank, Tag: gen, Payload: []byte{BarrierRelease}})
-		for j := 1; j < ep.size; j++ {
-			ep.links[j].sentFrames.Add(1)
-			ep.links[j].sentBytes.Add(1)
-			ep.peers[j].enqueue(release, nil)
-		}
-		return nil
-	}
-
-	ep.links[0].sentFrames.Add(1)
-	ep.links[0].sentBytes.Add(1)
-	ep.peers[0].enqueue(EncodeFrame(Frame{Type: FrameBarrier, Rank: ep.rank, Tag: gen, Payload: []byte{BarrierEnter}}), nil)
-	b.mu.Lock()
-	for !b.released[gen] && !b.aborted[gen] && b.err == nil && !b.departed[0] {
-		b.cond.Wait()
-	}
-	// A release already received wins over a concurrent failure: rank 0
-	// may exit immediately after releasing the last generation.
-	var err error
-	if !b.released[gen] {
-		switch {
-		case b.err != nil:
-			err = b.err
-		case b.departed[0]:
-			err = fmt.Errorf("transport: barrier cannot complete: %w", b.departErr[0])
-		case b.departedLocked() >= 0:
-			err = fmt.Errorf("transport: barrier cannot complete: %w", b.departErr[b.departedLocked()])
-		default:
-			err = fmt.Errorf("transport: barrier aborted by rank 0: a member departed before entering")
-		}
-	}
-	delete(b.released, gen)
-	delete(b.aborted, gen)
-	b.mu.Unlock()
 	return err
 }
 
@@ -986,7 +867,7 @@ func (ep *tcpEndpoint) Close() error {
 		if ep.reconnect > 0 && !ep.closed.Load() {
 			bye := EncodeFrame(Frame{Type: FrameBye, Rank: ep.rank})
 			for j, p := range ep.peers {
-				if p != nil && !ep.peerDead(j) {
+				if p != nil && !ep.isDead(j) {
 					p.enqueue(bye, nil)
 				}
 			}
@@ -1042,7 +923,7 @@ type peerLink struct {
 // outFrame is one queued wire frame; owner, when non-nil, is the pooled
 // buffer backing data, returned to framePool after a successful write (or,
 // in reconnect mode, once the receiver acknowledged the frame). Barrier
-// frames enqueue the same slice to several peers and so carry no owner.
+// and control frames are not pooled and carry no owner.
 type outFrame struct {
 	data  []byte
 	owner *[]byte
@@ -1161,6 +1042,7 @@ func (p *peerLink) unacked() []outFrame {
 // never participated in — a generation a peer entered before leaving still
 // completes, so ranks may exit in staggered order.
 type barrierState struct {
+	self      int // this rank; 0 coordinates
 	mu        sync.Mutex
 	cond      *sync.Cond
 	gen       int
@@ -1172,8 +1054,9 @@ type barrierState struct {
 	err       error // communicator-wide failure (protocol violation or Close)
 }
 
-func newBarrierState(size int) *barrierState {
+func newBarrierState(self, size int) *barrierState {
 	b := &barrierState{
+		self:      self,
 		entered:   map[int]map[int]bool{},
 		released:  map[int]bool{},
 		aborted:   map[int]bool{},
@@ -1182,6 +1065,83 @@ func newBarrierState(size int) *barrierState {
 	}
 	b.cond = sync.NewCond(&b.mu)
 	return b
+}
+
+// wait is one barrier episode, the only body of the protocol: every rank
+// reports to rank 0, which releases everyone once all have arrived.
+// Generations keep distinct episodes apart; the collective-call contract
+// (every rank calls Barrier the same number of times, in the same order
+// relative to its own sends) makes the generation counters line up across
+// ranks. send is all the substrate contributes: deliver this phase byte for
+// this generation to that rank, where the receiving side hands it to handle.
+func (b *barrierState) wait(send func(to, gen int, phase byte)) error {
+	size := len(b.departed)
+	b.mu.Lock()
+	if b.err != nil {
+		defer b.mu.Unlock()
+		return b.err
+	}
+	gen := b.gen
+	b.gen++
+	b.mu.Unlock()
+	if size == 1 {
+		return nil
+	}
+
+	if b.self == 0 {
+		b.mu.Lock()
+		for len(b.entered[gen]) < size-1 && b.err == nil && b.missingLocked(gen) < 0 {
+			b.cond.Wait()
+		}
+		// A completed generation wins over a concurrent failure or
+		// departure (a peer may exit cleanly right after its own Barrier
+		// returned, its enter frame for this generation already received).
+		var err error
+		if len(b.entered[gen]) < size-1 {
+			if b.err != nil {
+				err = b.err
+			} else if j := b.missingLocked(gen); j >= 0 {
+				err = fmt.Errorf("transport: barrier cannot complete: %w", b.departErr[j])
+			}
+		}
+		delete(b.entered, gen)
+		b.mu.Unlock()
+		// A generation that can never complete is aborted, not abandoned:
+		// the ranks already waiting in it would otherwise hold out forever
+		// for a release that will not come — a non-root rank cannot tell a
+		// slow collective from a doomed one on its own.
+		phase := BarrierRelease
+		if err != nil {
+			phase = BarrierAbort
+		}
+		for j := 1; j < size; j++ {
+			send(j, gen, phase)
+		}
+		return err
+	}
+
+	send(0, gen, BarrierEnter)
+	b.mu.Lock()
+	for !b.released[gen] && !b.aborted[gen] && b.err == nil && !b.departed[0] {
+		b.cond.Wait()
+	}
+	// A release already received wins over a concurrent failure: rank 0
+	// may exit immediately after releasing the last generation.
+	var err error
+	if !b.released[gen] {
+		switch j := b.departedLocked(); { // rank 0 itself, if it is among the departed
+		case b.err != nil:
+			err = b.err
+		case j >= 0:
+			err = fmt.Errorf("transport: barrier cannot complete: %w", b.departErr[j])
+		default:
+			err = fmt.Errorf("transport: barrier aborted by rank 0: a member departed before entering")
+		}
+	}
+	delete(b.released, gen)
+	delete(b.aborted, gen)
+	b.mu.Unlock()
+	return err
 }
 
 func (b *barrierState) handle(src, gen int, phase byte) {
@@ -1235,7 +1195,7 @@ func (b *barrierState) missingLocked(gen int) int {
 	return -1
 }
 
-// departedLocked returns any departed member, or -1. Callers hold b.mu.
+// departedLocked returns the lowest departed member, or -1. Callers hold b.mu.
 func (b *barrierState) departedLocked() int {
 	for j, d := range b.departed {
 		if d {

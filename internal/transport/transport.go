@@ -14,7 +14,10 @@
 // factorization runs unchanged on either substrate.
 package transport
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Any is the wildcard for Irecv's source or tag (MPI_ANY_SOURCE /
 // MPI_ANY_TAG).
@@ -50,6 +53,72 @@ type FailureObserver interface {
 	// healthy. It keeps reporting after callbacks were unregistered, so
 	// error paths can recover the cause after the fact.
 	PeerFailure() error
+}
+
+// failureLog is the record of peer deaths behind an endpoint's
+// FailureObserver surface, embedded by the TCP endpoint, the Mux and its job
+// sessions: a rank is recorded once, deaths keep the order they were
+// observed in, and the observers to notify come back as a snapshot so the
+// caller runs them outside every lock.
+type failureLog struct {
+	failMu  sync.Mutex
+	dead    []peerDeath // in order of death
+	failFns []func(rank int, err error)
+}
+
+type peerDeath struct {
+	rank  int
+	cause error
+}
+
+// recordDeath notes that rank died of err. It reports false when the rank
+// was already recorded; otherwise the observers registered at this instant.
+func (l *failureLog) recordDeath(rank int, err error) ([]func(rank int, err error), bool) {
+	l.failMu.Lock()
+	defer l.failMu.Unlock()
+	for _, d := range l.dead {
+		if d.rank == rank {
+			return nil, false
+		}
+	}
+	l.dead = append(l.dead, peerDeath{rank, err})
+	return append([]func(rank int, err error){}, l.failFns...), true
+}
+
+// OnPeerFailure registers an observer of later deaths; nil unregisters all.
+func (l *failureLog) OnPeerFailure(fn func(rank int, err error)) {
+	l.failMu.Lock()
+	defer l.failMu.Unlock()
+	if fn == nil {
+		l.failFns = nil
+	} else {
+		l.failFns = append(l.failFns, fn)
+	}
+}
+
+// PeerFailure returns the cause of the first death recorded, or nil.
+func (l *failureLog) PeerFailure() error {
+	if dead := l.deaths(); len(dead) > 0 {
+		return dead[0].cause
+	}
+	return nil
+}
+
+func (l *failureLog) isDead(rank int) bool {
+	for _, d := range l.deaths() {
+		if d.rank == rank {
+			return true
+		}
+	}
+	return false
+}
+
+// deaths snapshots the record. Entries are never rewritten, only appended,
+// so the prefix returned stays valid without a copy.
+func (l *failureLog) deaths() []peerDeath {
+	l.failMu.Lock()
+	defer l.failMu.Unlock()
+	return l.dead
 }
 
 // Crasher is implemented by endpoints that can simulate the abrupt death of
