@@ -24,7 +24,7 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Brief fuzz of the wire decoders and the job spec (must never panic;
+# Brief fuzz of the wire decoders, the job spec and the job frame (must never panic;
 # regression corpora under internal/transport/testdata,
 # internal/wire/testdata, internal/batch/testdata,
 # internal/session/testdata and internal/service/testdata).
@@ -38,6 +38,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzAppendReader -fuzztime 10s ./internal/session
 	$(GO) test -run '^$$' -fuzz FuzzMachineModel -fuzztime 10s ./internal/simulate
 	$(GO) test -run '^$$' -fuzz FuzzJobSpec -fuzztime 10s ./internal/service
+	$(GO) test -run '^$$' -fuzz FuzzJobFrame -fuzztime 10s ./internal/service
 
 # Deterministic fault-injection proof: a factorization over real TCP
 # with seeded chaos (drops, delays, a mid-run link sever, a rank kill)

@@ -134,7 +134,7 @@ func (ag *Agent) Run(ctx context.Context) error {
 				prev.cancel()
 			}
 			ag.wg.Add(1)
-			go ag.runJob(jctx, msg.Job, session, msg.Ranks, *msg.Spec)
+			go ag.runJob(jctx, msg.Job, session, msg.Ranks, *msg.Spec, msg.Upload)
 		case "cancel":
 			ag.mu.Lock()
 			att := ag.jobs[msg.Job]
@@ -181,9 +181,10 @@ func contains(xs []int, x int) bool {
 }
 
 // runJob executes this rank's share of one job attempt: the session id
-// (distinct per attempt) names the mux channel, and ranks — when set —
-// names the attempt's member set on a degraded fleet.
-func (ag *Agent) runJob(ctx context.Context, id, session uint32, ranks []int, spec JobSpec) {
+// (distinct per attempt) names the mux channel, ranks — when set — names
+// the attempt's member set on a degraded fleet, and upload says this rank's
+// rows of the input arrive on that channel instead of coming from the seed.
+func (ag *Agent) runJob(ctx context.Context, id, session uint32, ranks []int, spec JobSpec, upload bool) {
 	defer ag.wg.Done()
 	defer func() {
 		ag.mu.Lock()
@@ -218,6 +219,12 @@ func (ag *Agent) runJob(ctx context.Context, id, session uint32, ranks []int, sp
 	if err != nil {
 		ag.logf("agent: job %d: %v", id, err)
 		return
+	}
+	if upload {
+		if err := spec.recvUpload(ctx, jep, opts.NB); err != nil {
+			ag.logf("agent: job %d: %v", id, err)
+			return
+		}
 	}
 	a, part, err := spec.ownedInputs(opts, jep.Size(), jep.Rank())
 	if err != nil {

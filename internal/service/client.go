@@ -13,8 +13,11 @@ import (
 	"pulsarqr/internal/matrix"
 )
 
-// Client is a thin HTTP client for qrserve, used by the smoke tests and
-// available to callers embedding the service.
+// Client is a thin HTTP client for qrserve, used by the smoke tests, the
+// stack benchmark and callers embedding the service. Control messages are
+// JSON; a matrix is never: Submit sends an upload, and Job(id, true) asks for
+// R, in the job frame (frame.go), Batch and the session calls in their own
+// binary streams. Every call is one HTTP request, plus Retry429 retries.
 type Client struct {
 	Base string // e.g. "http://127.0.0.1:7311"
 	HTTP *http.Client
@@ -49,29 +52,29 @@ func (c *Client) retryWait(resp *http.Response) time.Duration {
 	return time.Second
 }
 
-func (c *Client) do(method, path string, body, out any) (int, error) {
-	var enc []byte
-	if body != nil {
-		var err error
-		if enc, err = json.Marshal(body); err != nil {
-			return 0, err
-		}
-	}
+// do is the one request loop: it sends body — already encoded, of type ctype;
+// nil for none — and returns the status, the response's content type and its
+// body. A 429 is retried Retry429 times with the same bytes; any other status
+// of 400 and up comes back as the error the server's JSON names.
+func (c *Client) do(method, path, ctype string, body []byte, accept string) (int, string, []byte, error) {
 	for attempt := 0; ; attempt++ {
 		var rd io.Reader
 		if body != nil {
-			rd = bytes.NewReader(enc)
+			rd = bytes.NewReader(body)
 		}
 		req, err := http.NewRequest(method, c.Base+path, rd)
 		if err != nil {
-			return 0, err
+			return 0, "", nil, err
 		}
 		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
+			req.Header.Set("Content-Type", ctype)
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
 		}
 		resp, err := c.http().Do(req)
 		if err != nil {
-			return 0, err
+			return 0, "", nil, err
 		}
 		if resp.StatusCode == http.StatusTooManyRequests && attempt < c.Retry429 {
 			wait := c.retryWait(resp)
@@ -83,47 +86,98 @@ func (c *Client) do(method, path string, body, out any) (int, error) {
 		defer resp.Body.Close()
 		data, err := io.ReadAll(resp.Body)
 		if err != nil {
-			return resp.StatusCode, err
+			return resp.StatusCode, "", nil, err
 		}
 		if resp.StatusCode >= 400 {
 			var e errorResponse
 			if json.Unmarshal(data, &e) == nil && e.Error != "" {
-				return resp.StatusCode, fmt.Errorf("%s", e.Error)
+				return resp.StatusCode, "", nil, fmt.Errorf("%s", e.Error)
 			}
-			return resp.StatusCode, fmt.Errorf("http %d", resp.StatusCode)
+			return resp.StatusCode, "", nil, fmt.Errorf("http %d", resp.StatusCode)
 		}
-		if out != nil {
-			if err := json.Unmarshal(data, out); err != nil {
-				return resp.StatusCode, err
-			}
-		}
-		return resp.StatusCode, nil
+		return resp.StatusCode, resp.Header.Get("Content-Type"), data, nil
 	}
+}
+
+// call is do for the JSON endpoints: in, when not nil, is the request body
+// and out, when not nil, receives the response.
+func (c *Client) call(method, path string, in, out any) (int, error) {
+	var body []byte
+	if in != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
+			return 0, err
+		}
+	}
+	code, _, data, err := c.do(method, path, "application/json", body, "")
+	if err == nil && out != nil {
+		err = json.Unmarshal(data, out)
+	}
+	return code, err
 }
 
 // Submit posts a factorization; with wait true the call blocks until the
-// job is terminal. A 429 surfaces as an error with ErrQueueFull's message.
+// job is terminal. A spec with Data goes as a job frame — the spec as the
+// head, the matrix as bits after it — and a seeded one as JSON. A 429
+// surfaces as an error with ErrQueueFull's message.
 func (c *Client) Submit(spec JobSpec, wait bool) (JobView, int, error) {
 	var v JobView
-	code, err := c.do("POST", "/v1/factorize", submitRequest{JobSpec: spec, Wait: wait}, &v)
+	if len(spec.Data) == 0 {
+		code, err := c.call("POST", "/v1/factorize", submitRequest{JobSpec: spec, Wait: wait}, &v)
+		return v, code, err
+	}
+	if spec.M < 1 || spec.N < 1 || len(spec.Data) != spec.M*spec.N {
+		return v, 0, fmt.Errorf("service: data holds %d entries for a %dx%d matrix", len(spec.Data), spec.M, spec.N)
+	}
+	a := matrix.FromColMajor(spec.M, spec.N, spec.M, spec.Data)
+	spec.Data = nil
+	head, err := json.Marshal(submitRequest{JobSpec: spec, Wait: wait})
+	if err != nil {
+		return v, 0, err
+	}
+	code, _, data, err := c.do("POST", "/v1/factorize", jobFrameType, appendJobFrame(nil, head, a), "")
+	if err == nil {
+		err = json.Unmarshal(data, &v)
+	}
 	return v, code, err
 }
 
-// Job fetches a job's state; includeR adds the R factor to the view.
+// Job fetches a job's state; includeR adds the R factor to the view, which
+// the server is asked to send as a job frame: JobView.R is filled from the
+// frame's matrix.
 func (c *Client) Job(id uint32, includeR bool) (JobView, error) {
-	path := fmt.Sprintf("/v1/jobs/%d", id)
-	if includeR {
-		path += "?include=r"
-	}
 	var v JobView
-	_, err := c.do("GET", path, nil, &v)
+	path := fmt.Sprintf("/v1/jobs/%d", id)
+	if !includeR {
+		_, err := c.call("GET", path, nil, &v)
+		return v, err
+	}
+	_, ctype, data, err := c.do("GET", path+"?include=r", "", nil, jobFrameType)
+	if err != nil {
+		return v, err
+	}
+	if ctype != jobFrameType {
+		return v, fmt.Errorf("service: job %d came back as %q, not the %s asked for", id, ctype, jobFrameType)
+	}
+	r, err := readJobFrame(bytes.NewReader(data), func(head []byte, rows, cols int) error {
+		if err := json.Unmarshal(head, &v); err != nil {
+			return err
+		}
+		if (rows != 0 || cols != 0) && (rows != v.N || cols != v.N) {
+			return fmt.Errorf("frame matrix is %dx%d, R of job %d is %dx%d", rows, cols, id, v.N, v.N)
+		}
+		return nil
+	})
+	if r != nil {
+		v.R = rRows(r)
+	}
 	return v, err
 }
 
 // Cancel requests a job's cancellation.
 func (c *Client) Cancel(id uint32) (JobView, error) {
 	var v JobView
-	_, err := c.do("DELETE", fmt.Sprintf("/v1/jobs/%d", id), nil, &v)
+	_, err := c.call("DELETE", fmt.Sprintf("/v1/jobs/%d", id), nil, &v)
 	return v, err
 }
 
@@ -132,7 +186,7 @@ func (c *Client) Health() error {
 	var out struct {
 		OK bool `json:"ok"`
 	}
-	if _, err := c.do("GET", "/healthz", nil, &out); err != nil {
+	if _, err := c.call("GET", "/healthz", nil, &out); err != nil {
 		return err
 	}
 	if !out.OK {
@@ -142,17 +196,19 @@ func (c *Client) Health() error {
 }
 
 // Plan posts a dry-run planning request: the decision the autotuner would
-// make for spec at dispatch time, committing nothing.
+// make for spec at dispatch time, committing nothing. Only the shape is
+// planned, so an upload stays here.
 func (c *Client) Plan(spec JobSpec) (PlanResponse, error) {
 	var v PlanResponse
-	_, err := c.do("POST", "/v1/plan", spec, &v)
+	spec.Data = nil
+	_, err := c.call("POST", "/v1/plan", spec, &v)
 	return v, err
 }
 
 // MachineModel fetches the server's current machine-model estimate.
 func (c *Client) MachineModel() (MachineModelView, error) {
 	var v MachineModelView
-	_, err := c.do("GET", "/v1/machine-model", nil, &v)
+	_, err := c.call("GET", "/v1/machine-model", nil, &v)
 	return v, err
 }
 

@@ -1,0 +1,119 @@
+package service
+
+import (
+	"encoding/binary"
+	"fmt"
+	"io"
+	"slices"
+
+	"pulsarqr/internal/matrix"
+	"pulsarqr/internal/wire"
+)
+
+// The job frame is the binary envelope of the two job messages that carry a
+// matrix: an uploaded POST /v1/factorize, and GET /v1/jobs/{id}?include=r
+// when the client's Accept names it. Both directions are one layout,
+// little-endian:
+//
+//	"QJF1" [u32 head length] [head: JSON] [u32 rows][u32 cols][payload] [u32 done][u32 shed=0][u64 sum]
+//
+// The head is the message's JSON with the matrix left out (a submitRequest
+// with no data; a JobView with no r). The matrix is wire.AppendDimMat's
+// dims-prefixed column-major form — 0×0 with no payload when there is none,
+// a job whose R does not exist yet — and the trailer is wire's, done counting
+// the matrices that carried a payload and sum the XOR of their bits.
+const jobFrameType = "application/x-pulsarqr-job"
+
+var jobFrameMagic = [4]byte{'Q', 'J', 'F', '1'}
+
+// maxFrameHead bounds the head: a spec or a view is a few hundred bytes, a
+// view with a flight-recorder tail a few kilobytes.
+const maxFrameHead = 1 << 16
+
+// appendJobFrame appends the frame of head and m; a nil m is the empty matrix.
+func appendJobFrame(dst, head []byte, m *matrix.Mat) []byte {
+	if m == nil {
+		m = &matrix.Mat{}
+	}
+	dst = slices.Grow(dst, 8+len(head)+8+8*m.Rows*m.Cols+16)
+	dst = binary.LittleEndian.AppendUint32(append(dst, jobFrameMagic[:]...), uint32(len(head)))
+	dst = append(dst, head...)
+	dst, sum := wire.AppendDimMat(dst, m)
+	return wire.AppendTrailer(dst, min(m.Rows*m.Cols, 1), 0, sum)
+}
+
+// readJobFrame decodes one frame and returns its matrix, nil when empty. The
+// sender is believed only as far as it is bounded: the head length against
+// maxFrameHead before the head is read, and the matrix's dimensions by admit
+// — called with the head and the dims prefix before anything is sized from
+// them — which must refuse any shape its side of the protocol does not
+// expect. Head and payload buffers grow with the bytes that arrive, never
+// with the bytes declared. The checksum is verified and nothing may follow
+// the trailer.
+func readJobFrame(r io.Reader, admit func(head []byte, rows, cols int) error) (*matrix.Mat, error) {
+	n, err := wire.ReadHeader(r, jobFrameMagic)
+	if err != nil {
+		return nil, wire.NoEOF(err)
+	}
+	if n > maxFrameHead {
+		return nil, fmt.Errorf("frame head of %d bytes exceeds the %d-byte limit", n, maxFrameHead)
+	}
+	head, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil {
+		return nil, err
+	}
+	if len(head) < n {
+		return nil, io.ErrUnexpectedEOF
+	}
+	var dims [8]byte
+	if _, err := io.ReadFull(r, dims[:]); err != nil {
+		return nil, wire.NoEOF(err)
+	}
+	rows, cols := int(binary.LittleEndian.Uint32(dims[0:])), int(binary.LittleEndian.Uint32(dims[4:]))
+	if err := admit(head, rows, cols); err != nil {
+		return nil, err
+	}
+	data, sum, err := readFloats(r, rows*cols)
+	if err != nil {
+		return nil, err
+	}
+	if t, err := wire.ReadTrailer(r, min(rows*cols, 1), sum); err != nil {
+		return nil, err
+	} else if t.Shed != 0 {
+		return nil, fmt.Errorf("frame trailer sheds %d matrices; a job frame sheds none", t.Shed)
+	}
+	// Draining is what tells a body over the server's byte bound (the reader
+	// fails) from a few stray bytes after a well-formed frame.
+	if extra, err := io.Copy(io.Discard, r); err != nil {
+		return nil, err
+	} else if extra > 0 {
+		return nil, fmt.Errorf("%d bytes after the frame trailer", extra)
+	}
+	if len(data) == 0 {
+		return nil, nil
+	}
+	return matrix.FromColMajor(rows, cols, rows, data), nil
+}
+
+// readFloats reads n float64s, n already bounded by the caller, and returns
+// them with the XOR of their bits. The slice doubles as the bytes arrive and
+// never passes n, so a sender that declares a matrix and withholds it pins no
+// more memory than it sent.
+func readFloats(r io.Reader, n int) ([]float64, uint64, error) {
+	const chunk = 1 << 13 // floats per read
+	buf := make([]byte, 8*min(n, chunk))
+	data := make([]float64, 0, min(n, chunk))
+	var sum uint64
+	for len(data) < n {
+		k := min(n-len(data), chunk)
+		if _, err := io.ReadFull(r, buf[:8*k]); err != nil {
+			return nil, 0, wire.NoEOF(err)
+		}
+		if len(data)+k > cap(data) { // never on the first chunk, so len(data) ≥ k
+			data = slices.Grow(data, min(len(data), n-len(data)))
+		}
+		data = data[:len(data)+k]
+		sum ^= wire.Floats(data[len(data)-k:], buf)
+	}
+	return data, sum, nil
+}

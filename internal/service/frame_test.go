@@ -1,0 +1,260 @@
+package service
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"pulsarqr/internal/matrix"
+)
+
+// The job frame is on the wire between clients and servers of different
+// builds: the three files under testdata pin it byte for byte, in the style
+// of internal/wire's goldens. They were written by appendJobFrame from the
+// inputs below; the heads are literal so that a field added to a view cannot
+// move them.
+
+// frameMat is a 3×2 matrix of bit patterns a float conversion could mangle —
+// a NaN with a payload, −0, the smallest denormal — among ordinary values.
+func frameMat() *matrix.Mat {
+	m := matrix.New(3, 2)
+	for i, bits := range []uint64{
+		0x7ff80000deadbeef, 0x8000000000000000, 0x0000000000000001,
+		math.Float64bits(1.5), math.Float64bits(-2.25), math.Float64bits(1e-300),
+	} {
+		m.Data[i] = math.Float64frombits(bits)
+	}
+	return m
+}
+
+func sameBits(t *testing.T, what string, got, want *matrix.Mat) {
+	t.Helper()
+	if got == nil || got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s: decoded %v, want %dx%d", what, got, want.Rows, want.Cols)
+	}
+	for j := 0; j < want.Cols; j++ {
+		for i := 0; i < want.Rows; i++ {
+			if g, w := math.Float64bits(got.At(i, j)), math.Float64bits(want.At(i, j)); g != w {
+				t.Fatalf("%s: element (%d,%d) is %016x, want %016x", what, i, j, g, w)
+			}
+		}
+	}
+}
+
+func TestGoldenJobFrames(t *testing.T) {
+	r := matrix.New(2, 2)
+	r.Data[0], r.Data[2], r.Data[3] = -3, math.Float64frombits(0x8000000000000000), 0.5
+	for _, tc := range []struct {
+		file, head string
+		m          *matrix.Mat
+	}{
+		{"qjf1_submit.golden", `{"m":3,"n":2,"nb":2,"wait":true}`, frameMat()},
+		{"qjf1_r.golden", `{"id":7,"status":"done","m":3,"n":2,"ok":true}`, r},
+		{"qjf1_r_pending.golden", `{"id":8,"status":"running","m":3,"n":2,"ok":false}`, nil},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJobFrame(nil, []byte(tc.head), tc.m); !bytes.Equal(got, want) {
+			t.Errorf("%s: encoder wrote %d bytes that differ from the %d recorded", tc.file, len(got), len(want))
+		}
+		got, err := readJobFrame(bytes.NewReader(want), func(head []byte, rows, cols int) error {
+			if string(head) != tc.head {
+				t.Errorf("%s: head reads %q, want %q", tc.file, head, tc.head)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		if tc.m == nil {
+			if got != nil {
+				t.Errorf("%s: an empty frame decoded a %dx%d matrix", tc.file, got.Rows, got.Cols)
+			}
+			continue
+		}
+		sameBits(t, tc.file, got, tc.m)
+	}
+
+	// The recorded bytes mean the same to the two real decoders: the server
+	// reads the submit frame into a spec with its data, the client reads the R
+	// frames into views.
+	submit, _ := os.ReadFile(filepath.Join("testdata", "qjf1_submit.golden"))
+	post := httptest.NewRequest("POST", "/v1/factorize", bytes.NewReader(submit))
+	post.Header.Set("Content-Type", jobFrameType)
+	req, err := decodeSubmit(httptest.NewRecorder(), post)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.M != 3 || req.N != 2 || req.NB != 2 || !req.Wait {
+		t.Errorf("submit frame decoded to %+v", req)
+	}
+	sameBits(t, "submit data", matrix.FromColMajor(3, 2, 3, req.Data), frameMat())
+
+	for file, want := range map[string]JobView{
+		"qjf1_r.golden":         {ID: 7, Status: "done", M: 3, N: 2, OK: true, R: rRows(r)},
+		"qjf1_r_pending.golden": {ID: 8, Status: "running", M: 3, N: 2},
+	} {
+		frame, _ := os.ReadFile(filepath.Join("testdata", file))
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", jobFrameType)
+			w.Write(frame)
+		}))
+		v, err := (&Client{Base: ts.URL}).Job(want.ID, true)
+		ts.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		if v.ID != want.ID || v.Status != want.Status || v.OK != want.OK || len(v.R) != len(want.R) {
+			t.Errorf("%s: client read %+v, want %+v", file, v, want)
+		}
+		if want.R != nil {
+			sameBits(t, file, rowsMat(t, v.R), r)
+		}
+	}
+}
+
+// hostileFrame is one POST /v1/factorize body of the frame content type that
+// must be refused, and cheaply.
+type hostileFrame struct {
+	name string
+	body []byte
+	pad  int64 // zero bytes streamed after body
+	code int
+}
+
+// hostileFrames is the table TestSubmitFrameHostile walks and FuzzJobFrame
+// starts from.
+func hostileFrames() []hostileFrame {
+	good := appendJobFrame(nil, []byte(`{"m":3,"n":2,"nb":2}`), frameMat())
+	u32 := func(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
+	// declare is a frame up to its dims prefix: everything a sender can
+	// claim without sending a matrix.
+	declare := func(headLen int, head string, rows, cols uint32) []byte {
+		b := append(append([]byte("QJF1"), u32(uint32(headLen))...), head...)
+		return append(append(b, u32(rows)...), u32(cols)...)
+	}
+	at := func(b []byte, i int, x byte) []byte {
+		b = bytes.Clone(b)
+		b[i] ^= x
+		return b
+	}
+	spec, over, largest, wide := `{"m":3,"n":2}`, `{"m":1048576,"n":1024}`, `{"m":16384,"n":256}`, `{"m":2,"n":3}`
+	return []hostileFrame{
+		{name: "head length 4 GiB", body: declare(math.MaxUint32, spec, 3, 2), code: 400},
+		{name: "head over the head bound", body: declare(maxFrameHead+1, spec, 3, 2), code: 400},
+		{name: "head longer than the body", body: declare(1000, spec, 3, 2), code: 400},
+		{name: "head is not JSON", body: declare(3, "{m}", 3, 2), code: 400},
+		{name: "bad magic", body: at(good, 0, 0x20), code: 400},
+		{name: "dims differ from the spec", body: declare(len(spec), spec, 2, 3), code: 400},
+		{name: "elements over the upload limit, nothing sent", body: declare(len(over), over, 1048576, 1024), code: 400},
+		{name: "the largest upload declared, nothing sent", body: declare(len(largest), largest, 16384, 256), code: 400},
+		{name: "wide matrix", body: declare(len(wide), wide, 2, 3), code: 400},
+		{name: "one element short", body: append(bytes.Clone(good[:len(good)-24]), good[len(good)-16:]...), code: 400},
+		{name: "one checksum bit flipped", body: at(good, len(good)-1, 1), code: 400},
+		{name: "one payload bit flipped", body: at(good, len(good)-17, 0x80), code: 400},
+		{name: "trailer counts no matrix", body: at(good, len(good)-16, 1), code: 400},
+		{name: "trailer sheds a matrix", body: at(good, len(good)-12, 1), code: 400},
+		{name: "trailing garbage", body: append(bytes.Clone(good), 0), code: 400},
+		{name: "data in the head and a matrix", body: appendJobFrame(nil, []byte(`{"m":3,"n":2,"data":[1,2,3,4,5,6]}`), frameMat()), code: 400},
+		{name: "body over the byte bound", body: good, pad: maxFrameBytes, code: 413},
+	}
+}
+
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// Every hostile frame is refused with the right status, admits nothing, and
+// costs the server no allocation sized from what the frame declares: the
+// whole request is handled inside a fixed budget however large the declared
+// head or matrix.
+func TestSubmitFrameHostile(t *testing.T) {
+	s, err := NewServer(Config{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	const budget = 512 << 10 // request, recorder, JSON error, one read chunk and its floats
+	for _, tc := range hostileFrames() {
+		req := httptest.NewRequest("POST", "/v1/factorize", io.MultiReader(bytes.NewReader(tc.body), io.LimitReader(zeros{}, tc.pad)))
+		req.Header.Set("Content-Type", jobFrameType)
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		var e errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+			t.Errorf("%s: status %d with no JSON error: %q", tc.name, rec.Code, rec.Body)
+		}
+		if rec.Code != tc.code {
+			t.Errorf("%s: status %d (%s), want %d", tc.name, rec.Code, e.Error, tc.code)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+			t.Errorf("%s: refusing a %d-byte body allocated %d bytes, budget %d", tc.name, len(tc.body), got, budget)
+		}
+	}
+	if got := s.Metrics().Accepted.Load(); got != 0 {
+		t.Errorf("%d jobs admitted from hostile frames", got)
+	}
+
+	// The frame the table's rows are damaged copies of is one the server
+	// admits.
+	good := httptest.NewRequest("POST", "/v1/factorize",
+		bytes.NewReader(appendJobFrame(nil, []byte(`{"m":3,"n":2,"nb":2,"wait":true}`), frameMat())))
+	good.Header.Set("Content-Type", jobFrameType)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, good)
+	var v JobView
+	if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil || rec.Code != http.StatusOK || v.Status != string(StateDone) {
+		t.Fatalf("well-formed frame: status %d, body %q", rec.Code, rec.Body)
+	}
+	// A NaN is bits like any other to the decoder; it is the residual check
+	// that says the job is not OK.
+	if v.OK {
+		t.Errorf("a job over a NaN input read ok: %+v", v)
+	}
+}
+
+// FuzzJobFrame feeds POST /v1/factorize frame bodies through the handler's
+// decode. Nothing may panic, and what decodes must be what the frame format
+// promises: a spec whose shape passed the upload bound before the matrix was
+// sized, with exactly m·n entries of data, which re-encodes behind the same
+// head to the bytes that came in.
+func FuzzJobFrame(f *testing.F) {
+	for _, tc := range hostileFrames() {
+		f.Add(tc.body)
+	}
+	f.Add(appendJobFrame(nil, []byte(`{"m":3,"n":2,"nb":2,"wait":true}`), frameMat()))
+	f.Add(appendJobFrame(nil, []byte(`{"m":1,"n":1,"tenant":"t"}`), matrix.Identity(1)))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		post := httptest.NewRequest("POST", "/v1/factorize", bytes.NewReader(body))
+		post.Header.Set("Content-Type", jobFrameType)
+		req, err := decodeSubmit(httptest.NewRecorder(), post)
+		if err != nil {
+			return
+		}
+		if req.M < req.N || req.N < 1 || req.M > maxUploadElems/req.N || len(req.Data) != req.M*req.N {
+			t.Fatalf("decoded a %dx%d spec with %d entries of data", req.M, req.N, len(req.Data))
+		}
+		n := int(binary.LittleEndian.Uint32(body[4:]))
+		again := appendJobFrame(nil, body[8:8+n], matrix.FromColMajor(req.M, req.N, req.M, req.Data))
+		if !bytes.Equal(again, body) {
+			t.Fatalf("a decoded %dx%d frame re-encodes to different bytes", req.M, req.N)
+		}
+	})
+}

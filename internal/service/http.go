@@ -3,11 +3,15 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
+	"strings"
 	"time"
 
+	"pulsarqr/internal/matrix"
 	"pulsarqr/internal/obs"
 	"pulsarqr/internal/trace"
 )
@@ -52,8 +56,18 @@ type PlanView struct {
 	Rationale           string  `json:"rationale,omitempty"`
 }
 
+// viewOf is the job's JSON view; includeR adds R to it, as rows.
 func viewOf(j *Job, includeR bool) JobView {
-	state, errMsg := j.State()
+	v, res := jobView(j)
+	if includeR && res != nil {
+		v.R = rRows(res.R)
+	}
+	return v
+}
+
+// jobView renders the job without R, and returns the result it rendered.
+func jobView(j *Job) (JobView, *Result) {
+	state, errMsg, r := j.outcome()
 	v := JobView{
 		ID:       j.ID,
 		Status:   string(state),
@@ -80,10 +94,14 @@ func viewOf(j *Job, includeR bool) JobView {
 			Rationale:        d.Rationale,
 		}
 	}
-	if r := j.Result(); r != nil {
+	if r != nil {
 		v.ElapsedMS = float64(r.Elapsed) / float64(time.Millisecond)
 		v.Gflops = r.Gflops
-		v.Residual = r.Residual
+		if !math.IsNaN(r.Residual) && !math.IsInf(r.Residual, 0) {
+			// A non-finite residual — a NaN or Inf somewhere in the input —
+			// has no JSON form: the view leaves it out and reads ok=false.
+			v.Residual = r.Residual
+		}
 		v.OK = r.OK
 		if v.Plan != nil && v.Plan.PredictedMS > 0 {
 			v.Plan.ActualOverPredicted = v.ElapsedMS / v.Plan.PredictedMS
@@ -91,15 +109,13 @@ func viewOf(j *Job, includeR bool) JobView {
 		v.Firings = r.Stats.Firings
 		v.Messages = r.Stats.Messages
 		v.Bytes = r.Stats.Bytes
-		if includeR {
-			v.R = r.R
-		}
 	}
-	return v
+	return v, r
 }
 
-// submitRequest is the POST /v1/factorize body: a JobSpec plus the wait
-// flag, which blocks the response until the job is terminal.
+// submitRequest is the POST /v1/factorize body — as JSON, or as the head of
+// a job frame whose matrix is the spec's Data: a JobSpec plus the wait flag,
+// which blocks the response until the job is terminal.
 type submitRequest struct {
 	JobSpec
 	Wait bool `json:"wait,omitempty"`
@@ -137,9 +153,37 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// decodeSubmit reads a POST /v1/factorize body in the form its content type
+// names — a job frame, or JSON for everything else (curl's default type
+// included) — into the one request both become.
+func decodeSubmit(w http.ResponseWriter, r *http.Request) (req submitRequest, err error) {
+	if r.Header.Get("Content-Type") != jobFrameType {
+		return req, json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req)
+	}
+	a, err := readJobFrame(http.MaxBytesReader(w, r.Body, maxFrameBytes), func(head []byte, rows, cols int) error {
+		if err := json.Unmarshal(head, &req); err != nil {
+			return err
+		}
+		if len(req.Data) != 0 {
+			return errors.New(`frame head carries "data"; the matrix follows the head`)
+		}
+		if err := req.checkShape(true); err != nil {
+			return err
+		}
+		if rows != req.M || cols != req.N {
+			return fmt.Errorf("frame matrix is %dx%d, spec says %dx%d", rows, cols, req.M, req.N)
+		}
+		return nil
+	})
+	if err == nil {
+		req.Data = a.Data
+	}
+	return req, err
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req submitRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
+	req, err := decodeSubmit(w, r)
+	if err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -192,12 +236,31 @@ func (s *Server) jobFromPath(w http.ResponseWriter, r *http.Request) *Job {
 	return j
 }
 
+// handleGet answers with the job's JSON view. With ?include=r the view
+// carries R — as rows inside the JSON, or, for a client whose Accept names
+// the job frame, as the frame's matrix after a view without it.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	j := s.jobFromPath(w, r)
 	if j == nil {
 		return
 	}
-	writeJSON(w, http.StatusOK, viewOf(j, r.URL.Query().Get("include") == "r"))
+	includeR := r.URL.Query().Get("include") == "r"
+	if !includeR || !strings.Contains(r.Header.Get("Accept"), jobFrameType) {
+		writeJSON(w, http.StatusOK, viewOf(j, includeR))
+		return
+	}
+	v, res := jobView(j)
+	head, err := json.Marshal(v)
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
+		return
+	}
+	var rm *matrix.Mat
+	if res != nil {
+		rm = res.R
+	}
+	w.Header().Set("Content-Type", jobFrameType)
+	w.Write(appendJobFrame(nil, head, rm))
 }
 
 // handleTrace streams the job's gathered per-rank trace shards as JSONL,

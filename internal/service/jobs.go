@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"pulsarqr/internal/matrix"
 	"pulsarqr/internal/obs"
 	"pulsarqr/internal/plan"
 	"pulsarqr/internal/qr"
@@ -40,12 +41,14 @@ type Result struct {
 	Residual float64
 	OK       bool // residual passed the service's acceptance threshold
 	Stats    qr.RunStats
-	R        [][]float64 // row-major rows of R, nil on non-root ranks
+	R        *matrix.Mat // n×n, column-major: what a frame carries as is and a JSON view as rows
 }
 
 // Job is one admitted factorization request.
 type Job struct {
-	ID   uint32
+	ID uint32
+	// Spec is the request as admitted, less its upload. Nothing writes it
+	// after admission: views read it without the lock.
 	Spec JobSpec
 
 	ctx    context.Context
@@ -65,10 +68,14 @@ type Job struct {
 	// that changes the share, so no observer of Done can read a stale one.
 	metrics *Metrics
 
-	mu      sync.Mutex
-	state   State // written through setStateLocked
-	errMsg  string
-	result  *Result
+	mu     sync.Mutex
+	state  State // written through setStateLocked
+	errMsg string
+	result *Result
+	// upload is the uploaded matrix (column-major M×N; nil for a seeded job),
+	// held from admission through every requeue and let go on the terminal
+	// transition: what a finished job retains is its R.
+	upload  []float64
 	attempt int            // completed dispatch attempts beyond the first
 	trace   []trace.Shard  // per-rank shards, set before finish when Spec.Trace
 	flight  []obs.Event    // flight-recorder tail, attached on non-done terminals
@@ -91,6 +98,21 @@ func (j *Job) Result() *Result {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.result
+}
+
+// outcome is State and Result in one reading, for a view: a state read
+// before the terminal transition must not be paired with a result read after.
+func (j *Job) outcome() (State, string, *Result) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state, j.errMsg, j.result
+}
+
+// input returns the job's upload, nil for a seeded job.
+func (j *Job) input() []float64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.upload
 }
 
 // TraceShards returns the job's gathered per-rank trace shards, nil unless
@@ -190,6 +212,7 @@ func (j *Job) finish(s State, errMsg string, r *Result) bool {
 	j.setStateLocked(s)
 	j.errMsg = errMsg
 	j.result = r
+	j.upload = nil
 	j.mu.Unlock()
 	j.life.Mark(obs.PhaseTerminal)
 	j.metrics.terminal(s).Add(1)

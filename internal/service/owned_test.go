@@ -178,10 +178,9 @@ func TestFleetJobRefusesTileCorruptedAfterGram(t *testing.T) {
 	<-agentDone
 }
 
-// A NaN in the input makes the check's quantity NaN: a lone server finishes
-// the job and reports ok=false. On a fleet the spec has no JSON form to
-// broadcast, so the job fails at once instead of running a share no agent
-// will ever join. Either way it ends, and never reads ok.
+// A NaN in the input makes the check's quantity NaN, alone and on a fleet
+// alike — the upload reaches the ranks as bits, so there is nothing a NaN
+// cannot be written in: the job finishes, and reports ok=false.
 func TestNaNInputIsNotOK(t *testing.T) {
 	data := matrix.NewSeeded(192, 64, 23).Data
 	data[150+3*192] = math.NaN() // in rank 1's rows on the fleet
@@ -221,14 +220,8 @@ func TestNaNInputIsNotOK(t *testing.T) {
 			t.Fatalf("%s: job over a NaN input hung", name)
 		}
 		state, msg := j.State()
-		res := j.Result()
-		switch {
-		case res != nil && res.OK:
-			t.Errorf("%s: job over a NaN input reported ok (residual %g)", name, res.Residual)
-		case name == "alone" && (state != StateDone || res == nil || !math.IsNaN(res.Residual)):
-			t.Errorf("alone: state %s (%s), result %+v; want done with a NaN residual", state, msg, res)
-		case name == "fleet" && state != StateFailed:
-			t.Errorf("fleet: state %s (%s), want failed", state, msg)
+		if res := j.Result(); state != StateDone || res == nil || res.OK || !math.IsNaN(res.Residual) {
+			t.Errorf("%s: state %s (%s), result %+v; want done, not ok, with a NaN residual", name, state, msg, res)
 		}
 	}
 }
@@ -251,11 +244,22 @@ func (d dieAtGather) Isend(data []byte, dest, tag int) transport.Request {
 // A rank that dies between its run and the check reduce leaves rank 0
 // waiting in the gather for a Gram that will never come. That wait must end
 // with the transport's verdict, and the job must be requeued onto the
-// survivors and finish there — verified — not wedge its dispatcher.
+// survivors and finish there — verified — not wedge its dispatcher. An
+// uploaded job's input outlives the requeue: the retry deals it out again,
+// over the ranks that are left.
 func TestFleetRequeuesWhenPeerDiesBeforeCheckReduce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet chaos test skipped in -short mode")
 	}
+	for name, spec := range map[string]JobSpec{
+		"seeded":   {M: 768, N: 128, NB: 32, IB: 8, Seed: 67, MaxRetries: 2, RetryBackoffMS: 5},
+		"uploaded": {M: 768, N: 128, NB: 32, IB: 8, Data: matrix.NewSeeded(768, 128, 68).Data, MaxRetries: 1, RetryBackoffMS: 5},
+	} {
+		t.Run(name, func(t *testing.T) { requeueAfterGatherDeath(t, spec) })
+	}
+}
+
+func requeueAfterGatherDeath(t *testing.T, spec JobSpec) {
 	eps := resilientTCPMesh(t, 3)
 	var died atomic.Bool
 	agentEps := []transport.Endpoint{eps[1], dieAtGather{eps[2], &died}}
@@ -275,7 +279,6 @@ func TestFleetRequeuesWhenPeerDiesBeforeCheckReduce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	spec := JobSpec{M: 768, N: 128, NB: 32, IB: 8, Seed: 67, MaxRetries: 2, RetryBackoffMS: 5}
 	j, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -7,11 +7,16 @@
 package service
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"pulsarqr/internal/matrix"
 	"pulsarqr/internal/plan"
 	"pulsarqr/internal/qr"
+	"pulsarqr/internal/trace"
+	"pulsarqr/internal/transport"
+	"pulsarqr/internal/wire"
 )
 
 // Size limits: admission control should reject an absurd request at the
@@ -24,12 +29,16 @@ const (
 	// spread over the ranks by row ownership.
 	maxSeededElems = 1 << 28
 	// maxUploadElems bounds M·N of an uploaded job: 32 MiB of float64, which
-	// arrives as JSON text and rides the open broadcast to every rank.
+	// rank 0 holds whole from admission to the job's end and deals out to the
+	// ranks by row ownership.
 	maxUploadElems = 1 << 22
-	// maxSubmitBytes bounds the POST /v1/factorize body: the largest
+	// maxSubmitBytes bounds a JSON POST /v1/factorize body: the largest
 	// admissible upload at 25 bytes per JSON number (17 significant digits,
 	// sign, point, exponent, comma) plus the rest of the spec.
 	maxSubmitBytes = 25*maxUploadElems + 1<<20
+	// maxFrameBytes bounds a job-frame body (frame.go): the same upload at
+	// its 8 bytes per number, the largest head, and the fixed fields.
+	maxFrameBytes = 8*maxUploadElems + maxFrameHead + 32
 )
 
 // JobSpec is the wire description of one factorization request. The matrix
@@ -54,8 +63,16 @@ type JobSpec struct {
 	Tree string `json:"tree,omitempty"` // "hierarchical", "flat", "binary"
 	// Seed generates the input server-side when Data is empty.
 	Seed int64 `json:"seed,omitempty"`
-	// Data is an optional column-major upload of the matrix entries.
+	// Data is an optional column-major upload of the matrix entries. It is
+	// JSON only where a client wrote JSON: service.Client sends it after the
+	// spec in a job frame (frame.go), an admitted Job holds it beside its
+	// Spec, not in it, and the fleet never sees it whole — the open broadcast
+	// carries no Data, and each rank is sent the rows it owns (sendUpload).
 	Data []float64 `json:"data,omitempty"`
+	// rows is an agent's share of an upload — the rows of the tile rows it
+	// owns, as recvUpload took them off the job session — standing in for the
+	// Data it was never sent.
+	rows *matrix.Mat
 	// Priority orders admission: higher runs first; equal priorities are
 	// FIFO.
 	Priority int `json:"priority,omitempty"`
@@ -87,11 +104,9 @@ type JobSpec struct {
 // attribution, so an unbounded client string must not be storable.
 const maxTenantLen = 64
 
-// Validate checks the spec without allocating the matrix.
-func (sp *JobSpec) Validate() error {
-	if len(sp.Tenant) > maxTenantLen {
-		return fmt.Errorf("service: tenant label longer than %d bytes", maxTenantLen)
-	}
+// checkShape bounds the dimensions and their product, which is all that a
+// matrix of this spec can be sized from.
+func (sp *JobSpec) checkShape(uploaded bool) error {
 	if sp.M <= 0 || sp.N <= 0 {
 		return fmt.Errorf("service: invalid shape %dx%d", sp.M, sp.N)
 	}
@@ -102,11 +117,22 @@ func (sp *JobSpec) Validate() error {
 		return fmt.Errorf("service: shape %dx%d exceeds limit %d", sp.M, sp.N, maxDim)
 	}
 	limit, kind := maxSeededElems, "seeded"
-	if len(sp.Data) != 0 {
+	if uploaded {
 		limit, kind = maxUploadElems, "uploaded"
 	}
 	if sp.M > limit/sp.N { // M·N > limit, without forming a product that can overflow
 		return fmt.Errorf("service: shape %dx%d exceeds the %d-element limit for %s input", sp.M, sp.N, limit, kind)
+	}
+	return nil
+}
+
+// Validate checks the spec without allocating the matrix.
+func (sp *JobSpec) Validate() error {
+	if len(sp.Tenant) > maxTenantLen {
+		return fmt.Errorf("service: tenant label longer than %d bytes", maxTenantLen)
+	}
+	if err := sp.checkShape(len(sp.Data) != 0); err != nil {
+		return err
 	}
 	if len(sp.Data) != 0 && len(sp.Data) != sp.M*sp.N {
 		return fmt.Errorf("service: data holds %d entries, want %d (column-major m*n)", len(sp.Data), sp.M*sp.N)
@@ -192,22 +218,23 @@ func (sp *JobSpec) BuildInputs() (*matrix.Tiled, *matrix.Mat, error) {
 // needs of the input: the tiles of the tile rows it owns (every other tile
 // of the returned matrix is nil) and their Gram, taken here because the run
 // consumes the tiles. Seeded tiles are generated in place; uploaded ones are
-// copied straight out of Data.
+// copied out of the rank's rows of the upload, which rank 0 views in Data
+// and an agent was sent (recvUpload).
 func (sp *JobSpec) ownedInputs(opts qr.Options, ranks, rank int) (*matrix.Tiled, *qr.Gram, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, nil, err
 	}
 	a := matrix.NewTiledShell(sp.M, sp.N, opts.NB)
-	var data *matrix.Mat
+	rows := sp.rows
 	if len(sp.Data) > 0 {
-		data = matrix.FromColMajor(sp.M, sp.N, sp.M, sp.Data)
+		rows = sp.uploadRows(a.NB, ranks, rank)
 	}
 	lo, hi := qr.OwnedTileRows(a.MT, ranks, rank)
 	for i := lo; i < hi; i++ {
 		for j := 0; j < a.NT; j++ {
 			tile := matrix.New(a.TileRows(i), a.TileCols(j))
-			if data != nil {
-				tile.CopyFrom(data.View(i*a.NB, j*a.NB, tile.Rows, tile.Cols))
+			if rows != nil {
+				tile.CopyFrom(rows.View((i-lo)*a.NB, j*a.NB, tile.Rows, tile.Cols))
 			} else {
 				matrix.FillSeeded(tile, sp.Seed, i*a.NB, j*a.NB)
 			}
@@ -217,17 +244,77 @@ func (sp *JobSpec) ownedInputs(opts qr.Options, ranks, rank int) (*matrix.Tiled,
 	return a, qr.GramOfTileRows(a, lo, hi), nil
 }
 
+// ownedRows returns the matrix rows [r0, r1) of the tile rows rank owns.
+func (sp *JobSpec) ownedRows(nb, ranks, rank int) (r0, r1 int) {
+	lo, hi := qr.OwnedTileRows((sp.M+nb-1)/nb, ranks, rank)
+	return min(lo*nb, sp.M), min(hi*nb, sp.M)
+}
+
+// uploadRows views rank's rows of the upload in Data.
+func (sp *JobSpec) uploadRows(nb, ranks, rank int) *matrix.Mat {
+	r0, r1 := sp.ownedRows(nb, ranks, rank)
+	return matrix.FromColMajor(sp.M, sp.N, sp.M, sp.Data).View(r0, 0, r1-r0, sp.N)
+}
+
+// sendUpload is rank 0's half of the upload scatter: every other member of
+// the attempt's job session is sent exactly the rows it owns, compacted into
+// one dims-prefixed matrix, before the run. A rank that owns none is sent
+// nothing, and expects nothing.
+func (sp *JobSpec) sendUpload(jep transport.Endpoint, nb int) {
+	for r := 1; r < jep.Size(); r++ {
+		if rows := sp.uploadRows(nb, jep.Size(), r); rows.Rows > 0 {
+			buf, _ := wire.AppendDimMat(nil, rows)
+			jep.Isend(buf, r, uploadTag)
+		}
+	}
+}
+
+// recvUpload is an agent's half: one specific receive from rank 0, held to
+// the shape this rank owns. A canceled ctx, a closed session and a dead rank
+// 0 all end the wait.
+func (sp *JobSpec) recvUpload(ctx context.Context, jep transport.Endpoint, nb int) error {
+	r0, r1 := sp.ownedRows(nb, jep.Size(), jep.Rank())
+	if r0 == r1 {
+		return nil
+	}
+	req := jep.Irecv(0, uploadTag)
+	stop := context.AfterFunc(ctx, func() { req.Cancel() })
+	req.Wait()
+	stop()
+	if req.Canceled() {
+		return errors.New("service: wait for this rank's rows of the upload canceled")
+	}
+	rows, rest, err := wire.ConsumeDimMat(req.Data())
+	if err != nil {
+		return fmt.Errorf("service: upload rows: %w", err)
+	}
+	if rows.Rows != r1-r0 || rows.Cols != sp.N || len(rest) != 0 {
+		return fmt.Errorf("service: upload rows are %dx%d with %d bytes over, this rank owns %dx%d",
+			rows.Rows, rows.Cols, len(rest), r1-r0, sp.N)
+	}
+	sp.rows = rows
+	return nil
+}
+
 // Control-plane messages, exchanged as JSON on the reserved mux job 0
 // between the server (underlying rank 0) and its fleet agents.
 const (
 	ctlJob = 0 // reserved mux job id for the control plane
 	ctlTag = 0
+	// uploadTag carries a rank's rows of an uploaded matrix on the attempt's
+	// job session, before the run: the slot under the trace gather's, so above
+	// every channel tag the runtime numbers from 0 and below qr.GatherTagBase.
+	uploadTag = trace.GatherTag - 1
 )
 
 type ctlMsg struct {
-	Op   string   `json:"op"` // "open", "cancel", "shutdown"
-	Job  uint32   `json:"job,omitempty"`
-	Spec *JobSpec `json:"spec,omitempty"`
+	Op  string `json:"op"` // "open", "cancel", "shutdown"
+	Job uint32 `json:"job,omitempty"`
+	// Spec is the effective spec of an open, without Data: Upload says the
+	// input is an uploaded matrix, whose rows follow on the session
+	// (sendUpload).
+	Spec   *JobSpec `json:"spec,omitempty"`
+	Upload bool     `json:"upload,omitempty"`
 	// Session is the mux channel id of this attempt. A retried job keeps
 	// its Job id but runs each attempt on a fresh session id, so stragglers
 	// of a dead attempt can never leak into the rerun.

@@ -338,9 +338,15 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancelCause(s.baseCtx)
+	var upload []float64
+	if len(spec.Data) > 0 { // "data":[] is a seeded spec, as Validate read it
+		upload = spec.Data
+	}
+	spec.Data = nil
 	j := &Job{
 		ID:       s.nextID.Add(1), // ids start at 1; mux job 0 is the control plane
 		Spec:     spec,
+		upload:   upload,
 		ctx:      ctx,
 		cancel:   cancel,
 		enqueued: time.Now(),
@@ -370,7 +376,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		case StateExpired:
 			kind = obs.EvExpired
 		}
-		s.obs.Emit(obs.Event{Kind: kind, Class: "job", Job: j.ID, Tenant: spec.Tenant,
+		s.obs.Emit(obs.Event{Kind: kind, Class: "job", Job: j.ID, Tenant: j.Spec.Tenant,
 			Attempt: j.Attempts(), DurMS: float64(sp.Total) / float64(time.Millisecond), Detail: errMsg})
 		if kind != obs.EvDone && s.obs.Enabled() {
 			j.setFlight(s.obs.TailJob(j.ID, flightTailLen))
@@ -407,13 +413,14 @@ func (s *Server) Get(id uint32) (*Job, error) {
 
 // runJob executes one dispatched job to a terminal state. In fleet mode it
 // first broadcasts the spec so every agent opens the same mux channel and
-// builds the same array.
+// builds the same array, and deals an uploaded matrix out over that channel.
 //
 // The spec that actually runs is planJob's effective spec: identical to
 // j.Spec unless autotuning rewrote the algorithm configuration. j.Spec
 // itself stays immutable — job views read it without the lock.
 func (s *Server) runJob(j *Job) {
 	spec := s.planJob(j)
+	upload := j.input()
 	var ep transport.Endpoint
 	var sessionMembers []int
 	stopRelay := func() bool { return false }
@@ -451,13 +458,7 @@ func (s *Server) runJob(j *Job) {
 					}
 				}()
 			}
-			if err := s.broadcast(ctlMsg{Op: "open", Job: j.ID, Session: sid, Ranks: members, Spec: &spec}); err != nil {
-				// The spec cannot be put on the wire (a NaN or Inf in an
-				// uploaded matrix has no JSON form): no agent will ever join
-				// the session, so running this rank's share would only hang.
-				s.fail(j, fmt.Sprintf("open broadcast: %v", err))
-				return
-			}
+			s.broadcast(ctlMsg{Op: "open", Job: j.ID, Session: sid, Ranks: members, Spec: &spec, Upload: upload != nil})
 			// Cancellation must be collective: relay it to the agents AND fail
 			// this rank's job session. Closing jep fails its barrier state, so
 			// a rank whose local share finished before the cancel — already
@@ -481,6 +482,12 @@ func (s *Server) runJob(j *Job) {
 	if err != nil {
 		s.fail(j, err.Error())
 		return
+	}
+	// The open went out as a spec alone: the control plane carries no matrix.
+	// From here this attempt's copy holds the upload again, and the other
+	// ranks of the session are sent their rows of it as bits.
+	if spec.Data = upload; upload != nil && ep != nil {
+		spec.sendUpload(ep, opts.NB)
 	}
 	// Every firing is counted by class and its interval added up: the job's
 	// kernel time on this rank is the cost model's measurement.
@@ -582,7 +589,7 @@ func (s *Server) runJob(j *Job) {
 	}
 	r := f.R()
 	res.Residual, res.OK = accept(f.Input, r)
-	res.R = rRows(r)
+	res.R = r
 	if rec != nil {
 		// The gather must precede stopRelay: the job session is still live
 		// and agents are blocked sending their shards toward rank 0.
@@ -673,18 +680,16 @@ func (s *Server) resident() int {
 	return len(s.jobs)
 }
 
-// broadcast sends a control message to every agent rank. The only error is
-// a message that cannot be encoded, which only an open's spec can cause.
-func (s *Server) broadcast(msg ctlMsg) error {
+// broadcast sends a control message to every agent rank.
+func (s *Server) broadcast(msg ctlMsg) {
 	b, err := json.Marshal(msg)
 	if err != nil {
 		s.cfg.Logf("broadcast %s: %v", msg.Op, err)
-		return err
+		return
 	}
 	for r := 1; r < s.cfg.Ep.Size(); r++ {
 		s.ctl.Isend(b, r, ctlTag)
 	}
-	return nil
 }
 
 // writeTransportProm renders the transport-layer telemetry — per-link wire
@@ -767,7 +772,9 @@ func (s *Server) Close() {
 	})
 }
 
-// rRows converts the R factor to row-major rows for the JSON surface.
+// rRows converts an R factor to the row-major rows a JSON view carries: on
+// the server when a client asked for JSON, in Client.Job to fill JobView.R
+// from a frame.
 func rRows(r *matrix.Mat) [][]float64 {
 	if r == nil {
 		return nil

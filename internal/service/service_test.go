@@ -33,24 +33,35 @@ func oracleR(t *testing.T, spec JobSpec) *matrix.Mat {
 	return f.R()
 }
 
-func checkResultR(t *testing.T, label string, got [][]float64, want *matrix.Mat) {
+func checkResultR(t *testing.T, label string, got, want *matrix.Mat) {
 	t.Helper()
-	if len(got) != want.Rows {
-		t.Errorf("%s: R has %d rows, want %d", label, len(got), want.Rows)
+	if got == nil || got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Errorf("%s: R is %v, want %dx%d", label, got, want.Rows, want.Cols)
 		return
 	}
-	for i, row := range got {
-		if len(row) != want.Cols {
-			t.Errorf("%s: R row %d has %d cols, want %d", label, i, len(row), want.Cols)
-			return
-		}
-		for c := range row {
-			if d := math.Abs(row[c] - want.At(i, c)); d > 1e-12 {
+	for i := 0; i < want.Rows; i++ {
+		for c := 0; c < want.Cols; c++ {
+			if d := math.Abs(got.At(i, c) - want.At(i, c)); d > 1e-12 {
 				t.Errorf("%s: R[%d,%d] differs from oracle by %g", label, i, c, d)
 				return
 			}
 		}
 	}
+}
+
+// rowsMat is the matrix a view's JSON rows spell, the inverse of rRows.
+func rowsMat(t *testing.T, rows [][]float64) *matrix.Mat {
+	t.Helper()
+	m := matrix.New(len(rows), len(rows))
+	for i, row := range rows {
+		if len(row) != m.Cols {
+			t.Fatalf("R row %d has %d entries, want %d", i, len(row), m.Cols)
+		}
+		for c, x := range row {
+			m.Set(i, c, x)
+		}
+	}
+	return m
 }
 
 // The headline requirement: one server sustains at least 8 concurrent jobs
@@ -154,7 +165,7 @@ func TestServerHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkResultR(t, "http", got.R, oracleR(t, spec))
+	checkResultR(t, "http", rowsMat(t, got.R), oracleR(t, spec))
 
 	if _, code, err := c.Submit(JobSpec{M: 10, N: 20}, false); err == nil || code != 400 {
 		t.Errorf("wide matrix accepted (code %d, err %v)", code, err)
@@ -296,6 +307,7 @@ func TestServerFleet(t *testing.T) {
 		{M: 160, N: 64, NB: 32, IB: 8, Tree: "hierarchical", H: 2, Seed: 51},
 		{M: 128, N: 96, NB: 32, IB: 8, Tree: "flat", Seed: 52},
 		{M: 192, N: 64, NB: 32, IB: 8, Tree: "binary", Seed: 53},
+		{M: 96, N: 64, NB: 32, IB: 8, Seed: 54, Data: []float64{}}, // `"data":[]` is seeded: no agent waits for rows
 	}
 	var jobs []*Job
 	for i, sp := range specs {

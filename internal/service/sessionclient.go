@@ -17,14 +17,14 @@ import (
 // Retry-After.
 func (c *Client) OpenSession(spec SessionSpec) (session.Info, error) {
 	var info session.Info
-	_, err := c.do("POST", "/v1/sessions", spec, &info)
+	_, err := c.call("POST", "/v1/sessions", spec, &info)
 	return info, err
 }
 
 // SessionInfo fetches one session's descriptor.
 func (c *Client) SessionInfo(id string) (session.Info, error) {
 	var info session.Info
-	_, err := c.do("GET", "/v1/sessions/"+id, nil, &info)
+	_, err := c.call("GET", "/v1/sessions/"+id, nil, &info)
 	return info, err
 }
 
@@ -33,13 +33,13 @@ func (c *Client) Sessions() ([]session.Info, error) {
 	var out struct {
 		Sessions []session.Info `json:"sessions"`
 	}
-	_, err := c.do("GET", "/v1/sessions", nil, &out)
+	_, err := c.call("GET", "/v1/sessions", nil, &out)
 	return out.Sessions, err
 }
 
 // CloseSession deletes a session and its checkpoint.
 func (c *Client) CloseSession(id string) error {
-	_, err := c.do("DELETE", "/v1/sessions/"+id, nil, nil)
+	_, err := c.call("DELETE", "/v1/sessions/"+id, nil, nil)
 	return err
 }
 

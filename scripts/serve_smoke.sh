@@ -3,7 +3,8 @@
 #
 # Starts qrserve with two launched agent processes, submits three
 # concurrent jobs over HTTP, verifies each completes with a passing
-# residual, checks the metrics counters agree, and shuts down cleanly.
+# residual, checks the metrics counters agree, runs one uploaded job
+# across the three processes, and shuts down cleanly.
 #
 # Usage: scripts/serve_smoke.sh [path-to-bin-dir]   (default: ./bin)
 set -eu
@@ -148,6 +149,18 @@ grep -q '"machine"' "$WORK/model" && grep -q '"alpha_inter_seconds"' "$WORK/mode
     exit 1
 }
 echo "serve-smoke: spans, status, build info and machine model all serving"
+
+# An uploaded matrix the way a curl user sends one — JSON "data", column
+# major — at a tile size that gives each of the three processes one tile
+# row: text in, then rank 0 deals the rows out to the agents as bits.
+curl -sf "http://$ADDR/v1/factorize" \
+    -d '{"m":6,"n":2,"nb":2,"ib":2,"data":[1,2,3,4,5,6,2,1,4,3,6,7],"wait":true}' >"$WORK/upload"
+grep -q '"status":"done"' "$WORK/upload" && grep -q '"ok":true' "$WORK/upload" || {
+    echo "serve-smoke: uploaded job did not complete cleanly:" >&2
+    cat "$WORK/upload" >&2
+    exit 1
+}
+echo "serve-smoke: uploaded JSON job scattered across 3 processes, residual within tolerance"
 
 # qrstat renders one snapshot against the live server.
 if [ -x "$BIN/qrstat" ]; then
