@@ -7,8 +7,7 @@ BIN ?= bin
 
 all: build
 
-# Build every package and place the command binaries side by side in
-# $(BIN) (qrfactor finds qrnode next to itself for -launch).
+# Build every package and place the command binaries in $(BIN).
 build:
 	$(GO) build ./...
 	$(GO) build -o $(BIN)/ ./cmd/...
@@ -123,11 +122,14 @@ bench-kernels-update:
 	rc=$$?; rm -f bench-fresh.txt; exit $$rc
 
 # Multi-process runs over local TCP, checked elementwise against the
-# sequential reference: the old 64/16 tile stated explicitly, and the
-# default path with no tile flags at all.
+# sequential reference: the old 64/16 tile stated explicitly, the default
+# path with no tile flags at all, and a flag the launched ranks must be
+# handed for the check to pass (-fixed; rank 0 prints the options it ran).
 launch-smoke: build
 	$(BIN)/qrfactor -launch 3 -m 2048 -n 256 -nb 64 -ib 16 -check
 	$(BIN)/qrfactor -launch 3 -m 2048 -n 256 -check
+	out=$$($(BIN)/qrfactor -launch 2 -m 512 -n 64 -nb 32 -ib 8 -fixed -check) && echo "$$out" && \
+	echo "$$out" | grep -q 'boundary=fixed'
 
 # End-to-end check of the factorization service: qrserve + 2 launched
 # agent processes, 3 concurrent HTTP jobs, metrics and clean shutdown.

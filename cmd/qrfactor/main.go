@@ -1,331 +1,288 @@
-// Command qrfactor factors a random tall-skinny matrix with the tree-based
-// tile QR and reports correctness metrics and the achieved rate.
+// Command qrfactor factors a tall-skinny matrix (random, or read with -in)
+// with the tree-based tile QR and reports correctness metrics and the
+// achieved rate.
 //
-// Example:
+// In one process, the distributed-memory nodes simulated:
 //
 //	qrfactor -m 4096 -n 512 -nb 192 -ib 24 -tree hierarchical -h 4 \
 //	         -engine systolic -nodes 2 -threads 4
 //
-// With -launch N the nodes become real OS processes: qrfactor reserves N
-// loopback ports, spawns one qrnode per rank, and relays their output.
+// As one rank of N real OS processes over TCP: every rank builds the same 3D
+// virtual systolic array and executes its own share of the VDPs, rank 0
+// gathers the result, reports, and with -check verifies the factored tiles
+// elementwise against the sequential reference. Every rank derives the same
+// input from -seed (or reads the same -in file), so no matrix data is
+// distributed out of band.
+//
+//	qrfactor -rank 0 -peers 127.0.0.1:9001,127.0.0.1:9002 -m 4096 -n 512 &
+//	qrfactor -rank 1 -peers 127.0.0.1:9001,127.0.0.1:9002 -m 4096 -n 512
+//
+// -rank and -peers fall back to the QRNODE_RANK and QRNODE_PEERS environment
+// variables. With -launch N qrfactor is rank 0 itself and starts N-1 copies
+// of itself, with its own argument list, as the other ranks on loopback:
 //
 //	qrfactor -launch 2 -m 4096 -n 512 -check
 package main
 
 import (
-	"bufio"
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
-	"net"
 	"os"
-	"os/exec"
 	"os/signal"
-	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
 	"pulsarqr"
 	"pulsarqr/internal/kernels"
 	"pulsarqr/internal/matrix"
-	"pulsarqr/internal/procgroup"
+	"pulsarqr/internal/mesh"
 	"pulsarqr/internal/qr"
 	"pulsarqr/internal/trace"
+	"pulsarqr/internal/transport"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("qrfactor: ")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command, returning its exit code, so that deferred
+// teardown fires on every path and tests can drive it in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	logger := log.New(stderr, "qrfactor: ", 0)
+	fail := func(format string, a ...any) int {
+		logger.Printf(format, a...)
+		return 1
+	}
+	fs := flag.NewFlagSet("qrfactor", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	def := qr.DefaultOptions()
 	var (
-		m       = flag.Int("m", 4096, "rows")
-		n       = flag.Int("n", 256, "columns")
-		nb      = flag.Int("nb", def.NB, "tile size")
-		ib      = flag.Int("ib", def.IB, "inner block size")
-		tree    = flag.String("tree", "hierarchical", "reduction tree: hierarchical|flat|binary")
-		h       = flag.Int("h", def.H, "tiles per flat-tree domain (hierarchical)")
-		fixed   = flag.Bool("fixed", false, "use fixed domain boundaries instead of shifted")
-		engine  = flag.String("engine", "systolic", "engine: systolic|quark|sequential")
-		nodes   = flag.Int("nodes", 1, "simulated distributed-memory nodes")
-		threads = flag.Int("threads", 4, "worker threads per node")
-		lazy    = flag.Bool("lazy", true, "lazy VDP scheduling (false = aggressive)")
-		seed    = flag.Int64("seed", 42, "matrix seed")
-		rhs     = flag.Int("rhs", 0, "ride-along right-hand-side columns")
-		inFile  = flag.String("in", "", "read A from a MatrixMarket array file instead of random")
-		outFile = flag.String("out", "", "write the R factor to a MatrixMarket array file")
-		launch  = flag.Int("launch", 0, "spawn this many qrnode processes over local TCP instead of simulating nodes in-process")
-		nodeBin = flag.String("qrnode", "", "path to the qrnode binary (default: next to qrfactor, then $PATH)")
-		check   = flag.Bool("check", false, "with -launch: rank 0 verifies elementwise against the sequential reference")
-		trFile  = flag.String("trace", "", "record an execution trace to this JSONL file (systolic engine; with -launch, rank 0 gathers every rank's shard)")
+		m       = fs.Int("m", 4096, "rows")
+		n       = fs.Int("n", 256, "columns")
+		nb      = fs.Int("nb", def.NB, "tile size")
+		ib      = fs.Int("ib", def.IB, "inner block size")
+		tree    = fs.String("tree", "hierarchical", "reduction tree: hierarchical|flat|binary")
+		h       = fs.Int("h", def.H, "tiles per flat-tree domain (hierarchical)")
+		fixed   = fs.Bool("fixed", false, "use fixed domain boundaries instead of shifted")
+		engine  = fs.String("engine", "systolic", "engine: systolic|quark|sequential (a process mesh runs systolic only)")
+		nodes   = fs.Int("nodes", 1, "distributed-memory nodes simulated inside this process (a process mesh takes its size from the peer list)")
+		threads = fs.Int("threads", 4, "worker threads per node")
+		lazy    = fs.Bool("lazy", true, "lazy VDP scheduling (false = aggressive)")
+		seed    = fs.Int64("seed", 42, "matrix seed (identical on every rank)")
+		rhs     = fs.Int("rhs", 0, "ride-along right-hand-side columns")
+		inFile  = fs.String("in", "", "read A from a MatrixMarket array file instead of random (every rank reads it)")
+		outFile = fs.String("out", "", "write the R factor to a MatrixMarket array file (rank 0 writes it)")
+		launch  = fs.Int("launch", 0, "run as rank 0 of this many OS processes over loopback TCP, the others launched as copies of this one")
+		check   = fs.Bool("check", false, "verify the factored tiles elementwise against the sequential reference (rank 0)")
+		trFile  = fs.String("trace", "", "record an execution trace to this JSONL file (systolic engine; rank 0 gathers every rank's shard)")
 	)
-	flag.Parse()
-
-	if *launch > 0 {
-		args := []string{
-			"-m", fmt.Sprint(*m), "-n", fmt.Sprint(*n),
-			"-nb", fmt.Sprint(*nb), "-ib", fmt.Sprint(*ib),
-			"-tree", *tree, "-h", fmt.Sprint(*h),
-			"-threads", fmt.Sprint(*threads),
-			"-lazy=" + fmt.Sprint(*lazy),
-			"-seed", fmt.Sprint(*seed), "-rhs", fmt.Sprint(*rhs),
-			"-check=" + fmt.Sprint(*check),
+	mf := mesh.Register(fs, "QRNODE", "0 gathers and reports")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		if *trFile != "" {
-			args = append(args, "-trace", *trFile)
-		}
-		os.Exit(launchNodes(*launch, *nodeBin, args))
+		return 2
 	}
 
-	opts := pulsarqr.Options{
-		NB: *nb, IB: *ib, H: *h,
-		Nodes: *nodes, Threads: *threads,
-	}
-	switch *tree {
-	case "hierarchical":
-		opts.Tree = pulsarqr.Hierarchical
-	case "flat":
-		opts.Tree = pulsarqr.Flat
-	case "binary":
-		opts.Tree = pulsarqr.Binary
-	default:
-		log.Fatalf("unknown tree %q", *tree)
+	opts := qr.Options{NB: *nb, IB: *ib, H: *h}
+	var err error
+	if opts.Tree, err = qr.ParseTree(*tree); err != nil {
+		return fail("%v", err)
 	}
 	if *fixed {
-		opts.Boundary = pulsarqr.Fixed
+		opts.Boundary = qr.FixedBoundary
 	}
-	switch *engine {
-	case "systolic":
-		opts.Engine = pulsarqr.Systolic
-	case "quark":
-		opts.Engine = pulsarqr.TaskSuperscalar
-	case "sequential":
-		opts.Engine = pulsarqr.Sequential
-	default:
-		log.Fatalf("unknown engine %q", *engine)
-	}
+	rc := qr.RunConfig{Nodes: *nodes, Threads: *threads}
 	if !*lazy {
-		opts.Scheduling = pulsarqr.Aggressive
+		rc.Scheduling = pulsarqr.Aggressive
+	}
+	systolic := *engine == "systolic"
+	if *engine != "quark" && *engine != "sequential" && !systolic {
+		return fail("unknown engine %q", *engine)
+	}
+	var rec *trace.Recorder
+	if *trFile != "" {
+		if !systolic {
+			return fail("-trace requires -engine systolic, got %q", *engine)
+		}
+		rec = trace.NewRecorder()
+		rc.FireHook, rc.WaitHook, rc.CommHook = rec.Hook(), rec.WaitHook(), rec.CommHook()
 	}
 
-	var a *pulsarqr.Matrix
+	meshed, err := mf.Resolve(*launch > 0, -1)
+	if err != nil {
+		return fail("%v", err)
+	}
+	if meshed {
+		// Refused, not dropped: a mesh that silently ran something else would
+		// report numbers for a configuration nobody asked for.
+		if !systolic {
+			return fail("-engine %s cannot run across a process mesh (-launch, -peers): only the systolic engine is distributed", *engine)
+		}
+		if *nodes != 1 {
+			return fail("-nodes %d with -launch or -peers: a process mesh has as many nodes as it has ranks", *nodes)
+		}
+	}
+
+	// SIGINT/SIGTERM cancel a systolic run: in-flight kernels drain, the
+	// runtime aborts, and the process exits instead of lingering in the mesh.
+	// (The other engines cannot be canceled and keep the default handling.)
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	if systolic {
+		var stopSig context.CancelFunc
+		ctx, stopSig = signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+		defer stopSig()
+	}
+
+	var stopRanks func(grace time.Duration) int
+	if *launch > 0 {
+		// A rank that dies takes the run with it: the launcher kills the
+		// others, and cancel unwinds rank 0 here with the reason.
+		if stopRanks, err = mf.Launch(*launch, args, stdout, logger.Printf, cancel); err != nil {
+			return fail("%v", err)
+		}
+		defer stopRanks(0) // no orphaned ranks holding ports on any exit path
+	}
+	var ep transport.Endpoint
+	rank := 0
+	if meshed {
+		logger.SetPrefix(fmt.Sprintf("qrfactor %d: ", mf.Rank))
+		if ep, err = mf.Dial(ctx, logger.Printf); err != nil {
+			return fail("%v", err)
+		}
+		defer ep.Close()
+		logger.Printf("mesh of %d ranks up", ep.Size())
+		rank, rc.Nodes = mf.Rank, ep.Size()
+	}
+
+	var a *matrix.Mat
 	if *inFile != "" {
 		fh, err := os.Open(*inFile)
 		if err != nil {
-			log.Fatal(err)
+			return fail("%v", err)
 		}
 		a, err = matrix.ReadMatrixMarket(fh)
 		fh.Close()
 		if err != nil {
-			log.Fatalf("%s: %v", *inFile, err)
+			return fail("%s: %v", *inFile, err)
 		}
 		*m, *n = a.Rows, a.Cols
 	} else {
 		a = pulsarqr.RandomMatrix(*m, *n, *seed)
 	}
-	var b *pulsarqr.Matrix
+	var b *matrix.Mat
 	if *rhs > 0 {
 		b = pulsarqr.RandomMatrix(*m, *rhs, *seed+1)
 	}
+	// The engines consume their tiles, so each run gets its own copy.
+	tiled := func(d *matrix.Mat) *matrix.Tiled {
+		if d == nil {
+			return nil
+		}
+		return matrix.FromDense(d, opts.NB)
+	}
 
-	fmt.Printf("factoring %dx%d, nb=%d ib=%d tree=%s h=%d engine=%s nodes=%d threads=%d\n",
-		*m, *n, *nb, *ib, *tree, *h, *engine, *nodes, *threads)
+	if rank == 0 {
+		fmt.Fprintf(stdout, "factoring %dx%d, engine=%s nodes=%d threads=%d\n", *m, *n, *engine, rc.Nodes, rc.Threads)
+	}
 	start := time.Now()
-	var f *pulsarqr.Factorization
-	var err error
-	if *trFile != "" {
-		if opts.Engine != pulsarqr.Systolic {
-			log.Fatalf("-trace requires -engine systolic, got %q", *engine)
-		}
-		f, err = factorTraced(a, b, opts, *trFile)
-	} else if b != nil {
-		f, err = pulsarqr.FactorWithRHS(a, b, opts)
-	} else {
-		f, err = pulsarqr.Factor(a, opts)
+	var f *qr.Factorization
+	switch *engine {
+	case "systolic":
+		f, err = qr.FactorizeVSAIn(ctx, tiled(a), tiled(b), opts, rc, qr.Env{Endpoint: ep})
+	case "quark":
+		f, err = qr.FactorizeQuark(tiled(a), tiled(b), opts, max(rc.Nodes*rc.Threads, 1))
+	default:
+		f, err = qr.Factorize(tiled(a), tiled(b), opts)
 	}
 	if err != nil {
-		log.Fatal(err)
-	}
-	elapsed := time.Since(start)
-
-	gf := kernels.FlopsQR(*m, *n) / 1e9 / elapsed.Seconds()
-	fmt.Printf("time      %v\n", elapsed)
-	fmt.Printf("rate      %.3f Gflop/s (conventional 2n²(m−n/3) count)\n", gf)
-	res := f.Residual(a)
-	fmt.Printf("residual  ‖AᵀA − RᵀR‖/‖AᵀA‖ = %.3e\n", res)
-	if b != nil {
-		x := f.SolveFromQTB()
-		r := a.Mul(x).Sub(b)
-		fmt.Printf("lsq       ‖Ax − b‖_F = %.6e (gradient ‖Aᵀ(Ax−b)‖_max = %.3e)\n",
-			r.FrobNorm(), a.Transpose().Mul(r).MaxAbs())
-	}
-	if *outFile != "" {
-		fh, err := os.Create(*outFile)
-		if err != nil {
-			log.Fatal(err)
+		logger.Print(err)
+		if errors.Is(err, context.Canceled) {
+			return 130
 		}
-		if err := matrix.WriteMatrixMarket(fh, f.R()); err != nil {
-			log.Fatal(err)
-		}
-		if err := fh.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote R to %s\n", *outFile)
-	}
-	if res > 1e-12 {
-		fmt.Fprintln(os.Stderr, "WARNING: residual above tolerance")
-		os.Exit(1)
-	}
-}
-
-// factorTraced runs the systolic engine through the internal qr layer with
-// a trace recorder installed, then writes the single-process shard as JSONL
-// for qrtrace -merge.
-func factorTraced(a, b *pulsarqr.Matrix, opts pulsarqr.Options, path string) (*pulsarqr.Factorization, error) {
-	rec := trace.NewRecorder()
-	io := qr.Options{NB: opts.NB, IB: opts.IB, Tree: opts.Tree, H: opts.H, Boundary: opts.Boundary, Inter: opts.Inter}
-	rc := qr.RunConfig{
-		Nodes: opts.Nodes, Threads: opts.Threads, Scheduling: opts.Scheduling,
-		FireHook: rec.Hook(), WaitHook: rec.WaitHook(), CommHook: rec.CommHook(),
-	}
-	ta := matrix.FromDense(a, io.NB)
-	var tb *matrix.Tiled
-	if b != nil {
-		tb = matrix.FromDense(b, io.NB)
-	}
-	f, err := qr.FactorizeVSA(ta, tb, io, rc)
-	if err != nil {
-		return nil, err
-	}
-	fh, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	sh := rec.Shard(0)
-	if err := trace.WriteShards(fh, sh); err != nil {
-		fh.Close()
-		return nil, err
-	}
-	if err := fh.Close(); err != nil {
-		return nil, err
-	}
-	fmt.Printf("trace     %d events written to %s (dropped %d)\n", len(sh.Events), path, sh.Drops)
-	return f, nil
-}
-
-// launchNodes runs an N-process factorization: it reserves N loopback
-// ports, starts one qrnode per rank with the shared peer list, relays each
-// child's output under a [rank] prefix, and returns the worst exit code.
-// The children form one supervised group: a signal to qrfactor, a failed
-// rank, or any early return tears the whole mesh down — no orphaned qrnode
-// processes holding ports.
-func launchNodes(n int, nodeBin string, args []string) int {
-	bin, err := findQrnode(nodeBin)
-	if err != nil {
-		log.Print(err)
 		return 1
 	}
-
-	// Reserve ports by binding and releasing; the children re-bind them
-	// immediately, so collisions with other processes are unlikely.
-	addrs := make([]string, n)
-	lns := make([]net.Listener, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+	elapsed := time.Since(start)
+	if rec != nil {
+		// Rank 0 collects every rank's shard (a single process has just its
+		// own) and writes them as JSONL, ready for qrtrace -merge.
+		gctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+		shards, err := trace.GatherShards(gctx, ep, rec.Shard(rank))
+		cancel()
+		if err == nil && shards != nil {
+			if err = writeFile(*trFile, func(w io.Writer) error { return trace.WriteShards(w, shards...) }); err == nil {
+				fmt.Fprintf(stdout, "trace     %d shards written to %s\n", len(shards), *trFile)
+			}
+		}
 		if err != nil {
-			log.Printf("reserve port: %v", err)
-			return 1
+			return fail("trace: %v", err)
 		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
 	}
-	for _, ln := range lns {
-		ln.Close()
+	if f == nil { // a rank other than 0: its share went to rank 0 in the gather
+		msgs, bytes := ep.Stats()
+		logger.Printf("done in %v (sent %d messages, %d payload bytes)", elapsed, msgs, bytes)
+		return 0
 	}
-	peers := strings.Join(addrs, ",")
-	log.Printf("launching %d qrnode processes (%s)", n, bin)
 
-	group := procgroup.New()
-	defer group.Kill() // covers every exit path, error returns included
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
-
-	type exit struct {
-		rank, code int
-		err        error
+	fmt.Fprintf(stdout, "options   %v\n", f.Opts)
+	fmt.Fprintf(stdout, "time      %v\n", elapsed)
+	fmt.Fprintf(stdout, "rate      %.3f Gflop/s (conventional 2n²(m−n/3) count)\n",
+		kernels.FlopsQR(*m, *n)/1e9/elapsed.Seconds())
+	if ep != nil {
+		msgs, bytes := ep.Stats()
+		fmt.Fprintf(stdout, "network   %d messages, %d payload bytes sent by rank 0 (run: %d msgs, %d bytes)\n",
+			msgs, bytes, f.Stats.Messages, f.Stats.Bytes)
 	}
-	exits := make(chan exit, n)
-	for i := 0; i < n; i++ {
-		cmd := exec.Command(bin, append([]string{
-			"-rank", fmt.Sprint(i), "-peers", peers,
-		}, args...)...)
-		out, err := cmd.StdoutPipe()
+	res := f.Residual(a)
+	fmt.Fprintf(stdout, "residual  ‖AᵀA − RᵀR‖/‖AᵀA‖ = %.3e\n", res)
+	if b != nil {
+		r := a.Mul(f.SolveFromQTB()).Sub(b)
+		fmt.Fprintf(stdout, "lsq       ‖Ax − b‖_F = %.6e (gradient ‖Aᵀ(Ax−b)‖_max = %.3e)\n",
+			r.FrobNorm(), a.Transpose().Mul(r).MaxAbs())
+	}
+	if *check {
+		seq, err := qr.Factorize(tiled(a), tiled(b), opts)
 		if err != nil {
-			log.Printf("rank %d: %v", i, err)
-			return 1
+			return fail("sequential reference: %v", err)
 		}
-		cmd.Stderr = cmd.Stdout // merged: one ordered stream per child
-		if err := group.Start(cmd); err != nil {
-			log.Printf("start rank %d: %v", i, err)
-			return 1
+		if d := matrix.MaxAbsDiff(seq.A.ToDense(), f.A.ToDense()); d != 0 {
+			return fail("check failed: factored tiles differ by %v", d)
 		}
-		go func(i int, cmd *exec.Cmd, sc *bufio.Scanner) {
-			for sc.Scan() {
-				fmt.Printf("[rank %d] %s\n", i, sc.Text())
+		if b != nil {
+			if d := matrix.MaxAbsDiff(seq.QTB.ToDense(), f.QTB.ToDense()); d != 0 {
+				return fail("check failed: QᵀB differs by %v", d)
 			}
-			err := cmd.Wait()
-			code := 0
-			if err != nil {
-				if code = cmd.ProcessState.ExitCode(); code <= 0 {
-					code = 1
-				}
-			}
-			exits <- exit{i, code, err}
-		}(i, cmd, bufio.NewScanner(out))
+		}
+		fmt.Fprintln(stdout, "check     result elementwise equal to sequential")
 	}
-
-	code := 0
-	for done := 0; done < n; {
-		select {
-		case sig := <-sigc:
-			log.Printf("received %v, stopping nodes", sig)
-			group.Kill()
-			if code == 0 {
-				code = 130
-			}
-		case e := <-exits:
-			done++
-			if e.code != 0 {
-				if !group.Killed() {
-					log.Printf("rank %d: %v", e.rank, e.err)
-					// One dead rank would leave the rest blocked in the
-					// mesh until their deadlock timeout; fail fast instead.
-					group.Kill()
-				}
-				if e.code > code {
-					code = e.code
-				}
-			}
+	if *outFile != "" {
+		if err := writeFile(*outFile, func(w io.Writer) error { return matrix.WriteMatrixMarket(w, f.R()) }); err != nil {
+			return fail("%v", err)
 		}
+		fmt.Fprintf(stdout, "wrote R to %s\n", *outFile)
 	}
-	return code
+	if res > 1e-12 {
+		return fail("WARNING: residual above tolerance")
+	}
+	if stopRanks != nil {
+		// The other ranks leave on their own after the closing barrier.
+		return stopRanks(10 * time.Second)
+	}
+	return 0
 }
 
-// findQrnode locates the qrnode binary: explicit flag, then the directory
-// qrfactor itself runs from, then $PATH.
-func findQrnode(nodeBin string) (string, error) {
-	if nodeBin != "" {
-		return nodeBin, nil
+// writeFile creates path and fills it with write; Close's error counts.
+func writeFile(path string, write func(io.Writer) error) error {
+	fh, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	if exe, err := os.Executable(); err == nil {
-		cand := filepath.Join(filepath.Dir(exe), "qrnode")
-		if st, err := os.Stat(cand); err == nil && !st.IsDir() {
-			return cand, nil
-		}
+	if err := write(fh); err != nil {
+		fh.Close()
+		return err
 	}
-	if p, err := exec.LookPath("qrnode"); err == nil {
-		return p, nil
-	}
-	return "", fmt.Errorf("qrnode binary not found: build it (go build ./cmd/qrnode) next to qrfactor, put it on $PATH, or pass -qrnode")
+	return fh.Close()
 }

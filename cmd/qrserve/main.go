@@ -1,16 +1,26 @@
 // Command qrserve is the factorization service: a long-running process that
 // accepts QR jobs over HTTP and multiplexes them onto a warm VSA runtime —
 // a persistent worker pool and, in fleet mode, persistent TCP sessions to a
-// set of qrservenode agents, one factorization job per mux channel.
+// set of agents, one factorization job per mux channel. The agents are
+// qrserve too: rank 0 of a fleet serves HTTP, and a process given a rank of 1
+// or more joins the mesh once, keeps a warm pool, and executes its share of
+// every job the server dispatches until the server broadcasts shutdown, the
+// connection drops, or it receives SIGINT/SIGTERM.
 //
 // Standalone:
 //
 //	qrserve -listen 127.0.0.1:7311 -threads 4
 //
-// Fleet of three processes on one machine (one server + two agents,
-// launched and supervised as a group):
+// Fleet of three processes on one machine (the server, and two agents it
+// launches as copies of itself with its own flags and supervises as a group):
 //
 //	qrserve -listen 127.0.0.1:7311 -launch 2
+//
+// Fleet across machines, one process per host (-rank and -peers fall back to
+// the QRSERVE_RANK and QRSERVE_PEERS environment variables):
+//
+//	qrserve -rank 0 -peers hostA:9000,hostB:9000 -listen :7311
+//	qrserve -rank 1 -peers hostA:9000,hostB:9000
 //
 // Submit work:
 //
@@ -19,201 +29,164 @@
 package main
 
 import (
-	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // -pprof-addr serves the default mux
 	"os"
-	"os/exec"
 	"os/signal"
-	"path/filepath"
-	"strings"
-	"sync"
 	"syscall"
 	"time"
 
+	"pulsarqr/internal/mesh"
 	"pulsarqr/internal/obs"
-	"pulsarqr/internal/procgroup"
 	"pulsarqr/internal/service"
 	"pulsarqr/internal/transport"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("qrserve: ")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command, returning its exit code, so that the deferred
+// group kill and closes fire on every path and tests can drive it in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	logger := log.New(stderr, "qrserve: ", 0)
+	fail := func(err error) int {
+		logger.Print(err)
+		return 1
+	}
+	fs := flag.NewFlagSet("qrserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var cfg service.Config
 	var (
-		listen   = flag.String("listen", "127.0.0.1:7311", "HTTP listen address (use :0 for an ephemeral port)")
-		portfile = flag.String("portfile", "", "write the bound HTTP address to this file (for scripts using -listen :0)")
-		threads  = flag.Int("threads", 4, "worker threads in the persistent pool")
-		queue    = flag.Int("queue", 32, "admission queue capacity (submits beyond it get 429)")
-		maxjobs  = flag.Int("maxjobs", 4, "jobs factorizing concurrently")
-		results  = flag.Int("results", 64, "terminal jobs kept queryable before eviction")
-		launch   = flag.Int("launch", 0, "spawn this many qrservenode agent processes and serve as rank 0 of the fleet")
-		peers    = flag.String("peers", "", "join an existing fleet: comma-separated host:port of every rank, this process first (rank 0)")
-		nodeBin  = flag.String("qrservenode", "", "path to the qrservenode binary (default: next to qrserve, then $PATH)")
-		rdv      = flag.Duration("rendezvous", 30*time.Second, "fleet mesh setup timeout")
-		recon    = flag.Duration("reconnect", 0, "survive transient fleet link drops: redial dead connections for up to this long (0 = fail fast; propagated to launched agents)")
-		hbeat    = flag.Duration("heartbeat", 0, "probe idle fleet links at this interval and declare silent agents dead (0 = off; requires -reconnect)")
-		tracecap = flag.Int("tracecap", 0, "per-traced-job event recorder capacity (0 = default; overflow drops oldest events)")
-		pprof    = flag.String("pprof-addr", "", "serve net/http/pprof on this address (off when empty)")
-		bstreams = flag.Int("batch-streams", 0, "POST /v1/batch streams admitted concurrently (0 = default 2; arrivals beyond it get 429)")
-		bchunk   = flag.Int("batch-chunk", 0, "matrices per batch scheduler chunk (0 = default 64)")
-		bcross   = flag.Int("batch-crossover", 0, "batch engine threshold: n <= crossover uses Givens, larger compact-WY (0 = library default)")
-		numaPin  = flag.Bool("numa", false, "pin pool workers to NUMA nodes with node-local workspaces (best-effort; propagated to launched agents)")
-		ckptDir  = flag.String("checkpoint-dir", "", "durable streaming-session checkpoints (QSC1) live here; sessions survive restarts (empty = memory-only sessions)")
-		sstreams = flag.Int("session-streams", 0, "session append streams admitted concurrently (0 = default 2; arrivals beyond it get 429)")
-		maxsess  = flag.Int("max-sessions", 0, "streaming sessions registered at once (0 = default 64)")
-		tensess  = flag.Int("tenant-sessions", 0, "streaming sessions one tenant may hold (0 = default 8)")
-		sidle    = flag.Duration("session-idle", 0, "unload (durable) or evict (memory-only) sessions idle this long (0 = default 10m; negative disables)")
-		ckevery  = flag.Int("checkpoint-every", 0, "appends between durable checkpoint writes (0 = every append)")
-		autotune = flag.Bool("autotune", false, "plan every job's tree/nb/ib/h/rank-count against the fleet's measured machine model before dispatch (jobs can also opt in per-request with \"autotune\": true)")
-		logLvl   = flag.String("log-level", "info", "structured event log level: debug, info, warn, error (debug includes per-job lifecycle chatter)")
-		logFmt   = flag.String("log-format", "text", "structured event log format: text or json")
-		fcap     = flag.Int("flight-cap", 0, "flight-recorder ring capacity (0 = default 1024; overflow drops oldest)")
+		listen   = fs.String("listen", "127.0.0.1:7311", "HTTP listen address (use :0 for an ephemeral port)")
+		portfile = fs.String("portfile", "", "write the bound HTTP address to this file (for scripts using -listen :0)")
+		launch   = fs.Int("launch", 0, "serve as rank 0 of a fleet with this many agents, launched on loopback as copies of this process with its flags")
+		pprof    = fs.String("pprof-addr", "", "serve net/http/pprof on this address (off when empty; launched agents inherit it, so give -launch a port of 0)")
+		logLvl   = fs.String("log-level", "info", "structured event log level: debug, info, warn, error (debug includes per-job lifecycle chatter)")
+		logFmt   = fs.String("log-format", "text", "log format: text, or json — the whole log structured, an agent's lines stamped with its rank")
+		fcap     = fs.Int("flight-cap", 0, "flight-recorder ring capacity (0 = default 1024; overflow drops oldest)")
 	)
-	flag.Parse()
-	startPprof(*pprof)
-	logger, err := buildLogger(*logLvl, *logFmt)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := service.Config{
-		Threads:              *threads,
-		QueueCap:             *queue,
-		MaxConcurrent:        *maxjobs,
-		ResultCap:            *results,
-		TraceCap:             *tracecap,
-		BatchStreams:         *bstreams,
-		BatchChunk:           *bchunk,
-		BatchCrossover:       *bcross,
-		PinNUMA:              *numaPin,
-		CheckpointDir:        *ckptDir,
-		SessionStreams:       *sstreams,
-		MaxSessions:          *maxsess,
-		MaxSessionsPerTenant: *tensess,
-		SessionIdle:          *sidle,
-		CheckpointEvery:      *ckevery,
-		Autotune:             *autotune,
-		Logf:                 log.Printf,
-		Obs:                  obs.New(obs.Options{Logger: logger, FlightCap: *fcap}),
-	}
-	if *logFmt == "json" {
-		// JSON mode turns the whole service log structured, not just the
-		// event stream — mixed plain/JSON lines would defeat log shippers.
-		cfg.Logf = func(format string, args ...any) { logger.Info(fmt.Sprintf(format, args...)) }
-	}
-	os.Exit(run(*listen, *portfile, cfg, *launch, *peers, *nodeBin, *rdv, *recon, *hbeat))
-}
-
-// buildLogger constructs the structured event logger from the -log-level and
-// -log-format flags.
-func buildLogger(level, format string) (*slog.Logger, error) {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("bad -log-level %q: %w", level, err)
-	}
-	opts := &slog.HandlerOptions{Level: lvl}
-	switch format {
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-	}
-	return nil, fmt.Errorf("bad -log-format %q (want text or json)", format)
-}
-
-// startPprof serves the net/http/pprof handlers on their own listener; the
-// profiling surface never rides the public job API and is off by default.
-func startPprof(addr string) {
-	if addr == "" {
-		return
-	}
-	go func() {
-		log.Printf("pprof on http://%s/debug/pprof/", addr)
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			log.Printf("pprof: %v", err)
+	fs.IntVar(&cfg.Threads, "threads", 4, "worker threads in the persistent pool")
+	fs.IntVar(&cfg.QueueCap, "queue", 32, "admission queue capacity (submits beyond it get 429)")
+	fs.IntVar(&cfg.MaxConcurrent, "maxjobs", 4, "jobs factorizing concurrently")
+	fs.IntVar(&cfg.ResultCap, "results", 64, "terminal jobs kept queryable before eviction")
+	fs.IntVar(&cfg.TraceCap, "tracecap", 0, "per-traced-job event recorder capacity (0 = default; overflow drops oldest events)")
+	fs.IntVar(&cfg.BatchStreams, "batch-streams", 0, "POST /v1/batch streams admitted concurrently (0 = default 2; arrivals beyond it get 429)")
+	fs.IntVar(&cfg.BatchChunk, "batch-chunk", 0, "matrices per batch scheduler chunk (0 = default 64)")
+	fs.IntVar(&cfg.BatchCrossover, "batch-crossover", 0, "batch engine threshold: n <= crossover uses Givens, larger compact-WY (0 = library default)")
+	fs.BoolVar(&cfg.PinNUMA, "numa", false, "pin pool workers to NUMA nodes with node-local workspaces (best-effort)")
+	fs.StringVar(&cfg.CheckpointDir, "checkpoint-dir", "", "durable streaming-session checkpoints (QSC1) live here; sessions survive restarts (empty = memory-only sessions)")
+	fs.IntVar(&cfg.SessionStreams, "session-streams", 0, "session append streams admitted concurrently (0 = default 2; arrivals beyond it get 429)")
+	fs.IntVar(&cfg.MaxSessions, "max-sessions", 0, "streaming sessions registered at once (0 = default 64)")
+	fs.IntVar(&cfg.MaxSessionsPerTenant, "tenant-sessions", 0, "streaming sessions one tenant may hold (0 = default 8)")
+	fs.DurationVar(&cfg.SessionIdle, "session-idle", 0, "unload (durable) or evict (memory-only) sessions idle this long (0 = default 10m; negative disables)")
+	fs.IntVar(&cfg.CheckpointEvery, "checkpoint-every", 0, "appends between durable checkpoint writes (0 = every append)")
+	fs.BoolVar(&cfg.Autotune, "autotune", false, "plan every job's tree/nb/ib/h/rank-count against the fleet's measured machine model before dispatch (jobs can also opt in per-request with \"autotune\": true)")
+	mf := mesh.Register(fs, "QRSERVE", "0, the default, serves HTTP; 1 and up are fleet agents")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-	}()
-}
+		return 2
+	}
+	meshed, err := mf.Resolve(*launch > 0, 0)
+	if err != nil {
+		return fail(err)
+	}
+	agent := *launch == 0 && mf.Rank > 0
+	if agent {
+		logger.SetPrefix(fmt.Sprintf("qrserve %d: ", mf.Rank))
+	}
+	events, err := buildLogger(*logLvl, *logFmt, stderr)
+	if err != nil {
+		return fail(err)
+	}
+	logf := logger.Printf
+	if *logFmt == "json" {
+		// JSON mode turns the whole log structured, not just the event
+		// stream — mixed plain/JSON lines would defeat log shippers.
+		if agent {
+			events = events.With(slog.Int("rank", mf.Rank))
+		}
+		logf = func(format string, args ...any) { events.Info(fmt.Sprintf(format, args...)) }
+	}
+	startPprof(*pprof, logger)
 
-// run is main minus os.Exit, so the deferred group kill and closes fire on
-// every path.
-func run(listen, portfile string, cfg service.Config, launch int, peers, nodeBin string, rdv, recon, hbeat time.Duration) int {
 	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSig()
 
-	group := procgroup.New()
-	defer group.Kill() // no orphaned agents on any exit path
-	var childWG sync.WaitGroup
-
-	var ep transport.Endpoint
-	switch {
-	case launch > 0:
-		e, err := launchFleet(group, &childWG, launch, nodeBin, cfg.Threads, rdv, recon, hbeat, cfg.PinNUMA)
-		if err != nil {
-			log.Print(err)
-			return 1
+	stopAgents := func(time.Duration) int { return 0 }
+	if *launch > 0 {
+		// No failure callback: a fleet outlives an agent — the server evicts
+		// the rank and requeues its jobs on the survivors.
+		if stopAgents, err = mf.Launch(*launch+1, args, stdout, logger.Printf, nil); err != nil {
+			return fail(err)
 		}
-		ep = e
-	case peers != "":
-		e, err := transport.DialTCP(transport.TCPConfig{
-			Rank:              0,
-			Peers:             strings.Split(peers, ","),
-			RendezvousTimeout: rdv,
-			Reconnect:         recon,
-			HeartbeatInterval: hbeat,
-			Logf:              log.Printf,
-		})
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		ep = e
+		defer stopAgents(0) // no orphaned agents on any exit path
 	}
-	if ep != nil {
+	var ep transport.Endpoint
+	if meshed {
+		if ep, err = mf.Dial(ctx, logf); err != nil {
+			return fail(err)
+		}
 		defer ep.Close()
 	}
 
-	cfg.Ep = ep
-	srv, err := service.NewServer(cfg)
-	if err != nil {
-		log.Print(err)
-		return 1
+	if agent {
+		logf("fleet of %d ranks up, %d worker threads warm", ep.Size(), cfg.Threads)
+		a, err := service.NewAgentOpts(ep, service.AgentOptions{Threads: cfg.Threads, PinNUMA: cfg.PinNUMA, Logf: logf})
+		if err != nil {
+			return fail(err)
+		}
+		err = a.Run(ctx)
+		a.Close()
+		switch {
+		case err == nil:
+			logger.Print("shutdown received, exiting")
+			return 0
+		case errors.Is(err, context.Canceled):
+			logger.Print("interrupted, exiting")
+			return 130
+		}
+		return fail(err)
 	}
 
-	ln, err := net.Listen("tcp", listen)
+	cfg.Logf, cfg.Ep = logf, ep
+	cfg.Obs = obs.New(obs.Options{Logger: events, FlightCap: *fcap})
+	srv, err := service.NewServer(cfg)
 	if err != nil {
-		log.Printf("listen %s: %v", listen, err)
-		srv.Close()
-		return 1
+		return fail(err)
 	}
-	if portfile != "" {
-		if err := os.WriteFile(portfile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
-			log.Printf("portfile: %v", err)
-			ln.Close()
-			srv.Close()
-			return 1
+	hln, err := net.Listen("tcp", *listen)
+	if err == nil && *portfile != "" {
+		if err = os.WriteFile(*portfile, []byte(hln.Addr().String()+"\n"), 0o644); err != nil {
+			hln.Close()
 		}
+	}
+	if err != nil {
+		srv.Close()
+		return fail(err)
 	}
 	hs := &http.Server{Handler: srv.Handler()}
 	httpDone := make(chan error, 1)
-	go func() { httpDone <- hs.Serve(ln) }()
-	log.Printf("serving on http://%s (%d ranks, %d threads, queue %d, %d concurrent jobs)",
-		ln.Addr(), srv.Ranks(), cfg.Threads, cfg.QueueCap, cfg.MaxConcurrent)
+	go func() { httpDone <- hs.Serve(hln) }()
+	logger.Printf("serving on http://%s (%d ranks, %d threads, queue %d, %d concurrent jobs)",
+		hln.Addr(), srv.Ranks(), cfg.Threads, cfg.QueueCap, cfg.MaxConcurrent)
 	if cfg.CheckpointDir != "" {
-		log.Printf("durable sessions: checkpoints in %s", cfg.CheckpointDir)
+		logger.Printf("durable sessions: checkpoints in %s", cfg.CheckpointDir)
 	}
 
 	select {
 	case <-ctx.Done():
-		log.Print("shutting down")
+		logger.Print("shutting down")
 	case err := <-httpDone:
-		log.Printf("http server: %v", err)
+		logger.Printf("http server: %v", err)
 	}
 	stopSig()
 
@@ -221,107 +194,40 @@ func run(listen, portfile string, cfg service.Config, launch int, peers, nodeBin
 	hs.Shutdown(shutCtx)
 	cancel()
 	srv.Close() // cancels jobs, broadcasts agent shutdown, drains the pool
-
 	// Give launched agents a moment to exit on the shutdown broadcast, then
 	// make sure nothing is left behind.
-	waited := make(chan struct{})
-	go func() { childWG.Wait(); close(waited) }()
-	select {
-	case <-waited:
-	case <-time.After(5 * time.Second):
-		log.Print("agents still running, killing")
-	}
-	group.Kill()
+	stopAgents(5 * time.Second)
 	return 0
 }
 
-// launchFleet reserves ports for a (1+agents)-rank mesh, keeps rank 0's
-// listener bound for itself, spawns the agent processes under group
-// supervision, and dials the mesh.
-func launchFleet(group *procgroup.Group, childWG *sync.WaitGroup, agents int, nodeBin string, threads int, rdv, recon, hbeat time.Duration, numaPin bool) (transport.Endpoint, error) {
-	bin, err := findNode(nodeBin)
-	if err != nil {
-		return nil, err
+// buildLogger constructs the structured event logger from the -log-level and
+// -log-format flags.
+func buildLogger(level, format string, w io.Writer) (*slog.Logger, error) {
+	var lvl slog.Level
+	if err := lvl.UnmarshalText([]byte(level)); err != nil {
+		return nil, fmt.Errorf("bad -log-level %q: %w", level, err)
 	}
-	total := agents + 1
-	addrs := make([]string, total)
-	lns := make([]net.Listener, total)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			for _, l := range lns {
-				if l != nil {
-					l.Close()
-				}
-			}
-			return nil, fmt.Errorf("reserve port: %w", err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
+	opts := &slog.HandlerOptions{Level: lvl}
+	switch format {
+	case "json":
+		return slog.New(slog.NewJSONHandler(w, opts)), nil
+	case "text":
+		return slog.New(slog.NewTextHandler(w, opts)), nil
 	}
-	// Rank 0 keeps its listener; agent ports are released for the children
-	// to re-bind immediately.
-	for _, ln := range lns[1:] {
-		ln.Close()
-	}
-	peerList := strings.Join(addrs, ",")
-	log.Printf("launching %d qrservenode agents (%s)", agents, bin)
-	for i := 1; i < total; i++ {
-		// Resilience settings must agree across the mesh, so the agents
-		// inherit the server's flags verbatim.
-		cmd := exec.Command(bin,
-			"-rank", fmt.Sprint(i),
-			"-peers", peerList,
-			"-threads", fmt.Sprint(threads),
-			"-rendezvous", rdv.String(),
-			"-reconnect", recon.String(),
-			"-heartbeat", hbeat.String(),
-			"-numa="+fmt.Sprint(numaPin),
-		)
-		out, err := cmd.StdoutPipe()
-		if err != nil {
-			return nil, err
-		}
-		cmd.Stderr = cmd.Stdout
-		if err := group.Start(cmd); err != nil {
-			return nil, fmt.Errorf("start agent %d: %w", i, err)
-		}
-		childWG.Add(1)
-		go func(i int, cmd *exec.Cmd, sc *bufio.Scanner) {
-			defer childWG.Done()
-			for sc.Scan() {
-				fmt.Printf("[agent %d] %s\n", i, sc.Text())
-			}
-			if err := cmd.Wait(); err != nil && !group.Killed() {
-				log.Printf("agent %d: %v", i, err)
-			}
-		}(i, cmd, bufio.NewScanner(out))
-	}
-	return transport.DialTCP(transport.TCPConfig{
-		Rank:              0,
-		Peers:             addrs,
-		Listener:          lns[0],
-		RendezvousTimeout: rdv,
-		Reconnect:         recon,
-		HeartbeatInterval: hbeat,
-		Logf:              log.Printf,
-	})
+	return nil, fmt.Errorf("bad -log-format %q (want text or json)", format)
 }
 
-// findNode locates the qrservenode binary: explicit flag, then the
-// directory qrserve runs from, then $PATH.
-func findNode(nodeBin string) (string, error) {
-	if nodeBin != "" {
-		return nodeBin, nil
+// startPprof serves the net/http/pprof handlers on their own listener; the
+// profiling surface never rides the public job API and is off by default.
+func startPprof(addr string, logger *log.Logger) {
+	if addr == "" {
+		return
 	}
-	if exe, err := os.Executable(); err == nil {
-		cand := filepath.Join(filepath.Dir(exe), "qrservenode")
-		if st, err := os.Stat(cand); err == nil && !st.IsDir() {
-			return cand, nil
-		}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		logger.Printf("pprof: %v", err)
+		return
 	}
-	if p, err := exec.LookPath("qrservenode"); err == nil {
-		return p, nil
-	}
-	return "", fmt.Errorf("qrservenode binary not found: build it (go build ./cmd/qrservenode) next to qrserve, put it on $PATH, or pass -qrservenode")
+	logger.Printf("pprof on http://%s/debug/pprof/", ln.Addr())
+	go func() { logger.Printf("pprof: %v", http.Serve(ln, nil)) }()
 }

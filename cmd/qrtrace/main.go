@@ -4,10 +4,10 @@
 // overlap statistics that quantify the pipelining benefit of shifting.
 //
 // With -merge it becomes the analysis half of distributed tracing: it reads
-// the per-rank trace shards a fleet run gathered (qrfactor -trace, qrnode
-// -trace, or GET /v1/jobs/{id}/trace on qrserve), aligns their clocks on
-// the post-run barrier, and reports the merged timeline — critical path,
-// per-class overlap, and a per-rank busy/idle/comm breakdown.
+// the per-rank trace shards a run gathered (qrfactor -trace, in one process
+// or across a mesh, or GET /v1/jobs/{id}/trace on qrserve), aligns their
+// clocks on the post-run barrier, and reports the merged timeline — critical
+// path, per-class overlap, and a per-rank busy/idle/comm breakdown.
 //
 //	qrfactor -launch 2 -m 4096 -n 512 -trace shards.jsonl
 //	qrtrace -merge shards.jsonl -chrome fleet.json

@@ -16,9 +16,10 @@ import (
 // There is one definition of the default tile configuration —
 // qr.DefaultOptions — and every path that fills an unset field reads it from
 // there: the library (public and internal), the service's JobSpec, the
-// planner's baseline candidate, and the flag defaults of the three CLIs that
-// take -nb/-ib/-h. Ranks of one fleet, and a client and its server, must not
-// be able to disagree on what "default" means.
+// planner's baseline candidate, and the flag defaults of the two CLIs that
+// take -nb/-ib/-h (every rank of a launched mesh is one of them). Ranks of one
+// fleet, and a client and its server, must not be able to disagree on what
+// "default" means.
 func TestOneDefaultTileConfiguration(t *testing.T) {
 	def := qr.DefaultOptions()
 	if def.NB < 1 || def.IB < 1 || def.IB > def.NB || def.H < 1 {
@@ -69,7 +70,7 @@ func TestOneDefaultTileConfiguration(t *testing.T) {
 
 	if !testing.Short() {
 		// The CLIs print their flag defaults in -help ("(default 192)").
-		for _, cmd := range []string{"qrfactor", "qrnode", "qrtrace"} {
+		for _, cmd := range []string{"qrfactor", "qrtrace"} {
 			out, _ := exec.Command("go", "run", "./cmd/"+cmd, "-help").CombinedOutput() // -help exits 0 or 2 by Go version
 			flagDefault := func(name string) int {
 				m := regexp.MustCompile(`(?s)\n\s+-` + name + ` int\n[^\n]*\(default (\d+)\)`).FindSubmatch(out)

@@ -123,22 +123,17 @@ func (rr *RequestReader) Next() (*matrix.Mat, error) {
 	return a, nil
 }
 
-// ResultWriter encodes the response stream, tracking the running checksum
-// and frame count for the trailer. It is not safe for concurrent use; the
-// scheduler serializes emission.
-type ResultWriter struct {
-	w    io.Writer
-	buf  []byte
-	sum  uint64
-	done int
-}
+// ResultWriter encodes the response stream: the batch frame header over a
+// wire.Writer, which keeps the buffer, checksum and frame count. It is not
+// safe for concurrent use; the scheduler serializes emission.
+type ResultWriter struct{ wire.Writer }
 
 // NewResultWriter writes the response magic and returns the writer.
 func NewResultWriter(w io.Writer) (*ResultWriter, error) {
 	if _, err := w.Write(respMagic[:]); err != nil {
 		return nil, err
 	}
-	return &ResultWriter{w: w}, nil
+	return &ResultWriter{wire.Writer{W: w}}, nil
 }
 
 // WriteResult emits one result frame: the R factor for the request matrix
@@ -148,29 +143,16 @@ func (rw *ResultWriter) WriteResult(index int, r *matrix.Mat) error {
 	if n < 1 || k > MaxDim || n > MaxDim {
 		panic(fmt.Sprintf("batch: encode %dx%d result", k, n))
 	}
-	rw.buf = rw.buf[:0]
-	rw.buf = binary.LittleEndian.AppendUint32(rw.buf, uint32(index))
-	rw.buf = binary.LittleEndian.AppendUint16(rw.buf, uint16(k))
-	rw.buf = binary.LittleEndian.AppendUint16(rw.buf, uint16(n))
-	var sum uint64
-	rw.buf, sum = wire.AppendMat(rw.buf, r)
-	rw.sum ^= sum
-	if _, err := rw.w.Write(rw.buf); err != nil {
-		return err
-	}
-	rw.done++
-	return nil
+	b := binary.LittleEndian.AppendUint32(rw.Frame(), uint32(index))
+	b = binary.LittleEndian.AppendUint16(b, uint16(k))
+	b = binary.LittleEndian.AppendUint16(b, uint16(n))
+	return rw.WriteFrame(b, r)
 }
-
-// Done returns the number of result frames written so far.
-func (rw *ResultWriter) Done() int { return rw.done }
 
 // WriteTrailer ends the stream, reporting shed matrices (those the server
 // never factorized) and the checksum of everything emitted.
 func (rw *ResultWriter) WriteTrailer(shed int) error {
-	rw.buf = binary.LittleEndian.AppendUint32(rw.buf[:0], trailerIndex)
-	_, err := rw.w.Write(wire.AppendTrailer(rw.buf, rw.done, shed, rw.sum))
-	return err
+	return rw.Writer.WriteTrailer(binary.LittleEndian.AppendUint32(rw.Frame(), trailerIndex), shed)
 }
 
 // Trailer is the decoded end-of-stream summary of a batch response: result

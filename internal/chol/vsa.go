@@ -71,7 +71,6 @@ func FactorizeVSA(a *matrix.Tiled, opts Options, rc RunConfig) (*Factorization, 
 	nt := a.NT
 	nbBytes := 8*opts.NB*opts.NB + 64
 
-	rowsPerNode := (nt + rc.Nodes - 1) / rc.Nodes
 	s := pulsar.New(pulsar.Config{
 		Nodes:           rc.Nodes,
 		ThreadsPerNode:  rc.Threads,
@@ -86,11 +85,7 @@ func FactorizeVSA(a *matrix.Tiled, opts Options, rc RunConfig) (*Factorization, 
 			if col < 0 {
 				col = t.At(1)
 			}
-			n := row / rowsPerNode
-			if n >= rc.Nodes {
-				n = rc.Nodes - 1
-			}
-			return n, (row + col) % rc.Threads
+			return pulsar.PlaceTile(nt, rc.Nodes, rc.Threads, row, col)
 		},
 	})
 

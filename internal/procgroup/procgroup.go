@@ -1,5 +1,5 @@
 // Package procgroup supervises launched child processes as one unit. The
-// launchers (qrfactor -launch, qrserve -launch) spawn one process per rank;
+// launcher (mesh.Launch, behind -launch) spawns one process per rank;
 // if the parent dies or any rank fails, the rest must not linger as orphans
 // holding ports and CPUs. On Unix every child is started in its own process
 // group, so Kill reaches the child and anything it spawned; elsewhere it
@@ -24,26 +24,19 @@ type Group struct {
 func New() *Group { return &Group{} }
 
 // Start configures cmd for group supervision (own process group on Unix)
-// and starts it. After the group was killed, Start refuses new children.
+// and starts it. After the group was killed, Start refuses new children; a
+// Kill that arrives meanwhile waits out the fork, so no straggler escapes it.
 func (g *Group) Start(cmd *exec.Cmd) error {
 	setup(cmd)
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.killed {
-		g.mu.Unlock()
 		return errKilled
 	}
-	g.mu.Unlock()
 	if err := cmd.Start(); err != nil {
 		return err
 	}
-	g.mu.Lock()
-	killed := g.killed
 	g.cmds = append(g.cmds, cmd)
-	g.mu.Unlock()
-	if killed {
-		kill(cmd) // lost the race with Kill; don't leak the straggler
-		return errKilled
-	}
 	return nil
 }
 

@@ -40,6 +40,19 @@ func (s Scheduling) String() string {
 // the same placement.
 type Mapping func(t tuple.Tuple) (node, thread int)
 
+// PlaceTile is the placement rule every tile array in this repository maps
+// its VDPs with (paper §V-C), and the one the simulator replays: the `rows`
+// tile rows go to nodes in contiguous blocks of RowsPerNode, and a node's
+// threads take its tiles cyclically by row+col.
+func PlaceTile(rows, nodes, threads, row, col int) (node, thread int) {
+	return row / RowsPerNode(rows, nodes), (row + col) % threads
+}
+
+// RowsPerNode is the block size of that rule, ⌈rows/nodes⌉. Any row below
+// `rows` divided by it is below `nodes`, so callers need no clamp; when rows
+// is short the trailing nodes own nothing.
+func RowsPerNode(rows, nodes int) int { return (rows + nodes - 1) / nodes }
+
 // FireEvent describes one VDP firing, for tracing and statistics.
 type FireEvent struct {
 	Tuple        tuple.Tuple

@@ -134,17 +134,10 @@ func FactorizeDomino(a *matrix.Tiled, b *matrix.Tiled, opts Options, rc RunConfi
 	return f, nil
 }
 
-// dominoMapping distributes tile rows to nodes in contiguous blocks and
-// threads cyclically by (row + column), like the 3D array.
+// dominoMapping places VDP (i, j) where the 3D array places tile (i, j).
 func dominoMapping(mt int, rc RunConfig) pulsar.Mapping {
-	rowsPerNode := (mt + rc.Nodes - 1) / rc.Nodes
 	return func(t tuple.Tuple) (int, int) {
-		i, j := t.At(0), t.At(1)
-		n := i / rowsPerNode
-		if n >= rc.Nodes {
-			n = rc.Nodes - 1
-		}
-		return n, (i + j) % rc.Threads
+		return pulsar.PlaceTile(mt, rc.Nodes, rc.Threads, t.At(0), t.At(1))
 	}
 }
 

@@ -8,8 +8,6 @@ package qr
 import (
 	"context"
 	"errors"
-	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -17,46 +15,12 @@ import (
 	"pulsarqr/internal/transport"
 )
 
-// faultTCPMesh dials a 2-rank in-process TCP mesh with fail-fast (zero
-// reconnect) config, so a crash yields an immediate verdict.
-func faultTCPMesh(t *testing.T, n int) []transport.Endpoint {
-	t.Helper()
-	lns := make([]net.Listener, n)
-	peers := make([]string, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		lns[i] = ln
-		peers[i] = ln.Addr().String()
-	}
-	eps := make([]transport.Endpoint, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			eps[i], errs[i] = transport.DialTCP(transport.TCPConfig{
-				Rank:              i,
-				Peers:             peers,
-				Listener:          lns[i],
-				RendezvousTimeout: 10 * time.Second,
-			})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", i, err)
-		}
-	}
-	return eps
-}
-
 func TestFactorizeVSADistSurfacesPeerDeath(t *testing.T) {
-	eps := faultTCPMesh(t, 2)
+	// Fail-fast (zero reconnect) config, so a crash yields an immediate verdict.
+	eps, err := transport.DialLoopback(2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	d, b, o := distInputs()
 
 	// Rank 0 factorizes with a watchdog far beyond the test budget: if the

@@ -333,35 +333,35 @@ func (bd *builder) colTile(i, l int) *matrix.Mat {
 	return bd.b.Tile(i, l-bd.a.NT)
 }
 
-// Row ownership. The VDP→node map (paper §V-C) hands tile rows to nodes in
-// contiguous blocks of ⌈mt/nodes⌉, so flat-tree domains stay node-local.
-// Every VDP of tile row i — and so every kernel that ever touches a tile of
-// that row — lives on TileRowOwner(i): a rank needs the input tiles of the
-// rows it owns and no others. mapping(), the service's input builder and the
-// distributed check all take ownership from these two functions.
+// Row ownership. The VDP→node map (paper §V-C, pulsar.PlaceTile) hands tile
+// rows to nodes in contiguous blocks of ⌈mt/nodes⌉. Every VDP of tile row i
+// — and so every kernel that ever touches a tile of that row — lives on
+// TileRowOwner(i): a rank needs the input tiles of the rows it owns and no
+// others. mapping(), the service's input builder and the distributed check
+// all take ownership from that one rule.
 
 // TileRowOwner returns the node that owns tile row `row` of mt.
-func TileRowOwner(mt, nodes, row int) int { return row / rowsPerNode(mt, nodes) }
+func TileRowOwner(mt, nodes, row int) int { return row / pulsar.RowsPerNode(mt, nodes) }
 
 // OwnedTileRows returns the half-open range [lo, hi) of the mt tile rows
 // that node owns; the trailing nodes own nothing when mt is short.
 func OwnedTileRows(mt, nodes, node int) (lo, hi int) {
-	per := rowsPerNode(mt, nodes)
+	per := pulsar.RowsPerNode(mt, nodes)
 	lo = min(node*per, mt)
 	return lo, min(lo+per, mt)
 }
 
-func rowsPerNode(mt, nodes int) int { return (mt + nodes - 1) / nodes }
-
-// mapping places VDPs: tile rows are distributed to nodes in contiguous
-// blocks (TileRowOwner; domains stay node-local for flat-trees), threads are
-// assigned cyclically by (row, column), and — following the paper — a
-// binary-tree parent is placed with its first (surviving) child.
+// mapping places VDPs by pulsar.PlaceTile — contiguous blocks of tile rows
+// per node, threads cyclic by (row, column) — and, following the paper, a
+// binary-tree parent with its first (surviving) child. Flat-tree domains
+// stay node-local under the fixed boundary only: shifted domains start at
+// row j, not at an ownership boundary, so one can straddle two nodes and its
+// tsqrt chain then crosses the wire.
 func (bd *builder) mapping() pulsar.Mapping {
 	mt := bd.a.MT
 	nodes, threads := bd.rc.Nodes, bd.rc.Threads
 	place := func(row, col int) (int, int) {
-		return TileRowOwner(mt, nodes, row), (row + col) % threads
+		return pulsar.PlaceTile(mt, nodes, threads, row, col)
 	}
 	return func(t tuple.Tuple) (int, int) {
 		switch t.At(0) {

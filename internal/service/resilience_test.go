@@ -8,11 +8,9 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -37,38 +35,12 @@ func httpGet(t *testing.T, url string) string {
 // on, so a crashed rank is declared dead only after the redial budget.
 func resilientTCPMesh(t *testing.T, n int) []transport.Endpoint {
 	t.Helper()
-	lns := make([]net.Listener, n)
-	peers := make([]string, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		lns[i] = ln
-		peers[i] = ln.Addr().String()
-	}
-	eps := make([]transport.Endpoint, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			eps[i], errs[i] = transport.DialTCP(transport.TCPConfig{
-				Rank:              i,
-				Peers:             peers,
-				Listener:          lns[i],
-				RendezvousTimeout: 10 * time.Second,
-				Reconnect:         200 * time.Millisecond,
-				ReconnectBackoff:  2 * time.Millisecond,
-			})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", i, err)
-		}
+	eps, err := transport.DialLoopback(n, func(cfg *transport.TCPConfig) {
+		cfg.Reconnect = 200 * time.Millisecond
+		cfg.ReconnectBackoff = 2 * time.Millisecond
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	// An endpoint left open pins its unacked-frame window, and through its
 	// goroutines everything the test's server and agent retained; under

@@ -133,54 +133,35 @@ func (ar *AppendReader) Next() (block, rhs *matrix.Mat, err error) {
 	return block, rhs, nil
 }
 
-// ReplyWriter encodes the append-response stream, tracking the running
-// checksum and frame count for the trailer. The append loop serializes
-// emission; it is not safe for concurrent use.
-type ReplyWriter struct {
-	w    io.Writer
-	buf  []byte
-	sum  uint64
-	done int
-}
+// ReplyWriter encodes the append-response stream: the session frame header
+// over a wire.Writer, which keeps the buffer, checksum and frame count. The
+// append loop serializes emission; it is not safe for concurrent use.
+type ReplyWriter struct{ wire.Writer }
 
 // NewReplyWriter writes the response magic and returns the writer.
 func NewReplyWriter(w io.Writer) (*ReplyWriter, error) {
 	if _, err := w.Write(replyMagic[:]); err != nil {
 		return nil, err
 	}
-	return &ReplyWriter{w: w}, nil
+	return &ReplyWriter{wire.Writer{W: w}}, nil
 }
 
 // WriteUpdate emits one commit frame: the session's cumulative totals and,
 // unless r is nil (ack-only), the folded global R.
 func (rw *ReplyWriter) WriteUpdate(blocks, rows int64, r *matrix.Mat) error {
-	rw.buf = rw.buf[:0]
-	rw.buf = binary.LittleEndian.AppendUint64(rw.buf, uint64(blocks))
-	rw.buf = binary.LittleEndian.AppendUint64(rw.buf, uint64(rows))
-	if r == nil {
-		rw.buf = binary.LittleEndian.AppendUint32(rw.buf, 0)
-	} else {
-		rw.buf = binary.LittleEndian.AppendUint32(rw.buf, uint32(r.Rows))
-		var sum uint64
-		rw.buf, sum = wire.AppendMat(rw.buf, r)
-		rw.sum ^= sum
+	b := binary.LittleEndian.AppendUint64(rw.Frame(), uint64(blocks))
+	b = binary.LittleEndian.AppendUint64(b, uint64(rows))
+	k := 0
+	if r != nil {
+		k = r.Rows
 	}
-	if _, err := rw.w.Write(rw.buf); err != nil {
-		return err
-	}
-	rw.done++
-	return nil
+	return rw.WriteFrame(binary.LittleEndian.AppendUint32(b, uint32(k)), r)
 }
-
-// Done returns the commit frames written so far.
-func (rw *ReplyWriter) Done() int { return rw.done }
 
 // WriteTrailer ends the stream, reporting blocks the server never committed
 // (shed) and the checksum of everything emitted.
 func (rw *ReplyWriter) WriteTrailer(shed int) error {
-	rw.buf = binary.LittleEndian.AppendUint64(rw.buf[:0], appendTrailer)
-	_, err := rw.w.Write(wire.AppendTrailer(rw.buf, rw.done, shed, rw.sum))
-	return err
+	return rw.Writer.WriteTrailer(binary.LittleEndian.AppendUint64(rw.Frame(), appendTrailer), shed)
 }
 
 // Update is one decoded append-response frame.

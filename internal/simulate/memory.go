@@ -8,6 +8,8 @@ package simulate
 // block-row placement so experiments can flag infeasible configurations
 // the way the real machine would have failed them.
 
+import "pulsarqr/internal/pulsar"
+
 // MemoryModel describes a node's capacity.
 type MemoryModel struct {
 	// NodeBytes is the usable memory per node (Kraken: 16 GB).
@@ -29,20 +31,20 @@ func PeakNodeBytes(w Workload, mach Machine, mem MemoryModel) int64 {
 	nb := w.Opts.NB
 	mt := (w.M + nb - 1) / nb
 	nt := (w.N + nb - 1) / nb
-	rowsPerNode := int64((mt + mach.Nodes - 1) / mach.Nodes)
+	per := int64(pulsar.RowsPerNode(mt, mach.Nodes))
 	tileBytes := int64(8 * nb * nb)
 
 	// Matrix tiles owned by the node.
-	data := rowsPerNode * int64(nt) * tileBytes
+	data := per * int64(nt) * tileBytes
 	// In-flight packets: per active panel, each row chain holds at most
 	// one traveler plus one (V,T) packet per trailing column; bound by the
 	// rows on the node times (1 + nt) packets, times a small pipelining
 	// factor for overlapped panels.
-	inflight := rowsPerNode * int64(nt+1) * tileBytes / 2
+	inflight := per * int64(nt+1) * tileBytes / 2
 	// Runtime descriptors: one VDP per (panel, row, column) materialized
 	// lazily would be ideal; this implementation materializes the full 3D
 	// array, so the descriptor count is rows × Σ_j (nt−j) on the node.
-	vdps := rowsPerNode * int64(nt) * int64(nt+1) / 2
+	vdps := per * int64(nt) * int64(nt+1) / 2
 	return data + inflight + vdps*mem.RuntimeOverheadPerVDP
 }
 

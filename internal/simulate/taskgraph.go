@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pulsarqr/internal/kernels"
+	"pulsarqr/internal/pulsar"
 	"pulsarqr/internal/qr"
 )
 
@@ -49,9 +50,8 @@ type graph struct {
 }
 
 // buildGraph generates the task graph the 3D VSA executes for workload w:
-// the same plans, the same chains, the same placement. Tile rows map to
-// nodes in contiguous blocks and to worker threads cyclically by
-// (row+column), exactly like the runtime's mapping.
+// the same plans, the same chains, and the runtime's own placement rule
+// (pulsar.PlaceTile).
 func buildGraph(w Workload, m Machine) *graph {
 	opts := w.Opts
 	nb, ib := opts.NB, opts.IB
@@ -61,17 +61,6 @@ func buildGraph(w Workload, m Machine) *graph {
 		panic(fmt.Sprintf("simulate: m=%d < n=%d", w.M, w.N))
 	}
 	workers := m.Workers()
-	rowsPerNode := (mt + m.Nodes - 1) / m.Nodes
-	nodeOf := func(i int) int32 {
-		n := i / rowsPerNode
-		if n >= m.Nodes {
-			n = m.Nodes - 1
-		}
-		return int32(n)
-	}
-	workerOf := func(i, c int) int32 {
-		return nodeOf(i)*int32(workers) + int32((i+c)%workers)
-	}
 
 	g := &graph{m: m, nodeFlops: make([][numKernels]float64, m.Nodes)}
 	rate := m.kernelGflops(nb, ib)
@@ -87,10 +76,11 @@ func buildGraph(w Workload, m Machine) *graph {
 	curPanel := 0
 	newTask := func(k Kernel, row, col int, fl float64, crit bool) int32 {
 		id := int32(len(g.tasks))
-		g.nodeFlops[nodeOf(row)][k] += fl
+		node, thread := pulsar.PlaceTile(mt, m.Nodes, workers, row, col)
+		g.nodeFlops[node][k] += fl
 		g.tasks = append(g.tasks, task{
 			dur:    m.taskTime(rate[k], fl),
-			worker: workerOf(row, col),
+			worker: int32(node*workers + thread),
 			kind:   k,
 			crit:   crit,
 			panel:  int32(curPanel),

@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -87,45 +86,16 @@ func runChaosFactorization(t *testing.T, eps []transport.Endpoint) *qr.Factoriza
 	return results[0]
 }
 
-// chaosTCPMesh dials a fully-connected in-process TCP mesh with the given
-// resilience knobs. (The transport package's own mesh helpers live in its
-// internal test files and are not visible from this external package.)
-func chaosTCPMesh(t *testing.T, n int, mod func(*transport.TCPConfig)) []transport.Endpoint {
+// chaosTCPMesh dials an in-process TCP mesh in reconnect mode; the caller
+// closes it (under the chaos wrappers, in its own order).
+func chaosTCPMesh(t *testing.T, n int, reconnect time.Duration) []transport.Endpoint {
 	t.Helper()
-	lns := make([]net.Listener, n)
-	peers := make([]string, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		lns[i] = ln
-		peers[i] = ln.Addr().String()
-	}
-	eps := make([]transport.Endpoint, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cfg := transport.TCPConfig{
-				Rank:              i,
-				Peers:             peers,
-				Listener:          lns[i],
-				RendezvousTimeout: 10 * time.Second,
-			}
-			if mod != nil {
-				mod(&cfg)
-			}
-			eps[i], errs[i] = transport.DialTCP(cfg)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", i, err)
-		}
+	eps, err := transport.DialLoopback(n, func(cfg *transport.TCPConfig) {
+		cfg.Reconnect = reconnect
+		cfg.ReconnectBackoff = 2 * time.Millisecond
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return eps
 }
@@ -167,10 +137,7 @@ func TestChaosTCPFactorizationMatchesOracle(t *testing.T) {
 		runs = 2
 	}
 	for run := 0; run < runs; run++ {
-		eps := chaosTCPMesh(t, 2, func(cfg *transport.TCPConfig) {
-			cfg.Reconnect = 2 * time.Second
-			cfg.ReconnectBackoff = 2 * time.Millisecond
-		})
+		eps := chaosTCPMesh(t, 2, 2*time.Second)
 		sch := transport.Schedule{
 			Seed:               0xD15EA5E,
 			Drop:               0.01,
@@ -211,10 +178,7 @@ func TestChaosTCPDefaultTileMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps := chaosTCPMesh(t, 2, func(cfg *transport.TCPConfig) {
-		cfg.Reconnect = 2 * time.Second
-		cfg.ReconnectBackoff = 2 * time.Millisecond
-	})
+	eps := chaosTCPMesh(t, 2, 2*time.Second)
 	sch := transport.Schedule{
 		Seed:               0xDEFA017,
 		Drop:               0.01,
@@ -258,10 +222,7 @@ func TestChaosTCPDefaultTileMatchesOracle(t *testing.T) {
 // N crashes the real TCP endpoint, and the surviving rank's failure
 // observer renders a PeerDeathError naming the dead rank.
 func TestChaosTCPKillRankYieldsPeerDeath(t *testing.T) {
-	eps := chaosTCPMesh(t, 2, func(cfg *transport.TCPConfig) {
-		cfg.Reconnect = 300 * time.Millisecond
-		cfg.ReconnectBackoff = 2 * time.Millisecond
-	})
+	eps := chaosTCPMesh(t, 2, 300*time.Millisecond)
 	sch0 := transport.Schedule{Seed: 3}
 	sch1 := transport.Schedule{Seed: 3, KillAtFrame: 20}
 	c0 := transport.NewChaos(eps[0], sch0)

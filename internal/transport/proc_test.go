@@ -6,7 +6,6 @@ package transport
 
 import (
 	"fmt"
-	"net"
 	"os"
 	"os/exec"
 	"strconv"
@@ -81,15 +80,9 @@ func runWorker() int {
 // releasing them; the worker processes re-bind them immediately after.
 func freeLoopbackAddrs(t *testing.T, n int) []string {
 	t.Helper()
-	lns := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("reserve port: %v", err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
+	lns, addrs, err := ListenLoopback(n)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, ln := range lns {
 		ln.Close()

@@ -19,7 +19,7 @@ type TCPConfig struct {
 	// Peers[Rank] is the address this endpoint listens on.
 	Peers []string
 	// Listener, when non-nil, is a pre-bound listener used instead of
-	// binding Peers[Rank] — tests use it to avoid port races.
+	// binding Peers[Rank] — no port race (ListenLoopback makes them).
 	Listener net.Listener
 	// RendezvousTimeout bounds the whole mesh setup: dialing every peer
 	// (with retry/backoff) and receiving every peer's hello. Default 15s.

@@ -3,55 +3,9 @@ package transport
 import (
 	"bytes"
 	"errors"
-	"net"
-	"sync"
 	"testing"
 	"time"
 )
-
-// newTCPMeshCfg is newTCPMesh with resilience knobs applied to every rank.
-func newTCPMeshCfg(t *testing.T, n int, mod func(*TCPConfig)) []Endpoint {
-	t.Helper()
-	lns := make([]net.Listener, n)
-	peers := make([]string, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		lns[i] = ln
-		peers[i] = ln.Addr().String()
-	}
-	eps := make([]Endpoint, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cfg := TCPConfig{
-				Rank:              i,
-				Peers:             peers,
-				Listener:          lns[i],
-				RendezvousTimeout: 10 * time.Second,
-			}
-			mod(&cfg)
-			eps[i], errs[i] = DialTCP(cfg)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", i, err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, ep := range eps {
-			ep.Close()
-		}
-	})
-	return eps
-}
 
 // awaitFailure registers a FailureObserver callback on ep and returns a
 // channel that delivers the first reported peer death.

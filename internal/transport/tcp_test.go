@@ -8,40 +8,16 @@ import (
 	"time"
 )
 
-// newTCPMesh brings up an n-rank TCP communicator on loopback, using
-// pre-bound listeners so the test never races on port reuse.
-func newTCPMesh(t *testing.T, n int) []Endpoint {
+// newTCPMesh brings up an n-rank TCP communicator on loopback, closed when
+// the test ends.
+func newTCPMesh(t *testing.T, n int) []Endpoint { return newTCPMeshCfg(t, n, nil) }
+
+// newTCPMeshCfg is newTCPMesh with mod applied to every rank's config.
+func newTCPMeshCfg(t *testing.T, n int, mod func(*TCPConfig)) []Endpoint {
 	t.Helper()
-	lns := make([]net.Listener, n)
-	peers := make([]string, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		lns[i] = ln
-		peers[i] = ln.Addr().String()
-	}
-	eps := make([]Endpoint, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			eps[i], errs[i] = DialTCP(TCPConfig{
-				Rank:              i,
-				Peers:             peers,
-				Listener:          lns[i],
-				RendezvousTimeout: 10 * time.Second,
-			})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", i, err)
-		}
+	eps, err := DialLoopback(n, mod)
+	if err != nil {
+		t.Fatal(err)
 	}
 	t.Cleanup(func() {
 		for _, ep := range eps {
@@ -363,5 +339,28 @@ func TestTCPConfigValidation(t *testing.T) {
 	}
 	if _, err := DialTCP(TCPConfig{Rank: 0, Peers: []string{"256.0.0.1:bad"}}); err == nil {
 		t.Fatal("unbindable address accepted")
+	}
+}
+
+// DialLoopback is all or nothing: with one rank refused, the ranks that were
+// waiting for it time out, nothing is returned, and every port is released.
+func TestDialLoopbackAllOrNothing(t *testing.T) {
+	var addrs []string
+	eps, err := DialLoopback(3, func(cfg *TCPConfig) {
+		addrs = cfg.Peers
+		cfg.RendezvousTimeout = 200 * time.Millisecond
+		if cfg.Rank == 1 {
+			cfg.Rank = 7 // outside the world: DialTCP refuses before it listens
+		}
+	})
+	if err == nil || eps != nil || !strings.Contains(err.Error(), "loopback rank") {
+		t.Fatalf("DialLoopback with a refused rank: %v, %v", eps, err)
+	}
+	for _, addr := range addrs {
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Fatalf("%s still held after a failed DialLoopback: %v", addr, err)
+		}
+		ln.Close()
 	}
 }

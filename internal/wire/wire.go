@@ -191,6 +191,48 @@ func AppendTrailer(dst []byte, done, shed int, sum uint64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, sum)
 }
 
+// Writer is the sending half of a response stream: one frame buffer reused
+// across frames, and the frame count and running XOR of every payload
+// element emitted that the trailer carries. Callers keep their own frame
+// headers: Frame hands out the emptied buffer to append one to, WriteFrame
+// appends the payload behind it and writes the frame in one Write. Not safe
+// for concurrent use.
+type Writer struct {
+	W    io.Writer
+	buf  []byte
+	sum  uint64
+	done int
+}
+
+// Frame returns the emptied frame buffer for the caller's header bytes.
+func (w *Writer) Frame() []byte { return w.buf[:0] }
+
+// WriteFrame emits one frame: frame — the header built on Frame() — then
+// m's payload (none when m is nil), folded into the running checksum.
+func (w *Writer) WriteFrame(frame []byte, m *matrix.Mat) error {
+	if m != nil {
+		var sum uint64
+		frame, sum = AppendMat(frame, m)
+		w.sum ^= sum
+	}
+	w.buf = frame
+	if _, err := w.W.Write(frame); err != nil {
+		return err
+	}
+	w.done++
+	return nil
+}
+
+// Done returns the frames written so far.
+func (w *Writer) Done() int { return w.done }
+
+// WriteTrailer ends the stream: marker — the caller's trailer mark, built
+// on Frame() — then the frame count, the work shed and the checksum.
+func (w *Writer) WriteTrailer(marker []byte, shed int) error {
+	_, err := w.W.Write(AppendTrailer(marker, w.done, shed, w.sum))
+	return err
+}
+
 // ReadTrailer reads a trailer and verifies it against the frame count and
 // checksum of what was actually received.
 func ReadTrailer(r io.Reader, done int, sum uint64) (*Trailer, error) {

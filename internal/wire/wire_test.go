@@ -74,3 +74,44 @@ func TestReaderRefusals(t *testing.T) {
 		t.Fatalf("truncated trailer: %v", err)
 	}
 }
+
+// One Writer frame is the caller's header then the payload in a single
+// Write; the trailer it ends with is the one ReadTrailer verifies against
+// what a reader counted; and a frame costs no allocation once the buffer has
+// grown to the largest frame (4,000 frames per batch op go through here).
+func TestWriterFramesAndTrailer(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	r := matrix.NewRand(5, 5, rng)
+	var out bytes.Buffer
+	w := Writer{W: &out}
+	var sum uint64
+	for i := 0; i < 3; i++ {
+		at := out.Len()
+		if err := w.WriteFrame(append(w.Frame(), 'h', byte(i)), r); err != nil {
+			t.Fatal(err)
+		}
+		want, s := AppendMat([]byte{'h', byte(i)}, r)
+		sum ^= s
+		if !bytes.Equal(out.Bytes()[at:], want) {
+			t.Fatalf("frame %d is not header+payload", i)
+		}
+	}
+	if err := w.WriteFrame(append(w.Frame(), 'a'), nil); err != nil || w.Done() != 4 {
+		t.Fatalf("payload-less frame: err %v, done %d", err, w.Done())
+	}
+	at := out.Len()
+	if err := w.WriteTrailer(append(w.Frame(), 0xFF), 2); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := ReadTrailer(bytes.NewReader(out.Bytes()[at+1:]), 4, sum)
+	if err != nil || tr.Shed != 2 || out.Bytes()[at] != 0xFF {
+		t.Fatalf("trailer %+v, err %v", tr, err)
+	}
+
+	w = Writer{W: io.Discard}
+	frame := func() { w.WriteFrame(append(w.Frame(), 1, 2, 3, 4), r) }
+	frame()
+	if n := testing.AllocsPerRun(100, frame); n != 0 {
+		t.Fatalf("%v allocations per frame, want 0", n)
+	}
+}

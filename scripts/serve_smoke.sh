@@ -28,8 +28,8 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
-[ -x "$BIN/qrserve" ] && [ -x "$BIN/qrservenode" ] || {
-    echo "serve-smoke: $BIN/qrserve or $BIN/qrservenode missing (run: make build)" >&2
+[ -x "$BIN/qrserve" ] || {
+    echo "serve-smoke: $BIN/qrserve missing (run: make build)" >&2
     exit 1
 }
 
@@ -179,9 +179,11 @@ wait "$SERVE_PID" || {
     exit 1
 }
 SERVE_PID=
-if pgrep -f "$BIN/qrservenode" >/dev/null 2>&1; then
-    echo "serve-smoke: orphaned qrservenode agents left behind" >&2
-    pkill -f "$BIN/qrservenode" || true
+# Agents are qrserve processes too: what tells one apart is the -rank its
+# launcher put on its command line.
+if pgrep -f "$BIN/qrserve .*-rank [1-9]" >/dev/null 2>&1; then
+    echo "serve-smoke: orphaned qrserve agents left behind" >&2
+    pkill -f "$BIN/qrserve .*-rank [1-9]" || true
     exit 1
 fi
 echo "serve-smoke: clean shutdown, no orphaned agents"

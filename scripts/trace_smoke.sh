@@ -13,8 +13,8 @@ BIN=${1:-bin}
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT INT TERM
 
-[ -x "$BIN/qrfactor" ] && [ -x "$BIN/qrnode" ] && [ -x "$BIN/qrtrace" ] || {
-    echo "trace-smoke: $BIN/{qrfactor,qrnode,qrtrace} missing (run: make build)" >&2
+[ -x "$BIN/qrfactor" ] && [ -x "$BIN/qrtrace" ] || {
+    echo "trace-smoke: $BIN/{qrfactor,qrtrace} missing (run: make build)" >&2
     exit 1
 }
 
