@@ -3,7 +3,7 @@
 GO ?= go
 BIN ?= bin
 
-.PHONY: all build test race fuzz chaos-smoke cover-transport cover-plan bench-smoke bench-stack bench-stack-check bench-kernels bench-kernels-check bench-kernels-update launch-smoke serve-smoke trace-smoke batch-smoke session-smoke plan-smoke vet clean
+.PHONY: all build test race loc fuzz chaos-smoke cover-transport cover-plan bench-smoke bench-stack bench-stack-check bench-kernels bench-kernels-check bench-kernels-update launch-smoke serve-smoke trace-smoke batch-smoke session-smoke plan-smoke vet clean
 
 all: build
 
@@ -22,6 +22,10 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# The line count every simplicity PR quotes: non-test Go outside bench/.
+loc:
+	@find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l
 
 # Brief fuzz of the wire decoders, the job spec and the job frame (must never panic;
 # regression corpora under internal/transport/testdata,

@@ -78,8 +78,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cfg.ResultCap, "results", 64, "terminal jobs kept queryable before eviction")
 	fs.IntVar(&cfg.TraceCap, "tracecap", 0, "per-traced-job event recorder capacity (0 = default; overflow drops oldest events)")
 	fs.IntVar(&cfg.BatchStreams, "batch-streams", 0, "POST /v1/batch streams admitted concurrently (0 = default 2; arrivals beyond it get 429)")
-	fs.IntVar(&cfg.BatchChunk, "batch-chunk", 0, "matrices per batch scheduler chunk (0 = default 64)")
-	fs.IntVar(&cfg.BatchCrossover, "batch-crossover", 0, "batch engine threshold: n <= crossover uses Givens, larger compact-WY (0 = library default)")
 	fs.BoolVar(&cfg.PinNUMA, "numa", false, "pin pool workers to NUMA nodes with node-local workspaces (best-effort)")
 	fs.StringVar(&cfg.CheckpointDir, "checkpoint-dir", "", "durable streaming-session checkpoints (QSC1) live here; sessions survive restarts (empty = memory-only sessions)")
 	fs.IntVar(&cfg.SessionStreams, "session-streams", 0, "session append streams admitted concurrently (0 = default 2; arrivals beyond it get 429)")

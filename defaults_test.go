@@ -65,7 +65,7 @@ func TestOneDefaultTileConfiguration(t *testing.T) {
 		t.Fatal(err)
 	}
 	got["plan default candidate"] = cfg{d.Default.NB, d.Default.IB, d.Default.H}
-	shapes := plan.Config{}.TileShapes()
+	shapes := plan.TileShapes()
 	got["plan.TileShapes()[0]"] = cfg{shapes[0].NB, shapes[0].IB, want.h}
 
 	if !testing.Short() {

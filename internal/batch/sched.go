@@ -24,7 +24,6 @@ type Scheduler struct {
 	pool      *pulsar.Pool
 	chunkSize int
 	window    int
-	crossover int
 	onChunk   func(matrices int, d time.Duration)
 }
 
@@ -41,10 +40,6 @@ type SchedConfig struct {
 	// bound memory.
 	Window int
 
-	// Crossover is the Givens/compact-WY engine threshold passed to
-	// FactorWS (≤ 0 takes DefaultCrossover).
-	Crossover int
-
 	// OnChunk, when set, observes every completed chunk: its matrix count
 	// and wall time from dispatch to completion. Called from pool worker
 	// goroutines — it must be safe for concurrent use.
@@ -60,7 +55,6 @@ func NewScheduler(cfg SchedConfig) *Scheduler {
 		pool:      cfg.Pool,
 		chunkSize: cfg.ChunkSize,
 		window:    cfg.Window,
-		crossover: cfg.Crossover,
 		onChunk:   cfg.OnChunk,
 	}
 	if s.chunkSize <= 0 {
@@ -183,7 +177,7 @@ func (s *Scheduler) flush(ctx context.Context, c *chunk, sem chan struct{}, resu
 			defer kernels.ReturnWorkspace(ws)
 		}
 		for i, m := range c.mats {
-			if FactorWS(ws, m, s.crossover) != nil {
+			if FactorWS(ws, m, DefaultCrossover) != nil {
 				c.mats[i] = nil // unfactorizable shapes are shed, not fatal
 			}
 		}

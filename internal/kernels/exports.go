@@ -4,26 +4,10 @@ import "pulsarqr/internal/matrix"
 
 // Dgeqr2 computes the unblocked Householder QR of the m×n panel a,
 // storing R on and above the diagonal and the reflectors below it; tau
-// receives min(m,n) scaling factors. Exported for the block (LAPACK-style)
-// algorithm used by the ScaLAPACK baseline.
+// receives min(m,n) scaling factors. Exported as the independent oracle the
+// batch engines are tested against.
 func Dgeqr2(a *matrix.Mat, tau []float64) {
 	ws := wsPool.Get().(*Workspace)
 	defer wsPool.Put(ws)
 	dgeqr2(a, tau, grow(&ws.work, max(a.Rows, a.Cols)))
-}
-
-// Dlarft forms the k×k upper-triangular factor T of the block reflector
-// defined by the unit lower-trapezoidal v (m×k) and tau.
-func Dlarft(v *matrix.Mat, tau []float64, t *matrix.Mat) {
-	ws := wsPool.Get().(*Workspace)
-	defer wsPool.Put(ws)
-	dlarft(v, tau, t, grow(&ws.work, len(tau)))
-}
-
-// Dlarfb applies the block reflector H = I − V·T·Vᵀ (or Hᵀ when trans) to
-// c from the left.
-func Dlarfb(trans bool, v, t, c *matrix.Mat) {
-	ws := wsPool.Get().(*Workspace)
-	defer wsPool.Put(ws)
-	dlarfb(ws, trans, v, t, c)
 }

@@ -35,26 +35,3 @@ func Dpotrf(a *matrix.Mat) error {
 	}
 	return nil
 }
-
-// FlopsPotrf counts Dpotrf on an n×n tile.
-func FlopsPotrf(n int) float64 {
-	fn := float64(n)
-	return fn * fn * fn / 3
-}
-
-// FlopsTrsmRight counts the triangular solve of an m×n tile against an
-// n×n triangle.
-func FlopsTrsmRight(m, n int) float64 {
-	return float64(m) * float64(n) * float64(n)
-}
-
-// FlopsSyrk counts the symmetric rank-nb update of an n×n tile.
-func FlopsSyrk(n, k int) float64 {
-	return float64(n) * float64(n) * float64(k)
-}
-
-// FlopsGemmTile counts C -= A·Bᵀ on nb×nb tiles.
-func FlopsGemmTile(n int) float64 {
-	fn := float64(n)
-	return 2 * fn * fn * fn
-}

@@ -72,9 +72,6 @@ type Options struct {
 	// DefaultFlightCap. Overflow overwrites the oldest events and bumps the
 	// drop counter — recording never blocks and never grows.
 	FlightCap int
-	// HalfLife is the α–β estimator's sample decay half-life; <= 0 takes
-	// DefaultHalfLife.
-	HalfLife time.Duration
 }
 
 // Observer is the event sink threaded through the service. The nil Observer
@@ -91,7 +88,7 @@ func New(o Options) *Observer {
 	return &Observer{
 		log:  o.Logger,
 		ring: NewRing(o.FlightCap),
-		est:  NewABEstimator(o.HalfLife),
+		est:  NewABEstimator(DefaultHalfLife),
 	}
 }
 

@@ -141,13 +141,6 @@ const MinGain = 1.75
 
 // Config bounds the candidate sweep. The zero value takes the defaults.
 type Config struct {
-	// NBGrid is the tile-size sweep; TileShapes derives the inner blocks.
-	// Nil takes DefaultNBGrid.
-	NBGrid []int
-	// HGrid is the hierarchical domain-height sweep. Nil takes DefaultHGrid.
-	HGrid []int
-	// TopK bounds Decision.Ranked; <= 0 takes 8.
-	TopK int
 	// MaxTasksPerCandidate skips configurations whose task graph would
 	// exceed this many tasks (a DES of that graph costs the memory of the
 	// graph itself); <= 0 takes MaxTasks.
@@ -157,9 +150,6 @@ type Config struct {
 	// default configuration is exempt: it is always scored when it fits the
 	// per-candidate cap.
 	MaxTasksTotal int64
-	// Profile selects the simulated runtime; the zero value is
-	// SystolicProfile, which models this runtime.
-	Profile simulate.Profile
 }
 
 // MaxTasks is the largest task graph the planner will simulate for one
@@ -167,23 +157,19 @@ type Config struct {
 // per task), the largest the service admits as a job.
 const MaxTasks = 4 << 20
 
-// DefaultNBGrid spans laptop tiles to the paper's 192/240-class tiles.
+// DefaultNBGrid is the tile-size sweep, laptop tiles to the paper's
+// 192/240-class tiles; TileShapes derives the inner blocks.
 var DefaultNBGrid = []int{32, 48, 64, 96, 128, 192, 256}
 
-// DefaultHGrid spans the paper's h sweep (Fig. 9 explores 6 and 12 at
-// Kraken scale; small fleets want smaller domains).
+// DefaultHGrid is the hierarchical domain-height sweep: the paper's h sweep
+// (Fig. 9 explores 6 and 12 at Kraken scale; small fleets want smaller
+// domains).
 var DefaultHGrid = []int{2, 4, 6, 8, 12}
 
+// topK bounds Decision.Ranked.
+const topK = 8
+
 func (c Config) withDefaults() Config {
-	if len(c.NBGrid) == 0 {
-		c.NBGrid = DefaultNBGrid
-	}
-	if len(c.HGrid) == 0 {
-		c.HGrid = DefaultHGrid
-	}
-	if c.TopK <= 0 {
-		c.TopK = 8
-	}
 	if c.MaxTasksPerCandidate <= 0 {
 		c.MaxTasksPerCandidate = MaxTasks
 	}
@@ -199,10 +185,10 @@ type TileShape struct{ NB, IB int }
 // TileShapes lists the tile shapes the sweep draws from, the default's own
 // first, then every nb of the grid at the paper's ratio ib = nb/4 (nb=192,
 // ib=48). qrserve measures kernel rates for exactly this list.
-func (c Config) TileShapes() []TileShape {
+func TileShapes() []TileShape {
 	def := qr.DefaultOptions()
 	out := []TileShape{{def.NB, def.IB}}
-	for _, nb := range c.withDefaults().NBGrid {
+	for _, nb := range DefaultNBGrid {
 		if sh := (TileShape{nb, max(nb/4, 4)}); sh != out[0] {
 			out = append(out, sh)
 		}
@@ -250,7 +236,7 @@ func rankSweep(fleet int) []int {
 // order: the hand-default first, then rank sweep (descending) × tile shapes
 // × {flat, binary, hierarchical h sweep}. Duplicates of the default are
 // suppressed.
-func enumerate(spec Spec, mach simulate.Machine, cfg Config) []Candidate {
+func enumerate(spec Spec, mach simulate.Machine) []Candidate {
 	def := defaultCandidate(mach.Nodes)
 	out := []Candidate{def}
 	type ckey struct {
@@ -265,7 +251,7 @@ func enumerate(spec Spec, mach simulate.Machine, cfg Config) []Candidate {
 			out = append(out, c)
 		}
 	}
-	shapes := cfg.TileShapes()
+	shapes := TileShapes()
 	for _, ranks := range rankSweep(mach.Nodes) {
 		for _, sh := range shapes {
 			nb, ib := sh.NB, sh.IB
@@ -280,7 +266,7 @@ func enumerate(spec Spec, mach simulate.Machine, cfg Config) []Candidate {
 			if mt >= 2 {
 				add(Candidate{Tree: qr.BinaryTree.String(), NB: nb, IB: ib, Ranks: ranks})
 			}
-			for _, h := range cfg.HGrid {
+			for _, h := range DefaultHGrid {
 				if h < 2 || h >= mt {
 					continue // h >= mt degenerates to the flat tree
 				}
@@ -304,7 +290,7 @@ func Decide(spec Spec, mach simulate.Machine, cfg Config) (Decision, error) {
 	}
 	cfg = cfg.withDefaults()
 
-	cands := enumerate(spec, mach, cfg)
+	cands := enumerate(spec, mach)
 	scored := make([]Candidate, 0, len(cands))
 	var spent int64
 	skipped := 0
@@ -321,7 +307,7 @@ func Decide(spec Spec, mach simulate.Machine, cfg Config) (Decision, error) {
 		m2 := mach
 		m2.Nodes = c.Ranks
 		w := simulate.Workload{M: spec.M, N: spec.N, Opts: c.Options()}
-		r := simulate.Run(w, m2, cfg.Profile)
+		r := simulate.Run(w, m2, simulate.SystolicProfile) // the profile that models this runtime
 		c.PredictedMS = r.Seconds * 1e3
 		c.PredictedGflops = r.Gflops
 		c.Utilization = r.Utilization
@@ -388,8 +374,8 @@ func Decide(spec Spec, mach simulate.Machine, cfg Config) (Decision, error) {
 	if choice.PredictedMS > 0 && def.PredictedMS > 0 {
 		d.SpeedupVsDefault = def.PredictedMS / choice.PredictedMS
 	}
-	if len(ranked) > cfg.TopK {
-		ranked = ranked[:cfg.TopK]
+	if len(ranked) > topK {
+		ranked = ranked[:topK]
 	}
 	d.Ranked = ranked
 

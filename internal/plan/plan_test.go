@@ -27,7 +27,7 @@ func randMachine(rng *rand.Rand) simulate.Machine {
 		// Half the machines carry a measured rate table, the way a live
 		// qrserve's model does: every planner shape, rates rising with nb
 		// and scattered per kernel, so the tile-size curve is in play.
-		for _, sh := range (Config{}).TileShapes() {
+		for _, sh := range TileShapes() {
 			r := simulate.TileRate{NB: sh.NB, IB: sh.IB}
 			for k := range r.Gflops {
 				r.Gflops[k] = m.CoreGflops * logU(0.05, 1) * float64(sh.NB) / 256
@@ -103,7 +103,7 @@ func TestRateTableSteersTileSize(t *testing.T) {
 		t.Fatalf("table-less localhost picks nb=%d; this test assumes the known nb=32 bias", d.Choice.NB)
 	}
 	measured := bare
-	for _, sh := range (Config{}).TileShapes() {
+	for _, sh := range TileShapes() {
 		r := simulate.TileRate{NB: sh.NB, IB: sh.IB}
 		for k := range r.Gflops {
 			// Packing-bound kernels: the rate grows linearly with the tile.
@@ -121,7 +121,7 @@ func TestRateTableSteersTileSize(t *testing.T) {
 }
 
 func TestTileShapes(t *testing.T) {
-	shapes := Config{}.TileShapes()
+	shapes := TileShapes()
 	def := defaultCandidate(1)
 	if shapes[0] != (TileShape{def.NB, def.IB}) {
 		t.Fatalf("first shape %+v is not the default %d/%d", shapes[0], def.NB, def.IB)

@@ -191,18 +191,6 @@ func (p *Pool) Exec(fn func(state any)) bool {
 	return true
 }
 
-// TasksQueued returns the number of Exec tasks waiting across all workers
-// (diagnostics; the count is a racy snapshot).
-func (p *Pool) TasksQueued() int {
-	n := 0
-	for _, w := range p.workers {
-		w.mu.Lock()
-		n += len(w.tasks)
-		w.mu.Unlock()
-	}
-	return n
-}
-
 // popTask removes this worker's oldest queued task, or nil.
 func (w *worker) popTask() func(any) {
 	w.mu.Lock()

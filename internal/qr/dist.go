@@ -9,13 +9,6 @@ import (
 	"pulsarqr/internal/transport"
 )
 
-// GatherTagBase keys the post-run result gather: collector endpoint i uses
-// tag GatherTagBase+i, and a rank's input Gram the tag after the last
-// collector. The runtime's channel tags are small consecutive integers, so
-// this range can never collide with in-run traffic (and the proxies are gone
-// by gather time anyway — Run ends with a barrier).
-const GatherTagBase = 1 << 24
-
 func init() {
 	// Inter-process codec for collectMsg packets, used by the result
 	// gather: [kind u8][J i32][I i32][K i32][lenTile u32][tile][T].
@@ -51,81 +44,17 @@ func init() {
 	})
 }
 
-// collectorEndpoints enumerates every external output channel assemble
-// reads, in the exact order it visits them. The enumeration is a pure
-// function of the (identical) array structure, so all ranks agree on the
-// index — and therefore the gather tag — of each endpoint.
-func (bd *builder) collectorEndpoints() []endpoint {
-	var eps []endpoint
-	for _, plan := range bd.plans {
-		j := plan.J
-		if !bd.rOnly {
-			for _, d := range plan.Domains {
-				rows := append([]int{d.Top}, d.Rows...)
-				for _, i := range rows {
-					eps = append(eps, endpoint{panelTup(j, i), 2})
-				}
-			}
-			for _, m := range plan.Merges {
-				eps = append(eps, endpoint{mergeTup(j, m.Surv, m.K), 2})
-			}
-		}
-		eps = append(eps, bd.rStreamEnd(plan))
-		for _, l := range bd.cols(j) {
-			eps = append(eps, bd.tileStreamEnd(plan, l))
-		}
-	}
-	if bd.b != nil {
-		last := len(bd.plans) - 1
-		plan := bd.plans[last]
-		for r := 0; r < bd.bnt; r++ {
-			l := bd.a.NT + r
-			for _, d := range plan.Domains {
-				for _, k := range d.Rows {
-					eps = append(eps, endpoint{updateTup(last, k, l), 3})
-				}
-			}
-			for _, m := range plan.Merges {
-				eps = append(eps, endpoint{mergeUpdTup(last, m.Surv, m.K, l), 2})
-			}
-		}
-	}
-	return eps
-}
-
-// gather moves every collector packet assemble will read to rank 0. Each
-// endpoint holds exactly one packet on the rank that ran its producing VDP;
-// the owner sends it with a tag derived from the endpoint's enumeration
-// index, and rank 0 posts the matching specific receives — no wildcard, so
-// nothing can be misattributed. A non-nil part rides the same collective:
-// every other rank sends its own, and rank 0 adds them into part in rank
-// order.
+// gather moves every packet assemble will read to rank 0. Each declared
+// output holds exactly one packet on the rank that ran its producing VDP; the
+// owner sends it under a tag derived from the output's index in the
+// declaration list — the same list on every rank — and rank 0 posts the
+// matching specific receives: no wildcard, so nothing can be misattributed.
+// On an R-only run the log entries keep their indices and stay where they
+// are. A non-nil part rides the same collective: every other rank sends its
+// own, and rank 0 adds them into part in rank order.
 func (bd *builder) gather(ctx context.Context, ep transport.Endpoint, part *Gram) error {
 	rank := ep.Rank()
 	mp := bd.mapping()
-	eps := bd.collectorEndpoints()
-	gramTag := GatherTagBase + len(eps)
-	if rank != 0 {
-		for idx, e := range eps {
-			owner, _ := mp(e.tup)
-			if owner != rank {
-				continue
-			}
-			p, err := bd.collectedOne(e.tup, e.slot)
-			if err != nil {
-				return fmt.Errorf("qr: rank %d: %w", rank, err)
-			}
-			buf, err := pulsar.MarshalPacket(p)
-			if err != nil {
-				return fmt.Errorf("qr: collector %v[%d]: %w", e.tup, e.slot, err)
-			}
-			ep.Isend(buf, 0, GatherTagBase+idx)
-		}
-		if part != nil {
-			ep.Isend(part.encode(), 0, gramTag)
-		}
-		return nil
-	}
 	type pending struct {
 		e    endpoint // the collector awaited, or
 		from int      // the rank whose Gram is (0: a collector)
@@ -137,34 +66,46 @@ func (bd *builder) gather(ctx context.Context, ep transport.Endpoint, part *Gram
 		}
 		return fmt.Sprintf("collector %v[%d]", p.e.tup, p.e.slot)
 	}
-	var reqs []pending
-	for idx, e := range eps {
-		owner, _ := mp(e.tup)
-		if owner == 0 {
-			continue // already in the local collected map
+	var reqs []pending // rank 0's receives
+	for idx, o := range bd.outputs {
+		owner, _ := mp(o.from.tup)
+		if owner == 0 || o.log && bd.rOnly {
+			continue // already in rank 0's collected map, or not gathered
 		}
-		reqs = append(reqs, pending{e: e, req: ep.Irecv(owner, GatherTagBase+idx)})
+		tag := transport.GatherTagBase + idx
+		switch rank {
+		case 0:
+			reqs = append(reqs, pending{e: o.from, req: ep.Irecv(owner, tag)})
+		case owner:
+			p, err := bd.collectedOne(o.from)
+			if err != nil {
+				return fmt.Errorf("qr: rank %d: %w", rank, err)
+			}
+			buf, err := pulsar.MarshalPacket(p)
+			if err != nil {
+				return fmt.Errorf("qr: collector %v[%d]: %w", o.from.tup, o.from.slot, err)
+			}
+			ep.Isend(buf, 0, tag)
+		}
 	}
-	if part != nil {
+	gramTag := transport.GatherTagBase + len(bd.outputs)
+	switch {
+	case part == nil:
+	case rank != 0:
+		ep.Isend(part.encode(), 0, gramTag)
+	default:
 		for r := 1; r < ep.Size(); r++ {
 			reqs = append(reqs, pending{from: r, req: ep.Irecv(r, gramTag)})
 		}
 	}
 	for _, p := range reqs {
-		waitCtx(ctx, p.req)
-		if p.req.Canceled() {
-			if ctx != nil && ctx.Err() != nil {
-				return fmt.Errorf("qr: factorization canceled during gather: %w", context.Cause(ctx))
+		// A receive that ends unmatched means the owning rank departed:
+		// Await names the dead peer when the transport knows it.
+		if err := transport.Await(ctx, ep, p.req); err != nil {
+			if ctx.Err() != nil {
+				return fmt.Errorf("qr: factorization canceled during gather: %w", err)
 			}
-			// A canceled gather receive means the owning rank departed; when
-			// the transport knows why, name the dead peer instead of the
-			// generic verdict.
-			if fo, ok := ep.(transport.FailureObserver); ok {
-				if pe := fo.PeerFailure(); pe != nil {
-					return fmt.Errorf("qr: gather of %s: %w", what(p), pe)
-				}
-			}
-			return fmt.Errorf("qr: gather of %s canceled: peer gone", what(p))
+			return fmt.Errorf("qr: gather of %s: %w", what(p), err)
 		}
 		if p.from > 0 {
 			g, err := decodeGram(p.req.Data(), bd.a.N)

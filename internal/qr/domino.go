@@ -55,14 +55,8 @@ func FactorizeDomino(a *matrix.Tiled, b *matrix.Tiled, opts Options, rc RunConfi
 	opts = opts.normalize()
 	opts.Tree = FlatTree
 	rc = rc.normalize()
-	if a.M < a.N {
-		return nil, fmt.Errorf("qr: matrix is %dx%d; tall-skinny factorization requires m >= n", a.M, a.N)
-	}
-	if a.NB != opts.NB {
-		return nil, fmt.Errorf("qr: matrix tiled with nb=%d but options say nb=%d", a.NB, opts.NB)
-	}
-	if b != nil && (b.M != a.M || b.NB != a.NB) {
-		return nil, fmt.Errorf("qr: rhs is %d rows tile %d; matrix is %d rows tile %d", b.M, b.NB, a.M, a.NB)
+	if err := checkShapes(a, b, opts); err != nil {
+		return nil, err
 	}
 	mt, nt := a.MT, a.NT
 	bnt := 0
@@ -270,12 +264,7 @@ func assembleDomino(s *pulsar.VSA, a, b *matrix.Tiled, opts Options) (*Factoriza
 			switch {
 			case j < nt && k == j:
 				// Final R(j,j): write into the diagonal tile's upper part.
-				diag := out.Tile(j, j)
-				for jj := 0; jj < tl.Cols; jj++ {
-					for ii := 0; ii <= jj && ii < tl.Rows; ii++ {
-						diag.Set(ii, jj, tl.At(ii, jj))
-					}
-				}
+				writeR(out.Tile(j, j), tl, tl.Cols)
 			case j < nt:
 				out.SetTile(k, j, tl)
 			default:

@@ -165,7 +165,7 @@ type gatherMeter struct {
 }
 
 func (g gatherMeter) Isend(data []byte, dest, tag int) transport.Request {
-	if tag >= GatherTagBase {
+	if tag >= transport.GatherTagBase {
 		g.bytes.Add(int64(len(data)))
 	}
 	return g.Endpoint.Isend(data, dest, tag)

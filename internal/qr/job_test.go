@@ -3,6 +3,7 @@ package qr
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -251,7 +252,8 @@ func TestDistCtxCancel(t *testing.T) {
 // in the result: for each tree, FactorizeVSA on workers of its own, the same
 // call on a caller's pool, on a mesh of one and on a 2-rank mesh return the
 // same bits — tiles, transformation log and QᵀB — and the service's R-only
-// form of the pool run carries that same R.
+// form, on the pool and across 2 and 3 ranks, carries that same R, QᵀB and
+// least-squares solution.
 func TestEnvironmentsAgreeBitwise(t *testing.T) {
 	pool := pulsar.NewPool(2, func(int) any { return kernels.NewWorkspace() })
 	defer pool.Close()
@@ -286,37 +288,66 @@ func TestEnvironmentsAgreeBitwise(t *testing.T) {
 			t.Errorf("%v: a mesh of one ran %d barriers", o, bs.Count)
 		}
 
+		assertServed := func(where string, served *Factorization) {
+			t.Helper()
+			if !served.ROnly || served.Input == nil || len(served.Ops) != 0 {
+				t.Fatalf("%v %s: a Part must select the R-only result (ROnly %v, Input %v, %d ops)", o, where, served.ROnly, served.Input, len(served.Ops))
+			}
+			if diff := matrix.MaxAbsDiff(served.R(), own.R()); diff != 0 {
+				t.Errorf("%v %s: served R differs by %g", o, where, diff)
+			}
+			if diff := matrix.MaxAbsDiff(served.QTB.ToDense(), own.QTB.ToDense()); diff != 0 {
+				t.Errorf("%v %s: served QᵀB differs by %g", o, where, diff)
+			}
+			if diff := matrix.MaxAbsDiff(served.SolveFromQTB(), own.SolveFromQTB()); diff != 0 {
+				t.Errorf("%v %s: served least-squares solution differs by %g", o, where, diff)
+			}
+		}
 		ta, tb = tiled()
 		served, err := FactorizeVSAIn(ctx, ta, tb, o, RunConfig{}, Env{Pool: pool, Part: GramOfTileRows(ta, 0, ta.MT)})
 		if err != nil {
 			t.Fatalf("%v served: %v", o, err)
 		}
-		if !served.ROnly || served.Input == nil || len(served.Ops) != 0 {
-			t.Fatalf("%v: a Part must select the R-only result (ROnly %v, Input %v, %d ops)", o, served.ROnly, served.Input, len(served.Ops))
-		}
-		if diff := matrix.MaxAbsDiff(served.R(), own.R()); diff != 0 {
-			t.Errorf("%v: served R differs by %g", o, diff)
-		}
+		assertServed("on a pool", served)
 
-		l := transport.NewLocal(2)
-		var mesh [2]*Factorization
-		var errs [2]error
-		var wg sync.WaitGroup
-		for r := range mesh {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ta, tb := tiled()
-				mesh[r], errs[r] = FactorizeVSAIn(ctx, ta, tb, o, RunConfig{Threads: 2}, Env{Endpoint: l.Endpoint(r)})
-			}()
+		// Across a mesh: the full log on 2 ranks, and the R-only form on 2 and
+		// 3 — where the QᵀB tiles cross the wire and the log entries, counted
+		// in the same list of outputs, do not.
+		for _, mc := range []struct {
+			ranks int
+			rOnly bool
+		}{{2, false}, {2, true}, {3, true}} {
+			l := transport.NewLocal(mc.ranks)
+			mesh, errs := make([]*Factorization, mc.ranks), make([]error, mc.ranks)
+			var wg sync.WaitGroup
+			for r := range mesh {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					ta, tb := tiled()
+					env := Env{Endpoint: l.Endpoint(r)}
+					if mc.rOnly {
+						lo, hi := OwnedTileRows(ta.MT, mc.ranks, r)
+						env.Part = GramOfTileRows(ta, lo, hi)
+					}
+					mesh[r], errs[r] = FactorizeVSAIn(ctx, ta, tb, o, RunConfig{Threads: 2}, env)
+				}()
+			}
+			wg.Wait()
+			where := fmt.Sprintf("on %d ranks", mc.ranks)
+			for r := range mesh {
+				if errs[r] != nil {
+					t.Fatalf("%v %s: rank %d: %v", o, where, r, errs[r])
+				}
+				if r > 0 && mesh[r] != nil {
+					t.Fatalf("%v %s: rank %d returned a factorization; only rank 0 assembles", o, where, r)
+				}
+			}
+			if mc.rOnly {
+				assertServed(where, mesh[0])
+			} else {
+				assertFactorizationsEqual(t, own, mesh[0])
+			}
 		}
-		wg.Wait()
-		if errs[0] != nil || errs[1] != nil {
-			t.Fatalf("%v on a mesh: %v, %v", o, errs[0], errs[1])
-		}
-		if mesh[1] != nil {
-			t.Fatalf("%v: rank 1 returned a factorization; only rank 0 assembles", o)
-		}
-		assertFactorizationsEqual(t, own, mesh[0])
 	}
 }

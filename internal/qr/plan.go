@@ -86,41 +86,6 @@ func planPanel(j, mt int, o Options) PanelPlan {
 	return p
 }
 
-// mergesOf returns, in level order, the merges in which row t participates,
-// paired with whether t is the survivor in each.
-func (p PanelPlan) mergesOf(t int) []mergeRole {
-	var out []mergeRole
-	for mi, m := range p.Merges {
-		if m.Surv == t {
-			out = append(out, mergeRole{index: mi, surv: true})
-		} else if m.K == t {
-			out = append(out, mergeRole{index: mi, surv: false})
-			break // a row is eliminated at most once
-		}
-	}
-	return out
-}
-
-type mergeRole struct {
-	index int
-	surv  bool
-}
-
-// domainOf returns the index of the domain containing row i.
-func (p PanelPlan) domainOf(i int) int {
-	for di, d := range p.Domains {
-		if d.Top == i {
-			return di
-		}
-		for _, r := range d.Rows {
-			if r == i {
-				return di
-			}
-		}
-	}
-	panic(fmt.Sprintf("qr: row %d not in panel %d plan", i, p.J))
-}
-
 // KernelCount tallies the kernels a plan implies for ncols trailing
 // columns (update kernels run once per trailing column). Used by tests and
 // the simulator.

@@ -165,20 +165,3 @@ func TestKernelCount(t *testing.T) {
 		t.Fatalf("update counts: %+v", c)
 	}
 }
-
-func TestMergesOfRoles(t *testing.T) {
-	p := planPanel(0, 24, opts(HierarchicalTree, 4, ShiftedBoundary))
-	r0 := p.mergesOf(0)
-	if len(r0) != 3 || !r0[0].surv || !r0[1].surv || !r0[2].surv {
-		t.Fatalf("row 0 roles: %+v", r0)
-	}
-	r8 := p.mergesOf(8)
-	// Row 8 survives (8,12) then is eliminated by (0,8).
-	if len(r8) != 2 || !r8[0].surv || r8[1].surv {
-		t.Fatalf("row 8 roles: %+v", r8)
-	}
-	r20 := p.mergesOf(20)
-	if len(r20) != 1 || r20[0].surv {
-		t.Fatalf("row 20 roles: %+v", r20)
-	}
-}

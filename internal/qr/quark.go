@@ -1,8 +1,6 @@
 package qr
 
 import (
-	"fmt"
-
 	"pulsarqr/internal/kernels"
 	"pulsarqr/internal/matrix"
 	"pulsarqr/internal/quark"
@@ -22,14 +20,8 @@ type rbox struct {
 // is the centralized dynamic one the paper compares against.
 func FactorizeQuark(a *matrix.Tiled, b *matrix.Tiled, opts Options, workers int) (*Factorization, error) {
 	opts = opts.normalize()
-	if a.M < a.N {
-		return nil, fmt.Errorf("qr: matrix is %dx%d; tall-skinny factorization requires m >= n", a.M, a.N)
-	}
-	if a.NB != opts.NB {
-		return nil, fmt.Errorf("qr: matrix tiled with nb=%d but options say nb=%d", a.NB, opts.NB)
-	}
-	if b != nil && (b.M != a.M || b.NB != a.NB) {
-		return nil, fmt.Errorf("qr: rhs is %d rows tile %d; matrix is %d rows tile %d", b.M, b.NB, a.M, a.NB)
+	if err := checkShapes(a, b, opts); err != nil {
+		return nil, err
 	}
 	f := &Factorization{M: a.M, N: a.N, Opts: opts, A: a, QTB: b}
 	rt := quark.New(workers)
@@ -121,13 +113,7 @@ func FactorizeQuark(a *matrix.Tiled, b *matrix.Tiled, opts Options, workers int)
 		// Write the panel's final R into the diagonal tile.
 		rbFinal := rs[j]
 		diag := a.Tile(j, j)
-		rt.Submit("writeback", func() {
-			for jj := 0; jj < n; jj++ {
-				for ii := 0; ii <= jj && ii < rbFinal.m.Rows; ii++ {
-					diag.Set(ii, jj, rbFinal.m.At(ii, jj))
-				}
-			}
-		}, quark.R(rbFinal), quark.W(diag))
+		rt.Submit("writeback", func() { writeR(diag, rbFinal.m, n) }, quark.R(rbFinal), quark.W(diag))
 	}
 	rt.Wait()
 	for _, fx := range fixups {

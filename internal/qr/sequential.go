@@ -1,8 +1,6 @@
 package qr
 
 import (
-	"fmt"
-
 	"pulsarqr/internal/kernels"
 	"pulsarqr/internal/matrix"
 )
@@ -19,14 +17,8 @@ import (
 // pass.
 func Factorize(a *matrix.Tiled, b *matrix.Tiled, opts Options) (*Factorization, error) {
 	opts = opts.normalize()
-	if a.M < a.N {
-		return nil, fmt.Errorf("qr: matrix is %dx%d; tall-skinny factorization requires m >= n", a.M, a.N)
-	}
-	if a.NB != opts.NB {
-		return nil, fmt.Errorf("qr: matrix tiled with nb=%d but options say nb=%d", a.NB, opts.NB)
-	}
-	if b != nil && (b.M != a.M || b.NB != a.NB) {
-		return nil, fmt.Errorf("qr: rhs is %d rows tile %d; matrix is %d rows tile %d", b.M, b.NB, a.M, a.NB)
+	if err := checkShapes(a, b, opts); err != nil {
+		return nil, err
 	}
 	f := &Factorization{M: a.M, N: a.N, Opts: opts, A: a, QTB: b}
 
@@ -71,12 +63,7 @@ func Factorize(a *matrix.Tiled, b *matrix.Tiled, opts Options) (*Factorization, 
 				kernels.DormqrWS(ws, true, opts.IB, tile, tg, colTile(top, l, j))
 			}
 			// Extract the domain R as a working copy (upper trapezoid).
-			r := matrix.New(k, n)
-			for jj := 0; jj < n; jj++ {
-				for ii := 0; ii <= jj && ii < k; ii++ {
-					r.Set(ii, jj, tile.At(ii, jj))
-				}
-			}
+			r := extractR(tile, n)
 			rs[top] = r
 
 			for _, kRow := range d.Rows {
@@ -103,13 +90,7 @@ func Factorize(a *matrix.Tiled, b *matrix.Tiled, opts Options) (*Factorization, 
 		// The surviving R of the panel becomes the final R(j,j) block:
 		// write it into the upper triangle of the diagonal tile (the
 		// Householder vectors below it are untouched).
-		final := rs[j]
-		diag := a.Tile(j, j)
-		for jj := 0; jj < n; jj++ {
-			for ii := 0; ii <= jj && ii < final.Rows; ii++ {
-				diag.Set(ii, jj, final.At(ii, jj))
-			}
-		}
+		writeR(a.Tile(j, j), rs[j], n)
 	}
 	return f, nil
 }

@@ -148,12 +148,16 @@ func consumeTwoMats(p []byte) (a, b *matrix.Mat, err error) {
 
 // builder accumulates the array for one factorization.
 type builder struct {
-	a, b  *matrix.Tiled
-	opts  Options
-	rc    RunConfig
-	s     *pulsar.VSA
-	plans []PanelPlan
-	bnt   int // rhs tile columns
+	a, b    *matrix.Tiled
+	opts    Options
+	rc      RunConfig
+	s       *pulsar.VSA
+	plans   []PanelPlan
+	bnt     int // rhs tile columns
+	nbBytes int // channel capacity: one tile and its packet header
+	// outputs lists the array's external output channels in the order they
+	// were declared — the one enumeration gather and assemble read.
+	outputs []output
 	// rOnly gathers and assembles what a service serves — R and QᵀB — and
 	// leaves the per-transformation log on the ranks that produced it.
 	rOnly bool
@@ -163,6 +167,36 @@ type builder struct {
 type endpoint struct {
 	tup  tuple.Tuple
 	slot int
+}
+
+// output is one collector channel (paper §V-C), declared where it is wired:
+// the producer whose single packet it holds after the run, whether that
+// packet is an entry of the transformation log, and place, which says what
+// the packet is by storing it in the factorization.
+type output struct {
+	from  endpoint
+	log   bool
+	place func(f *Factorization, p *pulsar.Packet)
+}
+
+// output creates the external output channel at from and records what
+// assemble is to do with its packet. The list is a pure function of the
+// array, so every rank of a mesh numbers the outputs alike.
+func (bd *builder) output(from endpoint, log bool, place func(*Factorization, *pulsar.Packet)) {
+	bd.s.Output(from.tup, from.slot, bd.nbBytes)
+	bd.outputs = append(bd.outputs, output{from, log, place})
+}
+
+// tileOutput declares from's packet to be the finished tile (i, l): of R
+// when l is a matrix column, of QᵀB when it is an rhs one.
+func (bd *builder) tileOutput(from endpoint, i, l int) {
+	bd.output(from, false, func(f *Factorization, p *pulsar.Packet) {
+		if l < bd.a.NT {
+			f.A.SetTile(i, l, p.Tile())
+		} else {
+			f.QTB.SetTile(i, l-bd.a.NT, p.Tile())
+		}
+	})
 }
 
 // panelLocal is the build-time configuration stored in a panel VDP.
@@ -256,7 +290,7 @@ func FactorizeVSAIn(ctx context.Context, a *matrix.Tiled, b *matrix.Tiled, opts 
 		return nil, err
 	}
 
-	bd := &builder{a: a, b: b, opts: opts, rc: rc, rOnly: env.Part != nil}
+	bd := &builder{a: a, b: b, opts: opts, rc: rc, nbBytes: 8*opts.NB*opts.NB + 64, rOnly: env.Part != nil}
 	if b != nil {
 		bd.bnt = b.NT
 	}
@@ -379,7 +413,7 @@ func (bd *builder) mapping() pulsar.Mapping {
 
 // build creates every VDP and channel of the array.
 func (bd *builder) build() {
-	nbBytes := 8*bd.opts.NB*bd.opts.NB + 64
+	nbBytes := bd.nbBytes
 
 	// Pass 1: create every VDP of every panel, so that cross-panel release
 	// channels always find their destination.
@@ -433,22 +467,31 @@ func (bd *builder) build() {
 			}
 		}
 
-		// --- R chain (panel column) ------------------------------------
-		bd.wireStreams(plan, -1, nbBytes)
-		// --- top-tile chains (each trailing column) --------------------
-		for _, l := range cols {
-			bd.wireStreams(plan, l, nbBytes)
-		}
-
-		// --- per-transformation collectors -----------------------------
+		// --- per-transformation collectors, in plan order --------------
+		// Declared before the panel's streams: a reflector tile is placed
+		// before the final R is written over it.
 		for _, d := range plan.Domains {
-			bd.s.Output(panelTup(j, d.Top), 2, nbBytes)
-			for _, k := range d.Rows {
-				bd.s.Output(panelTup(j, k), 2, nbBytes)
+			for _, i := range append([]int{d.Top}, d.Rows...) {
+				bd.output(endpoint{panelTup(j, i), 2}, true, func(f *Factorization, p *pulsar.Packet) {
+					// dgeqrt of the top (K = -1) or dtsqrt of row K = i.
+					cm := p.Data.(*collectMsg)
+					f.A.SetTile(i, j, cm.Tile)
+					f.Ops = append(f.Ops, Op{Kind: cm.Kind, J: j, I: d.Top, K: cm.K, T: cm.T})
+				})
 			}
 		}
 		for _, m := range plan.Merges {
-			bd.s.Output(mergeTup(j, m.Surv, m.K), 2, nbBytes)
+			bd.output(endpoint{mergeTup(j, m.Surv, m.K), 2}, true, func(f *Factorization, p *pulsar.Packet) {
+				cm := p.Data.(*collectMsg)
+				f.Ops = append(f.Ops, Op{Kind: OpTtqrt, J: j, I: m.Surv, K: m.K, T: cm.T, V2: cm.Tile})
+			})
+		}
+
+		// --- R chain (panel column) ------------------------------------
+		bd.wireStreams(plan, -1)
+		// --- top-tile chains (each trailing column) --------------------
+		for _, l := range cols {
+			bd.wireStreams(plan, l)
 		}
 	}
 }
@@ -458,8 +501,8 @@ func (bd *builder) build() {
 // merge VDPs; l >= 0 selects the top-tile chain through the update and
 // merge-update VDPs of global column l. The chain topology is identical —
 // that structural sharing is the heart of the 3D array.
-func (bd *builder) wireStreams(plan PanelPlan, l, nbBytes int) {
-	j := plan.J
+func (bd *builder) wireStreams(plan PanelPlan, l int) {
+	j, nbBytes := plan.J, bd.nbBytes
 	isR := l < 0
 
 	// Producer endpoint of each stage.
@@ -507,13 +550,20 @@ func (bd *builder) wireStreams(plan PanelPlan, l, nbBytes int) {
 			bd.connectRelease(j, m.K, l, endpoint{mtup, 2})
 		}
 	}
-	// The surviving stream (row j) finalizes: its packet is the panel's
-	// final R (isR) or the final tile R(j, l) / (QᵀB)(j, ·).
-	fin := streamEnd[j]
-	bd.s.Output(fin.tup, fin.slot, nbBytes)
-
-	// Non-top rows release their own tile to the next panel.
-	if !isR {
+	// The surviving stream (row j) finalizes: its packet is the final tile
+	// R(j, l) / (QᵀB)(j, ·), or (isR) the panel's final R, which goes over the
+	// upper triangle of the diagonal tile — over the reflectors the log
+	// placed there, or into a fresh tile when an R-only run collected none.
+	if isR {
+		bd.output(streamEnd[j], false, func(f *Factorization, p *pulsar.Packet) {
+			if bd.rOnly {
+				f.A.SetTile(j, j, matrix.New(bd.a.TileRows(j), bd.a.TileCols(j)))
+			}
+			writeR(f.A.Tile(j, j), p.Tile(), bd.a.TileCols(j))
+		})
+	} else {
+		bd.tileOutput(streamEnd[j], j, l)
+		// Non-top rows release their own tile to the next panel.
 		for _, d := range plan.Domains {
 			for _, k := range d.Rows {
 				bd.connectRelease(j, k, l, endpoint{updateTup(j, k, l), 3})
@@ -525,17 +575,16 @@ func (bd *builder) wireStreams(plan PanelPlan, l, nbBytes int) {
 // connectRelease wires the hand-off of tile (i, l) from panel j to its VDP
 // in panel j+1, or to a collector when panel j is the tile's last.
 func (bd *builder) connectRelease(j, i, l int, from endpoint) {
-	nbBytes := 8*bd.opts.NB*bd.opts.NB + 64
 	lastPanel := len(bd.plans) - 1
 	switch {
 	case j == lastPanel:
 		// No further panels: rhs tiles (and nothing else — matrix columns
-		// l > lastPanel cannot exist) finalize here.
-		bd.s.Output(from.tup, from.slot, nbBytes)
+		// l > lastPanel cannot exist) finalize here, as (QᵀB)(i, ·).
+		bd.tileOutput(from, i, l)
 	case l == j+1:
-		bd.s.Connect(from.tup, from.slot, panelTup(j+1, i), 0, nbBytes, false)
+		bd.s.Connect(from.tup, from.slot, panelTup(j+1, i), 0, bd.nbBytes, false)
 	default:
-		bd.s.Connect(from.tup, from.slot, updateTup(j+1, i, l), 0, nbBytes, false)
+		bd.s.Connect(from.tup, from.slot, updateTup(j+1, i, l), 0, bd.nbBytes, false)
 	}
 }
 
@@ -550,7 +599,7 @@ func (bd *builder) newPanelVDP(plan PanelPlan, i int, top bool, n int, hasVT boo
 	if j == 0 {
 		// Panel-0 tiles are injected from outside; later panels receive
 		// their tile through the release channel from panel j-1.
-		bd.s.Input(panelTup(j, i), 0, 8*bd.opts.NB*bd.opts.NB+64)
+		bd.s.Input(panelTup(j, i), 0, bd.nbBytes)
 	}
 }
 
@@ -561,7 +610,7 @@ func (bd *builder) newUpdateVDP(j, i, l int, top bool, fwdVT bool) {
 	v := bd.s.NewVDP(updateTup(j, i, l), 1, updateFn, ClassUpdate, 3, 4)
 	v.SetLocal(cfg)
 	if j == 0 {
-		bd.s.Input(updateTup(j, i, l), 0, 8*bd.opts.NB*bd.opts.NB+64)
+		bd.s.Input(updateTup(j, i, l), 0, bd.nbBytes)
 	}
 }
 
@@ -593,6 +642,16 @@ func extractR(tile *matrix.Mat, n int) *matrix.Mat {
 		}
 	}
 	return r
+}
+
+// writeR writes r, a panel's final R, over the upper triangle of the n
+// columns of the diagonal tile; the Householder vectors below it stay.
+func writeR(diag, r *matrix.Mat, n int) {
+	for jj := 0; jj < n; jj++ {
+		for ii := 0; ii <= jj && ii < r.Rows; ii++ {
+			diag.Set(ii, jj, r.At(ii, jj))
+		}
+	}
 }
 
 // wsOf returns the firing worker's kernel workspace; nil (letting the
@@ -693,173 +752,32 @@ func (bd *builder) inject(local int) {
 	}
 }
 
-// assemble gathers the collector outputs into a Factorization. Every tile of
+// assemble hands every declared output's packet to its place. Every tile of
 // the result is one a VDP handed over, so the containers start as shells.
 func (bd *builder) assemble() (*Factorization, error) {
 	a := bd.a
-	out := matrix.NewTiledShell(a.M, a.N, a.NB)
-	var qtb *matrix.Tiled
+	f := &Factorization{M: a.M, N: a.N, Opts: bd.opts, A: matrix.NewTiledShell(a.M, a.N, a.NB), ROnly: bd.rOnly}
 	if bd.b != nil {
-		qtb = matrix.NewTiledShell(bd.b.M, bd.b.N, bd.b.NB)
+		f.QTB = matrix.NewTiledShell(bd.b.M, bd.b.N, bd.b.NB)
 	}
-	f := &Factorization{M: a.M, N: a.N, Opts: bd.opts, A: out, QTB: qtb, ROnly: bd.rOnly}
-	one := bd.collectedOne
-
-	for _, plan := range bd.plans {
-		j := plan.J
-		if bd.rOnly {
-			// No reflector tile to write R over: the diagonal tile is new.
-			out.SetTile(j, j, matrix.New(a.TileRows(j), a.TileCols(j)))
-		} else if err := bd.assembleLog(f, plan); err != nil {
-			return nil, err
+	for _, o := range bd.outputs {
+		if o.log && bd.rOnly {
+			continue
 		}
-
-		// Final R of the panel: write into the upper triangle of the
-		// diagonal tile (over the reflectors, when they were collected).
-		rEnd := bd.rStreamEnd(plan)
-		p, err := one(rEnd.tup, rEnd.slot)
+		p, err := bd.collectedOne(o.from)
 		if err != nil {
 			return nil, err
 		}
-		final := p.Tile()
-		diag := out.Tile(j, j)
-		n := a.TileCols(j)
-		for jj := 0; jj < n; jj++ {
-			for ii := 0; ii <= jj && ii < final.Rows; ii++ {
-				diag.Set(ii, jj, final.At(ii, jj))
-			}
-		}
-
-		// Final row tiles R(j, l) and finished rhs tiles (QᵀB)(j, ·).
-		for _, l := range bd.cols(j) {
-			tEnd := bd.tileStreamEnd(plan, l)
-			p, err := one(tEnd.tup, tEnd.slot)
-			if err != nil {
-				return nil, err
-			}
-			bd.placeFinal(f, j, l, p.Tile())
-		}
-	}
-
-	// RHS tiles of rows below the last panel finalize at the last panel's
-	// releases.
-	if bd.b != nil {
-		last := len(bd.plans) - 1
-		plan := bd.plans[last]
-		for r := 0; r < bd.bnt; r++ {
-			l := a.NT + r
-			for _, d := range plan.Domains {
-				for _, k := range d.Rows {
-					p, err := one(updateTup(last, k, l), 3)
-					if err != nil {
-						return nil, err
-					}
-					qtb.SetTile(k, r, p.Tile())
-				}
-			}
-			for _, m := range plan.Merges {
-				p, err := one(mergeUpdTup(last, m.Surv, m.K, l), 2)
-				if err != nil {
-					return nil, err
-				}
-				qtb.SetTile(m.K, r, p.Tile())
-			}
-		}
+		o.place(f, p)
 	}
 	return f, nil
 }
 
 // collectedOne returns the single packet a collector endpoint must hold.
-func (bd *builder) collectedOne(tup tuple.Tuple, slot int) (*pulsar.Packet, error) {
-	ps := bd.s.Collected(tup, slot)
+func (bd *builder) collectedOne(e endpoint) (*pulsar.Packet, error) {
+	ps := bd.s.Collected(e.tup, e.slot)
 	if len(ps) != 1 {
-		return nil, fmt.Errorf("qr: collector %v[%d] holds %d packets, want 1", tup, slot, len(ps))
+		return nil, fmt.Errorf("qr: collector %v[%d] holds %d packets, want 1", e.tup, e.slot, len(ps))
 	}
 	return ps[0], nil
-}
-
-// assembleLog appends panel plan's transformations to f.Ops in plan order
-// and places the panel column's reflector tiles.
-func (bd *builder) assembleLog(f *Factorization, plan PanelPlan) error {
-	j := plan.J
-	one := bd.collectedOne
-	for _, d := range plan.Domains {
-		rows := append([]int{d.Top}, d.Rows...)
-		for _, i := range rows {
-			p, err := one(panelTup(j, i), 2)
-			if err != nil {
-				return err
-			}
-			cm := p.Data.(*collectMsg)
-			op := Op{Kind: cm.Kind, J: j, T: cm.T}
-			if cm.Kind == OpGeqrt {
-				op.I, op.K = i, -1
-			} else {
-				op.I, op.K = d.Top, i
-			}
-			f.A.SetTile(i, j, cm.Tile)
-			f.Ops = append(f.Ops, op)
-		}
-	}
-	for _, m := range plan.Merges {
-		p, err := one(mergeTup(j, m.Surv, m.K), 2)
-		if err != nil {
-			return err
-		}
-		cm := p.Data.(*collectMsg)
-		f.Ops = append(f.Ops, Op{Kind: OpTtqrt, J: j, I: m.Surv, K: m.K, T: cm.T, V2: cm.Tile})
-	}
-	return nil
-}
-
-// placeFinal stores a finished tile of the surviving row j.
-func (bd *builder) placeFinal(f *Factorization, j, l int, tile *matrix.Mat) {
-	if l < bd.a.NT {
-		f.A.SetTile(j, l, tile)
-	} else {
-		f.QTB.SetTile(j, l-bd.a.NT, tile)
-	}
-}
-
-// rStreamEnd returns the producer endpoint of the panel's final R.
-func (bd *builder) rStreamEnd(plan PanelPlan) endpoint {
-	return bd.streamEndOf(plan, -1)
-}
-
-// tileStreamEnd returns the producer endpoint of the final tile (j, l).
-func (bd *builder) tileStreamEnd(plan PanelPlan, l int) endpoint {
-	return bd.streamEndOf(plan, l)
-}
-
-// streamEndOf recomputes the surviving stream's final endpoint, mirroring
-// wireStreams.
-func (bd *builder) streamEndOf(plan PanelPlan, l int) endpoint {
-	j := plan.J
-	isR := l < 0
-	var end endpoint
-	for _, d := range plan.Domains {
-		if d.Top != j {
-			continue
-		}
-		lastRow := j
-		if len(d.Rows) > 0 {
-			lastRow = d.Rows[len(d.Rows)-1]
-		}
-		if isR {
-			end = endpoint{panelTup(j, lastRow), 0}
-		} else {
-			end = endpoint{updateTup(j, lastRow, l), 1}
-		}
-	}
-	for _, m := range plan.Merges {
-		if m.Surv != j {
-			continue
-		}
-		if isR {
-			end = endpoint{mergeTup(j, m.Surv, m.K), 0}
-		} else {
-			end = endpoint{mergeUpdTup(j, m.Surv, m.K, l), 1}
-		}
-	}
-	return end
 }

@@ -91,15 +91,12 @@ func (ag *Agent) Run(ctx context.Context) error {
 	defer ag.wg.Wait()
 	for {
 		req := ag.ctl.Irecv(0, ctlTag)
-		stop := context.AfterFunc(ctx, func() { req.Cancel() })
-		req.Wait()
-		stop()
-		if req.Canceled() {
+		if err := transport.Await(ctx, ag.ctl, req); err != nil {
 			ag.cancelAll()
 			if ctx.Err() != nil {
-				return ctx.Err()
+				return err
 			}
-			return fmt.Errorf("service: control session closed")
+			return fmt.Errorf("service: control session closed: %w", err)
 		}
 		var msg ctlMsg
 		if err := json.Unmarshal(req.Data(), &msg); err != nil {
@@ -108,23 +105,19 @@ func (ag *Agent) Run(ctx context.Context) error {
 		}
 		switch msg.Op {
 		case "open":
-			if msg.Spec == nil {
-				ag.logf("agent: open without spec for job %d", msg.Job)
+			if msg.Spec == nil || msg.Session == 0 || msg.Ranks == nil {
+				ag.logf("agent: open without spec, session or ranks for job %d", msg.Job)
 				continue
 			}
-			if msg.Ranks != nil && !contains(msg.Ranks, ag.ep.Rank()) {
+			if !contains(msg.Ranks, ag.ep.Rank()) {
 				// An attempt sessioned onto other ranks (a degraded-fleet
 				// rerun this rank is not part of).
 				continue
 			}
-			session := msg.Session
-			if session == 0 {
-				session = msg.Job
-			}
 			jctx, cancel := context.WithCancel(ctx)
 			ag.mu.Lock()
 			prev := ag.jobs[msg.Job]
-			ag.jobs[msg.Job] = agentAttempt{session: session, cancel: cancel}
+			ag.jobs[msg.Job] = agentAttempt{session: msg.Session, cancel: cancel}
 			ag.mu.Unlock()
 			if prev.cancel != nil {
 				// A fresh open for a job this rank is still running means
@@ -134,7 +127,7 @@ func (ag *Agent) Run(ctx context.Context) error {
 				prev.cancel()
 			}
 			ag.wg.Add(1)
-			go ag.runJob(jctx, msg.Job, session, msg.Ranks, *msg.Spec, msg.Upload)
+			go ag.runJob(jctx, msg.Job, msg.Session, msg.Ranks, *msg.Spec, msg.Upload)
 		case "cancel":
 			ag.mu.Lock()
 			att := ag.jobs[msg.Job]
@@ -181,8 +174,8 @@ func contains(xs []int, x int) bool {
 }
 
 // runJob executes this rank's share of one job attempt: the session id
-// (distinct per attempt) names the mux channel, ranks — when set — names
-// the attempt's member set on a degraded fleet, and upload says this rank's
+// (distinct per attempt) names the mux channel, ranks names the attempt's
+// member set (the survivors, on a degraded fleet), and upload says this rank's
 // rows of the input arrive on that channel instead of coming from the seed.
 func (ag *Agent) runJob(ctx context.Context, id, session uint32, ranks []int, spec JobSpec, upload bool) {
 	defer ag.wg.Done()
@@ -196,13 +189,7 @@ func (ag *Agent) runJob(ctx context.Context, id, session uint32, ranks []int, sp
 		}
 		ag.mu.Unlock()
 	}()
-	var jep *transport.JobEndpoint
-	var err error
-	if ranks != nil {
-		jep, err = ag.mux.OpenOn(session, ranks)
-	} else {
-		jep, err = ag.mux.Open(session)
-	}
+	jep, err := ag.mux.OpenOn(session, ranks)
 	if err != nil {
 		ag.logf("agent: job %d: open channel %d: %v", id, session, err)
 		return

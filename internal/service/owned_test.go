@@ -235,7 +235,7 @@ type dieAtGather struct {
 }
 
 func (d dieAtGather) Isend(data []byte, dest, tag int) transport.Request {
-	if tag >= qr.GatherTagBase && d.died.CompareAndSwap(false, true) {
+	if tag >= transport.GatherTagBase && d.died.CompareAndSwap(false, true) {
 		d.Endpoint.(transport.Crasher).Crash()
 	}
 	return d.Endpoint.Isend(data, dest, tag)

@@ -8,13 +8,11 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"pulsarqr/internal/matrix"
 	"pulsarqr/internal/plan"
 	"pulsarqr/internal/qr"
-	"pulsarqr/internal/trace"
 	"pulsarqr/internal/transport"
 	"pulsarqr/internal/wire"
 )
@@ -264,7 +262,7 @@ func (sp *JobSpec) sendUpload(jep transport.Endpoint, nb int) {
 	for r := 1; r < jep.Size(); r++ {
 		if rows := sp.uploadRows(nb, jep.Size(), r); rows.Rows > 0 {
 			buf, _ := wire.AppendDimMat(nil, rows)
-			jep.Isend(buf, r, uploadTag)
+			jep.Isend(buf, r, transport.UploadTag)
 		}
 	}
 }
@@ -277,12 +275,9 @@ func (sp *JobSpec) recvUpload(ctx context.Context, jep transport.Endpoint, nb in
 	if r0 == r1 {
 		return nil
 	}
-	req := jep.Irecv(0, uploadTag)
-	stop := context.AfterFunc(ctx, func() { req.Cancel() })
-	req.Wait()
-	stop()
-	if req.Canceled() {
-		return errors.New("service: wait for this rank's rows of the upload canceled")
+	req := jep.Irecv(0, transport.UploadTag)
+	if err := transport.Await(ctx, jep, req); err != nil {
+		return fmt.Errorf("service: wait for this rank's rows of the upload canceled: %w", err)
 	}
 	rows, rest, err := wire.ConsumeDimMat(req.Data())
 	if err != nil {
@@ -301,10 +296,6 @@ func (sp *JobSpec) recvUpload(ctx context.Context, jep transport.Endpoint, nb in
 const (
 	ctlJob = 0 // reserved mux job id for the control plane
 	ctlTag = 0
-	// uploadTag carries a rank's rows of an uploaded matrix on the attempt's
-	// job session, before the run: the slot under the trace gather's, so above
-	// every channel tag the runtime numbers from 0 and below qr.GatherTagBase.
-	uploadTag = trace.GatherTag - 1
 )
 
 type ctlMsg struct {
@@ -321,6 +312,6 @@ type ctlMsg struct {
 	Session uint32 `json:"session,omitempty"`
 	// Ranks is the member set (real ranks) of the attempt's session; on a
 	// degraded fleet it names the survivors. Agents not listed ignore the
-	// open. Nil means the whole fleet.
+	// open; an open without Session or Ranks is refused.
 	Ranks []int `json:"ranks,omitempty"`
 }

@@ -66,12 +66,6 @@ type Config struct {
 	// batch traffic cannot starve big single-job tenants (and vice versa).
 	// Default 2.
 	BatchStreams int
-	// BatchChunk is the number of matrices per dispatched batch task;
-	// zero takes the scheduler default (64).
-	BatchChunk int
-	// BatchCrossover is the Givens/compact-WY engine threshold; zero takes
-	// batch.DefaultCrossover.
-	BatchCrossover int
 	// PinNUMA pins pool workers to NUMA nodes and allocates their
 	// workspaces node-local (see pulsar.PoolOptions.PinNUMA). Best-effort:
 	// single-node or non-Linux hosts run exactly as before.
@@ -185,7 +179,7 @@ func NewServer(cfg Config) (*Server, error) {
 		jobs:      map[uint32]*Job{},
 		deadRanks: map[int]bool{},
 		planner:   plan.NewPlanner(plan.Config{}, plan.DefaultCacheCap),
-		rates:     rateTable{shapes: plan.Config{}.TileShapes()},
+		rates:     rateTable{shapes: plan.TileShapes()},
 	}
 	s.baseCtx, s.stop = context.WithCancel(context.Background())
 	if cfg.Ep != nil && cfg.Ep.Size() > 1 {
@@ -248,12 +242,7 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 	}
 	s.batchSem = make(chan struct{}, cfg.BatchStreams)
-	s.batchSched = batch.NewScheduler(batch.SchedConfig{
-		Pool:      s.pool,
-		ChunkSize: cfg.BatchChunk,
-		Crossover: cfg.BatchCrossover,
-		OnChunk:   s.metrics.ObserveBatchChunk,
-	})
+	s.batchSched = batch.NewScheduler(batch.SchedConfig{Pool: s.pool, OnChunk: s.metrics.ObserveBatchChunk})
 	s.sessionSem = make(chan struct{}, cfg.SessionStreams)
 	tbl, err := session.NewTable(session.Config{
 		Dir:          cfg.CheckpointDir,

@@ -8,6 +8,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -117,7 +118,7 @@ func (m *sendMeter) Isend(data []byte, dest, tag int) transport.Request {
 	switch job := binary.BigEndian.Uint32(data); {
 	case job == ctlJob:
 		m.maxCtl = max(m.maxCtl, len(data))
-	case tag == uploadTag:
+	case tag == transport.UploadTag:
 		m.upload[dest] += len(data)
 	}
 	m.mu.Unlock()
@@ -312,38 +313,60 @@ func TestUploadResentIntactAfter429(t *testing.T) {
 	checkResultR(t, "after a 429", rowsMat(t, got.R), oracleR(t, spec))
 }
 
-// An agent told to expect rows that never come — rank 0 canceled the job, or
-// died, between the open and the scatter — is not stuck in that receive: the
-// cancel unwinds it, and the agent shuts down.
-func TestCancelUnwindsAgentWaitingForUpload(t *testing.T) {
+// handFleet is a two-rank in-process fleet whose rank 0 is played by hand:
+// the agent on rank 1 runs for real, logging through logf, and send puts one
+// control message on the wire — so a test can withhold what a server would
+// send, or send what a server never would. finish sends the shutdown and
+// waits for the agent to exit cleanly.
+func handFleet(t *testing.T, logf func(string, ...any)) (agent *Agent, send func(ctlMsg), finish func()) {
+	t.Helper()
 	l := transport.NewLocal(2)
-	var waited atomic.Bool
-	agent, err := NewAgent(l.Endpoint(1), 1, func(format string, args ...any) {
-		if msg := fmt.Sprintf(format, args...); strings.Contains(msg, "rows of the upload canceled") {
-			waited.Store(true)
-		}
-	})
+	agent, err := NewAgent(l.Endpoint(1), 1, logf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	agentDone := make(chan error, 1)
 	go func() { agentDone <- agent.Run(context.Background()) }()
 
-	// Rank 0's control plane, played by hand so that the rows can be withheld.
 	mux := transport.NewMux(l.Endpoint(0))
-	defer mux.Close()
+	t.Cleanup(func() { mux.Close() })
 	ctl, err := mux.Open(ctlJob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ctl.Close()
-	send := func(msg ctlMsg) {
+	t.Cleanup(func() { ctl.Close() })
+	send = func(msg ctlMsg) {
 		b, err := json.Marshal(msg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctl.Isend(b, 1, ctlTag)
 	}
+	finish = func() {
+		send(ctlMsg{Op: "shutdown"})
+		select {
+		case err := <-agentDone:
+			if err != nil {
+				t.Errorf("agent exited with %v", err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("agent did not exit: a job of its is wedged")
+		}
+		agent.Close()
+	}
+	return agent, send, finish
+}
+
+// An agent told to expect rows that never come — rank 0 canceled the job, or
+// died, between the open and the scatter — is not stuck in that receive: the
+// cancel unwinds it, and the agent shuts down.
+func TestCancelUnwindsAgentWaitingForUpload(t *testing.T) {
+	var waited atomic.Bool
+	agent, send, finish := handFleet(t, func(format string, args ...any) {
+		if msg := fmt.Sprintf(format, args...); strings.Contains(msg, "rows of the upload canceled") {
+			waited.Store(true)
+		}
+	})
 	send(ctlMsg{Op: "open", Job: 1, Session: 1, Ranks: []int{0, 1}, Upload: true,
 		Spec: &JobSpec{M: 512, N: 64, NB: 32, IB: 8}})
 	// The agent posts its receive right after it opens its side of the
@@ -357,17 +380,66 @@ func TestCancelUnwindsAgentWaitingForUpload(t *testing.T) {
 		}
 	}
 	send(ctlMsg{Op: "cancel", Job: 1})
-	send(ctlMsg{Op: "shutdown"})
-	select {
-	case err := <-agentDone:
-		if err != nil {
-			t.Errorf("agent exited with %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("agent did not exit: its job is wedged waiting for rows that will never come")
-	}
-	agent.Close()
+	finish()
 	if !waited.Load() {
 		t.Error("the agent's attempt ended without reporting a canceled wait: it never waited for its rows")
+	}
+}
+
+// An open names its attempt's session and member set — the server always
+// sends both — so one without either (or without a spec) is refused and
+// logged, not run on a guess: no session is opened for it.
+func TestAgentRefusesIncompleteOpen(t *testing.T) {
+	var refused, ran atomic.Int32
+	_, send, finish := handFleet(t, func(format string, args ...any) {
+		switch msg := fmt.Sprintf(format, args...); {
+		case strings.Contains(msg, "open without"):
+			refused.Add(1)
+		case strings.Contains(msg, "agent: job"): // an attempt's own report
+			ran.Add(1)
+		}
+	})
+	spec := &JobSpec{M: 64, N: 32, NB: 32, IB: 8, Seed: 1}
+	send(ctlMsg{Op: "open", Job: 1, Ranks: []int{0, 1}, Spec: spec})
+	send(ctlMsg{Op: "open", Job: 2, Session: 2, Spec: spec})
+	send(ctlMsg{Op: "open", Job: 3, Session: 3, Ranks: []int{0, 1}})
+	// Control messages are served in order, and rank 0 never joins: an open
+	// that was run ends at the shutdown, reporting its canceled attempt.
+	finish()
+	if refused.Load() != 3 || ran.Load() != 0 {
+		t.Errorf("of 3 incomplete opens %d were refused and logged, %d were run", refused.Load(), ran.Load())
+	}
+}
+
+// An agent whose rank 0 dies before its rows come learns which rank it lost:
+// the wait ends with the transport's verdict on the peer, not a bare
+// "canceled".
+func TestRecvUploadNamesDeadRank(t *testing.T) {
+	eps, err := transport.DialLoopback(3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, ep := range eps {
+			ep.Close()
+		}
+	}()
+	// Three ranks, so that the link to rank 2 keeps rank 1's endpoint alive.
+	mux := transport.NewMux(eps[1])
+	defer mux.Close()
+	jep, err := mux.OpenOn(5, []int{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jep.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	sp := JobSpec{M: 192, N: 64, NB: 32, IB: 8}
+	waitErr := make(chan error, 1)
+	go func() { waitErr <- sp.recvUpload(ctx, jep, sp.NB) }()
+	eps[0].(transport.Crasher).Crash()
+	var pde *transport.PeerDeathError
+	if err := <-waitErr; !errors.As(err, &pde) || pde.Rank != 0 {
+		t.Fatalf("wait for rows from a dead rank 0: err %v, want one naming rank 0", err)
 	}
 }

@@ -8,12 +8,6 @@ import (
 	"pulsarqr/internal/transport"
 )
 
-// GatherTag is the transport tag reserved for trace-shard gathers. The
-// runtime numbers channel tags consecutively from 0 and the qr result
-// gather starts at 1<<24, so the slot just below is free on every
-// endpoint a run uses.
-const GatherTag = 1<<24 - 1
-
 // GatherShards collects every rank's shard at rank 0 — the trace
 // counterpart of the result gather. It is collective: every rank of ep must
 // call it with its own shard after the run's closing barrier. Rank 0
@@ -24,21 +18,14 @@ func GatherShards(ctx context.Context, ep transport.Endpoint, local Shard) ([]Sh
 		return []Shard{local}, nil
 	}
 	if ep.Rank() != 0 {
-		ep.Isend(EncodeShard(local), 0, GatherTag)
+		ep.Isend(EncodeShard(local), 0, transport.TraceGatherTag)
 		return nil, nil
 	}
 	shards := []Shard{local}
 	for r := 1; r < ep.Size(); r++ {
-		req := ep.Irecv(r, GatherTag)
-		if ctx != nil {
-			stop := context.AfterFunc(ctx, func() { req.Cancel() })
-			req.Wait()
-			stop()
-		} else {
-			req.Wait()
-		}
-		if req.Canceled() {
-			return nil, fmt.Errorf("trace: gather of rank %d's shard canceled", r)
+		req := ep.Irecv(r, transport.TraceGatherTag)
+		if err := transport.Await(ctx, ep, req); err != nil {
+			return nil, fmt.Errorf("trace: gather of rank %d's shard: %w", r, err)
 		}
 		s, err := DecodeShard(req.Data())
 		if err != nil {

@@ -85,15 +85,15 @@ func TestBarrierProtocol(t *testing.T) {
 		{
 			name: "failed communicator", size: 2, waits: []int{0, 1},
 			before: func(f *barrierFabric) {
-				f.states[0].fail(errClosed)
-				f.states[1].fail(errClosed)
+				f.states[0].fail(ErrClosed)
+				f.states[1].fail(ErrClosed)
 			},
-			want: errClosed,
+			want: ErrClosed,
 		},
 		{
 			name: "failure while waiting", size: 2, waits: []int{0},
-			during: func(f *barrierFabric) { f.states[0].fail(errClosed) },
-			want:   errClosed, sends: 1, // rank 0 still tells rank 1 the generation is dead
+			during: func(f *barrierFabric) { f.states[0].fail(ErrClosed) },
+			want:   ErrClosed, sends: 1, // rank 0 still tells rank 1 the generation is dead
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

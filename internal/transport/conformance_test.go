@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -57,6 +59,7 @@ func TestEndpointConformance(t *testing.T) {
 		{"posted receives match in order", 2, conformPostedFIFO},
 		{"cancel", 2, conformCancel},
 		{"cancel wakes waiter", 2, conformCancelWakesWaiter},
+		{"await", 2, conformAwait},
 		{"barrier", 6, conformBarrier},
 		{"barrier reusable", 4, conformBarrierReusable},
 		{"on-arrival notify", 2, conformOnArrival},
@@ -216,6 +219,81 @@ func conformCancelWakesWaiter(t *testing.T, eps []Endpoint) {
 	time.Sleep(5 * time.Millisecond)
 	r.Cancel()
 	waitDone(t, done, "Wait did not wake on cancel")
+}
+
+// awaitWithin is Await held to the test's budget: a verdict that never comes
+// fails the test instead of hanging it.
+func awaitWithin(t *testing.T, ctx context.Context, ep Endpoint, req Request) error {
+	t.Helper()
+	verdict := make(chan error, 1)
+	go func() { verdict <- Await(ctx, ep, req) }()
+	select {
+	case err := <-verdict:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatal("Await did not return")
+		return nil
+	}
+}
+
+// conformAwait: Await says why a blocking receive ended — it completed, the
+// context ended it (the cause, not the bare verdict), or the endpoint was
+// closed under it.
+func conformAwait(t *testing.T, eps []Endpoint) {
+	bg := context.Background()
+	eps[0].Isend([]byte("x"), 1, 2)
+	r := eps[1].Irecv(0, 2)
+	if err := awaitWithin(t, bg, eps[1], r); err != nil || string(r.Data()) != "x" {
+		t.Fatalf("completed receive: err %v, data %q", err, r.Data())
+	}
+
+	gaveUp := errors.New("gave up")
+	ctx, cancel := context.WithCancelCause(bg)
+	time.AfterFunc(5*time.Millisecond, func() { cancel(gaveUp) })
+	if err := awaitWithin(t, ctx, eps[1], eps[1].Irecv(0, 2)); err != gaveUp {
+		t.Fatalf("canceled context: err %v, want its cause %v", err, gaveUp)
+	}
+
+	r = eps[1].Irecv(0, 2)
+	time.AfterFunc(5*time.Millisecond, func() { eps[1].Close() })
+	if err := awaitWithin(t, bg, eps[1], r); !errors.Is(err, ErrClosed) {
+		t.Fatalf("closed endpoint: err %v, want %v", err, ErrClosed)
+	}
+}
+
+// TestAwaitNamesCrashedPeer: on the substrates that can lose a rank, a
+// receive the death ended is reported as that death — the rank by name — on
+// the TCP endpoint and on a job session multiplexed over it alike.
+func TestAwaitNamesCrashedPeer(t *testing.T) {
+	for _, sub := range []struct {
+		name string
+		on   func(t *testing.T, ep Endpoint) Endpoint
+	}{
+		{"tcp", func(t *testing.T, ep Endpoint) Endpoint { return ep }},
+		{"mux", func(t *testing.T, ep Endpoint) Endpoint {
+			m := NewMux(ep)
+			t.Cleanup(func() { m.Close() })
+			jep, err := m.Open(7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return jep
+		}},
+	} {
+		t.Run(sub.name, func(t *testing.T) {
+			// Three ranks, one death: the survivors' link keeps rank 0's
+			// endpoint (and the mux pump) alive.
+			eps := newTCPMesh(t, 3)
+			ep := sub.on(t, eps[0])
+			req := ep.Irecv(1, 3)
+			eps[1].(Crasher).Crash()
+			err := awaitWithin(t, context.Background(), ep, req)
+			var pde *PeerDeathError
+			if !errors.As(err, &pde) || pde.Rank != 1 {
+				t.Fatalf("receive from the crashed rank: err %v, want a PeerDeathError naming rank 1", err)
+			}
+		})
+	}
 }
 
 func conformBarrier(t *testing.T, eps []Endpoint) {

@@ -127,4 +127,9 @@ func (e *localEndpoint) Links() []LinkStats {
 // BarrierStats reports how many barriers completed and the total wait.
 func (e *localEndpoint) BarrierStats() BarrierStats { return e.barT.stats() }
 
-func (e *localEndpoint) Close() error { return nil }
+// Close cancels the rank's posted receives and fails later ones, as the
+// other substrates do; the world and the other ranks' endpoints live on.
+func (e *localEndpoint) Close() error {
+	e.mb.fail()
+	return nil
+}

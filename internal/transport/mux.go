@@ -173,7 +173,7 @@ func (m *Mux) OpenOn(job uint32, ranks []int) (*JobEndpoint, error) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		return nil, errClosed
+		return nil, ErrClosed
 	}
 	if _, ok := m.jobs[job]; ok {
 		m.mu.Unlock()
@@ -400,7 +400,7 @@ func (e *JobEndpoint) peerFailed(real int, err error) {
 }
 
 func (e *JobEndpoint) fail() {
-	e.bar.fail(errClosed)
+	e.bar.fail(ErrClosed)
 	e.mb.fail()
 }
 

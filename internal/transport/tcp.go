@@ -27,9 +27,6 @@ type TCPConfig struct {
 	// DialBackoff is the initial delay between dial retries; it doubles up
 	// to 1s. Default 25ms.
 	DialBackoff time.Duration
-	// WriteTimeout bounds each frame write so a wedged peer cannot block a
-	// writer forever. Default 30s.
-	WriteTimeout time.Duration
 	// Reconnect, when positive, turns on transparent link repair: a
 	// connection that breaks without the clean-shutdown bye is redialed
 	// with capped exponential backoff plus jitter for up to this long, and
@@ -53,10 +50,6 @@ type TCPConfig struct {
 	// or heartbeat traffic — arrived from it for this long. Zero takes
 	// 4×HeartbeatInterval; ignored when HeartbeatInterval is zero.
 	HeartbeatTimeout time.Duration
-	// UnackedWindow bounds the frames retained per link for re-send while
-	// Reconnect is on; overflowing it (acks not arriving for a whole
-	// window) fails the link as dead. Default 4096.
-	UnackedWindow int
 	// Logf, when non-nil, receives diagnostic messages (dropped stray
 	// connections, write failures, link repairs).
 	Logf func(format string, args ...any)
@@ -69,17 +62,11 @@ func (cfg TCPConfig) withDefaults() TCPConfig {
 	if cfg.DialBackoff <= 0 {
 		cfg.DialBackoff = 25 * time.Millisecond
 	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 30 * time.Second
-	}
 	if cfg.ReconnectBackoff <= 0 {
 		cfg.ReconnectBackoff = 10 * time.Millisecond
 	}
 	if cfg.HeartbeatInterval > 0 && cfg.HeartbeatTimeout <= 0 {
 		cfg.HeartbeatTimeout = 4 * cfg.HeartbeatInterval
-	}
-	if cfg.UnackedWindow <= 0 {
-		cfg.UnackedWindow = 4096
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -87,11 +74,18 @@ func (cfg TCPConfig) withDefaults() TCPConfig {
 	return cfg
 }
 
-var errClosed = errors.New("transport: endpoint closed")
-
-// ackEvery is the acknowledgement cadence of a reconnect-enabled receiver:
-// one cumulative FrameAck per this many received frames.
-const ackEvery = 32
+const (
+	// writeTimeout bounds each frame write so a wedged peer cannot block a
+	// writer forever.
+	writeTimeout = 30 * time.Second
+	// unackedWindow bounds the frames retained per link for re-send while
+	// Reconnect is on; overflowing it (acks not arriving for a whole window)
+	// fails the link as dead.
+	unackedWindow = 4096
+	// ackEvery is the acknowledgement cadence of a reconnect-enabled
+	// receiver: one cumulative FrameAck per this many received frames.
+	ackEvery = 32
+)
 
 // framePool recycles outbound data-frame buffers: Isend fills one per
 // message and the peer's writer goroutine returns it once the bytes are on
@@ -132,12 +126,10 @@ func DialTCP(cfg TCPConfig) (Endpoint, error) {
 		size:         size,
 		ln:           ln,
 		peerAddrs:    append([]string(nil), cfg.Peers...),
-		writeTimeout: cfg.WriteTimeout,
 		reconnect:    cfg.Reconnect,
 		reconBackoff: cfg.ReconnectBackoff,
 		hbInterval:   cfg.HeartbeatInterval,
 		hbTimeout:    cfg.HeartbeatTimeout,
-		window:       cfg.UnackedWindow,
 		logf:         cfg.Logf,
 		mb:           newMailbox(size),
 		bar:          newBarrierState(cfg.Rank, size),
@@ -239,7 +231,7 @@ func (ep *tcpEndpoint) dialPeer(j int, addr string, backoff time.Duration, deadl
 		}
 		conn, err := net.DialTimeout("tcp", addr, attempt)
 		if err == nil {
-			conn.SetWriteDeadline(time.Now().Add(ep.writeTimeout))
+			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 			err = WriteFrame(conn, Frame{Type: FrameHello, Rank: ep.rank})
 			conn.SetWriteDeadline(time.Time{})
 			if err == nil {
@@ -278,12 +270,10 @@ type tcpEndpoint struct {
 	rank, size   int
 	ln           net.Listener
 	peerAddrs    []string
-	writeTimeout time.Duration
 	reconnect    time.Duration
 	reconBackoff time.Duration
 	hbInterval   time.Duration
 	hbTimeout    time.Duration
-	window       int
 	logf         func(string, ...any)
 
 	mb  *mailbox
@@ -486,7 +476,7 @@ func (ep *tcpEndpoint) armDeadVerdict(src int, cause error) {
 func (ep *tcpEndpoint) sendAck(src int, conn net.Conn) {
 	var payload [8]byte
 	binary.BigEndian.PutUint64(payload[:], uint64(ep.rxCnt[src].Load()))
-	conn.SetWriteDeadline(time.Now().Add(ep.writeTimeout))
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	WriteFrame(conn, Frame{Type: FrameAck, Rank: ep.rank, Payload: payload[:]})
 	conn.SetWriteDeadline(time.Time{})
 }
@@ -617,7 +607,7 @@ func (ep *tcpEndpoint) writeLoop(dst int, p *peerLink) {
 		p.mu.Unlock()
 		for i := 0; i < len(batch); i++ {
 			b := batch[i]
-			conn.SetWriteDeadline(time.Now().Add(ep.writeTimeout))
+			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 			if _, err := conn.Write(b.data); err != nil {
 				if ep.reconnect > 0 && !ep.closed.Load() && !p.isStopped() {
 					if c, ok := ep.redial(dst, p, conn); ok {
@@ -630,8 +620,8 @@ func (ep *tcpEndpoint) writeLoop(dst int, p *peerLink) {
 				ep.dropLink(dst, p, err)
 				return
 			}
-			if !p.recordWrite(b, ep.reconnect > 0, ep.window) {
-				ep.dropLink(dst, p, fmt.Errorf("unacked window overflow (%d frames, no acks)", ep.window))
+			if !p.recordWrite(b, ep.reconnect > 0, unackedWindow) {
+				ep.dropLink(dst, p, fmt.Errorf("unacked window overflow (%d frames, no acks)", unackedWindow))
 				return
 			}
 		}
@@ -712,7 +702,7 @@ func (ep *tcpEndpoint) redial(dst int, p *peerLink, old net.Conn) (net.Conn, boo
 // suffix of the unacked window it never received; that suffix is re-sent
 // before regular queue traffic continues.
 func (ep *tcpEndpoint) resume(dst int, p *peerLink, conn net.Conn) error {
-	conn.SetWriteDeadline(time.Now().Add(ep.writeTimeout))
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if err := WriteFrame(conn, Frame{Type: FrameHello, Rank: ep.rank}); err != nil {
 		return fmt.Errorf("re-hello: %w", err)
 	}
@@ -728,7 +718,7 @@ func (ep *tcpEndpoint) resume(dst int, p *peerLink, conn net.Conn) error {
 	}
 	p.ackTo(int64(binary.BigEndian.Uint64(f.Payload)))
 	for _, b := range p.unacked() {
-		conn.SetWriteDeadline(time.Now().Add(ep.writeTimeout))
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if _, err := conn.Write(b.data); err != nil {
 			return fmt.Errorf("window re-send: %w", err)
 		}
@@ -853,7 +843,7 @@ func (ep *tcpEndpoint) Crash() {
 		c.Close()
 	}
 	ep.helloCond.Broadcast()
-	ep.bar.fail(errClosed)
+	ep.bar.fail(ErrClosed)
 	ep.mb.fail()
 }
 
@@ -894,7 +884,7 @@ func (ep *tcpEndpoint) Close() error {
 		}
 		ep.helloCond.Broadcast()
 		ep.wg.Wait()
-		ep.bar.fail(errClosed)
+		ep.bar.fail(ErrClosed)
 		ep.mb.fail()
 	})
 	return nil
@@ -970,7 +960,7 @@ func (p *peerLink) stop() {
 // closes mid-stream — the Crash primitive's per-link half.
 func (p *peerLink) abort() {
 	p.mu.Lock()
-	p.err = errClosed
+	p.err = ErrClosed
 	p.q = nil
 	conn := p.conn
 	p.mu.Unlock()

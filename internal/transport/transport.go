@@ -15,6 +15,8 @@
 package transport
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 )
@@ -22,6 +24,24 @@ import (
 // Any is the wildcard for Irecv's source or tag (MPI_ANY_SOURCE /
 // MPI_ANY_TAG).
 const Any = -1
+
+// Tags reserved for the exchanges a mesh makes outside a run. The runtime
+// numbers a run's channel tags consecutively from 0 within each ordered pair
+// of ranks, one per inter-node channel, so a run would need sixteen million
+// channels between one pair to reach these (the service admits a task graph
+// of 4 Mi kernels at most) — and no proxy is receiving when they are used:
+// the upload precedes the run, and the run ends with a barrier.
+const (
+	// UploadTag carries a rank's rows of an uploaded matrix on the job
+	// session, before the run.
+	UploadTag = 1<<24 - 2
+	// TraceGatherTag carries one trace shard per rank to rank 0.
+	TraceGatherTag = 1<<24 - 1
+	// GatherTagBase keys the result gather: the array's i-th declared output
+	// travels under GatherTagBase+i, a rank's input Gram under the tag after
+	// the last output.
+	GatherTagBase = 1 << 24
+)
 
 // PeerDeathError reports that one peer rank of the communicator is gone —
 // its process exited, its connection broke past the reconnect budget, or
@@ -157,6 +177,33 @@ type Request interface {
 	Source() int
 	// Tag returns the matched tag of a completed receive.
 	Tag() int
+}
+
+// ErrClosed fails the barrier of an endpoint closed under it, and is Await's
+// verdict on a receive that ended unmatched with the context live and no
+// peer recorded dead.
+var ErrClosed = errors.New("transport: endpoint closed")
+
+// Await blocks until req, a receive posted on ep, completes, and says why
+// when it did not: nil for a completed receive, else context.Cause(ctx) when
+// the context ended the wait, else the first peer death ep recorded (a
+// *PeerDeathError), else ErrClosed.
+func Await(ctx context.Context, ep Endpoint, req Request) error {
+	stop := context.AfterFunc(ctx, func() { req.Cancel() })
+	req.Wait()
+	stop()
+	if !req.Canceled() {
+		return nil
+	}
+	if ctx.Err() != nil {
+		return context.Cause(ctx)
+	}
+	if fo, ok := ep.(FailureObserver); ok {
+		if err := fo.PeerFailure(); err != nil {
+			return err
+		}
+	}
+	return ErrClosed
 }
 
 // Endpoint is one rank's attachment to the communicator: the six-call

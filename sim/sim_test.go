@@ -51,9 +51,12 @@ func TestPublicScaLAPACKModel(t *testing.T) {
 	}
 }
 
+// Fig. 10's second point, 92160×4608 on its 9216 cores: the smallest of the
+// Fig. 10/11 points at which hierarchical wins (at 23040 rows flat does), a
+// quarter of the task graph of Fig. 11's 368640 rows.
 func TestAutotunePicksHierarchicalAtScale(t *testing.T) {
-	mach := sim.Kraken(160) // 1920 cores
-	opts, res := sim.Autotune(368640, 4608, mach)
+	mach := sim.Kraken(768)
+	opts, res := sim.Autotune(92160, 4608, mach)
 	if opts.Tree != pulsarqr.Hierarchical {
 		t.Fatalf("autotune picked %v; the paper's regime favors hierarchical", opts.Tree)
 	}
@@ -61,7 +64,7 @@ func TestAutotunePicksHierarchicalAtScale(t *testing.T) {
 		t.Fatalf("bad result %+v", res)
 	}
 	// The winner must beat the flat tree it rejected.
-	flat := sim.Run(368640, 4608, pulsarqr.Options{NB: opts.NB, IB: opts.IB, Tree: pulsarqr.Flat},
+	flat := sim.Run(92160, 4608, pulsarqr.Options{NB: opts.NB, IB: opts.IB, Tree: pulsarqr.Flat},
 		mach, sim.Systolic)
 	if res.Gflops <= flat.Gflops {
 		t.Fatal("autotune winner does not beat flat")
