@@ -3,7 +3,7 @@
 GO ?= go
 BIN ?= bin
 
-.PHONY: all build test race loc fuzz chaos-smoke cover-transport cover-plan bench-smoke bench-stack bench-stack-check bench-kernels bench-kernels-check bench-kernels-update launch-smoke serve-smoke trace-smoke batch-smoke session-smoke plan-smoke vet clean
+.PHONY: all build test race loc fuzz chaos-smoke cover-transport cover-plan bench-smoke bench-stack bench-stack-check bench-kernels bench-kernels-check bench-kernels-update profile-factor launch-smoke serve-smoke trace-smoke batch-smoke session-smoke plan-smoke vet clean
 
 all: build
 
@@ -103,7 +103,7 @@ bench-stack-check:
 # gate watches the shape the library runs.
 BENCH_TIME ?= 200ms
 BENCH_COUNT ?= 5
-BENCH_BLAS = BenchmarkGemm|BenchmarkTrmm|BenchmarkD(dot|axpy|nrm2x|gemvT|ger)
+BENCH_BLAS = BenchmarkGemm|BenchmarkTrmm|BenchmarkPack|BenchmarkD(dot|axpy|nrm2x|gemvT|ger)
 BENCH_TILE = BenchmarkD(geqrt|tsqrt|ttqrt|ormqr|tsmqr|ttmqr)$$
 bench-kernels:
 	$(GO) test -run '^$$' -bench '$(BENCH_BLAS)' -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) ./internal/blas
@@ -124,6 +124,16 @@ bench-kernels-update:
 	@$(MAKE) --no-print-directory bench-kernels > bench-fresh.txt && \
 	$(GO) run ./scripts/benchcheck -update -baseline BENCH_kernels.json bench-fresh.txt; \
 	rc=$$?; rm -f bench-fresh.txt; exit $$rc
+
+# The CPU profile kernel issues quote: BenchmarkFactor is the op of the
+# factor_tall / factor_square workloads (pulsarqr.Factor at DefaultOptions,
+# 2 threads, then R()), profiled for 5 s. SHAPE=tall|square; the profile
+# and the test binary stay behind as factor-$(SHAPE).prof / factor.test
+# (both gitignored) for `go tool pprof -list`.
+SHAPE ?= tall
+profile-factor:
+	$(GO) test -run '^$$' -bench 'BenchmarkFactor/$(SHAPE)' -benchtime 5s -cpuprofile factor-$(SHAPE).prof -o factor.test .
+	$(GO) tool pprof -top -nodecount 15 factor.test factor-$(SHAPE).prof
 
 # Multi-process runs over local TCP, checked elementwise against the
 # sequential reference: the old 64/16 tile stated explicitly, the default

@@ -13,6 +13,7 @@ package pulsarqr
 //	go test -bench=SectionVIA .   # §VI-A baseline comparison
 //	go test -bench=Ablation .     # nb/h/scheduling ablations
 //	go test -bench=Real .         # real runs on this host
+//	make profile-factor           # CPU profile of the factor_* workloads' op
 
 import (
 	"fmt"
@@ -253,8 +254,9 @@ func BenchmarkRealTreeComparison(b *testing.B) {
 			var gf float64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				a := matrix.FromDense(RandomMatrix(m, n, 23), 128)
-				o := qr.Options{NB: 128, IB: 32, Tree: tc.tree, H: tc.h}
+				o := qr.DefaultOptions()
+				o.Tree, o.H = tc.tree, tc.h
+				a := matrix.FromDense(RandomMatrix(m, n, 23), o.NB)
 				rc := qr.RunConfig{Nodes: 1, Threads: threads}
 				b.StartTimer()
 				start := testingClock()
@@ -275,8 +277,8 @@ func BenchmarkEngines(b *testing.B) {
 	for _, e := range []Engine{Sequential, Systolic, TaskSuperscalar} {
 		b.Run(e.String(), func(b *testing.B) {
 			a := RandomMatrix(4096, 256, 3)
-			opts := Options{NB: 128, IB: 32, Tree: Hierarchical, H: 4,
-				Engine: e, Nodes: 1, Threads: threads}
+			opts := DefaultOptions()
+			opts.Engine, opts.Threads = e, threads
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := Factor(a, opts); err != nil {
@@ -286,3 +288,35 @@ func BenchmarkEngines(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFactor is the op of the stack benchmark's factor_tall and
+// factor_square workloads and nothing else — pulsarqr.Factor at
+// DefaultOptions on one node and two threads, then R() — so that `make
+// profile-factor` profiles what those workloads time.
+func BenchmarkFactor(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		m, n int
+	}{
+		{"tall", 8192, 256},
+		{"square", 2048, 1024},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			a := RandomMatrix(tc.m, tc.n, 1)
+			opts := DefaultOptions()
+			opts.Nodes, opts.Threads = 1, 2
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f, err := Factor(a, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkR = f.R()
+			}
+			b.ReportMetric(kernels.FlopsQR(tc.m, tc.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop/s")
+		})
+	}
+}
+
+var sinkR *Matrix

@@ -195,3 +195,126 @@ func FuzzDgemmBlocked(f *testing.F) {
 		}
 	})
 }
+
+// TestDgemmBlockedHardInputs takes the blocked engine — packing, the
+// micro-kernels, the ragged-edge fold — through the panel applies' products
+// at the default tile (W += V2ᵀ·C2 is TN 24×168×192, C2 -= V2·W is NN
+// 192×168×24) and a ragged neighbour, on operands the well-conditioned
+// sweeps above never hold. Finite hard values (denormals, ±1e150 and 1e-150
+// scales, ±0) must agree with dgemmScalar to the differential tolerance,
+// scaled by the magnitudes that entered each sum; NaN and ±Inf, in operands
+// with no exact zero, must come out in exactly the same places. With an
+// exact zero the two engines legitimately differ — see the last block.
+func TestDgemmBlockedHardInputs(t *testing.T) {
+	type shape struct {
+		transA  bool
+		m, n, k int
+	}
+	shapes := []shape{{true, 24, 168, 192}, {false, 192, 168, 24}, {true, 23, 61, 187}, {false, 23, 61, 187}}
+	den := math.SmallestNonzeroFloat64
+	finiteHard := []float64{den, -den * 3, den * (1 << 30), 1e150, -1e150, 1e-150, 0, math.Copysign(0, -1)}
+	nonFinite := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	const alpha = 1.25
+	// operands returns A and B, one entry in oneIn drawn from specials and no
+	// other exactly zero, and C.
+	operands := func(rng *rand.Rand, sh shape, specials []float64, oneIn int) (a, b, c []float64, lda, ldb, ldc int) {
+		ar, ac := sh.m, sh.k
+		if sh.transA {
+			ar, ac = sh.k, sh.m
+		}
+		lda, ldb, ldc = ar+3, sh.k+1, sh.m+2
+		a, b, c = colMajor(rng, ar, ac, lda), colMajor(rng, sh.k, sh.n, ldb), colMajor(rng, sh.m, sh.n, ldc)
+		for _, op := range [][]float64{a, b} {
+			for i := range op {
+				if op[i] == 0 {
+					op[i] = 0.5
+				}
+				if len(specials) > 0 && rng.Intn(oneIn) == 0 {
+					op[i] = specials[rng.Intn(len(specials))]
+				}
+			}
+		}
+		return
+	}
+	at := func(a []float64, lda int, trans bool, i, l int) float64 {
+		if trans {
+			return a[l+i*lda]
+		}
+		return a[i+l*lda]
+	}
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(37))
+		for _, sh := range shapes {
+			if !useBlocked(sh.m, sh.n, sh.k) {
+				t.Fatalf("shape %+v does not reach the blocked engine", sh)
+			}
+			a, b, c, lda, ldb, ldc := operands(rng, sh, finiteHard, 16)
+			want := append([]float64(nil), c...)
+			dgemmScalar(sh.transA, false, sh.m, sh.n, sh.k, alpha, a, lda, b, ldb, 1, want, ldc)
+			Dgemm(sh.transA, false, sh.m, sh.n, sh.k, alpha, a, lda, b, ldb, 1, c, ldc)
+			for j := 0; j < sh.n; j++ {
+				for i := 0; i < sh.m; i++ {
+					mag := math.Abs(want[i+j*ldc])
+					for l := 0; l < sh.k; l++ {
+						mag += math.Abs(alpha * at(a, lda, sh.transA, i, l) * b[l+j*ldb])
+					}
+					got, w := c[i+j*ldc], want[i+j*ldc]
+					if d := math.Abs(got - w); !(d <= 1e-13*float64(sh.k+4)*math.Max(1, mag)) {
+						t.Fatalf("%s %+v finite hard values: C(%d,%d) = %v, scalar %v", kp.name, sh, i, j, got, w)
+					}
+				}
+			}
+			checkPadding(t, c, sh.m, sh.n, ldc, "C")
+
+			// Sparse enough that finite, infinite and NaN entries of C all occur.
+			a, b, c, lda, ldb, ldc = operands(rng, sh, nonFinite, 512)
+			want = append(want[:0], c...)
+			dgemmScalar(sh.transA, false, sh.m, sh.n, sh.k, alpha, a, lda, b, ldb, 1, want, ldc)
+			Dgemm(sh.transA, false, sh.m, sh.n, sh.k, alpha, a, lda, b, ldb, 1, c, ldc)
+			var finite, inf, nan int
+			for j := 0; j < sh.n; j++ {
+				for i := 0; i < sh.m; i++ {
+					got, w := c[i+j*ldc], want[i+j*ldc]
+					if !same(got, w, 1e-13*float64(sh.k+4)) {
+						t.Fatalf("%s %+v NaN/Inf operands: C(%d,%d) = %v, scalar %v", kp.name, sh, i, j, got, w)
+					}
+					switch {
+					case math.IsNaN(w):
+						nan++
+					case math.IsInf(w, 0):
+						inf++
+					default:
+						finite++
+					}
+				}
+			}
+			if finite == 0 || inf == 0 || nan == 0 {
+				t.Fatalf("%s %+v: C has %d finite, %d infinite, %d NaN entries; the placement check wants all three kinds",
+					kp.name, sh, finite, inf, nan)
+			}
+			checkPadding(t, c, sh.m, sh.n, ldc, "C")
+		}
+
+		// The documented difference (KERNELS.md §7): dgemmScalar's
+		// no-transpose loop skips a k-step whose alpha·b is zero, so a NaN
+		// in the matching column of A never reaches C; the packed engine
+		// multiplies it out and 0·NaN = NaN lands in C. Both are legal
+		// BLAS, and which one runs depends on the shape alone.
+		sh := shape{false, 192, 168, 24}
+		a, b, c, lda, ldb, ldc := operands(rng, sh, nil, 0)
+		const row, step = 77, 13
+		a[row+step*lda] = math.NaN()
+		for j := 0; j < sh.n; j++ {
+			b[step+j*ldb] = 0
+		}
+		want := append([]float64(nil), c...)
+		dgemmScalar(false, false, sh.m, sh.n, sh.k, alpha, a, lda, b, ldb, 1, want, ldc)
+		Dgemm(false, false, sh.m, sh.n, sh.k, alpha, a, lda, b, ldb, 1, c, ldc)
+		for j := 0; j < sh.n; j++ {
+			if got, w := c[row+j*ldc], want[row+j*ldc]; !math.IsNaN(got) || math.IsNaN(w) {
+				t.Fatalf("%s zero-skip: C(%d,%d) = %v on the packed engine (want NaN), %v on the scalar loops (want finite)",
+					kp.name, row, j, got, w)
+			}
+		}
+	})
+}

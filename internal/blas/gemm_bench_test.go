@@ -50,3 +50,41 @@ func benchTrmmLeft(b *testing.B, trans bool, k, n int) {
 func BenchmarkTrmmLeft48x192(b *testing.B)  { benchTrmmLeft(b, false, 48, 192) }
 func BenchmarkTrmmLeftT48x192(b *testing.B) { benchTrmmLeft(b, true, 48, 192) }
 func BenchmarkTrmmLeft192x192(b *testing.B) { benchTrmmLeft(b, false, 192, 192) }
+
+// The packs behind the panel kernels' ib-thin products at the default tile
+// (192/24), timed alone: what the fused apply packs per inner block (a
+// 192×192 slab of C2), its W and W2 operands (24×192), and what an uncached
+// applyTS or a panel-cache fill packs of V2 (24×192 transposed, 192×24
+// plain). MB/s counts the elements moved once.
+func benchPackB(b *testing.B, kc, nc int) {
+	rng := rand.New(rand.NewSource(3))
+	src := colMajor(rng, kc, nc, kc)
+	dst := make([]float64, scratchBP)
+	b.SetBytes(int64(8 * kc * nc))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		packB(dst, false, src, kc, -1, 0, 0, kc, nc)
+	}
+}
+
+func benchPackA(b *testing.B, trans bool, mc, kc int) {
+	rng := rand.New(rand.NewSource(4))
+	lda := mc
+	if trans {
+		lda = kc
+	}
+	src := colMajor(rng, lda, mc+kc-lda, lda)
+	dst := make([]float64, scratchAP)
+	b.SetBytes(int64(8 * mc * kc))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		packA(dst, trans, src, lda, 0, 0, mc, kc)
+	}
+}
+
+func BenchmarkPackBN192x192(b *testing.B) { benchPackB(b, 192, 192) }
+func BenchmarkPackBN24x192(b *testing.B)  { benchPackB(b, 24, 192) }
+func BenchmarkPackAT24x192(b *testing.B)  { benchPackA(b, true, 24, 192) }
+func BenchmarkPackAN192x24(b *testing.B)  { benchPackA(b, false, 192, 24) }

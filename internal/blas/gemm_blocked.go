@@ -108,7 +108,35 @@ func macroKernel(ap, bp []float64, mc, nc, kc int, c []float64, ldc int) {
 // rows [ir, ir+MR) with the MR row values of each k-step contiguous, so the
 // micro-kernel loads them as vectors. The last panel is zero-padded to a
 // full MR rows.
+//
+// Packing dispatches the way level 1 does (level1.go). On a level with
+// assembly bodies every full panel is one of two moves: rows that are
+// contiguous in storage (packA non-transposed, packB transposed) go through
+// rowsFast, rows that run across stored columns (packA transposed, packB
+// non-transposed) through transposeFast. packAScalar and packBScalar are the
+// portable path: what `noasm` and non-amd64 builds run, what the ragged last
+// panel and its zero padding run on every level, and the oracle pack_test.go
+// holds the rest to. It is data movement either way (alpha·x is one IEEE
+// multiply in both, and packA's alpha is 1), so the packed bytes do not
+// depend on the route.
 func packA(dst []float64, trans bool, a []float64, lda, i0, p0, mc, kc int) {
+	mr := kp.mr
+	full := 0 // rows in the full panels taken off the Go loops
+	if vectorBodies() {
+		full = mc / mr * mr
+	}
+	for ir := 0; ir < full; ir += mr {
+		panel := dst[ir*kc : ir*kc+mr*kc]
+		if trans {
+			transposeFast(panel, mr, 1, a, p0+(i0+ir)*lda, lda, kc)
+		} else {
+			rowsFast(panel, mr, 1, a, (i0+ir)+p0*lda, lda, kc)
+		}
+	}
+	packAScalar(dst[full*kc:], trans, a, lda, i0+full, p0, mc-full, kc)
+}
+
+func packAScalar(dst []float64, trans bool, a []float64, lda, i0, p0, mc, kc int) {
 	mr := kp.mr
 	for ir := 0; ir < mc; ir += mr {
 		rows := min(mr, mc-ir)
@@ -149,6 +177,23 @@ func packA(dst []float64, trans bool, a []float64, lda, i0, p0, mc, kc int) {
 // alpha here multiplies each element once instead of once per use.
 func packB(dst []float64, trans bool, b []float64, ldb int, alpha float64, p0, j0, kc, nc int) {
 	nr := kp.nr
+	full := 0 // columns in the full panels taken off the Go loops
+	if vectorBodies() {
+		full = nc / nr * nr
+	}
+	for jr := 0; jr < full; jr += nr {
+		panel := dst[jr*kc : jr*kc+nr*kc]
+		if trans {
+			rowsFast(panel, nr, alpha, b, (j0+jr)+p0*ldb, ldb, kc)
+		} else {
+			transposeFast(panel, nr, alpha, b, p0+(j0+jr)*ldb, ldb, kc)
+		}
+	}
+	packBScalar(dst[full*kc:], trans, b, ldb, alpha, p0, j0+full, kc, nc-full)
+}
+
+func packBScalar(dst []float64, trans bool, b []float64, ldb int, alpha float64, p0, j0, kc, nc int) {
+	nr := kp.nr
 	for jr := 0; jr < nc; jr += nr {
 		cols := min(nr, nc-jr)
 		panel := dst[jr*kc : jr*kc+nr*kc]
@@ -177,6 +222,19 @@ func packB(dst []float64, trans bool, b []float64, ldb int, alpha float64, p0, j
 					d[j] = 0
 				}
 			}
+		}
+	}
+}
+
+// transposeScalar is the Go form of the transposing pack over columns
+// [j0, j1) and rows [p0, kc) of one width-w panel whose first column starts
+// at src[off]: what transposeFast runs for the rows its vector bodies do not
+// cover.
+func transposeScalar(panel []float64, w, j0, j1 int, alpha float64, src []float64, off, ld, p0, kc int) {
+	for j := j0; j < j1; j++ {
+		col := src[off+j*ld : off+j*ld+kc]
+		for p := p0; p < kc; p++ {
+			panel[p*w+j] = alpha * col[p]
 		}
 	}
 }

@@ -17,15 +17,16 @@ import "math"
 // forceKernel and PULSARQR_MICROKERNEL switch them together with Dgemm).
 // The *Scalar functions are the portable path: what `noasm` and non-amd64
 // builds run, what strided calls run, and the oracle the differential tests
-// hold the vector bodies to — the role dgemmScalar plays for Dgemm.
-func vectorLevel1() bool { return kp.level != levelGeneric }
+// hold the vector bodies to — the role dgemmScalar plays for Dgemm. Packing
+// (gemm_blocked.go) asks the same question of the level.
+func vectorBodies() bool { return kp.level != levelGeneric }
 
 // Ddot returns xᵀy over n elements with increments incX, incY.
 func Ddot(n int, x []float64, incX int, y []float64, incY int) float64 {
 	if n <= 0 {
 		return 0
 	}
-	if incX == 1 && incY == 1 && vectorLevel1() {
+	if incX == 1 && incY == 1 && vectorBodies() {
 		return dotFast(x[:n], y[:n])
 	}
 	return ddotScalar(n, x, incX, y, incY)
@@ -64,7 +65,7 @@ func Dnrm2(n int, x []float64, incX int) float64 {
 	if n <= 0 {
 		return 0
 	}
-	if incX == 1 && vectorLevel1() {
+	if incX == 1 && vectorBodies() {
 		// One vector pass; the scaled loop below only runs for the inputs
 		// that need it (huge, tiny, zero, NaN or Inf entries).
 		if ssq := dotFast(x[:n], x[:n]); ssq > nrm2SafeMin && ssq < nrm2SafeMax {
@@ -100,7 +101,7 @@ func Daxpy(n int, alpha float64, x []float64, incX int, y []float64, incY int) {
 	if n <= 0 || alpha == 0 {
 		return
 	}
-	if incX == 1 && incY == 1 && vectorLevel1() {
+	if incX == 1 && incY == 1 && vectorBodies() {
 		axpyFast(alpha, x[:n], y[:n])
 		return
 	}
@@ -128,7 +129,7 @@ func Dscal(n int, alpha float64, x []float64, incX int) {
 	if n <= 0 {
 		return
 	}
-	if incX == 1 && vectorLevel1() {
+	if incX == 1 && vectorBodies() {
 		scalFast(alpha, x[:n])
 		return
 	}

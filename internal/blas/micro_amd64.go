@@ -68,6 +68,79 @@ func scalFast(alpha float64, x []float64) {
 	dscalAVX2(len(x), alpha, &x[0])
 }
 
+// Transposing pack bodies: dst[p·stride+j] = alpha·src[p+j·ld] over 8, 4 or
+// 2 stored columns and nblk ≥ 1 full blocks of 8 or 4 rows.
+//
+//go:noescape
+func packT8x8AVX512(nblk int, alpha float64, src *float64, ld int, dst *float64, stride int)
+
+//go:noescape
+func packT4x4AVX2(nblk int, alpha float64, src *float64, ld int, dst *float64, stride int)
+
+//go:noescape
+func packT2x4AVX2(nblk int, alpha float64, src *float64, ld int, dst *float64, stride int)
+
+// transposeFast packs one full panel of width w — the active level's MR or
+// NR — from w stored columns of kc elements, the first starting at src[off]:
+// panel[p·w+j] = alpha·src[off+p+j·ld]. The columns are taken in runs the
+// vector bodies serve (12 = 8+4 and 8 on the AVX-512 level, 8 = 4+4 and
+// 6 = 4+2 on the AVX2 level); each body covers the full row blocks of its run
+// and transposeScalar the kc mod 8 or mod 4 rows left. Every column is
+// re-sliced to its kc elements and the panel to its w·kc first, so a short
+// operand panics here in Go and the bodies touch nothing the Go loops would
+// not have.
+func transposeFast(panel []float64, w int, alpha float64, src []float64, off, ld, kc int) {
+	panel = panel[:w*kc]
+	for j := 0; j < w; j++ {
+		_ = src[off+j*ld : off+j*ld+kc]
+	}
+	if kc == 0 {
+		return
+	}
+	for j := 0; j < w; {
+		var cw, kv int // columns in this run, rows its vector body covers
+		s, d := &src[off+j*ld], &panel[j]
+		switch {
+		case kp.level == levelAVX512 && w-j >= 8:
+			if cw, kv = 8, kc&^7; kv > 0 {
+				packT8x8AVX512(kv/8, alpha, s, ld, d, w)
+			}
+		case w-j >= 4:
+			if cw, kv = 4, kc&^3; kv > 0 {
+				packT4x4AVX2(kv/4, alpha, s, ld, d, w)
+			}
+		default:
+			if cw, kv = 2, kc&^3; kv > 0 {
+				packT2x4AVX2(kv/4, alpha, s, ld, d, w)
+			}
+		}
+		if kv < kc {
+			transposeScalar(panel, w, j, j+cw, alpha, src, off, ld, kv, kc)
+		}
+		j += cw
+	}
+}
+
+// Contiguous pack body: dst[p·w+i] = alpha·src[i+p·ld] over kc ≥ 1 rows of
+// w ∈ {6, 8, 12} elements.
+//
+//go:noescape
+func packRowsAVX2(kc int, alpha float64, src *float64, ld int, dst *float64, w int)
+
+// rowsFast packs one full panel of width w — the active level's MR or NR —
+// whose rows are contiguous in storage: panel[p·w+i] = alpha·src[off+i+p·ld].
+// Row offsets are monotonic in p, so slicing the first and the last row
+// bounds them all.
+func rowsFast(panel []float64, w int, alpha float64, src []float64, off, ld, kc int) {
+	panel = panel[:w*kc]
+	if kc == 0 {
+		return
+	}
+	_ = src[off : off+w]
+	_ = src[off+(kc-1)*ld : off+(kc-1)*ld+w]
+	packRowsAVX2(kc, alpha, &src[off], ld, &panel[0], w)
+}
+
 // cpuidx executes CPUID with the given leaf/subleaf.
 //
 //go:noescape

@@ -646,3 +646,233 @@ zscaltail:
 zscaldone:
 	VZEROUPPER
 	RET
+
+// Transposing pack bodies. Each reads a run of stored columns of a
+// column-major operand (column j at src + j·ld) over nblk full row blocks
+// and writes them transposed and scaled into a packed panel:
+// dst[p·stride + j] = alpha·src[p + j·ld], stride being the panel's MR or
+// NR. nblk ≥ 1 is the caller's contract and the Go wrapper (transposeFast)
+// has already bounds-checked every column and the panel. Loads cover whole
+// row blocks only and stores whole rows of the run only, so nothing outside
+// what the Go loops read and write is touched; ld, stride in elements.
+
+// func packT8x8AVX512(nblk int, alpha float64, src *float64, ld int, dst *float64, stride int)
+//
+// 8 columns × 8 rows per block: eight alpha-folding loads (Z0–Z7 = one
+// column each), VUNPCK{L,H}PD pairs neighbouring columns within 128-bit
+// lanes, two rounds of VSHUFF64X2 move the lanes into place, eight stores.
+TEXT ·packT8x8AVX512(SB), NOSPLIT, $0-48
+	MOVQ nblk+0(FP), CX
+	VBROADCASTSD alpha+8(FP), Z16
+	MOVQ src+16(FP), SI
+	MOVQ ld+24(FP), AX
+	MOVQ dst+32(FP), DI
+	MOVQ stride+40(FP), BX
+	SHLQ $3, AX              // ld in bytes
+	SHLQ $3, BX              // stride in bytes
+	LEAQ (AX)(AX*2), R8      // 3·ld
+	LEAQ (SI)(AX*4), R9      // column 4
+	LEAQ (BX)(BX*2), R10     // 3·stride
+	LEAQ (DI)(BX*4), R11     // row 4
+	MOVQ BX, R12
+	SHLQ $3, R12             // 8·stride: one block of rows
+
+t8loop:
+	VMULPD (SI), Z16, Z0
+	VMULPD (SI)(AX*1), Z16, Z1
+	VMULPD (SI)(AX*2), Z16, Z2
+	VMULPD (SI)(R8*1), Z16, Z3
+	VMULPD (R9), Z16, Z4
+	VMULPD (R9)(AX*1), Z16, Z5
+	VMULPD (R9)(AX*2), Z16, Z6
+	VMULPD (R9)(R8*1), Z16, Z7
+
+	// Lane k of Z8 is (c0[2k], c1[2k]), of Z9 (c0[2k+1], c1[2k+1]); Z10/Z11
+	// the same for columns 2,3, Z12/Z13 for 4,5, Z14/Z15 for 6,7.
+	VUNPCKLPD Z1, Z0, Z8
+	VUNPCKHPD Z1, Z0, Z9
+	VUNPCKLPD Z3, Z2, Z10
+	VUNPCKHPD Z3, Z2, Z11
+	VUNPCKLPD Z5, Z4, Z12
+	VUNPCKHPD Z5, Z4, Z13
+	VUNPCKLPD Z7, Z6, Z14
+	VUNPCKHPD Z7, Z6, Z15
+
+	// $0x88 gathers lanes 0,2 of each source, $0xDD lanes 1,3.
+	VSHUFF64X2 $0x88, Z10, Z8, Z0    // even rows 0,4 of columns 0–3
+	VSHUFF64X2 $0xDD, Z10, Z8, Z1    // even rows 2,6 of columns 0–3
+	VSHUFF64X2 $0x88, Z14, Z12, Z2   // even rows 0,4 of columns 4–7
+	VSHUFF64X2 $0xDD, Z14, Z12, Z3   // even rows 2,6 of columns 4–7
+	VSHUFF64X2 $0x88, Z11, Z9, Z4    // odd rows 1,5 of columns 0–3
+	VSHUFF64X2 $0xDD, Z11, Z9, Z5    // odd rows 3,7 of columns 0–3
+	VSHUFF64X2 $0x88, Z15, Z13, Z6   // odd rows 1,5 of columns 4–7
+	VSHUFF64X2 $0xDD, Z15, Z13, Z7   // odd rows 3,7 of columns 4–7
+
+	VSHUFF64X2 $0x88, Z2, Z0, Z8     // row 0
+	VSHUFF64X2 $0x88, Z6, Z4, Z9     // row 1
+	VSHUFF64X2 $0x88, Z3, Z1, Z10    // row 2
+	VSHUFF64X2 $0x88, Z7, Z5, Z11    // row 3
+	VSHUFF64X2 $0xDD, Z2, Z0, Z12    // row 4
+	VSHUFF64X2 $0xDD, Z6, Z4, Z13    // row 5
+	VSHUFF64X2 $0xDD, Z3, Z1, Z14    // row 6
+	VSHUFF64X2 $0xDD, Z7, Z5, Z15    // row 7
+
+	VMOVUPD Z8, (DI)
+	VMOVUPD Z9, (DI)(BX*1)
+	VMOVUPD Z10, (DI)(BX*2)
+	VMOVUPD Z11, (DI)(R10*1)
+	VMOVUPD Z12, (R11)
+	VMOVUPD Z13, (R11)(BX*1)
+	VMOVUPD Z14, (R11)(BX*2)
+	VMOVUPD Z15, (R11)(R10*1)
+
+	ADDQ $64, SI
+	ADDQ $64, R9
+	ADDQ R12, DI
+	ADDQ R12, R11
+	DECQ CX
+	JNZ  t8loop
+
+	VZEROUPPER
+	RET
+
+// func packT4x4AVX2(nblk int, alpha float64, src *float64, ld int, dst *float64, stride int)
+//
+// 4 columns × 4 rows per block: four alpha-folding loads, VUNPCK{L,H}PD
+// pairs neighbouring columns within 128-bit lanes, VPERM2F128 joins the
+// low lanes into rows 0,1 and the high lanes into rows 2,3, four stores.
+TEXT ·packT4x4AVX2(SB), NOSPLIT, $0-48
+	MOVQ nblk+0(FP), CX
+	VBROADCASTSD alpha+8(FP), Y15
+	MOVQ src+16(FP), SI
+	MOVQ ld+24(FP), AX
+	MOVQ dst+32(FP), DI
+	MOVQ stride+40(FP), BX
+	SHLQ $3, AX              // ld in bytes
+	SHLQ $3, BX              // stride in bytes
+	LEAQ (AX)(AX*2), R8      // 3·ld
+	LEAQ (BX)(BX*2), R10     // 3·stride
+	LEAQ (BX*4), R12         // 4·stride: one block of rows
+
+t4loop:
+	VMULPD (SI), Y15, Y0
+	VMULPD (SI)(AX*1), Y15, Y1
+	VMULPD (SI)(AX*2), Y15, Y2
+	VMULPD (SI)(R8*1), Y15, Y3
+
+	VUNPCKLPD Y1, Y0, Y4     // c0[0] c1[0] | c0[2] c1[2]
+	VUNPCKHPD Y1, Y0, Y5     // c0[1] c1[1] | c0[3] c1[3]
+	VUNPCKLPD Y3, Y2, Y6     // c2[0] c3[0] | c2[2] c3[2]
+	VUNPCKHPD Y3, Y2, Y7     // c2[1] c3[1] | c2[3] c3[3]
+
+	VPERM2F128 $0x20, Y6, Y4, Y0   // row 0
+	VPERM2F128 $0x20, Y7, Y5, Y1   // row 1
+	VPERM2F128 $0x31, Y6, Y4, Y2   // row 2
+	VPERM2F128 $0x31, Y7, Y5, Y3   // row 3
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, (DI)(BX*1)
+	VMOVUPD Y2, (DI)(BX*2)
+	VMOVUPD Y3, (DI)(R10*1)
+
+	ADDQ $32, SI
+	ADDQ R12, DI
+	DECQ CX
+	JNZ  t4loop
+
+	VZEROUPPER
+	RET
+
+// func packT2x4AVX2(nblk int, alpha float64, src *float64, ld int, dst *float64, stride int)
+//
+// 2 columns × 4 rows per block, the last two columns of NR = 6: after the
+// unpack each 128-bit lane is already one row of the run, stored as such.
+TEXT ·packT2x4AVX2(SB), NOSPLIT, $0-48
+	MOVQ nblk+0(FP), CX
+	VBROADCASTSD alpha+8(FP), Y15
+	MOVQ src+16(FP), SI
+	MOVQ ld+24(FP), AX
+	MOVQ dst+32(FP), DI
+	MOVQ stride+40(FP), BX
+	SHLQ $3, AX              // ld in bytes
+	SHLQ $3, BX              // stride in bytes
+	LEAQ (BX)(BX*2), R10     // 3·stride
+	LEAQ (BX*4), R12         // 4·stride: one block of rows
+
+t2loop:
+	VMULPD (SI), Y15, Y0
+	VMULPD (SI)(AX*1), Y15, Y1
+
+	VUNPCKLPD Y1, Y0, Y2     // row 0 | row 2
+	VUNPCKHPD Y1, Y0, Y3     // row 1 | row 3
+
+	VMOVUPD      X2, (DI)
+	VMOVUPD      X3, (DI)(BX*1)
+	VEXTRACTF128 $1, Y2, (DI)(BX*2)
+	VEXTRACTF128 $1, Y3, (DI)(R10*1)
+
+	ADDQ $32, SI
+	ADDQ R12, DI
+	DECQ CX
+	JNZ  t2loop
+
+	VZEROUPPER
+	RET
+
+// func packRowsAVX2(kc int, alpha float64, src *float64, ld int, dst *float64, w int)
+//
+// The contiguous pack body: row p of a width-w panel is w consecutive stored
+// elements, dst[p·w + i] = alpha·src[i + p·ld], moved as three, two or one
+// and a half YMM for w = 12, 8, 6 (every MR and NR of the assembly levels,
+// which this one body serves). kc ≥ 1; reads and writes exactly w elements
+// per row.
+TEXT ·packRowsAVX2(SB), NOSPLIT, $0-48
+	MOVQ kc+0(FP), CX
+	VBROADCASTSD alpha+8(FP), Y15
+	MOVQ src+16(FP), SI
+	MOVQ ld+24(FP), AX
+	MOVQ dst+32(FP), DI
+	MOVQ w+40(FP), BX
+	SHLQ $3, AX              // ld in bytes
+	CMPQ BX, $12
+	JEQ  rows12
+	CMPQ BX, $8
+	JEQ  rows8
+
+rows6:
+	VMULPD  (SI), Y15, Y0
+	VMULPD  32(SI), X15, X1
+	VMOVUPD Y0, (DI)
+	VMOVUPD X1, 32(DI)
+	ADDQ    AX, SI
+	ADDQ    $48, DI
+	DECQ    CX
+	JNZ     rows6
+	VZEROUPPER
+	RET
+
+rows8:
+	VMULPD  (SI), Y15, Y0
+	VMULPD  32(SI), Y15, Y1
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ    AX, SI
+	ADDQ    $64, DI
+	DECQ    CX
+	JNZ     rows8
+	VZEROUPPER
+	RET
+
+rows12:
+	VMULPD  (SI), Y15, Y0
+	VMULPD  32(SI), Y15, Y1
+	VMULPD  64(SI), Y15, Y2
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	ADDQ    AX, SI
+	ADDQ    $96, DI
+	DECQ    CX
+	JNZ     rows12
+	VZEROUPPER
+	RET

@@ -25,3 +25,15 @@ func dotFast(x, y []float64) float64 { return ddotScalar(len(x), x, 1, y, 1) }
 func axpyFast(alpha float64, x, y []float64) { daxpyScalar(len(x), alpha, x, 1, y, 1) }
 
 func scalFast(alpha float64, x []float64) { dscalScalar(len(x), alpha, x, 1) }
+
+func transposeFast(panel []float64, w int, alpha float64, src []float64, off, ld, kc int) {
+	transposeScalar(panel, w, 0, w, alpha, src, off, ld, 0, kc)
+}
+
+func rowsFast(panel []float64, w int, alpha float64, src []float64, off, ld, kc int) {
+	for p := 0; p < kc; p++ {
+		for i, v := range src[off+p*ld : off+p*ld+w] {
+			panel[p*w+i] = alpha * v
+		}
+	}
+}

@@ -151,3 +151,80 @@ func TestStressMediumHierarchicalMultiNode(t *testing.T) {
 		t.Fatalf("stress residual %v", res)
 	}
 }
+
+// TestHardInputsAtDefaultTile runs the hard cases above again where the
+// library runs: the tests above factor ≤ 60×12 matrices at nb=8/ib=4, whose
+// 8³ products stay far below the blocked Dgemm's threshold, so the packing,
+// the micro-kernels and the fused applies never see them. At DefaultOptions
+// a 960×96 matrix is five tile rows of one 96-column panel: four inner
+// blocks, so the panel kernels' block applies — and the update kernels, when
+// Q is formed — run on the packed engine. The sequential reference and the
+// systolic engine must agree bitwise and meet the bounds the small cases
+// meet.
+func TestHardInputsAtDefaultTile(t *testing.T) {
+	const m, n = 960, 96
+	o := DefaultOptions()
+	rng := rand.New(rand.NewSource(54))
+	scaled := func(s float64) *matrix.Mat {
+		d := matrix.NewRand(m, n, rng)
+		for i := range d.Data {
+			d.Data[i] *= s
+		}
+		return d
+	}
+	orthonormal := func(t *testing.T, q *matrix.Mat) {
+		t.Helper()
+		if diff := matrix.MaxAbsDiff(q.Transpose().Mul(q), matrix.Identity(n)); diff > 1e-12 {
+			t.Fatalf("Q not orthonormal: %v", diff)
+		}
+	}
+	finiteR := func(t *testing.T, d *matrix.Mat, f *Factorization) {
+		r := f.R()
+		for j := 0; j < n; j++ {
+			for i := 0; i <= j; i++ {
+				if v := r.At(i, j); math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("R(%d,%d) = %v", i, j, v)
+				}
+			}
+		}
+		orthonormal(t, f.Q())
+	}
+	const dupFrom, dupTo = 2, 29 // a dependent column in a later inner block
+	dup := matrix.NewRand(m, n, rng)
+	for i := 0; i < m; i++ {
+		dup.Set(i, dupTo, dup.At(i, dupFrom))
+	}
+	for _, tc := range []struct {
+		name  string
+		d     *matrix.Mat
+		check func(t *testing.T, d *matrix.Mat, f *Factorization)
+	}{
+		{"ill-conditioned", hilbertLike(m, n), func(t *testing.T, d *matrix.Mat, f *Factorization) {
+			q := f.Q()
+			if backward := matrix.MaxAbsDiff(q.Mul(f.R()), d) / d.MaxAbs(); backward > 1e-13 {
+				t.Fatalf("backward error %v", backward)
+			}
+			orthonormal(t, q)
+		}},
+		{"scale 1e150", scaled(1e150), finiteR},
+		{"scale 1e-150", scaled(1e-150), finiteR},
+		{"duplicate column", dup, func(t *testing.T, d *matrix.Mat, f *Factorization) {
+			if diff := matrix.MaxAbsDiff(f.Q().Mul(f.R()), d); diff > 1e-12 {
+				t.Fatalf("backward error %v", diff)
+			}
+			if v := math.Abs(f.R().At(dupTo, dupTo)); v > 1e-12 {
+				t.Fatalf("R(%d,%d) = %v for a dependent column", dupTo, dupTo, v)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seq := factorDense(t, tc.d, o)
+			vsa, err := FactorizeVSA(matrix.FromDense(tc.d, o.NB), nil, o, RunConfig{Nodes: 1, Threads: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertFactorizationsEqual(t, seq, vsa)
+			tc.check(t, tc.d, vsa)
+		})
+	}
+}
