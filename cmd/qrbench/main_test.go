@@ -1,0 +1,64 @@
+package main
+
+import (
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// qrbench prints with fmt and exits through log.Fatal, so its tests run the
+// real command: the test binary re-executes itself with this switch set, and
+// TestMain hands the child to main.
+const helperEnv = "QRBENCH_TEST_IS_QRBENCH"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(helperEnv) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// qrbench runs the command with args and returns its exit code and its
+// combined output.
+func qrbench(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), helperEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return exit.ExitCode(), string(out)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 0, string(out)
+}
+
+// The sweep holds the planner's invariant on every shape of its grid, and no
+// line names a tile: the planner chooses tree, h and ranks only.
+func TestPlanSweep(t *testing.T) {
+	t.Parallel()
+	code, out := qrbench(t, "-plan", "-plan-machine", "kraken:16", "-plan-sweep")
+	if code != 0 || !strings.Contains(out, "sweep ok") {
+		t.Fatalf("exit %d:\n%s", code, out)
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, "nb=") {
+			t.Errorf("line names a tile: %q", line)
+		}
+	}
+}
+
+func TestPlanMachineSpecs(t *testing.T) {
+	t.Parallel()
+	if code, out := qrbench(t, "-plan", "-plan-machine", "localhost:2,3"); code != 0 || !strings.Contains(out, "chosen:") {
+		t.Errorf("localhost:2,3: exit %d:\n%s", code, out)
+	}
+	if code, out := qrbench(t, "-plan", "-plan-machine", "bogus"); code == 0 || !strings.Contains(out, `"bogus"`) {
+		t.Errorf("bogus: exit %d, want non-zero naming the spec:\n%s", code, out)
+	}
+}

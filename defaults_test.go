@@ -64,9 +64,10 @@ func TestOneDefaultTileConfiguration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got["plan default candidate"] = cfg{d.Default.NB, d.Default.IB, d.Default.H}
-	shapes := plan.TileShapes()
-	got["plan.TileShapes()[0]"] = cfg{shapes[0].NB, shapes[0].IB, want.h}
+	po := d.Default.Options()
+	got["plan default candidate"] = cfg{po.NB, po.IB, d.Default.H}
+	po = d.Choice.Options()
+	got["plan choice tile"] = cfg{po.NB, po.IB, want.h}
 
 	if !testing.Short() {
 		// The CLIs print their flag defaults in -help ("(default 192)").

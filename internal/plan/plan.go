@@ -1,13 +1,14 @@
 // Package plan closes the loop the ROADMAP calls the trace-driven planner:
 // given a job's shape and a measured machine model, it enumerates candidate
 // algorithm configurations — flat / binary / hierarchical reduction trees
-// with a sweep of the domain height h, an nb/ib tile grid, and rank counts
-// up to the fleet size — scores every candidate by discrete-event simulation
-// of the exact task DAG (internal/simulate), and returns the winner with a
-// scored rationale. The paper fixes h, the tree and the tile sizes by hand
-// (its Fig. 9 is a manual sweep); CAQR-style analyses show the optimum
-// depends on the matrix shape and the network's α–β, which qrserve now
-// measures live (internal/obs), so the sweep can run per job.
+// with a sweep of the domain height h, and rank counts up to the fleet size,
+// all at the library tile (qr.DefaultOptions) — scores every candidate by
+// discrete-event simulation of the exact task DAG (internal/simulate), and
+// returns the winner with a scored rationale. The paper fixes the tile by
+// hand and sweeps the tree and h (its Fig. 9 is a manual sweep); CAQR-style
+// analyses show the optimum depends on the matrix shape and the network's
+// α–β, which qrserve now measures live (internal/obs), so the sweep can run
+// per job.
 //
 // The hand-default configuration is always enumerated and scored first, so
 // the chosen candidate can never simulate slower than the default — and it
@@ -62,11 +63,10 @@ func (s Spec) validate() error {
 }
 
 // Candidate is one scored configuration. The wire shape is flat and
-// self-describing so it can ride job views and the /v1/plan response.
+// self-describing so it can ride job views and the /v1/plan response. Every
+// candidate runs the library tile, so the tile is not part of it.
 type Candidate struct {
-	Tree  string `json:"tree"` // "hierarchical", "flat", "binary"
-	NB    int    `json:"nb"`
-	IB    int    `json:"ib"`
+	Tree  string `json:"tree"`        // "hierarchical", "flat", "binary"
 	H     int    `json:"h,omitempty"` // hierarchical domain height; 0 otherwise
 	Ranks int    `json:"ranks"`       // nodes the job should span
 
@@ -77,15 +77,10 @@ type Candidate struct {
 	Messages        int64   `json:"messages"`
 }
 
-// Options maps the candidate onto the qr layer's configuration.
+// Options maps the candidate onto the qr layer's configuration: the library
+// defaults with the candidate's tree and domain height.
 func (c Candidate) Options() qr.Options {
 	opts := qr.DefaultOptions()
-	if c.NB > 0 {
-		opts.NB = c.NB
-	}
-	if c.IB > 0 {
-		opts.IB = c.IB
-	}
 	if t, err := qr.ParseTree(c.Tree); err == nil {
 		opts.Tree = t
 	}
@@ -98,9 +93,9 @@ func (c Candidate) Options() qr.Options {
 // Describe renders the candidate's configuration as one short token string.
 func (c Candidate) Describe() string {
 	if c.Tree == qr.HierarchicalTree.String() {
-		return fmt.Sprintf("%s h=%d nb=%d ib=%d ranks=%d", c.Tree, c.H, c.NB, c.IB, c.Ranks)
+		return fmt.Sprintf("%s h=%d ranks=%d", c.Tree, c.H, c.Ranks)
 	}
-	return fmt.Sprintf("%s nb=%d ib=%d ranks=%d", c.Tree, c.NB, c.IB, c.Ranks)
+	return fmt.Sprintf("%s ranks=%d", c.Tree, c.Ranks)
 }
 
 // Decision is one planning outcome: the chosen configuration, the
@@ -140,10 +135,13 @@ type Decision struct {
 const MinGain = 1.75
 
 // Config bounds the candidate sweep. The zero value takes the defaults.
+// Every candidate runs the library tile, so every candidate has the same
+// task graph size: the per-candidate cap admits the whole sweep or none of
+// it, and the total budget is a candidate count.
 type Config struct {
-	// MaxTasksPerCandidate skips configurations whose task graph would
-	// exceed this many tasks (a DES of that graph costs the memory of the
-	// graph itself); <= 0 takes MaxTasks.
+	// MaxTasksPerCandidate skips the sweep when the task graph would exceed
+	// this many tasks (a DES of that graph costs the memory of the graph
+	// itself); <= 0 takes MaxTasks.
 	MaxTasksPerCandidate int64
 	// MaxTasksTotal bounds the whole sweep's simulated work, so a planning
 	// call can never become a denial of service; <= 0 takes 24M. The
@@ -156,10 +154,6 @@ type Config struct {
 // candidate — and, for the same reason (the graph is memory: one VDP firing
 // per task), the largest the service admits as a job.
 const MaxTasks = 4 << 20
-
-// DefaultNBGrid is the tile-size sweep, laptop tiles to the paper's
-// 192/240-class tiles; TileShapes derives the inner blocks.
-var DefaultNBGrid = []int{32, 48, 64, 96, 128, 192, 256}
 
 // DefaultHGrid is the hierarchical domain-height sweep: the paper's h sweep
 // (Fig. 9 explores 6 and 12 at Kraken scale; small fleets want smaller
@@ -179,28 +173,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// TileShape is one (nb, ib) pair of the candidate grid.
-type TileShape struct{ NB, IB int }
-
-// TileShapes lists the tile shapes the sweep draws from, the default's own
-// first, then every nb of the grid at the paper's ratio ib = nb/4 (nb=192,
-// ib=48). qrserve measures kernel rates for exactly this list.
-func TileShapes() []TileShape {
-	def := qr.DefaultOptions()
-	out := []TileShape{{def.NB, def.IB}}
-	for _, nb := range DefaultNBGrid {
-		if sh := (TileShape{nb, max(nb/4, 4)}); sh != out[0] {
-			out = append(out, sh)
-		}
-	}
-	return out
-}
-
 // defaultCandidate is the hand-default configuration: the library defaults
 // on the whole fleet — exactly what dispatch runs when autotuning is off.
 func defaultCandidate(ranks int) Candidate {
 	o := qr.DefaultOptions()
-	return Candidate{Tree: o.Tree.String(), NB: o.NB, IB: o.IB, H: o.H, Ranks: ranks}
+	return Candidate{Tree: o.Tree.String(), H: o.H, Ranks: ranks}
 }
 
 // EstTasks approximates the task-graph size of shape (m, n) at tile size nb:
@@ -233,45 +210,32 @@ func rankSweep(fleet int) []int {
 }
 
 // enumerate generates the candidate configurations in a fixed deterministic
-// order: the hand-default first, then rank sweep (descending) × tile shapes
-// × {flat, binary, hierarchical h sweep}. Duplicates of the default are
-// suppressed.
+// order: the hand-default first, then rank sweep (descending) × {flat,
+// binary, hierarchical h sweep}, all at the library tile. The duplicate of
+// the default is suppressed.
 func enumerate(spec Spec, mach simulate.Machine) []Candidate {
 	def := defaultCandidate(mach.Nodes)
 	out := []Candidate{def}
-	type ckey struct {
-		tree          string
-		nb, ib, h, rk int
-	}
-	seen := map[ckey]bool{{def.Tree, def.NB, def.IB, def.H, def.Ranks}: true}
 	add := func(c Candidate) {
-		k := ckey{c.Tree, c.NB, c.IB, c.H, c.Ranks}
-		if !seen[k] {
-			seen[k] = true
+		if c != def {
 			out = append(out, c)
 		}
 	}
-	shapes := TileShapes()
+	nb := qr.DefaultOptions().NB
+	mt := (spec.M + nb - 1) / nb
 	for _, ranks := range rankSweep(mach.Nodes) {
-		for _, sh := range shapes {
-			nb, ib := sh.NB, sh.IB
-			if nb > spec.M {
-				continue // a tile taller than the matrix
+		if ranks > mt {
+			continue // more nodes than tile rows: guaranteed idle nodes
+		}
+		add(Candidate{Tree: qr.FlatTree.String(), Ranks: ranks})
+		if mt >= 2 {
+			add(Candidate{Tree: qr.BinaryTree.String(), Ranks: ranks})
+		}
+		for _, h := range DefaultHGrid {
+			if h < 2 || h >= mt {
+				continue // h >= mt degenerates to the flat tree
 			}
-			mt := (spec.M + nb - 1) / nb
-			if ranks > mt {
-				continue // more nodes than tile rows: guaranteed idle nodes
-			}
-			add(Candidate{Tree: qr.FlatTree.String(), NB: nb, IB: ib, Ranks: ranks})
-			if mt >= 2 {
-				add(Candidate{Tree: qr.BinaryTree.String(), NB: nb, IB: ib, Ranks: ranks})
-			}
-			for _, h := range DefaultHGrid {
-				if h < 2 || h >= mt {
-					continue // h >= mt degenerates to the flat tree
-				}
-				add(Candidate{Tree: qr.HierarchicalTree.String(), NB: nb, IB: ib, H: h, Ranks: ranks})
-			}
+			add(Candidate{Tree: qr.HierarchicalTree.String(), H: h, Ranks: ranks})
 		}
 	}
 	return out
@@ -291,19 +255,17 @@ func Decide(spec Spec, mach simulate.Machine, cfg Config) (Decision, error) {
 	cfg = cfg.withDefaults()
 
 	cands := enumerate(spec, mach)
-	scored := make([]Candidate, 0, len(cands))
-	var spent int64
-	skipped := 0
-	for i, c := range cands {
-		est := EstTasks(spec.M, spec.N, c.NB)
-		// The default (i == 0) is exempt from the total budget so it is
-		// always scored when it is simulatable at all; everything else
-		// competes for the remaining budget in enumeration order.
-		if est > cfg.MaxTasksPerCandidate || (i > 0 && spent+est > cfg.MaxTasksTotal) {
-			skipped++
-			continue
-		}
-		spent += est
+	// One task graph size for the whole sweep. The default (enumerated
+	// first) is exempt from the total budget so it is always scored when it
+	// is simulatable at all; the rest take what the budget leaves, in
+	// enumeration order.
+	est := EstTasks(spec.M, spec.N, qr.DefaultOptions().NB)
+	n := 0
+	if est <= cfg.MaxTasksPerCandidate {
+		n = min(len(cands), max(1, int(cfg.MaxTasksTotal/est)))
+	}
+	scored := make([]Candidate, 0, n)
+	for _, c := range cands[:n] {
 		m2 := mach
 		m2.Nodes = c.Ranks
 		w := simulate.Workload{M: spec.M, N: spec.N, Opts: c.Options()}
@@ -316,7 +278,7 @@ func Decide(spec Spec, mach simulate.Machine, cfg Config) (Decision, error) {
 		scored = append(scored, c)
 	}
 
-	d := Decision{M: spec.M, N: spec.N, Considered: len(cands), Simulated: len(scored), Skipped: skipped}
+	d := Decision{M: spec.M, N: spec.N, Considered: len(cands), Simulated: n, Skipped: len(cands) - n}
 	if len(scored) == 0 {
 		// Nothing fit the simulation budget (an enormous shape): keep the
 		// hand-default rather than guessing — the planner must degrade to a
@@ -334,12 +296,8 @@ func Decide(spec Spec, mach simulate.Machine, cfg Config) (Decision, error) {
 	copy(ranked, scored)
 	sort.SliceStable(ranked, func(a, b int) bool { return ranked[a].PredictedMS < ranked[b].PredictedMS })
 
-	// The default is scored[0] whenever it was simulatable (it is enumerated
-	// first and exempt from the total budget).
+	// The default is enumerated first and exempt from the total budget.
 	def := scored[0]
-	if def.Tree != cands[0].Tree || def.NB != cands[0].NB || def.Ranks != cands[0].Ranks {
-		def = cands[0] // default itself exceeded the per-candidate cap
-	}
 	d.Default = def
 
 	fastest := ranked[0]

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pulsarqr/internal/qr"
 	"pulsarqr/internal/simulate"
 )
 
@@ -25,15 +26,14 @@ func randMachine(rng *rand.Rand) simulate.Machine {
 	m.TaskOverhead = logU(1e-7, 1e-4)
 	if rng.Intn(2) == 0 {
 		// Half the machines carry a measured rate table, the way a live
-		// qrserve's model does: every planner shape, rates rising with nb
-		// and scattered per kernel, so the tile-size curve is in play.
-		for _, sh := range TileShapes() {
-			r := simulate.TileRate{NB: sh.NB, IB: sh.IB}
-			for k := range r.Gflops {
-				r.Gflops[k] = m.CoreGflops * logU(0.05, 1) * float64(sh.NB) / 256
-			}
-			m.Rates = append(m.Rates, r)
+		// qrserve's model does: the one entry at the library tile, rates
+		// scattered per kernel.
+		def := qr.DefaultOptions()
+		r := simulate.TileRate{NB: def.NB, IB: def.IB}
+		for k := range r.Gflops {
+			r.Gflops[k] = m.CoreGflops * logU(0.05, 1)
 		}
+		m.Rates = append(m.Rates, r)
 	}
 	if err := m.Validate(); err != nil {
 		panic(err)
@@ -89,57 +89,49 @@ func TestDecideNeverSlowerThanDefaultAndDeterministic(t *testing.T) {
 	}
 }
 
-// A rate table is what lets the planner tell tile sizes apart: on a machine
-// whose small tiles are measured slow, the sweep must stop chasing the
-// parallelism of nb=32 that a single seconds-per-flop rewards.
-func TestRateTableSteersTileSize(t *testing.T) {
-	spec := Spec{M: 8192, N: 256}
-	bare := simulate.LocalHost(2, 3)
-	d, err := Decide(spec, bare, Config{})
+// The sweep is trees × h × ranks at the library tile: on 8192×256 over two
+// ranks that is {flat, binary, h ∈ DefaultHGrid} on 2 ranks and on 1, the
+// default (hierarchical, its own h, 2 ranks) listed once and first, and
+// every candidate's options carry the default tile.
+func TestSweepIsTreesHeightsAndRanksAtTheLibraryTile(t *testing.T) {
+	d, err := Decide(Spec{M: 8192, N: 256}, simulate.LocalHost(2, 2), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Choice.NB != 32 {
-		t.Fatalf("table-less localhost picks nb=%d; this test assumes the known nb=32 bias", d.Choice.NB)
+	if want := 2 * (2 + len(DefaultHGrid)); d.Considered != want || d.Simulated != want {
+		t.Fatalf("considered %d, simulated %d; want %d each", d.Considered, d.Simulated, want)
 	}
-	measured := bare
-	for _, sh := range TileShapes() {
-		r := simulate.TileRate{NB: sh.NB, IB: sh.IB}
-		for k := range r.Gflops {
-			// Packing-bound kernels: the rate grows linearly with the tile.
-			r.Gflops[k] = bare.CoreGflops * bare.Eff[k] * float64(sh.NB) / 32
+	def := qr.DefaultOptions()
+	for _, c := range append(d.Ranked, d.Choice, d.Default) {
+		if o := c.Options(); o.NB != def.NB || o.IB != def.IB {
+			t.Errorf("%s runs nb=%d ib=%d, want the library tile %d/%d", c.Describe(), o.NB, o.IB, def.NB, def.IB)
 		}
-		measured.Rates = append(measured.Rates, r)
 	}
-	d, err = Decide(spec, measured, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Choice.NB < 128 {
-		t.Fatalf("with small tiles measured slow the planner still picks %s", d.Choice.Describe())
+	if d.Default.Describe() != defaultCandidate(2).Describe() {
+		t.Errorf("default %s, want %s", d.Default.Describe(), defaultCandidate(2).Describe())
 	}
 }
 
-func TestTileShapes(t *testing.T) {
-	shapes := TileShapes()
-	def := defaultCandidate(1)
-	if shapes[0] != (TileShape{def.NB, def.IB}) {
-		t.Fatalf("first shape %+v is not the default %d/%d", shapes[0], def.NB, def.IB)
+// One graph size for every candidate makes the total budget a candidate
+// count: room for three graphs scores the default and the next two.
+func TestTotalBudgetIsACandidateCount(t *testing.T) {
+	spec := Spec{M: 8192, N: 256}
+	est := EstTasks(spec.M, spec.N, qr.DefaultOptions().NB)
+	d, err := Decide(spec, simulate.LocalHost(2, 2), Config{MaxTasksTotal: 3*est + est/2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	seen := map[TileShape]bool{}
-	for _, sh := range shapes {
-		if seen[sh] {
-			t.Errorf("shape %+v listed twice", sh)
-		}
-		seen[sh] = true
-		if sh.IB < 1 || sh.IB > sh.NB {
-			t.Errorf("shape %+v has ib outside [1, nb]", sh)
-		}
+	if d.Simulated != 3 || d.Skipped != d.Considered-3 {
+		t.Fatalf("simulated %d, skipped %d of %d; want 3 simulated", d.Simulated, d.Skipped, d.Considered)
 	}
-	for _, nb := range DefaultNBGrid {
-		if !seen[TileShape{nb, max(nb/4, 4)}] {
-			t.Errorf("nb=%d missing at ib=nb/4", nb)
-		}
+	// A budget smaller than one graph still scores the default.
+	d, err = Decide(spec, simulate.LocalHost(2, 2), Config{MaxTasksTotal: est / 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Simulated != 1 || d.Choice != d.Default || d.Default.PredictedMS <= 0 {
+		t.Fatalf("simulated %d, choice %s, default %s (%.3g ms); want the default alone, scored",
+			d.Simulated, d.Choice.Describe(), d.Default.Describe(), d.Default.PredictedMS)
 	}
 }
 
@@ -204,7 +196,7 @@ func TestDecideOverBudgetKeepsDefaults(t *testing.T) {
 	if !reflect.DeepEqual(d.Choice, d.Default) {
 		t.Fatalf("over-budget choice %+v differs from default %+v", d.Choice, d.Default)
 	}
-	if d.Choice.Tree == "" || d.Choice.NB == 0 {
+	if d.Choice.Tree == "" || d.Choice.Ranks == 0 {
 		t.Fatalf("over-budget default not filled in: %+v", d.Choice)
 	}
 }

@@ -159,8 +159,8 @@ func TestStressMediumHierarchicalMultiNode(t *testing.T) {
 // a 960×96 matrix is five tile rows of one 96-column panel: four inner
 // blocks, so the panel kernels' block applies — and the update kernels, when
 // Q is formed — run on the packed engine. The sequential reference and the
-// systolic engine must agree bitwise and meet the bounds the small cases
-// meet.
+// systolic engine on one node and on two must agree bitwise and meet the
+// bounds the small cases meet.
 func TestHardInputsAtDefaultTile(t *testing.T) {
 	const m, n = 960, 96
 	o := DefaultOptions()
@@ -194,6 +194,34 @@ func TestHardInputsAtDefaultTile(t *testing.T) {
 	for i := 0; i < m; i++ {
 		dup.Set(i, dupTo, dup.At(i, dupFrom))
 	}
+	// Exact rank deficiency: a column that is the sum of two others, from two
+	// earlier inner blocks.
+	const sumA, sumB, sumTo = 5, 40, 61
+	sum := matrix.NewRand(m, n, rng)
+	for i := 0; i < m; i++ {
+		sum.Set(i, sumTo, sum.At(i, sumA)+sum.At(i, sumB))
+	}
+	const zeroCol = 50
+	zero := matrix.NewRand(m, n, rng)
+	for i := 0; i < m; i++ {
+		zero.Set(i, zeroCol, 0)
+	}
+	backward := func(t *testing.T, d *matrix.Mat, f *Factorization) *matrix.Mat {
+		t.Helper()
+		q := f.Q()
+		if diff := matrix.MaxAbsDiff(q.Mul(f.R()), d); diff > 1e-12 {
+			t.Fatalf("backward error %v", diff)
+		}
+		orthonormal(t, q)
+		return f.R()
+	}
+	dependent := func(k int) func(*testing.T, *matrix.Mat, *Factorization) {
+		return func(t *testing.T, d *matrix.Mat, f *Factorization) {
+			if v := math.Abs(backward(t, d, f).At(k, k)); v > 1e-12 {
+				t.Fatalf("R(%d,%d) = %v for a dependent column", k, k, v)
+			}
+		}
+	}
 	for _, tc := range []struct {
 		name  string
 		d     *matrix.Mat
@@ -208,23 +236,34 @@ func TestHardInputsAtDefaultTile(t *testing.T) {
 		}},
 		{"scale 1e150", scaled(1e150), finiteR},
 		{"scale 1e-150", scaled(1e-150), finiteR},
-		{"duplicate column", dup, func(t *testing.T, d *matrix.Mat, f *Factorization) {
-			if diff := matrix.MaxAbsDiff(f.Q().Mul(f.R()), d); diff > 1e-12 {
-				t.Fatalf("backward error %v", diff)
-			}
-			if v := math.Abs(f.R().At(dupTo, dupTo)); v > 1e-12 {
-				t.Fatalf("R(%d,%d) = %v for a dependent column", dupTo, dupTo, v)
+		{"duplicate column", dup, dependent(dupTo)},
+		{"sum of two columns", sum, dependent(sumTo)},
+		{"zero column", zero, func(t *testing.T, d *matrix.Mat, f *Factorization) {
+			r := backward(t, d, f)
+			for i := 0; i <= zeroCol; i++ {
+				if v := r.At(i, zeroCol); v != 0 {
+					t.Fatalf("R(%d,%d) = %v for a zero column", i, zeroCol, v)
+				}
 			}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			seq := factorDense(t, tc.d, o)
-			vsa, err := FactorizeVSA(matrix.FromDense(tc.d, o.NB), nil, o, RunConfig{Nodes: 1, Threads: 2})
-			if err != nil {
-				t.Fatal(err)
+			want := seq.R()
+			for _, nodes := range []int{1, 2} {
+				vsa, err := FactorizeVSA(matrix.FromDense(tc.d, o.NB), nil, o, RunConfig{Nodes: nodes, Threads: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertFactorizationsEqual(t, seq, vsa)
+				got := vsa.R()
+				for i := range want.Data {
+					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+						t.Fatalf("%d nodes: R[%d] = %v, sequential %v", nodes, i, got.Data[i], want.Data[i])
+					}
+				}
 			}
-			assertFactorizationsEqual(t, seq, vsa)
-			tc.check(t, tc.d, vsa)
+			tc.check(t, tc.d, seq)
 		})
 	}
 }

@@ -44,8 +44,6 @@ type JobView struct {
 // compared.
 type PlanView struct {
 	Tree                string  `json:"tree"`
-	NB                  int     `json:"nb"`
-	IB                  int     `json:"ib"`
 	H                   int     `json:"h,omitempty"`
 	Ranks               int     `json:"ranks"`
 	PredictedMS         float64 `json:"predicted_ms"`
@@ -86,7 +84,7 @@ func jobView(j *Job) (JobView, *Result) {
 	if d := j.Plan(); d != nil {
 		c := d.Choice
 		v.Plan = &PlanView{
-			Tree: c.Tree, NB: c.NB, IB: c.IB, H: c.H, Ranks: c.Ranks,
+			Tree: c.Tree, H: c.H, Ranks: c.Ranks,
 			PredictedMS:      c.PredictedMS,
 			SpeedupVsDefault: d.SpeedupVsDefault,
 			FromCache:        d.FromCache,

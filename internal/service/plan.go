@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
@@ -14,38 +13,13 @@ import (
 	"pulsarqr/internal/simulate"
 )
 
-// rateTable holds this host's measured kernel rates per tile shape
-// (simulate.MeasureTileRate), each shape timed once, on first need. Only the
-// planner's own shapes are ever timed, so a client cannot grow the table —
-// or buy kernel time — by submitting jobs at odd tiles.
-type rateTable struct {
-	shapes []plan.TileShape // what may be measured: the planner's grid
-
-	mu    sync.Mutex
-	rates []simulate.TileRate // measured so far
-}
-
-// rate returns the measured rates at (nb, ib), timing the kernels if this
-// is the first request for a planner shape; ok is false for any other shape.
-func (rt *rateTable) rate(nb, ib int) (simulate.TileRate, bool) {
-	if !slices.Contains(rt.shapes, plan.TileShape{NB: nb, IB: ib}) {
-		return simulate.TileRate{}, false
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if r, ok := (simulate.Machine{Rates: rt.rates}).Rate(nb, ib); ok {
-		return r, true
-	}
-	r := simulate.MeasureTileRate(nb, ib)
-	rt.rates = append(rt.rates, r)
-	return r, true
-}
-
-// measured returns the shapes timed so far, timing nothing.
-func (rt *rateTable) measured() []simulate.TileRate {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return append([]simulate.TileRate(nil), rt.rates...)
+// defaultTileRate times this host's kernels at the library tile
+// (simulate.MeasureTileRate at qr.DefaultOptions). The server calls it once,
+// on first need (Server.rate), and times no other tile, so a client cannot
+// buy kernel time by submitting jobs at odd tiles.
+func defaultTileRate() simulate.TileRate {
+	def := qr.DefaultOptions()
+	return simulate.MeasureTileRate(def.NB, def.IB)
 }
 
 // costModel learns from completed jobs the two costs a kernel probe cannot
@@ -53,9 +27,9 @@ func (rt *rateTable) measured() []simulate.TileRate {
 //
 //   - the in-job slowdown: the kernel seconds rank 0's workers really spent
 //     (the sum of its firing intervals) over what the same share of the task
-//     graph takes at the probe's rates for the job's tile shape — sibling
-//     threads on shared execution ports, tiles arriving cold, the packet
-//     handling around each kernel. A ratio of two sums, nothing regressed;
+//     graph takes at the probe's rates — sibling threads on shared execution
+//     ports, tiles arriving cold, the packet handling around each kernel. A
+//     ratio of two sums, nothing regressed;
 //
 //   - the per-task cost: with the kernel term pinned by that ratio, the
 //     least-squares secondsPerTask in
@@ -64,10 +38,8 @@ func (rt *rateTable) measured() []simulate.TileRate {
 //
 //     over jobs with p probe seconds, t tasks and b core-seconds. It soaks up
 //     everything else that grows with the task count — wake-ups between
-//     workers, marshalling between ranks — so a plan that cuts the tiles
-//     four times finer pays for its sixteen times more hand-offs.
+//     workers, marshalling between ranks.
 //
-// The tile-size curve itself is in neither: the probe times it per shape.
 // An earlier version fitted seconds-per-flop and seconds-per-task together
 // from the same samples; five small warm-up jobs could put the core rate
 // anywhere between 1.5 and 160 Gflop/s.
@@ -111,8 +83,8 @@ func (cm *costModel) solve() (slowdown, secondsPerTask float64, ok bool) {
 }
 
 // recordCostSample feeds one completed job into the cost model, if it ran at
-// a tile shape the rate table covers and its graph is small enough to rebuild
-// per completion.
+// the library tile — the one tile whose kernels are timed — and its graph is
+// small enough to rebuild per completion.
 //
 // The core-seconds the fit wants are the ones the simulator would book for
 // this configuration — not wall core-seconds (the DES models idle time
@@ -129,19 +101,17 @@ func (cm *costModel) solve() (slowdown, secondsPerTask float64, ok bool) {
 // rank 0's workers spent firing.
 //
 // The sample is taken in two steps because they want opposite things. The
-// kernel probe a tile shape's first job triggers must have the cores to
-// itself, so it runs here, on the dispatcher that has just finished the job
-// and not yet taken another. The simulator replay needs no such care and can
-// take as long as the job did, so it runs on a goroutine of its own: the
-// dispatcher has a queue to get back to.
+// kernel probe the first sampled job triggers must have the cores to itself,
+// so it runs here, on the dispatcher that has just finished the job and not
+// yet taken another. The simulator replay needs no such care and can take as
+// long as the job did, so it runs on a goroutine of its own: the dispatcher
+// has a queue to get back to.
 func (s *Server) recordCostSample(m, n int, opts qr.Options, ranks int, elapsed, busy time.Duration) {
-	if plan.EstTasks(m, n, opts.NB) > 1<<20 {
+	def := qr.DefaultOptions()
+	if opts.NB != def.NB || opts.IB != def.IB || plan.EstTasks(m, n, opts.NB) > 1<<20 {
 		return
 	}
-	rate, ok := s.rates.rate(opts.NB, opts.IB)
-	if !ok {
-		return
-	}
+	rate := s.rate()
 	s.bg.Add(1)
 	go func() {
 		defer s.bg.Done()
@@ -169,30 +139,26 @@ func (s *Server) recordCostSample(m, n int, opts qr.Options, ranks int, elapsed,
 
 // machineModel assembles the server's current best machine model: the
 // LocalHost baseline overridden by whatever this process has measured — the
-// kernel rates of every tile shape timed so far, divided by the in-job
-// slowdown the cost model measured, its per-task cost, and (α, β) from the
-// link estimator. measured reports whether anything a job taught it went in.
-// This is the single source of GET /v1/machine-model and the planner, which
-// both call plannerModel to have the rest of the planner's grid timed first.
+// kernel rates at the library tile (timed on the first call), divided by the
+// in-job slowdown the cost model measured, its per-task cost, and (α, β)
+// from the link estimator. measured reports whether anything a job taught it
+// went in. This is the single source of GET /v1/machine-model and the
+// planner.
 func (s *Server) machineModel() (mach simulate.Machine, measured bool) {
 	mach = s.baselineModel()
 	slowdown, secondsPerTask, measured := s.costs.solve()
 	if measured {
 		mach.TaskOverhead = secondsPerTask
 	}
-	mach.Rates = s.rates.measured()
-	for i := range mach.Rates {
-		for k := range mach.Rates[i].Gflops {
-			mach.Rates[i].Gflops[k] /= slowdown
-		}
+	r := s.rate()
+	for k := range r.Gflops {
+		r.Gflops[k] /= slowdown
 	}
-	def := qr.DefaultOptions()
-	if r, ok := mach.Rate(def.NB, def.IB); ok {
-		// Shapes the table does not list fall back to CoreGflops·Eff: anchor
-		// that to the default tile's trailing-update kernel, which dominates
-		// a tile QR's flops, so the fallback is this host's rate too.
-		mach.CoreGflops = r.Gflops[simulate.Tsmqr] / mach.Eff[simulate.Tsmqr]
-	}
+	mach.Rates = []simulate.TileRate{r}
+	// Other tiles fall back to CoreGflops·Eff: anchor that to the
+	// trailing-update kernel, which dominates a tile QR's flops, so a client
+	// simulating another tile on this model prices it at this host's rate.
+	mach.CoreGflops = r.Gflops[simulate.Tsmqr] / mach.Eff[simulate.Tsmqr]
 	if est := s.obs.Estimator(); est != nil {
 		if a, b, ok := est.Aggregate(); ok {
 			mach.AlphaInter = a
@@ -223,16 +189,6 @@ func (s *Server) machineModel() (mach simulate.Machine, measured bool) {
 // instead of 1.2 (docs/PLANNER.md has the paired runs).
 func (s *Server) baselineModel() simulate.Machine {
 	return simulate.LocalHost(s.Ranks(), min(s.cfg.Threads+1, max(2, runtime.GOMAXPROCS(0))))
-}
-
-// plannerModel is machineModel with the rate table complete: a plan compares
-// tile shapes, so every shape it may pick has to be priced from the same
-// kind of evidence. The first call pays for timing the grid (~0.1 s).
-func (s *Server) plannerModel() (simulate.Machine, bool) {
-	for _, sh := range s.rates.shapes {
-		s.rates.rate(sh.NB, sh.IB)
-	}
-	return s.machineModel()
 }
 
 // modelEpoch quantizes the machine model's evidence into a cache epoch: it
@@ -268,9 +224,10 @@ func (s *Server) planJob(j *Job) JobSpec {
 }
 
 // autotune overwrites spec's algorithm configuration with the planner's pick
-// for its shape on the live machine model, and records the decision on j.
+// for its shape on the live machine model — so an autotuned job runs the
+// library tile whatever tile it asked for — and records the decision on j.
 func (s *Server) autotune(j *Job, spec *JobSpec) {
-	mach, _ := s.plannerModel()
+	mach, _ := s.machineModel()
 	mach.Nodes = s.AgentsLive()
 	start := time.Now()
 	d, err := s.planner.Plan(plan.Spec{M: spec.M, N: spec.N}, mach, s.modelEpoch())
@@ -287,7 +244,8 @@ func (s *Server) autotune(j *Job, spec *JobSpec) {
 		Tenant: spec.Tenant, DurMS: d.PlanMS, Detail: d.Rationale})
 	j.setPlan(&d)
 	c := d.Choice
-	spec.NB, spec.IB, spec.H, spec.Tree = c.NB, c.IB, c.H, c.Tree
+	o := c.Options()
+	spec.NB, spec.IB, spec.H, spec.Tree = o.NB, o.IB, o.H, o.Tree.String()
 	s.cfg.Logf("job %d planned: %s (predicted %.3gms, %.2fx vs default, cache=%v, %.3gms to plan)",
 		j.ID, c.Describe(), c.PredictedMS, d.SpeedupVsDefault, d.FromCache, d.PlanMS)
 }
@@ -367,7 +325,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
 		return
 	}
-	mach, measured := s.plannerModel()
+	mach, measured := s.machineModel()
 	mach.Nodes = s.AgentsLive()
 	epoch := s.modelEpoch()
 	var target float64

@@ -21,6 +21,7 @@ import (
 	"pulsarqr/internal/pulsar"
 	"pulsarqr/internal/qr"
 	"pulsarqr/internal/session"
+	"pulsarqr/internal/simulate"
 	"pulsarqr/internal/trace"
 	"pulsarqr/internal/transport"
 )
@@ -125,9 +126,9 @@ type Server struct {
 
 	nextID atomic.Uint32
 
-	planner *plan.Planner // always non-nil; consulted when autotuning is on
-	rates   rateTable     // this host's kernel rates per planner tile shape, timed on first need
-	costs   costModel     // in-job slowdown and per-task cost, learned from completed jobs
+	planner *plan.Planner            // always non-nil; consulted when autotuning is on
+	rate    func() simulate.TileRate // this host's kernel rates at the library tile, timed on first call
+	costs   costModel                // in-job slowdown and per-task cost, learned from completed jobs
 
 	mu        sync.Mutex
 	jobs      map[uint32]*Job
@@ -179,7 +180,7 @@ func NewServer(cfg Config) (*Server, error) {
 		jobs:      map[uint32]*Job{},
 		deadRanks: map[int]bool{},
 		planner:   plan.NewPlanner(plan.Config{}, plan.DefaultCacheCap),
-		rates:     rateTable{shapes: plan.TileShapes()},
+		rate:      sync.OnceValue(defaultTileRate),
 	}
 	s.baseCtx, s.stop = context.WithCancel(context.Background())
 	if cfg.Ep != nil && cfg.Ep.Size() > 1 {

@@ -185,10 +185,10 @@ type MachineModelView struct {
 }
 
 // handleMachineModel serves the current machine-model estimate — the same
-// model the planner uses (see Server.plannerModel), plus the per-link
+// model the planner uses (see Server.machineModel), plus the per-link
 // evidence behind it.
 func (s *Server) handleMachineModel(w http.ResponseWriter, r *http.Request) {
-	mach, measured := s.plannerModel()
+	mach, measured := s.machineModel()
 	var links []obs.LinkModel
 	if est := s.obs.Estimator(); est != nil {
 		links = est.Links()

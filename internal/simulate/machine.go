@@ -70,10 +70,10 @@ type Machine struct {
 	// Rates, where it lists a workload's tile shape, replaces CoreGflops·Eff
 	// for that workload: one rate for every tile size is wrong by more than
 	// 2× between nb=64 and nb=192 on hosts whose kernels are packing-bound
-	// on small tiles, which is the difference a tile-size planner has to
-	// see. qrserve fills it by timing the kernels (MeasureTileRate); a
-	// model without it — Kraken, a machine_model.json written before it
-	// existed — simulates exactly as it always did.
+	// on small tiles. qrserve fills it by timing the kernels at the library
+	// tile (MeasureTileRate); a model without it — Kraken, a
+	// machine_model.json written before it existed — simulates exactly as
+	// it always did.
 	Rates []TileRate `json:"rates,omitempty"`
 }
 
@@ -95,7 +95,8 @@ const (
 	MaxCostSeconds = 3600
 	// MaxBetaSecondsPerByte caps inverse bandwidth at one second per byte.
 	MaxBetaSecondsPerByte = 1
-	// MaxTileRates caps the rate table (the planner's grid has 8 shapes).
+	// MaxTileRates caps the rate table (qrserve serves one entry; a
+	// hand-written file may list more).
 	MaxTileRates = 64
 	// MaxTileSize caps a rate entry's nb.
 	MaxTileSize = 1 << 16

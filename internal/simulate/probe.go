@@ -10,13 +10,13 @@ import (
 
 // probeFloor is how long MeasureTileRate keeps timing one kernel: long
 // enough that the fastest of the calls made is a steady-state call even on
-// 32×32 tiles, short enough that the planner's whole grid costs ~0.1 s.
+// 32×32 tiles, short enough that timing one shape costs a few ms.
 const probeFloor = time.Millisecond
 
 // MeasureTileRate times the six tile kernels on this host, on one thread,
 // on full nb×nb tiles with inner block ib, and returns the rate of the
-// fastest call of each. It is what puts a host's real tile-size curve into
-// a Machine; kernels running beside busy sibling threads are slower by a
+// fastest call of each. It is what puts a host's real kernel speed into a
+// Machine; kernels running beside busy sibling threads are slower by a
 // factor the caller calibrates (qrserve fits it from completed jobs), which
 // is why the table holds rates, not the planner's final word.
 func MeasureTileRate(nb, ib int) TileRate {

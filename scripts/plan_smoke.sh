@@ -65,14 +65,15 @@ grep -q '"from_cache":true' "$WORK/plan1" && {
 }
 echo "plan-smoke: /v1/plan dry-run returns a scored decision"
 
-# The machine the decision was made on is echoed back, and it prices tile
-# shapes from kernel rates timed on this host, the default tile's included.
-grep -q '"rates":\[{"nb":' "$WORK/plan1" || {
-    echo "plan-smoke: the planner's machine model carries no measured kernel rates:" >&2
+# The machine the decision was made on is echoed back with exactly one
+# measured rate entry: the kernels timed on this host at the library tile
+# (qr.DefaultOptions, nb=192 ib=24), the only tile the server ever times.
+grep -q '"rates":\[{"nb":192,"ib":24,"gflops":\[[^]]*\]}\]' "$WORK/plan1" || {
+    echo "plan-smoke: the planner's machine model does not carry exactly one rate, at 192/24:" >&2
     cat "$WORK/plan1" >&2
     exit 1
 }
-echo "plan-smoke: machine model carries measured per-tile kernel rates"
+echo "plan-smoke: machine model carries one measured rate, at the library tile"
 
 # Same shape again must be served from the epoch-keyed plan cache.
 curl -sf "http://$ADDR/v1/plan" -d '{"m":4096,"n":256}' >"$WORK/plan2"
