@@ -1,31 +1,24 @@
 package transport
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Schedule is a seeded, deterministic fault plan for a Chaos endpoint.
-// Every message's fate — dropped, duplicated, delayed — is decided by a
-// per-destination PRNG derived from Seed, so two runs issuing the same
-// per-link send sequence draw the same verdicts in the same order and the
-// FaultLog compares byte-identical. Sever and kill events fire on message
-// counts, not wall-clock, for the same reason.
+// Schedule is a seeded, deterministic fault plan for a Chaos endpoint. It
+// holds only the faults a real link has: latency, a cut link and a dead
+// rank. Every message's delay is one draw from a per-destination PRNG
+// derived from Seed, so two runs issuing the same per-link send sequence
+// draw the same delays in the same order and the FaultLog compares
+// byte-identical. Sever and kill events fire on message counts, not
+// wall-clock, for the same reason.
 type Schedule struct {
 	// Seed derives every per-link PRNG; the same seed and the same
 	// per-link send sequence reproduce the same fault sequence exactly.
 	Seed int64
-	// Drop is the probability in [0,1] that a message's first transmission
-	// is lost (the retransmit protocol recovers it).
-	Drop float64
-	// Duplicate is the probability that a message is transmitted twice
-	// (the receiver deduplicates).
-	Duplicate float64
 	// DelayP50 and DelayP95 shape the injected latency distribution: half
 	// of all messages are delayed up to DelayP50, 95% up to DelayP95, with
 	// a linear tail capped near 2×DelayP95. Zero injects no delay.
@@ -35,16 +28,13 @@ type Schedule struct {
 	// per destination, from 1) is about to go to Peer, the link is severed.
 	// On a substrate implementing LinkSeverer (TCP) the real connections
 	// are cut and the substrate's reconnect machinery must repair them;
-	// otherwise the link goes dark for For and the retransmit protocol
-	// carries the traffic across the gap.
+	// otherwise the link's traffic is held for For.
 	Sever []SeverEvent
 	// KillAtFrame, when positive, kills this rank abruptly when its
 	// KillAtFrame-th message (counting across all destinations) is sent:
-	// Crash() on a substrate implementing Crasher, else a local blackout.
+	// Crash() on a substrate implementing Crasher, else the wrapped
+	// endpoint is closed.
 	KillAtFrame int64
-	// RetransmitInterval is the resend cadence for unacknowledged
-	// messages. Default 20ms.
-	RetransmitInterval time.Duration
 }
 
 // SeverEvent cuts the link to Peer when this rank's AtFrame-th message to
@@ -52,255 +42,168 @@ type Schedule struct {
 type SeverEvent struct {
 	Peer    int
 	AtFrame int64
-	// For is how long the link stays dark on substrates without a real
-	// LinkSeverer. Default 50ms.
+	// For is how long the link's traffic is held on substrates without a
+	// real LinkSeverer. Default 50ms.
 	For time.Duration
 }
 
-// Chaos message kinds, first byte of every payload on the underlying
-// endpoint.
-const (
-	chaosData byte = 1
-	chaosAck  byte = 2
-)
-
-const (
-	chaosDataHdr = 1 + 4 + 4 // kind, seq, tag
-	chaosAckLen  = 1 + 4     // kind, cumulative ack
-	chaosAckEach = 4         // ack cadence: one cumulative ack per this many deliveries
-)
-
-// Chaos wraps an Endpoint with a deterministic fault injector and the
-// retransmission protocol that makes the faults survivable: every message
-// gets a per-link sequence number and is retained until the receiver's
-// cumulative acknowledgement covers it; the receiver reorders by sequence
-// number and deduplicates, so messages above the Chaos surface arrive
-// exactly once, in per-link order — drops, duplicates and delays below are
-// invisible except as latency. That is the property the chaos tests
-// exercise: a factorization over a lossy link must still match the
-// sequential oracle bit for bit.
-//
-// Chaos works on any substrate. On TCP it composes with the substrate's
-// own resilience: a Sever event cuts the real connections (LinkSeverer)
-// and the TCP reconnect layer repairs them, while Chaos's retransmission
-// covers whatever the gap swallowed.
+// Chaos wraps an Endpoint with a deterministic fault injector. It adds no
+// protocol of its own: every message goes to the wrapped endpoint under its
+// own tag, and receives, arrivals, barriers and failure reports are the
+// wrapped endpoint's. What Chaos changes is when a message leaves: each is
+// delivered at the latest of the link's previous delivery, its send time
+// plus its drawn delay, and the end of any Sever hold, so delay never
+// reorders a link. On TCP a Sever cuts the real sockets and the
+// substrate's redial-and-resume path must repair them.
 type Chaos struct {
-	ep  Endpoint
-	sch Schedule
-	mb  *mailbox
+	Endpoint // receives, arrivals, barrier, rank and size: the wrapped endpoint's
+	sch      Schedule
 
-	rank, size int
-
-	send []*chaosSender // per-destination, nil at own rank
-	recv []*chaosRecver // per-source, nil at own rank
+	links []*chaosLink // per-destination, nil at own rank
 
 	sendN  atomic.Int64 // messages across all destinations (kill trigger)
 	killed atomic.Bool
 
-	pendMu  sync.Mutex
-	pending Request // the pump's outstanding wildcard receive
-
-	failureLog // the underlying endpoint's deaths, as seen through the wrapper
-
-	closed    atomic.Bool
 	closeOnce sync.Once
-	retick    *time.Ticker
-	stopRe    chan struct{}
 	wg        sync.WaitGroup
 
 	msgs, bytes atomic.Int64
 }
 
-// chaosSender is the per-destination send half: sequence numbers, the
-// unacked retransmission window, the fault PRNG and its verdict log.
-type chaosSender struct {
-	mu      sync.Mutex
-	dst     int
-	nextSeq uint32
-	window  map[uint32][]byte // seq → encoded chaos frame awaiting ack
-	rng     *rand.Rand
-	frames  int64 // first transmissions on this link (sever trigger)
-	dark    time.Time
-	severed []bool // per Schedule.Sever event: already fired?
-	log     []byte
-}
-
-// chaosRecver is the per-source receive half: the next expected sequence
-// number, the reorder buffer, and the ack cadence counter.
-type chaosRecver struct {
+// chaosLink is one outbound link: its fault PRNG and verdict log, and the
+// queue its deliverer forwards in order, each message at its due time.
+type chaosLink struct {
 	mu     sync.Mutex
-	expect uint32
-	buf    map[uint32]envelope
-	nAcked int
+	cond   *sync.Cond
+	rng    *rand.Rand
+	frames int64     // messages sent on this link (sever trigger)
+	next   time.Time // due time of the latest message; later ones never precede it
+	queue  []chaosMsg
+	closed bool
+	log    []byte
 }
 
-// NewChaos wraps ep with the fault schedule sch. The wrapper owns all
-// traffic on ep (it posts a wildcard receive pump); use the Chaos endpoint
-// exclusively once created. Closing the Chaos does not close ep.
+type chaosMsg struct {
+	due  time.Time
+	data []byte
+	tag  int
+}
+
+// NewChaos wraps ep with the fault schedule sch. Closing the Chaos delivers
+// what it still holds, then closes ep.
 func NewChaos(ep Endpoint, sch Schedule) *Chaos {
-	if sch.RetransmitInterval <= 0 {
-		sch.RetransmitInterval = 20 * time.Millisecond
-	}
-	for i := range sch.Sever {
-		if sch.Sever[i].For <= 0 {
-			sch.Sever[i].For = 50 * time.Millisecond
-		}
-	}
-	size := ep.Size()
-	c := &Chaos{
-		ep:     ep,
-		sch:    sch,
-		mb:     newMailbox(size),
-		rank:   ep.Rank(),
-		size:   size,
-		send:   make([]*chaosSender, size),
-		recv:   make([]*chaosRecver, size),
-		stopRe: make(chan struct{}),
-	}
-	for j := 0; j < size; j++ {
-		if j == c.rank {
+	rank, size := ep.Rank(), ep.Size()
+	c := &Chaos{Endpoint: ep, sch: sch, links: make([]*chaosLink, size)}
+	for j := range c.links {
+		if j == rank {
 			continue
 		}
 		// One PRNG per ordered link, derived from the seed and both rank
-		// ids: the verdict stream of link (i→j) depends only on the seed
-		// and the sequence of sends on that link.
-		c.send[j] = &chaosSender{
-			dst:     j,
-			window:  map[uint32][]byte{},
-			rng:     rand.New(rand.NewSource(sch.Seed ^ int64(c.rank)<<20 ^ int64(j)<<4 ^ 0x5eed)),
-			severed: make([]bool, len(sch.Sever)),
-		}
-		c.recv[j] = &chaosRecver{buf: map[uint32]envelope{}}
+		// ids: the delay stream of link (i→j) depends only on the seed and
+		// the sequence of sends on that link.
+		l := &chaosLink{rng: rand.New(rand.NewSource(sch.Seed ^ int64(rank)<<20 ^ int64(j)<<4 ^ 0x5eed))}
+		l.cond = sync.NewCond(&l.mu)
+		c.links[j] = l
+		c.wg.Add(1)
+		go c.deliver(j, l)
 	}
-	if fo, ok := ep.(FailureObserver); ok {
-		fo.OnPeerFailure(func(rank int, err error) {
-			fns, _ := c.recordDeath(rank, err)
-			c.mb.depart(rank)
-			for _, fn := range fns {
-				fn(rank, err)
-			}
-		})
-	}
-	c.retick = time.NewTicker(sch.RetransmitInterval)
-	c.wg.Add(2)
-	go c.pump()
-	go c.retransmitLoop()
 	return c
 }
 
-func (c *Chaos) Rank() int { return c.rank }
-func (c *Chaos) Size() int { return c.size }
-
-func (c *Chaos) OnArrival(fn func()) { c.mb.setNotify(fn) }
-
+// Stats counts what was handed to Isend, delivered yet or not.
 func (c *Chaos) Stats() (messages, bytes int64) {
 	return c.msgs.Load(), c.bytes.Load()
 }
 
-// Barrier delegates to the underlying endpoint: barrier traffic is control
-// plane, not subject to injected faults (MPI semantics make no delivery
-// promise at a barrier either way).
-func (c *Chaos) Barrier() error { return c.ep.Barrier() }
-
-// Isend sends data to dest with the given tag, subjecting the message's
-// first transmission to the schedule's fault draws. The payload is copied
-// before return; delivery above the receiving Chaos happens exactly once,
-// in per-link order, whatever happens on the wire in between.
+// Isend copies data and queues it for dest at a time drawn from the
+// schedule. Messages to the own rank cross no link and go straight through.
 func (c *Chaos) Isend(data []byte, dest, tag int) Request {
-	if dest < 0 || dest >= c.size {
-		panic(fmt.Sprintf("transport: chaos Isend to rank %d out of world of %d", dest, c.size))
+	if dest < 0 || dest >= len(c.links) {
+		panic(fmt.Sprintf("transport: chaos Isend to rank %d out of world of %d", dest, len(c.links)))
+	}
+	if tag < 0 || tag > MaxTag {
+		panic(fmt.Sprintf("transport: chaos Isend tag %d out of range", tag))
 	}
 	c.msgs.Add(1)
 	c.bytes.Add(int64(len(data)))
-	if dest == c.rank {
-		buf := make([]byte, len(data))
-		copy(buf, data)
-		c.mb.push(envelope{source: c.rank, tag: tag, data: buf})
-		return &netRequest{done: true, source: dest, tag: tag}
+	l := c.links[dest]
+	if l == nil {
+		return c.Endpoint.Isend(data, dest, tag)
 	}
-	if c.killed.Load() || c.closed.Load() {
-		return &netRequest{done: true, source: dest, tag: tag}
+	done := &netRequest{done: true, source: dest, tag: tag}
+	if c.killed.Load() {
+		return done
 	}
-
 	if k := c.sch.KillAtFrame; k > 0 && c.sendN.Add(1) == k {
 		c.kill()
-		return &netRequest{done: true, source: dest, tag: tag}
+		return done
 	}
 
-	s := c.send[dest]
-	s.mu.Lock()
-	seq := s.nextSeq
-	s.nextSeq++
-	frame := make([]byte, chaosDataHdr+len(data))
-	frame[0] = chaosData
-	binary.BigEndian.PutUint32(frame[1:], seq)
-	binary.BigEndian.PutUint32(frame[5:], uint32(tag))
-	copy(frame[chaosDataHdr:], data)
-	s.window[seq] = frame
-	s.frames++
-
-	// Sever events fire on the per-link message count, before the fault
-	// draws, so they do not disturb the PRNG stream.
-	for i, ev := range c.sch.Sever {
-		if !s.severed[i] && ev.Peer == dest && s.frames == ev.AtFrame {
-			s.severed[i] = true
-			s.log = append(s.log, '!')
-			if sv, ok := c.ep.(LinkSeverer); ok {
-				sv.SeverLink(dest)
-			} else {
-				s.dark = time.Now().Add(ev.For)
-			}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return done
+	}
+	l.frames++
+	now := time.Now()
+	for _, ev := range c.sch.Sever {
+		if ev.Peer != dest || ev.AtFrame != l.frames {
+			continue
+		}
+		l.log = append(l.log, '!')
+		if sv, ok := c.Endpoint.(LinkSeverer); ok {
+			sv.SeverLink(dest)
+			continue
+		}
+		hold := ev.For
+		if hold <= 0 {
+			hold = 50 * time.Millisecond
+		}
+		if end := now.Add(hold); end.After(l.next) {
+			l.next = end
 		}
 	}
-
-	// Exactly three draws per message, whatever the verdict, so the
-	// stream stays aligned and the log replays byte-identically.
-	uDrop := s.rng.Float64()
-	uDup := s.rng.Float64()
-	uDelay := s.rng.Float64()
-	verdict := byte('.')
-	var delay time.Duration
-	switch {
-	case uDrop < c.sch.Drop:
-		verdict = 'x'
-	case uDup < c.sch.Duplicate:
-		verdict = '2'
-	default:
-		if delay = c.sch.delay(uDelay); delay > 0 {
-			s.log = append(s.log, '~')
-			s.log = appendMicros(s.log, delay)
-			s.log = append(s.log, ';')
-		}
+	// Exactly one draw per message, so the stream stays aligned and the log
+	// replays byte-identically.
+	due := now
+	if delay := c.sch.delay(l.rng.Float64()); delay > 0 {
+		due = now.Add(delay)
+		l.log = append(l.log, '~')
+		l.log = appendMicros(l.log, delay)
+		l.log = append(l.log, ';')
+	} else {
+		l.log = append(l.log, '.')
 	}
-	if verdict != '.' || delay == 0 {
-		s.log = append(s.log, verdict)
+	if due.Before(l.next) {
+		due = l.next
 	}
-	dark := !s.dark.IsZero() && time.Now().Before(s.dark)
-	s.mu.Unlock()
-
-	switch {
-	case verdict == 'x' || dark:
-		// Lost: the retransmit loop recovers it from the window.
-	case delay > 0:
-		d := delay
-		time.AfterFunc(d, func() {
-			if !c.closed.Load() && !c.killed.Load() {
-				c.ep.Isend(frame, dest, 0)
-			}
-		})
-	default:
-		c.ep.Isend(frame, dest, 0)
-		if verdict == '2' {
-			c.ep.Isend(frame, dest, 0)
-		}
-	}
-	return &netRequest{done: true, source: dest, tag: tag}
+	l.next = due
+	l.queue = append(l.queue, chaosMsg{due: due, data: append([]byte(nil), data...), tag: tag})
+	l.cond.Signal()
+	return done
 }
 
-func (c *Chaos) Irecv(source, tag int) Request {
-	req := &netRequest{isRecv: true, source: source, tag: tag, mb: c.mb}
-	c.mb.post(req)
-	return req
+// deliver forwards one link's queue in order, each message at its due
+// time, until the link is closed and drained.
+func (c *Chaos) deliver(dest int, l *chaosLink) {
+	defer c.wg.Done()
+	for {
+		l.mu.Lock()
+		for len(l.queue) == 0 && !l.closed {
+			l.cond.Wait()
+		}
+		if len(l.queue) == 0 {
+			l.mu.Unlock()
+			return
+		}
+		m := l.queue[0]
+		l.queue = l.queue[1:]
+		l.mu.Unlock()
+		time.Sleep(time.Until(m.due))
+		if !c.killed.Load() {
+			c.Endpoint.Isend(m.data, dest, m.tag)
+		}
+	}
 }
 
 // delay maps one uniform draw to the schedule's latency distribution.
@@ -338,211 +241,67 @@ func appendMicros(b []byte, d time.Duration) []byte {
 	return append(b, tmp[i:]...)
 }
 
-// FaultLog renders every link's verdict sequence — 'x' drop, '2'
-// duplicate, '~<µs>;' delay, '.' clean, '!' sever — one line per
+// FaultLog renders every link's verdict sequence — '~<µs>;' delayed, '.'
+// undelayed, '!' link severed at the message that follows — one line per
 // destination. Two runs with the same seed and per-link send sequence
 // produce byte-identical logs; the replay test asserts exactly that.
 func (c *Chaos) FaultLog() string {
-	var dsts []int
-	for j, s := range c.send {
-		if s != nil {
-			dsts = append(dsts, j)
-		}
-	}
-	sort.Ints(dsts)
 	out := make([]byte, 0, 256)
-	for _, j := range dsts {
-		s := c.send[j]
-		s.mu.Lock()
+	for j, l := range c.links {
+		if l == nil {
+			continue
+		}
+		l.mu.Lock()
 		out = append(out, fmt.Sprintf("->%d:", j)...)
-		out = append(out, s.log...)
+		out = append(out, l.log...)
 		out = append(out, '\n')
-		s.mu.Unlock()
+		l.mu.Unlock()
 	}
 	return string(out)
 }
 
-// pump owns the underlying endpoint's receive side: one wildcard receive
-// at a time, demultiplexing data frames through the per-source reorder
-// buffer and acks into the senders' windows.
-func (c *Chaos) pump() {
-	defer c.wg.Done()
-	for {
-		if c.closed.Load() || c.killed.Load() {
-			return
-		}
-		req := c.ep.Irecv(Any, Any)
-		c.pendMu.Lock()
-		c.pending = req
-		c.pendMu.Unlock()
-		if c.closed.Load() || c.killed.Load() {
-			// The stop landed between the check above and the registration:
-			// its cancelPending saw the previous receive, not this one.
-			req.Cancel()
-		}
-		req.Wait()
-		if req.Canceled() {
-			return
-		}
-		c.handle(req.Source(), req.Data())
+// OnPeerFailure and PeerFailure report the wrapped endpoint's peer deaths;
+// over an endpoint that cannot lose a peer there is none to report.
+func (c *Chaos) OnPeerFailure(fn func(rank int, err error)) {
+	if fo, ok := c.Endpoint.(FailureObserver); ok {
+		fo.OnPeerFailure(fn)
 	}
 }
 
-func (c *Chaos) handle(src int, msg []byte) {
-	if len(msg) < 1 || src == c.rank {
-		return
+func (c *Chaos) PeerFailure() error {
+	if fo, ok := c.Endpoint.(FailureObserver); ok {
+		return fo.PeerFailure()
 	}
-	switch msg[0] {
-	case chaosAck:
-		if len(msg) != chaosAckLen {
-			return
-		}
-		ack := binary.BigEndian.Uint32(msg[1:])
-		s := c.send[src]
-		if s == nil {
-			return
-		}
-		s.mu.Lock()
-		for seq := range s.window {
-			if seq < ack {
-				delete(s.window, seq)
-			}
-		}
-		s.mu.Unlock()
-	case chaosData:
-		if len(msg) < chaosDataHdr {
-			return
-		}
-		r := c.recv[src]
-		if r == nil {
-			return
-		}
-		seq := binary.BigEndian.Uint32(msg[1:])
-		tag := int(binary.BigEndian.Uint32(msg[5:]))
-		env := envelope{source: src, tag: tag, data: msg[chaosDataHdr:]}
-		var deliver []envelope
-		ackNow := false
-		r.mu.Lock()
-		switch {
-		case seq < r.expect:
-			// Duplicate of something already delivered: re-ack so the
-			// sender stops retransmitting it.
-			ackNow = true
-		case seq == r.expect:
-			deliver = append(deliver, env)
-			r.expect++
-			for {
-				next, ok := r.buf[r.expect]
-				if !ok {
-					break
-				}
-				delete(r.buf, r.expect)
-				deliver = append(deliver, next)
-				r.expect++
-			}
-			r.nAcked += len(deliver)
-			if r.nAcked >= chaosAckEach {
-				r.nAcked = 0
-				ackNow = true
-			}
-		default: // a gap: hold for reorder, tell the sender where we are
-			r.buf[seq] = env
-			ackNow = true
-		}
-		expect := r.expect
-		r.mu.Unlock()
-		for _, e := range deliver {
-			c.mb.push(e)
-		}
-		if ackNow {
-			c.sendAck(src, expect)
-		}
-	}
-}
-
-func (c *Chaos) sendAck(src int, expect uint32) {
-	if c.closed.Load() || c.killed.Load() {
-		return
-	}
-	var ack [chaosAckLen]byte
-	ack[0] = chaosAck
-	binary.BigEndian.PutUint32(ack[1:], expect)
-	c.ep.Isend(ack[:], src, 0)
-}
-
-// retransmitLoop resends every unacknowledged message on the schedule's
-// cadence. Retransmissions bypass the fault draws — only a message's first
-// transmission consumes PRNG verdicts — so the fault log stays exactly
-// reproducible while delivery remains guaranteed.
-func (c *Chaos) retransmitLoop() {
-	defer c.wg.Done()
-	for {
-		select {
-		case <-c.stopRe:
-			return
-		case <-c.retick.C:
-		}
-		if c.closed.Load() || c.killed.Load() {
-			return
-		}
-		for j, s := range c.send {
-			if s == nil {
-				continue
-			}
-			s.mu.Lock()
-			if !s.dark.IsZero() && time.Now().Before(s.dark) {
-				s.mu.Unlock()
-				continue
-			}
-			frames := make([][]byte, 0, len(s.window))
-			for _, f := range s.window {
-				frames = append(frames, f)
-			}
-			s.mu.Unlock()
-			for _, f := range frames {
-				if c.closed.Load() || c.killed.Load() {
-					return
-				}
-				c.ep.Isend(f, j, 0)
-			}
-		}
-	}
+	return nil
 }
 
 // kill simulates this rank dying mid-send: on a Crasher substrate the real
-// connections are torn down with no goodbye; everywhere the local mailbox
-// blacks out and the pump and retransmissions stop, so nothing is sent or
-// delivered past the kill point.
+// connections are torn down with no goodbye, elsewhere the wrapped endpoint
+// is closed; either way nothing queued or sent later leaves the rank. It
+// runs once: exactly one send is the KillAtFrame-th.
 func (c *Chaos) kill() {
-	if !c.killed.CompareAndSwap(false, true) {
-		return
-	}
-	if cr, ok := c.ep.(Crasher); ok {
+	c.killed.Store(true)
+	if cr, ok := c.Endpoint.(Crasher); ok {
 		cr.Crash()
-	}
-	c.cancelPending()
-	c.mb.fail()
-}
-
-func (c *Chaos) cancelPending() {
-	c.pendMu.Lock()
-	req := c.pending
-	c.pendMu.Unlock()
-	if req != nil {
-		req.Cancel()
+	} else {
+		c.Endpoint.Close()
 	}
 }
 
-// Close stops the wrapper — pump, retransmissions, pending timers lapse —
-// without closing the underlying endpoint (the caller owns that).
+// Close delivers every message already sent — as a socket flushes on a
+// graceful close — and then closes the wrapped endpoint.
 func (c *Chaos) Close() error {
 	c.closeOnce.Do(func() {
-		c.closed.Store(true)
-		close(c.stopRe)
-		c.retick.Stop()
-		c.cancelPending()
+		for _, l := range c.links {
+			if l != nil {
+				l.mu.Lock()
+				l.closed = true
+				l.mu.Unlock()
+				l.cond.Signal()
+			}
+		}
 		c.wg.Wait()
-		c.mb.fail()
+		c.Endpoint.Close()
 	})
 	return nil
 }

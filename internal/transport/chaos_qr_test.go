@@ -2,14 +2,16 @@ package transport_test
 
 // End-to-end chaos tests: a full tree-based QR factorization running over a
 // fault-injecting transport must produce bit-identical results to the
-// sequential oracle — the ARQ layer makes drops, delays, duplicates and a
-// mid-run link sever invisible to the algorithm. This lives in an external
-// test package so it can import internal/qr without a cycle.
+// sequential oracle. Chaos adds latency and cuts links; what makes the cuts
+// invisible to the algorithm is the substrate — on TCP, the production
+// redial-and-resume path. This lives in an external test package so it can
+// import internal/qr without a cycle.
 
 import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -60,24 +62,41 @@ func assertMatchesOracle(t *testing.T, seq, got *qr.Factorization) {
 	}
 }
 
-// runChaosFactorization runs FactorizeVSAIn on every endpoint concurrently
-// and returns rank 0's result; any rank's error fails the test.
-func runChaosFactorization(t *testing.T, eps []transport.Endpoint) *qr.Factorization {
+// withChaos wraps eps[r] in sch with rank r's own sever list.
+func withChaos(eps []transport.Endpoint, sch transport.Schedule, severs [][]transport.SeverEvent) []*transport.Chaos {
+	cs := make([]*transport.Chaos, len(eps))
+	for r, ep := range eps {
+		rsch := sch
+		rsch.Sever = severs[r]
+		cs[r] = transport.NewChaos(ep, rsch)
+	}
+	return cs
+}
+
+// factorizeOnRanks runs FactorizeVSAIn on every rank concurrently with the
+// same inputs (tiled at nb), closes every rank, and returns rank 0's result;
+// any rank's error fails the test.
+func factorizeOnRanks(t *testing.T, cs []*transport.Chaos, d, b *matrix.Mat, nb int, o qr.Options) *qr.Factorization {
 	t.Helper()
-	d, b, o := chaosQRInputs()
-	results := make([]*qr.Factorization, len(eps))
-	errs := make([]error, len(eps))
+	results := make([]*qr.Factorization, len(cs))
+	errs := make([]error, len(cs))
 	var wg sync.WaitGroup
-	for r := range eps {
+	for r := range cs {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			results[r], errs[r] = qr.FactorizeVSAIn(context.Background(),
-				matrix.FromDense(d, o.NB), matrix.FromDense(b, o.NB),
-				o, qr.RunConfig{Threads: 2}, qr.Env{Endpoint: eps[r]})
+			var bt *matrix.Tiled
+			if b != nil {
+				bt = matrix.FromDense(b, nb)
+			}
+			results[r], errs[r] = qr.FactorizeVSAIn(context.Background(), matrix.FromDense(d, nb), bt,
+				o, qr.RunConfig{Threads: 2}, qr.Env{Endpoint: cs[r]})
 		}(r)
 	}
 	wg.Wait()
+	for _, c := range cs {
+		c.Close()
+	}
 	for r, err := range errs {
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
@@ -86,8 +105,20 @@ func runChaosFactorization(t *testing.T, eps []transport.Endpoint) *qr.Factoriza
 	return results[0]
 }
 
-// chaosTCPMesh dials an in-process TCP mesh in reconnect mode; the caller
-// closes it (under the chaos wrappers, in its own order).
+// assertSeversFired fails the test unless every sever scheduled on rank r
+// appears in its fault log: one placed beyond its link's traffic never
+// fires and tests nothing.
+func assertSeversFired(t *testing.T, cs []*transport.Chaos, severs [][]transport.SeverEvent) {
+	t.Helper()
+	for r, c := range cs {
+		if fired := strings.Count(c.FaultLog(), "!"); fired != len(severs[r]) {
+			t.Fatalf("rank %d: %d of %d scheduled severs fired:\n%s", r, fired, len(severs[r]), c.FaultLog())
+		}
+	}
+}
+
+// chaosTCPMesh dials an in-process TCP mesh in reconnect mode; closing the
+// chaos wrappers closes it.
 func chaosTCPMesh(t *testing.T, n int, reconnect time.Duration) []transport.Endpoint {
 	t.Helper()
 	eps, err := transport.DialLoopback(n, func(cfg *transport.TCPConfig) {
@@ -101,74 +132,68 @@ func chaosTCPMesh(t *testing.T, n int, reconnect time.Duration) []transport.Endp
 }
 
 // TestChaosFactorizationMatchesOracle runs the full distributed QR through
-// chaos wrappers injecting 1% frame drop plus delays on the in-process
+// chaos wrappers injecting delays and link holds on the in-process
 // transport; the result must match the sequential oracle elementwise.
 func TestChaosFactorizationMatchesOracle(t *testing.T) {
 	seq := chaosQROracle(t)
-	const ranks = 3
-	sch := transport.Schedule{
-		Seed:               0x9121,
-		Drop:               0.01,
-		DelayP50:           200 * time.Microsecond,
-		DelayP95:           time.Millisecond,
-		RetransmitInterval: 5 * time.Millisecond,
+	l := transport.NewLocal(3)
+	eps := []transport.Endpoint{l.Endpoint(0), l.Endpoint(1), l.Endpoint(2)}
+	sch := transport.Schedule{Seed: 0x9121, DelayP50: 200 * time.Microsecond, DelayP95: time.Millisecond}
+	// Links 0→1, 0→2, 1→0, 1→2 and 2→0 carry 10, 5, 20, 5 and 20 messages.
+	hold := func(peer int, frame int64) transport.SeverEvent {
+		return transport.SeverEvent{Peer: peer, AtFrame: frame, For: 5 * time.Millisecond}
 	}
-	l := transport.NewLocal(ranks)
-	eps := make([]transport.Endpoint, ranks)
-	for r := 0; r < ranks; r++ {
-		eps[r] = transport.NewChaos(l.Endpoint(r), sch)
+	severs := [][]transport.SeverEvent{
+		{hold(1, 3), hold(1, 8), hold(2, 2)},
+		{hold(0, 4), hold(0, 11), hold(0, 18), hold(2, 3)},
+		{hold(0, 6), hold(0, 15)},
 	}
-	got := runChaosFactorization(t, eps)
-	for _, ep := range eps {
-		ep.Close()
+	cs := withChaos(eps, sch, severs)
+	d, b, o := chaosQRInputs()
+	got := factorizeOnRanks(t, cs, d, b, o.NB, o)
+	for r, c := range cs {
+		t.Logf("rank %d:\n%s", r, c.FaultLog())
 	}
 	assertMatchesOracle(t, seq, got)
+	assertSeversFired(t, cs, severs)
 }
 
 // TestChaosTCPFactorizationMatchesOracle is the headline resilience check
 // (and the `make chaos-smoke` target): a factorization over real TCP with
-// seeded chaos — 1% drop, 5ms p95 delay, and one mid-run link sever that
-// the reconnect layer must repair — completes and matches the sequential
-// oracle elementwise, deterministically across repeated runs.
+// seeded chaos — 5ms p95 delay and eight mid-run severs spread over both
+// links, each a real socket cut that the reconnect layer must repair —
+// completes and matches the sequential oracle elementwise, deterministically
+// across repeated runs.
 func TestChaosTCPFactorizationMatchesOracle(t *testing.T) {
 	seq := chaosQROracle(t)
 	runs := 10
 	if testing.Short() {
 		runs = 2
 	}
+	d, b, o := chaosQRInputs()
+	sch := transport.Schedule{Seed: 0xD15EA5E, DelayP50: 200 * time.Microsecond, DelayP95: 5 * time.Millisecond}
+	// Rank 0 sends 13 messages to rank 1, rank 1 sends 33 back.
+	severs := [][]transport.SeverEvent{
+		{{Peer: 1, AtFrame: 3}, {Peer: 1, AtFrame: 7}, {Peer: 1, AtFrame: 11}},
+		{{Peer: 0, AtFrame: 5}, {Peer: 0, AtFrame: 12}, {Peer: 0, AtFrame: 19}, {Peer: 0, AtFrame: 26}, {Peer: 0, AtFrame: 31}},
+	}
 	for run := 0; run < runs; run++ {
-		eps := chaosTCPMesh(t, 2, 2*time.Second)
-		sch := transport.Schedule{
-			Seed:               0xD15EA5E,
-			Drop:               0.01,
-			DelayP50:           200 * time.Microsecond,
-			DelayP95:           5 * time.Millisecond,
-			RetransmitInterval: 5 * time.Millisecond,
-		}
-		chaos := make([]transport.Endpoint, 2)
-		for r := range chaos {
-			rsch := sch
-			if r == 0 {
-				// One mid-run sever of the 0->1 link: the TCP substrate
-				// implements LinkSeverer, so this cuts the real sockets and
-				// exercises redial + unacked-window resend underneath the ARQ.
-				rsch.Sever = []transport.SeverEvent{{Peer: 1, AtFrame: 30}}
+		cs := withChaos(chaosTCPMesh(t, 2, 2*time.Second), sch, severs)
+		got := factorizeOnRanks(t, cs, d, b, o.NB, o)
+		if run == 0 {
+			for r, c := range cs {
+				t.Logf("rank %d:\n%s", r, c.FaultLog())
 			}
-			chaos[r] = transport.NewChaos(eps[r], rsch)
-		}
-		got := runChaosFactorization(t, chaos)
-		for r := range chaos {
-			chaos[r].Close()
-			eps[r].Close()
 		}
 		assertMatchesOracle(t, seq, got)
+		assertSeversFired(t, cs, severs)
 	}
 }
 
 // TestChaosTCPDefaultTileMatchesOracle is the default-path run of
 // `make chaos-smoke`: nothing about the tile is specified, both the oracle
 // and the ranks take qr.DefaultOptions, and the frames that cross the
-// chaotic link — dropped, delayed, the link severed once — are whole default
+// chaotic link — delayed, cut mid-stream on both links — are whole default
 // tiles (hundreds of KB each, not the 8×8 tiles of the tests above).
 func TestChaosTCPDefaultTileMatchesOracle(t *testing.T) {
 	nb := qr.DefaultOptions().NB
@@ -178,44 +203,19 @@ func TestChaosTCPDefaultTileMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps := chaosTCPMesh(t, 2, 2*time.Second)
-	sch := transport.Schedule{
-		Seed:               0xDEFA017,
-		Drop:               0.01,
-		DelayP50:           200 * time.Microsecond,
-		DelayP95:           5 * time.Millisecond,
-		RetransmitInterval: 5 * time.Millisecond,
+	sch := transport.Schedule{Seed: 0xDEFA017, DelayP50: 200 * time.Microsecond, DelayP95: 5 * time.Millisecond}
+	// Rank 0 sends 4 messages to rank 1, rank 1 sends 9 back.
+	severs := [][]transport.SeverEvent{
+		{{Peer: 1, AtFrame: 2}, {Peer: 1, AtFrame: 4}},
+		{{Peer: 0, AtFrame: 3}, {Peer: 0, AtFrame: 8}},
 	}
-	chaos := make([]transport.Endpoint, 2)
-	for r := range chaos {
-		rsch := sch
-		if r == 0 {
-			rsch.Sever = []transport.SeverEvent{{Peer: 1, AtFrame: 4}}
-		}
-		chaos[r] = transport.NewChaos(eps[r], rsch)
+	cs := withChaos(chaosTCPMesh(t, 2, 2*time.Second), sch, severs)
+	got := factorizeOnRanks(t, cs, d, nil, nb, qr.Options{})
+	for r, c := range cs {
+		t.Logf("rank %d:\n%s", r, c.FaultLog())
 	}
-	results := make([]*qr.Factorization, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for r := range chaos {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			results[r], errs[r] = qr.FactorizeVSAIn(context.Background(), matrix.FromDense(d, nb), nil,
-				qr.Options{}, qr.RunConfig{Threads: 2}, qr.Env{Endpoint: chaos[r]})
-		}(r)
-	}
-	wg.Wait()
-	for r := range chaos {
-		chaos[r].Close()
-		eps[r].Close()
-	}
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	assertMatchesOracle(t, seq, results[0])
+	assertMatchesOracle(t, seq, got)
+	assertSeversFired(t, cs, severs)
 }
 
 // TestChaosTCPKillRankYieldsPeerDeath: a chaos-scheduled rank kill at frame

@@ -12,10 +12,12 @@ import (
 
 // TestEndpointConformance holds every substrate to the one contract the
 // Endpoint interface states: the in-process Local world, a loopback TCP
-// mesh, and the job endpoints of a Mux session. All three match receives in
-// the same mailbox; what differs is how a message gets there — a copy on the
-// sender's goroutine, a socket and a reader goroutine, a demultiplexing pump
-// — so every case waits for arrival instead of assuming it.
+// mesh, the job endpoints of a Mux session, and Chaos over Local with seeded
+// delay and a sever hold on 0→1. All four match receives in the same
+// mailbox; what differs is how a message gets there — a copy on the
+// sender's goroutine, a socket and a reader goroutine, a demultiplexing
+// pump, a per-link delivery queue — so every case waits for arrival instead
+// of assuming it.
 func TestEndpointConformance(t *testing.T) {
 	substrates := []struct {
 		name string
@@ -41,6 +43,20 @@ func TestEndpointConformance(t *testing.T) {
 					t.Fatalf("rank %d: open job session: %v", r, err)
 				}
 				eps[r] = jep
+			}
+			return eps
+		}},
+		{"chaos", func(t *testing.T, n int) []Endpoint {
+			l := NewLocal(n)
+			eps := make([]Endpoint, n)
+			for r := range eps {
+				sch := Schedule{Seed: int64(n), DelayP50: 100 * time.Microsecond, DelayP95: time.Millisecond}
+				if r == 0 {
+					sch.Sever = []SeverEvent{{Peer: 1, AtFrame: 2, For: 20 * time.Millisecond}}
+				}
+				c := NewChaos(l.Endpoint(r), sch)
+				t.Cleanup(func() { c.Close() })
+				eps[r] = c
 			}
 			return eps
 		}},

@@ -3,7 +3,7 @@ package transport
 import "sync"
 
 // mailbox implements MPI receive matching for every endpoint — in-process,
-// TCP, mux job session, chaos wrapper: arrived, unmatched messages wait in an
+// TCP, mux job session: arrived, unmatched messages wait in an
 // inbox; posted, unmatched receives wait in a queue; both are FIFO, so
 // messages between a given pair of ranks are non-overtaking with respect to
 // matching receives.

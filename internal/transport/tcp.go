@@ -569,13 +569,22 @@ func (ep *tcpEndpoint) readLoop(conn net.Conn) {
 
 // ackLoop consumes the reverse direction of one outbound connection:
 // cumulative acknowledgement frames from the accepting side, pruning the
-// re-send window as they arrive. It exits when the connection dies; the
-// redial path reads its resume acknowledgement synchronously and then
-// starts a fresh ackLoop on the repaired connection.
+// re-send window as they arrive. When the connection dies while it is still
+// the link's, it wakes the writer to repair it: a sender with nothing left
+// to write would otherwise never see a write fail, and the frames the break
+// swallowed would wait in the window forever. The redial path reads its
+// resume acknowledgement synchronously and then starts a fresh ackLoop on
+// the repaired connection.
 func (ep *tcpEndpoint) ackLoop(p *peerLink, conn net.Conn) {
 	for {
 		f, err := ReadFrame(conn)
 		if err != nil {
+			p.mu.Lock()
+			if p.conn == conn {
+				p.broken = conn
+			}
+			p.mu.Unlock()
+			p.cond.Signal()
 			return
 		}
 		if f.Type == FrameAck && len(f.Payload) == 8 {
@@ -586,13 +595,14 @@ func (ep *tcpEndpoint) ackLoop(p *peerLink, conn net.Conn) {
 
 // writeLoop drains one peer's outbound queue onto its connection. On close
 // it flushes everything already queued before shutting the connection down
-// (graceful shutdown); on a write error it either repairs the link (redial
-// plus re-send of the unacknowledged window, when Reconnect is on) or
-// drops the queue and marks the peer departed.
+// (graceful shutdown); on a write error, or a break its ack reader saw, it
+// either repairs the link (redial plus re-send of the unacknowledged
+// window, when Reconnect is on) or drops the queue and marks the peer
+// departed.
 func (ep *tcpEndpoint) writeLoop(dst int, p *peerLink) {
 	for {
 		p.mu.Lock()
-		for len(p.q) == 0 && !p.stopped && p.err == nil {
+		for len(p.q) == 0 && !p.stopped && p.err == nil && p.broken == nil {
 			p.cond.Wait()
 		}
 		if p.err != nil || (p.stopped && len(p.q) == 0) {
@@ -604,21 +614,21 @@ func (ep *tcpEndpoint) writeLoop(dst int, p *peerLink) {
 		batch := p.q
 		p.q = nil
 		conn := p.conn
+		broken := p.broken == conn
+		p.broken = nil
 		p.mu.Unlock()
+		if broken && !ep.repair(dst, p, &conn, errors.New("connection broke")) {
+			return
+		}
 		for i := 0; i < len(batch); i++ {
 			b := batch[i]
 			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 			if _, err := conn.Write(b.data); err != nil {
-				if ep.reconnect > 0 && !ep.closed.Load() && !p.isStopped() {
-					if c, ok := ep.redial(dst, p, conn); ok {
-						conn = c
-						i-- // the failed frame rides the repaired link
-						continue
-					}
-					err = fmt.Errorf("reconnect budget %v exhausted: %w", ep.reconnect, err)
+				if !ep.repair(dst, p, &conn, err) {
+					return
 				}
-				ep.dropLink(dst, p, err)
-				return
+				i-- // the failed frame rides the repaired link
+				continue
 			}
 			if !p.recordWrite(b, ep.reconnect > 0, unackedWindow) {
 				ep.dropLink(dst, p, fmt.Errorf("unacked window overflow (%d frames, no acks)", unackedWindow))
@@ -626,6 +636,21 @@ func (ep *tcpEndpoint) writeLoop(dst int, p *peerLink) {
 			}
 		}
 	}
+}
+
+// repair redials the broken link when Reconnect allows it and installs the
+// repaired connection in *conn. Otherwise, or once the budget is spent, it
+// drops the link and reports false.
+func (ep *tcpEndpoint) repair(dst int, p *peerLink, conn *net.Conn, err error) bool {
+	if ep.reconnect > 0 && !ep.closed.Load() && !p.isStopped() {
+		if c, ok := ep.redial(dst, p, *conn); ok {
+			*conn = c
+			return true
+		}
+		err = fmt.Errorf("reconnect budget %v exhausted: %w", ep.reconnect, err)
+	}
+	ep.dropLink(dst, p, err)
+	return false
 }
 
 // dropLink abandons the outbound link: the queue is dropped, the
@@ -902,6 +927,7 @@ type peerLink struct {
 	q       []outFrame
 	stopped bool
 	err     error
+	broken  net.Conn // the connection its ack reader saw break, for the writer to repair
 
 	sent    []outFrame // written but not yet acknowledged (reconnect mode)
 	sentCnt int64      // frames fully written on the link since rendezvous

@@ -2,7 +2,9 @@ package transport
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -21,7 +23,8 @@ func awaitFailure(t *testing.T, ep Endpoint) <-chan error {
 }
 
 // TestTCPReconnectResendsAfterSever severs both directions of a live link
-// mid-conversation and asserts the reconnect layer repairs it invisibly:
+// mid-conversation, then again mid-write, and asserts the reconnect layer
+// repairs it invisibly:
 // every message sent after the cut still arrives exactly once, in order,
 // in both directions, with no failure verdict rendered.
 func TestTCPReconnectResendsAfterSever(t *testing.T) {
@@ -57,6 +60,26 @@ func TestTCPReconnectResendsAfterSever(t *testing.T) {
 			t.Fatalf("1->0 message %d lost across sever (canceled=%v)", i, r.Canceled())
 		}
 	}
+
+	// A sender cut while it is writing: the writer is still behind a 16 MB
+	// queue when the sever closes its socket, so the failed write itself
+	// must start the repair.
+	big := make([]byte, 1<<20)
+	for cut := 0; cut < 3; cut++ {
+		for i := 0; i < 16; i++ {
+			big[0] = byte(i)
+			eps[0].Isend(big, 1, 200+i)
+		}
+		eps[0].(LinkSeverer).SeverLink(1)
+		for i := 0; i < 16; i++ {
+			r := eps[1].Irecv(0, 200+i)
+			r.Wait()
+			if r.Canceled() || r.GetCount() != len(big) || r.Data()[0] != byte(i) {
+				t.Fatalf("cut %d: 0->1 frame %d of a stream cut mid-write lost (canceled=%v)", cut, i, r.Canceled())
+			}
+		}
+	}
+
 	for rank, ep := range eps {
 		if err := ep.(FailureObserver).PeerFailure(); err != nil {
 			t.Fatalf("rank %d rendered a failure verdict across a survivable sever: %v", rank, err)
@@ -69,6 +92,47 @@ func TestTCPReconnectResendsAfterSever(t *testing.T) {
 	}
 	if err := <-barErr; err != nil {
 		t.Fatalf("rank 1 barrier on repaired mesh: %v", err)
+	}
+}
+
+// TestTCPIdleSenderRepairsSeveredLink: with Reconnect on and no heartbeat, a
+// sender whose last frame was on the wire when its link was cut has nothing
+// more to write, so no write can fail. The broken connection shows on its
+// ack reader, which must start the repair, or the frame is lost and the
+// receiver declares the sender dead once the reconnect budget runs out.
+func TestTCPIdleSenderRepairsSeveredLink(t *testing.T) {
+	const (
+		trials = 20
+		budget = 300 * time.Millisecond
+	)
+	payload := make([]byte, 256<<10)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	rng := rand.New(rand.NewSource(26))
+	lost := 0
+	for trial := 0; trial < trials; trial++ {
+		eps := newTCPMeshCfg(t, 2, func(cfg *TCPConfig) {
+			cfg.Reconnect = 1500 * time.Millisecond
+			cfg.ReconnectBackoff = 2 * time.Millisecond
+		})
+		r := eps[0].Irecv(1, trial)
+		eps[1].Isend(payload, 0, trial)
+		time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
+		eps[0].(LinkSeverer).SeverLink(1)
+
+		ctx, cancel := context.WithTimeout(context.Background(), budget)
+		err := Await(ctx, eps[0], r)
+		cancel()
+		if err != nil || !bytes.Equal(r.Data(), payload) {
+			lost++
+		}
+		for _, ep := range eps {
+			ep.Close()
+		}
+	}
+	if lost > 0 {
+		t.Fatalf("%d of %d trials: the frame in flight at the sever never arrived within %v", lost, trials, budget)
 	}
 }
 

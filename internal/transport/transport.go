@@ -59,9 +59,9 @@ func (e *PeerDeathError) Error() string {
 func (e *PeerDeathError) Unwrap() error { return e.Err }
 
 // FailureObserver is implemented by endpoints that can report the death of
-// individual peers (the TCP substrate, Chaos wrappers, mux job sessions).
-// The in-process Local substrate never loses a peer and does not implement
-// it; callers type-assert.
+// individual peers (the TCP substrate and mux job sessions; a Chaos wrapper
+// passes on its wrapped endpoint's reports). The in-process Local substrate
+// never loses a peer and does not implement it; callers type-assert.
 type FailureObserver interface {
 	// OnPeerFailure registers a callback invoked (outside internal locks)
 	// when a peer rank departs or is declared dead; nil unregisters every
