@@ -78,7 +78,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cfg.ResultCap, "results", 64, "terminal jobs kept queryable before eviction")
 	fs.IntVar(&cfg.TraceCap, "tracecap", 0, "per-traced-job event recorder capacity (0 = default; overflow drops oldest events)")
 	fs.IntVar(&cfg.BatchStreams, "batch-streams", 0, "POST /v1/batch streams admitted concurrently (0 = default 2; arrivals beyond it get 429)")
-	fs.BoolVar(&cfg.PinNUMA, "numa", false, "pin pool workers to NUMA nodes with node-local workspaces (best-effort)")
 	fs.StringVar(&cfg.CheckpointDir, "checkpoint-dir", "", "durable streaming-session checkpoints (QSC1) live here; sessions survive restarts (empty = memory-only sessions)")
 	fs.IntVar(&cfg.SessionStreams, "session-streams", 0, "session append streams admitted concurrently (0 = default 2; arrivals beyond it get 429)")
 	fs.IntVar(&cfg.MaxSessions, "max-sessions", 0, "streaming sessions registered at once (0 = default 64)")
@@ -138,7 +137,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if agent {
 		logf("fleet of %d ranks up, %d worker threads warm", ep.Size(), cfg.Threads)
-		a, err := service.NewAgentOpts(ep, service.AgentOptions{Threads: cfg.Threads, PinNUMA: cfg.PinNUMA, Logf: logf})
+		a, err := service.NewAgent(ep, cfg.Threads, logf)
 		if err != nil {
 			return fail(err)
 		}

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -69,11 +70,11 @@ func fetch(client *http.Client, base string, events int) (*service.StatusView, e
 	return &st, nil
 }
 
-func render(w *os.File, st *service.StatusView) {
+func render(w io.Writer, st *service.StatusView) {
 	up := time.Duration(st.UptimeS * float64(time.Second)).Round(time.Second)
-	fmt.Fprintf(w, "qrserve %s (%s)  kernel=%s cpu=%s numa=%d threads=%d  up %s\n",
+	fmt.Fprintf(w, "qrserve %s (%s)  kernel=%s cpu=%s threads=%d  up %s\n",
 		st.Build.Version, st.Build.GoVersion, st.Build.Kernel, st.Build.CPUFeatures,
-		st.Build.NUMANodes, st.Build.Threads, up)
+		st.Build.Threads, up)
 	fleet := fmt.Sprintf("fleet: %d/%d ranks live", st.Fleet.Live, st.Fleet.Ranks)
 	if st.Fleet.Degraded {
 		fleet += fmt.Sprintf("  DEGRADED (evicted %v)", st.Fleet.Evicted)

@@ -295,7 +295,7 @@ func TestDgemmBlockedHardInputs(t *testing.T) {
 			checkPadding(t, c, sh.m, sh.n, ldc, "C")
 		}
 
-		// The documented difference (KERNELS.md §7): dgemmScalar's
+		// The documented difference (KERNELS.md §6): dgemmScalar's
 		// no-transpose loop skips a k-step whose alpha·b is zero, so a NaN
 		// in the matching column of A never reaches C; the packed engine
 		// multiplies it out and 0·NaN = NaN lands in C. Both are legal

@@ -85,13 +85,6 @@ func pickKernel() kernelParams {
 // attribute numbers to a code path.
 func MicroKernelName() string { return kp.name }
 
-// KernelID returns a small integer unique to the active micro-kernel and
-// its packing geometry. Consumers that cache PackLHS output include it in
-// their cache keys: packings from one geometry are garbage to another.
-func KernelID() uint32 {
-	return uint32(kp.level)<<16 | uint32(kp.mr)<<8 | uint32(kp.nr)
-}
-
 // CPUFeatures reports the SIMD capabilities detected at startup, for CI
 // logging and bench attribution.
 func CPUFeatures() string {

@@ -91,8 +91,8 @@ func blockedDiff(t *testing.T, rng *rand.Rand, transA, transB bool, m, n, k int)
 	checkPadding(t, c, m, n, ldc, "C")
 }
 
-// TestPackedLHSBitwiseMatchesBlocked proves the prepack contract the panel
-// cache rests on: PackLHS + DgemmPackedLHS must produce results bitwise
+// TestPackedLHSBitwiseMatchesBlocked proves the prepack contract the fused
+// apply rests on: PackLHS + DgemmPackedLHS must produce results bitwise
 // identical to dgemmBlocked on the same operands, for every available
 // kernel geometry, with and without a transposed left-hand side.
 func TestPackedLHSBitwiseMatchesBlocked(t *testing.T) {
@@ -196,18 +196,5 @@ func TestPickKernelEnvDowngrade(t *testing.T) {
 	t.Setenv("PULSARQR_MICROKERNEL", "")
 	if got := pickKernel(); got.level != best.level {
 		t.Fatalf("empty override changed selection: %s vs %s", got.name, best.name)
-	}
-}
-
-func TestKernelIDDistinguishesConfigs(t *testing.T) {
-	seen := map[uint32]string{}
-	for _, cfg := range []kernelParams{testParamsScalar, testParamsAVX2, testParamsAVX512} {
-		restore := forceKernel(cfg)
-		id := KernelID()
-		restore()
-		if prev, dup := seen[id]; dup {
-			t.Fatalf("KernelID %#x shared by %s and %s", id, prev, cfg.name)
-		}
-		seen[id] = cfg.name
 	}
 }

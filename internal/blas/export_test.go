@@ -4,7 +4,7 @@ package blas
 // of a test and returns a restore function. Pooled scratch is sized for the
 // largest config (scratchAP/scratchBP), so buffers packed under one config
 // and reused under another stay in bounds; callers must not hold packed
-// panels across the swap (KernelID changes with it).
+// panels across the swap (the packing geometry changes with it).
 func forceKernel(p kernelParams) (restore func()) {
 	old := kp
 	kp = p

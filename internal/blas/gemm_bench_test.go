@@ -53,8 +53,8 @@ func BenchmarkTrmmLeft192x192(b *testing.B) { benchTrmmLeft(b, false, 192, 192) 
 
 // The packs behind the panel kernels' ib-thin products at the default tile
 // (192/24), timed alone: what the fused apply packs per inner block (a
-// 192×192 slab of C2), its W and W2 operands (24×192), and what an uncached
-// applyTS or a panel-cache fill packs of V2 (24×192 transposed, 192×24
+// 192×192 slab of C2), its W and W2 operands (24×192), and what applyTS or
+// the fused apply's operand packers pack of V2 (24×192 transposed, 192×24
 // plain). MB/s counts the elements moved once.
 func benchPackB(b *testing.B, kc, nc int) {
 	rng := rand.New(rand.NewSource(3))

@@ -1,16 +1,15 @@
 package blas
 
 // Pre-packed left-hand-side API. The blocked engine re-packs op(A) on every
-// call; callers that apply the same operand repeatedly (the tile kernels'
-// V/T panels during a trailing-update sweep) can pack it once with PackLHS
-// and replay it through DgemmPackedLHS. The packed layout is exactly what
-// dgemmBlocked builds internally — KC-deep blocks of zero-padded MR-row
+// call; callers that apply one operand to several right-hand sides (the
+// fused block-reflector apply walks C in column slabs) can pack it once with
+// PackLHS and replay it through DgemmPackedLHS. The packed layout is exactly
+// what dgemmBlocked builds internally — KC-deep blocks of zero-padded MR-row
 // panels, with MC a multiple of MR so block boundaries land on panel
 // boundaries — and DgemmPackedLHS drives the same macroKernel over it, so
 // for a given shape the result is bitwise identical to an unpacked
 // Dgemm(beta=1) through the blocked path. The layout is only meaningful to
-// the kernel geometry that produced it: cache packed panels keyed by
-// KernelID().
+// the kernel geometry that produced it.
 
 // PackedLHSLen returns the []float64 length PackLHS needs for an m×k
 // op(A) under the active micro-kernel's packing geometry.

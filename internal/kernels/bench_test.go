@@ -16,6 +16,8 @@ import (
 // across iterations, the way a runtime worker does, and reports
 // allocations: the zero-alloc contract of the workspace plumbing is locked
 // in by TestKernelSteadyStateAllocs below, and visible here as 0 allocs/op.
+// The apply benchmarks re-apply one (V, T) pair, but nothing is kept between
+// calls, so each iteration packs its V and T operands the way a firing does.
 
 var benchNB, benchIB = qr.DefaultOptions().NB, qr.DefaultOptions().IB
 
@@ -117,32 +119,50 @@ func BenchmarkDttmqr(b *testing.B) {
 
 // TestKernelSteadyStateAllocs pins the zero-alloc contract independently of
 // benchmark flags: once a workspace has warmed up, the apply kernels must
-// not allocate at all.
+// not allocate at all — neither re-applying one (V, T) pair nor, as a
+// systolic-array worker does, applying the pairs of different panels in turn.
 func TestKernelSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds items under the race detector; alloc counts are meaningless")
 	}
-	ws, r, v2, tt := benchWorkspaceSetup()
-	DtsqrtWS(ws, benchIB, r, v2, tt)
 	rng := rand.New(rand.NewSource(6))
-	c1 := matrix.NewRand(benchNB, benchNB, rng)
-	c2 := matrix.NewRand(benchNB, benchNB, rng)
-	DtsmqrWS(ws, true, benchIB, v2, tt, c1, c2) // warm
-	n := testing.AllocsPerRun(10, func() {
-		DtsmqrWS(ws, true, benchIB, v2, tt, c1, c2)
-	})
-	if n != 0 {
-		t.Errorf("Dtsmqr steady state allocates %.1f objects/op, want 0", n)
+	ws := NewWorkspace()
+	tile := func() *matrix.Mat { return matrix.NewRand(benchNB, benchNB, rng) }
+	factorTS := func(tri bool) (v2, tt *matrix.Mat) {
+		r, v2, tt := tile().UpperTriangle(), tile(), matrix.New(benchIB, benchNB)
+		if tri {
+			v2 = v2.UpperTriangle()
+			DttqrtWS(ws, benchIB, r, v2, tt)
+		} else {
+			DtsqrtWS(ws, benchIB, r, v2, tt)
+		}
+		return v2, tt
 	}
-	v := matrix.NewRand(benchNB, benchNB, rng)
-	tg := matrix.New(benchIB, benchNB)
-	DgeqrtWS(ws, benchIB, v, tg)
-	c := matrix.NewRand(benchNB, benchNB, rng)
-	DormqrWS(ws, true, benchIB, v, tg, c) // warm
-	n = testing.AllocsPerRun(10, func() {
-		DormqrWS(ws, true, benchIB, v, tg, c)
-	})
-	if n != 0 {
-		t.Errorf("Dormqr steady state allocates %.1f objects/op, want 0", n)
+	tsV, tsT := factorTS(false)
+	tsV2, tsT2 := factorTS(false)
+	ttV, ttT := factorTS(true)
+	geV, geT := tile(), matrix.New(benchIB, benchNB)
+	DgeqrtWS(ws, benchIB, geV, geT)
+	c1, c2 := tile(), tile()
+
+	cases := []struct {
+		name  string
+		apply func()
+	}{
+		{"Dtsmqr", func() { DtsmqrWS(ws, true, benchIB, tsV, tsT, c1, c2) }},
+		{"Dttmqr", func() { DttmqrWS(ws, true, benchIB, ttV, ttT, c1, c2) }},
+		{"Dormqr", func() { DormqrWS(ws, true, benchIB, geV, geT, c1) }},
+		{"Dtsmqr with two (V,T) pairs in turn", func() {
+			DtsmqrWS(ws, true, benchIB, tsV, tsT, c1, c2)
+			DtsmqrWS(ws, true, benchIB, tsV2, tsT2, c1, c2)
+		}},
+	}
+	for _, c := range cases {
+		c.apply() // warm: every buffer reaches its steady size
+	}
+	for _, c := range cases {
+		if n := testing.AllocsPerRun(10, c.apply); n != 0 {
+			t.Errorf("%s steady state allocates %.1f objects/op, want 0", c.name, n)
+		}
 	}
 }

@@ -44,15 +44,9 @@ func DgeqrtWS(ws *Workspace, ib int, a, t *matrix.Mat) {
 		tb := t.ViewInto(&ws.tView, 0, j, sb, sb)
 		dlarft(panel, tau[:sb], tb, work)
 		if j+sb < n {
-			// Uncached dlarfb: the panel was written moments ago inside
-			// this call, so a cached packing could never be reused.
 			dlarfb(ws, true, panel, tb, a.ViewInto(&ws.c1View, j, j+sb, m-j, n-j-sb))
 		}
 	}
-	// Both outputs were rewritten: kill any packed panels cached against
-	// them (a/t are exactly the V/T tiles later applies pack).
-	matrix.NoteWrite(a)
-	matrix.NoteWrite(t)
 }
 
 // Dormqr applies Q (trans=false) or Qᵀ (trans=true) to the m×n matrix c
@@ -79,12 +73,11 @@ func DormqrWS(ws *Workspace, trans bool, ib int, v, t, c *matrix.Mat) {
 	apply := func(j int) {
 		sb := min(ib, k-j)
 		// The reflector panel (unit-lower diagonal block dense-expanded)
-		// and op(T) come packed from the panel cache, so the whole chain
-		// runs on the packed micro-kernel and only the first apply of a
-		// row sweep packs.
+		// and op(T) are packed, so the whole chain runs on the packed
+		// micro-kernel.
 		rows := m - j
-		pvt, pv := ws.packedVPanels(v, j, sb, rows)
-		pt := ws.packedTPanel(t, j, sb, trans)
+		pvt, pv := ws.packVPanels(v, j, sb, rows)
+		pt := ws.packTPanel(t, j, sb, trans)
 		applyFused(ws, pvt, pv, pt, sb, rows, nil, c.ViewInto(&ws.c2View, j, 0, rows, n))
 	}
 	// Column blocks forward for Qᵀ, backward for Q.
@@ -97,6 +90,4 @@ func DormqrWS(ws *Workspace, trans bool, ib int, v, t, c *matrix.Mat) {
 			apply(j)
 		}
 	}
-	// C was rewritten: kill any packed panels cached against it.
-	matrix.NoteWrite(c)
 }

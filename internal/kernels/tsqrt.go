@@ -100,9 +100,7 @@ func tsqrtGeneric(ws *Workspace, ib int, a1, a2, t *matrix.Mat, tri bool) {
 			}
 			t.Set(i, jj, tau)
 		}
-		// Block-apply Hᵀ to the trailing columns of the pair. This stays on
-		// the uncached applyTS: V2 was written moments ago inside this very
-		// call, so a cached packing could never be reused.
+		// Block-apply Hᵀ to the trailing columns of the pair.
 		if nc := n - j - sb; nc > 0 {
 			rows := vrows(j + sb - 1)
 			v2 := v2Block(ws, a2, j, sb, rows, tri)
@@ -111,11 +109,6 @@ func tsqrtGeneric(ws *Workspace, ib int, a1, a2, t *matrix.Mat, tri bool) {
 				a2.ViewInto(&ws.c2View, 0, j+sb, rows, nc))
 		}
 	}
-	// All three outputs were rewritten: kill any packed panels cached
-	// against them (a2/t are exactly the V2/T tiles later applies pack).
-	matrix.NoteWrite(a1)
-	matrix.NoteWrite(a2)
-	matrix.NoteWrite(t)
 }
 
 // v2Block returns the rows×sb reflector block starting at column j of a2.
@@ -236,11 +229,8 @@ func tsmqrGeneric(ws *Workspace, trans bool, ib int, v2, t, b1, b2 *matrix.Mat, 
 		if tri {
 			rows = min(j+sb, v2.Rows)
 		}
-		// V2ᵀ, V2 and op(T) come pre-packed from the workspace panel
-		// cache: across a trailing-update row sweep the same (V, T) pair
-		// is applied to every tile, and only the first firing packs.
-		pv2t, pv2 := ws.packedV2Panels(v2, j, sb, rows, tri)
-		pt := ws.packedTPanel(t, j, sb, trans)
+		pv2t, pv2 := ws.packV2Panels(v2, j, sb, rows, tri)
+		pt := ws.packTPanel(t, j, sb, trans)
 		applyFused(ws, pv2t, pv2, pt, sb, rows,
 			b1.ViewInto(&ws.c1View, j, 0, sb, nc),
 			b2.ViewInto(&ws.c2View, 0, 0, rows, nc))
@@ -255,7 +245,4 @@ func tsmqrGeneric(ws *Workspace, trans bool, ib int, v2, t, b1, b2 *matrix.Mat, 
 			apply(j)
 		}
 	}
-	// The pair was rewritten: kill any packed panels cached against it.
-	matrix.NoteWrite(b1)
-	matrix.NoteWrite(b2)
 }

@@ -7,7 +7,8 @@ import (
 )
 
 // Workspace holds the scratch storage a kernel invocation needs — the W
-// panel of the block-reflector applies, the zero-padded V2 copy of the
+// panel of the block-reflector applies, their packed V and T operands, the
+// zero-padded V2 copy of the
 // triangular kernels, Dgeqrt's tau/work vectors, and reusable matrix
 // headers for the per-block operand views — so that steady-state kernel
 // fires allocate nothing.
@@ -27,15 +28,16 @@ type Workspace struct {
 	wbuf   []float64 // applyTS/dlarfb/applyFused W panel storage
 	w2buf  []float64 // applyFused op(T)·W panel storage
 	v2b    []float64 // v2Block zero-padded triangular copy storage
-	pdense []float64 // panel-cache dense-expansion scratch (T, ormqr V panel)
+	pdense []float64 // dense expansion of T or of an ormqr V panel, before packing
+	pvt    []float64 // applyFused packed Vᵀ (or V2ᵀ) operand
+	pv     []float64 // applyFused packed V (or V2) operand
+	pt     []float64 // applyFused packed op(T) operand
 
 	vView, tView, c1View, c2View matrix.Mat // per-block operand view headers
 	wMat, w2Mat, v2Mat           matrix.Mat // W/W2 panels and V2 copy headers
 
 	auxBuf [2][]float64  // Aux backing storage
 	auxMat [2]matrix.Mat // Aux headers
-
-	panels panelCache // packed reflector panels, keyed by tile identity+generation
 }
 
 // NewWorkspace returns an empty workspace; buffers grow on demand and are

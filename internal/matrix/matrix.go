@@ -32,11 +32,7 @@ func New(rows, cols int) *Mat {
 	if ld < 1 {
 		ld = 1
 	}
-	m := &Mat{Rows: rows, Cols: cols, LD: ld, Data: make([]float64, ld*cols)}
-	// A fresh allocation may land on a recycled address; bump its write
-	// generation so panel packings cached against the old occupant die.
-	NoteWrite(m)
-	return m
+	return &Mat{Rows: rows, Cols: cols, LD: ld, Data: make([]float64, ld*cols)}
 }
 
 // NewRand returns a Rows×Cols matrix with entries drawn uniformly from
@@ -69,11 +65,7 @@ func FromColMajor(rows, cols, ld int, data []float64) *Mat {
 	if cols > 0 && len(data) < ld*(cols-1)+rows {
 		panic("matrix: data slice too short")
 	}
-	m := &Mat{Rows: rows, Cols: cols, LD: ld, Data: data}
-	// The wrapped data is caller-owned and of unknown history; invalidate
-	// any panel packings cached against this address.
-	NoteWrite(m)
-	return m
+	return &Mat{Rows: rows, Cols: cols, LD: ld, Data: data}
 }
 
 // At returns element (i, j).

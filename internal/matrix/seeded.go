@@ -42,7 +42,6 @@ func FillSeeded(dst *Mat, seed int64, i0, j0 int) {
 			col[i] = seededAt(key, i0+i)
 		}
 	}
-	NoteWrite(dst)
 }
 
 // NewSeeded returns the whole rows×cols seeded matrix.

@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"pulsarqr/internal/numa"
 )
 
 // Pool is the set of worker threads every Run executes on. Its workers host
@@ -24,7 +22,6 @@ import (
 type Pool struct {
 	threads int
 	workers []*worker
-	nodeOf  []int // worker thread → pinned NUMA node ID, -1 when unpinned
 
 	next   atomic.Uint32 // round-robin cursor for Exec placement
 	closed atomic.Bool
@@ -33,114 +30,54 @@ type Pool struct {
 	closeOnce sync.Once
 }
 
-// PoolOptions parameterizes NewPoolOpts.
-type PoolOptions struct {
-	// Threads is the worker count; values ≤ 0 mean 1.
-	Threads int
-	// State, when non-nil, is called once per worker to create its private
-	// state (e.g. a reusable kernel workspace) — what Config.WorkerState
-	// supplies for a run-owned pool.
-	State func(thread int) any
-	// PinNUMA pins each worker thread to a NUMA node (workers interleaved
-	// round-robin across nodes) and creates its State on the pinned thread,
-	// so first-touch allocation places per-worker workspaces — and the tile
-	// pages a worker's kernels commit — on the worker's own node. Pinning
-	// is best-effort: hosts without affinity support (non-Linux) or with a
-	// single node run exactly as before.
-	PinNUMA bool
-	// Topology overrides NUMA detection (tests); nil means numa.Detect().
-	Topology *numa.Topology
-}
-
-// NewPool starts threads persistent workers with default options; see
-// PoolOptions.State for the state callback.
+// NewPool starts threads persistent workers (values ≤ 0 mean 1). state,
+// when non-nil, is called once per worker to create its private state (e.g. a
+// reusable kernel workspace) — what Config.WorkerState supplies for a
+// run-owned pool.
 func NewPool(threads int, state func(thread int) any) *Pool {
-	return NewPoolOpts(PoolOptions{Threads: threads, State: state})
+	return newPool(threads, state, 0, nil)
 }
-
-// NewPoolOpts starts a pool as described by opts. It returns after every
-// worker has finished its placement (pinning and state creation), so
-// WorkerNode reports final values immediately.
-func NewPoolOpts(opts PoolOptions) *Pool { return newPool(opts, 0, nil) }
 
 // newRunPool starts the pool that executes node n of s for one Run: the
 // configuration's thread count, worker state and wait hook, with the workers
 // reporting n as their node.
 func (s *VSA) newRunPool(n int) *Pool {
-	opts := PoolOptions{Threads: s.cfg.ThreadsPerNode}
+	var state func(int) any
 	if ws := s.cfg.WorkerState; ws != nil {
-		opts.State = func(t int) any { return ws(n, t) }
+		state = func(t int) any { return ws(n, t) }
 	}
-	return newPool(opts, n, s.cfg.WaitHook)
+	return newPool(s.cfg.ThreadsPerNode, state, n, s.cfg.WaitHook)
 }
 
 // newPool starts a pool whose workers report node in their wait events,
 // with onWait installed before the first of them can park.
-func newPool(opts PoolOptions, node int, onWait func(WaitEvent)) *Pool {
-	threads := opts.Threads
+func newPool(threads int, state func(int) any, node int, onWait func(WaitEvent)) *Pool {
 	if threads <= 0 {
 		threads = 1
 	}
-	p := &Pool{threads: threads, nodeOf: make([]int, threads)}
-	var topo *numa.Topology
-	if opts.PinNUMA {
-		topo = opts.Topology
-		if topo == nil {
-			topo = numa.Detect()
-		}
-	}
+	p := &Pool{threads: threads}
 	for t := 0; t < threads; t++ {
 		w := &worker{node: node, id: t, waitHook: onWait}
 		w.cond = sync.NewCond(&w.mu)
-		p.nodeOf[t] = -1
-		if !opts.PinNUMA && opts.State != nil {
-			// Unpinned pools keep the historical eager creation on the
-			// caller's goroutine; placement doesn't matter without pinning.
-			w.state = opts.State(t)
+		if state != nil {
+			w.state = state(t)
 		}
 		p.workers = append(p.workers, w)
 	}
 	// Workers start only after the slice is complete: their steal loops scan
 	// p.workers, which must be immutable by then.
-	var placed sync.WaitGroup
-	for t, w := range p.workers {
+	for _, w := range p.workers {
 		p.wg.Add(1)
-		placed.Add(1)
-		go func(t int, w *worker) {
+		go func(w *worker) {
 			defer p.wg.Done()
-			if opts.PinNUMA {
-				if n := topo.NodeForWorker(t); n != nil {
-					if err := numa.PinThread(n.CPUs); err == nil {
-						p.nodeOf[t] = n.ID
-					}
-				}
-				// First-touch placement: the state is created on the
-				// worker's own (now pinned) thread, so its workspace
-				// buffers commit pages on the worker's node.
-				if opts.State != nil {
-					w.state = opts.State(t)
-				}
-			}
-			placed.Done()
 			w.run(p)
-		}(t, w)
+		}(w)
 	}
-	placed.Wait()
 	return p
 }
 
 // Threads returns the number of worker threads in the pool.
 func (p *Pool) Threads() int { return p.threads }
-
-// WorkerNode reports the NUMA node worker thread t is pinned to, or -1
-// when t is unpinned (pool built without PinNUMA, pinning unsupported, or
-// t out of range).
-func (p *Pool) WorkerNode(t int) int {
-	if t < 0 || t >= len(p.nodeOf) {
-		return -1
-	}
-	return p.nodeOf[t]
-}
 
 // OnWait installs a hook observing every interval a worker spends parked
 // with nothing ready to fire. Pass nil to remove it. The hook sees wait

@@ -1,11 +1,14 @@
 package qr
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"pulsarqr/internal/kernels"
 	"pulsarqr/internal/matrix"
+	"pulsarqr/internal/pulsar"
 )
 
 // hilbertLike builds an ill-conditioned tall matrix: Vandermonde-ish
@@ -264,6 +267,64 @@ func TestHardInputsAtDefaultTile(t *testing.T) {
 				}
 			}
 			tc.check(t, tc.d, seq)
+		})
+	}
+}
+
+// TestWarmPoolCarriesNothingIntoNextJob holds the determinism contract of
+// the per-worker workspaces the way the server runs them: one persistent
+// pool whose workers keep their kernels.Workspace from job to job. A job whose
+// input holds NaN and ±Inf leaves every buffer it touched poisoned; the next
+// job on the same workers must produce an R bitwise equal to the one the same
+// clean input gets from a fresh pool. 960×576 is five tile rows and three
+// tile columns at the default 192/24, so the panel, TS/TT and update kernels
+// all fire, under both the flat and the hierarchical tree.
+func TestWarmPoolCarriesNothingIntoNextJob(t *testing.T) {
+	const m, n = 960, 576
+	rng := rand.New(rand.NewSource(55))
+	clean := matrix.NewRand(m, n, rng)
+	poisoned := matrix.NewRand(m, n, rng)
+	for k, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for j := k; j < n; j += 97 {
+			poisoned.Set((j*31+k*200)%m, j, v)
+		}
+	}
+	newPool := func() *pulsar.Pool {
+		return pulsar.NewPool(2, func(int) any { return kernels.NewWorkspace() })
+	}
+	run := func(t *testing.T, pool *pulsar.Pool, d *matrix.Mat, o Options) *matrix.Mat {
+		t.Helper()
+		ta := matrix.FromDense(d, o.NB)
+		f, err := FactorizeVSAIn(context.Background(), ta, nil, o, RunConfig{}, Env{Pool: pool, Part: GramOfTileRows(ta, 0, ta.MT)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f.R()
+	}
+	hier := DefaultOptions()
+	flat := hier
+	flat.Tree = FlatTree
+	for _, o := range []Options{flat, hier} {
+		t.Run(o.Tree.String(), func(t *testing.T) {
+			fresh := newPool()
+			want := run(t, fresh, clean, o)
+			fresh.Close()
+
+			warm := newPool()
+			defer warm.Close()
+			finite := true
+			for _, v := range run(t, warm, poisoned, o).Data {
+				finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
+			}
+			if finite {
+				t.Fatal("the poisoned job's R is finite: the input did not reach the kernels")
+			}
+			got := run(t, warm, clean, o)
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("R[%d] = %v after a poisoned job, %v on a fresh pool", i, got.Data[i], want.Data[i])
+				}
+			}
 		})
 	}
 }

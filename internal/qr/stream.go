@@ -22,8 +22,8 @@ import (
 // global R is the fold of the spine — at most popcount(P)−1 further merges,
 // none of which disturb the committed state. Every merge is the same
 // dttqrt/dttmqr tile kernel pair the batch factorization's binary tree
-// fires, so streamed sessions inherit the kernel layer's workspaces and
-// packed-panel cache unchanged.
+// fires, so streamed sessions inherit the kernel layer's workspaces
+// unchanged.
 
 // StreamNode is one committed subtree root of a streaming factorization:
 // the R factor (and optionally the ride-along QᵀB rows) of every row block

@@ -32,34 +32,18 @@ type Agent struct {
 	wg sync.WaitGroup
 }
 
-// AgentOptions parameterizes NewAgentOpts.
-type AgentOptions struct {
-	// Threads sizes the agent's worker pool. Default 2.
-	Threads int
-	// PinNUMA pins pool workers to NUMA nodes with node-local workspaces;
-	// best-effort, see pulsar.PoolOptions.PinNUMA.
-	PinNUMA bool
-	// Logf receives agent logs; nil discards them.
-	Logf func(format string, args ...any)
-}
-
 // NewAgent wraps a dialed endpoint (any rank except 0) in an agent with a
-// pool of threads workers.
+// pool of threads workers (≤ 0 means 2). logf receives agent logs; nil
+// discards them.
 func NewAgent(ep transport.Endpoint, threads int, logf func(string, ...any)) (*Agent, error) {
-	return NewAgentOpts(ep, AgentOptions{Threads: threads, Logf: logf})
-}
-
-// NewAgentOpts wraps a dialed endpoint (any rank except 0) in an agent as
-// described by opts.
-func NewAgentOpts(ep transport.Endpoint, opts AgentOptions) (*Agent, error) {
 	if ep.Rank() == 0 {
 		return nil, fmt.Errorf("service: rank 0 runs the server, not an agent")
 	}
-	if opts.Threads <= 0 {
-		opts.Threads = 2
+	if threads <= 0 {
+		threads = 2
 	}
-	if opts.Logf == nil {
-		opts.Logf = func(string, ...any) {}
+	if logf == nil {
+		logf = func(string, ...any) {}
 	}
 	mux := transport.NewMux(ep)
 	ctl, err := mux.Open(ctlJob)
@@ -67,20 +51,15 @@ func NewAgentOpts(ep transport.Endpoint, opts AgentOptions) (*Agent, error) {
 		mux.Close()
 		return nil, err
 	}
-	pool := pulsar.NewPoolOpts(pulsar.PoolOptions{
-		Threads: opts.Threads,
-		State:   func(int) any { return kernels.NewWorkspace() },
-		PinNUMA: opts.PinNUMA,
-	})
-	opts.Logf("agent rank %d: micro-kernel %s, numa pinning %v (worker 0 on node %d)",
-		ep.Rank(), blas.MicroKernelName(), opts.PinNUMA, pool.WorkerNode(0))
+	pool := pulsar.NewPool(threads, func(int) any { return kernels.NewWorkspace() })
+	logf("agent rank %d: micro-kernel %s", ep.Rank(), blas.MicroKernelName())
 	return &Agent{
 		ep:   ep,
 		mux:  mux,
 		ctl:  ctl,
 		pool: pool,
 		jobs: map[uint32]agentAttempt{},
-		logf: opts.Logf,
+		logf: logf,
 	}, nil
 }
 

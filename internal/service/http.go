@@ -297,7 +297,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"version":      bi.Version,
 		"kernel":       bi.Kernel,
 		"cpu_features": bi.CPUFeatures,
-		"numa_nodes":   bi.NUMANodes,
 	})
 }
 

@@ -67,10 +67,6 @@ type Config struct {
 	// batch traffic cannot starve big single-job tenants (and vice versa).
 	// Default 2.
 	BatchStreams int
-	// PinNUMA pins pool workers to NUMA nodes and allocates their
-	// workspaces node-local (see pulsar.PoolOptions.PinNUMA). Best-effort:
-	// single-node or non-Linux hosts run exactly as before.
-	PinNUMA bool
 	// CheckpointDir, when set, makes streaming sessions durable: every
 	// session checkpoints its reduction spine there (QSC1 files), idle
 	// sessions unload to disk, and a restarted server re-registers every
@@ -218,16 +214,12 @@ func NewServer(cfg Config) (*Server, error) {
 			s.obs.Emit(obs.Event{Kind: obs.EvAgentJoin, Rank: r})
 		}
 	}
-	s.pool = pulsar.NewPoolOpts(pulsar.PoolOptions{
-		Threads: cfg.Threads,
-		State:   func(int) any { return kernels.NewWorkspace() },
-		PinNUMA: cfg.PinNUMA,
-	})
+	s.pool = pulsar.NewPool(cfg.Threads, func(int) any { return kernels.NewWorkspace() })
 	s.pool.OnWait(s.metrics.ObserveWait) // park intervals feed the worker-wait histogram
 	// Attribute this process's compute path once at startup: bench JSONs and
 	// fleet logs need to know which micro-kernel produced the numbers.
-	cfg.Logf("compute: micro-kernel %s, cpu features %s, numa pinning %v (worker 0 on node %d)",
-		blas.MicroKernelName(), blas.CPUFeatures(), cfg.PinNUMA, s.pool.WorkerNode(0))
+	cfg.Logf("compute: micro-kernel %s, cpu features %s",
+		blas.MicroKernelName(), blas.CPUFeatures())
 	s.mgr = NewManager(cfg.QueueCap, cfg.MaxConcurrent, s.metrics, s.runJob)
 	s.mgr.obs = cfg.Obs
 	// A warm boot restores the last persisted machine model as the

@@ -11,7 +11,6 @@ import (
 	"io"
 
 	"pulsarqr/internal/blas"
-	"pulsarqr/internal/numa"
 	"pulsarqr/internal/obs"
 	"pulsarqr/internal/simulate"
 )
@@ -23,14 +22,13 @@ var Version = "dev"
 
 // BuildInfo names the build and the compute path it runs on — enough for an
 // operator to tell from one status call whether this process is using the
-// kernel and topology they think it is.
+// kernel they think it is.
 type BuildInfo struct {
 	Version     string `json:"version"`
 	GoVersion   string `json:"go_version"`
 	Kernel      string `json:"kernel"`       // active BLAS micro-kernel
 	CPUFeatures string `json:"cpu_features"` // instruction-set level selected
-	NUMANodes   int    `json:"numa_nodes"`
-	Threads     int    `json:"threads"` // pool workers
+	Threads     int    `json:"threads"`      // pool workers
 }
 
 func buildInfo(threads int) BuildInfo {
@@ -39,7 +37,6 @@ func buildInfo(threads int) BuildInfo {
 		GoVersion:   runtime.Version(),
 		Kernel:      blas.MicroKernelName(),
 		CPUFeatures: blas.CPUFeatures(),
-		NUMANodes:   numa.Detect().NumNodes(),
 		Threads:     threads,
 	}
 }
