@@ -27,7 +27,8 @@ vet:
 loc:
 	@find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l
 
-# Brief fuzz of the wire decoders, the job spec and the job frame (must never panic;
+# Brief fuzz of the wire decoders, the job spec, the job frame and the check's
+# sketch packet (must never panic;
 # regression corpora under internal/transport/testdata,
 # internal/wire/testdata, internal/batch/testdata,
 # internal/session/testdata and internal/service/testdata).
@@ -42,6 +43,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMachineModel -fuzztime 10s ./internal/simulate
 	$(GO) test -run '^$$' -fuzz FuzzJobSpec -fuzztime 10s ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzJobFrame -fuzztime 10s ./internal/service
+	$(GO) test -run '^$$' -fuzz FuzzDecodeSketch -fuzztime 10s ./internal/qr
 
 # Deterministic fault-injection proof: a factorization over real TCP
 # with seeded chaos (delays, mid-run socket cuts on both links that TCP's

@@ -5,8 +5,7 @@ import "sync"
 // Dsyrk performs the symmetric rank-k update C := alpha·A·Aᵀ + beta·C
 // (trans=false) or C := alpha·Aᵀ·A + beta·C (trans=true), touching only
 // the selected triangle of the n×n matrix C. A is n×k (or k×n when
-// trans). Needed by the tile Cholesky factorization and by the Gram
-// matrices of the QR backward-error check.
+// trans). Needed by the tile Cholesky factorization.
 //
 // Shapes that amortize panel packing are blocked over Dgemm (see
 // dsyrkBlocked); the rest run the scalar loops of dsyrkScalar. As with
@@ -29,7 +28,7 @@ func Dsyrk(upper, trans bool, n, k int, alpha float64, a []float64, lda int,
 // every micro-kernel's MR and NR, so no block of a large C has ragged
 // register tiles. Narrower blocks throw away less of each diagonal block but
 // repack op(A) once per block column; 96 measured fastest of 48/96/192 on
-// both a tall (4096×256) and a wide (2048×1024) Gram.
+// both a tall (4096×256) and a wide (2048×1024) AᵀA.
 const syrkNB = 96
 
 // syrkDiagPool recycles the scratch a diagonal block is formed in.

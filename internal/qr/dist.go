@@ -51,18 +51,18 @@ func init() {
 // matching specific receives: no wildcard, so nothing can be misattributed.
 // On an R-only run the log entries keep their indices and stay where they
 // are. A non-nil part rides the same collective: every other rank sends its
-// own, and rank 0 adds them into part in rank order.
-func (bd *builder) gather(ctx context.Context, ep transport.Endpoint, part *Gram) error {
+// sketch, and rank 0 adds them into part in rank order.
+func (bd *builder) gather(ctx context.Context, ep transport.Endpoint, part *Sketch) error {
 	rank := ep.Rank()
 	mp := bd.mapping()
 	type pending struct {
 		e    endpoint // the collector awaited, or
-		from int      // the rank whose Gram is (0: a collector)
+		from int      // the rank whose sketch is (0: a collector)
 		req  transport.Request
 	}
 	what := func(p pending) string {
 		if p.from > 0 {
-			return fmt.Sprintf("rank %d's input Gram", p.from)
+			return fmt.Sprintf("rank %d's input sketch", p.from)
 		}
 		return fmt.Sprintf("collector %v[%d]", p.e.tup, p.e.slot)
 	}
@@ -88,14 +88,14 @@ func (bd *builder) gather(ctx context.Context, ep transport.Endpoint, part *Gram
 			ep.Isend(buf, 0, tag)
 		}
 	}
-	gramTag := transport.GatherTagBase + len(bd.outputs)
+	sketchTag := transport.GatherTagBase + len(bd.outputs)
 	switch {
 	case part == nil:
 	case rank != 0:
-		ep.Isend(part.encode(), 0, gramTag)
+		ep.Isend(part.encode(), 0, sketchTag)
 	default:
 		for r := 1; r < ep.Size(); r++ {
-			reqs = append(reqs, pending{from: r, req: ep.Irecv(r, gramTag)})
+			reqs = append(reqs, pending{from: r, req: ep.Irecv(r, sketchTag)})
 		}
 	}
 	for _, p := range reqs {
@@ -108,11 +108,13 @@ func (bd *builder) gather(ctx context.Context, ep transport.Endpoint, part *Gram
 			return fmt.Errorf("qr: gather of %s: %w", what(p), err)
 		}
 		if p.from > 0 {
-			g, err := decodeGram(p.req.Data(), bd.a.N)
+			z, err := decodeSketch(p.req.Data(), bd.a.N)
 			if err != nil {
 				return fmt.Errorf("qr: gather of %s: %w", what(p), err)
 			}
-			part.add(g)
+			for i, v := range z.Data {
+				part.Z.Data[i] += v
+			}
 			continue
 		}
 		pkt, err := pulsar.UnmarshalPacket(p.req.Data())

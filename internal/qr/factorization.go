@@ -65,10 +65,10 @@ type Factorization struct {
 	// tiles of R and nothing else, Ops is empty. R, QTB and SolveFromQTB
 	// work; everything that needs the reflectors panics.
 	ROnly bool
-	// Input is the Gram of the input matrix, summed over the ranks'
-	// shares (runs with an Env.Part only): Input.Residual(f.R()) is the check
-	// Residual would make on the dense input, which no rank holds.
-	Input *Gram
+	// Input is the sketch of the input matrix, summed over the ranks'
+	// shares (runs with an Env.Part only): Input.Residual(f.R()) estimates
+	// the check Residual would make on the dense input, which no rank holds.
+	Input *Sketch
 }
 
 // RunStats summarizes a systolic execution.
@@ -150,7 +150,12 @@ func (f *Factorization) SolveFromQTB() *matrix.Mat {
 }
 
 // Residual returns ‖AᵀA − RᵀR‖_F / ‖AᵀA‖_F for the original dense matrix
-// a, a cheap factorization-quality check that does not require forming Q.
+// a, a factorization-quality check that does not require forming Q. It is
+// the dense formula a Sketch estimates.
 func (f *Factorization) Residual(a *matrix.Mat) float64 {
-	return GramOfDense(a).Residual(f.R())
+	r := f.R()
+	ata, rtr := matrix.New(a.Cols, a.Cols), matrix.New(r.Cols, r.Cols)
+	blas.Dgemm(true, false, a.Cols, a.Cols, a.Rows, 1, a.Data, a.LD, a.Data, a.LD, 0, ata.Data, ata.LD)
+	blas.Dgemm(true, false, r.Cols, r.Cols, r.Rows, 1, r.Data, r.LD, r.Data, r.LD, 0, rtr.Data, rtr.LD)
+	return ata.Sub(rtr).FrobNorm() / ata.FrobNorm()
 }

@@ -13,9 +13,9 @@ import (
 )
 
 // The qr half of internal/wire's golden vectors: the packets only this
-// package can build (codecs 16 and 17, and a rank's input Gram), recorded
-// from the encoders as they stood before internal/wire existed. See
-// internal/wire/golden_test.go.
+// package can build (codecs 16 and 17, and a rank's input sketch), recorded
+// from the encoders as they stood before internal/wire existed (the sketch
+// since it replaced the Gram). See internal/wire/golden_test.go.
 
 func goldenTile(seed int64, rows, cols int) *matrix.Mat {
 	m := matrix.NewRand(rows+3, cols+2, rand.New(rand.NewSource(seed))).View(2, 1, rows, cols)
@@ -79,15 +79,12 @@ func TestGoldenPackets(t *testing.T) {
 	sameTileBits(t, "collect tile", got.Tile, cm.Tile)
 	sameTileBits(t, "collect T", got.T, cm.T)
 
-	g := &Gram{AtA: goldenTile(44, 4, 4), MaxAbs: 0.75}
-	dg, err := decodeGram(goldenBytes(t, "gram.golden", g.encode()), 4)
+	sk := &Sketch{Z: goldenTile(44, 5, sketchWidth)}
+	z, err := decodeSketch(goldenBytes(t, "sketch.golden", sk.encode()), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dg.MaxAbs != g.MaxAbs {
-		t.Fatalf("gram max|A| %g, want %g", dg.MaxAbs, g.MaxAbs)
-	}
-	sameTileBits(t, "gram AtA", dg.AtA, g.AtA)
+	sameTileBits(t, "sketch Z", z, sk.Z)
 }
 
 // Codecs 16 and 17 write both matrices straight into the destination: a

@@ -21,19 +21,19 @@ func randTiled(t *testing.T, m, n, nb int, seed int64) (*matrix.Tiled, *matrix.M
 	return matrix.FromDense(d, nb), d
 }
 
-// serve runs FactorizeVSAIn the way a service rank does: the Gram of the
+// serve runs FactorizeVSAIn the way a service rank does: the sketch of the
 // rows the rank owns is taken first, then the run consumes the tiles.
 func serve(ctx context.Context, a *matrix.Tiled, opts Options, rc RunConfig, ep transport.Endpoint, pool *pulsar.Pool) (*Factorization, error) {
 	lo, hi := 0, a.MT
 	if ep != nil {
 		lo, hi = OwnedTileRows(a.MT, ep.Size(), ep.Rank())
 	}
-	return FactorizeVSAIn(ctx, a, nil, opts, rc, Env{Endpoint: ep, Pool: pool, Part: GramOfTileRows(a, lo, hi)})
+	return FactorizeVSAIn(ctx, a, nil, opts, rc, Env{Endpoint: ep, Pool: pool, Part: sketchOfTileRows(a, lo, hi, 1)})
 }
 
 // checkAgainstOracle factors the same dense input sequentially and compares
 // R factors, then checks the residual — from the dense input and, for a
-// served (R-only) result, from the reduced Gram too — and, when the
+// served (R-only) result, from the reduced sketch too — and, when the
 // reflectors were gathered, Q's orthogonality directly.
 func checkAgainstOracle(t *testing.T, f *Factorization, d *matrix.Mat, opts Options) {
 	t.Helper()
@@ -49,7 +49,7 @@ func checkAgainstOracle(t *testing.T, f *Factorization, d *matrix.Mat, opts Opti
 	}
 	if f.ROnly {
 		if res := f.Input.Residual(f.R()); res > 1e-12 {
-			t.Errorf("residual against the reduced Gram %g", res)
+			t.Errorf("residual against the reduced sketch %g", res)
 		}
 		return
 	}
@@ -304,7 +304,7 @@ func TestEnvironmentsAgreeBitwise(t *testing.T) {
 			}
 		}
 		ta, tb = tiled()
-		served, err := FactorizeVSAIn(ctx, ta, tb, o, RunConfig{}, Env{Pool: pool, Part: GramOfTileRows(ta, 0, ta.MT)})
+		served, err := FactorizeVSAIn(ctx, ta, tb, o, RunConfig{}, Env{Pool: pool, Part: sketchOfTileRows(ta, 0, ta.MT, 1)})
 		if err != nil {
 			t.Fatalf("%v served: %v", o, err)
 		}
@@ -328,7 +328,7 @@ func TestEnvironmentsAgreeBitwise(t *testing.T) {
 					env := Env{Endpoint: l.Endpoint(r)}
 					if mc.rOnly {
 						lo, hi := OwnedTileRows(ta.MT, mc.ranks, r)
-						env.Part = GramOfTileRows(ta, lo, hi)
+						env.Part = sketchOfTileRows(ta, lo, hi, 1)
 					}
 					mesh[r], errs[r] = FactorizeVSAIn(ctx, ta, tb, o, RunConfig{Threads: 2}, env)
 				}()

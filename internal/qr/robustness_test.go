@@ -267,6 +267,7 @@ func TestHardInputsAtDefaultTile(t *testing.T) {
 				}
 			}
 			tc.check(t, tc.d, seq)
+			sketchFlagsAsDenseDoes(t, tc.d, seq, o.NB)
 		})
 	}
 }
@@ -295,7 +296,7 @@ func TestWarmPoolCarriesNothingIntoNextJob(t *testing.T) {
 	run := func(t *testing.T, pool *pulsar.Pool, d *matrix.Mat, o Options) *matrix.Mat {
 		t.Helper()
 		ta := matrix.FromDense(d, o.NB)
-		f, err := FactorizeVSAIn(context.Background(), ta, nil, o, RunConfig{}, Env{Pool: pool, Part: GramOfTileRows(ta, 0, ta.MT)})
+		f, err := FactorizeVSAIn(context.Background(), ta, nil, o, RunConfig{}, Env{Pool: pool, Part: sketchOfTileRows(ta, 0, ta.MT, 1)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -247,12 +247,12 @@ type Env struct {
 	// Part selects what the caller gets back. Nil: the full transformation
 	// log. Non-nil: what a service serves — an R-only factorization (R, plus
 	// QᵀB when b != nil; the reflectors stay where they were produced and
-	// never cross the network). Part must then be the Gram of the tile rows
-	// of a this rank owns, taken by the caller beforehand because the run
-	// consumes the tiles; the gather sums every rank's into the result's
-	// Input, so Input.Residual(f.R()) checks R against an input no rank
-	// holds whole.
-	Part *Gram
+	// never cross the network). Part must then be the sketch of the tile
+	// rows of a this rank owns, under the probe every rank of the mesh
+	// shares, taken by the caller beforehand because the run consumes the
+	// tiles; the gather sums every rank's into the result's Input, so
+	// Input.Residual(f.R()) checks R against an input no rank holds whole.
+	Part *Sketch
 }
 
 // FactorizeVSAIn runs one factorization inside an existing runtime

@@ -192,7 +192,7 @@ func (ag *Agent) runJob(ctx context.Context, id, session uint32, ranks []int, sp
 			return
 		}
 	}
-	a, part, err := spec.ownedInputs(opts, jep.Size(), jep.Rank())
+	a, part, err := spec.ownedInputs(opts, id, jep.Size(), jep.Rank())
 	if err != nil {
 		ag.logf("agent: job %d: %v", id, err)
 		return

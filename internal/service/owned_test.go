@@ -22,8 +22,8 @@ import (
 // What a seed denotes does not depend on the tile size or the fleet: for
 // every nb and rank count each rank's owned tiles are exactly the matching
 // blocks of BuildInputs' dense matrix, the tiles it does not own are never
-// allocated, and the ranks' Grams sum to the Gram of the whole. An uploaded
-// matrix is sliced the same way.
+// allocated, and the ranks' sketches sum to the sketch of the whole. An
+// uploaded matrix is sliced the same way.
 func TestOwnedInputsMatchBuildInputs(t *testing.T) {
 	const m, n = 200, 70 // ragged for every nb below
 	upload := matrix.NewSeeded(m, n, 99).Data
@@ -45,10 +45,14 @@ func TestOwnedInputsMatchBuildInputs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			whole, ta := qr.NewSketch(n, sketchSeed(3)), matrix.FromDense(dense, nb)
+			for i := 0; i < ta.MT; i++ {
+				whole.AddTileRow(ta, i)
+			}
 			for ranks := 1; ranks <= 3; ranks++ {
-				var sum float64
+				sum := matrix.New(n, whole.Z.Cols)
 				for rank := 0; rank < ranks; rank++ {
-					a, part, err := spec.ownedInputs(opts, ranks, rank)
+					a, part, err := spec.ownedInputs(opts, 3, ranks, rank)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -67,10 +71,15 @@ func TestOwnedInputsMatchBuildInputs(t *testing.T) {
 							}
 						}
 					}
-					sum += part.AtA.At(0, n-1) // one entry of the partial Grams is enough to see they add up
+					if matrix.MaxAbsDiff(part.X, whole.X) != 0 {
+						t.Fatalf("nb=%d ranks=%d: rank %d drew another probe", nb, ranks, rank)
+					}
+					for k, v := range part.Z.Data {
+						sum.Data[k] += v
+					}
 				}
-				if want := qr.GramOfDense(dense).AtA.At(0, n-1); math.Abs(sum-want) > 1e-12*math.Abs(want)+1e-12 {
-					t.Errorf("nb=%d ranks=%d: partial Grams sum to %g at (0,%d), whole Gram has %g", nb, ranks, sum, n-1, want)
+				if rel := sum.Sub(whole.Z).FrobNorm() / whole.Z.FrobNorm(); rel > 1e-13 {
+					t.Errorf("nb=%d ranks=%d: partial sketches sum to within %g of the whole's", nb, ranks, rel)
 				}
 			}
 		}
@@ -92,7 +101,7 @@ func TestAcceptRefusesPerturbedR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, part, err := spec.ownedInputs(opts, 1, 0)
+	a, part, err := spec.ownedInputs(opts, 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,9 +119,45 @@ func TestAcceptRefusesPerturbedR(t *testing.T) {
 	}
 }
 
+// The check is scale-free: a correct R passes whatever the input's scale, an
+// all-zero input included, and R×1.5 — a 125 % error in RᵀR — is refused at
+// every non-zero scale.
+func TestAcceptIsScaleFree(t *testing.T) {
+	const m, n = 512, 64
+	base := matrix.NewSeeded(m, n, 41)
+	for _, scale := range []float64{0, 1e-12, 1e-9, 1, 1e9, 1e12} {
+		spec := JobSpec{M: m, N: n, Data: make([]float64, m*n)}
+		for i, v := range base.Data {
+			spec.Data[i] = v * scale
+		}
+		opts, err := spec.Options()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, part, err := spec.ownedInputs(opts, 9, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := qr.FactorizeVSAIn(context.Background(), a, nil, opts, qr.RunConfig{Threads: 2}, qr.Env{Part: part})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := f.R()
+		if res, ok := accept(f.Input, r); !ok {
+			t.Errorf("scale %g: correct R refused, residual %g", scale, res)
+		}
+		for i := range r.Data {
+			r.Data[i] *= 1.5
+		}
+		if res, ok := accept(f.Input, r); ok && scale != 0 {
+			t.Errorf("scale %g: R×1.5 accepted, residual %g", scale, res)
+		}
+	}
+}
+
 // corruptingAgent plays rank 1 of a 2-rank fleet for one job the way
 // Agent.runJob does, except that it changes one entry of a tile it owns
-// after the tile's Gram was taken — a fault between the check's input and
+// after the tile's sketch was taken — a fault between the check's input and
 // the run's.
 func corruptingAgent(t *testing.T, ep transport.Endpoint) {
 	mux := transport.NewMux(ep)
@@ -141,7 +186,7 @@ func corruptingAgent(t *testing.T, ep transport.Endpoint) {
 		t.Error(err)
 		return
 	}
-	a, part, err := msg.Spec.ownedInputs(opts, jep.Size(), jep.Rank())
+	a, part, err := msg.Spec.ownedInputs(opts, msg.Job, jep.Size(), jep.Rank())
 	if err != nil {
 		t.Error(err)
 		return
@@ -153,9 +198,9 @@ func corruptingAgent(t *testing.T, ep transport.Endpoint) {
 	}
 }
 
-// A job whose input changed on a non-zero rank after that rank's Gram was
+// A job whose input changed on a non-zero rank after that rank's sketch was
 // taken completes, and reports ok=false.
-func TestFleetJobRefusesTileCorruptedAfterGram(t *testing.T) {
+func TestFleetJobRefusesTileCorruptedAfterSketch(t *testing.T) {
 	l := transport.NewLocal(2)
 	agentDone := make(chan struct{})
 	go func() {
@@ -178,13 +223,18 @@ func TestFleetJobRefusesTileCorruptedAfterGram(t *testing.T) {
 	<-agentDone
 }
 
-// A NaN in the input makes the check's quantity NaN, alone and on a fleet
-// alike — the upload reaches the ranks as bits, so there is nothing a NaN
-// cannot be written in: the job finishes, and reports ok=false.
+// A NaN or an infinity in the input makes the check's quantity non-finite,
+// alone and on a fleet alike — the upload reaches the ranks as bits, so there
+// is nothing a NaN cannot be written in: the job finishes and reports
+// ok=false, and a clean job on the same server right after passes.
 func TestNaNInputIsNotOK(t *testing.T) {
-	data := matrix.NewSeeded(192, 64, 23).Data
-	data[150+3*192] = math.NaN() // in rank 1's rows on the fleet
-	spec := JobSpec{M: 192, N: 64, NB: 32, IB: 8, Data: data}
+	input := func(vs ...float64) []float64 {
+		data := matrix.NewSeeded(192, 64, 23).Data
+		for k, v := range vs {
+			data[150+(3+k)*192] = v // in rank 1's rows on the fleet
+		}
+		return data
+	}
 
 	alone, err := NewServer(Config{Threads: 2})
 	if err != nil {
@@ -210,25 +260,41 @@ func TestNaNInputIsNotOK(t *testing.T) {
 	}()
 
 	for name, s := range map[string]*Server{"alone": alone, "fleet": fleet} {
-		j, err := s.Submit(spec)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		select {
-		case <-j.Done():
-		case <-time.After(60 * time.Second):
-			t.Fatalf("%s: job over a NaN input hung", name)
-		}
-		state, msg := j.State()
-		if res := j.Result(); state != StateDone || res == nil || res.OK || !math.IsNaN(res.Residual) {
-			t.Errorf("%s: state %s (%s), result %+v; want done, not ok, with a NaN residual", name, state, msg, res)
+		for _, tc := range []struct {
+			what string
+			data []float64
+			ok   bool
+		}{
+			{"NaN", input(math.NaN()), false},
+			{"±Inf", input(math.Inf(1), math.Inf(-1)), false},
+			{"clean", input(), true},
+		} {
+			j, err := s.Submit(JobSpec{M: 192, N: 64, NB: 32, IB: 8, Data: tc.data})
+			if err != nil {
+				t.Fatalf("%s, %s: %v", name, tc.what, err)
+			}
+			select {
+			case <-j.Done():
+			case <-time.After(60 * time.Second):
+				t.Fatalf("%s: job over a %s input hung", name, tc.what)
+			}
+			state, msg := j.State()
+			res := j.Result()
+			if state != StateDone || res == nil {
+				t.Errorf("%s, %s: state %s (%s); want done", name, tc.what, state, msg)
+				continue
+			}
+			finite := !math.IsNaN(res.Residual) && !math.IsInf(res.Residual, 0)
+			if res.OK != tc.ok || finite != tc.ok {
+				t.Errorf("%s, %s: ok=%v residual %g; want ok=%v with a finite residual only if ok", name, tc.what, res.OK, res.Residual, tc.ok)
+			}
 		}
 	}
 }
 
 // dieAtGather is an agent's endpoint that crashes its rank — abruptly, as
 // kill -9 would — the first time the rank sends anything of the post-run
-// gather: after the run's closing barrier, before its Gram reaches rank 0.
+// gather: after the run's closing barrier, before its sketch reaches rank 0.
 type dieAtGather struct {
 	transport.Endpoint
 	died *atomic.Bool
@@ -242,7 +308,7 @@ func (d dieAtGather) Isend(data []byte, dest, tag int) transport.Request {
 }
 
 // A rank that dies between its run and the check reduce leaves rank 0
-// waiting in the gather for a Gram that will never come. That wait must end
+// waiting in the gather for a sketch that will never come. That wait must end
 // with the transport's verdict, and the job must be requeued onto the
 // survivors and finish there — verified — not wedge its dispatcher. An
 // uploaded job's input outlives the requeue: the retry deals it out again,
@@ -374,7 +440,7 @@ func TestOpenBroadcastCarriesEffectiveConfig(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			a, part, err := msg.Spec.ownedInputs(opts, jep.Size(), jep.Rank())
+			a, part, err := msg.Spec.ownedInputs(opts, msg.Job, jep.Size(), jep.Rank())
 			if err != nil {
 				t.Error(err)
 				return

@@ -212,13 +212,14 @@ func (sp *JobSpec) BuildInputs() (*matrix.Tiled, *matrix.Mat, error) {
 	return matrix.FromDense(d, opts.NB), d, nil
 }
 
-// ownedInputs materializes what rank `rank` of a `ranks`-rank job session
-// needs of the input: the tiles of the tile rows it owns (every other tile
-// of the returned matrix is nil) and their Gram, taken here because the run
-// consumes the tiles. Seeded tiles are generated in place; uploaded ones are
-// copied out of the rank's rows of the upload, which rank 0 views in Data
-// and an agent was sent (recvUpload).
-func (sp *JobSpec) ownedInputs(opts qr.Options, ranks, rank int) (*matrix.Tiled, *qr.Gram, error) {
+// ownedInputs materializes what rank `rank` of a `ranks`-rank session of
+// job `job` needs of the input: the tiles of the tile rows it owns (every
+// other tile of the returned matrix is nil) and their sketch, folded in row
+// by row while each is cache-hot, because the run consumes the tiles. Seeded
+// tiles are generated in place; uploaded ones are copied out of the rank's
+// rows of the upload, which rank 0 views in Data and an agent was sent
+// (recvUpload).
+func (sp *JobSpec) ownedInputs(opts qr.Options, job uint32, ranks, rank int) (*matrix.Tiled, *qr.Sketch, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -227,6 +228,7 @@ func (sp *JobSpec) ownedInputs(opts qr.Options, ranks, rank int) (*matrix.Tiled,
 	if len(sp.Data) > 0 {
 		rows = sp.uploadRows(a.NB, ranks, rank)
 	}
+	sk := qr.NewSketch(sp.N, sketchSeed(job))
 	lo, hi := qr.OwnedTileRows(a.MT, ranks, rank)
 	for i := lo; i < hi; i++ {
 		for j := 0; j < a.NT; j++ {
@@ -238,9 +240,15 @@ func (sp *JobSpec) ownedInputs(opts qr.Options, ranks, rank int) (*matrix.Tiled,
 			}
 			a.SetTile(i, j, tile)
 		}
+		sk.AddTileRow(a, i)
 	}
-	return a, qr.GramOfTileRows(a, lo, hi), nil
+	return a, sk, nil
 }
+
+// sketchSeed is the seed of job's check probe, the same on every rank: the
+// id every rank has from the open message, salted so that the probe of job
+// 7 is not drawn from the stream of an input seeded with 7.
+func sketchSeed(job uint32) int64 { return int64(job) ^ 0x5ce7c4_00000000 }
 
 // ownedRows returns the matrix rows [r0, r1) of the tile rows rank owns.
 func (sp *JobSpec) ownedRows(nb, ranks, rank int) (r0, r1 int) {

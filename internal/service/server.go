@@ -26,9 +26,9 @@ import (
 	"pulsarqr/internal/transport"
 )
 
-// residualTol is the acceptance threshold on the job's backward error
-// ‖AᵀA − RᵀR‖_F / ‖AᵀA‖_F / max|A|: anything above it marks the result
-// not-OK.
+// residualTol is the acceptance threshold on the job's sketched backward
+// error ‖Z − Rᵀ(R·X)‖_F / ‖Z‖_F (qr.Sketch): anything above it marks the
+// result not-OK.
 const residualTol = 1e-10
 
 // flightTailLen is how many flight-recorder events attach to a job that ends
@@ -506,8 +506,8 @@ func (s *Server) runJob(j *Job) {
 			}
 		}
 	}
-	// The run span opens here: building this rank's tile rows and taking
-	// their Gram is work done for the job, not time spent dispatching it.
+	// The run span opens here: building this rank's tile rows and sketching
+	// them is work done for the job, not time spent dispatching it.
 	j.life.Mark(obs.PhaseRunning)
 	s.obs.Emit(obs.Event{Kind: obs.EvRunning, Class: "job", Job: j.ID,
 		Tenant: j.Spec.Tenant, Attempt: j.Attempts()})
@@ -515,7 +515,7 @@ func (s *Server) runJob(j *Job) {
 	if ep != nil {
 		ranks = ep.Size()
 	}
-	a, part, err := spec.ownedInputs(opts, ranks, 0) // the server is rank 0 of every session
+	a, part, err := spec.ownedInputs(opts, j.ID, ranks, 0) // the server is rank 0 of every session
 	if err != nil {
 		s.fail(j, err.Error())
 		return
@@ -588,16 +588,12 @@ func (s *Server) runJob(j *Job) {
 	}
 }
 
-// accept is the check every job gets: R against the Gram of the input, which
-// each rank took of its own rows before the run and the gather summed. It
-// returns ‖AᵀA − RᵀR‖_F / ‖AᵀA‖_F / max|A| and whether that is within
-// residualTol (a NaN is not).
-func accept(input *qr.Gram, r *matrix.Mat) (residual float64, ok bool) {
-	norm := input.MaxAbs
-	if norm == 0 {
-		norm = 1
-	}
-	residual = input.Residual(r) / norm
+// accept is the check every job gets: R against the sketch of the input,
+// which each rank took of its own rows before the run and the gather summed.
+// It returns the sketched residual and whether that is within residualTol
+// (a NaN is not).
+func accept(input *qr.Sketch, r *matrix.Mat) (residual float64, ok bool) {
+	residual = input.Residual(r)
 	return residual, residual <= residualTol
 }
 

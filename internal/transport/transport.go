@@ -38,8 +38,8 @@ const (
 	// TraceGatherTag carries one trace shard per rank to rank 0.
 	TraceGatherTag = 1<<24 - 1
 	// GatherTagBase keys the result gather: the array's i-th declared output
-	// travels under GatherTagBase+i, a rank's input Gram under the tag after
-	// the last output.
+	// travels under GatherTagBase+i, a rank's input sketch under the tag
+	// after the last output.
 	GatherTagBase = 1 << 24
 )
 

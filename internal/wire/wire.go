@@ -76,7 +76,7 @@ func AppendMat(dst []byte, m *matrix.Mat) ([]byte, uint64) {
 }
 
 // AppendDimMat appends the dims-prefixed form — [u32 rows][u32 cols] then
-// the payload — in which packets, checkpoint spines and Grams carry a
+// the payload — in which packets, checkpoint spines and sketches carry a
 // matrix whose shape the receiver does not know beforehand.
 func AppendDimMat(dst []byte, m *matrix.Mat) ([]byte, uint64) {
 	dst = slices.Grow(dst, 8+8*m.Rows*m.Cols)
