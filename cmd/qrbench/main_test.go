@@ -2,10 +2,13 @@ package main
 
 import (
 	"errors"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
+
+	"pulsarqr/internal/service"
 )
 
 // qrbench prints with fmt and exits through log.Fatal, so its tests run the
@@ -60,5 +63,43 @@ func TestPlanMachineSpecs(t *testing.T) {
 	}
 	if code, out := qrbench(t, "-plan", "-plan-machine", "bogus"); code == 0 || !strings.Contains(out, `"bogus"`) {
 		t.Errorf("bogus: exit %d, want non-zero naming the spec:\n%s", code, out)
+	}
+}
+
+// The session smoke client end to end against an in-process server: seed
+// opens a session and streams the workload, verify finds it by the printed
+// id and checks its R bitwise against a local Streamer replay, and a wrong
+// id fails the command.
+func TestSessionSeedVerify(t *testing.T) {
+	t.Parallel()
+	srv, err := service.NewServer(service.Config{Threads: 2, CheckpointDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	common := []string{"-session", "-session-url", ts.URL, "-session-count", "11", "-session-n", "16", "-session-block", "20"}
+
+	code, out := qrbench(t, append(common, "-session-act", "seed")...)
+	if code != 0 || !strings.Contains(out, "session seeded: 11 appends, 220 rows") {
+		t.Fatalf("seed: exit %d:\n%s", code, out)
+	}
+	var id string
+	for _, line := range strings.Split(out, "\n") {
+		if rest, ok := strings.CutPrefix(line, "session-id "); ok {
+			id = rest
+		}
+	}
+	if len(id) != 16 {
+		t.Fatalf("seed printed no 16-hex-char session id:\n%s", out)
+	}
+
+	code, out = qrbench(t, append(common, "-session-act", "verify", "-session-id", id)...)
+	if code != 0 || !strings.Contains(out, "session verify ok: 11 appends restored, R bitwise equal") {
+		t.Fatalf("verify: exit %d:\n%s", code, out)
+	}
+	if code, out := qrbench(t, append(common, "-session-act", "verify", "-session-id", "0000000000000000")...); code == 0 {
+		t.Fatalf("verify of an unknown session exited 0:\n%s", out)
 	}
 }

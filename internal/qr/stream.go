@@ -19,11 +19,13 @@ import (
 // of the leaf count): appending leaf P+1 pushes its n×n R and merges equal
 // sized subtrees like a carry chain, so the spine never exceeds ⌈log₂ P⌉
 // entries and the amortized merge cost per append is O(1). The current
-// global R is the fold of the spine — at most popcount(P)−1 further merges,
-// none of which disturb the committed state. Every merge is the same
-// dttqrt/dttmqr tile kernel pair the batch factorization's binary tree
-// fires, so streamed sessions inherit the kernel layer's workspaces
-// unchanged.
+// global R is the left-to-right fold of the spine. The streamer keeps that
+// fold's prefixes (folds[i] = the fold of spine[0..i]); an append changes
+// only the newest spine entry, so the next Current extends the prefixes by
+// one merge and copies the last one out. None of this disturbs the committed
+// state. Every merge is the same dttqrt/dttmqr tile kernel pair the batch
+// factorization's binary tree fires, so streamed sessions inherit the kernel
+// layer's workspaces unchanged.
 
 // StreamNode is one committed subtree root of a streaming factorization:
 // the R factor (and optionally the ride-along QᵀB rows) of every row block
@@ -70,8 +72,14 @@ type Streamer struct {
 	// concurrent LeafReduce goroutines and must be safe for concurrent use.
 	Hook func(class string)
 
-	scratchV *matrix.Mat // merge victim copy (Current must not destroy the spine)
-	scratchQ *matrix.Mat
+	// folds[i] (i ≥ 1) is the left-to-right fold of spine[0..i]; spine[0]
+	// is its own fold, so folds[0] stays nil. The first fresh entries are
+	// current; Commit lowers fresh to the slot its carry chain ends in.
+	// Buffers past fresh are kept for reuse. Not checkpointed: a restored
+	// streamer starts with none and its first Current rebuilds them.
+	folds  []*StreamNode
+	fresh  int
+	victim *StreamNode // merge victim copy (Current must not destroy the spine)
 }
 
 // NewStreamer returns an empty streaming factorization over n columns and
@@ -231,52 +239,67 @@ func (s *Streamer) Commit(ws *kernels.Workspace, nd *StreamNode) {
 		s.spine[len(s.spine)-1] = nil
 		s.spine = s.spine[:len(s.spine)-1]
 	}
+	// The chain ends in the newest slot; every older entry is untouched.
+	s.fresh = min(s.fresh, len(s.spine)-1)
 }
 
-// Current folds the spine into the global factorization state — the R (and
-// QᵀB) of every row committed so far — without disturbing the committed
-// nodes: merge victims are copied into streamer-owned scratch first. At most
-// SpineDepth()−1 merges fire. dst's buffers are reused when correctly
+// Current returns the global factorization state — the R (and QᵀB) of
+// every row committed so far — without disturbing the committed nodes. It
+// extends the cached spine prefix folds from the first one the last Commit
+// made stale, so after an append at most one merge fires (none when nothing
+// was committed since the last Current); merge victims are copied into
+// streamer-owned scratch first. dst's buffers are reused when correctly
 // shaped; pass nil to allocate fresh. The result aliases dst, never the
-// spine, so callers may hold it across later appends.
+// spine or the folds, so callers may hold it across later appends.
 func (s *Streamer) Current(ws *kernels.Workspace, dst *StreamNode) *StreamNode {
-	if ws == nil {
-		ws = kernels.BorrowWorkspace()
-		defer kernels.ReturnWorkspace(ws)
+	if len(s.spine) == 0 {
+		empty := &StreamNode{R: matrix.New(s.n, s.n)}
+		if s.nrhs > 0 {
+			empty.QTB = matrix.New(s.n, s.nrhs)
+		}
+		return s.copyNode(dst, empty)
 	}
+	if s.fresh < len(s.spine) {
+		if ws == nil {
+			ws = kernels.BorrowWorkspace()
+			defer kernels.ReturnWorkspace(ws)
+		}
+		for i := max(s.fresh, 1); i < len(s.spine); i++ {
+			for len(s.folds) <= i {
+				s.folds = append(s.folds, nil)
+			}
+			s.folds[i] = s.copyNode(s.folds[i], s.fold(i-1))
+			s.victim = s.copyNode(s.victim, s.spine[i])
+			s.merge(ws, s.folds[i], s.victim)
+		}
+		s.fresh = len(s.spine)
+	}
+	return s.copyNode(dst, s.fold(len(s.spine)-1))
+}
+
+// fold returns the left-to-right fold of spine[0..i]; Current keeps every
+// fold it reads fresh.
+func (s *Streamer) fold(i int) *StreamNode {
+	if i == 0 {
+		return s.spine[0]
+	}
+	return s.folds[i]
+}
+
+// copyNode copies src into dst, reusing dst's buffers when correctly shaped;
+// a nil dst is allocated.
+func (s *Streamer) copyNode(dst, src *StreamNode) *StreamNode {
 	if dst == nil {
 		dst = &StreamNode{}
 	}
+	dst.Blocks, dst.Rows = src.Blocks, src.Rows
 	dst.R = ensureShape(dst.R, s.n, s.n)
+	dst.R.CopyFrom(src.R)
 	if s.nrhs > 0 {
 		dst.QTB = ensureShape(dst.QTB, s.n, s.nrhs)
+		dst.QTB.CopyFrom(src.QTB)
 	} else {
 		dst.QTB = nil
-	}
-	dst.Blocks, dst.Rows = s.blocks, s.rows
-	if len(s.spine) == 0 {
-		dst.R.Zero()
-		if dst.QTB != nil {
-			dst.QTB.Zero()
-		}
-		return dst
-	}
-	dst.R.CopyFrom(s.spine[0].R)
-	if s.nrhs > 0 {
-		dst.QTB.CopyFrom(s.spine[0].QTB)
-	}
-	for _, nd := range s.spine[1:] {
-		s.scratchV = ensureShape(s.scratchV, s.n, s.n)
-		s.scratchV.CopyFrom(nd.R)
-		t := tScratch(ws, s.opts.IB, s.n)
-		kernels.DttqrtWS(ws, s.opts.IB, dst.R, s.scratchV, t)
-		s.hook("ttqrt")
-		if s.nrhs > 0 {
-			s.scratchQ = ensureShape(s.scratchQ, s.n, s.nrhs)
-			s.scratchQ.CopyFrom(nd.QTB)
-			kernels.DttmqrWS(ws, true, s.opts.IB, s.scratchV, t, dst.QTB, s.scratchQ)
-			s.hook("ttmqr")
-		}
 	}
 	return dst
 }

@@ -171,14 +171,18 @@ func (s *Server) handleSessionAppend(w http.ResponseWriter, r *http.Request) {
 	s.metrics.AppendActive.Add(1)
 	defer s.metrics.AppendActive.Add(-1)
 
+	// Full duplex lets updates flow while the client is still streaming
+	// blocks at us. It is on before anything is written, so that an error
+	// reply does not wait on the body either: net/http would otherwise
+	// take the body's lock to discard what is unread, and the stream's
+	// reader may be holding it, blocked on an interactive client that waits
+	// for this very reply.
 	rc := http.NewResponseController(w)
+	rc.EnableFullDuplex()
 	var rw *session.ReplyWriter
 	emit := func(blocks, rows int64, cur *qr.StreamNode) error {
 		if rw == nil {
 			// First committed append: commit the response to a QSB1 stream.
-			// Full duplex lets updates flow while the client is still
-			// streaming blocks at us.
-			rc.EnableFullDuplex()
 			w.Header().Set("Content-Type", "application/octet-stream")
 			var err error
 			if rw, err = session.NewReplyWriter(w); err != nil {

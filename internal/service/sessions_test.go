@@ -7,8 +7,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"pulsarqr/internal/matrix"
 	"pulsarqr/internal/qr"
@@ -392,6 +394,70 @@ func TestSessionAppendTruncatedBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareCanonR(t, got.R, stackedOracleR(t, blocks, n))
+}
+
+// An interactive client sends block k+1 only after it reads update k. When
+// the stream aborts before update k (here the checkpoint directory vanished
+// under a durable server), the handler must still answer and release what
+// it holds, not wait for a block that will never come: the client gets its
+// error, the append slot and the session's append flag are free again, and
+// a second append to the same session goes through.
+func TestSessionAppendAbortAnswersInteractiveClient(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "ckpt")
+	s, ts, c := newBatchTestServer(t, Config{Threads: 2, CheckpointDir: ckpt, CheckpointEvery: 1, SessionStreams: 1})
+	rng := rand.New(rand.NewSource(61))
+	n := 8
+	blocks := genRowBlocks(rng, 3, n)
+	info, err := c.OpenSession(SessionSpec{N: n, NB: 16, IB: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(ckpt); err != nil {
+		t.Fatal(err)
+	}
+
+	pr, pw := io.Pipe()
+	t.Cleanup(func() { pw.Close() }) // runs before the server's cleanups
+	type result struct {
+		resp *http.Response
+		err  error
+	}
+	answered := make(chan result, 1)
+	go func() {
+		resp, err := ts.Client().Post(ts.URL+"/v1/sessions/"+info.ID+"/append", "application/octet-stream", pr)
+		answered <- result{resp, err}
+	}()
+	var first bytes.Buffer
+	session.WriteAppendHeader(&first, len(blocks))
+	first.Write(session.AppendBlock(nil, blocks[0], nil))
+	go pw.Write(first.Bytes()) // then wait for update 1 before sending block 2
+
+	var res result
+	select {
+	case res = <-answered:
+	case <-time.After(3 * time.Second):
+		t.Fatal("an append stream aborted by a checkpoint failure never answered its interactive client")
+	}
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	body, _ := io.ReadAll(res.resp.Body)
+	res.resp.Body.Close()
+	if res.resp.StatusCode == http.StatusOK || !strings.Contains(string(body), "checkpoint") {
+		t.Fatalf("aborted append: %d %s, want an error naming the checkpoint", res.resp.StatusCode, body)
+	}
+	waitUntil(t, func() bool { return s.metrics.AppendActive.Load() == 0 })
+
+	if err := os.MkdirAll(ckpt, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := c.SessionAppend(info.ID, n, blocks, nil, nil)
+	if err != nil {
+		t.Fatalf("second append to the session after the abort: %v", err)
+	}
+	if tr.Done != len(blocks) {
+		t.Fatalf("second append committed %d blocks, want %d", tr.Done, len(blocks))
+	}
 }
 
 // Pre-stream failures return clean JSON statuses, never a committed 200

@@ -582,6 +582,11 @@ type leafResult struct {
 // session at a time (ErrBusy otherwise). On durable tables a checkpoint
 // write failure aborts the stream — an emitted update is never ahead of
 // what a restart can recover beyond the session's cadence.
+//
+// next runs on its own goroutine, which an aborted stream does not wait
+// for: a call blocked when AppendStream returns must fail soon after (an
+// HTTP request body does once its handler returns), and its result is
+// discarded.
 func (s *Session) AppendStream(ctx context.Context, next func() (block, rhs *matrix.Mat, err error), emit func(blocks, rows int64, cur *qr.StreamNode) error) (int64, error) {
 	s.mu.Lock()
 	if err := s.ensureLoadedLocked(); err != nil {
@@ -703,12 +708,12 @@ loop:
 			s.t.cfg.OnAppend(time.Since(res.start))
 		}
 	}
-	cancel()
-	// Drain futures the reader already queued so their workers never block
-	// (each fut has buffer 1, but we must consume the channel to let the
-	// reader goroutine observe ctx and exit).
-	for range futures {
-	}
+	// An aborted stream returns without waiting for the reader: it may be
+	// blocked in next() on a client that sends its next block only after it
+	// sees an update that will never come. The deferred cancel is enough —
+	// the reader checks ctx before every next() and every send, and workers
+	// resolve their futures into a one-slot buffer, so nothing blocks on
+	// the abandoned channel.
 	if streamErr == nil {
 		select {
 		case err := <-readErr:

@@ -457,6 +457,140 @@ func TestDeleteMidAppend(t *testing.T) {
 	}
 }
 
+// interactiveNext models a client that sends block k+1 only after it has
+// seen update k (seen), and whose source fails once the stream's caller has
+// returned (quit) — the way a request body does when its handler is done.
+func interactiveNext(rng *rand.Rand, n int, seen, quit <-chan struct{}) func() (*matrix.Mat, *matrix.Mat, error) {
+	first := true
+	return func() (*matrix.Mat, *matrix.Mat, error) {
+		if !first {
+			select {
+			case <-seen:
+			case <-quit:
+				return nil, nil, io.ErrClosedPipe
+			}
+		}
+		first = false
+		return matrix.NewRand(n+2, n, rng), nil, nil
+	}
+}
+
+// TestAbortedInteractiveStreamReturns aborts an interactive append stream —
+// by a checkpoint write failure, and by a Delete between updates — and
+// requires AppendStream to return at once, not wait for a reader blocked on
+// a block the client will send only after an update that never comes.
+func TestAbortedInteractiveStreamReturns(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		setup  func(t *testing.T, dir string)
+		update func(tbl *Table, s *Session, blocks int64)
+		want   func(error) bool
+	}{
+		{
+			name: "checkpoint failure",
+			setup: func(t *testing.T, dir string) {
+				if err := os.RemoveAll(dir); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want: func(err error) bool { return err != nil && !errors.Is(err, ErrGone) },
+		},
+		{
+			name: "delete",
+			update: func(tbl *Table, s *Session, blocks int64) {
+				if blocks == 1 {
+					tbl.Delete(s.ID)
+				}
+			},
+			want: func(err error) bool { return errors.Is(err, ErrGone) },
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir() + "/ckpt"
+			tbl, err := NewTable(Config{Dir: dir, IdleTimeout: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tbl.Close()
+			const n = 6
+			s, err := tbl.Open("t", n, 0, qr.Options{}, 1, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.setup != nil {
+				tc.setup(t, dir)
+			}
+			seen := make(chan struct{}, 1)
+			quit := make(chan struct{})
+			defer close(quit)
+			done := make(chan error, 1)
+			go func() {
+				_, err := s.AppendStream(context.Background(), interactiveNext(rand.New(rand.NewSource(9)), n, seen, quit),
+					func(blocks, _ int64, _ *qr.StreamNode) error {
+						if tc.update != nil {
+							tc.update(tbl, s, blocks)
+						}
+						seen <- struct{}{}
+						return nil
+					})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !tc.want(err) {
+					t.Fatalf("aborted stream returned %v", err)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("aborted append stream did not return within 1s")
+			}
+		})
+	}
+}
+
+// TestCurrentBetweenAppendsFiresNoMerge reads a session's state after an
+// append stream: the fold is already current, so no merge fires, and the
+// state is bitwise the last R the stream emitted.
+func TestCurrentBetweenAppendsFiresNoMerge(t *testing.T) {
+	tbl, err := NewTable(Config{IdleTimeout: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tbl.Close()
+	rng := rand.New(rand.NewSource(13))
+	const n = 10
+	s, err := tbl.Open("t", n, 0, qr.Options{NB: 8, IB: 4}, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var merges atomic.Int64
+	s.str.Hook = func(class string) {
+		if class == "ttqrt" {
+			merges.Add(1)
+		}
+	}
+	for _, count := range []int{7, 6} { // spines of depth 3, then 2
+		var last *matrix.Mat
+		if _, err := s.AppendStream(context.Background(), feedBlocks(genBlocks(rng, count, n), nil),
+			func(_, _ int64, cur *qr.StreamNode) error {
+				last = cur.R.Clone()
+				return nil
+			}); err != nil {
+			t.Fatal(err)
+		}
+		before := merges.Load()
+		got, err := s.Current()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fired := merges.Load() - before; fired != 0 {
+			t.Fatalf("Current between appends fired %d merges, want 0", fired)
+		}
+		if d := matrix.MaxAbsDiff(got.R, last); d != 0 {
+			t.Fatalf("Current differs from the last emitted R by %g (want bitwise equality)", d)
+		}
+	}
+}
+
 // TestBootScanSkipsGarbage drops junk files into the checkpoint dir and
 // proves NewTable registers only the valid session.
 func TestBootScanSkipsGarbage(t *testing.T) {
