@@ -5,9 +5,10 @@
 //
 // Below a size threshold a matrix never touches the tree runtime at all: it
 // is factorized in place by a Givens-rotation sweep (skinny/tiny shapes) or
-// a compact-WY blocked Householder factorization (above the crossover), both
-// drawing every byte of scratch from a kernels.Workspace so steady-state
-// factorization allocates nothing. Thousands of matrices are packed per
+// an R-only unblocked Householder factorization (above the crossover) that
+// applies each reflector in one fused blas.Dlarf call; both draw every byte
+// of scratch from a kernels.Workspace so steady-state factorization
+// allocates nothing. Thousands of matrices are packed per
 // request (see wire.go), chunked, and dispatched onto the warm pulsar.Pool
 // by a work-stealing scheduler (see sched.go) that streams each chunk's
 // results back as it completes.
@@ -28,14 +29,10 @@ const (
 	MaxDim = 256
 
 	// DefaultCrossover is the column count at or below which the Givens
-	// sweep beats the blocked Householder path: skinny panels spend most of
-	// a block reflector's flops on bookkeeping, while a Givens rotation
-	// touches exactly the two rows it combines.
+	// sweep beats the Householder path: a Givens rotation touches exactly
+	// the two rows it combines, and on a few columns that beats a reflector
+	// pass per column (docs/BATCH.md has the measured crossover).
 	DefaultCrossover = 12
-
-	// defaultIB is the inner block size of the compact-WY path, matching
-	// the library default for tile kernels.
-	defaultIB = 16
 )
 
 // FactorWS overwrites the m×n matrix a (m ≥ n ≥ 1) with the R factor of its
@@ -45,10 +42,11 @@ const (
 // of R's rows, and the Givens and Householder paths would otherwise disagree.
 //
 // crossover selects the engine: n ≤ crossover runs the Givens sweep, larger
-// matrices the compact-WY blocked Householder factorization (crossover ≤ 0
-// takes DefaultCrossover). All scratch comes from ws; a nil ws borrows a
-// pooled workspace for the call. The Householder vectors are not retained —
-// the batch workload wants R (e.g. for RᵀR = AᵀA in MMSE equalization), not Q.
+// matrices the unblocked Householder factorization kernels.Dgeqr2 (crossover
+// ≤ 0 takes DefaultCrossover). Its τ comes from ws; a nil ws borrows a
+// pooled workspace for the call. Neither T nor the Householder vectors are
+// kept — the batch workload wants R (e.g. for RᵀR = AᵀA in MMSE
+// equalization), not Q.
 func FactorWS(ws *kernels.Workspace, a *matrix.Mat, crossover int) error {
 	m, n := a.Rows, a.Cols
 	if n < 1 || m < n {
@@ -67,12 +65,7 @@ func FactorWS(ws *kernels.Workspace, a *matrix.Mat, crossover int) error {
 			ws = kernels.BorrowWorkspace()
 			defer kernels.ReturnWorkspace(ws)
 		}
-		ib := defaultIB
-		if ib > n {
-			ib = n
-		}
-		t := ws.Aux(0, ib, n)
-		kernels.DgeqrtWS(ws, ib, a, t)
+		kernels.Dgeqr2(a, ws.Aux(0, n, 1).Data)
 		// Drop the Householder vectors: the wire carries a clean R.
 		for j := 0; j < n; j++ {
 			col := a.Data[j*a.LD : j*a.LD+m]

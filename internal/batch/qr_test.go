@@ -9,17 +9,45 @@ import (
 	"pulsarqr/internal/matrix"
 )
 
-// oracleR computes the sign-canonical R of a with an independent scalar
-// algorithm — unblocked Householder via the exported Dgeqr2 primitive —
-// giving the property tests a reference that shares no code with either
-// batch engine's driver.
+// oracleR computes the sign-canonical R of a with a textbook unblocked
+// Householder QR in plain Go loops — no blas, no kernels — so the property
+// tests hold both batch engines to a reference that shares no code with
+// either of them.
 func oracleR(a *matrix.Mat) *matrix.Mat {
+	m, n := a.Rows, a.Cols
 	c := a.Clone()
-	tau := make([]float64, min(c.Rows, c.Cols))
-	kernels.Dgeqr2(c, tau)
-	r := matrix.New(c.Cols, c.Cols)
-	for j := 0; j < c.Cols; j++ {
-		for i := 0; i <= j && i < c.Rows; i++ {
+	for j := 0; j < n; j++ {
+		var norm float64
+		for i := j; i < m; i++ {
+			norm = math.Hypot(norm, c.At(i, j))
+		}
+		if norm == 0 {
+			continue
+		}
+		// v = x − β·e₁ with β = −sign(x₀)·‖x‖; H = I − 2vvᵀ/vᵀv maps x to β·e₁.
+		v := make([]float64, m-j)
+		var vv float64
+		for i := range v {
+			v[i] = c.At(j+i, j)
+		}
+		v[0] += math.Copysign(norm, v[0])
+		for _, x := range v {
+			vv += x * x
+		}
+		for k := j; k < n; k++ {
+			var s float64
+			for i, x := range v {
+				s += x * c.At(j+i, k)
+			}
+			s *= 2 / vv
+			for i, x := range v {
+				c.Add(j+i, k, -s*x)
+			}
+		}
+	}
+	r := matrix.New(n, n)
+	for j := 0; j < n; j++ {
+		for i := 0; i <= j; i++ {
 			r.Set(i, j, c.At(i, j))
 		}
 	}
@@ -45,7 +73,7 @@ func checkR(t *testing.T, label string, got, want *matrix.Mat, scale float64) {
 }
 
 // testShapes enumerates the crossover-boundary shapes the satellite task
-// names: every size across 1×1 … 96×96 around the Givens/compact-WY
+// names: every size across 1×1 … 96×96 around the Givens/Householder
 // threshold, tall, skinny, square.
 func testShapes() [][2]int {
 	var shapes [][2]int
@@ -64,7 +92,7 @@ func testShapes() [][2]int {
 	return shapes
 }
 
-// The core numerics property: the Givens sweep, the compact-WY blocked
+// The core numerics property: the Givens sweep, the unblocked
 // Householder path, and the scalar oracle agree elementwise (within
 // tolerance) on every shape across the threshold boundary — both engines
 // forced on both sides of the crossover.
@@ -89,7 +117,7 @@ func TestFactorEnginesAgree(t *testing.T) {
 			if err := FactorWS(ws, hh, n-1); err != nil {
 				t.Fatalf("FactorWS(%dx%d): %v", m, n, err)
 			}
-			checkR(t, labelOf("compact-WY", m, n), rTop(hh), want, float64(m))
+			checkR(t, labelOf("householder", m, n), rTop(hh), want, float64(m))
 		}
 
 		// And the production policy (default crossover picks the engine).
@@ -160,7 +188,7 @@ func TestFactorRankDeficient(t *testing.T) {
 				if err := FactorWS(ws, hh, 1); err != nil {
 					t.Fatalf("%s FactorWS: %v", name, err)
 				}
-				checkGram(t, name+" compact-WY "+labelOf("", m, n), a, rTop(hh))
+				checkGram(t, name+" householder "+labelOf("", m, n), a, rTop(hh))
 			}
 		}
 	}
@@ -228,7 +256,7 @@ func TestFactorZeroAlloc(t *testing.T) {
 	ws := kernels.NewWorkspace()
 	rng := rand.New(rand.NewSource(9))
 	giv := matrix.NewRand(24, 8, rng) // Givens path
-	hh := matrix.NewRand(48, 32, rng) // compact-WY path
+	hh := matrix.NewRand(48, 32, rng) // Householder path
 	warmG, warmH := giv.Clone(), hh.Clone()
 	FactorWS(ws, warmG, 0)
 	FactorWS(ws, warmH, 0)
@@ -242,5 +270,73 @@ func TestFactorZeroAlloc(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state FactorWS allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// A matrix of subnormal scale factors like the same matrix at normal scale:
+// B has subnormal entries and A = B·2¹⁰⁴⁰ exactly, so R(B)·2¹⁰⁴⁰ must be
+// finite and match R(A). Without Dlarfg's rescale 1/(α−β) overflowed and
+// about half of R(B) came back NaN or ±Inf, with no error.
+func TestFactorSubnormalScale(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, scale := range []float64{0x1p-1026, 0x1p-1028, 0x1p-1030} {
+		b := matrix.NewRand(32, 32, rng)
+		for i := range b.Data {
+			b.Data[i] *= scale
+		}
+		a := b.Clone()
+		for i := range a.Data {
+			a.Data[i] = math.Ldexp(a.Data[i], 1040)
+		}
+		if err := Factor(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := Factor(b); err != nil {
+			t.Fatal(err)
+		}
+		for i := range b.Data {
+			b.Data[i] = math.Ldexp(b.Data[i], 1040)
+		}
+		if !finite(b) {
+			t.Fatalf("scale %g: R has non-finite entries", scale)
+		}
+		if d, tol := matrix.MaxAbsDiff(b, a), 1e-12*a.MaxAbs(); !(d <= tol) {
+			t.Errorf("scale %g: R(B)·2¹⁰⁴⁰ differs from R(A) by %g (tol %g)", scale, d, tol)
+		}
+	}
+}
+
+func finite(a *matrix.Mat) bool {
+	for _, v := range a.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// BenchmarkFactorWS times one n×n factorization per op on each engine,
+// forced through the crossover argument, at the sizes around
+// DefaultCrossover and at the 32×32 of the batch_small workload. The
+// crossover table in docs/BATCH.md is read from it.
+func BenchmarkFactorWS(b *testing.B) {
+	for _, n := range []int{4, 8, 12, 16, 32} {
+		for _, eng := range []struct {
+			name      string
+			crossover int
+		}{{"givens", n}, {"householder", n - 1}} {
+			b.Run(eng.name+"/n="+itoa(n), func(b *testing.B) {
+				ws := kernels.NewWorkspace()
+				a := matrix.NewRand(n, n, rand.New(rand.NewSource(int64(n))))
+				buf := a.Clone()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					buf.CopyFrom(a)
+					if err := FactorWS(ws, buf, eng.crossover); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -211,15 +211,81 @@ func TestLevel2MatchesScalarConfig(t *testing.T) {
 	})
 }
 
+// Dlarf is the Ddot/Daxpy loop it fuses, bit for bit, under every level:
+// every loop stage and tail length of m, a padded leading dimension, columns
+// whose dot is zero (the skip path), and NaN/Inf in v and in c. The padding
+// rows between columns and the sentinels past the last one must stay
+// untouched — the masked tail stores nothing there. The Dgemv+Dger pair
+// Dlarf replaced must give the same bits too.
+func TestDlarfMatchesDotAxpy(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	specials := []float64{nan, inf, -inf}
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(29))
+		for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 40, 63, 64, 65, 192, 256} {
+			for _, n := range []int{0, 1, 5, 23} {
+				for _, variant := range []string{"random", "zero columns", "special v", "special c"} {
+					ldc := m + 3
+					_, v := vecAt(rng, m, 1)
+					c := make([]float64, ldc*n+5)
+					for i := range c {
+						c[i] = 1e30
+					}
+					for k := 0; k < n; k++ {
+						for i := 0; i < m; i++ {
+							c[i+k*ldc] = 2*rng.Float64() - 1
+						}
+					}
+					switch variant {
+					case "zero columns":
+						// −0, so that applying a zero coef instead of
+						// skipping would turn some entries into +0.
+						for k := 0; k < n; k += 2 {
+							for i := 0; i < m; i++ {
+								c[i+k*ldc] = math.Copysign(0, -1)
+							}
+						}
+					case "special v":
+						v[rng.Intn(m)] = specials[rng.Intn(3)]
+					case "special c":
+						for k := 0; k < n; k += 2 {
+							c[rng.Intn(m)+k*ldc] = specials[k%3]
+						}
+					}
+					tau := 1 + rng.Float64()
+					loop := append([]float64(nil), c...)
+					for k := 0; k < n; k++ {
+						ck := loop[k*ldc : k*ldc+m]
+						Daxpy(m, -tau*Ddot(m, ck, 1, v, 1), v, 1, ck, 1)
+					}
+					pair := append([]float64(nil), c...)
+					w := make([]float64, n)
+					Dgemv(true, m, n, 1, pair, ldc, v, 1, 0, w, 1)
+					Dger(m, n, -tau, v, 1, w, 1, pair, ldc)
+					Dlarf(m, n, tau, v, c, ldc)
+					for i := range c {
+						if got := math.Float64bits(c[i]); got != math.Float64bits(loop[i]) || got != math.Float64bits(pair[i]) {
+							t.Fatalf("%s Dlarf %dx%d %s: c[%d] = %v, Ddot/Daxpy loop %v, Dgemv+Dger %v",
+								kp.name, m, n, variant, i, c[i], loop[i], pair[i])
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 // A short slice must panic in Go, on the vector path as on the scalar one,
 // not read past its end in assembly.
 func TestLevel1ShortSlicePanics(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		for name, call := range map[string]func(){
-			"Ddot":  func() { Ddot(9, make([]float64, 9), 1, make([]float64, 8), 1) },
-			"Daxpy": func() { Daxpy(9, 2, make([]float64, 9), 1, make([]float64, 8), 1) },
-			"Dscal": func() { Dscal(9, 2, make([]float64, 8), 1) },
-			"Dnrm2": func() { Dnrm2(9, make([]float64, 8), 1) },
+			"Ddot":    func() { Ddot(9, make([]float64, 9), 1, make([]float64, 8), 1) },
+			"Daxpy":   func() { Daxpy(9, 2, make([]float64, 9), 1, make([]float64, 8), 1) },
+			"Dscal":   func() { Dscal(9, 2, make([]float64, 8), 1) },
+			"Dnrm2":   func() { Dnrm2(9, make([]float64, 8), 1) },
+			"Dlarf v": func() { Dlarf(9, 2, 1, make([]float64, 8), make([]float64, 18), 9) },
+			"Dlarf c": func() { Dlarf(9, 2, 1, make([]float64, 9), make([]float64, 17), 9) },
 		} {
 			func() {
 				defer func() {
@@ -281,4 +347,10 @@ func BenchmarkDgemvT192x24(b *testing.B) {
 
 func BenchmarkDger192x24(b *testing.B) {
 	benchLevel2(b, func(a, x, y []float64) { Dger(192, 24, 1e-9, x, 1, y, 1, a, 192) })
+}
+
+// One panel step at the default tile: a reflector of one tile column
+// applied to the rest of its inner block.
+func BenchmarkDlarf192x23(b *testing.B) {
+	benchLevel2(b, func(a, x, _ []float64) { Dlarf(192, 23, 1e-9, x, a, 192) })
 }

@@ -60,6 +60,26 @@ func Dger(m, n int, alpha float64, x []float64, incX int,
 	}
 }
 
+// Dlarf applies the elementary reflector H = I − tau·v·vᵀ from the left to
+// the m×n matrix c, v holding all m entries of the reflector (its unit head
+// stored explicitly). Column by column it is w = Ddot(c_k, v) then
+// Daxpy(−tau·w, v, c_k) — bitwise Dgemv(true, …) followed by Dger(…, −tau,
+// …), the pair it replaces, and a no-op when tau is 0. That loop is the
+// definition; the avx512-12x8 level runs it as one fused assembly call with
+// the same bits.
+func Dlarf(m, n int, tau float64, v, c []float64, ldc int) {
+	if m <= 0 || n <= 0 || tau == 0 {
+		return
+	}
+	if larfFast(m, n, -tau, v, c, ldc) {
+		return
+	}
+	for k := 0; k < n; k++ {
+		ck := c[k*ldc : k*ldc+m]
+		Daxpy(m, -tau*Ddot(m, ck, 1, v, 1), v, 1, ck, 1)
+	}
+}
+
 // Dtrmv computes x := op(A)*x for an n×n triangular matrix A.
 // upper selects the triangle, trans selects op, unit marks a unit diagonal.
 func Dtrmv(upper, trans, unit bool, n int, a []float64, lda int, x []float64, incX int) {

@@ -68,6 +68,25 @@ func scalFast(alpha float64, x []float64) {
 	dscalAVX2(len(x), alpha, &x[0])
 }
 
+// dlarfAVX512 is Dlarf's fused body: per column, ddotAVX512's dot, then
+// daxpyAVX512's update scaled by alpha·w. m, n ≥ 1.
+//
+//go:noescape
+func dlarfAVX512(m, n int, alpha float64, v, c *float64, ldc int)
+
+// larfFast runs Dlarf on the active level's fused body, if it has one, and
+// reports whether it did. v and the last column are re-sliced here so a
+// short operand panics in Go rather than in assembly.
+func larfFast(m, n int, alpha float64, v, c []float64, ldc int) bool {
+	if kp.level != levelAVX512 {
+		return false
+	}
+	_ = v[:m]
+	_ = c[(n-1)*ldc : (n-1)*ldc+m]
+	dlarfAVX512(m, n, alpha, &v[0], &c[0], ldc)
+	return true
+}
+
 // Transposing pack bodies: dst[p·stride+j] = alpha·src[p+j·ld] over 8, 4 or
 // 2 stored columns and nblk ≥ 1 full blocks of 8 or 4 rows.
 //

@@ -876,3 +876,151 @@ rows12:
 	JNZ     rows12
 	VZEROUPPER
 	RET
+
+// func dlarfAVX512(m, n int, alpha float64, v, c *float64, ldc int)
+//
+// The fused reflector body behind Dlarf: for each of n columns c_k = c +
+// k·ldc, w = vᵀc_k in exactly ddotAVX512's chains and reduction, coef =
+// alpha·w (alpha = −τ), and unless coef == 0 — Daxpy's no-op, which a NaN
+// coef is not — c_k += coef·v in exactly daxpyAVX512's FMAs. The result is
+// bitwise the Ddot/Daxpy pair it fuses; what it saves is two calls per
+// column and the loop counts and tail mask, computed once for all columns.
+//
+// m, n ≥ 1 and the Go wrapper (larfFast) has bounds-checked v[:m] and the
+// last column. Touches neither R14/R15 nor X15.
+TEXT ·dlarfAVX512(SB), NOSPLIT, $0-48
+	MOVQ m+0(FP), CX
+	MOVQ n+8(FP), DX
+	VMOVSD alpha+16(FP), X9
+	MOVQ v+24(FP), BX
+	MOVQ c+32(FP), DI
+	MOVQ ldc+40(FP), R9
+	SHLQ $3, R9
+
+	MOVQ CX, R10
+	SHRQ $5, R10
+	MOVQ CX, R11
+	ANDQ $31, R11
+	SHRQ $3, R11
+	ANDQ $7, CX
+	MOVQ CX, R13
+	MOVQ $1, AX
+	SHLQ CX, AX
+	DECQ AX
+	KMOVW AX, K1
+	VXORPD X10, X10, X10
+
+larfcol:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	MOVQ DI, R12
+	MOVQ BX, SI
+	MOVQ R10, R8
+	TESTQ R8, R8
+	JZ   larfdot8
+
+larfdot32:
+	VMOVUPD (R12), Z4
+	VMOVUPD 64(R12), Z5
+	VMOVUPD 128(R12), Z6
+	VMOVUPD 192(R12), Z7
+	VFMADD231PD (SI), Z4, Z0
+	VFMADD231PD 64(SI), Z5, Z1
+	VFMADD231PD 128(SI), Z6, Z2
+	VFMADD231PD 192(SI), Z7, Z3
+	ADDQ $256, R12
+	ADDQ $256, SI
+	DECQ R8
+	JNZ  larfdot32
+
+larfdot8:
+	MOVQ R11, R8
+	TESTQ R8, R8
+	JZ   larfdottail
+
+larfdotloop8:
+	VMOVUPD (R12), Z4
+	VFMADD231PD (SI), Z4, Z0
+	ADDQ $64, R12
+	ADDQ $64, SI
+	DECQ R8
+	JNZ  larfdotloop8
+
+larfdottail:
+	TESTQ R13, R13
+	JZ   larfreduce
+	VMOVUPD.Z (R12), K1, Z4
+	VMOVUPD.Z (SI), K1, Z5
+	VFMADD231PD Z5, Z4, Z1
+
+larfreduce:
+	VADDPD Z1, Z0, Z0
+	VADDPD Z3, Z2, Z2
+	VADDPD Z2, Z0, Z0
+	VEXTRACTF64X4 $1, Z0, Y1
+	VADDPD Y1, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPD X1, X0, X0
+	VPERMILPD $1, X0, X1
+	VADDSD X1, X0, X0
+	VMULSD X9, X0, X0
+	VUCOMISD X10, X0
+	JP   larfapply
+	JE   larfnext
+
+larfapply:
+	VBROADCASTSD X0, Z8
+	MOVQ DI, R12
+	MOVQ BX, SI
+	MOVQ R10, R8
+	TESTQ R8, R8
+	JZ   larfaxpy8
+
+larfaxpy32:
+	VMOVUPD (R12), Z4
+	VMOVUPD 64(R12), Z5
+	VMOVUPD 128(R12), Z6
+	VMOVUPD 192(R12), Z7
+	VFMADD231PD (SI), Z8, Z4
+	VFMADD231PD 64(SI), Z8, Z5
+	VFMADD231PD 128(SI), Z8, Z6
+	VFMADD231PD 192(SI), Z8, Z7
+	VMOVUPD Z4, (R12)
+	VMOVUPD Z5, 64(R12)
+	VMOVUPD Z6, 128(R12)
+	VMOVUPD Z7, 192(R12)
+	ADDQ $256, R12
+	ADDQ $256, SI
+	DECQ R8
+	JNZ  larfaxpy32
+
+larfaxpy8:
+	MOVQ R11, R8
+	TESTQ R8, R8
+	JZ   larfaxpytail
+
+larfaxpyloop8:
+	VMOVUPD (R12), Z4
+	VFMADD231PD (SI), Z8, Z4
+	VMOVUPD Z4, (R12)
+	ADDQ $64, R12
+	ADDQ $64, SI
+	DECQ R8
+	JNZ  larfaxpyloop8
+
+larfaxpytail:
+	TESTQ R13, R13
+	JZ   larfnext
+	VMOVUPD.Z (R12), K1, Z4
+	VMOVUPD.Z (SI), K1, Z5
+	VFMADD231PD Z5, Z8, Z4
+	VMOVUPD Z4, K1, (R12)
+
+larfnext:
+	ADDQ R9, DI
+	DECQ DX
+	JNZ  larfcol
+	VZEROUPPER
+	RET

@@ -26,6 +26,8 @@ func axpyFast(alpha float64, x, y []float64) { daxpyScalar(len(x), alpha, x, 1, 
 
 func scalFast(alpha float64, x []float64) { dscalScalar(len(x), alpha, x, 1) }
 
+func larfFast(m, n int, alpha float64, v, c []float64, ldc int) bool { return false }
+
 func transposeFast(panel []float64, w int, alpha float64, src []float64, off, ld, kc int) {
 	transposeScalar(panel, w, 0, w, alpha, src, off, ld, 0, kc)
 }

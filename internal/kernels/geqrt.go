@@ -36,11 +36,11 @@ func DgeqrtWS(ws *Workspace, ib int, a, t *matrix.Mat) {
 			t.Rows, t.Cols, ib, k))
 	}
 	tau := grow(&ws.tau, ib)
-	work := grow(&ws.work, max(m, n))
+	work := grow(&ws.work, ib)
 	for j := 0; j < k; j += ib {
 		sb := min(ib, k-j)
 		panel := a.ViewInto(&ws.vView, j, j, m-j, sb)
-		dgeqr2(panel, tau[:sb], work)
+		Dgeqr2(panel, tau[:sb])
 		tb := t.ViewInto(&ws.tView, 0, j, sb, sb)
 		dlarft(panel, tau[:sb], tb, work)
 		if j+sb < n {

@@ -25,10 +25,19 @@ import (
 	"pulsarqr/internal/matrix"
 )
 
+// dlarfgSafmin is LAPACK's dlamch('S')/dlamch('E'), 2⁻⁹⁶⁹: a β below it
+// leaves 1/(α−β) one rounding away from overflow.
+const dlarfgSafmin = 0x1p-1022 / 0x1p-53
+
 // Dlarfg generates an elementary Householder reflector H such that
 // H · [alpha; x] = [beta; 0] with H = I − tau·v·vᵀ and v = [1; x_out].
 // alpha is updated to beta and x is overwritten with the tail of v.
 // The returned tau is zero when no reflection is needed (H = I).
+//
+// A column of subnormal scale is rescaled first, as LAPACK's dlarfg does:
+// while |β| < dlarfgSafmin, x and α are multiplied by 1/dlarfgSafmin (a power
+// of two, so exactly) at most 20 times, the reflector is built at that scale
+// and β is scaled back. Normal inputs never take the branch.
 func Dlarfg(alpha *float64, x []float64) (tau float64) {
 	xnorm := blas.Dnrm2(len(x), x, 1)
 	if xnorm == 0 {
@@ -36,16 +45,35 @@ func Dlarfg(alpha *float64, x []float64) (tau float64) {
 	}
 	a := *alpha
 	beta := -math.Copysign(math.Hypot(a, xnorm), a)
+	knt := 0
+	if math.Abs(beta) < dlarfgSafmin {
+		for {
+			knt++
+			blas.Dscal(len(x), 1/dlarfgSafmin, x, 1)
+			beta *= 1 / dlarfgSafmin
+			a *= 1 / dlarfgSafmin
+			if math.Abs(beta) >= dlarfgSafmin || knt == 20 {
+				break
+			}
+		}
+		xnorm = blas.Dnrm2(len(x), x, 1)
+		beta = -math.Copysign(math.Hypot(a, xnorm), a)
+	}
 	tau = (beta - a) / beta
 	blas.Dscal(len(x), 1/(a-beta), x, 1)
+	for ; knt > 0; knt-- {
+		beta *= dlarfgSafmin
+	}
 	*alpha = beta
 	return tau
 }
 
-// dgeqr2 computes the unblocked QR factorization of the panel view a
-// (m×n, m ≥ 1), storing reflectors below the diagonal and R on and above
-// it. tau must have length ≥ min(m, n). work must have length ≥ n.
-func dgeqr2(a *matrix.Mat, tau, work []float64) {
+// Dgeqr2 computes the unblocked Householder QR of the m×n panel view a
+// (m ≥ 1), storing R on and above the diagonal and the reflectors below it;
+// tau must have length ≥ min(m, n). Each reflector reaches the trailing
+// columns in one blas.Dlarf call. It is Dgeqrt's inner-block factor and, R
+// only, the batch engine above the Givens crossover; it needs no scratch.
+func Dgeqr2(a *matrix.Mat, tau []float64) {
 	m, n, ld := a.Rows, a.Cols, a.LD
 	k := min(m, n)
 	for j := 0; j < k; j++ {
@@ -55,14 +83,7 @@ func dgeqr2(a *matrix.Mat, tau, work []float64) {
 			// Apply H = I − tau v vᵀ to a[j:m, j+1:n] with v = [1; col tail].
 			d := col[0]
 			col[0] = 1
-			v := col[:m-j]
-			c := a.Data[j+(j+1)*ld:]
-			nc := n - j - 1
-			w := work[:nc]
-			// w = Cᵀ v
-			blas.Dgemv(true, m-j, nc, 1, c, ld, v, 1, 0, w, 1)
-			// C -= tau v wᵀ
-			blas.Dger(m-j, nc, -tau[j], v, 1, w, 1, c, ld)
+			blas.Dlarf(m-j, n-j-1, tau[j], col[:m-j], a.Data[j+(j+1)*ld:], ld)
 			col[0] = d
 		}
 	}

@@ -68,6 +68,36 @@ func TestDlarfgZeroTail(t *testing.T) {
 	}
 }
 
+// A tile of subnormal scale factors like the same tile at normal scale: B
+// has subnormal entries and A = B·2¹⁰⁴⁰ exactly, so R(B)·2¹⁰⁴⁰ must be
+// finite and match R(A). Without Dlarfg's rescale 1/(α−β) overflowed and
+// R(B) filled with NaN and ±Inf.
+func TestDgeqrtSubnormalScale(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, scale := range []float64{0x1p-1026, 0x1p-1028, 0x1p-1030} {
+		b := matrix.NewRand(32, 32, rng)
+		for i := range b.Data {
+			b.Data[i] *= scale
+		}
+		a := b.Clone()
+		for i := range a.Data {
+			a.Data[i] = math.Ldexp(a.Data[i], 1040)
+		}
+		Dgeqrt(8, a, matrix.New(8, 32))
+		Dgeqrt(8, b, matrix.New(8, 32))
+		ra, rb := upperTrap(a), upperTrap(b)
+		for i, v := range rb.Data {
+			rb.Data[i] = math.Ldexp(v, 1040)
+			if math.IsNaN(rb.Data[i]) || math.IsInf(rb.Data[i], 0) {
+				t.Fatalf("scale %g: R[%d] = %g", scale, i, rb.Data[i])
+			}
+		}
+		if d, tol := matrix.MaxAbsDiff(rb, ra), 1e-12*ra.MaxAbs(); !(d <= tol) {
+			t.Errorf("scale %g: R(B)·2¹⁰⁴⁰ differs from R(A) by %g (tol %g)", scale, d, tol)
+		}
+	}
+}
+
 // geqrtQ builds the explicit m×m Q from a Dgeqrt output by applying Q to
 // the identity.
 func geqrtQ(ib int, v, tm *matrix.Mat) *matrix.Mat {

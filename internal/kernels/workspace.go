@@ -23,7 +23,7 @@ import (
 // independent of buffer history (the determinism contract).
 type Workspace struct {
 	tau    []float64 // Dgeqrt reflector scaling factors
-	work   []float64 // dgeqr2/dlarft vector scratch
+	work   []float64 // dlarft vector scratch
 	wvec   []float64 // tsqrtGeneric T-column scratch
 	wbuf   []float64 // applyTS/dlarfb/applyFused W panel storage
 	w2buf  []float64 // applyFused op(T)·W panel storage
