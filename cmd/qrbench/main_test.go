@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
@@ -101,5 +102,29 @@ func TestSessionSeedVerify(t *testing.T) {
 	}
 	if code, out := qrbench(t, append(common, "-session-act", "verify", "-session-id", "0000000000000000")...); code == 0 {
 		t.Fatalf("verify of an unknown session exited 0:\n%s", out)
+	}
+}
+
+// The batch smoke client end to end against an in-process server: every
+// result arrives and the trailer verifies; a server that is not there fails
+// the command.
+func TestBatchServe(t *testing.T) {
+	t.Parallel()
+	srv, err := service.NewServer(service.Config{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	args := []string{"-batch", "-batch-count", "300", "-batch-dim", "20", "-batch-url"}
+
+	if code, out := qrbench(t, append(args, ts.URL)...); code != 0 || !strings.Contains(out, "batch ok: 300 matrices") {
+		t.Fatalf("exit %d:\n%s", code, out)
+	}
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close()
+	if code, out := qrbench(t, append(args, gone.URL)...); code == 0 {
+		t.Fatalf("batch against a closed server exited 0:\n%s", out)
 	}
 }

@@ -236,3 +236,64 @@ func TestSchedulerWireComposition(t *testing.T) {
 		t.Fatalf("saw %d results, want 100", seen)
 	}
 }
+
+// Composed as the HTTP handler composes them — each result written, then
+// its matrix recycled — a long uniform stream decodes into no more distinct
+// matrices than the scheduler holds at once: Window chunks in flight plus
+// the one the reader is filling.
+func TestSchedulerRecycledResidency(t *testing.T) {
+	pool := testPool(t, 2)
+	const chunk, window = 4, 2
+	s := NewScheduler(SchedConfig{Pool: pool, ChunkSize: chunk, Window: window})
+	rng := rand.New(rand.NewSource(17))
+	mats := make([]*matrix.Mat, 200)
+	for i := range mats {
+		mats[i] = matrix.NewRand(12, 12, rng)
+	}
+	rr, err := NewRequestReader(bytes.NewReader(encodeRequest(t, mats)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp bytes.Buffer
+	rw, err := NewResultWriter(&resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[*matrix.Mat]bool{}
+	done, err := s.Stream(context.Background(), rr.Next, func(index int, r *matrix.Mat) error {
+		seen[r] = true
+		if err := rw.WriteResult(index, r); err != nil {
+			return err
+		}
+		rr.Recycle(r)
+		return nil
+	})
+	if err != nil || done != len(mats) {
+		t.Fatalf("done %d, err %v", done, err)
+	}
+	if limit := (window + 1) * chunk; len(seen) > limit {
+		t.Fatalf("%d matrices decoded into %d distinct ones, want at most %d", len(mats), len(seen), limit)
+	}
+	if err := rw.WriteTrailer(0); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := NewResultReader(&resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := kernels.NewWorkspace()
+	for {
+		res, tr, err := rd.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr != nil {
+			break
+		}
+		want := mats[res.Index].Clone()
+		FactorWS(ws, want, 0)
+		if d := matrix.MaxAbsDiff(res.R, want); d != 0 {
+			t.Fatalf("result %d differs by %g", res.Index, d)
+		}
+	}
+}

@@ -1,9 +1,11 @@
 package batch
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 
 	"pulsarqr/internal/matrix"
 	"pulsarqr/internal/wire"
@@ -58,12 +60,21 @@ func WriteRequestHeader(w io.Writer, count int) error {
 	return wire.WriteHeader(w, reqMagic, count)
 }
 
+// CheckShape reports whether an m×n matrix can ride the batch path:
+// MaxDim ≥ m ≥ n ≥ 1. The error names the shape; callers name the matrix.
+func CheckShape(m, n int) error {
+	if n < 1 || m < n || m > MaxDim {
+		return fmt.Errorf("%dx%d; need %d >= m >= n >= 1", m, n, MaxDim)
+	}
+	return nil
+}
+
 // AppendMatrix appends the request encoding of a to dst: dimensions then the
-// column-major payload. It panics on shapes the batch path cannot accept —
-// a programming error on the sending side.
+// column-major payload. It panics on shapes CheckShape refuses — a
+// programming error on the sending side.
 func AppendMatrix(dst []byte, a *matrix.Mat) []byte {
 	m, n := a.Rows, a.Cols
-	if n < 1 || m < n || m > MaxDim {
+	if CheckShape(m, n) != nil {
 		panic(fmt.Sprintf("batch: encode %dx%d matrix", m, n))
 	}
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(m))
@@ -73,13 +84,18 @@ func AppendMatrix(dst []byte, a *matrix.Mat) []byte {
 }
 
 // RequestReader decodes a batch request stream matrix by matrix, so the
-// handler can dispatch chunks while the body is still arriving. Matrices
-// returned by Next are freshly allocated and owned by the caller; the
-// reader's internal byte scratch is reused across calls.
+// handler can dispatch chunks while the body is still arriving. Past the
+// header it reads through one SlabSize bufio.Reader. A matrix returned by
+// Next is the caller's until it hands it back with Recycle, after which a
+// later Next may decode into its storage; the reader's byte scratch is
+// reused across calls.
 type RequestReader struct {
 	r     wire.Reader
 	count int
 	read  int
+
+	mu   sync.Mutex
+	free []*matrix.Mat // recycled matrices, newest last
 }
 
 // NewRequestReader validates the stream header and returns a reader over
@@ -92,16 +108,46 @@ func NewRequestReader(r io.Reader) (*RequestReader, error) {
 	if count > MaxCount {
 		return nil, fmt.Errorf("batch: request declares %d matrices, limit %d", count, MaxCount)
 	}
-	return &RequestReader{r: wire.Reader{R: r}, count: count}, nil
+	return &RequestReader{r: wire.Reader{R: bufio.NewReaderSize(r, wire.SlabSize)}, count: count}, nil
 }
 
 // Count returns the matrix count the stream header declared.
 func (rr *RequestReader) Count() int { return rr.count }
 
-// Next decodes the next matrix. It returns io.EOF after the declared count
-// has been read; a stream that ends early yields an error wrapping
-// io.ErrUnexpectedEOF. Dimensions are validated before the payload is
-// allocated or read.
+// Recycle hands back a matrix Next returned, once nothing reads it any more.
+// It may run on a different goroutine from Next.
+func (rr *RequestReader) Recycle(a *matrix.Mat) {
+	rr.mu.Lock()
+	rr.free = append(rr.free, a)
+	rr.mu.Unlock()
+}
+
+// recycled pops the newest recycled matrix and reshapes it to a compact
+// m×n, or returns nil when there is none or its storage is too small. A
+// misfit is dropped, not kept: every matrix the reader holds then stands
+// for one Next has returned, so recycling keeps the matrices alive no more
+// than the caller's own residency.
+func (rr *RequestReader) recycled(m, n int) *matrix.Mat {
+	rr.mu.Lock()
+	defer rr.mu.Unlock()
+	k := len(rr.free)
+	if k == 0 {
+		return nil
+	}
+	a := rr.free[k-1]
+	rr.free[k-1] = nil
+	rr.free = rr.free[:k-1]
+	if cap(a.Data) < m*n {
+		return nil
+	}
+	a.Rows, a.Cols, a.LD, a.Data = m, n, m, a.Data[:m*n]
+	return a
+}
+
+// Next decodes the next matrix, into a recycled one when one fits. It
+// returns io.EOF after the declared count has been read; a stream that ends
+// early yields an error wrapping io.ErrUnexpectedEOF. Dimensions are
+// validated before the payload is allocated or read.
 func (rr *RequestReader) Next() (*matrix.Mat, error) {
 	if rr.read >= rr.count {
 		return nil, io.EOF
@@ -112,10 +158,16 @@ func (rr *RequestReader) Next() (*matrix.Mat, error) {
 	}
 	m := int(binary.LittleEndian.Uint16(dims[0:]))
 	n := int(binary.LittleEndian.Uint16(dims[2:]))
-	if n < 1 || m < n || m > MaxDim {
-		return nil, fmt.Errorf("batch: matrix %d is %dx%d; need %d >= m >= n >= 1", rr.read, m, n, MaxDim)
+	if err := CheckShape(m, n); err != nil {
+		return nil, fmt.Errorf("batch: matrix %d is %w", rr.read, err)
 	}
-	a, _, err := rr.r.ReadMat(m, n)
+	var err error
+	a := rr.recycled(m, n)
+	if a != nil {
+		_, err = rr.r.ReadInto(a)
+	} else {
+		a, _, err = rr.r.ReadMat(m, n)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("batch: matrix %d payload: %w", rr.read, err)
 	}
@@ -166,7 +218,9 @@ type Result struct {
 }
 
 // ResultReader decodes a batch response stream, verifying the trailer
-// checksum against what was actually received.
+// checksum against what was actually received. Past the magic it reads
+// through one SlabSize bufio.Reader, so it may read ahead of the trailer;
+// each result's R is freshly allocated and the caller's to keep.
 type ResultReader struct {
 	r    wire.Reader
 	sum  uint64
@@ -178,7 +232,7 @@ func NewResultReader(r io.Reader) (*ResultReader, error) {
 	if err := wire.ReadMagic(r, respMagic); err != nil {
 		return nil, fmt.Errorf("batch: response header: %w", err)
 	}
-	return &ResultReader{r: wire.Reader{R: r}}, nil
+	return &ResultReader{r: wire.Reader{R: bufio.NewReaderSize(r, wire.SlabSize)}}, nil
 }
 
 // Next decodes the next result frame. At the end of the stream it returns

@@ -58,6 +58,43 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// Next decodes into the newest recycled matrix when its storage fits,
+// reshaped compact to the new dimensions, and allocates afresh when it does
+// not — dropping the misfit.
+func TestRequestReaderRecycles(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	mats := []*matrix.Mat{
+		matrix.NewRand(40, 20, rng),
+		matrix.NewRand(13, 13, rng),
+		matrix.NewRand(32, 32, rng),
+		matrix.NewRand(8, 8, rng),
+	}
+	rr, err := NewRequestReader(bytes.NewReader(encodeRequest(t, mats)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := rr.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range mats[1:] {
+		rr.Recycle(prev)
+		fits := cap(prev.Data) >= want.Rows*want.Cols
+		got, err := rr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (got == prev) != fits {
+			t.Fatalf("matrix %d: reused %v, storage fits %v", i+1, got == prev, fits)
+		}
+		if got.LD != want.Rows || len(got.Data) != want.Rows*want.Cols || matrix.MaxAbsDiff(got, want) != 0 {
+			t.Fatalf("matrix %d: decoded %dx%d LD %d len %d, not the %dx%d sent",
+				i+1, got.Rows, got.Cols, got.LD, len(got.Data), want.Rows, want.Cols)
+		}
+		prev = got
+	}
+}
+
 // Response encoding round-trips, out of order, with the checksum verified
 // by the reader.
 func TestResultRoundTrip(t *testing.T) {
@@ -189,7 +226,7 @@ func TestRequestTruncated(t *testing.T) {
 // FuzzRequestReader feeds arbitrary bytes to the request decoder: it must
 // never panic and never allocate beyond the per-matrix bound no matter what
 // the length prefixes claim. Valid streams must decode to matrices the
-// factorization path accepts.
+// factorization path accepts, recycled storage or not.
 func FuzzRequestReader(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
 	var seedBuf bytes.Buffer
@@ -212,9 +249,10 @@ func FuzzRequestReader(f *testing.F) {
 			if err != nil {
 				return
 			}
-			if a.Rows < a.Cols || a.Cols < 1 || a.Rows > MaxDim {
-				t.Fatalf("decoder emitted invalid %dx%d matrix", a.Rows, a.Cols)
+			if a.Rows < a.Cols || a.Cols < 1 || a.Rows > MaxDim || a.LD != a.Rows || len(a.Data) < a.Rows*a.Cols {
+				t.Fatalf("decoder emitted invalid %dx%d matrix (LD %d, %d elements)", a.Rows, a.Cols, a.LD, len(a.Data))
 			}
+			rr.Recycle(a) // the next matrix may decode into this one's storage
 		}
 	})
 }

@@ -17,10 +17,10 @@ import (
 // no job id, so its start/end events share a synthetic "b<N>" session tag.
 var batchSeq atomic.Int64
 
-// batchFlushEvery bounds how many result frames accumulate in the HTTP
-// response buffer before an explicit flush: frequent enough that a slow
-// stream shows progress, rare enough that flush syscalls stay off the
-// per-matrix path.
+// batchFlushEvery bounds how many result frames accumulate before an
+// explicit flush of the result writer's slab and the HTTP response: frequent
+// enough that a slow stream shows progress, rare enough that flush syscalls
+// stay off the per-matrix path.
 const batchFlushEvery = 64
 
 // handleBatch serves POST /v1/batch: a length-prefixed stream of packed
@@ -85,11 +85,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	sinceFlush := 0
 	done, serr := s.batchSched.Stream(ctx, rr.Next, func(index int, res *matrix.Mat) error {
+		// The frame is in the writer's slab: the next Next may decode into res.
 		if err := rw.WriteResult(index, res); err != nil {
 			return err
 		}
+		rr.Recycle(res)
 		if sinceFlush++; sinceFlush >= batchFlushEvery && flusher != nil {
 			sinceFlush = 0
+			if err := rw.Flush(); err != nil {
+				return err
+			}
 			flusher.Flush()
 		}
 		return nil

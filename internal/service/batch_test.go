@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -339,5 +341,89 @@ func waitUntil(t *testing.T, cond func() bool) {
 			t.Fatal("condition never became true")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// A shape the batch path refuses is an error from Client.Batch, raised
+// before any request opens: the encoder runs on the request pipe's
+// goroutine, where a panic would take the caller's process down.
+func TestBatchClientRefusesBadShapes(t *testing.T) {
+	s, _, c := newBatchTestServer(t, Config{Threads: 1})
+	for _, bad := range []*matrix.Mat{matrix.New(3, 5), matrix.New(257, 257), matrix.New(4, 0)} {
+		mats := []*matrix.Mat{matrix.New(4, 4), bad}
+		if _, err := c.Batch(mats, nil); err == nil || !strings.Contains(err.Error(), "matrix 1") {
+			t.Fatalf("%dx%d: err %v, want one naming matrix 1", bad.Rows, bad.Cols, err)
+		}
+	}
+	if got := s.metrics.BatchRequests.Load(); got != 0 {
+		t.Fatalf("BatchRequests = %d after refused batches, want 0", got)
+	}
+}
+
+// The result reader reads ahead through a buffer, so the client drains the
+// body past the trailer: back-to-back batches share one keep-alive
+// connection.
+func TestBatchKeepsConnectionAlive(t *testing.T) {
+	s, err := NewServer(Config{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	ts := httptest.NewUnstartedServer(s.Handler())
+	var conns atomic.Int32
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	c := &Client{Base: ts.URL, HTTP: ts.Client()}
+
+	rng := rand.New(rand.NewSource(24))
+	mats := make([]*matrix.Mat, 500)
+	for i := range mats {
+		mats[i] = matrix.NewRand(32, 32, rng)
+	}
+	for i := 0; i < 5; i++ {
+		if tr, err := c.Batch(mats, nil); err != nil || tr.Done != len(mats) {
+			t.Fatalf("batch %d: done %d, err %v", i, tr.Done, err)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("5 batches opened %d connections, want 1", n)
+	}
+}
+
+// The handler recycles each matrix once its R is in the result slab, so one
+// stream that interleaves shapes — longer than the scheduler's Window ×
+// ChunkSize residency — decodes matrices into storage another shape used
+// before. Every R must still be bitwise the local batch.Factor.
+func TestBatchRecycledDecodesMixedShapes(t *testing.T) {
+	_, _, c := newBatchTestServer(t, Config{Threads: 1})
+	shapes := [][2]int{{32, 32}, {40, 20}, {8, 8}, {256, 256}, {13, 13}}
+	count := 300 // > Window×ChunkSize = 2×64 on one thread, plus a chunk being read
+	rng := rand.New(rand.NewSource(25))
+	mats := make([]*matrix.Mat, count)
+	for i := range mats {
+		sh := shapes[i%len(shapes)]
+		mats[i] = matrix.NewRand(sh[0], sh[1], rng)
+	}
+	got := make([]*matrix.Mat, count)
+	tr, err := c.Batch(mats, func(res batch.Result) error {
+		got[res.Index] = res.R
+		return nil
+	})
+	if err != nil || tr.Done != count || tr.Shed != 0 {
+		t.Fatalf("trailer %+v, err %v", tr, err)
+	}
+	for i, a := range mats {
+		want := a.Clone()
+		if err := batch.Factor(want); err != nil {
+			t.Fatal(err)
+		}
+		if got[i] == nil || matrix.MaxAbsDiff(got[i], want) != 0 {
+			t.Fatalf("matrix %d (%dx%d): served R is not the local batch.Factor", i, a.Rows, a.Cols)
+		}
 	}
 }

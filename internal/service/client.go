@@ -11,6 +11,7 @@ import (
 
 	"pulsarqr/internal/batch"
 	"pulsarqr/internal/matrix"
+	"pulsarqr/internal/wire"
 )
 
 // Client is a thin HTTP client for qrserve, used by the smoke tests, the
@@ -217,9 +218,20 @@ func (c *Client) MachineModel() (MachineModelView, error) {
 // result's Index says which input it answers. It returns the server's
 // trailer, whose Done/Shed reconcile partial progress and whose checksum the
 // reader has already verified against the received bytes. Every matrix must
-// be m×n with m ≥ n ≥ 1 and m ≤ batch.MaxDim. 429 responses are retried
-// Retry429 times, honoring Retry-After.
+// be m×n with m ≥ n ≥ 1 and m ≤ batch.MaxDim, and there may be at most
+// batch.MaxCount of them; otherwise Batch returns an error and sends
+// nothing. 429 responses are retried Retry429 times, honoring Retry-After.
 func (c *Client) Batch(mats []*matrix.Mat, each func(res batch.Result) error) (batch.Trailer, error) {
+	// Refused here, before any request opens: the encoder runs on the
+	// request pipe's goroutine, where a bad shape has no one to return to.
+	if len(mats) > batch.MaxCount {
+		return batch.Trailer{}, fmt.Errorf("batch: %d matrices, limit %d", len(mats), batch.MaxCount)
+	}
+	for i, m := range mats {
+		if err := batch.CheckShape(m.Rows, m.Cols); err != nil {
+			return batch.Trailer{}, fmt.Errorf("batch: matrix %d is %w", i, err)
+		}
+	}
 	for attempt := 0; ; attempt++ {
 		tr, status, err := c.batchOnce(mats, each)
 		if status == http.StatusTooManyRequests && attempt < c.Retry429 {
@@ -248,8 +260,9 @@ func (t batchTrailer) retryWait(c *Client) time.Duration {
 }
 
 func (c *Client) batchOnce(mats []*matrix.Mat, each func(res batch.Result) error) (batchTrailer, int, error) {
-	// The request body streams through a pipe: 10k matrices never exist as
-	// one contiguous buffer on either side of the wire.
+	// The request body streams through a pipe in wire.SlabSize writes: 10k
+	// matrices never exist as one contiguous buffer on either side of the
+	// wire, and no write carries just one small matrix.
 	pr, pw := io.Pipe()
 	go func() {
 		if err := batch.WriteRequestHeader(pw, len(mats)); err != nil {
@@ -257,12 +270,16 @@ func (c *Client) batchOnce(mats []*matrix.Mat, each func(res batch.Result) error
 			return
 		}
 		var buf []byte
-		for _, m := range mats {
-			buf = batch.AppendMatrix(buf[:0], m)
+		for i, m := range mats {
+			buf = batch.AppendMatrix(buf, m)
+			if len(buf) < wire.SlabSize && i < len(mats)-1 {
+				continue
+			}
 			if _, err := pw.Write(buf); err != nil {
 				pw.CloseWithError(err)
 				return
 			}
+			buf = buf[:0]
 		}
 		pw.Close()
 	}()
@@ -300,6 +317,10 @@ func (c *Client) batchOnce(mats []*matrix.Mat, each func(res batch.Result) error
 			return batchTrailer{}, resp.StatusCode, err
 		}
 		if tr != nil {
+			// The reader reads ahead through a buffer, so the body may not
+			// have reached EOF yet: drain it, or closing it drops the
+			// keep-alive connection.
+			io.Copy(io.Discard, resp.Body)
 			return batchTrailer{Trailer: *tr}, resp.StatusCode, nil
 		}
 		if each != nil {

@@ -147,7 +147,9 @@ func NewReplyWriter(w io.Writer) (*ReplyWriter, error) {
 }
 
 // WriteUpdate emits one commit frame: the session's cumulative totals and,
-// unless r is nil (ack-only), the folded global R.
+// unless r is nil (ack-only), the folded global R. Appends are interactive —
+// the client waits on each update — so every frame goes out in one Write of
+// its own instead of waiting for a slab to fill.
 func (rw *ReplyWriter) WriteUpdate(blocks, rows int64, r *matrix.Mat) error {
 	b := binary.LittleEndian.AppendUint64(rw.Frame(), uint64(blocks))
 	b = binary.LittleEndian.AppendUint64(b, uint64(rows))
@@ -155,7 +157,10 @@ func (rw *ReplyWriter) WriteUpdate(blocks, rows int64, r *matrix.Mat) error {
 	if r != nil {
 		k = r.Rows
 	}
-	return rw.WriteFrame(binary.LittleEndian.AppendUint32(b, uint32(k)), r)
+	if err := rw.WriteFrame(binary.LittleEndian.AppendUint32(b, uint32(k)), r); err != nil {
+		return err
+	}
+	return rw.Flush()
 }
 
 // WriteTrailer ends the stream, reporting blocks the server never committed

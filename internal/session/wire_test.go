@@ -159,3 +159,35 @@ func TestReplyWireChecksumMismatch(t *testing.T) {
 		}
 	}
 }
+
+// writeCounter counts the Write calls behind a buffer.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (c *writeCounter) Write(p []byte) (int, error) {
+	c.writes++
+	return c.Buffer.Write(p)
+}
+
+// Appends are interactive: each update goes out in exactly one Write of
+// its own — small, ack-only or larger than a slab — never held back to
+// fill one.
+func TestReplyWriterWritesEachUpdate(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	var out writeCounter
+	rw, err := NewReplyWriter(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range []*matrix.Mat{matrix.NewRand(4, 4, rng), nil, matrix.NewRand(128, 128, rng)} {
+		before := out.writes
+		if err := rw.WriteUpdate(int64(i+1), int64(i+1), r); err != nil {
+			t.Fatal(err)
+		}
+		if got := out.writes - before; got != 1 {
+			t.Fatalf("update %d took %d writes, want 1", i, got)
+		}
+	}
+}

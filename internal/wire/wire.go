@@ -106,6 +106,12 @@ func ConsumeDimMat(b []byte) (m *matrix.Mat, rest []byte, err error) {
 	return m, b[8+8*rows*cols:], nil
 }
 
+// SlabSize is the one buffer size of the streamed HTTP bodies: a Writer
+// writes once its pending frames reach it, and the stream decoders read
+// through a bufio.Reader of this size, so a stream of small matrices costs
+// a syscall per slab, not one or two per matrix.
+const SlabSize = 64 << 10
+
 // Reader decodes payloads from a stream through one scratch buffer reused
 // across matrices.
 type Reader struct {
@@ -113,19 +119,37 @@ type Reader struct {
 	buf []byte
 }
 
-// ReadMat reads the payload of a rows×cols matrix the caller has already
-// bounded — dimensions never come from the stream at this layer — and
-// returns it with the XOR of its bits, allocated once its bytes are in.
-func (r *Reader) ReadMat(rows, cols int) (*matrix.Mat, uint64, error) {
-	need := 8 * rows * cols
+// fill reads the next need bytes into the scratch buffer.
+func (r *Reader) fill(need int) ([]byte, error) {
 	if cap(r.buf) < need {
 		r.buf = make([]byte, need)
 	}
 	if _, err := io.ReadFull(r.R, r.buf[:need]); err != nil {
-		return nil, 0, NoEOF(err)
+		return nil, NoEOF(err)
+	}
+	return r.buf[:need], nil
+}
+
+// ReadMat reads the payload of a rows×cols matrix the caller has already
+// bounded — dimensions never come from the stream at this layer — and
+// returns it with the XOR of its bits, allocated once its bytes are in.
+func (r *Reader) ReadMat(rows, cols int) (*matrix.Mat, uint64, error) {
+	b, err := r.fill(8 * rows * cols)
+	if err != nil {
+		return nil, 0, err
 	}
 	m := matrix.New(rows, cols)
-	return m, Floats(m.Data[:rows*cols], r.buf), nil
+	return m, Floats(m.Data[:rows*cols], b), nil
+}
+
+// ReadInto is ReadMat into a compact matrix the caller already holds: it
+// reads m's Rows×Cols payload over m.Data and returns the XOR of its bits.
+func (r *Reader) ReadInto(m *matrix.Mat) (uint64, error) {
+	b, err := r.fill(8 * m.Rows * m.Cols)
+	if err != nil {
+		return 0, err
+	}
+	return Floats(m.Data[:m.Rows*m.Cols], b), nil
 }
 
 // ReadDimMat reads one dims-prefixed matrix whose shape must be exactly
@@ -191,12 +215,14 @@ func AppendTrailer(dst []byte, done, shed int, sum uint64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, sum)
 }
 
-// Writer is the sending half of a response stream: one frame buffer reused
-// across frames, and the frame count and running XOR of every payload
-// element emitted that the trailer carries. Callers keep their own frame
-// headers: Frame hands out the emptied buffer to append one to, WriteFrame
-// appends the payload behind it and writes the frame in one Write. Not safe
-// for concurrent use.
+// Writer is the sending half of a response stream: frames accumulate in one
+// buffer that is written whenever it holds SlabSize bytes or more, and the
+// Writer keeps the frame count and running XOR of every payload element
+// emitted that the trailer carries. Callers keep their own frame headers:
+// Frame hands out the buffer, pending frames and all, to append one to, and
+// WriteFrame appends the payload behind it — encoded straight into the
+// outgoing slab, with no copy. Flush writes what is pending; the trailer
+// always does. Not safe for concurrent use.
 type Writer struct {
 	W    io.Writer
 	buf  []byte
@@ -204,11 +230,12 @@ type Writer struct {
 	done int
 }
 
-// Frame returns the emptied frame buffer for the caller's header bytes.
-func (w *Writer) Frame() []byte { return w.buf[:0] }
+// Frame returns the pending buffer for the caller's frame header bytes.
+func (w *Writer) Frame() []byte { return w.buf }
 
-// WriteFrame emits one frame: frame — the header built on Frame() — then
-// m's payload (none when m is nil), folded into the running checksum.
+// WriteFrame queues one frame: frame — the header built on Frame() — then
+// m's payload (none when m is nil), folded into the running checksum. It
+// writes only once the pending bytes reach SlabSize.
 func (w *Writer) WriteFrame(frame []byte, m *matrix.Mat) error {
 	if m != nil {
 		var sum uint64
@@ -216,21 +243,32 @@ func (w *Writer) WriteFrame(frame []byte, m *matrix.Mat) error {
 		w.sum ^= sum
 	}
 	w.buf = frame
-	if _, err := w.W.Write(frame); err != nil {
-		return err
-	}
 	w.done++
+	if len(w.buf) >= SlabSize {
+		return w.Flush()
+	}
 	return nil
 }
 
-// Done returns the frames written so far.
+// Flush writes the pending frames, if any, in one Write.
+func (w *Writer) Flush() error {
+	if len(w.buf) == 0 {
+		return nil
+	}
+	_, err := w.W.Write(w.buf)
+	w.buf = w.buf[:0]
+	return err
+}
+
+// Done returns the frames queued so far.
 func (w *Writer) Done() int { return w.done }
 
 // WriteTrailer ends the stream: marker — the caller's trailer mark, built
-// on Frame() — then the frame count, the work shed and the checksum.
+// on Frame() — then the frame count, the work shed and the checksum, all
+// flushed with whatever frames were still pending.
 func (w *Writer) WriteTrailer(marker []byte, shed int) error {
-	_, err := w.W.Write(AppendTrailer(marker, w.done, shed, w.sum))
-	return err
+	w.buf = AppendTrailer(marker, w.done, shed, w.sum)
+	return w.Flush()
 }
 
 // ReadTrailer reads a trailer and verifies it against the frame count and

@@ -75,42 +75,76 @@ func TestReaderRefusals(t *testing.T) {
 	}
 }
 
-// One Writer frame is the caller's header then the payload in a single
-// Write; the trailer it ends with is the one ReadTrailer verifies against
-// what a reader counted; and a frame costs no allocation once the buffer has
-// grown to the largest frame (4,000 frames per batch op go through here).
+// countingWriter counts the Write calls behind a buffer.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	return c.Buffer.Write(p)
+}
+
+// Writer frames coalesce: the stream is byte for byte the caller's headers
+// each followed by AppendMat's payload, written in SlabSize slabs — at most
+// ⌈bytes/SlabSize⌉+1 Writes, none for an empty Flush — and it ends with the
+// trailer ReadTrailer verifies against what a reader counted. A frame costs
+// no allocation once the buffer has grown (4,000 frames per batch op go
+// through here).
 func TestWriterFramesAndTrailer(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	r := matrix.NewRand(5, 5, rng)
-	var out bytes.Buffer
+	small, big := matrix.NewRand(32, 32, rng), matrix.NewRand(256, 256, rng)
+	var out countingWriter
 	w := Writer{W: &out}
+	if err := w.Flush(); err != nil || out.writes != 0 {
+		t.Fatalf("Flush of nothing: err %v, %d writes", err, out.writes)
+	}
+	var want []byte
 	var sum uint64
-	for i := 0; i < 3; i++ {
-		at := out.Len()
+	for i := 0; i < 40; i++ {
+		r := small
+		if i == 17 {
+			r = big // one frame larger than a slab
+		}
 		if err := w.WriteFrame(append(w.Frame(), 'h', byte(i)), r); err != nil {
 			t.Fatal(err)
 		}
-		want, s := AppendMat([]byte{'h', byte(i)}, r)
+		var s uint64
+		want, s = AppendMat(append(want, 'h', byte(i)), r)
 		sum ^= s
-		if !bytes.Equal(out.Bytes()[at:], want) {
-			t.Fatalf("frame %d is not header+payload", i)
-		}
 	}
-	if err := w.WriteFrame(append(w.Frame(), 'a'), nil); err != nil || w.Done() != 4 {
+	if err := w.WriteFrame(append(w.Frame(), 'a'), nil); err != nil || w.Done() != 41 {
 		t.Fatalf("payload-less frame: err %v, done %d", err, w.Done())
 	}
-	at := out.Len()
+	want = append(want, 'a')
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	writes := out.writes
+	if err := w.Flush(); err != nil || out.writes != writes {
+		t.Fatalf("Flush of nothing after a flush: err %v, %d writes, want %d", err, out.writes, writes)
+	}
 	if err := w.WriteTrailer(append(w.Frame(), 0xFF), 2); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := ReadTrailer(bytes.NewReader(out.Bytes()[at+1:]), 4, sum)
-	if err != nil || tr.Shed != 2 || out.Bytes()[at] != 0xFF {
+	got := out.Bytes()
+	if len(got) != len(want)+1+16 || !bytes.Equal(got[:len(want)], want) || got[len(want)] != 0xFF {
+		t.Fatalf("stream of %d bytes is not the frames (%d bytes), the mark and a trailer", len(got), len(want))
+	}
+	if limit := (len(got)+SlabSize-1)/SlabSize + 1; out.writes > limit {
+		t.Fatalf("%d bytes took %d writes, want at most %d", len(got), out.writes, limit)
+	}
+	tr, err := ReadTrailer(bytes.NewReader(got[len(want)+1:]), 41, sum)
+	if err != nil || tr.Shed != 2 {
 		t.Fatalf("trailer %+v, err %v", tr, err)
 	}
 
 	w = Writer{W: io.Discard}
-	frame := func() { w.WriteFrame(append(w.Frame(), 1, 2, 3, 4), r) }
-	frame()
+	frame := func() { w.WriteFrame(append(w.Frame(), 1, 2, 3, 4), small) }
+	for range 2 * SlabSize / (8 * 32 * 32) {
+		frame() // grow the buffer to a slab plus a frame
+	}
 	if n := testing.AllocsPerRun(100, frame); n != 0 {
 		t.Fatalf("%v allocations per frame, want 0", n)
 	}
