@@ -107,7 +107,7 @@ bench-stack-check:
 # gate watches the shape the library runs.
 BENCH_TIME ?= 200ms
 BENCH_COUNT ?= 5
-BENCH_BLAS = BenchmarkGemm|BenchmarkTrmm|BenchmarkPack|BenchmarkD(dot|axpy|nrm2x|gemvT|ger)
+BENCH_BLAS = BenchmarkGemm|BenchmarkTrmm|BenchmarkPack|BenchmarkD(dot|axpy|nrm2x|gemvT)
 BENCH_TILE = BenchmarkD(geqrt|tsqrt|ttqrt|ormqr|tsmqr|ttmqr)$$
 bench-kernels:
 	$(GO) test -run '^$$' -bench '$(BENCH_BLAS)' -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) ./internal/blas

@@ -41,18 +41,12 @@ func TestOneDefaultTileConfiguration(t *testing.T) {
 	pub := DefaultOptions()
 	got["pulsarqr.DefaultOptions()"] = cfg{pub.NB, pub.IB, pub.H}
 
-	// pulsarqr.Factor and Cholesky with everything unset.
+	// pulsarqr.Factor with everything unset.
 	pf, err := Factor(RandomMatrix(def.NB+3, 5, 2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got["pulsarqr.Factor(Options{})"] = cfg{pf.Opts.NB, pf.Opts.IB, pf.Opts.H}
-	spd := Identity(def.NB + 1)
-	cf, err := Cholesky(spd, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got["pulsarqr.Cholesky(Options{}).NB"] = cfg{cf.NB, want.ib, want.h}
 
 	js, err := (&service.JobSpec{M: 8, N: 8}).Options()
 	if err != nil {
@@ -95,8 +89,7 @@ func TestOneDefaultTileConfiguration(t *testing.T) {
 // All four engines run the same kernel sequence, so they agree element for
 // element — at the default tile too, on the shapes where a 192-wide tile is
 // awkward: n not a multiple of nb, m below one tile, one more row than
-// columns, a single column, a single tile row; for all three trees. Cholesky
-// reads the same default tile.
+// columns, a single column, a single tile row; for all three trees.
 func TestEnginesAgreeAtDefaultTileOnRaggedShapes(t *testing.T) {
 	def := qr.DefaultOptions()
 	nb := def.NB
@@ -138,49 +131,5 @@ func TestEnginesAgreeAtDefaultTileOnRaggedShapes(t *testing.T) {
 				}
 			}
 		}
-	}
-
-	for _, n := range []int{nb - 1, nb + 1, 2*nb + 50} {
-		a := NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			a.Set(i, i, 2.5)
-			if i > 0 {
-				a.Set(i, i-1, -1)
-				a.Set(i-1, i, -1)
-			}
-		}
-		seq := DefaultOptions()
-		seq.Engine = Sequential
-		ref, err := Cholesky(a, seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys := DefaultOptions()
-		sys.Nodes, sys.Threads = 2, 2
-		f, err := Cholesky(a, sys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref.NB != nb || f.NB != nb {
-			t.Fatalf("Cholesky tiled at %d and %d, want the default %d", ref.NB, f.NB, nb)
-		}
-		if d := matrix.MaxAbsDiff(f.L(), ref.L()); d != 0 {
-			t.Errorf("Cholesky n=%d: systolic differs from sequential by %g", n, d)
-		}
-		if res := f.Residual(a); !(res < 1e-14) {
-			t.Errorf("Cholesky n=%d: residual %g", n, res)
-		}
-	}
-}
-
-// examples/cholesky is the other reader of the default tile outside the
-// library: it must still factor and solve at it.
-func TestCholeskyExampleRunsAtDefaultTile(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs go run")
-	}
-	out, err := exec.Command("go", "run", "./examples/cholesky").CombinedOutput()
-	if err != nil || !regexp.MustCompile(`(?m)^OK$`).Match(out) {
-		t.Fatalf("examples/cholesky: %v\n%s", err, out)
 	}
 }

@@ -46,54 +46,9 @@ func TestDgemmMatchesNaiveProperty(t *testing.T) {
 	}
 }
 
-func TestDgemvStrided(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	m, n, lda := 4, 3, 5
-	a := colMajor(rng, m, n, lda)
-	x := []float64{1, -9, 2, -9, 3, -9}        // incX = 2
-	y := []float64{1, -7, 1, -7, 1, -7, 1, -7} // incY = 2
-	Dgemv(false, m, n, 1, a, lda, x, 2, 1, y, 2)
-	for i := 0; i < m; i++ {
-		want := 1.0
-		for j, xv := range []float64{1, 2, 3} {
-			want += get(a, lda, i, j) * xv
-		}
-		if math.Abs(y[2*i]-want) > 1e-13 {
-			t.Fatalf("strided gemv wrong at %d", i)
-		}
-		if y[2*i+1] != -7 {
-			t.Fatal("strided gemv wrote the gaps")
-		}
-	}
-}
-
-func TestDgerStrided(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	m, n, lda := 3, 2, 3
-	a := colMajor(rng, m, n, lda)
-	orig := append([]float64(nil), a...)
-	x := []float64{1, 0, 2, 0, 3, 0}
-	y := []float64{4, 0, 0, 5, 0, 0}
-	Dger(m, n, 2, x, 2, y, 3, a, lda)
-	for j := 0; j < n; j++ {
-		for i := 0; i < m; i++ {
-			want := orig[i+j*lda] + 2*x[2*i]*y[3*j]
-			if math.Abs(get(a, lda, i, j)-want) > 1e-13 {
-				t.Fatalf("strided ger wrong at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestIdamaxFirstOfTies(t *testing.T) {
-	if got := Idamax(4, []float64{2, -2, 2, -2}, 1); got != 0 {
-		t.Fatalf("tie should report the first index, got %d", got)
-	}
-}
-
 func TestDaxpyZeroAlphaNoop(t *testing.T) {
 	y := []float64{1, 2}
-	Daxpy(2, 0, []float64{9, 9}, 1, y, 1)
+	Daxpy(2, 0, []float64{9, 9}, y)
 	if y[0] != 1 || y[1] != 2 {
 		t.Fatal("alpha=0 must be a no-op")
 	}
@@ -118,7 +73,7 @@ func TestSolveTriSingularProducesInf(t *testing.T) {
 	// yields Inf rather than panicking; callers check diagonals.
 	a := make([]float64, 4) // zero diagonal
 	x := []float64{1, 1}
-	Dtrsm(true, true, false, false, 2, 1, 1, a, 2, x, 2)
+	Dtrsm(2, 1, a, 2, x, 2)
 	if !math.IsInf(x[1], 0) && !math.IsNaN(x[1]) {
 		t.Fatalf("zero pivot should produce Inf/NaN, got %v", x[1])
 	}

@@ -5,47 +5,37 @@
 //
 // All matrices are column-major with an explicit leading dimension, matching
 // the reference BLAS so the kernel package translates one-to-one from the
-// LAPACK formulations. Vector arguments take an increment, but the kernels
-// only use contiguous vectors (inc == 1), which the implementations fast-path.
+// LAPACK formulations. Vectors are contiguous: the kernels pass no other
+// kind, so the routines take no increment.
 package blas
 
 import "math"
 
-// Level-1 dispatch. Contiguous vectors — the only kind the tile kernels
-// pass — take the assembly bodies of micro_amd64.s whenever the active
-// micro-kernel level has them (every level but the portable one, so
-// forceKernel and PULSARQR_MICROKERNEL switch them together with Dgemm).
-// The *Scalar functions are the portable path: what `noasm` and non-amd64
-// builds run, what strided calls run, and the oracle the differential tests
-// hold the vector bodies to — the role dgemmScalar plays for Dgemm. Packing
-// (gemm_blocked.go) asks the same question of the level.
+// Level-1 dispatch. The vectors take the assembly bodies of micro_amd64.s
+// whenever the active micro-kernel level has them (every level but the
+// portable one, so forceKernel and PULSARQR_MICROKERNEL switch them together
+// with Dgemm). The *Scalar functions are the portable path: what `noasm` and
+// non-amd64 builds run, and the oracle the differential tests hold the vector
+// bodies to — the role dgemmScalar plays for Dgemm. Packing (gemm_blocked.go)
+// asks the same question of the level.
 func vectorBodies() bool { return kp.level != levelGeneric }
 
-// Ddot returns xᵀy over n elements with increments incX, incY.
-func Ddot(n int, x []float64, incX int, y []float64, incY int) float64 {
+// Ddot returns xᵀy over n elements.
+func Ddot(n int, x, y []float64) float64 {
 	if n <= 0 {
 		return 0
 	}
-	if incX == 1 && incY == 1 && vectorBodies() {
+	if vectorBodies() {
 		return dotFast(x[:n], y[:n])
 	}
-	return ddotScalar(n, x, incX, y, incY)
+	return ddotScalar(n, x, y)
 }
 
-func ddotScalar(n int, x []float64, incX int, y []float64, incY int) float64 {
+func ddotScalar(n int, x, y []float64) float64 {
 	var s float64
-	if incX == 1 && incY == 1 {
-		x, y = x[:n], y[:n]
-		for i, v := range x {
-			s += v * y[i]
-		}
-		return s
-	}
-	ix, iy := 0, 0
-	for i := 0; i < n; i++ {
-		s += x[ix] * y[iy]
-		ix += incX
-		iy += incY
+	x, y = x[:n], y[:n]
+	for i, v := range x {
+		s += v * y[i]
 	}
 	return s
 }
@@ -59,28 +49,26 @@ const (
 	nrm2SafeMax = 1e200
 )
 
-// Dnrm2 returns the Euclidean norm of x, safe against overflow and
-// underflow of the squares.
-func Dnrm2(n int, x []float64, incX int) float64 {
+// Dnrm2 returns the Euclidean norm of x over n elements, safe against
+// overflow and underflow of the squares.
+func Dnrm2(n int, x []float64) float64 {
 	if n <= 0 {
 		return 0
 	}
-	if incX == 1 && vectorBodies() {
+	if vectorBodies() {
 		// One vector pass; the scaled loop below only runs for the inputs
 		// that need it (huge, tiny, zero, NaN or Inf entries).
 		if ssq := dotFast(x[:n], x[:n]); ssq > nrm2SafeMin && ssq < nrm2SafeMax {
 			return math.Sqrt(ssq)
 		}
 	}
-	return dnrm2Scalar(n, x, incX)
+	return dnrm2Scalar(n, x)
 }
 
-func dnrm2Scalar(n int, x []float64, incX int) float64 {
+func dnrm2Scalar(n int, x []float64) float64 {
 	scale, ssq := 0.0, 1.0
-	ix := 0
-	for i := 0; i < n; i++ {
-		v := math.Abs(x[ix])
-		ix += incX
+	for _, v := range x[:n] {
+		v = math.Abs(v)
 		if v == 0 {
 			continue
 		}
@@ -97,90 +85,39 @@ func dnrm2Scalar(n int, x []float64, incX int) float64 {
 }
 
 // Daxpy computes y += alpha*x over n elements.
-func Daxpy(n int, alpha float64, x []float64, incX int, y []float64, incY int) {
+func Daxpy(n int, alpha float64, x, y []float64) {
 	if n <= 0 || alpha == 0 {
 		return
 	}
-	if incX == 1 && incY == 1 && vectorBodies() {
+	if vectorBodies() {
 		axpyFast(alpha, x[:n], y[:n])
 		return
 	}
-	daxpyScalar(n, alpha, x, incX, y, incY)
+	daxpyScalar(n, alpha, x, y)
 }
 
-func daxpyScalar(n int, alpha float64, x []float64, incX int, y []float64, incY int) {
-	if incX == 1 && incY == 1 {
-		x, y = x[:n], y[:n]
-		for i, v := range x {
-			y[i] += alpha * v
-		}
-		return
-	}
-	ix, iy := 0, 0
-	for i := 0; i < n; i++ {
-		y[iy] += alpha * x[ix]
-		ix += incX
-		iy += incY
+func daxpyScalar(n int, alpha float64, x, y []float64) {
+	x, y = x[:n], y[:n]
+	for i, v := range x {
+		y[i] += alpha * v
 	}
 }
 
 // Dscal computes x *= alpha over n elements.
-func Dscal(n int, alpha float64, x []float64, incX int) {
+func Dscal(n int, alpha float64, x []float64) {
 	if n <= 0 {
 		return
 	}
-	if incX == 1 && vectorBodies() {
+	if vectorBodies() {
 		scalFast(alpha, x[:n])
 		return
 	}
-	dscalScalar(n, alpha, x, incX)
+	dscalScalar(n, alpha, x)
 }
 
-func dscalScalar(n int, alpha float64, x []float64, incX int) {
-	if incX == 1 {
-		x = x[:n]
-		for i := range x {
-			x[i] *= alpha
-		}
-		return
+func dscalScalar(n int, alpha float64, x []float64) {
+	x = x[:n]
+	for i := range x {
+		x[i] *= alpha
 	}
-	ix := 0
-	for i := 0; i < n; i++ {
-		x[ix] *= alpha
-		ix += incX
-	}
-}
-
-// Dcopy copies x into y over n elements.
-func Dcopy(n int, x []float64, incX int, y []float64, incY int) {
-	if n <= 0 {
-		return
-	}
-	if incX == 1 && incY == 1 {
-		copy(y[:n], x[:n])
-		return
-	}
-	ix, iy := 0, 0
-	for i := 0; i < n; i++ {
-		y[iy] = x[ix]
-		ix += incX
-		iy += incY
-	}
-}
-
-// Idamax returns the index of the element of largest absolute value,
-// or -1 when n <= 0.
-func Idamax(n int, x []float64, incX int) int {
-	if n <= 0 {
-		return -1
-	}
-	best, bi := math.Abs(x[0]), 0
-	ix := incX
-	for i := 1; i < n; i++ {
-		if v := math.Abs(x[ix]); v > best {
-			best, bi = v, i
-		}
-		ix += incX
-	}
-	return bi
 }

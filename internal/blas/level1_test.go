@@ -68,16 +68,16 @@ func TestLevel1VectorBodiesMatchScalar(t *testing.T) {
 				by, y := vecAt(rng, n, (off+2)%8)
 				tol := 1e-15 * float64(n+1)
 
-				if got, want := Ddot(n, x, 1, y, 1), ddotScalar(n, x, 1, y, 1); !same(got, want, tol) {
+				if got, want := Ddot(n, x, y), ddotScalar(n, x, y); !same(got, want, tol) {
 					t.Fatalf("%s Ddot n=%d off=%d: %v, scalar %v", kp.name, n, off, got, want)
 				}
-				if got, want := Dnrm2(n, x, 1), dnrm2Scalar(n, x, 1); !same(got, want, tol) {
+				if got, want := Dnrm2(n, x), dnrm2Scalar(n, x); !same(got, want, tol) {
 					t.Fatalf("%s Dnrm2 n=%d off=%d: %v, scalar %v", kp.name, n, off, got, want)
 				}
 
 				want := append([]float64(nil), y...)
-				daxpyScalar(n, -0.75, x, 1, want, 1)
-				Daxpy(n, -0.75, x, 1, y, 1)
+				daxpyScalar(n, -0.75, x, want)
+				Daxpy(n, -0.75, x, y)
 				for i := range y {
 					if !same(y[i], want[i], 1e-15) {
 						t.Fatalf("%s Daxpy n=%d off=%d: y[%d]=%v, scalar %v", kp.name, n, off, i, y[i], want[i])
@@ -85,8 +85,8 @@ func TestLevel1VectorBodiesMatchScalar(t *testing.T) {
 				}
 
 				want = append(want[:0], x...)
-				dscalScalar(n, 1.5, want, 1)
-				Dscal(n, 1.5, x, 1)
+				dscalScalar(n, 1.5, want)
+				Dscal(n, 1.5, x)
 				for i := range x {
 					if x[i] != want[i] { // one multiply per element either way: exact
 						t.Fatalf("%s Dscal n=%d off=%d: x[%d]=%v, scalar %v", kp.name, n, off, i, x[i], want[i])
@@ -115,20 +115,20 @@ func TestLevel1VectorBodiesSpecialValues(t *testing.T) {
 					_, x := vecAt(rng, n, 1)
 					_, y := vecAt(rng, n, 3)
 					x[pos] = sv
-					if got, want := Ddot(n, x, 1, y, 1), ddotScalar(n, x, 1, y, 1); !same(got, want, 1e-13) {
+					if got, want := Ddot(n, x, y), ddotScalar(n, x, y); !same(got, want, 1e-13) {
 						t.Fatalf("%s Ddot n=%d x[%d]=%v: %v, scalar %v", kp.name, n, pos, sv, got, want)
 					}
-					if got, want := Dnrm2(n, x, 1), dnrm2Scalar(n, x, 1); !same(got, want, 1e-13) {
+					if got, want := Dnrm2(n, x), dnrm2Scalar(n, x); !same(got, want, 1e-13) {
 						t.Fatalf("%s Dnrm2 n=%d x[%d]=%v: %v, scalar %v", kp.name, n, pos, sv, got, want)
 					}
 					for _, alpha := range []float64{2, 0, inf, nan} {
 						want := append([]float64(nil), y...)
 						got := append([]float64(nil), y...)
-						daxpyScalar(n, alpha, x, 1, want, 1)
+						daxpyScalar(n, alpha, x, want)
 						if alpha == 0 {
 							want = append(want[:0], y...) // Daxpy's documented no-op
 						}
-						Daxpy(n, alpha, x, 1, got, 1)
+						Daxpy(n, alpha, x, got)
 						for i := range got {
 							if !same(got[i], want[i], 1e-13) {
 								t.Fatalf("%s Daxpy alpha=%v n=%d x[%d]=%v: y[%d]=%v, scalar %v",
@@ -138,8 +138,8 @@ func TestLevel1VectorBodiesSpecialValues(t *testing.T) {
 					}
 					want := append([]float64(nil), x...)
 					got := append([]float64(nil), x...)
-					dscalScalar(n, -3, want, 1)
-					Dscal(n, -3, got, 1)
+					dscalScalar(n, -3, want)
+					Dscal(n, -3, got)
 					for i := range got {
 						if !same(got[i], want[i], 0) {
 							t.Fatalf("%s Dscal n=%d x[%d]=%v: x[%d]=%v, scalar %v", kp.name, n, pos, sv, i, got[i], want[i])
@@ -156,39 +156,31 @@ func TestLevel1VectorBodiesSpecialValues(t *testing.T) {
 				x[i] = v
 			}
 			want := v * math.Sqrt(21)
-			if got := Dnrm2(len(x), x, 1); math.Abs(got-want) > 1e-14*want {
+			if got := Dnrm2(len(x), x); math.Abs(got-want) > 1e-14*want {
 				t.Fatalf("%s Dnrm2 of 21 × %g = %g, want %g", kp.name, v, got, want)
 			}
 		}
 	})
 }
 
-// Dgemv and Dger are column sweeps of the level-1 bodies: hold them to the
-// same routines run on the portable configuration, on panel-like shapes
-// (tall, a few columns) with a padded leading dimension.
+// DgemvT is a column sweep of the level-1 dot body: hold it to the same
+// routine run on the portable configuration, on panel-like shapes (tall, a
+// few columns) with a padded leading dimension.
 func TestLevel2MatchesScalarConfig(t *testing.T) {
-	type result struct{ yn, yt, a []float64 }
-	run := func(m, n int) result {
+	run := func(m, n int) []float64 {
 		rng := rand.New(rand.NewSource(int64(23 + 100*m + n)))
 		lda := m + 3
 		a := colMajor(rng, m, n, lda)
-		_, xn := vecAt(rng, n, 1)
 		_, xm := vecAt(rng, m, 3)
-		yn := make([]float64, m)
 		yt := make([]float64, n)
-		for i := range yn {
-			yn[i] = rng.Float64()
-		}
 		for i := range yt {
 			yt[i] = rng.Float64()
 		}
-		Dgemv(false, m, n, 1.25, a, lda, xn, 1, 0.5, yn, 1)
-		Dgemv(true, m, n, -0.5, a, lda, xm, 1, 0, yt, 1)
-		Dger(m, n, 0.75, xm, 1, xn, 1, a, lda)
-		return result{yn, yt, a}
+		DgemvT(m, n, a, lda, xm, yt)
+		return yt
 	}
 	shapes := [][2]int{{1, 1}, {3, 2}, {7, 5}, {16, 4}, {17, 23}, {33, 8}, {192, 23}, {191, 24}}
-	want := map[[2]int]result{}
+	want := map[[2]int][]float64{}
 	func() {
 		defer forceKernel(testParamsScalar)()
 		for _, sh := range shapes {
@@ -199,14 +191,11 @@ func TestLevel2MatchesScalarConfig(t *testing.T) {
 		for _, sh := range shapes {
 			got, w := run(sh[0], sh[1]), want[sh]
 			tol := 1e-14 * float64(sh[0]+sh[1])
-			for name, pair := range map[string][2][]float64{"gemv": {got.yn, w.yn}, "gemvT": {got.yt, w.yt}, "ger": {got.a, w.a}} {
-				for i := range pair[0] {
-					if !same(pair[0][i], pair[1][i], tol) {
-						t.Fatalf("%s %s %dx%d: [%d]=%v, portable %v", kp.name, name, sh[0], sh[1], i, pair[0][i], pair[1][i])
-					}
+			for i := range got {
+				if !same(got[i], w[i], tol) {
+					t.Fatalf("%s gemvT %dx%d: [%d]=%v, portable %v", kp.name, sh[0], sh[1], i, got[i], w[i])
 				}
 			}
-			checkPadding(t, got.a, sh[0], sh[1], sh[0]+3, "Dger A")
 		}
 	})
 }
@@ -215,8 +204,7 @@ func TestLevel2MatchesScalarConfig(t *testing.T) {
 // every loop stage and tail length of m, a padded leading dimension, columns
 // whose dot is zero (the skip path), and NaN/Inf in v and in c. The padding
 // rows between columns and the sentinels past the last one must stay
-// untouched — the masked tail stores nothing there. The Dgemv+Dger pair
-// Dlarf replaced must give the same bits too.
+// untouched — the masked tail stores nothing there.
 func TestDlarfMatchesDotAxpy(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	specials := []float64{nan, inf, -inf}
@@ -256,17 +244,13 @@ func TestDlarfMatchesDotAxpy(t *testing.T) {
 					loop := append([]float64(nil), c...)
 					for k := 0; k < n; k++ {
 						ck := loop[k*ldc : k*ldc+m]
-						Daxpy(m, -tau*Ddot(m, ck, 1, v, 1), v, 1, ck, 1)
+						Daxpy(m, -tau*Ddot(m, ck, v), v, ck)
 					}
-					pair := append([]float64(nil), c...)
-					w := make([]float64, n)
-					Dgemv(true, m, n, 1, pair, ldc, v, 1, 0, w, 1)
-					Dger(m, n, -tau, v, 1, w, 1, pair, ldc)
 					Dlarf(m, n, tau, v, c, ldc)
 					for i := range c {
-						if got := math.Float64bits(c[i]); got != math.Float64bits(loop[i]) || got != math.Float64bits(pair[i]) {
-							t.Fatalf("%s Dlarf %dx%d %s: c[%d] = %v, Ddot/Daxpy loop %v, Dgemv+Dger %v",
-								kp.name, m, n, variant, i, c[i], loop[i], pair[i])
+						if math.Float64bits(c[i]) != math.Float64bits(loop[i]) {
+							t.Fatalf("%s Dlarf %dx%d %s: c[%d] = %v, Ddot/Daxpy loop %v",
+								kp.name, m, n, variant, i, c[i], loop[i])
 						}
 					}
 				}
@@ -280,10 +264,10 @@ func TestDlarfMatchesDotAxpy(t *testing.T) {
 func TestLevel1ShortSlicePanics(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		for name, call := range map[string]func(){
-			"Ddot":    func() { Ddot(9, make([]float64, 9), 1, make([]float64, 8), 1) },
-			"Daxpy":   func() { Daxpy(9, 2, make([]float64, 9), 1, make([]float64, 8), 1) },
-			"Dscal":   func() { Dscal(9, 2, make([]float64, 8), 1) },
-			"Dnrm2":   func() { Dnrm2(9, make([]float64, 8), 1) },
+			"Ddot":    func() { Ddot(9, make([]float64, 9), make([]float64, 8)) },
+			"Daxpy":   func() { Daxpy(9, 2, make([]float64, 9), make([]float64, 8)) },
+			"Dscal":   func() { Dscal(9, 2, make([]float64, 8)) },
+			"Dnrm2":   func() { Dnrm2(9, make([]float64, 8)) },
 			"Dlarf v": func() { Dlarf(9, 2, 1, make([]float64, 8), make([]float64, 18), 9) },
 			"Dlarf c": func() { Dlarf(9, 2, 1, make([]float64, 9), make([]float64, 17), 9) },
 		} {
@@ -316,15 +300,15 @@ var sinkFloat float64
 // The panel kernels' inner-block shapes at the default tile: vectors of one
 // tile column, panels of one inner block.
 func BenchmarkDdot192(b *testing.B) {
-	benchLevel1(b, 192, func(x, y []float64) { sinkFloat += Ddot(192, x, 1, y, 1) })
+	benchLevel1(b, 192, func(x, y []float64) { sinkFloat += Ddot(192, x, y) })
 }
 
 func BenchmarkDaxpy192(b *testing.B) {
-	benchLevel1(b, 192, func(x, y []float64) { Daxpy(192, 1e-9, x, 1, y, 1) })
+	benchLevel1(b, 192, func(x, y []float64) { Daxpy(192, 1e-9, x, y) })
 }
 
 func BenchmarkDnrm2x192(b *testing.B) {
-	benchLevel1(b, 192, func(x, _ []float64) { sinkFloat += Dnrm2(192, x, 1) })
+	benchLevel1(b, 192, func(x, _ []float64) { sinkFloat += Dnrm2(192, x) })
 }
 
 func benchLevel2(b *testing.B, fn func(a, x, y []float64)) {
@@ -342,11 +326,7 @@ func benchLevel2(b *testing.B, fn func(a, x, y []float64)) {
 }
 
 func BenchmarkDgemvT192x24(b *testing.B) {
-	benchLevel2(b, func(a, x, y []float64) { Dgemv(true, 192, 24, 1, a, 192, x, 1, 0, y, 1) })
-}
-
-func BenchmarkDger192x24(b *testing.B) {
-	benchLevel2(b, func(a, x, y []float64) { Dger(192, 24, 1e-9, x, 1, y, 1, a, 192) })
+	benchLevel2(b, func(a, x, y []float64) { DgemvT(192, 24, a, 192, x, y) })
 }
 
 // One panel step at the default tile: a reflector of one tile column

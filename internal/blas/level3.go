@@ -248,7 +248,7 @@ func trmmLeftScalar(upper, trans, unit bool, m, n int, alpha float64,
 	a []float64, lda int, b []float64, ldb int) {
 	for j := 0; j < n; j++ {
 		col := b[j*ldb : j*ldb+m]
-		Dtrmv(upper, trans, unit, m, a, lda, col, 1)
+		Dtrmv(upper, trans, unit, m, a, lda, col)
 		if alpha != 1 {
 			for i := range col {
 				col[i] *= alpha
@@ -384,87 +384,22 @@ func trmmLeftDense(upper, trans, unit bool, m, n int, alpha float64,
 	}
 }
 
-// Dtrsm solves op(A)*X = alpha*B (left) or X*op(A) = alpha*B (right) for X,
-// overwriting B. A is triangular and assumed nonsingular.
-func Dtrsm(left, upper, trans, unit bool, m, n int, alpha float64,
-	a []float64, lda int, b []float64, ldb int) {
-	if m <= 0 || n <= 0 {
+// Dtrsm solves A·X = B for X, overwriting the m×n B: A is m×m upper
+// triangular with a non-unit diagonal, the back-substitution through R that
+// every least-squares solve runs. A is assumed nonsingular; a zero on its
+// diagonal yields ±Inf or NaN in X, not an error.
+func Dtrsm(m, n int, a []float64, lda int, b []float64, ldb int) {
+	if m <= 0 {
 		return
 	}
-	if alpha != 1 {
-		for j := 0; j < n; j++ {
-			col := b[j*ldb : j*ldb+m]
-			for i := range col {
-				col[i] *= alpha
-			}
-		}
-	}
-	if left {
-		for j := 0; j < n; j++ {
-			col := b[j*ldb : j*ldb+m]
-			solveTri(upper, trans, unit, m, a, lda, col)
-		}
-		return
-	}
-	// Right side: X * op(A) = B  ⇔  op(A)ᵀ Xᵀ = Bᵀ. Solve row systems.
-	row := make([]float64, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			row[j] = b[i+j*ldb]
-		}
-		solveTri(upper, !trans, unit, n, a, lda, row)
-		for j := 0; j < n; j++ {
-			b[i+j*ldb] = row[j]
-		}
-	}
-}
-
-// solveTri solves op(A) x = b in place for one right-hand side.
-func solveTri(upper, trans, unit bool, n int, a []float64, lda int, x []float64) {
-	switch {
-	case upper && !trans:
-		for i := n - 1; i >= 0; i-- {
+	for j := 0; j < n; j++ {
+		x := b[j*ldb : j*ldb+m]
+		for i := m - 1; i >= 0; i-- {
 			s := x[i]
-			for j := i + 1; j < n; j++ {
-				s -= a[i+j*lda] * x[j]
+			for k := i + 1; k < m; k++ {
+				s -= a[i+k*lda] * x[k]
 			}
-			if !unit {
-				s /= a[i+i*lda]
-			}
-			x[i] = s
-		}
-	case upper && trans:
-		for i := 0; i < n; i++ {
-			s := x[i]
-			for j := 0; j < i; j++ {
-				s -= a[j+i*lda] * x[j]
-			}
-			if !unit {
-				s /= a[i+i*lda]
-			}
-			x[i] = s
-		}
-	case !upper && !trans:
-		for i := 0; i < n; i++ {
-			s := x[i]
-			for j := 0; j < i; j++ {
-				s -= a[i+j*lda] * x[j]
-			}
-			if !unit {
-				s /= a[i+i*lda]
-			}
-			x[i] = s
-		}
-	default: // lower, trans
-		for i := n - 1; i >= 0; i-- {
-			s := x[i]
-			for j := i + 1; j < n; j++ {
-				s -= a[j+i*lda] * x[j]
-			}
-			if !unit {
-				s /= a[i+i*lda]
-			}
-			x[i] = s
+			x[i] = s / a[i+i*lda]
 		}
 	}
 }

@@ -20,11 +20,11 @@ func microFast12x8(kc int, a, b, c []float64, ldc int) {
 	microGeneric(kc, a, b, c, ldc, 12, 8)
 }
 
-func dotFast(x, y []float64) float64 { return ddotScalar(len(x), x, 1, y, 1) }
+func dotFast(x, y []float64) float64 { return ddotScalar(len(x), x, y) }
 
-func axpyFast(alpha float64, x, y []float64) { daxpyScalar(len(x), alpha, x, 1, y, 1) }
+func axpyFast(alpha float64, x, y []float64) { daxpyScalar(len(x), alpha, x, y) }
 
-func scalFast(alpha float64, x []float64) { dscalScalar(len(x), alpha, x, 1) }
+func scalFast(alpha float64, x []float64) { dscalScalar(len(x), alpha, x) }
 
 func larfFast(m, n int, alpha float64, v, c []float64, ldc int) bool { return false }
 

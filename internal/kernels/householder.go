@@ -39,7 +39,7 @@ const dlarfgSafmin = 0x1p-1022 / 0x1p-53
 // of two, so exactly) at most 20 times, the reflector is built at that scale
 // and β is scaled back. Normal inputs never take the branch.
 func Dlarfg(alpha *float64, x []float64) (tau float64) {
-	xnorm := blas.Dnrm2(len(x), x, 1)
+	xnorm := blas.Dnrm2(len(x), x)
 	if xnorm == 0 {
 		return 0
 	}
@@ -49,18 +49,18 @@ func Dlarfg(alpha *float64, x []float64) (tau float64) {
 	if math.Abs(beta) < dlarfgSafmin {
 		for {
 			knt++
-			blas.Dscal(len(x), 1/dlarfgSafmin, x, 1)
+			blas.Dscal(len(x), 1/dlarfgSafmin, x)
 			beta *= 1 / dlarfgSafmin
 			a *= 1 / dlarfgSafmin
 			if math.Abs(beta) >= dlarfgSafmin || knt == 20 {
 				break
 			}
 		}
-		xnorm = blas.Dnrm2(len(x), x, 1)
+		xnorm = blas.Dnrm2(len(x), x)
 		beta = -math.Copysign(math.Hypot(a, xnorm), a)
 	}
 	tau = (beta - a) / beta
-	blas.Dscal(len(x), 1/(a-beta), x, 1)
+	blas.Dscal(len(x), 1/(a-beta), x)
 	for ; knt > 0; knt-- {
 		beta *= dlarfgSafmin
 	}
@@ -109,11 +109,10 @@ func dlarft(v *matrix.Mat, tau []float64, t *matrix.Mat, work []float64) {
 				w[l] = v.At(i, l)
 			}
 			if i+1 < m {
-				blas.Dgemv(true, m-i-1, i, 1,
-					v.Data[i+1:], v.LD, v.Data[i+1+i*v.LD:], 1, 1, w, 1)
+				blas.DgemvT(m-i-1, i, v.Data[i+1:], v.LD, v.Data[i+1+i*v.LD:], w)
 			}
 			// T[0:i, i] = −tau_i · T[0:i, 0:i] · w
-			blas.Dtrmv(true, false, false, i, t.Data, t.LD, w, 1)
+			blas.Dtrmv(true, false, false, i, t.Data, t.LD, w)
 			for l := 0; l < i; l++ {
 				t.Set(l, i, -tau[i]*w[l])
 			}

@@ -79,9 +79,9 @@ func tsqrtGeneric(ws *Workspace, ib int, a1, a2, t *matrix.Mat, tri bool) {
 				// Apply H to the remaining columns of the inner block.
 				for l := jj + 1; l < j+sb; l++ {
 					ccol := a2.Data[l*a2.LD : l*a2.LD+rows]
-					wv := tau * (a1.At(jj, l) + blas.Ddot(rows, vcol, 1, ccol, 1))
+					wv := tau * (a1.At(jj, l) + blas.Ddot(rows, vcol, ccol))
 					a1.Add(jj, l, -wv)
-					blas.Daxpy(rows, -wv, vcol, 1, ccol, 1)
+					blas.Daxpy(rows, -wv, vcol, ccol)
 				}
 			}
 			// Build T column jj within the current block. The top parts of
@@ -90,10 +90,10 @@ func tsqrtGeneric(ws *Workspace, ib int, a1, a2, t *matrix.Mat, tri bool) {
 			i := jj - j
 			for l := 0; l < i; l++ {
 				h := min(vrows(j+l), rows)
-				w[l] = blas.Ddot(h, a2.Data[(j+l)*a2.LD:], 1, vcol, 1)
+				w[l] = blas.Ddot(h, a2.Data[(j+l)*a2.LD:], vcol)
 			}
 			if i > 0 {
-				blas.Dtrmv(true, false, false, i, t.Data[j*t.LD:], t.LD, w, 1)
+				blas.Dtrmv(true, false, false, i, t.Data[j*t.LD:], t.LD, w)
 				for l := 0; l < i; l++ {
 					t.Set(l, jj, -tau*w[l])
 				}

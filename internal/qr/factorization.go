@@ -132,7 +132,7 @@ func (f *Factorization) Solve(b *matrix.Mat) *matrix.Mat {
 	f.ApplyQT(bt)
 	c := bt.ToDense().View(0, 0, f.N, b.Cols).Clone()
 	r := f.R()
-	blas.Dtrsm(true, true, false, false, f.N, b.Cols, 1, r.Data, r.LD, c.Data, c.LD)
+	blas.Dtrsm(f.N, b.Cols, r.Data, r.LD, c.Data, c.LD)
 	return c
 }
 
@@ -145,7 +145,7 @@ func (f *Factorization) SolveFromQTB() *matrix.Mat {
 	}
 	c := f.QTB.ToDense().View(0, 0, f.N, f.QTB.N).Clone()
 	r := f.R()
-	blas.Dtrsm(true, true, false, false, f.N, f.QTB.N, 1, r.Data, r.LD, c.Data, c.LD)
+	blas.Dtrsm(f.N, f.QTB.N, r.Data, r.LD, c.Data, c.LD)
 	return c
 }
 

@@ -50,7 +50,7 @@ func (nd *StreamNode) SolveLS() *matrix.Mat {
 		panic("qr: stream carries no ride-along right-hand sides")
 	}
 	x := nd.QTB.Clone()
-	blas.Dtrsm(true, true, false, false, x.Rows, x.Cols, 1, nd.R.Data, nd.R.LD, x.Data, x.LD)
+	blas.Dtrsm(x.Rows, x.Cols, nd.R.Data, nd.R.LD, x.Data, x.LD)
 	return x
 }
 

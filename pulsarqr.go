@@ -18,8 +18,7 @@
 //
 // All engines execute the identical kernel sequence, so their results are
 // elementwise equal; they differ only in how the work is scheduled. The
-// same runtime also hosts a tile Cholesky factorization (Cholesky), and
-// the vsa subpackage exposes the runtime itself for new algorithms.
+// vsa subpackage exposes the runtime itself for new algorithms.
 //
 // Quick start:
 //
@@ -32,7 +31,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"pulsarqr/internal/chol"
 	"pulsarqr/internal/matrix"
 	"pulsarqr/internal/pulsar"
 	"pulsarqr/internal/qr"
@@ -175,9 +173,6 @@ func RandomMatrix(rows, cols int, seed int64) *Matrix {
 	return matrix.NewRand(rows, cols, rand.New(rand.NewSource(seed)))
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix { return matrix.Identity(n) }
-
 // Factor computes the QR factorization of a (m ≥ n required). The input
 // matrix is not modified.
 func Factor(a *Matrix, opts Options) (*Factorization, error) {
@@ -222,30 +217,18 @@ func factor(a, b *Matrix, opts Options) (*Factorization, error) {
 }
 
 // LeastSquares returns the minimizer x of ‖A·x − b‖₂ for each column of b.
+// As LAPACK's DGELS does, it returns an error and no x when R has an
+// exactly zero diagonal entry: A is rank-deficient and x is not unique.
 func LeastSquares(a, b *Matrix, opts Options) (*Matrix, error) {
 	f, err := FactorWithRHS(a, b, opts)
 	if err != nil {
 		return nil, err
 	}
-	return f.SolveFromQTB(), nil
-}
-
-// CholeskyFactorization is a tile Cholesky result (A = L·Lᵀ); see L, Solve
-// and Residual.
-type CholeskyFactorization = chol.Factorization
-
-// Cholesky computes the tile Cholesky factorization of the symmetric
-// positive-definite matrix a — the second algorithm mapped onto the
-// systolic runtime, demonstrating the generality the paper's conclusion
-// claims. Only the lower triangle of a is referenced; the input is not
-// modified. Engines Systolic (default) and Sequential are supported.
-func Cholesky(a *Matrix, opts Options) (*CholeskyFactorization, error) {
-	opts.NB = opts.tileSize()
-	ta := matrix.FromDense(a, opts.NB)
-	co := chol.Options{NB: opts.NB}
-	if opts.Engine == Sequential {
-		return chol.Factorize(ta, co)
+	nb := f.Opts.NB
+	for i := 0; i < f.N; i++ {
+		if f.A.Tile(i/nb, i/nb).At(i%nb, i%nb) == 0 {
+			return nil, fmt.Errorf("pulsarqr: LeastSquares: R(%d,%d) is exactly zero, A is rank-deficient", i, i)
+		}
 	}
-	rc := chol.RunConfig{Nodes: opts.Nodes, Threads: opts.Threads, Scheduling: opts.Scheduling}
-	return chol.FactorizeVSA(ta, co, rc)
+	return f.SolveFromQTB(), nil
 }

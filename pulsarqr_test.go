@@ -2,6 +2,7 @@ package pulsarqr
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"pulsarqr/internal/matrix"
@@ -127,28 +128,35 @@ func TestDefaultsFilled(t *testing.T) {
 	}
 }
 
-func TestCholeskyPublicAPI(t *testing.T) {
-	n := 48
-	b := RandomMatrix(n, n, 9)
-	a := b.Transpose().Mul(b)
-	for i := 0; i < n; i++ {
-		a.Add(i, i, float64(n))
-	}
-	opts := DefaultOptions()
-	opts.NB, opts.Nodes, opts.Threads = 16, 2, 2
-	f, err := Cholesky(a, opts)
+// A rank-deficient A has no unique least-squares minimizer. LeastSquares
+// reports the zero diagonal entry of R, as LAPACK's DGELS does, instead of
+// back-substituting through it into NaN and −Inf; on a full-rank A it returns
+// the unguarded solve's x bit for bit.
+func TestLeastSquaresRejectsRankDeficient(t *testing.T) {
+	b := RandomMatrix(300, 1, 12)
+	a := RandomMatrix(300, 8, 11)
+	want, err := FactorWithRHS(a, b, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := f.Residual(a); res > 1e-13 {
-		t.Fatalf("residual %v", res)
-	}
-	opts.Engine = Sequential
-	fs, err := Cholesky(a, opts)
+	x, err := LeastSquares(a, b, DefaultOptions())
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("full rank: %v", err)
 	}
-	if d := matrix.MaxAbsDiff(f.L(), fs.L()); d != 0 {
-		t.Fatalf("engines disagree by %v", d)
+	for i, v := range want.SolveFromQTB().Data {
+		if math.Float64bits(x.Data[i]) != math.Float64bits(v) {
+			t.Fatalf("full rank: x[%d] = %v, unguarded solve %v", i, x.Data[i], v)
+		}
+	}
+
+	for i := 0; i < a.Rows; i++ {
+		a.Set(i, 3, 0)
+	}
+	x, err = LeastSquares(a, b, DefaultOptions())
+	if err == nil || !strings.Contains(err.Error(), "R(3,3)") {
+		t.Fatalf("column 3 zeroed: x = %v, err = %v; want an error naming R(3,3)", x, err)
+	}
+	if x != nil {
+		t.Fatalf("column 3 zeroed: x = %v returned with the error", x)
 	}
 }
