@@ -64,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		nb      = fs.Int("nb", def.NB, "tile size")
 		ib      = fs.Int("ib", def.IB, "inner block size")
 		tree    = fs.String("tree", "hierarchical", "reduction tree: hierarchical|flat|binary")
-		h       = fs.Int("h", def.H, "tiles per flat-tree domain (hierarchical)")
+		h       = fs.Int("h", def.H, "tiles per flat-tree domain (hierarchical); 0 = one domain per worker, ⌈tile rows / (nodes × threads)⌉")
 		fixed   = fs.Bool("fixed", false, "use fixed domain boundaries instead of shifted")
 		engine  = fs.String("engine", "systolic", "engine: systolic|quark|sequential (a process mesh runs systolic only)")
 		nodes   = fs.Int("nodes", 1, "distributed-memory nodes simulated inside this process (a process mesh takes its size from the peer list)")
@@ -177,6 +177,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *rhs > 0 {
 		b = pulsarqr.RandomMatrix(*m, *rhs, *seed+1)
 	}
+	// An unset -h is resolved once, from the requested workers (a mesh's
+	// ranks × -threads), so every engine, every rank and the -check
+	// reference run one tree.
+	opts = opts.Resolve((*m+opts.NB-1)/opts.NB, rc.Nodes*rc.Threads)
 	// The engines consume their tiles, so each run gets its own copy.
 	tiled := func(d *matrix.Mat) *matrix.Tiled {
 		if d == nil {

@@ -38,7 +38,7 @@ func main() {
 		n         = flag.Int("n", 256, "columns")
 		nb        = flag.Int("nb", def.NB, "tile size")
 		ib        = flag.Int("ib", def.IB, "inner block size")
-		h         = flag.Int("h", def.H, "tiles per domain")
+		h         = flag.Int("h", def.H, "tiles per domain; 0 = one domain per worker")
 		threads   = flag.Int("threads", 4, "worker threads")
 		width     = flag.Int("width", 100, "ASCII timeline width")
 		svgOut    = flag.String("svg", "", "write SVG traces to <prefix>-{fixed,shifted}.svg (with -merge: the SVG path itself)")
@@ -53,8 +53,15 @@ func main() {
 		return
 	}
 
+	// An unset -h is one domain per worker of the run: the simulated
+	// machine's, or -threads.
+	workers := *threads
+	if *simNodes > 0 {
+		workers = *simNodes * simulate.Kraken(*simNodes).Workers()
+	}
 	for _, bp := range []qr.BoundaryPolicy{qr.FixedBoundary, qr.ShiftedBoundary} {
 		opts := qr.Options{NB: *nb, IB: *ib, Tree: qr.HierarchicalTree, H: *h, Boundary: bp}
+		opts = opts.Resolve((*m+opts.NB-1)/opts.NB, workers)
 		var tl *trace.Timeline
 		var drops int64
 		if *simNodes > 0 {
@@ -74,6 +81,7 @@ func main() {
 			drops = rec.Drops()
 		}
 		fmt.Printf("=== %v domain boundaries ===\n", bp)
+		fmt.Printf("options %v\n", opts)
 		fmt.Printf("makespan %v, utilization %.2f, panel overlap %.1f%%\n",
 			tl.Makespan, tl.Utilization(), 100*tl.PanelOverlap(nil))
 		if drops > 0 {

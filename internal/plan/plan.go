@@ -174,10 +174,12 @@ func (c Config) withDefaults() Config {
 }
 
 // defaultCandidate is the hand-default configuration: the library defaults
-// on the whole fleet — exactly what dispatch runs when autotuning is off.
-func defaultCandidate(ranks int) Candidate {
+// on the whole fleet — exactly what dispatch runs when autotuning is off,
+// one flat-tree domain per worker of the machine's nodes.
+func defaultCandidate(spec Spec, mach simulate.Machine) Candidate {
 	o := qr.DefaultOptions()
-	return Candidate{Tree: o.Tree.String(), H: o.H, Ranks: ranks}
+	o = o.Resolve((spec.M+o.NB-1)/o.NB, mach.Nodes*mach.Workers())
+	return Candidate{Tree: o.Tree.String(), H: o.H, Ranks: mach.Nodes}
 }
 
 // EstTasks approximates the task-graph size of shape (m, n) at tile size nb:
@@ -214,7 +216,7 @@ func rankSweep(fleet int) []int {
 // binary, hierarchical h sweep}, all at the library tile. The duplicate of
 // the default is suppressed.
 func enumerate(spec Spec, mach simulate.Machine) []Candidate {
-	def := defaultCandidate(mach.Nodes)
+	def := defaultCandidate(spec, mach)
 	out := []Candidate{def}
 	add := func(c Candidate) {
 		if c != def {

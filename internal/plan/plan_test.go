@@ -94,11 +94,14 @@ func TestDecideNeverSlowerThanDefaultAndDeterministic(t *testing.T) {
 // default (hierarchical, its own h, 2 ranks) listed once and first, and
 // every candidate's options carry the default tile.
 func TestSweepIsTreesHeightsAndRanksAtTheLibraryTile(t *testing.T) {
-	d, err := Decide(Spec{M: 8192, N: 256}, simulate.LocalHost(2, 2), Config{})
+	spec, mach := Spec{M: 8192, N: 256}, simulate.LocalHost(2, 2)
+	d, err := Decide(spec, mach, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 2 * (2 + len(DefaultHGrid)); d.Considered != want || d.Simulated != want {
+	// The default is one domain per worker — 43 tile rows on 2 nodes × 1
+	// worker, h = 22 — which is off the h grid, so it adds a candidate.
+	if want := 2*(2+len(DefaultHGrid)) + 1; d.Considered != want || d.Simulated != want {
 		t.Fatalf("considered %d, simulated %d; want %d each", d.Considered, d.Simulated, want)
 	}
 	def := qr.DefaultOptions()
@@ -107,8 +110,8 @@ func TestSweepIsTreesHeightsAndRanksAtTheLibraryTile(t *testing.T) {
 			t.Errorf("%s runs nb=%d ib=%d, want the library tile %d/%d", c.Describe(), o.NB, o.IB, def.NB, def.IB)
 		}
 	}
-	if d.Default.Describe() != defaultCandidate(2).Describe() {
-		t.Errorf("default %s, want %s", d.Default.Describe(), defaultCandidate(2).Describe())
+	if got := d.Default.Describe(); got != defaultCandidate(spec, mach).Describe() || got != "hierarchical h=22 ranks=2" {
+		t.Errorf("default %s, want hierarchical h=22 ranks=2", got)
 	}
 }
 

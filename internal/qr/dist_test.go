@@ -37,22 +37,19 @@ func TestMain(m *testing.M) {
 
 // distInputs builds the (identical) worker inputs: every rank re-derives
 // the same matrices from the same seed, mirroring how real distributed
-// codes agree on input without shipping it.
+// codes agree on input without shipping it. H is left unset, so every rank
+// derives it (one domain per worker of the mesh: 8 tile rows, h = 2 on 3×2
+// and on 2×2 workers) and the reference runs the h rank 0 resolved.
 func distInputs() (d, b *matrix.Mat, o Options) {
 	rng := rand.New(rand.NewSource(42))
 	d = matrix.NewRand(61, 17, rng)
 	b = matrix.NewRand(61, 3, rng)
-	o = Options{NB: 8, IB: 4, Tree: HierarchicalTree, H: 3}
+	o = Options{NB: 8, IB: 4, Tree: HierarchicalTree}
 	return d, b, o
 }
 
 func TestFactorizeVSADistMatchesSequential(t *testing.T) {
 	d, b, o := distInputs()
-	seq, err := Factorize(matrix.FromDense(d, o.NB), matrix.FromDense(b, o.NB), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	const ranks = 3
 	lw := transport.NewLocal(ranks)
 	results := make([]*Factorization, ranks)
@@ -77,6 +74,13 @@ func TestFactorizeVSADistMatchesSequential(t *testing.T) {
 		if results[r] != nil {
 			t.Fatalf("rank %d returned a factorization; only rank 0 assembles", r)
 		}
+	}
+	if h := results[0].Opts.H; h != 2 {
+		t.Fatalf("3 ranks × 2 threads over 8 tile rows resolved h=%d, want 2", h)
+	}
+	seq, err := Factorize(matrix.FromDense(d, o.NB), matrix.FromDense(b, o.NB), results[0].Opts)
+	if err != nil {
+		t.Fatal(err)
 	}
 	assertFactorizationsEqual(t, seq, results[0])
 	if res := results[0].Residual(d); res > 1e-13 {
@@ -121,7 +125,7 @@ func runDistWorker() int {
 		fmt.Println("qr worker done rank", rank)
 		return 0
 	}
-	seq, err := Factorize(matrix.FromDense(d, o.NB), matrix.FromDense(b, o.NB), o)
+	seq, err := Factorize(matrix.FromDense(d, o.NB), matrix.FromDense(b, o.NB), f.Opts)
 	if err != nil {
 		return fail("sequential reference: %v", err)
 	}

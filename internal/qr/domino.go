@@ -52,9 +52,9 @@ type dominoLocal struct {
 // systolic array. opts.Tree is ignored: the domino design is inherently
 // flat-tree. Results are elementwise identical to Factorize with FlatTree.
 func FactorizeDomino(a *matrix.Tiled, b *matrix.Tiled, opts Options, rc RunConfig) (*Factorization, error) {
-	opts = opts.normalize()
-	opts.Tree = FlatTree
 	rc = rc.normalize()
+	opts = opts.Resolve(a.MT, rc.Nodes*rc.Threads)
+	opts.Tree = FlatTree
 	if err := checkShapes(a, b, opts); err != nil {
 		return nil, err
 	}

@@ -110,8 +110,8 @@ type Options struct {
 	// Tree selects the panel reduction tree.
 	Tree TreeKind
 	// H is the number of tiles per flat-tree domain for the hierarchical
-	// tree (paper: 6 or 12). Ignored for flat (whole panel) and binary
-	// (1) trees.
+	// tree (paper: 6 or 12); 0 means one domain per worker (Resolve).
+	// Ignored for flat (whole panel) and binary (1) trees.
 	H int
 	// Boundary selects shifted (default) or fixed domain boundaries.
 	Boundary BoundaryPolicy
@@ -121,19 +121,40 @@ type Options struct {
 }
 
 // DefaultOptions is the one definition of the default configuration: every
-// path that fills an unset field — normalize below, pulsarqr, the service's
+// path that fills an unset field — Resolve below, pulsarqr, the service's
 // JobSpec, the planner's baseline candidate, the CLI flag defaults — reads
 // it from here. The tile is the paper's nb=192 (a multiple of both
 // dimensions of the 12×8 micro-kernel); ib=24 is what the sweep in
 // docs/KERNELS.md measures fastest for these kernels. It is a constant, not
 // a shape rule: the sweep found no shape on which it loses to the old 64/16,
 // and hosts where another tile wins have the planner (qrserve -autotune).
+// H is 0, "one flat-tree domain per worker": it depends on the shape and the
+// worker count, so Resolve fills it once both are known.
 func DefaultOptions() Options {
-	return Options{NB: 192, IB: 24, Tree: HierarchicalTree, H: 4, Boundary: ShiftedBoundary}
+	return Options{NB: 192, IB: 24, Tree: HierarchicalTree, Boundary: ShiftedBoundary}
 }
 
-// normalize fills unset fields from DefaultOptions. An unset (or oversized)
-// IB takes the default's, clamped to the tile.
+// Resolve returns o with every unset field filled for a matrix of mt tile
+// rows factored by workers workers (ranks × threads, as requested — not as
+// the engine that runs happens to size itself). NB and IB come from
+// DefaultOptions; an unset IB, or one above the tile, takes the default's
+// clamped to the tile. An unset H takes one flat-tree domain per worker,
+// h = max(1, ⌈mt/W⌉), after parallel TSQR's one leaf per processor (Demmel
+// et al.) and HQR's domain of the rows a node owns: each worker reduces one
+// domain with the fast TS kernels and the slow TT merges shrink to W−1 per
+// panel. This is the one place an unset H is filled; an explicit H is kept,
+// and the flat and binary trees ignore it.
+func (o Options) Resolve(mt, workers int) Options {
+	o = o.normalize()
+	if o.H <= 0 {
+		w := max(workers, 1)
+		o.H = max(1, (mt+w-1)/w)
+	}
+	return o
+}
+
+// normalize fills an unset NB and IB from DefaultOptions (an oversized IB
+// takes the default's, clamped to the tile). H is Resolve's.
 func (o Options) normalize() Options {
 	def := DefaultOptions()
 	if o.NB <= 0 {
@@ -141,9 +162,6 @@ func (o Options) normalize() Options {
 	}
 	if o.IB <= 0 || o.IB > o.NB {
 		o.IB = min(def.IB, o.NB)
-	}
-	if o.H <= 0 {
-		o.H = def.H
 	}
 	return o
 }

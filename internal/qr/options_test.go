@@ -6,7 +6,7 @@ import (
 )
 
 func TestOptionsNormalize(t *testing.T) {
-	o := Options{}.normalize()
+	o := Options{}.Resolve(10, 4)
 	if o.NB <= 0 || o.IB <= 0 || o.H <= 0 {
 		t.Fatalf("defaults not filled: %+v", o)
 	}
@@ -14,9 +14,23 @@ func TestOptionsNormalize(t *testing.T) {
 		t.Fatal("ib must not exceed nb")
 	}
 	// Oversized IB is clamped.
-	o = Options{NB: 8, IB: 99}.normalize()
+	o = Options{NB: 8, IB: 99}.Resolve(10, 4)
 	if o.IB > o.NB {
 		t.Fatalf("ib %d not clamped to nb %d", o.IB, o.NB)
+	}
+	// An unset H is one domain per worker, h = max(1, ⌈mt/W⌉); a worker
+	// count below one counts as one.
+	for _, c := range []struct{ mt, w, h int }{
+		{43, 2, 22}, {11, 2, 6}, {43, 1, 43}, {10, 4, 3}, {8, 4, 2},
+		{3, 8, 1}, {0, 2, 1}, {5, 0, 5}, {5, -3, 5},
+	} {
+		if got := (Options{}).Resolve(c.mt, c.w).H; got != c.h {
+			t.Errorf("Resolve(mt=%d, W=%d).H = %d, want %d", c.mt, c.w, got, c.h)
+		}
+	}
+	// An explicit H always wins.
+	if got := (Options{H: 4}).Resolve(43, 2).H; got != 4 {
+		t.Errorf("explicit h=4 resolved to %d", got)
 	}
 }
 

@@ -31,9 +31,10 @@ type PanelPlan struct {
 
 // Plan computes the reduction plan of panel j for mt tile rows. It is the
 // exported entry point used by the performance simulator, which mirrors
-// the systolic array's task graph without instantiating it.
+// the systolic array's task graph without instantiating it. An unset H
+// resolves as for one worker: one domain per panel.
 func Plan(j, mt int, o Options) PanelPlan {
-	return planPanel(j, mt, o.normalize())
+	return planPanel(j, mt, o.Resolve(mt, 1))
 }
 
 // planPanel computes the reduction plan of panel j for mt tile rows.

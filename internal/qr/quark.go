@@ -19,7 +19,7 @@ type rbox struct {
 // elementwise identical to the reference; the execution schedule, however,
 // is the centralized dynamic one the paper compares against.
 func FactorizeQuark(a *matrix.Tiled, b *matrix.Tiled, opts Options, workers int) (*Factorization, error) {
-	opts = opts.normalize()
+	opts = opts.Resolve(a.MT, workers)
 	if err := checkShapes(a, b, opts); err != nil {
 		return nil, err
 	}

@@ -155,6 +155,60 @@ func TestStressMediumHierarchicalMultiNode(t *testing.T) {
 	}
 }
 
+// hardInput is one matrix of the hard-input table at the default tile.
+type hardInput struct {
+	name    string
+	d       *matrix.Mat
+	uniqueR bool // false: A is rank-deficient, exactly or numerically, so R is not unique
+}
+
+// The hard-input table's shape and the columns its rank-deficient inputs
+// make dependent.
+const (
+	hardM, hardN                  = 960, 96
+	hardDupFrom, hardDupTo        = 2, 29 // a dependent column in a later inner block
+	hardSumA, hardSumB, hardSumTo = 5, 40, 61
+	hardZeroCol                   = 50
+)
+
+// hardInputs builds the hard-input table from one seeded generator, so
+// every test that reads it sees the same matrices.
+func hardInputs() []hardInput {
+	const m, n = hardM, hardN
+	rng := rand.New(rand.NewSource(54))
+	scaled := func(s float64) *matrix.Mat {
+		d := matrix.NewRand(m, n, rng)
+		for i := range d.Data {
+			d.Data[i] *= s
+		}
+		return d
+	}
+	dup := matrix.NewRand(m, n, rng)
+	for i := 0; i < m; i++ {
+		dup.Set(i, hardDupTo, dup.At(i, hardDupFrom))
+	}
+	// Exact rank deficiency: a column that is the sum of two others, from two
+	// earlier inner blocks.
+	sum := matrix.NewRand(m, n, rng)
+	for i := 0; i < m; i++ {
+		sum.Set(i, hardSumTo, sum.At(i, hardSumA)+sum.At(i, hardSumB))
+	}
+	zero := matrix.NewRand(m, n, rng)
+	for i := 0; i < m; i++ {
+		zero.Set(i, hardZeroCol, 0)
+	}
+	big, small := scaled(1e150), scaled(1e-150)
+	return []hardInput{
+		// 96 monomial columns on [0, 1]: numerically rank-deficient.
+		{"ill-conditioned", hilbertLike(m, n), false},
+		{"scale 1e150", big, true},
+		{"scale 1e-150", small, true},
+		{"duplicate column", dup, false},
+		{"sum of two columns", sum, false},
+		{"zero column", zero, false},
+	}
+}
+
 // TestHardInputsAtDefaultTile runs the hard cases above again where the
 // library runs: the tests above factor ≤ 60×12 matrices at nb=8/ib=4, whose
 // 8³ products stay far below the blocked Dgemm's threshold, so the packing,
@@ -165,16 +219,8 @@ func TestStressMediumHierarchicalMultiNode(t *testing.T) {
 // systolic engine on one node and on two must agree bitwise and meet the
 // bounds the small cases meet.
 func TestHardInputsAtDefaultTile(t *testing.T) {
-	const m, n = 960, 96
+	const n = hardN
 	o := DefaultOptions()
-	rng := rand.New(rand.NewSource(54))
-	scaled := func(s float64) *matrix.Mat {
-		d := matrix.NewRand(m, n, rng)
-		for i := range d.Data {
-			d.Data[i] *= s
-		}
-		return d
-	}
 	orthonormal := func(t *testing.T, q *matrix.Mat) {
 		t.Helper()
 		if diff := matrix.MaxAbsDiff(q.Transpose().Mul(q), matrix.Identity(n)); diff > 1e-12 {
@@ -192,23 +238,6 @@ func TestHardInputsAtDefaultTile(t *testing.T) {
 		}
 		orthonormal(t, f.Q())
 	}
-	const dupFrom, dupTo = 2, 29 // a dependent column in a later inner block
-	dup := matrix.NewRand(m, n, rng)
-	for i := 0; i < m; i++ {
-		dup.Set(i, dupTo, dup.At(i, dupFrom))
-	}
-	// Exact rank deficiency: a column that is the sum of two others, from two
-	// earlier inner blocks.
-	const sumA, sumB, sumTo = 5, 40, 61
-	sum := matrix.NewRand(m, n, rng)
-	for i := 0; i < m; i++ {
-		sum.Set(i, sumTo, sum.At(i, sumA)+sum.At(i, sumB))
-	}
-	const zeroCol = 50
-	zero := matrix.NewRand(m, n, rng)
-	for i := 0; i < m; i++ {
-		zero.Set(i, zeroCol, 0)
-	}
 	backward := func(t *testing.T, d *matrix.Mat, f *Factorization) *matrix.Mat {
 		t.Helper()
 		q := f.Q()
@@ -225,49 +254,47 @@ func TestHardInputsAtDefaultTile(t *testing.T) {
 			}
 		}
 	}
-	for _, tc := range []struct {
-		name  string
-		d     *matrix.Mat
-		check func(t *testing.T, d *matrix.Mat, f *Factorization)
-	}{
-		{"ill-conditioned", hilbertLike(m, n), func(t *testing.T, d *matrix.Mat, f *Factorization) {
+	checks := map[string]func(t *testing.T, d *matrix.Mat, f *Factorization){
+		"ill-conditioned": func(t *testing.T, d *matrix.Mat, f *Factorization) {
 			q := f.Q()
 			if backward := matrix.MaxAbsDiff(q.Mul(f.R()), d) / d.MaxAbs(); backward > 1e-13 {
 				t.Fatalf("backward error %v", backward)
 			}
 			orthonormal(t, q)
-		}},
-		{"scale 1e150", scaled(1e150), finiteR},
-		{"scale 1e-150", scaled(1e-150), finiteR},
-		{"duplicate column", dup, dependent(dupTo)},
-		{"sum of two columns", sum, dependent(sumTo)},
-		{"zero column", zero, func(t *testing.T, d *matrix.Mat, f *Factorization) {
+		},
+		"scale 1e150":        finiteR,
+		"scale 1e-150":       finiteR,
+		"duplicate column":   dependent(hardDupTo),
+		"sum of two columns": dependent(hardSumTo),
+		"zero column": func(t *testing.T, d *matrix.Mat, f *Factorization) {
 			r := backward(t, d, f)
-			for i := 0; i <= zeroCol; i++ {
-				if v := r.At(i, zeroCol); v != 0 {
-					t.Fatalf("R(%d,%d) = %v for a zero column", i, zeroCol, v)
+			for i := 0; i <= hardZeroCol; i++ {
+				if v := r.At(i, hardZeroCol); v != 0 {
+					t.Fatalf("R(%d,%d) = %v for a zero column", i, hardZeroCol, v)
 				}
 			}
-		}},
-	} {
+		},
+	}
+	for _, tc := range hardInputs() {
 		t.Run(tc.name, func(t *testing.T) {
-			seq := factorDense(t, tc.d, o)
-			want := seq.R()
 			for _, nodes := range []int{1, 2} {
 				vsa, err := FactorizeVSA(matrix.FromDense(tc.d, o.NB), nil, o, RunConfig{Nodes: nodes, Threads: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
+				// The reference runs the tree the engine resolved (h = 3 on
+				// two workers, 2 on four).
+				seq := factorDense(t, tc.d, vsa.Opts)
 				assertFactorizationsEqual(t, seq, vsa)
-				got := vsa.R()
+				got, want := vsa.R(), seq.R()
 				for i := range want.Data {
 					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
 						t.Fatalf("%d nodes: R[%d] = %v, sequential %v", nodes, i, got.Data[i], want.Data[i])
 					}
 				}
+				checks[tc.name](t, tc.d, seq)
+				sketchFlagsAsDenseDoes(t, tc.d, seq, o.NB)
 			}
-			tc.check(t, tc.d, seq)
-			sketchFlagsAsDenseDoes(t, tc.d, seq, o.NB)
 		})
 	}
 }
@@ -303,6 +330,7 @@ func TestWarmPoolCarriesNothingIntoNextJob(t *testing.T) {
 		return f.R()
 	}
 	hier := DefaultOptions()
+	hier.H = 4 // two domains of the five tile rows, so merges fire: RunConfig{} derives one
 	flat := hier
 	flat.Tree = FlatTree
 	for _, o := range []Options{flat, hier} {

@@ -15,8 +15,12 @@ import (
 // update but never enters panel factorization, leaving it equal to QᵀB —
 // exactly how the VSA computes least-squares solutions without a second
 // pass.
+//
+// The reference is one worker, so an unset opts.H resolves to one domain
+// per panel (Resolve); to reproduce another engine's run, pass that run's
+// resolved Factorization.Opts.
 func Factorize(a *matrix.Tiled, b *matrix.Tiled, opts Options) (*Factorization, error) {
-	opts = opts.normalize()
+	opts = opts.Resolve(a.MT, 1)
 	if err := checkShapes(a, b, opts); err != nil {
 		return nil, err
 	}

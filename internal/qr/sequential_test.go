@@ -1,7 +1,6 @@
 package qr
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -138,29 +137,6 @@ func TestSolveFromQTBMatchesSolve(t *testing.T) {
 	x2 := f.Solve(b)
 	if diff := matrix.MaxAbsDiff(x1, x2); diff > 1e-12 {
 		t.Fatalf("solve paths disagree: %v", diff)
-	}
-}
-
-func TestTreesAgreeUpToSigns(t *testing.T) {
-	// R is unique up to row signs for full-rank A, so |R| must agree
-	// across reduction trees.
-	rng := rand.New(rand.NewSource(7))
-	m, n := 48, 12
-	d := matrix.NewRand(m, n, rng)
-	var rs []*matrix.Mat
-	for _, tree := range []TreeKind{FlatTree, BinaryTree, HierarchicalTree} {
-		o := Options{NB: 8, IB: 4, Tree: tree, H: 2}
-		f := factorDense(t, d, o)
-		rs = append(rs, f.R())
-	}
-	for k := 1; k < len(rs); k++ {
-		for j := 0; j < n; j++ {
-			for i := 0; i <= j; i++ {
-				if diff := math.Abs(math.Abs(rs[0].At(i, j)) - math.Abs(rs[k].At(i, j))); diff > 1e-10 {
-					t.Fatalf("tree %d: |R(%d,%d)| differs by %v", k, i, j, diff)
-				}
-			}
-		}
 	}
 }
 

@@ -272,7 +272,6 @@ type Env struct {
 // aborts can otherwise wait in the final barrier until its endpoint is
 // closed.
 func FactorizeVSAIn(ctx context.Context, a *matrix.Tiled, b *matrix.Tiled, opts Options, rc RunConfig, env Env) (*Factorization, error) {
-	opts = opts.normalize()
 	rc = rc.normalize()
 	ep, local := env.Endpoint, -1 // local: the one node that runs here, or -1 for all of them
 	if ep != nil {
@@ -283,6 +282,9 @@ func FactorizeVSAIn(ctx context.Context, a *matrix.Tiled, b *matrix.Tiled, opts 
 			local = ep.Rank()
 		}
 	}
+	// The requested threads, not a pool's: ranks of one mesh may run pools
+	// of different sizes and must still derive one h.
+	opts = opts.Resolve(a.MT, rc.Nodes*rc.Threads)
 	if env.Pool != nil {
 		rc.Threads = env.Pool.Threads()
 	}

@@ -9,8 +9,9 @@ import (
 	"pulsarqr/internal/pulsar"
 )
 
-// factorBoth runs the sequential reference and the VSA on identical data
-// and returns both factorizations.
+// factorBoth runs the VSA and the sequential reference on identical data
+// and returns both factorizations. The reference runs the options the VSA
+// resolved, so an unset H compares at the VSA's h.
 func factorBoth(t *testing.T, d, b *matrix.Mat, o Options, rc RunConfig) (seq, vsa *Factorization) {
 	t.Helper()
 	var bs, bv *matrix.Tiled
@@ -19,11 +20,11 @@ func factorBoth(t *testing.T, d, b *matrix.Mat, o Options, rc RunConfig) (seq, v
 		bv = matrix.FromDense(b, o.NB)
 	}
 	var err error
-	seq, err = Factorize(matrix.FromDense(d, o.NB), bs, o)
+	vsa, err = FactorizeVSA(matrix.FromDense(d, o.NB), bv, o, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vsa, err = FactorizeVSA(matrix.FromDense(d, o.NB), bv, o, rc)
+	seq, err = Factorize(matrix.FromDense(d, o.NB), bs, vsa.Opts)
 	if err != nil {
 		t.Fatal(err)
 	}

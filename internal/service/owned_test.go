@@ -363,7 +363,7 @@ func requeueAfterGatherDeath(t *testing.T, spec JobSpec) {
 	if !j.Result().OK {
 		t.Errorf("requeued job residual %g", j.Result().Residual)
 	}
-	checkResultR(t, "survivors", j.Result().R, oracleR(t, spec))
+	checkResultR(t, "survivors", j.Result().R, oracleR(t, s, spec))
 	if j.Attempts() < 1 {
 		t.Error("job completed without a requeue")
 	}
@@ -391,7 +391,8 @@ func requeueAfterGatherDeath(t *testing.T, spec JobSpec) {
 
 // Rank 0 resolves the configuration once and the open broadcast carries it
 // whole: a job submitted with nb, ib, h and tree all omitted reaches the
-// fleet with the four values set, so ranks whose builds disagreed on a
+// fleet with the four values set — h as one domain per worker of the fleet,
+// 2 ranks × 2 threads — so ranks whose builds or pools disagreed on a
 // default would still tile one matrix one way. And an agent takes them from
 // the message: one stamped 64/16 builds a 64-tiled array, whatever this
 // build's own default is. Rank 1 is played by hand, the way Agent.runJob
@@ -476,15 +477,16 @@ func TestOpenBroadcastCarriesEffectiveConfig(t *testing.T) {
 	<-agentDone
 
 	first := <-got
-	if first.spec.NB != def.NB || first.spec.IB != def.IB || first.spec.H != def.H || first.spec.Tree != def.Tree.String() {
+	const firstH = 1 // 3 tile rows over 4 workers
+	if first.spec.NB != def.NB || first.spec.IB != def.IB || first.spec.H != firstH || first.spec.Tree != def.Tree.String() {
 		t.Errorf("open for a spec with the configuration omitted carries nb=%d ib=%d h=%d tree=%q, want %d/%d/%d/%q\n%s",
-			first.spec.NB, first.spec.IB, first.spec.H, first.spec.Tree, def.NB, def.IB, def.H, def.Tree, first.raw)
+			first.spec.NB, first.spec.IB, first.spec.H, first.spec.Tree, def.NB, def.IB, firstH, def.Tree, first.raw)
 	}
 	if first.nb != def.NB {
 		t.Errorf("rank 1 tiled at nb=%d, want %d", first.nb, def.NB)
 	}
 	second := <-got
-	want := qr.Options{NB: 64, IB: 16, H: def.H, Tree: def.Tree, Boundary: def.Boundary, Inter: def.Inter}
+	want := qr.Options{NB: 64, IB: 16, H: 2, Tree: def.Tree, Boundary: def.Boundary, Inter: def.Inter} // 8 tile rows over 4 workers
 	if second.opts != want || second.nb != 64 {
 		t.Errorf("a spec stamped 64/16 resolved to %v on the agent (array nb=%d), want %v", second.opts, second.nb, want)
 	}

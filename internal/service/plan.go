@@ -207,17 +207,20 @@ func (s *Server) modelEpoch() uint64 {
 // planJob returns the spec the job actually runs, with NB, IB, H and Tree
 // all set: the planner's choice when autotuning is on for the job, else
 // j.Spec's own values with every omitted one resolved against this rank's
-// defaults. The resolved spec is what the open broadcast carries, so the
-// fleet tiles one matrix one way even if its ranks' builds disagree on a
-// default — an agent never fills one in itself. Shape, data and policy
-// fields ride through untouched. Planning failures degrade to the literal
-// spec — the autotuner must never turn a runnable job into a failed one.
+// defaults — an omitted H as one domain per worker of the live fleet, ranks
+// × Threads (qr.Options.Resolve). The resolved spec is what the open
+// broadcast carries, so the fleet tiles one matrix one way even if its
+// ranks' builds or pools disagree — an agent never fills one in itself.
+// Shape, data and policy fields ride through untouched. Planning failures
+// degrade to the literal spec — the autotuner must never turn a runnable job
+// into a failed one.
 func (s *Server) planJob(j *Job) JobSpec {
 	spec := j.Spec
 	if spec.Autotune || s.cfg.Autotune {
 		s.autotune(j, &spec)
 	}
 	if opts, err := spec.Options(); err == nil { // an error here fails the job in runJob
+		opts = opts.Resolve((spec.M+opts.NB-1)/opts.NB, s.AgentsLive()*s.cfg.Threads)
 		spec.NB, spec.IB, spec.H, spec.Tree = opts.NB, opts.IB, opts.H, opts.Tree.String()
 	}
 	return spec

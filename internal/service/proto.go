@@ -53,8 +53,9 @@ type JobSpec struct {
 	N int `json:"n"`
 	// NB, IB, H and Tree select the algorithm configuration; zero values
 	// take the library defaults (qr.DefaultOptions: NB=192, IB=24 — or NB
-	// when that is smaller — hierarchical, H=4), resolved once by the
-	// server: the spec its agents receive has all four set.
+	// when that is smaller — hierarchical, one flat-tree domain per worker
+	// of the fleet), resolved once by the server: the spec its agents
+	// receive has all four set.
 	NB   int    `json:"nb,omitempty"`
 	IB   int    `json:"ib,omitempty"`
 	H    int    `json:"h,omitempty"`
@@ -169,7 +170,8 @@ func (sp *JobSpec) tree() (qr.TreeKind, error) {
 }
 
 // Options maps the spec to the qr layer's algorithm configuration, omitted
-// values resolved: what it returns is what runs.
+// values resolved except H, which depends on the fleet (planJob resolves
+// it; a spec an agent receives has it set): what it returns is what runs.
 func (sp *JobSpec) Options() (qr.Options, error) {
 	tree, err := sp.tree()
 	if err != nil {

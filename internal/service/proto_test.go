@@ -185,6 +185,7 @@ func FuzzJobSpec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("admitted spec has no options: %v", err)
 		}
+		opts = opts.Resolve((sp.M+opts.NB-1)/opts.NB, 1) // what planJob stamps on a one-worker server
 		if opts.NB < 1 || opts.NB > maxDim || opts.IB < 1 || opts.IB > opts.NB || opts.H < 1 {
 			t.Fatalf("admitted spec resolves to %v", opts)
 		}

@@ -113,7 +113,7 @@ func TestServerFleetSurvivesAgentDeath(t *testing.T) {
 	if !j.Result().OK {
 		t.Fatalf("retried job residual %g", j.Result().Residual)
 	}
-	checkResultR(t, "survivor", j.Result().R, oracleR(t, spec))
+	checkResultR(t, "survivor", j.Result().R, oracleR(t, s, spec))
 	if j.Attempts() < 1 {
 		t.Fatal("job completed with zero retries; the test never exercised requeue")
 	}

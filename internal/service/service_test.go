@@ -14,11 +14,13 @@ import (
 	"pulsarqr/internal/transport"
 )
 
-// oracleR factors the spec's matrix with the sequential reference and
-// returns R for comparison.
-func oracleR(t *testing.T, spec JobSpec) *matrix.Mat {
+// oracleR factors the spec's matrix with the sequential reference, at the
+// configuration s runs it with (planJob: an omitted h is one domain per
+// worker of s's live fleet), and returns R for comparison.
+func oracleR(t *testing.T, s *Server, spec JobSpec) *matrix.Mat {
 	t.Helper()
-	opts, err := spec.Options()
+	run := s.planJob(&Job{Spec: spec})
+	opts, err := run.Options()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +108,7 @@ func TestServerConcurrentJobsOracle(t *testing.T) {
 		if !res.OK {
 			t.Errorf("job %d residual %g above tolerance", i, res.Residual)
 		}
-		checkResultR(t, j.Spec.Tree, res.R, oracleR(t, specs[i]))
+		checkResultR(t, j.Spec.Tree, res.R, oracleR(t, s, specs[i]))
 	}
 	if got := s.metrics.Completed.Load(); got != int64(len(specs)) {
 		t.Errorf("completed = %d, want %d", got, len(specs))
@@ -135,7 +137,7 @@ func TestServerUploadedMatrix(t *testing.T) {
 	if state, msg := j.State(); state != StateDone {
 		t.Fatalf("state = %s (%s)", state, msg)
 	}
-	checkResultR(t, "upload", j.Result().R, oracleR(t, spec))
+	checkResultR(t, "upload", j.Result().R, oracleR(t, s, spec))
 }
 
 // Full HTTP round-trip: submit-and-wait, fetch with R, reject invalid
@@ -165,7 +167,7 @@ func TestServerHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkResultR(t, "http", rowsMat(t, got.R), oracleR(t, spec))
+	checkResultR(t, "http", rowsMat(t, got.R), oracleR(t, s, spec))
 
 	if _, code, err := c.Submit(JobSpec{M: 10, N: 20}, false); err == nil || code != 400 {
 		t.Errorf("wide matrix accepted (code %d, err %v)", code, err)
@@ -330,7 +332,7 @@ func TestServerFleet(t *testing.T) {
 		if !j.Result().OK {
 			t.Errorf("fleet job %d residual %g", i, j.Result().Residual)
 		}
-		checkResultR(t, "fleet", j.Result().R, oracleR(t, specs[i]))
+		checkResultR(t, "fleet", j.Result().R, oracleR(t, s, specs[i]))
 	}
 	s.Close()
 	select {
@@ -407,7 +409,7 @@ func TestServerFleetCancelReleasesWorkers(t *testing.T) {
 		if state, msg := j.State(); state != StateDone {
 			t.Fatalf("post-cancel job %d state = %s (%s)", i, state, msg)
 		}
-		checkResultR(t, "post-cancel", j.Result().R, oracleR(t, spec))
+		checkResultR(t, "post-cancel", j.Result().R, oracleR(t, s, spec))
 	}
 	s.Close()
 	select {

@@ -101,7 +101,7 @@ func TestUploadOverHTTPBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameBits(t, "frame R against a JSON upload's", frameR, pj.Result().R)
-	checkResultR(t, "upload", frameR, oracleR(t, spec))
+	checkResultR(t, "upload", frameR, oracleR(t, s, spec))
 }
 
 // sendMeter is rank 0's endpoint with what it sends counted: the largest
@@ -310,7 +310,7 @@ func TestUploadResentIntactAfter429(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkResultR(t, "after a 429", rowsMat(t, got.R), oracleR(t, spec))
+	checkResultR(t, "after a 429", rowsMat(t, got.R), oracleR(t, s, spec))
 }
 
 // handFleet is a two-rank in-process fleet whose rank 0 is played by hand:

@@ -344,7 +344,10 @@ func (t *Table) Get(id string) (*Session, error) {
 }
 
 // Delete removes a session and its checkpoint file. An append stream in
-// flight observes the tombstone at its next commit and aborts.
+// flight observes the tombstone at its next commit and aborts. The file goes
+// while s.mu is held — the lock every checkpoint write holds after checking
+// the tombstone — so an append that sees ErrGone never finds the file, and
+// a crash can never bring a deleted session back.
 func (t *Table) Delete(id string) error {
 	t.mu.Lock()
 	s, ok := t.sessions[id]
@@ -361,10 +364,10 @@ func (t *Table) Delete(id string) error {
 		return ErrNotFound
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.gone = true
 	s.str = nil
 	s.cur = nil
-	s.mu.Unlock()
 	if t.cfg.Dir != "" {
 		if err := os.Remove(CheckpointPath(t.cfg.Dir, id)); err != nil && !os.IsNotExist(err) {
 			return err

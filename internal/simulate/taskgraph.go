@@ -51,16 +51,18 @@ type graph struct {
 
 // buildGraph generates the task graph the 3D VSA executes for workload w:
 // the same plans, the same chains, and the runtime's own placement rule
-// (pulsar.PlaceTile).
+// (pulsar.PlaceTile). An unset h is the one dispatch would run: one domain
+// per worker of the machine.
 func buildGraph(w Workload, m Machine) *graph {
-	opts := w.Opts
-	nb, ib := opts.NB, opts.IB
+	nb := w.Opts.NB
 	mt := (w.M + nb - 1) / nb
 	nt := (w.N + nb - 1) / nb
 	if mt < nt {
 		panic(fmt.Sprintf("simulate: m=%d < n=%d", w.M, w.N))
 	}
 	workers := m.Workers()
+	opts := w.Opts.Resolve(mt, m.Nodes*workers)
+	ib := opts.IB
 
 	g := &graph{m: m, nodeFlops: make([][numKernels]float64, m.Nodes)}
 	rate := m.kernelGflops(nb, ib)

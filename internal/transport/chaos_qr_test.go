@@ -191,28 +191,29 @@ func TestChaosTCPFactorizationMatchesOracle(t *testing.T) {
 }
 
 // TestChaosTCPDefaultTileMatchesOracle is the default-path run of
-// `make chaos-smoke`: nothing about the tile is specified, both the oracle
-// and the ranks take qr.DefaultOptions, and the frames that cross the
+// `make chaos-smoke`: nothing about the tile is specified, the ranks take
+// qr.DefaultOptions (h derived: 5 tile rows over 2 ranks × 2 threads, h = 2)
+// and the oracle the options they resolved, and the frames that cross the
 // chaotic link — delayed, cut mid-stream on both links — are whole default
 // tiles (hundreds of KB each, not the 8×8 tiles of the tests above).
 func TestChaosTCPDefaultTileMatchesOracle(t *testing.T) {
 	nb := qr.DefaultOptions().NB
 	rng := rand.New(rand.NewSource(43))
 	d := matrix.NewRand(4*nb+40, nb+30, rng)
-	seq, err := qr.Factorize(matrix.FromDense(d, nb), nil, qr.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sch := transport.Schedule{Seed: 0xDEFA017, DelayP50: 200 * time.Microsecond, DelayP95: 5 * time.Millisecond}
-	// Rank 0 sends 4 messages to rank 1, rank 1 sends 9 back.
+	// Rank 0 sends 3 messages to rank 1, rank 1 sends 9 back.
 	severs := [][]transport.SeverEvent{
-		{{Peer: 1, AtFrame: 2}, {Peer: 1, AtFrame: 4}},
+		{{Peer: 1, AtFrame: 2}, {Peer: 1, AtFrame: 3}},
 		{{Peer: 0, AtFrame: 3}, {Peer: 0, AtFrame: 8}},
 	}
 	cs := withChaos(chaosTCPMesh(t, 2, 2*time.Second), sch, severs)
 	got := factorizeOnRanks(t, cs, d, nil, nb, qr.Options{})
 	for r, c := range cs {
 		t.Logf("rank %d:\n%s", r, c.FaultLog())
+	}
+	seq, err := qr.Factorize(matrix.FromDense(d, nb), nil, got.Opts)
+	if err != nil {
+		t.Fatal(err)
 	}
 	assertMatchesOracle(t, seq, got)
 	assertSeversFired(t, cs, severs)

@@ -124,7 +124,9 @@ type Options struct {
 	// Zero takes the default's (DefaultOptions).
 	NB, IB int
 	// Tree selects the reduction tree; H sizes the flat-tree domains of
-	// the hierarchical tree (paper: 6 or 12).
+	// the hierarchical tree (paper: 6 or 12). Zero, the default, means one
+	// domain per worker: ⌈tile rows / (Nodes·Threads)⌉ tiles, whichever
+	// engine runs, so every engine at the same Options runs the same tree.
 	Tree Tree
 	H    int
 	// Boundary selects shifted (default) or fixed domain boundaries.
@@ -145,7 +147,8 @@ type Options struct {
 
 // DefaultOptions returns the paper's preferred configuration — hierarchical
 // tree, shifted boundaries, systolic engine — at the library's default tile
-// (qr.DefaultOptions is the one definition of NB, IB and H).
+// (qr.DefaultOptions is the one definition of NB, IB and H; H is 0, one
+// flat-tree domain per worker).
 func DefaultOptions() Options {
 	d := qr.DefaultOptions()
 	return Options{NB: d.NB, IB: d.IB, Tree: d.Tree, H: d.H, Boundary: d.Boundary,
@@ -197,7 +200,9 @@ func factor(a, b *Matrix, opts Options) (*Factorization, error) {
 	if b != nil {
 		tb = matrix.FromDense(b, opts.NB)
 	}
-	io := opts.internal()
+	// h is resolved here, from the requested Nodes and Threads, so that the
+	// Sequential engine at the same Options runs the systolic engine's tree.
+	io := opts.internal().Resolve(ta.MT, max(opts.Nodes, 1)*max(opts.Threads, 1))
 	switch opts.Engine {
 	case Sequential:
 		return qr.Factorize(ta, tb, io)
