@@ -26,8 +26,8 @@ func BenchmarkGemmTN192(b *testing.B) { benchGemm(b, true, 192) }
 func BenchmarkGemmNN512(b *testing.B) { benchGemm(b, false, 512) }
 func BenchmarkGemmTN512(b *testing.B) { benchGemm(b, true, 512) }
 
-// benchTrmmLeft measures the left-side triangular multiply the block
-// reflector applies lean on: B := op(T)·B with T k×k and B k×n. Dtrmm is
+// benchTrmmLeft measures Dtrmm's left-side triangular multiply at block
+// reflector shapes: B := op(T)·B with T k×k and B k×n. Dtrmm is
 // in-place, so B is refreshed from a pristine copy every iteration — left
 // to feed back, |T|<1 entries shrink B into the denormal range within a
 // few iterations and the bench measures microcode assists instead of the
@@ -53,9 +53,9 @@ func BenchmarkTrmmLeft192x192(b *testing.B) { benchTrmmLeft(b, false, 192, 192) 
 
 // The packs behind the panel kernels' ib-thin products at the default tile
 // (192/24), timed alone: what the fused apply packs per inner block (a
-// 192×192 slab of C2), its W and W2 operands (24×192), and what applyTS or
-// the fused apply's operand packers pack of V2 (24×192 transposed, 192×24
-// plain). MB/s counts the elements moved once.
+// 192×192 slab of C2), its W and W2 operands (24×192), and what the fused
+// apply's operand packers pack of V2 (24×192 transposed, 192×24 plain).
+// MB/s counts the elements moved once.
 func benchPackB(b *testing.B, kc, nc int) {
 	rng := rand.New(rand.NewSource(3))
 	src := colMajor(rng, kc, nc, kc)

@@ -1,7 +1,8 @@
 // Package blas implements the subset of column-major double-precision BLAS
 // required by the tile QR kernels: level-1 vector operations, a few level-2
 // routines for unblocked Householder updates, and the level-3 routines
-// (Dgemm, Dtrmm, Dtrsm) that dominate the compute time of the factorization.
+// (Dgemm and its pre-packed form, Dtrsm) that dominate the compute time of
+// the factorization. Dtrmm is kept for the benchmark probes only.
 //
 // All matrices are column-major with an explicit leading dimension, matching
 // the reference BLAS so the kernel package translates one-to-one from the

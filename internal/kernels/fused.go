@@ -12,13 +12,15 @@ import (
 // pass that reads them and the update pass that writes them.
 const fusedNC = 192
 
-// applyFused is the packed-engine form of the block-reflector apply shared
-// by Dtsmqr/Dttmqr and Dormqr. It applies H = I − V·T·Vᵀ (or Hᵀ — the
-// transposition is baked into the pt packing) with every operand packed by
-// the pack* functions below into the workspace. For the TS/TT kernels
-// V = [E; V2] with an implicit identity E over the sb rows of c1, and
-// pvt/pv pack V2 alone; Dormqr passes c1 == nil and pvt/pv pack its whole
-// rows×sb panel, which then meets c2 = the rows of C it spans.
+// applyFused is the one block-reflector apply of all six tile kernels: the
+// update kernels Dormqr, Dtsmqr and Dttmqr, and the trailing update inside
+// each panel of Dgeqrt, Dtsqrt and Dttqrt, reached through ormqrBlock and
+// tsmqrBlock. It applies H = I − V·T·Vᵀ (or Hᵀ — the transposition is baked
+// into the pt packing) with every operand packed by the pack* functions
+// below into the workspace. For the TS/TT kernels V = [E; V2] with an
+// implicit identity E over the sb rows of c1, and pvt/pv pack V2 alone;
+// ormqrBlock passes c1 == nil and pvt/pv pack its whole rows×sb panel,
+// which then meets c2 = the rows of C it spans.
 //
 // Where the classic formulation makes two full passes over C2 (one Dgemm
 // reading it into W, a second writing the update) plus three triangular
@@ -92,7 +94,7 @@ func (ws *Workspace) packV2Panels(v2 *matrix.Mat, j, sb, rows int, tri bool) (pv
 	pv2 = grow(&ws.pv, blas.PackedLHSLen(rows, sb))
 	src, lda := v2.Data[j*v2.LD:], v2.LD
 	if tri {
-		c := v2Block(ws, v2, j, sb, rows, tri)
+		c := v2Block(ws, v2, j, sb, rows)
 		src, lda = c.Data, c.LD
 	}
 	blas.PackLHS(true, sb, rows, src, lda, pv2t)

@@ -44,7 +44,7 @@ func DgeqrtWS(ws *Workspace, ib int, a, t *matrix.Mat) {
 		tb := t.ViewInto(&ws.tView, 0, j, sb, sb)
 		dlarft(panel, tau[:sb], tb, work)
 		if j+sb < n {
-			dlarfb(ws, true, panel, tb, a.ViewInto(&ws.c1View, j, j+sb, m-j, n-j-sb))
+			ormqrBlock(ws, true, a, t, j, sb, a.ViewInto(&ws.c2View, j, j+sb, m-j, n-j-sb))
 		}
 	}
 }
@@ -71,14 +71,7 @@ func DormqrWS(ws *Workspace, trans bool, ib int, v, t, c *matrix.Mat) {
 		return
 	}
 	apply := func(j int) {
-		sb := min(ib, k-j)
-		// The reflector panel (unit-lower diagonal block dense-expanded)
-		// and op(T) are packed, so the whole chain runs on the packed
-		// micro-kernel.
-		rows := m - j
-		pvt, pv := ws.packVPanels(v, j, sb, rows)
-		pt := ws.packTPanel(t, j, sb, trans)
-		applyFused(ws, pvt, pv, pt, sb, rows, nil, c.ViewInto(&ws.c2View, j, 0, rows, n))
+		ormqrBlock(ws, trans, v, t, j, min(ib, k-j), c.ViewInto(&ws.c2View, j, 0, m-j, n))
 	}
 	// Column blocks forward for Qᵀ, backward for Q.
 	if trans {
@@ -90,4 +83,16 @@ func DormqrWS(ws *Workspace, trans bool, ib int, v, t, c *matrix.Mat) {
 			apply(j)
 		}
 	}
+}
+
+// ormqrBlock applies the block reflector of the sb reflectors whose
+// diagonal block sits at (j, j) of v — H, or Hᵀ when trans — to c, the rows
+// of the target the reflectors span (row j on). It is the one block step of
+// Dormqr and of Dgeqrt's trailing update: the reflector panel (unit-lower
+// diagonal block dense-expanded) and op(T) are packed, so the whole chain
+// runs on the packed micro-kernel.
+func ormqrBlock(ws *Workspace, trans bool, v, t *matrix.Mat, j, sb int, c *matrix.Mat) {
+	pvt, pv := ws.packVPanels(v, j, sb, c.Rows)
+	pt := ws.packTPanel(t, j, sb, trans)
+	applyFused(ws, pvt, pv, pt, sb, c.Rows, nil, c)
 }

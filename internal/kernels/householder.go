@@ -120,42 +120,3 @@ func dlarft(v *matrix.Mat, tau []float64, t *matrix.Mat, work []float64) {
 		t.Set(i, i, tau[i])
 	}
 }
-
-// dlarfb applies the block reflector H = I − V·T·Vᵀ (or its transpose when
-// trans is true) from the left to C. V is m×k unit lower-trapezoidal with
-// m ≥ k, T is the k×k upper-triangular view, C is m×n. The W panel lives in
-// ws and is fully overwritten before use.
-func dlarfb(ws *Workspace, trans bool, v, t, c *matrix.Mat) {
-	m, k := v.Rows, v.Cols
-	n := c.Cols
-	if k == 0 || n == 0 || m == 0 {
-		return
-	}
-	w := matInto(&ws.wMat, &ws.wbuf, k, n)
-	// W = V1ᵀ C1  (V1 = top k×k unit lower triangle of V).
-	for j := 0; j < n; j++ {
-		copy(w.Data[j*w.LD:j*w.LD+k], c.Data[j*c.LD:j*c.LD+k])
-	}
-	blas.Dtrmm(true, false, true, true, k, n, 1, v.Data, v.LD, w.Data, w.LD)
-	if m > k {
-		// W += V2ᵀ C2.
-		blas.Dgemm(true, false, k, n, m-k, 1,
-			v.Data[k:], v.LD, c.Data[k:], c.LD, 1, w.Data, w.LD)
-	}
-	// W := op(T) W.
-	blas.Dtrmm(true, true, trans, false, k, n, 1, t.Data, t.LD, w.Data, w.LD)
-	if m > k {
-		// C2 -= V2 W.
-		blas.Dgemm(false, false, m-k, n, k, -1,
-			v.Data[k:], v.LD, w.Data, w.LD, 1, c.Data[k:], c.LD)
-	}
-	// C1 -= V1 W.
-	blas.Dtrmm(true, false, false, true, k, n, 1, v.Data, v.LD, w.Data, w.LD)
-	for j := 0; j < n; j++ {
-		ccol := c.Data[j*c.LD : j*c.LD+k]
-		wcol := w.Data[j*w.LD : j*w.LD+k]
-		for i := range wcol {
-			ccol[i] -= wcol[i]
-		}
-	}
-}

@@ -102,27 +102,20 @@ func tsqrtGeneric(ws *Workspace, ib int, a1, a2, t *matrix.Mat, tri bool) {
 		}
 		// Block-apply Hᵀ to the trailing columns of the pair.
 		if nc := n - j - sb; nc > 0 {
-			rows := vrows(j + sb - 1)
-			v2 := v2Block(ws, a2, j, sb, rows, tri)
-			applyTS(ws, true, v2, t.ViewInto(&ws.tView, 0, j, sb, sb),
-				a1.ViewInto(&ws.c1View, j, j+sb, sb, nc),
-				a2.ViewInto(&ws.c2View, 0, j+sb, rows, nc))
+			tsmqrBlock(ws, true, tri, a2, t, j, sb, a1, a2, j+sb, nc)
 		}
 	}
 }
 
-// v2Block returns the rows×sb reflector block starting at column j of a2.
-// In the triangular case the stored heights vary per column and entries
-// below a column's height may hold unrelated data (Householder vectors of
-// an earlier factorization), so a zero-padded copy is built in the
+// v2Block returns a zero-padded copy of the rows×sb triangular reflector
+// block starting at column j of a2. The stored heights vary per column and
+// entries below a column's height may hold unrelated data (Householder
+// vectors of an earlier factorization), so the copy is built in the
 // workspace instead of a view; the copy cost is negligible against the
 // level-3 work it enables. Every element of the copy is written — copied up
 // to the column height, zeroed below it — so reuse cannot leak state
 // between calls.
-func v2Block(ws *Workspace, a2 *matrix.Mat, j, sb, rows int, tri bool) *matrix.Mat {
-	if !tri {
-		return a2.ViewInto(&ws.vView, 0, j, rows, sb)
-	}
+func v2Block(ws *Workspace, a2 *matrix.Mat, j, sb, rows int) *matrix.Mat {
 	c := matInto(&ws.v2Mat, &ws.v2b, rows, sb)
 	for l := 0; l < sb; l++ {
 		h := min(j+l+1, rows)
@@ -133,41 +126,6 @@ func v2Block(ws *Workspace, a2 *matrix.Mat, j, sb, rows int, tri bool) *matrix.M
 		}
 	}
 	return c
-}
-
-// applyTS applies the TS/TT block reflector H = I − [E;V2]·T·[E;V2]ᵀ (or
-// its transpose) to the stacked pair [C1; C2], where the identity part E
-// aligns with C1's rows. C1 is sb×nc (rows j..j+sb of the top tile), v2 is
-// rows×sb, C2 is rows×nc. The W panel lives in ws and is fully overwritten
-// before use.
-func applyTS(ws *Workspace, trans bool, v2, t, c1, c2 *matrix.Mat) {
-	sb, nc := c1.Rows, c1.Cols
-	rows := v2.Rows
-	if nc == 0 || sb == 0 {
-		return
-	}
-	w := matInto(&ws.wMat, &ws.wbuf, sb, nc)
-	// W = C1 + V2ᵀ C2.
-	w.CopyFrom(c1)
-	if rows > 0 {
-		blas.Dgemm(true, false, sb, nc, rows, 1,
-			v2.Data, v2.LD, c2.Data, c2.LD, 1, w.Data, w.LD)
-	}
-	// W := op(T) W.
-	blas.Dtrmm(true, true, trans, false, sb, nc, 1, t.Data, t.LD, w.Data, w.LD)
-	// C1 -= W.
-	for jc := 0; jc < nc; jc++ {
-		ccol := c1.Data[jc*c1.LD : jc*c1.LD+sb]
-		wcol := w.Data[jc*w.LD : jc*w.LD+sb]
-		for i := range wcol {
-			ccol[i] -= wcol[i]
-		}
-	}
-	// C2 -= V2 W.
-	if rows > 0 {
-		blas.Dgemm(false, false, rows, nc, sb, -1,
-			v2.Data, v2.LD, w.Data, w.LD, 1, c2.Data, c2.LD)
-	}
 }
 
 // Dtsmqr applies the transformations computed by Dtsqrt to the stacked pair
@@ -224,16 +182,7 @@ func tsmqrGeneric(ws *Workspace, trans bool, ib int, v2, t, b1, b2 *matrix.Mat, 
 		return
 	}
 	apply := func(j int) {
-		sb := min(ib, k-j)
-		rows := v2.Rows
-		if tri {
-			rows = min(j+sb, v2.Rows)
-		}
-		pv2t, pv2 := ws.packV2Panels(v2, j, sb, rows, tri)
-		pt := ws.packTPanel(t, j, sb, trans)
-		applyFused(ws, pv2t, pv2, pt, sb, rows,
-			b1.ViewInto(&ws.c1View, j, 0, sb, nc),
-			b2.ViewInto(&ws.c2View, 0, 0, rows, nc))
+		tsmqrBlock(ws, trans, tri, v2, t, j, min(ib, k-j), b1, b2, 0, nc)
 	}
 	// Column blocks forward for Qᵀ, backward for Q.
 	if trans {
@@ -245,4 +194,22 @@ func tsmqrGeneric(ws *Workspace, trans bool, ib int, v2, t, b1, b2 *matrix.Mat, 
 			apply(j)
 		}
 	}
+}
+
+// tsmqrBlock applies the TS/TT block reflector of the sb reflectors at
+// columns [j, j+sb) of v2 — H = I − [E;V2]·T·[E;V2]ᵀ, or Hᵀ when trans — to
+// columns [jc, jc+nc) of the pair [B1; B2]: the sb rows of B1 its identity
+// part E spans and the rows of B2 its V2 block spans (all of them, or the
+// first j+sb in the triangular case). It is the one block step of
+// Dtsmqr/Dttmqr and of Dtsqrt/Dttqrt's trailing update.
+func tsmqrBlock(ws *Workspace, trans, tri bool, v2, t *matrix.Mat, j, sb int, b1, b2 *matrix.Mat, jc, nc int) {
+	rows := v2.Rows
+	if tri {
+		rows = min(j+sb, rows)
+	}
+	pv2t, pv2 := ws.packV2Panels(v2, j, sb, rows, tri)
+	pt := ws.packTPanel(t, j, sb, trans)
+	applyFused(ws, pv2t, pv2, pt, sb, rows,
+		b1.ViewInto(&ws.c1View, j, jc, sb, nc),
+		b2.ViewInto(&ws.c2View, 0, jc, rows, nc))
 }

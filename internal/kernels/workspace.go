@@ -7,11 +7,10 @@ import (
 )
 
 // Workspace holds the scratch storage a kernel invocation needs — the W
-// panel of the block-reflector applies, their packed V and T operands, the
-// zero-padded V2 copy of the
-// triangular kernels, Dgeqrt's tau/work vectors, and reusable matrix
-// headers for the per-block operand views — so that steady-state kernel
-// fires allocate nothing.
+// panels of the block-reflector apply, its packed V and T operands, the
+// zero-padded V2 copy of the triangular kernels, Dgeqrt's tau/work vectors,
+// and reusable matrix headers for the per-block operand views — so that
+// steady-state kernel fires allocate nothing.
 //
 // Ownership rules (see docs/KERNELS.md): a Workspace belongs to exactly one
 // goroutine at a time and is NOT safe for concurrent use. The runtime gives
@@ -25,7 +24,7 @@ type Workspace struct {
 	tau    []float64 // Dgeqrt reflector scaling factors
 	work   []float64 // dlarft vector scratch
 	wvec   []float64 // tsqrtGeneric T-column scratch
-	wbuf   []float64 // applyTS/dlarfb/applyFused W panel storage
+	wbuf   []float64 // applyFused W panel storage
 	w2buf  []float64 // applyFused op(T)·W panel storage
 	v2b    []float64 // v2Block zero-padded triangular copy storage
 	pdense []float64 // dense expansion of T or of an ormqr V panel, before packing
@@ -33,8 +32,9 @@ type Workspace struct {
 	pv     []float64 // applyFused packed V (or V2) operand
 	pt     []float64 // applyFused packed op(T) operand
 
-	vView, tView, c1View, c2View matrix.Mat // per-block operand view headers
-	wMat, w2Mat, v2Mat           matrix.Mat // W/W2 panels and V2 copy headers
+	vView, tView       matrix.Mat // Dgeqrt panel and T-block views (Dgeqr2, dlarft)
+	c1View, c2View     matrix.Mat // applyFused target views (C1, C2)
+	wMat, w2Mat, v2Mat matrix.Mat // W/W2 panels and V2 copy headers
 
 	auxBuf [2][]float64  // Aux backing storage
 	auxMat [2]matrix.Mat // Aux headers

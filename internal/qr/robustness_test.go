@@ -217,7 +217,9 @@ func hardInputs() []hardInput {
 // blocks, so the panel kernels' block applies — and the update kernels, when
 // Q is formed — run on the packed engine. The sequential reference and the
 // systolic engine on one node and on two must agree bitwise and meet the
-// bounds the small cases meet.
+// bounds the small cases meet; the task-superscalar engine (2 workers) and
+// the domino array (its flat tree) must agree bitwise with the reference at
+// the options they resolved.
 func TestHardInputsAtDefaultTile(t *testing.T) {
 	const n = hardN
 	o := DefaultOptions()
@@ -295,6 +297,16 @@ func TestHardInputsAtDefaultTile(t *testing.T) {
 				checks[tc.name](t, tc.d, seq)
 				sketchFlagsAsDenseDoes(t, tc.d, seq, o.NB)
 			}
+			qk, err := FactorizeQuark(matrix.FromDense(tc.d, o.NB), nil, o, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertFactorizationsEqual(t, factorDense(t, tc.d, qk.Opts), qk)
+			dom, err := FactorizeDomino(matrix.FromDense(tc.d, o.NB), nil, o, RunConfig{Threads: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertFactorizationsEqual(t, factorDense(t, tc.d, dom.Opts), dom)
 		})
 	}
 }

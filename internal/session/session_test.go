@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"pulsarqr/internal/batch"
 	"pulsarqr/internal/kernels"
 	"pulsarqr/internal/matrix"
 	"pulsarqr/internal/pulsar"
@@ -148,21 +149,13 @@ func refR(t *testing.T, blocks []*matrix.Mat, n int) *matrix.Mat {
 	return f.R()
 }
 
-// compareR canonicalizes row signs (diag ≥ 0) and compares elementwise.
+// compareR canonicalizes row signs (diag ≥ 0, the batch path's rule) and
+// compares elementwise.
 func compareR(t *testing.T, got, want *matrix.Mat) {
 	t.Helper()
-	canon := func(r *matrix.Mat) {
-		for i := 0; i < r.Rows && i < r.Cols; i++ {
-			if r.At(i, i) < 0 {
-				for j := 0; j < r.Cols; j++ {
-					r.Set(i, j, -r.At(i, j))
-				}
-			}
-		}
-	}
 	g, w := got.Clone(), want.Clone()
-	canon(g)
-	canon(w)
+	batch.Canonicalize(g)
+	batch.Canonicalize(w)
 	scale := w.MaxAbs() + 1
 	if d := matrix.MaxAbsDiff(g, w); d > 1e-10*scale {
 		t.Fatalf("R mismatch: %g (scale %g)", d, scale)
