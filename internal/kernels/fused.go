@@ -13,9 +13,9 @@ import (
 const fusedNC = 192
 
 // applyFused is the one block-reflector apply of all six tile kernels: the
-// update kernels Dormqr, Dtsmqr and Dttmqr, and the trailing update inside
-// each panel of Dgeqrt, Dtsqrt and Dttqrt, reached through ormqrBlock and
-// tsmqrBlock. It applies H = I − V·T·Vᵀ (or Hᵀ — the transposition is baked
+// update kernels DormqrWS, DtsmqrWS and DttmqrWS, and the trailing update
+// inside each panel of DgeqrtWS, DtsqrtWS and DttqrtWS, reached through
+// ormqrBlock and tsmqrBlock. It applies H = I − V·T·Vᵀ (or Hᵀ — the transposition is baked
 // into the pt packing) with every operand packed by the pack* functions
 // below into the workspace. For the TS/TT kernels V = [E; V2] with an
 // implicit identity E over the sb rows of c1, and pvt/pv pack V2 alone;

@@ -6,18 +6,12 @@ import (
 	"pulsarqr/internal/matrix"
 )
 
-// Dgeqrt computes the blocked QR factorization of the m×n tile a with inner
+// DgeqrtWS computes the blocked QR factorization of the m×n tile a with inner
 // block size ib. On exit a holds R in its upper triangle and the Householder
 // vectors below the diagonal; t (ib×n, at least ib×min(m,n)) holds the
 // upper-triangular block-reflector factors, one sb×sb block per column block.
-// Scratch comes from a pooled Workspace; callers that hold one should use
-// DgeqrtWS.
-func Dgeqrt(ib int, a, t *matrix.Mat) {
-	DgeqrtWS(nil, ib, a, t)
-}
-
-// DgeqrtWS is Dgeqrt drawing its scratch from ws. A nil ws borrows a
-// pooled workspace for the duration of the call.
+// Scratch comes from ws; a nil ws borrows a pooled workspace for the
+// duration of the call.
 func DgeqrtWS(ws *Workspace, ib int, a, t *matrix.Mat) {
 	if ws == nil {
 		ws = wsPool.Get().(*Workspace)
@@ -49,14 +43,10 @@ func DgeqrtWS(ws *Workspace, ib int, a, t *matrix.Mat) {
 	}
 }
 
-// Dormqr applies Q (trans=false) or Qᵀ (trans=true) to the m×n matrix c
+// DormqrWS applies Q (trans=false) or Qᵀ (trans=true) to the m×n matrix c
 // from the left, where the reflectors are stored in v (m×nv, k=min(m,nv)
-// reflectors, output of Dgeqrt) with block factors in t (ib×k).
-func Dormqr(trans bool, ib int, v, t, c *matrix.Mat) {
-	DormqrWS(nil, trans, ib, v, t, c)
-}
-
-// DormqrWS is Dormqr drawing its scratch from ws (nil borrows a pooled one).
+// reflectors, output of DgeqrtWS) with block factors in t (ib×k). Scratch
+// comes from ws (nil borrows a pooled one).
 func DormqrWS(ws *Workspace, trans bool, ib int, v, t, c *matrix.Mat) {
 	if ws == nil {
 		ws = wsPool.Get().(*Workspace)
@@ -88,7 +78,7 @@ func DormqrWS(ws *Workspace, trans bool, ib int, v, t, c *matrix.Mat) {
 // ormqrBlock applies the block reflector of the sb reflectors whose
 // diagonal block sits at (j, j) of v — H, or Hᵀ when trans — to c, the rows
 // of the target the reflectors span (row j on). It is the one block step of
-// Dormqr and of Dgeqrt's trailing update: the reflector panel (unit-lower
+// DormqrWS and of DgeqrtWS's trailing update: the reflector panel (unit-lower
 // diagonal block dense-expanded) and op(T) are packed, so the whole chain
 // runs on the packed micro-kernel.
 func ormqrBlock(ws *Workspace, trans bool, v, t *matrix.Mat, j, sb int, c *matrix.Mat) {

@@ -1,7 +1,9 @@
 // Package kernels implements the six tile kernels of the tree-based QR
-// factorization — Dgeqrt, Dormqr, Dtsqrt, Dtsmqr, Dttqrt, Dttmqr — plus the
-// Householder primitives they are built from. These are functional
-// equivalents of the PLASMA core_blas kernels referenced by the paper.
+// factorization — DgeqrtWS, DormqrWS, DtsqrtWS, DtsmqrWS, DttqrtWS,
+// DttmqrWS — plus the Householder primitives they are built from. These are
+// functional equivalents of the PLASMA core_blas kernels referenced by the
+// paper. Each kernel has one entry point, which draws its scratch from a
+// Workspace; a nil Workspace borrows a pooled one for the call.
 //
 // Conventions (all matrices column-major, tiles from package matrix):
 //
@@ -12,9 +14,9 @@
 //     at column j with width sb = min(ib, n−j), T[0:sb, j:j+sb] is the
 //     upper-triangular block-reflector factor, so a block reflector is
 //     H = I − V·T·Vᵀ.
-//   - Dtsqrt factors a pair [R; A2] with R n×n upper triangular on top; the
+//   - DtsqrtWS factors a pair [R; A2] with R n×n upper triangular on top; the
 //     top parts of its reflectors are implicit identity columns and only the
-//     dense V2 part is stored in A2. Dttqrt is the same with A2 (and hence
+//     dense V2 part is stored in A2. DttqrtWS is the same with A2 (and hence
 //     V2) upper triangular, at roughly half the flops.
 package kernels
 
@@ -71,7 +73,7 @@ func Dlarfg(alpha *float64, x []float64) (tau float64) {
 // Dgeqr2 computes the unblocked Householder QR of the m×n panel view a
 // (m ≥ 1), storing R on and above the diagonal and the reflectors below it;
 // tau must have length ≥ min(m, n). Each reflector reaches the trailing
-// columns in one blas.Dlarf call. It is Dgeqrt's inner-block factor and, R
+// columns in one blas.Dlarf call. It is DgeqrtWS's inner-block factor and, R
 // only, the batch engine above the Givens crossover; it needs no scratch.
 func Dgeqr2(a *matrix.Mat, tau []float64) {
 	m, n, ld := a.Rows, a.Cols, a.LD

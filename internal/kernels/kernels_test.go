@@ -83,8 +83,8 @@ func TestDgeqrtSubnormalScale(t *testing.T) {
 		for i := range a.Data {
 			a.Data[i] = math.Ldexp(a.Data[i], 1040)
 		}
-		Dgeqrt(8, a, matrix.New(8, 32))
-		Dgeqrt(8, b, matrix.New(8, 32))
+		DgeqrtWS(nil, 8, a, matrix.New(8, 32))
+		DgeqrtWS(nil, 8, b, matrix.New(8, 32))
 		ra, rb := upperTrap(a), upperTrap(b)
 		for i, v := range rb.Data {
 			rb.Data[i] = math.Ldexp(v, 1040)
@@ -102,7 +102,7 @@ func TestDgeqrtSubnormalScale(t *testing.T) {
 // the identity.
 func geqrtQ(ib int, v, tm *matrix.Mat) *matrix.Mat {
 	q := matrix.Identity(v.Rows)
-	Dormqr(false, ib, v, tm, q)
+	DormqrWS(nil, false, ib, v, tm, q)
 	return q
 }
 
@@ -136,7 +136,7 @@ func TestDgeqrtReconstruction(t *testing.T) {
 		a := matrix.NewRand(s.m, s.n, rng)
 		orig := a.Clone()
 		tm := matrix.New(min(s.ib, min(s.m, s.n)), min(s.m, s.n))
-		Dgeqrt(s.ib, a, tm)
+		DgeqrtWS(nil, s.ib, a, tm)
 		q := geqrtQ(s.ib, a, tm)
 		checkOrtho(t, q, "dgeqrt")
 		qr := q.Mul(upperTrap(a))
@@ -151,11 +151,11 @@ func TestDormqrRoundTrip(t *testing.T) {
 	m, n, ib := 10, 6, 3
 	a := matrix.NewRand(m, n, rng)
 	tm := matrix.New(ib, n)
-	Dgeqrt(ib, a, tm)
+	DgeqrtWS(nil, ib, a, tm)
 	c := matrix.NewRand(m, 4, rng)
 	orig := c.Clone()
-	Dormqr(true, ib, a, tm, c)  // C ← QᵀC
-	Dormqr(false, ib, a, tm, c) // C ← Q QᵀC
+	DormqrWS(nil, true, ib, a, tm, c)  // C ← QᵀC
+	DormqrWS(nil, false, ib, a, tm, c) // C ← Q QᵀC
 	if d := matrix.MaxAbsDiff(c, orig); d > 1e-11 {
 		t.Fatalf("Q Qᵀ C != C: %v", d)
 	}
@@ -166,11 +166,11 @@ func TestDormqrMatchesExplicit(t *testing.T) {
 	m, n, ib := 9, 5, 2
 	a := matrix.NewRand(m, n, rng)
 	tm := matrix.New(ib, n)
-	Dgeqrt(ib, a, tm)
+	DgeqrtWS(nil, ib, a, tm)
 	q := geqrtQ(ib, a, tm)
 	c := matrix.NewRand(m, 3, rng)
 	want := q.Transpose().Mul(c)
-	Dormqr(true, ib, a, tm, c)
+	DormqrWS(nil, true, ib, a, tm, c)
 	if d := matrix.MaxAbsDiff(c, want); d > 1e-11 {
 		t.Fatalf("dormqr vs explicit: %v", d)
 	}
@@ -199,9 +199,9 @@ func tsFactor(rng *rand.Rand, n, m2, ib int, tri bool) (a1, a2, tm, origStack *m
 	origStack.View(n, 0, m2, n).CopyFrom(a2)
 	tm = matrix.New(min(ib, n), n)
 	if tri {
-		Dttqrt(ib, a1, a2, tm)
+		DttqrtWS(nil, ib, a1, a2, tm)
 	} else {
-		Dtsqrt(ib, a1, a2, tm)
+		DtsqrtWS(nil, ib, a1, a2, tm)
 	}
 	return a1, a2, tm, origStack
 }
@@ -216,9 +216,9 @@ func tsQ(ib int, v2, tm *matrix.Mat, n, m2 int, tri bool) *matrix.Mat {
 		b2.Set(i, n+i, 1)
 	}
 	if tri {
-		Dttmqr(false, ib, v2, tm, b1, b2)
+		DttmqrWS(nil, false, ib, v2, tm, b1, b2)
 	} else {
-		Dtsmqr(false, ib, v2, tm, b1, b2)
+		DtsmqrWS(nil, false, ib, v2, tm, b1, b2)
 	}
 	q.View(0, 0, n, n+m2).CopyFrom(b1)
 	q.View(n, 0, m2, n+m2).CopyFrom(b2)
@@ -281,10 +281,10 @@ func TestDttqrtPreservesForeignLowerParts(t *testing.T) {
 	}
 	a1c, a2c := mkUpper(10), mkUpper(11)
 	tmc := matrix.New(ib, n)
-	Dttqrt(ib, a1c.Clone(), a2c.Clone(), tmc) // clean run for reference
+	DttqrtWS(nil, ib, a1c.Clone(), a2c.Clone(), tmc) // clean run for reference
 	refA1, refA2 := a1c.Clone(), a2c.Clone()
 	refT := matrix.New(ib, n)
-	Dttqrt(ib, refA1, refA2, refT)
+	DttqrtWS(nil, ib, refA1, refA2, refT)
 
 	// Dirty run: poison strictly-lower parts with garbage.
 	a1d, a2d := a1c.Clone(), a2c.Clone()
@@ -299,7 +299,7 @@ func TestDttqrtPreservesForeignLowerParts(t *testing.T) {
 	garbage(a2d, -1e6)
 	a1dOrig, a2dOrig := a1d.Clone(), a2d.Clone()
 	tmd := matrix.New(ib, n)
-	Dttqrt(ib, a1d, a2d, tmd)
+	DttqrtWS(nil, ib, a1d, a2d, tmd)
 
 	// Upper parts must match the clean run exactly.
 	for j := 0; j < n; j++ {
@@ -330,7 +330,7 @@ func TestDttmqrPreservesForeignData(t *testing.T) {
 	b1 := matrix.NewRand(n, nc, rng)
 	b2 := matrix.NewRand(m2, nc, rng)
 	b1ref, b2ref := b1.Clone(), b2.Clone()
-	Dttmqr(true, ib, a2, tm, b1ref, b2ref)
+	DttmqrWS(nil, true, ib, a2, tm, b1ref, b2ref)
 
 	// Dirty v2: poison below-diagonal.
 	v2d := a2.Clone()
@@ -340,7 +340,7 @@ func TestDttmqrPreservesForeignData(t *testing.T) {
 		}
 	}
 	b1d, b2d := b1.Clone(), b2.Clone()
-	Dttmqr(true, ib, v2d, tm, b1d, b2d)
+	DttmqrWS(nil, true, ib, v2d, tm, b1d, b2d)
 	if matrix.MaxAbsDiff(b1d, b1ref) != 0 || matrix.MaxAbsDiff(b2d, b2ref) != 0 {
 		t.Fatal("dttmqr read foreign below-diagonal data")
 	}
@@ -366,7 +366,7 @@ func TestDtsmqrMatchesExplicitQ(t *testing.T) {
 	stack.View(n, 0, m2, nc).CopyFrom(b2)
 	want := q.Transpose().Mul(stack)
 	b1orig := b1.Clone()
-	Dtsmqr(true, ib, a2, tm, b1, b2)
+	DtsmqrWS(nil, true, ib, a2, tm, b1, b2)
 	for j := 0; j < nc; j++ {
 		for i := 0; i < n; i++ {
 			if math.Abs(b1.At(i, j)-want.At(i, j)) > 1e-11 {
@@ -402,11 +402,11 @@ func TestTSRoundTripProperty(t *testing.T) {
 		b2 := matrix.NewRand(m2, nc, rng)
 		o1, o2 := b1.Clone(), b2.Clone()
 		if tri {
-			Dttmqr(true, ib, a2, tm, b1, b2)
-			Dttmqr(false, ib, a2, tm, b1, b2)
+			DttmqrWS(nil, true, ib, a2, tm, b1, b2)
+			DttmqrWS(nil, false, ib, a2, tm, b1, b2)
 		} else {
-			Dtsmqr(true, ib, a2, tm, b1, b2)
-			Dtsmqr(false, ib, a2, tm, b1, b2)
+			DtsmqrWS(nil, true, ib, a2, tm, b1, b2)
+			DtsmqrWS(nil, false, ib, a2, tm, b1, b2)
 		}
 		return matrix.MaxAbsDiff(b1, o1) < 1e-10 && matrix.MaxAbsDiff(b2, o2) < 1e-10
 	}
@@ -425,7 +425,7 @@ func TestGeqrtRoundTripProperty(t *testing.T) {
 		a := matrix.NewRand(m, n, rng)
 		orig := a.Clone()
 		tm := matrix.New(min(ib, k), k)
-		Dgeqrt(ib, a, tm)
+		DgeqrtWS(nil, ib, a, tm)
 		q := geqrtQ(ib, a, tm)
 		return matrix.MaxAbsDiff(q.Mul(upperTrap(a)), orig) < 1e-10
 	}

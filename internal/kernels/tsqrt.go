@@ -7,19 +7,15 @@ import (
 	"pulsarqr/internal/matrix"
 )
 
-// Dtsqrt computes the QR factorization of the stacked pair [A1; A2] where
+// DtsqrtWS computes the QR factorization of the stacked pair [A1; A2] where
 // a1 is n×n upper triangular (the R factor of an already-factored tile) and
 // a2 is a full m2×n tile. On exit a1 holds the updated R, a2 holds the
 // dense parts V2 of the reflectors (the top parts are implicit identity
 // columns), and t (ib×n) holds the block-reflector factors.
 //
 // Only the upper triangle of a1 is read or written, so reflector vectors
-// stored below a1's diagonal by an earlier Dgeqrt survive intact.
-func Dtsqrt(ib int, a1, a2, t *matrix.Mat) {
-	DtsqrtWS(nil, ib, a1, a2, t)
-}
-
-// DtsqrtWS is Dtsqrt drawing its scratch from ws (nil borrows a pooled one).
+// stored below a1's diagonal by an earlier DgeqrtWS survive intact. Scratch
+// comes from ws (nil borrows a pooled one).
 func DtsqrtWS(ws *Workspace, ib int, a1, a2, t *matrix.Mat) {
 	if ws == nil {
 		ws = wsPool.Get().(*Workspace)
@@ -28,16 +24,12 @@ func DtsqrtWS(ws *Workspace, ib int, a1, a2, t *matrix.Mat) {
 	tsqrtGeneric(ws, ib, a1, a2, t, false)
 }
 
-// Dttqrt is Dtsqrt for the case where the relevant content of a2 is also
+// DttqrtWS is DtsqrtWS for the case where the relevant content of a2 is also
 // upper triangular (the meeting of two R factors in a reduction tree). The
 // reflector parts V2 stay upper triangular, which roughly halves the flops.
 // The strictly-lower part of a2 is neither read nor written, so Householder
-// vectors stored there by an earlier Dgeqrt survive intact.
-func Dttqrt(ib int, a1, a2, t *matrix.Mat) {
-	DttqrtWS(nil, ib, a1, a2, t)
-}
-
-// DttqrtWS is Dttqrt drawing its scratch from ws (nil borrows a pooled one).
+// vectors stored there by an earlier DgeqrtWS survive intact. Scratch comes
+// from ws (nil borrows a pooled one).
 func DttqrtWS(ws *Workspace, ib int, a1, a2, t *matrix.Mat) {
 	if ws == nil {
 		ws = wsPool.Get().(*Workspace)
@@ -128,16 +120,12 @@ func v2Block(ws *Workspace, a2 *matrix.Mat, j, sb, rows int) *matrix.Mat {
 	return c
 }
 
-// Dtsmqr applies the transformations computed by Dtsqrt to the stacked pair
+// DtsmqrWS applies the transformations computed by DtsqrtWS to the stacked pair
 // [B1; B2]: Qᵀ·[B1;B2] when trans is true (factorization updates), Q·[B1;B2]
 // when false. v2 holds the dense reflector parts (m2×k), t the block factors
 // (ib×k). B1 must have at least k rows (only its first k rows are touched);
-// B2 must have m2 rows and the same number of columns as B1.
-func Dtsmqr(trans bool, ib int, v2, t, b1, b2 *matrix.Mat) {
-	DtsmqrWS(nil, trans, ib, v2, t, b1, b2)
-}
-
-// DtsmqrWS is Dtsmqr drawing its scratch from ws (nil borrows a pooled one).
+// B2 must have m2 rows and the same number of columns as B1. Scratch comes
+// from ws (nil borrows a pooled one).
 func DtsmqrWS(ws *Workspace, trans bool, ib int, v2, t, b1, b2 *matrix.Mat) {
 	if ws == nil {
 		ws = wsPool.Get().(*Workspace)
@@ -146,15 +134,10 @@ func DtsmqrWS(ws *Workspace, trans bool, ib int, v2, t, b1, b2 *matrix.Mat) {
 	tsmqrGeneric(ws, trans, ib, v2, t, b1, b2, false)
 }
 
-// Dttmqr applies the transformations computed by Dttqrt to the stacked pair
+// DttmqrWS applies the transformations computed by DttqrtWS to the stacked pair
 // [B1; B2]. Only the upper triangle of v2's first k columns is referenced
 // (the rest of the tile may hold unrelated reflectors); only the first k
-// rows of B2 are touched.
-func Dttmqr(trans bool, ib int, v2, t, b1, b2 *matrix.Mat) {
-	DttmqrWS(nil, trans, ib, v2, t, b1, b2)
-}
-
-// DttmqrWS is Dttmqr drawing its scratch from ws (nil borrows a pooled one).
+// rows of B2 are touched. Scratch comes from ws (nil borrows a pooled one).
 func DttmqrWS(ws *Workspace, trans bool, ib int, v2, t, b1, b2 *matrix.Mat) {
 	if ws == nil {
 		ws = wsPool.Get().(*Workspace)
@@ -201,7 +184,7 @@ func tsmqrGeneric(ws *Workspace, trans bool, ib int, v2, t, b1, b2 *matrix.Mat, 
 // columns [jc, jc+nc) of the pair [B1; B2]: the sb rows of B1 its identity
 // part E spans and the rows of B2 its V2 block spans (all of them, or the
 // first j+sb in the triangular case). It is the one block step of
-// Dtsmqr/Dttmqr and of Dtsqrt/Dttqrt's trailing update.
+// DtsmqrWS/DttmqrWS and of DtsqrtWS/DttqrtWS's trailing update.
 func tsmqrBlock(ws *Workspace, trans, tri bool, v2, t *matrix.Mat, j, sb int, b1, b2 *matrix.Mat, jc, nc int) {
 	rows := v2.Rows
 	if tri {

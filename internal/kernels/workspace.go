@@ -8,7 +8,7 @@ import (
 
 // Workspace holds the scratch storage a kernel invocation needs — the W
 // panels of the block-reflector apply, its packed V and T operands, the
-// zero-padded V2 copy of the triangular kernels, Dgeqrt's tau/work vectors,
+// zero-padded V2 copy of the triangular kernels, DgeqrtWS's tau/work vectors,
 // and reusable matrix headers for the per-block operand views — so that
 // steady-state kernel fires allocate nothing.
 //
@@ -21,7 +21,7 @@ import (
 // fully overwrites the region it reads, which is what keeps results
 // independent of buffer history (the determinism contract).
 type Workspace struct {
-	tau    []float64 // Dgeqrt reflector scaling factors
+	tau    []float64 // DgeqrtWS reflector scaling factors
 	work   []float64 // dlarft vector scratch
 	wvec   []float64 // tsqrtGeneric T-column scratch
 	wbuf   []float64 // applyFused W panel storage
@@ -32,7 +32,7 @@ type Workspace struct {
 	pv     []float64 // applyFused packed V (or V2) operand
 	pt     []float64 // applyFused packed op(T) operand
 
-	vView, tView       matrix.Mat // Dgeqrt panel and T-block views (Dgeqr2, dlarft)
+	vView, tView       matrix.Mat // DgeqrtWS panel and T-block views (Dgeqr2, dlarft)
 	c1View, c2View     matrix.Mat // applyFused target views (C1, C2)
 	wMat, w2Mat, v2Mat matrix.Mat // W/W2 panels and V2 copy headers
 

@@ -46,18 +46,15 @@ func (p *Packet) Tile() *matrix.Mat {
 	return t
 }
 
-// Codec (un)marshals one payload type for inter-node transport. A codec
-// supplies EncodeAppend, Encode, or both; either must report false when the
-// value is not of its type so the registry can try the next codec.
+// Codec (un)marshals one payload type for inter-node transport.
 type Codec struct {
 	ID     byte
-	Encode func(v any) ([]byte, bool)
 	Decode func(b []byte) (any, error)
 	// EncodeAppend appends the payload encoding to dst and returns the
-	// extended slice instead of allocating a fresh one. The runtime prefers
-	// it, so marshal buffers can be pooled across packets. On a type
-	// mismatch it must report false without having grown dst's contents
-	// meaningfully (the caller discards the returned slice in that case).
+	// extended slice, so marshal buffers can be pooled across packets. On a
+	// type mismatch it must report false without having grown dst's
+	// contents meaningfully (the caller discards the returned slice in that
+	// case), so the registry can try the next codec.
 	EncodeAppend func(dst []byte, v any) ([]byte, bool)
 }
 
@@ -181,15 +178,10 @@ func appendPacket(dst []byte, p *Packet) ([]byte, error) {
 	dst = append(dst, 0)
 	for _, c := range codecSeq {
 		dst[id] = c.ID
-		if c.EncodeAppend != nil {
-			if out, ok := c.EncodeAppend(dst, p.Data); ok {
-				return out, nil
-			}
-			continue // mismatch left dst's length unchanged; try the next codec
+		if out, ok := c.EncodeAppend(dst, p.Data); ok {
+			return out, nil
 		}
-		if b, ok := c.Encode(p.Data); ok {
-			return append(dst, b...), nil
-		}
+		// A mismatch left dst's length unchanged; try the next codec.
 	}
 	return nil, fmt.Errorf("pulsar: no codec for payload type %T", p.Data)
 }

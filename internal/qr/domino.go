@@ -73,6 +73,7 @@ func FactorizeDomino(a *matrix.Tiled, b *matrix.Tiled, opts Options, rc RunConfi
 		FireHook:        rc.FireHook,
 		DeadlockTimeout: rc.DeadlockTimeout,
 		Map:             dominoMapping(mt, rc),
+		WorkerState:     func(node, thread int) any { return kernels.NewWorkspace() },
 	})
 
 	steps := func(i, j int) int { return min(i, j, nt-1) + 1 }
@@ -151,7 +152,7 @@ func dominoFn(v *pulsar.VDP) {
 		// reflectors; the extracted R becomes the traveler.
 		n := min(st.tile.Cols, st.tile.Rows)
 		tg := matrix.New(min(ib, n), n)
-		kernels.Dgeqrt(ib, st.tile, tg)
+		kernels.DgeqrtWS(wsOf(v), ib, st.tile, tg)
 		if forward {
 			v.Push(1, pulsar.NewPacket(st.tile))
 			v.Push(2, pulsar.NewPacket(tg))
@@ -164,7 +165,7 @@ func dominoFn(v *pulsar.VDP) {
 		r := v.Pop(0).Tile()
 		n := r.Cols
 		tt := matrix.New(min(ib, n), n)
-		kernels.Dtsqrt(ib, r, st.tile, tt)
+		kernels.DtsqrtWS(wsOf(v), ib, r, st.tile, tt)
 		if forward {
 			v.Push(1, pulsar.NewPacket(st.tile))
 			v.Push(2, pulsar.NewPacket(tt))
@@ -180,7 +181,7 @@ func dominoFn(v *pulsar.VDP) {
 			v.Push(1, vp) // by-pass before applying (§V-C)
 			v.Push(2, tp)
 		}
-		kernels.Dormqr(true, ib, vp.Tile(), tp.Tile(), st.tile)
+		kernels.DormqrWS(wsOf(v), true, ib, vp.Tile(), tp.Tile(), st.tile)
 		v.Push(0, pulsar.NewPacket(st.tile))
 		st.tile = nil
 
@@ -192,7 +193,7 @@ func dominoFn(v *pulsar.VDP) {
 			v.Push(2, tp)
 		}
 		b1 := v.Pop(0).Tile()
-		kernels.Dtsmqr(true, ib, vp.Tile(), tp.Tile(), b1, st.tile)
+		kernels.DtsmqrWS(wsOf(v), true, ib, vp.Tile(), tp.Tile(), b1, st.tile)
 		v.Push(0, pulsar.NewPacket(b1))
 	}
 

@@ -111,11 +111,11 @@ func (f *Factorization) apply(b *matrix.Tiled, trans bool) {
 		for lb := 0; lb < b.NT; lb++ {
 			switch op.Kind {
 			case OpGeqrt:
-				kernels.Dormqr(trans, ib, f.A.Tile(op.I, op.J), op.T, b.Tile(op.I, lb))
+				kernels.DormqrWS(nil, trans, ib, f.A.Tile(op.I, op.J), op.T, b.Tile(op.I, lb))
 			case OpTsqrt:
-				kernels.Dtsmqr(trans, ib, f.A.Tile(op.K, op.J), op.T, b.Tile(op.I, lb), b.Tile(op.K, lb))
+				kernels.DtsmqrWS(nil, trans, ib, f.A.Tile(op.K, op.J), op.T, b.Tile(op.I, lb), b.Tile(op.K, lb))
 			case OpTtqrt:
-				kernels.Dttmqr(trans, ib, op.V2, op.T, b.Tile(op.I, lb), b.Tile(op.K, lb))
+				kernels.DttmqrWS(nil, trans, ib, op.V2, op.T, b.Tile(op.I, lb), b.Tile(op.K, lb))
 			}
 		}
 	}

@@ -319,6 +319,10 @@ func TestHardInputsAtDefaultTile(t *testing.T) {
 // clean input gets from a fresh pool. 960×576 is five tile rows and three
 // tile columns at the default 192/24, so the panel, TS/TT and update kernels
 // all fire, under both the flat and the hierarchical tree.
+// The task-superscalar engine (2 workers), whose tasks borrow the kernels'
+// pooled workspaces, and the domino array must likewise return from the
+// poisoned input, neither failing nor hanging, and then match the reference
+// bit for bit on the clean one.
 func TestWarmPoolCarriesNothingIntoNextJob(t *testing.T) {
 	const m, n = 960, 576
 	rng := rand.New(rand.NewSource(55))
@@ -345,6 +349,23 @@ func TestWarmPoolCarriesNothingIntoNextJob(t *testing.T) {
 	hier.H = 4 // two domains of the five tile rows, so merges fire: RunConfig{} derives one
 	flat := hier
 	flat.Tree = FlatTree
+	poisonedR := func(t *testing.T, r *matrix.Mat) {
+		t.Helper()
+		for _, v := range r.Data {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return
+			}
+		}
+		t.Fatal("the poisoned job's R is finite: the input did not reach the kernels")
+	}
+	bitwise := func(t *testing.T, got, want *matrix.Mat, ref string) {
+		t.Helper()
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("R[%d] = %v after a poisoned job, %v %s", i, got.Data[i], want.Data[i], ref)
+			}
+		}
+	}
 	for _, o := range []Options{flat, hier} {
 		t.Run(o.Tree.String(), func(t *testing.T) {
 			fresh := newPool()
@@ -353,19 +374,27 @@ func TestWarmPoolCarriesNothingIntoNextJob(t *testing.T) {
 
 			warm := newPool()
 			defer warm.Close()
-			finite := true
-			for _, v := range run(t, warm, poisoned, o).Data {
-				finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
+			poisonedR(t, run(t, warm, poisoned, o))
+			bitwise(t, run(t, warm, clean, o), want, "on a fresh pool")
+		})
+	}
+	engines := map[string]func(a *matrix.Tiled) (*Factorization, error){
+		"quark": func(a *matrix.Tiled) (*Factorization, error) { return FactorizeQuark(a, nil, hier, 2) },
+		"domino": func(a *matrix.Tiled) (*Factorization, error) {
+			return FactorizeDomino(a, nil, hier, RunConfig{Threads: 2})
+		},
+	}
+	for name, factor := range engines {
+		t.Run(name, func(t *testing.T) {
+			f, err := factor(matrix.FromDense(poisoned, hier.NB))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if finite {
-				t.Fatal("the poisoned job's R is finite: the input did not reach the kernels")
+			poisonedR(t, f.R())
+			if f, err = factor(matrix.FromDense(clean, hier.NB)); err != nil {
+				t.Fatal(err)
 			}
-			got := run(t, warm, clean, o)
-			for i := range want.Data {
-				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-					t.Fatalf("R[%d] = %v after a poisoned job, %v on a fresh pool", i, got.Data[i], want.Data[i])
-				}
-			}
+			bitwise(t, f.R(), factorDense(t, clean, f.Opts).R(), "from the sequential reference")
 		})
 	}
 }

@@ -13,10 +13,7 @@
 // runtime-comparison findings.
 package quark
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // Access declares how a task uses one handle.
 type Access int
@@ -61,7 +58,6 @@ type lastUse struct {
 // multiple Submit/Wait rounds.
 type Runtime struct {
 	workers int
-	window  int // maximum in-flight tasks; 0 = unbounded
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -77,18 +73,10 @@ type Runtime struct {
 // New creates a runtime with the given number of worker goroutines
 // (minimum 1). Workers start on first submission and stop at Close.
 func New(workers int) *Runtime {
-	return NewWithWindow(workers, 0)
-}
-
-// NewWithWindow creates a runtime whose task window is bounded: Submit
-// blocks while `window` tasks are already in flight. QUARK uses the same
-// mechanism to cap the memory held by pending task descriptors during long
-// submission loops; window <= 0 means unbounded.
-func NewWithWindow(workers, window int) *Runtime {
 	if workers < 1 {
 		workers = 1
 	}
-	r := &Runtime{workers: workers, window: window, uses: map[any]*lastUse{}}
+	r := &Runtime{workers: workers, uses: map[any]*lastUse{}}
 	r.cond = sync.NewCond(&r.mu)
 	return r
 }
@@ -101,9 +89,6 @@ func (r *Runtime) Submit(label string, fn func(), deps ...Dep) {
 	if r.closed {
 		r.mu.Unlock()
 		panic("quark: Submit after Close")
-	}
-	for r.window > 0 && r.inflight >= r.window {
-		r.cond.Wait()
 	}
 	t.seq = r.seq
 	r.seq++
@@ -199,8 +184,8 @@ func (r *Runtime) worker() {
 			r.cond.Broadcast()
 		}
 		r.inflight--
-		if r.inflight == 0 || (r.window > 0 && r.inflight == r.window-1) {
-			r.cond.Broadcast() // wake Wait and window-blocked Submit
+		if r.inflight == 0 {
+			r.cond.Broadcast() // wake Wait
 		}
 		r.mu.Unlock()
 	}
@@ -227,11 +212,4 @@ func (r *Runtime) Close() {
 	if r.started {
 		r.wg.Wait()
 	}
-}
-
-// Stats describes the current engine state, for tests.
-func (r *Runtime) Stats() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return fmt.Sprintf("submitted=%d inflight=%d ready=%d", r.seq, r.inflight, len(r.ready))
 }

@@ -191,57 +191,6 @@ func TestSubmitAfterClosePanics(t *testing.T) {
 	r.Submit("late", func() {}, W("h"))
 }
 
-func TestWindowBoundsInflight(t *testing.T) {
-	const window = 3
-	r := NewWithWindow(2, window)
-	defer r.Close()
-	var peak, cur atomic.Int32
-	var submitted atomic.Int32
-	for i := 0; i < 30; i++ {
-		submitted.Add(1)
-		r.Submit("w", func() {
-			n := cur.Add(1)
-			for {
-				p := peak.Load()
-				if n <= p || peak.CompareAndSwap(p, n) {
-					break
-				}
-			}
-			time.Sleep(time.Millisecond)
-			cur.Add(-1)
-		}, W(rand.Int())) // independent handles
-	}
-	r.Wait()
-	if submitted.Load() != 30 {
-		t.Fatal("not all submitted")
-	}
-	if peak.Load() > window {
-		t.Fatalf("inflight peak %d exceeded window %d", peak.Load(), window)
-	}
-}
-
-func TestWindowCorrectnessUnderDependencies(t *testing.T) {
-	// A tight window must not deadlock or reorder dependent tasks.
-	r := NewWithWindow(2, 2)
-	defer r.Close()
-	var order []int
-	var mu sync.Mutex
-	for i := 0; i < 25; i++ {
-		i := i
-		r.Submit("w", func() {
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
-		}, W("h"))
-	}
-	r.Wait()
-	for i := range order {
-		if order[i] != i {
-			t.Fatalf("order violated with window: %v", order)
-		}
-	}
-}
-
 func TestNoDepsTasksAllRun(t *testing.T) {
 	r := New(4)
 	defer r.Close()

@@ -53,19 +53,21 @@ func (c *Client) retryWait(resp *http.Response) time.Duration {
 	return time.Second
 }
 
-// do is the one request loop: it sends body — already encoded, of type ctype;
-// nil for none — and returns the status, the response's content type and its
-// body. A 429 is retried Retry429 times with the same bytes; any other status
-// of 400 and up comes back as the error the server's JSON names.
-func (c *Client) do(method, path, ctype string, body []byte, accept string) (int, string, []byte, error) {
+// open is the one request loop: body, when not nil, returns a fresh request
+// body of type ctype for each attempt, so a streamed body is rebuilt rather
+// than replayed. A 429 is retried Retry429 times after retryWait; any other
+// status of 400 and up comes back as the error the server's JSON names. It
+// returns the final status and, when err is nil, the response, whose body
+// the caller closes.
+func (c *Client) open(method, path, ctype string, body func() io.Reader, accept string) (int, *http.Response, error) {
 	for attempt := 0; ; attempt++ {
 		var rd io.Reader
 		if body != nil {
-			rd = bytes.NewReader(body)
+			rd = body()
 		}
 		req, err := http.NewRequest(method, c.Base+path, rd)
 		if err != nil {
-			return 0, "", nil, err
+			return 0, nil, err
 		}
 		if body != nil {
 			req.Header.Set("Content-Type", ctype)
@@ -75,7 +77,7 @@ func (c *Client) do(method, path, ctype string, body []byte, accept string) (int
 		}
 		resp, err := c.http().Do(req)
 		if err != nil {
-			return 0, "", nil, err
+			return 0, nil, err
 		}
 		if resp.StatusCode == http.StatusTooManyRequests && attempt < c.Retry429 {
 			wait := c.retryWait(resp)
@@ -84,20 +86,33 @@ func (c *Client) do(method, path, ctype string, body []byte, accept string) (int
 			time.Sleep(wait)
 			continue
 		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return resp.StatusCode, "", nil, err
+		if resp.StatusCode < 400 {
+			return resp.StatusCode, resp, nil
 		}
-		if resp.StatusCode >= 400 {
-			var e errorResponse
-			if json.Unmarshal(data, &e) == nil && e.Error != "" {
-				return resp.StatusCode, "", nil, fmt.Errorf("%s", e.Error)
-			}
-			return resp.StatusCode, "", nil, fmt.Errorf("http %d", resp.StatusCode)
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var e errorResponse
+		if json.Unmarshal(data, &e) == nil && e.Error != "" {
+			return resp.StatusCode, nil, fmt.Errorf("%s", e.Error)
 		}
-		return resp.StatusCode, resp.Header.Get("Content-Type"), data, nil
+		return resp.StatusCode, nil, fmt.Errorf("http %d", resp.StatusCode)
 	}
+}
+
+// do is open for a body already encoded (nil for none): it returns the
+// status, the response's content type and its body.
+func (c *Client) do(method, path, ctype string, body []byte, accept string) (int, string, []byte, error) {
+	var mk func() io.Reader
+	if body != nil {
+		mk = func() io.Reader { return bytes.NewReader(body) }
+	}
+	code, resp, err := c.open(method, path, ctype, mk, accept)
+	if err != nil {
+		return code, "", nil, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	return code, resp.Header.Get("Content-Type"), data, err
 }
 
 // call is do for the JSON endpoints: in, when not nil, is the request body
@@ -232,37 +247,41 @@ func (c *Client) Batch(mats []*matrix.Mat, each func(res batch.Result) error) (b
 			return batch.Trailer{}, fmt.Errorf("batch: matrix %d is %w", i, err)
 		}
 	}
-	for attempt := 0; ; attempt++ {
-		tr, status, err := c.batchOnce(mats, each)
-		if status == http.StatusTooManyRequests && attempt < c.Retry429 {
-			time.Sleep(tr.retryWait(c))
-			continue
+	_, resp, err := c.open("POST", "/v1/batch", "application/octet-stream", func() io.Reader {
+		return batchBody(mats)
+	}, "")
+	if err != nil {
+		return batch.Trailer{}, err
+	}
+	defer resp.Body.Close()
+	rd, err := batch.NewResultReader(resp.Body)
+	if err != nil {
+		return batch.Trailer{}, err
+	}
+	for {
+		res, tr, err := rd.Next()
+		if err != nil {
+			return batch.Trailer{}, err
 		}
-		return tr.Trailer, err
+		if tr != nil {
+			// The reader reads ahead through a buffer, so the body may not
+			// have reached EOF yet: drain it, or closing it drops the
+			// keep-alive connection.
+			io.Copy(io.Discard, resp.Body)
+			return *tr, nil
+		}
+		if each != nil {
+			if err := each(*res); err != nil {
+				return batch.Trailer{}, err
+			}
+		}
 	}
 }
 
-// batchTrailer carries the trailer plus the 429 wait hint through a retry
-// loop without re-reading headers.
-type batchTrailer struct {
-	batch.Trailer
-	retryAfter time.Duration
-}
-
-func (t batchTrailer) retryWait(c *Client) time.Duration {
-	if t.retryAfter > 0 {
-		return t.retryAfter
-	}
-	if c.Backoff > 0 {
-		return c.Backoff
-	}
-	return time.Second
-}
-
-func (c *Client) batchOnce(mats []*matrix.Mat, each func(res batch.Result) error) (batchTrailer, int, error) {
-	// The request body streams through a pipe in wire.SlabSize writes: 10k
-	// matrices never exist as one contiguous buffer on either side of the
-	// wire, and no write carries just one small matrix.
+// batchBody streams a batch request through a pipe in wire.SlabSize writes:
+// 10k matrices never exist as one contiguous buffer on either side of the
+// wire, and no write carries just one small matrix.
+func batchBody(mats []*matrix.Mat) io.Reader {
 	pr, pw := io.Pipe()
 	go func() {
 		if err := batch.WriteRequestHeader(pw, len(mats)); err != nil {
@@ -283,65 +302,11 @@ func (c *Client) batchOnce(mats []*matrix.Mat, each func(res batch.Result) error
 		}
 		pw.Close()
 	}()
-
-	req, err := http.NewRequest("POST", c.Base+"/v1/batch", pr)
-	if err != nil {
-		return batchTrailer{}, 0, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return batchTrailer{}, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t := batchTrailer{retryAfter: 0}
-		if sec, aerr := strconv.Atoi(resp.Header.Get("Retry-After")); aerr == nil && sec >= 0 {
-			t.retryAfter = time.Duration(sec) * time.Second
-		}
-		data, _ := io.ReadAll(resp.Body)
-		var e errorResponse
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			return t, resp.StatusCode, fmt.Errorf("%s", e.Error)
-		}
-		return t, resp.StatusCode, fmt.Errorf("http %d", resp.StatusCode)
-	}
-
-	rd, err := batch.NewResultReader(resp.Body)
-	if err != nil {
-		return batchTrailer{}, resp.StatusCode, err
-	}
-	for {
-		res, tr, err := rd.Next()
-		if err != nil {
-			return batchTrailer{}, resp.StatusCode, err
-		}
-		if tr != nil {
-			// The reader reads ahead through a buffer, so the body may not
-			// have reached EOF yet: drain it, or closing it drops the
-			// keep-alive connection.
-			io.Copy(io.Discard, resp.Body)
-			return batchTrailer{Trailer: *tr}, resp.StatusCode, nil
-		}
-		if each != nil {
-			if err := each(*res); err != nil {
-				return batchTrailer{}, resp.StatusCode, err
-			}
-		}
-	}
+	return pr
 }
 
 // Metrics fetches the raw Prometheus exposition text.
 func (c *Client) Metrics() (string, error) {
-	req, err := http.NewRequest("GET", c.Base+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	return string(b), err
+	_, _, data, err := c.do("GET", "/metrics", "", nil, "")
+	return string(data), err
 }

@@ -1,12 +1,8 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
-	"strconv"
-	"time"
 
 	"pulsarqr/internal/matrix"
 	"pulsarqr/internal/session"
@@ -50,25 +46,36 @@ func (c *Client) CloseSession(id string) error {
 // m×nrhs. n is the session's column count (from its Info). 429 responses are
 // retried Retry429 times, honoring Retry-After.
 func (c *Client) SessionAppend(id string, n int, blocks, rhs []*matrix.Mat, each func(u session.Update) error) (session.Trailer, error) {
-	for attempt := 0; ; attempt++ {
-		tr, status, retryAfter, err := c.sessionAppendOnce(id, n, blocks, rhs, each)
-		if status == http.StatusTooManyRequests && attempt < c.Retry429 {
-			wait := retryAfter
-			if wait <= 0 {
-				if wait = c.Backoff; wait <= 0 {
-					wait = time.Second
-				}
-			}
-			time.Sleep(wait)
-			continue
+	_, resp, err := c.open("POST", "/v1/sessions/"+id+"/append", "application/octet-stream", func() io.Reader {
+		return appendBody(blocks, rhs)
+	}, "")
+	if err != nil {
+		return session.Trailer{}, err
+	}
+	defer resp.Body.Close()
+	rd, err := session.NewReplyReader(resp.Body, n)
+	if err != nil {
+		return session.Trailer{}, err
+	}
+	for {
+		u, tr, err := rd.Next()
+		if err != nil {
+			return session.Trailer{}, err
 		}
-		return tr, err
+		if tr != nil {
+			return *tr, nil
+		}
+		if each != nil {
+			if err := each(*u); err != nil {
+				return session.Trailer{}, err
+			}
+		}
 	}
 }
 
-func (c *Client) sessionAppendOnce(id string, n int, blocks, rhs []*matrix.Mat, each func(u session.Update) error) (session.Trailer, int, time.Duration, error) {
-	// The request streams through a pipe so a long-lived append session
-	// never materializes its blocks as one buffer.
+// appendBody streams an append request through a pipe so a long-lived
+// append session never materializes its blocks as one buffer.
+func appendBody(blocks, rhs []*matrix.Mat) io.Reader {
 	pr, pw := io.Pipe()
 	go func() {
 		if err := session.WriteAppendHeader(pw, len(blocks)); err != nil {
@@ -89,70 +96,17 @@ func (c *Client) sessionAppendOnce(id string, n int, blocks, rhs []*matrix.Mat, 
 		}
 		pw.Close()
 	}()
-
-	req, err := http.NewRequest("POST", c.Base+"/v1/sessions/"+id+"/append", pr)
-	if err != nil {
-		return session.Trailer{}, 0, 0, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return session.Trailer{}, 0, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var retryAfter time.Duration
-		if sec, aerr := strconv.Atoi(resp.Header.Get("Retry-After")); aerr == nil && sec >= 0 {
-			retryAfter = time.Duration(sec) * time.Second
-		}
-		data, _ := io.ReadAll(resp.Body)
-		var e errorResponse
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			return session.Trailer{}, resp.StatusCode, retryAfter, fmt.Errorf("%s", e.Error)
-		}
-		return session.Trailer{}, resp.StatusCode, retryAfter, fmt.Errorf("http %d", resp.StatusCode)
-	}
-
-	rd, err := session.NewReplyReader(resp.Body, n)
-	if err != nil {
-		return session.Trailer{}, resp.StatusCode, 0, err
-	}
-	for {
-		u, tr, err := rd.Next()
-		if err != nil {
-			return session.Trailer{}, resp.StatusCode, 0, err
-		}
-		if tr != nil {
-			return *tr, resp.StatusCode, 0, nil
-		}
-		if each != nil {
-			if err := each(*u); err != nil {
-				return session.Trailer{}, resp.StatusCode, 0, err
-			}
-		}
-	}
+	return pr
 }
 
 // SessionR fetches the session's current global state (blocks, rows, R) as
 // a one-frame QSB1 stream. n is the session's column count.
 func (c *Client) SessionR(id string, n int) (session.Update, error) {
-	req, err := http.NewRequest("GET", c.Base+"/v1/sessions/"+id+"/r", nil)
-	if err != nil {
-		return session.Update{}, err
-	}
-	resp, err := c.http().Do(req)
+	_, resp, err := c.open("GET", "/v1/sessions/"+id+"/r", "", nil, "")
 	if err != nil {
 		return session.Update{}, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(resp.Body)
-		var e errorResponse
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			return session.Update{}, fmt.Errorf("%s", e.Error)
-		}
-		return session.Update{}, fmt.Errorf("http %d", resp.StatusCode)
-	}
 	rd, err := session.NewReplyReader(resp.Body, n)
 	if err != nil {
 		return session.Update{}, err

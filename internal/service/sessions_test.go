@@ -471,6 +471,9 @@ func TestSessionAppendErrorStatuses(t *testing.T) {
 	if resp := post("/v1/sessions/nope/append", strings.NewReader("QSA1\x00\x00\x00\x00")); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing session: %d, want 404", resp.StatusCode)
 	}
+	if _, err := c.SessionR("nope", 8); err == nil || err.Error() != session.ErrNotFound.Error() {
+		t.Fatalf("SessionR of a missing session: %v, want the server's %q", err, session.ErrNotFound)
+	}
 	info, err := c.OpenSession(SessionSpec{N: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -483,6 +486,51 @@ func TestSessionAppendErrorStatuses(t *testing.T) {
 	}
 	if resp := post("/v1/sessions/"+info.ID+"/append", strings.NewReader("QSA1\x00\x00\x00\x00")); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("deleted session: %d, want 404", resp.StatusCode)
+	}
+}
+
+// A client told to retry a 429 reopens the append stream after the server's
+// Retry-After, not its own Backoff, and resends every block: the retried
+// stream commits them all.
+func TestSessionAppendRetries429(t *testing.T) {
+	s, err := NewServer(Config{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var bodies [][]byte
+	h := s.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/append") {
+			b, _ := io.ReadAll(r.Body)
+			if bodies = append(bodies, b); len(bodies) == 1 {
+				w.Header().Set("Retry-After", "1")
+				writeJSON(w, http.StatusTooManyRequests, errorResponse{"busy"})
+				return
+			}
+			r.Body = io.NopCloser(bytes.NewReader(b))
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	n := 6
+	blocks := genRowBlocks(rand.New(rand.NewSource(3)), 4, n)
+	c := &Client{Base: ts.URL, Retry429: 1, Backoff: time.Millisecond}
+	info, err := c.OpenSession(SessionSpec{N: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	tr, err := c.SessionAppend(info.ID, n, blocks, nil, nil)
+	if err != nil || tr.Done != len(blocks) {
+		t.Fatalf("append with one retry: done %d, err %v", tr.Done, err)
+	}
+	if waited := time.Since(start); waited < time.Second {
+		t.Errorf("retried after %v, before the Retry-After of 1 s", waited)
+	}
+	if len(bodies) != 2 || !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatalf("the retry did not resend the append stream intact (%d attempts)", len(bodies))
 	}
 }
 
