@@ -3,7 +3,7 @@
 GO ?= go
 BIN ?= bin
 
-.PHONY: all build test race loc fuzz chaos-smoke cover-transport cover-plan bench-smoke bench-stack bench-stack-check bench-kernels bench-kernels-check bench-kernels-update profile-factor launch-smoke serve-smoke trace-smoke batch-smoke session-smoke plan-smoke vet clean
+.PHONY: all build test race loc fuzz chaos-smoke cover-transport cover-plan bench-smoke bench-stack bench-stack-check bench-kernels bench-kernels-check bench-kernels-update profile-factor launch-smoke serve-smoke trace-smoke batch-smoke session-smoke vet clean
 
 all: build
 
@@ -170,13 +170,6 @@ batch-smoke: build
 # the same checkpoint directory, verify the restored R bitwise.
 session-smoke: build
 	sh scripts/session_smoke.sh $(BIN)
-
-# End-to-end check of the trace-driven planner: qrserve -autotune with 2
-# agents, POST /v1/plan dry-run (computed then cached), an autotuned job
-# with its plan block, qrserve_plan_* metrics, and qrbench -plan against
-# both a canned machine model and the live /v1/machine-model.
-plan-smoke: build
-	sh scripts/plan_smoke.sh $(BIN)
 
 clean:
 	rm -rf $(BIN)

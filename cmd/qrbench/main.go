@@ -53,7 +53,7 @@ func main() {
 	planRun := flag.Bool("plan", false, "run the trace-driven planner offline: plan a job shape against a machine model and print the decision vs the hand-default (ignores -fig)")
 	planM := flag.Int("plan-m", 16384, "with -plan: matrix rows")
 	planN := flag.Int("plan-n", 512, "with -plan: matrix columns")
-	planMach := flag.String("plan-machine", "kraken:16", "with -plan: machine model — kraken:<nodes>, localhost:<nodes>,<cores>, a model JSON file, or a qrserve base URL (its live /v1/machine-model)")
+	planMach := flag.String("plan-machine", "kraken:16", "with -plan: machine model — kraken:<nodes>, localhost:<nodes>,<cores>, or a model JSON file")
 	planTarget := flag.Float64("plan-target-ms", 0, "with -plan: completion target in ms; the planner then picks the fewest ranks that meet it")
 	planSweep := flag.Bool("plan-sweep", false, "with -plan: also sweep a grid of shapes and assert the planned config never simulates slower than the default")
 	flag.Parse()

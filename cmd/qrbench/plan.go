@@ -2,9 +2,7 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"log"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
@@ -13,10 +11,9 @@ import (
 	"pulsarqr/internal/simulate"
 )
 
-// planMain is the qrbench -plan mode: the same candidate sweep qrserve runs
-// at dispatch with -autotune, exercised offline against any machine model —
-// canned (kraken/localhost), a saved calibration file, or a live server's
-// GET /v1/machine-model.
+// planMain is the qrbench -plan mode: the offline planner's candidate sweep
+// against a machine model — canned (kraken/localhost) or a saved
+// calibration file.
 func planMain(m, n int, machSpec string, targetMS float64, sweep bool) {
 	mach, err := loadPlanMachine(machSpec)
 	if err != nil {
@@ -104,21 +101,10 @@ func loadPlanMachine(spec string) (simulate.Machine, error) {
 			return simulate.Machine{}, fmt.Errorf("bad -plan-machine %q (want localhost:<nodes>,<cores>)", spec)
 		}
 		return simulate.LocalHost(nodes, cores), nil
-	case strings.HasPrefix(spec, "http://"), strings.HasPrefix(spec, "https://"):
-		resp, err := http.Get(strings.TrimRight(spec, "/") + "/v1/machine-model")
-		if err != nil {
-			return simulate.Machine{}, err
-		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		if err != nil {
-			return simulate.Machine{}, err
-		}
-		return simulate.MachineFromModelResponse(data)
 	default:
 		data, err := os.ReadFile(spec)
 		if err != nil {
-			return simulate.Machine{}, fmt.Errorf("-plan-machine %q: not kraken:/localhost:/URL and %w", spec, err)
+			return simulate.Machine{}, fmt.Errorf("-plan-machine %q: not kraken:/localhost: and %w", spec, err)
 		}
 		return simulate.MachineFromModelResponse(data)
 	}

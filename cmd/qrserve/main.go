@@ -84,7 +84,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cfg.MaxSessionsPerTenant, "tenant-sessions", 0, "streaming sessions one tenant may hold (0 = default 8)")
 	fs.DurationVar(&cfg.SessionIdle, "session-idle", 0, "unload (durable) or evict (memory-only) sessions idle this long (0 = default 10m; negative disables)")
 	fs.IntVar(&cfg.CheckpointEvery, "checkpoint-every", 0, "appends between durable checkpoint writes (0 = every append)")
-	fs.BoolVar(&cfg.Autotune, "autotune", false, "plan every job's tree/h/rank-count against the fleet's measured machine model before dispatch (jobs can also opt in per-request with \"autotune\": true)")
 	mf := mesh.Register(fs, "QRSERVE", "0, the default, serves HTTP; 1 and up are fleet agents")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

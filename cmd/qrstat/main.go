@@ -103,24 +103,6 @@ func render(w io.Writer, st *service.StatusView) {
 		}
 	}
 
-	if st.Planner.Plans > 0 || st.Planner.Enabled {
-		mode := "per-job opt-in"
-		if st.Planner.Enabled {
-			mode = "fleet-wide"
-		}
-		fmt.Fprintf(w, "\nplanner (%s): %d planned, %d cache hits, epoch %d\n",
-			mode, st.Planner.Plans, st.Planner.CacheHits, st.Planner.Epoch)
-		if st.Planner.LastConfig != "" {
-			line := fmt.Sprintf("  last: job %d  %s  predicted %.1fms",
-				st.Planner.LastJob, st.Planner.LastConfig, st.Planner.LastPredictedMS)
-			if st.Planner.LastActualMS > 0 {
-				line += fmt.Sprintf("  actual %.1fms (%.2fx)",
-					st.Planner.LastActualMS, st.Planner.LastActualMS/st.Planner.LastPredictedMS)
-			}
-			fmt.Fprintln(w, line)
-		}
-	}
-
 	fmt.Fprintf(w, "\nevents: %d emitted, %d dropped from the flight ring\n", st.Events, st.EventDrops)
 	for _, e := range st.Flight {
 		line := fmt.Sprintf("  %s  %-14s", e.At.Format("15:04:05.000"), e.Kind)

@@ -12,7 +12,7 @@ import (
 	"pulsarqr/internal/service"
 )
 
-// statusFixture is a degraded two-agent fleet with a planned job on record.
+// statusFixture is a degraded two-agent fleet.
 func statusFixture() service.StatusView {
 	return service.StatusView{
 		UptimeS: 3725,
@@ -25,10 +25,6 @@ func statusFixture() service.StatusView {
 			"session_appends": {Capacity: 2, Slots: 2},
 			"jobs":            {Depth: 3, Capacity: 32, Active: 4, Slots: 4},
 			"batch":           {Capacity: 2, Active: 1, Slots: 2},
-		},
-		Planner: service.PlannerStatus{
-			Enabled: true, Plans: 5, CacheHits: 7, Epoch: 2,
-			LastJob: 9, LastConfig: "hierarchical h=4 ranks=2", LastPredictedMS: 10, LastActualMS: 12.5,
 		},
 		Events: 40, EventDrops: 1,
 	}
@@ -89,8 +85,6 @@ func TestFetchAndRender(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"planner (fleet-wide): 5 planned, 7 cache hits, epoch 2\n",
-		"  last: job 9  hierarchical h=4 ranks=2  predicted 10.0ms  actual 12.5ms (1.25x)\n",
 		"events: 40 emitted, 1 dropped from the flight ring\n",
 	} {
 		if !strings.Contains(out, want) {

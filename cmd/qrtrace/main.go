@@ -14,8 +14,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"os"
@@ -29,28 +31,44 @@ import (
 	"pulsarqr/internal/trace"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("qrtrace: ")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command, returning its exit code, so that tests can drive
+// it in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	logger := log.New(stderr, "qrtrace: ", 0)
+	fs := flag.NewFlagSet("qrtrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	def := qr.DefaultOptions()
 	var (
-		m         = flag.Int("m", 4096, "rows")
-		n         = flag.Int("n", 256, "columns")
-		nb        = flag.Int("nb", def.NB, "tile size")
-		ib        = flag.Int("ib", def.IB, "inner block size")
-		h         = flag.Int("h", def.H, "tiles per domain; 0 = one domain per worker")
-		threads   = flag.Int("threads", 4, "worker threads")
-		width     = flag.Int("width", 100, "ASCII timeline width")
-		svgOut    = flag.String("svg", "", "write SVG traces to <prefix>-{fixed,shifted}.svg (with -merge: the SVG path itself)")
-		chromeOut = flag.String("chrome", "", "write Chrome trace JSON to <prefix>-{fixed,shifted}.json (with -merge: the JSON path itself)")
-		simNodes  = flag.Int("sim", 0, "simulate on this many Kraken nodes instead of running locally")
-		merge     = flag.String("merge", "", "analyze gathered trace shards (comma-separated JSONL files) instead of running the Figure 7 demo")
+		m         = fs.Int("m", 4096, "rows")
+		n         = fs.Int("n", 256, "columns")
+		nb        = fs.Int("nb", def.NB, "tile size")
+		ib        = fs.Int("ib", def.IB, "inner block size")
+		h         = fs.Int("h", def.H, "tiles per domain; 0 = one domain per worker")
+		threads   = fs.Int("threads", 4, "worker threads")
+		width     = fs.Int("width", 100, "ASCII timeline width")
+		svgOut    = fs.String("svg", "", "write SVG traces to <prefix>-{fixed,shifted}.svg (with -merge: the SVG path itself)")
+		chromeOut = fs.String("chrome", "", "write Chrome trace JSON to <prefix>-{fixed,shifted}.json (with -merge: the JSON path itself)")
+		simNodes  = fs.Int("sim", 0, "simulate on this many Kraken nodes instead of running locally")
+		merge     = fs.String("merge", "", "analyze gathered trace shards (comma-separated JSONL files) instead of running the Figure 7 demo")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
+	fail := func(err error) int {
+		logger.Print(err)
+		return 1
+	}
 	if *merge != "" {
-		runMerge(*merge, *width, *svgOut, *chromeOut)
-		return
+		if err := runMerge(stdout, *merge, *width, *svgOut, *chromeOut); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
 
 	// An unset -h is one domain per worker of the run: the simulated
@@ -75,97 +93,101 @@ func main() {
 			rc := qr.RunConfig{Nodes: 1, Threads: *threads,
 				FireHook: rec.Hook(), WaitHook: rec.WaitHook(), CommHook: rec.CommHook()}
 			if _, err := qr.FactorizeVSA(a, nil, opts, rc); err != nil {
-				log.Fatal(err)
+				return fail(err)
 			}
 			tl = trace.Build(rec.Events())
 			drops = rec.Drops()
 		}
-		fmt.Printf("=== %v domain boundaries ===\n", bp)
-		fmt.Printf("options %v\n", opts)
-		fmt.Printf("makespan %v, utilization %.2f, panel overlap %.1f%%\n",
+		fmt.Fprintf(stdout, "=== %v domain boundaries ===\n", bp)
+		fmt.Fprintf(stdout, "options %v\n", opts)
+		fmt.Fprintf(stdout, "makespan %v, utilization %.2f, panel overlap %.1f%%\n",
 			tl.Makespan, tl.Utilization(), 100*tl.PanelOverlap(nil))
 		if drops > 0 {
-			fmt.Printf("WARNING: recorder dropped %d events; timeline is incomplete\n", drops)
+			fmt.Fprintf(stdout, "WARNING: recorder dropped %d events; timeline is incomplete\n", drops)
 		}
-		printCriticalPath(tl)
-		fmt.Printf("legend: P panel (red), u update (orange), B binary, b binary-update (blue), ~ wait\n")
-		fmt.Print(tl.ASCII(*width))
+		printCriticalPath(stdout, tl)
+		fmt.Fprintf(stdout, "legend: P panel (red), u update (orange), B binary, b binary-update (blue), ~ wait\n")
+		fmt.Fprint(stdout, tl.ASCII(*width))
 		if *svgOut != "" {
 			path := fmt.Sprintf("%s-%v.svg", *svgOut, bp)
 			if err := os.WriteFile(path, []byte(tl.SVG(1200, 14)), 0o644); err != nil {
-				log.Fatal(err)
+				return fail(err)
 			}
-			fmt.Printf("wrote %s\n", path)
+			fmt.Fprintf(stdout, "wrote %s\n", path)
 		}
 		if *chromeOut != "" {
-			writeChrome(tl, fmt.Sprintf("%s-%v.json", *chromeOut, bp))
+			if err := writeChrome(stdout, tl, fmt.Sprintf("%s-%v.json", *chromeOut, bp)); err != nil {
+				return fail(err)
+			}
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
+	return 0
 }
 
 // runMerge merges gathered per-rank shards into one aligned timeline and
 // reports it: the Fig. 7 rendering plus critical-path and per-rank
 // busy/idle/comm breakdowns.
-func runMerge(files string, width int, svgOut, chromeOut string) {
+func runMerge(w io.Writer, files string, width int, svgOut, chromeOut string) error {
 	var shards []trace.Shard
 	for _, path := range strings.Split(files, ",") {
 		fh, err := os.Open(path)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		sh, err := trace.ReadShards(fh)
 		fh.Close()
 		if err != nil {
-			log.Fatalf("%s: %v", path, err)
+			return fmt.Errorf("%s: %w", path, err)
 		}
 		shards = append(shards, sh...)
 	}
 	if len(shards) == 0 {
-		log.Fatal("no shards found")
+		return errors.New("no shards found")
 	}
 	events, drops := trace.Merge(shards)
 	tl := trace.Build(events)
 
-	fmt.Printf("merged %d shards, %d events\n", len(shards), len(events))
+	fmt.Fprintf(w, "merged %d shards, %d events\n", len(shards), len(events))
 	for _, sh := range shards {
-		fmt.Printf("  rank %d: %d events, %d dropped\n", sh.Rank, len(sh.Events), sh.Drops)
+		fmt.Fprintf(w, "  rank %d: %d events, %d dropped\n", sh.Rank, len(sh.Events), sh.Drops)
 	}
 	if drops > 0 {
-		fmt.Printf("WARNING: recorders dropped %d events; timeline is incomplete\n", drops)
+		fmt.Fprintf(w, "WARNING: recorders dropped %d events; timeline is incomplete\n", drops)
 	}
-	fmt.Printf("makespan %v, worker utilization %.2f, panel overlap %.1f%%\n",
+	fmt.Fprintf(w, "makespan %v, worker utilization %.2f, panel overlap %.1f%%\n",
 		tl.Makespan, tl.Utilization(), 100*tl.PanelOverlap(nil))
-	printBusyByClass(tl)
-	printCriticalPath(tl)
-	printByRank(tl)
-	fmt.Printf("legend: P panel, u update, B binary, b binary-update, ~ wait, > send, < recv, = barrier\n")
-	fmt.Print(tl.ASCII(width))
+	printBusyByClass(w, tl)
+	printCriticalPath(w, tl)
+	printByRank(w, tl)
+	fmt.Fprintf(w, "legend: P panel, u update, B binary, b binary-update, ~ wait, > send, < recv, = barrier\n")
+	fmt.Fprint(w, tl.ASCII(width))
 	if svgOut != "" {
 		if err := os.WriteFile(svgOut, []byte(tl.SVG(1200, 14)), 0o644); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("wrote %s\n", svgOut)
+		fmt.Fprintf(w, "wrote %s\n", svgOut)
 	}
 	if chromeOut != "" {
-		writeChrome(tl, chromeOut)
+		return writeChrome(w, tl, chromeOut)
 	}
+	return nil
 }
 
-func printBusyByClass(tl *trace.Timeline) {
+func printBusyByClass(w io.Writer, tl *trace.Timeline) {
 	classes := make([]string, 0, len(tl.BusyByClass))
 	for c := range tl.BusyByClass {
 		classes = append(classes, c)
 	}
 	sort.Strings(classes)
-	fmt.Printf("busy by class:")
+	fmt.Fprintf(w, "busy by class:")
 	for _, c := range classes {
-		fmt.Printf(" %s=%v", c, tl.BusyByClass[c].Round(time.Microsecond))
+		fmt.Fprintf(w, " %s=%v", c, tl.BusyByClass[c].Round(time.Microsecond))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
-func printCriticalPath(tl *trace.Timeline) {
+func printCriticalPath(w io.Writer, tl *trace.Timeline) {
 	cp := tl.CriticalPath()
 	if len(cp.Events) == 0 {
 		return
@@ -174,44 +196,46 @@ func printCriticalPath(tl *trace.Timeline) {
 	if tl.Makespan > 0 {
 		pct = 100 * float64(cp.Work) / float64(tl.Makespan)
 	}
-	fmt.Printf("critical path: %d tasks, %v work (%.1f%% of makespan)\n",
+	fmt.Fprintf(w, "critical path: %d tasks, %v work (%.1f%% of makespan)\n",
 		len(cp.Events), cp.Work.Round(time.Microsecond), pct)
 	classes := make([]string, 0, len(cp.ByClass))
 	for c := range cp.ByClass {
 		classes = append(classes, c)
 	}
 	sort.Strings(classes)
-	fmt.Printf("  on the path:")
+	fmt.Fprintf(w, "  on the path:")
 	for _, c := range classes {
-		fmt.Printf(" %s=%v", c, cp.ByClass[c].Round(time.Microsecond))
+		fmt.Fprintf(w, " %s=%v", c, cp.ByClass[c].Round(time.Microsecond))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
-func printByRank(tl *trace.Timeline) {
+func printByRank(w io.Writer, tl *trace.Timeline) {
 	ranks := tl.ByRank()
 	if len(ranks) < 2 {
 		return
 	}
-	fmt.Printf("%6s %12s %12s %12s %8s %12s %8s %12s\n",
+	fmt.Fprintf(w, "%6s %12s %12s %12s %8s %12s %8s %12s\n",
 		"rank", "busy", "wait", "barrier", "sends", "sent", "recvs", "recvd")
 	for _, r := range ranks {
-		fmt.Printf("%6d %12v %12v %12v %8d %12d %8d %12d\n",
+		fmt.Fprintf(w, "%6d %12v %12v %12v %8d %12d %8d %12d\n",
 			r.Node, r.Busy.Round(time.Microsecond), r.Wait.Round(time.Microsecond),
 			r.Barrier.Round(time.Microsecond), r.Sends, r.SentBytes, r.Recvs, r.RecvBytes)
 	}
 }
 
-func writeChrome(tl *trace.Timeline, path string) {
+func writeChrome(w io.Writer, tl *trace.Timeline, path string) error {
 	fh, err := os.Create(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := tl.ChromeTrace(fh); err != nil {
-		log.Fatal(err)
+		fh.Close()
+		return err
 	}
 	if err := fh.Close(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("wrote %s (open in chrome://tracing or Perfetto)\n", path)
+	fmt.Fprintf(w, "wrote %s (open in chrome://tracing or Perfetto)\n", path)
+	return nil
 }

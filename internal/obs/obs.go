@@ -1,6 +1,6 @@
 // Package obs is the service's always-on observability layer: a structured
-// event log (log/slog), a bounded in-memory flight recorder, per-request
-// lifecycle spans, and an online α–β machine-model estimator.
+// event log (log/slog), a bounded in-memory flight recorder and per-request
+// lifecycle spans.
 //
 // Everything is nil-safe: a nil *Observer accepts every call and does
 // nothing, so callers thread one pointer through without guards and the
@@ -40,9 +40,6 @@ const (
 	EvAppendStream Kind = "append_stream"  // session append stream finished
 	EvBatchStart   Kind = "batch_start"    // batch stream admitted
 	EvBatchEnd     Kind = "batch_end"      // batch stream finished
-	EvModelLoaded  Kind = "model_loaded"   // machine model restored from disk
-	EvModelSaved   Kind = "model_saved"    // machine model persisted
-	EvPlan         Kind = "job_planned"    // autotuner chose a configuration
 )
 
 // Event is one structured log record. It is a flat value type: every field
@@ -79,7 +76,6 @@ type Options struct {
 type Observer struct {
 	log    *slog.Logger
 	ring   *Ring
-	est    *ABEstimator
 	events atomic.Int64
 }
 
@@ -88,7 +84,6 @@ func New(o Options) *Observer {
 	return &Observer{
 		log:  o.Logger,
 		ring: NewRing(o.FlightCap),
-		est:  NewABEstimator(DefaultHalfLife),
 	}
 }
 
@@ -114,7 +109,7 @@ func (o *Observer) Emit(e Event) {
 // debug, landmarks are info, trouble is warn.
 func level(k Kind) slog.Level {
 	switch k {
-	case EvQueued, EvDispatched, EvRunning, EvGathering, EvCheckpoint, EvAppendStream, EvPlan:
+	case EvQueued, EvDispatched, EvRunning, EvGathering, EvCheckpoint, EvAppendStream:
 		return slog.LevelDebug
 	case EvShed, EvAgentEvict, EvFailed, EvExpired, EvRetry, EvBarrierAbort:
 		return slog.LevelWarn
@@ -192,23 +187,6 @@ func (o *Observer) Stats() (events, drops int64) {
 		return 0, 0
 	}
 	return o.events.Load(), o.ring.Drops()
-}
-
-// Estimator exposes the α–β machine-model estimator (nil on the nil
-// observer).
-func (o *Observer) Estimator() *ABEstimator {
-	if o == nil {
-		return nil
-	}
-	return o.est
-}
-
-// Links returns the current per-link machine-model estimates. Safe on nil.
-func (o *Observer) Links() []LinkModel {
-	if o == nil {
-		return nil
-	}
-	return o.est.Links()
 }
 
 // DumpTail writes the flight-recorder tail to the structured log — the

@@ -127,7 +127,7 @@ type Options struct {
 // dimensions of the 12×8 micro-kernel); ib=24 is what the sweep in
 // docs/KERNELS.md measures fastest for these kernels. It is a constant, not
 // a shape rule: the sweep found no shape on which it loses to the old 64/16,
-// and hosts where another tile wins have the planner (qrserve -autotune).
+// and a host where another tile wins sets NB and IB explicitly.
 // H is 0, "one flat-tree domain per worker": it depends on the shape and the
 // worker count, so Resolve fills it once both are known.
 func DefaultOptions() Options {

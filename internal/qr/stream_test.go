@@ -428,6 +428,44 @@ func TestStreamInputValidation(t *testing.T) {
 	}
 }
 
+// A NaN block through LeafReduce leaves nothing behind in its workspace:
+// its own leaf is non-finite, and the next clean block's leaf on the same
+// workspace is bitwise the one a fresh workspace computes. 400 rows at the
+// default tile are three dtsqrt/dtsmqr chunks, the last one ragged.
+func TestLeafReduceAfterNaNBlock(t *testing.T) {
+	const n, nrhs, rows = 64, 2, 400
+	rng := rand.New(rand.NewSource(61))
+	s, err := NewStreamer(n, nrhs, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := matrix.NewRand(rows, n, rng)
+	bad.Set(217, 5, math.NaN())
+	clean, cleanRHS := matrix.NewRand(rows, n, rng), matrix.NewRand(rows, nrhs, rng)
+
+	ws := kernels.NewWorkspace()
+	poisoned, err := s.LeafReduce(ws, bad, matrix.NewRand(rows, nrhs, rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	finite := true
+	for _, v := range poisoned.R.Data {
+		finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
+	}
+	if finite {
+		t.Fatal("the NaN block's leaf R is finite: the NaN did not reach the kernels")
+	}
+	got, err := s.LeafReduce(ws, clean.Clone(), cleanRHS.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.LeafReduce(kernels.NewWorkspace(), clean, cleanRHS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitwiseEqual(t, "clean leaf after a NaN leaf", got, want)
+}
+
 // BenchmarkStreamAppend streams 128 blocks of 64×64 at the library tile, one
 // LeafReduce, Commit and Current per append — the engine half of a session
 // append with R back per block. One op is the whole stream; us/append is

@@ -2,7 +2,9 @@ package service
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -425,5 +427,68 @@ func TestBatchRecycledDecodesMixedShapes(t *testing.T) {
 		if got[i] == nil || matrix.MaxAbsDiff(got[i], want) != 0 {
 			t.Fatalf("matrix %d (%dx%d): served R is not the local batch.Factor", i, a.Rows, a.Cols)
 		}
+	}
+}
+
+// One NaN and one +Inf matrix mixed into a batch stream poison only their
+// own R: the stream completes, the two R's are non-finite, and every clean
+// R is bitwise what the same stream without them returns. One worker
+// thread, so every matrix of the stream runs on the same workspace; 24×8 is
+// the Givens sweep, 48×32 the Householder path, and each poisoned matrix
+// is followed by clean ones of both shapes.
+func TestBatchNonFiniteMatricesPoisonOnlyThemselves(t *testing.T) {
+	_, _, c := newBatchTestServer(t, Config{Threads: 1})
+	rng := rand.New(rand.NewSource(63))
+	var clean []*matrix.Mat
+	for i := 0; i < 40; i++ {
+		if i%2 == 0 {
+			clean = append(clean, matrix.NewRand(24, 8, rng))
+		} else {
+			clean = append(clean, matrix.NewRand(48, 32, rng))
+		}
+	}
+	nanMat, infMat := matrix.NewRand(24, 8, rng), matrix.NewRand(48, 32, rng)
+	nanMat.Set(11, 3, math.NaN())
+	infMat.Set(30, 17, math.Inf(1))
+	poison := map[int]*matrix.Mat{7: nanMat, 22: infMat} // by position in the mixed stream
+	var mixed []*matrix.Mat
+	for next := 0; next < len(clean); {
+		if p := poison[len(mixed)]; p != nil {
+			mixed = append(mixed, p)
+			continue
+		}
+		mixed = append(mixed, clean[next])
+		next++
+	}
+
+	stream := func(mats []*matrix.Mat) []*matrix.Mat {
+		t.Helper()
+		got := make([]*matrix.Mat, len(mats))
+		tr, err := c.Batch(mats, func(res batch.Result) error {
+			got[res.Index] = res.R
+			return nil
+		})
+		if err != nil || tr.Done != len(mats) || tr.Shed != 0 {
+			t.Fatalf("trailer %+v, err %v; want all %d done", tr, err, len(mats))
+		}
+		return got
+	}
+	want := stream(clean)
+	var rest []*matrix.Mat
+	for i, r := range stream(mixed) {
+		if poison[i] == nil {
+			rest = append(rest, r)
+			continue
+		}
+		finite := true
+		for _, v := range r.Data {
+			finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
+		}
+		if finite {
+			t.Errorf("poisoned matrix %d (%dx%d): R is finite", i, r.Rows, r.Cols)
+		}
+	}
+	for i := range want {
+		sameBits(t, fmt.Sprintf("clean matrix %d (%dx%d)", i, clean[i].Rows, clean[i].Cols), rest[i], want[i])
 	}
 }

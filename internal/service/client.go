@@ -211,23 +211,6 @@ func (c *Client) Health() error {
 	return nil
 }
 
-// Plan posts a dry-run planning request: the decision the autotuner would
-// make for spec at dispatch time, committing nothing. Only the shape is
-// planned, so an upload stays here.
-func (c *Client) Plan(spec JobSpec) (PlanResponse, error) {
-	var v PlanResponse
-	spec.Data = nil
-	_, err := c.call("POST", "/v1/plan", spec, &v)
-	return v, err
-}
-
-// MachineModel fetches the server's current machine-model estimate.
-func (c *Client) MachineModel() (MachineModelView, error) {
-	var v MachineModelView
-	_, err := c.call("GET", "/v1/machine-model", nil, &v)
-	return v, err
-}
-
 // Batch streams mats through POST /v1/batch and calls each for every R
 // factor as it arrives — in completion order, not submission order; the
 // result's Index says which input it answers. It returns the server's

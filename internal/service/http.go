@@ -35,23 +35,7 @@ type JobView struct {
 	Bytes     int64           `json:"bytes,omitempty"`
 	Spans     *obs.SpanReport `json:"spans,omitempty"`  // lifecycle span accounting, live or final
 	Flight    []obs.Event     `json:"flight,omitempty"` // flight-recorder tail on troubled terminals
-	Plan      *PlanView       `json:"plan,omitempty"`   // autotuner decision, when the job was planned
 	R         [][]float64     `json:"r,omitempty"`
-}
-
-// PlanView is the job view's autotuning block: the chosen configuration,
-// what the simulator predicted, and — once the job is done — how reality
-// compared.
-type PlanView struct {
-	Tree                string  `json:"tree"`
-	H                   int     `json:"h,omitempty"`
-	Ranks               int     `json:"ranks"`
-	PredictedMS         float64 `json:"predicted_ms"`
-	SpeedupVsDefault    float64 `json:"speedup_vs_default,omitempty"`
-	FromCache           bool    `json:"from_cache,omitempty"`
-	PlanMS              float64 `json:"plan_ms"`
-	ActualOverPredicted float64 `json:"actual_over_predicted,omitempty"` // set once the job is done
-	Rationale           string  `json:"rationale,omitempty"`
 }
 
 // viewOf is the job's JSON view; includeR adds R to it, as rows.
@@ -81,17 +65,6 @@ func jobView(j *Job) (JobView, *Result) {
 		v.Spans = &rep
 	}
 	v.Flight = j.Flight()
-	if d := j.Plan(); d != nil {
-		c := d.Choice
-		v.Plan = &PlanView{
-			Tree: c.Tree, H: c.H, Ranks: c.Ranks,
-			PredictedMS:      c.PredictedMS,
-			SpeedupVsDefault: d.SpeedupVsDefault,
-			FromCache:        d.FromCache,
-			PlanMS:           d.PlanMS,
-			Rationale:        d.Rationale,
-		}
-	}
 	if r != nil {
 		v.ElapsedMS = float64(r.Elapsed) / float64(time.Millisecond)
 		v.Gflops = r.Gflops
@@ -101,9 +74,6 @@ func jobView(j *Job) (JobView, *Result) {
 			v.Residual = r.Residual
 		}
 		v.OK = r.OK
-		if v.Plan != nil && v.Plan.PredictedMS > 0 {
-			v.Plan.ActualOverPredicted = v.ElapsedMS / v.Plan.PredictedMS
-		}
 		v.Firings = r.Stats.Firings
 		v.Messages = r.Stats.Messages
 		v.Bytes = r.Stats.Bytes
@@ -138,8 +108,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sessions/{id}/append", s.handleSessionAppend)
 	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleSessionDelete)
 	mux.HandleFunc("GET /v1/status", s.handleStatus)
-	mux.HandleFunc("GET /v1/machine-model", s.handleMachineModel)
-	mux.HandleFunc("POST /v1/plan", s.handlePlan)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux

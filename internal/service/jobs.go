@@ -9,7 +9,6 @@ import (
 
 	"pulsarqr/internal/matrix"
 	"pulsarqr/internal/obs"
-	"pulsarqr/internal/plan"
 	"pulsarqr/internal/qr"
 	"pulsarqr/internal/trace"
 )
@@ -76,10 +75,9 @@ type Job struct {
 	// held from admission through every requeue and let go on the terminal
 	// transition: what a finished job retains is its R.
 	upload  []float64
-	attempt int            // completed dispatch attempts beyond the first
-	trace   []trace.Shard  // per-rank shards, set before finish when Spec.Trace
-	flight  []obs.Event    // flight-recorder tail, attached on non-done terminals
-	planned *plan.Decision // autotuner's choice, set before the run starts
+	attempt int           // completed dispatch attempts beyond the first
+	trace   []trace.Shard // per-rank shards, set before finish when Spec.Trace
+	flight  []obs.Event   // flight-recorder tail, attached on non-done terminals
 
 	done       chan struct{}
 	onTerminal func() // runs once on the terminal transition, before done closes
@@ -143,20 +141,6 @@ func (j *Job) Flight() []obs.Event {
 func (j *Job) setFlight(tail []obs.Event) {
 	j.mu.Lock()
 	j.flight = tail
-	j.mu.Unlock()
-}
-
-// Plan returns the autotuner's decision for this job, nil when the job ran
-// (or will run) with its literal spec.
-func (j *Job) Plan() *plan.Decision {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.planned
-}
-
-func (j *Job) setPlan(d *plan.Decision) {
-	j.mu.Lock()
-	j.planned = d
 	j.mu.Unlock()
 }
 

@@ -49,18 +49,13 @@ type Metrics struct {
 	CheckpointWrites atomic.Int64 // QSC1 checkpoint files written
 	CheckpointBytes  atomic.Int64 // total bytes of checkpoint writes
 
-	PlansComputed atomic.Int64 // planner decisions computed fresh (DES sweep ran)
-	PlanCacheHits atomic.Int64 // planner decisions served from the plan cache
-
 	flopBits atomic.Uint64 // total useful flops, float64 bits
 	busyBits atomic.Uint64 // total seconds spent factorizing, float64 bits
 
-	latency    *histogram
-	wait       *histogram // pool worker park intervals
-	chunk      *histogram // batch chunk dispatch-to-completion latency
-	appendH    *histogram // session append latency, receipt to committed R
-	planH      *histogram // planning latency (cache hits and DES sweeps alike)
-	planRatioH *histogram // actual/predicted run-time ratio of planned jobs
+	latency *histogram
+	wait    *histogram // pool worker park intervals
+	chunk   *histogram // batch chunk dispatch-to-completion latency
+	appendH *histogram // session append latency, receipt to committed R
 
 	queueWaitH *classHist // lifecycle span: admission to dispatch, by class
 	dispatchH  *classHist // lifecycle span: dispatch to execution start
@@ -94,18 +89,6 @@ var chunkBuckets = []float64{
 // plus a checkpoint fsync can reach seconds.
 var appendBuckets = []float64{
 	1e-5, 1e-4, 5e-4, 1e-3, 5e-3, 0.01, 0.05, 0.1, 0.5, 1, 5,
-}
-
-// planBuckets span one planning call: a cache hit is microseconds, a cold
-// DES sweep over a big shape can reach a second.
-var planBuckets = []float64{
-	1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.5, 1, 5,
-}
-
-// planRatioBuckets span the calibration ratio actual/predicted: 1 is a
-// perfect model, the E2E calibration gate asserts within 3× either way.
-var planRatioBuckets = []float64{
-	0.1, 0.2, 0.33, 0.5, 0.75, 1, 1.33, 2, 3, 5, 10,
 }
 
 // spanBuckets span the lifecycle phases: a dispatch on an idle service is
@@ -215,8 +198,6 @@ func NewMetrics() *Metrics {
 		wait:       newHistogram(waitBuckets),
 		chunk:      newHistogram(chunkBuckets),
 		appendH:    newHistogram(appendBuckets),
-		planH:      newHistogram(planBuckets),
-		planRatioH: newHistogram(planRatioBuckets),
 		queueWaitH: newClassHist(spanBuckets),
 		dispatchH:  newClassHist(spanBuckets),
 		runH:       newClassHist(spanBuckets),
@@ -258,23 +239,6 @@ func (m *Metrics) ObserveCheckpoint(bytes int64) {
 func (m *Metrics) ObserveBatchChunk(matrices int, d time.Duration) {
 	m.BatchMatrices.Add(int64(matrices))
 	m.chunk.observe(d.Seconds())
-}
-
-// ObservePlan records one planning call — its wall time and whether it was
-// served from the plan cache.
-func (m *Metrics) ObservePlan(d time.Duration, fromCache bool) {
-	if fromCache {
-		m.PlanCacheHits.Add(1)
-	} else {
-		m.PlansComputed.Add(1)
-	}
-	m.planH.observe(d.Seconds())
-}
-
-// ObservePlanAccuracy records one planned job's actual/predicted run-time
-// ratio — the live calibration signal behind the CI calibration gate.
-func (m *Metrics) ObservePlanAccuracy(ratio float64) {
-	m.planRatioH.observe(ratio)
 }
 
 // ObserveJob records one finished factorization: end-to-end latency, time
@@ -415,10 +379,4 @@ func (m *Metrics) WriteProm(w io.Writer, queueDepth, resident int) {
 
 	p.counter("qrserve_trace_events_total", "Events in gathered trace shards.", m.TraceEvents.Load())
 	p.counter("qrserve_trace_dropped_total", "Trace events lost to recorder capacity bounds.", m.TraceDrops.Load())
-
-	p.family("qrserve_plan_total", "Planner decisions by source.", "counter")
-	p.sample("qrserve_plan_total", `source="computed"`, m.PlansComputed.Load())
-	p.sample("qrserve_plan_total", `source="cache"`, m.PlanCacheHits.Load())
-	p.hist("qrserve_plan_seconds", "Planning latency per decision (cache hits and DES sweeps).", m.planH)
-	p.hist("qrserve_plan_actual_over_predicted", "Actual over predicted run time of planned jobs (1 = perfect model).", m.planRatioH)
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"math"
@@ -13,7 +12,6 @@ import (
 	"time"
 
 	"pulsarqr/internal/obs"
-	"pulsarqr/internal/simulate"
 )
 
 // testObserver builds an Observer with no slog sink: events land only in
@@ -260,82 +258,5 @@ func TestShedEmitsStructuredEvent(t *testing.T) {
 	}
 	if shed.Class != "job" || shed.Tenant != "shedme" || shed.RetryS <= 0 {
 		t.Errorf("shed event = %+v, want class=job tenant=shedme retry>0", shed)
-	}
-}
-
-// The /v1/machine-model body's "machine" subobject loads directly through
-// internal/simulate with no conversion, and a 2-process TCP fleet that has
-// actually moved bytes publishes measured per-link α–β estimates.
-func TestMachineModelLoadsIntoSimulate(t *testing.T) {
-	eps := resilientTCPMesh(t, 2)
-	ag, err := NewAgent(eps[1], 2, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agentDone := make(chan error, 1)
-	go func() { agentDone <- ag.Run(context.Background()) }()
-
-	s, err := NewServer(Config{
-		Threads: 2, QueueCap: 4, MaxConcurrent: 1, Ep: eps[0], Logf: t.Logf, Obs: testObserver(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	c := &Client{Base: ts.URL}
-	if v, code, err := c.Submit(JobSpec{M: 256, N: 128, NB: 32, IB: 8, Seed: 41}, true); err != nil || code != http.StatusOK || v.Status != string(StateDone) {
-		t.Fatalf("fleet job: code %d status %s err %v", code, v.Status, err)
-	}
-
-	body := httpGet(t, ts.URL+"/v1/machine-model")
-	var view struct {
-		Machine  json.RawMessage `json:"machine"`
-		Links    []obs.LinkModel `json:"links"`
-		Measured bool            `json:"measured"`
-	}
-	if err := json.Unmarshal([]byte(body), &view); err != nil {
-		t.Fatalf("machine-model decode: %v", err)
-	}
-
-	// The subobject round-trips through the simulator's own loader.
-	mach, err := simulate.MachineFromJSON(view.Machine)
-	if err != nil {
-		t.Fatalf("simulate.MachineFromJSON rejected the served model: %v\n%s", err, body)
-	}
-	if mach.Nodes != 2 {
-		t.Errorf("machine nodes = %d, want 2", mach.Nodes)
-	}
-	if mach.AlphaInter <= 0 || mach.BetaInter <= 0 {
-		t.Errorf("machine α=%g β=%g, want positive", mach.AlphaInter, mach.BetaInter)
-	}
-
-	// A fleet job moves real bytes rank0↔rank1, so the estimator must have
-	// at least the rank-1 link with samples.
-	if !view.Measured {
-		t.Error("machine model not marked measured after a completed fleet job")
-	}
-	if len(view.Links) == 0 {
-		t.Fatal("no per-link estimates after a fleet job")
-	}
-	link := view.Links[0]
-	if link.Peer != 1 || link.Samples == 0 || link.Alpha < 0 {
-		t.Errorf("link = %+v, want peer 1 with samples and α >= 0", link)
-	}
-
-	// The same estimates surface as gauges.
-	metrics := httpGet(t, ts.URL+"/metrics")
-	for _, want := range []string{`qrserve_link_alpha_seconds{peer="1"}`, `qrserve_link_beta_seconds_per_byte{peer="1"}`} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
-
-	s.Close()
-	select {
-	case <-agentDone:
-	case <-time.After(10 * time.Second):
-		t.Fatal("agent did not shut down")
 	}
 }

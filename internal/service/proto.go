@@ -91,12 +91,6 @@ type JobSpec struct {
 	// RetryBackoffMS delays each requeue, doubling per attempt; zero takes
 	// the service default (100ms).
 	RetryBackoffMS int64 `json:"retry_backoff_ms,omitempty"`
-	// Autotune asks the server to plan this job's configuration against the
-	// fleet's measured machine model before dispatch: explicit NB/IB/H/Tree
-	// values are ignored in favor of the planner's pick, and the decision is
-	// reported on GET /v1/jobs/{id}. Also enabled fleet-wide by qrserve
-	// -autotune.
-	Autotune bool `json:"autotune,omitempty"`
 }
 
 // maxTenantLen bounds the tenant label: it rides every event and metric

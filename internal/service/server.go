@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,11 +15,9 @@ import (
 	"pulsarqr/internal/kernels"
 	"pulsarqr/internal/matrix"
 	"pulsarqr/internal/obs"
-	"pulsarqr/internal/plan"
 	"pulsarqr/internal/pulsar"
 	"pulsarqr/internal/qr"
 	"pulsarqr/internal/session"
-	"pulsarqr/internal/simulate"
 	"pulsarqr/internal/trace"
 	"pulsarqr/internal/transport"
 )
@@ -87,15 +83,11 @@ type Config struct {
 	// CheckpointEvery is the default appends-per-checkpoint cadence for new
 	// sessions (overridable per session); zero means every append.
 	CheckpointEvery int
-	// Autotune plans every job's configuration against the fleet's measured
-	// machine model before dispatch (jobs can also opt in individually via
-	// JobSpec.Autotune). The qrserve -autotune flag sets this.
-	Autotune bool
 	// Logf receives service logs; nil discards them.
 	Logf func(format string, args ...any)
-	// Obs is the observability layer: structured events, the flight
-	// recorder, and the α–β machine-model estimator. Nil disables all of it
-	// at zero cost (every obs call is nil-checked and allocation-free).
+	// Obs is the observability layer: structured events and the flight
+	// recorder. Nil disables all of it at zero cost (every obs call is
+	// nil-checked and allocation-free).
 	Obs *obs.Observer
 }
 
@@ -122,26 +114,12 @@ type Server struct {
 
 	nextID atomic.Uint32
 
-	planner *plan.Planner            // always non-nil; consulted when autotuning is on
-	rate    func() simulate.TileRate // this host's kernel rates at the library tile, timed on first call
-	costs   costModel                // in-job slowdown and per-task cost, learned from completed jobs
-
 	mu        sync.Mutex
 	jobs      map[uint32]*Job
 	terminal  []uint32     // eviction order of terminal jobs
 	deadRanks map[int]bool // fleet ranks evicted after a peer-death verdict
-	lastPlan  lastPlanInfo // most recent planned job, for /v1/status
 
-	bg        sync.WaitGroup // cost samples still replaying completed jobs on the simulator
 	closeOnce sync.Once
-}
-
-// lastPlanInfo is the status page's "what did the planner do last" record.
-type lastPlanInfo struct {
-	job         uint32
-	config      string
-	predictedMS float64
-	actualMS    float64
 }
 
 // NewServer builds the service and warms its pool. With cfg.Ep set it also
@@ -175,8 +153,6 @@ func NewServer(cfg Config) (*Server, error) {
 		started:   time.Now(),
 		jobs:      map[uint32]*Job{},
 		deadRanks: map[int]bool{},
-		planner:   plan.NewPlanner(plan.Config{}, plan.DefaultCacheCap),
-		rate:      sync.OnceValue(defaultTileRate),
 	}
 	s.baseCtx, s.stop = context.WithCancel(context.Background())
 	if cfg.Ep != nil && cfg.Ep.Size() > 1 {
@@ -222,18 +198,6 @@ func NewServer(cfg Config) (*Server, error) {
 		blas.MicroKernelName(), blas.CPUFeatures())
 	s.mgr = NewManager(cfg.QueueCap, cfg.MaxConcurrent, s.metrics, s.runJob)
 	s.mgr.obs = cfg.Obs
-	// A warm boot restores the last persisted machine model as the
-	// estimator's prior: live traffic overrides it within its first jobs.
-	if cfg.CheckpointDir != "" && cfg.Obs.Enabled() {
-		path := filepath.Join(cfg.CheckpointDir, obs.ModelFileName)
-		if mf, err := obs.LoadModelFile(path); err == nil {
-			cfg.Obs.Estimator().Seed(mf.Links)
-			cfg.Obs.Emit(obs.Event{Kind: obs.EvModelLoaded, Detail: path})
-			cfg.Logf("machine model restored from %s (%d links)", path, len(mf.Links))
-		} else if !errors.Is(err, os.ErrNotExist) {
-			cfg.Logf("machine model %s unreadable: %v (starting uncalibrated)", path, err)
-		}
-	}
 	s.batchSem = make(chan struct{}, cfg.BatchStreams)
 	s.batchSched = batch.NewScheduler(batch.SchedConfig{Pool: s.pool, OnChunk: s.metrics.ObserveBatchChunk})
 	s.sessionSem = make(chan struct{}, cfg.SessionStreams)
@@ -393,29 +357,36 @@ func (s *Server) Get(id uint32) (*Job, error) {
 	return j, nil
 }
 
+// planJob returns the spec the job actually runs, with NB, IB, H and Tree
+// all set: j.Spec's own values with every omitted one resolved against this
+// rank's defaults — an omitted H as one domain per worker of the live fleet,
+// ranks × Threads (qr.Options.Resolve). The resolved spec is what the open
+// broadcast carries, so the fleet tiles one matrix one way even if its
+// ranks' builds or pools disagree — an agent never fills one in itself.
+// Shape, data and policy fields ride through untouched.
+func (s *Server) planJob(j *Job) JobSpec {
+	spec := j.Spec
+	if opts, err := spec.Options(); err == nil { // an error here fails the job in runJob
+		opts = opts.Resolve((spec.M+opts.NB-1)/opts.NB, s.AgentsLive()*s.cfg.Threads)
+		spec.NB, spec.IB, spec.H, spec.Tree = opts.NB, opts.IB, opts.H, opts.Tree.String()
+	}
+	return spec
+}
+
 // runJob executes one dispatched job to a terminal state. In fleet mode it
 // first broadcasts the spec so every agent opens the same mux channel and
 // builds the same array, and deals an uploaded matrix out over that channel.
 //
-// The spec that actually runs is planJob's effective spec: identical to
-// j.Spec unless autotuning rewrote the algorithm configuration. j.Spec
-// itself stays immutable — job views read it without the lock.
+// The spec that actually runs is planJob's effective spec: j.Spec with its
+// tile, h and tree resolved. j.Spec itself stays immutable — job views read
+// it without the lock.
 func (s *Server) runJob(j *Job) {
 	spec := s.planJob(j)
 	upload := j.input()
 	var ep transport.Endpoint
-	var sessionMembers []int
 	stopRelay := func() bool { return false }
 	if s.mux != nil {
-		members := s.liveRanks()
-		if d := j.Plan(); d != nil && d.Choice.Ranks >= 1 && d.Choice.Ranks < len(members) {
-			// The planner decided fewer ranks win (communication outweighs
-			// the extra compute): session only a prefix of the live fleet.
-			// Ranks not in the member set ignore the open broadcast.
-			members = members[:d.Choice.Ranks]
-		}
-		if len(members) > 1 {
-			sessionMembers = members
+		if members := s.liveRanks(); len(members) > 1 {
 			// Every attempt gets a fresh session id from the same monotonic
 			// space as job ids, so a retried job can never collide with the
 			// mux channel of its own dead attempt; on a degraded fleet the
@@ -427,19 +398,6 @@ func (s *Server) runJob(j *Job) {
 				return
 			}
 			defer jep.Close()
-			if est := s.obs.Estimator(); est != nil {
-				// Deferred after jep.Close's defer, so it runs first (LIFO):
-				// fold the session's barrier waits into the α estimate as
-				// zero-byte latency samples while the counters are still live.
-				defer func() {
-					if bs := jep.BarrierStats(); bs.Count > 0 {
-						avg := bs.Wait / time.Duration(bs.Count)
-						for _, r := range members[1:] {
-							est.Add(r, 0, avg)
-						}
-					}
-				}()
-			}
 			s.broadcast(ctlMsg{Op: "open", Job: j.ID, Session: sid, Ranks: members, Spec: &spec, Upload: upload != nil})
 			// Cancellation must be collective: relay it to the agents AND fail
 			// this rank's job session. Closing jep fails its barrier state, so
@@ -471,40 +429,16 @@ func (s *Server) runJob(j *Job) {
 	if spec.Data = upload; upload != nil && ep != nil {
 		spec.sendUpload(ep, opts.NB)
 	}
-	// Every firing is counted by class and its interval added up: the job's
-	// kernel time on this rank is the cost model's measurement.
-	var busy atomic.Int64
-	fire := func(ev pulsar.FireEvent) {
-		s.metrics.FireHook(ev)
-		busy.Add(int64(ev.End.Sub(ev.Start)))
-	}
-	rc := qr.RunConfig{FireHook: fire, DeadlockTimeout: s.cfg.DeadlockTimeout}
+	rc := qr.RunConfig{FireHook: s.metrics.FireHook, DeadlockTimeout: s.cfg.DeadlockTimeout}
 	var rec *trace.Recorder
 	if spec.Trace {
 		rec = trace.NewRecorderCap(s.cfg.TraceCap)
 		hook := rec.Hook()
 		rc.FireHook = func(ev pulsar.FireEvent) {
-			fire(ev)
+			s.metrics.FireHook(ev)
 			hook(ev)
 		}
 		rc.CommHook = rec.CommHook()
-	}
-	if est := s.obs.Estimator(); est != nil && len(sessionMembers) > 1 {
-		// The α–β sampler rides the same hook as the trace recorder. Only
-		// deliveries are usable: sends are eager (Isend returns once the
-		// payload is serialized, timing nothing), so CommRecv intervals are
-		// the per-message cost signal, attributed to the real peer rank
-		// behind the session's virtual one.
-		members := sessionMembers
-		prev := rc.CommHook
-		rc.CommHook = func(ev pulsar.CommEvent) {
-			if prev != nil {
-				prev(ev)
-			}
-			if ev.Kind == pulsar.CommRecv && ev.Bytes > 0 && ev.Peer > 0 && ev.Peer < len(members) {
-				est.Add(members[ev.Peer], int64(ev.Bytes), ev.End.Sub(ev.Start))
-			}
-		}
 	}
 	// The run span opens here: building this rank's tile rows and sketching
 	// them is work done for the job, not time spent dispatching it.
@@ -520,8 +454,8 @@ func (s *Server) runJob(j *Job) {
 		s.fail(j, err.Error())
 		return
 	}
-	// Elapsed (and Gflops, and the planner's cost samples) time the
-	// factorization alone, as they always have: array build, run, gather.
+	// Elapsed (and Gflops) time the factorization alone, as they always have:
+	// array build, run, gather.
 	start := time.Now()
 	f, err := qr.FactorizeVSAIn(j.ctx, a, nil, opts, rc, qr.Env{Endpoint: ep, Pool: s.pool, Part: part})
 	elapsed := time.Since(start)
@@ -582,9 +516,7 @@ func (s *Server) runJob(j *Job) {
 	stopRelay() // a completed job must not broadcast a cancel from finish's cancel(nil)
 	if j.finish(StateDone, "", res) {
 		s.metrics.ObserveJob(time.Since(j.enqueued).Seconds(), elapsed.Seconds(), flops)
-		s.recordPlanOutcome(j, elapsed)
 		s.cfg.Logf("job %d done in %v: %.2f Gflop/s, residual %.2e", j.ID, elapsed, res.Gflops, res.Residual)
-		s.recordCostSample(spec.M, spec.N, opts, ranks, elapsed, time.Duration(busy.Load()))
 	}
 }
 
@@ -722,7 +654,6 @@ func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.stop() // cancels every job context derived from baseCtx
 		s.mgr.Close()
-		s.bg.Wait()
 		// Flush dirty session spines to their checkpoints while the pool is
 		// still alive: append streams unwind on the canceled baseCtx first.
 		if err := s.sessions.Close(); err != nil {
@@ -732,19 +663,6 @@ func (s *Server) Close() {
 			s.broadcast(ctlMsg{Op: "shutdown"})
 			s.ctl.Close()
 			s.mux.Close()
-		}
-		// Persist the calibrated machine model next to the checkpoints so
-		// the next boot starts with this fleet's measured (α, β) as priors.
-		if s.cfg.CheckpointDir != "" {
-			if est := s.obs.Estimator(); est != nil && len(est.Links()) > 0 {
-				path := filepath.Join(s.cfg.CheckpointDir, obs.ModelFileName)
-				if err := est.Save(path); err != nil {
-					s.cfg.Logf("machine model save: %v", err)
-				} else {
-					s.obs.Emit(obs.Event{Kind: obs.EvModelSaved, Detail: path})
-					s.cfg.Logf("machine model saved to %s", path)
-				}
-			}
 		}
 		s.pool.Close()
 	})

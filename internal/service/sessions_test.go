@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -486,6 +487,59 @@ func TestSessionAppendErrorStatuses(t *testing.T) {
 	}
 	if resp := post("/v1/sessions/"+info.ID+"/append", strings.NewReader("QSA1\x00\x00\x00\x00")); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("deleted session: %d, want 404", resp.StatusCode)
+	}
+}
+
+// A NaN or Inf anywhere in an appended block or its rhs rows is a decode
+// error: a stream holding one is refused before it commits, and the
+// session's R stays bitwise what the last clean append left — one bad block
+// must not poison the session (and its checkpoints) for good.
+func TestSessionRefusesNonFiniteBlock(t *testing.T) {
+	_, ts, c := newBatchTestServer(t, Config{Threads: 2})
+	rng := rand.New(rand.NewSource(59))
+	n := 8
+	info, err := c.OpenSession(SessionSpec{N: n, NRHS: 1, NB: 8, IB: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := func() *matrix.Mat { return matrix.NewRand(16, n, rng) }
+	rhs := func() *matrix.Mat { return matrix.NewRand(16, 1, rng) }
+	if _, err := c.SessionAppend(info.ID, n, []*matrix.Mat{block()}, []*matrix.Mat{rhs()}, nil); err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.SessionR(info.ID, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	nanBlock, infRHS := block(), rhs()
+	nanBlock.Set(5, 3, math.NaN())
+	infRHS.Set(9, 0, math.Inf(1))
+	for _, bad := range []struct {
+		name       string
+		block, rhs *matrix.Mat
+	}{
+		{"NaN block", nanBlock, rhs()},
+		{"+Inf rhs", block(), infRHS},
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/v1/sessions/"+info.ID+"/append", "application/octet-stream",
+			appendBody([]*matrix.Mat{bad.block}, []*matrix.Mat{bad.rhs}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: append answered %d, want 400", bad.name, resp.StatusCode)
+		}
+		got, err := c.SessionR(info.ID, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Blocks != want.Blocks || got.Rows != want.Rows {
+			t.Fatalf("%s: session at %d blocks / %d rows, want %d / %d", bad.name, got.Blocks, got.Rows, want.Blocks, want.Rows)
+		}
+		sameBits(t, bad.name, got.R, want.R)
 	}
 }
 

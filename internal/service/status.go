@@ -12,7 +12,6 @@ import (
 
 	"pulsarqr/internal/blas"
 	"pulsarqr/internal/obs"
-	"pulsarqr/internal/simulate"
 )
 
 // Version identifies the build on /healthz, /v1/status and the
@@ -74,7 +73,6 @@ type StatusView struct {
 	Fleet      FleetStatus            `json:"fleet"`
 	Classes    map[string]ClassStatus `json:"classes"`
 	Tenants    []TenantStatus         `json:"tenants,omitempty"`
-	Planner    PlannerStatus          `json:"planner"`
 	Events     int64                  `json:"events"`      // structured events emitted since boot
 	EventDrops int64                  `json:"event_drops"` // flight-ring overwrites (honest loss count)
 	Flight     []obs.Event            `json:"flight,omitempty"`
@@ -163,44 +161,14 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			},
 		},
 		Tenants:    tenants,
-		Planner:    s.plannerStatus(),
 		Events:     events,
 		EventDrops: drops,
 		Flight:     s.obs.Tail(tailN),
 	})
 }
 
-// MachineModelView is the GET /v1/machine-model body. Machine is directly
-// loadable by internal/simulate (MachineFromJSON on the "machine" subobject
-// — same field names, no conversion), so a client can feed a live server's
-// calibration straight into the planner.
-type MachineModelView struct {
-	Machine     simulate.Machine `json:"machine"`
-	Links       []obs.LinkModel  `json:"links,omitempty"`
-	Measured    bool             `json:"measured"` // false: defaults only, nothing observed yet
-	UpdatedUnix int64            `json:"updated_unix"`
-}
-
-// handleMachineModel serves the current machine-model estimate — the same
-// model the planner uses (see Server.machineModel), plus the per-link
-// evidence behind it.
-func (s *Server) handleMachineModel(w http.ResponseWriter, r *http.Request) {
-	mach, measured := s.machineModel()
-	var links []obs.LinkModel
-	if est := s.obs.Estimator(); est != nil {
-		links = est.Links()
-	}
-	writeJSON(w, http.StatusOK, MachineModelView{
-		Machine:     mach,
-		Links:       links,
-		Measured:    measured,
-		UpdatedUnix: time.Now().Unix(),
-	})
-}
-
 // writeObsProm renders the observability layer's own metrics after the
-// transport block on /metrics: build identity, event-log volume and loss,
-// and the live per-link α–β gauges.
+// transport block on /metrics: build identity and event-log volume and loss.
 func (s *Server) writeObsProm(w io.Writer) {
 	p := promWriter{w}
 	bi := buildInfo(s.cfg.Threads)
@@ -212,16 +180,4 @@ func (s *Server) writeObsProm(w io.Writer) {
 	events, drops := s.obs.Stats()
 	p.counter("qrserve_obs_events_total", "Structured events emitted.", events)
 	p.counter("qrserve_obs_event_drops_total", "Flight-recorder ring overwrites (oldest events lost).", drops)
-	links := s.obs.Links()
-	if len(links) == 0 {
-		return
-	}
-	p.family("qrserve_link_alpha_seconds", "Estimated per-message latency toward each peer rank.", "gauge")
-	for _, l := range links {
-		p.sample("qrserve_link_alpha_seconds", fmt.Sprintf("peer=\"%d\"", l.Peer), l.Alpha)
-	}
-	p.family("qrserve_link_beta_seconds_per_byte", "Estimated per-byte transfer cost toward each peer rank.", "gauge")
-	for _, l := range links {
-		p.sample("qrserve_link_beta_seconds_per_byte", fmt.Sprintf("peer=\"%d\"", l.Peer), l.Beta)
-	}
 }

@@ -568,6 +568,28 @@ func (s *Session) Current() (*qr.StreamNode, error) {
 	return s.str.Current(nil, nil), nil
 }
 
+// finite reports whether every entry of m is a finite number. v − v is 0
+// for a finite v and NaN for a NaN or ±Inf, which every later sum keeps;
+// four independent sums and no branch keep the scan of a block a small
+// fraction of its leaf reduction.
+func finite(m *matrix.Mat) bool {
+	var s0, s1, s2, s3 float64
+	for j := 0; j < m.Cols; j++ {
+		col := m.Data[j*m.LD : j*m.LD+m.Rows]
+		i := 0
+		for ; i+4 <= len(col); i += 4 {
+			s0 += col[i] - col[i]
+			s1 += col[i+1] - col[i+1]
+			s2 += col[i+2] - col[i+2]
+			s3 += col[i+3] - col[i+3]
+		}
+		for ; i < len(col); i++ {
+			s0 += col[i] - col[i]
+		}
+	}
+	return s0+s1+s2+s3 == 0
+}
+
 // leafResult carries one reduced leaf from a pool worker to the commit loop.
 type leafResult struct {
 	nd    *qr.StreamNode
@@ -580,6 +602,10 @@ type leafResult struct {
 // with the folded global R, or nil for ack-only sessions. Leaf reductions
 // pipeline over the table's pool with a bounded window while commits stay
 // ordered, so results are bitwise identical to a sequential run.
+//
+// A block or rhs holding a NaN or ±Inf ends the stream like an error from
+// next, before it is reduced: folded into the spine it would poison every
+// later append and every checkpoint.
 //
 // It returns the number of blocks committed. Only one stream may run per
 // session at a time (ErrBusy otherwise). On durable tables a checkpoint
@@ -622,13 +648,16 @@ func (s *Session) AppendStream(ctx context.Context, next func() (block, rhs *mat
 	readErr := make(chan error, 1)
 	go func() {
 		defer close(futures)
-		for {
+		for i := 0; ; i++ {
 			select {
 			case <-ctx.Done():
 				return
 			default:
 			}
 			block, rhs, err := next()
+			if err == nil && (!finite(block) || rhs != nil && !finite(rhs)) {
+				err = fmt.Errorf("session: block %d of the stream carries a NaN or Inf entry", i)
+			}
 			if err != nil {
 				if err != io.EOF {
 					readErr <- err

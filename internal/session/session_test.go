@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"sync/atomic"
@@ -52,6 +53,36 @@ func cloneAll(ms []*matrix.Mat) []*matrix.Mat {
 		out[i] = m.Clone()
 	}
 	return out
+}
+
+// finite finds a NaN or ±Inf wherever it sits: in the four-wide body of a
+// column, in its ragged tail, and in a strided view, whose rows outside the
+// view it must not read.
+func TestFiniteFindsEveryNonFinite(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, rows := range []int{1, 3, 4, 7, 16} {
+		if m := matrix.NewRand(rows, 3, rng); !finite(m) {
+			t.Fatalf("%dx3 random block read as non-finite", rows)
+		}
+		for at := 0; at < rows*3; at++ {
+			for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				m := matrix.NewRand(rows, 3, rng)
+				m.Data[at] = v
+				if finite(m) {
+					t.Fatalf("%dx3 block with %v at %d read as finite", rows, v, at)
+				}
+			}
+		}
+	}
+	big := matrix.NewRand(9, 4, rng)
+	big.Set(8, 1, math.NaN()) // below the view
+	if v := big.View(1, 1, 6, 3); !finite(v) {
+		t.Fatal("a view read a NaN outside its rows")
+	}
+	big.Set(6, 2, math.Inf(-1))
+	if finite(big.View(1, 1, 6, 3)) {
+		t.Fatal("a view missed its own -Inf")
+	}
 }
 
 func TestTableLimits(t *testing.T) {

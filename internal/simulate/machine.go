@@ -44,10 +44,9 @@ type TileRate struct {
 	Gflops [numKernels]float64 `json:"gflops"`
 }
 
-// Machine models the hardware. The JSON shape is the service's machine
-// model wire format: qrserve publishes its measured model at
-// GET /v1/machine-model with exactly these field names, so a simulation can
-// load a live fleet's calibration without conversion (MachineFromJSON).
+// Machine models the hardware. The JSON shape is the machine-model file
+// format qrbench -plan-machine reads (MachineFromJSON), so a calibration
+// written by hand or measured elsewhere loads without conversion.
 type Machine struct {
 	// Nodes is the number of distributed-memory nodes.
 	Nodes int `json:"nodes"`
@@ -70,17 +69,14 @@ type Machine struct {
 	// Rates, where it lists a workload's tile shape, replaces CoreGflops·Eff
 	// for that workload: one rate for every tile size is wrong by more than
 	// 2× between nb=64 and nb=192 on hosts whose kernels are packing-bound
-	// on small tiles. qrserve fills it by timing the kernels at the library
-	// tile (MeasureTileRate); a model without it — Kraken, a
-	// machine_model.json written before it existed — simulates exactly as
-	// it always did.
+	// on small tiles. A model without it — Kraken, LocalHost, a file
+	// written before it existed — simulates exactly as it always did.
 	Rates []TileRate `json:"rates,omitempty"`
 }
 
-// Bounds on machines Validate will accept. A machine model arrives over
-// the wire (files, GET /v1/machine-model) and feeds allocations sized by
-// its dimensions, so hostile values must be rejected here — not discovered
-// as an out-of-memory inside the DES.
+// Bounds on machines Validate will accept. A machine model arrives in a
+// file and feeds allocations sized by its dimensions, so hostile values must
+// be rejected here — not discovered as an out-of-memory inside the DES.
 const (
 	// MaxNodes caps the node count (the paper's Kraken tops out near 10^4
 	// nodes; 2^16 leaves headroom without letting a poisoned model size a
@@ -95,8 +91,7 @@ const (
 	MaxCostSeconds = 3600
 	// MaxBetaSecondsPerByte caps inverse bandwidth at one second per byte.
 	MaxBetaSecondsPerByte = 1
-	// MaxTileRates caps the rate table (qrserve serves one entry; a
-	// hand-written file may list more).
+	// MaxTileRates caps the rate table a file may list.
 	MaxTileRates = 64
 	// MaxTileSize caps a rate entry's nb.
 	MaxTileSize = 1 << 16
@@ -157,8 +152,7 @@ func (m Machine) Validate() error {
 	return nil
 }
 
-// MachineFromJSON loads a machine model from its wire shape — the
-// "machine" object served by qrserve's GET /v1/machine-model, or a
+// MachineFromJSON loads a machine model from its wire shape — a
 // hand-written calibration file.
 func MachineFromJSON(data []byte) (Machine, error) {
 	var m Machine
@@ -171,10 +165,9 @@ func MachineFromJSON(data []byte) (Machine, error) {
 	return m, nil
 }
 
-// MachineFromModelResponse loads a machine from a full GET
-// /v1/machine-model response body — the {"machine": {...}, ...} envelope —
-// falling back to the bare machine object, so both the endpoint response
-// and a saved calibration file load with one call.
+// MachineFromModelResponse loads a machine from a {"machine": {...}, ...}
+// envelope, falling back to the bare machine object, so a saved model
+// response and a calibration file load with one call.
 func MachineFromModelResponse(data []byte) (Machine, error) {
 	var resp struct {
 		Machine *Machine `json:"machine"`

@@ -128,21 +128,3 @@ func TestRaggedTilesAreCostedByTheirSize(t *testing.T) {
 		t.Errorf("640² predicted %.4g s against 768² at %.4g s", ragged.Seconds, full.Seconds)
 	}
 }
-
-// The probe times real kernels: whatever the host, the rates are positive
-// and finite, make a valid table, and a 96-wide tile is not slower per flop
-// than a 16-wide one on the update kernel that dominates a factorization.
-func TestMeasureTileRate(t *testing.T) {
-	small, big := MeasureTileRate(16, 4), MeasureTileRate(96, 24)
-	m := LocalHost(1, 2)
-	m.Rates = []TileRate{small, big}
-	if err := m.Validate(); err != nil {
-		t.Fatalf("measured table does not validate: %v\n%+v", err, m.Rates)
-	}
-	if small.NB != 16 || small.IB != 4 || big.NB != 96 || big.IB != 24 {
-		t.Fatalf("shapes not echoed: %+v %+v", small, big)
-	}
-	if !(big.Gflops[Tsmqr] > small.Gflops[Tsmqr]) {
-		t.Errorf("tsmqr at nb=96 (%.2f Gflop/s) not faster than at nb=16 (%.2f)", big.Gflops[Tsmqr], small.Gflops[Tsmqr])
-	}
-}
