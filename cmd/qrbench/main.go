@@ -113,6 +113,9 @@ func weak(scale float64) {
 		cores := int(float64(cores) / scale)
 		m := 48 * cores
 		mach := simulate.Kraken(max(cores/12, 1))
+		if skipShort(mach.TotalCores(), m, n) {
+			continue
+		}
 		o := qr.Options{NB: 192, IB: 48, Tree: qr.HierarchicalTree, H: 12}
 		w := simulate.Workload{M: m, N: n, Opts: o}
 		r := simulate.Run(w, mach, simulate.SystolicProfile)
@@ -121,6 +124,16 @@ func weak(scale float64) {
 			mach.TotalCores(), m, r.Gflops, r.Gflops/float64(mach.TotalCores()),
 			100*(r.Gflops-g.Gflops)/r.Gflops)
 	}
+}
+
+// skipShort reports whether a row scaled down to m < n, which simulate.Run
+// refuses, and if so prints a one-line note under the row's label instead.
+func skipShort(label, m, n int) bool {
+	if m >= n {
+		return false
+	}
+	fmt.Printf("%10d skipped: m=%d < n=%d at this -scale\n", label, m, n)
+	return true
 }
 
 // bestOf runs the paper's parameter sweep — nb ∈ {192, 240}, ib = 48 and,
@@ -154,6 +167,9 @@ func fig10(scale float64) {
 	fmt.Printf("%10s %14s %14s %14s\n", "m", "hierarchical", "binary", "flat")
 	for _, m := range []int{23040, 92160, 184320, 368640, 737280} {
 		m := int(float64(m) / scale)
+		if skipShort(m, m, n) {
+			continue
+		}
 		h := bestOf(m, n, qr.HierarchicalTree, mach)
 		b := bestOf(m, n, qr.BinaryTree, mach)
 		f := bestOf(m, n, qr.FlatTree, mach)

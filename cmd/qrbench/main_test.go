@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -65,6 +66,51 @@ func TestPlanMachineSpecs(t *testing.T) {
 	if code, out := qrbench(t, "-plan", "-plan-machine", "bogus"); code == 0 || !strings.Contains(out, `"bogus"`) {
 		t.Errorf("bogus: exit %d, want non-zero naming the spec:\n%s", code, out)
 	}
+}
+
+// figureRow matches a result row of any figure: a rate in GF or Gflop/s.
+var figureRow = regexp.MustCompile(`(?m)^ .*\d (GF|Gflop/s)`)
+
+// Every -fig value prints its header and at least one row. At -scale 8 the
+// shortest rows of Figure 10 and of the weak-scaling sweep fall below n and
+// are skipped with a note, not a panic; an unknown figure fails naming it.
+func TestFigures(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		args   []string
+		header string
+		note   string // a line the output must also hold
+		slow   bool   // more than a second on a 2-core host
+	}{
+		{[]string{"-fig", "10", "-scale", "32"}, "Figure 10: asymptotic scaling", "", false},
+		{[]string{"-fig", "11", "-scale", "32"}, "Figure 11: strong scaling", "", false},
+		{[]string{"-fig", "baselines", "-scale", "32"}, "Section VI-A: baselines", "", false},
+		{[]string{"-fig", "ablation", "-scale", "32"}, "Ablations at", "", false},
+		{[]string{"-fig", "weak", "-scale", "32"}, "Weak scaling", "", false},
+		{[]string{"-fig", "real"}, "Real runs on this host", "", false},
+		{[]string{"-fig", "weak", "-scale", "8"}, "Weak scaling", "skipped: m=2880 < n=4608", false},
+		{[]string{"-fig", "10", "-scale", "8"}, "Figure 10: asymptotic scaling", "skipped: m=2880 < n=4608", true},
+	} {
+		t.Run(strings.Join(tc.args, "_"), func(t *testing.T) {
+			if tc.slow && testing.Short() {
+				t.Skip("about 3 s")
+			}
+			t.Parallel()
+			code, out := qrbench(t, tc.args...)
+			if code != 0 || !strings.HasPrefix(out, tc.header) || !figureRow.MatchString(out) {
+				t.Fatalf("exit %d, want 0, the header %q and a row:\n%s", code, tc.header, out)
+			}
+			if !strings.Contains(out, tc.note) {
+				t.Fatalf("output lacks %q:\n%s", tc.note, out)
+			}
+		})
+	}
+	t.Run("bogus", func(t *testing.T) {
+		t.Parallel()
+		if code, out := qrbench(t, "-fig", "bogus"); code == 0 || !strings.Contains(out, `"bogus"`) {
+			t.Fatalf("exit %d, want non-zero naming the figure:\n%s", code, out)
+		}
+	})
 }
 
 // The session smoke client end to end against an in-process server: seed

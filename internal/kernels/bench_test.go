@@ -73,6 +73,41 @@ func BenchmarkDttqrt(b *testing.B) {
 	b.ReportMetric(FlopsTtqrt(benchNB)*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop/s")
 }
 
+// BenchmarkDtpqr2 times a session stream's two steps at the session_append
+// shape (n = 64, 64-row blocks) beside the blocked kernels at the same shape
+// and the default ib: TS folds a block into R, TT merges two triangles.
+// Gflop/s counts the unblocked operations, 2·m·n² for TS and 2n³/3 for TT.
+func BenchmarkDtpqr2(b *testing.B) {
+	const n = 64
+	rng := rand.New(rand.NewSource(1))
+	r0 := matrix.NewRand(n, n, rng).UpperTriangle()
+	ts, tt := matrix.NewRand(n, n, rng), matrix.NewRand(n, n, rng).UpperTriangle()
+	for _, tc := range []struct {
+		name  string
+		src   *matrix.Mat
+		flops float64
+		run   func(ws *Workspace, r, blk, t *matrix.Mat)
+	}{
+		{"TS", ts, 2 * n * n * n, func(ws *Workspace, r, blk, _ *matrix.Mat) { Dtpqr2(ws, 0, r, blk, nil, nil) }},
+		{"TS/blocked", ts, 2 * n * n * n, func(ws *Workspace, r, blk, t *matrix.Mat) { DtsqrtWS(ws, benchIB, r, blk, t) }},
+		{"TT", tt, 2 * n * n * n / 3, func(ws *Workspace, r, blk, _ *matrix.Mat) { Dtpqr2(ws, n, r, blk, nil, nil) }},
+		{"TT/blocked", tt, 2 * n * n * n / 3, func(ws *Workspace, r, blk, t *matrix.Mat) { DttqrtWS(ws, benchIB, r, blk, t) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			ws, r, blk, t := NewWorkspace(), r0.Clone(), tc.src.Clone(), matrix.New(benchIB, n)
+			tc.run(ws, r, blk, t)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.CopyFrom(r0)
+				blk.CopyFrom(tc.src)
+				tc.run(ws, r, blk, t)
+			}
+			b.ReportMetric(tc.flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop/s")
+		})
+	}
+}
+
 func BenchmarkDormqr(b *testing.B) {
 	ws, _, v, t := benchWorkspaceSetup()
 	DgeqrtWS(ws, benchIB, v, t)
@@ -120,7 +155,8 @@ func BenchmarkDttmqr(b *testing.B) {
 // TestKernelSteadyStateAllocs pins the zero-alloc contract independently of
 // benchmark flags: once a workspace has warmed up, the apply kernels must
 // not allocate at all — neither re-applying one (V, T) pair nor, as a
-// systolic-array worker does, applying the pairs of different panels in turn.
+// systolic-array worker does, applying the pairs of different panels in turn
+// — and neither must a stream's Dtpqr2 step.
 func TestKernelSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds items under the race detector; alloc counts are meaningless")
@@ -144,6 +180,7 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 	geV, geT := tile(), matrix.New(benchIB, benchNB)
 	DgeqrtWS(ws, benchIB, geV, geT)
 	c1, c2 := tile(), tile()
+	tpR, tpB := tile().UpperTriangle(), tile()
 
 	cases := []struct {
 		name  string
@@ -152,6 +189,7 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 		{"Dtsmqr", func() { DtsmqrWS(ws, true, benchIB, tsV, tsT, c1, c2) }},
 		{"Dttmqr", func() { DttmqrWS(ws, true, benchIB, ttV, ttT, c1, c2) }},
 		{"Dormqr", func() { DormqrWS(ws, true, benchIB, geV, geT, c1) }},
+		{"Dtpqr2", func() { Dtpqr2(ws, 0, tpR, tpB, c1, c2) }},
 		{"Dtsmqr with two (V,T) pairs in turn", func() {
 			DtsmqrWS(ws, true, benchIB, tsV, tsT, c1, c2)
 			DtsmqrWS(ws, true, benchIB, tsV2, tsT2, c1, c2)

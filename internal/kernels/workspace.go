@@ -9,8 +9,8 @@ import (
 // Workspace holds the scratch storage a kernel invocation needs — the W
 // panels of the block-reflector apply, its packed V and T operands, the
 // zero-padded V2 copy of the triangular kernels, DgeqrtWS's tau/work vectors,
-// and reusable matrix headers for the per-block operand views — so that
-// steady-state kernel fires allocate nothing.
+// Dtpqr2's scratch, and reusable matrix headers for the per-block operand
+// views — so that steady-state kernel fires allocate nothing.
 //
 // Ownership rules (see docs/KERNELS.md): a Workspace belongs to exactly one
 // goroutine at a time and is NOT safe for concurrent use. The runtime gives
@@ -31,6 +31,7 @@ type Workspace struct {
 	pvt    []float64 // applyFused packed Vᵀ (or V2ᵀ) operand
 	pv     []float64 // applyFused packed V (or V2) operand
 	pt     []float64 // applyFused packed op(T) operand
+	tp     []float64 // Dtpqr2 [R row; B] scratch
 
 	vView, tView       matrix.Mat // DgeqrtWS panel and T-block views (Dgeqr2, dlarft)
 	c1View, c2View     matrix.Mat // applyFused target views (C1, C2)

@@ -12,9 +12,9 @@ import (
 // (a few candidates each) so the cap is about key diversity, not memory.
 const DefaultCacheCap = 128
 
-// Planner wraps Decide with a bounded LRU cache keyed by machine-model
-// epoch and rounded job shape, so a warm server plans repeat shapes in
-// microseconds instead of re-running the DES sweep per job.
+// Planner wraps Decide with a bounded LRU cache keyed by a caller-chosen
+// model version (the epoch) and the rounded job shape, so repeat shapes plan
+// in microseconds instead of re-running the DES sweep each time.
 type Planner struct {
 	cfg Config
 	cap int
@@ -55,8 +55,8 @@ func RoundDim(x int) int {
 	return (x + step - 1) >> shift << shift
 }
 
-// Plan returns the decision for spec on mach at the given machine-model
-// epoch, consulting the cache first. Cache hits return a copy with
+// Plan returns the decision for spec on mach at the given model version
+// epoch — a new epoch whenever mach changes — consulting the cache first. Cache hits return a copy with
 // FromCache set; misses run the full Decide sweep and record PlanMS.
 func (p *Planner) Plan(spec Spec, mach simulate.Machine, epoch uint64) (Decision, error) {
 	rounded := spec

@@ -7,8 +7,8 @@
 // returns the winner with a scored rationale. The paper fixes the tile by
 // hand and sweeps the tree and h (its Fig. 9 is a manual sweep); CAQR-style
 // analyses show the optimum depends on the matrix shape and the network's
-// α–β, which qrserve now measures live (internal/obs), so the sweep can run
-// per job.
+// α–β, so the sweep runs per shape and machine model, offline (qrbench
+// -plan); the service runs every job at the spec it resolves to.
 //
 // The hand-default configuration is always enumerated and scored first, so
 // the chosen candidate can never simulate slower than the default — and it
@@ -16,8 +16,8 @@
 // margin for the model's own error: the planner degrades to a no-op, never
 // to a regression. Decide is pure and
 // deterministic in (spec, machine, config); Planner adds a bounded LRU cache
-// keyed by machine-model epoch and rounded job shape so warm servers plan in
-// microseconds.
+// keyed by a caller-chosen model version (the epoch) and the rounded job
+// shape, so repeat shapes plan in microseconds.
 package plan
 
 import (
@@ -62,9 +62,9 @@ func (s Spec) validate() error {
 	return nil
 }
 
-// Candidate is one scored configuration. The wire shape is flat and
-// self-describing so it can ride job views and the /v1/plan response. Every
-// candidate runs the library tile, so the tile is not part of it.
+// Candidate is one scored configuration. The JSON shape is flat and
+// self-describing, so a saved decision reads on its own. Every candidate
+// runs the library tile, so the tile is not part of it.
 type Candidate struct {
 	Tree  string `json:"tree"`        // "hierarchical", "flat", "binary"
 	H     int    `json:"h,omitempty"` // hierarchical domain height; 0 otherwise
@@ -119,7 +119,7 @@ type Decision struct {
 	Simulated  int `json:"simulated"`         // configurations DES-scored
 	Skipped    int `json:"skipped,omitempty"` // task graph over the simulation budget
 
-	Epoch     uint64  `json:"epoch,omitempty"`      // machine-model epoch the plan used
+	Epoch     uint64  `json:"epoch,omitempty"`      // model version passed to Planner.Plan
 	FromCache bool    `json:"from_cache,omitempty"` // served from the plan cache
 	PlanMS    float64 `json:"plan_ms"`              // wall time spent planning
 	Rationale string  `json:"rationale"`

@@ -23,9 +23,12 @@ import (
 // fold's prefixes (folds[i] = the fold of spine[0..i]); an append changes
 // only the newest spine entry, so the next Current extends the prefixes by
 // one merge and copies the last one out. None of this disturbs the committed
-// state. Every merge is the same dttqrt/dttmqr tile kernel pair the batch
-// factorization's binary tree fires, so streamed sessions inherit the kernel
-// layer's workspaces unchanged.
+// state. A stream keeps R and QᵀB, never Q, so neither the leaf chunks nor
+// the merges build a T factor: each is one kernels.Dtpqr2 step over the
+// pair [R; chunk] (the TS shape) or [R; R'] (the TT shape), with the
+// ride-along QᵀB columns updated by the same reflectors. The blocked
+// dtsqrt/dttqrt kernels stay with the tile factorization, whose updates
+// reuse their T factors.
 
 // StreamNode is one committed subtree root of a streaming factorization:
 // the R factor (and optionally the ride-along QᵀB rows) of every row block
@@ -67,9 +70,11 @@ type Streamer struct {
 	blocks int64
 	rows   int64
 
-	// Hook, when non-nil, observes every tile-kernel firing with its trace
-	// class ("tsqrt", "tsmqr", "ttqrt", "ttmqr"). It may be called from
-	// concurrent LeafReduce goroutines and must be safe for concurrent use.
+	// Hook, when non-nil, observes every kernel firing with its trace class:
+	// "tsqrt" for a leaf chunk, "ttqrt" for a merge (each also carries the
+	// QᵀB columns, so there is no separate update class). It may be called
+	// from concurrent LeafReduce goroutines and must be safe for concurrent
+	// use.
 	Hook func(class string)
 
 	// folds[i] (i ≥ 1) is the left-to-right fold of spine[0..i]; spine[0]
@@ -155,18 +160,12 @@ func (s *Streamer) hook(class string) {
 	}
 }
 
-// tMat shapes the workspace's auxiliary slot 0 as the block-reflector T
-// factor for one kernel call.
-func tScratch(ws *kernels.Workspace, ib, n int) *matrix.Mat {
-	return ws.Aux(0, min(ib, n), n)
-}
-
 // LeafReduce factorizes one appended row block into a leaf node: the block's
-// tile chunks are folded into a fresh n×n R by a dtsqrt chain (the flat-tree
-// leaf reduction), and rhs — required exactly when the stream carries
-// right-hand sides — is dragged along into the leaf's QᵀB by the paired
-// dtsmqr updates. The block and rhs contents are consumed (overwritten with
-// reflectors and rotated rows).
+// nb-row chunks are folded into an n×n R, starting from zero, by one TS
+// Dtpqr2 step each (the flat-tree leaf reduction), and rhs — required
+// exactly when the stream carries right-hand sides — rides along into the
+// leaf's QᵀB in the same steps. The block and rhs contents are consumed:
+// callers must not rely on them afterwards.
 //
 // LeafReduce does not touch the spine: concurrent calls on distinct
 // workspaces are safe, which is what lets a session overlap the leaf work of
@@ -193,31 +192,24 @@ func (s *Streamer) LeafReduce(ws *kernels.Workspace, block, rhs *matrix.Mat) (*S
 	if s.nrhs > 0 {
 		nd.QTB = matrix.New(s.n, s.nrhs)
 	}
-	nb, ib := s.opts.NB, s.opts.IB
+	nb := s.opts.NB
 	for r := 0; r < block.Rows; r += nb {
 		cr := min(nb, block.Rows-r)
-		chunk := block.View(r, 0, cr, s.n)
-		t := tScratch(ws, ib, s.n)
-		kernels.DtsqrtWS(ws, ib, nd.R, chunk, t)
-		s.hook("tsqrt")
+		var c2 *matrix.Mat
 		if s.nrhs > 0 {
-			kernels.DtsmqrWS(ws, true, ib, chunk, t, nd.QTB, rhs.View(r, 0, cr, s.nrhs))
-			s.hook("tsmqr")
+			c2 = rhs.View(r, 0, cr, s.nrhs)
 		}
+		kernels.Dtpqr2(ws, 0, nd.R, block.View(r, 0, cr, s.n), nd.QTB, c2)
+		s.hook("tsqrt")
 	}
 	return nd, nil
 }
 
-// merge folds victim into surv (the older, larger subtree) with one
-// dttqrt/dttmqr pair. victim's matrices are destroyed.
+// merge folds victim into surv (the older, larger subtree) with one TT
+// Dtpqr2 step. victim's QTB is overwritten.
 func (s *Streamer) merge(ws *kernels.Workspace, surv, victim *StreamNode) {
-	t := tScratch(ws, s.opts.IB, s.n)
-	kernels.DttqrtWS(ws, s.opts.IB, surv.R, victim.R, t)
+	kernels.Dtpqr2(ws, s.n, surv.R, victim.R, surv.QTB, victim.QTB)
 	s.hook("ttqrt")
-	if s.nrhs > 0 {
-		kernels.DttmqrWS(ws, true, s.opts.IB, victim.R, t, surv.QTB, victim.QTB)
-		s.hook("ttmqr")
-	}
 	surv.Blocks += victim.Blocks
 	surv.Rows += victim.Rows
 }

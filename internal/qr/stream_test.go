@@ -159,12 +159,7 @@ func refold(s *Streamer, ws *kernels.Workspace) *StreamNode {
 		cur.QTB.CopyFrom(s.spine[0].QTB)
 	}
 	for _, nd := range s.spine[1:] {
-		v := nd.R.Clone()
-		tm := tScratch(ws, s.opts.IB, s.n)
-		kernels.DttqrtWS(ws, s.opts.IB, cur.R, v, tm)
-		if s.nrhs > 0 {
-			kernels.DttmqrWS(ws, true, s.opts.IB, v, tm, cur.QTB, nd.QTB.Clone())
-		}
+		kernels.Dtpqr2(ws, s.n, cur.R, nd.R.Clone(), cur.QTB, cloneOrNil(nd.QTB))
 	}
 	return cur
 }
@@ -377,6 +372,34 @@ func TestStreamRestoreBitwise(t *testing.T) {
 	if d := matrix.MaxAbsDiff(curOrig.QTB, curRest.QTB); d != 0 {
 		t.Fatalf("restored QTB differs from uninterrupted run by %g (want bitwise equality)", d)
 	}
+}
+
+// A stream's R does not depend on its ride-along columns: the same blocks
+// streamed with and without right-hand sides fold to bitwise the same R,
+// through chunked leaves, carry-chain merges and the fold of Current.
+func TestStreamRIndependentOfRHS(t *testing.T) {
+	const n, nrhs, appends = 24, 3, 21
+	opts := Options{NB: 16, IB: 8}
+	rng := rand.New(rand.NewSource(29))
+	var blocks, rhs []*matrix.Mat
+	for i := 0; i < appends; i++ {
+		m := 1 + rng.Intn(3*n)
+		blocks = append(blocks, matrix.NewRand(m, n, rng))
+		rhs = append(rhs, matrix.NewRand(m, nrhs, rng))
+	}
+	plain, err := NewStreamer(n, 0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	riding, err := NewStreamer(n, nrhs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := kernels.NewWorkspace()
+	want := streamAll(t, plain, ws, blocks, nil)
+	got := streamAll(t, riding, ws, blocks, rhs)
+	got.QTB = nil
+	bitwiseEqual(t, "R with rhs", got, want)
 }
 
 // TestStreamInputValidation exercises the error paths of LeafReduce and

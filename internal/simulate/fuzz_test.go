@@ -8,7 +8,8 @@ import (
 )
 
 // FuzzMachineModel fuzzes both wire readers — MachineFromJSON (bare machine
-// object) and MachineFromModelResponse (the GET /v1/machine-model envelope).
+// object) and MachineFromModelResponse (a {"machine": …} envelope, as a
+// saved model file may hold).
 // The invariant under test is the one Validate promises: any machine either
 // reader ACCEPTS is safe to simulate on — dimensions inside the caps, and
 // every task and transfer time finite and non-negative. Hostile inputs

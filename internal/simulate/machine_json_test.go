@@ -10,8 +10,8 @@ import (
 	"pulsarqr/internal/qr"
 )
 
-// The JSON roundtrip is the /v1/machine-model contract: a served machine
-// must load back identically through MachineFromJSON.
+// The JSON roundtrip is the model-file contract of qrbench -plan-machine: a
+// saved machine must load back identically through MachineFromJSON.
 func TestMachineJSONRoundtrip(t *testing.T) {
 	want := Kraken(16)
 	want.Rates = []TileRate{{NB: 192, IB: 24, Gflops: [numKernels]float64{17, 22, 17, 25, 27, 23}}}
