@@ -2,10 +2,12 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -71,9 +73,14 @@ func TestPlanMachineSpecs(t *testing.T) {
 // figureRow matches a result row of any figure: a rate in GF or Gflop/s.
 var figureRow = regexp.MustCompile(`(?m)^ .*\d (GF|Gflop/s)`)
 
+var update = flag.Bool("update", false, "rewrite testdata/fig_*.txt from the current output")
+
 // Every -fig value prints its header and at least one row. At -scale 8 the
 // shortest rows of Figure 10 and of the weak-scaling sweep fall below n and
 // are skipped with a note, not a panic; an unknown figure fails naming it.
+// A simulated figure is deterministic, so each -scale 32 run must also print
+// testdata/fig_<name>.txt byte for byte (go test -run TestFigures -update
+// rewrites the files).
 func TestFigures(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct {
@@ -81,15 +88,16 @@ func TestFigures(t *testing.T) {
 		header string
 		note   string // a line the output must also hold
 		slow   bool   // more than a second on a 2-core host
+		golden string // the whole output, in testdata/fig_<golden>.txt
 	}{
-		{[]string{"-fig", "10", "-scale", "32"}, "Figure 10: asymptotic scaling", "", false},
-		{[]string{"-fig", "11", "-scale", "32"}, "Figure 11: strong scaling", "", false},
-		{[]string{"-fig", "baselines", "-scale", "32"}, "Section VI-A: baselines", "", false},
-		{[]string{"-fig", "ablation", "-scale", "32"}, "Ablations at", "", false},
-		{[]string{"-fig", "weak", "-scale", "32"}, "Weak scaling", "", false},
-		{[]string{"-fig", "real"}, "Real runs on this host", "", false},
-		{[]string{"-fig", "weak", "-scale", "8"}, "Weak scaling", "skipped: m=2880 < n=4608", false},
-		{[]string{"-fig", "10", "-scale", "8"}, "Figure 10: asymptotic scaling", "skipped: m=2880 < n=4608", true},
+		{[]string{"-fig", "10", "-scale", "32"}, "Figure 10: asymptotic scaling", "", false, "10"},
+		{[]string{"-fig", "11", "-scale", "32"}, "Figure 11: strong scaling", "", false, "11"},
+		{[]string{"-fig", "baselines", "-scale", "32"}, "Section VI-A: baselines", "", false, "baselines"},
+		{[]string{"-fig", "ablation", "-scale", "32"}, "Ablations at", "", false, "ablation"},
+		{[]string{"-fig", "weak", "-scale", "32"}, "Weak scaling", "", false, "weak"},
+		{[]string{"-fig", "real"}, "Real runs on this host", "", false, ""},
+		{[]string{"-fig", "weak", "-scale", "8"}, "Weak scaling", "skipped: m=2880 < n=4608", false, ""},
+		{[]string{"-fig", "10", "-scale", "8"}, "Figure 10: asymptotic scaling", "skipped: m=2880 < n=4608", true, ""},
 	} {
 		t.Run(strings.Join(tc.args, "_"), func(t *testing.T) {
 			if tc.slow && testing.Short() {
@@ -102,6 +110,23 @@ func TestFigures(t *testing.T) {
 			}
 			if !strings.Contains(out, tc.note) {
 				t.Fatalf("output lacks %q:\n%s", tc.note, out)
+			}
+			if tc.golden == "" {
+				return
+			}
+			path := filepath.Join("testdata", "fig_"+tc.golden+".txt")
+			if *update {
+				if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (run with -update to write it)", err)
+			}
+			if out != string(want) {
+				t.Fatalf("output differs from %s:\n got:\n%s\nwant:\n%s", path, out, want)
 			}
 		})
 	}
