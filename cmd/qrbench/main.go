@@ -240,24 +240,14 @@ func ablation(scale float64) {
 }
 
 // kernelFlops tallies the floating-point work the tile algorithm actually
-// performs — each kernel invocation the reduction plan implies, priced by
-// the kernels.Flops* models. It exceeds the 2n²(m−n/3) Householder count of
-// FlopsQR because the tree reduction redundantly re-triangularizes domain
-// tops. Valid for m, n multiples of nb (the shapes real() uses), where
-// every tile is square nb×nb.
+// performs — each kernel call of the listing, priced by the kernels.Flops*
+// models. It exceeds the 2n²(m−n/3) Householder count of FlopsQR because
+// the tree reduction redundantly re-triangularizes domain tops.
 func kernelFlops(m, n, nb, ib int, tree qr.TreeKind, h int) float64 {
-	mt, nt := m/nb, n/nb
-	o := qr.Options{NB: nb, IB: ib, Tree: tree, H: h}
+	mt, nt := (m+nb-1)/nb, (n+nb-1)/nb
+	o := qr.Options{NB: nb, IB: ib, Tree: tree, H: h}.Resolve(mt, 1)
 	var fl float64
-	for j := 0; j < nt; j++ {
-		c := qr.Plan(j, mt, o).Count(nt - j - 1)
-		fl += float64(c.Geqrt)*kernels.FlopsGeqrt(nb, nb) +
-			float64(c.Ormqr)*kernels.FlopsOrmqr(nb, nb, nb) +
-			float64(c.Tsqrt)*kernels.FlopsTsqrt(nb, nb) +
-			float64(c.Tsmqr)*kernels.FlopsTsmqr(nb, nb, nb) +
-			float64(c.Ttqrt)*kernels.FlopsTtqrt(nb) +
-			float64(c.Ttmqr)*kernels.FlopsTtmqr(nb, nb)
-	}
+	qr.List(mt, nt, 0, o, func(c qr.Call) { fl += c.Flops(m, n, nb) })
 	return fl
 }
 

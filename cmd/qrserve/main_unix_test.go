@@ -104,3 +104,33 @@ func TestLaunchedFleetServesAJobAndShutsDownClean(t *testing.T) {
 		t.Errorf("agent (pid %d) outlived the server: %v", agent, err)
 	}
 }
+
+// An agent whose server never appears gives up at the rendezvous timeout,
+// logging under its rank, as JSON when asked to. Rank 0's port is held by a
+// socket bound but never listening: nothing else can take the port while
+// the test runs, and every connect to it is refused. Rank 1 listens on a
+// port of the system's choosing, which no other rank needs to know.
+func TestLoneAgentFailsAtRendezvous(t *testing.T) {
+	t.Parallel()
+	fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_STREAM, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { syscall.Close(fd) })
+	if err := syscall.Bind(fd, &syscall.SockaddrInet4{Addr: [4]byte{127, 0, 0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	sa, err := syscall.Getsockname(fd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rank0 := "127.0.0.1:" + strconv.Itoa(sa.(*syscall.SockaddrInet4).Port)
+	start := time.Now()
+	code, out := qrserve("-rank", "1", "-peers", rank0+",127.0.0.1:0", "-rendezvous", "1s", "-log-format", "json")
+	if code != 1 || !strings.Contains(out, "qrserve 1: ") || !strings.Contains(out, "cannot reach rank 0") {
+		t.Fatalf("exit %d:\n%s", code, out)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("took %v to give up on a 1s rendezvous", d)
+	}
+}

@@ -48,20 +48,6 @@ func canon(r, c1 *matrix.Mat) {
 	batch.Canonicalize(r)
 }
 
-// maxDiff is the largest absolute elementwise difference of two same-shaped
-// matrices, NaN when either holds a NaN (matrix.MaxAbsDiff skips them).
-func maxDiff(a, b *matrix.Mat) float64 {
-	d := 0.0
-	for j := 0; j < a.Cols; j++ {
-		for i := 0; i < a.Rows; i++ {
-			if v := math.Abs(a.At(i, j) - b.At(i, j)); !(v <= d) {
-				d = v
-			}
-		}
-	}
-	return d
-}
-
 // sameBits reports whether two same-shaped matrices hold the same bits.
 func sameBits(a, b *matrix.Mat) bool {
 	for j := 0; j < a.Cols; j++ {
@@ -137,11 +123,11 @@ func TestDtpqr2MatchesBlocked(t *testing.T) {
 					}
 					canon(r, c1)
 					canon(wantR, wantC1)
-					if d := maxDiff(r, wantR); !(d <= tol) {
+					if d := matrix.MaxAbsDiff(r, wantR); !(d <= tol) {
 						t.Fatalf("%s: R differs from the blocked kernel's by %g (tol %g)", name, d, tol)
 					}
 					if k > 0 {
-						if d := math.Max(maxDiff(c1, wantC1), maxDiff(c2, wantC2)); !(d <= tol) {
+						if d := math.Max(matrix.MaxAbsDiff(c1, wantC1), matrix.MaxAbsDiff(c2, wantC2)); !(d <= tol) {
 							t.Fatalf("%s: trailing columns differ from the blocked update's by %g (tol %g)", name, d, tol)
 						}
 					}

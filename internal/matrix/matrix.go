@@ -229,7 +229,9 @@ func (m *Mat) MaxAbs() float64 {
 }
 
 // MaxAbsDiff returns the largest absolute elementwise difference between
-// two same-shaped matrices.
+// two same-shaped matrices, or NaN if any difference is NaN — a NaN on
+// either side, or on both — so that a "bitwise equal" check of 0 cannot
+// pass on a NaN.
 func MaxAbsDiff(a, b *Mat) float64 {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic("matrix: diff shape mismatch")
@@ -237,7 +239,10 @@ func MaxAbsDiff(a, b *Mat) float64 {
 	max := 0.0
 	for j := 0; j < a.Cols; j++ {
 		for i := 0; i < a.Rows; i++ {
-			if v := math.Abs(a.Data[i+j*a.LD] - b.Data[i+j*b.LD]); v > max {
+			if v := math.Abs(a.Data[i+j*a.LD] - b.Data[i+j*b.LD]); !(v <= max) {
+				if math.IsNaN(v) {
+					return v
+				}
 				max = v
 			}
 		}

@@ -164,6 +164,24 @@ func TestMaxAbsAndDiff(t *testing.T) {
 	}
 }
 
+// A NaN difference is never smaller than another, so no "== 0" check can
+// pass on it: a NaN on one side or on both makes the result NaN, even when
+// a larger finite difference follows it.
+func TestMaxAbsDiffSeesNaN(t *testing.T) {
+	a, b := New(3, 1), New(3, 1)
+	a.Set(0, 0, math.NaN())
+	b.Set(2, 0, 5)
+	if d := MaxAbsDiff(a, b); !math.IsNaN(d) {
+		t.Fatalf("NaN on one side: %v, want NaN", d)
+	}
+	if d := MaxAbsDiff(b, a); !math.IsNaN(d) {
+		t.Fatalf("NaN on the other side: %v, want NaN", d)
+	}
+	if d := MaxAbsDiff(a, a.Clone()); !math.IsNaN(d) {
+		t.Fatalf("NaN on both sides: %v, want NaN", d)
+	}
+}
+
 func TestSubFillZero(t *testing.T) {
 	a := New(2, 3)
 	a.Fill(2)

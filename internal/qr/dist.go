@@ -34,7 +34,7 @@ func init() {
 				return nil, fmt.Errorf("qr: collect packet: %w", err)
 			}
 			return &collectMsg{
-				Kind: OpKind(b[0]),
+				Kind: Kernel(b[0]),
 				J:    int(int32(binary.LittleEndian.Uint32(b[1:]))),
 				I:    int(int32(binary.LittleEndian.Uint32(b[5:]))),
 				K:    int(int32(binary.LittleEndian.Uint32(b[9:]))),

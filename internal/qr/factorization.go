@@ -8,28 +8,15 @@ import (
 	"pulsarqr/internal/matrix"
 )
 
-// OpKind identifies a panel transformation in the factorization log.
-type OpKind int
-
+// The panel transformations the factorization log records.
 const (
 	// OpGeqrt is the QR factorization of a domain-top tile.
-	OpGeqrt OpKind = iota
+	OpGeqrt = Geqrt
 	// OpTsqrt eliminates a full tile against a domain R (flat-tree step).
-	OpTsqrt
+	OpTsqrt = Tsqrt
 	// OpTtqrt folds one domain R into another (binary-tree step).
-	OpTtqrt
+	OpTtqrt = Ttqrt
 )
-
-func (k OpKind) String() string {
-	switch k {
-	case OpGeqrt:
-		return "geqrt"
-	case OpTsqrt:
-		return "tsqrt"
-	default:
-		return "ttqrt"
-	}
-}
 
 // Op records one panel transformation, in global execution order, with the
 // block-reflector factor needed to replay it. For OpGeqrt and OpTsqrt the
@@ -37,10 +24,10 @@ func (k OpKind) String() string {
 // OpTtqrt they live in V2 (an upper-trapezoidal matrix of the eliminated
 // domain's R rows).
 type Op struct {
-	Kind OpKind
-	J    int // panel index
-	I    int // top / survivor tile row
-	K    int // eliminated tile row (OpTsqrt, OpTtqrt); -1 for OpGeqrt
+	Kind Kernel // OpGeqrt, OpTsqrt or OpTtqrt
+	J    int    // panel index
+	I    int    // top / survivor tile row
+	K    int    // eliminated tile row (OpTsqrt, OpTtqrt); -1 for OpGeqrt
 	T    *matrix.Mat
 	V2   *matrix.Mat // OpTtqrt only
 }

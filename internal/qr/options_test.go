@@ -98,14 +98,6 @@ func TestPlanPanicsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestExportedPlanNormalizes(t *testing.T) {
-	// The exported Plan must fill defaults rather than panic on zero H.
-	p := Plan(0, 12, Options{Tree: HierarchicalTree})
-	if len(p.Domains) == 0 {
-		t.Fatal("Plan returned empty domains")
-	}
-}
-
 func TestEngineAndClassNames(t *testing.T) {
 	for _, c := range []string{ClassPanel, ClassUpdate, ClassBinary, ClassBinaryUpdate} {
 		if c == "" {

@@ -19,22 +19,14 @@ type Merge struct {
 }
 
 // PanelPlan is the reduction plan of one panel: which rows form which
-// domains and how the domain tops are merged. The same plan drives the
-// sequential reference, the 3D VSA construction, the task-superscalar
-// baseline and the performance simulator, so all of them perform the same
-// arithmetic in the same per-datum order.
+// domains and how the domain tops are merged. The listing (List) reads it
+// for the sequential reference, the task-superscalar baseline and the
+// performance simulator, and the 3D VSA construction reads it directly, so
+// all of them perform the same arithmetic in the same per-datum order.
 type PanelPlan struct {
 	J       int
 	Domains []Domain
 	Merges  []Merge
-}
-
-// Plan computes the reduction plan of panel j for mt tile rows. It is the
-// exported entry point used by the performance simulator, which mirrors
-// the systolic array's task graph without instantiating it. An unset H
-// resolves as for one worker: one domain per panel.
-func Plan(j, mt int, o Options) PanelPlan {
-	return planPanel(j, mt, o.Resolve(mt, 1))
 }
 
 // planPanel computes the reduction plan of panel j for mt tile rows.
@@ -85,26 +77,4 @@ func planPanel(j, mt int, o Options) PanelPlan {
 		}
 	}
 	return p
-}
-
-// KernelCount tallies the kernels a plan implies for ncols trailing
-// columns (update kernels run once per trailing column). Used by tests and
-// the simulator.
-type KernelCount struct {
-	Geqrt, Tsqrt, Ttqrt int
-	Ormqr, Tsmqr, Ttmqr int
-}
-
-// Count returns the kernel tally for this panel with ncols trailing columns.
-func (p PanelPlan) Count(ncols int) KernelCount {
-	var c KernelCount
-	for _, d := range p.Domains {
-		c.Geqrt++
-		c.Ormqr += ncols
-		c.Tsqrt += len(d.Rows)
-		c.Tsmqr += len(d.Rows) * ncols
-	}
-	c.Ttqrt = len(p.Merges)
-	c.Ttmqr = len(p.Merges) * ncols
-	return c
 }

@@ -155,13 +155,18 @@ func TestPlanInvariantsProperty(t *testing.T) {
 }
 
 func TestKernelCount(t *testing.T) {
-	p := planPanel(0, 8, opts(HierarchicalTree, 4, ShiftedBoundary))
-	c := p.Count(3)
+	// Panel 0 of 8 tile rows with 3 trailing columns.
+	var c [NumKernels + 1]int
+	List(8, 4, 0, opts(HierarchicalTree, 4, ShiftedBoundary), func(call Call) {
+		if call.J == 0 {
+			c[call.Kernel]++
+		}
+	})
 	// 2 domains of 4: 2 geqrt, 6 tsqrt, 1 merge.
-	if c.Geqrt != 2 || c.Tsqrt != 6 || c.Ttqrt != 1 {
-		t.Fatalf("counts: %+v", c)
+	if c[Geqrt] != 2 || c[Tsqrt] != 6 || c[Ttqrt] != 1 {
+		t.Fatalf("counts: %v", c)
 	}
-	if c.Ormqr != 6 || c.Tsmqr != 18 || c.Ttmqr != 3 {
-		t.Fatalf("update counts: %+v", c)
+	if c[Ormqr] != 6 || c[Tsmqr] != 18 || c[Ttmqr] != 3 || c[WriteBack] != 1 {
+		t.Fatalf("update counts: %v", c)
 	}
 }

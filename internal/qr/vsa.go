@@ -92,7 +92,7 @@ type vtMsg struct {
 // collectMsg carries a completed transformation to the driver: the kernel
 // kind, its coordinates, the reflector tile and the T factor.
 type collectMsg struct {
-	Kind    OpKind
+	Kind    Kernel
 	J, I, K int
 	Tile, T *matrix.Mat
 }

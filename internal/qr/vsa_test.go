@@ -7,6 +7,7 @@ import (
 
 	"pulsarqr/internal/matrix"
 	"pulsarqr/internal/pulsar"
+	"pulsarqr/internal/tuple"
 )
 
 // factorBoth runs the VSA and the sequential reference on identical data
@@ -157,40 +158,80 @@ func TestVSAQReplayAfterRun(t *testing.T) {
 	}
 }
 
+// TestVSATraceClassesPresent holds the VSA to the listing: for every tree on
+// a tall and a ragged shape, the ragged one also with rhs columns and the
+// tall one also on two nodes, a traced run fires exactly the listing's calls. A firing's key is decoded
+// from its tuple: the kernel's trace class (a panel VDP runs the Geqrt or a
+// Tsqrt of its row, an update VDP the Ormqr or a Tsmqr), the panel, the
+// home row, the eliminated row of a merge, and the column.
 func TestVSATraceClassesPresent(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	o := Options{NB: 8, IB: 4, Tree: HierarchicalTree, H: 2}
-	d := matrix.NewRand(48, 16, rng)
-	var mu sync.Mutex
-	classes := map[string]int{}
-	rc := RunConfig{Nodes: 1, Threads: 2, FireHook: func(e pulsar.FireEvent) {
-		mu.Lock()
-		classes[e.Class]++
-		mu.Unlock()
-	}}
-	if _, err := FactorizeVSA(matrix.FromDense(d, o.NB), nil, o, rc); err != nil {
-		t.Fatal(err)
+	type key struct {
+		class        string
+		j, row, k, l int
 	}
-	for _, c := range []string{ClassPanel, ClassUpdate, ClassBinary, ClassBinaryUpdate} {
-		if classes[c] == 0 {
-			t.Fatalf("no firings of class %q: %v", c, classes)
+	fromTuple := func(tp tuple.Tuple) key {
+		switch tp[0] {
+		case kindPanel:
+			return key{ClassPanel, tp[1], tp[2], -1, tp[1]}
+		case kindUpdate:
+			return key{ClassUpdate, tp[1], tp[2], -1, tp[3]}
+		case kindMerge:
+			return key{ClassBinary, tp[1], tp[2], tp[3], tp[1]}
 		}
+		return key{ClassBinaryUpdate, tp[1], tp[2], tp[3], tp[4]}
 	}
-	// Firing counts must match the plan's kernel counts.
-	mt, nt := 6, 2
-	var wantPanel, wantUpd, wantMerge, wantMergeUpd int
-	for j := 0; j < nt; j++ {
-		p := planPanel(j, mt, o.normalize())
-		c := p.Count(nt - j - 1)
-		wantPanel += c.Geqrt + c.Tsqrt
-		wantUpd += c.Ormqr + c.Tsmqr
-		wantMerge += c.Ttqrt
-		wantMergeUpd += c.Ttmqr
+	fromCall := func(c Call) key {
+		row, l := c.Home()
+		k := -1
+		if c.Kernel == Ttqrt || c.Kernel == Ttmqr {
+			k = c.K
+		}
+		return key{c.Kernel.Class(), c.J, row, k, l}
 	}
-	if classes[ClassPanel] != wantPanel || classes[ClassUpdate] != wantUpd ||
-		classes[ClassBinary] != wantMerge || classes[ClassBinaryUpdate] != wantMergeUpd {
-		t.Fatalf("firing counts %v; want panel=%d update=%d binary=%d binary-update=%d",
-			classes, wantPanel, wantUpd, wantMerge, wantMergeUpd)
+	rng := rand.New(rand.NewSource(7))
+	for _, sh := range []struct {
+		name      string
+		m, n, rhs int
+		nb, ib    int
+		nodes     int
+	}{
+		{"tall", 160, 16, 0, 8, 4, 1},
+		{"ragged", 45, 13, 0, 8, 3, 1},
+		{"ragged with rhs", 45, 13, 11, 8, 3, 1},
+		{"tall on 2 nodes", 160, 16, 0, 8, 4, 2},
+	} {
+		mt := (sh.m + sh.nb - 1) / sh.nb
+		configs := append(treeConfigs(sh.nb, sh.ib, mt), Options{NB: sh.nb, IB: sh.ib, Tree: FlatTree})
+		for _, o := range configs {
+			a := matrix.FromDense(matrix.NewRand(sh.m, sh.n, rng), sh.nb)
+			var b *matrix.Tiled
+			bnt := 0
+			if sh.rhs > 0 {
+				b = matrix.FromDense(matrix.NewRand(sh.m, sh.rhs, rng), sh.nb)
+				bnt = b.NT
+			}
+			var mu sync.Mutex
+			fired := map[key]int{}
+			rc := RunConfig{Nodes: sh.nodes, Threads: 2, FireHook: func(e pulsar.FireEvent) {
+				mu.Lock()
+				fired[fromTuple(e.Tuple)]++
+				mu.Unlock()
+			}}
+			f, err := FactorizeVSA(a, b, o, rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			List(a.MT, a.NT, bnt, f.Opts, func(c Call) {
+				if c.Kernel != WriteBack {
+					fired[fromCall(c)]--
+				}
+			})
+			for k, n := range fired {
+				if n != 0 {
+					t.Errorf("%s %v inter=%v: %+v fired %+d times more than listed", sh.name, f.Opts, f.Opts.Inter, k, n)
+				}
+			}
+		}
 	}
 }
 

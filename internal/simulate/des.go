@@ -3,8 +3,11 @@ package simulate
 import (
 	"container/heap"
 	"fmt"
+	"time"
 
 	"pulsarqr/internal/kernels"
+	"pulsarqr/internal/qr"
+	"pulsarqr/internal/trace"
 )
 
 // Profile selects the scheduling behavior being modeled.
@@ -40,12 +43,12 @@ type Result struct {
 	// Utilization is busy worker-seconds divided by workers × makespan.
 	Utilization float64
 	// KernelSeconds is total busy time per kernel.
-	KernelSeconds [numKernels]float64
+	KernelSeconds [qr.NumKernels]float64
 	// NodeFlops is the work the task graph places on each node, by kernel:
 	// a property of the workload and the node count, not of the machine's
 	// speeds — what a rank's share of a job is, for comparing the kernel
 	// time it measured against what the kernels take alone.
-	NodeFlops [][numKernels]float64
+	NodeFlops [][qr.NumKernels]float64
 	// CriticalPath is the longest dependency chain duration ignoring
 	// resource limits (an unreachable lower bound on the makespan).
 	CriticalPath float64
@@ -55,6 +58,15 @@ type Result struct {
 // returns the predicted performance. Reported Gflop/s always uses the
 // conventional 2n²(m − n/3) count.
 func Run(w Workload, m Machine, p Profile) Result {
+	res, _ := RunTraced(w, m, p, 0)
+	return res
+}
+
+// RunTraced simulates like Run and additionally returns the execution
+// trace of the first maxWorkers workers (node 0 first), converted to
+// trace events — enough to render paper-Fig.-7-style timelines for
+// machine sizes no real host could run. maxWorkers <= 0 records nothing.
+func RunTraced(w Workload, m Machine, p Profile, maxWorkers int) (Result, []trace.Event) {
 	if p == GenericProfile {
 		// Calibrated to the PaRSEC-class gap the paper reports (≥10 %
 		// strong scaling, ≥20 % weak): centralized dependency tracking
@@ -66,8 +78,25 @@ func Run(w Workload, m Machine, p Profile) Result {
 		m.AlphaInter *= 3
 	}
 	g := buildGraph(w, m)
-	critFirst := p == SystolicProfile
-	return g.execute(critFirst, w)
+	var events []trace.Event
+	perNode := m.Workers()
+	if maxWorkers > 0 {
+		g.onExec = func(t *task, worker int32, start, finish float64) {
+			if int(worker) >= maxWorkers {
+				return
+			}
+			events = append(events, trace.Event{
+				Class:  t.kind.Class(),
+				Panel:  int(t.panel),
+				Node:   int(worker) / perNode,
+				Thread: int(worker) % perNode,
+				Start:  time.Duration(start * float64(time.Second)),
+				End:    time.Duration(finish * float64(time.Second)),
+			})
+		}
+	}
+	res := g.execute(p == SystolicProfile, w)
+	return res, events
 }
 
 // workerState holds the per-worker scheduling state: two ready heaps (the
@@ -164,7 +193,7 @@ func (g *graph) execute(critFirst bool, w Workload) Result {
 	enqueue := func(id int32) {
 		tk := &g.tasks[id]
 		st := &ws[tk.worker]
-		if tk.crit {
+		if tk.kind <= qr.Ttqrt { // a panel or merge: the reduction's critical path
 			heap.Push(&st.crit, id)
 		} else {
 			heap.Push(&st.bulk, id)
@@ -179,7 +208,7 @@ func (g *graph) execute(critFirst bool, w Workload) Result {
 	}
 
 	var makespan, busy float64
-	var kernelBusy [numKernels]float64
+	var kernelBusy [qr.NumKernels]float64
 	executed := 0
 	for cands.Len() > 0 {
 		c := heap.Pop(&cands).(candidate)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pulsarqr/internal/kernels"
+	"pulsarqr/internal/qr"
 )
 
 // FuzzMachineModel fuzzes both wire readers — MachineFromJSON (bare machine
@@ -62,7 +63,7 @@ func FuzzMachineModel(f *testing.F) {
 			}
 			for _, sh := range shapes {
 				rate := m.kernelGflops(sh[0], sh[1])
-				for k := Kernel(0); k < numKernels; k++ {
+				for k := qr.Kernel(0); k < qr.NumKernels; k++ {
 					tt := m.taskTime(rate[k], kernels.FlopsTsmqr(64, 64, 64))
 					if math.IsNaN(tt) || math.IsInf(tt, 0) || tt < 0 {
 						t.Fatalf("kernel %s time %g at nb=%d ib=%d from accepted machine %+v", k, tt, sh[0], sh[1], m)

@@ -1,6 +1,8 @@
 // Package simulate predicts the performance of the tree-based QR on a
 // large distributed-memory machine by discrete-event simulation of the
-// exact task graph the 3D virtual systolic array executes.
+// exact task graph the engines run: the kernel-call listing qr.List, which
+// the in-order engines execute and the 3D virtual systolic array's firings
+// are tested against.
 //
 // The paper's evaluation ran on Kraken, a Cray XT5 with 12-core nodes and
 // a SeaStar2+ network — hardware this reproduction cannot access. The
@@ -16,24 +18,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+
+	"pulsarqr/internal/qr"
 )
-
-// Kernel enumerates the task kinds of the tile algorithm.
-type Kernel int
-
-const (
-	Geqrt Kernel = iota
-	Tsqrt
-	Ttqrt
-	Ormqr
-	Tsmqr
-	Ttmqr
-	numKernels
-)
-
-func (k Kernel) String() string {
-	return [...]string{"geqrt", "tsqrt", "ttqrt", "ormqr", "tsmqr", "ttmqr"}[k]
-}
 
 // TileRate is the measured rate of the six tile kernels at one tile shape.
 type TileRate struct {
@@ -41,7 +28,7 @@ type TileRate struct {
 	IB int `json:"ib"`
 	// Gflops is what each kernel sustains on full nb×nb tiles with inner
 	// block ib, in kernel order: geqrt, tsqrt, ttqrt, ormqr, tsmqr, ttmqr.
-	Gflops [numKernels]float64 `json:"gflops"`
+	Gflops [qr.NumKernels]float64 `json:"gflops"`
 }
 
 // Machine models the hardware. The JSON shape is the machine-model file
@@ -57,7 +44,7 @@ type Machine struct {
 	CoreGflops float64 `json:"core_gflops"`
 	// Eff holds the per-kernel fraction of peak the pure kernels reach, in
 	// kernel order: geqrt, tsqrt, ttqrt, ormqr, tsmqr, ttmqr.
-	Eff [numKernels]float64 `json:"eff"`
+	Eff [qr.NumKernels]float64 `json:"eff"`
 	// AlphaInter is the inter-node message latency in seconds.
 	AlphaInter float64 `json:"alpha_inter_seconds"`
 	// BetaInter is the inverse inter-node bandwidth in seconds per byte.
@@ -118,7 +105,7 @@ func (m Machine) Validate() error {
 	if !(m.CoreGflops > 0) || m.CoreGflops > MaxCoreGflops {
 		return fmt.Errorf("simulate: core peak %g Gflop/s outside (0, %g]", m.CoreGflops, float64(MaxCoreGflops))
 	}
-	for k := Kernel(0); k < numKernels; k++ {
+	for k := qr.Kernel(0); k < qr.NumKernels; k++ {
 		if !(m.Eff[k] > 0) || m.Eff[k] > 1 {
 			return fmt.Errorf("simulate: kernel %s efficiency %g outside (0, 1]", k, m.Eff[k])
 		}
@@ -142,7 +129,7 @@ func (m Machine) Validate() error {
 		if r.NB < 1 || r.NB > MaxTileSize || r.IB < 1 || r.IB > r.NB {
 			return fmt.Errorf("simulate: tile rate for nb=%d ib=%d (want 1 <= ib <= nb <= %d)", r.NB, r.IB, MaxTileSize)
 		}
-		for k := Kernel(0); k < numKernels; k++ {
+		for k := qr.Kernel(0); k < qr.NumKernels; k++ {
 			if !(r.Gflops[k] > 0) || r.Gflops[k] > MaxCoreGflops {
 				return fmt.Errorf("simulate: kernel %s rate %g Gflop/s at nb=%d ib=%d outside (0, %g]",
 					k, r.Gflops[k], r.NB, r.IB, float64(MaxCoreGflops))
@@ -212,12 +199,12 @@ func Kraken(nodes int) Machine {
 		HopIntra:     0.4e-6,
 		TaskOverhead: 4e-6,
 	}
-	m.Eff[Geqrt] = 0.34
-	m.Eff[Tsqrt] = 0.46
-	m.Eff[Ttqrt] = 0.17
-	m.Eff[Ormqr] = 0.62
-	m.Eff[Tsmqr] = 0.74
-	m.Eff[Ttmqr] = 0.38
+	m.Eff[qr.Geqrt] = 0.34
+	m.Eff[qr.Tsqrt] = 0.46
+	m.Eff[qr.Ttqrt] = 0.17
+	m.Eff[qr.Ormqr] = 0.62
+	m.Eff[qr.Tsmqr] = 0.74
+	m.Eff[qr.Ttmqr] = 0.38
 	return m
 }
 
@@ -250,11 +237,11 @@ func (m Machine) Rate(nb, ib int) (TileRate, bool) {
 
 // kernelGflops returns the rate every kernel runs at on (nb, ib) tiles: the
 // measured entry for exactly that shape, else peak times efficiency.
-func (m Machine) kernelGflops(nb, ib int) [numKernels]float64 {
+func (m Machine) kernelGflops(nb, ib int) [qr.NumKernels]float64 {
 	if r, ok := m.Rate(nb, ib); ok {
 		return r.Gflops
 	}
-	var g [numKernels]float64
+	var g [qr.NumKernels]float64
 	for k := range g {
 		g[k] = m.CoreGflops * m.Eff[k]
 	}

@@ -14,7 +14,7 @@ import (
 // saved machine must load back identically through MachineFromJSON.
 func TestMachineJSONRoundtrip(t *testing.T) {
 	want := Kraken(16)
-	want.Rates = []TileRate{{NB: 192, IB: 24, Gflops: [numKernels]float64{17, 22, 17, 25, 27, 23}}}
+	want.Rates = []TileRate{{NB: 192, IB: 24, Gflops: [qr.NumKernels]float64{17, 22, 17, 25, 27, 23}}}
 	data, err := json.Marshal(want)
 	if err != nil {
 		t.Fatal(err)
@@ -85,9 +85,9 @@ func TestRateTableReplacesPeakTimesEfficiency(t *testing.T) {
 	}
 
 	for name, bad := range map[string]TileRate{
-		"zero rate":   {NB: 192, IB: 24, Gflops: [numKernels]float64{1, 1, 0, 1, 1, 1}},
-		"nan rate":    {NB: 192, IB: 24, Gflops: [numKernels]float64{1, math.NaN(), 1, 1, 1, 1}},
-		"huge rate":   {NB: 192, IB: 24, Gflops: [numKernels]float64{1, 1, 1, 1, 1, 2 * MaxCoreGflops}},
+		"zero rate":   {NB: 192, IB: 24, Gflops: [qr.NumKernels]float64{1, 1, 0, 1, 1, 1}},
+		"nan rate":    {NB: 192, IB: 24, Gflops: [qr.NumKernels]float64{1, math.NaN(), 1, 1, 1, 1}},
+		"huge rate":   {NB: 192, IB: 24, Gflops: [qr.NumKernels]float64{1, 1, 1, 1, 1, 2 * MaxCoreGflops}},
 		"ib above nb": {NB: 24, IB: 192, Gflops: twice.Gflops},
 		"zero nb":     {NB: 0, IB: 0, Gflops: twice.Gflops},
 		"huge nb":     {NB: MaxTileSize + 1, IB: 1, Gflops: twice.Gflops},

@@ -3,7 +3,6 @@ package simulate
 import (
 	"fmt"
 
-	"pulsarqr/internal/kernels"
 	"pulsarqr/internal/pulsar"
 	"pulsarqr/internal/qr"
 )
@@ -31,8 +30,7 @@ type task struct {
 	worker  int32
 	deps    int32
 	readyAt float64
-	crit    bool // panel/merge task: on the reduction critical path
-	kind    Kernel
+	kind    qr.Kernel
 	panel   int32 // panel step j, for trace generation
 	succs   []edge
 }
@@ -44,15 +42,18 @@ type graph struct {
 	msgs  int64
 	bytes int64
 	// nodeFlops is the flops the DAG places on each node, by kernel.
-	nodeFlops [][numKernels]float64
+	nodeFlops [][qr.NumKernels]float64
 	// onExec, when set, observes every task execution (trace generation).
 	onExec func(t *task, worker int32, start, finish float64)
 }
 
-// buildGraph generates the task graph the 3D VSA executes for workload w:
-// the same plans, the same chains, and the runtime's own placement rule
-// (pulsar.PlaceTile). An unset h is the one dispatch would run: one domain
-// per worker of the machine.
+// buildGraph prices the listing (qr.List) of workload w on machine m: one
+// task per kernel call, its flops at the machine's rate, placed by the
+// runtime's own rule (pulsar.PlaceTile of its home tile). Each datum a call
+// touches draws an edge from the datum's last writer: reflectors it only
+// reads cost vtBytes plus the by-pass hops to its column, a tile or R it
+// overwrites costs nbBytes. An unset h is the one dispatch would run: one
+// domain per worker of the machine.
 func buildGraph(w Workload, m Machine) *graph {
 	nb := w.Opts.NB
 	mt := (w.M + nb - 1) / nb
@@ -62,116 +63,57 @@ func buildGraph(w Workload, m Machine) *graph {
 	}
 	workers := m.Workers()
 	opts := w.Opts.Resolve(mt, m.Nodes*workers)
-	ib := opts.IB
 
-	g := &graph{m: m, nodeFlops: make([][numKernels]float64, m.Nodes)}
-	rate := m.kernelGflops(nb, ib)
+	g := &graph{m: m, nodeFlops: make([][qr.NumKernels]float64, m.Nodes)}
+	rate := m.kernelGflops(nb, opts.IB)
 	nbBytes := 8 * nb * nb
-	vtBytes := 8 * (nb*nb + ib*nb)
+	vtBytes := 8 * (nb*nb + opts.IB*nb)
 
-	// Edge tiles are as ragged as the matrix: at nb=192 a 640-column matrix
-	// ends in a 64-wide tile, and costing it as a full one would overstate
-	// the whole factorization by half.
-	rows := func(i int) int { return min(nb, w.M-i*nb) }
-	cols := func(j int) int { return min(nb, w.N-j*nb) }
-
-	curPanel := 0
-	newTask := func(k Kernel, row, col int, fl float64, crit bool) int32 {
+	// writer[slot(d)] is 1 + the task that last wrote datum d, 0 before
+	// any: the mt×nt tiles, then the R of each (panel, domain top).
+	writer := make([]int32, 2*mt*nt)
+	slot := func(d qr.Datum) int {
+		if d.R {
+			return mt*nt + d.L*mt + d.I
+		}
+		return d.I*nt + d.L
+	}
+	qr.List(mt, nt, 0, opts, func(c qr.Call) {
+		if c.Kernel == qr.WriteBack {
+			return // it runs no kernel, so it is no task
+		}
 		id := int32(len(g.tasks))
+		fl := c.Flops(w.M, w.N, nb)
+		row, col := c.Home()
 		node, thread := pulsar.PlaceTile(mt, m.Nodes, workers, row, col)
-		g.nodeFlops[node][k] += fl
+		g.nodeFlops[node][c.Kernel] += fl
 		g.tasks = append(g.tasks, task{
-			dur:    m.taskTime(rate[k], fl),
+			dur:    m.taskTime(rate[c.Kernel], fl),
 			worker: int32(node*workers + thread),
-			kind:   k,
-			crit:   crit,
-			panel:  int32(curPanel),
+			kind:   c.Kernel,
+			panel:  int32(c.J),
 		})
-		return id
-	}
-	// dep connects src -> dst with a message of the given size and an
-	// extra fixed delay (pipelined by-pass hops).
-	dep := func(src, dst int32, bytes int, extra float64) {
-		if src < 0 {
-			return
-		}
-		s, d := &g.tasks[src], &g.tasks[dst]
-		same := s.worker/int32(workers) == d.worker/int32(workers)
-		delay := m.transfer(same, bytes) + extra
-		if !same {
-			g.msgs++
-			g.bytes += int64(bytes)
-		}
-		s.succs = append(s.succs, edge{to: dst, delay: delay})
-		d.deps++
-	}
-
-	// lastTouch[i*nt+l] is the task that released tile (i,l), -1 initially.
-	lastTouch := make([]int32, mt*nt)
-	for i := range lastTouch {
-		lastTouch[i] = -1
-	}
-	lt := func(i, l int) int32 { return lastTouch[i*nt+l] }
-	setLT := func(i, l int, t int32) { lastTouch[i*nt+l] = t }
-
-	for j := 0; j < nt; j++ {
-		curPanel = j
-		plan := qr.Plan(j, mt, opts)
-
-		// Panel chains and merges (the R stream).
-		panelTask := map[int]int32{}
-		streamEnd := map[int]int32{}
-		for _, d := range plan.Domains {
-			tg := newTask(Geqrt, d.Top, j, kernels.FlopsGeqrt(rows(d.Top), cols(j)), true)
-			dep(lt(d.Top, j), tg, nbBytes, 0)
-			panelTask[d.Top] = tg
-			prev := tg
-			for _, k := range d.Rows {
-				ts := newTask(Tsqrt, k, j, kernels.FlopsTsqrt(rows(k), cols(j)), true)
-				dep(prev, ts, nbBytes, 0)
-				dep(lt(k, j), ts, nbBytes, 0)
-				panelTask[k] = ts
-				prev = ts
+		c.Access(func(d qr.Datum, write bool) {
+			// Reflectors travel the by-pass chain to column L; a datum the
+			// call overwrites is handed on as one tile.
+			bytes, extra := vtBytes, float64(c.L-c.J-1)*m.HopIntra
+			if write {
+				bytes, extra = nbBytes, 0
 			}
-			streamEnd[d.Top] = prev
-		}
-		mergeTask := make([]int32, len(plan.Merges))
-		for mi, mg := range plan.Merges {
-			t := newTask(Ttqrt, mg.Surv, j, kernels.FlopsTtqrt(cols(j)), true)
-			dep(streamEnd[mg.Surv], t, nbBytes, 0)
-			dep(streamEnd[mg.K], t, nbBytes, 0)
-			streamEnd[mg.Surv] = t
-			mergeTask[mi] = t
-		}
-
-		// Update chains per trailing column.
-		for l := j + 1; l < nt; l++ {
-			hop := float64(l-j-1) * m.HopIntra // by-pass pipeline depth
-			updEnd := map[int]int32{}
-			for _, d := range plan.Domains {
-				u := newTask(Ormqr, d.Top, l, kernels.FlopsOrmqr(rows(d.Top), cols(l), min(rows(d.Top), cols(j))), false)
-				dep(panelTask[d.Top], u, vtBytes, hop)
-				dep(lt(d.Top, l), u, nbBytes, 0)
-				prev := u
-				for _, k := range d.Rows {
-					ut := newTask(Tsmqr, k, l, kernels.FlopsTsmqr(rows(k), cols(j), cols(l)), false)
-					dep(panelTask[k], ut, vtBytes, hop)
-					dep(prev, ut, nbBytes, 0)
-					dep(lt(k, l), ut, nbBytes, 0)
-					setLT(k, l, ut)
-					prev = ut
+			if w := writer[slot(d)]; w > 0 {
+				src, dst := &g.tasks[w-1], &g.tasks[id]
+				same := src.worker/int32(workers) == dst.worker/int32(workers)
+				if !same {
+					g.msgs++
+					g.bytes += int64(bytes)
 				}
-				updEnd[d.Top] = prev
+				src.succs = append(src.succs, edge{to: id, delay: m.transfer(same, bytes) + extra})
+				dst.deps++
 			}
-			for mi, mg := range plan.Merges {
-				mu := newTask(Ttmqr, mg.Surv, l, kernels.FlopsTtmqr(cols(j), cols(l)), false)
-				dep(mergeTask[mi], mu, vtBytes, hop)
-				dep(updEnd[mg.Surv], mu, nbBytes, 0)
-				dep(updEnd[mg.K], mu, nbBytes, 0)
-				updEnd[mg.Surv] = mu
-				setLT(mg.K, l, mu)
+			if write {
+				writer[slot(d)] = id + 1
 			}
-		}
-	}
+		})
+	})
 	return g
 }

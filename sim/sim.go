@@ -1,6 +1,7 @@
 // Package sim is the public façade over the performance simulator: a
-// discrete-event model that executes the exact task graph of the 3D
-// virtual systolic array on a calibrated machine model, predicting
+// discrete-event model that prices the one kernel-call listing the engines
+// run (qr.List; a test holds the 3D virtual systolic array's firings to it)
+// on a calibrated machine model, predicting
 // large-scale behavior that cannot be measured on a laptop. It regenerates
 // the paper's evaluation figures (see cmd/qrbench and EXPERIMENTS.md).
 package sim
