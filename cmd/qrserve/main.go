@@ -112,7 +112,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		logf = func(format string, args ...any) { events.Info(fmt.Sprintf(format, args...)) }
 	}
-	startPprof(*pprof, logger)
+	defer startPprof(*pprof, logger)()
 
 	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSig()
@@ -214,16 +214,24 @@ func buildLogger(level, format string, w io.Writer) (*slog.Logger, error) {
 }
 
 // startPprof serves the net/http/pprof handlers on their own listener; the
-// profiling surface never rides the public job API and is off by default.
-func startPprof(addr string, logger *log.Logger) {
+// profiling surface never rides the public job API and is off by default. It
+// returns the func that closes the listener, which run defers so that no
+// exit path leaves it open.
+func startPprof(addr string, logger *log.Logger) (stop func()) {
 	if addr == "" {
-		return
+		return func() {}
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		logger.Printf("pprof: %v", err)
-		return
+		return func() {}
 	}
 	logger.Printf("pprof on http://%s/debug/pprof/", ln.Addr())
-	go func() { logger.Printf("pprof: %v", http.Serve(ln, nil)) }()
+	srv := &http.Server{}
+	go func() {
+		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+			logger.Printf("pprof: %v", err)
+		}
+	}()
+	return func() { srv.Close() }
 }

@@ -3,7 +3,9 @@
 package main
 
 import (
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -132,5 +134,97 @@ func TestLoneAgentFailsAtRendezvous(t *testing.T) {
 	}
 	if d := time.Since(start); d > 10*time.Second {
 		t.Fatalf("took %v to give up on a 1s rendezvous", d)
+	}
+}
+
+// serveInProcess runs the command in this process with args plus an
+// ephemeral listen address, and returns once it serves HTTP: its output, the
+// address it serves on, and stop, which sends this process SIGTERM — the
+// command's own signal context takes it — and returns the exit code. Callers
+// are not parallel: a test in flight elsewhere that runs the command
+// in-process would take the signal too.
+func serveInProcess(t *testing.T, args ...string) (out *syncBuffer, addr string, stop func() int) {
+	t.Helper()
+	portfile := filepath.Join(t.TempDir(), "port")
+	out = &syncBuffer{}
+	code := make(chan int, 1)
+	go func() {
+		code <- run(append(args, "-listen", "127.0.0.1:0", "-portfile", portfile, "-threads", "1"), out, out)
+	}()
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if b, _ := os.ReadFile(portfile); len(b) > 0 && strings.Contains(out.String(), "serving on") {
+			addr = strings.TrimSpace(string(b))
+			break
+		}
+		select {
+		case c := <-code:
+			t.Fatalf("exit %d before serving:\n%s", c, out.String())
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("not serving after 20s:\n%s", out.String())
+		}
+	}
+	stop = func() int {
+		syscall.Kill(os.Getpid(), syscall.SIGTERM)
+		select {
+		case c := <-code:
+			return c
+		case <-time.After(30 * time.Second):
+			t.Fatalf("no exit 30s after SIGTERM:\n%s", out.String())
+			return -1
+		}
+	}
+	return out, addr, stop
+}
+
+func getStatus(t *testing.T, url string) int {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// -pprof-addr serves the profiles on a listener of their own, and the
+// listener closes when the command returns: run leaves no socket behind.
+func TestPprofServesAndClosesWithTheCommand(t *testing.T) {
+	out, _, stop := serveInProcess(t, "-pprof-addr", "127.0.0.1:0")
+	m := regexp.MustCompile(`pprof on http://(\S+)/debug/pprof/`).FindStringSubmatch(out.String())
+	if m == nil {
+		t.Fatalf("no pprof address logged:\n%s", out.String())
+	}
+	if code := getStatus(t, fmt.Sprintf("http://%s/debug/pprof/cmdline", m[1])); code != http.StatusOK {
+		t.Errorf("/debug/pprof/cmdline: status %d", code)
+	}
+	if code := stop(); code != 0 {
+		t.Fatalf("exit %d on SIGTERM:\n%s", code, out.String())
+	}
+	if c, err := net.Dial("tcp", m[1]); err == nil {
+		c.Close()
+		t.Errorf("the pprof listener on %s outlived the command", m[1])
+	}
+}
+
+// A pprof address the command cannot listen on is logged, and the command
+// serves jobs all the same.
+func TestUnusablePprofAddressStillServes(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	out, addr, stop := serveInProcess(t, "-pprof-addr", taken.Addr().String())
+	if !strings.Contains(out.String(), "pprof: ") {
+		t.Errorf("no pprof error logged:\n%s", out.String())
+	}
+	if code := getStatus(t, "http://"+addr+"/healthz"); code != http.StatusOK {
+		t.Errorf("/healthz: status %d", code)
+	}
+	if code := stop(); code != 0 {
+		t.Fatalf("exit %d on SIGTERM:\n%s", code, out.String())
 	}
 }

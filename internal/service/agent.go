@@ -192,7 +192,7 @@ func (ag *Agent) runJob(ctx context.Context, id, session uint32, ranks []int, sp
 			return
 		}
 	}
-	a, part, err := spec.ownedInputs(opts, id, jep.Size(), jep.Rank())
+	a, part, slab, err := spec.ownedInputs(opts, id, jep.Size(), jep.Rank())
 	if err != nil {
 		ag.logf("agent: job %d: %v", id, err)
 		return
@@ -208,6 +208,7 @@ func (ag *Agent) runJob(ctx context.Context, id, session uint32, ranks []int, sp
 		ag.logf("agent: job %d: %v", id, err)
 		return
 	}
+	releaseSlab(slab) // this rank's R tiles went to rank 0 as bytes in the gather
 	if rec != nil {
 		// Ship this rank's shard to the server, which is blocked gathering
 		// on the still-open job session.

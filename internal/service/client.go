@@ -99,33 +99,30 @@ func (c *Client) open(method, path, ctype string, body func() io.Reader, accept 
 	}
 }
 
-// do is open for a body already encoded (nil for none): it returns the
-// status, the response's content type and its body.
-func (c *Client) do(method, path, ctype string, body []byte, accept string) (int, string, []byte, error) {
-	var mk func() io.Reader
-	if body != nil {
-		mk = func() io.Reader { return bytes.NewReader(body) }
-	}
-	code, resp, err := c.open(method, path, ctype, mk, accept)
+// do is open with the response read whole: it returns the status and the
+// response's body.
+func (c *Client) do(method, path, ctype string, body func() io.Reader) (int, []byte, error) {
+	code, resp, err := c.open(method, path, ctype, body, "")
 	if err != nil {
-		return code, "", nil, err
+		return code, nil, err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
-	return code, resp.Header.Get("Content-Type"), data, err
+	return code, data, err
 }
 
 // call is do for the JSON endpoints: in, when not nil, is the request body
 // and out, when not nil, receives the response.
 func (c *Client) call(method, path string, in, out any) (int, error) {
-	var body []byte
+	var body func() io.Reader
 	if in != nil {
-		var err error
-		if body, err = json.Marshal(in); err != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
 			return 0, err
 		}
+		body = func() io.Reader { return bytes.NewReader(b) }
 	}
-	code, _, data, err := c.do(method, path, "application/json", body, "")
+	code, data, err := c.do(method, path, "application/json", body)
 	if err == nil && out != nil {
 		err = json.Unmarshal(data, out)
 	}
@@ -151,7 +148,7 @@ func (c *Client) Submit(spec JobSpec, wait bool) (JobView, int, error) {
 	if err != nil {
 		return v, 0, err
 	}
-	code, _, data, err := c.do("POST", "/v1/factorize", jobFrameType, appendJobFrame(nil, head, a), "")
+	code, data, err := c.do("POST", "/v1/factorize", jobFrameType, func() io.Reader { return jobFrameBody(head, a) })
 	if err == nil {
 		err = json.Unmarshal(data, &v)
 	}
@@ -168,16 +165,20 @@ func (c *Client) Job(id uint32, includeR bool) (JobView, error) {
 		_, err := c.call("GET", path, nil, &v)
 		return v, err
 	}
-	_, ctype, data, err := c.do("GET", path+"?include=r", "", nil, jobFrameType)
+	_, resp, err := c.open("GET", path+"?include=r", "", nil, jobFrameType)
 	if err != nil {
 		return v, err
 	}
-	if ctype != jobFrameType {
+	defer resp.Body.Close()
+	if ctype := resp.Header.Get("Content-Type"); ctype != jobFrameType {
 		return v, fmt.Errorf("service: job %d came back as %q, not the %s asked for", id, ctype, jobFrameType)
 	}
-	r, err := readJobFrame(bytes.NewReader(data), func(head []byte, rows, cols int) error {
+	r, err := readJobFrame(resp.Body, func(head []byte, rows, cols int) error {
 		if err := json.Unmarshal(head, &v); err != nil {
 			return err
+		}
+		if v.N < 0 || v.N > maxDim {
+			return fmt.Errorf("job %d is %dx%d; no job has more than %d columns", id, v.M, v.N, maxDim)
 		}
 		if (rows != 0 || cols != 0) && (rows != v.N || cols != v.N) {
 			return fmt.Errorf("frame matrix is %dx%d, R of job %d is %dx%d", rows, cols, id, v.N, v.N)
@@ -290,6 +291,6 @@ func batchBody(mats []*matrix.Mat) io.Reader {
 
 // Metrics fetches the raw Prometheus exposition text.
 func (c *Client) Metrics() (string, error) {
-	_, _, data, err := c.do("GET", "/metrics", "", nil, "")
+	_, data, err := c.do("GET", "/metrics", "", nil)
 	return string(data), err
 }

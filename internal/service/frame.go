@@ -30,16 +30,42 @@ var jobFrameMagic = [4]byte{'Q', 'J', 'F', '1'}
 // view with a flight-recorder tail a few kilobytes.
 const maxFrameHead = 1 << 16
 
-// appendJobFrame appends the frame of head and m; a nil m is the empty matrix.
-func appendJobFrame(dst, head []byte, m *matrix.Mat) []byte {
+// writeJobFrame writes the frame of head and m (nil: the empty matrix) to w,
+// the one encoder of both directions: whole columns are appended until the
+// buffer holds wire.SlabSize bytes, then written, so the frame never exists
+// whole on the sending side.
+func writeJobFrame(w io.Writer, head []byte, m *matrix.Mat) error {
 	if m == nil {
 		m = &matrix.Mat{}
 	}
-	dst = slices.Grow(dst, 8+len(head)+8+8*m.Rows*m.Cols+16)
-	dst = binary.LittleEndian.AppendUint32(append(dst, jobFrameMagic[:]...), uint32(len(head)))
-	dst = append(dst, head...)
-	dst, sum := wire.AppendDimMat(dst, m)
-	return wire.AppendTrailer(dst, min(m.Rows*m.Cols, 1), 0, sum)
+	size := 8 + len(head) + 8 + 8*m.Rows*m.Cols + 16
+	buf := make([]byte, 0, min(size, len(head)+wire.SlabSize+8*m.Rows+32))
+	buf = binary.LittleEndian.AppendUint32(append(buf, jobFrameMagic[:]...), uint32(len(head)))
+	buf = append(buf, head...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Rows))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Cols))
+	var sum uint64
+	for j := 0; j < m.Cols; j++ {
+		var s uint64
+		buf, s = wire.AppendFloats(buf, m.Col(j))
+		sum ^= s
+		if len(buf) >= wire.SlabSize {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+	}
+	_, err := w.Write(wire.AppendTrailer(buf, min(m.Rows*m.Cols, 1), 0, sum))
+	return err
+}
+
+// jobFrameBody is writeJobFrame through a pipe, the way batchBody streams a
+// batch: one attempt's request body.
+func jobFrameBody(head []byte, m *matrix.Mat) io.Reader {
+	pr, pw := io.Pipe()
+	go func() { pw.CloseWithError(writeJobFrame(pw, head, m)) }()
+	return pr
 }
 
 // readJobFrame decodes one frame and returns its matrix, nil when empty. The

@@ -11,9 +11,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pulsarqr/internal/matrix"
+	"pulsarqr/internal/wire"
 )
 
 // The job frame is on the wire between clients and servers of different
@@ -21,6 +24,19 @@ import (
 // of internal/wire's goldens. They were written by appendJobFrame from the
 // inputs below; the heads are literal so that a field added to a view cannot
 // move them.
+
+// appendJobFrame appends the frame of head and m (nil: the empty matrix),
+// built whole: the encoder the goldens were written with, and the reference
+// writeJobFrame's stream is held to byte for byte.
+func appendJobFrame(dst, head []byte, m *matrix.Mat) []byte {
+	if m == nil {
+		m = &matrix.Mat{}
+	}
+	dst = binary.LittleEndian.AppendUint32(append(dst, jobFrameMagic[:]...), uint32(len(head)))
+	dst = append(dst, head...)
+	dst, sum := wire.AppendDimMat(dst, m)
+	return wire.AppendTrailer(dst, min(m.Rows*m.Cols, 1), 0, sum)
+}
 
 // frameMat is a 3×2 matrix of bit patterns a float conversion could mangle —
 // a NaN with a payload, −0, the smallest denormal — among ordinary values.
@@ -257,4 +273,119 @@ func FuzzJobFrame(f *testing.F) {
 			t.Fatalf("a decoded %dx%d frame re-encodes to different bytes", req.M, req.N)
 		}
 	})
+}
+
+// Both sides stream a frame (writeJobFrame; the client's through
+// jobFrameBody) that must be, byte for byte, the frame appendJobFrame builds
+// whole: none, empty, one element, the 3×2 of awkward bit patterns, a
+// strided view (LD > rows), and a matrix whose payload spans several
+// wire.SlabSize writes and ends in a ragged one.
+func TestJobFrameBodyIsAppendJobFrame(t *testing.T) {
+	head := []byte(`{"m":3,"n":2,"nb":2,"wait":true}`)
+	for _, tc := range []struct {
+		name string
+		m    *matrix.Mat
+	}{
+		{"none", nil},
+		{"0x0", &matrix.Mat{}},
+		{"1x1", matrix.Identity(1)},
+		{"3x2", frameMat()},
+		{"strided view", matrix.NewSeeded(7, 3, 1).View(2, 1, 4, 2)},
+		{"several slabs", matrix.NewSeeded(1000, 50, 2)}, // 400,000 payload bytes
+	} {
+		got, err := io.ReadAll(jobFrameBody(head, tc.m))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if want := appendJobFrame(nil, head, tc.m); !bytes.Equal(got, want) {
+			t.Errorf("%s: streamed %d bytes that differ from appendJobFrame's %d", tc.name, len(got), len(want))
+		}
+	}
+}
+
+// Client.Job decodes R straight off the response, so what a server sends is
+// believed only as far as readJobFrame and the view's own shape allow: a
+// body of the wrong type, a frame whose checksum, length, dims or end is
+// wrong, and a head that declares a job too wide to have an R are each an
+// error, never a panic. The well-formed frame they are damaged copies of
+// decodes to its R.
+func TestClientJobRefusesHostileRFrames(t *testing.T) {
+	head := []byte(`{"id":7,"status":"done","m":3,"n":2,"ok":true}`)
+	r := matrix.New(2, 2)
+	r.Data[0], r.Data[2], r.Data[3] = -3, math.Float64frombits(0x8000000000000000), 0.5
+	good := appendJobFrame(nil, head, r)
+	flip := func(b []byte, i int) []byte {
+		b = bytes.Clone(b)
+		b[i] ^= 1
+		return b
+	}
+	wide := []byte(`{"id":7,"status":"done","m":4294967295,"n":4294967295}`)
+	huge := append(binary.LittleEndian.AppendUint32([]byte("QJF1"), uint32(len(wide))), wide...)
+	huge = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(huge, math.MaxUint32), math.MaxUint32)
+	for _, tc := range []struct {
+		name, ctype string
+		body        []byte
+		ok          bool
+	}{
+		{"well formed", jobFrameType, good, true},
+		{"JSON, not a frame", "application/json", head, false},
+		{"checksum bit flipped", jobFrameType, flip(good, len(good)-1), false},
+		{"payload cut short", jobFrameType, good[:len(good)-20], false},
+		{"R not n×n", jobFrameType, appendJobFrame(nil, head, frameMat()), false},
+		{"bytes after the trailer", jobFrameType, append(bytes.Clone(good), 0), false},
+		{"a 2³²−1-square R declared", jobFrameType, huge, false},
+	} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", tc.ctype)
+			w.Write(tc.body)
+		}))
+		v, err := (&Client{Base: ts.URL}).Job(7, true)
+		ts.Close()
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.ok:
+			sameBits(t, tc.name, rowsMat(t, v.R), r.UpperTriangle())
+		case err == nil:
+			t.Errorf("%s: accepted, view %+v", tc.name, v)
+		}
+	}
+}
+
+// A Submit whose first attempt is refused with a 429 before the server has
+// read its upload, and retried, leaves no goroutine streaming a frame
+// behind: the 2 MiB upload is more than the connection buffers, so the
+// first attempt's writer is blocked mid-frame when the refusal comes.
+func TestSubmitRetriedAfter429LeavesNoGoroutine(t *testing.T) {
+	s, err := NewServer(Config{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	var attempts atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if attempts.Add(1) == 1 {
+			writeJSON(w, http.StatusTooManyRequests, errorResponse{ErrQueueFull.Error()})
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	const m, n = 2048, 128
+	spec := JobSpec{M: m, N: n, Data: matrix.NewSeeded(m, n, 9).Data}
+	v, code, err := (&Client{Base: ts.URL, Retry429: 1, Backoff: time.Millisecond}).Submit(spec, true)
+	if err != nil || code != http.StatusOK || !v.OK || attempts.Load() != 2 {
+		t.Fatalf("submit after one 429: code %d, err %v, %d attempts, view %+v", code, err, attempts.Load(), v)
+	}
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		stacks := buf[:runtime.Stack(buf, true)]
+		if !bytes.Contains(stacks, []byte("jobFrameBody")) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("a frame-streaming goroutine outlived Submit:\n%s", stacks)
+		}
+	}
 }

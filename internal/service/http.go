@@ -226,7 +226,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		rm = res.R
 	}
 	w.Header().Set("Content-Type", jobFrameType)
-	w.Write(appendJobFrame(nil, head, rm))
+	writeJobFrame(w, head, rm)
 }
 
 // handleTrace streams the job's gathered per-rank trace shards as JSONL,

@@ -52,7 +52,7 @@ func TestOwnedInputsMatchBuildInputs(t *testing.T) {
 			for ranks := 1; ranks <= 3; ranks++ {
 				sum := matrix.New(n, whole.Z.Cols)
 				for rank := 0; rank < ranks; rank++ {
-					a, part, err := spec.ownedInputs(opts, 3, ranks, rank)
+					a, part, _, err := spec.ownedInputs(opts, 3, ranks, rank)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -101,7 +101,7 @@ func TestAcceptRefusesPerturbedR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, part, err := spec.ownedInputs(opts, 1, 1, 0)
+	a, part, _, err := spec.ownedInputs(opts, 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestAcceptIsScaleFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, part, err := spec.ownedInputs(opts, 9, 1, 0)
+		a, part, _, err := spec.ownedInputs(opts, 9, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func corruptingAgent(t *testing.T, ep transport.Endpoint) {
 		t.Error(err)
 		return
 	}
-	a, part, err := msg.Spec.ownedInputs(opts, msg.Job, jep.Size(), jep.Rank())
+	a, part, _, err := msg.Spec.ownedInputs(opts, msg.Job, jep.Size(), jep.Rank())
 	if err != nil {
 		t.Error(err)
 		return
@@ -441,7 +441,7 @@ func TestOpenBroadcastCarriesEffectiveConfig(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			a, part, err := msg.Spec.ownedInputs(opts, msg.Job, jep.Size(), jep.Rank())
+			a, part, _, err := msg.Spec.ownedInputs(opts, msg.Job, jep.Size(), jep.Rank())
 			if err != nil {
 				t.Error(err)
 				return

@@ -9,6 +9,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"pulsarqr/internal/matrix"
 	"pulsarqr/internal/plan"
@@ -215,9 +216,15 @@ func (sp *JobSpec) BuildInputs() (*matrix.Tiled, *matrix.Mat, error) {
 // tiles are generated in place; uploaded ones are copied out of the rank's
 // rows of the upload, which rank 0 views in Data and an agent was sent
 // (recvUpload).
-func (sp *JobSpec) ownedInputs(opts qr.Options, job uint32, ranks, rank int) (*matrix.Tiled, *qr.Sketch, error) {
+//
+// The owned tiles lie one after another in one slab from takeSlab, each
+// compact (LD = its rows), and both fills overwrite every element, so a
+// reused slab is never zeroed. The caller hands the slab to releaseSlab once
+// the run has succeeded and nothing reads the tiles any more; a failed,
+// canceled or requeued attempt leaves it to the GC.
+func (sp *JobSpec) ownedInputs(opts qr.Options, job uint32, ranks, rank int) (*matrix.Tiled, *qr.Sketch, *[]float64, error) {
 	if err := sp.Validate(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	a := matrix.NewTiledShell(sp.M, sp.N, opts.NB)
 	rows := sp.rows
@@ -225,12 +232,17 @@ func (sp *JobSpec) ownedInputs(opts qr.Options, job uint32, ranks, rank int) (*m
 		rows = sp.uploadRows(a.NB, ranks, rank)
 	}
 	sk := qr.NewSketch(sp.N, sketchSeed(job))
+	r0, r1 := sp.ownedRows(a.NB, ranks, rank)
+	slab := takeSlab((r1 - r0) * sp.N)
 	lo, hi := qr.OwnedTileRows(a.MT, ranks, rank)
+	off := 0
 	for i := lo; i < hi; i++ {
 		for j := 0; j < a.NT; j++ {
-			tile := matrix.New(a.TileRows(i), a.TileCols(j))
+			m, n := a.TileRows(i), a.TileCols(j)
+			tile := matrix.FromColMajor(m, n, m, (*slab)[off:off+m*n:off+m*n])
+			off += m * n
 			if rows != nil {
-				tile.CopyFrom(rows.View((i-lo)*a.NB, j*a.NB, tile.Rows, tile.Cols))
+				tile.CopyFrom(rows.View((i-lo)*a.NB, j*a.NB, m, n))
 			} else {
 				matrix.FillSeeded(tile, sp.Seed, i*a.NB, j*a.NB)
 			}
@@ -238,7 +250,34 @@ func (sp *JobSpec) ownedInputs(opts qr.Options, job uint32, ranks, rank int) (*m
 		}
 		sk.AddTileRow(a, i)
 	}
-	return a, sk, nil
+	return a, sk, slab, nil
+}
+
+// tileSlabs is the warm input storage of this process's jobs, as the pool
+// workers' kernel workspaces are their warm scratch: each holds a
+// *[]float64 that ownedInputs laid a finished job's tiles in.
+var tileSlabs sync.Pool
+
+// takeSlab returns a slab of n float64s whose contents are stale: a pooled
+// one when its capacity is at least n and at most 2n, a fresh one otherwise.
+// A pooled slab outside that range is dropped, so one huge job cannot keep
+// its slab alive under a stream of small ones.
+func takeSlab(n int) *[]float64 {
+	if p, _ := tileSlabs.Get().(*[]float64); p != nil && n <= cap(*p) && cap(*p) <= 2*n {
+		*p = (*p)[:n]
+		return p
+	}
+	s := make([]float64, n)
+	return &s
+}
+
+// releaseSlab gives a slab back to tileSlabs. Only a successful run's slab
+// comes back, after its last reader: an aborted run is not known to have
+// quiesced over its tiles, so its slab is left to the GC.
+func releaseSlab(p *[]float64) {
+	if cap(*p) > 0 {
+		tileSlabs.Put(p)
+	}
 }
 
 // sketchSeed is the seed of job's check probe, the same on every rank: the

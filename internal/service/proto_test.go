@@ -206,7 +206,7 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		for ranks := 1; ranks <= 3; ranks++ {
 			for rank := 0; rank < ranks; rank++ {
-				if _, _, err := sp.ownedInputs(opts, 1, ranks, rank); err != nil {
+				if _, _, _, err := sp.ownedInputs(opts, 1, ranks, rank); err != nil {
 					t.Fatalf("rank %d of %d: %v", rank, ranks, err)
 				}
 			}

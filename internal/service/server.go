@@ -449,7 +449,7 @@ func (s *Server) runJob(j *Job) {
 	if ep != nil {
 		ranks = ep.Size()
 	}
-	a, part, err := spec.ownedInputs(opts, j.ID, ranks, 0) // the server is rank 0 of every session
+	a, part, slab, err := spec.ownedInputs(opts, j.ID, ranks, 0) // the server is rank 0 of every session
 	if err != nil {
 		s.fail(j, err.Error())
 		return
@@ -504,6 +504,7 @@ func (s *Server) runJob(j *Job) {
 		res.Gflops = flops / sec / 1e9
 	}
 	r := f.R()
+	releaseSlab(slab) // R is copied out: nothing reads this rank's tiles any more
 	res.Residual, res.OK = accept(f.Input, r)
 	res.R = r
 	if rec != nil {
