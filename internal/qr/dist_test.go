@@ -197,3 +197,16 @@ func TestFactorizeVSADistOverTCPProcesses(t *testing.T) {
 		t.Errorf("rank 0 did not verify equality:\n%s", outs[0].String())
 	}
 }
+
+// A matrix with no columns has no VDP to carry the rows of B rank 0 lacks,
+// so across a mesh every rank refuses it, before any exchange.
+func TestFactorizeVSADistRefusesZeroColumns(t *testing.T) {
+	lw := transport.NewLocal(2)
+	for r := 0; r < 2; r++ {
+		a, b := matrix.FromDense(matrix.New(16, 0), 8), matrix.FromDense(matrix.New(16, 2), 8)
+		f, err := FactorizeVSAIn(context.Background(), a, b, Options{NB: 8, IB: 4}, RunConfig{}, Env{Endpoint: lw.Endpoint(r)})
+		if f != nil || err == nil || !strings.Contains(err.Error(), "16x0") {
+			t.Fatalf("rank %d: %v, %v; want an error naming the 16x0 matrix", r, f, err)
+		}
+	}
+}

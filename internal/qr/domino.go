@@ -63,6 +63,9 @@ func FactorizeDomino(a *matrix.Tiled, b *matrix.Tiled, opts Options, rc RunConfi
 	if b != nil {
 		bnt = b.NT
 	}
+	if nt == 0 { // no panel: R is empty and QᵀB is B
+		return &Factorization{M: a.M, N: a.N, Opts: opts, A: a, QTB: b}, nil
+	}
 	ncols := nt + bnt
 	nbBytes := 8*opts.NB*opts.NB + 64
 
@@ -158,7 +161,7 @@ func dominoFn(v *pulsar.VDP) {
 			v.Push(2, pulsar.NewPacket(tg))
 		}
 		v.Push(0, pulsar.NewPacket(extractR(st.tile, st.tile.Cols)))
-		v.Push(3, pulsar.NewPacket(&collectMsg{Kind: OpGeqrt, J: j, I: i, K: -1, Tile: st.tile, T: tg}))
+		v.Push(3, pulsar.NewPacket(&collectMsg{Kind: Geqrt, J: j, I: i, K: -1, Tile: st.tile, T: tg}))
 
 	case j == k && i > k:
 		// Panel column below the diagonal: dtsqrt against the traveling R.
@@ -171,7 +174,7 @@ func dominoFn(v *pulsar.VDP) {
 			v.Push(2, pulsar.NewPacket(tt))
 		}
 		v.Push(0, pulsar.NewPacket(r))
-		v.Push(3, pulsar.NewPacket(&collectMsg{Kind: OpTsqrt, J: j, I: k, K: i, Tile: st.tile, T: tt}))
+		v.Push(3, pulsar.NewPacket(&collectMsg{Kind: Tsqrt, J: j, I: k, K: i, Tile: st.tile, T: tt}))
 
 	case j > k && i == k:
 		// Top row of the step in a trailing column: dormqr; the local
@@ -244,7 +247,7 @@ func assembleDomino(s *pulsar.VSA, a, b *matrix.Tiled, opts Options) (*Factoriza
 			var cm *collectMsg
 			for _, p := range s.Collected(tuple.New2(i, j), 3) {
 				c := p.Data.(*collectMsg)
-				if c.Kind == OpGeqrt || c.Kind == OpTsqrt {
+				if c.Kind == Geqrt || c.Kind == Tsqrt {
 					cm = c
 				}
 			}

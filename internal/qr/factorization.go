@@ -8,28 +8,18 @@ import (
 	"pulsarqr/internal/matrix"
 )
 
-// The panel transformations the factorization log records.
-const (
-	// OpGeqrt is the QR factorization of a domain-top tile.
-	OpGeqrt = Geqrt
-	// OpTsqrt eliminates a full tile against a domain R (flat-tree step).
-	OpTsqrt = Tsqrt
-	// OpTtqrt folds one domain R into another (binary-tree step).
-	OpTtqrt = Ttqrt
-)
-
 // Op records one panel transformation, in global execution order, with the
-// block-reflector factor needed to replay it. For OpGeqrt and OpTsqrt the
+// block-reflector factor needed to replay it. For Geqrt and Tsqrt the
 // Householder vectors live in the factored tile A(I,J) / A(K,J); for
-// OpTtqrt they live in V2 (an upper-trapezoidal matrix of the eliminated
+// Ttqrt they live in V2 (an upper-trapezoidal matrix of the eliminated
 // domain's R rows).
 type Op struct {
-	Kind Kernel // OpGeqrt, OpTsqrt or OpTtqrt
+	Kind Kernel // Geqrt, Tsqrt or Ttqrt
 	J    int    // panel index
 	I    int    // top / survivor tile row
-	K    int    // eliminated tile row (OpTsqrt, OpTtqrt); -1 for OpGeqrt
+	K    int    // eliminated tile row (Tsqrt, Ttqrt); -1 for Geqrt
 	T    *matrix.Mat
-	V2   *matrix.Mat // OpTtqrt only
+	V2   *matrix.Mat // Ttqrt only
 }
 
 // Factorization is the result of a tree-based tile QR: A = Q·R with Q held
@@ -97,11 +87,11 @@ func (f *Factorization) apply(b *matrix.Tiled, trans bool) {
 		}
 		for lb := 0; lb < b.NT; lb++ {
 			switch op.Kind {
-			case OpGeqrt:
+			case Geqrt:
 				kernels.DormqrWS(nil, trans, ib, f.A.Tile(op.I, op.J), op.T, b.Tile(op.I, lb))
-			case OpTsqrt:
+			case Tsqrt:
 				kernels.DtsmqrWS(nil, trans, ib, f.A.Tile(op.K, op.J), op.T, b.Tile(op.I, lb), b.Tile(op.K, lb))
-			case OpTtqrt:
+			case Ttqrt:
 				kernels.DttmqrWS(nil, trans, ib, op.V2, op.T, b.Tile(op.I, lb), b.Tile(op.K, lb))
 			}
 		}

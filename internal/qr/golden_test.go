@@ -65,7 +65,7 @@ func TestGoldenPackets(t *testing.T) {
 	sameTileBits(t, "vt V", p.Data.(*vtMsg).V, vt.V)
 	sameTileBits(t, "vt T", p.Data.(*vtMsg).T, vt.T)
 
-	cm := &collectMsg{Kind: OpTtqrt, J: 1, I: -1, K: 70000, Tile: goldenTile(42, 5, 5), T: goldenTile(43, 2, 5)}
+	cm := &collectMsg{Kind: Ttqrt, J: 1, I: -1, K: 70000, Tile: goldenTile(42, 5, 5), T: goldenTile(43, 2, 5)}
 	if b, err = pulsar.MarshalPacket(pulsar.NewPacket(cm)); err != nil {
 		t.Fatal(err)
 	}

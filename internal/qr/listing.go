@@ -120,8 +120,8 @@ func (c Call) Flops(m, n, nb int) float64 {
 // each domain's Geqrt and its Tsqrt chain; the Ttqrt merges; then for each
 // trailing column — the matrix's j+1..nt-1, then the rhs columns from nt —
 // each domain's Ormqr and Tsmqr chain and then the Ttmqr merges; last the
-// WriteBack. The in-order engines bind it to matrices (walk), the
-// simulator prices it, and a test holds the VSA's firings to it.
+// WriteBack. The in-order engines bind it to matrices (walk), the 3D VSA
+// makes a VDP of each call (builder.build), and the simulator prices it.
 func List(mt, nt, rhs int, o Options, visit func(Call)) {
 	for j := 0; j < nt && j < mt; j++ {
 		plan := planPanel(j, mt, o)

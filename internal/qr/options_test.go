@@ -56,9 +56,9 @@ func TestStringers(t *testing.T) {
 		FixedBoundary.String():    "fixed",
 		BinaryInter.String():      "binary-inter",
 		FlatInter.String():        "flat-inter",
-		OpGeqrt.String():          "geqrt",
-		OpTsqrt.String():          "tsqrt",
-		OpTtqrt.String():          "ttqrt",
+		Geqrt.String():            "geqrt",
+		Tsqrt.String():            "tsqrt",
+		Ttqrt.String():            "ttqrt",
 	}
 	for got, want := range cases {
 		if got != want {

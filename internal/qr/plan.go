@@ -19,10 +19,10 @@ type Merge struct {
 }
 
 // PanelPlan is the reduction plan of one panel: which rows form which
-// domains and how the domain tops are merged. The listing (List) reads it
-// for the sequential reference, the task-superscalar baseline and the
-// performance simulator, and the 3D VSA construction reads it directly, so
-// all of them perform the same arithmetic in the same per-datum order.
+// domains and how the domain tops are merged. Only the listing (List) reads
+// it; the sequential reference, the task-superscalar baseline, the 3D VSA
+// and the performance simulator all take the listing, so all of them
+// perform the same arithmetic in the same per-datum order.
 type PanelPlan struct {
 	J       int
 	Domains []Domain

@@ -167,14 +167,14 @@ func TestOpLogStructure(t *testing.T) {
 	var g, ts, tt int
 	for _, op := range f.Ops {
 		switch op.Kind {
-		case OpGeqrt:
+		case Geqrt:
 			g++
 			if op.K != -1 {
 				t.Fatal("geqrt op must have K=-1")
 			}
-		case OpTsqrt:
+		case Tsqrt:
 			ts++
-		case OpTtqrt:
+		case Ttqrt:
 			tt++
 			if op.V2 == nil {
 				t.Fatal("ttqrt op must carry V2")
@@ -197,7 +197,7 @@ func TestSingleTileMatrix(t *testing.T) {
 	if res := f.Residual(d); res > 1e-13 {
 		t.Fatalf("single-tile residual %v", res)
 	}
-	if len(f.Ops) != 1 || f.Ops[0].Kind != OpGeqrt {
+	if len(f.Ops) != 1 || f.Ops[0].Kind != Geqrt {
 		t.Fatalf("single tile should need exactly one geqrt, got %+v", f.Ops)
 	}
 }

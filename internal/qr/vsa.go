@@ -17,7 +17,8 @@ import (
 
 // The 3D Virtual Systolic Array (paper §V-C, Fig. 8). One VDP exists per
 // (panel step, tile row[, trailing column]) — the three nested loops of the
-// algorithm map directly onto the three dimensions of the array:
+// algorithm map directly onto the three dimensions of the array, which build
+// makes from the loops' one listing (List), a VDP per kernel call:
 //
 //   - panel VDPs (red): dgeqrt at each domain top, dtsqrt below it; the
 //     evolving domain R travels down the flat-tree chain as a packet;
@@ -31,9 +32,10 @@ import (
 //     released to the next panel, which may start as soon as they arrive
 //     (the shifted-boundary pipelining of Fig. 6/7).
 //
-// Tiles released by panel j flow directly to their VDP in panel j+1, and
-// tiles that reach their final state (the R row of the surviving top, the
-// QᵀB blocks) flow to collector channels for assembly by the driver.
+// Every datum flows from the VDP that last held it to its next user: tiles
+// released by panel j go directly to their VDP in panel j+1, and tiles that
+// reach their final state (the R row of the surviving top, the QᵀB blocks)
+// flow to collector channels for assembly by the driver.
 
 // VDP kinds, the first component of every tuple.
 const (
@@ -152,9 +154,10 @@ type builder struct {
 	opts    Options
 	rc      RunConfig
 	s       *pulsar.VSA
-	plans   []PanelPlan
 	bnt     int // rhs tile columns
 	nbBytes int // channel capacity: one tile and its packet header
+	// inputs lists the array's input channels, each with the tile it takes.
+	inputs []input
 	// outputs lists the array's external output channels in the order they
 	// were declared — the one enumeration gather and assemble read.
 	outputs []output
@@ -167,6 +170,12 @@ type builder struct {
 type endpoint struct {
 	tup  tuple.Tuple
 	slot int
+}
+
+// input is an external input channel and the tile of a or b it takes.
+type input struct {
+	to endpoint
+	d  Datum
 }
 
 // output is one collector channel (paper §V-C), declared where it is wired:
@@ -291,13 +300,14 @@ func FactorizeVSAIn(ctx context.Context, a *matrix.Tiled, b *matrix.Tiled, opts 
 	if err := checkShapes(a, b, opts); err != nil {
 		return nil, err
 	}
+	if a.NT == 0 && ep != nil {
+		// Rank 0 would return B as QᵀB, and it holds only its own rows.
+		return nil, fmt.Errorf("qr: a %dx0 matrix has no array to distribute", a.M)
+	}
 
 	bd := &builder{a: a, b: b, opts: opts, rc: rc, nbBytes: 8*opts.NB*opts.NB + 64, rOnly: env.Part != nil}
 	if b != nil {
 		bd.bnt = b.NT
-	}
-	for j := 0; j < a.NT && j < a.MT; j++ {
-		bd.plans = append(bd.plans, planPanel(j, a.MT, opts))
 	}
 	bd.s = pulsar.New(pulsar.Config{
 		Nodes:           rc.Nodes,
@@ -340,25 +350,6 @@ func FactorizeVSAIn(ctx context.Context, a *matrix.Tiled, b *matrix.Tiled, opts 
 		VDPs: bd.s.VDPCount(), Channels: bd.s.ChannelCount(),
 	}
 	return f, nil
-}
-
-// Tuple constructors for the four VDP kinds.
-func panelTup(j, i int) tuple.Tuple          { return tuple.Tuple{kindPanel, j, i, -1, -1} }
-func updateTup(j, i, l int) tuple.Tuple      { return tuple.Tuple{kindUpdate, j, i, l, -1} }
-func mergeTup(j, s, k int) tuple.Tuple       { return tuple.Tuple{kindMerge, j, s, k, -1} }
-func mergeUpdTup(j, s, k, l int) tuple.Tuple { return tuple.Tuple{kindMergeUpdate, j, s, k, l} }
-
-// cols returns the global trailing column indices of panel j: matrix
-// columns j+1..nt-1 followed by the rhs tile columns nt..nt+bnt-1.
-func (bd *builder) cols(j int) []int {
-	var out []int
-	for l := j + 1; l < bd.a.NT; l++ {
-		out = append(out, l)
-	}
-	for r := 0; r < bd.bnt; r++ {
-		out = append(out, bd.a.NT+r)
-	}
-	return out
 }
 
 // colTile resolves a global column index to the tile at row i.
@@ -413,222 +404,136 @@ func (bd *builder) mapping() pulsar.Mapping {
 	}
 }
 
-// build creates every VDP and channel of the array.
+// port is where a VDP takes one datum of its call in (-1: the call creates
+// it) and where the datum's next user takes it from.
+type port struct{ in, out int }
+
+// vdpKinds maps each tile kernel onto the VDP that runs it: the tuple kind,
+// the body, the slot counts, and one port per datum in Call.Access order. A
+// datum the call only reads is a (V,T) packet, and its out port is the
+// by-pass forward to the next column.
+var vdpKinds = [NumKernels]struct {
+	kind      int
+	body      pulsar.Func
+	nin, nout int
+	ports     []port
+}{
+	Geqrt: {kindPanel, panelFn, 2, 3, []port{{0, 1}, {-1, 0}}},
+	Tsqrt: {kindPanel, panelFn, 2, 3, []port{{1, 0}, {0, 1}}},
+	Ttqrt: {kindMerge, mergeFn, 2, 3, []port{{0, 0}, {1, 1}}},
+	Ormqr: {kindUpdate, updateFn, 3, 4, []port{{1, 0}, {0, 1}}},
+	Tsmqr: {kindUpdate, updateFn, 3, 4, []port{{1, 0}, {2, 1}, {0, 3}}},
+	Ttmqr: {kindMergeUpdate, mergeUpdFn, 3, 3, []port{{2, 0}, {0, 1}, {1, 2}}},
+}
+
+// vdpTup returns the tuple of the VDP that runs tile kernel call c.
+func vdpTup(c Call) tuple.Tuple {
+	row, l := c.Home()
+	switch k := vdpKinds[c.Kernel].kind; k {
+	case kindPanel:
+		return tuple.Tuple{k, c.J, row, -1, -1}
+	case kindUpdate:
+		return tuple.Tuple{k, c.J, row, l, -1}
+	case kindMerge:
+		return tuple.Tuple{k, c.J, c.I, c.K, -1}
+	}
+	return tuple.Tuple{kindMergeUpdate, c.J, c.I, c.K, l}
+}
+
+// local returns the configuration of c's VDP. Its (V,T) goes on to another
+// VDP when a column follows the call's.
+func (bd *builder) local(c Call) any {
+	n, ib := bd.a.TileCols(c.J), bd.opts.IB
+	fwd := c.L+1 < bd.a.NT+bd.bnt
+	switch c.Kernel {
+	case Geqrt, Tsqrt:
+		row, _ := c.Home()
+		return &panelLocal{j: c.J, i: row, n: n, ib: ib, top: c.Kernel == Geqrt, hasVT: fwd}
+	case Ttqrt:
+		return &mergeLocal{j: c.J, surv: c.I, k: c.K, n: n, ib: ib, hasVT: fwd}
+	}
+	return &updateLocal{ib: ib, top: c.Kernel == Ormqr, fwdVT: fwd}
+}
+
+// holder is the producer a datum's next user receives it from. final marks
+// a tile an update wrote last: once the listing ends it is a tile of R or
+// of QᵀB.
+type holder struct {
+	from  endpoint
+	final bool
+}
+
+// build maps the listing (List) onto the array: one VDP per tile kernel
+// call, each datum of the call connected from its last holder — a tile, or
+// the (V,T) packet of one it only reads — or taken as an input tile. A panel
+// call's log output is declared at the call, each panel's final R at its
+// WriteBack, and the tiles of R and QᵀB after the listing, in (i, l) order.
 func (bd *builder) build() {
-	nbBytes := bd.nbBytes
-
-	// Pass 1: create every VDP of every panel, so that cross-panel release
-	// channels always find their destination.
-	for _, plan := range bd.plans {
-		j := plan.J
-		n := bd.a.TileCols(j)
-		cols := bd.cols(j)
-		for _, d := range plan.Domains {
-			bd.newPanelVDP(plan, d.Top, true, n, len(cols) > 0)
-			for _, k := range d.Rows {
-				bd.newPanelVDP(plan, k, false, n, len(cols) > 0)
+	held := map[Datum]holder{}
+	List(bd.a.MT, bd.a.NT, bd.bnt, bd.opts, func(c Call) {
+		if c.Kernel == WriteBack {
+			bd.finalR(c.J, held[Datum{I: c.I, L: c.J, R: true}].from)
+			return
+		}
+		k, tup := vdpKinds[c.Kernel], vdpTup(c)
+		bd.s.NewVDP(tup, 1, k.body, c.Kernel.Class(), k.nin, k.nout).SetLocal(bd.local(c))
+		n := 0
+		c.Access(func(d Datum, write bool) {
+			p := k.ports[n]
+			n++
+			h, ok := held[d]
+			switch {
+			case ok && write:
+				bd.s.Connect(h.from.tup, h.from.slot, tup, p.in, bd.nbBytes, false)
+			case ok:
+				bd.s.Connect(h.from.tup, h.from.slot, tup, p.in, 2*bd.nbBytes, false)
+			case !d.R:
+				bd.s.Input(tup, p.in, bd.nbBytes)
+				bd.inputs = append(bd.inputs, input{endpoint{tup, p.in}, d})
 			}
-			for ci, l := range cols {
-				bd.newUpdateVDP(j, d.Top, l, true, ci+1 < len(cols))
-				for _, k := range d.Rows {
-					bd.newUpdateVDP(j, k, l, false, ci+1 < len(cols))
-				}
-			}
-		}
-		for _, m := range plan.Merges {
-			bd.newMergeVDP(plan, m, n, len(cols) > 0)
-			for ci, l := range cols {
-				bd.newMergeUpdVDP(j, m, l, ci+1 < len(cols))
-			}
-		}
-	}
-
-	// Pass 2: wire all channels.
-	for _, plan := range bd.plans {
-		j := plan.J
-		cols := bd.cols(j)
-
-		// --- (V,T) by-pass chains along each row ----------------------
-		for _, d := range plan.Domains {
-			rows := append([]int{d.Top}, d.Rows...)
-			for _, i := range rows {
-				prev := endpoint{panelTup(j, i), 1}
-				for _, l := range cols {
-					cur := updateTup(j, i, l)
-					bd.s.Connect(prev.tup, prev.slot, cur, 1, nbBytes*2, false)
-					prev = endpoint{cur, 0}
-				}
-			}
-		}
-		for _, m := range plan.Merges {
-			prev := endpoint{mergeTup(j, m.Surv, m.K), 1}
-			for _, l := range cols {
-				cur := mergeUpdTup(j, m.Surv, m.K, l)
-				bd.s.Connect(prev.tup, prev.slot, cur, 2, nbBytes*2, false)
-				prev = endpoint{cur, 0}
-			}
-		}
-
-		// --- per-transformation collectors, in plan order --------------
-		// Declared before the panel's streams: a reflector tile is placed
-		// before the final R is written over it.
-		for _, d := range plan.Domains {
-			for _, i := range append([]int{d.Top}, d.Rows...) {
-				bd.output(endpoint{panelTup(j, i), 2}, true, func(f *Factorization, p *pulsar.Packet) {
-					// dgeqrt of the top (K = -1) or dtsqrt of row K = i.
-					cm := p.Data.(*collectMsg)
-					f.A.SetTile(i, j, cm.Tile)
-					f.Ops = append(f.Ops, Op{Kind: cm.Kind, J: j, I: d.Top, K: cm.K, T: cm.T})
-				})
-			}
-		}
-		for _, m := range plan.Merges {
-			bd.output(endpoint{mergeTup(j, m.Surv, m.K), 2}, true, func(f *Factorization, p *pulsar.Packet) {
-				cm := p.Data.(*collectMsg)
-				f.Ops = append(f.Ops, Op{Kind: OpTtqrt, J: j, I: m.Surv, K: m.K, T: cm.T, V2: cm.Tile})
-			})
-		}
-
-		// --- R chain (panel column) ------------------------------------
-		bd.wireStreams(plan, -1)
-		// --- top-tile chains (each trailing column) --------------------
-		for _, l := range cols {
-			bd.wireStreams(plan, l)
-		}
-	}
-}
-
-// wireStreams wires the flat-tree chains and the binary tree for one
-// column of panel plan. l == -1 selects the R chain through the panel and
-// merge VDPs; l >= 0 selects the top-tile chain through the update and
-// merge-update VDPs of global column l. The chain topology is identical —
-// that structural sharing is the heart of the 3D array.
-func (bd *builder) wireStreams(plan PanelPlan, l int) {
-	j, nbBytes := plan.J, bd.nbBytes
-	isR := l < 0
-
-	// Producer endpoint of each stage.
-	headOf := func(i int) endpoint {
-		if isR {
-			return endpoint{panelTup(j, i), 0}
-		}
-		return endpoint{updateTup(j, i, l), 1}
-	}
-	chainIn := func(i int) (tuple.Tuple, int) {
-		if isR {
-			return panelTup(j, i), 1
-		}
-		return updateTup(j, i, l), 2
-	}
-	mergeOf := func(m Merge) (tuple.Tuple, int, int, int) {
-		// tuple, in-slot for survivor stream, in-slot for eliminated
-		// stream, out-slot of the surviving stream
-		if isR {
-			return mergeTup(j, m.Surv, m.K), 0, 1, 0
-		}
-		return mergeUpdTup(j, m.Surv, m.K, l), 0, 1, 1
-	}
-
-	streamEnd := map[int]endpoint{}
-	for _, d := range plan.Domains {
-		prod := headOf(d.Top)
-		for _, k := range d.Rows {
-			dst, slot := chainIn(k)
-			bd.s.Connect(prod.tup, prod.slot, dst, slot, nbBytes, false)
-			prod = headOf(k)
-		}
-		streamEnd[d.Top] = prod
-	}
-	for _, m := range plan.Merges {
-		mtup, sIn, kIn, sOut := mergeOf(m)
-		es, ek := streamEnd[m.Surv], streamEnd[m.K]
-		bd.s.Connect(es.tup, es.slot, mtup, sIn, nbBytes, false)
-		bd.s.Connect(ek.tup, ek.slot, mtup, kIn, nbBytes, false)
-		streamEnd[m.Surv] = endpoint{mtup, sOut}
-		// The eliminated side's tile is released to the next panel from
-		// the merge VDP itself (the tile stream case); the R case keeps
-		// V2 in the collector instead.
-		if !isR {
-			bd.connectRelease(j, m.K, l, endpoint{mtup, 2})
-		}
-	}
-	// The surviving stream (row j) finalizes: its packet is the final tile
-	// R(j, l) / (QᵀB)(j, ·), or (isR) the panel's final R, which goes over the
-	// upper triangle of the diagonal tile — over the reflectors the log
-	// placed there, or into a fresh tile when an R-only run collected none.
-	if isR {
-		bd.output(streamEnd[j], false, func(f *Factorization, p *pulsar.Packet) {
-			if bd.rOnly {
-				f.A.SetTile(j, j, matrix.New(bd.a.TileRows(j), bd.a.TileCols(j)))
-			}
-			writeR(f.A.Tile(j, j), p.Tile(), bd.a.TileCols(j))
+			held[d] = holder{endpoint{tup, p.out}, write && d.L > c.J}
 		})
-	} else {
-		bd.tileOutput(streamEnd[j], j, l)
-		// Non-top rows release their own tile to the next panel.
-		for _, d := range plan.Domains {
-			for _, k := range d.Rows {
-				bd.connectRelease(j, k, l, endpoint{updateTup(j, k, l), 3})
+		if c.Kernel <= Ttqrt {
+			bd.logOutput(c, endpoint{tup, 2})
+		}
+	})
+	for i := 0; i < bd.a.MT; i++ {
+		for l := 0; l < bd.a.NT+bd.bnt; l++ {
+			if h := held[Datum{I: i, L: l}]; h.final {
+				bd.tileOutput(h.from, i, l)
 			}
 		}
 	}
 }
 
-// connectRelease wires the hand-off of tile (i, l) from panel j to its VDP
-// in panel j+1, or to a collector when panel j is the tile's last.
-func (bd *builder) connectRelease(j, i, l int, from endpoint) {
-	lastPanel := len(bd.plans) - 1
-	switch {
-	case j == lastPanel:
-		// No further panels: rhs tiles (and nothing else — matrix columns
-		// l > lastPanel cannot exist) finalize here, as (QᵀB)(i, ·).
-		bd.tileOutput(from, i, l)
-	case l == j+1:
-		bd.s.Connect(from.tup, from.slot, panelTup(j+1, i), 0, bd.nbBytes, false)
-	default:
-		bd.s.Connect(from.tup, from.slot, updateTup(j+1, i, l), 0, bd.nbBytes, false)
-	}
+// logOutput declares the log entry of panel call c. The reflector tile of a
+// Geqrt or Tsqrt is placed in A here, before the panel's WriteBack writes R
+// over the diagonal one; a Ttqrt's reflectors are the eliminated R, kept as
+// the entry's V2.
+func (bd *builder) logOutput(c Call, from endpoint) {
+	row, _ := c.Home()
+	bd.output(from, true, func(f *Factorization, p *pulsar.Packet) {
+		cm := p.Data.(*collectMsg)
+		op := Op{Kind: c.Kernel, J: c.J, I: c.I, K: c.K, T: cm.T}
+		if c.Kernel == Ttqrt {
+			op.V2 = cm.Tile
+		} else {
+			f.A.SetTile(row, c.J, cm.Tile)
+		}
+		f.Ops = append(f.Ops, op)
+	})
 }
 
-// --- VDP constructors -------------------------------------------------
-
-func (bd *builder) newPanelVDP(plan PanelPlan, i int, top bool, n int, hasVT bool) {
-	j := plan.J
-	cfg := &panelLocal{j: j, i: i, n: n, ib: bd.opts.IB, top: top, hasVT: hasVT}
-	nin := 2 // 0: tile, 1: incoming R (unused for tops)
-	v := bd.s.NewVDP(panelTup(j, i), 1, panelFn, ClassPanel, nin, 3)
-	v.SetLocal(cfg)
-	if j == 0 {
-		// Panel-0 tiles are injected from outside; later panels receive
-		// their tile through the release channel from panel j-1.
-		bd.s.Input(panelTup(j, i), 0, bd.nbBytes)
-	}
-}
-
-func (bd *builder) newUpdateVDP(j, i, l int, top bool, fwdVT bool) {
-	cfg := &updateLocal{ib: bd.opts.IB, top: top, fwdVT: fwdVT}
-	// in: 0 tile, 1 VT, 2 top-tile (non-top only)
-	// out: 0 VT fwd, 1 top-tile stream, 2 (unused), 3 release (non-top)
-	v := bd.s.NewVDP(updateTup(j, i, l), 1, updateFn, ClassUpdate, 3, 4)
-	v.SetLocal(cfg)
-	if j == 0 {
-		bd.s.Input(updateTup(j, i, l), 0, bd.nbBytes)
-	}
-}
-
-func (bd *builder) newMergeVDP(plan PanelPlan, m Merge, n int, hasVT bool) {
-	j := plan.J
-	cfg := &mergeLocal{j: j, surv: m.Surv, k: m.K, n: n, ib: bd.opts.IB, hasVT: hasVT}
-	v := bd.s.NewVDP(mergeTup(j, m.Surv, m.K), 1, mergeFn, ClassBinary, 2, 3)
-	v.SetLocal(cfg)
-}
-
-func (bd *builder) newMergeUpdVDP(j int, m Merge, l int, fwdVT bool) {
-	cfg := &updateLocal{ib: bd.opts.IB, fwdVT: fwdVT}
-	// in: 0 B1 (survivor tile), 1 B2 (eliminated tile), 2 VT
-	// out: 0 VT fwd, 1 B1 stream, 2 B2 release
-	v := bd.s.NewVDP(mergeUpdTup(j, m.Surv, m.K, l), 1, mergeUpdFn, ClassBinaryUpdate, 3, 3)
-	v.SetLocal(cfg)
+// finalR declares panel j's surviving R, which goes over the upper triangle
+// of the diagonal tile — over the reflectors the log placed there, or into a
+// fresh tile when an R-only run collected none.
+func (bd *builder) finalR(j int, from endpoint) {
+	bd.output(from, false, func(f *Factorization, p *pulsar.Packet) {
+		if bd.rOnly {
+			f.A.SetTile(j, j, matrix.New(bd.a.TileRows(j), bd.a.TileCols(j)))
+		}
+		writeR(f.A.Tile(j, j), p.Tile(), bd.a.TileCols(j))
+	})
 }
 
 // --- VDP bodies ---------------------------------------------------------
@@ -674,7 +579,7 @@ func panelFn(v *pulsar.VDP) {
 			v.Push(1, pulsar.NewPacket(&vtMsg{V: tile, T: tg}))
 		}
 		v.Push(0, pulsar.NewPacket(extractR(tile, cfg.n)))
-		v.Push(2, pulsar.NewPacket(&collectMsg{Kind: OpGeqrt, J: cfg.j, I: cfg.i, K: -1, Tile: tile, T: tg}))
+		v.Push(2, pulsar.NewPacket(&collectMsg{Kind: Geqrt, J: cfg.j, I: cfg.i, K: -1, Tile: tile, T: tg}))
 		return
 	}
 	r := v.Pop(1).Tile()
@@ -684,7 +589,7 @@ func panelFn(v *pulsar.VDP) {
 		v.Push(1, pulsar.NewPacket(&vtMsg{V: tile, T: tt}))
 	}
 	v.Push(0, pulsar.NewPacket(r))
-	v.Push(2, pulsar.NewPacket(&collectMsg{Kind: OpTsqrt, J: cfg.j, I: -1, K: cfg.i, Tile: tile, T: tt}))
+	v.Push(2, pulsar.NewPacket(&collectMsg{Kind: Tsqrt, J: cfg.j, I: -1, K: cfg.i, Tile: tile, T: tt}))
 }
 
 func updateFn(v *pulsar.VDP) {
@@ -718,7 +623,7 @@ func mergeFn(v *pulsar.VDP) {
 		v.Push(1, pulsar.NewPacket(&vtMsg{V: rk, T: tt}))
 	}
 	v.Push(0, pulsar.NewPacket(rs))
-	v.Push(2, pulsar.NewPacket(&collectMsg{Kind: OpTtqrt, J: cfg.j, I: cfg.surv, K: cfg.k, Tile: rk, T: tt}))
+	v.Push(2, pulsar.NewPacket(&collectMsg{Kind: Ttqrt, J: cfg.j, I: cfg.surv, K: cfg.k, Tile: rk, T: tt}))
 }
 
 func mergeUpdFn(v *pulsar.VDP) {
@@ -737,19 +642,14 @@ func mergeUpdFn(v *pulsar.VDP) {
 
 // --- injection and assembly ---------------------------------------------
 
-// inject seeds the array with the matrix (and rhs) tiles of the rows node
-// local owns — of every row when local is negative, the whole array running
-// here. Column 0 tiles enter their panel VDPs, every other tile enters its
-// panel-0 update VDP; across a mesh the other ranks inject their own shares,
+// inject seeds the array's inputs with the matrix (and rhs) tiles of the
+// rows node local owns — of every row when local is negative, the whole
+// array running here. Across a mesh the other ranks inject their own shares,
 // so every tile enters the array exactly once.
 func (bd *builder) inject(local int) {
-	for i := 0; i < bd.a.MT; i++ {
-		if local >= 0 && TileRowOwner(bd.a.MT, bd.rc.Nodes, i) != local {
-			continue
-		}
-		bd.s.Inject(panelTup(0, i), 0, pulsar.NewPacket(bd.a.Tile(i, 0)))
-		for _, l := range bd.cols(0) {
-			bd.s.Inject(updateTup(0, i, l), 0, pulsar.NewPacket(bd.colTile(i, l)))
+	for _, in := range bd.inputs {
+		if local < 0 || TileRowOwner(bd.a.MT, bd.rc.Nodes, in.d.I) == local {
+			bd.s.Inject(in.to.tup, in.to.slot, pulsar.NewPacket(bd.colTile(in.d.I, in.d.L)))
 		}
 	}
 }
@@ -759,7 +659,11 @@ func (bd *builder) inject(local int) {
 func (bd *builder) assemble() (*Factorization, error) {
 	a := bd.a
 	f := &Factorization{M: a.M, N: a.N, Opts: bd.opts, A: matrix.NewTiledShell(a.M, a.N, a.NB), ROnly: bd.rOnly}
-	if bd.b != nil {
+	switch {
+	case bd.b == nil:
+	case a.NT == 0: // no panel, so no call: QᵀB is B
+		f.QTB = bd.b
+	default:
 		f.QTB = matrix.NewTiledShell(bd.b.M, bd.b.N, bd.b.NB)
 	}
 	for _, o := range bd.outputs {

@@ -255,3 +255,92 @@ func TestVSARejectsBadShapes(t *testing.T) {
 		t.Fatal("wide matrix must be rejected")
 	}
 }
+
+// TestVSAShapePinned pins the array the listing builds: one VDP per listed
+// tile kernel call, and the channel, message and byte counts of the array as
+// it was before it was built from the listing, on the shapes of
+// TestVSATraceClassesPresent, a ragged shape with rhs on 3 nodes, and every
+// tree. A lost by-pass forward, a doubled channel or a wider packet shows.
+func TestVSAShapePinned(t *testing.T) {
+	// {channels, messages, bytes}, one row per tree in the shape's
+	// treeConfigs order, then the flat tree.
+	want := map[string][][3]int64{
+		"tall": {
+			{289, 0, 0}, {231, 0, 0}, {231, 0, 0}, {231, 0, 0}, {231, 0, 0}, {213, 0, 0},
+			{213, 0, 0}, {213, 0, 0}, {213, 0, 0}, {195, 0, 0}, {195, 0, 0}, {195, 0, 0},
+			{195, 0, 0}, {183, 0, 0}, {183, 0, 0}, {183, 0, 0}, {183, 0, 0}, {177, 0, 0},
+			{177, 0, 0}, {177, 0, 0}, {177, 0, 0}, {177, 0, 0},
+		},
+		"ragged": {
+			{79, 0, 0}, {79, 0, 0}, {79, 0, 0}, {79, 0, 0}, {79, 0, 0}, {63, 0, 0},
+			{63, 0, 0}, {63, 0, 0}, {63, 0, 0}, {57, 0, 0}, {57, 0, 0}, {57, 0, 0},
+			{57, 0, 0}, {55, 0, 0}, {55, 0, 0}, {57, 0, 0}, {57, 0, 0}, {51, 0, 0},
+			{51, 0, 0}, {51, 0, 0}, {51, 0, 0}, {51, 0, 0},
+		},
+		"ragged with rhs": {
+			{189, 0, 0}, {189, 0, 0}, {189, 0, 0}, {189, 0, 0}, {189, 0, 0}, {153, 0, 0},
+			{153, 0, 0}, {153, 0, 0}, {153, 0, 0}, {139, 0, 0}, {139, 0, 0}, {139, 0, 0},
+			{139, 0, 0}, {133, 0, 0}, {133, 0, 0}, {139, 0, 0}, {139, 0, 0}, {125, 0, 0},
+			{125, 0, 0}, {125, 0, 0}, {125, 0, 0}, {125, 0, 0},
+		},
+		"tall on 2 nodes": {
+			{289, 13, 6773}, {231, 14, 7294}, {231, 22, 11462}, {231, 12, 6252},
+			{231, 20, 10420}, {213, 9, 4689}, {213, 17, 8857}, {213, 10, 5210},
+			{213, 18, 9378}, {195, 6, 3126}, {195, 10, 5210}, {195, 4, 2084},
+			{195, 8, 4168}, {183, 6, 3126}, {183, 6, 3126}, {183, 4, 2084},
+			{183, 4, 2084}, {177, 3, 1563}, {177, 3, 1563}, {177, 3, 1563},
+			{177, 3, 1563}, {177, 3, 1563},
+		},
+		"ragged with rhs on 3 nodes": {
+			{189, 26, 8706}, {189, 26, 8706}, {189, 40, 12992}, {189, 26, 8706},
+			{189, 40, 12992}, {153, 29, 9637}, {153, 29, 9637}, {153, 20, 7108},
+			{153, 20, 7108}, {139, 28, 10132}, {139, 28, 10132}, {139, 31, 11063},
+			{139, 31, 11063}, {133, 25, 8241}, {133, 25, 8241}, {139, 31, 9839},
+			{139, 31, 9839}, {125, 14, 5006}, {125, 14, 5006}, {125, 14, 5006},
+			{125, 14, 5006}, {125, 14, 5006},
+		},
+	}
+	rng := rand.New(rand.NewSource(10))
+	for _, sh := range []struct {
+		name      string
+		m, n, rhs int
+		nb, ib    int
+		nodes     int
+	}{
+		{"tall", 160, 16, 0, 8, 4, 1},
+		{"ragged", 45, 13, 0, 8, 3, 1},
+		{"ragged with rhs", 45, 13, 11, 8, 3, 1},
+		{"tall on 2 nodes", 160, 16, 0, 8, 4, 2},
+		{"ragged with rhs on 3 nodes", 45, 13, 11, 8, 3, 3},
+	} {
+		mt := (sh.m + sh.nb - 1) / sh.nb
+		configs := append(treeConfigs(sh.nb, sh.ib, mt), Options{NB: sh.nb, IB: sh.ib, Tree: FlatTree})
+		if len(configs) != len(want[sh.name]) {
+			t.Fatalf("%s: %d trees, %d pinned", sh.name, len(configs), len(want[sh.name]))
+		}
+		for idx, o := range configs {
+			a := matrix.FromDense(matrix.NewRand(sh.m, sh.n, rng), sh.nb)
+			var b *matrix.Tiled
+			bnt := 0
+			if sh.rhs > 0 {
+				b = matrix.FromDense(matrix.NewRand(sh.m, sh.rhs, rng), sh.nb)
+				bnt = b.NT
+			}
+			f, err := FactorizeVSA(a, b, o, RunConfig{Nodes: sh.nodes, Threads: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			calls := 0
+			List(a.MT, a.NT, bnt, f.Opts, func(c Call) {
+				if c.Kernel != WriteBack {
+					calls++
+				}
+			})
+			st := f.Stats
+			if got := [3]int64{int64(st.Channels), st.Messages, st.Bytes}; st.VDPs != calls || got != want[sh.name][idx] {
+				t.Errorf("%s %v inter=%v: %d VDPs, {channels, messages, bytes} %v; want %d VDPs, %v",
+					sh.name, f.Opts, f.Opts.Inter, st.VDPs, got, calls, want[sh.name][idx])
+			}
+		}
+	}
+}

@@ -160,3 +160,45 @@ func TestLeastSquaresRejectsRankDeficient(t *testing.T) {
 		t.Fatalf("column 3 zeroed: x = %v returned with the error", x)
 	}
 }
+
+// A matrix with no columns has an empty R, and QᵀB is B: every engine must
+// return what the sequential reference does, at 16×0 and at 0×0, through
+// Factor, FactorWithRHS + SolveFromQTB and LeastSquares.
+func TestZeroColumnsEveryEngine(t *testing.T) {
+	same := func(what string, got, want *Matrix) {
+		t.Helper()
+		if got.Rows != want.Rows || got.Cols != want.Cols {
+			t.Fatalf("%s is %d×%d, sequential's %d×%d", what, got.Rows, got.Cols, want.Rows, want.Cols)
+		}
+		if d := matrix.MaxAbsDiff(got, want); d != 0 {
+			t.Fatalf("%s differs from sequential's by %v", what, d)
+		}
+	}
+	for _, m := range []int{16, 0} {
+		a, b := RandomMatrix(m, 0, 13), RandomMatrix(m, 2, 14)
+		run := func(e Engine) (r, qtbx, x *Matrix) {
+			opts := DefaultOptions()
+			opts.NB, opts.IB, opts.Engine = 8, 4, e
+			f, err := Factor(a, opts)
+			if err != nil {
+				t.Fatalf("%v %d×0: Factor: %v", e, m, err)
+			}
+			fb, err := FactorWithRHS(a, b, opts)
+			if err != nil {
+				t.Fatalf("%v %d×0: FactorWithRHS: %v", e, m, err)
+			}
+			x, err = LeastSquares(a, b, opts)
+			if err != nil {
+				t.Fatalf("%v %d×0: LeastSquares: %v", e, m, err)
+			}
+			return f.R(), fb.SolveFromQTB(), x
+		}
+		wr, wq, wx := run(Sequential)
+		for _, e := range []Engine{Systolic, TaskSuperscalar, Domino} {
+			r, q, x := run(e)
+			same(e.String()+" R", r, wr)
+			same(e.String()+" SolveFromQTB", q, wq)
+			same(e.String()+" LeastSquares", x, wx)
+		}
+	}
+}
