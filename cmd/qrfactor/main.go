@@ -268,7 +268,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "wrote R to %s\n", *outFile)
 	}
-	if res > 1e-12 {
+	if !(res <= 1e-12) { // a NaN residual fails too
 		return fail("WARNING: residual above tolerance")
 	}
 	if stopRanks != nil {

@@ -7,9 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
-
-	"pulsarqr/internal/transport"
 )
 
 // -launch re-executes os.Executable(), which under `go test` is this test
@@ -131,27 +128,6 @@ func TestRankAndPeersFallBackToEnvironment(t *testing.T) {
 	}
 }
 
-// A rank whose peer never appears gives up at the rendezvous timeout with an
-// error that names the peer, and does not hang.
-func TestLoneRankFailsAtRendezvous(t *testing.T) {
-	t.Parallel()
-	lns, peers, err := transport.ListenLoopback(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-	start := time.Now()
-	code, out := qrfactor("-rank", "0", "-peers", strings.Join(peers, ","), "-rendezvous", "1s")
-	if code != 1 || !strings.Contains(out, "cannot reach rank 1") {
-		t.Fatalf("exit %d:\n%s", code, out)
-	}
-	if d := time.Since(start); d > 10*time.Second {
-		t.Fatalf("took %v to give up on a 1s rendezvous", d)
-	}
-}
-
 func TestLaunchGathersOneTraceShardPerRank(t *testing.T) {
 	t.Parallel()
 	path := filepath.Join(t.TempDir(), "t.jsonl")
@@ -181,5 +157,30 @@ func TestSingleProcessEngines(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.jsonl")
 	if code, out := qrfactor(strings.Fields(small + " -trace " + path)...); code != 0 || !strings.Contains(out, "trace     1 shards") {
 		t.Errorf("-trace: exit %d:\n%s", code, out)
+	}
+}
+
+// An n = 0 factorization is exact: its residual reads 0 (not 0/0) and the
+// command exits 0.
+func TestEmptyMatrixPassesTheResidualGate(t *testing.T) {
+	t.Parallel()
+	code, out := qrfactor("-m", "16", "-n", "0")
+	if code != 0 || !strings.Contains(out, "= 0.000e+00") {
+		t.Fatalf("exit %d:\n%s", code, out)
+	}
+}
+
+// A NaN in the input makes the residual NaN, which fails the gate as a
+// residual above tolerance does.
+func TestNaNInputFailsTheResidualGate(t *testing.T) {
+	t.Parallel()
+	path := filepath.Join(t.TempDir(), "nan.mtx")
+	mtx := "%%MatrixMarket matrix array real general\n4 2\n1\n2\n3\n4\n5\nNaN\n7\n8\n"
+	if err := os.WriteFile(path, []byte(mtx), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out := qrfactor("-in", path)
+	if code != 1 || !strings.Contains(out, "WARNING: residual above tolerance") {
+		t.Fatalf("exit %d:\n%s", code, out)
 	}
 }

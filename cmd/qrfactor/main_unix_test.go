@@ -11,6 +11,36 @@ import (
 	"time"
 )
 
+// A rank whose peer never appears gives up at the rendezvous timeout with an
+// error that names the peer, and does not hang. Rank 1's port is held by a
+// socket bound but never listening: nothing else can take the port while
+// the test runs, and every connect to it is refused. Rank 0 listens on a
+// port of the system's choosing, which no other rank needs to know.
+func TestLoneRankFailsAtRendezvous(t *testing.T) {
+	t.Parallel()
+	fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_STREAM, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { syscall.Close(fd) })
+	if err := syscall.Bind(fd, &syscall.SockaddrInet4{Addr: [4]byte{127, 0, 0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	sa, err := syscall.Getsockname(fd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rank1 := "127.0.0.1:" + strconv.Itoa(sa.(*syscall.SockaddrInet4).Port)
+	start := time.Now()
+	code, out := qrfactor("-rank", "0", "-peers", "127.0.0.1:0,"+rank1, "-rendezvous", "1s")
+	if code != 1 || !strings.Contains(out, "cannot reach rank 1") {
+		t.Fatalf("exit %d:\n%s", code, out)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("took %v to give up on a 1s rendezvous", d)
+	}
+}
+
 // A rank killed mid-run takes the run down: the parent exits non-zero well
 // before any watchdog, and no process of the group outlives it.
 func TestKilledRankFailsTheRunAndLeavesNoProcess(t *testing.T) {

@@ -88,9 +88,9 @@ func BenchmarkDtpqr2(b *testing.B) {
 		flops float64
 		run   func(ws *Workspace, r, blk, t *matrix.Mat)
 	}{
-		{"TS", ts, 2 * n * n * n, func(ws *Workspace, r, blk, _ *matrix.Mat) { Dtpqr2(ws, 0, r, blk, nil, nil) }},
+		{"TS", ts, 2 * n * n * n, func(ws *Workspace, r, blk, _ *matrix.Mat) { Dtpqr2(ws, 0, r, blk, nil, nil, nil) }},
 		{"TS/blocked", ts, 2 * n * n * n, func(ws *Workspace, r, blk, t *matrix.Mat) { DtsqrtWS(ws, benchIB, r, blk, t) }},
-		{"TT", tt, 2 * n * n * n / 3, func(ws *Workspace, r, blk, _ *matrix.Mat) { Dtpqr2(ws, n, r, blk, nil, nil) }},
+		{"TT", tt, 2 * n * n * n / 3, func(ws *Workspace, r, blk, _ *matrix.Mat) { Dtpqr2(ws, n, r, blk, nil, nil, nil) }},
 		{"TT/blocked", tt, 2 * n * n * n / 3, func(ws *Workspace, r, blk, t *matrix.Mat) { DttqrtWS(ws, benchIB, r, blk, t) }},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
@@ -189,7 +189,7 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 		{"Dtsmqr", func() { DtsmqrWS(ws, true, benchIB, tsV, tsT, c1, c2) }},
 		{"Dttmqr", func() { DttmqrWS(ws, true, benchIB, ttV, ttT, c1, c2) }},
 		{"Dormqr", func() { DormqrWS(ws, true, benchIB, geV, geT, c1) }},
-		{"Dtpqr2", func() { Dtpqr2(ws, 0, tpR, tpB, c1, c2) }},
+		{"Dtpqr2", func() { Dtpqr2(ws, 0, tpR, tpB, nil, c1, c2) }},
 		{"Dtsmqr with two (V,T) pairs in turn", func() {
 			DtsmqrWS(ws, true, benchIB, tsV, tsT, c1, c2)
 			DtsmqrWS(ws, true, benchIB, tsV2, tsT2, c1, c2)

@@ -87,15 +87,24 @@ func applyFused(ws *Workspace, pvt, pv, pt []float64, sb, rows int, c1, c2 *matr
 // packV2Panels packs V2ᵀ and V2 for the rows×sb reflector block of a TS/TT
 // kernel whose first column is column j of v2. In the triangular case the
 // stored column heights vary and the entries below them may hold unrelated
-// data, so the pack reads a zero-padded copy (v2Block) — the packed panel
+// data (Householder vectors of an earlier factorization), so the block is
+// first expanded into scratch as packVPanels expands its diagonal block:
+// copied up to each column's height, zeroed below it. The packed panel
 // depends only on stored reflector data either way.
 func (ws *Workspace) packV2Panels(v2 *matrix.Mat, j, sb, rows int, tri bool) (pv2t, pv2 []float64) {
 	pv2t = grow(&ws.pvt, blas.PackedLHSLen(sb, rows))
 	pv2 = grow(&ws.pv, blas.PackedLHSLen(rows, sb))
 	src, lda := v2.Data[j*v2.LD:], v2.LD
 	if tri {
-		c := v2Block(ws, v2, j, sb, rows)
-		src, lda = c.Data, c.LD
+		lda = max(rows, 1)
+		d := grow(&ws.pdense, lda*sb)
+		for l := 0; l < sb; l++ {
+			col := d[l*lda : l*lda+rows]
+			h := min(j+l+1, rows)
+			copy(col[:h], src[l*v2.LD:])
+			zeroFloats(col[h:])
+		}
+		src = d
 	}
 	blas.PackLHS(true, sb, rows, src, lda, pv2t)
 	blas.PackLHS(false, rows, sb, src, lda, pv2)

@@ -98,27 +98,30 @@ func Dgeqr2(a *matrix.Mat, tau []float64) {
 func dlarft(v *matrix.Mat, tau []float64, t *matrix.Mat, work []float64) {
 	m, k := v.Rows, len(tau)
 	for i := 0; i < k; i++ {
-		if tau[i] == 0 {
-			for l := 0; l <= i; l++ {
-				t.Set(l, i, 0)
-			}
-			continue
+		// w = V[:, 0:i]ᵀ · v_i with v_i = e_i + V[i+1:m, i].
+		w := work[:i]
+		for l := 0; l < i; l++ {
+			w[l] = v.At(i, l)
 		}
-		if i > 0 {
-			w := work[:i]
-			// w = V[:, 0:i]ᵀ · v_i with v_i = e_i + V[i+1:m, i].
-			for l := 0; l < i; l++ {
-				w[l] = v.At(i, l)
-			}
-			if i+1 < m {
-				blas.DgemvT(m-i-1, i, v.Data[i+1:], v.LD, v.Data[i+1+i*v.LD:], w)
-			}
-			// T[0:i, i] = −tau_i · T[0:i, 0:i] · w
-			blas.Dtrmv(true, false, false, i, t.Data, t.LD, w)
-			for l := 0; l < i; l++ {
-				t.Set(l, i, -tau[i]*w[l])
-			}
+		if i+1 < m {
+			blas.DgemvT(m-i-1, i, v.Data[i+1:], v.LD, v.Data[i+1+i*v.LD:], w)
 		}
-		t.Set(i, i, tau[i])
+		tcol(t, i, tau[i], w)
 	}
+}
+
+// tcol finishes column i of a block reflector's T from w = V[:, 0:i]ᵀ·v_i:
+// T[0:i, i] = −τ·T[0:i, 0:i]·w and T[i, i] = τ, or a zero column when τ = 0
+// (H_i = I). It is the tail dlarft and Dtpqr2 share; w is overwritten.
+func tcol(t *matrix.Mat, i int, tau float64, w []float64) {
+	col := t.Data[i*t.LD : i*t.LD+i+1]
+	if tau == 0 {
+		zeroFloats(col)
+		return
+	}
+	blas.Dtrmv(true, false, false, i, t.Data, t.LD, w)
+	for l := range w[:i] {
+		col[l] = -tau * w[l]
+	}
+	col[i] = tau
 }

@@ -8,17 +8,23 @@ import (
 )
 
 // Dtpqr2 computes the QR factorization of the triangular-pentagonal pair
-// [R; B] without a T factor: LAPACK's DTPQRT2 reflector loop, each reflector
-// applied to the remaining columns as soon as it is made. It is the step of
-// a reduction that keeps only R (and QᵀB), never Q, so it builds none of the
-// block factors DtsqrtWS/DttqrtWS form for a later block apply.
+// [R; B]: LAPACK's DTPQRT2, each reflector applied to the remaining columns
+// as soon as it is made. It is the one reflector loop over such a pair: a
+// session stream runs it R only for every leaf chunk and merge, and
+// DtsqrtWS/DttqrtWS run it with T for each inner block.
 //
 // r is n×n upper triangular (only its upper triangle is read or written); b
 // is m×n with n = b.Cols, and its bottom l rows (0 ≤ l ≤ min(m, n)) are upper
 // trapezoidal: l = 0 is the TS step (b dense) and l = m = n the TT step (b
-// upper triangular). b is only read, and not below its trapezoid; on exit r
-// holds the new R. The reflectors live in the scratch and are gone on
-// return: nothing that keeps only R reads them.
+// upper triangular). Nothing below b's trapezoid is read or written. On exit
+// r holds the new R.
+//
+// t selects the outputs. With t nil, b is only read: the reflectors live in
+// the scratch and are gone on return, since nothing that keeps only R reads
+// them. With t set (at least n×n), b's trapezoid holds the dense parts V of
+// the reflectors on exit — their top parts are identity columns over r — and
+// t's upper triangle the block-reflector factor T, so that the step is
+// H = I − [E; V]·T·[E; V]ᵀ. t's strictly lower part is not touched.
 //
 // c1 (n×k, under r) and c2 (m×k, under b) are optional trailing columns,
 // both nil for none. They receive each reflector as it is made, so on exit
@@ -26,17 +32,21 @@ import (
 //
 // The pair is factored in workspace scratch: at step i, column j holds
 // [r(i, j); b(:, j)] (or [c1(i, ·); c2(:, ·)] for a trailing column), so
-// reflector i reaches every remaining column in one blas.Dlarf call. The scratch's leading dimension is m+1 rounded up to
-// a multiple of 8, which keeps each column's vector loads aligned alike. The
-// columns are independent under Dlarf, so r's result does not depend on
-// whether trailing columns ride along.
-func Dtpqr2(ws *Workspace, l int, r, b, c1, c2 *matrix.Mat) {
+// reflector i reaches every remaining column in one blas.Dlarf call. The
+// scratch's leading dimension is m+1 rounded up to a multiple of 8, which
+// keeps each column's vector loads aligned alike. The columns are
+// independent under Dlarf, so r's result does not depend on whether
+// trailing columns ride along or T is built.
+func Dtpqr2(ws *Workspace, l int, r, b, t, c1, c2 *matrix.Mat) {
 	n, m := b.Cols, b.Rows
 	if r.Rows != n || r.Cols != n {
 		panic(fmt.Sprintf("kernels: tpqr2 r %dx%d is not %dx%d", r.Rows, r.Cols, n, n))
 	}
 	if l < 0 || l > min(m, n) {
 		panic(fmt.Sprintf("kernels: tpqr2 l=%d outside [0, min(%d, %d)]", l, m, n))
+	}
+	if t != nil && (t.Rows < n || t.Cols < n) {
+		panic(fmt.Sprintf("kernels: tpqr2 T %dx%d smaller than %dx%d", t.Rows, t.Cols, n, n))
 	}
 	k := 0
 	if c1 != nil || c2 != nil {
@@ -82,6 +92,9 @@ func Dtpqr2(ws *Workspace, l int, r, b, c1, c2 *matrix.Mat) {
 			blas.Dlarf(1+p, nc-i-1, tau, v, s[(i+1)*ld:], ld)
 			v[0] = d
 		}
+		if t != nil {
+			t.Data[i+i*t.LD] = tau
+		}
 		rd := r.Data
 		rd[i+i*r.LD] = v[0]
 		for j := i + 1; j < n; j++ {
@@ -94,5 +107,24 @@ func Dtpqr2(ws *Workspace, l int, r, b, c1, c2 *matrix.Mat) {
 	}
 	for j := 0; j < k; j++ {
 		copy(c2.Data[j*c2.LD:j*c2.LD+m], s[(n+j)*ld+1:])
+	}
+	if t == nil {
+		return
+	}
+	for j := 0; j < n; j++ {
+		copy(b.Data[j*b.LD:j*b.LD+height(j)], s[j*ld+1:])
+	}
+	// T column i from w = Vᵀ·vᵢ over the first i reflectors: their identity
+	// tops meet vᵢ's in zeros, so only V counts. Every reflector spans the
+	// m−l dense rows; trapezoid row m−l+q is spanned from reflector q on.
+	w := grow(&ws.work, n)
+	for i := 0; i < n; i++ {
+		vi, wi := b.Data[i*b.LD:], w[:i]
+		zeroFloats(wi)
+		blas.DgemvT(m-l, i, b.Data, b.LD, vi, wi)
+		for q := 0; q < i; q++ {
+			wi[q] += blas.Ddot(min(q+1, l), b.Data[m-l+q*b.LD:], vi[m-l:])
+		}
+		tcol(t, i, t.Data[i+i*t.LD], wi)
 	}
 }

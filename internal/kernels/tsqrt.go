@@ -3,7 +3,6 @@ package kernels
 import (
 	"fmt"
 
-	"pulsarqr/internal/blas"
 	"pulsarqr/internal/matrix"
 )
 
@@ -53,71 +52,22 @@ func tsqrtGeneric(ws *Workspace, ib int, a1, a2, t *matrix.Mat, tri bool) {
 		panic(fmt.Sprintf("kernels: tsqrt T %dx%d too small for ib=%d n=%d",
 			t.Rows, t.Cols, ib, n))
 	}
-	// vrows(jj) is the stored height of reflector jj's dense part.
-	vrows := func(jj int) int {
-		if tri {
-			return min(jj+1, m2)
-		}
-		return m2
-	}
-	w := grow(&ws.wvec, n)
 	for j := 0; j < n; j += ib {
 		sb := min(ib, n-j)
-		for jj := j; jj < j+sb; jj++ {
-			rows := vrows(jj)
-			vcol := a2.Data[jj*a2.LD : jj*a2.LD+rows]
-			tau := Dlarfg(&a1.Data[jj+jj*a1.LD], vcol)
-			if tau != 0 {
-				// Apply H to the remaining columns of the inner block.
-				for l := jj + 1; l < j+sb; l++ {
-					ccol := a2.Data[l*a2.LD : l*a2.LD+rows]
-					wv := tau * (a1.At(jj, l) + blas.Ddot(rows, vcol, ccol))
-					a1.Add(jj, l, -wv)
-					blas.Daxpy(rows, -wv, vcol, ccol)
-				}
-			}
-			// Build T column jj within the current block. The top parts of
-			// the reflectors are identity columns, whose mutual products
-			// vanish, so only V2 contributes.
-			i := jj - j
-			for l := 0; l < i; l++ {
-				h := min(vrows(j+l), rows)
-				w[l] = blas.Ddot(h, a2.Data[(j+l)*a2.LD:], vcol)
-			}
-			if i > 0 {
-				blas.Dtrmv(true, false, false, i, t.Data[j*t.LD:], t.LD, w)
-				for l := 0; l < i; l++ {
-					t.Set(l, jj, -tau*w[l])
-				}
-			}
-			t.Set(i, jj, tau)
+		// The block's reflectors span all m2 rows of a2 (TS) or its first
+		// min(j+sb, m2) rows, of which rows j on are upper trapezoidal (TT).
+		m, l := m2, 0
+		if tri {
+			m = min(j+sb, m2)
+			l = max(0, m-j)
 		}
+		Dtpqr2(ws, l, a1.ViewInto(&ws.c1View, j, j, sb, sb), a2.ViewInto(&ws.c2View, 0, j, m, sb),
+			t.ViewInto(&ws.tView, 0, j, sb, sb), nil, nil)
 		// Block-apply Hᵀ to the trailing columns of the pair.
 		if nc := n - j - sb; nc > 0 {
 			tsmqrBlock(ws, true, tri, a2, t, j, sb, a1, a2, j+sb, nc)
 		}
 	}
-}
-
-// v2Block returns a zero-padded copy of the rows×sb triangular reflector
-// block starting at column j of a2. The stored heights vary per column and
-// entries below a column's height may hold unrelated data (Householder
-// vectors of an earlier factorization), so the copy is built in the
-// workspace instead of a view; the copy cost is negligible against the
-// level-3 work it enables. Every element of the copy is written — copied up
-// to the column height, zeroed below it — so reuse cannot leak state
-// between calls.
-func v2Block(ws *Workspace, a2 *matrix.Mat, j, sb, rows int) *matrix.Mat {
-	c := matInto(&ws.v2Mat, &ws.v2b, rows, sb)
-	for l := 0; l < sb; l++ {
-		h := min(j+l+1, rows)
-		col := c.Data[l*c.LD : l*c.LD+rows]
-		copy(col[:h], a2.Data[(j+l)*a2.LD:(j+l)*a2.LD+h])
-		for i := h; i < rows; i++ {
-			col[i] = 0
-		}
-	}
-	return c
 }
 
 // DtsmqrWS applies the transformations computed by DtsqrtWS to the stacked pair

@@ -7,10 +7,10 @@ import (
 )
 
 // Workspace holds the scratch storage a kernel invocation needs — the W
-// panels of the block-reflector apply, its packed V and T operands, the
-// zero-padded V2 copy of the triangular kernels, DgeqrtWS's tau/work vectors,
-// Dtpqr2's scratch, and reusable matrix headers for the per-block operand
-// views — so that steady-state kernel fires allocate nothing.
+// panels of the block-reflector apply, its packed V and T operands,
+// DgeqrtWS's tau vector, the T-column vector, Dtpqr2's scratch, and reusable
+// matrix headers for the per-block operand views — so that steady-state
+// kernel fires allocate nothing.
 //
 // Ownership rules (see docs/KERNELS.md): a Workspace belongs to exactly one
 // goroutine at a time and is NOT safe for concurrent use. The runtime gives
@@ -22,20 +22,18 @@ import (
 // independent of buffer history (the determinism contract).
 type Workspace struct {
 	tau    []float64 // DgeqrtWS reflector scaling factors
-	work   []float64 // dlarft vector scratch
-	wvec   []float64 // tsqrtGeneric T-column scratch
+	work   []float64 // T-column vector scratch (dlarft, Dtpqr2)
 	wbuf   []float64 // applyFused W panel storage
 	w2buf  []float64 // applyFused op(T)·W panel storage
-	v2b    []float64 // v2Block zero-padded triangular copy storage
-	pdense []float64 // dense expansion of T or of an ormqr V panel, before packing
+	pdense []float64 // dense expansion of T, an ormqr V panel or a TT V2 block, before packing
 	pvt    []float64 // applyFused packed Vᵀ (or V2ᵀ) operand
 	pv     []float64 // applyFused packed V (or V2) operand
 	pt     []float64 // applyFused packed op(T) operand
 	tp     []float64 // Dtpqr2 [R row; B] scratch
 
-	vView, tView       matrix.Mat // DgeqrtWS panel and T-block views (Dgeqr2, dlarft)
-	c1View, c2View     matrix.Mat // applyFused target views (C1, C2)
-	wMat, w2Mat, v2Mat matrix.Mat // W/W2 panels and V2 copy headers
+	vView, tView   matrix.Mat // DgeqrtWS panel and T-block views; tView also tsqrtGeneric's T block
+	c1View, c2View matrix.Mat // applyFused target views (C1, C2); tsqrtGeneric's Dtpqr2 r and b
+	wMat, w2Mat    matrix.Mat // W/W2 panel headers
 
 	auxBuf [2][]float64  // Aux backing storage
 	auxMat [2]matrix.Mat // Aux headers

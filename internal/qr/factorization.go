@@ -128,11 +128,16 @@ func (f *Factorization) SolveFromQTB() *matrix.Mat {
 
 // Residual returns ‖AᵀA − RᵀR‖_F / ‖AᵀA‖_F for the original dense matrix
 // a, a factorization-quality check that does not require forming Q. It is
-// the dense formula a Sketch estimates.
+// the dense formula a Sketch estimates. An exact R reads 0, also when AᵀA
+// is 0 (n = 0, or A zero), as Sketch.Residual does.
 func (f *Factorization) Residual(a *matrix.Mat) float64 {
 	r := f.R()
 	ata, rtr := matrix.New(a.Cols, a.Cols), matrix.New(r.Cols, r.Cols)
 	blas.Dgemm(true, false, a.Cols, a.Cols, a.Rows, 1, a.Data, a.LD, a.Data, a.LD, 0, ata.Data, ata.LD)
 	blas.Dgemm(true, false, r.Cols, r.Cols, r.Rows, 1, r.Data, r.LD, r.Data, r.LD, 0, rtr.Data, rtr.LD)
-	return ata.Sub(rtr).FrobNorm() / ata.FrobNorm()
+	num := ata.Sub(rtr).FrobNorm()
+	if num == 0 {
+		return 0
+	}
+	return num / ata.FrobNorm()
 }

@@ -199,7 +199,7 @@ func (s *Streamer) LeafReduce(ws *kernels.Workspace, block, rhs *matrix.Mat) (*S
 		if s.nrhs > 0 {
 			c2 = rhs.View(r, 0, cr, s.nrhs)
 		}
-		kernels.Dtpqr2(ws, 0, nd.R, block.View(r, 0, cr, s.n), nd.QTB, c2)
+		kernels.Dtpqr2(ws, 0, nd.R, block.View(r, 0, cr, s.n), nil, nd.QTB, c2)
 		s.hook("tsqrt")
 	}
 	return nd, nil
@@ -208,7 +208,7 @@ func (s *Streamer) LeafReduce(ws *kernels.Workspace, block, rhs *matrix.Mat) (*S
 // merge folds victim into surv (the older, larger subtree) with one TT
 // Dtpqr2 step. victim's QTB is overwritten.
 func (s *Streamer) merge(ws *kernels.Workspace, surv, victim *StreamNode) {
-	kernels.Dtpqr2(ws, s.n, surv.R, victim.R, surv.QTB, victim.QTB)
+	kernels.Dtpqr2(ws, s.n, surv.R, victim.R, nil, surv.QTB, victim.QTB)
 	s.hook("ttqrt")
 	surv.Blocks += victim.Blocks
 	surv.Rows += victim.Rows

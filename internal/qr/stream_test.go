@@ -159,7 +159,7 @@ func refold(s *Streamer, ws *kernels.Workspace) *StreamNode {
 		cur.QTB.CopyFrom(s.spine[0].QTB)
 	}
 	for _, nd := range s.spine[1:] {
-		kernels.Dtpqr2(ws, s.n, cur.R, nd.R.Clone(), cur.QTB, cloneOrNil(nd.QTB))
+		kernels.Dtpqr2(ws, s.n, cur.R, nd.R.Clone(), nil, cur.QTB, cloneOrNil(nd.QTB))
 	}
 	return cur
 }
