@@ -108,7 +108,7 @@ bench-stack-check:
 BENCH_TIME ?= 200ms
 BENCH_COUNT ?= 5
 BENCH_BLAS = BenchmarkGemm|BenchmarkTrmm|BenchmarkPack|BenchmarkD(dot|axpy|nrm2x|gemvT)
-BENCH_TILE = BenchmarkD(geqrt|tsqrt|ttqrt|ormqr|tsmqr|ttmqr)$$
+BENCH_TILE = BenchmarkD(geqrt|tsqrt|ttqrt|tpqr2|ormqr|tsmqr|ttmqr)$$
 bench-kernels:
 	$(GO) test -run '^$$' -bench '$(BENCH_BLAS)' -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) ./internal/blas
 	$(GO) test -run '^$$' -bench '$(BENCH_TILE)' -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) ./internal/kernels

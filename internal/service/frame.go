@@ -73,10 +73,13 @@ func jobFrameBody(head []byte, m *matrix.Mat) io.Reader {
 // maxFrameHead before the head is read, and the matrix's dimensions by admit
 // — called with the head and the dims prefix before anything is sized from
 // them — which must refuse any shape its side of the protocol does not
-// expect. Head and payload buffers grow with the bytes that arrive, never
-// with the bytes declared. The checksum is verified and nothing may follow
-// the trailer.
-func readJobFrame(r io.Reader, admit func(head []byte, rows, cols int) error) (*matrix.Mat, error) {
+// expect. The head buffer grows with the bytes that arrive, never with the
+// bytes declared, and so does the payload's unless warm is set and tileSlabs
+// offers a slab of the admitted size (warmSlab): the matrix is then decoded
+// into that storage, which a decode that fails gives back. Only a caller that
+// owns the matrix it is handed, and can give it back, sets warm. The checksum
+// is verified and nothing may follow the trailer.
+func readJobFrame(r io.Reader, warm bool, admit func(head []byte, rows, cols int) error) (_ *matrix.Mat, err error) {
 	n, err := wire.ReadHeader(r, jobFrameMagic)
 	if err != nil {
 		return nil, wire.NoEOF(err)
@@ -99,7 +102,16 @@ func readJobFrame(r io.Reader, admit func(head []byte, rows, cols int) error) (*
 	if err := admit(head, rows, cols); err != nil {
 		return nil, err
 	}
-	data, sum, err := readFloats(r, rows*cols)
+	var slab *[]float64
+	if warm {
+		slab = warmSlab(rows * cols)
+	}
+	defer func() {
+		if err != nil && slab != nil {
+			releaseSlab(slab)
+		}
+	}()
+	data, sum, err := readFloats(r, rows*cols, slab)
 	if err != nil {
 		return nil, err
 	}
@@ -122,13 +134,19 @@ func readJobFrame(r io.Reader, admit func(head []byte, rows, cols int) error) (*
 }
 
 // readFloats reads n float64s, n already bounded by the caller, and returns
-// them with the XOR of their bits. The slice doubles as the bytes arrive and
-// never passes n, so a sender that declares a matrix and withholds it pins no
-// more memory than it sent.
-func readFloats(r io.Reader, n int) ([]float64, uint64, error) {
+// them with the XOR of their bits. With a slab — at least n of warm storage —
+// they are read into it. Without one the slice doubles as the bytes arrive
+// and never passes n, so a sender that declares a matrix and withholds it
+// pins no more memory than it sent.
+func readFloats(r io.Reader, n int, slab *[]float64) ([]float64, uint64, error) {
 	const chunk = 1 << 13 // floats per read
 	buf := make([]byte, 8*min(n, chunk))
-	data := make([]float64, 0, min(n, chunk))
+	var data []float64
+	if slab != nil {
+		data = (*slab)[:0]
+	} else {
+		data = make([]float64, 0, min(n, chunk))
+	}
 	var sum uint64
 	for len(data) < n {
 		k := min(n-len(data), chunk)

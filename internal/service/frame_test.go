@@ -83,7 +83,7 @@ func TestGoldenJobFrames(t *testing.T) {
 		if got := appendJobFrame(nil, []byte(tc.head), tc.m); !bytes.Equal(got, want) {
 			t.Errorf("%s: encoder wrote %d bytes that differ from the %d recorded", tc.file, len(got), len(want))
 		}
-		got, err := readJobFrame(bytes.NewReader(want), func(head []byte, rows, cols int) error {
+		got, err := readJobFrame(bytes.NewReader(want), false, func(head []byte, rows, cols int) error {
 			if string(head) != tc.head {
 				t.Errorf("%s: head reads %q, want %q", tc.file, head, tc.head)
 			}
@@ -196,7 +196,9 @@ func (zeros) Read(p []byte) (int, error) {
 // Every hostile frame is refused with the right status, admits nothing, and
 // costs the server no allocation sized from what the frame declares: the
 // whole request is handled inside a fixed budget however large the declared
-// head or matrix.
+// head or matrix. The table runs twice: on a cold pool, and after good
+// uploads of the shapes it declares have left warm storage that a refused
+// decode may take and must give back.
 func TestSubmitFrameHostile(t *testing.T) {
 	s, err := NewServer(Config{Threads: 1})
 	if err != nil {
@@ -205,25 +207,28 @@ func TestSubmitFrameHostile(t *testing.T) {
 	defer s.Close()
 	h := s.Handler()
 	const budget = 512 << 10 // request, recorder, JSON error, one read chunk and its floats
-	for _, tc := range hostileFrames() {
-		req := httptest.NewRequest("POST", "/v1/factorize", io.MultiReader(bytes.NewReader(tc.body), io.LimitReader(zeros{}, tc.pad)))
-		req.Header.Set("Content-Type", jobFrameType)
-		rec := httptest.NewRecorder()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		h.ServeHTTP(rec, req)
-		runtime.ReadMemStats(&after)
-		var e errorResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
-			t.Errorf("%s: status %d with no JSON error: %q", tc.name, rec.Code, rec.Body)
-		}
-		if rec.Code != tc.code {
-			t.Errorf("%s: status %d (%s), want %d", tc.name, rec.Code, e.Error, tc.code)
-		}
-		if got := after.TotalAlloc - before.TotalAlloc; got > budget {
-			t.Errorf("%s: refusing a %d-byte body allocated %d bytes, budget %d", tc.name, len(tc.body), got, budget)
+	refuse := func(pool string) {
+		for _, tc := range hostileFrames() {
+			req := httptest.NewRequest("POST", "/v1/factorize", io.MultiReader(bytes.NewReader(tc.body), io.LimitReader(zeros{}, tc.pad)))
+			req.Header.Set("Content-Type", jobFrameType)
+			rec := httptest.NewRecorder()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			h.ServeHTTP(rec, req)
+			runtime.ReadMemStats(&after)
+			var e errorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+				t.Errorf("%s, %s pool: status %d with no JSON error: %q", tc.name, pool, rec.Code, rec.Body)
+			}
+			if rec.Code != tc.code {
+				t.Errorf("%s, %s pool: status %d (%s), want %d", tc.name, pool, rec.Code, e.Error, tc.code)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+				t.Errorf("%s, %s pool: refusing a %d-byte body allocated %d bytes, budget %d", tc.name, pool, len(tc.body), got, budget)
+			}
 		}
 	}
+	refuse("cold")
 	if got := s.Metrics().Accepted.Load(); got != 0 {
 		t.Errorf("%d jobs admitted from hostile frames", got)
 	}
@@ -243,6 +248,15 @@ func TestSubmitFrameHostile(t *testing.T) {
 	// that says the job is not OK.
 	if v.OK {
 		t.Errorf("a job over a NaN input read ok: %+v", v)
+	}
+
+	// That upload left its 3×2 storage warm; one of the largest shape the
+	// table declares does the same for that shape.
+	postFrame(t, s, h, uploadFrame(t, JobSpec{M: 16384, N: 256}, matrix.NewSeeded(16384, 256, 3)))
+	admitted := s.Metrics().Accepted.Load()
+	refuse("warm")
+	if got := s.Metrics().Accepted.Load() - admitted; got != 0 {
+		t.Errorf("%d jobs admitted from hostile frames on a warm pool", got)
 	}
 }
 

@@ -121,12 +121,15 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 // decodeSubmit reads a POST /v1/factorize body in the form its content type
 // names — a job frame, or JSON for everything else (curl's default type
-// included) — into the one request both become.
+// included) — into the one request both become. Either way the server owns
+// the Data it decoded: a frame's matrix lands in a warm slab when tileSlabs
+// has one, and the job gives it back to the pool once it has run
+// successfully.
 func decodeSubmit(w http.ResponseWriter, r *http.Request) (req submitRequest, err error) {
 	if r.Header.Get("Content-Type") != jobFrameType {
 		return req, json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req)
 	}
-	a, err := readJobFrame(http.MaxBytesReader(w, r.Body, maxFrameBytes), func(head []byte, rows, cols int) error {
+	a, err := readJobFrame(http.MaxBytesReader(w, r.Body, maxFrameBytes), true, func(head []byte, rows, cols int) error {
 		if err := json.Unmarshal(head, &req); err != nil {
 			return err
 		}
@@ -158,7 +161,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, code, errorResponse{"bad request body: " + err.Error()})
 		return
 	}
-	j, err := s.Submit(req.JobSpec)
+	j, err := s.submit(req.JobSpec, true)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		// Explicit backpressure: 429, nothing buffered. Retry-After scales

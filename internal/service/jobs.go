@@ -67,6 +67,11 @@ type Job struct {
 	// that changes the share, so no observer of Done can read a stale one.
 	metrics *Metrics
 
+	// owned says the server decoded the upload itself (decodeSubmit), so a
+	// successful run gives it back to tileSlabs. Set at admission, never for
+	// a library caller's Data.
+	owned bool
+
 	mu     sync.Mutex
 	state  State // written through setStateLocked
 	errMsg string

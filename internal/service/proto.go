@@ -255,16 +255,26 @@ func (sp *JobSpec) ownedInputs(opts qr.Options, job uint32, ranks, rank int) (*m
 
 // tileSlabs is the warm input storage of this process's jobs, as the pool
 // workers' kernel workspaces are their warm scratch: each holds a
-// *[]float64 that ownedInputs laid a finished job's tiles in.
+// *[]float64 that ownedInputs laid a finished job's tiles in, or that a
+// finished job's upload was decoded into (decodeSubmit).
 var tileSlabs sync.Pool
 
-// takeSlab returns a slab of n float64s whose contents are stale: a pooled
-// one when its capacity is at least n and at most 2n, a fresh one otherwise.
-// A pooled slab outside that range is dropped, so one huge job cannot keep
-// its slab alive under a stream of small ones.
-func takeSlab(n int) *[]float64 {
+// warmSlab returns a pooled slab of n float64s whose contents are stale, when
+// the pool offers one whose capacity is at least n and at most 2n, and nil
+// otherwise. A pooled slab outside that range is dropped, so one huge job
+// cannot keep its slab alive under a stream of small ones.
+func warmSlab(n int) *[]float64 {
 	if p, _ := tileSlabs.Get().(*[]float64); p != nil && n <= cap(*p) && cap(*p) <= 2*n {
 		*p = (*p)[:n]
+		return p
+	}
+	return nil
+}
+
+// takeSlab returns a slab of n float64s whose contents are stale: warmSlab's,
+// or a fresh one.
+func takeSlab(n int) *[]float64 {
+	if p := warmSlab(n); p != nil {
 		return p
 	}
 	s := make([]float64, n)
@@ -273,7 +283,8 @@ func takeSlab(n int) *[]float64 {
 
 // releaseSlab gives a slab back to tileSlabs. Only a successful run's slab
 // comes back, after its last reader: an aborted run is not known to have
-// quiesced over its tiles, so its slab is left to the GC.
+// quiesced over its tiles, so its slab is left to the GC. The one other
+// caller is a decode that failed after taking a warm slab.
 func releaseSlab(p *[]float64) {
 	if cap(*p) > 0 {
 		tileSlabs.Put(p)

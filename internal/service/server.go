@@ -278,7 +278,12 @@ func (s *Server) Degraded() bool {
 // Submit validates and admits a job. The returned job is queryable via Get
 // until it is evicted; rejection with ErrQueueFull is the service's
 // backpressure signal and buffers nothing.
-func (s *Server) Submit(spec JobSpec) (*Job, error) {
+func (s *Server) Submit(spec JobSpec) (*Job, error) { return s.submit(spec, false) }
+
+// submit is Submit, told whether the server owns spec.Data: only an upload
+// the server decoded itself (decodeSubmit) may go back to tileSlabs, since
+// the next decode overwrites a pooled slab — a library caller's Data never.
+func (s *Server) submit(spec JobSpec, owned bool) (*Job, error) {
 	if err := spec.Validate(); err != nil {
 		s.metrics.RejectedBad.Add(1)
 		return nil, err
@@ -293,6 +298,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		ID:       s.nextID.Add(1), // ids start at 1; mux job 0 is the control plane
 		Spec:     spec,
 		upload:   upload,
+		owned:    owned,
 		ctx:      ctx,
 		cancel:   cancel,
 		enqueued: time.Now(),
@@ -518,6 +524,11 @@ func (s *Server) runJob(j *Job) {
 	if j.finish(StateDone, "", res) {
 		s.metrics.ObserveJob(time.Since(j.enqueued).Seconds(), elapsed.Seconds(), flops)
 		s.cfg.Logf("job %d done in %v: %.2f Gflop/s, residual %.2e", j.ID, elapsed, res.Gflops, res.Residual)
+	}
+	if j.owned {
+		// ownedInputs and sendUpload have copied the upload, and finish let go
+		// of it: nothing reads it any more.
+		releaseSlab(&upload)
 	}
 }
 

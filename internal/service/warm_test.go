@@ -6,10 +6,15 @@ package service
 // input.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -65,6 +70,36 @@ func runJob(t *testing.T, s *Server, spec JobSpec) *Job {
 		t.Fatal(err)
 	}
 	waitDone(t, j)
+	return j
+}
+
+// uploadFrame is the POST /v1/factorize frame body of spec with m as its
+// matrix, waiting for the job.
+func uploadFrame(t *testing.T, spec JobSpec, m *matrix.Mat) []byte {
+	t.Helper()
+	head, err := json.Marshal(submitRequest{JobSpec: spec, Wait: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return appendJobFrame(nil, head, m)
+}
+
+// postFrame POSTs a frame body through h, s's handler, and returns the job
+// it admitted, which must be done.
+func postFrame(t *testing.T, s *Server, h http.Handler, body []byte) *Job {
+	t.Helper()
+	req := httptest.NewRequest("POST", "/v1/factorize", bytes.NewReader(body))
+	req.Header.Set("Content-Type", jobFrameType)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	var v JobView
+	if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil || rec.Code != http.StatusOK || v.Status != string(StateDone) {
+		t.Fatalf("upload: status %d, body %q", rec.Code, rec.Body)
+	}
+	j, err := s.Get(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return j
 }
 
@@ -133,12 +168,72 @@ func TestWarmTileStorageCarriesNothingIntoNextJob(t *testing.T) {
 	}
 }
 
+// Uploads decoded over HTTP are warm storage too (decodeSubmit): a slab one
+// upload was decoded into is the next one's, or a rank's tiles. On one warm
+// server, alone and on a fleet, a clean upload after an upload holding NaN
+// and ±Inf, and again after a frame cut off mid-payload, must produce, bit
+// for bit, the R a fresh server computes from the caller's own slice. That
+// reference goes through Server.Submit, whose caller keeps its Data: the
+// server must never pool it, so the slice must read as it was after its job
+// and after three uploads of its shape that would overwrite a pooled slab.
+func TestWarmUploadStorageCarriesNothingIntoNextJob(t *testing.T) {
+	const m, n = 256, 64
+	spec := JobSpec{M: m, N: n, NB: 32, IB: 8}
+	src := matrix.NewSeeded(m, n, 42)
+	clean := uploadFrame(t, spec, src)
+	bad := matrix.NewSeeded(m, n, 43)
+	for k, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad.Data[(40+100*k)+(5+20*k)*m] = v // rows 40, 140 and 240: in both ranks' halves
+	}
+	poisoned := uploadFrame(t, spec, bad)
+	cut := clean[:len(clean)/2]
+	for _, ranks := range []int{1, 2} {
+		t.Run(fmt.Sprintf("ranks=%d", ranks), func(t *testing.T) {
+			for tileSlabs.Get() != nil { // the reference's tiles start zeroed
+			}
+			caller := spec
+			caller.Data = slices.Clone(src.Data)
+			want := runJob(t, warmServer(t, ranks), caller).Result().R
+
+			s := warmServer(t, ranks)
+			h := s.Handler()
+			if res := postFrame(t, s, h, poisoned).Result(); res.OK {
+				t.Fatalf("an upload of NaN and ±Inf read ok, residual %g", res.Residual)
+			}
+			sameBits(t, "R after a poisoned upload against a fresh server's", postFrame(t, s, h, clean).Result().R, want)
+
+			req := httptest.NewRequest("POST", "/v1/factorize", bytes.NewReader(cut))
+			req.Header.Set("Content-Type", jobFrameType)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("a frame cut off mid-payload: status %d, body %q", rec.Code, rec.Body)
+			}
+			sameBits(t, "R after a cut-off upload against a fresh server's", postFrame(t, s, h, clean).Result().R, want)
+
+			mine := matrix.NewSeeded(m, n, 44)
+			kept := slices.Clone(mine.Data)
+			caller.Data = mine.Data
+			if res := runJob(t, s, caller).Result(); !res.OK {
+				t.Fatalf("library job: residual %g", res.Residual)
+			}
+			sameBits(t, "a library caller's Data after its job", mine, matrix.FromColMajor(m, n, m, kept))
+			for range 3 {
+				postFrame(t, s, h, clean)
+			}
+			sameBits(t, "a library caller's Data after three uploads", mine, matrix.FromColMajor(m, n, m, kept))
+		})
+	}
+}
+
 // A job on a warm server allocates little beside its input: its tiles reuse
 // the storage of the job before. 8192×128 is one tile column at the default
 // tile, so what the run still allocates — T factors, R, packets, the
 // loopback transport's frames — is small beside the 8 MiB input. Alone, the
 // job's TotalAlloc delta must be below a quarter of its input bytes (a job
-// that allocated its tiles reads above one). MemStats cannot tell an agent's
+// that allocated its tiles reads above one), and so must an upload of the
+// same matrix POSTed as a job frame through the handler: its decode lands in
+// warm storage (a decode that grew its own slice reads about two). MemStats cannot tell an agent's
 // allocations from the server's in one process, so the fleet's delta holds
 // both ranks and the transport, and must be below half: a rank that
 // allocated its share of the input again would add about half.
@@ -152,16 +247,25 @@ func TestSteadyStateJobAllocatesNoInput(t *testing.T) {
 	}
 	spec := JobSpec{M: 8192, N: 128, Seed: 5}
 	input := uint64(8 * spec.M * spec.N)
+	frame := uploadFrame(t, JobSpec{M: spec.M, N: spec.N}, matrix.NewSeeded(spec.M, spec.N, spec.Seed))
 	for _, tc := range []struct {
-		ranks int
-		limit uint64
-	}{{1, input / 4}, {2, input / 2}} {
-		t.Run(fmt.Sprintf("ranks=%d", tc.ranks), func(t *testing.T) {
+		name   string
+		ranks  int
+		upload bool
+		limit  uint64
+	}{{"ranks=1", 1, false, input / 4}, {"ranks=2", 2, false, input / 2}, {"upload", 1, true, input / 4}} {
+		t.Run(tc.name, func(t *testing.T) {
 			s := warmServer(t, tc.ranks)
+			h := s.Handler()
 			alloc := func() uint64 {
 				var before, after runtime.MemStats
+				var j *Job
 				runtime.ReadMemStats(&before)
-				j := runJob(t, s, spec)
+				if tc.upload {
+					j = postFrame(t, s, h, frame)
+				} else {
+					j = runJob(t, s, spec)
+				}
 				runtime.ReadMemStats(&after)
 				if !j.Result().OK {
 					t.Fatalf("job %d: residual %g", j.ID, j.Result().Residual)
