@@ -244,6 +244,9 @@ func (s *VSA) NewVDP(tup tuple.Tuple, counter int, fn Func, class string, nin, n
 // VDPCount returns the number of VDPs in the array.
 func (s *VSA) VDPCount() int { return len(s.order) }
 
+// VDPs returns the array's VDPs in the order they were created.
+func (s *VSA) VDPs() []*VDP { return s.order }
+
 // ChannelCount returns the number of channels in the array.
 func (s *VSA) ChannelCount() int { return len(s.channels) }
 

@@ -160,7 +160,7 @@ func dominoFn(v *pulsar.VDP) {
 			v.Push(1, pulsar.NewPacket(st.tile))
 			v.Push(2, pulsar.NewPacket(tg))
 		}
-		v.Push(0, pulsar.NewPacket(extractR(st.tile, st.tile.Cols)))
+		v.Push(0, pulsar.NewPacket(extractR(matrix.New(n, st.tile.Cols), st.tile)))
 		v.Push(3, pulsar.NewPacket(&collectMsg{Kind: Geqrt, J: j, I: i, K: -1, Tile: st.tile, T: tg}))
 
 	case j == k && i > k:

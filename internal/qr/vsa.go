@@ -164,6 +164,14 @@ type builder struct {
 	// rOnly gathers and assembles what a service serves — R and QᵀB — and
 	// leaves the per-transformation log on the ranks that produced it.
 	rOnly bool
+	// here is the node this process runs, -1 for every node (see carvesHere).
+	here int
+	// scratch is what is left of the run's scratch (Env.Scratch): carve cuts
+	// each view from its front.
+	scratch []float64
+	// diag[j] is the tile an R-only run assembles panel j's R into, on the
+	// node that assembles.
+	diag []*matrix.Mat
 }
 
 // endpoint identifies a producer (VDP tuple + output slot) while wiring.
@@ -213,6 +221,9 @@ type panelLocal struct {
 	j, i, n, ib int
 	top         bool // dgeqrt (domain top) vs dtsqrt
 	hasVT       bool // a trailing/rhs column exists
+	// t is the call's T factor and r, at a domain top, the domain's R
+	// packet: views of the run's scratch (carve).
+	t, r *matrix.Mat
 }
 
 // updateLocal configures an update or merge-update VDP.
@@ -222,10 +233,12 @@ type updateLocal struct {
 	fwdVT bool // forward the (V,T) packet to the next column first
 }
 
-// mergeLocal configures a merge VDP.
+// mergeLocal configures a merge VDP; t is its T factor, a view of the run's
+// scratch (carve).
 type mergeLocal struct {
 	j, surv, k, n, ib int
 	hasVT             bool
+	t                 *matrix.Mat
 }
 
 // FactorizeVSA computes the same factorization as Factorize by building
@@ -262,6 +275,11 @@ type Env struct {
 	// tiles; the gather sums every rank's into the result's Input, so
 	// Input.Residual(f.R()) checks R against an input no rank holds whole.
 	Part *Sketch
+	// Scratch is the storage this rank's T factors, domain R packets and,
+	// R-only, assembled diagonal tiles are carved from: exactly ScratchLen
+	// float64s for an R-only run; its contents need not be zero. The result
+	// may hold views of it. Nil: the run carves from a fresh slab.
+	Scratch []float64
 }
 
 // FactorizeVSAIn runs one factorization inside an existing runtime
@@ -305,27 +323,10 @@ func FactorizeVSAIn(ctx context.Context, a *matrix.Tiled, b *matrix.Tiled, opts 
 		return nil, fmt.Errorf("qr: a %dx0 matrix has no array to distribute", a.M)
 	}
 
-	bd := &builder{a: a, b: b, opts: opts, rc: rc, nbBytes: 8*opts.NB*opts.NB + 64, rOnly: env.Part != nil}
-	if b != nil {
-		bd.bnt = b.NT
+	bd, err := newBuilder(a, b, opts, rc, env, ep, local)
+	if err != nil {
+		return nil, err
 	}
-	bd.s = pulsar.New(pulsar.Config{
-		Nodes:           rc.Nodes,
-		ThreadsPerNode:  rc.Threads,
-		Scheduling:      rc.Scheduling,
-		Map:             bd.mapping(),
-		FireHook:        rc.FireHook,
-		WaitHook:        rc.WaitHook,
-		CommHook:        rc.CommHook,
-		DeadlockTimeout: rc.DeadlockTimeout,
-		Comm:            ep,
-		Pool:            env.Pool,
-		// One kernel workspace per worker thread: every VDP that fires on a
-		// thread reuses that thread's scratch instead of allocating per fire.
-		// (A caller's pool brings its own.)
-		WorkerState: func(node, thread int) any { return kernels.NewWorkspace() },
-	})
-	bd.build()
 	bd.inject(local)
 	if err := runCtx(ctx, bd.s); err != nil {
 		return nil, err
@@ -350,6 +351,40 @@ func FactorizeVSAIn(ctx context.Context, a *matrix.Tiled, b *matrix.Tiled, opts 
 		VDPs: bd.s.VDPCount(), Channels: bd.s.ChannelCount(),
 	}
 	return f, nil
+}
+
+// newBuilder builds the array of one factorization at resolved opts, to be
+// run over ep by node here of rc.Nodes (by every node when here < 0), its
+// views carved from env.Scratch.
+func newBuilder(a, b *matrix.Tiled, opts Options, rc RunConfig, env Env, ep transport.Endpoint, here int) (*builder, error) {
+	bd := &builder{a: a, b: b, opts: opts, rc: rc, nbBytes: 8*opts.NB*opts.NB + 64, rOnly: env.Part != nil, here: here}
+	if b != nil {
+		bd.bnt = b.NT
+	}
+	need := scratchLen(a, opts, rc.Nodes, here, bd.rOnly)
+	if bd.scratch = env.Scratch; bd.scratch == nil {
+		bd.scratch = make([]float64, need)
+	} else if len(bd.scratch) != need {
+		return nil, fmt.Errorf("qr: scratch of %d float64s, this rank carves %d", len(bd.scratch), need)
+	}
+	bd.s = pulsar.New(pulsar.Config{
+		Nodes:           rc.Nodes,
+		ThreadsPerNode:  rc.Threads,
+		Scheduling:      rc.Scheduling,
+		Map:             bd.mapping(),
+		FireHook:        rc.FireHook,
+		WaitHook:        rc.WaitHook,
+		CommHook:        rc.CommHook,
+		DeadlockTimeout: rc.DeadlockTimeout,
+		Comm:            ep,
+		Pool:            env.Pool,
+		// One kernel workspace per worker thread: every VDP that fires on a
+		// thread reuses that thread's scratch instead of allocating per fire.
+		// (A caller's pool brings its own.)
+		WorkerState: func(node, thread int) any { return kernels.NewWorkspace() },
+	})
+	bd.build()
+	return bd, nil
 }
 
 // colTile resolves a global column index to the tile at row i.
@@ -448,9 +483,10 @@ func (bd *builder) local(c Call) any {
 	switch c.Kernel {
 	case Geqrt, Tsqrt:
 		row, _ := c.Home()
-		return &panelLocal{j: c.J, i: row, n: n, ib: ib, top: c.Kernel == Geqrt, hasVT: fwd}
+		v := bd.carve(c)
+		return &panelLocal{j: c.J, i: row, n: n, ib: ib, top: c.Kernel == Geqrt, hasVT: fwd, t: v[0], r: v[1]}
 	case Ttqrt:
-		return &mergeLocal{j: c.J, surv: c.I, k: c.K, n: n, ib: ib, hasVT: fwd}
+		return &mergeLocal{j: c.J, surv: c.I, k: c.K, n: n, ib: ib, hasVT: fwd, t: bd.carve(c)[0]}
 	}
 	return &updateLocal{ib: ib, top: c.Kernel == Ormqr, fwdVT: fwd}
 }
@@ -472,6 +508,9 @@ func (bd *builder) build() {
 	held := map[Datum]holder{}
 	List(bd.a.MT, bd.a.NT, bd.bnt, bd.opts, func(c Call) {
 		if c.Kernel == WriteBack {
+			if bd.rOnly {
+				bd.diag = append(bd.diag, bd.carve(c)[0])
+			}
 			bd.finalR(c.J, held[Datum{I: c.I, L: c.J, R: true}].from)
 			return
 		}
@@ -525,26 +564,101 @@ func (bd *builder) logOutput(c Call, from endpoint) {
 }
 
 // finalR declares panel j's surviving R, which goes over the upper triangle
-// of the diagonal tile — over the reflectors the log placed there, or into a
-// fresh tile when an R-only run collected none.
+// of the diagonal tile — over the reflectors the log placed there, or into
+// diag[j] when an R-only run collected none.
 func (bd *builder) finalR(j int, from endpoint) {
 	bd.output(from, false, func(f *Factorization, p *pulsar.Packet) {
 		if bd.rOnly {
-			f.A.SetTile(j, j, matrix.New(bd.a.TileRows(j), bd.a.TileCols(j)))
+			f.A.SetTile(j, j, bd.diag[j])
 		}
 		writeR(f.A.Tile(j, j), p.Tile(), bd.a.TileCols(j))
 	})
 }
 
+// --- scratch ------------------------------------------------------------
+
+// The T factors, the domain R packets and an R-only run's assembled
+// diagonal tiles are views of one slab per rank and run (Env.Scratch),
+// carved at build time in listing order, each compact (LD = its rows): a
+// VDP body allocates nothing, and a service rank lays the slab behind its
+// input tiles (JobSpec.ownedInputs) and reuses it for the next job. Every
+// kernel writes the part of a view it later reads — T's upper triangles, R's
+// upper trapezoid — so a reused slab is never zeroed.
+
+// carves calls take with the shape of each view c cuts from the scratch, in
+// the order carve hands them out: a Geqrt's T and then its domain's R
+// packet, a Tsqrt's or Ttqrt's T, a WriteBack's diagonal tile.
+func carves(a *matrix.Tiled, c Call, ib int, take func(rows, cols int)) {
+	n := a.TileCols(c.J)
+	switch c.Kernel {
+	case Geqrt:
+		k := min(a.TileRows(c.I), n)
+		take(min(ib, k), k)
+		take(k, n)
+	case Tsqrt, Ttqrt:
+		take(min(ib, n), n)
+	case WriteBack:
+		take(a.TileRows(c.J), n)
+	}
+}
+
+// carvesHere reports whether node here of nodes carves c's views (every
+// node's when here < 0): a kernel call's on the node it runs on (mapping
+// places a panel call by its Home row), a write-back's in an R-only run
+// on the node that assembles R.
+func carvesHere(c Call, mt, nodes, here int, rOnly bool) bool {
+	if c.Kernel == WriteBack {
+		return rOnly && here <= 0
+	}
+	row, _ := c.Home()
+	return here < 0 || TileRowOwner(mt, nodes, row) == here
+}
+
+// ScratchLen returns the float64s rank of nodes carves from Env.Scratch in
+// an R-only run of a at options o, which must be resolved (Options.Resolve)
+// as the run resolves them: what a service sizes the scratch with.
+func ScratchLen(a *matrix.Tiled, o Options, nodes, rank int) int {
+	if o != o.Resolve(a.MT, 1) {
+		panic(fmt.Sprintf("qr: ScratchLen of unresolved options %v", o))
+	}
+	return scratchLen(a, o, nodes, rank, true)
+}
+
+// scratchLen sums the views node here carves (every node's when here < 0).
+// Panel calls do not depend on the rhs columns.
+func scratchLen(a *matrix.Tiled, o Options, nodes, here int, rOnly bool) int {
+	n := 0
+	List(a.MT, a.NT, 0, o, func(c Call) {
+		if carvesHere(c, a.MT, nodes, here, rOnly) {
+			carves(a, c, o.IB, func(rows, cols int) { n += rows * cols })
+		}
+	})
+	return n
+}
+
+// carve cuts c's views (carves) from the front of the scratch when this
+// process carves them, and returns them in that order; nil otherwise.
+func (bd *builder) carve(c Call) (v [2]*matrix.Mat) {
+	if !carvesHere(c, bd.a.MT, bd.rc.Nodes, bd.here, bd.rOnly) {
+		return v
+	}
+	i := 0
+	carves(bd.a, c, bd.opts.IB, func(rows, cols int) {
+		v[i] = matrix.FromColMajor(rows, cols, rows, bd.scratch[:rows*cols:rows*cols])
+		bd.scratch = bd.scratch[rows*cols:]
+		i++
+	})
+	return v
+}
+
 // --- VDP bodies ---------------------------------------------------------
 
-// extractR copies the upper trapezoid of a factored tile into a fresh
-// k×n matrix that will travel down the reduction chains.
-func extractR(tile *matrix.Mat, n int) *matrix.Mat {
-	k := min(tile.Rows, n)
-	r := matrix.New(k, n)
-	for jj := 0; jj < n; jj++ {
-		for ii := 0; ii <= jj && ii < k; ii++ {
+// extractR copies the upper trapezoid of a factored tile into r, the k×n
+// packet of the domain's R that will travel down the reduction chains. Its
+// strictly lower part is left as it was: no kernel reads it.
+func extractR(r, tile *matrix.Mat) *matrix.Mat {
+	for jj := 0; jj < r.Cols; jj++ {
+		for ii := 0; ii <= jj && ii < r.Rows; ii++ {
 			r.Set(ii, jj, tile.At(ii, jj))
 		}
 	}
@@ -572,24 +686,21 @@ func panelFn(v *pulsar.VDP) {
 	cfg := v.Local().(*panelLocal)
 	tile := v.Pop(0).Tile()
 	if cfg.top {
-		k := min(tile.Rows, cfg.n)
-		tg := matrix.New(min(cfg.ib, k), k)
-		kernels.DgeqrtWS(wsOf(v), cfg.ib, tile, tg)
+		kernels.DgeqrtWS(wsOf(v), cfg.ib, tile, cfg.t)
 		if cfg.hasVT {
-			v.Push(1, pulsar.NewPacket(&vtMsg{V: tile, T: tg}))
+			v.Push(1, pulsar.NewPacket(&vtMsg{V: tile, T: cfg.t}))
 		}
-		v.Push(0, pulsar.NewPacket(extractR(tile, cfg.n)))
-		v.Push(2, pulsar.NewPacket(&collectMsg{Kind: Geqrt, J: cfg.j, I: cfg.i, K: -1, Tile: tile, T: tg}))
+		v.Push(0, pulsar.NewPacket(extractR(cfg.r, tile)))
+		v.Push(2, pulsar.NewPacket(&collectMsg{Kind: Geqrt, J: cfg.j, I: cfg.i, K: -1, Tile: tile, T: cfg.t}))
 		return
 	}
 	r := v.Pop(1).Tile()
-	tt := matrix.New(min(cfg.ib, cfg.n), cfg.n)
-	kernels.DtsqrtWS(wsOf(v), cfg.ib, r, tile, tt)
+	kernels.DtsqrtWS(wsOf(v), cfg.ib, r, tile, cfg.t)
 	if cfg.hasVT {
-		v.Push(1, pulsar.NewPacket(&vtMsg{V: tile, T: tt}))
+		v.Push(1, pulsar.NewPacket(&vtMsg{V: tile, T: cfg.t}))
 	}
 	v.Push(0, pulsar.NewPacket(r))
-	v.Push(2, pulsar.NewPacket(&collectMsg{Kind: Tsqrt, J: cfg.j, I: -1, K: cfg.i, Tile: tile, T: tt}))
+	v.Push(2, pulsar.NewPacket(&collectMsg{Kind: Tsqrt, J: cfg.j, I: -1, K: cfg.i, Tile: tile, T: cfg.t}))
 }
 
 func updateFn(v *pulsar.VDP) {
@@ -617,13 +728,12 @@ func mergeFn(v *pulsar.VDP) {
 	cfg := v.Local().(*mergeLocal)
 	rs := v.Pop(0).Tile()
 	rk := v.Pop(1).Tile()
-	tt := matrix.New(min(cfg.ib, cfg.n), cfg.n)
-	kernels.DttqrtWS(wsOf(v), cfg.ib, rs, rk, tt)
+	kernels.DttqrtWS(wsOf(v), cfg.ib, rs, rk, cfg.t)
 	if cfg.hasVT {
-		v.Push(1, pulsar.NewPacket(&vtMsg{V: rk, T: tt}))
+		v.Push(1, pulsar.NewPacket(&vtMsg{V: rk, T: cfg.t}))
 	}
 	v.Push(0, pulsar.NewPacket(rs))
-	v.Push(2, pulsar.NewPacket(&collectMsg{Kind: Ttqrt, J: cfg.j, I: cfg.surv, K: cfg.k, Tile: rk, T: tt}))
+	v.Push(2, pulsar.NewPacket(&collectMsg{Kind: Ttqrt, J: cfg.j, I: cfg.surv, K: cfg.k, Tile: rk, T: cfg.t}))
 }
 
 func mergeUpdFn(v *pulsar.VDP) {

@@ -1,6 +1,7 @@
 package qr
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -342,5 +343,139 @@ func TestVSAShapePinned(t *testing.T) {
 					sh.name, f.Opts, f.Opts.Inter, st.VDPs, got, calls, want[sh.name][idx])
 			}
 		}
+	}
+}
+
+// TestVSAScratchCarvesTileExactly holds the views a run carves from its
+// scratch — T factors, domain R packets and an R-only run's diagonal tiles —
+// to the slab a service sizes with ScratchLen: on TestVSAShapePinned's shapes
+// under every tree, on 1 node and on each rank of 3, the views handed to the
+// rank's VDPs and assembly have the shapes their kernels take, are pairwise
+// disjoint, lie inside the scratch and fill it exactly; a VDP another rank
+// runs gets none. The full-log run carves the same calls from its own count.
+func TestVSAScratchCarvesTileExactly(t *testing.T) {
+	for _, sh := range []struct {
+		name      string
+		m, n, rhs int
+		nb, ib    int
+	}{
+		{"tall", 160, 16, 0, 8, 4},
+		{"ragged", 45, 13, 0, 8, 3},
+		{"ragged with rhs", 45, 13, 11, 8, 3},
+	} {
+		a := matrix.NewTiledShell(sh.m, sh.n, sh.nb)
+		var b *matrix.Tiled
+		if sh.rhs > 0 {
+			b = matrix.NewTiledShell(sh.m, sh.rhs, sh.nb)
+		}
+		configs := append(treeConfigs(sh.nb, sh.ib, a.MT), Options{NB: sh.nb, IB: sh.ib, Tree: FlatTree})
+		for _, o := range configs {
+			for _, nodes := range []int{1, 3} {
+				o := o.Resolve(a.MT, nodes*2)
+				for rank := 0; rank < nodes; rank++ {
+					for _, rOnly := range []bool{true, false} {
+						name := fmt.Sprintf("%s %v inter=%v rank %d of %d rOnly=%v", sh.name, o, o.Inter, rank, nodes, rOnly)
+						here, env := rank, Env{}
+						if nodes == 1 {
+							here = -1 // as FactorizeVSAIn runs a lone node
+						}
+						want := scratchLen(a, o, nodes, here, rOnly)
+						if rOnly {
+							env.Part = NewSketch(sh.n, 1)
+							if want != ScratchLen(a, o, nodes, rank) {
+								t.Fatalf("%s: the run carves %d, ScratchLen sizes %d", name, want, ScratchLen(a, o, nodes, rank))
+							}
+						}
+						env.Scratch = make([]float64, want)
+						bd, err := newBuilder(a, b, o, RunConfig{Nodes: nodes, Threads: 2}, env, nil, here)
+						if err != nil {
+							t.Fatal(err)
+						}
+						checkCarves(t, name, bd, env.Scratch, rank)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkCarves checks the views bd handed to node rank's VDPs and to its
+// assembly against scratch: each of its kernel's shape, and together a
+// partition of scratch. Each view is marked with its own number; a mark that
+// finds another means two views share storage, and the marks found in
+// scratch must number the views' elements.
+func checkCarves(t *testing.T, name string, bd *builder, scratch []float64, rank int) {
+	t.Helper()
+	type view struct {
+		m          *matrix.Mat
+		rows, cols int
+		what       string
+	}
+	var views []view
+	ib, place := bd.opts.IB, bd.mapping()
+	for _, v := range bd.s.VDPs() {
+		var got []*matrix.Mat
+		var want []view
+		switch l := v.Local().(type) {
+		case *panelLocal:
+			got = []*matrix.Mat{l.t, l.r}
+			if l.top {
+				k := min(bd.a.TileRows(l.i), l.n)
+				want = []view{{l.t, min(ib, k), k, "geqrt T"}, {l.r, k, l.n, "domain R"}}
+			} else {
+				want = []view{{l.t, min(ib, l.n), l.n, "tsqrt T"}}
+			}
+		case *mergeLocal:
+			got = []*matrix.Mat{l.t}
+			want = []view{{l.t, min(ib, l.n), l.n, "ttqrt T"}}
+		default:
+			continue
+		}
+		if node, _ := place(v.Tuple()); node != rank {
+			for _, m := range got {
+				if m != nil {
+					t.Fatalf("%s: VDP %v runs on node %d and got a view", name, v.Tuple(), node)
+				}
+			}
+			continue
+		}
+		views = append(views, want...)
+	}
+	for j, d := range bd.diag {
+		if bd.rOnly && bd.here <= 0 {
+			views = append(views, view{d, bd.a.TileRows(j), bd.a.TileCols(j), "diagonal tile"})
+		} else if d != nil {
+			t.Fatalf("%s: panel %d's diagonal tile carved on a node that does not assemble", name, j)
+		}
+	}
+	if !bd.rOnly && len(bd.diag) != 0 {
+		t.Fatalf("%s: a full-log run carved %d diagonal tiles", name, len(bd.diag))
+	}
+	sum := 0
+	for k, v := range views {
+		if v.m == nil {
+			t.Fatalf("%s: %s view %d was not carved", name, v.what, k)
+		}
+		if v.m.Rows != v.rows || v.m.Cols != v.cols {
+			t.Fatalf("%s: %s view %d is %dx%d, want %dx%d", name, v.what, k, v.m.Rows, v.m.Cols, v.rows, v.cols)
+		}
+		sum += v.rows * v.cols
+		for jj := 0; jj < v.cols; jj++ {
+			for ii := 0; ii < v.rows; ii++ {
+				if prev := v.m.At(ii, jj); prev != 0 {
+					t.Fatalf("%s: %s view %d shares storage with view %g", name, v.what, k, prev-1)
+				}
+				v.m.Set(ii, jj, float64(k+1))
+			}
+		}
+	}
+	marked := 0
+	for _, x := range scratch {
+		if x != 0 {
+			marked++
+		}
+	}
+	if sum != len(scratch) || marked != sum {
+		t.Fatalf("%s: %d views of %d elements, %d of them inside a scratch of %d", name, len(views), sum, marked, len(scratch))
 	}
 }

@@ -192,7 +192,7 @@ func (ag *Agent) runJob(ctx context.Context, id, session uint32, ranks []int, sp
 			return
 		}
 	}
-	a, part, slab, err := spec.ownedInputs(opts, id, jep.Size(), jep.Rank())
+	a, env, slab, err := spec.ownedInputs(opts, id, jep.Size(), jep.Rank())
 	if err != nil {
 		ag.logf("agent: job %d: %v", id, err)
 		return
@@ -204,7 +204,8 @@ func (ag *Agent) runJob(ctx context.Context, id, session uint32, ranks []int, sp
 		rc.FireHook = rec.Hook()
 		rc.CommHook = rec.CommHook()
 	}
-	if _, err := qr.FactorizeVSAIn(ctx, a, nil, opts, rc, qr.Env{Endpoint: jep, Pool: ag.pool, Part: part}); err != nil {
+	env.Endpoint, env.Pool = jep, ag.pool
+	if _, err := qr.FactorizeVSAIn(ctx, a, nil, opts, rc, env); err != nil {
 		ag.logf("agent: job %d: %v", id, err)
 		return
 	}

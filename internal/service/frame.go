@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"slices"
 
 	"pulsarqr/internal/matrix"
 	"pulsarqr/internal/wire"
@@ -135,17 +134,19 @@ func readJobFrame(r io.Reader, warm bool, admit func(head []byte, rows, cols int
 
 // readFloats reads n float64s, n already bounded by the caller, and returns
 // them with the XOR of their bits. With a slab — at least n of warm storage —
-// they are read into it. Without one the slice doubles as the bytes arrive
-// and never passes n, so a sender that declares a matrix and withholds it
-// pins no more memory than it sent.
+// they are read into it. Without one the slice doubles as the bytes arrive,
+// so a sender that declares a matrix and withholds it pins no more memory
+// than it sent, and ends at the capacity of n's size class (slabClass): the
+// slice is a slab the next upload of its shape can take once it is released.
 func readFloats(r io.Reader, n int, slab *[]float64) ([]float64, uint64, error) {
 	const chunk = 1 << 13 // floats per read
 	buf := make([]byte, 8*min(n, chunk))
+	_, size := slabClass(n)
 	var data []float64
 	if slab != nil {
 		data = (*slab)[:0]
 	} else {
-		data = make([]float64, 0, min(n, chunk))
+		data = make([]float64, 0, min(size, chunk))
 	}
 	var sum uint64
 	for len(data) < n {
@@ -154,7 +155,7 @@ func readFloats(r io.Reader, n int, slab *[]float64) ([]float64, uint64, error) 
 			return nil, 0, wire.NoEOF(err)
 		}
 		if len(data)+k > cap(data) { // never on the first chunk, so len(data) ≥ k
-			data = slices.Grow(data, min(len(data), n-len(data)))
+			data = append(make([]float64, 0, min(2*len(data), size)), data...)
 		}
 		data = data[:len(data)+k]
 		sum ^= wire.Floats(data[len(data)-k:], buf)

@@ -45,6 +45,7 @@ func TestOwnedInputsMatchBuildInputs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			opts = opts.Resolve((m+nb-1)/nb, 1) // as planJob stamps it
 			whole, ta := qr.NewSketch(n, sketchSeed(3)), matrix.FromDense(dense, nb)
 			for i := 0; i < ta.MT; i++ {
 				whole.AddTileRow(ta, i)
@@ -52,10 +53,11 @@ func TestOwnedInputsMatchBuildInputs(t *testing.T) {
 			for ranks := 1; ranks <= 3; ranks++ {
 				sum := matrix.New(n, whole.Z.Cols)
 				for rank := 0; rank < ranks; rank++ {
-					a, part, _, err := spec.ownedInputs(opts, 3, ranks, rank)
+					a, env, _, err := spec.ownedInputs(opts, 3, ranks, rank)
 					if err != nil {
 						t.Fatal(err)
 					}
+					part := env.Part
 					lo, hi := qr.OwnedTileRows(a.MT, ranks, rank)
 					for i := 0; i < a.MT; i++ {
 						for j := 0; j < a.NT; j++ {
@@ -101,11 +103,12 @@ func TestAcceptRefusesPerturbedR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, part, _, err := spec.ownedInputs(opts, 1, 1, 0)
+	opts = opts.Resolve(5, 2) // as planJob stamps it for two workers
+	a, env, _, err := spec.ownedInputs(opts, 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := qr.FactorizeVSAIn(context.Background(), a, nil, opts, qr.RunConfig{Threads: 2}, qr.Env{Part: part})
+	f, err := qr.FactorizeVSAIn(context.Background(), a, nil, opts, qr.RunConfig{Threads: 2}, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +137,12 @@ func TestAcceptIsScaleFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, part, _, err := spec.ownedInputs(opts, 9, 1, 0)
+		opts = opts.Resolve((m+opts.NB-1)/opts.NB, 2) // as planJob stamps it for two workers
+		a, env, _, err := spec.ownedInputs(opts, 9, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := qr.FactorizeVSAIn(context.Background(), a, nil, opts, qr.RunConfig{Threads: 2}, qr.Env{Part: part})
+		f, err := qr.FactorizeVSAIn(context.Background(), a, nil, opts, qr.RunConfig{Threads: 2}, env)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,14 +190,15 @@ func corruptingAgent(t *testing.T, ep transport.Endpoint) {
 		t.Error(err)
 		return
 	}
-	a, part, _, err := msg.Spec.ownedInputs(opts, msg.Job, jep.Size(), jep.Rank())
+	a, env, _, err := msg.Spec.ownedInputs(opts, msg.Job, jep.Size(), jep.Rank())
 	if err != nil {
 		t.Error(err)
 		return
 	}
 	lo, _ := qr.OwnedTileRows(a.MT, jep.Size(), jep.Rank())
 	a.Tile(lo, 0).Add(5, 7, 0.125)
-	if _, err := qr.FactorizeVSAIn(context.Background(), a, nil, opts, qr.RunConfig{}, qr.Env{Endpoint: jep, Part: part}); err != nil {
+	env.Endpoint = jep
+	if _, err := qr.FactorizeVSAIn(context.Background(), a, nil, opts, qr.RunConfig{}, env); err != nil {
 		t.Errorf("corrupting agent: %v", err)
 	}
 }
@@ -441,13 +446,14 @@ func TestOpenBroadcastCarriesEffectiveConfig(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			a, part, _, err := msg.Spec.ownedInputs(opts, msg.Job, jep.Size(), jep.Rank())
+			a, env, _, err := msg.Spec.ownedInputs(opts, msg.Job, jep.Size(), jep.Rank())
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			got <- seen{string(req.Data()), *msg.Spec, opts, a.NB}
-			if _, err := qr.FactorizeVSAIn(context.Background(), a, nil, opts, qr.RunConfig{}, qr.Env{Endpoint: jep, Part: part}); err != nil {
+			env.Endpoint = jep
+			if _, err := qr.FactorizeVSAIn(context.Background(), a, nil, opts, qr.RunConfig{}, env); err != nil {
 				t.Errorf("rank 1: %v", err)
 			}
 			jep.Close()

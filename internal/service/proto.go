@@ -9,6 +9,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"pulsarqr/internal/matrix"
@@ -211,20 +212,23 @@ func (sp *JobSpec) BuildInputs() (*matrix.Tiled, *matrix.Mat, error) {
 
 // ownedInputs materializes what rank `rank` of a `ranks`-rank session of
 // job `job` needs of the input: the tiles of the tile rows it owns (every
-// other tile of the returned matrix is nil) and their sketch, folded in row
-// by row while each is cache-hot, because the run consumes the tiles. Seeded
-// tiles are generated in place; uploaded ones are copied out of the rank's
-// rows of the upload, which rank 0 views in Data and an agent was sent
-// (recvUpload).
+// other tile of the returned matrix is nil) and, in the returned Env, their
+// sketch, folded in row by row while each is cache-hot, because the run
+// consumes the tiles. Seeded tiles are generated in place; uploaded ones are
+// copied out of the rank's rows of the upload, which rank 0 views in Data
+// and an agent was sent (recvUpload). opts must be resolved (planJob's).
 //
 // The owned tiles lie one after another in one slab from takeSlab, each
 // compact (LD = its rows), and both fills overwrite every element, so a
-// reused slab is never zeroed. The caller hands the slab to releaseSlab once
-// the run has succeeded and nothing reads the tiles any more; a failed,
-// canceled or requeued attempt leaves it to the GC.
-func (sp *JobSpec) ownedInputs(opts qr.Options, job uint32, ranks, rank int) (*matrix.Tiled, *qr.Sketch, *[]float64, error) {
+// reused slab is never zeroed. The slab also holds the run's scratch — its T
+// factors, R packets and assembled diagonal tiles (qr.ScratchLen) — behind
+// the tiles, as the returned Env's Scratch; the kernels write what they read
+// of it. The caller hands the slab to releaseSlab once the run has succeeded
+// and nothing reads the tiles or the scratch any more (R copied out); a
+// failed, canceled or requeued attempt leaves it to the GC.
+func (sp *JobSpec) ownedInputs(opts qr.Options, job uint32, ranks, rank int) (*matrix.Tiled, qr.Env, *[]float64, error) {
 	if err := sp.Validate(); err != nil {
-		return nil, nil, nil, err
+		return nil, qr.Env{}, nil, err
 	}
 	a := matrix.NewTiledShell(sp.M, sp.N, opts.NB)
 	rows := sp.rows
@@ -233,7 +237,8 @@ func (sp *JobSpec) ownedInputs(opts qr.Options, job uint32, ranks, rank int) (*m
 	}
 	sk := qr.NewSketch(sp.N, sketchSeed(job))
 	r0, r1 := sp.ownedRows(a.NB, ranks, rank)
-	slab := takeSlab((r1 - r0) * sp.N)
+	tiles, scratch := (r1-r0)*sp.N, qr.ScratchLen(a, opts, ranks, rank)
+	slab := takeSlab(tiles + scratch)
 	lo, hi := qr.OwnedTileRows(a.MT, ranks, rank)
 	off := 0
 	for i := lo; i < hi; i++ {
@@ -250,44 +255,67 @@ func (sp *JobSpec) ownedInputs(opts qr.Options, job uint32, ranks, rank int) (*m
 		}
 		sk.AddTileRow(a, i)
 	}
-	return a, sk, slab, nil
+	return a, qr.Env{Part: sk, Scratch: (*slab)[tiles : tiles+scratch : tiles+scratch]}, slab, nil
 }
 
-// tileSlabs is the warm input storage of this process's jobs, as the pool
+// tileSlabs is the warm storage of this process's jobs, as the pool
 // workers' kernel workspaces are their warm scratch: each holds a
-// *[]float64 that ownedInputs laid a finished job's tiles in, or that a
-// finished job's upload was decoded into (decodeSubmit).
-var tileSlabs sync.Pool
+// *[]float64 that ownedInputs laid a finished job's tiles and scratch in,
+// or that a finished job's upload was decoded into (decodeSubmit). Pool c
+// holds the slabs of size class c (slabClass), so jobs of different shapes
+// keep their own slabs warm. The classes reach 2^35 float64s, far past the
+// largest admissible job.
+var tileSlabs [8 * 32]sync.Pool
+
+// slabClass returns the size class of a slab of n float64s and the capacity
+// takeSlab gives the class's slabs: the least m·2^e ≥ n with m in [8, 16),
+// eight classes a doubling, so a slab holds less than 1/8 more than asked.
+func slabClass(n int) (class, size int) {
+	n = max(n, 8)
+	e := max(bits.Len(uint(n-1))-4, 0)
+	m := (n-1)>>e + 1
+	return 8*e + m - 8, m << e
+}
 
 // warmSlab returns a pooled slab of n float64s whose contents are stale, when
-// the pool offers one whose capacity is at least n and at most 2n, and nil
-// otherwise. A pooled slab outside that range is dropped, so one huge job
-// cannot keep its slab alive under a stream of small ones.
+// n's size class or one of the next doubling's holds one, and nil otherwise.
+// It looks no further up, so one huge job cannot keep its slab alive under a
+// stream of small ones: an idle class empties at the GC.
 func warmSlab(n int) *[]float64 {
-	if p, _ := tileSlabs.Get().(*[]float64); p != nil && n <= cap(*p) && cap(*p) <= 2*n {
-		*p = (*p)[:n]
-		return p
+	c, _ := slabClass(n)
+	for k := c; k <= c+8 && k < len(tileSlabs); k++ {
+		if p, _ := tileSlabs[k].Get().(*[]float64); p != nil {
+			*p = (*p)[:n]
+			return p
+		}
 	}
 	return nil
 }
 
 // takeSlab returns a slab of n float64s whose contents are stale: warmSlab's,
-// or a fresh one.
+// or a fresh one with its class's capacity.
 func takeSlab(n int) *[]float64 {
 	if p := warmSlab(n); p != nil {
 		return p
 	}
-	s := make([]float64, n)
+	_, size := slabClass(n)
+	s := make([]float64, n, size)
 	return &s
 }
 
-// releaseSlab gives a slab back to tileSlabs. Only a successful run's slab
-// comes back, after its last reader: an aborted run is not known to have
-// quiesced over its tiles, so its slab is left to the GC. The one other
-// caller is a decode that failed after taking a warm slab.
+// releaseSlab gives a slab back to tileSlabs, to the largest class whose
+// size its capacity holds: every slab of a class holds any request of that
+// class. Only a successful run's slab comes back, after its last reader: an
+// aborted run is not known to have quiesced over its tiles, so its slab is
+// left to the GC. The one other caller is a decode that failed after taking
+// a warm slab.
 func releaseSlab(p *[]float64) {
-	if cap(*p) > 0 {
-		tileSlabs.Put(p)
+	c, size := slabClass(cap(*p))
+	if size > cap(*p) {
+		c--
+	}
+	if c >= 0 && c < len(tileSlabs) {
+		tileSlabs[c].Put(p)
 	}
 }
 

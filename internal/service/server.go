@@ -455,7 +455,7 @@ func (s *Server) runJob(j *Job) {
 	if ep != nil {
 		ranks = ep.Size()
 	}
-	a, part, slab, err := spec.ownedInputs(opts, j.ID, ranks, 0) // the server is rank 0 of every session
+	a, env, slab, err := spec.ownedInputs(opts, j.ID, ranks, 0) // the server is rank 0 of every session
 	if err != nil {
 		s.fail(j, err.Error())
 		return
@@ -463,7 +463,8 @@ func (s *Server) runJob(j *Job) {
 	// Elapsed (and Gflops) time the factorization alone, as they always have:
 	// array build, run, gather.
 	start := time.Now()
-	f, err := qr.FactorizeVSAIn(j.ctx, a, nil, opts, rc, qr.Env{Endpoint: ep, Pool: s.pool, Part: part})
+	env.Endpoint, env.Pool = ep, s.pool
+	f, err := qr.FactorizeVSAIn(j.ctx, a, nil, opts, rc, env)
 	elapsed := time.Since(start)
 	if err != nil {
 		switch {
@@ -510,7 +511,7 @@ func (s *Server) runJob(j *Job) {
 		res.Gflops = flops / sec / 1e9
 	}
 	r := f.R()
-	releaseSlab(slab) // R is copied out: nothing reads this rank's tiles any more
+	releaseSlab(slab) // R is copied out: nothing reads this rank's tiles or scratch any more
 	res.Residual, res.OK = accept(f.Input, r)
 	res.R = r
 	if rec != nil {
