@@ -19,6 +19,10 @@ type Channel struct {
 	srcSlot, dstSlot int
 	maxBytes         int
 
+	// landing, when set, is where the first packet that arrives from
+	// another node is decoded (VSA.Land); the proxy alone reads it.
+	landing any
+
 	// Resolved at Run time.
 	srcVDP, dstVDP *VDP
 	interNode      bool

@@ -46,10 +46,16 @@ func (p *Packet) Tile() *matrix.Mat {
 	return t
 }
 
-// Codec (un)marshals one payload type for inter-node transport.
+// Codec (un)marshals one payload type for inter-node transport. A decoder
+// must not keep b: the proxy gives the received bytes back to the transport
+// once the packet is decoded.
 type Codec struct {
 	ID     byte
 	Decode func(b []byte) (any, error)
+	// DecodeInto, when set, decodes b into v, storage of the payload's type
+	// that a channel's landing holds (VSA.Land), and returns the payload
+	// built on it. A packet that does not fit v exactly is an error.
+	DecodeInto func(b []byte, v any) (any, error)
 	// EncodeAppend appends the payload encoding to dst and returns the
 	// extended slice, so marshal buffers can be pooled across packets. On a
 	// type mismatch it must report false without having grown dst's
@@ -87,6 +93,13 @@ func init() {
 			return AppendMat(dst, m), true
 		},
 		Decode: func(b []byte) (any, error) { return DecodeMat(b) },
+		DecodeInto: func(b []byte, v any) (any, error) {
+			m, ok := v.(*matrix.Mat)
+			if !ok {
+				return nil, fmt.Errorf("pulsar: a matrix packet cannot land in %T", v)
+			}
+			return m, DecodeMatInto(m, b)
+		},
 	})
 	RegisterCodec(Codec{
 		ID: 2,
@@ -160,6 +173,18 @@ func DecodeMat(b []byte) (*matrix.Mat, error) {
 	return m, nil
 }
 
+// DecodeMatInto is DecodeMat into m, whose shape the matrix in b must have.
+func DecodeMatInto(m *matrix.Mat, b []byte) error {
+	rest, err := wire.ConsumeDimMatInto(m, b)
+	if err != nil {
+		return err
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("pulsar: %d bytes after a %dx%d matrix payload", len(rest), m.Rows, m.Cols)
+	}
+	return nil
+}
+
 // MarshalPacket serializes a packet for inter-node transport: one codec ID
 // byte followed by the codec's payload bytes. Besides the runtime's own
 // inter-node channels, distributed drivers use it to ship collector output
@@ -187,7 +212,11 @@ func appendPacket(dst []byte, p *Packet) ([]byte, error) {
 }
 
 // UnmarshalPacket reverses MarshalPacket.
-func UnmarshalPacket(b []byte) (*Packet, error) {
+func UnmarshalPacket(b []byte) (*Packet, error) { return unmarshalInto(b, nil) }
+
+// unmarshalInto is UnmarshalPacket decoding into landing, when not nil,
+// with the codec's DecodeInto.
+func unmarshalInto(b []byte, landing any) (*Packet, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("pulsar: empty packet payload")
 	}
@@ -197,7 +226,16 @@ func UnmarshalPacket(b []byte) (*Packet, error) {
 	if !ok {
 		return nil, fmt.Errorf("pulsar: unknown codec id %d", b[0])
 	}
-	v, err := c.Decode(b[1:])
+	var v any
+	var err error
+	switch {
+	case landing == nil:
+		v, err = c.Decode(b[1:])
+	case c.DecodeInto == nil:
+		err = fmt.Errorf("pulsar: codec %d cannot decode into a landing", c.ID)
+	default:
+		v, err = c.DecodeInto(b[1:], landing)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -31,6 +31,41 @@ func TestDecodeMatErrors(t *testing.T) {
 	}
 }
 
+// A matrix packet lands in a view of its own shape, bit for bit, strided
+// views included; a packet of any other shape, trailing bytes, a landing of
+// another type and a codec with no DecodeInto are errors.
+func TestPacketLandsInItsView(t *testing.T) {
+	src := matrix.NewSeeded(5, 3, 7)
+	b, err := MarshalPacket(NewPacket(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := matrix.New(9, 4)
+	view := host.View(2, 1, 5, 3) // LD 9: a strided landing
+	p, err := unmarshalInto(b, view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Tile() != view || matrix.MaxAbsDiff(view, src) != 0 {
+		t.Fatal("the packet did not land in its view as sent")
+	}
+	for name, tc := range map[string]struct {
+		b       []byte
+		landing any
+	}{
+		"rows differ":    {b, matrix.New(4, 3)},
+		"cols differ":    {b, matrix.New(5, 4)},
+		"trailing byte":  {append(append([]byte(nil), b...), 0), matrix.New(5, 3)},
+		"not a matrix":   {b, []float64{1}},
+		"no DecodeInto":  {[]byte{2, 0, 0, 0, 0, 0, 0, 0, 0}, make([]float64, 1)},
+		"truncated dims": {b[:5], matrix.New(5, 3)},
+	} {
+		if _, err := unmarshalInto(tc.b, tc.landing); err == nil {
+			t.Errorf("%s: landed without an error", name)
+		}
+	}
+}
+
 func TestUnmarshalPacketErrors(t *testing.T) {
 	if _, err := UnmarshalPacket(nil); err == nil {
 		t.Fatal("empty payload must fail")

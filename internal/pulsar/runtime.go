@@ -470,6 +470,7 @@ func (p *proxy) run() {
 		progress := false
 		for recv.Test() {
 			p.deliver(recv.Source(), recv.Tag(), recv.Data())
+			recv.Release() // decoded: no packet keeps the bytes
 			recv = p.comm.Irecv(transport.Any, transport.Any)
 			progress = true
 		}
@@ -527,7 +528,8 @@ func (p *proxy) deliver(src, tag int, data []byte) {
 	if !ok {
 		panic(fmt.Sprintf("pulsar: node %d received unroutable message src=%d tag=%d", p.node, src, tag))
 	}
-	pkt, err := UnmarshalPacket(data)
+	pkt, err := unmarshalInto(data, c.landing)
+	c.landing = nil
 	if err != nil {
 		panic(fmt.Sprintf("pulsar: node %d channel %s: %v", p.node, c, err))
 	}

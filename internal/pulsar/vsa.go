@@ -288,6 +288,19 @@ func (s *VSA) Input(dst tuple.Tuple, dstSlot, maxBytes int) {
 	s.channels = append(s.channels, c)
 }
 
+// Land gives the channel into input slot dstSlot of dst a landing: the
+// packet that reaches it from another node is decoded into v, storage of
+// exactly the payload's type and shape (a *matrix.Mat, or whatever its
+// codec's DecodeInto takes), instead of into fresh memory. Only the first
+// packet lands; a later one is decoded fresh. Call it before the run.
+func (s *VSA) Land(dst tuple.Tuple, dstSlot int, v any) {
+	dv := s.mustVDP(dst)
+	if dstSlot < 0 || dstSlot >= len(dv.in) || dv.in[dstSlot] == nil {
+		panic(fmt.Sprintf("pulsar: landing on VDP %v input slot %d, which no channel feeds", dst, dstSlot))
+	}
+	dv.in[dstSlot].landing = v
+}
+
 // Output creates an external collector channel on output slot srcSlot of
 // src. Packets pushed to it accumulate and are retrieved with Collected
 // after the run.

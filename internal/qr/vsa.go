@@ -117,6 +117,16 @@ func init() {
 			}
 			return &vtMsg{V: v, T: t}, nil
 		},
+		DecodeInto: func(b []byte, into any) (any, error) {
+			m, ok := into.(*vtMsg)
+			if !ok {
+				return nil, fmt.Errorf("qr: a vt packet cannot land in %T", into)
+			}
+			if err := consumeTwoMatsInto(m.V, m.T, b); err != nil {
+				return nil, fmt.Errorf("qr: vt packet: %w", err)
+			}
+			return m, nil
+		},
 	})
 }
 
@@ -148,6 +158,22 @@ func consumeTwoMats(p []byte) (a, b *matrix.Mat, err error) {
 	return a, b, err
 }
 
+// consumeTwoMatsInto is consumeTwoMats into a and b, whose shapes the two
+// matrices must have.
+func consumeTwoMatsInto(a, b *matrix.Mat, p []byte) error {
+	if len(p) < 4 {
+		return fmt.Errorf("%d bytes where two matrices belong", len(p))
+	}
+	rest, err := wire.ConsumeDimMatInto(a, p[4:])
+	if err != nil {
+		return err
+	}
+	if la, want := len(p)-4-len(rest), int(binary.LittleEndian.Uint32(p)); la != want {
+		return fmt.Errorf("first matrix is %d bytes, its prefix declares %d", la, want)
+	}
+	return pulsar.DecodeMatInto(b, rest)
+}
+
 // builder accumulates the array for one factorization.
 type builder struct {
 	a, b    *matrix.Tiled
@@ -172,6 +198,20 @@ type builder struct {
 	// diag[j] is the tile an R-only run assembles panel j's R into, on the
 	// node that assembles.
 	diag []*matrix.Mat
+	// lands lists the landings carved for this node's inbound inter-node
+	// channels, in build order.
+	lands []landing
+}
+
+// landing is the storage the datum d lands in when call c takes it from a
+// VDP on another node: a tile, a domain R, or the (V,T) packet of the
+// transformation c only reads (lands).
+type landing struct {
+	from  endpoint // the VDP that sends it
+	c     Call
+	d     Datum
+	write bool
+	v     any // *matrix.Mat, or *vtMsg
 }
 
 // endpoint identifies a producer (VDP tuple + output slot) while wiring.
@@ -361,7 +401,7 @@ func newBuilder(a, b *matrix.Tiled, opts Options, rc RunConfig, env Env, ep tran
 	if b != nil {
 		bd.bnt = b.NT
 	}
-	need := scratchLen(a, opts, rc.Nodes, here, bd.rOnly)
+	need := scratchLen(a, b, opts, rc.Nodes, here, bd.rOnly)
 	if bd.scratch = env.Scratch; bd.scratch == nil {
 		bd.scratch = make([]float64, need)
 	} else if len(bd.scratch) != need {
@@ -385,6 +425,14 @@ func newBuilder(a, b *matrix.Tiled, opts Options, rc RunConfig, env Env, ep tran
 	})
 	bd.build()
 	return bd, nil
+}
+
+// colWidth is the width of global tile column l: of a, or of the rhs b.
+func colWidth(a, b *matrix.Tiled, l int) int {
+	if l < a.NT {
+		return a.TileCols(l)
+	}
+	return b.TileCols(l - a.NT)
 }
 
 // colTile resolves a global column index to the tile at row i.
@@ -506,6 +554,7 @@ type holder struct {
 // WriteBack, and the tiles of R and QᵀB after the listing, in (i, l) order.
 func (bd *builder) build() {
 	held := map[Datum]holder{}
+	place := bd.mapping()
 	List(bd.a.MT, bd.a.NT, bd.bnt, bd.opts, func(c Call) {
 		if c.Kernel == WriteBack {
 			if bd.rOnly {
@@ -516,16 +565,22 @@ func (bd *builder) build() {
 		}
 		k, tup := vdpKinds[c.Kernel], vdpTup(c)
 		bd.s.NewVDP(tup, 1, k.body, c.Kernel.Class(), k.nin, k.nout).SetLocal(bd.local(c))
+		to, _ := place(tup)
 		n := 0
 		c.Access(func(d Datum, write bool) {
 			p := k.ports[n]
 			n++
 			h, ok := held[d]
 			switch {
-			case ok && write:
-				bd.s.Connect(h.from.tup, h.from.slot, tup, p.in, bd.nbBytes, false)
 			case ok:
-				bd.s.Connect(h.from.tup, h.from.slot, tup, p.in, 2*bd.nbBytes, false)
+				size := bd.nbBytes
+				if !write {
+					size *= 2 // a (V,T) packet
+				}
+				bd.s.Connect(h.from.tup, h.from.slot, tup, p.in, size, false)
+				if from, _ := place(h.from.tup); landsHere(from, to, bd.here) {
+					bd.land(h.from, endpoint{tup, p.in}, c, d, write)
+				}
 			case !d.R:
 				bd.s.Input(tup, p.in, bd.nbBytes)
 				bd.inputs = append(bd.inputs, input{endpoint{tup, p.in}, d})
@@ -585,6 +640,11 @@ func (bd *builder) finalR(j int, from endpoint) {
 // kernel writes the part of a view it later reads — T's upper triangles, R's
 // upper trapezoid — so a reused slab is never zeroed.
 
+// A packet that reaches a node from another lands in a view carved the same
+// way, on the receiving node only: each inbound inter-node channel of a node
+// carries one packet per run, and the proxy decodes it into the channel's
+// landing (pulsar.VSA.Land) instead of into fresh matrices.
+
 // carves calls take with the shape of each view c cuts from the scratch, in
 // the order carve hands them out: a Geqrt's T and then its domain's R
 // packet, a Tsqrt's or Ttqrt's T, a WriteBack's diagonal tile.
@@ -614,26 +674,78 @@ func carvesHere(c Call, mt, nodes, here int, rOnly bool) bool {
 	return here < 0 || TileRowOwner(mt, nodes, row) == here
 }
 
+// lands calls take with the shape of each view datum d lands in when call c
+// takes it from another node: the tile or domain R itself when c writes it;
+// when c only reads it, the (V,T) packet of the transformation, V of d's
+// shape and then the T of the panel call that made it.
+func lands(a, b *matrix.Tiled, c Call, d Datum, write bool, ib int, take func(rows, cols int)) {
+	m, n := a.TileRows(d.I), colWidth(a, b, d.L)
+	if d.R {
+		m = min(m, n)
+	}
+	take(m, n)
+	switch {
+	case write:
+	case c.Kernel == Ormqr: // a Geqrt's T
+		k := min(m, n)
+		take(min(ib, k), k)
+	default: // a Tsqrt's or Ttqrt's T
+		take(min(ib, n), n)
+	}
+}
+
+// landsHere reports whether node here carves the landing of a datum that
+// travels from node from to node to (every node's when here < 0).
+func landsHere(from, to, here int) bool {
+	return from != to && (here < 0 || to == here)
+}
+
 // ScratchLen returns the float64s rank of nodes carves from Env.Scratch in
-// an R-only run of a at options o, which must be resolved (Options.Resolve)
-// as the run resolves them: what a service sizes the scratch with.
+// an R-only run of a with no right-hand side, at options o, which must be
+// resolved (Options.Resolve) as the run resolves them: what a service sizes
+// the scratch with.
 func ScratchLen(a *matrix.Tiled, o Options, nodes, rank int) int {
 	if o != o.Resolve(a.MT, 1) {
 		panic(fmt.Sprintf("qr: ScratchLen of unresolved options %v", o))
 	}
-	return scratchLen(a, o, nodes, rank, true)
+	return scratchLen(a, nil, o, nodes, rank, true)
 }
 
-// scratchLen sums the views node here carves (every node's when here < 0).
-// Panel calls do not depend on the rhs columns.
-func scratchLen(a *matrix.Tiled, o Options, nodes, here int, rOnly bool) int {
+// scratchLen sums the views node here carves (every node's when here < 0)
+// in a run of a, and b when it is not nil: build's carves and landings, the
+// same listing walked with the same holders.
+func scratchLen(a, b *matrix.Tiled, o Options, nodes, here int, rOnly bool) int {
 	n := 0
-	List(a.MT, a.NT, 0, o, func(c Call) {
+	take := func(rows, cols int) { n += rows * cols }
+	held := map[Datum]int{} // the node of each datum's last holder
+	bnt := 0
+	if b != nil {
+		bnt = b.NT
+	}
+	List(a.MT, a.NT, bnt, o, func(c Call) {
 		if carvesHere(c, a.MT, nodes, here, rOnly) {
-			carves(a, c, o.IB, func(rows, cols int) { n += rows * cols })
+			carves(a, c, o.IB, take)
 		}
+		if c.Kernel == WriteBack || nodes == 1 {
+			return
+		}
+		row, _ := c.Home() // mapping places every VDP by its call's Home row
+		to := TileRowOwner(a.MT, nodes, row)
+		c.Access(func(d Datum, write bool) {
+			if from, ok := held[d]; ok && landsHere(from, to, here) {
+				lands(a, b, c, d, write, o.IB, take)
+			}
+			held[d] = to
+		})
 	})
 	return n
+}
+
+// cut takes the next rows×cols view off the front of the scratch.
+func (bd *builder) cut(rows, cols int) *matrix.Mat {
+	v := matrix.FromColMajor(rows, cols, rows, bd.scratch[:rows*cols:rows*cols])
+	bd.scratch = bd.scratch[rows*cols:]
+	return v
 }
 
 // carve cuts c's views (carves) from the front of the scratch when this
@@ -644,11 +756,23 @@ func (bd *builder) carve(c Call) (v [2]*matrix.Mat) {
 	}
 	i := 0
 	carves(bd.a, c, bd.opts.IB, func(rows, cols int) {
-		v[i] = matrix.FromColMajor(rows, cols, rows, bd.scratch[:rows*cols:rows*cols])
-		bd.scratch = bd.scratch[rows*cols:]
+		v[i] = bd.cut(rows, cols)
 		i++
 	})
 	return v
+}
+
+// land cuts the landing of datum d, which call c's VDP takes at to from
+// from, on another node (lands), and gives it to the channel.
+func (bd *builder) land(from, to endpoint, c Call, d Datum, write bool) {
+	var v []*matrix.Mat
+	lands(bd.a, bd.b, c, d, write, bd.opts.IB, func(rows, cols int) { v = append(v, bd.cut(rows, cols)) })
+	l := landing{from: from, c: c, d: d, write: write, v: v[0]}
+	if !write {
+		l.v = &vtMsg{V: v[0], T: v[1]}
+	}
+	bd.s.Land(to.tup, to.slot, l.v)
+	bd.lands = append(bd.lands, l)
 }
 
 // --- VDP bodies ---------------------------------------------------------

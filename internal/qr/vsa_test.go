@@ -347,12 +347,15 @@ func TestVSAShapePinned(t *testing.T) {
 }
 
 // TestVSAScratchCarvesTileExactly holds the views a run carves from its
-// scratch — T factors, domain R packets and an R-only run's diagonal tiles —
-// to the slab a service sizes with ScratchLen: on TestVSAShapePinned's shapes
-// under every tree, on 1 node and on each rank of 3, the views handed to the
-// rank's VDPs and assembly have the shapes their kernels take, are pairwise
-// disjoint, lie inside the scratch and fill it exactly; a VDP another rank
-// runs gets none. The full-log run carves the same calls from its own count.
+// scratch — T factors, domain R packets, an R-only run's diagonal tiles and
+// the landings of the packets other ranks send — to the slab a service sizes
+// with ScratchLen: on TestVSAShapePinned's shapes under every tree, on 1 node
+// and on each rank of 3, the views handed to the rank's VDPs, assembly and
+// inbound channels have the shapes their kernels and packets take, are
+// pairwise disjoint, lie inside the scratch and fill it exactly; a VDP
+// another rank runs gets none, and a landing is carved only on the rank that
+// receives it. Over the 3 ranks there is one landing per message a run of
+// the array sends. The full-log run carves the same calls from its own count.
 func TestVSAScratchCarvesTileExactly(t *testing.T) {
 	for _, sh := range []struct {
 		name      string
@@ -372,6 +375,7 @@ func TestVSAScratchCarvesTileExactly(t *testing.T) {
 		for _, o := range configs {
 			for _, nodes := range []int{1, 3} {
 				o := o.Resolve(a.MT, nodes*2)
+				landed := 0
 				for rank := 0; rank < nodes; rank++ {
 					for _, rOnly := range []bool{true, false} {
 						name := fmt.Sprintf("%s %v inter=%v rank %d of %d rOnly=%v", sh.name, o, o.Inter, rank, nodes, rOnly)
@@ -379,11 +383,11 @@ func TestVSAScratchCarvesTileExactly(t *testing.T) {
 						if nodes == 1 {
 							here = -1 // as FactorizeVSAIn runs a lone node
 						}
-						want := scratchLen(a, o, nodes, here, rOnly)
+						want := scratchLen(a, b, o, nodes, here, rOnly)
 						if rOnly {
 							env.Part = NewSketch(sh.n, 1)
-							if want != ScratchLen(a, o, nodes, rank) {
-								t.Fatalf("%s: the run carves %d, ScratchLen sizes %d", name, want, ScratchLen(a, o, nodes, rank))
+							if got := ScratchLen(a, o, nodes, rank); b == nil && want != got {
+								t.Fatalf("%s: the run carves %d, ScratchLen sizes %d", name, want, got)
 							}
 						}
 						env.Scratch = make([]float64, want)
@@ -392,7 +396,22 @@ func TestVSAScratchCarvesTileExactly(t *testing.T) {
 							t.Fatal(err)
 						}
 						checkCarves(t, name, bd, env.Scratch, rank)
+						if rOnly {
+							landed += len(bd.lands)
+						}
 					}
+				}
+				run := matrix.FromDense(matrix.NewSeeded(sh.m, sh.n, 1), sh.nb)
+				var rb *matrix.Tiled
+				if b != nil {
+					rb = matrix.FromDense(matrix.NewSeeded(sh.m, sh.rhs, 2), sh.nb)
+				}
+				f, err := FactorizeVSA(run, rb, o, RunConfig{Nodes: nodes, Threads: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if int64(landed) != f.Stats.Messages {
+					t.Errorf("%s %v inter=%v on %d nodes: %d landings for the %d messages a run sends", sh.name, o, o.Inter, nodes, landed, f.Stats.Messages)
 				}
 			}
 		}
@@ -440,6 +459,44 @@ func checkCarves(t *testing.T, name string, bd *builder, scratch []float64, rank
 			continue
 		}
 		views = append(views, want...)
+	}
+	width := func(l int) int {
+		if l < bd.a.NT {
+			return bd.a.TileCols(l)
+		}
+		return bd.b.TileCols(l - bd.a.NT)
+	}
+	for k, l := range bd.lands {
+		if from, _ := place(l.from.tup); from == rank {
+			t.Fatalf("%s: landing %d of %v on rank %d, which sent it", name, k, l.d, rank)
+		}
+		if to, _ := place(vdpTup(l.c)); to != rank {
+			t.Fatalf("%s: landing %d of %v carved on rank %d for a VDP on rank %d", name, k, l.d, rank, to)
+		}
+		rows, cols := bd.a.TileRows(l.d.I), width(l.d.L)
+		if l.d.R {
+			rows = min(rows, cols)
+		}
+		switch v := l.v.(type) {
+		case *matrix.Mat:
+			if !l.write {
+				t.Fatalf("%s: landing %d of %v, which %v only reads, is a tile", name, k, l.d, l.c.Kernel)
+			}
+			views = append(views, view{v, rows, cols, "landing"})
+		case *vtMsg:
+			if l.write {
+				t.Fatalf("%s: landing %d of %v, which %v writes, is a (V,T) packet", name, k, l.d, l.c.Kernel)
+			}
+			tr := min(ib, cols) // a Tsqrt's or Ttqrt's T
+			tc := cols
+			if l.c.Kernel == Ormqr { // a Geqrt's
+				tc = min(rows, cols)
+				tr = min(ib, tc)
+			}
+			views = append(views, view{v.V, rows, cols, "landing V"}, view{v.T, tr, tc, "landing T"})
+		default:
+			t.Fatalf("%s: landing %d is a %T", name, k, l.v)
+		}
 	}
 	for j, d := range bd.diag {
 		if bd.rOnly && bd.here <= 0 {

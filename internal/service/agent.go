@@ -209,7 +209,7 @@ func (ag *Agent) runJob(ctx context.Context, id, session uint32, ranks []int, sp
 		ag.logf("agent: job %d: %v", id, err)
 		return
 	}
-	releaseSlab(slab) // this rank's R tiles went to rank 0 as bytes in the gather
+	tileSlabs.Put(slab) // this rank's R tiles went to rank 0 as bytes in the gather
 	if rec != nil {
 		// Ship this rank's shard to the server, which is blocked gathering
 		// on the still-open job session.

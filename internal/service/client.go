@@ -157,8 +157,9 @@ func (c *Client) Submit(spec JobSpec, wait bool) (JobView, int, error) {
 
 // Job fetches a job's state; includeR adds the R factor to the view, which
 // the server is asked to send as a job frame: JobView.R is filled from the
-// frame's matrix. That matrix is not decoded into a warm slab: nothing on
-// the client's side would ever give the slab back.
+// frame's matrix. That matrix is decoded into warm storage (tileSlabs), which
+// goes back once JobView.R holds its rows: a client fetching one R after
+// another decodes each where the last one was.
 func (c *Client) Job(id uint32, includeR bool) (JobView, error) {
 	var v JobView
 	path := fmt.Sprintf("/v1/jobs/%d", id)
@@ -174,7 +175,7 @@ func (c *Client) Job(id uint32, includeR bool) (JobView, error) {
 	if ctype := resp.Header.Get("Content-Type"); ctype != jobFrameType {
 		return v, fmt.Errorf("service: job %d came back as %q, not the %s asked for", id, ctype, jobFrameType)
 	}
-	r, err := readJobFrame(resp.Body, false, func(head []byte, rows, cols int) error {
+	r, err := readJobFrame(resp.Body, true, func(head []byte, rows, cols int) error {
 		if err := json.Unmarshal(head, &v); err != nil {
 			return err
 		}
@@ -188,6 +189,7 @@ func (c *Client) Job(id uint32, includeR bool) (JobView, error) {
 	})
 	if r != nil {
 		v.R = rRows(r)
+		tileSlabs.Put(r.Data)
 	}
 	return v, err
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"pulsarqr/internal/matrix"
+	"pulsarqr/internal/slab"
 	"pulsarqr/internal/wire"
 )
 
@@ -29,6 +30,11 @@ var jobFrameMagic = [4]byte{'Q', 'J', 'F', '1'}
 // view with a flight-recorder tail a few kilobytes.
 const maxFrameHead = 1 << 16
 
+// frameBufs is the warm storage of the job frame's byte buffers: the one a
+// frame is written from and the one its matrix is read through, each given
+// back when its frame is done.
+var frameBufs = slab.New[byte]()
+
 // writeJobFrame writes the frame of head and m (nil: the empty matrix) to w,
 // the one encoder of both directions: whole columns are appended until the
 // buffer holds wire.SlabSize bytes, then written, so the frame never exists
@@ -38,7 +44,8 @@ func writeJobFrame(w io.Writer, head []byte, m *matrix.Mat) error {
 		m = &matrix.Mat{}
 	}
 	size := 8 + len(head) + 8 + 8*m.Rows*m.Cols + 16
-	buf := make([]byte, 0, min(size, len(head)+wire.SlabSize+8*m.Rows+32))
+	buf := frameBufs.Take(min(size, len(head)+wire.SlabSize+8*m.Rows+32))[:0]
+	defer func() { frameBufs.Put(buf) }() // every Write has returned: nothing holds buf
 	buf = binary.LittleEndian.AppendUint32(append(buf, jobFrameMagic[:]...), uint32(len(head)))
 	buf = append(buf, head...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Rows))
@@ -74,10 +81,10 @@ func jobFrameBody(head []byte, m *matrix.Mat) io.Reader {
 // them — which must refuse any shape its side of the protocol does not
 // expect. The head buffer grows with the bytes that arrive, never with the
 // bytes declared, and so does the payload's unless warm is set and tileSlabs
-// offers a slab of the admitted size (warmSlab): the matrix is then decoded
-// into that storage, which a decode that fails gives back. Only a caller that
-// owns the matrix it is handed, and can give it back, sets warm. The checksum
-// is verified and nothing may follow the trailer.
+// offers a slab of the admitted size (slab.Pool.Warm): the matrix is then
+// decoded into that storage, which a decode that fails gives back. Only a
+// caller that owns the matrix it is handed, and can give it back, sets warm.
+// The checksum is verified and nothing may follow the trailer.
 func readJobFrame(r io.Reader, warm bool, admit func(head []byte, rows, cols int) error) (_ *matrix.Mat, err error) {
 	n, err := wire.ReadHeader(r, jobFrameMagic)
 	if err != nil {
@@ -101,16 +108,16 @@ func readJobFrame(r io.Reader, warm bool, admit func(head []byte, rows, cols int
 	if err := admit(head, rows, cols); err != nil {
 		return nil, err
 	}
-	var slab *[]float64
+	var warmData []float64
 	if warm {
-		slab = warmSlab(rows * cols)
+		warmData = tileSlabs.Warm(rows * cols)
 	}
 	defer func() {
-		if err != nil && slab != nil {
-			releaseSlab(slab)
+		if err != nil && warmData != nil {
+			tileSlabs.Put(warmData)
 		}
 	}()
-	data, sum, err := readFloats(r, rows*cols, slab)
+	data, sum, err := readFloats(r, rows*cols, warmData)
 	if err != nil {
 		return nil, err
 	}
@@ -133,18 +140,19 @@ func readJobFrame(r io.Reader, warm bool, admit func(head []byte, rows, cols int
 }
 
 // readFloats reads n float64s, n already bounded by the caller, and returns
-// them with the XOR of their bits. With a slab — at least n of warm storage —
-// they are read into it. Without one the slice doubles as the bytes arrive,
-// so a sender that declares a matrix and withholds it pins no more memory
-// than it sent, and ends at the capacity of n's size class (slabClass): the
-// slice is a slab the next upload of its shape can take once it is released.
-func readFloats(r io.Reader, n int, slab *[]float64) ([]float64, uint64, error) {
+// them with the XOR of their bits. With warm storage — a slab of n — they
+// are read into it. Without it the slice doubles as the bytes arrive, so a
+// sender that declares a matrix and withholds it pins no more memory than it
+// sent, and ends at the capacity of n's size class (slab.Class): the slice is
+// a slab the next decode of its shape can take once it is put back.
+func readFloats(r io.Reader, n int, warm []float64) ([]float64, uint64, error) {
 	const chunk = 1 << 13 // floats per read
-	buf := make([]byte, 8*min(n, chunk))
-	_, size := slabClass(n)
+	buf := frameBufs.Take(8 * min(n, chunk))
+	defer frameBufs.Put(buf)
+	_, size := slab.Class(n)
 	var data []float64
-	if slab != nil {
-		data = (*slab)[:0]
+	if warm != nil {
+		data = warm[:0]
 	} else {
 		data = make([]float64, 0, min(size, chunk))
 	}

@@ -305,11 +305,12 @@ type dieAtGather struct {
 	died *atomic.Bool
 }
 
-func (d dieAtGather) Isend(data []byte, dest, tag int) transport.Request {
+// IsendPrefixed is how the mux sends the agent's job traffic.
+func (d dieAtGather) IsendPrefixed(prefix, data []byte, dest, tag int) transport.Request {
 	if tag >= transport.GatherTagBase && d.died.CompareAndSwap(false, true) {
 		d.Endpoint.(transport.Crasher).Crash()
 	}
-	return d.Endpoint.Isend(data, dest, tag)
+	return d.Endpoint.IsendPrefixed(prefix, data, dest, tag)
 }
 
 // A rank that dies between its run and the check reduce leaves rank 0

@@ -9,12 +9,11 @@ package service
 import (
 	"context"
 	"fmt"
-	"math/bits"
-	"sync"
 
 	"pulsarqr/internal/matrix"
 	"pulsarqr/internal/plan"
 	"pulsarqr/internal/qr"
+	"pulsarqr/internal/slab"
 	"pulsarqr/internal/transport"
 	"pulsarqr/internal/wire"
 )
@@ -218,15 +217,15 @@ func (sp *JobSpec) BuildInputs() (*matrix.Tiled, *matrix.Mat, error) {
 // copied out of the rank's rows of the upload, which rank 0 views in Data
 // and an agent was sent (recvUpload). opts must be resolved (planJob's).
 //
-// The owned tiles lie one after another in one slab from takeSlab, each
+// The owned tiles lie one after another in one slab from tileSlabs, each
 // compact (LD = its rows), and both fills overwrite every element, so a
 // reused slab is never zeroed. The slab also holds the run's scratch — its T
 // factors, R packets and assembled diagonal tiles (qr.ScratchLen) — behind
 // the tiles, as the returned Env's Scratch; the kernels write what they read
-// of it. The caller hands the slab to releaseSlab once the run has succeeded
+// of it. The caller puts the slab back in tileSlabs once the run has succeeded
 // and nothing reads the tiles or the scratch any more (R copied out); a
 // failed, canceled or requeued attempt leaves it to the GC.
-func (sp *JobSpec) ownedInputs(opts qr.Options, job uint32, ranks, rank int) (*matrix.Tiled, qr.Env, *[]float64, error) {
+func (sp *JobSpec) ownedInputs(opts qr.Options, job uint32, ranks, rank int) (*matrix.Tiled, qr.Env, []float64, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, qr.Env{}, nil, err
 	}
@@ -238,13 +237,13 @@ func (sp *JobSpec) ownedInputs(opts qr.Options, job uint32, ranks, rank int) (*m
 	sk := qr.NewSketch(sp.N, sketchSeed(job))
 	r0, r1 := sp.ownedRows(a.NB, ranks, rank)
 	tiles, scratch := (r1-r0)*sp.N, qr.ScratchLen(a, opts, ranks, rank)
-	slab := takeSlab(tiles + scratch)
+	s := tileSlabs.Take(tiles + scratch)
 	lo, hi := qr.OwnedTileRows(a.MT, ranks, rank)
 	off := 0
 	for i := lo; i < hi; i++ {
 		for j := 0; j < a.NT; j++ {
 			m, n := a.TileRows(i), a.TileCols(j)
-			tile := matrix.FromColMajor(m, n, m, (*slab)[off:off+m*n:off+m*n])
+			tile := matrix.FromColMajor(m, n, m, s[off:off+m*n:off+m*n])
 			off += m * n
 			if rows != nil {
 				tile.CopyFrom(rows.View((i-lo)*a.NB, j*a.NB, m, n))
@@ -255,69 +254,19 @@ func (sp *JobSpec) ownedInputs(opts qr.Options, job uint32, ranks, rank int) (*m
 		}
 		sk.AddTileRow(a, i)
 	}
-	return a, qr.Env{Part: sk, Scratch: (*slab)[tiles : tiles+scratch : tiles+scratch]}, slab, nil
+	return a, qr.Env{Part: sk, Scratch: s[tiles : tiles+scratch : tiles+scratch]}, s, nil
 }
 
 // tileSlabs is the warm storage of this process's jobs, as the pool
-// workers' kernel workspaces are their warm scratch: each holds a
-// *[]float64 that ownedInputs laid a finished job's tiles and scratch in,
-// or that a finished job's upload was decoded into (decodeSubmit). Pool c
-// holds the slabs of size class c (slabClass), so jobs of different shapes
-// keep their own slabs warm. The classes reach 2^35 float64s, far past the
-// largest admissible job.
-var tileSlabs [8 * 32]sync.Pool
-
-// slabClass returns the size class of a slab of n float64s and the capacity
-// takeSlab gives the class's slabs: the least m·2^e ≥ n with m in [8, 16),
-// eight classes a doubling, so a slab holds less than 1/8 more than asked.
-func slabClass(n int) (class, size int) {
-	n = max(n, 8)
-	e := max(bits.Len(uint(n-1))-4, 0)
-	m := (n-1)>>e + 1
-	return 8*e + m - 8, m << e
-}
-
-// warmSlab returns a pooled slab of n float64s whose contents are stale, when
-// n's size class or one of the next doubling's holds one, and nil otherwise.
-// It looks no further up, so one huge job cannot keep its slab alive under a
-// stream of small ones: an idle class empties at the GC.
-func warmSlab(n int) *[]float64 {
-	c, _ := slabClass(n)
-	for k := c; k <= c+8 && k < len(tileSlabs); k++ {
-		if p, _ := tileSlabs[k].Get().(*[]float64); p != nil {
-			*p = (*p)[:n]
-			return p
-		}
-	}
-	return nil
-}
-
-// takeSlab returns a slab of n float64s whose contents are stale: warmSlab's,
-// or a fresh one with its class's capacity.
-func takeSlab(n int) *[]float64 {
-	if p := warmSlab(n); p != nil {
-		return p
-	}
-	_, size := slabClass(n)
-	s := make([]float64, n, size)
-	return &s
-}
-
-// releaseSlab gives a slab back to tileSlabs, to the largest class whose
-// size its capacity holds: every slab of a class holds any request of that
-// class. Only a successful run's slab comes back, after its last reader: an
-// aborted run is not known to have quiesced over its tiles, so its slab is
-// left to the GC. The one other caller is a decode that failed after taking
-// a warm slab.
-func releaseSlab(p *[]float64) {
-	c, size := slabClass(cap(*p))
-	if size > cap(*p) {
-		c--
-	}
-	if c >= 0 && c < len(tileSlabs) {
-		tileSlabs[c].Put(p)
-	}
-}
+// workers' kernel workspaces are their warm scratch: each slab is one that
+// ownedInputs laid a finished job's tiles and scratch in, that a finished
+// job's upload was decoded into (decodeSubmit), or that a client decoded a
+// job's R into (Client.Job). Jobs of different shapes keep their own slabs
+// warm in their size classes (slab.Class); a slab put back on one goroutine
+// is there for the next take on any other, and an idle class empties at the
+// garbage collector. A take is served from the need's class or the next
+// doubling's (slab.Pool.Warm).
+var tileSlabs = slab.New[float64]()
 
 // sketchSeed is the seed of job's check probe, the same on every rank: the
 // id every rank has from the open message, salted so that the probe of job

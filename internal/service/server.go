@@ -511,7 +511,7 @@ func (s *Server) runJob(j *Job) {
 		res.Gflops = flops / sec / 1e9
 	}
 	r := f.R()
-	releaseSlab(slab) // R is copied out: nothing reads this rank's tiles or scratch any more
+	tileSlabs.Put(slab) // R is copied out: nothing reads this rank's tiles or scratch any more
 	res.Residual, res.OK = accept(f.Input, r)
 	res.R = r
 	if rec != nil {
@@ -529,7 +529,7 @@ func (s *Server) runJob(j *Job) {
 	if j.owned {
 		// ownedInputs and sendUpload have copied the upload, and finish let go
 		// of it: nothing reads it any more.
-		releaseSlab(&upload)
+		tileSlabs.Put(upload)
 	}
 }
 
@@ -689,9 +689,10 @@ func rRows(r *matrix.Mat) [][]float64 {
 		return nil
 	}
 	rows := make([][]float64, r.Rows)
+	all := make([]float64, r.Rows*r.Cols)
 	for i := range rows {
-		row := make([]float64, r.Cols)
-		for c := 0; c < r.Cols; c++ {
+		row := all[i*r.Cols : (i+1)*r.Cols : (i+1)*r.Cols]
+		for c := range row {
 			row[c] = r.At(i, c)
 		}
 		rows[i] = row

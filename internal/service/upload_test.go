@@ -113,16 +113,17 @@ type sendMeter struct {
 	upload map[int]int
 }
 
-func (m *sendMeter) Isend(data []byte, dest, tag int) transport.Request {
+// IsendPrefixed is how the mux sends: its job header is the prefix.
+func (m *sendMeter) IsendPrefixed(prefix, data []byte, dest, tag int) transport.Request {
 	m.mu.Lock()
-	switch job := binary.BigEndian.Uint32(data); {
+	switch job, n := binary.BigEndian.Uint32(prefix), len(prefix)+len(data); {
 	case job == ctlJob:
-		m.maxCtl = max(m.maxCtl, len(data))
+		m.maxCtl = max(m.maxCtl, n)
 	case tag == transport.UploadTag:
-		m.upload[dest] += len(data)
+		m.upload[dest] += n
 	}
 	m.mu.Unlock()
-	return m.Endpoint.Isend(data, dest, tag)
+	return m.Endpoint.IsendPrefixed(prefix, data, dest, tag)
 }
 
 // An uploaded job runs on a fleet to the R a lone server computes, and no
@@ -212,7 +213,9 @@ func sameUpToRowSigns(r, ref *matrix.Mat) error {
 
 // A finished job holds its R, not its input: the upload is unreachable from
 // a terminal job, so what ResultCap retained jobs keep of the heap is
-// ResultCap R factors. Views polled while the jobs finish read Spec without
+// ResultCap R factors. An admitted job holds its upload beside its Spec, not
+// in it, which is read as the job is dispatched — before it can have run and
+// let go of the upload. Views polled while the jobs finish read Spec without
 // the lock, which the race detector holds to "never written after admission".
 func TestFinishedJobReleasesUpload(t *testing.T) {
 	const m, n, keep = 2048, 64, 8 // a 1 MiB upload, a 32 KiB R
@@ -221,13 +224,21 @@ func TestFinishedJobReleasesUpload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	run := func(seed int64) *Job {
+	// Every dispatch reports what the job holds as it starts to run. The
+	// dispatchers read run only once a job is queued, after this write.
+	admitted := make(chan [2]int, 1)
+	run := s.mgr.run
+	s.mgr.run = func(j *Job) {
+		admitted <- [2]int{len(j.Spec.Data), len(j.input())}
+		run(j)
+	}
+	submit := func(seed int64) *Job {
 		j, err := s.Submit(JobSpec{M: m, N: n, Tenant: "t", Data: matrix.NewSeeded(m, n, seed).Data})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if j.Spec.Data != nil || len(j.input()) != m*n {
-			t.Fatalf("an admitted job holds %d entries in Spec.Data and %d beside it, want 0 and %d", len(j.Spec.Data), len(j.input()), m*n)
+		if held := <-admitted; held != [2]int{0, m * n} {
+			t.Fatalf("an admitted job holds %d entries in Spec.Data and %d beside it, want 0 and %d", held[0], held[1], m*n)
 		}
 		var polls sync.WaitGroup
 		polls.Add(1)
@@ -253,10 +264,10 @@ func TestFinishedJobReleasesUpload(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	run(1) // warm the pool's workspaces before the baseline is read
+	submit(1) // warm the pool's workspaces before the baseline is read
 	base := heap()
 	for i := 0; i < keep+8; i++ {
-		run(int64(2 + i))
+		submit(int64(2 + i))
 	}
 	if got := s.resident(); got != keep {
 		t.Fatalf("%d jobs resident, want %d", got, keep)

@@ -1,0 +1,103 @@
+package slab
+
+import (
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+)
+
+// A class's capacity holds its request, by less than an eighth, and Put
+// files a slab under a class every request of which it holds.
+func TestClassSizes(t *testing.T) {
+	for n := 0; n < 1<<16; n++ {
+		c, size := Class(n)
+		if size < n || size > max(8, n+n/8) {
+			t.Fatalf("n=%d: class %d of size %d", n, c, size)
+		}
+		if c2, size2 := Class(size); c2 != c || size2 != size {
+			t.Fatalf("n=%d: its class's size %d is in class %d of size %d, not %d", n, size, c2, size2, c)
+		}
+	}
+}
+
+// A slab put back on one goroutine is what the next take of its class finds
+// on another, whichever P either runs on; a take one doubling below finds it
+// too, a take two doublings below does not.
+func TestPutIsVisibleToEveryTaker(t *testing.T) {
+	p := New[float64]()
+	for round := 0; round < 100; round++ {
+		s := p.Take(1000)
+		s[0] = float64(round)
+		done := make(chan []float64)
+		go func() { p.Put(s); done <- nil }()
+		<-done
+		got := make(chan []float64)
+		go func() { got <- p.Warm(1000) }()
+		w := <-got
+		if w == nil || &w[0] != &s[0] || len(w) != 1000 {
+			t.Fatalf("round %d: the slab put back on another goroutine was not taken", round)
+		}
+		p.Put(w)
+		if w := p.Warm(500); w == nil || &w[0] != &s[0] || len(w) != 500 {
+			t.Fatalf("round %d: a take of half the size missed the slab", round)
+		} else {
+			p.Put(w)
+		}
+		if w := p.Warm(200); w != nil {
+			t.Fatalf("round %d: a take two doublings down took the slab", round)
+		}
+		p.Warm(1000)
+	}
+}
+
+// Takers and putters on many goroutines never share a slab.
+func TestConcurrentTakersNeverShare(t *testing.T) {
+	p := New[byte]()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(mark byte) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				s := p.Take(100 + i%50)
+				for k := range s {
+					s[k] = mark
+				}
+				for k := range s {
+					if s[k] != mark {
+						t.Errorf("goroutine %d: slab written by another taker", mark)
+						return
+					}
+				}
+				p.Put(s)
+			}
+		}(byte(g + 1))
+	}
+	wg.Wait()
+}
+
+// An idle class empties at the collector: a slab nobody took through two
+// collections is dropped.
+func TestIdleClassEmptiesAtCollection(t *testing.T) {
+	p := New[float64]()
+	p.Put(p.Take(4096))
+	held := func() int {
+		c, _ := Class(4096)
+		k := &p.classes[c]
+		k.mu.Lock()
+		defer k.mu.Unlock()
+		return len(k.fresh) + len(k.previous)
+	}
+	if held() != 1 {
+		t.Fatal("the slab put back is not held")
+	}
+	// The pools age on a finalizer, which runs on its own goroutine after
+	// the collection that queued it.
+	for deadline := time.Now().Add(10 * time.Second); held() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("an idle class still holds its slab after many collections")
+		}
+		runtime.GC()
+	}
+}

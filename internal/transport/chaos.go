@@ -118,6 +118,12 @@ func (c *Chaos) Stats() (messages, bytes int64) {
 // Isend copies data and queues it for dest at a time drawn from the
 // schedule. Messages to the own rank cross no link and go straight through.
 func (c *Chaos) Isend(data []byte, dest, tag int) Request {
+	return c.IsendPrefixed(nil, data, dest, tag)
+}
+
+// IsendPrefixed is Isend of prefix followed by data, one message under one
+// draw of the schedule.
+func (c *Chaos) IsendPrefixed(prefix, data []byte, dest, tag int) Request {
 	if dest < 0 || dest >= len(c.links) {
 		panic(fmt.Sprintf("transport: chaos Isend to rank %d out of world of %d", dest, len(c.links)))
 	}
@@ -125,10 +131,10 @@ func (c *Chaos) Isend(data []byte, dest, tag int) Request {
 		panic(fmt.Sprintf("transport: chaos Isend tag %d out of range", tag))
 	}
 	c.msgs.Add(1)
-	c.bytes.Add(int64(len(data)))
+	c.bytes.Add(int64(len(prefix) + len(data)))
 	l := c.links[dest]
 	if l == nil {
-		return c.Endpoint.Isend(data, dest, tag)
+		return c.Endpoint.IsendPrefixed(prefix, data, dest, tag)
 	}
 	done := &netRequest{done: true, source: dest, tag: tag}
 	if c.killed.Load() {
@@ -178,7 +184,8 @@ func (c *Chaos) Isend(data []byte, dest, tag int) Request {
 		due = l.next
 	}
 	l.next = due
-	l.queue = append(l.queue, chaosMsg{due: due, data: append([]byte(nil), data...), tag: tag})
+	msg := append(append(make([]byte, 0, len(prefix)+len(data)), prefix...), data...)
+	l.queue = append(l.queue, chaosMsg{due: due, data: msg, tag: tag})
 	l.cond.Signal()
 	return done
 }

@@ -57,24 +57,31 @@ func (e *localEndpoint) Size() int { return len(e.owner.eps) }
 // recycle its buffer the moment Isend returns, and ranks never alias each
 // other's memory.
 func (e *localEndpoint) Isend(data []byte, dest, tag int) Request {
+	return e.IsendPrefixed(nil, data, dest, tag)
+}
+
+// IsendPrefixed is Isend of prefix followed by data, copied into warm
+// storage (frames) that the receiver may release.
+func (e *localEndpoint) IsendPrefixed(prefix, data []byte, dest, tag int) Request {
 	if dest < 0 || dest >= len(e.owner.eps) {
 		panic(fmt.Sprintf("transport: Isend to rank %d out of world of %d", dest, len(e.owner.eps)))
 	}
 	if tag < 0 || tag > MaxTag {
 		panic(fmt.Sprintf("transport: Isend tag %d out of range", tag))
 	}
+	n := len(prefix) + len(data)
 	e.msgs.Add(1)
-	e.bytes.Add(int64(len(data)))
+	e.bytes.Add(int64(n))
 	e.links[dest].sentFrames.Add(1)
-	e.links[dest].sentBytes.Add(int64(len(data)))
+	e.links[dest].sentBytes.Add(int64(n))
 	// In-process delivery is immediate, so the receive side of the link is
 	// credited here, on the destination endpoint's counters.
 	d := e.owner.eps[dest]
 	d.links[e.rank].recvFrames.Add(1)
-	d.links[e.rank].recvBytes.Add(int64(len(data)))
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	d.mb.push(envelope{source: e.rank, tag: tag, data: buf})
+	d.links[e.rank].recvBytes.Add(int64(n))
+	buf := frames.Take(n)
+	copy(buf[copy(buf, prefix):], data)
+	d.mb.push(envelope{source: e.rank, tag: tag, data: buf, warm: true})
 	return &netRequest{done: true, source: dest, tag: tag}
 }
 

@@ -19,9 +19,14 @@ type mailbox struct {
 	size   int
 }
 
+// envelope is one arrived message. Its payload is either warm storage of
+// its own (warm: it goes back to frames on release) or a view of a message
+// the underlying endpoint delivered to a mux (up, which releases it).
 type envelope struct {
 	source, tag int
 	data        []byte
+	warm        bool
+	up          Request
 }
 
 func newMailbox(size int) *mailbox {
@@ -152,6 +157,8 @@ type netRequest struct {
 	source   int // matched source (recv) or destination (send)
 	tag      int
 	data     []byte
+	warm     bool     // data is warm storage (envelope.warm)
+	up       Request  // data is a view of up's payload (envelope.up)
 	mb       *mailbox // owning mailbox for receives
 }
 
@@ -173,7 +180,7 @@ func (r *netRequest) matches(env envelope) bool {
 func (r *netRequest) complete(env envelope) {
 	r.mu.Lock()
 	r.done = true
-	r.data = env.data
+	r.data, r.warm, r.up = env.data, env.warm, env.up
 	r.source = env.source
 	r.tag = env.tag
 	r.mu.Unlock()
@@ -213,6 +220,21 @@ func (r *netRequest) Data() []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.data
+}
+
+// Release gives the payload back: to frames when it is warm storage, to
+// the underlying receive when it is a view of one.
+func (r *netRequest) Release() {
+	r.mu.Lock()
+	data, warm, up := r.data, r.warm, r.up
+	r.data, r.warm, r.up = nil, false, nil
+	r.mu.Unlock()
+	switch {
+	case warm:
+		frames.Put(data)
+	case up != nil:
+		up.Release()
+	}
 }
 
 func (r *netRequest) GetCount() int {

@@ -66,10 +66,13 @@ const (
 	muxBarrier byte = 1
 )
 
+// muxMsg is one arrival for a job: data is a view of up's payload, which
+// the job's receiver releases through its own request.
 type muxMsg struct {
 	source, tag int
 	kind        byte
 	data        []byte
+	up          Request
 }
 
 var errJobClosed = errors.New("transport: job endpoint closed")
@@ -253,7 +256,7 @@ func (m *Mux) pump() {
 			m.failAll()
 			return
 		}
-		m.route(req.Source(), req.Tag(), req.Data())
+		m.route(req)
 	}
 }
 
@@ -273,19 +276,28 @@ func (m *Mux) failAll() {
 	}
 }
 
-func (m *Mux) route(source, tag int, data []byte) {
+// route hands one completed receive of the real endpoint to its job. A
+// message nobody will read — not a muxed frame, or for a closed job — is
+// released on the spot.
+func (m *Mux) route(req Request) {
+	data := req.Data()
 	if len(data) < muxHeaderLen {
-		return // not a muxed frame; drop
+		req.Release() // not a muxed frame; drop
+		return
 	}
 	job := binary.BigEndian.Uint32(data)
-	msg := muxMsg{source: source, tag: tag, kind: data[4], data: data[muxHeaderLen:]}
+	msg := muxMsg{source: req.Source(), tag: req.Tag(), kind: data[4], data: data[muxHeaderLen:], up: req}
 	m.mu.Lock()
 	e, open := m.jobs[job]
 	if !open {
-		if !m.closedJ[job] && job >= m.closedLo && !m.closed {
+		keep := !m.closedJ[job] && job >= m.closedLo && !m.closed
+		if keep {
 			m.pending[job] = append(m.pending[job], msg)
 		}
 		m.mu.Unlock()
+		if !keep {
+			req.Release()
+		}
 		return
 	}
 	m.mu.Unlock()
@@ -365,15 +377,17 @@ type JobEndpoint struct {
 func (e *JobEndpoint) dispatch(msg muxMsg) {
 	src := e.vrank[msg.source]
 	if src < 0 {
-		return // not a member of this session
+		msg.up.Release() // not a member of this session
+		return
 	}
 	switch msg.kind {
 	case muxData:
 		e.recvMsgs.Add(1)
 		e.recvBytes.Add(int64(len(msg.data)))
-		e.mb.push(envelope{source: src, tag: msg.tag, data: msg.data})
+		e.mb.push(envelope{source: src, tag: msg.tag, data: msg.data, up: msg.up})
 	default:
 		e.bar.handle(src, msg.tag, msg.kind-muxBarrier)
+		msg.up.Release()
 	}
 }
 
@@ -435,14 +449,14 @@ func (e *JobEndpoint) Backlog() int { return e.mb.depth() }
 // total wait.
 func (e *JobEndpoint) BarrierStats() BarrierStats { return e.barT.stats() }
 
-// send wraps payload in the muxed header and ships it on the real endpoint,
-// translating the virtual destination to its real rank.
-func (e *JobEndpoint) send(kind byte, data []byte, dest, tag int) {
-	buf := make([]byte, muxHeaderLen+len(data))
-	binary.BigEndian.PutUint32(buf, e.job)
-	buf[4] = kind
-	copy(buf[muxHeaderLen:], data)
-	e.mux.ep.Isend(buf, e.members[dest], tag)
+// send ships prefix and data behind the muxed header on the real endpoint,
+// translating the virtual destination to its real rank: the real endpoint
+// writes header, prefix and data straight into its frame.
+func (e *JobEndpoint) send(kind byte, prefix, data []byte, dest, tag int) {
+	hdr := make([]byte, muxHeaderLen, muxHeaderLen+len(prefix))
+	binary.BigEndian.PutUint32(hdr, e.job)
+	hdr[4] = kind
+	e.mux.ep.IsendPrefixed(append(hdr, prefix...), data, e.members[dest], tag)
 }
 
 // Isend sends data to dest with the given tag within this job. Payloads are
@@ -450,13 +464,18 @@ func (e *JobEndpoint) send(kind byte, data []byte, dest, tag int) {
 // contract. Sends on a closed job endpoint are dropped (a canceled job's
 // stragglers).
 func (e *JobEndpoint) Isend(data []byte, dest, tag int) Request {
+	return e.IsendPrefixed(nil, data, dest, tag)
+}
+
+// IsendPrefixed is Isend of prefix followed by data.
+func (e *JobEndpoint) IsendPrefixed(prefix, data []byte, dest, tag int) Request {
 	if dest < 0 || dest >= len(e.members) {
 		panic(fmt.Sprintf("transport: job %d Isend to rank %d out of session of %d", e.job, dest, len(e.members)))
 	}
 	if !e.closed.Load() {
 		e.msgs.Add(1)
-		e.bytes.Add(int64(len(data)))
-		e.send(muxData, data, dest, tag)
+		e.bytes.Add(int64(len(prefix) + len(data)))
+		e.send(muxData, prefix, data, dest, tag)
 	}
 	return &netRequest{done: true, source: dest, tag: tag}
 }
@@ -475,7 +494,7 @@ func (e *JobEndpoint) Irecv(source, tag int) Request {
 // entered, with the death as the cause, instead of hanging until a timeout.
 func (e *JobEndpoint) Barrier() error {
 	start := time.Now()
-	err := e.bar.wait(func(to, gen int, phase byte) { e.send(muxBarrier+phase, nil, to, gen) })
+	err := e.bar.wait(func(to, gen int, phase byte) { e.send(muxBarrier+phase, nil, nil, to, gen) })
 	e.barT.observe(start)
 	e.mux.barTotal.observe(start)
 	return err

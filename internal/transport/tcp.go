@@ -87,13 +87,6 @@ const (
 	ackEvery = 32
 )
 
-// framePool recycles outbound data-frame buffers: Isend fills one per
-// message and the peer's writer goroutine returns it once the bytes are on
-// the wire (or, in reconnect mode, once the receiver acknowledged them).
-// Frames dropped during shutdown or on a write error are simply left to the
-// garbage collector.
-var framePool = sync.Pool{New: func() any { return new([]byte) }}
-
 // DialTCP joins the TCP communicator described by cfg: it listens on its
 // own address, dials every peer with retry/backoff, and waits until every
 // peer has dialed in, so the full mesh is up when it returns. Each ordered
@@ -331,27 +324,35 @@ func (ep *tcpEndpoint) Stats() (messages, bytes int64) {
 // into a frame before return, so the caller may reuse its buffer; delivery
 // is asynchronous through the peer's writer goroutine.
 func (ep *tcpEndpoint) Isend(data []byte, dest, tag int) Request {
+	return ep.IsendPrefixed(nil, data, dest, tag)
+}
+
+// IsendPrefixed is Isend of prefix followed by data. The frame is encoded
+// into warm storage (frames), which the peer's writer gives back once the
+// bytes are on the wire, or acknowledged with reconnect on; a message to
+// this rank itself arrives in warm storage.
+func (ep *tcpEndpoint) IsendPrefixed(prefix, data []byte, dest, tag int) Request {
 	if dest < 0 || dest >= ep.size {
 		panic(fmt.Sprintf("transport: Isend to rank %d out of world of %d", dest, ep.size))
 	}
 	if tag < 0 || tag > MaxTag {
 		panic(fmt.Sprintf("transport: Isend tag %d out of range", tag))
 	}
+	n := len(prefix) + len(data)
 	ep.msgs.Add(1)
-	ep.bytes.Add(int64(len(data)))
+	ep.bytes.Add(int64(n))
 	lc := &ep.links[dest]
 	lc.sentFrames.Add(1)
-	lc.sentBytes.Add(int64(len(data)))
+	lc.sentBytes.Add(int64(n))
 	if dest == ep.rank {
 		lc.recvFrames.Add(1)
-		lc.recvBytes.Add(int64(len(data)))
-		buf := make([]byte, len(data))
-		copy(buf, data)
-		ep.mb.push(envelope{source: ep.rank, tag: tag, data: buf})
+		lc.recvBytes.Add(int64(n))
+		buf := frames.Take(n)
+		copy(buf[copy(buf, prefix):], data)
+		ep.mb.push(envelope{source: ep.rank, tag: tag, data: buf, warm: true})
 	} else {
-		fb := framePool.Get().(*[]byte)
-		*fb = AppendFrame((*fb)[:0], Frame{Type: FrameData, Rank: ep.rank, Tag: tag, Payload: data})
-		ep.peers[dest].enqueue(*fb, fb)
+		fb := appendFrame(frames.Take(HeaderLen + n)[:0], FrameData, ep.rank, tag, prefix, data)
+		ep.peers[dest].enqueue(fb, true)
 	}
 	return &netRequest{done: true, source: dest, tag: tag}
 }
@@ -543,7 +544,7 @@ func (ep *tcpEndpoint) readLoop(conn net.Conn) {
 			}
 			ep.links[src].recvFrames.Add(1)
 			ep.links[src].recvBytes.Add(int64(len(f.Payload)))
-			ep.mb.push(envelope{source: src, tag: f.Tag, data: f.Payload})
+			ep.mb.push(envelope{source: src, tag: f.Tag, data: f.Payload, warm: true})
 		case FrameBarrier:
 			if len(f.Payload) != 1 {
 				conn.Close()
@@ -553,6 +554,7 @@ func (ep *tcpEndpoint) readLoop(conn net.Conn) {
 			ep.links[src].recvFrames.Add(1)
 			ep.links[src].recvBytes.Add(1)
 			ep.bar.handle(src, f.Tag, f.Payload[0])
+			frames.Put(f.Payload)
 		case FrameBye:
 			ep.sawBye[src].Store(true)
 		case FrameHeartbeat:
@@ -773,7 +775,7 @@ func (ep *tcpEndpoint) heartbeatLoop() {
 			}
 			if p := ep.peers[j]; p != nil && now.Sub(p.lastWrite()) >= ep.hbInterval {
 				hb := EncodeFrame(Frame{Type: FrameHeartbeat, Rank: ep.rank})
-				p.enqueue(hb, nil)
+				p.enqueue(hb, false)
 			}
 			if ep.hbTimeout > 0 {
 				last := time.Unix(0, ep.lastRecv[j].Load())
@@ -793,7 +795,7 @@ func (ep *tcpEndpoint) Barrier() error {
 	err := ep.bar.wait(func(to, gen int, phase byte) {
 		ep.links[to].sentFrames.Add(1)
 		ep.links[to].sentBytes.Add(1)
-		ep.peers[to].enqueue(EncodeFrame(Frame{Type: FrameBarrier, Rank: ep.rank, Tag: gen, Payload: []byte{phase}}), nil)
+		ep.peers[to].enqueue(EncodeFrame(Frame{Type: FrameBarrier, Rank: ep.rank, Tag: gen, Payload: []byte{phase}}), false)
 	})
 	ep.barT.observe(start)
 	return err
@@ -883,7 +885,7 @@ func (ep *tcpEndpoint) Close() error {
 			bye := EncodeFrame(Frame{Type: FrameBye, Rank: ep.rank})
 			for j, p := range ep.peers {
 				if p != nil && !ep.isDead(j) {
-					p.enqueue(bye, nil)
+					p.enqueue(bye, false)
 				}
 			}
 		}
@@ -936,13 +938,19 @@ type peerLink struct {
 	lastEnq atomic.Int64 // unixnano of the last enqueue (heartbeat idle check)
 }
 
-// outFrame is one queued wire frame; owner, when non-nil, is the pooled
-// buffer backing data, returned to framePool after a successful write (or,
-// in reconnect mode, once the receiver acknowledged the frame). Barrier
-// and control frames are not pooled and carry no owner.
+// outFrame is one queued wire frame; warm says data is warm storage, given
+// back to frames after a successful write (or, in reconnect mode, once the
+// receiver acknowledged the frame). Barrier and control frames are not.
 type outFrame struct {
-	data  []byte
-	owner *[]byte
+	data []byte
+	warm bool
+}
+
+// recycle gives a written frame's buffer back to frames.
+func (b outFrame) recycle() {
+	if b.warm {
+		frames.Put(b.data)
+	}
 }
 
 func newPeerLink(conn net.Conn) *peerLink {
@@ -952,14 +960,14 @@ func newPeerLink(conn net.Conn) *peerLink {
 	return p
 }
 
-func (p *peerLink) enqueue(frame []byte, owner *[]byte) {
+func (p *peerLink) enqueue(frame []byte, warm bool) {
 	p.lastEnq.Store(time.Now().UnixNano())
 	p.mu.Lock()
 	if p.stopped || p.err != nil {
 		p.mu.Unlock()
 		return // dropped: the communicator is shutting down or broken
 	}
-	p.q = append(p.q, outFrame{frame, owner})
+	p.q = append(p.q, outFrame{frame, warm})
 	p.mu.Unlock()
 	p.cond.Signal()
 }
@@ -1008,10 +1016,7 @@ func (p *peerLink) recordWrite(b outFrame, reconnect bool, window int) bool {
 	p.sentCnt++
 	if !reconnect {
 		p.mu.Unlock()
-		if b.owner != nil {
-			*b.owner = (*b.owner)[:0]
-			framePool.Put(b.owner)
-		}
+		b.recycle()
 		return true
 	}
 	p.sent = append(p.sent, b)
@@ -1037,10 +1042,7 @@ func (p *peerLink) ackTo(n int64) {
 	p.ackCnt = n
 	p.mu.Unlock()
 	for _, b := range acked {
-		if b.owner != nil {
-			*b.owner = (*b.owner)[:0]
-			framePool.Put(b.owner)
-		}
+		b.recycle()
 	}
 }
 

@@ -170,7 +170,15 @@ type Request interface {
 	// Canceled reports whether the request was canceled before completing.
 	Canceled() bool
 	// Data returns the received payload (valid after a recv completes).
+	// The payload is the receiver's: nothing in the transport reads or
+	// writes it after delivery.
 	Data() []byte
+	// Release gives a completed receive's payload back to the transport's
+	// warm storage, where the next frame of its size class arrives into it.
+	// The caller must have copied out what it keeps: Data returns nil
+	// afterwards, and the bytes are overwritten. A payload never released
+	// is left to the garbage collector; a send has nothing to release.
+	Release()
 	// GetCount returns the payload size in bytes (MPI_Get_count).
 	GetCount() int
 	// Source returns the matched source rank of a completed receive.
@@ -224,6 +232,12 @@ type Endpoint interface {
 	// Isend sends data to dest with the given tag. The payload is copied;
 	// the request completes eagerly.
 	Isend(data []byte, dest, tag int) Request
+	// IsendPrefixed sends prefix followed by data as one message, exactly
+	// as Isend sends their concatenation, without the caller building it:
+	// both are copied straight into the outgoing frame. A wrapper that
+	// overrides Isend must override this too, since a mux session sends
+	// through it.
+	IsendPrefixed(prefix, data []byte, dest, tag int) Request
 	// Irecv posts a receive for a message from source (or Any) with the
 	// given tag (or Any).
 	Irecv(source, tag int) Request

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"pulsarqr/internal/slab"
 )
 
 // Wire format. Every unit on a TCP connection is one frame:
@@ -78,25 +80,32 @@ func validFrameType(t byte) bool {
 // slice. It panics on out-of-range rank/tag or oversized payloads — those
 // are programming errors on the sending side, mirroring Isend.
 func AppendFrame(dst []byte, f Frame) []byte {
-	if !validFrameType(f.Type) {
-		panic(fmt.Sprintf("transport: encode frame type %d", f.Type))
+	return appendFrame(dst, f.Type, f.Rank, f.Tag, nil, f.Payload)
+}
+
+// appendFrame is AppendFrame of the frame whose payload is prefix followed
+// by payload.
+func appendFrame(dst []byte, typ byte, rank, tag int, prefix, payload []byte) []byte {
+	if !validFrameType(typ) {
+		panic(fmt.Sprintf("transport: encode frame type %d", typ))
 	}
-	if f.Rank < 0 || f.Rank > MaxTag {
-		panic(fmt.Sprintf("transport: encode frame rank %d", f.Rank))
+	if rank < 0 || rank > MaxTag {
+		panic(fmt.Sprintf("transport: encode frame rank %d", rank))
 	}
-	if f.Tag < 0 || f.Tag > MaxTag {
-		panic(fmt.Sprintf("transport: encode frame tag %d", f.Tag))
+	if tag < 0 || tag > MaxTag {
+		panic(fmt.Sprintf("transport: encode frame tag %d", tag))
 	}
-	if len(f.Payload) > MaxPayload {
-		panic(fmt.Sprintf("transport: encode frame payload %d bytes", len(f.Payload)))
+	n := len(prefix) + len(payload)
+	if n > MaxPayload {
+		panic(fmt.Sprintf("transport: encode frame payload %d bytes", n))
 	}
 	var hdr [HeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[0:], uint32(len(f.Payload)))
-	hdr[4] = f.Type
-	binary.BigEndian.PutUint32(hdr[5:], uint32(f.Rank))
-	binary.BigEndian.PutUint32(hdr[9:], uint32(f.Tag))
-	dst = append(dst, hdr[:]...)
-	return append(dst, f.Payload...)
+	binary.BigEndian.PutUint32(hdr[0:], uint32(n))
+	hdr[4] = typ
+	binary.BigEndian.PutUint32(hdr[5:], uint32(rank))
+	binary.BigEndian.PutUint32(hdr[9:], uint32(tag))
+	dst = append(append(dst, hdr[:]...), prefix...)
+	return append(dst, payload...)
 }
 
 // EncodeFrame returns the wire encoding of f in a fresh buffer (the
@@ -142,19 +151,30 @@ func WriteFrame(w io.Writer, f Frame) error {
 	return err
 }
 
+// frames is the transport's warm storage: the buffers outgoing data frames
+// are encoded into, which a writer gives back once the bytes are on the wire
+// (or, with reconnect on, acknowledged), and the payloads frames arrive
+// into, which a receiver gives back with Request.Release once it has decoded
+// them.
+var frames = slab.New[byte]()
+
 // readChunk bounds how much payload memory ReadFrame commits to before the
-// corresponding bytes have actually arrived: a hostile or corrupt length
-// prefix can claim up to MaxPayload (1 GiB), and speculatively allocating
-// that from 13 header bytes would let a garbage stream exhaust memory. The
-// buffer instead grows chunk by chunk as data is read, so an attacker must
-// send the bytes to make the receiver hold them.
+// corresponding bytes have actually arrived, unless warm storage already
+// holds a buffer of the frame's size: a hostile or corrupt length prefix can
+// claim up to MaxPayload (1 GiB), and speculatively allocating that from 13
+// header bytes would let a garbage stream exhaust memory. The buffer instead
+// grows as data is read, so an attacker must send the bytes to make the
+// receiver hold them.
 const readChunk = 1 << 20
 
-// ReadFrame reads one frame from r. The payload is freshly allocated,
-// incrementally (at most readChunk bytes ahead of the data actually
-// received), so a lying length prefix cannot force a huge allocation. A
-// clean EOF before the first header byte is reported as io.EOF; a stream
-// that ends mid-frame is an error wrapping io.ErrUnexpectedEOF.
+// ReadFrame reads one frame from r. The payload arrives in warm storage
+// (frames) when a buffer of its size class is there; otherwise it is
+// allocated incrementally, at most readChunk bytes at first and growing
+// only as the bytes arrive, so a lying length prefix cannot force a huge
+// allocation, and it ends at its class's capacity so that, once released
+// (Request.Release), the next frame of its size arrives into it. A clean EOF
+// before the first header byte is reported as io.EOF; a stream that ends
+// mid-frame is an error wrapping io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader) (Frame, error) {
 	var hdr [HeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -169,14 +189,9 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		return Frame{}, err
 	}
 	n := int(binary.BigEndian.Uint32(hdr[0:]))
-	payload := make([]byte, 0, min(n, readChunk))
-	for len(payload) < n {
-		step := min(n-len(payload), readChunk)
-		off := len(payload)
-		payload = append(payload, make([]byte, step)...)
-		if _, err := io.ReadFull(r, payload[off:]); err != nil {
-			return Frame{}, fmt.Errorf("transport: truncated frame: %w", err)
-		}
+	payload, err := readPayload(r, n)
+	if err != nil {
+		return Frame{}, fmt.Errorf("transport: truncated frame: %w", err)
 	}
 	return Frame{
 		Type:    hdr[4],
@@ -184,4 +199,34 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		Tag:     int(binary.BigEndian.Uint32(hdr[9:])),
 		Payload: payload,
 	}, nil
+}
+
+// readPayload reads the n payload bytes of a frame: into warm storage when
+// frames holds a buffer of n's class (given back if the read fails), else
+// into a buffer that grows as the bytes arrive, up to n's class capacity.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	if p := frames.Warm(n); p != nil {
+		if _, err := io.ReadFull(r, p); err != nil {
+			frames.Put(p)
+			return nil, err
+		}
+		return p, nil
+	}
+	_, size := slab.Class(n)
+	p := make([]byte, 0, min(size, readChunk))
+	for len(p) < n {
+		step := min(n-len(p), readChunk)
+		if len(p)+step > cap(p) {
+			p = append(make([]byte, 0, min(max(len(p)+len(p)/4, len(p)+step), size)), p...)
+		}
+		off := len(p)
+		p = p[:off+step]
+		if _, err := io.ReadFull(r, p[off:]); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
 }

@@ -90,20 +90,46 @@ func AppendDimMat(dst []byte, m *matrix.Mat) ([]byte, uint64) {
 // without slicing out each part first. The dimensions are the sender's, and
 // believed only as far as b is long, before anything is allocated.
 func ConsumeDimMat(b []byte) (m *matrix.Mat, rest []byte, err error) {
-	if len(b) < 8 {
-		return nil, nil, fmt.Errorf("wire: matrix needs an 8-byte header, have %d bytes", len(b))
-	}
-	rows := int(binary.LittleEndian.Uint32(b[0:]))
-	cols := int(binary.LittleEndian.Uint32(b[4:]))
-	// Divide, never multiply: a hostile pair cannot wrap. An empty matrix has
-	// no payload to hold its other dimension to (and matrix.New gives a rowless
-	// one a float per column), so no dimension is believed beyond b's length.
-	if have := (len(b) - 8) / 8; max(rows, cols) > len(b) || rows > 0 && cols > have/rows {
-		return nil, nil, fmt.Errorf("wire: %dx%d matrix in %d bytes", rows, cols, len(b))
+	rows, cols, err := dims(b)
+	if err != nil {
+		return nil, nil, err
 	}
 	m = matrix.New(rows, cols)
 	Floats(m.Data[:rows*cols], b[8:])
 	return m, b[8+8*rows*cols:], nil
+}
+
+// ConsumeDimMatInto is ConsumeDimMat into m, storage the caller already
+// holds: the matrix at the front of b must have m's shape.
+func ConsumeDimMatInto(m *matrix.Mat, b []byte) (rest []byte, err error) {
+	rows, cols, err := dims(b)
+	if err != nil {
+		return nil, err
+	}
+	if rows != m.Rows || cols != m.Cols {
+		return nil, fmt.Errorf("wire: a %dx%d matrix where a %dx%d one belongs", rows, cols, m.Rows, m.Cols)
+	}
+	for j := 0; j < cols; j++ {
+		Floats(m.Col(j), b[8+8*rows*j:])
+	}
+	return b[8+8*rows*cols:], nil
+}
+
+// dims reads the dimensions a dims-prefixed matrix at the front of b
+// declares, believed only as far as b is long.
+func dims(b []byte) (rows, cols int, err error) {
+	if len(b) < 8 {
+		return 0, 0, fmt.Errorf("wire: matrix needs an 8-byte header, have %d bytes", len(b))
+	}
+	rows = int(binary.LittleEndian.Uint32(b[0:]))
+	cols = int(binary.LittleEndian.Uint32(b[4:]))
+	// Divide, never multiply: a hostile pair cannot wrap. An empty matrix has
+	// no payload to hold its other dimension to (and matrix.New gives a rowless
+	// one a float per column), so no dimension is believed beyond b's length.
+	if have := (len(b) - 8) / 8; max(rows, cols) > len(b) || rows > 0 && cols > have/rows {
+		return 0, 0, fmt.Errorf("wire: %dx%d matrix in %d bytes", rows, cols, len(b))
+	}
+	return rows, cols, nil
 }
 
 // SlabSize is the one buffer size of the streamed HTTP bodies: a Writer
