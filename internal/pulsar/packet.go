@@ -195,7 +195,7 @@ func MarshalPacket(p *Packet) ([]byte, error) {
 
 // appendPacket appends the wire form of p (codec ID byte + payload) to dst.
 // MarshalPacket is this with a nil dst and so always returns a fresh slice;
-// the runtime's inter-node send path passes pooled buffers instead.
+// the runtime's inter-node send path passes warm buffers instead.
 func appendPacket(dst []byte, p *Packet) ([]byte, error) {
 	codecMu.RLock()
 	defer codecMu.RUnlock()

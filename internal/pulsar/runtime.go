@@ -421,7 +421,7 @@ type proxy struct {
 
 type outMsg struct {
 	dst, tag int
-	buf      *[]byte // pooled marshal buffer, recycled after Isend
+	buf      []byte // marshal buffer taken from sendBufs, put back after Isend
 }
 
 func newProxy(s *VSA, node int, comm transport.Endpoint) *proxy {
@@ -456,7 +456,7 @@ func (p *proxy) stopProxy() {
 	p.cond.Signal()
 }
 
-func (p *proxy) enqueue(dst, tag int, buf *[]byte) {
+func (p *proxy) enqueue(dst, tag int, buf []byte) {
 	p.mu.Lock()
 	p.outQ = append(p.outQ, outMsg{dst, tag, buf})
 	p.kick = true
@@ -481,18 +481,16 @@ func (p *proxy) run() {
 		for _, m := range out {
 			// Sends are eager: the transport has copied or serialized the
 			// payload by the time Isend returns, so the marshal buffer can
-			// go back to the pool immediately.
+			// go back to sendBufs immediately.
 			hook := p.vsa.cfg.CommHook
 			var t0 time.Time
 			if hook != nil {
 				t0 = time.Now()
 			}
-			nb := len(*m.buf)
-			p.comm.Isend(*m.buf, m.dst, m.tag)
-			*m.buf = (*m.buf)[:0]
-			sendBufPool.Put(m.buf)
+			p.comm.Isend(m.buf, m.dst, m.tag)
+			sendBufs.Put(m.buf)
 			if hook != nil {
-				hook(CommEvent{Node: p.node, Kind: CommSend, Peer: m.dst, Tag: m.tag, Bytes: nb, Start: t0, End: time.Now()})
+				hook(CommEvent{Node: p.node, Kind: CommSend, Peer: m.dst, Tag: m.tag, Bytes: len(m.buf), Start: t0, End: time.Now()})
 			}
 			progress = true
 		}

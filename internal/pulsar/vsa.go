@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pulsarqr/internal/slab"
 	"pulsarqr/internal/transport"
 	"pulsarqr/internal/tuple"
 )
@@ -39,19 +40,6 @@ func (s Scheduling) String() string {
 // pair. It must be a pure function of the tuple so that every node derives
 // the same placement.
 type Mapping func(t tuple.Tuple) (node, thread int)
-
-// PlaceTile is the placement rule every tile array in this repository maps
-// its VDPs with (paper §V-C), and the one the simulator replays: the `rows`
-// tile rows go to nodes in contiguous blocks of RowsPerNode, and a node's
-// threads take its tiles cyclically by row+col.
-func PlaceTile(rows, nodes, threads, row, col int) (node, thread int) {
-	return row / RowsPerNode(rows, nodes), (row + col) % threads
-}
-
-// RowsPerNode is the block size of that rule, ⌈rows/nodes⌉. Any row below
-// `rows` divided by it is below `nodes`, so callers need no clamp; when rows
-// is short the trailing nodes own nothing.
-func RowsPerNode(rows, nodes int) int { return (rows + nodes - 1) / nodes }
 
 // FireEvent describes one VDP firing, for tracing and statistics.
 type FireEvent struct {
@@ -259,7 +247,8 @@ func (s *VSA) NetworkStats() (messages, bytes int64) { return s.netMsgs, s.netBy
 
 // Connect creates a channel from output slot srcSlot of the VDP identified
 // by src to input slot dstSlot of the VDP identified by dst. maxBytes
-// declares the maximum packet size (used for accounting). When
+// declares the maximum packet size: an inter-node packet is marshaled into
+// a buffer of that many bytes (a larger packet grows it). When
 // startDisabled is true the channel begins inactive and must be enabled by
 // the destination VDP before it gates firing — the mechanism the QR array
 // uses for the binary-tree-to-flat-tree hand-off.
@@ -398,15 +387,15 @@ func (s *VSA) attachIn(v *VDP, slot int, c *Channel) {
 	v.in[slot] = c
 }
 
-// sendBufPool recycles the marshal buffers of the inter-node send path:
-// route fills one per packet and the proxy returns it right after Isend,
-// which the Endpoint contract requires to have copied or serialized the
-// bytes before returning.
-var sendBufPool = sync.Pool{New: func() any { return new([]byte) }}
+// sendBufs holds the marshal buffers of the inter-node send path: route
+// takes one of its channel's maxBytes per packet and the proxy puts it back
+// right after Isend, which the Endpoint contract requires to have copied or
+// serialized the bytes before returning.
+var sendBufs = slab.New[byte]()
 
 // route delivers a packet pushed on channel c: collectors accumulate,
 // intra-node channels enqueue zero-copy, inter-node channels marshal into a
-// pooled buffer and hand the bytes to the source node's proxy.
+// warm buffer (sendBufs) and hand the bytes to the source node's proxy.
 func (s *VSA) route(c *Channel, p *Packet) {
 	switch {
 	case c.dst == nil:
@@ -420,13 +409,11 @@ func (s *VSA) route(c *Channel, p *Packet) {
 			s.wakeWorker(c.dstVDP.node, c.dstVDP.thread)
 		}
 	default:
-		buf := sendBufPool.Get().(*[]byte)
-		b, err := appendPacket((*buf)[:0], p)
+		b, err := appendPacket(sendBufs.Take(c.maxBytes)[:0], p)
 		if err != nil {
 			panic(fmt.Sprintf("pulsar: cannot ship packet on %s: %v", c, err))
 		}
-		*buf = b
-		s.proxies[c.srcNode].enqueue(c.dstNode, c.tag, buf)
+		s.proxies[c.srcNode].enqueue(c.dstNode, c.tag, b)
 	}
 }
 

@@ -132,10 +132,11 @@ func FactorizeDomino(a *matrix.Tiled, b *matrix.Tiled, opts Options, rc RunConfi
 	return f, nil
 }
 
-// dominoMapping places VDP (i, j) where the 3D array places tile (i, j).
+// dominoMapping places VDP (i, j) where the 3D array places a call homed at
+// tile (i, j).
 func dominoMapping(mt int, rc RunConfig) pulsar.Mapping {
 	return func(t tuple.Tuple) (int, int) {
-		return pulsar.PlaceTile(mt, rc.Nodes, rc.Threads, t.At(0), t.At(1))
+		return Place(Call{I: t.At(0), L: t.At(1)}, mt, rc.Nodes, rc.Threads)
 	}
 }
 

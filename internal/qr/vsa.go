@@ -220,10 +220,12 @@ type endpoint struct {
 	slot int
 }
 
-// input is an external input channel and the tile of a or b it takes.
+// input is an external input channel, the node its VDP runs on, and the
+// tile of a or b it takes.
 type input struct {
-	to endpoint
-	d  Datum
+	to   endpoint
+	node int
+	d    Datum
 }
 
 // output is one collector channel (paper §V-C), declared where it is wired:
@@ -443,48 +445,50 @@ func (bd *builder) colTile(i, l int) *matrix.Mat {
 	return bd.b.Tile(i, l-bd.a.NT)
 }
 
-// Row ownership. The VDP→node map (paper §V-C, pulsar.PlaceTile) hands tile
-// rows to nodes in contiguous blocks of ⌈mt/nodes⌉. Every VDP of tile row i
-// — and so every kernel that ever touches a tile of that row — lives on
-// TileRowOwner(i): a rank needs the input tiles of the rows it owns and no
-// others. mapping(), the service's input builder and the distributed check
-// all take ownership from that one rule.
+// Place is the one placement rule (paper §IV-A: the VDP→thread map is the
+// algorithm's; §V-C): call c of an array of mt tile rows runs on the node
+// owning its Home row — rows go to nodes in contiguous blocks of ⌈mt/nodes⌉
+// — on thread (row + col) % threads. A merge is homed at its survivor, so a
+// binary-tree parent runs with its first child, and every kernel touching a
+// tile of row i runs on TileRowOwner(i): a rank needs the input tiles of the
+// rows it owns and no others.
+func Place(c Call, mt, nodes, threads int) (node, thread int) {
+	row, col := c.Home()
+	return TileRowOwner(mt, nodes, row), (row + col) % threads
+}
 
-// TileRowOwner returns the node that owns tile row `row` of mt.
-func TileRowOwner(mt, nodes, row int) int { return row / pulsar.RowsPerNode(mt, nodes) }
+// TileRowOwner returns the node that owns tile row `row` of mt, Place's node.
+func TileRowOwner(mt, nodes, row int) int { return row / ((mt + nodes - 1) / nodes) }
 
 // OwnedTileRows returns the half-open range [lo, hi) of the mt tile rows
 // that node owns; the trailing nodes own nothing when mt is short.
 func OwnedTileRows(mt, nodes, node int) (lo, hi int) {
-	per := pulsar.RowsPerNode(mt, nodes)
+	per := (mt + nodes - 1) / nodes
 	lo = min(node*per, mt)
 	return lo, min(lo+per, mt)
 }
 
-// mapping places VDPs by pulsar.PlaceTile — contiguous blocks of tile rows
-// per node, threads cyclic by (row, column) — and, following the paper, a
-// binary-tree parent with its first (surviving) child. Flat-tree domains
+// mapping places each VDP by Place of the call it runs. Flat-tree domains
 // stay node-local under the fixed boundary only: shifted domains start at
 // row j, not at an ownership boundary, so one can straddle two nodes and its
 // tsqrt chain then crosses the wire.
 func (bd *builder) mapping() pulsar.Mapping {
-	mt := bd.a.MT
-	nodes, threads := bd.rc.Nodes, bd.rc.Threads
-	place := func(row, col int) (int, int) {
-		return pulsar.PlaceTile(mt, nodes, threads, row, col)
-	}
 	return func(t tuple.Tuple) (int, int) {
-		switch t.At(0) {
-		case kindPanel:
-			return place(t.At(2), t.At(1))
-		case kindUpdate:
-			return place(t.At(2), t.At(3))
-		case kindMerge:
-			return place(t.At(2), t.At(1)) // survivor's row
-		default: // kindMergeUpdate
-			return place(t.At(2), t.At(4))
-		}
+		return Place(homeCall(t), bd.a.MT, bd.rc.Nodes, bd.rc.Threads)
 	}
+}
+
+// homeCall inverts vdpTup as far as Place reads it: a call with the Home of
+// every call VDP t can run, its third component's row at its column.
+func homeCall(t tuple.Tuple) Call {
+	c := Call{Kernel: Geqrt, J: t.At(1), I: t.At(2), L: t.At(1)} // a panel's or merge's column is J
+	switch t.At(0) {
+	case kindUpdate:
+		c.L = t.At(3)
+	case kindMergeUpdate:
+		c.L = t.At(4)
+	}
+	return c
 }
 
 // port is where a VDP takes one datum of its call in (-1: the call creates
@@ -539,11 +543,12 @@ func (bd *builder) local(c Call) any {
 	return &updateLocal{ib: ib, top: c.Kernel == Ormqr, fwdVT: fwd}
 }
 
-// holder is the producer a datum's next user receives it from. final marks
-// a tile an update wrote last: once the listing ends it is a tile of R or
-// of QᵀB.
+// holder is the producer a datum's next user receives it from, and the node
+// it runs on. final marks a tile an update wrote last: once the listing ends
+// it is a tile of R or of QᵀB.
 type holder struct {
 	from  endpoint
+	node  int
 	final bool
 }
 
@@ -554,7 +559,6 @@ type holder struct {
 // WriteBack, and the tiles of R and QᵀB after the listing, in (i, l) order.
 func (bd *builder) build() {
 	held := map[Datum]holder{}
-	place := bd.mapping()
 	List(bd.a.MT, bd.a.NT, bd.bnt, bd.opts, func(c Call) {
 		if c.Kernel == WriteBack {
 			if bd.rOnly {
@@ -565,7 +569,7 @@ func (bd *builder) build() {
 		}
 		k, tup := vdpKinds[c.Kernel], vdpTup(c)
 		bd.s.NewVDP(tup, 1, k.body, c.Kernel.Class(), k.nin, k.nout).SetLocal(bd.local(c))
-		to, _ := place(tup)
+		to, _ := Place(c, bd.a.MT, bd.rc.Nodes, bd.rc.Threads)
 		n := 0
 		c.Access(func(d Datum, write bool) {
 			p := k.ports[n]
@@ -578,14 +582,14 @@ func (bd *builder) build() {
 					size *= 2 // a (V,T) packet
 				}
 				bd.s.Connect(h.from.tup, h.from.slot, tup, p.in, size, false)
-				if from, _ := place(h.from.tup); landsHere(from, to, bd.here) {
+				if landsHere(h.node, to, bd.here) {
 					bd.land(h.from, endpoint{tup, p.in}, c, d, write)
 				}
 			case !d.R:
 				bd.s.Input(tup, p.in, bd.nbBytes)
-				bd.inputs = append(bd.inputs, input{endpoint{tup, p.in}, d})
+				bd.inputs = append(bd.inputs, input{endpoint{tup, p.in}, to, d})
 			}
-			held[d] = holder{endpoint{tup, p.out}, write && d.L > c.J}
+			held[d] = holder{endpoint{tup, p.out}, to, write && d.L > c.J}
 		})
 		if c.Kernel <= Ttqrt {
 			bd.logOutput(c, endpoint{tup, 2})
@@ -663,15 +667,14 @@ func carves(a *matrix.Tiled, c Call, ib int, take func(rows, cols int)) {
 }
 
 // carvesHere reports whether node here of nodes carves c's views (every
-// node's when here < 0): a kernel call's on the node it runs on (mapping
-// places a panel call by its Home row), a write-back's in an R-only run
-// on the node that assembles R.
+// node's when here < 0): a kernel call's on the node it runs on, a
+// write-back's in an R-only run on the node that assembles R.
 func carvesHere(c Call, mt, nodes, here int, rOnly bool) bool {
 	if c.Kernel == WriteBack {
 		return rOnly && here <= 0
 	}
-	row, _ := c.Home()
-	return here < 0 || TileRowOwner(mt, nodes, row) == here
+	node, _ := Place(c, mt, nodes, 1)
+	return here < 0 || node == here
 }
 
 // lands calls take with the shape of each view datum d lands in when call c
@@ -729,8 +732,7 @@ func scratchLen(a, b *matrix.Tiled, o Options, nodes, here int, rOnly bool) int 
 		if c.Kernel == WriteBack || nodes == 1 {
 			return
 		}
-		row, _ := c.Home() // mapping places every VDP by its call's Home row
-		to := TileRowOwner(a.MT, nodes, row)
+		to, _ := Place(c, a.MT, nodes, 1)
 		c.Access(func(d Datum, write bool) {
 			if from, ok := held[d]; ok && landsHere(from, to, here) {
 				lands(a, b, c, d, write, o.IB, take)
@@ -876,13 +878,13 @@ func mergeUpdFn(v *pulsar.VDP) {
 
 // --- injection and assembly ---------------------------------------------
 
-// inject seeds the array's inputs with the matrix (and rhs) tiles of the
-// rows node local owns — of every row when local is negative, the whole
-// array running here. Across a mesh the other ranks inject their own shares,
-// so every tile enters the array exactly once.
+// inject seeds the array's inputs that node local runs — every input when
+// local is negative, the whole array running here — with their matrix (and
+// rhs) tiles: those of the rows local owns. Across a mesh the other ranks
+// inject their own shares, so every tile enters the array exactly once.
 func (bd *builder) inject(local int) {
 	for _, in := range bd.inputs {
-		if local < 0 || TileRowOwner(bd.a.MT, bd.rc.Nodes, in.d.I) == local {
+		if local < 0 || in.node == local {
 			bd.s.Inject(in.to.tup, in.to.slot, pulsar.NewPacket(bd.colTile(in.d.I, in.d.L)))
 		}
 	}

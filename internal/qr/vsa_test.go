@@ -346,6 +346,65 @@ func TestVSAShapePinned(t *testing.T) {
 	}
 }
 
+// TestVSAPlacesEveryCallByPlace holds the array's firings to the rule the
+// simulator prices with: on TestVSAShapePinned's shapes under every tree, on
+// 1 to 3 nodes of 1 to 3 threads, the VDP of each listed kernel call fires
+// exactly once, on the node and thread Place gives the call, and no other
+// VDP fires.
+func TestVSAPlacesEveryCallByPlace(t *testing.T) {
+	type at struct{ node, thread int }
+	for _, sh := range []struct {
+		name      string
+		m, n, rhs int
+		nb, ib    int
+	}{
+		{"tall", 160, 16, 0, 8, 4},
+		{"ragged", 45, 13, 0, 8, 3},
+		{"ragged with rhs", 45, 13, 11, 8, 3},
+	} {
+		mt := (sh.m + sh.nb - 1) / sh.nb
+		for _, o := range append(treeConfigs(sh.nb, sh.ib, mt), Options{NB: sh.nb, IB: sh.ib, Tree: FlatTree}) {
+			for nodes := 1; nodes <= 3; nodes++ {
+				for threads := 1; threads <= 3; threads++ {
+					var mu sync.Mutex
+					fired := map[string][]at{}
+					rc := RunConfig{Nodes: nodes, Threads: threads, FireHook: func(e pulsar.FireEvent) {
+						mu.Lock()
+						fired[e.Tuple.Key()] = append(fired[e.Tuple.Key()], at{e.Node, e.Thread})
+						mu.Unlock()
+					}}
+					a := matrix.FromDense(matrix.NewSeeded(sh.m, sh.n, 1), sh.nb)
+					var b *matrix.Tiled
+					bnt := 0
+					if sh.rhs > 0 {
+						b = matrix.FromDense(matrix.NewSeeded(sh.m, sh.rhs, 2), sh.nb)
+						bnt = b.NT
+					}
+					f, err := FactorizeVSA(a, b, o, rc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					name := fmt.Sprintf("%s %v inter=%v on %d nodes of %d threads", sh.name, f.Opts, f.Opts.Inter, nodes, threads)
+					calls := 0
+					List(mt, a.NT, bnt, f.Opts, func(c Call) {
+						if c.Kernel == WriteBack {
+							return
+						}
+						calls++
+						node, thread := Place(c, mt, nodes, threads)
+						if got := fired[vdpTup(c).Key()]; len(got) != 1 || got[0] != (at{node, thread}) {
+							t.Fatalf("%s: %v fired at %v, want once at {%d %d}", name, c, got, node, thread)
+						}
+					})
+					if len(fired) != calls {
+						t.Fatalf("%s: %d VDPs fired for %d calls", name, len(fired), calls)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestVSAScratchCarvesTileExactly holds the views a run carves from its
 // scratch — T factors, domain R packets, an R-only run's diagonal tiles and
 // the landings of the packets other ranks send — to the slab a service sizes

@@ -4,11 +4,11 @@ package simulate
 // scaling study "it is possible to exhaust the available local memory,
 // which then precludes runs with data sets exceeding the offending problem
 // size" — the observation that motivated the weak-scaling work. This model
-// estimates the per-node memory demand of a workload under the runtime's
-// block-row placement so experiments can flag infeasible configurations
-// the way the real machine would have failed them.
+// estimates the per-node memory demand of a workload under the array's
+// block-row placement (qr.Place) so experiments can flag infeasible
+// configurations the way the real machine would have failed them.
 
-import "pulsarqr/internal/pulsar"
+import "pulsarqr/internal/qr"
 
 // MemoryModel describes a node's capacity.
 type MemoryModel struct {
@@ -31,7 +31,8 @@ func PeakNodeBytes(w Workload, mach Machine, mem MemoryModel) int64 {
 	nb := w.Opts.NB
 	mt := (w.M + nb - 1) / nb
 	nt := (w.N + nb - 1) / nb
-	per := int64(pulsar.RowsPerNode(mt, mach.Nodes))
+	_, first := qr.OwnedTileRows(mt, mach.Nodes, 0) // node 0's block is the largest
+	per := int64(first)
 	tileBytes := int64(8 * nb * nb)
 
 	// Matrix tiles owned by the node.

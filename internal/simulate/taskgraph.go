@@ -3,7 +3,6 @@ package simulate
 import (
 	"fmt"
 
-	"pulsarqr/internal/pulsar"
 	"pulsarqr/internal/qr"
 )
 
@@ -49,11 +48,10 @@ type graph struct {
 
 // buildGraph prices the listing (qr.List) of workload w on machine m: one
 // task per kernel call, its flops at the machine's rate, placed by the
-// runtime's own rule (pulsar.PlaceTile of its home tile). Each datum a call
-// touches draws an edge from the datum's last writer: reflectors it only
-// reads cost vtBytes plus the by-pass hops to its column, a tile or R it
-// overwrites costs nbBytes. An unset h is the one dispatch would run: one
-// domain per worker of the machine.
+// array's own rule (qr.Place). Each datum a call touches draws an edge from
+// the datum's last writer: reflectors it only reads cost vtBytes plus the
+// by-pass hops to its column, a tile or R it overwrites costs nbBytes. An
+// unset h is the one dispatch would run: one domain per worker of the machine.
 func buildGraph(w Workload, m Machine) *graph {
 	nb := w.Opts.NB
 	mt := (w.M + nb - 1) / nb
@@ -84,8 +82,7 @@ func buildGraph(w Workload, m Machine) *graph {
 		}
 		id := int32(len(g.tasks))
 		fl := c.Flops(w.M, w.N, nb)
-		row, col := c.Home()
-		node, thread := pulsar.PlaceTile(mt, m.Nodes, workers, row, col)
+		node, thread := qr.Place(c, mt, m.Nodes, workers)
 		g.nodeFlops[node][c.Kernel] += fl
 		g.tasks = append(g.tasks, task{
 			dur:    m.taskTime(rate[c.Kernel], fl),
