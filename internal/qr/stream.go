@@ -2,6 +2,7 @@ package qr
 
 import (
 	"fmt"
+	"sync"
 
 	"pulsarqr/internal/blas"
 	"pulsarqr/internal/kernels"
@@ -59,9 +60,10 @@ func (nd *StreamNode) SolveLS() *matrix.Mat {
 
 // Streamer is the incremental TSQR engine. LeafReduce is a pure function
 // of its inputs and may run concurrently on several goroutines (each with
-// its own Workspace) — that is what lets a session pipeline appends over a
-// worker pool. Commit and Current mutate or read the spine and must be
-// serialized by the caller (a session holds its lock across them).
+// its own Workspace and its own node) — that is what lets a session
+// pipeline appends over a worker pool. Commit and Current mutate or read the
+// spine and must be serialized by the caller (a session holds its lock
+// across them). Spare and Retire may be called from any goroutine.
 type Streamer struct {
 	n, nrhs int
 	opts    Options
@@ -85,7 +87,18 @@ type Streamer struct {
 	folds  []*StreamNode
 	fresh  int
 	victim *StreamNode // merge victim copy (Current must not destroy the spine)
+
+	// spares holds the nodes Commit's carry chain merged away (and any a
+	// caller retired), for Spare to hand to the next leaves: at most
+	// maxSpares, so a caller that never asks pins no more than that.
+	spareMu sync.Mutex
+	spares  []*StreamNode
 }
+
+// maxSpares bounds the retired nodes a streamer keeps: enough for one carry
+// chain's burst and a pipelined session's leaves in flight (its window is 4
+// by default), so a steady stream takes every leaf node from them.
+const maxSpares = 8
 
 // NewStreamer returns an empty streaming factorization over n columns and
 // nrhs ride-along right-hand-side columns (0 for R-only streams).
@@ -160,18 +173,28 @@ func (s *Streamer) hook(class string) {
 	}
 }
 
-// LeafReduce factorizes one appended row block into a leaf node: the block's
-// nb-row chunks are folded into an n×n R, starting from zero, by one TS
-// Dtpqr2 step each (the flat-tree leaf reduction), and rhs — required
+// LeafReduce is LeafReduceInto a freshly allocated node.
+func (s *Streamer) LeafReduce(ws *kernels.Workspace, block, rhs *matrix.Mat) (*StreamNode, error) {
+	return s.LeafReduceInto(ws, nil, block, rhs)
+}
+
+// LeafReduceInto factorizes one appended row block into a leaf node: the
+// block's nb-row chunks are folded into an n×n R, starting from zero, by one
+// TS Dtpqr2 step each (the flat-tree leaf reduction), and rhs — required
 // exactly when the stream carries right-hand sides — rides along into the
 // leaf's QᵀB in the same steps. The block and rhs contents are consumed:
 // callers must not rely on them afterwards.
 //
-// LeafReduce does not touch the spine: concurrent calls on distinct
-// workspaces are safe, which is what lets a session overlap the leaf work of
-// append k+1 with the commit of append k. Results are deterministic in the
-// inputs alone, so pipelined and sequential executions are bitwise equal.
-func (s *Streamer) LeafReduce(ws *kernels.Workspace, block, rhs *matrix.Mat) (*StreamNode, error) {
+// The leaf is dst, zeroed first, with its buffers reused when correctly
+// shaped (a node from Spare always is); pass nil to allocate fresh. On an
+// error dst is untouched and still the caller's.
+//
+// LeafReduceInto does not touch the spine: concurrent calls on distinct
+// workspaces and distinct nodes are safe, which is what lets a session
+// overlap the leaf work of append k+1 with the commit of append k. Results
+// are deterministic in the inputs alone, so pipelined and sequential
+// executions are bitwise equal.
+func (s *Streamer) LeafReduceInto(ws *kernels.Workspace, dst *StreamNode, block, rhs *matrix.Mat) (*StreamNode, error) {
 	if block == nil || block.Rows < 1 {
 		return nil, fmt.Errorf("qr: empty append block")
 	}
@@ -188,9 +211,18 @@ func (s *Streamer) LeafReduce(ws *kernels.Workspace, block, rhs *matrix.Mat) (*S
 		ws = kernels.BorrowWorkspace()
 		defer kernels.ReturnWorkspace(ws)
 	}
-	nd := &StreamNode{Blocks: 1, Rows: int64(block.Rows), R: matrix.New(s.n, s.n)}
+	nd := dst
+	if nd == nil {
+		nd = &StreamNode{}
+	}
+	nd.Blocks, nd.Rows = 1, int64(block.Rows)
+	nd.R = ensureShape(nd.R, s.n, s.n)
+	nd.R.Zero()
 	if s.nrhs > 0 {
-		nd.QTB = matrix.New(s.n, s.nrhs)
+		nd.QTB = ensureShape(nd.QTB, s.n, s.nrhs)
+		nd.QTB.Zero()
+	} else {
+		nd.QTB = nil
 	}
 	nb := s.opts.NB
 	for r := 0; r < block.Rows; r += nb {
@@ -216,8 +248,9 @@ func (s *Streamer) merge(ws *kernels.Workspace, surv, victim *StreamNode) {
 
 // Commit appends a reduced leaf to the spine and runs the carry chain:
 // while the two newest subtrees are equal sized they merge, exactly the
-// leaf-to-root path of the binary reduction tree. Takes ownership of nd.
-// Callers must serialize Commit with Current and Spine.
+// leaf-to-root path of the binary reduction tree, and each node merged away
+// is retired for Spare. Takes ownership of nd. Callers must serialize Commit
+// with Current and Spine.
 func (s *Streamer) Commit(ws *kernels.Workspace, nd *StreamNode) {
 	if ws == nil {
 		ws = kernels.BorrowWorkspace()
@@ -227,12 +260,41 @@ func (s *Streamer) Commit(ws *kernels.Workspace, nd *StreamNode) {
 	s.blocks += nd.Blocks
 	s.rows += nd.Rows
 	for len(s.spine) >= 2 && s.spine[len(s.spine)-1].Blocks == s.spine[len(s.spine)-2].Blocks {
-		s.merge(ws, s.spine[len(s.spine)-2], s.spine[len(s.spine)-1])
+		victim := s.spine[len(s.spine)-1]
+		s.merge(ws, s.spine[len(s.spine)-2], victim)
 		s.spine[len(s.spine)-1] = nil
 		s.spine = s.spine[:len(s.spine)-1]
+		s.Retire(victim)
 	}
 	// The chain ends in the newest slot; every older entry is untouched.
 	s.fresh = min(s.fresh, len(s.spine)-1)
+}
+
+// Spare returns a retired node for LeafReduceInto's dst, or nil when the
+// streamer holds none. Each retired node is handed out once, so two leaves
+// never share a buffer.
+func (s *Streamer) Spare() *StreamNode {
+	s.spareMu.Lock()
+	defer s.spareMu.Unlock()
+	k := len(s.spares)
+	if k == 0 {
+		return nil
+	}
+	nd := s.spares[k-1]
+	s.spares[k-1] = nil
+	s.spares = s.spares[:k-1]
+	return nd
+}
+
+// Retire gives the streamer a node nothing references any more — one Commit
+// merged away, or a leaf that will not be committed — for a later Spare.
+// The caller must not touch nd afterwards.
+func (s *Streamer) Retire(nd *StreamNode) {
+	s.spareMu.Lock()
+	if nd != nil && len(s.spares) < maxSpares {
+		s.spares = append(s.spares, nd)
+	}
+	s.spareMu.Unlock()
 }
 
 // Current returns the global factorization state — the R (and QᵀB) of

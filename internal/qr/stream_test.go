@@ -489,6 +489,76 @@ func TestLeafReduceAfterNaNBlock(t *testing.T) {
 	bitwiseEqual(t, "clean leaf after a NaN leaf", got, want)
 }
 
+// A leaf reduced into a used node is bitwise a leaf reduced into a fresh
+// one. The streamer's spares start as NaN nodes of its shape (and one of
+// the wrong shape, which LeafReduceInto must replace, not reuse); every
+// leaf of the stream then takes Spare's node, and every Current must match
+// a stream whose leaves are all fresh. Spare hands each node out once and
+// keeps at most maxSpares.
+func TestLeafReduceIntoSpareIsBitwiseFresh(t *testing.T) {
+	const n, nrhs = 24, 2
+	opts := Options{NB: 8, IB: 4}
+	rng := rand.New(rand.NewSource(71))
+	var blocks, rhs []*matrix.Mat
+	for i := range 23 {
+		rows := 1 + (7*i)%30
+		blocks = append(blocks, matrix.NewRand(rows, n, rng))
+		rhs = append(rhs, matrix.NewRand(rows, nrhs, rng))
+	}
+	fresh, err := NewStreamer(n, nrhs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := NewStreamer(n, nrhs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range maxSpares - 1 {
+		nd := &StreamNode{R: matrix.New(n, n), QTB: matrix.New(n, nrhs)}
+		nd.R.Fill(math.NaN())
+		nd.QTB.Fill(math.Inf(-1))
+		warm.Retire(nd)
+	}
+	warm.Retire(&StreamNode{R: matrix.New(n+1, n+1), QTB: matrix.New(n+1, nrhs)}) // the first leaf's
+	warm.Retire(&StreamNode{})                                                    // past maxSpares: dropped
+	ws := kernels.NewWorkspace()
+	for i, b := range blocks {
+		want, err := fresh.LeafReduce(ws, b.Clone(), rhs[i].Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh.Commit(ws, want)
+		dst := warm.Spare()
+		if dst == nil {
+			t.Fatalf("append %d: no spare left", i)
+		}
+		got, err := warm.LeafReduceInto(ws, dst, b.Clone(), rhs[i].Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != dst {
+			t.Fatalf("append %d: the leaf is not the node it was given", i)
+		}
+		warm.Commit(ws, got)
+		bitwiseEqual(t, fmt.Sprintf("append %d", i), warm.Current(ws, nil), fresh.Current(ws, nil))
+	}
+	seen := map[*StreamNode]bool{}
+	for nd := warm.Spare(); nd != nil; nd = warm.Spare() {
+		if seen[nd] {
+			t.Fatal("Spare handed out one node twice")
+		}
+		for _, sp := range warm.Spine() {
+			if nd == sp {
+				t.Fatal("Spare handed out a node of the spine")
+			}
+		}
+		seen[nd] = true
+	}
+	if len(seen) > maxSpares {
+		t.Fatalf("the streamer kept %d spares, want at most %d", len(seen), maxSpares)
+	}
+}
+
 // BenchmarkStreamAppend streams 128 blocks of 64×64 at the library tile, one
 // LeafReduce, Commit and Current per append — the engine half of a session
 // append with R back per block. One op is the whole stream; us/append is

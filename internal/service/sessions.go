@@ -216,7 +216,7 @@ func (s *Server) handleSessionAppend(w http.ResponseWriter, r *http.Request) {
 			Session: sess.ID, Tenant: sess.Tenant,
 			DurMS: float64(time.Since(start)) / float64(time.Millisecond), Detail: detail})
 	}()
-	done, streamErr = sess.AppendStream(ctx, ar.Next, emit)
+	done, streamErr = sess.AppendFrom(ctx, ar, emit)
 	if rw == nil {
 		// Nothing committed and no bytes out: the error (or the empty
 		// stream) still gets a clean status line.

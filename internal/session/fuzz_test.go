@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"unsafe"
+
+	"pulsarqr/internal/matrix"
 )
 
 // FuzzCheckpointReader feeds arbitrary bytes to the QSC1 decoder. The
@@ -49,10 +52,17 @@ func FuzzCheckpointReader(f *testing.F) {
 	})
 }
 
-// FuzzAppendReader feeds arbitrary bytes to the QSA1 block decoder.
+// FuzzAppendReader feeds arbitrary bytes to the QSA1 block decoder. Every
+// block it decodes stays live until the stream ends: no two may share
+// backing, and each goes back to blockSlabs after.
 func FuzzAppendReader(f *testing.F) {
 	var body bytes.Buffer
 	WriteAppendHeader(&body, 2)
+	f.Add(body.Bytes())
+	rng := rand.New(rand.NewSource(19))
+	for _, rows := range []int{3, 1} {
+		body.Write(AppendBlock(nil, matrix.NewRand(rows, 8, rng), matrix.NewRand(rows, 2, rng)))
+	}
 	f.Add(body.Bytes())
 	f.Add([]byte("QSA1"))
 	f.Add(append([]byte("QSA1"), 0xff, 0xff, 0xff, 0xff))
@@ -62,14 +72,33 @@ func FuzzAppendReader(f *testing.F) {
 		if err != nil {
 			return
 		}
+		var live []*matrix.Mat
+		defer func() {
+			for _, b := range live {
+				releaseBlock(b)
+			}
+		}()
 		for {
 			block, rhs, err := ar.Next()
 			if err != nil {
 				return
 			}
-			if block.Cols != 8 || (rhs != nil && rhs.Cols != 2) || block.Rows < 1 || block.Rows > MaxBlockRows {
+			if block.Cols != 8 || rhs == nil || rhs.Cols != 2 || rhs.Rows != block.Rows || block.Rows < 1 || block.Rows > MaxBlockRows {
 				t.Fatalf("decoder emitted out-of-contract block %dx%d", block.Rows, block.Cols)
 			}
+			for i, b := range live {
+				if overlap(b.Data, block.Data) {
+					t.Fatalf("block %d shares backing with live block %d", len(live), i)
+				}
+			}
+			live = append(live, block)
 		}
 	})
+}
+
+// overlap reports whether the backing arrays of a and b, to their
+// capacities, share an element.
+func overlap(a, b []float64) bool {
+	a0, b0 := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return a0 < b0+8*uintptr(cap(b)) && b0 < a0+8*uintptr(cap(a))
 }

@@ -616,7 +616,24 @@ type leafResult struct {
 // for: a call blocked when AppendStream returns must fail soon after (an
 // HTTP request body does once its handler returns), and its result is
 // discarded.
+//
+// The blocks next yields stay the caller's: the reduction overwrites them,
+// but no storage of theirs is kept or reused. Each leaf is reduced into a
+// node the carry chain retired (qr.Streamer.Spare) when there is one.
 func (s *Session) AppendStream(ctx context.Context, next func() (block, rhs *matrix.Mat, err error), emit func(blocks, rows int64, cur *qr.StreamNode) error) (int64, error) {
+	return s.appendStream(ctx, next, func(*matrix.Mat) {}, emit)
+}
+
+// AppendFrom is AppendStream over a decoded append request: ar's blocks
+// live in warm storage, and each goes back to it once its leaf is reduced,
+// or once the stream refuses it (a NaN or ±Inf entry, a closed pool).
+func (s *Session) AppendFrom(ctx context.Context, ar *AppendReader, emit func(blocks, rows int64, cur *qr.StreamNode) error) (int64, error) {
+	return s.appendStream(ctx, ar.Next, releaseBlock, emit)
+}
+
+// appendStream is AppendStream with release, which is handed every block
+// next yielded once the stream is done with it.
+func (s *Session) appendStream(ctx context.Context, next func() (block, rhs *matrix.Mat, err error), release func(block *matrix.Mat), emit func(blocks, rows int64, cur *qr.StreamNode) error) (int64, error) {
 	s.mu.Lock()
 	if err := s.ensureLoadedLocked(); err != nil {
 		s.mu.Unlock()
@@ -656,6 +673,7 @@ func (s *Session) AppendStream(ctx context.Context, next func() (block, rhs *mat
 			}
 			block, rhs, err := next()
 			if err == nil && (!finite(block) || rhs != nil && !finite(rhs)) {
+				release(block)
 				err = fmt.Errorf("session: block %d of the stream carries a NaN or Inf entry", i)
 			}
 			if err != nil {
@@ -672,11 +690,17 @@ func (s *Session) AppendStream(ctx context.Context, next func() (block, rhs *mat
 					ws = kernels.BorrowWorkspace()
 					defer kernels.ReturnWorkspace(ws)
 				}
-				nd, err := str.LeafReduce(ws, block, rhs)
+				dst := str.Spare()
+				nd, err := str.LeafReduceInto(ws, dst, block, rhs)
+				if err != nil {
+					str.Retire(dst)
+				}
+				release(block)
 				fut <- leafResult{nd: nd, err: err, start: start}
 			}
 			if p := s.t.cfg.Pool; p != nil {
 				if !p.Exec(run) {
+					release(block)
 					fut <- leafResult{err: ErrPoolClosed, start: start}
 				}
 			} else {
@@ -695,10 +719,22 @@ func (s *Session) AppendStream(ctx context.Context, next func() (block, rhs *mat
 	var committed int64
 	var streamErr error
 loop:
-	for fut := range futures {
+	for {
+		// Both waits end on cancellation: the reader may be blocked in
+		// next() with no future to send.
 		var res leafResult
 		select {
-		case res = <-fut:
+		case fut, ok := <-futures:
+			if !ok {
+				streamErr = context.Cause(ctx) // nil unless the reader stopped on a cancellation
+				break loop
+			}
+			select {
+			case res = <-fut:
+			case <-ctx.Done():
+				streamErr = context.Cause(ctx)
+				break loop
+			}
 		case <-ctx.Done():
 			streamErr = context.Cause(ctx)
 			break loop

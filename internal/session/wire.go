@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"pulsarqr/internal/matrix"
+	"pulsarqr/internal/slab"
 	"pulsarqr/internal/wire"
 )
 
@@ -77,10 +78,22 @@ func AppendBlock(dst []byte, block, rhs *matrix.Mat) []byte {
 	return dst
 }
 
+// blockSlabs is the warm storage append streams decode into: Next takes one
+// slab per block, which holds the block and then its rhs rows, and
+// Session.AppendFrom puts it back (releaseBlock) once the leaf reduction has
+// consumed the block.
+var blockSlabs = slab.New[float64]()
+
+// releaseBlock gives the slab of a block Next decoded, its rhs rows
+// included, back to blockSlabs. Neither may be touched afterwards.
+func releaseBlock(block *matrix.Mat) { blockSlabs.Put(block.Data) }
+
 // AppendReader decodes an append-request stream block by block so the
 // session can reduce early blocks while later ones are still arriving.
-// Blocks returned by Next are freshly allocated and owned by the caller
-// (the reduction consumes them); the byte scratch is reused.
+// Blocks returned by Next live in a slab of warm storage that belongs to
+// the caller until it hands the block to releaseBlock (AppendFrom does,
+// after the reduction consumed it); one kept is simply garbage collected.
+// The byte scratch is reused.
 type AppendReader struct {
 	r       wire.Reader
 	n, nrhs int
@@ -110,7 +123,8 @@ func (ar *AppendReader) Count() int { return ar.count }
 // Next decodes the next appended block (and its rhs rows, nil when the
 // session carries none). It returns io.EOF after the declared count; a
 // stream ending early yields an error wrapping io.ErrUnexpectedEOF. The row
-// count is validated before the payload is allocated or read.
+// count is validated before a slab is taken or the payload read, and a
+// payload that fails to arrive gives its slab back.
 func (ar *AppendReader) Next() (block, rhs *matrix.Mat, err error) {
 	if ar.read >= ar.count {
 		return nil, nil, io.EOF
@@ -123,10 +137,14 @@ func (ar *AppendReader) Next() (block, rhs *matrix.Mat, err error) {
 	if m < 1 || m > MaxBlockRows {
 		return nil, nil, fmt.Errorf("session: block %d declares %d rows; need 1..%d", ar.read, m, MaxBlockRows)
 	}
-	if block, _, err = ar.r.ReadMat(m, ar.n); err == nil && ar.nrhs > 0 {
-		rhs, _, err = ar.r.ReadMat(m, ar.nrhs)
+	buf := blockSlabs.Take(m * (ar.n + ar.nrhs))
+	block = &matrix.Mat{Rows: m, Cols: ar.n, LD: m, Data: buf[:m*ar.n]}
+	if _, err = ar.r.ReadInto(block); err == nil && ar.nrhs > 0 {
+		rhs = &matrix.Mat{Rows: m, Cols: ar.nrhs, LD: m, Data: buf[m*ar.n:]}
+		_, err = ar.r.ReadInto(rhs)
 	}
 	if err != nil {
+		blockSlabs.Put(buf)
 		return nil, nil, fmt.Errorf("session: block %d payload: %w", ar.read, err)
 	}
 	ar.read++

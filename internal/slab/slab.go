@@ -1,7 +1,8 @@
 // Package slab is the process's warm storage: slices a finished user gives
 // back, kept in size classes for the next user of a similar size. A job's
-// tile storage (the service's tileSlabs) and the transport's frame payloads
-// are pools of it.
+// tile storage (the service's tileSlabs), the transport's frame payloads and
+// the blocks of a session append stream (the session's blockSlabs) are pools
+// of it.
 //
 // Unlike a sync.Pool, a slab put back by one goroutine is visible to a take
 // on any other: a sync.Pool parks an item in the putting P's private slot,
