@@ -3,8 +3,6 @@ package pulsar
 import (
 	"fmt"
 	"sync"
-
-	"pulsarqr/internal/tuple"
 )
 
 // Channel is a static unidirectional FIFO connection between two VDPs (or
@@ -15,7 +13,7 @@ import (
 // when every *active* input channel holds a packet.
 type Channel struct {
 	// Static topology, fixed at construction.
-	src, dst         tuple.Tuple // nil src: external injection; nil dst: collector
+	srcVDP, dstVDP   *VDP // nil srcVDP: external injection; nil dstVDP: collector
 	srcSlot, dstSlot int
 	maxBytes         int
 
@@ -24,11 +22,10 @@ type Channel struct {
 	landing any
 
 	// Resolved at Run time.
-	srcVDP, dstVDP *VDP
-	interNode      bool
-	tag            int // MPI tag within the (srcNode, dstNode) pair
-	srcNode        int
-	dstNode        int
+	interNode bool
+	tag       int // MPI tag within the (srcNode, dstNode) pair
+	srcNode   int
+	dstNode   int
 
 	mu        sync.Mutex
 	queue     []*Packet
@@ -42,8 +39,7 @@ func (c *Channel) push(p *Packet) {
 	c.mu.Lock()
 	if c.destroyed {
 		c.mu.Unlock()
-		panic(fmt.Sprintf("pulsar: push on destroyed channel %v[%d] -> %v[%d]",
-			c.src, c.srcSlot, c.dst, c.dstSlot))
+		panic(fmt.Sprintf("pulsar: push on destroyed channel %s", c))
 	}
 	c.queue = append(c.queue, p)
 	c.mu.Unlock()
@@ -97,5 +93,14 @@ func (c *Channel) len() int {
 
 // String describes the channel endpoints for diagnostics.
 func (c *Channel) String() string {
-	return fmt.Sprintf("%v[out %d] -> %v[in %d]", c.src, c.srcSlot, c.dst, c.dstSlot)
+	return fmt.Sprintf("%s[out %d] -> %s[in %d]", name(c.srcVDP), c.srcSlot, name(c.dstVDP), c.dstSlot)
+}
+
+// name is v's tuple, or "external" for the outside end of an injection or
+// collector channel.
+func name(v *VDP) string {
+	if v == nil {
+		return "external"
+	}
+	return v.tup.String()
 }

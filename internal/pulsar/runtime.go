@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"pulsarqr/internal/slab"
 	"pulsarqr/internal/transport"
 )
 
@@ -421,7 +422,7 @@ type proxy struct {
 
 type outMsg struct {
 	dst, tag int
-	buf      []byte // marshal buffer taken from sendBufs, put back after Isend
+	buf      []byte // marshal buffer taken from slab.Bytes, put back after Isend
 }
 
 func newProxy(s *VSA, node int, comm transport.Endpoint) *proxy {
@@ -480,15 +481,15 @@ func (p *proxy) run() {
 		p.mu.Unlock()
 		for _, m := range out {
 			// Sends are eager: the transport has copied or serialized the
-			// payload by the time Isend returns, so the marshal buffer can
-			// go back to sendBufs immediately.
+			// payload by the time Isend returns (the Endpoint contract), so
+			// the marshal buffer can go back to slab.Bytes immediately.
 			hook := p.vsa.cfg.CommHook
 			var t0 time.Time
 			if hook != nil {
 				t0 = time.Now()
 			}
 			p.comm.Isend(m.buf, m.dst, m.tag)
-			sendBufs.Put(m.buf)
+			slab.Bytes.Put(m.buf)
 			if hook != nil {
 				hook(CommEvent{Node: p.node, Kind: CommSend, Peer: m.dst, Tag: m.tag, Bytes: len(m.buf), Start: t0, End: time.Now()})
 			}

@@ -93,7 +93,7 @@ func (v *VDP) TryPop(slot int) *Packet {
 // Push sends a packet to output channel slot. For an intra-node channel the
 // pointer is handed to the destination queue zero-copy; for an inter-node
 // channel the payload is marshaled and passed to the node's proxy, and for
-// a collector channel it is appended to the VSA's collection for the slot.
+// a collector channel it is queued on that channel, for Collected.
 func (v *VDP) Push(slot int, p *Packet) {
 	if slot < 0 || slot >= len(v.out) || v.out[slot] == nil {
 		panic(fmt.Sprintf("pulsar: VDP %v has no output channel in slot %d", v.tup, slot))

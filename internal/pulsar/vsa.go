@@ -148,9 +148,6 @@ type VSA struct {
 	order    []*VDP
 	channels []*Channel
 
-	collectMu sync.Mutex
-	collected map[string][]*Packet
-
 	running   atomic.Bool
 	fired     atomic.Int64
 	delivered atomic.Int64
@@ -182,12 +179,11 @@ func New(cfg Config) *VSA {
 		cfg.DeadlockTimeout = 30 * time.Second
 	}
 	return &VSA{
-		cfg:       cfg,
-		params:    cfg.Params,
-		vdps:      map[string]*VDP{},
-		collected: map[string][]*Packet{},
-		done:      make(chan struct{}),
-		drained:   make(chan struct{}, 1),
+		cfg:     cfg,
+		params:  cfg.Params,
+		vdps:    map[string]*VDP{},
+		done:    make(chan struct{}),
+		drained: make(chan struct{}, 1),
 	}
 }
 
@@ -256,14 +252,13 @@ func (s *VSA) Connect(src tuple.Tuple, srcSlot int, dst tuple.Tuple, dstSlot, ma
 	sv := s.mustVDP(src)
 	dv := s.mustVDP(dst)
 	c := &Channel{
-		src: src.Clone(), dst: dst.Clone(),
+		srcVDP: sv, dstVDP: dv,
 		srcSlot: srcSlot, dstSlot: dstSlot,
 		maxBytes: maxBytes,
 		active:   !startDisabled,
 	}
 	s.attachOut(sv, srcSlot, c)
 	s.attachIn(dv, dstSlot, c)
-	c.srcVDP, c.dstVDP = sv, dv
 	s.channels = append(s.channels, c)
 }
 
@@ -271,9 +266,8 @@ func (s *VSA) Connect(src tuple.Tuple, srcSlot int, dst tuple.Tuple, dstSlot, ma
 // dst. Packets enter it through Inject.
 func (s *VSA) Input(dst tuple.Tuple, dstSlot, maxBytes int) {
 	dv := s.mustVDP(dst)
-	c := &Channel{dst: dst.Clone(), srcSlot: -1, dstSlot: dstSlot, maxBytes: maxBytes, active: true}
+	c := &Channel{dstVDP: dv, srcSlot: -1, dstSlot: dstSlot, maxBytes: maxBytes, active: true}
 	s.attachIn(dv, dstSlot, c)
-	c.dstVDP = dv
 	s.channels = append(s.channels, c)
 }
 
@@ -291,13 +285,12 @@ func (s *VSA) Land(dst tuple.Tuple, dstSlot int, v any) {
 }
 
 // Output creates an external collector channel on output slot srcSlot of
-// src. Packets pushed to it accumulate and are retrieved with Collected
-// after the run.
+// src. Packets pushed to it accumulate in its queue and are retrieved with
+// Collected after the run.
 func (s *VSA) Output(src tuple.Tuple, srcSlot, maxBytes int) {
 	sv := s.mustVDP(src)
-	c := &Channel{src: src.Clone(), srcSlot: srcSlot, dstSlot: -1, maxBytes: maxBytes, active: true}
+	c := &Channel{srcVDP: sv, srcSlot: srcSlot, dstSlot: -1, maxBytes: maxBytes, active: true}
 	s.attachOut(sv, srcSlot, c)
-	c.srcVDP = sv
 	s.channels = append(s.channels, c)
 }
 
@@ -310,7 +303,7 @@ func (s *VSA) Inject(dst tuple.Tuple, dstSlot int, p *Packet) {
 		panic(fmt.Sprintf("pulsar: Inject: no VDP %v", dst))
 	}
 	c := v.inputChannel(dstSlot)
-	if c.src != nil {
+	if c.srcVDP != nil {
 		panic(fmt.Sprintf("pulsar: Inject: channel %s is not an external input", c))
 	}
 	c.push(p)
@@ -339,9 +332,10 @@ func (s *VSA) Seed(dst tuple.Tuple, dstSlot int, p *Packet) {
 // only the output of its own VDPs; drivers gather the rest explicitly
 // (see AddCollected).
 func (s *VSA) Collected(src tuple.Tuple, srcSlot int) []*Packet {
-	s.collectMu.Lock()
-	defer s.collectMu.Unlock()
-	return s.collected[collectKey(src, srcSlot)]
+	c := s.collector(src, srcSlot)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.queue
 }
 
 // AddCollected appends a packet to the external output channel at
@@ -349,14 +343,16 @@ func (s *VSA) Collected(src tuple.Tuple, srcSlot int) []*Packet {
 // it on the root rank to merge collector output gathered from the other
 // processes, so assembly code written against Collected works unchanged.
 func (s *VSA) AddCollected(src tuple.Tuple, srcSlot int, p *Packet) {
-	s.collectMu.Lock()
-	key := collectKey(src, srcSlot)
-	s.collected[key] = append(s.collected[key], p)
-	s.collectMu.Unlock()
+	s.collector(src, srcSlot).push(p)
 }
 
-func collectKey(t tuple.Tuple, slot int) string {
-	return t.Key() + "/" + fmt.Sprint(slot)
+// collector returns the external output channel at (src, srcSlot).
+func (s *VSA) collector(src tuple.Tuple, srcSlot int) *Channel {
+	v := s.mustVDP(src)
+	if srcSlot < 0 || srcSlot >= len(v.out) || v.out[srcSlot] == nil || v.out[srcSlot].dstVDP != nil {
+		panic(fmt.Sprintf("pulsar: VDP %v output slot %d is not a collector", src, srcSlot))
+	}
+	return v.out[srcSlot]
 }
 
 func (s *VSA) mustVDP(t tuple.Tuple) *VDP {
@@ -387,29 +383,21 @@ func (s *VSA) attachIn(v *VDP, slot int, c *Channel) {
 	v.in[slot] = c
 }
 
-// sendBufs holds the marshal buffers of the inter-node send path: route
-// takes one of its channel's maxBytes per packet and the proxy puts it back
-// right after Isend, which the Endpoint contract requires to have copied or
-// serialized the bytes before returning.
-var sendBufs = slab.New[byte]()
-
-// route delivers a packet pushed on channel c: collectors accumulate,
+// route delivers a packet pushed on channel c: collectors queue it,
 // intra-node channels enqueue zero-copy, inter-node channels marshal into a
-// warm buffer (sendBufs) and hand the bytes to the source node's proxy.
+// warm buffer of the channel's maxBytes (slab.Bytes) and hand the bytes to
+// the source node's proxy.
 func (s *VSA) route(c *Channel, p *Packet) {
 	switch {
-	case c.dst == nil:
-		s.collectMu.Lock()
-		key := collectKey(c.src, c.srcSlot)
-		s.collected[key] = append(s.collected[key], p)
-		s.collectMu.Unlock()
+	case c.dstVDP == nil:
+		c.push(p)
 	case !s.running.Load() || !c.interNode:
 		c.push(p)
 		if s.running.Load() {
 			s.wakeWorker(c.dstVDP.node, c.dstVDP.thread)
 		}
 	default:
-		b, err := appendPacket(sendBufs.Take(c.maxBytes)[:0], p)
+		b, err := appendPacket(slab.Bytes.Take(c.maxBytes)[:0], p)
 		if err != nil {
 			panic(fmt.Sprintf("pulsar: cannot ship packet on %s: %v", c, err))
 		}

@@ -2,11 +2,11 @@ package qr
 
 import (
 	"fmt"
-	"sync"
 
 	"pulsarqr/internal/blas"
 	"pulsarqr/internal/kernels"
 	"pulsarqr/internal/matrix"
+	"pulsarqr/internal/slab"
 )
 
 // This file implements the incremental (streaming) TSQR engine behind
@@ -44,6 +44,10 @@ type StreamNode struct {
 	// QTB holds the significant (top n) rows of Qᵀ·B for the node's
 	// ride-along right-hand-side columns; nil when the stream carries none.
 	QTB *matrix.Mat
+
+	// buf is the slab.Floats slab R and QTB lie in when LeafReduce laid
+	// them out, nil for a node the caller built.
+	buf []float64
 }
 
 // SolveLS returns the least-squares solution x of min‖A·x − b‖₂ over every
@@ -63,7 +67,7 @@ func (nd *StreamNode) SolveLS() *matrix.Mat {
 // its own Workspace and its own node) — that is what lets a session
 // pipeline appends over a worker pool. Commit and Current mutate or read the
 // spine and must be serialized by the caller (a session holds its lock
-// across them). Spare and Retire may be called from any goroutine.
+// across them).
 type Streamer struct {
 	n, nrhs int
 	opts    Options
@@ -87,18 +91,7 @@ type Streamer struct {
 	folds  []*StreamNode
 	fresh  int
 	victim *StreamNode // merge victim copy (Current must not destroy the spine)
-
-	// spares holds the nodes Commit's carry chain merged away (and any a
-	// caller retired), for Spare to hand to the next leaves: at most
-	// maxSpares, so a caller that never asks pins no more than that.
-	spareMu sync.Mutex
-	spares  []*StreamNode
 }
-
-// maxSpares bounds the retired nodes a streamer keeps: enough for one carry
-// chain's burst and a pipelined session's leaves in flight (its window is 4
-// by default), so a steady stream takes every leaf node from them.
-const maxSpares = 8
 
 // NewStreamer returns an empty streaming factorization over n columns and
 // nrhs ride-along right-hand-side columns (0 for R-only streams).
@@ -173,28 +166,22 @@ func (s *Streamer) hook(class string) {
 	}
 }
 
-// LeafReduce is LeafReduceInto a freshly allocated node.
-func (s *Streamer) LeafReduce(ws *kernels.Workspace, block, rhs *matrix.Mat) (*StreamNode, error) {
-	return s.LeafReduceInto(ws, nil, block, rhs)
-}
-
-// LeafReduceInto factorizes one appended row block into a leaf node: the
+// LeafReduce factorizes one appended row block into a leaf node: the
 // block's nb-row chunks are folded into an n×n R, starting from zero, by one
 // TS Dtpqr2 step each (the flat-tree leaf reduction), and rhs — required
 // exactly when the stream carries right-hand sides — rides along into the
 // leaf's QᵀB in the same steps. The block and rhs contents are consumed:
 // callers must not rely on them afterwards.
 //
-// The leaf is dst, zeroed first, with its buffers reused when correctly
-// shaped (a node from Spare always is); pass nil to allocate fresh. On an
-// error dst is untouched and still the caller's.
+// Once the inputs are validated, the leaf's R and QᵀB are laid zeroed in one
+// slab of slab.Floats, which Commit gives back when a carry chain merges the
+// leaf away; a leaf that is never committed is left to the collector.
 //
-// LeafReduceInto does not touch the spine: concurrent calls on distinct
-// workspaces and distinct nodes are safe, which is what lets a session
-// overlap the leaf work of append k+1 with the commit of append k. Results
-// are deterministic in the inputs alone, so pipelined and sequential
-// executions are bitwise equal.
-func (s *Streamer) LeafReduceInto(ws *kernels.Workspace, dst *StreamNode, block, rhs *matrix.Mat) (*StreamNode, error) {
+// LeafReduce does not touch the spine: concurrent calls on distinct
+// workspaces are safe, which is what lets a session overlap the leaf work of
+// append k+1 with the commit of append k. Results are deterministic in the
+// inputs alone, so pipelined and sequential executions are bitwise equal.
+func (s *Streamer) LeafReduce(ws *kernels.Workspace, block, rhs *matrix.Mat) (*StreamNode, error) {
 	if block == nil || block.Rows < 1 {
 		return nil, fmt.Errorf("qr: empty append block")
 	}
@@ -211,18 +198,12 @@ func (s *Streamer) LeafReduceInto(ws *kernels.Workspace, dst *StreamNode, block,
 		ws = kernels.BorrowWorkspace()
 		defer kernels.ReturnWorkspace(ws)
 	}
-	nd := dst
-	if nd == nil {
-		nd = &StreamNode{}
-	}
-	nd.Blocks, nd.Rows = 1, int64(block.Rows)
-	nd.R = ensureShape(nd.R, s.n, s.n)
-	nd.R.Zero()
+	nr, nq := s.n*s.n, s.n*s.nrhs
+	buf := slab.Floats.Take(nr + nq)
+	clear(buf)
+	nd := &StreamNode{Blocks: 1, Rows: int64(block.Rows), R: matrix.FromColMajor(s.n, s.n, s.n, buf[:nr]), buf: buf}
 	if s.nrhs > 0 {
-		nd.QTB = ensureShape(nd.QTB, s.n, s.nrhs)
-		nd.QTB.Zero()
-	} else {
-		nd.QTB = nil
+		nd.QTB = matrix.FromColMajor(s.n, s.nrhs, s.n, buf[nr:nr+nq:nr+nq])
 	}
 	nb := s.opts.NB
 	for r := 0; r < block.Rows; r += nb {
@@ -249,8 +230,8 @@ func (s *Streamer) merge(ws *kernels.Workspace, surv, victim *StreamNode) {
 // Commit appends a reduced leaf to the spine and runs the carry chain:
 // while the two newest subtrees are equal sized they merge, exactly the
 // leaf-to-root path of the binary reduction tree, and each node merged away
-// is retired for Spare. Takes ownership of nd. Callers must serialize Commit
-// with Current and Spine.
+// gives its slab back to slab.Floats. Takes ownership of nd. Callers must
+// serialize Commit with Current and Spine.
 func (s *Streamer) Commit(ws *kernels.Workspace, nd *StreamNode) {
 	if ws == nil {
 		ws = kernels.BorrowWorkspace()
@@ -264,37 +245,12 @@ func (s *Streamer) Commit(ws *kernels.Workspace, nd *StreamNode) {
 		s.merge(ws, s.spine[len(s.spine)-2], victim)
 		s.spine[len(s.spine)-1] = nil
 		s.spine = s.spine[:len(s.spine)-1]
-		s.Retire(victim)
+		if victim.buf != nil {
+			slab.Floats.Put(victim.buf)
+		}
 	}
 	// The chain ends in the newest slot; every older entry is untouched.
 	s.fresh = min(s.fresh, len(s.spine)-1)
-}
-
-// Spare returns a retired node for LeafReduceInto's dst, or nil when the
-// streamer holds none. Each retired node is handed out once, so two leaves
-// never share a buffer.
-func (s *Streamer) Spare() *StreamNode {
-	s.spareMu.Lock()
-	defer s.spareMu.Unlock()
-	k := len(s.spares)
-	if k == 0 {
-		return nil
-	}
-	nd := s.spares[k-1]
-	s.spares[k-1] = nil
-	s.spares = s.spares[:k-1]
-	return nd
-}
-
-// Retire gives the streamer a node nothing references any more — one Commit
-// merged away, or a leaf that will not be committed — for a later Spare.
-// The caller must not touch nd afterwards.
-func (s *Streamer) Retire(nd *StreamNode) {
-	s.spareMu.Lock()
-	if nd != nil && len(s.spares) < maxSpares {
-		s.spares = append(s.spares, nd)
-	}
-	s.spareMu.Unlock()
 }
 
 // Current returns the global factorization state — the R (and QᵀB) of

@@ -5,10 +5,12 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"pulsarqr/internal/kernels"
 	"pulsarqr/internal/matrix"
+	"pulsarqr/internal/slab"
 )
 
 // stackDense stacks row blocks into one dense matrix.
@@ -489,13 +491,15 @@ func TestLeafReduceAfterNaNBlock(t *testing.T) {
 	bitwiseEqual(t, "clean leaf after a NaN leaf", got, want)
 }
 
-// A leaf reduced into a used node is bitwise a leaf reduced into a fresh
-// one. The streamer's spares start as NaN nodes of its shape (and one of
-// the wrong shape, which LeafReduceInto must replace, not reuse); every
-// leaf of the stream then takes Spare's node, and every Current must match
-// a stream whose leaves are all fresh. Spare hands each node out once and
-// keeps at most maxSpares.
-func TestLeafReduceIntoSpareIsBitwiseFresh(t *testing.T) {
+// A leaf laid in used storage is bitwise a leaf laid in fresh storage. The
+// float pool first holds one NaN slab of a larger node's shape, which the
+// first leaf must take and cut down, then NaN/−Inf slabs of the stream's
+// node shape (NaN where R lies, −Inf where QᵀB does), which the next leaves
+// take; every Current must match, bit for bit, a stream run first on a
+// drained pool. No leaf is laid in the slab of a node still on the spine.
+// The collector is held off, so no poisoned slab ages out of the pool.
+func TestLeafReduceOnPoisonedPoolIsBitwiseFresh(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const n, nrhs = 24, 2
 	opts := Options{NB: 8, IB: 4}
 	rng := rand.New(rand.NewSource(71))
@@ -505,57 +509,70 @@ func TestLeafReduceIntoSpareIsBitwiseFresh(t *testing.T) {
 		blocks = append(blocks, matrix.NewRand(rows, n, rng))
 		rhs = append(rhs, matrix.NewRand(rows, nrhs, rng))
 	}
+	size := n * (n + nrhs)
+	drainFloats(size)
 	fresh, err := NewStreamer(n, nrhs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ws := kernels.NewWorkspace()
+	var want []*StreamNode
+	for i, b := range blocks {
+		nd, err := fresh.LeafReduce(ws, b.Clone(), rhs[i].Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh.Commit(ws, nd)
+		want = append(want, fresh.Current(ws, nil))
+	}
+
+	drainFloats(size)
+	poisoned := map[*float64]bool{}
+	poison := func(elems int) {
+		_, c := slab.Class(elems)
+		s := make([]float64, c)
+		for k := range s {
+			s[k] = math.NaN()
+			if k >= n*n {
+				s[k] = math.Inf(-1)
+			}
+		}
+		poisoned[&s[0]] = true
+		slab.Floats.Put(s)
+	}
+	poison((n + 1) * (n + 1 + nrhs)) // the first leaf's
 	warm, err := NewStreamer(n, nrhs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for range maxSpares - 1 {
-		nd := &StreamNode{R: matrix.New(n, n), QTB: matrix.New(n, nrhs)}
-		nd.R.Fill(math.NaN())
-		nd.QTB.Fill(math.Inf(-1))
-		warm.Retire(nd)
-	}
-	warm.Retire(&StreamNode{R: matrix.New(n+1, n+1), QTB: matrix.New(n+1, nrhs)}) // the first leaf's
-	warm.Retire(&StreamNode{})                                                    // past maxSpares: dropped
-	ws := kernels.NewWorkspace()
 	for i, b := range blocks {
-		want, err := fresh.LeafReduce(ws, b.Clone(), rhs[i].Clone())
+		got, err := warm.LeafReduce(ws, b.Clone(), rhs[i].Clone())
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh.Commit(ws, want)
-		dst := warm.Spare()
-		if dst == nil {
-			t.Fatalf("append %d: no spare left", i)
-		}
-		got, err := warm.LeafReduceInto(ws, dst, b.Clone(), rhs[i].Clone())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != dst {
-			t.Fatalf("append %d: the leaf is not the node it was given", i)
-		}
-		warm.Commit(ws, got)
-		bitwiseEqual(t, fmt.Sprintf("append %d", i), warm.Current(ws, nil), fresh.Current(ws, nil))
-	}
-	seen := map[*StreamNode]bool{}
-	for nd := warm.Spare(); nd != nil; nd = warm.Spare() {
-		if seen[nd] {
-			t.Fatal("Spare handed out one node twice")
+		at := &got.R.Data[0]
+		if i < 8 && !poisoned[at] {
+			t.Fatalf("append %d: the leaf is not laid in a poisoned slab", i)
 		}
 		for _, sp := range warm.Spine() {
-			if nd == sp {
-				t.Fatal("Spare handed out a node of the spine")
+			if at == &sp.R.Data[0] {
+				t.Fatalf("append %d: the leaf is laid in the slab of a spine node", i)
 			}
 		}
-		seen[nd] = true
+		if i == 0 {
+			for range 7 {
+				poison(size)
+			}
+		}
+		warm.Commit(ws, got)
+		bitwiseEqual(t, fmt.Sprintf("append %d", i), warm.Current(ws, nil), want[i])
 	}
-	if len(seen) > maxSpares {
-		t.Fatalf("the streamer kept %d spares, want at most %d", len(seen), maxSpares)
+}
+
+// drainFloats takes from slab.Floats every slab an n-element take would
+// find.
+func drainFloats(n int) {
+	for slab.Floats.Warm(n) != nil {
 	}
 }
 

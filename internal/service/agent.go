@@ -11,6 +11,7 @@ import (
 	"pulsarqr/internal/kernels"
 	"pulsarqr/internal/pulsar"
 	"pulsarqr/internal/qr"
+	"pulsarqr/internal/slab"
 	"pulsarqr/internal/trace"
 	"pulsarqr/internal/transport"
 )
@@ -192,7 +193,7 @@ func (ag *Agent) runJob(ctx context.Context, id, session uint32, ranks []int, sp
 			return
 		}
 	}
-	a, env, slab, err := spec.ownedInputs(opts, id, jep.Size(), jep.Rank())
+	a, env, tiles, err := spec.ownedInputs(opts, id, jep.Size(), jep.Rank())
 	if err != nil {
 		ag.logf("agent: job %d: %v", id, err)
 		return
@@ -209,7 +210,7 @@ func (ag *Agent) runJob(ctx context.Context, id, session uint32, ranks []int, sp
 		ag.logf("agent: job %d: %v", id, err)
 		return
 	}
-	tileSlabs.Put(slab) // this rank's R tiles went to rank 0 as bytes in the gather
+	slab.Floats.Put(tiles) // this rank's R tiles went to rank 0 as bytes in the gather
 	if rec != nil {
 		// Ship this rank's shard to the server, which is blocked gathering
 		// on the still-open job session.

@@ -11,6 +11,7 @@ import (
 
 	"pulsarqr/internal/batch"
 	"pulsarqr/internal/matrix"
+	"pulsarqr/internal/slab"
 	"pulsarqr/internal/wire"
 )
 
@@ -157,7 +158,7 @@ func (c *Client) Submit(spec JobSpec, wait bool) (JobView, int, error) {
 
 // Job fetches a job's state; includeR adds the R factor to the view, which
 // the server is asked to send as a job frame: JobView.R is filled from the
-// frame's matrix. That matrix is decoded into warm storage (tileSlabs), which
+// frame's matrix. That matrix is decoded into warm storage (slab.Floats), which
 // goes back once JobView.R holds its rows: a client fetching one R after
 // another decodes each where the last one was.
 func (c *Client) Job(id uint32, includeR bool) (JobView, error) {
@@ -189,7 +190,7 @@ func (c *Client) Job(id uint32, includeR bool) (JobView, error) {
 	})
 	if r != nil {
 		v.R = rRows(r)
-		tileSlabs.Put(r.Data)
+		slab.Floats.Put(r.Data)
 	}
 	return v, err
 }

@@ -30,11 +30,6 @@ var jobFrameMagic = [4]byte{'Q', 'J', 'F', '1'}
 // view with a flight-recorder tail a few kilobytes.
 const maxFrameHead = 1 << 16
 
-// frameBufs is the warm storage of the job frame's byte buffers: the one a
-// frame is written from and the one its matrix is read through, each given
-// back when its frame is done.
-var frameBufs = slab.New[byte]()
-
 // writeJobFrame writes the frame of head and m (nil: the empty matrix) to w,
 // the one encoder of both directions: whole columns are appended until the
 // buffer holds wire.SlabSize bytes, then written, so the frame never exists
@@ -44,8 +39,8 @@ func writeJobFrame(w io.Writer, head []byte, m *matrix.Mat) error {
 		m = &matrix.Mat{}
 	}
 	size := 8 + len(head) + 8 + 8*m.Rows*m.Cols + 16
-	buf := frameBufs.Take(min(size, len(head)+wire.SlabSize+8*m.Rows+32))[:0]
-	defer func() { frameBufs.Put(buf) }() // every Write has returned: nothing holds buf
+	buf := slab.Bytes.Take(min(size, len(head)+wire.SlabSize+8*m.Rows+32))[:0]
+	defer func() { slab.Bytes.Put(buf) }() // every Write has returned: nothing holds buf
 	buf = binary.LittleEndian.AppendUint32(append(buf, jobFrameMagic[:]...), uint32(len(head)))
 	buf = append(buf, head...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Rows))
@@ -80,11 +75,12 @@ func jobFrameBody(head []byte, m *matrix.Mat) io.Reader {
 // — called with the head and the dims prefix before anything is sized from
 // them — which must refuse any shape its side of the protocol does not
 // expect. The head buffer grows with the bytes that arrive, never with the
-// bytes declared, and so does the payload's unless warm is set and tileSlabs
-// offers a slab of the admitted size (slab.Pool.Warm): the matrix is then
-// decoded into that storage, which a decode that fails gives back. Only a
-// caller that owns the matrix it is handed, and can give it back, sets warm.
-// The checksum is verified and nothing may follow the trailer.
+// bytes declared, and so does the payload's unless warm is set and
+// slab.Floats offers a slab of the admitted size (slab.Pool.Warm): the
+// matrix is then decoded into that storage, which a decode that fails gives
+// back. Only a caller that owns the matrix it is handed, and can give it
+// back, sets warm. The checksum is verified and nothing may follow the
+// trailer.
 func readJobFrame(r io.Reader, warm bool, admit func(head []byte, rows, cols int) error) (_ *matrix.Mat, err error) {
 	n, err := wire.ReadHeader(r, jobFrameMagic)
 	if err != nil {
@@ -110,11 +106,11 @@ func readJobFrame(r io.Reader, warm bool, admit func(head []byte, rows, cols int
 	}
 	var warmData []float64
 	if warm {
-		warmData = tileSlabs.Warm(rows * cols)
+		warmData = slab.Floats.Warm(rows * cols)
 	}
 	defer func() {
 		if err != nil && warmData != nil {
-			tileSlabs.Put(warmData)
+			slab.Floats.Put(warmData)
 		}
 	}()
 	data, sum, err := readFloats(r, rows*cols, warmData)
@@ -147,8 +143,8 @@ func readJobFrame(r io.Reader, warm bool, admit func(head []byte, rows, cols int
 // a slab the next decode of its shape can take once it is put back.
 func readFloats(r io.Reader, n int, warm []float64) ([]float64, uint64, error) {
 	const chunk = 1 << 13 // floats per read
-	buf := frameBufs.Take(8 * min(n, chunk))
-	defer frameBufs.Put(buf)
+	buf := slab.Bytes.Take(8 * min(n, chunk))
+	defer slab.Bytes.Put(buf)
 	_, size := slab.Class(n)
 	var data []float64
 	if warm != nil {

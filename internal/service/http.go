@@ -122,7 +122,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // decodeSubmit reads a POST /v1/factorize body in the form its content type
 // names — a job frame, or JSON for everything else (curl's default type
 // included) — into the one request both become. Either way the server owns
-// the Data it decoded: a frame's matrix lands in a warm slab when tileSlabs
+// the Data it decoded: a frame's matrix lands in a warm slab when slab.Floats
 // has one, and the job gives it back to the pool once it has run
 // successfully.
 func decodeSubmit(w http.ResponseWriter, r *http.Request) (req submitRequest, err error) {

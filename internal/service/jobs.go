@@ -68,7 +68,7 @@ type Job struct {
 	metrics *Metrics
 
 	// owned says the server decoded the upload itself (decodeSubmit), so a
-	// successful run gives it back to tileSlabs. Set at admission, never for
+	// successful run gives it back to slab.Floats. Set at admission, never for
 	// a library caller's Data.
 	owned bool
 

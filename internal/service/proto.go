@@ -217,12 +217,12 @@ func (sp *JobSpec) BuildInputs() (*matrix.Tiled, *matrix.Mat, error) {
 // copied out of the rank's rows of the upload, which rank 0 views in Data
 // and an agent was sent (recvUpload). opts must be resolved (planJob's).
 //
-// The owned tiles lie one after another in one slab from tileSlabs, each
+// The owned tiles lie one after another in one slab from slab.Floats, each
 // compact (LD = its rows), and both fills overwrite every element, so a
 // reused slab is never zeroed. The slab also holds the run's scratch — its T
 // factors, R packets and assembled diagonal tiles (qr.ScratchLen) — behind
 // the tiles, as the returned Env's Scratch; the kernels write what they read
-// of it. The caller puts the slab back in tileSlabs once the run has succeeded
+// of it. The caller puts the slab back once the run has succeeded
 // and nothing reads the tiles or the scratch any more (R copied out); a
 // failed, canceled or requeued attempt leaves it to the GC.
 func (sp *JobSpec) ownedInputs(opts qr.Options, job uint32, ranks, rank int) (*matrix.Tiled, qr.Env, []float64, error) {
@@ -237,7 +237,7 @@ func (sp *JobSpec) ownedInputs(opts qr.Options, job uint32, ranks, rank int) (*m
 	sk := qr.NewSketch(sp.N, sketchSeed(job))
 	r0, r1 := sp.ownedRows(a.NB, ranks, rank)
 	tiles, scratch := (r1-r0)*sp.N, qr.ScratchLen(a, opts, ranks, rank)
-	s := tileSlabs.Take(tiles + scratch)
+	s := slab.Floats.Take(tiles + scratch)
 	lo, hi := qr.OwnedTileRows(a.MT, ranks, rank)
 	off := 0
 	for i := lo; i < hi; i++ {
@@ -256,17 +256,6 @@ func (sp *JobSpec) ownedInputs(opts qr.Options, job uint32, ranks, rank int) (*m
 	}
 	return a, qr.Env{Part: sk, Scratch: s[tiles : tiles+scratch : tiles+scratch]}, s, nil
 }
-
-// tileSlabs is the warm storage of this process's jobs, as the pool
-// workers' kernel workspaces are their warm scratch: each slab is one that
-// ownedInputs laid a finished job's tiles and scratch in, that a finished
-// job's upload was decoded into (decodeSubmit), or that a client decoded a
-// job's R into (Client.Job). Jobs of different shapes keep their own slabs
-// warm in their size classes (slab.Class); a slab put back on one goroutine
-// is there for the next take on any other, and an idle class empties at the
-// garbage collector. A take is served from the need's class or the next
-// doubling's (slab.Pool.Warm).
-var tileSlabs = slab.New[float64]()
 
 // sketchSeed is the seed of job's check probe, the same on every rank: the
 // id every rank has from the open message, salted so that the probe of job

@@ -18,6 +18,7 @@ import (
 	"pulsarqr/internal/pulsar"
 	"pulsarqr/internal/qr"
 	"pulsarqr/internal/session"
+	"pulsarqr/internal/slab"
 	"pulsarqr/internal/trace"
 	"pulsarqr/internal/transport"
 )
@@ -281,7 +282,7 @@ func (s *Server) Degraded() bool {
 func (s *Server) Submit(spec JobSpec) (*Job, error) { return s.submit(spec, false) }
 
 // submit is Submit, told whether the server owns spec.Data: only an upload
-// the server decoded itself (decodeSubmit) may go back to tileSlabs, since
+// the server decoded itself (decodeSubmit) may go back to slab.Floats, since
 // the next decode overwrites a pooled slab — a library caller's Data never.
 func (s *Server) submit(spec JobSpec, owned bool) (*Job, error) {
 	if err := spec.Validate(); err != nil {
@@ -455,7 +456,7 @@ func (s *Server) runJob(j *Job) {
 	if ep != nil {
 		ranks = ep.Size()
 	}
-	a, env, slab, err := spec.ownedInputs(opts, j.ID, ranks, 0) // the server is rank 0 of every session
+	a, env, tiles, err := spec.ownedInputs(opts, j.ID, ranks, 0) // the server is rank 0 of every session
 	if err != nil {
 		s.fail(j, err.Error())
 		return
@@ -511,7 +512,7 @@ func (s *Server) runJob(j *Job) {
 		res.Gflops = flops / sec / 1e9
 	}
 	r := f.R()
-	tileSlabs.Put(slab) // R is copied out: nothing reads this rank's tiles or scratch any more
+	slab.Floats.Put(tiles) // R is copied out: nothing reads this rank's tiles or scratch any more
 	res.Residual, res.OK = accept(f.Input, r)
 	res.R = r
 	if rec != nil {
@@ -529,7 +530,7 @@ func (s *Server) runJob(j *Job) {
 	if j.owned {
 		// ownedInputs and sendUpload have copied the upload, and finish let go
 		// of it: nothing reads it any more.
-		tileSlabs.Put(upload)
+		slab.Floats.Put(upload)
 	}
 }
 

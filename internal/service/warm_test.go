@@ -1,25 +1,29 @@
 package service
 
-// A rank's input tiles live in warm storage (tileSlabs) that one job hands to
-// the next on the same process: what a job computes must not depend on what
-// the last one left there, and a job in steady state must not allocate its
-// input.
+// A rank's input tiles live in warm storage (slab.Floats) that one job hands
+// to the next on the same process: what a job computes must not depend on
+// what the last one left there, and a job in steady state must not allocate
+// its input.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
 
+	"pulsarqr/internal/kernels"
 	"pulsarqr/internal/matrix"
 	"pulsarqr/internal/qr"
+	"pulsarqr/internal/session"
 	"pulsarqr/internal/slab"
 	"pulsarqr/internal/transport"
 )
@@ -105,9 +109,17 @@ func postFrame(t *testing.T, s *Server, h http.Handler, body []byte) *Job {
 	return j
 }
 
-// drainSlabs empties every size class of tileSlabs.
+// drainSlabs empties every size class of both pools: a take at each
+// class's size finds nothing there or in the doubling above.
 func drainSlabs() {
-	tileSlabs = slab.New[float64]()
+	for n := 1; n < 1<<35; {
+		_, size := slab.Class(n)
+		for slab.Floats.Warm(size) != nil {
+		}
+		for slab.Bytes.Warm(size) != nil {
+		}
+		n = size + 1
+	}
 }
 
 // firings is the number of VDP firings s has run, over all its jobs.
@@ -218,6 +230,15 @@ func TestWarmTileStorageCarriesNothingAcrossShapes(t *testing.T) {
 // s, as s plans it, and how many of its float64s are tiles.
 func slabOf(t *testing.T, s *Server, spec JobSpec, ranks, rank int) (class, tiles int) {
 	t.Helper()
+	tiles, need := slabNeed(t, s, spec, ranks, rank)
+	class, _ = slab.Class(need)
+	return class, tiles
+}
+
+// slabNeed returns how many float64s of the slab rank of ranks takes for
+// spec on s are tiles, and how many it takes in all, scratch included.
+func slabNeed(t *testing.T, s *Server, spec JobSpec, ranks, rank int) (tiles, need int) {
+	t.Helper()
 	spec = s.planJob(&Job{Spec: spec})
 	opts, err := spec.Options()
 	if err != nil {
@@ -225,8 +246,126 @@ func slabOf(t *testing.T, s *Server, spec JobSpec, ranks, rank int) (class, tile
 	}
 	r0, r1 := spec.ownedRows(opts.NB, ranks, rank)
 	tiles = (r1 - r0) * spec.N
-	class, _ = slab.Class(tiles + qr.ScratchLen(matrix.NewTiledShell(spec.M, spec.N, opts.NB), opts, ranks, rank))
-	return class, tiles
+	return tiles, tiles + qr.ScratchLen(matrix.NewTiledShell(spec.M, spec.N, opts.NB), opts, ranks, rank)
+}
+
+// One warm store serves every subsystem: a slab one gives back is what the
+// next takes, and it carries nothing into it. On drained pools, a stream
+// leaf a carry chain merged away, and then a session append block, each
+// leave a slab that the next job's tiles must be laid in; a job frame's
+// buffer is left for the frames of a job on a two-rank fleet. Each slab is
+// filled with NaN (bytes with 0xA5) once it is back in the pool, and every
+// job's R must match, bit for bit, the R a cold server computes on drained
+// pools. The collector is held off, so no slab ages out of the pool.
+func TestWarmStorageCrossesSubsystems(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	spec := JobSpec{M: 256, N: 64, NB: 32, IB: 8, Seed: 41}
+	drainSlabs()
+	want := runJob(t, warmServer(t, 1), spec).Result().R
+	drainSlabs()
+	wantFleet := runJob(t, warmServer(t, 2), spec).Result().R
+
+	s := warmServer(t, 1)
+	_, need := slabNeed(t, s, spec, 1, 0)
+	// poisoned runs a job on s over the one slab a take of need finds, which
+	// left must have left: it is poisoned first, and the job must lay its
+	// tiles in it (the first is seeded, so no longer NaN) and give it back.
+	poisoned := func(left string, at *float64) {
+		t.Helper()
+		p := slab.Floats.Warm(need)
+		if p == nil || at != nil && &p[0] != at {
+			t.Fatalf("a take of %d float64s does not find the slab %s left", need, left)
+		}
+		p = p[:cap(p)]
+		for i := range p {
+			p[i] = math.NaN()
+		}
+		slab.Floats.Put(p)
+		sameBits(t, "R of a job laid in the slab "+left+" left", runJob(t, s, spec).Result().R, want)
+		if back := slab.Floats.Warm(need); back == nil || &back[0] != &p[0] || math.IsNaN(back[0]) {
+			t.Fatalf("the job did not lay its tiles in the slab %s left", left)
+		}
+	}
+
+	// A leaf of width w is laid in a slab of w² float64s, which a take of
+	// need finds: w² is need or up to a doubling above it.
+	drainSlabs()
+	w := int(math.Ceil(math.Sqrt(float64(need))))
+	str, err := qr.NewStreamer(w, 0, qr.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := kernels.NewWorkspace()
+	var merged *float64
+	for i := range 2 {
+		nd, err := str.LeafReduce(ws, matrix.NewSeeded(w, w, int64(i)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged = &nd.R.Data[0]
+		str.Commit(ws, nd) // the second leaf merges into the first
+	}
+	poisoned("a merged-away stream leaf", merged)
+
+	// One block of need/64 rows of a 64-column session is a slab of at least
+	// need float64s, which goes back once its leaf is reduced; the leaf, of
+	// 64² float64s, stays on the spine.
+	drainSlabs()
+	tbl, err := session.NewTable(session.Config{IdleTimeout: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tbl.Close()
+	sess, err := tbl.Open("t", 64, 0, qr.Options{}, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	if err := session.WriteAppendHeader(&body, 1); err != nil {
+		t.Fatal(err)
+	}
+	body.Write(session.AppendBlock(nil, matrix.NewSeeded((need+63)/64, 64, 3), nil))
+	ar, err := session.NewAppendReader(&body, 64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.AppendFrom(context.Background(), ar, func(int64, int64, *qr.StreamNode) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	poisoned("a session append block", nil)
+
+	// A job frame of a 32×32 matrix is written from one buffer of about
+	// 8 KiB, the size of the tile packets the fleet's ranks exchange.
+	fleet := warmServer(t, 2)
+	drainSlabs()
+	if err := writeJobFrame(io.Discard, []byte("{}"), matrix.NewSeeded(32, 32, 4)); err != nil {
+		t.Fatal(err)
+	}
+	const frameBuf = 8 + 2 + 8 + 8*32*32 + 16
+	b := slab.Bytes.Warm(frameBuf)
+	if b == nil {
+		t.Fatal("the job frame's buffer is not in the byte pool")
+	}
+	b = b[:cap(b)]
+	for i := range b {
+		b[i] = 0xA5
+	}
+	slab.Bytes.Put(b)
+	sameBits(t, "R of a fleet job after a job frame's buffer", runJob(t, fleet, spec).Result().R, wantFleet)
+	var held [][]byte
+	for p := slab.Bytes.Warm(frameBuf / 2); p != nil; p = slab.Bytes.Warm(frameBuf / 2) {
+		held = append(held, p)
+	}
+	reused := false
+	for _, p := range held {
+		if &p[0] == &b[0] {
+			reused = bytes.Count(p[:cap(p)], []byte{0xA5}) < cap(p)
+		}
+		slab.Bytes.Put(p)
+	}
+	if !reused {
+		t.Fatal("no frame of the fleet job took the job frame's buffer")
+	}
 }
 
 // Uploads decoded over HTTP are warm storage too (decodeSubmit): a slab one

@@ -54,7 +54,7 @@ func FuzzCheckpointReader(f *testing.F) {
 
 // FuzzAppendReader feeds arbitrary bytes to the QSA1 block decoder. Every
 // block it decodes stays live until the stream ends: no two may share
-// backing, and each goes back to blockSlabs after.
+// backing, and each goes back to slab.Floats after.
 func FuzzAppendReader(f *testing.F) {
 	var body bytes.Buffer
 	WriteAppendHeader(&body, 2)

@@ -618,8 +618,7 @@ type leafResult struct {
 // discarded.
 //
 // The blocks next yields stay the caller's: the reduction overwrites them,
-// but no storage of theirs is kept or reused. Each leaf is reduced into a
-// node the carry chain retired (qr.Streamer.Spare) when there is one.
+// but no storage of theirs is kept or reused.
 func (s *Session) AppendStream(ctx context.Context, next func() (block, rhs *matrix.Mat, err error), emit func(blocks, rows int64, cur *qr.StreamNode) error) (int64, error) {
 	return s.appendStream(ctx, next, func(*matrix.Mat) {}, emit)
 }
@@ -690,11 +689,7 @@ func (s *Session) appendStream(ctx context.Context, next func() (block, rhs *mat
 					ws = kernels.BorrowWorkspace()
 					defer kernels.ReturnWorkspace(ws)
 				}
-				dst := str.Spare()
-				nd, err := str.LeafReduceInto(ws, dst, block, rhs)
-				if err != nil {
-					str.Retire(dst)
-				}
+				nd, err := str.LeafReduce(ws, block, rhs)
 				release(block)
 				fut <- leafResult{nd: nd, err: err, start: start}
 			}

@@ -1,10 +1,10 @@
 package session
 
-// An append stream decodes its blocks into warm storage (blockSlabs) and
-// reduces each leaf into a node an earlier carry chain retired: what a
-// stream computes must not depend on what was left there, every slab a
-// stream takes must go back whichever way it ends, and a stream in steady
-// state must not allocate its blocks or its leaves.
+// An append stream decodes its blocks into warm storage (slab.Floats) and
+// lays each leaf in a slab of it, often one an earlier carry chain gave
+// back: what a stream computes must not depend on what was left there,
+// every block slab a stream takes must go back whichever way it ends, and a
+// stream in steady state must not allocate its blocks or its leaves.
 
 import (
 	"bytes"
@@ -55,14 +55,19 @@ func appendFrom(ctx context.Context, s *Session, body []byte) ([]*qr.StreamNode,
 	}
 	var got []*qr.StreamNode
 	_, err = s.AppendFrom(ctx, ar, func(blocks, rows int64, cur *qr.StreamNode) error {
-		nd := &qr.StreamNode{Blocks: blocks, Rows: rows, R: cur.R.Clone()}
-		if cur.QTB != nil {
-			nd.QTB = cur.QTB.Clone()
-		}
-		got = append(got, nd)
+		got = append(got, cloneNode(blocks, rows, cur))
 		return nil
 	})
 	return got, err
+}
+
+// cloneNode is an emitted update, cloned out of the session's buffer.
+func cloneNode(blocks, rows int64, cur *qr.StreamNode) *qr.StreamNode {
+	nd := &qr.StreamNode{Blocks: blocks, Rows: rows, R: cur.R.Clone()}
+	if cur.QTB != nil {
+		nd.QTB = cur.QTB.Clone()
+	}
+	return nd
 }
 
 // replay folds blocks through a cold local Streamer — fresh nodes, fresh
@@ -137,11 +142,10 @@ func warmTable(t *testing.T) *Table {
 	return tbl
 }
 
-// Warm storage full of NaN carries nothing into a stream. The block pool
-// holds NaN slabs of every size the stream's blocks take, and the session's
-// retired-node storage NaN nodes of its shape; an R-only and an rhs session
-// at two widths, pipelined, must stream every R and QᵀB bit for bit as a
-// cold local Streamer computes them.
+// Warm storage full of NaN carries nothing into a stream. The float pool
+// holds NaN slabs of every size the stream's blocks take and of its leaf
+// nodes' size; an R-only and an rhs session at two widths, pipelined, must
+// stream every R and QᵀB bit for bit as a cold local Streamer computes them.
 func TestWarmSessionStorageCarriesNothing(t *testing.T) {
 	holdGC(t)
 	tbl := warmTable(t)
@@ -164,24 +168,39 @@ func TestWarmSessionStorageCarriesNothing(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				poisoned := map[*float64]bool{}
+				poison := func(elems int) {
+					p := nanSlab(elems)
+					poisoned[&p[0]] = true
+					slab.Floats.Put(p)
+				}
 				for _, b := range blocks {
 					for range 4 {
-						blockSlabs.Put(nanSlab(b.Rows * (n + nrhs)))
+						poison(b.Rows * (n + nrhs))
 					}
 				}
-				var poisoned []*qr.StreamNode
 				for range 8 {
-					nd := &qr.StreamNode{R: matrix.New(n, n)}
-					nd.R.Fill(math.NaN())
-					if nrhs > 0 {
-						nd.QTB = matrix.New(n, nrhs)
-						nd.QTB.Fill(math.NaN())
-					}
-					poisoned = append(poisoned, nd)
-					s.str.Retire(nd)
+					poison(n * (n + nrhs))
 				}
 
-				got, err := appendFrom(context.Background(), s, appendBody(t, blocks, rhs))
+				// After each commit the newest spine node is the leaf just
+				// committed or a survivor of its carry chain: the spine shows
+				// which slabs leaves were laid in.
+				ar, err := NewAppendReader(bytes.NewReader(appendBody(t, blocks, rhs)), n, nrhs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []*qr.StreamNode
+				reduced := map[*float64]bool{}
+				_, err = s.AppendFrom(context.Background(), ar, func(blocks, rows int64, cur *qr.StreamNode) error {
+					for _, nd := range s.str.Spine() {
+						if at := &nd.R.Data[0]; poisoned[at] {
+							reduced[at] = true
+						}
+					}
+					got = append(got, cloneNode(blocks, rows, cur))
+					return nil
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -194,29 +213,23 @@ func TestWarmSessionStorageCarriesNothing(t *testing.T) {
 						sameBits(t, fmt.Sprintf("QᵀB after append %d", i+1), got[i].QTB, want[i].QTB)
 					}
 				}
-				// The first two leaves are reduced before any carry chain
-				// retires a node, so they took poisoned ones.
-				untouched := 0
-				for _, p := range poisoned {
-					if math.IsNaN(p.R.Data[0]) {
-						untouched++
-					}
-				}
-				if untouched > len(poisoned)-2 {
-					t.Fatalf("%d of %d poisoned spares were never reduced into", untouched, len(poisoned))
+				// The first leaves are laid before any carry chain gives a
+				// slab back, so they took poisoned ones.
+				if untouched := len(poisoned) - len(reduced); untouched > len(poisoned)-2 {
+					t.Fatalf("%d of %d poisoned slabs were never reduced into", untouched, len(poisoned))
 				}
 			})
 		}
 	}
 }
 
-// drain takes from blockSlabs every slab an n-element take would find.
+// drain takes from slab.Floats every slab an n-element take would find.
 func drain(n int) {
-	for blockSlabs.Warm(n) != nil {
+	for slab.Floats.Warm(n) != nil {
 	}
 }
 
-// markers drains blockSlabs for n-element takes and fills it with k NaN
+// markers drains slab.Floats for n-element takes and fills it with k NaN
 // slabs, the only storage a stream of blocks that size finds without
 // allocating.
 func markers(k, n int) map[*float64]bool {
@@ -225,12 +238,12 @@ func markers(k, n int) map[*float64]bool {
 	for range k {
 		s := nanSlab(n)
 		set[&s[0]] = true
-		blockSlabs.Put(s)
+		slab.Floats.Put(s)
 	}
 	return set
 }
 
-// awaitMarkers waits until blockSlabs holds every marker slab again, and
+// awaitMarkers waits until slab.Floats holds every marker slab again, and
 // nothing else an n-element take would find; it fails if that does not
 // happen within five seconds. It polls: a stream returns without waiting
 // for its reader or its workers, which give their slabs back after it.
@@ -239,20 +252,20 @@ func awaitMarkers(t *testing.T, set map[*float64]bool, n int) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		var held [][]float64
-		for s := blockSlabs.Warm(n); s != nil; s = blockSlabs.Warm(n) {
+		for s := slab.Floats.Warm(n); s != nil; s = slab.Floats.Warm(n) {
 			held = append(held, s)
 		}
 		for _, s := range held {
 			if !set[&s[0]] {
-				t.Fatalf("blockSlabs holds a %d-element slab no marker is", cap(s))
+				t.Fatalf("slab.Floats holds a %d-element slab no marker is", cap(s))
 			}
-			blockSlabs.Put(s)
+			slab.Floats.Put(s)
 		}
 		if len(held) == len(set) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d slabs back in blockSlabs after 5s", len(held), len(set))
+			t.Fatalf("%d of %d slabs back in slab.Floats after 5s", len(held), len(set))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -262,6 +275,11 @@ func awaitMarkers(t *testing.T, set map[*float64]bool, n int) {
 // the stream refuses for a NaN, a block LeafReduce rejects, and a stream
 // cancelled while its reader waits mid-payload each give back every slab
 // they took, and a header declaring more than MaxBlockRows rows takes none.
+// A leaf is laid in a slab of the float pool too, which may be up to a
+// doubling larger than the leaf, as a block's is; a leaf on the spine keeps
+// its slab, and one a stream never commits is left to the collector. So the
+// leaves' own class is stocked first, and the markers stay the only storage
+// a leaf reaching up, or a block, would find.
 func TestHostileAppendStreamReleasesEverySlab(t *testing.T) {
 	holdGC(t)
 	tbl := warmTable(t)
@@ -289,6 +307,9 @@ func TestHostileAppendStreamReleasesEverySlab(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			set := markers(count, rows*(tc.cols+nrhs))
+			for range count {
+				slab.Floats.Put(nanSlab(n * (n + nrhs)))
+			}
 			s, err := tbl.Open("t", n, nrhs, qr.Options{}, 0, false)
 			if err != nil {
 				t.Fatal(err)
@@ -343,8 +364,8 @@ func TestHostileAppendStreamReleasesEverySlab(t *testing.T) {
 		if err == nil {
 			t.Fatalf("a %d-row block decoded", m)
 		}
-		if s := blockSlabs.Warm(m * (n + nrhs)); s != nil {
-			t.Fatal("a rejected header left a slab in blockSlabs")
+		if s := slab.Floats.Warm(m * (n + nrhs)); s != nil {
+			t.Fatal("a rejected header left a slab in slab.Floats")
 		}
 		if a := after.TotalAlloc - before.TotalAlloc; !raceEnabled && a >= 8*m*(n+nrhs) {
 			t.Fatalf("a rejected header allocated %d bytes, a block's slab holds %d", a, 8*m*(n+nrhs))
@@ -353,7 +374,7 @@ func TestHostileAppendStreamReleasesEverySlab(t *testing.T) {
 }
 
 // A library caller's blocks never enter warm storage: after an AppendStream
-// over the caller's own matrices no slab of their size is in blockSlabs, and
+// over the caller's own matrices no slab of their size is in slab.Floats, and
 // decoded streams that take and give back slabs of that size afterwards
 // leave the caller's (consumed) matrices as they were.
 func TestLibraryBlocksNeverEnterThePool(t *testing.T) {
@@ -374,8 +395,8 @@ func TestLibraryBlocksNeverEnterThePool(t *testing.T) {
 		func(int64, int64, *qr.StreamNode) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if s := blockSlabs.Warm(rows * n); s != nil {
-		t.Fatal("a library caller's block entered blockSlabs")
+	if s := slab.Floats.Warm(rows * n); s != nil {
+		t.Fatal("a library caller's block entered slab.Floats")
 	}
 	kept := cloneAll(mine)
 	body := appendBody(t, cloneAll(kept), nil)
@@ -390,17 +411,15 @@ func TestLibraryBlocksNeverEnterThePool(t *testing.T) {
 }
 
 // A warm append stream allocates little beside its input: its blocks are
-// decoded into the slabs the last stream gave back, and its leaves are
-// reduced into the nodes its own carry chain retires. 128 blocks of 64×64,
-// the stack benchmark's session op without the client, on a fresh session
-// each time (as the benchmark opens one per op), fed by an AppendReader.
-// What remains is per session — the leaf nodes a stream holds at its peak
-// (spine, leaves in flight, spares), which later leaves reuse, the fold
-// cache and the update buffer — and the reader's byte scratch. Measured at
-// 0.167 of the input (a stream that decoded each block and reduced each
-// leaf into fresh storage read 2.08); the bound, a quarter, is 1.5 times
-// that. It is on the least delta of eight streams. Not parallel: MemStats
-// is process-wide.
+// decoded into the slabs the last stream gave back, and its leaves are laid
+// in the slabs carry chains gave back, its own or an earlier session's. 128
+// blocks of 64×64, the stack benchmark's session op without the client, on
+// a fresh session each time (as the benchmark opens one per op), fed by an
+// AppendReader. What remains is per session — the spine, the fold cache and
+// the update buffer — and the reader's byte scratch. Measured at 0.085 of
+// the input (a stream that decoded each block and reduced each leaf into
+// fresh storage read 2.08); the bound is a quarter. It is on the least delta
+// of eight streams. Not parallel: MemStats is process-wide.
 func TestSteadyStateAppendAllocatesNoBlocks(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates beside every access; alloc counts are meaningless")

@@ -78,15 +78,9 @@ func AppendBlock(dst []byte, block, rhs *matrix.Mat) []byte {
 	return dst
 }
 
-// blockSlabs is the warm storage append streams decode into: Next takes one
-// slab per block, which holds the block and then its rhs rows, and
-// Session.AppendFrom puts it back (releaseBlock) once the leaf reduction has
-// consumed the block.
-var blockSlabs = slab.New[float64]()
-
-// releaseBlock gives the slab of a block Next decoded, its rhs rows
-// included, back to blockSlabs. Neither may be touched afterwards.
-func releaseBlock(block *matrix.Mat) { blockSlabs.Put(block.Data) }
+// releaseBlock gives the slab.Floats slab of a block Next decoded, its rhs
+// rows included, back. Neither may be touched afterwards.
+func releaseBlock(block *matrix.Mat) { slab.Floats.Put(block.Data) }
 
 // AppendReader decodes an append-request stream block by block so the
 // session can reduce early blocks while later ones are still arriving.
@@ -137,14 +131,14 @@ func (ar *AppendReader) Next() (block, rhs *matrix.Mat, err error) {
 	if m < 1 || m > MaxBlockRows {
 		return nil, nil, fmt.Errorf("session: block %d declares %d rows; need 1..%d", ar.read, m, MaxBlockRows)
 	}
-	buf := blockSlabs.Take(m * (ar.n + ar.nrhs))
+	buf := slab.Floats.Take(m * (ar.n + ar.nrhs))
 	block = &matrix.Mat{Rows: m, Cols: ar.n, LD: m, Data: buf[:m*ar.n]}
 	if _, err = ar.r.ReadInto(block); err == nil && ar.nrhs > 0 {
 		rhs = &matrix.Mat{Rows: m, Cols: ar.nrhs, LD: m, Data: buf[m*ar.n:]}
 		_, err = ar.r.ReadInto(rhs)
 	}
 	if err != nil {
-		blockSlabs.Put(buf)
+		slab.Floats.Put(buf)
 		return nil, nil, fmt.Errorf("session: block %d payload: %w", ar.read, err)
 	}
 	ar.read++

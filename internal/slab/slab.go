@@ -1,8 +1,24 @@
 // Package slab is the process's warm storage: slices a finished user gives
-// back, kept in size classes for the next user of a similar size. A job's
-// tile storage (the service's tileSlabs), the transport's frame payloads and
-// the blocks of a session append stream (the session's blockSlabs) are pools
-// of it.
+// back, kept in size classes for the next user of a similar size. There are
+// two pools, one per element type, and every warm user in the process takes
+// from and puts to them, so a class one subsystem leaves idle can serve
+// another:
+//
+//	pool    storage                     taken in                   given back in
+//	Floats  a rank's tiles and scratch  service ownedInputs        runJob (server or agent), after success
+//	Floats  an uploaded job matrix      service readJobFrame       runJob, after success
+//	Floats  a fetched R                 service Client.Job         Client.Job, once JobView.R holds it
+//	Floats  a session append block      session AppendReader.Next  Session.AppendFrom, after its leaf
+//	Floats  a stream leaf's R and QᵀB   qr Streamer.LeafReduce     Streamer.Commit, when merged away
+//	Bytes   a job frame's buffer        service writeJobFrame,     the same call
+//	                                    readFloats
+//	Bytes   a transport frame           transport Isend,           the writer once sent,
+//	                                    ReadFrame                  Request.Release once decoded
+//	Bytes   a packet's marshal buffer   pulsar VSA.route           the proxy, right after Isend
+//
+// A one-node library run (pulsarqr.Factor, the tile kernels) takes nothing
+// from either pool: storage kept across library calls would only raise their
+// footprint.
 //
 // Unlike a sync.Pool, a slab put back by one goroutine is visible to a take
 // on any other: a sync.Pool parks an item in the putting P's private slot,
@@ -32,8 +48,14 @@ func Class(n int) (class, size int) {
 // numClasses reaches 2^35 elements, past every size a caller asks for.
 const numClasses = 8 * 32
 
-// Pool holds slabs of T by size class. The zero Pool is not usable; New
-// makes one.
+// Floats and Bytes are the process's two pools.
+var (
+	Floats = newPool[float64]()
+	Bytes  = newPool[byte]()
+)
+
+// Pool holds slabs of T by size class. The zero Pool is not usable: the
+// collector ages only the pools newPool made.
 type Pool[T any] struct {
 	classes [numClasses]class[T]
 }
@@ -46,9 +68,9 @@ type class[T any] struct {
 	previous [][]T
 }
 
-// New returns an empty pool whose idle classes empty at the garbage
+// newPool returns an empty pool whose idle classes empty at the garbage
 // collector.
-func New[T any]() *Pool[T] {
+func newPool[T any]() *Pool[T] {
 	p := new(Pool[T])
 	sweepMu.Lock()
 	pools = append(pools, p)

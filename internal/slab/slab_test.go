@@ -25,7 +25,7 @@ func TestClassSizes(t *testing.T) {
 // on another, whichever P either runs on; a take one doubling below finds it
 // too, a take two doublings below does not.
 func TestPutIsVisibleToEveryTaker(t *testing.T) {
-	p := New[float64]()
+	p := newPool[float64]()
 	for round := 0; round < 100; round++ {
 		s := p.Take(1000)
 		s[0] = float64(round)
@@ -53,7 +53,7 @@ func TestPutIsVisibleToEveryTaker(t *testing.T) {
 
 // Takers and putters on many goroutines never share a slab.
 func TestConcurrentTakersNeverShare(t *testing.T) {
-	p := New[byte]()
+	p := newPool[byte]()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -80,7 +80,7 @@ func TestConcurrentTakersNeverShare(t *testing.T) {
 // An idle class empties at the collector: a slab nobody took through two
 // collections is dropped.
 func TestIdleClassEmptiesAtCollection(t *testing.T) {
-	p := New[float64]()
+	p := newPool[float64]()
 	p.Put(p.Take(4096))
 	held := func() int {
 		c, _ := Class(4096)

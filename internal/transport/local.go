@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"pulsarqr/internal/slab"
 )
 
 // Local is the in-process communicator: size ranks inside one OS process,
@@ -61,7 +63,7 @@ func (e *localEndpoint) Isend(data []byte, dest, tag int) Request {
 }
 
 // IsendPrefixed is Isend of prefix followed by data, copied into warm
-// storage (frames) that the receiver may release.
+// storage (slab.Bytes) that the receiver may release.
 func (e *localEndpoint) IsendPrefixed(prefix, data []byte, dest, tag int) Request {
 	if dest < 0 || dest >= len(e.owner.eps) {
 		panic(fmt.Sprintf("transport: Isend to rank %d out of world of %d", dest, len(e.owner.eps)))
@@ -79,7 +81,7 @@ func (e *localEndpoint) IsendPrefixed(prefix, data []byte, dest, tag int) Reques
 	d := e.owner.eps[dest]
 	d.links[e.rank].recvFrames.Add(1)
 	d.links[e.rank].recvBytes.Add(int64(n))
-	buf := frames.Take(n)
+	buf := slab.Bytes.Take(n)
 	copy(buf[copy(buf, prefix):], data)
 	d.mb.push(envelope{source: e.rank, tag: tag, data: buf, warm: true})
 	return &netRequest{done: true, source: dest, tag: tag}

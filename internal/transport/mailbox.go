@@ -1,6 +1,10 @@
 package transport
 
-import "sync"
+import (
+	"sync"
+
+	"pulsarqr/internal/slab"
+)
 
 // mailbox implements MPI receive matching for every endpoint — in-process,
 // TCP, mux job session: arrived, unmatched messages wait in an
@@ -20,7 +24,7 @@ type mailbox struct {
 }
 
 // envelope is one arrived message. Its payload is either warm storage of
-// its own (warm: it goes back to frames on release) or a view of a message
+// its own (warm: it goes back to slab.Bytes on release) or a view of a message
 // the underlying endpoint delivered to a mux (up, which releases it).
 type envelope struct {
 	source, tag int
@@ -222,7 +226,7 @@ func (r *netRequest) Data() []byte {
 	return r.data
 }
 
-// Release gives the payload back: to frames when it is warm storage, to
+// Release gives the payload back: to slab.Bytes when it is warm storage, to
 // the underlying receive when it is a view of one.
 func (r *netRequest) Release() {
 	r.mu.Lock()
@@ -231,7 +235,7 @@ func (r *netRequest) Release() {
 	r.mu.Unlock()
 	switch {
 	case warm:
-		frames.Put(data)
+		slab.Bytes.Put(data)
 	case up != nil:
 		up.Release()
 	}

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"pulsarqr/internal/slab"
 )
 
 // TCPConfig configures one rank of a TCP communicator.
@@ -328,7 +330,7 @@ func (ep *tcpEndpoint) Isend(data []byte, dest, tag int) Request {
 }
 
 // IsendPrefixed is Isend of prefix followed by data. The frame is encoded
-// into warm storage (frames), which the peer's writer gives back once the
+// into warm storage (slab.Bytes), which the peer's writer gives back once the
 // bytes are on the wire, or acknowledged with reconnect on; a message to
 // this rank itself arrives in warm storage.
 func (ep *tcpEndpoint) IsendPrefixed(prefix, data []byte, dest, tag int) Request {
@@ -347,11 +349,11 @@ func (ep *tcpEndpoint) IsendPrefixed(prefix, data []byte, dest, tag int) Request
 	if dest == ep.rank {
 		lc.recvFrames.Add(1)
 		lc.recvBytes.Add(int64(n))
-		buf := frames.Take(n)
+		buf := slab.Bytes.Take(n)
 		copy(buf[copy(buf, prefix):], data)
 		ep.mb.push(envelope{source: ep.rank, tag: tag, data: buf, warm: true})
 	} else {
-		fb := appendFrame(frames.Take(HeaderLen + n)[:0], FrameData, ep.rank, tag, prefix, data)
+		fb := appendFrame(slab.Bytes.Take(HeaderLen + n)[:0], FrameData, ep.rank, tag, prefix, data)
 		ep.peers[dest].enqueue(fb, true)
 	}
 	return &netRequest{done: true, source: dest, tag: tag}
@@ -554,7 +556,7 @@ func (ep *tcpEndpoint) readLoop(conn net.Conn) {
 			ep.links[src].recvFrames.Add(1)
 			ep.links[src].recvBytes.Add(1)
 			ep.bar.handle(src, f.Tag, f.Payload[0])
-			frames.Put(f.Payload)
+			slab.Bytes.Put(f.Payload)
 		case FrameBye:
 			ep.sawBye[src].Store(true)
 		case FrameHeartbeat:
@@ -939,17 +941,17 @@ type peerLink struct {
 }
 
 // outFrame is one queued wire frame; warm says data is warm storage, given
-// back to frames after a successful write (or, in reconnect mode, once the
+// back to slab.Bytes after a successful write (or, in reconnect mode, once the
 // receiver acknowledged the frame). Barrier and control frames are not.
 type outFrame struct {
 	data []byte
 	warm bool
 }
 
-// recycle gives a written frame's buffer back to frames.
+// recycle gives a written frame's buffer back to slab.Bytes.
 func (b outFrame) recycle() {
 	if b.warm {
-		frames.Put(b.data)
+		slab.Bytes.Put(b.data)
 	}
 }
 

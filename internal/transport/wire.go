@@ -151,13 +151,6 @@ func WriteFrame(w io.Writer, f Frame) error {
 	return err
 }
 
-// frames is the transport's warm storage: the buffers outgoing data frames
-// are encoded into, which a writer gives back once the bytes are on the wire
-// (or, with reconnect on, acknowledged), and the payloads frames arrive
-// into, which a receiver gives back with Request.Release once it has decoded
-// them.
-var frames = slab.New[byte]()
-
 // readChunk bounds how much payload memory ReadFrame commits to before the
 // corresponding bytes have actually arrived, unless warm storage already
 // holds a buffer of the frame's size: a hostile or corrupt length prefix can
@@ -168,7 +161,7 @@ var frames = slab.New[byte]()
 const readChunk = 1 << 20
 
 // ReadFrame reads one frame from r. The payload arrives in warm storage
-// (frames) when a buffer of its size class is there; otherwise it is
+// (slab.Bytes) when a buffer of its size class is there; otherwise it is
 // allocated incrementally, at most readChunk bytes at first and growing
 // only as the bytes arrive, so a lying length prefix cannot force a huge
 // allocation, and it ends at its class's capacity so that, once released
@@ -202,15 +195,15 @@ func ReadFrame(r io.Reader) (Frame, error) {
 }
 
 // readPayload reads the n payload bytes of a frame: into warm storage when
-// frames holds a buffer of n's class (given back if the read fails), else
+// slab.Bytes holds a buffer of n's class (given back if the read fails), else
 // into a buffer that grows as the bytes arrive, up to n's class capacity.
 func readPayload(r io.Reader, n int) ([]byte, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	if p := frames.Warm(n); p != nil {
+	if p := slab.Bytes.Warm(n); p != nil {
 		if _, err := io.ReadFull(r, p); err != nil {
-			frames.Put(p)
+			slab.Bytes.Put(p)
 			return nil, err
 		}
 		return p, nil
