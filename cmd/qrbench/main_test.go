@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"pulsarqr/internal/service"
+	"pulsarqr/internal/simulate"
 )
 
 // qrbench prints with fmt and exits through log.Fatal, so its tests run the
@@ -67,6 +69,26 @@ func TestPlanMachineSpecs(t *testing.T) {
 	}
 	if code, out := qrbench(t, "-plan", "-plan-machine", "bogus"); code == 0 || !strings.Contains(out, `"bogus"`) {
 		t.Errorf("bogus: exit %d, want non-zero naming the spec:\n%s", code, out)
+	}
+	// A model file is a bare machine object; a {"machine": …} envelope
+	// reads as a machine of 0 nodes and is refused.
+	data, err := json.Marshal(simulate.Kraken(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	bare, envelope := filepath.Join(dir, "bare.json"), filepath.Join(dir, "envelope.json")
+	if err := os.WriteFile(bare, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(envelope, []byte(`{"machine":`+string(data)+`}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, out := qrbench(t, "-plan", "-plan-machine", bare); code != 0 || !strings.Contains(out, "chosen:") {
+		t.Errorf("model file: exit %d:\n%s", code, out)
+	}
+	if code, out := qrbench(t, "-plan", "-plan-machine", envelope); code == 0 || !strings.Contains(out, "machine has 0 nodes") {
+		t.Errorf("envelope file: exit %d, want non-zero naming the refusal:\n%s", code, out)
 	}
 }
 

@@ -106,6 +106,6 @@ func loadPlanMachine(spec string) (simulate.Machine, error) {
 		if err != nil {
 			return simulate.Machine{}, fmt.Errorf("-plan-machine %q: not kraken:/localhost: and %w", spec, err)
 		}
-		return simulate.MachineFromModelResponse(data)
+		return simulate.MachineFromJSON(data)
 	}
 }

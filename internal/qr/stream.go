@@ -174,8 +174,8 @@ func (s *Streamer) hook(class string) {
 // callers must not rely on them afterwards.
 //
 // Once the inputs are validated, the leaf's R and QᵀB are laid zeroed in one
-// slab of slab.Floats, which Commit gives back when a carry chain merges the
-// leaf away; a leaf that is never committed is left to the collector.
+// slab of slab.Floats, which Release gives back once the leaf is merged away
+// or its streamer dropped; a leaf that is never committed is left to the GC.
 //
 // LeafReduce does not touch the spine: concurrent calls on distinct
 // workspaces are safe, which is what lets a session overlap the leaf work of
@@ -245,12 +245,20 @@ func (s *Streamer) Commit(ws *kernels.Workspace, nd *StreamNode) {
 		s.merge(ws, s.spine[len(s.spine)-2], victim)
 		s.spine[len(s.spine)-1] = nil
 		s.spine = s.spine[:len(s.spine)-1]
-		if victim.buf != nil {
-			slab.Floats.Put(victim.buf)
-		}
+		s.Release(victim)
 	}
 	// The chain ends in the newest slot; every older entry is untouched.
 	s.fresh = min(s.fresh, len(s.spine)-1)
+}
+
+// Release gives back to slab.Floats, once, the slab of each node LeafReduce
+// laid; nothing may read a released node. Commit releases what its carry
+// chain merges away, and a caller dropping the streamer may release its Spine.
+func (s *Streamer) Release(nodes ...*StreamNode) {
+	for _, nd := range nodes {
+		slab.Floats.Put(nd.buf) // a nil buf, a node the caller built, files nothing
+		nd.buf = nil
+	}
 }
 
 // Current returns the global factorization state — the R (and QᵀB) of

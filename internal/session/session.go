@@ -229,7 +229,7 @@ func (t *Table) janitor() {
 }
 
 // sweep unloads (durable) or deletes (memory-only) sessions idle past the
-// timeout. Sessions mid-append are never touched.
+// timeout, releasing their spines. Sessions mid-append are never touched.
 func (t *Table) sweep(now time.Time) {
 	t.mu.Lock()
 	var idle []*Session
@@ -250,6 +250,7 @@ func (t *Table) sweep(now time.Time) {
 						continue
 					}
 				}
+				s.str.Release(s.str.Spine()...)
 				s.str = nil
 				s.cur = nil
 				s.mu.Unlock()
@@ -343,11 +344,11 @@ func (t *Table) Get(id string) (*Session, error) {
 	return s, nil
 }
 
-// Delete removes a session and its checkpoint file. An append stream in
-// flight observes the tombstone at its next commit and aborts. The file goes
-// while s.mu is held — the lock every checkpoint write holds after checking
-// the tombstone — so an append that sees ErrGone never finds the file, and
-// a crash can never bring a deleted session back.
+// Delete removes a session and its checkpoint file and releases its spine.
+// An append stream in flight observes the tombstone at its next commit and
+// aborts. The file goes while s.mu is held — the lock every checkpoint write
+// holds after checking the tombstone — so an append that sees ErrGone never
+// finds the file, and a crash can never bring a deleted session back.
 func (t *Table) Delete(id string) error {
 	t.mu.Lock()
 	s, ok := t.sessions[id]
@@ -366,6 +367,9 @@ func (t *Table) Delete(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.gone = true
+	if s.str != nil {
+		s.str.Release(s.str.Spine()...)
+	}
 	s.str = nil
 	s.cur = nil
 	if t.cfg.Dir != "" {

@@ -472,3 +472,73 @@ func TestSteadyStateAppendAllocatesNoBlocks(t *testing.T) {
 		t.Errorf("a warm stream allocates %d bytes, want at most %d (its input is %d)", least, bound, input)
 	}
 }
+
+// A session that goes gives its spine back: a memory-only session deleted
+// and a durable one unloaded idle each put the slab of every spine node its
+// leaves were laid in back in slab.Floats. The unloaded session reloads from
+// its checkpoint, which was written before the spine went, to the same R.
+func TestClosedSessionReleasesSpine(t *testing.T) {
+	holdGC(t)
+	const n, nrhs, count = 8, 2, 7 // 7 blocks leave a spine of 4, 2 and 1
+	rng := rand.New(rand.NewSource(5))
+	var blocks, rhs []*matrix.Mat
+	for range count {
+		blocks = append(blocks, matrix.NewRand(2*n, n, rng))
+		rhs = append(rhs, matrix.NewRand(2*n, nrhs, rng))
+	}
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			cfg := Config{IdleTimeout: time.Hour}
+			if durable {
+				cfg.Dir = t.TempDir()
+			}
+			tbl, err := NewTable(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tbl.Close()
+			s, err := tbl.Open("t", n, nrhs, qr.Options{}, 0, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.AppendStream(context.Background(), feedBlocks(cloneAll(blocks), cloneAll(rhs)),
+				func(int64, int64, *qr.StreamNode) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+			before, err := s.Current()
+			if err != nil {
+				t.Fatal(err)
+			}
+			spine := map[*float64]bool{}
+			for _, nd := range s.str.Spine() {
+				spine[&nd.R.Data[0]] = true
+			}
+			if len(spine) != 3 {
+				t.Fatalf("spine of %d nodes, want 3", len(spine))
+			}
+			drain(n * (n + nrhs))
+			if durable {
+				tbl.sweep(time.Now().Add(2 * time.Hour))
+				if s.Info().Loaded {
+					t.Fatal("idle durable session still loaded")
+				}
+			} else if err := tbl.Delete(s.ID); err != nil {
+				t.Fatal(err)
+			}
+			for p := slab.Floats.Warm(n * (n + nrhs)); p != nil; p = slab.Floats.Warm(n * (n + nrhs)) {
+				delete(spine, &p[0])
+			}
+			if len(spine) != 0 {
+				t.Fatalf("%d of 3 spine slabs not given back", len(spine))
+			}
+			if durable {
+				after, err := s.Current()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, "R reloaded after unload", after.R, before.R)
+				sameBits(t, "QᵀB reloaded after unload", after.QTB, before.QTB)
+			}
+		})
+	}
+}

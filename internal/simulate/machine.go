@@ -152,22 +152,6 @@ func MachineFromJSON(data []byte) (Machine, error) {
 	return m, nil
 }
 
-// MachineFromModelResponse loads a machine from a {"machine": {...}, ...}
-// envelope, falling back to the bare machine object, so a saved model
-// response and a calibration file load with one call.
-func MachineFromModelResponse(data []byte) (Machine, error) {
-	var resp struct {
-		Machine *Machine `json:"machine"`
-	}
-	if err := json.Unmarshal(data, &resp); err == nil && resp.Machine != nil {
-		if err := resp.Machine.Validate(); err != nil {
-			return Machine{}, err
-		}
-		return *resp.Machine, nil
-	}
-	return MachineFromJSON(data)
-}
-
 // Workers returns the number of worker cores per node.
 func (m Machine) Workers() int {
 	w := m.CoresPerNode - 1

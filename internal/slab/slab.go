@@ -9,7 +9,7 @@
 //	Floats  an uploaded job matrix      service readJobFrame       runJob, after success
 //	Floats  a fetched R                 service Client.Job         Client.Job, once JobView.R holds it
 //	Floats  a session append block      session AppendReader.Next  Session.AppendFrom, after its leaf
-//	Floats  a stream leaf's R and QᵀB   qr Streamer.LeafReduce     Streamer.Commit, when merged away
+//	Floats  a stream leaf's R and QᵀB   qr Streamer.LeafReduce     Streamer.Release, merged away or dropped
 //	Bytes   a job frame's buffer        service writeJobFrame,     the same call
 //	                                    readFloats
 //	Bytes   a transport frame           transport Isend,           the writer once sent,

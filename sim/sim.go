@@ -56,28 +56,3 @@ func Run(m, n int, opts pulsarqr.Options, mach Machine, p Profile) Result {
 	}}
 	return simulate.Run(w, mach, p)
 }
-
-// Autotune sweeps the paper's tuning space — the reduction tree, tile
-// sizes nb ∈ {192, 240} with ib = nb/4, and domain sizes h ∈ {6, 12} — on
-// the machine model and returns the best-performing configuration with its
-// predicted result. This automates the experimentation §I and §VI describe
-// ("such an optimal match could be found through experimentation").
-func Autotune(m, n int, mach Machine) (pulsarqr.Options, Result) {
-	var bestOpts pulsarqr.Options
-	var best Result
-	try := func(o pulsarqr.Options) {
-		r := Run(m, n, o, mach, Systolic)
-		if r.Gflops > best.Gflops {
-			best, bestOpts = r, o
-		}
-	}
-	for _, nb := range []int{192, 240} {
-		ib := nb / 4
-		try(pulsarqr.Options{NB: nb, IB: ib, Tree: pulsarqr.Flat})
-		try(pulsarqr.Options{NB: nb, IB: ib, Tree: pulsarqr.Binary})
-		for _, h := range []int{6, 12} {
-			try(pulsarqr.Options{NB: nb, IB: ib, Tree: pulsarqr.Hierarchical, H: h})
-		}
-	}
-	return bestOpts, best
-}

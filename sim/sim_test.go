@@ -51,23 +51,19 @@ func TestPublicScaLAPACKModel(t *testing.T) {
 	}
 }
 
-// Fig. 10's second point, 92160×4608 on its 9216 cores: the smallest of the
-// Fig. 10/11 points at which hierarchical wins (at 23040 rows flat does), a
-// quarter of the task graph of Fig. 11's 368640 rows.
-func TestAutotunePicksHierarchicalAtScale(t *testing.T) {
+// Fig. 10's second point, 92160×4608 on its 9216 cores, at the paper's tile
+// (nb 192, ib 48) and h 12: the smallest of the Fig. 10/11 points at which
+// the paper's ordering hierarchical > binary > flat holds (at 23040 rows flat
+// wins), a quarter of the task graph of Fig. 11's 368640 rows.
+func TestFig10OrderingAtScale(t *testing.T) {
 	mach := sim.Kraken(768)
-	opts, res := sim.Autotune(92160, 4608, mach)
-	if opts.Tree != pulsarqr.Hierarchical {
-		t.Fatalf("autotune picked %v; the paper's regime favors hierarchical", opts.Tree)
+	run := func(tree pulsarqr.Tree) float64 {
+		opts := pulsarqr.Options{NB: 192, IB: 48, Tree: tree, H: 12}
+		return sim.Run(92160, 4608, opts, mach, sim.Systolic).Gflops
 	}
-	if res.Gflops <= 0 {
-		t.Fatalf("bad result %+v", res)
-	}
-	// The winner must beat the flat tree it rejected.
-	flat := sim.Run(92160, 4608, pulsarqr.Options{NB: opts.NB, IB: opts.IB, Tree: pulsarqr.Flat},
-		mach, sim.Systolic)
-	if res.Gflops <= flat.Gflops {
-		t.Fatal("autotune winner does not beat flat")
+	hier, binary, flat := run(pulsarqr.Hierarchical), run(pulsarqr.Binary), run(pulsarqr.Flat)
+	if !(hier > binary && binary > flat) {
+		t.Fatalf("want hierarchical (%.0f) > binary (%.0f) > flat (%.0f) Gflop/s", hier, binary, flat)
 	}
 }
 
