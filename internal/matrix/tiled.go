@@ -119,9 +119,12 @@ func (t *Tiled) Clone() *Tiled {
 
 // UpperTiles returns the dense upper-triangular R factor held in the first
 // NT tile rows after a QR factorization (strictly-lower parts zeroed).
-func (t *Tiled) UpperTiles() *Mat {
+func (t *Tiled) UpperTiles() *Mat { return t.UpperTilesInto(New(t.N, t.N)) }
+
+// UpperTilesInto is UpperTiles into r, an N×N matrix, and returns r. It
+// writes the upper triangle only: r's strictly lower part is left as it is.
+func (t *Tiled) UpperTilesInto(r *Mat) *Mat {
 	n := t.N
-	r := New(n, n)
 	for j := 0; j < t.NT; j++ {
 		for i := 0; i <= j && i < t.MT; i++ {
 			rows, cols := t.TileRows(i), t.TileCols(j)

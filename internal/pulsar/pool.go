@@ -161,9 +161,16 @@ func (p *Pool) stealTask(thief *worker) func(any) {
 	return nil
 }
 
+// share is a VDP on a worker's list, with the run of its VSA (VSA.runs) it
+// was attached for.
+type share struct {
+	v   *VDP
+	run uint64
+}
+
 // attach hands a VSA's local VDPs to the pool's workers, lists[t] being the
 // VDPs mapped to thread t.
-func (p *Pool) attach(lists [][]*VDP) {
+func (p *Pool) attach(lists [][]share) {
 	for t, l := range lists {
 		if len(l) == 0 {
 			continue
@@ -183,10 +190,10 @@ func (p *Pool) attach(lists [][]*VDP) {
 func (p *Pool) detach(s *VSA) {
 	for _, w := range p.workers {
 		w.mu.Lock()
-		var keep []*VDP
-		for _, v := range w.vdps {
-			if v.vsa != s {
-				keep = append(keep, v)
+		var keep []share
+		for _, e := range w.vdps {
+			if e.v.vsa != s {
+				keep = append(keep, e)
 			}
 		}
 		w.vdps = keep
@@ -221,10 +228,12 @@ func (w *worker) run(p *Pool) {
 		// state (see Run's shutdown path). One hold spans a stretch of VDPs of
 		// the same VSA — attach appends each VSA's share contiguously — and
 		// since neither a dead VDP nor an aborted VSA fires, the stretch left
-		// to scan once a Run is draining costs no kernel.
+		// to scan once a Run is draining costs no kernel. Nor does a VDP of a
+		// run that has ended: the list may be older than the last detach, and
+		// its VSA re-armed since.
 		var held *VSA
-		for _, v := range vdps {
-			s := v.vsa
+		for _, e := range vdps {
+			v, s := e.v, e.v.vsa
 			if s != held {
 				if held != nil {
 					held.release()
@@ -232,7 +241,7 @@ func (w *worker) run(p *Pool) {
 				s.busy.Add(1)
 				held = s
 			}
-			if v.dead || s.aborted.Load() {
+			if e.run != s.runs.Load() || v.dead || s.aborted.Load() {
 				continue
 			}
 			fired := false

@@ -19,6 +19,7 @@ type Func func(v *VDP)
 type VDP struct {
 	tup     tuple.Tuple
 	counter int
+	life    int // the counter a run starts with
 	fn      Func
 	local   any
 	class   string // label for tracing (e.g. "panel", "update", "binary")

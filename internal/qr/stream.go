@@ -198,13 +198,9 @@ func (s *Streamer) LeafReduce(ws *kernels.Workspace, block, rhs *matrix.Mat) (*S
 		ws = kernels.BorrowWorkspace()
 		defer kernels.ReturnWorkspace(ws)
 	}
-	nr, nq := s.n*s.n, s.n*s.nrhs
-	buf := slab.Floats.Take(nr + nq)
-	clear(buf)
-	nd := &StreamNode{Blocks: 1, Rows: int64(block.Rows), R: matrix.FromColMajor(s.n, s.n, s.n, buf[:nr]), buf: buf}
-	if s.nrhs > 0 {
-		nd.QTB = matrix.FromColMajor(s.n, s.nrhs, s.n, buf[nr:nr+nq:nr+nq])
-	}
+	nd := &StreamNode{Blocks: 1, Rows: int64(block.Rows)}
+	s.lay(nd)
+	clear(nd.buf)
 	nb := s.opts.NB
 	for r := 0; r < block.Rows; r += nb {
 		cr := min(nb, block.Rows-r)
@@ -251,14 +247,41 @@ func (s *Streamer) Commit(ws *kernels.Workspace, nd *StreamNode) {
 	s.fresh = min(s.fresh, len(s.spine)-1)
 }
 
+// lay lays nd's R and, when the stream carries right-hand sides, its QᵀB
+// in one slab of slab.Floats, with stale contents.
+func (s *Streamer) lay(nd *StreamNode) {
+	nr, nq := s.n*s.n, s.n*s.nrhs
+	nd.buf = slab.Floats.Take(nr + nq)
+	nd.R = matrix.FromColMajor(s.n, s.n, s.n, nd.buf[:nr:nr])
+	nd.QTB = nil
+	if s.nrhs > 0 {
+		nd.QTB = matrix.FromColMajor(s.n, s.nrhs, s.n, nd.buf[nr:nr+nq:nr+nq])
+	}
+}
+
 // Release gives back to slab.Floats, once, the slab of each node LeafReduce
-// laid; nothing may read a released node. Commit releases what its carry
-// chain merges away, and a caller dropping the streamer may release its Spine.
+// or Current laid; nothing may read a released node, and a nil node is
+// skipped. Commit releases what its carry chain merges away; a caller
+// dropping the streamer calls ReleaseAll.
 func (s *Streamer) Release(nodes ...*StreamNode) {
 	for _, nd := range nodes {
-		slab.Floats.Put(nd.buf) // a nil buf, a node the caller built, files nothing
-		nd.buf = nil
+		if nd != nil {
+			slab.Floats.Put(nd.buf) // a nil buf, a node the caller built, files nothing
+			nd.buf = nil
+		}
 	}
+}
+
+// ReleaseAll gives back, through Release, every slab the streamer holds —
+// its spine, the prefix folds and the merge victim of Current — and those
+// of held, the nodes Current laid for the caller. Nothing may use the
+// streamer or those nodes afterwards.
+func (s *Streamer) ReleaseAll(held ...*StreamNode) {
+	s.Release(s.spine...)
+	s.Release(s.folds...)
+	s.Release(s.victim)
+	s.Release(held...)
+	s.spine, s.folds, s.victim, s.fresh = nil, nil, nil, 0
 }
 
 // Current returns the global factorization state — the R (and QᵀB) of
@@ -267,8 +290,10 @@ func (s *Streamer) Release(nodes ...*StreamNode) {
 // made stale, so after an append at most one merge fires (none when nothing
 // was committed since the last Current); merge victims are copied into
 // streamer-owned scratch first. dst's buffers are reused when correctly
-// shaped; pass nil to allocate fresh. The result aliases dst, never the
-// spine or the folds, so callers may hold it across later appends.
+// shaped; pass nil for a new node. The result aliases dst, never the spine
+// or the folds, so callers may hold it across later appends. The folds, the
+// victim copy and a node laid for dst lie in slabs of slab.Floats, which
+// ReleaseAll (and Release, for dst) give back.
 func (s *Streamer) Current(ws *kernels.Workspace, dst *StreamNode) *StreamNode {
 	if len(s.spine) == 0 {
 		empty := &StreamNode{R: matrix.New(s.n, s.n)}
@@ -305,16 +330,17 @@ func (s *Streamer) fold(i int) *StreamNode {
 }
 
 // copyNode copies src into dst, reusing dst's buffers when correctly shaped;
-// a nil dst is allocated.
+// a nil dst is a new node, and a node of another shape is laid anew (lay).
 func (s *Streamer) copyNode(dst, src *StreamNode) *StreamNode {
 	if dst == nil {
 		dst = &StreamNode{}
 	}
+	if !shaped(dst.R, s.n, s.n) || s.nrhs > 0 && !shaped(dst.QTB, s.n, s.nrhs) {
+		s.lay(dst)
+	}
 	dst.Blocks, dst.Rows = src.Blocks, src.Rows
-	dst.R = ensureShape(dst.R, s.n, s.n)
 	dst.R.CopyFrom(src.R)
 	if s.nrhs > 0 {
-		dst.QTB = ensureShape(dst.QTB, s.n, s.nrhs)
 		dst.QTB.CopyFrom(src.QTB)
 	} else {
 		dst.QTB = nil
@@ -322,11 +348,7 @@ func (s *Streamer) copyNode(dst, src *StreamNode) *StreamNode {
 	return dst
 }
 
-// ensureShape returns m when it is exactly rows×cols, a fresh matrix
-// otherwise.
-func ensureShape(m *matrix.Mat, rows, cols int) *matrix.Mat {
-	if m != nil && m.Rows == rows && m.Cols == cols {
-		return m
-	}
-	return matrix.New(rows, cols)
+// shaped reports whether m is exactly rows×cols.
+func shaped(m *matrix.Mat, rows, cols int) bool {
+	return m != nil && m.Rows == rows && m.Cols == cols
 }

@@ -495,8 +495,9 @@ func TestLeafReduceAfterNaNBlock(t *testing.T) {
 // float pool first holds one NaN slab of a larger node's shape, which the
 // first leaf must take and cut down, then NaN/−Inf slabs of the stream's
 // node shape (NaN where R lies, −Inf where QᵀB does), which the next leaves
-// take; every Current must match, bit for bit, a stream run first on a
-// drained pool. No leaf is laid in the slab of a node still on the spine.
+// take, as do the folds, the victim copy and the nodes Current lays; every
+// Current must match, bit for bit, a stream run first on a drained pool. No
+// leaf is laid in the slab of a node still on the spine.
 // The collector is held off, so no poisoned slab ages out of the pool.
 func TestLeafReduceOnPoisonedPoolIsBitwiseFresh(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -560,7 +561,7 @@ func TestLeafReduceOnPoisonedPoolIsBitwiseFresh(t *testing.T) {
 			}
 		}
 		if i == 0 {
-			for range 7 {
+			for range 16 { // the next 7 leaves' and what Current lays meanwhile
 				poison(size)
 			}
 		}

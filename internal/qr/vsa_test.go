@@ -406,9 +406,9 @@ func TestVSAPlacesEveryCallByPlace(t *testing.T) {
 }
 
 // TestVSAScratchCarvesTileExactly holds the views a run carves from its
-// scratch — T factors, domain R packets, an R-only run's diagonal tiles and
-// the landings of the packets other ranks send — to the slab a service sizes
-// with ScratchLen: on TestVSAShapePinned's shapes under every tree, on 1 node
+// array's scratch — T factors, domain R packets, an R-only run's diagonal
+// tiles and the landings of the packets other ranks send — to the slab the
+// array makes: on TestVSAShapePinned's shapes under every tree, on 1 node
 // and on each rank of 3, the views handed to the rank's VDPs, assembly and
 // inbound channels have the shapes their kernels and packets take, are
 // pairwise disjoint, lie inside the scratch and fill it exactly; a VDP
@@ -442,19 +442,14 @@ func TestVSAScratchCarvesTileExactly(t *testing.T) {
 						if nodes == 1 {
 							here = -1 // as FactorizeVSAIn runs a lone node
 						}
-						want := scratchLen(a, b, o, nodes, here, rOnly)
 						if rOnly {
 							env.Part = NewSketch(sh.n, 1)
-							if got := ScratchLen(a, o, nodes, rank); b == nil && want != got {
-								t.Fatalf("%s: the run carves %d, ScratchLen sizes %d", name, want, got)
-							}
 						}
-						env.Scratch = make([]float64, want)
-						bd, err := newBuilder(a, b, o, RunConfig{Nodes: nodes, Threads: 2}, env, nil, here)
-						if err != nil {
-							t.Fatal(err)
+						bd := newBuilder(a, b, o, RunConfig{Nodes: nodes, Threads: 2}, env, nil, here)
+						if want := scratchLen(a, b, o, nodes, here, rOnly); len(bd.scratch) != want {
+							t.Fatalf("%s: the array made %d float64s of scratch, scratchLen counts %d", name, len(bd.scratch), want)
 						}
-						checkCarves(t, name, bd, env.Scratch, rank)
+						checkCarves(t, name, bd, bd.scratch, rank)
 						if rOnly {
 							landed += len(bd.lands)
 						}

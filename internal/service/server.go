@@ -511,8 +511,13 @@ func (s *Server) runJob(j *Job) {
 	if sec := elapsed.Seconds(); sec > 0 {
 		res.Gflops = flops / sec / 1e9
 	}
-	r := f.R()
-	slab.Floats.Put(tiles) // R is copied out: nothing reads this rank's tiles or scratch any more
+	// R is retained in warm storage, until the job is evicted (Job.evict).
+	n := j.Spec.N
+	res.buf = slab.Floats.Take(n * n)
+	clear(res.buf)
+	r := f.A.UpperTilesInto(matrix.FromColMajor(n, n, n, res.buf))
+	f.Release()            // R is copied out: nothing reads the array's scratch
+	slab.Floats.Put(tiles) // or this rank's tiles any more
 	res.Residual, res.OK = accept(f.Input, r)
 	res.R = r
 	if rec != nil {
@@ -588,12 +593,19 @@ func (s *Server) fail(j *Job, msg string) {
 // beyond ResultCap, bounding the service's memory across a long life.
 func (s *Server) retire(id uint32) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.terminal = append(s.terminal, id)
+	var gone []*Job
 	for len(s.terminal) > s.cfg.ResultCap {
 		evict := s.terminal[0]
 		s.terminal = s.terminal[1:]
+		if j := s.jobs[evict]; j != nil {
+			gone = append(gone, j)
+		}
 		delete(s.jobs, evict)
+	}
+	s.mu.Unlock()
+	for _, j := range gone {
+		j.evict()
 	}
 }
 

@@ -107,7 +107,7 @@ type Session struct {
 	dirty     int // appends since the last durable write
 	appending bool
 	gone      bool
-	cur       *qr.StreamNode // reusable fold buffer for append replies
+	cur       *qr.StreamNode // reusable fold buffer for append replies, laid in a slab.Floats slab
 }
 
 // Info is a point-in-time snapshot of a session for the info endpoint.
@@ -250,7 +250,7 @@ func (t *Table) sweep(now time.Time) {
 						continue
 					}
 				}
-				s.str.Release(s.str.Spine()...)
+				s.str.ReleaseAll(s.cur) // not appending: nothing writes cur out
 				s.str = nil
 				s.cur = nil
 				s.mu.Unlock()
@@ -367,11 +367,13 @@ func (t *Table) Delete(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.gone = true
-	if s.str != nil {
-		s.str.Release(s.str.Spine()...)
+	if s.str != nil && s.appending {
+		s.str.ReleaseAll() // the stream may be writing cur out: it gives cur back as it ends
+	} else if s.str != nil {
+		s.str.ReleaseAll(s.cur)
+		s.cur = nil
 	}
 	s.str = nil
-	s.cur = nil
 	if t.cfg.Dir != "" {
 		if err := os.Remove(CheckpointPath(t.cfg.Dir, id)); err != nil && !os.IsNotExist(err) {
 			return err
@@ -653,6 +655,10 @@ func (s *Session) appendStream(ctx context.Context, next func() (block, rhs *mat
 		s.mu.Lock()
 		s.appending = false
 		s.lastUsed = time.Now()
+		if s.gone {
+			str.Release(s.cur) // Delete left it to the stream, which wrote it out
+			s.cur = nil
+		}
 		s.mu.Unlock()
 	}()
 

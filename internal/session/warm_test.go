@@ -473,10 +473,13 @@ func TestSteadyStateAppendAllocatesNoBlocks(t *testing.T) {
 	}
 }
 
-// A session that goes gives its spine back: a memory-only session deleted
-// and a durable one unloaded idle each put the slab of every spine node its
-// leaves were laid in back in slab.Floats. The unloaded session reloads from
-// its checkpoint, which was written before the spine went, to the same R.
+// A session that goes gives its spine back, and what its replies were
+// folded in: a memory-only session deleted and a durable one unloaded idle
+// each put back in slab.Floats the slab of every spine node its leaves were
+// laid in, the slab of the session's reply node, and the slabs of the
+// streamer's prefix folds and merge victim — seven slabs for a spine of
+// three, and no other. The unloaded session reloads from its checkpoint,
+// which was written before the spine went, to the same R.
 func TestClosedSessionReleasesSpine(t *testing.T) {
 	holdGC(t)
 	const n, nrhs, count = 8, 2, 7 // 7 blocks leave a spine of 4, 2 and 1
@@ -497,7 +500,7 @@ func TestClosedSessionReleasesSpine(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer tbl.Close()
-			s, err := tbl.Open("t", n, nrhs, qr.Options{}, 0, true)
+			s, err := tbl.Open("t", n, nrhs, qr.Options{}, 0, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -516,6 +519,7 @@ func TestClosedSessionReleasesSpine(t *testing.T) {
 			if len(spine) != 3 {
 				t.Fatalf("spine of %d nodes, want 3", len(spine))
 			}
+			reply := &s.cur.R.Data[0]
 			drain(n * (n + nrhs))
 			if durable {
 				tbl.sweep(time.Now().Add(2 * time.Hour))
@@ -525,11 +529,20 @@ func TestClosedSessionReleasesSpine(t *testing.T) {
 			} else if err := tbl.Delete(s.ID); err != nil {
 				t.Fatal(err)
 			}
+			back, replyBack := 0, false
 			for p := slab.Floats.Warm(n * (n + nrhs)); p != nil; p = slab.Floats.Warm(n * (n + nrhs)) {
 				delete(spine, &p[0])
+				replyBack = replyBack || &p[0] == reply
+				back++
 			}
 			if len(spine) != 0 {
 				t.Fatalf("%d of 3 spine slabs not given back", len(spine))
+			}
+			if !replyBack {
+				t.Fatal("the reply node's slab was not given back")
+			}
+			if back != 7 { // 3 spine nodes, 2 prefix folds, the victim copy, the reply node
+				t.Fatalf("%d slabs given back, want 7", back)
 			}
 			if durable {
 				after, err := s.Current()
