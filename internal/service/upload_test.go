@@ -244,7 +244,7 @@ func TestFinishedJobReleasesUpload(t *testing.T) {
 		polls.Add(1)
 		go func() {
 			defer polls.Done()
-			for v := viewOf(j, true); !State(v.Status).Terminal(); v = viewOf(j, true) {
+			for v := viewOf(j); !State(v.Status).Terminal(); v = viewOf(j) {
 				if v.M != m || v.Tenant != "t" {
 					t.Errorf("view of a live job reads %+v", v)
 					return
