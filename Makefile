@@ -27,13 +27,15 @@ vet:
 loc:
 	@find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l
 
-# Brief fuzz of the wire decoders, the job spec, the job frame and the check's
-# sketch packet (must never panic;
+# Brief fuzz of the wire decoders, the inter-rank packet dispatcher (into
+# fresh storage and into a landing), the job spec, the job frame and the
+# check's sketch packet (must never panic;
 # regression corpora under internal/transport/testdata,
 # internal/wire/testdata, internal/batch/testdata,
 # internal/session/testdata and internal/service/testdata).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzConsumeDimMat -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzUnmarshalPacket -fuzztime 10s ./internal/pulsar
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz FuzzRequestReader -fuzztime 10s ./internal/batch

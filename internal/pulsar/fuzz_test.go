@@ -6,34 +6,22 @@ import (
 	"pulsarqr/internal/matrix"
 )
 
-// FuzzDecodeMat drives the network-facing matrix decoder with arbitrary
-// bytes: it must never panic or allocate absurdly, only return errors.
-func FuzzDecodeMat(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{1, 2, 3})
-	f.Add(EncodeMat(matrix.Identity(3)))
-	f.Add(EncodeMat(matrix.New(2, 5)))
-	f.Add([]byte{255, 255, 255, 255, 255, 255, 255, 255})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := DecodeMat(b)
-		if err != nil {
-			return
-		}
-		// A successful decode must round-trip.
-		if got := EncodeMat(m); len(got) != len(b) {
-			t.Fatalf("round trip length %d != %d", len(got), len(b))
-		}
-	})
-}
-
-// FuzzUnmarshalPacket drives the codec dispatcher.
+// FuzzUnmarshalPacket drives the codec dispatcher, decoding each input into
+// fresh storage and into a 3×3 matrix landing: it must never panic, only
+// return errors.
 func FuzzUnmarshalPacket(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1})
 	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{3, 1})
 	f.Add([]byte{4, 10, 20})
+	for _, m := range []*matrix.Mat{matrix.Identity(3), matrix.New(2, 5)} {
+		b, _ := MarshalPacket(NewPacket(m))
+		f.Add(b)
+	}
+	f.Add([]byte{1, 255, 255, 255, 255, 255, 255, 255, 255})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		_, _ = UnmarshalPacket(b) // must not panic
+		_, _ = UnmarshalPacket(b)
+		_, _ = unmarshalInto(b, matrix.New(3, 3))
 	})
 }

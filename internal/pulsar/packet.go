@@ -50,12 +50,13 @@ func (p *Packet) Tile() *matrix.Mat {
 // must not keep b: the proxy gives the received bytes back to the transport
 // once the packet is decoded.
 type Codec struct {
-	ID     byte
-	Decode func(b []byte) (any, error)
-	// DecodeInto, when set, decodes b into v, storage of the payload's type
-	// that a channel's landing holds (VSA.Land), and returns the payload
-	// built on it. A packet that does not fit v exactly is an error.
-	DecodeInto func(b []byte, v any) (any, error)
+	ID byte
+	// Decode decodes b into into and returns the payload. A nil into decodes
+	// into fresh storage. A non-nil one is a channel's landing (VSA.Land),
+	// storage of the payload's type that the packet must fit exactly, and
+	// the payload is built on it; a codec whose payloads never land refuses
+	// it with an error.
+	Decode func(b []byte, into any) (any, error)
 	// EncodeAppend appends the payload encoding to dst and returns the
 	// extended slice, so marshal buffers can be pooled across packets. On a
 	// type mismatch it must report false without having grown dst's
@@ -90,15 +91,19 @@ func init() {
 			if !ok {
 				return dst, false
 			}
-			return AppendMat(dst, m), true
+			dst, _ = wire.AppendDimMat(dst, m)
+			return dst, true
 		},
-		Decode: func(b []byte) (any, error) { return DecodeMat(b) },
-		DecodeInto: func(b []byte, v any) (any, error) {
-			m, ok := v.(*matrix.Mat)
-			if !ok {
-				return nil, fmt.Errorf("pulsar: a matrix packet cannot land in %T", v)
+		Decode: func(b []byte, into any) (any, error) {
+			m, ok := into.(*matrix.Mat)
+			if !ok && into != nil {
+				return nil, fmt.Errorf("pulsar: a matrix packet cannot land in %T", into)
 			}
-			return m, DecodeMatInto(m, b)
+			m, rest, err := wire.ConsumeDimMat(m, b)
+			if err == nil && len(rest) != 0 {
+				err = fmt.Errorf("pulsar: %d bytes after a %dx%d matrix payload", len(rest), m.Rows, m.Cols)
+			}
+			return m, err
 		},
 	})
 	RegisterCodec(Codec{
@@ -111,14 +116,14 @@ func init() {
 			dst, _ = wire.AppendFloats(dst, f)
 			return dst, true
 		},
-		Decode: func(b []byte) (any, error) {
+		Decode: fresh(func(b []byte) (any, error) {
 			if len(b)%8 != 0 {
 				return nil, fmt.Errorf("pulsar: float64 payload length %d", len(b))
 			}
 			f := make([]float64, len(b)/8)
 			wire.Floats(f, b)
 			return f, nil
-		},
+		}),
 	})
 	RegisterCodec(Codec{
 		ID: 3,
@@ -130,7 +135,7 @@ func init() {
 			}
 			return dst, ok
 		},
-		Decode: func(b []byte) (any, error) {
+		Decode: fresh(func(b []byte) (any, error) {
 			if len(b)%8 != 0 {
 				return nil, fmt.Errorf("pulsar: int payload length %d", len(b))
 			}
@@ -139,7 +144,7 @@ func init() {
 				s[i] = int(int64(binary.LittleEndian.Uint64(b[8*i:])))
 			}
 			return s, nil
-		},
+		}),
 	})
 	RegisterCodec(Codec{
 		ID: 4,
@@ -147,42 +152,19 @@ func init() {
 			b, ok := v.([]byte)
 			return append(dst, b...), ok
 		},
-		Decode: func(b []byte) (any, error) { return bytes.Clone(b), nil },
+		Decode: fresh(func(b []byte) (any, error) { return bytes.Clone(b), nil }),
 	})
 }
 
-// EncodeMat serializes a matrix compactly (rows, cols, column-major data).
-func EncodeMat(m *matrix.Mat) []byte { return AppendMat(nil, m) }
-
-// AppendMat appends EncodeMat's serialization of m to dst and returns the
-// extended slice, allocating only when dst lacks capacity.
-func AppendMat(dst []byte, m *matrix.Mat) []byte {
-	dst, _ = wire.AppendDimMat(dst, m)
-	return dst
-}
-
-// DecodeMat reverses EncodeMat; b must hold exactly one matrix.
-func DecodeMat(b []byte) (*matrix.Mat, error) {
-	m, rest, err := wire.ConsumeDimMat(b)
-	if err != nil {
-		return nil, err
+// fresh is the Codec.Decode of a payload that never lands: decode builds it
+// in fresh storage, and a landing is an error.
+func fresh(decode func(b []byte) (any, error)) func([]byte, any) (any, error) {
+	return func(b []byte, into any) (any, error) {
+		if into != nil {
+			return nil, fmt.Errorf("pulsar: a %T landing for a payload that never lands", into)
+		}
+		return decode(b)
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("pulsar: %d bytes after a %dx%d matrix payload", len(rest), m.Rows, m.Cols)
-	}
-	return m, nil
-}
-
-// DecodeMatInto is DecodeMat into m, whose shape the matrix in b must have.
-func DecodeMatInto(m *matrix.Mat, b []byte) error {
-	rest, err := wire.ConsumeDimMatInto(m, b)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("pulsar: %d bytes after a %dx%d matrix payload", len(rest), m.Rows, m.Cols)
-	}
-	return nil
 }
 
 // MarshalPacket serializes a packet for inter-node transport: one codec ID
@@ -214,8 +196,8 @@ func appendPacket(dst []byte, p *Packet) ([]byte, error) {
 // UnmarshalPacket reverses MarshalPacket.
 func UnmarshalPacket(b []byte) (*Packet, error) { return unmarshalInto(b, nil) }
 
-// unmarshalInto is UnmarshalPacket decoding into landing, when not nil,
-// with the codec's DecodeInto.
+// unmarshalInto is UnmarshalPacket decoding into landing, when not nil
+// (Codec.Decode).
 func unmarshalInto(b []byte, landing any) (*Packet, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("pulsar: empty packet payload")
@@ -226,16 +208,7 @@ func unmarshalInto(b []byte, landing any) (*Packet, error) {
 	if !ok {
 		return nil, fmt.Errorf("pulsar: unknown codec id %d", b[0])
 	}
-	var v any
-	var err error
-	switch {
-	case landing == nil:
-		v, err = c.Decode(b[1:])
-	case c.DecodeInto == nil:
-		err = fmt.Errorf("pulsar: codec %d cannot decode into a landing", c.ID)
-	default:
-		v, err = c.DecodeInto(b[1:], landing)
-	}
+	v, err := c.Decode(b[1:], landing)
 	if err != nil {
 		return nil, err
 	}

@@ -16,11 +16,12 @@ func TestMatCodecRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := matrix.NewRand(rng.Intn(10)+1, rng.Intn(10)+1, rng)
-		got, err := DecodeMat(EncodeMat(m))
+		b, err := MarshalPacket(NewPacket(m))
 		if err != nil {
 			return false
 		}
-		return matrix.MaxAbsDiff(m, got) == 0
+		p, err := UnmarshalPacket(b)
+		return err == nil && matrix.MaxAbsDiff(m, p.Tile()) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -354,7 +354,7 @@ func (s *VSA) Input(dst tuple.Tuple, dstSlot, maxBytes int) {
 // Land gives the channel into input slot dstSlot of dst a landing: the
 // packet that reaches it from another node is decoded into v, storage of
 // exactly the payload's type and shape (a *matrix.Mat, or whatever its
-// codec's DecodeInto takes), instead of into fresh memory. Only a run's
+// codec's Decode takes as into), instead of into fresh memory. Only a run's
 // first packet lands; a later one is decoded fresh. Call it before the run;
 // the landing stays for every run after Rearm.
 func (s *VSA) Land(dst tuple.Tuple, dstSlot int, v any) {

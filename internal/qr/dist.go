@@ -25,11 +25,14 @@ func init() {
 			binary.LittleEndian.PutUint32(hdr[9:], uint32(int32(m.K)))
 			return appendTwoMats(dst, hdr[:], m.Tile, m.T), true
 		},
-		Decode: func(b []byte) (any, error) {
-			if len(b) < 13 {
+		Decode: func(b []byte, into any) (any, error) {
+			switch {
+			case into != nil:
+				return nil, fmt.Errorf("qr: a collect packet cannot land in %T", into)
+			case len(b) < 13:
 				return nil, fmt.Errorf("qr: short collect packet")
 			}
-			tile, tf, err := consumeTwoMats(b[13:])
+			tile, tf, err := consumeTwoMats(nil, nil, b[13:])
 			if err != nil {
 				return nil, fmt.Errorf("qr: collect packet: %w", err)
 			}

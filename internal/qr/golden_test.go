@@ -103,3 +103,55 @@ func TestPacketCodecsAllocateOnlyTheBuffer(t *testing.T) {
 		}
 	}
 }
+
+// A (V,T) packet lands in strided views of its landing, which receive
+// exactly the bits appendTwoMats wrote and nothing around them; a V or a T
+// of another shape, a wrong length prefix, trailing bytes and a landing that
+// is not a (V,T) packet are errors.
+func TestVTPacketLandsInItsViews(t *testing.T) {
+	vt := &vtMsg{V: goldenTile(40, 6, 4), T: goldenTile(41, 2, 4)}
+	b := appendTwoMats(nil, nil, vt.V, vt.T)
+	host := matrix.New(9, 9)
+	into := &vtMsg{V: host.View(1, 0, 6, 4), T: host.View(7, 4, 2, 4)}
+	got, err := vtCodec.Decode(b, into)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != into {
+		t.Fatalf("the packet decoded into a %T of its own, not its landing", got)
+	}
+	if again := appendTwoMats(nil, nil, into.V, into.T); !bytes.Equal(again, b) {
+		t.Fatal("the landed V and T re-encode to different bytes")
+	}
+	sameTileBits(t, "landed V", into.V, vt.V)
+	sameTileBits(t, "landed T", into.T, vt.T)
+	for _, v := range []*matrix.Mat{into.V, into.T} {
+		for j := 0; j < v.Cols; j++ {
+			for i := 0; i < v.Rows; i++ {
+				v.Set(i, j, 0)
+			}
+		}
+	}
+	for k, x := range host.Data {
+		if x != 0 {
+			t.Fatalf("element %d of the host, outside both views, reads %g", k, x)
+		}
+	}
+
+	prefix := append([]byte(nil), b...)
+	prefix[0]++
+	for name, tc := range map[string]struct {
+		b    []byte
+		into any
+	}{
+		"V shape":       {b, &vtMsg{V: matrix.New(5, 4), T: matrix.New(2, 4)}},
+		"T shape":       {b, &vtMsg{V: matrix.New(6, 4), T: matrix.New(2, 3)}},
+		"length prefix": {prefix, &vtMsg{V: matrix.New(6, 4), T: matrix.New(2, 4)}},
+		"trailing byte": {append(append([]byte(nil), b...), 0), &vtMsg{V: matrix.New(6, 4), T: matrix.New(2, 4)}},
+		"a matrix":      {b, matrix.New(6, 4)},
+	} {
+		if _, err := vtCodec.Decode(tc.b, tc.into); err == nil {
+			t.Errorf("%s: the packet landed without an error", name)
+		}
+	}
+}

@@ -96,7 +96,7 @@ func rearmLife(t *testing.T, name string, d, rhs *matrix.Mat, o Options, nodes, 
 	}
 	rc := RunConfig{Nodes: nodes, Threads: threads}
 	a, b := tiles()
-	key := arrayKey{m: a.M, n: a.N, opts: o.Resolve(a.MT, nodes*threads), nodes: nodes, here: -1, threads: threads, rOnly: true}
+	key := arrayKey{m: a.M, n: a.N, opts: o.Resolve(a.MT, nodes*threads), nodes: nodes, here: -1, threads: threads}
 	if b != nil {
 		key.nrhs = b.N
 	}
@@ -273,7 +273,7 @@ func rearmOnFleet(t *testing.T) {
 	ro := o.Resolve(whole.MT, 2)
 	var keys [2]arrayKey
 	for r := range keys {
-		keys[r] = arrayKey{m: d.Rows, n: d.Cols, opts: ro, nodes: 2, here: r, threads: 1, rOnly: true}
+		keys[r] = arrayKey{m: d.Rows, n: d.Cols, opts: ro, nodes: 2, here: r, threads: 1}
 		for _, ok := arrays.Take(keys[r]); ok; _, ok = arrays.Take(keys[r]) {
 		}
 	}

@@ -5,7 +5,7 @@ import (
 
 	"pulsarqr/internal/blas"
 	"pulsarqr/internal/matrix"
-	"pulsarqr/internal/pulsar"
+	"pulsarqr/internal/wire"
 )
 
 // sketchWidth is k, the number of probe columns of a Sketch.
@@ -72,16 +72,20 @@ func (s *Sketch) Residual(r *matrix.Mat) float64 {
 // The wire form of a sketch, for the reduce onto rank 0: Z as the runtime
 // ships any matrix. X is not sent; every rank draws it from the seed.
 
-func (s *Sketch) encode() []byte { return pulsar.AppendMat(nil, s.Z) }
+func (s *Sketch) encode() []byte {
+	b, _ := wire.AppendDimMat(nil, s.Z)
+	return b
+}
 
-// decodeSketch reads a peer's Z for an n-column input.
+// decodeSketch reads a peer's Z for an n-column input. It decodes into fresh
+// storage and then checks the shape: n is the caller's, and may be anything.
 func decodeSketch(b []byte, n int) (*matrix.Mat, error) {
-	z, err := pulsar.DecodeMat(b)
+	z, rest, err := wire.ConsumeDimMat(nil, b)
 	if err != nil {
 		return nil, fmt.Errorf("qr: sketch packet: %w", err)
 	}
-	if z.Rows != n || z.Cols != sketchWidth {
-		return nil, fmt.Errorf("qr: sketch packet holds a %dx%d matrix, want %dx%d", z.Rows, z.Cols, n, sketchWidth)
+	if z.Rows != n || z.Cols != sketchWidth || len(rest) != 0 {
+		return nil, fmt.Errorf("qr: sketch packet holds a %dx%d matrix and %d bytes more, want a %dx%d one", z.Rows, z.Cols, len(rest), n, sketchWidth)
 	}
 	return z, nil
 }

@@ -100,35 +100,34 @@ type collectMsg struct {
 	Tile, T *matrix.Mat
 }
 
-func init() {
-	// Inter-node codec for vtMsg packets: [lenV u32][V][T].
-	pulsar.RegisterCodec(pulsar.Codec{
-		ID: 16,
-		EncodeAppend: func(dst []byte, v any) ([]byte, bool) {
-			m, ok := v.(*vtMsg)
-			if !ok {
-				return dst, false
-			}
-			return appendTwoMats(dst, nil, m.V, m.T), true
-		},
-		Decode: func(b []byte) (any, error) {
-			v, t, err := consumeTwoMats(b)
-			if err != nil {
-				return nil, fmt.Errorf("qr: vt packet: %w", err)
-			}
-			return &vtMsg{V: v, T: t}, nil
-		},
-		DecodeInto: func(b []byte, into any) (any, error) {
-			m, ok := into.(*vtMsg)
-			if !ok {
-				return nil, fmt.Errorf("qr: a vt packet cannot land in %T", into)
-			}
-			if err := consumeTwoMatsInto(m.V, m.T, b); err != nil {
-				return nil, fmt.Errorf("qr: vt packet: %w", err)
-			}
-			return m, nil
-		},
-	})
+func init() { pulsar.RegisterCodec(vtCodec) }
+
+// vtCodec is the inter-node codec of vtMsg packets: [lenV u32][V][T]. A vt
+// packet lands in a *vtMsg whose V and T have its matrices' shapes.
+var vtCodec = pulsar.Codec{
+	ID: 16,
+	EncodeAppend: func(dst []byte, v any) ([]byte, bool) {
+		m, ok := v.(*vtMsg)
+		if !ok {
+			return dst, false
+		}
+		return appendTwoMats(dst, nil, m.V, m.T), true
+	},
+	Decode: func(b []byte, into any) (any, error) {
+		m, ok := into.(*vtMsg)
+		switch {
+		case into == nil:
+			m = &vtMsg{}
+		case !ok:
+			return nil, fmt.Errorf("qr: a vt packet cannot land in %T", into)
+		}
+		v, t, err := consumeTwoMats(m.V, m.T, b)
+		if err != nil {
+			return nil, fmt.Errorf("qr: vt packet: %w", err)
+		}
+		m.V, m.T = v, t
+		return m, nil
+	},
 }
 
 // appendTwoMats appends hdr and then [len(a) u32][a][b], the tail vtMsg and
@@ -139,40 +138,30 @@ func appendTwoMats(dst, hdr []byte, a, b *matrix.Mat) []byte {
 	la := 8 + 8*a.Rows*a.Cols
 	dst = append(slices.Grow(dst, len(hdr)+4+la+8+8*b.Rows*b.Cols), hdr...)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(la))
-	return pulsar.AppendMat(pulsar.AppendMat(dst, a), b)
+	dst, _ = wire.AppendDimMat(dst, a)
+	dst, _ = wire.AppendDimMat(dst, b)
+	return dst
 }
 
 // consumeTwoMats decodes what appendTwoMats wrote after hdr: two matrices
-// that fill p exactly, the first as long as its length prefix declares.
-func consumeTwoMats(p []byte) (a, b *matrix.Mat, err error) {
+// that fill p exactly, the first as long as its length prefix declares. Each
+// goes into fresh storage when a or b is nil, and otherwise into a or b,
+// whose shape it must have (wire.ConsumeDimMat).
+func consumeTwoMats(a, b *matrix.Mat, p []byte) (*matrix.Mat, *matrix.Mat, error) {
 	if len(p) < 4 {
 		return nil, nil, fmt.Errorf("%d bytes where two matrices belong", len(p))
 	}
-	a, rest, err := wire.ConsumeDimMat(p[4:])
+	a, rest, err := wire.ConsumeDimMat(a, p[4:])
 	if err != nil {
 		return nil, nil, err
 	}
 	if la, want := len(p)-4-len(rest), int(binary.LittleEndian.Uint32(p)); la != want {
 		return nil, nil, fmt.Errorf("first matrix is %d bytes, its prefix declares %d", la, want)
 	}
-	b, err = pulsar.DecodeMat(rest)
+	if b, rest, err = wire.ConsumeDimMat(b, rest); err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%d bytes after the second matrix", len(rest))
+	}
 	return a, b, err
-}
-
-// consumeTwoMatsInto is consumeTwoMats into a and b, whose shapes the two
-// matrices must have.
-func consumeTwoMatsInto(a, b *matrix.Mat, p []byte) error {
-	if len(p) < 4 {
-		return fmt.Errorf("%d bytes where two matrices belong", len(p))
-	}
-	rest, err := wire.ConsumeDimMatInto(a, p[4:])
-	if err != nil {
-		return err
-	}
-	if la, want := len(p)-4-len(rest), int(binary.LittleEndian.Uint32(p)); la != want {
-		return fmt.Errorf("first matrix is %d bytes, its prefix declares %d", la, want)
-	}
-	return pulsar.DecodeMatInto(b, rest)
 }
 
 // builder accumulates the array for one factorization.
@@ -191,12 +180,14 @@ type builder struct {
 	// rOnly gathers and assembles what a service serves — R and QᵀB — and
 	// leaves the per-transformation log on the ranks that produced it.
 	rOnly bool
-	// here is the node this process runs, -1 for every node (see carvesHere).
+	// here is the node this process runs, -1 for every node (see carve).
 	here int
 	// scratch is the array's own storage for its T factors, domain R packets,
-	// landings and R-only diagonal tiles; carve cuts each view from it in
-	// turn, and carved counts the float64s cut so far.
+	// landings and R-only diagonal tiles. Build cuts each view's header
+	// (cut), lists it in views and counts its float64s in carved; then
+	// newBuilder makes the scratch and points each view at its span.
 	scratch []float64
+	views   []*matrix.Mat
 	carved  int
 	// key is the array's place among the rank's built arrays (Env.Part);
 	// kept says it goes back there after a clean run.
@@ -212,7 +203,7 @@ type builder struct {
 
 // landing is the storage the datum d lands in when call c takes it from a
 // VDP on another node: a tile, a domain R, or the (V,T) packet of the
-// transformation c only reads (lands).
+// transformation c only reads (land).
 type landing struct {
 	from  endpoint // the VDP that sends it
 	c     Call
@@ -416,13 +407,19 @@ func newBuilder(a, b *matrix.Tiled, opts Options, rc RunConfig, env Env, ep tran
 	if b != nil {
 		bd.bnt = b.NT
 	}
-	if n := scratchLen(a, b, opts, rc.Nodes, here, bd.rOnly); bd.rOnly {
-		bd.scratch = slab.Floats.Take(n) // the shelf gives it back (arrays)
-	} else {
-		bd.scratch = make([]float64, n)
-	}
 	bd.s = pulsar.New(bd.config(env, ep))
 	bd.build()
+	if bd.rOnly {
+		bd.scratch = slab.Floats.Take(bd.carved) // the shelf gives it back (arrays)
+	} else {
+		bd.scratch = make([]float64, bd.carved)
+	}
+	lo := 0
+	for _, v := range bd.views {
+		hi := lo + v.Rows*v.Cols
+		v.Data, lo = bd.scratch[lo:hi:hi], hi
+	}
+	bd.views = nil
 	return bd
 }
 
@@ -455,7 +452,6 @@ type arrayKey struct {
 	opts        Options
 	nodes, here int
 	threads     int
-	rOnly       bool
 }
 
 // arrays holds the process's built arrays that no run holds (Env.Part). An
@@ -476,7 +472,7 @@ func arrayOf(a, b *matrix.Tiled, opts Options, rc RunConfig, env Env, ep transpo
 	if env.Part == nil {
 		return newBuilder(a, b, opts, rc, env, ep, here)
 	}
-	key := arrayKey{m: a.M, n: a.N, opts: opts, nodes: rc.Nodes, here: here, threads: rc.Threads, rOnly: true}
+	key := arrayKey{m: a.M, n: a.N, opts: opts, nodes: rc.Nodes, here: here, threads: rc.Threads}
 	if b != nil {
 		key.nrhs = b.N
 	}
@@ -657,7 +653,7 @@ func (bd *builder) build() {
 					size *= 2 // a (V,T) packet
 				}
 				bd.s.Connect(h.from.tup, h.from.slot, tup, p.in, size, false)
-				if landsHere(h.node, to, bd.here) {
+				if h.node != to && (bd.here < 0 || to == bd.here) {
 					bd.land(h.from, endpoint{tup, p.in}, c, d, write)
 				}
 			case !d.R:
@@ -724,118 +720,60 @@ func (bd *builder) finalR(j int, from endpoint) {
 // carries one packet per run, and the proxy decodes it into the channel's
 // landing (pulsar.VSA.Land) instead of into fresh matrices.
 
-// carves calls take with the shape of each view c cuts from the scratch, in
-// the order carve hands them out: a Geqrt's T and then its domain's R
-// packet, a Tsqrt's or Ttqrt's T, a WriteBack's diagonal tile.
-func carves(a *matrix.Tiled, c Call, ib int, take func(rows, cols int)) {
-	n := a.TileCols(c.J)
-	switch c.Kernel {
-	case Geqrt:
-		k := min(a.TileRows(c.I), n)
-		take(min(ib, k), k)
-		take(k, n)
-	case Tsqrt, Ttqrt:
-		take(min(ib, n), n)
-	case WriteBack:
-		take(a.TileRows(c.J), n)
-	}
-}
-
-// carvesHere reports whether node here of nodes carves c's views (every
-// node's when here < 0): a kernel call's on the node it runs on, a
-// write-back's in an R-only run on the node that assembles R.
-func carvesHere(c Call, mt, nodes, here int, rOnly bool) bool {
-	if c.Kernel == WriteBack {
-		return rOnly && here <= 0
-	}
-	node, _ := Place(c, mt, nodes, 1)
-	return here < 0 || node == here
-}
-
-// lands calls take with the shape of each view datum d lands in when call c
-// takes it from another node: the tile or domain R itself when c writes it;
-// when c only reads it, the (V,T) packet of the transformation, V of d's
-// shape and then the T of the panel call that made it.
-func lands(a, b *matrix.Tiled, c Call, d Datum, write bool, ib int, take func(rows, cols int)) {
-	m, n := a.TileRows(d.I), colWidth(a, b, d.L)
-	if d.R {
-		m = min(m, n)
-	}
-	take(m, n)
-	switch {
-	case write:
-	case c.Kernel == Ormqr: // a Geqrt's T
-		k := min(m, n)
-		take(min(ib, k), k)
-	default: // a Tsqrt's or Ttqrt's T
-		take(min(ib, n), n)
-	}
-}
-
-// landsHere reports whether node here carves the landing of a datum that
-// travels from node from to node to (every node's when here < 0).
-func landsHere(from, to, here int) bool {
-	return from != to && (here < 0 || to == here)
-}
-
-// scratchLen sums the views node here carves (every node's when here < 0)
-// in a run of a, and b when it is not nil: build's carves and landings, the
-// same listing walked with the same holders.
-func scratchLen(a, b *matrix.Tiled, o Options, nodes, here int, rOnly bool) int {
-	n := 0
-	take := func(rows, cols int) { n += rows * cols }
-	held := map[Datum]int{} // the node of each datum's last holder
-	bnt := 0
-	if b != nil {
-		bnt = b.NT
-	}
-	List(a.MT, a.NT, bnt, o, func(c Call) {
-		if carvesHere(c, a.MT, nodes, here, rOnly) {
-			carves(a, c, o.IB, take)
-		}
-		if c.Kernel == WriteBack || nodes == 1 {
-			return
-		}
-		to, _ := Place(c, a.MT, nodes, 1)
-		c.Access(func(d Datum, write bool) {
-			if from, ok := held[d]; ok && landsHere(from, to, here) {
-				lands(a, b, c, d, write, o.IB, take)
-			}
-			held[d] = to
-		})
-	})
-	return n
-}
-
-// cut takes the next rows×cols view of the scratch.
+// cut takes the next rows×cols view of the scratch: its header, compact,
+// which newBuilder points at its span once build has cut every view.
 func (bd *builder) cut(rows, cols int) *matrix.Mat {
-	lo, hi := bd.carved, bd.carved+rows*cols
-	bd.carved = hi
-	return matrix.FromColMajor(rows, cols, rows, bd.scratch[lo:hi:hi])
+	v := &matrix.Mat{Rows: rows, Cols: cols, LD: rows}
+	bd.views = append(bd.views, v)
+	bd.carved += rows * cols
+	return v
 }
 
-// carve cuts c's next views (carves) from the scratch when this process
-// carves them, and returns them in that order; nil otherwise.
+// carve cuts c's views from the scratch when this process carves them, and
+// returns them in this order: a Geqrt's T and then its domain's R packet, a
+// Tsqrt's or Ttqrt's T, an R-only run's WriteBack's diagonal tile; nil
+// otherwise. A kernel call's are carved on the node it runs on, a
+// write-back's on the node that assembles R (every node's when here < 0).
 func (bd *builder) carve(c Call) (v [2]*matrix.Mat) {
-	if !carvesHere(c, bd.a.MT, bd.rc.Nodes, bd.here, bd.rOnly) {
+	n := bd.a.TileCols(c.J)
+	if c.Kernel == WriteBack {
+		if bd.here <= 0 {
+			v[0] = bd.cut(bd.a.TileRows(c.J), n)
+		}
 		return v
 	}
-	i := 0
-	carves(bd.a, c, bd.opts.IB, func(rows, cols int) {
-		v[i] = bd.cut(rows, cols)
-		i++
-	})
+	if node, _ := Place(c, bd.a.MT, bd.rc.Nodes, 1); bd.here >= 0 && node != bd.here {
+		return v
+	}
+	switch c.Kernel {
+	case Geqrt:
+		k := min(bd.a.TileRows(c.I), n)
+		v[0], v[1] = bd.cut(min(bd.opts.IB, k), k), bd.cut(k, n)
+	case Tsqrt, Ttqrt:
+		v[0] = bd.cut(min(bd.opts.IB, n), n)
+	}
 	return v
 }
 
 // land cuts the landing of datum d, which call c's VDP takes at to from
-// from, on another node (lands), and gives it to the channel.
+// from, on another node, and gives it to the channel: the tile or domain R
+// itself when c writes it; when c only reads it, the (V,T) packet of the
+// transformation, V of d's shape and then the T of the panel call that made
+// it.
 func (bd *builder) land(from, to endpoint, c Call, d Datum, write bool) {
-	var v []*matrix.Mat
-	lands(bd.a, bd.b, c, d, write, bd.opts.IB, func(rows, cols int) { v = append(v, bd.cut(rows, cols)) })
-	l := landing{from: from, c: c, d: d, write: write, v: v[0]}
-	if !write {
-		l.v = &vtMsg{V: v[0], T: v[1]}
+	m, n := bd.a.TileRows(d.I), colWidth(bd.a, bd.b, d.L)
+	if d.R {
+		m = min(m, n)
+	}
+	l := landing{from: from, c: c, d: d, write: write}
+	switch v := bd.cut(m, n); {
+	case write:
+		l.v = v
+	case c.Kernel == Ormqr: // a Geqrt's T
+		k := min(m, n)
+		l.v = &vtMsg{V: v, T: bd.cut(min(bd.opts.IB, k), k)}
+	default: // a Tsqrt's or Ttqrt's T
+		l.v = &vtMsg{V: v, T: bd.cut(min(bd.opts.IB, n), n)}
 	}
 	bd.s.Land(to.tup, to.slot, l.v)
 	bd.lands = append(bd.lands, l)

@@ -298,7 +298,7 @@ func (sp *JobSpec) recvUpload(ctx context.Context, jep transport.Endpoint, nb in
 	if err := transport.Await(ctx, jep, req); err != nil {
 		return fmt.Errorf("service: wait for this rank's rows of the upload canceled: %w", err)
 	}
-	rows, rest, err := wire.ConsumeDimMat(req.Data())
+	rows, rest, err := wire.ConsumeDimMat(nil, req.Data())
 	if err != nil {
 		return fmt.Errorf("service: upload rows: %w", err)
 	}

@@ -87,32 +87,24 @@ func AppendDimMat(dst []byte, m *matrix.Mat) ([]byte, uint64) {
 
 // ConsumeDimMat decodes one dims-prefixed matrix from the front of b and
 // returns it with the bytes that follow, so packets holding several chain
-// without slicing out each part first. The dimensions are the sender's, and
-// believed only as far as b is long, before anything is allocated.
-func ConsumeDimMat(b []byte) (m *matrix.Mat, rest []byte, err error) {
+// without slicing out each part first. A nil m decodes into fresh storage:
+// the dimensions are the sender's, and believed only as far as b is long,
+// before anything is allocated. A non-nil m is storage the caller already
+// holds (a landing), and the matrix must have its shape.
+func ConsumeDimMat(m *matrix.Mat, b []byte) (*matrix.Mat, []byte, error) {
 	rows, cols, err := dims(b)
-	if err != nil {
+	switch {
+	case err != nil:
 		return nil, nil, err
-	}
-	m = matrix.New(rows, cols)
-	Floats(m.Data[:rows*cols], b[8:])
-	return m, b[8+8*rows*cols:], nil
-}
-
-// ConsumeDimMatInto is ConsumeDimMat into m, storage the caller already
-// holds: the matrix at the front of b must have m's shape.
-func ConsumeDimMatInto(m *matrix.Mat, b []byte) (rest []byte, err error) {
-	rows, cols, err := dims(b)
-	if err != nil {
-		return nil, err
-	}
-	if rows != m.Rows || cols != m.Cols {
-		return nil, fmt.Errorf("wire: a %dx%d matrix where a %dx%d one belongs", rows, cols, m.Rows, m.Cols)
+	case m == nil:
+		m = matrix.New(rows, cols)
+	case rows != m.Rows || cols != m.Cols:
+		return nil, nil, fmt.Errorf("wire: a %dx%d matrix where a %dx%d one belongs", rows, cols, m.Rows, m.Cols)
 	}
 	for j := 0; j < cols; j++ {
 		Floats(m.Col(j), b[8+8*rows*j:])
 	}
-	return b[8+8*rows*cols:], nil
+	return m, b[8+8*rows*cols:], nil
 }
 
 // dims reads the dimensions a dims-prefixed matrix at the front of b
