@@ -28,11 +28,13 @@ loc:
 	@find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l
 
 # Brief fuzz of the wire decoders, the inter-rank packet dispatcher (into
-# fresh storage and into a landing), the job spec, the job frame and the
+# fresh storage and into a landing), the (V,T) packet that carries every
+# transformation and gathered log entry, the job spec, the job frame and the
 # check's sketch packet (must never panic;
 # regression corpora under internal/transport/testdata,
 # internal/wire/testdata, internal/batch/testdata,
-# internal/session/testdata and internal/service/testdata).
+# internal/session/testdata, internal/service/testdata and
+# internal/qr/testdata).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzConsumeDimMat -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalPacket -fuzztime 10s ./internal/pulsar
@@ -46,6 +48,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzJobSpec -fuzztime 10s ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzJobFrame -fuzztime 10s ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSketch -fuzztime 10s ./internal/qr
+	$(GO) test -run '^$$' -fuzz FuzzVTPacket -fuzztime 10s ./internal/qr
 
 # Deterministic fault-injection proof: a factorization over real TCP
 # with seeded chaos (delays, mid-run socket cuts on both links that TCP's

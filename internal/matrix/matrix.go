@@ -82,24 +82,19 @@ func (m *Mat) Col(j int) []float64 { return m.Data[j*m.LD : j*m.LD+m.Rows] }
 
 // View returns a sub-matrix view of rows [i, i+rows) and columns
 // [j, j+cols) sharing storage with m.
-func (m *Mat) View(i, j, rows, cols int) *Mat {
-	if i < 0 || j < 0 || rows < 0 || cols < 0 || i+rows > m.Rows || j+cols > m.Cols {
-		panic(fmt.Sprintf("matrix: view [%d:%d, %d:%d) out of %dx%d",
-			i, i+rows, j, j+cols, m.Rows, m.Cols))
-	}
-	return &Mat{Rows: rows, Cols: cols, LD: m.LD, Data: m.Data[i+j*m.LD:]}
-}
+func (m *Mat) View(i, j, rows, cols int) *Mat { return m.ViewInto(new(Mat), i, j, rows, cols) }
 
 // ViewInto fills dst with the same view View would return — rows [i, i+rows)
 // and columns [j, j+cols) sharing storage with m — and returns dst. It
 // exists so hot paths can reuse a caller-owned header instead of allocating
-// one per call.
+// one per call. An empty view may start past m's last element (a column-less
+// view at a row offset); its Data is then empty.
 func (m *Mat) ViewInto(dst *Mat, i, j, rows, cols int) *Mat {
 	if i < 0 || j < 0 || rows < 0 || cols < 0 || i+rows > m.Rows || j+cols > m.Cols {
 		panic(fmt.Sprintf("matrix: view [%d:%d, %d:%d) out of %dx%d",
 			i, i+rows, j, j+cols, m.Rows, m.Cols))
 	}
-	dst.Rows, dst.Cols, dst.LD, dst.Data = rows, cols, m.LD, m.Data[i+j*m.LD:]
+	dst.Rows, dst.Cols, dst.LD, dst.Data = rows, cols, m.LD, m.Data[min(i+j*m.LD, len(m.Data)):]
 	return dst
 }
 

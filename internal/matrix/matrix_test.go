@@ -64,6 +64,35 @@ func TestViewBounds(t *testing.T) {
 	m.View(2, 2, 2, 2)
 }
 
+// An empty view inside the bounds is a view, even where it starts past the
+// last element: a column-less one at a row offset of a column-less matrix,
+// or a row-less one past the last column of a short-LD matrix.
+func TestEmptyViewsInBounds(t *testing.T) {
+	for _, tc := range []struct {
+		m                *Mat
+		i, j, rows, cols int
+	}{
+		{New(4, 0), 1, 0, 3, 0},
+		{New(4, 0), 4, 0, 0, 0},
+		{New(0, 3), 0, 3, 0, 0},
+		{New(2, 2), 2, 2, 0, 0},
+		{New(2, 2).View(1, 1, 1, 1), 1, 0, 0, 1},
+	} {
+		for name, view := range map[string]func() *Mat{
+			"View":     func() *Mat { return tc.m.View(tc.i, tc.j, tc.rows, tc.cols) },
+			"ViewInto": func() *Mat { return tc.m.ViewInto(&Mat{}, tc.i, tc.j, tc.rows, tc.cols) },
+		} {
+			v := view()
+			if v.Rows != tc.rows || v.Cols != tc.cols || v.LD != tc.m.LD {
+				t.Fatalf("%s(%d, %d, %d, %d) of %dx%d: %dx%d ld %d", name, tc.i, tc.j, tc.rows, tc.cols, tc.m.Rows, tc.m.Cols, v.Rows, v.Cols, v.LD)
+			}
+			if c := v.Clone(); c.Rows != tc.rows || c.Cols != tc.cols {
+				t.Fatalf("%s: clone of a %dx%d view is %dx%d", name, tc.rows, tc.cols, c.Rows, c.Cols)
+			}
+		}
+	}
+}
+
 func TestCloneCompactAndIndependent(t *testing.T) {
 	m := NewRand(5, 5, rand.New(rand.NewSource(1)))
 	v := m.View(1, 1, 3, 3)

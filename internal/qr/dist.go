@@ -2,50 +2,11 @@ package qr
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 
 	"pulsarqr/internal/pulsar"
 	"pulsarqr/internal/transport"
 )
-
-func init() {
-	// Inter-process codec for collectMsg packets, used by the result
-	// gather: [kind u8][J i32][I i32][K i32][lenTile u32][tile][T].
-	pulsar.RegisterCodec(pulsar.Codec{
-		ID: 17,
-		EncodeAppend: func(dst []byte, v any) ([]byte, bool) {
-			m, ok := v.(*collectMsg)
-			if !ok {
-				return dst, false
-			}
-			hdr := [13]byte{byte(m.Kind)}
-			binary.LittleEndian.PutUint32(hdr[1:], uint32(int32(m.J)))
-			binary.LittleEndian.PutUint32(hdr[5:], uint32(int32(m.I)))
-			binary.LittleEndian.PutUint32(hdr[9:], uint32(int32(m.K)))
-			return appendTwoMats(dst, hdr[:], m.Tile, m.T), true
-		},
-		Decode: func(b []byte, into any) (any, error) {
-			switch {
-			case into != nil:
-				return nil, fmt.Errorf("qr: a collect packet cannot land in %T", into)
-			case len(b) < 13:
-				return nil, fmt.Errorf("qr: short collect packet")
-			}
-			tile, tf, err := consumeTwoMats(nil, nil, b[13:])
-			if err != nil {
-				return nil, fmt.Errorf("qr: collect packet: %w", err)
-			}
-			return &collectMsg{
-				Kind: Kernel(b[0]),
-				J:    int(int32(binary.LittleEndian.Uint32(b[1:]))),
-				I:    int(int32(binary.LittleEndian.Uint32(b[5:]))),
-				K:    int(int32(binary.LittleEndian.Uint32(b[9:]))),
-				Tile: tile, T: tf,
-			}, nil
-		},
-	})
-}
 
 // gather moves every packet assemble will read to rank 0. Each declared
 // output holds exactly one packet on the rank that ran its producing VDP; the

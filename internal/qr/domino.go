@@ -36,6 +36,15 @@ import (
 // elementwise-identical factorizations and the harness compares their
 // runtime cost.
 
+// collectMsg hands a domino VDP's tile to the driver: a reflector tile with
+// its panel call's kind, rows and T factor, or (Kind -1) a finished rhs tile.
+// It never leaves the process: a domino run has no gather.
+type collectMsg struct {
+	Kind    Kernel
+	I, K    int
+	Tile, T *matrix.Mat
+}
+
 // dominoLocal is a domino VDP's persistent state.
 type dominoLocal struct {
 	i, j  int // tile coordinates; j in global column space (rhs included)
@@ -155,27 +164,27 @@ func dominoFn(v *pulsar.VDP) {
 		// Diagonal at its own step: dgeqrt. The local tile keeps the
 		// reflectors; the extracted R becomes the traveler.
 		n := min(st.tile.Cols, st.tile.Rows)
-		tg := matrix.New(min(ib, n), n)
-		kernels.DgeqrtWS(wsOf(v), ib, st.tile, tg)
+		tg, r := matrix.New(min(ib, n), n), matrix.New(n, st.tile.Cols)
+		Call{Kernel: Geqrt}.run(wsOf(v), ib, [3]*matrix.Mat{st.tile, r}, tg)
 		if forward {
 			v.Push(1, pulsar.NewPacket(st.tile))
 			v.Push(2, pulsar.NewPacket(tg))
 		}
-		v.Push(0, pulsar.NewPacket(extractR(matrix.New(n, st.tile.Cols), st.tile)))
-		v.Push(3, pulsar.NewPacket(&collectMsg{Kind: Geqrt, J: j, I: i, K: -1, Tile: st.tile, T: tg}))
+		v.Push(0, pulsar.NewPacket(r))
+		v.Push(3, pulsar.NewPacket(&collectMsg{Kind: Geqrt, I: i, K: -1, Tile: st.tile, T: tg}))
 
 	case j == k && i > k:
 		// Panel column below the diagonal: dtsqrt against the traveling R.
 		r := v.Pop(0).Tile()
 		n := r.Cols
 		tt := matrix.New(min(ib, n), n)
-		kernels.DtsqrtWS(wsOf(v), ib, r, st.tile, tt)
+		Call{Kernel: Tsqrt}.run(wsOf(v), ib, [3]*matrix.Mat{r, st.tile}, tt)
 		if forward {
 			v.Push(1, pulsar.NewPacket(st.tile))
 			v.Push(2, pulsar.NewPacket(tt))
 		}
 		v.Push(0, pulsar.NewPacket(r))
-		v.Push(3, pulsar.NewPacket(&collectMsg{Kind: Tsqrt, J: j, I: k, K: i, Tile: st.tile, T: tt}))
+		v.Push(3, pulsar.NewPacket(&collectMsg{Kind: Tsqrt, I: k, K: i, Tile: st.tile, T: tt}))
 
 	case j > k && i == k:
 		// Top row of the step in a trailing column: dormqr; the local
@@ -185,7 +194,7 @@ func dominoFn(v *pulsar.VDP) {
 			v.Push(1, vp) // by-pass before applying (§V-C)
 			v.Push(2, tp)
 		}
-		kernels.DormqrWS(wsOf(v), true, ib, vp.Tile(), tp.Tile(), st.tile)
+		Call{Kernel: Ormqr}.run(wsOf(v), ib, [3]*matrix.Mat{vp.Tile(), st.tile}, tp.Tile())
 		v.Push(0, pulsar.NewPacket(st.tile))
 		st.tile = nil
 
@@ -197,7 +206,7 @@ func dominoFn(v *pulsar.VDP) {
 			v.Push(2, tp)
 		}
 		b1 := v.Pop(0).Tile()
-		kernels.DtsmqrWS(wsOf(v), true, ib, vp.Tile(), tp.Tile(), b1, st.tile)
+		Call{Kernel: Tsmqr}.run(wsOf(v), ib, [3]*matrix.Mat{vp.Tile(), b1, st.tile}, tp.Tile())
 		v.Push(0, pulsar.NewPacket(b1))
 	}
 
@@ -224,7 +233,7 @@ func dominoFn(v *pulsar.VDP) {
 	// Trailing rhs rows below the last panel keep their (fully updated)
 	// local tile; surrender it on the final firing.
 	if st.step == st.steps && st.tile != nil && j >= st.nt && i >= st.nt {
-		v.Push(3, pulsar.NewPacket(&collectMsg{Kind: -1, J: j, I: i, K: -1, Tile: st.tile}))
+		v.Push(3, pulsar.NewPacket(&collectMsg{Kind: -1, I: i, K: -1, Tile: st.tile}))
 	}
 }
 
@@ -269,7 +278,7 @@ func assembleDomino(s *pulsar.VSA, a, b *matrix.Tiled, opts Options) (*Factoriza
 			switch {
 			case j < nt && k == j:
 				// Final R(j,j): write into the diagonal tile's upper part.
-				writeR(out.Tile(j, j), tl, tl.Cols)
+				writeR(out.Tile(j, j), tl)
 			case j < nt:
 				out.SetTile(k, j, tl)
 			default:

@@ -13,7 +13,7 @@ import (
 )
 
 // The qr half of internal/wire's golden vectors: the packets only this
-// package can build (codecs 16 and 17, and a rank's input sketch), recorded
+// package can build (codec 16 and a rank's input sketch), recorded
 // from the encoders as they stood before internal/wire existed (the sketch
 // since it replaced the Gram). See internal/wire/golden_test.go.
 
@@ -65,20 +65,6 @@ func TestGoldenPackets(t *testing.T) {
 	sameTileBits(t, "vt V", p.Data.(*vtMsg).V, vt.V)
 	sameTileBits(t, "vt T", p.Data.(*vtMsg).T, vt.T)
 
-	cm := &collectMsg{Kind: Ttqrt, J: 1, I: -1, K: 70000, Tile: goldenTile(42, 5, 5), T: goldenTile(43, 2, 5)}
-	if b, err = pulsar.MarshalPacket(pulsar.NewPacket(cm)); err != nil {
-		t.Fatal(err)
-	}
-	if p, err = pulsar.UnmarshalPacket(goldenBytes(t, "packet17.golden", b)); err != nil {
-		t.Fatal(err)
-	}
-	got := p.Data.(*collectMsg)
-	if got.Kind != cm.Kind || got.J != cm.J || got.I != cm.I || got.K != cm.K {
-		t.Fatalf("collect header %v (%d,%d,%d), want %v (%d,%d,%d)", got.Kind, got.J, got.I, got.K, cm.Kind, cm.J, cm.I, cm.K)
-	}
-	sameTileBits(t, "collect tile", got.Tile, cm.Tile)
-	sameTileBits(t, "collect T", got.T, cm.T)
-
 	sk := &Sketch{Z: goldenTile(44, 5, sketchWidth)}
 	z, err := decodeSketch(goldenBytes(t, "sketch.golden", sk.encode()), 5)
 	if err != nil {
@@ -87,20 +73,18 @@ func TestGoldenPackets(t *testing.T) {
 	sameTileBits(t, "sketch Z", z, sk.Z)
 }
 
-// Codecs 16 and 17 write both matrices straight into the destination: a
+// Codec 16 writes both matrices straight into the destination: a
 // marshal from nothing costs that buffer (after its one-byte start) and no
 // temporary — there used to be three slices and two copies per packet — and
 // the buffer is sized once, not doubled up to.
 func TestPacketCodecsAllocateOnlyTheBuffer(t *testing.T) {
 	tile := matrix.NewRand(192, 192, rand.New(rand.NewSource(1)))
-	for _, data := range []any{&vtMsg{V: tile, T: tile.View(0, 0, 24, 192)}, &collectMsg{Tile: tile, T: tile.View(0, 0, 24, 192)}} {
-		p := pulsar.NewPacket(data)
-		if n := testing.AllocsPerRun(20, func() { pulsar.MarshalPacket(p) }); n > 3 { // 2; the race detector adds one
-			t.Errorf("%T: %v allocations per marshal, want at most 3 (there were 5)", data, n)
-		}
-		if b, _ := pulsar.MarshalPacket(p); cap(b) > len(b)+len(b)/16 {
-			t.Errorf("%T: %d bytes in a buffer of %d", data, len(b), cap(b))
-		}
+	p := pulsar.NewPacket(&vtMsg{V: tile, T: tile.View(0, 0, 24, 192)})
+	if n := testing.AllocsPerRun(20, func() { pulsar.MarshalPacket(p) }); n > 3 { // 2; the race detector adds one
+		t.Errorf("%v allocations per marshal, want at most 3 (there were 5)", n)
+	}
+	if b, _ := pulsar.MarshalPacket(p); cap(b) > len(b)+len(b)/16 {
+		t.Errorf("%d bytes in a buffer of %d", len(b), cap(b))
 	}
 }
 
@@ -110,7 +94,7 @@ func TestPacketCodecsAllocateOnlyTheBuffer(t *testing.T) {
 // is not a (V,T) packet are errors.
 func TestVTPacketLandsInItsViews(t *testing.T) {
 	vt := &vtMsg{V: goldenTile(40, 6, 4), T: goldenTile(41, 2, 4)}
-	b := appendTwoMats(nil, nil, vt.V, vt.T)
+	b := appendTwoMats(nil, vt.V, vt.T)
 	host := matrix.New(9, 9)
 	into := &vtMsg{V: host.View(1, 0, 6, 4), T: host.View(7, 4, 2, 4)}
 	got, err := vtCodec.Decode(b, into)
@@ -120,7 +104,7 @@ func TestVTPacketLandsInItsViews(t *testing.T) {
 	if got != into {
 		t.Fatalf("the packet decoded into a %T of its own, not its landing", got)
 	}
-	if again := appendTwoMats(nil, nil, into.V, into.T); !bytes.Equal(again, b) {
+	if again := appendTwoMats(nil, into.V, into.T); !bytes.Equal(again, b) {
 		t.Fatal("the landed V and T re-encode to different bytes")
 	}
 	sameTileBits(t, "landed V", into.V, vt.V)
@@ -154,4 +138,53 @@ func TestVTPacketLandsInItsViews(t *testing.T) {
 			t.Errorf("%s: the packet landed without an error", name)
 		}
 	}
+}
+
+// FuzzVTPacket drives codec 16, which carries every by-pass transformation
+// and every gathered log entry, with arbitrary payloads: decoded into fresh
+// storage through pulsar.UnmarshalPacket, into a (V,T) landing of a fixed
+// shape and into a matrix landing, it must never panic. A fresh decode that
+// succeeds holds no matrix of more floats than the payload has bytes and
+// re-encodes to the same bytes; a landing decode that succeeds holds what the
+// fresh one does; a matrix landing is always an error.
+func FuzzVTPacket(f *testing.F) {
+	for _, vt := range []*vtMsg{
+		{V: goldenTile(40, 6, 4), T: goldenTile(41, 2, 4)},
+		{V: matrix.New(0, 4), T: matrix.New(0, 0)},
+		{V: matrix.New(3, 0), T: matrix.New(2, 4)},
+		{V: matrix.Identity(2), T: matrix.New(1, 2)},
+	} {
+		b := appendTwoMats(nil, vt.V, vt.T)
+		f.Add(b)
+		f.Add(b[:len(b)-1])
+		f.Add(append(b, 0))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{255, 255, 255, 255, 1, 0, 0, 0, 1, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		pkt := append([]byte{vtCodec.ID}, b...)
+		p, err := pulsar.UnmarshalPacket(pkt)
+		var fresh *vtMsg
+		if err == nil {
+			fresh = p.Data.(*vtMsg)
+			if max(len(fresh.V.Data), len(fresh.T.Data)) > len(b) {
+				t.Fatalf("%d payload bytes decoded into %d and %d floats", len(b), len(fresh.V.Data), len(fresh.T.Data))
+			}
+			if again, err := pulsar.MarshalPacket(p); err != nil || !bytes.Equal(again, pkt) {
+				t.Fatalf("a %dx%d V and %dx%d T re-encode to different bytes (%v)", fresh.V.Rows, fresh.V.Cols, fresh.T.Rows, fresh.T.Cols, err)
+			}
+		}
+		into := &vtMsg{V: matrix.New(6, 4), T: matrix.New(2, 4)}
+		if _, err := vtCodec.Decode(b, into); err == nil {
+			if fresh == nil {
+				t.Fatal("a payload landed that does not decode fresh")
+			}
+			if !bytes.Equal(appendTwoMats(nil, into.V, into.T), b) {
+				t.Fatal("a landed payload re-encodes to different bytes")
+			}
+		}
+		if _, err := vtCodec.Decode(b, matrix.New(6, 4)); err == nil {
+			t.Fatal("a (V,T) payload landed in a matrix")
+		}
+	})
 }

@@ -1,6 +1,9 @@
 package qr
 
-import "pulsarqr/internal/kernels"
+import (
+	"pulsarqr/internal/kernels"
+	"pulsarqr/internal/matrix"
+)
 
 // Kernel is the kind of one call of the listing: one of the six tile
 // kernels, or the write-back of a panel's R.
@@ -113,6 +116,42 @@ func (c Call) Flops(m, n, nb int) float64 {
 		return kernels.FlopsTtmqr(cols(c.J), cols(c.L))
 	}
 	return 0
+}
+
+// run executes c on ws (nil borrows a pooled workspace) at inner block ib:
+// h holds its data in Access order, t the T factor a panel call writes or
+// an update applies. A Geqrt also starts its domain's R, h[1], from its
+// tile. This is the one kernel dispatch every engine runs a call through.
+func (c Call) run(ws *kernels.Workspace, ib int, h [3]*matrix.Mat, t *matrix.Mat) {
+	switch c.Kernel {
+	case Geqrt:
+		kernels.DgeqrtWS(ws, ib, h[0], t)
+		writeR(h[1], h[0])
+	case Tsqrt:
+		kernels.DtsqrtWS(ws, ib, h[0], h[1], t)
+	case Ttqrt:
+		kernels.DttqrtWS(ws, ib, h[0], h[1], t)
+	case Ormqr:
+		kernels.DormqrWS(ws, true, ib, h[0], t, h[1])
+	case Tsmqr:
+		kernels.DtsmqrWS(ws, true, ib, h[0], t, h[1], h[2])
+	case Ttmqr:
+		kernels.DttmqrWS(ws, true, ib, h[0], t, h[1], h[2])
+	case WriteBack:
+		writeR(h[1], h[0])
+	}
+}
+
+// writeR copies the upper trapezoid of src over dst's, as far as the rows of
+// both go: a factored tile's R into its domain's R packet, or a panel's
+// final R over its diagonal tile. The rest of dst — the Householder vectors
+// below a diagonal tile's R, a packet's unread lower part — stays.
+func writeR(dst, src *matrix.Mat) {
+	for jj := 0; jj < src.Cols; jj++ {
+		for ii := 0; ii <= jj && ii < src.Rows && ii < dst.Rows; ii++ {
+			dst.Set(ii, jj, src.At(ii, jj))
+		}
+	}
 }
 
 // List visits, in program order, the calls of one tree-based tile QR of mt×nt

@@ -33,6 +33,12 @@ import (
 //     released to the next panel, which may start as soon as they arrive
 //     (the shifted-boundary pipelining of Fig. 6/7).
 //
+// Every VDP, whatever its color, runs one body (callFn): one kernel call
+// wrapped in channel I/O. It pops the call's data, runs the call through
+// Call.run — the kernel dispatch every engine shares — and pushes what it
+// wrote; a panel call also publishes its transformation as a (V,T) packet,
+// which is its entry in the log as well.
+//
 // Every datum flows from the VDP that last held it to its next user: tiles
 // released by panel j go directly to their VDP in panel j+1, and tiles that
 // reach their final state (the R row of the surviving top, the QᵀB blocks)
@@ -86,18 +92,12 @@ func (rc RunConfig) normalize() RunConfig {
 	return rc
 }
 
-// vtMsg carries a Householder transformation along a row: the reflector
-// tile V (read-only once published) and its block factor T.
+// vtMsg carries a Householder transformation: the reflector tile V
+// (read-only once published; a Ttqrt's is the eliminated R) and its block
+// factor T. It travels along a row to the transformation's updates, and is
+// the transformation's entry in the log.
 type vtMsg struct {
 	V, T *matrix.Mat
-}
-
-// collectMsg carries a completed transformation to the driver: the kernel
-// kind, its coordinates, the reflector tile and the T factor.
-type collectMsg struct {
-	Kind    Kernel
-	J, I, K int
-	Tile, T *matrix.Mat
 }
 
 func init() { pulsar.RegisterCodec(vtCodec) }
@@ -111,7 +111,7 @@ var vtCodec = pulsar.Codec{
 		if !ok {
 			return dst, false
 		}
-		return appendTwoMats(dst, nil, m.V, m.T), true
+		return appendTwoMats(dst, m.V, m.T), true
 	},
 	Decode: func(b []byte, into any) (any, error) {
 		m, ok := into.(*vtMsg)
@@ -130,23 +130,22 @@ var vtCodec = pulsar.Codec{
 	},
 }
 
-// appendTwoMats appends hdr and then [len(a) u32][a][b], the tail vtMsg and
-// collectMsg packets share, each matrix in wire's dims-prefixed form. dst
-// grows once, to the exact size: a packet costs its destination buffer and
-// nothing else.
-func appendTwoMats(dst, hdr []byte, a, b *matrix.Mat) []byte {
+// appendTwoMats appends [len(a) u32][a][b], the payload of a vtMsg packet,
+// each matrix in wire's dims-prefixed form. dst grows once, to the exact
+// size: a packet costs its destination buffer and nothing else.
+func appendTwoMats(dst []byte, a, b *matrix.Mat) []byte {
 	la := 8 + 8*a.Rows*a.Cols
-	dst = append(slices.Grow(dst, len(hdr)+4+la+8+8*b.Rows*b.Cols), hdr...)
+	dst = slices.Grow(dst, 4+la+8+8*b.Rows*b.Cols)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(la))
 	dst, _ = wire.AppendDimMat(dst, a)
 	dst, _ = wire.AppendDimMat(dst, b)
 	return dst
 }
 
-// consumeTwoMats decodes what appendTwoMats wrote after hdr: two matrices
-// that fill p exactly, the first as long as its length prefix declares. Each
-// goes into fresh storage when a or b is nil, and otherwise into a or b,
-// whose shape it must have (wire.ConsumeDimMat).
+// consumeTwoMats decodes what appendTwoMats wrote: two matrices that fill p
+// exactly, the first as long as its length prefix declares. Each goes into
+// fresh storage when a or b is nil, and otherwise into a or b, whose shape it
+// must have (wire.ConsumeDimMat).
 func consumeTwoMats(a, b *matrix.Mat, p []byte) (*matrix.Mat, *matrix.Mat, error) {
 	if len(p) < 4 {
 		return nil, nil, fmt.Errorf("%d bytes where two matrices belong", len(p))
@@ -256,29 +255,16 @@ func (bd *builder) tileOutput(from endpoint, i, l int) {
 	})
 }
 
-// panelLocal is the build-time configuration stored in a panel VDP.
-type panelLocal struct {
-	j, i, n, ib int
-	top         bool // dgeqrt (domain top) vs dtsqrt
-	hasVT       bool // a trailing/rhs column exists
-	// t is the call's T factor and r, at a domain top, the domain's R
-	// packet: views of the run's scratch (carve).
+// callLocal is the build-time configuration of a VDP: the call it runs at
+// inner block ib, whether a column follows the call's (its transformation
+// then goes on to the next one), and, for a panel call, its T factor t and,
+// at a domain top, the domain's R packet r: views of the run's scratch
+// (carve).
+type callLocal struct {
+	c    Call
+	ib   int
+	fwd  bool
 	t, r *matrix.Mat
-}
-
-// updateLocal configures an update or merge-update VDP.
-type updateLocal struct {
-	ib    int
-	top   bool // dormqr vs dtsmqr
-	fwdVT bool // forward the (V,T) packet to the next column first
-}
-
-// mergeLocal configures a merge VDP; t is its T factor, a view of the run's
-// scratch (carve).
-type mergeLocal struct {
-	j, surv, k, n, ib int
-	hasVT             bool
-	t                 *matrix.Mat
 }
 
 // FactorizeVSA computes the same factorization as Factorize by building
@@ -567,21 +553,21 @@ func homeCall(t tuple.Tuple) Call {
 type port struct{ in, out int }
 
 // vdpKinds maps each tile kernel onto the VDP that runs it: the tuple kind,
-// the body, the slot counts, and one port per datum in Call.Access order. A
-// datum the call only reads is a (V,T) packet, and its out port is the
-// by-pass forward to the next column.
+// the slot counts, and one port per datum in Call.Access order. A datum the
+// call only reads is a (V,T) packet, and its out port is the by-pass forward
+// to the next column. A panel call's out port 1 carries its reflectors on as
+// a (V,T) packet, and slot 2 its log entry.
 var vdpKinds = [NumKernels]struct {
 	kind      int
-	body      pulsar.Func
 	nin, nout int
 	ports     []port
 }{
-	Geqrt: {kindPanel, panelFn, 2, 3, []port{{0, 1}, {-1, 0}}},
-	Tsqrt: {kindPanel, panelFn, 2, 3, []port{{1, 0}, {0, 1}}},
-	Ttqrt: {kindMerge, mergeFn, 2, 3, []port{{0, 0}, {1, 1}}},
-	Ormqr: {kindUpdate, updateFn, 3, 4, []port{{1, 0}, {0, 1}}},
-	Tsmqr: {kindUpdate, updateFn, 3, 4, []port{{1, 0}, {2, 1}, {0, 3}}},
-	Ttmqr: {kindMergeUpdate, mergeUpdFn, 3, 3, []port{{2, 0}, {0, 1}, {1, 2}}},
+	Geqrt: {kindPanel, 2, 3, []port{{0, 1}, {-1, 0}}},
+	Tsqrt: {kindPanel, 2, 3, []port{{1, 0}, {0, 1}}},
+	Ttqrt: {kindMerge, 2, 3, []port{{0, 0}, {1, 1}}},
+	Ormqr: {kindUpdate, 3, 4, []port{{1, 0}, {0, 1}}},
+	Tsmqr: {kindUpdate, 3, 4, []port{{1, 0}, {2, 1}, {0, 3}}},
+	Ttmqr: {kindMergeUpdate, 3, 3, []port{{2, 0}, {0, 1}, {1, 2}}},
 }
 
 // vdpTup returns the tuple of the VDP that runs tile kernel call c.
@@ -598,20 +584,10 @@ func vdpTup(c Call) tuple.Tuple {
 	return tuple.Tuple{kindMergeUpdate, c.J, c.I, c.K, l}
 }
 
-// local returns the configuration of c's VDP. Its (V,T) goes on to another
-// VDP when a column follows the call's.
-func (bd *builder) local(c Call) any {
-	n, ib := bd.a.TileCols(c.J), bd.opts.IB
-	fwd := c.L+1 < bd.a.NT+bd.bnt
-	switch c.Kernel {
-	case Geqrt, Tsqrt:
-		row, _ := c.Home()
-		v := bd.carve(c)
-		return &panelLocal{j: c.J, i: row, n: n, ib: ib, top: c.Kernel == Geqrt, hasVT: fwd, t: v[0], r: v[1]}
-	case Ttqrt:
-		return &mergeLocal{j: c.J, surv: c.I, k: c.K, n: n, ib: ib, hasVT: fwd, t: bd.carve(c)[0]}
-	}
-	return &updateLocal{ib: ib, top: c.Kernel == Ormqr, fwdVT: fwd}
+// local returns the configuration of c's VDP, carving its views.
+func (bd *builder) local(c Call) *callLocal {
+	v := bd.carve(c)
+	return &callLocal{c: c, ib: bd.opts.IB, fwd: c.L+1 < bd.a.NT+bd.bnt, t: v[0], r: v[1]}
 }
 
 // holder is the producer a datum's next user receives it from, and the node
@@ -639,7 +615,7 @@ func (bd *builder) build() {
 			return
 		}
 		k, tup := vdpKinds[c.Kernel], vdpTup(c)
-		bd.s.NewVDP(tup, 1, k.body, c.Kernel.Class(), k.nin, k.nout).SetLocal(bd.local(c))
+		bd.s.NewVDP(tup, 1, callFn, c.Kernel.Class(), k.nin, k.nout).SetLocal(bd.local(c))
 		to, _ := Place(c, bd.a.MT, bd.rc.Nodes, bd.rc.Threads)
 		n := 0
 		c.Access(func(d Datum, write bool) {
@@ -675,19 +651,19 @@ func (bd *builder) build() {
 	}
 }
 
-// logOutput declares the log entry of panel call c. The reflector tile of a
-// Geqrt or Tsqrt is placed in A here, before the panel's WriteBack writes R
-// over the diagonal one; a Ttqrt's reflectors are the eliminated R, kept as
-// the entry's V2.
+// logOutput declares the log entry of panel call c, its (V,T) packet. The
+// reflector tile of a Geqrt or Tsqrt is placed in A here, before the panel's
+// WriteBack writes R over the diagonal one; a Ttqrt's reflectors are the
+// eliminated R, kept as the entry's V2.
 func (bd *builder) logOutput(c Call, from endpoint) {
 	row, _ := c.Home()
 	bd.output(from, true, func(f *Factorization, p *pulsar.Packet) {
-		cm := p.Data.(*collectMsg)
-		op := Op{Kind: c.Kernel, J: c.J, I: c.I, K: c.K, T: cm.T}
+		vt := p.Data.(*vtMsg)
+		op := Op{Kind: c.Kernel, J: c.J, I: c.I, K: c.K, T: vt.T}
 		if c.Kernel == Ttqrt {
-			op.V2 = cm.Tile
+			op.V2 = vt.V
 		} else {
-			f.A.SetTile(row, c.J, cm.Tile)
+			f.A.SetTile(row, c.J, vt.V)
 		}
 		f.Ops = append(f.Ops, op)
 	})
@@ -701,7 +677,7 @@ func (bd *builder) finalR(j int, from endpoint) {
 		if bd.rOnly {
 			f.A.SetTile(j, j, bd.diag[j])
 		}
-		writeR(f.A.Tile(j, j), p.Tile(), bd.a.TileCols(j))
+		writeR(f.A.Tile(j, j), p.Tile())
 	})
 }
 
@@ -779,29 +755,7 @@ func (bd *builder) land(from, to endpoint, c Call, d Datum, write bool) {
 	bd.lands = append(bd.lands, l)
 }
 
-// --- VDP bodies ---------------------------------------------------------
-
-// extractR copies the upper trapezoid of a factored tile into r, the k×n
-// packet of the domain's R that will travel down the reduction chains. Its
-// strictly lower part is left as it was: no kernel reads it.
-func extractR(r, tile *matrix.Mat) *matrix.Mat {
-	for jj := 0; jj < r.Cols; jj++ {
-		for ii := 0; ii <= jj && ii < r.Rows; ii++ {
-			r.Set(ii, jj, tile.At(ii, jj))
-		}
-	}
-	return r
-}
-
-// writeR writes r, a panel's final R, over the upper triangle of the n
-// columns of the diagonal tile; the Householder vectors below it stay.
-func writeR(diag, r *matrix.Mat, n int) {
-	for jj := 0; jj < n; jj++ {
-		for ii := 0; ii <= jj && ii < r.Rows; ii++ {
-			diag.Set(ii, jj, r.At(ii, jj))
-		}
-	}
-}
+// --- the VDP body -------------------------------------------------------
 
 // wsOf returns the firing worker's kernel workspace; nil (letting the
 // kernels fall back to their pool) if the runtime has none configured.
@@ -810,72 +764,50 @@ func wsOf(v *pulsar.VDP) *kernels.Workspace {
 	return ws
 }
 
-func panelFn(v *pulsar.VDP) {
-	cfg := v.Local().(*panelLocal)
-	tile := v.Pop(0).Tile()
-	if cfg.top {
-		kernels.DgeqrtWS(wsOf(v), cfg.ib, tile, cfg.t)
-		if cfg.hasVT {
-			v.Push(1, pulsar.NewPacket(&vtMsg{V: tile, T: cfg.t}))
+// callFn is the body of every VDP of the array: it takes each datum of its
+// call at the datum's in port, runs the call (Call.run), and pushes each
+// datum it wrote at its out port. A Geqrt creates its domain's R in the
+// carved view. A (V,T) packet the call only reads is forwarded before the
+// kernel runs, so the by-pass overlaps with it (paper §V-C). A panel call
+// sends the datum on out port 1 — its reflectors — as a (V,T) packet when a
+// column follows, and as its log entry on slot 2.
+func callFn(v *pulsar.VDP) {
+	l := v.Local().(*callLocal)
+	ports := vdpKinds[l.c.Kernel].ports
+	var h [3]*matrix.Mat
+	var wrote [3]bool
+	t, n := l.t, 0
+	l.c.Access(func(_ Datum, write bool) {
+		switch p := ports[n]; {
+		case p.in < 0:
+			h[n] = l.r
+		case write:
+			h[n] = v.Pop(p.in).Tile()
+		default:
+			vt := v.Pop(p.in)
+			if l.fwd {
+				v.Push(p.out, vt)
+			}
+			m := vt.Data.(*vtMsg)
+			h[n], t = m.V, m.T
 		}
-		v.Push(0, pulsar.NewPacket(extractR(cfg.r, tile)))
-		v.Push(2, pulsar.NewPacket(&collectMsg{Kind: Geqrt, J: cfg.j, I: cfg.i, K: -1, Tile: tile, T: cfg.t}))
-		return
+		wrote[n] = write
+		n++
+	})
+	l.c.run(wsOf(v), l.ib, h, t)
+	for i, p := range ports {
+		switch {
+		case !wrote[i]:
+		case p.out == 1 && l.c.Kernel <= Ttqrt:
+			vt := pulsar.NewPacket(&vtMsg{V: h[i], T: t})
+			if l.fwd {
+				v.Push(1, vt)
+			}
+			v.Push(2, vt)
+		default:
+			v.Push(p.out, pulsar.NewPacket(h[i]))
+		}
 	}
-	r := v.Pop(1).Tile()
-	kernels.DtsqrtWS(wsOf(v), cfg.ib, r, tile, cfg.t)
-	if cfg.hasVT {
-		v.Push(1, pulsar.NewPacket(&vtMsg{V: tile, T: cfg.t}))
-	}
-	v.Push(0, pulsar.NewPacket(r))
-	v.Push(2, pulsar.NewPacket(&collectMsg{Kind: Tsqrt, J: cfg.j, I: -1, K: cfg.i, Tile: tile, T: cfg.t}))
-}
-
-func updateFn(v *pulsar.VDP) {
-	cfg := v.Local().(*updateLocal)
-	vtp := v.Pop(1)
-	if cfg.fwdVT {
-		// By-pass: forward the transformation before applying it, so the
-		// communication overlaps with the local kernel (paper §V-C).
-		v.Push(0, vtp)
-	}
-	msg := vtp.Data.(*vtMsg)
-	tile := v.Pop(0).Tile()
-	if cfg.top {
-		kernels.DormqrWS(wsOf(v), true, cfg.ib, msg.V, msg.T, tile)
-		v.Push(1, pulsar.NewPacket(tile))
-		return
-	}
-	topTile := v.Pop(2).Tile()
-	kernels.DtsmqrWS(wsOf(v), true, cfg.ib, msg.V, msg.T, topTile, tile)
-	v.Push(1, pulsar.NewPacket(topTile))
-	v.Push(3, pulsar.NewPacket(tile))
-}
-
-func mergeFn(v *pulsar.VDP) {
-	cfg := v.Local().(*mergeLocal)
-	rs := v.Pop(0).Tile()
-	rk := v.Pop(1).Tile()
-	kernels.DttqrtWS(wsOf(v), cfg.ib, rs, rk, cfg.t)
-	if cfg.hasVT {
-		v.Push(1, pulsar.NewPacket(&vtMsg{V: rk, T: cfg.t}))
-	}
-	v.Push(0, pulsar.NewPacket(rs))
-	v.Push(2, pulsar.NewPacket(&collectMsg{Kind: Ttqrt, J: cfg.j, I: cfg.surv, K: cfg.k, Tile: rk, T: cfg.t}))
-}
-
-func mergeUpdFn(v *pulsar.VDP) {
-	cfg := v.Local().(*updateLocal)
-	vtp := v.Pop(2)
-	if cfg.fwdVT {
-		v.Push(0, vtp)
-	}
-	msg := vtp.Data.(*vtMsg)
-	b1 := v.Pop(0).Tile()
-	b2 := v.Pop(1).Tile()
-	kernels.DttmqrWS(wsOf(v), true, cfg.ib, msg.V, msg.T, b1, b2)
-	v.Push(1, pulsar.NewPacket(b1))
-	v.Push(2, pulsar.NewPacket(b2))
 }
 
 // --- injection and assembly ---------------------------------------------

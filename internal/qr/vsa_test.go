@@ -487,18 +487,19 @@ func checkCarves(t *testing.T, name string, bd *builder, scratch []float64, rank
 	for _, v := range bd.s.VDPs() {
 		var got []*matrix.Mat
 		var want []view
-		switch l := v.Local().(type) {
-		case *panelLocal:
+		l := v.Local().(*callLocal)
+		n := bd.a.TileCols(l.c.J)
+		switch l.c.Kernel {
+		case Geqrt:
 			got = []*matrix.Mat{l.t, l.r}
-			if l.top {
-				k := min(bd.a.TileRows(l.i), l.n)
-				want = []view{{l.t, min(ib, k), k, "geqrt T"}, {l.r, k, l.n, "domain R"}}
-			} else {
-				want = []view{{l.t, min(ib, l.n), l.n, "tsqrt T"}}
-			}
-		case *mergeLocal:
+			k := min(bd.a.TileRows(l.c.I), n)
+			want = []view{{l.t, min(ib, k), k, "geqrt T"}, {l.r, k, n, "domain R"}}
+		case Tsqrt:
+			got = []*matrix.Mat{l.t, l.r}
+			want = []view{{l.t, min(ib, n), n, "tsqrt T"}}
+		case Ttqrt:
 			got = []*matrix.Mat{l.t}
-			want = []view{{l.t, min(ib, l.n), l.n, "ttqrt T"}}
+			want = []view{{l.t, min(ib, n), n, "ttqrt T"}}
 		default:
 			continue
 		}

@@ -73,30 +73,7 @@ func walk(a, b *matrix.Tiled, opts Options, submit submitFunc, wait func()) (*Fa
 			f.Ops = append(f.Ops, op)
 		}
 		t := ts[key]
-		var run func(ws *kernels.Workspace)
-		switch c.Kernel {
-		case Geqrt:
-			run = func(ws *kernels.Workspace) {
-				kernels.DgeqrtWS(ws, ib, h[0], t)
-				writeR(h[1], h[0], n) // the domain's R starts as the tile's
-			}
-		case Tsqrt:
-			run = func(ws *kernels.Workspace) { kernels.DtsqrtWS(ws, ib, h[0], h[1], t) }
-		case Ttqrt:
-			run = func(ws *kernels.Workspace) { kernels.DttqrtWS(ws, ib, h[0], h[1], t) }
-		case Ormqr:
-			run = func(ws *kernels.Workspace) { kernels.DormqrWS(ws, true, ib, h[0], t, h[1]) }
-		case Tsmqr:
-			run = func(ws *kernels.Workspace) { kernels.DtsmqrWS(ws, true, ib, h[0], t, h[1], h[2]) }
-		case Ttmqr:
-			run = func(ws *kernels.Workspace) { kernels.DttmqrWS(ws, true, ib, h[0], t, h[1], h[2]) }
-		case WriteBack:
-			// The surviving R of the panel becomes the final R(j,j) block:
-			// written into the upper triangle of the diagonal tile, the
-			// Householder vectors below it untouched.
-			run = func(*kernels.Workspace) { writeR(h[1], h[0], n) }
-		}
-		submit(c.Kernel.String(), run, deps...)
+		submit(c.Kernel.String(), func(ws *kernels.Workspace) { c.run(ws, ib, h, t) }, deps...)
 	})
 	wait()
 	return f, nil
