@@ -13,8 +13,7 @@ import (
 // owner sends it under a tag derived from the output's index in the
 // declaration list — the same list on every rank — and rank 0 posts the
 // matching specific receives: no wildcard, so nothing can be misattributed.
-// On an R-only run the log entries keep their indices and stay where they
-// are. A non-nil part rides the same collective: every other rank sends its
+// A non-nil part rides the same collective: every other rank sends its
 // sketch, and rank 0 adds them into part in rank order.
 func (bd *builder) gather(ctx context.Context, ep transport.Endpoint, part *Sketch) error {
 	rank := ep.Rank()
@@ -33,15 +32,15 @@ func (bd *builder) gather(ctx context.Context, ep transport.Endpoint, part *Sket
 	var reqs []pending // rank 0's receives
 	for idx, o := range bd.outputs {
 		owner, _ := mp(o.from.tup)
-		if owner == 0 || o.log && bd.rOnly {
-			continue // already in rank 0's collected map, or not gathered
+		if owner == 0 {
+			continue // already in rank 0's collected map
 		}
 		tag := transport.GatherTagBase + idx
 		switch rank {
 		case 0:
 			reqs = append(reqs, pending{e: o.from, req: ep.Irecv(owner, tag)})
 		case owner:
-			p, err := bd.collectedOne(o.from)
+			p, err := collectedOne(bd.s, o.from.tup, o.from.slot)
 			if err != nil {
 				return fmt.Errorf("qr: rank %d: %w", rank, err)
 			}

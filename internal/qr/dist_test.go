@@ -135,8 +135,11 @@ func runDistWorker() int {
 	if diff := matrix.MaxAbsDiff(seq.QTB.ToDense(), f.QTB.ToDense()); diff != 0 {
 		return fail("QtB differs by %v", diff)
 	}
-	if len(seq.Ops) != len(f.Ops) {
-		return fail("op logs: %d vs %d entries", len(seq.Ops), len(f.Ops))
+	if len(seq.log) != len(f.log) {
+		return fail("logs: %d vs %d entries", len(seq.log), len(f.log))
+	}
+	if sq, fq := seq.Q(), f.Q(); !sameBits(sq, fq) {
+		return fail("Q differs by %v", matrix.MaxAbsDiff(sq, fq))
 	}
 	if res := f.Residual(d); res > 1e-13 {
 		return fail("residual %v", res)

@@ -21,8 +21,9 @@ import (
 //	in  1: V from (i, j−1)    out 1: V to (i, j+1)
 //	in  2: T from (i, j−1)    out 2: T to (i, j+1)
 //
-// A fourth output gathers factored tiles for the driver (result
-// collection, not part of the systolic flow). The final R rows emerge from
+// A fourth output, slot 3, hands the driver one packet (result collection,
+// not part of the systolic flow): a panel VDP's log entry, the (V,T) of its
+// call, and a trailing rhs VDP's finished tile. The final R rows emerge from
 // the bottom of each column, one per panel step, like falling dominoes.
 //
 // A VDP's last firing may need none of its inputs (the diagonal dgeqrt) or
@@ -36,15 +37,6 @@ import (
 // elementwise-identical factorizations and the harness compares their
 // runtime cost.
 
-// collectMsg hands a domino VDP's tile to the driver: a reflector tile with
-// its panel call's kind, rows and T factor, or (Kind -1) a finished rhs tile.
-// It never leaves the process: a domino run has no gather.
-type collectMsg struct {
-	Kind    Kernel
-	I, K    int
-	Tile, T *matrix.Mat
-}
-
 // dominoLocal is a domino VDP's persistent state.
 type dominoLocal struct {
 	i, j  int // tile coordinates; j in global column space (rhs included)
@@ -52,7 +44,6 @@ type dominoLocal struct {
 	steps int // total firings
 	step  int // current panel step k
 	tile  *matrix.Mat
-	mt    int
 	nt    int // matrix tile columns (excluding rhs)
 	ncols int // total columns including rhs
 }
@@ -106,7 +97,7 @@ func FactorizeDomino(a *matrix.Tiled, b *matrix.Tiled, opts Options, rc RunConfi
 				tl = b.Tile(i, j-nt)
 			}
 			loc := &dominoLocal{i: i, j: j, ib: opts.IB, steps: steps(i, j),
-				tile: tl, mt: mt, nt: nt, ncols: ncols}
+				tile: tl, nt: nt, ncols: ncols}
 			v := s.NewVDP(tuple.New2(i, j), loc.steps, dominoFn, class(i, j), 3, 4)
 			v.SetLocal(loc)
 		}
@@ -165,26 +156,26 @@ func dominoFn(v *pulsar.VDP) {
 		// reflectors; the extracted R becomes the traveler.
 		n := min(st.tile.Cols, st.tile.Rows)
 		tg, r := matrix.New(min(ib, n), n), matrix.New(n, st.tile.Cols)
-		Call{Kernel: Geqrt}.run(wsOf(v), ib, [3]*matrix.Mat{st.tile, r}, tg)
+		Call{Kernel: Geqrt}.run(wsOf(v), true, ib, [3]*matrix.Mat{st.tile, r}, tg)
 		if forward {
 			v.Push(1, pulsar.NewPacket(st.tile))
 			v.Push(2, pulsar.NewPacket(tg))
 		}
 		v.Push(0, pulsar.NewPacket(r))
-		v.Push(3, pulsar.NewPacket(&collectMsg{Kind: Geqrt, I: i, K: -1, Tile: st.tile, T: tg}))
+		v.Push(3, pulsar.NewPacket(&vtMsg{V: st.tile, T: tg}))
 
 	case j == k && i > k:
 		// Panel column below the diagonal: dtsqrt against the traveling R.
 		r := v.Pop(0).Tile()
 		n := r.Cols
 		tt := matrix.New(min(ib, n), n)
-		Call{Kernel: Tsqrt}.run(wsOf(v), ib, [3]*matrix.Mat{r, st.tile}, tt)
+		Call{Kernel: Tsqrt}.run(wsOf(v), true, ib, [3]*matrix.Mat{r, st.tile}, tt)
 		if forward {
 			v.Push(1, pulsar.NewPacket(st.tile))
 			v.Push(2, pulsar.NewPacket(tt))
 		}
 		v.Push(0, pulsar.NewPacket(r))
-		v.Push(3, pulsar.NewPacket(&collectMsg{Kind: Tsqrt, I: k, K: i, Tile: st.tile, T: tt}))
+		v.Push(3, pulsar.NewPacket(&vtMsg{V: st.tile, T: tt}))
 
 	case j > k && i == k:
 		// Top row of the step in a trailing column: dormqr; the local
@@ -194,7 +185,7 @@ func dominoFn(v *pulsar.VDP) {
 			v.Push(1, vp) // by-pass before applying (§V-C)
 			v.Push(2, tp)
 		}
-		Call{Kernel: Ormqr}.run(wsOf(v), ib, [3]*matrix.Mat{vp.Tile(), st.tile}, tp.Tile())
+		Call{Kernel: Ormqr}.run(wsOf(v), true, ib, [3]*matrix.Mat{vp.Tile(), st.tile}, tp.Tile())
 		v.Push(0, pulsar.NewPacket(st.tile))
 		st.tile = nil
 
@@ -206,7 +197,7 @@ func dominoFn(v *pulsar.VDP) {
 			v.Push(2, tp)
 		}
 		b1 := v.Pop(0).Tile()
-		Call{Kernel: Tsmqr}.run(wsOf(v), ib, [3]*matrix.Mat{vp.Tile(), b1, st.tile}, tp.Tile())
+		Call{Kernel: Tsmqr}.run(wsOf(v), true, ib, [3]*matrix.Mat{vp.Tile(), b1, st.tile}, tp.Tile())
 		v.Push(0, pulsar.NewPacket(b1))
 	}
 
@@ -233,40 +224,30 @@ func dominoFn(v *pulsar.VDP) {
 	// Trailing rhs rows below the last panel keep their (fully updated)
 	// local tile; surrender it on the final firing.
 	if st.step == st.steps && st.tile != nil && j >= st.nt && i >= st.nt {
-		v.Push(3, pulsar.NewPacket(&collectMsg{Kind: -1, I: i, K: -1, Tile: st.tile}))
+		v.Push(3, pulsar.NewPacket(st.tile))
 	}
 }
 
 // assembleDomino gathers the collectors into a Factorization.
 func assembleDomino(s *pulsar.VSA, a, b *matrix.Tiled, opts Options) (*Factorization, error) {
-	mt, nt := a.MT, a.NT
-	bnt := 0
-	if b != nil {
-		bnt = b.NT
-	}
+	mt, nt, bnt := a.MT, a.NT, 0
 	out := matrix.NewTiled(a.M, a.N, a.NB)
-	var qtb *matrix.Tiled
+	f := &Factorization{M: a.M, N: a.N, Opts: opts, A: out}
 	if b != nil {
-		qtb = matrix.NewTiled(b.M, b.N, b.NB)
+		bnt, f.QTB = b.NT, matrix.NewTiled(b.M, b.N, b.NB)
 	}
-	f := &Factorization{M: a.M, N: a.N, Opts: opts, A: out, QTB: qtb}
 
-	// Panel-column reflector tiles and the op log, in flat-tree order.
-	for j := 0; j < nt; j++ {
-		for i := j; i < mt; i++ {
-			var cm *collectMsg
-			for _, p := range s.Collected(tuple.New2(i, j), 3) {
-				c := p.Data.(*collectMsg)
-				if c.Kind == Geqrt || c.Kind == Tsqrt {
-					cm = c
-				}
-			}
-			if cm == nil {
-				return nil, fmt.Errorf("qr: domino: missing reflector tile (%d,%d)", i, j)
-			}
-			out.SetTile(i, j, cm.Tile)
-			f.Ops = append(f.Ops, Op{Kind: cm.Kind, J: j, I: cm.I, K: cm.K, T: cm.T})
+	// The log, by listing position: a panel call's entry is the one packet
+	// of the VDP at its Home tile, whose reflector tile goes in place.
+	for _, c := range panelCalls(mt, nt, opts) {
+		i, j := c.Home()
+		p, err := collectedOne(s, tuple.New2(i, j), 3)
+		if err != nil {
+			return nil, fmt.Errorf("qr: domino: %w", err)
 		}
+		vt := p.Data.(*vtMsg)
+		out.SetTile(i, j, vt.V)
+		f.log = append(f.log, *vt)
 	}
 
 	// Bottom-row outputs: column j emits, in step order, the final R(k, j)
@@ -282,26 +263,19 @@ func assembleDomino(s *pulsar.VSA, a, b *matrix.Tiled, opts Options) (*Factoriza
 			case j < nt:
 				out.SetTile(k, j, tl)
 			default:
-				qtb.SetTile(k, j-nt, tl)
+				f.QTB.SetTile(k, j-nt, tl)
 			}
 		}
 	}
 
 	// RHS rows below the last panel surrendered their local tiles.
-	if b != nil {
-		for r := 0; r < bnt; r++ {
-			for i := nt; i < mt; i++ {
-				var got *matrix.Mat
-				for _, p := range s.Collected(tuple.New2(i, nt+r), 3) {
-					if c := p.Data.(*collectMsg); c.Kind == -1 {
-						got = c.Tile
-					}
-				}
-				if got == nil {
-					return nil, fmt.Errorf("qr: domino: rhs tile (%d,%d) not collected", i, r)
-				}
-				qtb.SetTile(i, r, got)
+	for r := 0; r < bnt; r++ {
+		for i := nt; i < mt; i++ {
+			p, err := collectedOne(s, tuple.New2(i, nt+r), 3)
+			if err != nil {
+				return nil, fmt.Errorf("qr: domino: %w", err)
 			}
+			f.QTB.SetTile(i, r, p.Tile())
 		}
 	}
 	return f, nil

@@ -4,26 +4,11 @@ import (
 	"fmt"
 
 	"pulsarqr/internal/blas"
-	"pulsarqr/internal/kernels"
 	"pulsarqr/internal/matrix"
 )
 
-// Op records one panel transformation, in global execution order, with the
-// block-reflector factor needed to replay it. For Geqrt and Tsqrt the
-// Householder vectors live in the factored tile A(I,J) / A(K,J); for
-// Ttqrt they live in V2 (an upper-trapezoidal matrix of the eliminated
-// domain's R rows).
-type Op struct {
-	Kind Kernel // Geqrt, Tsqrt or Ttqrt
-	J    int    // panel index
-	I    int    // top / survivor tile row
-	K    int    // eliminated tile row (Tsqrt, Ttqrt); -1 for Geqrt
-	T    *matrix.Mat
-	V2   *matrix.Mat // Ttqrt only
-}
-
 // Factorization is the result of a tree-based tile QR: A = Q·R with Q held
-// implicitly as the ordered transformation log plus the reflector tiles.
+// implicitly as the log of its transformations.
 type Factorization struct {
 	M, N int
 	Opts Options
@@ -31,22 +16,24 @@ type Factorization struct {
 	// diagonal, Householder vectors below (and below the diagonal of the
 	// diagonal tiles).
 	A *matrix.Tiled
-	// Ops is the ordered transformation log.
-	Ops []Op
 	// QTB holds QᵀB for the ride-along right-hand-side columns passed to
 	// the factorization, or nil.
 	QTB *matrix.Tiled
 	// Stats describes the runtime execution (systolic engines only).
 	Stats RunStats
 	// ROnly marks a factorization run with an Env.Part: A holds the
-	// tiles of R and nothing else, Ops is empty. R, QTB and SolveFromQTB
-	// work; everything that needs the reflectors panics.
+	// tiles of R and nothing else, and there is no log. R, QTB and
+	// SolveFromQTB work; everything that needs the reflectors panics.
 	ROnly bool
 	// Input is the sketch of the input matrix, summed over the ranks'
 	// shares (runs with an Env.Part only): Input.Residual(f.R()) estimates
 	// the check Residual would make on the dense input, which no rank holds.
 	Input *Sketch
 
+	// log holds one entry per panel call of the listing at Opts, in its
+	// order: V is the factored tile of a Geqrt or Tsqrt, the eliminated R
+	// of a Ttqrt, and T the call's block factor.
+	log []vtMsg
 	// release gives an R-only run's array back; nil otherwise.
 	release func()
 }
@@ -79,12 +66,16 @@ type RunStats struct {
 func (f *Factorization) R() *matrix.Mat { return f.A.UpperTiles() }
 
 // ApplyQT overwrites b (tiled with the same tile size and row count as A)
-// with Qᵀ·b by replaying the transformation log forward.
+// with Qᵀ·b by replaying the log forward.
 func (f *Factorization) ApplyQT(b *matrix.Tiled) { f.apply(b, true) }
 
-// ApplyQ overwrites b with Q·b by replaying the transformation log backward.
+// ApplyQ overwrites b with Q·b by replaying the log backward.
 func (f *Factorization) ApplyQ(b *matrix.Tiled) { f.apply(b, false) }
 
+// apply replays the log on b: each panel call of the listing runs as its
+// update call (Geqrt → Ormqr, Tsqrt → Tsmqr, Ttqrt → Ttmqr) on every column
+// tile of b with the entry's V and T — the factorization's own update
+// kernels, in its order (LAPACK DORMQR), forward for Qᵀ, backward for Q.
 func (f *Factorization) apply(b *matrix.Tiled, trans bool) {
 	if f.ROnly {
 		panic("qr: factorization was gathered R-only (FactorizeVSAIn with a Part): the reflectors Q is made of were not collected")
@@ -93,22 +84,24 @@ func (f *Factorization) apply(b *matrix.Tiled, trans bool) {
 		panic(fmt.Sprintf("qr: apply shape mismatch: b is %d rows tile %d, A is %d rows tile %d",
 			b.M, b.NB, f.M, f.Opts.NB))
 	}
-	ib := f.Opts.IB
-	ops := f.Ops
-	for idx := 0; idx < len(ops); idx++ {
-		op := ops[idx]
+	panels := panelCalls(f.A.MT, f.A.NT, f.Opts)
+	for idx := range panels {
 		if !trans {
-			op = ops[len(ops)-1-idx]
+			idx = len(panels) - 1 - idx
 		}
-		for lb := 0; lb < b.NT; lb++ {
-			switch op.Kind {
-			case Geqrt:
-				kernels.DormqrWS(nil, trans, ib, f.A.Tile(op.I, op.J), op.T, b.Tile(op.I, lb))
-			case Tsqrt:
-				kernels.DtsmqrWS(nil, trans, ib, f.A.Tile(op.K, op.J), op.T, b.Tile(op.I, lb), b.Tile(op.K, lb))
-			case Ttqrt:
-				kernels.DttmqrWS(nil, trans, ib, op.V2, op.T, b.Tile(op.I, lb), b.Tile(op.K, lb))
-			}
+		e, u := f.log[idx], panels[idx]
+		u.Kernel += Ormqr // Kernel declares the updates in their panel calls' order
+		for u.L = 0; u.L < b.NT; u.L++ {
+			var h [3]*matrix.Mat
+			n := 0
+			u.Access(func(d Datum, write bool) {
+				h[n] = e.V
+				if write {
+					h[n] = b.Tile(d.I, d.L)
+				}
+				n++
+			})
+			u.run(nil, trans, f.Opts.IB, h, e.T)
 		}
 	}
 }

@@ -120,9 +120,10 @@ func (c Call) Flops(m, n, nb int) float64 {
 
 // run executes c on ws (nil borrows a pooled workspace) at inner block ib:
 // h holds its data in Access order, t the T factor a panel call writes or
-// an update applies. A Geqrt also starts its domain's R, h[1], from its
-// tile. This is the one kernel dispatch every engine runs a call through.
-func (c Call) run(ws *kernels.Workspace, ib int, h [3]*matrix.Mat, t *matrix.Mat) {
+// an update applies — as Qᵀ when trans is set, as Q otherwise. A Geqrt also
+// starts its domain's R, h[1], from its tile. This is the one kernel
+// dispatch every engine runs a call through, and the one Q is applied by.
+func (c Call) run(ws *kernels.Workspace, trans bool, ib int, h [3]*matrix.Mat, t *matrix.Mat) {
 	switch c.Kernel {
 	case Geqrt:
 		kernels.DgeqrtWS(ws, ib, h[0], t)
@@ -132,11 +133,11 @@ func (c Call) run(ws *kernels.Workspace, ib int, h [3]*matrix.Mat, t *matrix.Mat
 	case Ttqrt:
 		kernels.DttqrtWS(ws, ib, h[0], h[1], t)
 	case Ormqr:
-		kernels.DormqrWS(ws, true, ib, h[0], t, h[1])
+		kernels.DormqrWS(ws, trans, ib, h[0], t, h[1])
 	case Tsmqr:
-		kernels.DtsmqrWS(ws, true, ib, h[0], t, h[1], h[2])
+		kernels.DtsmqrWS(ws, trans, ib, h[0], t, h[1], h[2])
 	case Ttmqr:
-		kernels.DttmqrWS(ws, true, ib, h[0], t, h[1], h[2])
+		kernels.DttmqrWS(ws, trans, ib, h[0], t, h[1], h[2])
 	case WriteBack:
 		writeR(h[1], h[0])
 	}
@@ -186,4 +187,15 @@ func List(mt, nt, rhs int, o Options, visit func(Call)) {
 		}
 		visit(Call{Kernel: WriteBack, J: j, I: j, K: -1, L: j})
 	}
+}
+
+// panelCalls returns the panel calls (Geqrt, Tsqrt, Ttqrt) of List(mt, nt,
+// 0, o), in its order: a factorization's log holds one (V,T) for each.
+func panelCalls(mt, nt int, o Options) (cs []Call) {
+	List(mt, nt, 0, o, func(c Call) {
+		if c.Kernel <= Ttqrt {
+			cs = append(cs, c)
+		}
+	})
+	return cs
 }

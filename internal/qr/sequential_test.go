@@ -164,28 +164,25 @@ func TestOpLogStructure(t *testing.T) {
 	f := factorDense(t, d, o)
 	// Panel 0: 2 domains of 2 -> 2 geqrt + 2 tsqrt + 1 ttqrt.
 	// Panel 1: rows 1..3 -> domains [1,2],[3] -> 2 geqrt + 1 tsqrt + 1 ttqrt.
-	var g, ts, tt int
-	for _, op := range f.Ops {
-		switch op.Kind {
-		case Geqrt:
-			g++
-			if op.K != -1 {
-				t.Fatal("geqrt op must have K=-1")
-			}
-		case Tsqrt:
-			ts++
-		case Ttqrt:
-			tt++
-			if op.V2 == nil {
-				t.Fatal("ttqrt op must carry V2")
-			}
-		}
-		if op.T == nil {
-			t.Fatal("every op must carry T")
+	// The log holds one (V,T) per panel call of the listing.
+	calls := panelCalls(f.A.MT, f.A.NT, f.Opts)
+	var n [NumKernels]int
+	for _, c := range calls {
+		n[c.Kernel]++
+		if c.Kernel == Geqrt && c.K != -1 {
+			t.Fatal("geqrt call must have K=-1")
 		}
 	}
-	if g != 4 || ts != 3 || tt != 2 {
-		t.Fatalf("op counts: geqrt=%d tsqrt=%d ttqrt=%d", g, ts, tt)
+	if n[Geqrt] != 4 || n[Tsqrt] != 3 || n[Ttqrt] != 2 {
+		t.Fatalf("panel calls: geqrt=%d tsqrt=%d ttqrt=%d", n[Geqrt], n[Tsqrt], n[Ttqrt])
+	}
+	if len(f.log) != len(calls) {
+		t.Fatalf("log holds %d entries for %d panel calls", len(f.log), len(calls))
+	}
+	for i, e := range f.log {
+		if e.V == nil || e.T == nil {
+			t.Fatalf("log entry %d (%v) must carry V and T", i, calls[i].Kernel)
+		}
 	}
 }
 
@@ -197,7 +194,7 @@ func TestSingleTileMatrix(t *testing.T) {
 	if res := f.Residual(d); res > 1e-13 {
 		t.Fatalf("single-tile residual %v", res)
 	}
-	if len(f.Ops) != 1 || f.Ops[0].Kind != Geqrt {
-		t.Fatalf("single tile should need exactly one geqrt, got %+v", f.Ops)
+	if len(f.log) != 1 || f.log[0].V != f.A.Tile(0, 0) {
+		t.Fatalf("single tile should need exactly one geqrt, got %+v", f.log)
 	}
 }

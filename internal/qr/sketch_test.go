@@ -243,8 +243,8 @@ func TestServeGathersROnly(t *testing.T) {
 	if diff := matrix.MaxAbsDiff(f.R(), full.R()); diff != 0 {
 		t.Errorf("served R differs from the full-log R by %g; want bitwise equality", diff)
 	}
-	if len(f.Ops) != 0 {
-		t.Errorf("served factorization carries %d ops", len(f.Ops))
+	if len(f.log) != 0 {
+		t.Errorf("served factorization carries %d log entries", len(f.log))
 	}
 	for name, call := range map[string]func(){
 		"ApplyQ":  func() { f.ApplyQ(matrix.NewTiled(m, 1, o.NB)) },

@@ -37,7 +37,7 @@ import (
 // wrapped in channel I/O. It pops the call's data, runs the call through
 // Call.run — the kernel dispatch every engine shares — and pushes what it
 // wrote; a panel call also publishes its transformation as a (V,T) packet,
-// which is its entry in the log as well.
+// which is its entry in the log as well, unless the run is R-only.
 //
 // Every datum flows from the VDP that last held it to its next user: tiles
 // released by panel j go directly to their VDP in panel j+1, and tiles that
@@ -176,8 +176,8 @@ type builder struct {
 	// outputs lists the array's external output channels in the order they
 	// were declared — the one enumeration gather and assemble read.
 	outputs []output
-	// rOnly gathers and assembles what a service serves — R and QᵀB — and
-	// leaves the per-transformation log on the ranks that produced it.
+	// rOnly builds, gathers and assembles what a service serves — R and
+	// QᵀB — and declares no log.
 	rOnly bool
 	// here is the node this process runs, -1 for every node (see carve).
 	here int
@@ -226,27 +226,25 @@ type input struct {
 }
 
 // output is one collector channel (paper §V-C), declared where it is wired:
-// the producer whose single packet it holds after the run, whether that
-// packet is an entry of the transformation log, and place, which says what
-// the packet is by storing it in the factorization.
+// the producer whose single packet it holds after the run, and place, which
+// says what the packet is by storing it in the factorization.
 type output struct {
 	from  endpoint
-	log   bool
 	place func(f *Factorization, p *pulsar.Packet)
 }
 
 // output creates the external output channel at from and records what
 // assemble is to do with its packet. The list is a pure function of the
 // array, so every rank of a mesh numbers the outputs alike.
-func (bd *builder) output(from endpoint, log bool, place func(*Factorization, *pulsar.Packet)) {
+func (bd *builder) output(from endpoint, place func(*Factorization, *pulsar.Packet)) {
 	bd.s.Output(from.tup, from.slot, bd.nbBytes)
-	bd.outputs = append(bd.outputs, output{from, log, place})
+	bd.outputs = append(bd.outputs, output{from, place})
 }
 
 // tileOutput declares from's packet to be the finished tile (i, l): of R
 // when l is a matrix column, of QᵀB when it is an rhs one.
 func (bd *builder) tileOutput(from endpoint, i, l int) {
-	bd.output(from, false, func(f *Factorization, p *pulsar.Packet) {
+	bd.output(from, func(f *Factorization, p *pulsar.Packet) {
 		if l < bd.a.NT {
 			f.A.SetTile(i, l, p.Tile())
 		} else {
@@ -257,14 +255,14 @@ func (bd *builder) tileOutput(from endpoint, i, l int) {
 
 // callLocal is the build-time configuration of a VDP: the call it runs at
 // inner block ib, whether a column follows the call's (its transformation
-// then goes on to the next one), and, for a panel call, its T factor t and,
-// at a domain top, the domain's R packet r: views of the run's scratch
-// (carve).
+// then goes on to the next one), whether a panel call sends its log entry
+// (the run keeps the log), and, for a panel call, its T factor t and, at a
+// domain top, the domain's R packet r: views of the run's scratch (carve).
 type callLocal struct {
-	c    Call
-	ib   int
-	fwd  bool
-	t, r *matrix.Mat
+	c        Call
+	ib       int
+	fwd, log bool
+	t, r     *matrix.Mat
 }
 
 // FactorizeVSA computes the same factorization as Factorize by building
@@ -556,7 +554,7 @@ type port struct{ in, out int }
 // the slot counts, and one port per datum in Call.Access order. A datum the
 // call only reads is a (V,T) packet, and its out port is the by-pass forward
 // to the next column. A panel call's out port 1 carries its reflectors on as
-// a (V,T) packet, and slot 2 its log entry.
+// a (V,T) packet, and slot 2, on a run that keeps the log, its log entry.
 var vdpKinds = [NumKernels]struct {
 	kind      int
 	nin, nout int
@@ -587,7 +585,7 @@ func vdpTup(c Call) tuple.Tuple {
 // local returns the configuration of c's VDP, carving its views.
 func (bd *builder) local(c Call) *callLocal {
 	v := bd.carve(c)
-	return &callLocal{c: c, ib: bd.opts.IB, fwd: c.L+1 < bd.a.NT+bd.bnt, t: v[0], r: v[1]}
+	return &callLocal{c: c, ib: bd.opts.IB, fwd: c.L+1 < bd.a.NT+bd.bnt, log: !bd.rOnly, t: v[0], r: v[1]}
 }
 
 // holder is the producer a datum's next user receives it from, and the node
@@ -638,7 +636,7 @@ func (bd *builder) build() {
 			}
 			held[d] = holder{endpoint{tup, p.out}, to, write && d.L > c.J}
 		})
-		if c.Kernel <= Ttqrt {
+		if c.Kernel <= Ttqrt && !bd.rOnly {
 			bd.logOutput(c, endpoint{tup, 2})
 		}
 	})
@@ -654,26 +652,23 @@ func (bd *builder) build() {
 // logOutput declares the log entry of panel call c, its (V,T) packet. The
 // reflector tile of a Geqrt or Tsqrt is placed in A here, before the panel's
 // WriteBack writes R over the diagonal one; a Ttqrt's reflectors are the
-// eliminated R, kept as the entry's V2.
+// eliminated R, which only the entry keeps.
 func (bd *builder) logOutput(c Call, from endpoint) {
 	row, _ := c.Home()
-	bd.output(from, true, func(f *Factorization, p *pulsar.Packet) {
+	bd.output(from, func(f *Factorization, p *pulsar.Packet) {
 		vt := p.Data.(*vtMsg)
-		op := Op{Kind: c.Kernel, J: c.J, I: c.I, K: c.K, T: vt.T}
-		if c.Kernel == Ttqrt {
-			op.V2 = vt.V
-		} else {
+		if c.Kernel != Ttqrt {
 			f.A.SetTile(row, c.J, vt.V)
 		}
-		f.Ops = append(f.Ops, op)
+		f.log = append(f.log, *vt)
 	})
 }
 
 // finalR declares panel j's surviving R, which goes over the upper triangle
 // of the diagonal tile — over the reflectors the log placed there, or into
-// diag[j] when an R-only run collected none.
+// diag[j] when an R-only run declared no log.
 func (bd *builder) finalR(j int, from endpoint) {
-	bd.output(from, false, func(f *Factorization, p *pulsar.Packet) {
+	bd.output(from, func(f *Factorization, p *pulsar.Packet) {
 		if bd.rOnly {
 			f.A.SetTile(j, j, bd.diag[j])
 		}
@@ -770,7 +765,7 @@ func wsOf(v *pulsar.VDP) *kernels.Workspace {
 // carved view. A (V,T) packet the call only reads is forwarded before the
 // kernel runs, so the by-pass overlaps with it (paper §V-C). A panel call
 // sends the datum on out port 1 — its reflectors — as a (V,T) packet when a
-// column follows, and as its log entry on slot 2.
+// column follows, and as its log entry on slot 2 when the run keeps the log.
 func callFn(v *pulsar.VDP) {
 	l := v.Local().(*callLocal)
 	ports := vdpKinds[l.c.Kernel].ports
@@ -794,7 +789,7 @@ func callFn(v *pulsar.VDP) {
 		wrote[n] = write
 		n++
 	})
-	l.c.run(wsOf(v), l.ib, h, t)
+	l.c.run(wsOf(v), true, l.ib, h, t)
 	for i, p := range ports {
 		switch {
 		case !wrote[i]:
@@ -803,7 +798,9 @@ func callFn(v *pulsar.VDP) {
 			if l.fwd {
 				v.Push(1, vt)
 			}
-			v.Push(2, vt)
+			if l.log {
+				v.Push(2, vt)
+			}
 		default:
 			v.Push(p.out, pulsar.NewPacket(h[i]))
 		}
@@ -837,10 +834,7 @@ func (bd *builder) assemble() (*Factorization, error) {
 		f.QTB = matrix.NewTiledShell(bd.b.M, bd.b.N, bd.b.NB)
 	}
 	for _, o := range bd.outputs {
-		if o.log && bd.rOnly {
-			continue
-		}
-		p, err := bd.collectedOne(o.from)
+		p, err := collectedOne(bd.s, o.from.tup, o.from.slot)
 		if err != nil {
 			return nil, err
 		}
@@ -849,11 +843,11 @@ func (bd *builder) assemble() (*Factorization, error) {
 	return f, nil
 }
 
-// collectedOne returns the single packet a collector endpoint must hold.
-func (bd *builder) collectedOne(e endpoint) (*pulsar.Packet, error) {
-	ps := bd.s.Collected(e.tup, e.slot)
+// collectedOne returns the single packet collector slot of VDP tup must hold.
+func collectedOne(s *pulsar.VSA, tup tuple.Tuple, slot int) (*pulsar.Packet, error) {
+	ps := s.Collected(tup, slot)
 	if len(ps) != 1 {
-		return nil, fmt.Errorf("qr: collector %v[%d] holds %d packets, want 1", e.tup, e.slot, len(ps))
+		return nil, fmt.Errorf("qr: collector %v[%d] holds %d packets, want 1", tup, slot, len(ps))
 	}
 	return ps[0], nil
 }

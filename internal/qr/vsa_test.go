@@ -34,33 +34,25 @@ func factorBoth(t *testing.T, d, b *matrix.Mat, o Options, rc RunConfig) (seq, v
 }
 
 // assertFactorizationsEqual demands elementwise equality of the factored
-// tiles, the final R, the op logs and QᵀB: the VSA executes the same
-// kernels on the same data in the same per-datum order as the reference,
-// so the results must match exactly, not just to rounding.
+// tiles, the final R and QᵀB, and bitwise equality of the logs and Q: the VSA
+// executes the same kernels on the same data in the same per-datum order as
+// the reference, so the results must match exactly, not just to rounding,
+// and each log replays under its own Opts to the reference's Q.
 func assertFactorizationsEqual(t *testing.T, seq, vsa *Factorization) {
 	t.Helper()
 	if d := matrix.MaxAbsDiff(seq.A.ToDense(), vsa.A.ToDense()); d != 0 {
 		t.Fatalf("factored tiles differ by %v", d)
 	}
-	if len(seq.Ops) != len(vsa.Ops) {
-		t.Fatalf("op logs: %d vs %d entries", len(seq.Ops), len(vsa.Ops))
+	if len(seq.log) != len(vsa.log) {
+		t.Fatalf("logs: %d vs %d entries", len(seq.log), len(vsa.log))
 	}
-	for i := range seq.Ops {
-		so, vo := seq.Ops[i], vsa.Ops[i]
-		if so.Kind != vo.Kind || so.J != vo.J || so.I != vo.I || so.K != vo.K {
-			t.Fatalf("op %d differs: %+v vs %+v", i, so, vo)
+	for i, se := range seq.log {
+		if ve := vsa.log[i]; !sameBits(se.V, ve.V) || !sameBits(se.T, ve.T) {
+			t.Fatalf("log entry %d differs: V bitwise equal %v, T %v", i, sameBits(se.V, ve.V), sameBits(se.T, ve.T))
 		}
-		if d := matrix.MaxAbsDiff(so.T, vo.T); d != 0 {
-			t.Fatalf("op %d T differs by %v", i, d)
-		}
-		if (so.V2 == nil) != (vo.V2 == nil) {
-			t.Fatalf("op %d V2 presence differs", i)
-		}
-		if so.V2 != nil {
-			if d := matrix.MaxAbsDiff(so.V2, vo.V2); d != 0 {
-				t.Fatalf("op %d V2 differs by %v", i, d)
-			}
-		}
+	}
+	if sq, vq := seq.Q(), vsa.Q(); !sameBits(sq, vq) {
+		t.Fatalf("Q differs by %v", matrix.MaxAbsDiff(sq, vq))
 	}
 	if (seq.QTB == nil) != (vsa.QTB == nil) {
 		t.Fatal("QTB presence differs")

@@ -60,20 +60,16 @@ func walk(a, b *matrix.Tiled, opts Options, submit submitFunc, wait func()) (*Fa
 		})
 		n := a.TileCols(c.J)
 		key := [3]int{c.J, c.I, c.K}
-		if c.Kernel <= Ttqrt { // a panel call: its T enters the log
-			k := n // reflectors: one per column, or per row of a short top tile
+		if c.Kernel <= Ttqrt { // a panel call: its (V,T) enters the log
+			k, v := n, h[1] // a reflector per column; the eliminated tile or R
 			if c.Kernel == Geqrt {
-				k = min(h[0].Rows, n)
+				k, v = min(h[0].Rows, n), h[0] // or per row of a short top tile
 			}
 			ts[key] = matrix.New(min(ib, k), k)
-			op := Op{Kind: c.Kernel, J: c.J, I: c.I, K: c.K, T: ts[key]}
-			if c.Kernel == Ttqrt {
-				op.V2 = h[1] // the eliminated R, overwritten by the reflectors
-			}
-			f.Ops = append(f.Ops, op)
+			f.log = append(f.log, vtMsg{V: v, T: ts[key]})
 		}
 		t := ts[key]
-		submit(c.Kernel.String(), func(ws *kernels.Workspace) { c.run(ws, ib, h, t) }, deps...)
+		submit(c.Kernel.String(), func(ws *kernels.Workspace) { c.run(ws, true, ib, h, t) }, deps...)
 	})
 	wait()
 	return f, nil

@@ -39,8 +39,9 @@ import (
 // Matrix is a column-major dense matrix of float64.
 type Matrix = matrix.Mat
 
-// Factorization is an implicit QR factorization: R plus the ordered
-// Householder transformation log (see R, Solve, ApplyQT, ApplyQ, Residual).
+// Factorization is an implicit QR factorization: R plus the log of its
+// Householder transformations, one (V,T) per panel call of the kernel-call
+// listing, in its order (see R, Solve, ApplyQT, ApplyQ, Residual).
 type Factorization = qr.Factorization
 
 // Tree selects the panel reduction tree.
