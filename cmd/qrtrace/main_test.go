@@ -27,8 +27,8 @@ func TestDemoPrintsBothTimelines(t *testing.T) {
 	}
 	got := out.String()
 	for _, want := range []string{
-		"=== fixed domain boundaries ===\noptions tree=hierarchical nb=32 ib=8 h=6 boundary=fixed\n",
-		"=== shifted domain boundaries ===\noptions tree=hierarchical nb=32 ib=8 h=6 boundary=shifted\n",
+		"=== fixed domain boundaries ===\noptions tree=hierarchical nb=32 ib=8 h=6 boundary=fixed inter=binary-inter\n",
+		"=== shifted domain boundaries ===\noptions tree=hierarchical nb=32 ib=8 h=6 boundary=shifted inter=binary-inter\n",
 		"panel overlap",
 		"critical path: ",
 	} {

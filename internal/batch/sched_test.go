@@ -138,7 +138,7 @@ func TestSchedulerEmitError(t *testing.T) {
 // never wedges on in-flight chunks.
 func TestSchedulerCancel(t *testing.T) {
 	pool := testPool(t, 2)
-	s := NewScheduler(SchedConfig{Pool: pool, ChunkSize: 2, Window: 2})
+	s := NewScheduler(SchedConfig{Pool: pool, ChunkSize: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	rng := rand.New(rand.NewSource(14))
 	i := 0
@@ -160,7 +160,7 @@ func TestSchedulerCancel(t *testing.T) {
 	}
 }
 
-// A closed pool surfaces as ErrPoolClosed, not a hang.
+// A closed pool surfaces as pulsar.ErrPoolClosed, not a hang.
 func TestSchedulerPoolClosed(t *testing.T) {
 	pool := pulsar.NewPool(2, nil)
 	pool.Close()
@@ -168,7 +168,7 @@ func TestSchedulerPoolClosed(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	mats := []*matrix.Mat{matrix.NewRand(4, 4, rng), matrix.NewRand(4, 4, rng), matrix.NewRand(4, 4, rng)}
 	done, err := s.Stream(context.Background(), matSource(mats), func(int, *matrix.Mat) error { return nil })
-	if !errors.Is(err, ErrPoolClosed) {
+	if !errors.Is(err, pulsar.ErrPoolClosed) {
 		t.Fatalf("err = %v, want ErrPoolClosed", err)
 	}
 	if done != 0 {
@@ -239,12 +239,12 @@ func TestSchedulerWireComposition(t *testing.T) {
 
 // Composed as the HTTP handler composes them — each result written, then
 // its matrix recycled — a long uniform stream decodes into no more distinct
-// matrices than the scheduler holds at once: Window chunks in flight plus
-// the one the reader is filling.
+// matrices than the scheduler holds at once: its window of chunks in
+// flight (2× the pool's threads) plus the one the reader is filling.
 func TestSchedulerRecycledResidency(t *testing.T) {
-	pool := testPool(t, 2)
-	const chunk, window = 4, 2
-	s := NewScheduler(SchedConfig{Pool: pool, ChunkSize: chunk, Window: window})
+	pool := testPool(t, 1)
+	const chunk, window = 4, 2 // a one-thread pool's window
+	s := NewScheduler(SchedConfig{Pool: pool, ChunkSize: chunk})
 	rng := rand.New(rand.NewSource(17))
 	mats := make([]*matrix.Mat, 200)
 	for i := range mats {

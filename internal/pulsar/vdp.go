@@ -129,6 +129,10 @@ func (v *VDP) DestroyInput(slot int) {
 // InputLen returns the number of queued packets in input slot (diagnostics).
 func (v *VDP) InputLen(slot int) int { return v.inputChannel(slot).len() }
 
+// Landing returns the storage VSA.Land gave input slot, or nil
+// (diagnostics).
+func (v *VDP) Landing(slot int) any { return v.inputChannel(slot).landing }
+
 func (v *VDP) inputChannel(slot int) *Channel {
 	if slot < 0 || slot >= len(v.in) || v.in[slot] == nil {
 		panic(fmt.Sprintf("pulsar: VDP %v has no input channel in slot %d", v.tup, slot))

@@ -179,5 +179,5 @@ func (o Options) domainSize(mt int) int {
 }
 
 func (o Options) String() string {
-	return fmt.Sprintf("tree=%v nb=%d ib=%d h=%d boundary=%v", o.Tree, o.NB, o.IB, o.H, o.Boundary)
+	return fmt.Sprintf("tree=%v nb=%d ib=%d h=%d boundary=%v inter=%v", o.Tree, o.NB, o.IB, o.H, o.Boundary, o.Inter)
 }

@@ -71,6 +71,13 @@ func TestStringers(t *testing.T) {
 			t.Fatalf("Options.String %q missing %q", s, frag)
 		}
 	}
+	// Runs that differ only in the second-level tree print differently.
+	for _, inter := range []InterTree{BinaryInter, FlatInter} {
+		s := (Options{NB: 192, IB: 48, Tree: HierarchicalTree, H: 6, Inter: inter}).String()
+		if want := "inter=" + inter.String(); !strings.Contains(s, want) {
+			t.Fatalf("Options.String %q missing %q", s, want)
+		}
+	}
 }
 
 func TestPlanLastPanelSingleRow(t *testing.T) {

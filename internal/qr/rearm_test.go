@@ -63,7 +63,7 @@ func TestRearmedArrayIsBitwiseFresh(t *testing.T) {
 			}
 			for nodes := 1; nodes <= 3; nodes++ {
 				for threads := 1; threads <= 2; threads++ {
-					name := fmt.Sprintf("%s %v inter=%v on %d nodes of %d threads", sh.name, o, o.Inter, nodes, threads)
+					name := fmt.Sprintf("%s %v on %d nodes of %d threads", sh.name, o, nodes, threads)
 					rearmLife(t, name, d, rhs, o, nodes, threads)
 				}
 			}

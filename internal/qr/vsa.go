@@ -195,20 +195,6 @@ type builder struct {
 	// diag[j] is the tile an R-only run assembles panel j's R into, on the
 	// node that assembles.
 	diag []*matrix.Mat
-	// lands lists the landings carved for this node's inbound inter-node
-	// channels, in build order.
-	lands []landing
-}
-
-// landing is the storage the datum d lands in when call c takes it from a
-// VDP on another node: a tile, a domain R, or the (V,T) packet of the
-// transformation c only reads (land).
-type landing struct {
-	from  endpoint // the VDP that sends it
-	c     Call
-	d     Datum
-	write bool
-	v     any // *matrix.Mat, or *vtMsg
 }
 
 // endpoint identifies a producer (VDP tuple + output slot) while wiring.
@@ -628,7 +614,7 @@ func (bd *builder) build() {
 				}
 				bd.s.Connect(h.from.tup, h.from.slot, tup, p.in, size, false)
 				if h.node != to && (bd.here < 0 || to == bd.here) {
-					bd.land(h.from, endpoint{tup, p.in}, c, d, write)
+					bd.land(endpoint{tup, p.in}, c, d, write)
 				}
 			case !d.R:
 				bd.s.Input(tup, p.in, bd.nbBytes)
@@ -726,28 +712,27 @@ func (bd *builder) carve(c Call) (v [2]*matrix.Mat) {
 	return v
 }
 
-// land cuts the landing of datum d, which call c's VDP takes at to from
-// from, on another node, and gives it to the channel: the tile or domain R
+// land cuts the landing of datum d, which call c's VDP takes at to from a
+// VDP on another node, and gives it to the channel: the tile or domain R
 // itself when c writes it; when c only reads it, the (V,T) packet of the
 // transformation, V of d's shape and then the T of the panel call that made
 // it.
-func (bd *builder) land(from, to endpoint, c Call, d Datum, write bool) {
+func (bd *builder) land(to endpoint, c Call, d Datum, write bool) {
 	m, n := bd.a.TileRows(d.I), colWidth(bd.a, bd.b, d.L)
 	if d.R {
 		m = min(m, n)
 	}
-	l := landing{from: from, c: c, d: d, write: write}
+	var l any
 	switch v := bd.cut(m, n); {
 	case write:
-		l.v = v
+		l = v
 	case c.Kernel == Ormqr: // a Geqrt's T
 		k := min(m, n)
-		l.v = &vtMsg{V: v, T: bd.cut(min(bd.opts.IB, k), k)}
+		l = &vtMsg{V: v, T: bd.cut(min(bd.opts.IB, k), k)}
 	default: // a Tsqrt's or Ttqrt's T
-		l.v = &vtMsg{V: v, T: bd.cut(min(bd.opts.IB, n), n)}
+		l = &vtMsg{V: v, T: bd.cut(min(bd.opts.IB, n), n)}
 	}
-	bd.s.Land(to.tup, to.slot, l.v)
-	bd.lands = append(bd.lands, l)
+	bd.s.Land(to.tup, to.slot, l)
 }
 
 // --- the VDP body -------------------------------------------------------

@@ -221,7 +221,7 @@ func TestVSATraceClassesPresent(t *testing.T) {
 			})
 			for k, n := range fired {
 				if n != 0 {
-					t.Errorf("%s %v inter=%v: %+v fired %+d times more than listed", sh.name, f.Opts, f.Opts.Inter, k, n)
+					t.Errorf("%s %v: %+v fired %+d times more than listed", sh.name, f.Opts, k, n)
 				}
 			}
 		}
@@ -331,8 +331,8 @@ func TestVSAShapePinned(t *testing.T) {
 			})
 			st := f.Stats
 			if got := [3]int64{int64(st.Channels), st.Messages, st.Bytes}; st.VDPs != calls || got != want[sh.name][idx] {
-				t.Errorf("%s %v inter=%v: %d VDPs, {channels, messages, bytes} %v; want %d VDPs, %v",
-					sh.name, f.Opts, f.Opts.Inter, st.VDPs, got, calls, want[sh.name][idx])
+				t.Errorf("%s %v: %d VDPs, {channels, messages, bytes} %v; want %d VDPs, %v",
+					sh.name, f.Opts, st.VDPs, got, calls, want[sh.name][idx])
 			}
 		}
 	}
@@ -376,7 +376,7 @@ func TestVSAPlacesEveryCallByPlace(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					name := fmt.Sprintf("%s %v inter=%v on %d nodes of %d threads", sh.name, f.Opts, f.Opts.Inter, nodes, threads)
+					name := fmt.Sprintf("%s %v on %d nodes of %d threads", sh.name, f.Opts, nodes, threads)
 					calls := 0
 					List(mt, a.NT, bnt, f.Opts, func(c Call) {
 						if c.Kernel == WriteBack {
@@ -430,7 +430,7 @@ func TestVSAScratchCarvesTileExactly(t *testing.T) {
 				landed := 0
 				for rank := 0; rank < nodes; rank++ {
 					for _, rOnly := range []bool{true, false} {
-						name := fmt.Sprintf("%s %v inter=%v rank %d of %d rOnly=%v", sh.name, o, o.Inter, rank, nodes, rOnly)
+						name := fmt.Sprintf("%s %v rank %d of %d rOnly=%v", sh.name, o, rank, nodes, rOnly)
 						here, env := rank, Env{}
 						if nodes == 1 {
 							here = -1 // as FactorizeVSAIn runs a lone node
@@ -439,9 +439,8 @@ func TestVSAScratchCarvesTileExactly(t *testing.T) {
 							env.Part = NewSketch(sh.n, 1)
 						}
 						bd := newBuilder(a, b, o, RunConfig{Nodes: nodes, Threads: 2}, env, nil, here)
-						checkCarves(t, name, bd, bd.scratch, rank)
-						if rOnly {
-							landed += len(bd.lands)
+						if n := checkCarves(t, name, bd, bd.scratch, rank); rOnly {
+							landed += n
 						}
 					}
 				}
@@ -455,19 +454,20 @@ func TestVSAScratchCarvesTileExactly(t *testing.T) {
 					t.Fatal(err)
 				}
 				if int64(landed) != f.Stats.Messages {
-					t.Errorf("%s %v inter=%v on %d nodes: %d landings for the %d messages a run sends", sh.name, o, o.Inter, nodes, landed, f.Stats.Messages)
+					t.Errorf("%s %v on %d nodes: %d landings for the %d messages a run sends", sh.name, o, nodes, landed, f.Stats.Messages)
 				}
 			}
 		}
 	}
 }
 
-// checkCarves checks the views bd handed to node rank's VDPs and to its
-// assembly against scratch: each of its kernel's shape, and together a
-// partition of scratch. Each view is marked with its own number; a mark that
-// finds another means two views share storage, and the marks found in
-// scratch must number the views' elements.
-func checkCarves(t *testing.T, name string, bd *builder, scratch []float64, rank int) {
+// checkCarves checks the views bd handed to node rank's VDPs, to its
+// assembly and to its inbound channels against scratch: each of its kernel's
+// or packet's shape, and together a partition of scratch. Each view is
+// marked with its own number; a mark that finds another means two views
+// share storage, and the marks found in scratch must number the views'
+// elements. It returns the number of landings carved on rank.
+func checkCarves(t *testing.T, name string, bd *builder, scratch []float64, rank int) (landings int) {
 	t.Helper()
 	type view struct {
 		m          *matrix.Mat
@@ -511,38 +511,65 @@ func checkCarves(t *testing.T, name string, bd *builder, scratch []float64, rank
 		}
 		return bd.b.TileCols(l - bd.a.NT)
 	}
-	for k, l := range bd.lands {
-		if from, _ := place(l.from.tup); from == rank {
-			t.Fatalf("%s: landing %d of %v on rank %d, which sent it", name, k, l.d, rank)
-		}
-		if to, _ := place(vdpTup(l.c)); to != rank {
-			t.Fatalf("%s: landing %d of %v carved on rank %d for a VDP on rank %d", name, k, l.d, rank, to)
-		}
-		rows, cols := bd.a.TileRows(l.d.I), width(l.d.L)
-		if l.d.R {
-			rows = min(rows, cols)
-		}
-		switch v := l.v.(type) {
-		case *matrix.Mat:
-			if !l.write {
-				t.Fatalf("%s: landing %d of %v, which %v only reads, is a tile", name, k, l.d, l.c.Kernel)
-			}
-			views = append(views, view{v, rows, cols, "landing"})
-		case *vtMsg:
-			if l.write {
-				t.Fatalf("%s: landing %d of %v, which %v writes, is a (V,T) packet", name, k, l.d, l.c.Kernel)
-			}
-			tr := min(ib, cols) // a Tsqrt's or Ttqrt's T
-			tc := cols
-			if l.c.Kernel == Ormqr { // a Geqrt's
-				tc = min(rows, cols)
-				tr = min(ib, tc)
-			}
-			views = append(views, view{v.V, rows, cols, "landing V"}, view{v.T, tr, tc, "landing T"})
-		default:
-			t.Fatalf("%s: landing %d is a %T", name, k, l.v)
-		}
+	// The landings, walked off the listing as build wires it: a datum whose
+	// last holder runs on another node than its next user lands at the
+	// user's port, on the user's node only.
+	vdps := map[string]*pulsar.VDP{}
+	for _, v := range bd.s.VDPs() {
+		vdps[v.Tuple().Key()] = v
 	}
+	held := map[Datum]int{} // the node of each datum's last holder
+	List(bd.a.MT, bd.a.NT, bd.bnt, bd.opts, func(c Call) {
+		if c.Kernel == WriteBack {
+			return
+		}
+		tup := vdpTup(c)
+		to, _ := place(tup)
+		n := 0
+		c.Access(func(d Datum, write bool) {
+			p := vdpKinds[c.Kernel].ports[n]
+			n++
+			from, ok := held[d]
+			held[d] = to
+			if !ok {
+				return
+			}
+			l := vdps[tup.Key()].Landing(p.in)
+			switch {
+			case from == to && l != nil:
+				t.Fatalf("%s: %v lands at %v on rank %d, which sent it", name, d, tup, to)
+			case to != rank && l != nil:
+				t.Fatalf("%s: %v lands at %v on rank %d, carved on rank %d", name, d, tup, to, rank)
+			case from == to || to != rank:
+				return
+			}
+			landings++
+			rows, cols := bd.a.TileRows(d.I), width(d.L)
+			if d.R {
+				rows = min(rows, cols)
+			}
+			switch v := l.(type) {
+			case *matrix.Mat:
+				if !write {
+					t.Fatalf("%s: the landing of %v, which %v only reads, is a tile", name, d, c.Kernel)
+				}
+				views = append(views, view{v, rows, cols, "landing"})
+			case *vtMsg:
+				if write {
+					t.Fatalf("%s: the landing of %v, which %v writes, is a (V,T) packet", name, d, c.Kernel)
+				}
+				tr := min(ib, cols) // a Tsqrt's or Ttqrt's T
+				tc := cols
+				if c.Kernel == Ormqr { // a Geqrt's
+					tc = min(rows, cols)
+					tr = min(ib, tc)
+				}
+				views = append(views, view{v.V, rows, cols, "landing V"}, view{v.T, tr, tc, "landing T"})
+			default:
+				t.Fatalf("%s: %v from rank %d has no landing at %v on rank %d, only %v", name, d, from, tup, to, l)
+			}
+		})
+	})
 	for j, d := range bd.diag {
 		if bd.rOnly && bd.here <= 0 {
 			views = append(views, view{d, bd.a.TileRows(j), bd.a.TileCols(j), "diagonal tile"})
@@ -580,4 +607,5 @@ func checkCarves(t *testing.T, name string, bd *builder, scratch []float64, rank
 	if sum != len(scratch) || marked != sum {
 		t.Fatalf("%s: %d views of %d elements, %d of them inside a scratch of %d", name, len(views), sum, marked, len(scratch))
 	}
+	return landings
 }

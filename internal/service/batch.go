@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -24,29 +23,19 @@ var batchSeq atomic.Int64
 const batchFlushEvery = 64
 
 // handleBatch serves POST /v1/batch: a length-prefixed stream of packed
-// small matrices in, a stream of R factors out (completion order, trailer
+// small matrices in, a stream of R factors out (request order, trailer
 // last — see docs/BATCH.md). Admission is a separate class from the job
-// queue: at most cfg.BatchStreams streams factorize at once, and an arrival
-// beyond that is shed immediately with 429 + Retry-After, buffering nothing.
-// A stream cut short — client gone, shutdown, decode error — still ends with
-// a trailer carrying partial-progress accounting, since the response headers
-// are already out by then.
+// queue (admitStream): at most cfg.BatchStreams streams factorize at once,
+// and an arrival beyond that is shed immediately with 429 + Retry-After,
+// buffering nothing. A stream cut short — client gone, shutdown, decode
+// error — still ends with a trailer carrying partial-progress accounting,
+// since the response headers are already out by then.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	select {
-	case s.batchSem <- struct{}{}:
-		defer func() { <-s.batchSem }()
-	default:
-		s.metrics.BatchRejected.Add(1)
-		// Busy slots drain in chunk time, not job time: depth is the streams
-		// already running, slots the stream cap, so the hint stays short.
-		s.shed429(w, "batch", "", int(s.metrics.BatchActive.Load()), s.cfg.BatchStreams,
-			"batch capacity exhausted; retry later")
+	ctx, end, ok := s.admitStream(w, r, &s.batchStreams)
+	if !ok {
 		return
 	}
-	if s.baseCtx.Err() != nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{ErrClosed.Error()})
-		return
-	}
+	defer end()
 
 	rr, err := batch.NewRequestReader(r.Body)
 	if err != nil {
@@ -55,21 +44,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.metrics.BatchRequests.Add(1)
-	s.metrics.BatchActive.Add(1)
-	defer s.metrics.BatchActive.Add(-1)
-
 	bid := fmt.Sprintf("b%d", batchSeq.Add(1))
 	bstart := time.Now()
 	s.obs.Emit(obs.Event{Kind: obs.EvBatchStart, Class: "batch", Session: bid})
-
-	// The stream must end when either the client or the server goes away:
-	// merge the request context with the server's base context. Server Close
-	// cancels baseCtx before closing the pool, so a stream wedged on a
-	// dropped chunk is always unblocked here first.
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	stop := context.AfterFunc(s.baseCtx, cancel)
-	defer stop()
 
 	// Results stream while the request body is still arriving, which on
 	// HTTP/1.1 requires explicit opt-in — without it the server closes the

@@ -398,13 +398,13 @@ func TestBatchKeepsConnectionAlive(t *testing.T) {
 }
 
 // The handler recycles each matrix once its R is in the result slab, so one
-// stream that interleaves shapes — longer than the scheduler's Window ×
+// stream that interleaves shapes — longer than the scheduler's window ×
 // ChunkSize residency — decodes matrices into storage another shape used
 // before. Every R must still be bitwise the local batch.Factor.
 func TestBatchRecycledDecodesMixedShapes(t *testing.T) {
 	_, _, c := newBatchTestServer(t, Config{Threads: 1})
 	shapes := [][2]int{{32, 32}, {40, 20}, {8, 8}, {256, 256}, {13, 13}}
-	count := 300 // > Window×ChunkSize = 2×64 on one thread, plus a chunk being read
+	count := 300 // > window×ChunkSize = 2×64 on one thread
 	rng := rand.New(rand.NewSource(25))
 	mats := make([]*matrix.Mat, count)
 	for i := range mats {

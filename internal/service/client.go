@@ -217,8 +217,8 @@ func (c *Client) Health() error {
 }
 
 // Batch streams mats through POST /v1/batch and calls each for every R
-// factor as it arrives — in completion order, not submission order; the
-// result's Index says which input it answers. It returns the server's
+// factor as it arrives — in request order, though the frame format allows
+// any; the result's Index says which input it answers. It returns the server's
 // trailer, whose Done/Shed reconcile partial progress and whose checksum the
 // reader has already verified against the received bytes. Every matrix must
 // be m×n with m ≥ n ≥ 1 and m ≤ batch.MaxDim, and there may be at most

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"pulsarqr/internal/matrix"
@@ -316,4 +318,47 @@ func (s *Server) shed429(w http.ResponseWriter, class, tenant string, depth, slo
 	s.obs.Emit(obs.Event{Kind: obs.EvShed, Class: class, Tenant: tenant, RetryS: sec, Detail: msg})
 	w.Header().Set("Retry-After", strconv.Itoa(sec))
 	writeJSON(w, http.StatusTooManyRequests, errorResponse{msg})
+}
+
+// streamClass is one admission class of full-duplex streams, batch requests
+// or session appends: at most cap(slots) run at once, active gauges them,
+// rejected counts the sheds and busy is what a shed says. Busy slots drain
+// in stream time, not job time: a shed's depth is the streams already
+// running and its slots the class's cap, so the hint stays short.
+type streamClass struct {
+	name             string
+	slots            chan struct{}
+	active, rejected *atomic.Int64
+	busy             string
+}
+
+// admitStream is the prologue both streaming handlers share. It takes a
+// slot of c or answers 429, answers 503 once the server is closed, counts
+// the stream in c's active gauge, and merges the request context with the
+// server's, so the stream ends when either the client or the server goes
+// away: Close cancels baseCtx before it closes the pool, so a stream wedged
+// on a dropped task is always unblocked here first. When ok, the caller
+// calls end once the stream is over.
+func (s *Server) admitStream(w http.ResponseWriter, r *http.Request, c *streamClass) (ctx context.Context, end func(), ok bool) {
+	select {
+	case c.slots <- struct{}{}:
+	default:
+		c.rejected.Add(1)
+		s.shed429(w, c.name, "", int(c.active.Load()), cap(c.slots), c.busy)
+		return nil, nil, false
+	}
+	if s.baseCtx.Err() != nil {
+		<-c.slots
+		writeJSON(w, http.StatusServiceUnavailable, errorResponse{ErrClosed.Error()})
+		return nil, nil, false
+	}
+	c.active.Add(1)
+	ctx, cancel := context.WithCancel(r.Context())
+	stop := context.AfterFunc(s.baseCtx, cancel)
+	return ctx, func() {
+		stop()
+		cancel()
+		c.active.Add(-1)
+		<-c.slots
+	}, true
 }

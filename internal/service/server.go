@@ -104,11 +104,10 @@ type Server struct {
 	obs     *obs.Observer // nil when observability is disabled
 	started time.Time
 
-	batchSched *batch.Scheduler
-	batchSem   chan struct{} // admission slots for POST /v1/batch streams
-
-	sessions   *session.Table
-	sessionSem chan struct{} // admission slots for session append streams
+	batchSched    *batch.Scheduler
+	batchStreams  streamClass // admission of POST /v1/batch streams
+	sessions      *session.Table
+	appendStreams streamClass // admission of session append streams
 
 	baseCtx context.Context
 	stop    context.CancelFunc
@@ -199,9 +198,11 @@ func NewServer(cfg Config) (*Server, error) {
 		blas.MicroKernelName(), blas.CPUFeatures())
 	s.mgr = NewManager(cfg.QueueCap, cfg.MaxConcurrent, s.metrics, s.runJob)
 	s.mgr.obs = cfg.Obs
-	s.batchSem = make(chan struct{}, cfg.BatchStreams)
 	s.batchSched = batch.NewScheduler(batch.SchedConfig{Pool: s.pool, OnChunk: s.metrics.ObserveBatchChunk})
-	s.sessionSem = make(chan struct{}, cfg.SessionStreams)
+	s.batchStreams = streamClass{"batch", make(chan struct{}, cfg.BatchStreams),
+		&s.metrics.BatchActive, &s.metrics.BatchRejected, "batch capacity exhausted; retry later"}
+	s.appendStreams = streamClass{"session", make(chan struct{}, cfg.SessionStreams),
+		&s.metrics.AppendActive, &s.metrics.AppendRejected, "session append capacity exhausted; retry later"}
 	tbl, err := session.NewTable(session.Config{
 		Dir:          cfg.CheckpointDir,
 		Pool:         s.pool,

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +10,7 @@ import (
 
 	"pulsarqr/internal/matrix"
 	"pulsarqr/internal/obs"
+	"pulsarqr/internal/pulsar"
 	"pulsarqr/internal/qr"
 	"pulsarqr/internal/session"
 )
@@ -37,7 +37,7 @@ func sessionErrStatus(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, session.ErrGone):
 		return http.StatusGone
-	case errors.Is(err, session.ErrClosed), errors.Is(err, session.ErrPoolClosed):
+	case errors.Is(err, session.ErrClosed), errors.Is(err, pulsar.ErrPoolClosed):
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusBadRequest
@@ -132,24 +132,18 @@ func (s *Server) handleSessionR(w http.ResponseWriter, r *http.Request) {
 // reply frame carries the session's new global R (or a bare receipt for
 // ack-only sessions), so the client holds an up-to-date factorization after
 // every block it streams. Admission is its own class (cfg.SessionStreams
-// slots) shed with 429 + Retry-After, and the response commits to an octet
-// stream only once the first append has actually committed: failures before
-// that — busy session, deleted session, malformed stream — return clean JSON
-// statuses instead of a 200 with an error trailer.
+// slots, admitStream) shed with 429 + Retry-After, and the response commits
+// to an octet stream only once the first append has actually committed:
+// failures before that — busy session, deleted session, malformed stream —
+// return clean JSON statuses instead of a 200 with an error trailer.
 func (s *Server) handleSessionAppend(w http.ResponseWriter, r *http.Request) {
-	select {
-	case s.sessionSem <- struct{}{}:
-		defer func() { <-s.sessionSem }()
-	default:
-		s.metrics.AppendRejected.Add(1)
-		s.shed429(w, "session", "", int(s.metrics.AppendActive.Load()), s.cfg.SessionStreams,
-			"session append capacity exhausted; retry later")
+	// A client disconnect ends the stream, and so does server shutdown:
+	// committed-but-unsent updates are recoverable from the checkpoint.
+	ctx, end, ok := s.admitStream(w, r, &s.appendStreams)
+	if !ok {
 		return
 	}
-	if s.baseCtx.Err() != nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{ErrClosed.Error()})
-		return
-	}
+	defer end()
 	sess := s.sessionFromPath(w, r)
 	if sess == nil {
 		return
@@ -159,17 +153,6 @@ func (s *Server) handleSessionAppend(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{"bad append stream: " + err.Error()})
 		return
 	}
-
-	// A client disconnect cancels the stream via the request context; server
-	// shutdown must too, since committed-but-unsent updates are recoverable
-	// from the checkpoint anyway.
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	stop := context.AfterFunc(s.baseCtx, cancel)
-	defer stop()
-
-	s.metrics.AppendActive.Add(1)
-	defer s.metrics.AppendActive.Add(-1)
 
 	// Full duplex lets updates flow while the client is still streaming
 	// blocks at us. It is on before anything is written, so that an error

@@ -627,20 +627,20 @@ func TestShedAllClassesEmitRetryAfter(t *testing.T) {
 	expect429("job overflow", resp, err)
 
 	// Batch: occupy the only stream slot, then arrive.
-	s.batchSem <- struct{}{}
+	s.batchStreams.slots <- struct{}{}
 	resp, err = ts.Client().Post(ts.URL+"/v1/batch", "application/octet-stream", strings.NewReader("QBR1\x00\x00\x00\x00"))
 	expect429("batch overflow", resp, err)
-	<-s.batchSem
+	<-s.batchStreams.slots
 
 	// Session appends: occupy the only append slot, then arrive.
 	info, err := c.OpenSession(SessionSpec{N: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.sessionSem <- struct{}{}
+	s.appendStreams.slots <- struct{}{}
 	resp, err = ts.Client().Post(ts.URL+"/v1/sessions/"+info.ID+"/append", "application/octet-stream", strings.NewReader("QSA1\x00\x00\x00\x00"))
 	expect429("session append overflow", resp, err)
-	<-s.sessionSem
+	<-s.appendStreams.slots
 
 	// Session table: the single slot is held, a second open is shed.
 	resp, err = ts.Client().Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(`{"n":8}`))

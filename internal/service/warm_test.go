@@ -24,6 +24,7 @@ import (
 
 	"pulsarqr/internal/kernels"
 	"pulsarqr/internal/matrix"
+	"pulsarqr/internal/pulsar"
 	"pulsarqr/internal/qr"
 	"pulsarqr/internal/session"
 	"pulsarqr/internal/slab"
@@ -311,7 +312,9 @@ func TestWarmStorageCrossesSubsystems(t *testing.T) {
 	// need float64s, which goes back once its leaf is reduced; the leaf, of
 	// 64² float64s, stays on the spine.
 	drainSlabs()
-	tbl, err := session.NewTable(session.Config{IdleTimeout: -1})
+	pool := pulsar.NewPool(1, func(int) any { return kernels.NewWorkspace() })
+	defer pool.Close()
+	tbl, err := session.NewTable(session.Config{Pool: pool, IdleTimeout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

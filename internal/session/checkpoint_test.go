@@ -262,7 +262,7 @@ func TestCheckpointWriterAdmitsOnlyWhatReaderAccepts(t *testing.T) {
 // open now, on durable and memory-only tables alike, before anything exists.
 func TestOpenRefusesWhatACheckpointCannotCarry(t *testing.T) {
 	for _, dir := range []string{"", t.TempDir()} {
-		tbl, err := NewTable(Config{Dir: dir, IdleTimeout: -1})
+		tbl, err := NewTable(Config{Pool: testPool(t), Dir: dir, IdleTimeout: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +291,7 @@ func TestOpenRefusesWhatACheckpointCannotCarry(t *testing.T) {
 		if dir == "" {
 			continue
 		}
-		if tbl, err = NewTable(Config{Dir: dir, IdleTimeout: -1}); err != nil {
+		if tbl, err = NewTable(Config{Pool: testPool(t), Dir: dir, IdleTimeout: -1}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := tbl.Get(s.ID); err != nil {

@@ -28,7 +28,6 @@ var (
 	ErrBusy        = errors.New("session: append already in progress") // 409
 	ErrClosed      = errors.New("session: table closed")               // 503
 	ErrGone        = errors.New("session: session deleted")            // 410
-	ErrPoolClosed  = errors.New("session: worker pool closed")
 	ErrInterrupted = errors.New("session: append interrupted")
 )
 
@@ -41,16 +40,14 @@ type Config struct {
 	// Empty means memory-only sessions that idle eviction deletes.
 	Dir string
 
-	// Pool, when non-nil, runs leaf reductions on warm workers so decode,
-	// reduce, and commit of consecutive appends overlap. Nil reduces
-	// inline on the caller's goroutine.
+	// Pool runs leaf reductions on warm workers so decode, reduce, and
+	// commit of consecutive appends overlap (pulsar.Stream). Required.
 	Pool *pulsar.Pool
 
 	MaxSessions  int           // table-wide live session cap (default 64)
 	MaxPerTenant int           // per-tenant live session cap (default 8)
 	IdleTimeout  time.Duration // unload/evict after this idle (default 10m; <0 disables)
 	Every        int           // default checkpoint cadence in appends (default 1)
-	Window       int           // in-flight leaf reductions per append stream (default 4)
 
 	// Metrics hooks; all optional and called outside table locks.
 	OnAppend     func(d time.Duration) // one committed append, commit-to-emit latency
@@ -73,9 +70,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Every < 1 {
 		c.Every = 1
-	}
-	if c.Window < 1 {
-		c.Window = 4
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -142,6 +136,9 @@ type Table struct {
 // and re-registers every valid checkpoint as an unloaded session; corrupt
 // or foreign files are skipped with a log line, never trusted.
 func NewTable(cfg Config) (*Table, error) {
+	if cfg.Pool == nil {
+		return nil, errors.New("session: Config.Pool is required")
+	}
 	cfg = cfg.withDefaults()
 	t := &Table{
 		cfg:      cfg,
@@ -596,17 +593,19 @@ func finite(m *matrix.Mat) bool {
 	return s0+s1+s2+s3 == 0
 }
 
-// leafResult carries one reduced leaf from a pool worker to the commit loop.
-type leafResult struct {
-	nd    *qr.StreamNode
-	err   error
-	start time.Time
+// leaf is one block of an append stream on its way to the commit loop: the
+// block and its rhs from next, then the leaf a pool worker reduced them to.
+type leaf struct {
+	block, rhs *matrix.Mat
+	start      time.Time // when next yielded the block
+	nd         *qr.StreamNode
+	err        error
 }
 
 // AppendStream drives one append stream: next yields row blocks (io.EOF
 // ends the stream), and emit observes every committed append in order —
 // with the folded global R, or nil for ack-only sessions. Leaf reductions
-// pipeline over the table's pool with a bounded window while commits stay
+// run on the table's pool through pulsar.Stream's window while commits stay
 // ordered, so results are bitwise identical to a sequential run.
 //
 // A block or rhs holding a NaN or ±Inf ends the stream like an error from
@@ -616,7 +615,8 @@ type leafResult struct {
 // It returns the number of blocks committed. Only one stream may run per
 // session at a time (ErrBusy otherwise). On durable tables a checkpoint
 // write failure aborts the stream — an emitted update is never ahead of
-// what a restart can recover beyond the session's cadence.
+// what a restart can recover beyond the session's cadence. An aborted
+// stream gives back the slab of every leaf it reduced and did not commit.
 //
 // next runs on its own goroutine, which an aborted stream does not wait
 // for: a call blocked when AppendStream returns must fail soon after (an
@@ -631,7 +631,8 @@ func (s *Session) AppendStream(ctx context.Context, next func() (block, rhs *mat
 
 // AppendFrom is AppendStream over a decoded append request: ar's blocks
 // live in warm storage, and each goes back to it once its leaf is reduced,
-// or once the stream refuses it (a NaN or ±Inf entry, a closed pool).
+// or once the stream refuses it for a NaN or ±Inf entry. A block the pool
+// refuses because it closed is left to the collector.
 func (s *Session) AppendFrom(ctx context.Context, ar *AppendReader, emit func(blocks, rows int64, cur *qr.StreamNode) error) (int64, error) {
 	return s.appendStream(ctx, ar.Next, releaseBlock, emit)
 }
@@ -662,99 +663,39 @@ func (s *Session) appendStream(ctx context.Context, next func() (block, rhs *mat
 		s.mu.Unlock()
 	}()
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// The reader goroutine decodes blocks and dispatches leaf reductions;
-	// the buffered futures channel is the pipelining window. Each future is
-	// always resolved exactly once (by the worker, or by a failed dispatch),
-	// so the commit loop below can rely on <-fut completing unless the pool
-	// drops tasks at close — that case is covered by the ctx select.
-	futures := make(chan chan leafResult, s.t.cfg.Window)
-	readErr := make(chan error, 1)
-	go func() {
-		defer close(futures)
-		for i := 0; ; i++ {
-			select {
-			case <-ctx.Done():
-				return
-			default:
-			}
-			block, rhs, err := next()
-			if err == nil && (!finite(block) || rhs != nil && !finite(rhs)) {
-				release(block)
-				err = fmt.Errorf("session: block %d of the stream carries a NaN or Inf entry", i)
-			}
-			if err != nil {
-				if err != io.EOF {
-					readErr <- err
-				}
-				return
-			}
-			fut := make(chan leafResult, 1)
-			start := time.Now()
-			run := func(state any) {
-				ws, _ := state.(*kernels.Workspace)
-				if ws == nil {
-					ws = kernels.BorrowWorkspace()
-					defer kernels.ReturnWorkspace(ws)
-				}
-				nd, err := str.LeafReduce(ws, block, rhs)
-				release(block)
-				fut <- leafResult{nd: nd, err: err, start: start}
-			}
-			if p := s.t.cfg.Pool; p != nil {
-				if !p.Exec(run) {
-					release(block)
-					fut <- leafResult{err: ErrPoolClosed, start: start}
-				}
-			} else {
-				run(nil)
-			}
-			select {
-			case futures <- fut:
-			case <-ctx.Done():
-				return
-			}
+	blocks := 0
+	nextLeaf := func() (*leaf, error) {
+		block, rhs, err := next()
+		if err == nil && (!finite(block) || rhs != nil && !finite(rhs)) {
+			release(block)
+			err = fmt.Errorf("session: block %d of the stream carries a NaN or Inf entry", blocks)
 		}
-	}()
-
+		blocks++
+		if err != nil && !errors.Is(err, io.EOF) {
+			err = fmt.Errorf("%w: %v", ErrInterrupted, err)
+		}
+		return &leaf{block: block, rhs: rhs, start: time.Now()}, err
+	}
+	reduce := func(state any, l *leaf) *leaf {
+		ws, _ := state.(*kernels.Workspace)
+		l.nd, l.err = str.LeafReduce(ws, l.block, l.rhs)
+		release(l.block)
+		return l
+	}
 	ws := kernels.BorrowWorkspace()
 	defer kernels.ReturnWorkspace(ws)
 	var committed int64
-	var streamErr error
-loop:
-	for {
-		// Both waits end on cancellation: the reader may be blocked in
-		// next() with no future to send.
-		var res leafResult
-		select {
-		case fut, ok := <-futures:
-			if !ok {
-				streamErr = context.Cause(ctx) // nil unless the reader stopped on a cancellation
-				break loop
-			}
-			select {
-			case res = <-fut:
-			case <-ctx.Done():
-				streamErr = context.Cause(ctx)
-				break loop
-			}
-		case <-ctx.Done():
-			streamErr = context.Cause(ctx)
-			break loop
-		}
-		if res.err != nil {
-			streamErr = res.err
-			break
+	commit := func(l *leaf) error {
+		if l.err != nil {
+			return l.err
 		}
 		s.mu.Lock()
 		if s.gone {
 			s.mu.Unlock()
-			streamErr = ErrGone
-			break
+			str.Release(l.nd)
+			return ErrGone
 		}
-		str.Commit(ws, res.nd)
+		str.Commit(ws, l.nd)
 		blocks, rows := str.Blocks(), str.Rows()
 		s.blocks, s.rows = blocks, rows
 		var cur *qr.StreamNode
@@ -766,33 +707,20 @@ loop:
 		if s.t.cfg.Dir != "" && s.dirty >= s.Every {
 			if err := s.checkpointLocked(); err != nil {
 				s.mu.Unlock()
-				streamErr = fmt.Errorf("session %s: checkpoint: %w", s.ID, err)
-				break
+				return fmt.Errorf("session %s: checkpoint: %w", s.ID, err)
 			}
 		}
 		s.lastUsed = time.Now()
 		s.mu.Unlock()
 		if err := emit(blocks, rows, cur); err != nil {
-			streamErr = err
-			break
+			return err
 		}
 		committed++
 		if s.t.cfg.OnAppend != nil {
-			s.t.cfg.OnAppend(time.Since(res.start))
+			s.t.cfg.OnAppend(time.Since(l.start))
 		}
+		return nil
 	}
-	// An aborted stream returns without waiting for the reader: it may be
-	// blocked in next() on a client that sends its next block only after it
-	// sees an update that will never come. The deferred cancel is enough —
-	// the reader checks ctx before every next() and every send, and workers
-	// resolve their futures into a one-slot buffer, so nothing blocks on
-	// the abandoned channel.
-	if streamErr == nil {
-		select {
-		case err := <-readErr:
-			streamErr = fmt.Errorf("%w: %v", ErrInterrupted, err)
-		default:
-		}
-	}
-	return committed, streamErr
+	err := pulsar.Stream(ctx, s.t.cfg.Pool, nextLeaf, reduce, commit, func(l *leaf) { str.Release(l.nd) })
+	return committed, err
 }

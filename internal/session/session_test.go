@@ -35,6 +35,15 @@ func feedBlocks(blocks, rhs []*matrix.Mat) func() (*matrix.Mat, *matrix.Mat, err
 	}
 }
 
+// testPool is a two-worker pool with a kernel workspace per worker, closed
+// when the test ends: what a table's append streams run on.
+func testPool(t *testing.T) *pulsar.Pool {
+	t.Helper()
+	p := pulsar.NewPool(2, func(int) any { return kernels.NewWorkspace() })
+	t.Cleanup(p.Close)
+	return p
+}
+
 func genBlocks(rng *rand.Rand, count, n int) []*matrix.Mat {
 	out := make([]*matrix.Mat, count)
 	for i := range out {
@@ -86,7 +95,7 @@ func TestFiniteFindsEveryNonFinite(t *testing.T) {
 }
 
 func TestTableLimits(t *testing.T) {
-	tbl, err := NewTable(Config{MaxSessions: 3, MaxPerTenant: 2, IdleTimeout: -1})
+	tbl, err := NewTable(Config{Pool: testPool(t), MaxSessions: 3, MaxPerTenant: 2, IdleTimeout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +138,7 @@ func TestTableLimits(t *testing.T) {
 func TestAppendStreamMatchesFactorize(t *testing.T) {
 	pool := pulsar.NewPool(3, func(int) any { return kernels.NewWorkspace() })
 	defer pool.Close()
-	tbl, err := NewTable(Config{Pool: pool, IdleTimeout: -1, Window: 3})
+	tbl, err := NewTable(Config{Pool: pool, IdleTimeout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +204,7 @@ func compareR(t *testing.T, got, want *matrix.Mat) {
 
 // TestAppendStreamBusy proves a second concurrent stream is refused.
 func TestAppendStreamBusy(t *testing.T) {
-	tbl, err := NewTable(Config{IdleTimeout: -1})
+	tbl, err := NewTable(Config{Pool: testPool(t), IdleTimeout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +256,7 @@ func TestDurableRestart(t *testing.T) {
 	cut := 5
 
 	// Uninterrupted run for the bitwise oracle.
-	oracleTbl, err := NewTable(Config{IdleTimeout: -1})
+	oracleTbl, err := NewTable(Config{Pool: testPool(t), IdleTimeout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +277,7 @@ func TestDurableRestart(t *testing.T) {
 	// Interrupted run: first cut appends, then close (simulating restart —
 	// checkpoint cadence 1 means even kill -9 only loses uncommitted work).
 	var ckpts atomic.Int64
-	tbl1, err := NewTable(Config{Dir: dir, IdleTimeout: -1,
+	tbl1, err := NewTable(Config{Pool: testPool(t), Dir: dir, IdleTimeout: -1,
 		OnCheckpoint: func(int64) { ckpts.Add(1) }})
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +298,7 @@ func TestDurableRestart(t *testing.T) {
 
 	// Fresh table over the same dir: the session must reappear unloaded...
 	var restores atomic.Int64
-	tbl2, err := NewTable(Config{Dir: dir, IdleTimeout: -1,
+	tbl2, err := NewTable(Config{Pool: testPool(t), Dir: dir, IdleTimeout: -1,
 		OnRestore: func() { restores.Add(1) }})
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +367,7 @@ func TestRestoreKeepsCheckpointedBlockingAcrossDefaultChange(t *testing.T) {
 	}
 	oracle := str.Current(nil, nil)
 
-	tbl1, err := NewTable(Config{Dir: dir, IdleTimeout: -1})
+	tbl1, err := NewTable(Config{Pool: testPool(t), Dir: dir, IdleTimeout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +381,7 @@ func TestRestoreKeepsCheckpointedBlockingAcrossDefaultChange(t *testing.T) {
 	}
 	tbl1.Close()
 
-	tbl2, err := NewTable(Config{Dir: dir, IdleTimeout: -1})
+	tbl2, err := NewTable(Config{Pool: testPool(t), Dir: dir, IdleTimeout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +419,7 @@ func TestRestoreKeepsCheckpointedBlockingAcrossDefaultChange(t *testing.T) {
 func TestIdleUnloadAndEvict(t *testing.T) {
 	dir := t.TempDir()
 	var evicts atomic.Int64
-	durable, err := NewTable(Config{Dir: dir, IdleTimeout: 50 * time.Millisecond,
+	durable, err := NewTable(Config{Pool: testPool(t), Dir: dir, IdleTimeout: 50 * time.Millisecond,
 		OnEvict: func() { evicts.Add(1) }})
 	if err != nil {
 		t.Fatal(err)
@@ -431,7 +440,7 @@ func TestIdleUnloadAndEvict(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mem, err := NewTable(Config{IdleTimeout: 50 * time.Millisecond,
+	mem, err := NewTable(Config{Pool: testPool(t), IdleTimeout: 50 * time.Millisecond,
 		OnEvict: func() { evicts.Add(1) }})
 	if err != nil {
 		t.Fatal(err)
@@ -450,7 +459,7 @@ func TestIdleUnloadAndEvict(t *testing.T) {
 // TestDeleteMidAppend proves an in-flight stream observes the tombstone.
 func TestDeleteMidAppend(t *testing.T) {
 	dir := t.TempDir()
-	tbl, err := NewTable(Config{Dir: dir, IdleTimeout: -1})
+	tbl, err := NewTable(Config{Pool: testPool(t), Dir: dir, IdleTimeout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +540,7 @@ func TestAbortedInteractiveStreamReturns(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir() + "/ckpt"
-			tbl, err := NewTable(Config{Dir: dir, IdleTimeout: -1})
+			tbl, err := NewTable(Config{Pool: testPool(t), Dir: dir, IdleTimeout: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -575,7 +584,7 @@ func TestAbortedInteractiveStreamReturns(t *testing.T) {
 // append stream: the fold is already current, so no merge fires, and the
 // state is bitwise the last R the stream emitted.
 func TestCurrentBetweenAppendsFiresNoMerge(t *testing.T) {
-	tbl, err := NewTable(Config{IdleTimeout: -1})
+	tbl, err := NewTable(Config{Pool: testPool(t), IdleTimeout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,7 +628,7 @@ func TestCurrentBetweenAppendsFiresNoMerge(t *testing.T) {
 // proves NewTable registers only the valid session.
 func TestBootScanSkipsGarbage(t *testing.T) {
 	dir := t.TempDir()
-	tbl, err := NewTable(Config{Dir: dir, IdleTimeout: -1})
+	tbl, err := NewTable(Config{Pool: testPool(t), Dir: dir, IdleTimeout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,7 +639,7 @@ func TestBootScanSkipsGarbage(t *testing.T) {
 	tbl.Close()
 	os.WriteFile(dir+"/garbage.qsc", []byte("QSC1 but not really"), 0o644)
 	os.WriteFile(dir+"/notes.txt", []byte("ignore me"), 0o644)
-	tbl2, err := NewTable(Config{Dir: dir, IdleTimeout: -1})
+	tbl2, err := NewTable(Config{Pool: testPool(t), Dir: dir, IdleTimeout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,12 +10,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
 	"time"
 
@@ -128,13 +130,11 @@ func holdGC(t *testing.T) {
 	t.Cleanup(func() { debug.SetGCPercent(old) })
 }
 
-// warmTable is a table whose leaves reduce on a two-worker pool with three
+// warmTable is a table whose leaves reduce on a two-worker pool, with four
 // appends in flight.
 func warmTable(t *testing.T) *Table {
 	t.Helper()
-	pool := pulsar.NewPool(2, func(int) any { return kernels.NewWorkspace() })
-	t.Cleanup(pool.Close)
-	tbl, err := NewTable(Config{Pool: pool, IdleTimeout: -1, Window: 3})
+	tbl, err := NewTable(Config{Pool: testPool(t), IdleTimeout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,14 +272,16 @@ func awaitMarkers(t *testing.T, set map[*float64]bool, n int) {
 }
 
 // A hostile append stream pins no warm storage: a payload cut short, a block
-// the stream refuses for a NaN, a block LeafReduce rejects, and a stream
-// cancelled while its reader waits mid-payload each give back every slab
-// they took, and a header declaring more than MaxBlockRows rows takes none.
-// A leaf is laid in a slab of the float pool too, which may be up to a
-// doubling larger than the leaf, as a block's is; a leaf on the spine keeps
-// its slab, and one a stream never commits is left to the collector. So the
-// leaves' own class is stocked first, and the markers stay the only storage
-// a leaf reaching up, or a block, would find.
+// the stream refuses for a NaN, a block LeafReduce rejects, a stream
+// cancelled while its reader waits mid-payload, and one whose client goes
+// away with leaves in flight each give back every slab they took, and a
+// header declaring more than MaxBlockRows rows takes none. A leaf is laid
+// in a slab of the float pool too, which may be up to a doubling larger
+// than the leaf, as a block's is: a leaf the stream reduced and never
+// committed goes back as the stream ends, and one on the spine once the
+// session is deleted. So the leaves' own class is stocked with markers
+// first, enough that no leaf reaches up to a block's, and once the block
+// markers are back and out of reach, every leaf marker must be back too.
 func TestHostileAppendStreamReleasesEverySlab(t *testing.T) {
 	holdGC(t)
 	tbl := warmTable(t)
@@ -294,22 +296,23 @@ func TestHostileAppendStreamReleasesEverySlab(t *testing.T) {
 	clean := appendBody(t, blocks, rhs)
 	bad := cloneAll(blocks)
 	bad[1].Set(3, 4, math.NaN())
+	gone := errors.New("client went away")
 	for _, tc := range []struct {
 		name   string
 		body   []byte
 		cols   int // the reader's block width; the session's is n
 		cancel bool
+		emit   error // what the client's end of the stream fails with
 	}{
-		{"short payload", clean[:len(clean)-5], n, false},
-		{"non-finite block", appendBody(t, bad, rhs), n, false},
-		{"leaf reduce error", appendBody(t, wide, rhs), n + 1, false},
-		{"cancelled mid-payload", clean[:len(clean)-5], n, true},
+		{"short payload", clean[:len(clean)-5], n, false, nil},
+		{"non-finite block", appendBody(t, bad, rhs), n, false, nil},
+		{"leaf reduce error", appendBody(t, wide, rhs), n + 1, false, nil},
+		{"cancelled mid-payload", clean[:len(clean)-5], n, true, nil},
+		{"client gone with leaves in flight", clean, n, false, gone},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			leaves := markers(2*count+2, n*(n+nrhs))
 			set := markers(count, rows*(tc.cols+nrhs))
-			for range count {
-				slab.Floats.Put(nanSlab(n * (n + nrhs)))
-			}
 			s, err := tbl.Open("t", n, nrhs, qr.Options{}, 0, false)
 			if err != nil {
 				t.Fatal(err)
@@ -328,19 +331,45 @@ func TestHostileAppendStreamReleasesEverySlab(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The stream reads ar as AppendFrom does, through a source that
+			// fails once the stream has returned, as a request body does once
+			// its handler has: the stream does not wait for its reader, and a
+			// block decoded late could take a fresh slab while awaitMarkers
+			// holds the markers out of the pool.
+			var mu sync.Mutex
+			ended := false
+			next := func() (*matrix.Mat, *matrix.Mat, error) {
+				mu.Lock()
+				defer mu.Unlock()
+				if ended {
+					return nil, nil, io.ErrClosedPipe
+				}
+				return ar.Next()
+			}
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			_, err = s.AppendFrom(ctx, ar, func(int64, int64, *qr.StreamNode) error {
+			_, err = s.appendStream(ctx, next, releaseBlock, func(int64, int64, *qr.StreamNode) error {
 				if tc.cancel {
 					cancel()
 				}
-				return nil
+				if tc.emit != nil {
+					time.Sleep(5 * time.Millisecond) // the later leaves are reduced by now
+				}
+				return tc.emit
 			})
 			if err == nil {
 				t.Fatal("a hostile stream ended without an error")
 			}
 			pw.CloseWithError(io.ErrUnexpectedEOF)
+			mu.Lock()
+			ended = true
+			mu.Unlock()
 			awaitMarkers(t, set, rows*(tc.cols+nrhs))
+			if err := tbl.Delete(s.ID); err != nil {
+				t.Fatal(err)
+			}
+			drain(rows * (tc.cols + nrhs))
+			awaitMarkers(t, leaves, n*(n+nrhs))
 		})
 	}
 
@@ -491,7 +520,7 @@ func TestClosedSessionReleasesSpine(t *testing.T) {
 	}
 	for _, durable := range []bool{false, true} {
 		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
-			cfg := Config{IdleTimeout: time.Hour}
+			cfg := Config{Pool: testPool(t), IdleTimeout: time.Hour}
 			if durable {
 				cfg.Dir = t.TempDir()
 			}

@@ -315,7 +315,9 @@ func TestGoldenCheckpointRestoresThroughTable(t *testing.T) {
 	if err := os.WriteFile(session.CheckpointPath(dir, cp.ID), file, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := session.NewTable(session.Config{Dir: dir, IdleTimeout: -1})
+	pool := pulsar.NewPool(1, nil)
+	defer pool.Close()
+	tbl, err := session.NewTable(session.Config{Pool: pool, Dir: dir, IdleTimeout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
